@@ -1,12 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"zerotune/internal/features"
 	"zerotune/internal/gnn"
-	"zerotune/internal/workload"
 )
 
 // TrainOptions is the single training configuration shared by library
@@ -197,27 +195,4 @@ func optionsFrom(mc gnn.Config, tc gnn.TrainConfig, mask features.Mask) *TrainOp
 		Resume: tc.Resume, Interrupt: tc.Interrupt,
 		Mask: mask,
 	}
-}
-
-// LegacyTrainOptions is the pre-context, nested options shape.
-//
-// Deprecated: use TrainOptions with NewTrainOptions; this shim exists only
-// so code written against the old API keeps compiling for one release.
-type LegacyTrainOptions struct {
-	Model gnn.Config
-	Train gnn.TrainConfig
-	Mask  features.Mask
-	Seed  uint64
-}
-
-// TrainLegacy trains with the old nested options shape and no context. The
-// old API carried two seeds (model init via Seed, shuffling via
-// Train.Seed); the unified options use one, so shimmed runs stay
-// deterministic but are not bit-identical to pre-redesign runs.
-//
-// Deprecated: use Train(ctx, items, opts).
-func TrainLegacy(items []*workload.Item, opts LegacyTrainOptions) (*ZeroTune, gnn.TrainStats, error) {
-	o := optionsFrom(opts.Model, opts.Train, opts.Mask)
-	o.Seed = opts.Seed
-	return Train(context.Background(), items, o)
 }

@@ -1,12 +1,15 @@
 package desim
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"zerotune/internal/fault"
 	"zerotune/internal/gateway"
+	"zerotune/internal/gnn"
 	"zerotune/internal/loadgen"
 	"zerotune/internal/serve"
 )
@@ -25,15 +28,34 @@ import (
 // shared Timeline — so the same seed and spec produce byte-identical
 // decision traces, which CI enforces with cmp.
 //
-// Fidelity notes (where the model simplifies the live tier):
-//   - The per-replica cache is one fingerprint-keyed LRU standing in for
-//     both the body-level response cache and the plan-fingerprint cache
-//     (bench workloads are keyed by body bytes, where the two coincide).
+// Shared with the live tier — the simulator holds the live type and calls it
+// on the virtual clock, so these cannot drift from what they model:
+//   - Admission: one gateway.TokenBucket per class from
+//     gateway.NormalizeClasses, asked Allow(time.Unix(0, nowNs)).
+//   - Circuit breaker: one serve.Breaker per replica on its count-based
+//     ProbeEvery schedule (never reads a clock); OnOpen feeds CircuitOpens.
+//   - Single-flight LRU: one serve.Cache per replica, in the live order —
+//     front-door Lookup → breaker → encode → Acquire → queue bound → batch →
+//     Complete. Hit, coalesce and eviction counts are read from its counters.
+//   - Keys and placement: serve.HashBody and gateway.AffinityScore.
+//
+// Modelled here rather than shared (fidelity notes):
+//   - The batcher. The live Batcher is a goroutine select loop whose policy
+//     is three lines (take what is queued up to MaxBatch; if short, wait up
+//     to the window for more; flush); the idle/collecting/flushing events
+//     below restate that policy, because sharing it would add a layer both
+//     callers must see through.
+//   - Least-loaded routing ranks replicas by instantaneous outstanding
+//     requests; the live router ranks by its load EWMA first.
+//   - The one serve.Cache per replica stands in for both the body-level
+//     response cache and the plan-fingerprint cache (bench workloads are
+//     keyed by body bytes, where the two coincide).
 //   - Coalesced followers complete together with their leader; a failed
 //     leader degrades its followers instead of replaying the live
 //     stale-entry re-acquire loop.
-//   - Request deadlines are not modeled: outcomes are 200 (ok or degraded)
-//     or 429 (admission / queue backpressure).
+//   - Request deadlines and the gateway dispatch queue (MaxConcurrent, queue
+//     policy) are not modelled: outcomes are 200 (ok or degraded) or 429
+//     (admission / replica queue backpressure).
 
 // ServiceModel is the simulator's cost table: integer nanoseconds of
 // virtual time per pipeline stage. The forward pass is batch-size-linear,
@@ -103,14 +125,14 @@ type ServeConfig struct {
 	// QueueDepth bounds each replica's submitted-but-unflushed queue
 	// (default serve.DefaultQueueFactor × MaxBatch); overflow answers 429.
 	QueueDepth int
-	// CacheEntries bounds each replica's fingerprint LRU (0 →
+	// CacheEntries bounds each replica's serve.Cache (0 →
 	// serve.DefaultCacheSize; negative disables caching).
 	CacheEntries int
 	// Route selects the gateway routing policy (default affinity —
 	// rendezvous hashing via gateway.AffinityScore, the live function).
 	Route gateway.RoutePolicy
-	// Classes configures per-SLO-class token-bucket admission (default:
-	// one unlimited best-effort class, mirroring gateway.DefaultClasses).
+	// Classes configures per-SLO-class token-bucket admission, normalized
+	// by gateway.NormalizeClasses exactly as gateway.Options.Classes is.
 	Classes []gateway.ClassConfig
 	// Service is the stage cost table (zero → DefaultServiceModel).
 	Service ServiceModel
@@ -156,9 +178,6 @@ func (c ServeConfig) withDefaults() ServeConfig {
 	}
 	if c.Route == "" {
 		c.Route = gateway.RouteAffinity
-	}
-	if len(c.Classes) == 0 {
-		c.Classes = gateway.DefaultClasses()
 	}
 	if c.Service == (ServiceModel{}) {
 		c.Service = DefaultServiceModel()
@@ -304,7 +323,7 @@ type svItem struct {
 	req        int
 	enqueuedNs int64
 	probe      bool
-	entry      *svCacheEntry // nil when caching is disabled
+	entry      *serve.CacheEntry // the slot this leader must Complete; nil when caching is disabled
 }
 
 // --- replica-local state ----------------------------------------------------
@@ -322,196 +341,24 @@ type svReplica struct {
 	queue       []*svItem
 	batch       []*svItem
 	timerGen    int
-	outstanding int // routed-but-uncompleted, for least-loaded
-	cache       *svCache
-	breaker     svBreaker
-	stats       ReplicaStats
+	outstanding int          // routed-but-uncompleted, for least-loaded
+	cache       *serve.Cache // nil when caching is disabled
+	// followers lists the requests coalesced onto each in-flight entry. The
+	// live followers block in CacheEntry.Wait; a simulator cannot block, so
+	// it parks them here until the leader's flush completes.
+	followers map[*serve.CacheEntry][]int
+	breaker   *serve.Breaker
+	stats     ReplicaStats
 }
 
-// svCache mirrors the live bounded LRU with single-flight semantics, keyed
-// by the request-body fingerprint.
-type svCacheEntry struct {
-	key     uint64
-	done    bool
-	waiters []*svItem // coalesced followers of an in-flight leader
-	// lruNext/lruPrev form the completed-entry LRU (front = most recent).
-	lruNext, lruPrev *svCacheEntry
-}
+// errForward is what a failed flush publishes through Cache.Complete, so the
+// cache drops the entry the way it drops a live leader's failed one.
+var errForward = errors.New("desim: simulated forward failure")
 
-type svCache struct {
-	max        int
-	m          map[uint64]*svCacheEntry
-	head, tail *svCacheEntry // completed-entry LRU
-	resident   int
-}
-
-func newSvCache(max int) *svCache {
-	return &svCache{max: max, m: make(map[uint64]*svCacheEntry)}
-}
-
-func (c *svCache) get(key uint64) *svCacheEntry { return c.m[key] }
-
-// touch moves a completed entry to the LRU front.
-func (c *svCache) touch(e *svCacheEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlink(e)
-	c.pushFront(e)
-}
-
-func (c *svCache) pushFront(e *svCacheEntry) {
-	e.lruPrev = nil
-	e.lruNext = c.head
-	if c.head != nil {
-		c.head.lruPrev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-	c.resident++
-}
-
-func (c *svCache) unlink(e *svCacheEntry) {
-	if e.lruPrev != nil {
-		e.lruPrev.lruNext = e.lruNext
-	} else if c.head == e {
-		c.head = e.lruNext
-	}
-	if e.lruNext != nil {
-		e.lruNext.lruPrev = e.lruPrev
-	} else if c.tail == e {
-		c.tail = e.lruPrev
-	}
-	e.lruPrev, e.lruNext = nil, nil
-	c.resident--
-}
-
-// acquire returns (entry, leader): the live Cache.Acquire contract.
-func (c *svCache) acquire(key uint64) (*svCacheEntry, bool) {
-	if e := c.m[key]; e != nil {
-		return e, false
-	}
-	e := &svCacheEntry{key: key}
-	c.m[key] = e
-	return e, true
-}
-
-// complete marks a leader's entry done and LRU-inserts it, evicting beyond
-// the bound. Returns how many completed entries were evicted.
-func (c *svCache) complete(e *svCacheEntry) int {
-	e.done = true
-	e.waiters = nil
-	c.pushFront(e)
-	evicted := 0
-	for c.resident > c.max && c.tail != nil {
-		victim := c.tail
-		c.unlink(victim)
-		delete(c.m, victim.key)
-		evicted++
-	}
-	return evicted
-}
-
-// drop removes a failed leader's entry (the live stale-entry path).
-func (c *svCache) drop(e *svCacheEntry) {
-	if cur := c.m[e.key]; cur == e {
-		delete(c.m, e.key)
-	}
-}
-
-// svBreaker is the live consecutive-failure breaker's state machine on the
-// count-based probe schedule (the deterministic mode chaos runs use).
-type svBreaker struct {
-	threshold   int
-	probeEvery  int
-	state       serve.CircuitState
-	consecutive int
-	rejected    int
-}
-
-func (b *svBreaker) admit() (allowed, probe bool) {
-	if b.threshold <= 0 {
-		return true, false
-	}
-	switch b.state {
-	case serve.CircuitClosed:
-		return true, false
-	case serve.CircuitHalfOpen:
-		return false, false
-	default: // open
-		b.rejected++
-		if b.rejected%b.probeEvery == 0 {
-			b.state = serve.CircuitHalfOpen
-			return true, true
-		}
-		return false, false
-	}
-}
-
-func (b *svBreaker) abandonProbe() {
-	if b.state == serve.CircuitHalfOpen {
-		b.state = serve.CircuitOpen
-	}
-}
-
-func (b *svBreaker) recordSuccess() {
-	if b.threshold <= 0 {
-		return
-	}
-	b.state = serve.CircuitClosed
-	b.consecutive = 0
-}
-
-// recordFailure returns true when this failure opened the circuit.
-func (b *svBreaker) recordFailure() bool {
-	if b.threshold <= 0 {
-		return false
-	}
-	switch b.state {
-	case serve.CircuitHalfOpen:
-		b.state = serve.CircuitOpen
-		b.consecutive = 0
-		b.rejected = 0
-		return true
-	case serve.CircuitClosed:
-		b.consecutive++
-		if b.consecutive >= b.threshold {
-			b.state = serve.CircuitOpen
-			b.consecutive = 0
-			b.rejected = 0
-			return true
-		}
-	}
-	return false
-}
-
-// svBucket is the gateway's per-class token bucket on the virtual clock.
-type svBucket struct {
-	cfg    gateway.ClassConfig
-	tokens float64
-	lastNs int64
-	primed bool
-}
-
-func (b *svBucket) allow(nowNs int64) bool {
-	if b.cfg.Rate <= 0 {
-		return true
-	}
-	if b.primed {
-		b.tokens += float64(nowNs-b.lastNs) / 1e9 * b.cfg.Rate
-		if b.tokens > b.cfg.Burst {
-			b.tokens = b.cfg.Burst
-		}
-	}
-	b.lastNs = nowNs
-	b.primed = true
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
+// cacheKey widens a body hash into the live cache's key type.
+func cacheKey(h uint64) (fp serve.Fingerprint) {
+	binary.LittleEndian.PutUint64(fp[:], h)
+	return fp
 }
 
 // --- the simulator ----------------------------------------------------------
@@ -522,8 +369,7 @@ type serveSim struct {
 	keys     []uint64 // per-request body fingerprint
 	tl       Timeline
 	replicas []*svReplica
-	buckets  map[string]*svBucket
-	def      *svBucket
+	buckets  map[string]*gateway.TokenBucket // normalized: always holds the default class
 	rrNext   int
 	flushes  uint64 // failure-stream cursor
 	outcomes []RequestOutcome
@@ -542,64 +388,61 @@ func SimulateServe(sched []loadgen.Request, cfg ServeConfig) (*RunResult, error)
 	if cfg.Replicas > 64 {
 		return nil, fmt.Errorf("desim: %d replicas exceed the routing bitmask width (64)", cfg.Replicas)
 	}
+	classes, err := gateway.NormalizeClasses(cfg.Classes)
+	if err != nil {
+		return nil, err
+	}
 	s := &serveSim{
 		cfg:      cfg,
 		sched:    sched,
 		keys:     make([]uint64, len(sched)),
 		outcomes: make([]RequestOutcome, len(sched)),
+		buckets:  make(map[string]*gateway.TokenBucket, len(classes)),
 		trace:    newDecisionTrace(cfg.Trace),
+	}
+	for _, cc := range classes {
+		s.buckets[cc.Name] = gateway.NewTokenBucket(cc)
 	}
 	for i := range s.outcomes {
 		s.outcomes[i] = RequestOutcome{Seq: i, Replica: -1, Class: sched[i].Class, ArrivalNs: int64(sched[i].Offset)}
 	}
 	for i, r := range sched {
-		s.keys[i] = fnv1a64(r.Body)
+		s.keys[i] = serve.HashBody(r.Body)
 	}
 	for i := 0; i < cfg.Replicas; i++ {
-		rep := &svReplica{
-			idx:  i,
-			name: fmt.Sprintf("replica-%d", i),
-			breaker: svBreaker{
-				threshold:  cfg.CircuitThreshold,
-				probeEvery: cfg.CircuitProbeEvery,
+		rep := &svReplica{idx: i, name: fmt.Sprintf("replica-%d", i)}
+		rep.breaker = serve.NewBreaker(serve.BreakerConfig{
+			Threshold:  cfg.CircuitThreshold,
+			ProbeEvery: cfg.CircuitProbeEvery,
+			OnOpen: func() {
+				rep.stats.CircuitOpens++
+				s.stats.CircuitOpens++
+				s.trace.repEvent(int64(s.tl.Now()), "circuit", rep.idx, "state", "open")
 			},
-		}
+		})
 		if cfg.CacheEntries > 0 {
-			rep.cache = newSvCache(cfg.CacheEntries)
+			rep.cache = serve.NewCache(cfg.CacheEntries)
+			rep.followers = make(map[*serve.CacheEntry][]int)
 		}
 		rep.stats.Name = rep.name
 		s.replicas = append(s.replicas, rep)
 	}
-	s.buckets = make(map[string]*svBucket, len(cfg.Classes)+1)
-	for _, cc := range cfg.Classes {
-		if cc.Name == "" {
-			return nil, fmt.Errorf("desim: SLO class with empty name")
-		}
-		if _, dup := s.buckets[cc.Name]; dup {
-			return nil, fmt.Errorf("desim: duplicate SLO class %q", cc.Name)
-		}
-		if cc.Rate > 0 && cc.Burst < 1 {
-			cc.Burst = cc.Rate
-			if cc.Burst < 1 {
-				cc.Burst = 1
-			}
-		}
-		s.buckets[cc.Name] = &svBucket{cfg: cc, tokens: cc.Burst}
-	}
-	if _, ok := s.buckets[gateway.DefaultClassName]; !ok {
-		s.buckets[gateway.DefaultClassName] = &svBucket{cfg: gateway.ClassConfig{Name: gateway.DefaultClassName}}
-	}
-	s.def = s.buckets[gateway.DefaultClassName]
 
 	for i, r := range sched {
 		s.tl.Schedule(float64(int64(r.Offset)), svArrive{req: i})
 	}
-	err := s.run()
+	err = s.run()
 	if ferr := s.trace.flush(); ferr != nil && err == nil {
 		err = fmt.Errorf("desim: flush decision trace: %w", ferr)
 	}
 	res := &RunResult{Outcomes: s.outcomes, Stats: s.stats, EndNs: s.endNs, Events: s.events}
 	for _, rep := range s.replicas {
+		if rep.cache != nil {
+			cs := rep.cache.Stats()
+			rep.stats.CacheHits, rep.stats.Coalesced, rep.stats.Evictions = int(cs.Hits), int(cs.Coalesced), int(cs.Evictions)
+			res.Stats.CacheHits += rep.stats.CacheHits
+			res.Stats.Coalesced += rep.stats.Coalesced
+		}
 		res.Stats.PerReplica = append(res.Stats.PerReplica, rep.stats)
 	}
 	return res, err
@@ -641,9 +484,9 @@ func (s *serveSim) onArrive(now int64, req int) {
 	s.trace.reqEvent(now, "arrive", req, "class", className(r.Class), "key", s.keys[req])
 	bucket := s.buckets[r.Class]
 	if bucket == nil {
-		bucket = s.def
+		bucket = s.buckets[gateway.DefaultClassName]
 	}
-	if !bucket.allow(now) {
+	if !bucket.Allow(time.Unix(0, now)) {
 		s.stats.AdmissionRejected++
 		s.trace.reqEvent(now, "admit", req, "ok", false)
 		s.complete(now, now, svComplete{req: req, status: 429})
@@ -685,22 +528,17 @@ func (s *serveSim) route(req int) *svReplica {
 	}
 }
 
-// onAtReplica is the replica's front door: completed-entry cache hits
-// answer immediately; the breaker gates the learned path; everything else
-// heads for the encoder.
+// onAtReplica is the replica's front door: filled-entry cache hits answer
+// immediately; the breaker gates the learned path; everything else heads
+// for the encoder.
 func (s *serveSim) onAtReplica(now int64, req, replica int) {
 	rep := s.replicas[replica]
-	if rep.cache != nil {
-		if e := rep.cache.get(s.keys[req]); e != nil && e.done {
-			rep.cache.touch(e)
-			rep.stats.CacheHits++
-			s.stats.CacheHits++
-			s.trace.reqEvent(now, "cache", req, "replica", replica, "result", "hit")
-			s.complete(now, now+s.cfg.Service.CacheHitNs, svComplete{req: req, status: 200, cacheHit: true})
-			return
-		}
+	if rep.cache != nil && rep.cache.Lookup(cacheKey(s.keys[req])) != nil {
+		s.trace.reqEvent(now, "cache", req, "replica", replica, "result", "hit")
+		s.complete(now, now+s.cfg.Service.CacheHitNs, svComplete{req: req, status: 200, cacheHit: true})
+		return
 	}
-	allowed, probe := rep.breaker.admit()
+	allowed, probe := rep.breaker.Admit()
 	if !allowed {
 		s.trace.reqEvent(now, "breaker", req, "replica", replica, "action", "reject")
 		s.degrade(now, now+s.cfg.Service.FallbackNs, req, 0)
@@ -717,28 +555,19 @@ func (s *serveSim) onEnqueue(now int64, req, replica int, probe bool) {
 	rep := s.replicas[replica]
 	it := &svItem{req: req, enqueuedNs: now, probe: probe}
 	if rep.cache != nil {
-		e, leader := rep.cache.acquire(s.keys[req])
+		e, leader := rep.cache.Acquire(cacheKey(s.keys[req]))
 		if !leader {
-			if e.done {
-				// Completed while this request encoded.
-				rep.cache.touch(e)
-				rep.stats.CacheHits++
-				s.stats.CacheHits++
-				s.trace.reqEvent(now, "cache", req, "replica", replica, "result", "hit")
-			} else {
-				e.waiters = append(e.waiters, it)
-				rep.stats.Coalesced++
-				s.stats.Coalesced++
-				s.trace.reqEvent(now, "cache", req, "replica", replica, "result", "coalesce")
-				if probe {
-					rep.breaker.abandonProbe()
-				}
-				return
-			}
 			if probe {
-				rep.breaker.abandonProbe()
+				rep.breaker.AbandonProbe()
 			}
-			s.complete(now, now+s.cfg.Service.CacheHitNs, svComplete{req: req, status: 200, cacheHit: true, coalesced: true})
+			if e.Filled() {
+				// Completed while this request encoded.
+				s.trace.reqEvent(now, "cache", req, "replica", replica, "result", "hit")
+				s.complete(now, now+s.cfg.Service.CacheHitNs, svComplete{req: req, status: 200, cacheHit: true, coalesced: true})
+			} else {
+				rep.followers[e] = append(rep.followers[e], req)
+				s.trace.reqEvent(now, "cache", req, "replica", replica, "result", "coalesce")
+			}
 			return
 		}
 		it.entry = e
@@ -749,10 +578,10 @@ func (s *serveSim) onEnqueue(now int64, req, replica int, probe bool) {
 		s.stats.QueueRejected++
 		s.trace.reqEvent(now, "reject", req, "replica", replica, "reason", "queue_full")
 		if it.entry != nil {
-			rep.cache.drop(it.entry)
+			rep.cache.Complete(it.entry, gnn.Prediction{}, serve.ErrQueueFull)
 		}
 		if probe {
-			rep.breaker.abandonProbe()
+			rep.breaker.AbandonProbe()
 		}
 		s.complete(now, now, svComplete{req: req, status: 429})
 		return
@@ -819,34 +648,33 @@ func (s *serveSim) beginFlush(now int64, rep *svReplica) {
 func (s *serveSim) onFlushDone(now int64, e svFlushDone) {
 	rep := s.replicas[e.replica]
 	s.trace.repEvent(now, "flushdone", rep.idx, "size", len(e.batch), "ok", !e.fail)
+	var flushErr error
+	if e.fail {
+		flushErr = errForward
+	}
 	for _, it := range e.batch {
-		wait := maxInt64ns(0, now-it.enqueuedNs-(s.cfg.Service.ForwardBaseNs+int64(len(e.batch))*s.cfg.Service.ForwardPerItemNs))
+		followers := rep.followers[it.entry]
 		if e.fail {
 			// The live leader's finishPredict: record the failure, answer
-			// from the fallback, drop the stale entry; followers degrade too.
-			opened := rep.breaker.recordFailure()
-			if opened {
-				rep.stats.CircuitOpens++
-				s.stats.CircuitOpens++
-				s.trace.repEvent(now, "circuit", rep.idx, "state", "open")
-			}
+			// from the fallback; followers degrade too.
+			rep.breaker.RecordFailure()
 			s.degrade(now, now+s.cfg.Service.FallbackNs, it.req, len(e.batch))
-			if it.entry != nil {
-				for _, w := range it.entry.waiters {
-					s.degrade(now, now+s.cfg.Service.FallbackNs, w.req, len(e.batch))
-				}
-				rep.cache.drop(it.entry)
+			for _, w := range followers {
+				s.degrade(now, now+s.cfg.Service.FallbackNs, w, len(e.batch))
 			}
-			continue
+		} else {
+			rep.breaker.RecordSuccess()
+			wait := max(0, now-it.enqueuedNs-(s.cfg.Service.ForwardBaseNs+int64(len(e.batch))*s.cfg.Service.ForwardPerItemNs))
+			s.complete(now, now, svComplete{req: it.req, status: 200, batchSize: len(e.batch), queueWait: wait})
+			for _, w := range followers {
+				s.complete(now, now, svComplete{req: w, status: 200, coalesced: true, batchSize: len(e.batch)})
+			}
 		}
-		rep.breaker.recordSuccess()
-		s.complete(now, now, svComplete{req: it.req, status: 200, batchSize: len(e.batch), queueWait: wait})
 		if it.entry != nil {
-			for _, w := range it.entry.waiters {
-				s.complete(now, now, svComplete{req: w.req, status: 200, coalesced: true, batchSize: len(e.batch)})
-			}
-			evicted := rep.cache.complete(it.entry)
-			rep.stats.Evictions += evicted
+			// Publishes the result (LRU insert + eviction), or drops the
+			// entry when the flush failed.
+			delete(rep.followers, it.entry)
+			rep.cache.Complete(it.entry, gnn.Prediction{}, flushErr)
 		}
 	}
 	if len(rep.queue) > 0 {
@@ -905,26 +733,4 @@ func className(c string) string {
 		return gateway.DefaultClassName
 	}
 	return c
-}
-
-// fnv1a64 fingerprints a request body — the same keyed view of a request
-// the gateway's affinity router and the body-level response cache share.
-func fnv1a64(b []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= prime64
-	}
-	return h
-}
-
-func maxInt64ns(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

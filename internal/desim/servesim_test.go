@@ -2,15 +2,20 @@ package desim
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 	"time"
 
 	"zerotune/internal/gateway"
+	"zerotune/internal/gnn"
 	"zerotune/internal/loadgen"
+	"zerotune/internal/serve"
 )
 
 // mdService is the analytically-tractable cost table used by the queueing
@@ -342,6 +347,133 @@ func TestServeSimAdmission(t *testing.T) {
 		if o.Status == 429 && o.Replica != -1 {
 			t.Fatalf("req %d admission-rejected but routed to replica %d", o.Seq, o.Replica)
 		}
+	}
+}
+
+// okBackend is a replica that answers every call 200, so a live gateway in
+// front of it exercises admission and nothing else.
+type okBackend struct{}
+
+func (okBackend) Name() string { return "replica-0" }
+func (okBackend) Call(context.Context, string, []byte) (int, []byte, error) {
+	return http.StatusOK, []byte("{}\n"), nil
+}
+
+// TestServeSimAdmissionMatchesGateway is the differential admission test:
+// one seeded schedule, two rate-limited classes plus unlabelled traffic,
+// driven through a live gateway whose admission clock is pinned to each
+// request's schedule offset, and through the simulator. Both hold the same
+// gateway.TokenBucket type, so the per-request admit/429 vectors must be
+// identical — not approximately equal.
+func TestServeSimAdmissionMatchesGateway(t *testing.T) {
+	spec := loadgen.Spec{
+		Seed:     29,
+		Arrival:  loadgen.ArrivalGamma,
+		CV:       2, // bursty: drains and refills both buckets repeatedly
+		Rate:     1500,
+		Duration: 3 * time.Second,
+		Classes: []loadgen.ClassShare{{Name: "gold", Weight: 3}, {Name: "bronze", Weight: 2},
+			{Name: "unconfigured", Weight: 1}},
+		Bodies: [][]byte{[]byte("a"), []byte("b")},
+	}
+	sched := mustSchedule(t, spec)
+	classes := []gateway.ClassConfig{{Name: "gold", Rate: 333.3, Burst: 7}, {Name: "bronze", Rate: 120}}
+
+	var now time.Time
+	gw, err := gateway.New([]serve.Backend{okBackend{}}, gateway.Options{
+		Classes:       classes,
+		Now:           func() time.Time { return now },
+		ProbeInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	live := make([]bool, len(sched))
+	for i, r := range sched {
+		now = time.Unix(0, int64(r.Offset))
+		req := httptest.NewRequest(http.MethodPost, r.Path, bytes.NewReader(r.Body))
+		if r.Class != "" {
+			req.Header.Set(gateway.SLOClassHeader, r.Class)
+		}
+		rec := httptest.NewRecorder()
+		gw.ServeHTTP(rec, req)
+		switch rec.Code {
+		case http.StatusOK:
+			live[i] = true
+		case http.StatusTooManyRequests:
+		default:
+			t.Fatalf("req %d: live gateway answered %d (%s)", i, rec.Code, rec.Body)
+		}
+	}
+
+	run, err := SimulateServe(sched, ServeConfig{Classes: classes, QueueDepth: 1 << 20, Service: mdService()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted, rejected := 0, 0
+	for i, o := range run.Outcomes {
+		sim := o.Replica >= 0 // admission rejects never reach routing
+		if sim != live[i] {
+			t.Fatalf("req %d (class %q, t=%v): live admitted=%v, sim admitted=%v",
+				i, sched[i].Class, sched[i].Offset, live[i], sim)
+		}
+		if sim {
+			admitted++
+		} else {
+			rejected++
+		}
+	}
+	if run.Stats.QueueRejected != 0 {
+		t.Fatalf("%d queue rejections muddy the admission vector", run.Stats.QueueRejected)
+	}
+	if admitted < 500 || rejected < 500 {
+		t.Fatalf("admitted %d, rejected %d: the schedule must exercise both outcomes", admitted, rejected)
+	}
+}
+
+// TestServeSimEvictionsMatchLiveCache: with arrivals spaced wider than the
+// pipeline nothing overlaps, so the simulator's cache traffic is the plain
+// sequence "front-door Lookup, else Acquire + Complete" — replayed here on a
+// second serve.Cache. A corpus larger than CacheEntries forces evictions,
+// and the replica's reported counts must equal that cache's counters.
+func TestServeSimEvictionsMatchLiveCache(t *testing.T) {
+	const corpus, entries = 32, 8
+	bodies := make([][]byte, corpus)
+	for i := range bodies {
+		bodies[i] = []byte(fmt.Sprintf("plan-%02d", i))
+	}
+	spec := loadgen.Spec{
+		Seed:     31,
+		Arrival:  loadgen.ArrivalUniform,
+		Rate:     100, // 10ms apart ≫ the ~100µs pipeline
+		Duration: 5 * time.Second,
+		Bodies:   bodies,
+	}
+	sched := mustSchedule(t, spec)
+	run, err := SimulateServe(sched, ServeConfig{CacheEntries: entries, Service: mdService()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := serve.NewCache(entries)
+	for _, r := range sched {
+		key := cacheKey(serve.HashBody(r.Body))
+		if ref.Lookup(key) == nil {
+			e, _ := ref.Acquire(key)
+			ref.Complete(e, gnn.Prediction{}, nil)
+		}
+	}
+	want, got := ref.Stats(), run.Stats.PerReplica[0]
+	if want.Evictions == 0 {
+		t.Fatal("no evictions: the corpus does not overflow the cache")
+	}
+	if got.Evictions != int(want.Evictions) || got.CacheHits != int(want.Hits) || got.Coalesced != 0 {
+		t.Fatalf("replica reports %d evictions / %d hits / %d coalesced, live cache counted %d / %d / 0",
+			got.Evictions, got.CacheHits, got.Coalesced, want.Evictions, want.Hits)
+	}
+	if run.Stats.CacheHits != got.CacheHits || run.Stats.Inferences != int(want.Misses) {
+		t.Fatalf("run totals: %d hits, %d inferences; want %d, %d",
+			run.Stats.CacheHits, run.Stats.Inferences, want.Hits, want.Misses)
 	}
 }
 

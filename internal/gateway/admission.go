@@ -37,13 +37,77 @@ func DefaultClasses() []ClassConfig {
 	return []ClassConfig{{Name: DefaultClassName}}
 }
 
-// classState is one class's bucket plus its instruments.
-type classState struct {
-	cfg ClassConfig
+// NormalizeClasses validates a class set and fills its defaults: an empty
+// set becomes DefaultClasses, a rate-limited class without a Burst gets
+// max(Rate, 1), and the best-effort class is appended when absent so
+// unlabelled traffic always has a home. Names must be non-empty and unique.
+func NormalizeClasses(classes []ClassConfig) ([]ClassConfig, error) {
+	if len(classes) == 0 {
+		return DefaultClasses(), nil
+	}
+	out := make([]ClassConfig, 0, len(classes)+1)
+	seen := make(map[string]bool, len(classes))
+	for _, cfg := range classes {
+		if cfg.Name == "" {
+			return nil, fmt.Errorf("gateway: SLO class with empty name")
+		}
+		if seen[cfg.Name] {
+			return nil, fmt.Errorf("gateway: duplicate SLO class %q", cfg.Name)
+		}
+		seen[cfg.Name] = true
+		if cfg.Rate > 0 && cfg.Burst < 1 {
+			cfg.Burst = max(cfg.Rate, 1)
+		}
+		out = append(out, cfg)
+	}
+	if !seen[DefaultClassName] {
+		out = append(out, ClassConfig{Name: DefaultClassName})
+	}
+	return out, nil
+}
+
+// TokenBucket is one class's admission budget. The caller supplies the
+// clock on every call, so the gateway drives it with wall time and the
+// serve-tier simulator (internal/desim) with virtual time.
+type TokenBucket struct {
+	rate, burst float64
 
 	mu     sync.Mutex
 	tokens float64
 	last   time.Time
+}
+
+// NewTokenBucket builds a full bucket from a normalized ClassConfig.
+func NewTokenBucket(cfg ClassConfig) *TokenBucket {
+	return &TokenBucket{rate: cfg.Rate, burst: cfg.Burst, tokens: cfg.Burst}
+}
+
+// Allow takes one token if the bucket has it, refilling by the time elapsed
+// since the previous call first. Unlimited classes always admit.
+func (b *TokenBucket) Allow(now time.Time) bool {
+	if b.rate <= 0 {
+		return true
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.last.IsZero() {
+		b.tokens += now.Sub(b.last).Seconds() * b.rate
+		if b.tokens > b.burst {
+			b.tokens = b.burst
+		}
+	}
+	b.last = now
+	if b.tokens < 1 {
+		return false
+	}
+	b.tokens--
+	return true
+}
+
+// classState is one class's bucket plus its instruments.
+type classState struct {
+	cfg ClassConfig
+	*TokenBucket
 
 	admitted  *obs.Counter
 	rejected  *obs.Counter
@@ -51,79 +115,33 @@ type classState struct {
 	queueWait *obs.Histogram
 }
 
-// allow takes one token if the bucket has it, refilling by elapsed time
-// first. Unlimited classes always admit.
-func (c *classState) allow(now time.Time) bool {
-	if c.cfg.Rate <= 0 {
-		return true
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.last.IsZero() {
-		c.tokens += now.Sub(c.last).Seconds() * c.cfg.Rate
-		if c.tokens > c.cfg.Burst {
-			c.tokens = c.cfg.Burst
-		}
-	}
-	c.last = now
-	if c.tokens < 1 {
-		return false
-	}
-	c.tokens--
-	return true
-}
-
 // admission holds the per-class token buckets, keyed by the SLO class
-// header. The clock is injectable so tests drive refill deterministically.
+// header.
 type admission struct {
-	now     func() time.Time
 	classes map[string]*classState
 	ordered []*classState // configuration order, for fairness + summaries
 	def     *classState
 }
 
-// newAdmission validates and registers the class set. The default class is
-// appended when absent so unlabelled traffic always has a home.
-func newAdmission(classes []ClassConfig, now func() time.Time, reg *obs.Registry) (*admission, error) {
-	if len(classes) == 0 {
-		classes = DefaultClasses()
+// newAdmission registers one bucket and instrument set per normalized class.
+func newAdmission(classes []ClassConfig, reg *obs.Registry) (*admission, error) {
+	classes, err := NormalizeClasses(classes)
+	if err != nil {
+		return nil, err
 	}
-	a := &admission{now: now, classes: make(map[string]*classState, len(classes)+1)}
-	add := func(cfg ClassConfig) error {
-		if cfg.Name == "" {
-			return fmt.Errorf("gateway: SLO class with empty name")
-		}
-		if _, dup := a.classes[cfg.Name]; dup {
-			return fmt.Errorf("gateway: duplicate SLO class %q", cfg.Name)
-		}
-		if cfg.Rate > 0 && cfg.Burst < 1 {
-			cfg.Burst = cfg.Rate
-			if cfg.Burst < 1 {
-				cfg.Burst = 1
-			}
-		}
+	a := &admission{classes: make(map[string]*classState, len(classes))}
+	for _, cfg := range classes {
 		l := obs.L("class", cfg.Name)
 		c := &classState{
-			cfg:       cfg,
-			tokens:    cfg.Burst,
-			admitted:  reg.Counter("zerotune_gateway_class_admitted_total", l),
-			rejected:  reg.Counter("zerotune_gateway_class_rejected_total", l),
-			goodput:   reg.Counter("zerotune_gateway_class_goodput_total", l),
-			queueWait: reg.Histogram("zerotune_gateway_queue_wait_seconds", latencyBounds, 1024, l),
+			cfg:         cfg,
+			TokenBucket: NewTokenBucket(cfg),
+			admitted:    reg.Counter("zerotune_gateway_class_admitted_total", l),
+			rejected:    reg.Counter("zerotune_gateway_class_rejected_total", l),
+			goodput:     reg.Counter("zerotune_gateway_class_goodput_total", l),
+			queueWait:   reg.Histogram("zerotune_gateway_queue_wait_seconds", latencyBounds, 1024, l),
 		}
 		a.classes[cfg.Name] = c
 		a.ordered = append(a.ordered, c)
-		return nil
-	}
-	for _, cfg := range classes {
-		if err := add(cfg); err != nil {
-			return nil, err
-		}
-	}
-	if _, ok := a.classes[DefaultClassName]; !ok {
-		if err := add(ClassConfig{Name: DefaultClassName}); err != nil {
-			return nil, err
-		}
 	}
 	a.def = a.classes[DefaultClassName]
 	return a, nil

@@ -33,7 +33,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"sync"
@@ -198,7 +197,7 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	adm, err := newAdmission(opts.Classes, opts.Now, reg)
+	adm, err := newAdmission(opts.Classes, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -319,16 +318,6 @@ func forwardContext(parent context.Context, d time.Duration) (context.Context, c
 	return context.WithTimeout(parent, d)
 }
 
-// fingerprintBody is FNV-1a over the raw request bytes — the affinity key.
-// Byte-identical requests (the replica body cache's unit of sharing) always
-// route together; semantically-identical-but-differently-encoded requests
-// still coalesce inside whichever replica owns each encoding.
-func fingerprintBody(body []byte) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write(body)
-	return h.Sum64()
-}
-
 // proxyHandler builds the forwarding handler for one /v1 endpoint.
 func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 	path := "/v1/" + endpoint
@@ -342,7 +331,7 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 
 		// Stage 1: admission.
 		cls := g.adm.class(r.Header.Get(SLOClassHeader))
-		if !cls.allow(g.opts.Now()) {
+		if !cls.Allow(g.opts.Now()) {
 			cls.rejected.Inc()
 			writeError(w, http.StatusTooManyRequests, ErrAdmissionRejected)
 			return
@@ -366,8 +355,11 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 		cls.queueWait.Observe(time.Since(enq).Seconds())
 
 		// Stages 3+4: route and forward, retrying transport failures on the
-		// next-best replica.
-		key := fingerprintBody(body)
+		// next-best replica. The affinity key is the replica body cache's
+		// own key, so byte-identical requests always route together;
+		// semantically-identical-but-differently-encoded requests still
+		// coalesce inside whichever replica owns each encoding.
+		key := serve.HashBody(body)
 		replicas := g.pool.Replicas()
 		var tried uint64
 		var lastErr error

@@ -29,57 +29,55 @@ func (s CircuitState) String() string {
 	}
 }
 
-// breakerConfig sizes a breaker. threshold <= 0 disables it (allow always
-// answers true). Recovery is probed either after cooldown wall-clock time
-// (the production default) or, when probeEvery > 0, on every Nth rejected
+// BreakerConfig sizes a Breaker. Threshold <= 0 disables it (Admit always
+// allows). Recovery is probed either after Cooldown wall-clock time (the
+// production default) or, when ProbeEvery > 0, on every Nth rejected
 // request — a count-based schedule whose transitions are a pure function of
 // the request sequence, which is what lets seeded chaos runs reproduce
-// breaker behavior byte-for-byte.
-type breakerConfig struct {
-	threshold  int
-	cooldown   time.Duration
-	probeEvery int
-	now        func() time.Time
-	onOpen     func()
+// breaker behavior byte-for-byte and lets the serve-tier simulator
+// (internal/desim) drive this same type on its virtual clock.
+type BreakerConfig struct {
+	Threshold  int
+	Cooldown   time.Duration
+	ProbeEvery int
+	Now        func() time.Time // default time.Now; only the Cooldown schedule reads it
+	// OnOpen runs on every transition to open, with the breaker's lock held:
+	// it must not call back into the breaker.
+	OnOpen func()
 }
 
-// breaker is a consecutive-failure circuit breaker around the GNN forward
+// Breaker is a consecutive-failure circuit breaker around the GNN forward
 // path. Closed: requests flow and consecutive forward failures are counted.
 // Open: requests are rejected (the server degrades them to the fallback)
 // until the probe schedule admits one. Half-open: exactly one probe is in
 // flight; its success closes the circuit, its failure re-opens it.
-type breaker struct {
-	cfg breakerConfig
+type Breaker struct {
+	cfg BreakerConfig
 
 	mu          sync.Mutex
 	state       CircuitState
 	consecutive int       // failures since the last success (closed state)
 	openedAt    time.Time // when the circuit last opened
-	rejected    int       // rejections since the circuit opened (probeEvery schedule)
-	probing     bool      // a half-open probe is in flight
+	rejected    int       // rejections since the circuit opened (ProbeEvery schedule)
 }
 
-func newBreaker(cfg breakerConfig) *breaker {
-	if cfg.now == nil {
-		cfg.now = time.Now
+// NewBreaker builds a closed breaker.
+func NewBreaker(cfg BreakerConfig) *Breaker {
+	if cfg.Now == nil {
+		cfg.Now = time.Now
 	}
-	return &breaker{cfg: cfg}
+	return &Breaker{cfg: cfg}
 }
 
-// allow reports whether this request may take the learned forward path.
-func (b *breaker) allow() bool {
-	ok, _ := b.admit()
-	return ok
-}
-
-// admit is allow plus probe attribution. In the open state it admits a
-// single probe per schedule tick and rejects the rest; a rejected request
-// should be served by the fallback. When probe is true this request IS the
-// half-open recovery probe and must resolve the breaker with exactly one of
-// recordSuccess, recordFailure, or abandonProbe — otherwise the circuit
-// stays half-open (which rejects everyone) forever.
-func (b *breaker) admit() (allowed, probe bool) {
-	if b.cfg.threshold <= 0 {
+// Admit reports whether this request may take the learned forward path. In
+// the open state it admits a single probe per schedule tick and rejects the
+// rest; a rejected request should be served by the fallback. When probe is
+// true this request IS the half-open recovery probe and must resolve the
+// breaker with exactly one of RecordSuccess, RecordFailure, or
+// AbandonProbe — otherwise the circuit stays half-open (which rejects
+// everyone) forever.
+func (b *Breaker) Admit() (allowed, probe bool) {
+	if b.cfg.Threshold <= 0 {
 		return true, false
 	}
 	b.mu.Lock()
@@ -94,90 +92,85 @@ func (b *breaker) admit() (allowed, probe bool) {
 	default: // CircuitOpen
 		b.rejected++
 		due := false
-		if b.cfg.probeEvery > 0 {
-			due = b.rejected%b.cfg.probeEvery == 0
+		if b.cfg.ProbeEvery > 0 {
+			due = b.rejected%b.cfg.ProbeEvery == 0
 		} else {
-			due = b.cfg.now().Sub(b.openedAt) >= b.cfg.cooldown
+			due = b.cfg.Now().Sub(b.openedAt) >= b.cfg.Cooldown
 		}
 		if !due {
 			return false, false
 		}
 		b.state = CircuitHalfOpen
-		b.probing = true
 		return true, true
 	}
 }
 
-// abandonProbe hands back a half-open probe slot when the probe request
+// AbandonProbe hands back a half-open probe slot when the probe request
 // resolved without exercising the forward path (cache hit, bad request,
 // backpressure, injected acquire fault): the circuit returns to open with
 // its probe schedule untouched, so the next probe is admitted on time. A
-// probe that did run the forward path resolves the state via recordSuccess
-// or recordFailure first, which makes this a no-op. Concurrently, a new
+// probe that did run the forward path resolves the state via RecordSuccess
+// or RecordFailure first, which makes this a no-op. Concurrently, a new
 // probe admitted between this probe's resolution and its deferred abandon
 // could be bounced back to open one request early — benign, the schedule
 // re-admits it.
-func (b *breaker) abandonProbe() {
-	if b.cfg.threshold <= 0 {
+func (b *Breaker) AbandonProbe() {
+	if b.cfg.Threshold <= 0 {
 		return
 	}
 	b.mu.Lock()
 	if b.state == CircuitHalfOpen {
 		b.state = CircuitOpen
-		b.probing = false
 	}
 	b.mu.Unlock()
 }
 
-// recordSuccess reports a completed forward pass. Any success closes the
+// RecordSuccess reports a completed forward pass. Any success closes the
 // circuit and resets the failure streak — in particular the half-open
 // probe's.
-func (b *breaker) recordSuccess() {
-	if b.cfg.threshold <= 0 {
+func (b *Breaker) RecordSuccess() {
+	if b.cfg.Threshold <= 0 {
 		return
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.state = CircuitClosed
 	b.consecutive = 0
-	b.probing = false
 }
 
-// recordFailure reports a forward-path failure (error or timeout). In the
+// RecordFailure reports a forward-path failure (error or timeout). In the
 // closed state it trips the circuit after threshold consecutive failures; a
 // failed half-open probe re-opens immediately.
-func (b *breaker) recordFailure() {
-	if b.cfg.threshold <= 0 {
+func (b *Breaker) RecordFailure() {
+	if b.cfg.Threshold <= 0 {
 		return
 	}
 	b.mu.Lock()
 	switch b.state {
 	case CircuitHalfOpen:
-		b.probing = false
 		b.open()
 	case CircuitClosed:
 		b.consecutive++
-		if b.consecutive >= b.cfg.threshold {
+		if b.consecutive >= b.cfg.Threshold {
 			b.open()
 		}
 	}
 	b.mu.Unlock()
 }
 
-// open transitions to CircuitOpen. Caller holds b.mu, so onOpen must be a
-// lock-free operation (the server passes an atomic counter increment).
-func (b *breaker) open() {
+// open transitions to CircuitOpen. Caller holds b.mu (see BreakerConfig.OnOpen).
+func (b *Breaker) open() {
 	b.state = CircuitOpen
 	b.consecutive = 0
 	b.rejected = 0
-	b.openedAt = b.cfg.now()
-	if b.cfg.onOpen != nil {
-		b.cfg.onOpen()
+	b.openedAt = b.cfg.Now()
+	if b.cfg.OnOpen != nil {
+		b.cfg.OnOpen()
 	}
 }
 
-// currentState returns the breaker position for health/metrics.
-func (b *breaker) currentState() CircuitState {
+// State returns the breaker position for health/metrics.
+func (b *Breaker) State() CircuitState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state

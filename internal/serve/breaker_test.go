@@ -5,54 +5,60 @@ import (
 	"time"
 )
 
+// allow is Admit for cases that do not care which request is the probe.
+func allow(b *Breaker) bool {
+	ok, _ := b.Admit()
+	return ok
+}
+
 // TestBreakerTripAndProbeEvery walks the count-based state machine:
 // threshold failures trip it, every Nth rejection admits a probe, a failed
 // probe re-opens, a successful probe closes.
 func TestBreakerTripAndProbeEvery(t *testing.T) {
 	opens := 0
-	b := newBreaker(breakerConfig{threshold: 3, probeEvery: 2, onOpen: func() { opens++ }})
+	b := NewBreaker(BreakerConfig{Threshold: 3, ProbeEvery: 2, OnOpen: func() { opens++ }})
 	for i := 0; i < 3; i++ {
-		if !b.allow() {
+		if !allow(b) {
 			t.Fatalf("closed breaker rejected request %d", i)
 		}
-		b.recordFailure()
+		b.RecordFailure()
 	}
-	if st := b.currentState(); st != CircuitOpen {
+	if st := b.State(); st != CircuitOpen {
 		t.Fatalf("after %d failures state = %v, want open", 3, st)
 	}
 	if opens != 1 {
 		t.Fatalf("onOpen fired %d times, want 1", opens)
 	}
 	// probeEvery=2: first rejection stays on fallback, second becomes probe.
-	if b.allow() {
+	if allow(b) {
 		t.Fatal("first rejected request became a probe too early")
 	}
-	if !b.allow() {
+	if !allow(b) {
 		t.Fatal("second rejected request should be admitted as probe")
 	}
-	if st := b.currentState(); st != CircuitHalfOpen {
+	if st := b.State(); st != CircuitHalfOpen {
 		t.Fatalf("state during probe = %v, want half-open", st)
 	}
 	// While the probe is in flight, everyone else stays degraded.
-	if b.allow() {
+	if allow(b) {
 		t.Fatal("request admitted while a probe was in flight")
 	}
-	b.recordFailure() // probe fails → re-open
-	if st := b.currentState(); st != CircuitOpen {
+	b.RecordFailure() // probe fails → re-open
+	if st := b.State(); st != CircuitOpen {
 		t.Fatalf("state after failed probe = %v, want open", st)
 	}
 	if opens != 2 {
 		t.Fatalf("onOpen fired %d times after re-open, want 2", opens)
 	}
-	b.allow()
-	if !b.allow() {
+	allow(b)
+	if !allow(b) {
 		t.Fatal("second post-reopen rejection should probe again")
 	}
-	b.recordSuccess() // probe succeeds → close
-	if st := b.currentState(); st != CircuitClosed {
+	b.RecordSuccess() // probe succeeds → close
+	if st := b.State(); st != CircuitClosed {
 		t.Fatalf("state after successful probe = %v, want closed", st)
 	}
-	if !b.allow() {
+	if !allow(b) {
 		t.Fatal("closed breaker rejected traffic after recovery")
 	}
 }
@@ -61,17 +67,17 @@ func TestBreakerTripAndProbeEvery(t *testing.T) {
 // injected now() so no real time passes.
 func TestBreakerCooldownClock(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := newBreaker(breakerConfig{threshold: 1, cooldown: time.Second, now: func() time.Time { return now }})
-	b.allow()
-	b.recordFailure()
-	if b.allow() {
+	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Second, Now: func() time.Time { return now }})
+	allow(b)
+	b.RecordFailure()
+	if allow(b) {
 		t.Fatal("probe admitted before cooldown elapsed")
 	}
 	now = now.Add(2 * time.Second)
-	if !b.allow() {
+	if !allow(b) {
 		t.Fatal("probe not admitted after cooldown")
 	}
-	if st := b.currentState(); st != CircuitHalfOpen {
+	if st := b.State(); st != CircuitHalfOpen {
 		t.Fatalf("state = %v, want half-open", st)
 	}
 }
@@ -79,14 +85,14 @@ func TestBreakerCooldownClock(t *testing.T) {
 // TestBreakerSuccessResetsStreak checks that interleaved successes keep the
 // consecutive-failure count from accumulating across them.
 func TestBreakerSuccessResetsStreak(t *testing.T) {
-	b := newBreaker(breakerConfig{threshold: 2, probeEvery: 1})
+	b := NewBreaker(BreakerConfig{Threshold: 2, ProbeEvery: 1})
 	for i := 0; i < 5; i++ {
-		b.allow()
-		b.recordFailure()
-		b.allow()
-		b.recordSuccess()
+		allow(b)
+		b.RecordFailure()
+		allow(b)
+		b.RecordSuccess()
 	}
-	if st := b.currentState(); st != CircuitClosed {
+	if st := b.State(); st != CircuitClosed {
 		t.Fatalf("alternating failure/success tripped the breaker: %v", st)
 	}
 }
@@ -97,47 +103,47 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 // next probe on time instead of wedging half-open forever.
 func TestBreakerAbandonedProbe(t *testing.T) {
 	opens := 0
-	b := newBreaker(breakerConfig{threshold: 1, probeEvery: 1, onOpen: func() { opens++ }})
-	b.allow()
-	b.recordFailure() // trip
-	allowed, probe := b.admit()
+	b := NewBreaker(BreakerConfig{Threshold: 1, ProbeEvery: 1, OnOpen: func() { opens++ }})
+	allow(b)
+	b.RecordFailure() // trip
+	allowed, probe := b.Admit()
 	if !allowed || !probe {
-		t.Fatalf("admit() = (%v, %v), want admitted probe", allowed, probe)
+		t.Fatalf("Admit() = (%v, %v), want admitted probe", allowed, probe)
 	}
-	b.abandonProbe()
-	if st := b.currentState(); st != CircuitOpen {
+	b.AbandonProbe()
+	if st := b.State(); st != CircuitOpen {
 		t.Fatalf("state after abandoned probe = %v, want open", st)
 	}
 	if opens != 1 {
 		t.Fatalf("abandoning a probe fired onOpen (%d opens), re-open should be silent", opens)
 	}
 	// The schedule keeps ticking: the next rejection is a probe again.
-	allowed, probe = b.admit()
+	allowed, probe = b.Admit()
 	if !allowed || !probe {
-		t.Fatalf("post-abandon admit() = (%v, %v), want a fresh probe", allowed, probe)
+		t.Fatalf("post-abandon Admit() = (%v, %v), want a fresh probe", allowed, probe)
 	}
-	b.recordSuccess()
-	if st := b.currentState(); st != CircuitClosed {
+	b.RecordSuccess()
+	if st := b.State(); st != CircuitClosed {
 		t.Fatalf("state after resolved probe = %v, want closed", st)
 	}
-	// abandonProbe after resolution is a no-op (the deferred-abandon pattern).
-	b.abandonProbe()
-	if st := b.currentState(); st != CircuitClosed {
-		t.Fatalf("abandonProbe on a closed breaker changed state to %v", st)
+	// AbandonProbe after resolution is a no-op (the deferred-abandon pattern).
+	b.AbandonProbe()
+	if st := b.State(); st != CircuitClosed {
+		t.Fatalf("AbandonProbe on a closed breaker changed state to %v", st)
 	}
 }
 
 // TestBreakerDisabled verifies threshold 0 turns every method into a no-op
 // pass-through.
 func TestBreakerDisabled(t *testing.T) {
-	b := newBreaker(breakerConfig{})
+	b := NewBreaker(BreakerConfig{})
 	for i := 0; i < 10; i++ {
-		if !b.allow() {
+		if !allow(b) {
 			t.Fatal("disabled breaker rejected a request")
 		}
-		b.recordFailure()
+		b.RecordFailure()
 	}
-	if st := b.currentState(); st != CircuitClosed {
+	if st := b.State(); st != CircuitClosed {
 		t.Fatalf("disabled breaker left closed state: %v", st)
 	}
 }

@@ -21,7 +21,7 @@ type Cache struct {
 	mu  sync.Mutex
 	max int
 	gen uint64
-	m   map[Fingerprint]*cacheEntry
+	m   map[Fingerprint]*CacheEntry
 	ll  *list.List // completed entries, front = most recently used
 
 	counters CacheCounters
@@ -55,9 +55,10 @@ func (cc CacheCounters) orDefaults() CacheCounters {
 	return cc
 }
 
-// cacheEntry is one fingerprint's slot. done is closed once pred/err are
-// valid; elem is non-nil only while the entry is resident in the LRU list.
-type cacheEntry struct {
+// CacheEntry is one fingerprint's slot, handed out by Acquire. done is
+// closed once pred/err are valid; elem is non-nil only while the entry is
+// resident in the LRU list.
+type CacheEntry struct {
 	key  Fingerprint
 	gen  uint64
 	done chan struct{}
@@ -76,32 +77,48 @@ func NewCacheWithCounters(max int, cc CacheCounters) *Cache {
 	if max < 1 {
 		max = 1
 	}
-	return &Cache{max: max, m: make(map[Fingerprint]*cacheEntry), ll: list.New(),
+	return &Cache{max: max, m: make(map[Fingerprint]*CacheEntry), ll: list.New(),
 		counters: cc.orDefaults()}
 }
 
 // Acquire looks up key. leader=true means the caller owns the computation
 // and must call Complete exactly once; leader=false means the entry is (or
 // will be) filled by someone else — Wait on it.
-func (c *Cache) Acquire(key Fingerprint) (e *cacheEntry, leader bool) {
+func (c *Cache) Acquire(key Fingerprint) (e *CacheEntry, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.m[key]; ok {
-		select {
-		case <-e.done:
+		if e.Filled() {
 			c.counters.Hits.Inc()
 			if e.elem != nil {
 				c.ll.MoveToFront(e.elem)
 			}
-		default:
+		} else {
 			c.counters.Coalesced.Inc()
 		}
 		return e, false
 	}
 	c.counters.Misses.Inc()
-	e = &cacheEntry{key: key, gen: c.gen, done: make(chan struct{})}
+	e = &CacheEntry{key: key, gen: c.gen, done: make(chan struct{})}
 	c.m[key] = e
 	return e, true
+}
+
+// Lookup returns key's entry only if it is filled and resident, counting the
+// hit and refreshing its LRU position like Acquire would. Unlike Acquire it
+// never creates an entry or joins an in-flight leader, so a nil result
+// leaves the caller with no obligation — the front-door check of a caller
+// that has more work (or a breaker) between "is it cached?" and "compute it".
+func (c *Cache) Lookup(key Fingerprint) *CacheEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[key]
+	if !ok || e.elem == nil {
+		return nil
+	}
+	c.counters.Hits.Inc()
+	c.ll.MoveToFront(e.elem)
+	return e
 }
 
 // Complete publishes the leader's result and inserts the entry into the
@@ -110,7 +127,7 @@ func (c *Cache) Acquire(key Fingerprint) (e *cacheEntry, leader bool) {
 // published to waiting followers wrapped in ErrStaleEntry (the leader
 // itself already holds the raw error), so the serving layer can distinguish
 // "retry the acquire" from a result.
-func (c *Cache) Complete(e *cacheEntry, pred gnn.Prediction, err error) {
+func (c *Cache) Complete(e *CacheEntry, pred gnn.Prediction, err error) {
 	e.pred = pred
 	if err != nil {
 		e.err = fmt.Errorf("%w: %v", ErrStaleEntry, err)
@@ -129,17 +146,30 @@ func (c *Cache) Complete(e *cacheEntry, pred gnn.Prediction, err error) {
 	e.elem = c.ll.PushFront(e)
 	for c.ll.Len() > c.max {
 		back := c.ll.Back()
-		victim := back.Value.(*cacheEntry)
+		victim := back.Value.(*CacheEntry)
 		c.ll.Remove(back)
 		delete(c.m, victim.key)
 		c.counters.Evictions.Inc()
 	}
 }
 
+// Filled reports, without blocking, whether the leader has completed this
+// entry — i.e. whether Wait would return immediately. It stays true after
+// the entry is evicted: eviction removes the slot from the cache, not the
+// result from holders of the entry.
+func (e *CacheEntry) Filled() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
+}
+
 // Wait blocks until the entry is filled — or ctx is cancelled — and
 // returns its result. A follower whose client disconnects stops waiting
 // immediately; the leader's computation is unaffected.
-func (e *cacheEntry) Wait(ctx context.Context) (gnn.Prediction, error) {
+func (e *CacheEntry) Wait(ctx context.Context) (gnn.Prediction, error) {
 	select {
 	case <-e.done:
 		return e.pred, e.err
@@ -157,7 +187,7 @@ func (c *Cache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gen++
-	c.m = make(map[Fingerprint]*cacheEntry)
+	c.m = make(map[Fingerprint]*CacheEntry)
 	c.ll.Init()
 }
 

@@ -143,3 +143,54 @@ func TestCacheClearInvalidatesInFlight(t *testing.T) {
 		t.Fatalf("unexpected residency: %+v", st)
 	}
 }
+
+// TestCacheLookupAndFilled covers the non-blocking accessors across an
+// entry's life: in flight (Lookup sees nothing and creates nothing, Filled is
+// false), filled (Lookup hits and refreshes the LRU position), and evicted
+// (the slot is gone from the cache, the result stays with its holders).
+func TestCacheLookupAndFilled(t *testing.T) {
+	c := NewCache(2)
+	if c.Lookup(fp(1)) != nil {
+		t.Fatal("Lookup found an entry in an empty cache")
+	}
+	e1, leader := c.Acquire(fp(1))
+	if !leader {
+		t.Fatal("Lookup on a missing key must not create its entry")
+	}
+	if e1.Filled() || c.Lookup(fp(1)) != nil {
+		t.Fatal("in-flight entry reported as filled")
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Coalesced != 0 || st.Misses != 1 {
+		t.Fatalf("Lookup on missing/in-flight keys moved the counters: %+v", st)
+	}
+	c.Complete(e1, gnn.Prediction{LatencyMs: 1}, nil)
+	if !e1.Filled() || c.Lookup(fp(1)) != e1 {
+		t.Fatal("completed entry not reported as filled")
+	}
+
+	e2, _ := c.Acquire(fp(2))
+	c.Complete(e2, gnn.Prediction{}, nil)
+	c.Lookup(fp(1)) // refresh 1 → 2 becomes the LRU victim
+	e3, _ := c.Acquire(fp(3))
+	c.Complete(e3, gnn.Prediction{}, nil)
+	if c.Lookup(fp(2)) != nil {
+		t.Fatal("evicted entry still found by Lookup")
+	}
+	if !e2.Filled() {
+		t.Fatal("eviction un-filled an entry a holder may still read")
+	}
+	if c.Lookup(fp(1)) != e1 {
+		t.Fatal("Lookup hit did not refresh the LRU position")
+	}
+	if st := c.Stats(); st.Hits != 3 || st.Evictions != 1 {
+		t.Fatalf("stats: %+v, want 3 hits (every successful Lookup) and 1 eviction", st)
+	}
+
+	// A failed leader's entry is filled (Wait returns its error) but never
+	// resident, so Lookup does not serve it.
+	e4, _ := c.Acquire(fp(4))
+	c.Complete(e4, gnn.Prediction{}, ErrBatcherClosed)
+	if !e4.Filled() || c.Lookup(fp(4)) != nil {
+		t.Fatal("failed entry must be filled for its waiters and absent from Lookup")
+	}
+}

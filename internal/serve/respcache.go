@@ -36,8 +36,11 @@ func newRespCache(max int) *respCache {
 	return &respCache{max: max, m: make(map[uint64]*respEntry, max)}
 }
 
-// hashBody is FNV-1a over the body bytes.
-func hashBody(body []byte) uint64 {
+// HashBody is FNV-1a-64 over the raw request bytes: the body cache's key,
+// and — so that byte-identical requests land on the replica whose caches
+// already hold them — the gateway's affinity-routing key and the serve-tier
+// simulator's cache key too.
+func HashBody(body []byte) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -53,7 +56,7 @@ func hashBody(body []byte) uint64 {
 // get returns the stored response for a byte-identical body. The returned
 // slice is shared and must not be modified.
 func (c *respCache) get(body []byte) ([]byte, bool) {
-	h := hashBody(body)
+	h := HashBody(body)
 	c.mu.RLock()
 	e := c.m[h]
 	c.mu.RUnlock()
@@ -66,7 +69,7 @@ func (c *respCache) get(body []byte) ([]byte, bool) {
 // put stores resp as the answer for body, copying body and taking ownership
 // of resp. A colliding hash slot is simply overwritten.
 func (c *respCache) put(body, resp []byte) {
-	h := hashBody(body)
+	h := HashBody(body)
 	e := &respEntry{body: append([]byte(nil), body...), resp: resp}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -34,7 +34,7 @@ func TestRespCacheCollisionIsAMiss(t *testing.T) {
 	// the collision into a miss, never a wrong answer.
 	c := newRespCache(4)
 	probe := []byte("probe-body")
-	c.m[hashBody(probe)] = &respEntry{body: []byte("other-body"), resp: []byte("wrong")}
+	c.m[HashBody(probe)] = &respEntry{body: []byte("other-body"), resp: []byte("wrong")}
 	if _, ok := c.get(probe); ok {
 		t.Fatal("colliding hash served the wrong response")
 	}

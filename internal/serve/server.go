@@ -143,7 +143,7 @@ type Server struct {
 	bodyBufs sync.Pool // *[]byte request-body read buffers
 	batcher  *Batcher
 	stats    *Stats
-	breaker  *breaker
+	breaker  *Breaker
 	tracer   *obs.Tracer
 	mux      *http.ServeMux
 	learn    *learnState // nil unless Options.Learn is set
@@ -193,13 +193,13 @@ func New(opts Options) *Server {
 			return float64(dropped)
 		})
 	}
-	s.breaker = newBreaker(breakerConfig{
-		threshold:  opts.CircuitThreshold,
-		cooldown:   opts.CircuitCooldown,
-		probeEvery: opts.CircuitProbeEvery,
-		onOpen:     func() { s.stats.CircuitOpens.Inc() },
+	s.breaker = NewBreaker(BreakerConfig{
+		Threshold:  opts.CircuitThreshold,
+		Cooldown:   opts.CircuitCooldown,
+		ProbeEvery: opts.CircuitProbeEvery,
+		OnOpen:     func() { s.stats.CircuitOpens.Inc() },
 	})
-	reg.GaugeFunc("zerotune_circuit_state", func() float64 { return float64(s.breaker.currentState()) })
+	reg.GaugeFunc("zerotune_circuit_state", func() float64 { return float64(s.breaker.State()) })
 	s.batcher = NewBatcher(opts.BatchWindow, opts.MaxBatch, opts.QueueDepth, opts.RequestTimeout, func(n int) {
 		s.stats.Batches.Add(1)
 		s.stats.Inferences.Add(uint64(n))
@@ -253,7 +253,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 func (s *Server) Registry() *Registry { return s.reg }
 
 // Circuit reports the breaker's current position.
-func (s *Server) Circuit() CircuitState { return s.breaker.currentState() }
+func (s *Server) Circuit() CircuitState { return s.breaker.State() }
 
 // SetBoundAddr records the listener address this server is reachable at
 // (host:port after the kernel resolved a :0 ephemeral port); /healthz
@@ -402,7 +402,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if entry == nil {
 		return
 	}
-	allowed, probe := s.breaker.admit()
+	allowed, probe := s.breaker.Admit()
 	if !allowed {
 		// Circuit open: the learned path is sidestepped entirely; the
 		// request is answered by the fallback estimator (or 503 without one).
@@ -410,11 +410,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if probe {
-		// A probe that exits below without reaching recordSuccess or
-		// recordFailure (encode error, cache hit, backpressure, injected
+		// A probe that exits below without reaching RecordSuccess or
+		// RecordFailure (encode error, cache hit, backpressure, injected
 		// acquire fault) must hand the half-open slot back, or the breaker
 		// would reject every request forever. No-op once the probe resolved.
-		defer s.breaker.abandonProbe()
+		defer s.breaker.AbandonProbe()
 	}
 	// Encode once; the graph is both the cache key and the model input.
 	g, err := entry.ZT.EncodePlan(ctx, req.Plan, c)
@@ -444,7 +444,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 				s.finishPredict(w, ctx, entry, req.Plan, c, err)
 				return
 			}
-			s.breaker.recordSuccess()
+			s.breaker.RecordSuccess()
 			resp := PredictResponse{
 				LatencyMs: pred.LatencyMs, ThroughputEPS: pred.ThroughputEPS,
 				Cached: false, ModelID: entry.ID,
@@ -497,7 +497,7 @@ func (s *Server) finishPredict(w http.ResponseWriter, ctx context.Context, entry
 		writeError(w, predictStatus(err), err)
 		return
 	}
-	s.breaker.recordFailure()
+	s.breaker.RecordFailure()
 	s.serveDegraded(w, ctx, entry, p, c, err)
 }
 
@@ -639,7 +639,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, HealthResponse{
 		Status:  "ok",
 		Addr:    s.BoundAddr(),
-		Circuit: s.breaker.currentState().String(),
+		Circuit: s.breaker.State().String(),
 		Learn:   s.learnInfo(),
 		Model: ModelInfo{
 			ID: entry.ID, Path: entry.Path, Params: entry.ZT.Model.NumParams(),
