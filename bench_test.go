@@ -377,6 +377,68 @@ func BenchmarkServePredict(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/sec")
 }
 
+// BenchmarkTune measures the paper's headline use end to end: /v1/tune at
+// default options, in process, over 64 seeded queries of the seen structures —
+// request decode, candidate enumeration, placement and encoding of every
+// candidate, and one batched forward per call. No cache and no batcher sit on
+// this path, so ns/op and allocs/op are the cost of one tuning decision;
+// candidates/op says how many what-if plans that decision priced.
+func BenchmarkTune(b *testing.B) {
+	gen := workload.NewSeenGenerator(5)
+	items, err := gen.Generate(workload.SeenRanges().Structures, 60)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.DefaultTrainOptions()
+	opts.Epochs = 2
+	zt, _, err := core.Train(context.Background(), items, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := serve.New(serve.Options{Compiled: true})
+	defer s.Close()
+	s.Registry().Install(zt, "bench", "")
+
+	structures := workload.SeenRanges().Structures
+	bodies := make([][]byte, 64)
+	for i := range bodies {
+		q, c, err := gen.SampleQuery(structures[i%len(structures)], uint64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		spec := serve.ClusterSpec{Nodes: c.Nodes, LinkGbps: c.LinkGbps}
+		if bodies[i], err = json.Marshal(serve.TuneRequest{Query: q, Cluster: spec}); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	var next, candidates atomic.Uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		w := &benchResponseWriter{h: make(http.Header)}
+		var resp serve.TuneResponse
+		for pb.Next() {
+			i := next.Add(1)
+			r := httptest.NewRequest(http.MethodPost, "/v1/tune",
+				bytes.NewReader(bodies[i%uint64(len(bodies))]))
+			w.reset()
+			s.ServeHTTP(w, r)
+			if w.status != http.StatusOK {
+				b.Errorf("status %d: %s", w.status, w.buf.String())
+				return
+			}
+			if err := json.Unmarshal(w.buf.Bytes(), &resp); err != nil {
+				b.Error(err)
+				return
+			}
+			candidates.Add(uint64(resp.Candidates))
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(candidates.Load())/float64(b.N), "candidates/op")
+}
+
 // BenchmarkGatewayPredict measures the scale-out tier: the same in-process
 // predict traffic as BenchmarkServePredict, but driven through the gateway
 // with 1 vs 3 replicas behind it. The workload is sized to expose the

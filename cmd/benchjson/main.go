@@ -3,8 +3,8 @@
 // It is the machinery behind the committed BENCH_*.json perf trajectory:
 //
 //	go test -run '^$' -bench . -benchtime 2s ./... | benchjson -out BENCH_6.json
-//	benchjson -in bench.txt -baseline BENCH_5_baseline.json \
-//	    -check BenchmarkServePredict -max-regress-pct 10
+//	benchjson -in bench.txt -baseline BENCH_13.json \
+//	    -check BenchmarkServePredict,BenchmarkTune -max-regress-pct 10
 //
 // The parser understands the standard benchmark line shape — iterations,
 // ns/op, B/op, allocs/op — plus any custom b.ReportMetric units (req/sec,
@@ -44,7 +44,7 @@ func main() {
 	in := flag.String("in", "", "benchmark output file (default: stdin)")
 	out := flag.String("out", "", "write the JSON snapshot to this file (default: stdout)")
 	baseline := flag.String("baseline", "", "previous snapshot to compare against")
-	check := flag.String("check", "", "benchmark name prefix the regression budget applies to")
+	check := flag.String("check", "", "comma-separated benchmark name prefixes the regression budget applies to")
 	maxRegress := flag.Float64("max-regress-pct", 10, "fail when ns/op of -check regresses more than this percent")
 	tee := flag.Bool("tee", false, "copy the raw benchmark output to stderr while parsing")
 	flag.Parse()
@@ -80,7 +80,11 @@ func main() {
 	}
 
 	if *baseline != "" {
-		if err := compare(*baseline, snap, *check, *maxRegress); err != nil {
+		var checks []string
+		if *check != "" {
+			checks = strings.Split(*check, ",")
+		}
+		if err := compare(*baseline, snap, checks, *maxRegress); err != nil {
 			fatal(err)
 		}
 	}
@@ -162,9 +166,11 @@ func parseLine(line string) (Benchmark, bool) {
 	return b, b.NsPerOp > 0
 }
 
-// compare enforces the regression budget of -check against the baseline
-// snapshot and prints the delta for every benchmark present in both.
-func compare(path string, cur *Snapshot, check string, maxRegressPct float64) error {
+// compare enforces the regression budget of the -check prefixes against the
+// baseline snapshot and prints the delta for every benchmark present in both.
+// A checked prefix that matches no benchmark present in both snapshots is an
+// error: a gate that compares nothing must not pass.
+func compare(path string, cur *Snapshot, checks []string, maxRegressPct float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -178,6 +184,7 @@ func compare(path string, cur *Snapshot, check string, maxRegressPct float64) er
 		baseBy[b.Name] = b
 	}
 	var failures []string
+	gated := make([]bool, len(checks))
 	for _, b := range cur.Benchmarks {
 		old, ok := baseBy[b.Name]
 		if !ok || old.NsPerOp <= 0 {
@@ -186,13 +193,23 @@ func compare(path string, cur *Snapshot, check string, maxRegressPct float64) er
 		speedup := old.NsPerOp / b.NsPerOp
 		fmt.Fprintf(os.Stderr, "benchjson: %-40s %12.0f -> %12.0f ns/op (%.2fx)\n",
 			b.Name, old.NsPerOp, b.NsPerOp, speedup)
-		if check != "" && strings.HasPrefix(b.Name, check) {
+		for i, check := range checks {
+			if !strings.HasPrefix(b.Name, check) {
+				continue
+			}
+			gated[i] = true
 			regressPct := (b.NsPerOp - old.NsPerOp) / old.NsPerOp * 100
 			if regressPct > maxRegressPct {
 				failures = append(failures, fmt.Sprintf(
 					"%s regressed %.1f%% (%.0f -> %.0f ns/op, budget %.0f%%)",
 					b.Name, regressPct, old.NsPerOp, b.NsPerOp, maxRegressPct))
 			}
+			break
+		}
+	}
+	for i, check := range checks {
+		if !gated[i] {
+			failures = append(failures, fmt.Sprintf("-check %s matches no benchmark present in both snapshots", check))
 		}
 	}
 	if len(failures) > 0 {

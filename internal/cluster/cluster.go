@@ -6,7 +6,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"zerotune/internal/queryplan"
 	"zerotune/internal/tensor"
@@ -174,66 +173,91 @@ func (c *Cluster) IsHeterogeneous() bool {
 //     so load balances over the cluster.
 //
 // Place never fails for valid plans, but returns an error when the plan or
-// cluster is structurally unusable.
+// cluster is structurally unusable. It analyses p.Query for this one plan;
+// callers placing many plans of one query analyse once and use PlaceWith.
 func Place(p *queryplan.PQP, c *Cluster) error {
 	if len(c.Nodes) == 0 {
 		return fmt.Errorf("cluster: cannot place on empty cluster")
 	}
-	if err := p.Validate(); err != nil {
+	t, err := p.Query.Analyze()
+	if err != nil {
 		return fmt.Errorf("cluster: invalid plan: %w", err)
 	}
-	groups := p.ChainGroups()
-	// Deterministic group ordering.
-	groupIDs := make([]int, 0)
-	seen := map[int]bool{}
-	order, err := p.Query.TopoOrder()
-	if err != nil {
-		return err
+	return PlaceWith(t, p, c)
+}
+
+// PlaceWith is Place for a plan whose query the caller has already analysed
+// (t must come from p.Query.Analyze).
+func PlaceWith(t *queryplan.Topology, p *queryplan.PQP, c *Cluster) error {
+	if len(c.Nodes) == 0 {
+		return fmt.Errorf("cluster: cannot place on empty cluster")
 	}
-	for _, opID := range order {
-		g := groups[opID]
-		if !seen[g] {
-			seen[g] = true
-			groupIDs = append(groupIDs, g)
+	n := len(t.Ops)
+	scratch := make([]int, 2*n)
+	deg := t.Degrees(p, scratch[:0:n])
+	if err := t.Check(p, deg); err != nil {
+		return fmt.Errorf("cluster: invalid plan: %w", err)
+	}
+	groups := t.ChainGroups(p, deg, scratch[n:n])
+	// Groups are numbered in topological order and the degree is uniform
+	// within one, so group g's instance i lands on node (g+i) mod N whichever
+	// member is placed. Each operator gets its own slice of one backing
+	// array, capped so an append cannot reach a neighbour's.
+	total := 0
+	for _, d := range deg {
+		total += d
+	}
+	names := make([]string, total)
+	for pos, op := range t.Ops {
+		nodes := names[:deg[pos]:deg[pos]]
+		names = names[deg[pos]:]
+		for i := range nodes {
+			nodes[i] = c.Nodes[(groups[pos]+i)%len(c.Nodes)].Name
 		}
-	}
-	opsInGroup := make(map[int][]int)
-	for _, opID := range order {
-		g := groups[opID]
-		opsInGroup[g] = append(opsInGroup[g], opID)
-	}
-	for gi, g := range groupIDs {
-		ops := opsInGroup[g]
-		sort.Ints(ops)
-		degree := p.Degree(ops[0]) // uniform within a chain group
-		for _, opID := range ops {
-			nodes := make([]string, degree)
-			for i := 0; i < degree; i++ {
-				nodes[i] = c.Nodes[(gi+i)%len(c.Nodes)].Name
-			}
-			p.Placement[opID] = nodes
-		}
+		p.Placement[op.ID] = nodes
 	}
 	return nil
 }
 
+// SlotOwners returns, per chain group, the position of the operator whose
+// placement stands for the group's task slots. Chained operators share their
+// group's slots, so one member is counted: the first in the query's
+// declaration order. groups is Topology.ChainGroups' result; the owners are
+// appended to dst[:0].
+func SlotOwners(t *queryplan.Topology, groups, dst []int) []int {
+	dst = dst[:0]
+	for _, pos := range t.Decl {
+		for len(dst) <= groups[pos] {
+			dst = append(dst, -1)
+		}
+		if dst[groups[pos]] < 0 {
+			dst[groups[pos]] = pos
+		}
+	}
+	return dst
+}
+
 // SlotLoad returns, per node name, the number of operator-instance slots
-// placed on it. The simulator uses this for its contention model.
+// placed on it: one per instance of each chain group, not per operator
+// instance. The simulator uses this for its contention model.
 func SlotLoad(p *queryplan.PQP) map[string]int {
 	load := make(map[string]int)
-	// Chained operators share a slot: count one slot per chain group
-	// instance, not per operator instance.
-	groups := p.ChainGroups()
-	counted := make(map[int]bool)
-	for _, o := range p.Query.Ops {
-		g := groups[o.ID]
-		if counted[g] {
-			continue
-		}
-		counted[g] = true
+	count := func(o *queryplan.Operator) {
 		for _, n := range p.Placement[o.ID] {
 			load[n]++
 		}
+	}
+	t, err := p.Query.Topology()
+	if err != nil {
+		// Callers validate first; without a topology nothing chains.
+		for _, o := range p.Query.Ops {
+			count(o)
+		}
+		return load
+	}
+	groups := t.ChainGroups(p, t.Degrees(p, nil), nil)
+	for _, pos := range SlotOwners(t, groups, nil) {
+		count(t.Ops[pos])
 	}
 	return load
 }

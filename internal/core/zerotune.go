@@ -184,36 +184,33 @@ func (z *ZeroTune) Predict(ctx context.Context, p *queryplan.PQP, c *cluster.Clu
 }
 
 // PredictBatch estimates costs for many plans on the same cluster, encoding
-// the plans and fanning the model's forward passes across the worker pool
-// (ZEROTUNE_WORKERS or GOMAXPROCS). Results match per-plan Predict calls in
-// order and value for any worker count.
+// the plans and running the model's batched forward pass. Plans that share a
+// *queryplan.Query — every candidate set of a tuning sweep does — are
+// analysed once: one features.Encoder serves each run of consecutive plans
+// over the same query, so a plan costs only what its degree vector changes.
+// Results match per-plan Predict calls in order and value for any worker
+// count.
 func (z *ZeroTune) PredictBatch(ctx context.Context, ps []*queryplan.PQP, c *cluster.Cluster) ([]gnn.Prediction, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	graphs := make([]*features.Graph, len(ps))
-	workers := parallel.Workers()
 	ctx, span := obs.StartSpan(ctx, "predict.batch")
 	defer span.End()
 	span.SetAttr("plans", len(ps))
-	// Placement mutates the plan, so it stays on the caller's goroutine;
-	// encoding is pure per plan and fans out.
-	for _, p := range ps {
-		if len(p.Placement) != len(p.Query.Ops) {
-			if err := cluster.Place(p, c); err != nil {
+	var enc *features.Encoder
+	for i, p := range ps {
+		if enc == nil || enc.Topology().Query != p.Query {
+			var err error
+			if enc, err = features.NewEncoder(p.Query, c, z.Mask); err != nil {
 				return nil, err
 			}
 		}
-	}
-	if err := parallel.ForErr(len(ps), workers, func(i int) error {
-		g, err := features.Encode(ps[i], c, z.Mask)
+		g, err := encodeWith(enc, p, c)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		graphs[i] = g
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 	// Cancellation is honored between the encode and forward stages; the
 	// forward pass itself runs to completion (milliseconds).
@@ -225,7 +222,18 @@ func (z *ZeroTune) PredictBatch(ctx context.Context, ps []*queryplan.PQP, c *clu
 	if cm := z.compiled.Load(); cm != nil {
 		return cm.PredictBatch(graphs), nil
 	}
-	return z.Model.PredictBatch(graphs, workers), nil
+	return z.Model.PredictBatch(graphs, parallel.Workers()), nil
+}
+
+// encodeWith places p on c when it has no complete placement yet, then
+// encodes it; enc must be an encoder over p.Query and c.
+func encodeWith(enc *features.Encoder, p *queryplan.PQP, c *cluster.Cluster) (*features.Graph, error) {
+	if len(p.Placement) != len(p.Query.Ops) {
+		if err := cluster.PlaceWith(enc.Topology(), p, c); err != nil {
+			return nil, err
+		}
+	}
+	return enc.Encode(p)
 }
 
 // EncodePlan places p on c (when not already placed) and featurizes it
@@ -236,12 +244,11 @@ func (z *ZeroTune) PredictBatch(ctx context.Context, ps []*queryplan.PQP, c *clu
 func (z *ZeroTune) EncodePlan(ctx context.Context, p *queryplan.PQP, c *cluster.Cluster) (*features.Graph, error) {
 	_, span := obs.StartSpan(ctx, "encode.plan")
 	defer span.End()
-	if len(p.Placement) != len(p.Query.Ops) {
-		if err := cluster.Place(p, c); err != nil {
-			return nil, err
-		}
+	enc, err := features.NewEncoder(p.Query, c, z.Mask)
+	if err != nil {
+		return nil, err
 	}
-	return features.Encode(p, c, z.Mask)
+	return encodeWith(enc, p, c)
 }
 
 // PredictEncoded runs the batched forward pass over pre-encoded graphs (see

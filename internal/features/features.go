@@ -197,86 +197,184 @@ type Graph struct {
 }
 
 // Encode builds the graph representation of plan p placed on cluster c.
-// The plan must already have a placement (Encode never mutates p).
+// The plan must already have a placement (Encode never mutates p). It
+// analyses p.Query for this one plan; callers encoding many plans of one
+// query build an Encoder once and reuse it.
 func Encode(p *queryplan.PQP, c *cluster.Cluster, mask Mask) (*Graph, error) {
-	if err := p.Validate(); err != nil {
-		return nil, fmt.Errorf("features: %w", err)
-	}
-	if len(p.Placement) != len(p.Query.Ops) {
-		return nil, fmt.Errorf("features: plan has no complete placement (%d of %d operators)",
-			len(p.Placement), len(p.Query.Ops))
-	}
-	order, err := p.Query.TopoOrder()
+	e, err := NewEncoder(p.Query, c, mask)
 	if err != nil {
 		return nil, err
 	}
-	grouping := p.GroupingNumber()
-	inRates := estimateInputRates(p.Query, order)
+	return e.Encode(p)
+}
 
-	g := &Graph{Template: p.Query.Template, AvgDegree: p.AvgDegree()}
-	opIdx := make(map[int]int, len(order))
-	for _, id := range order {
-		op := p.Query.Op(id)
-		feat := encodeOperator(op, p, grouping[id], inRates[id], mask)
-		opIdx[id] = len(g.OpNodes)
-		g.OpNodes = append(g.OpNodes, OpNode{OpID: id, Type: op.Type, Feat: feat})
-		if op.Type == queryplan.OpSink {
-			g.SinkIdx = opIdx[id]
+// Encoder holds everything of a plan's graph that depends only on the query,
+// the cluster and the mask — the validated topology, the estimated input
+// rates, every operator feature except the two the degrees decide, the
+// machine features except the slot load, the data edges and the node lookup —
+// so that Encode pays only for what a degree vector changes: chain groups,
+// slot load, resource nodes, mapping edges, FeatDegree and FeatGrouping.
+//
+// An Encoder is immutable after NewEncoder and safe for concurrent Encode
+// calls. Like the Topology inside it, it is a snapshot of q and c: build one
+// per call, not one per process.
+type Encoder struct {
+	topo *queryplan.Topology
+	c    *cluster.Cluster
+	mask Mask
+	// opFeat holds the static operator features, OpFeatDim per position.
+	opFeat []float64
+	// resFeat holds the static machine features, ResFeatDim per cluster node.
+	resFeat []float64
+	// nodeIdx maps a node name to its index in c.Nodes (the first, as
+	// Cluster.Node resolves duplicates).
+	nodeIdx map[string]int
+}
+
+// NewEncoder validates q and precomputes the plan-independent half of its
+// graphs on c under mask.
+func NewEncoder(q *queryplan.Query, c *cluster.Cluster, mask Mask) (*Encoder, error) {
+	t, err := q.Analyze()
+	if err != nil {
+		return nil, fmt.Errorf("features: %w", err)
+	}
+	e := &Encoder{
+		topo:    t,
+		c:       c,
+		mask:    mask,
+		opFeat:  make([]float64, len(t.Ops)*OpFeatDim),
+		resFeat: make([]float64, len(c.Nodes)*ResFeatDim),
+		nodeIdx: make(map[string]int, len(c.Nodes)),
+	}
+	inRates := estimateInputRates(t)
+	for i, op := range t.Ops {
+		f := tensor.Vector(e.opFeat[i*OpFeatDim : (i+1)*OpFeatDim])
+		encodeOperator(f, op, dominantPartitioning(t, i), inRates[i])
+		applyMask(f, mask)
+	}
+	for k := range c.Nodes {
+		n := &c.Nodes[k]
+		if _, dup := e.nodeIdx[n.Name]; !dup {
+			e.nodeIdx[n.Name] = k
+		}
+		if mask != MaskOperatorOnly {
+			encodeResource(e.resFeat[k*ResFeatDim:(k+1)*ResFeatDim], n, c.LinkGbps)
 		}
 	}
-	for _, e := range p.Query.Edges {
-		g.DataEdges = append(g.DataEdges, [2]int{opIdx[e.From], opIdx[e.To]})
+	return e, nil
+}
+
+// Topology returns the analysis of the encoder's query, for callers that
+// also place the plans they encode (cluster.PlaceWith).
+func (e *Encoder) Topology() *queryplan.Topology { return e.topo }
+
+// Encode builds the graph of p, a placed plan over the encoder's query.
+func (e *Encoder) Encode(p *queryplan.PQP) (*Graph, error) {
+	t, n, nc := e.topo, len(e.topo.Ops), len(e.c.Nodes)
+	// One scratch slab: degrees, chain groups, group sizes and slot owners
+	// per position; resource index, instance count and slot load per
+	// cluster node; the machines of the operator at hand.
+	scratch := make([]int, 4*n+4*nc)
+	deg, scratch := scratch[:0:n], scratch[n:]
+	groups, scratch := scratch[:0:n], scratch[n:]
+	size, scratch := scratch[:n], scratch[n:]
+	owners, scratch := scratch[:0:n], scratch[n:]
+	resOf, scratch := scratch[:nc], scratch[nc:]
+	inst, scratch := scratch[:nc], scratch[nc:]
+	slots, hosts := scratch[:nc], scratch[nc:nc]
+
+	deg = t.Degrees(p, deg)
+	if err := t.Check(p, deg); err != nil {
+		return nil, fmt.Errorf("features: %w", err)
+	}
+	if len(p.Placement) != n {
+		return nil, fmt.Errorf("features: plan has no complete placement (%d of %d operators)",
+			len(p.Placement), n)
+	}
+	groups = t.ChainGroups(p, deg, groups)
+	instances := 0
+	for i, g := range groups {
+		size[g]++
+		instances += deg[i]
+	}
+	owners = cluster.SlotOwners(t, groups, owners)
+
+	g := &Graph{
+		Template:  t.Query.Template,
+		AvgDegree: float64(instances) / float64(n),
+		OpNodes:   make([]OpNode, n),
+		DataEdges: t.Edges,
+		SinkIdx:   t.Sink,
+	}
+	feats := make([]float64, n*OpFeatDim)
+	copy(feats, e.opFeat)
+	maxEdges := 0
+	for i, op := range t.Ops {
+		f := tensor.Vector(feats[i*OpFeatDim : (i+1)*OpFeatDim : (i+1)*OpFeatDim])
+		if e.mask != MaskOperatorOnly {
+			f[FeatDegree] = log2p(float64(deg[i]))
+			f[FeatGrouping] = log2p(float64(size[groups[i]]))
+		}
+		g.OpNodes[i] = OpNode{OpID: op.ID, Type: op.Type, Feat: f}
+		maxEdges += min(deg[i], nc)
 	}
 
-	// Resource nodes: one per distinct machine hosting at least one
-	// instance.
-	slotLoad := cluster.SlotLoad(p)
-	resIdx := make(map[string]int)
-	for _, id := range order {
-		for _, nodeName := range p.Placement[id] {
-			if _, ok := resIdx[nodeName]; ok {
-				continue
+	// Resource nodes — one per distinct machine hosting at least one
+	// instance, in order of first appearance — and mapping edges: per
+	// operator, its machines in placement order with their instance counts.
+	for k := range resOf {
+		resOf[k] = -1
+	}
+	g.Mapping = make([]MapEdge, 0, maxEdges)
+	used := 0
+	for i, op := range t.Ops {
+		hosts = hosts[:0]
+		for _, name := range p.Placement[op.ID] {
+			k, ok := e.nodeIdx[name]
+			if !ok {
+				return nil, fmt.Errorf("features: placement references unknown node %q", name)
 			}
-			n := c.Node(nodeName)
-			if n == nil {
-				return nil, fmt.Errorf("features: placement references unknown node %q", nodeName)
+			if resOf[k] < 0 {
+				resOf[k] = used
+				used++
 			}
-			feat := encodeResource(n, c.LinkGbps, slotLoad[nodeName], mask)
-			resIdx[nodeName] = len(g.ResNodes)
-			g.ResNodes = append(g.ResNodes, ResNode{Name: nodeName, Feat: feat})
+			if inst[k] == 0 {
+				hosts = append(hosts, k)
+			}
+			inst[k]++
+		}
+		owner := owners[groups[i]] == i
+		for _, k := range hosts {
+			g.Mapping = append(g.Mapping, MapEdge{OpIdx: i, ResIdx: resOf[k], Instances: inst[k]})
+			if owner {
+				slots[k] += inst[k]
+			}
+			inst[k] = 0
 		}
 	}
-	// Mapping edges: instances of each operator per machine.
-	for _, id := range order {
-		counts := make(map[string]int)
-		for _, nodeName := range p.Placement[id] {
-			counts[nodeName]++
+	g.ResNodes = make([]ResNode, used)
+	resFeats := make([]float64, used*ResFeatDim)
+	for k, ri := range resOf {
+		if ri < 0 {
+			continue
 		}
-		// Deterministic order: walk the placement slice, emitting each
-		// machine once.
-		emitted := make(map[string]bool)
-		for _, nodeName := range p.Placement[id] {
-			if emitted[nodeName] {
-				continue
-			}
-			emitted[nodeName] = true
-			g.Mapping = append(g.Mapping, MapEdge{
-				OpIdx:     opIdx[id],
-				ResIdx:    resIdx[nodeName],
-				Instances: counts[nodeName],
-			})
+		node := &e.c.Nodes[k]
+		f := tensor.Vector(resFeats[ri*ResFeatDim : (ri+1)*ResFeatDim : (ri+1)*ResFeatDim])
+		if e.mask != MaskOperatorOnly {
+			copy(f, e.resFeat[k*ResFeatDim:(k+1)*ResFeatDim])
+			encodeSlots(f, node, slots[k])
 		}
+		g.ResNodes[ri] = ResNode{Name: node.Name, Feat: f}
 	}
 	return g, nil
 }
 
-// encodeOperator builds one operator node's feature vector.
-func encodeOperator(op *queryplan.Operator, p *queryplan.PQP, grouping int, inRate float64, mask Mask) tensor.Vector {
-	f := tensor.NewVector(OpFeatDim)
-
+// encodeOperator fills the plan-independent features of one operator node
+// into f (zeroed, OpFeatDim wide). FeatDegree and FeatGrouping depend on the
+// degree vector and are set per plan by Encoder.Encode.
+func encodeOperator(f tensor.Vector, op *queryplan.Operator, part queryplan.PartitionStrategy, inRate float64) {
 	// operator-parallelism category
-	f[FeatDegree] = log2p(float64(p.Degree(op.ID)))
-	switch dominantPartitioning(p.Query, op.ID) {
+	switch part {
 	case queryplan.PartForward:
 		f[FeatPartForward] = 1
 	case queryplan.PartRebalance:
@@ -284,7 +382,6 @@ func encodeOperator(op *queryplan.Operator, p *queryplan.PQP, grouping int, inRa
 	case queryplan.PartHash:
 		f[FeatPartHash] = 1
 	}
-	f[FeatGrouping] = log2p(float64(grouping))
 
 	// data category
 	f[FeatTupleWidthIn] = float64(op.TupleWidthIn) / 4
@@ -386,9 +483,6 @@ func encodeOperator(op *queryplan.Operator, p *queryplan.PQP, grouping int, inRa
 	case queryplan.TypeString:
 		f[FeatAggKeyString] = 1
 	}
-
-	applyMask(f, mask)
-	return f
 }
 
 // applyMask blanks the feature categories hidden by the mask.
@@ -405,17 +499,18 @@ func applyMask(f tensor.Vector, mask Mask) {
 	}
 }
 
-// encodeResource builds one resource node's feature vector.
-func encodeResource(n *cluster.Node, linkGbps float64, slots int, mask Mask) tensor.Vector {
-	f := tensor.NewVector(ResFeatDim)
-	if mask == MaskOperatorOnly {
-		// Resource features are part of the blanked categories.
-		return f
-	}
+// encodeResource fills the plan-independent features of one machine into f
+// (zeroed, ResFeatDim wide); encodeSlots adds the ones a placement decides.
+func encodeResource(f tensor.Vector, n *cluster.Node, linkGbps float64) {
 	f[ResFeatCores] = log2p(float64(n.Type.Cores))
 	f[ResFeatFreq] = n.Type.FreqGHz
 	f[ResFeatMem] = log2p(float64(n.Type.MemGB))
 	f[ResFeatLink] = log2p(linkGbps)
+}
+
+// encodeSlots sets the slot-load features of a machine hosting slots task
+// slots.
+func encodeSlots(f tensor.Vector, n *cluster.Node, slots int) {
 	f[ResFeatSlots] = log2p(float64(slots) + 1)
 	// Oversubscription ratio: the contention a slot experiences. The cores
 	// and slots features alone cannot identify it when the training
@@ -425,19 +520,17 @@ func encodeResource(n *cluster.Node, linkGbps float64, slots int, mask Mask) ten
 	if n.Type.Cores > 0 {
 		f[ResFeatOversub] = log2p(math.Max(1, float64(slots)/float64(n.Type.Cores)))
 	}
-	return f
 }
 
 // dominantPartitioning mirrors the simulator's view: the "heaviest"
 // partitioning strategy among the operator's input edges (hash > rebalance
 // > forward); sources report rebalance (their stream splits evenly).
-func dominantPartitioning(q *queryplan.Query, id int) queryplan.PartitionStrategy {
-	op := q.Op(id)
-	if op != nil && op.Type == queryplan.OpSource {
+func dominantPartitioning(t *queryplan.Topology, pos int) queryplan.PartitionStrategy {
+	if t.Ops[pos].Type == queryplan.OpSource {
 		return queryplan.PartRebalance
 	}
 	best := queryplan.PartForward
-	for _, e := range q.InEdges(id) {
+	for _, e := range t.In[pos] {
 		if e.Partitioning > best {
 			best = e.Partitioning
 		}
@@ -447,44 +540,43 @@ func dominantPartitioning(q *queryplan.Query, id int) queryplan.PartitionStrateg
 
 // estimateInputRates propagates *estimated* input rates through the logical
 // plan using the declared selectivities and window specifications (the
-// paper's Defs. 3–6). This is a transferable feature: it derives from
-// stream statistics, not from observing the deployment. Join output applies
-// Def. 5's amplification (each tuple matches sel·|W_opposite| buffered
-// tuples) and window aggregates apply their emission frequency — without
-// this, the model cannot see that a join's downstream operators face a much
-// higher rate than the sources emit.
-func estimateInputRates(q *queryplan.Query, order []int) map[int]float64 {
-	out := make(map[int]float64, len(order))
-	outRate := make(map[int]float64, len(order))
-	for _, id := range order {
-		op := q.Op(id)
-		ups := q.Upstream(id)
+// paper's Defs. 3–6), returning one rate per topological position. This is a
+// transferable feature: it derives from stream statistics, not from observing
+// the deployment. Join output applies Def. 5's amplification (each tuple
+// matches sel·|W_opposite| buffered tuples) and window aggregates apply their
+// emission frequency — without this, the model cannot see that a join's
+// downstream operators face a much higher rate than the sources emit.
+func estimateInputRates(t *queryplan.Topology) []float64 {
+	rates := make([]float64, 2*len(t.Ops))
+	out, outRate := rates[:len(t.Ops)], rates[len(t.Ops):]
+	for i, op := range t.Ops {
+		ups := t.In[i]
 		in := 0.0
 		for _, up := range ups {
-			in += outRate[up]
+			in += outRate[up.From]
 		}
 		switch op.Type {
 		case queryplan.OpSource:
 			in = op.EventRate
-			outRate[id] = op.EventRate
+			outRate[i] = op.EventRate
 		case queryplan.OpAggregate:
 			horizon, wps := estWindowHorizon(op, in)
 			windowTuples := in * horizon
 			groups := math.Max(1, math.Min(op.Selectivity*windowTuples, windowTuples))
-			outRate[id] = wps * groups
+			outRate[i] = wps * groups
 		case queryplan.OpJoin:
 			if len(ups) == 2 {
-				in1 := math.Max(outRate[ups[0]], 1e-9)
-				in2 := math.Max(outRate[ups[1]], 1e-9)
+				in1 := math.Max(outRate[ups[0].From], 1e-9)
+				in2 := math.Max(outRate[ups[1].From], 1e-9)
 				horizon, _ := estWindowHorizon(op, in)
-				outRate[id] = op.Selectivity * (in1*in2*horizon + in2*in1*horizon)
+				outRate[i] = op.Selectivity * (in1*in2*horizon + in2*in1*horizon)
 			} else {
-				outRate[id] = in * op.Selectivity
+				outRate[i] = in * op.Selectivity
 			}
 		default:
-			outRate[id] = in * op.Selectivity
+			outRate[i] = in * op.Selectivity
 		}
-		out[id] = in
+		out[i] = in
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package features
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"zerotune/internal/cluster"
@@ -250,6 +251,74 @@ func TestMappingEdgesCoverAllInstances(t *testing.T) {
 	for _, o := range p.Query.Ops {
 		if instances[o.ID] != p.Degree(o.ID) {
 			t.Fatalf("op %d mapping covers %d instances, degree %d", o.ID, instances[o.ID], p.Degree(o.ID))
+		}
+	}
+}
+
+// TestEncoderReuse: one Encoder serving many plans of its query must produce
+// exactly the graphs fresh one-shot Encode calls do, under every mask — also
+// after a bad plan made it return an error, and for a hand-written placement
+// that scatters one operator's instances unevenly.
+func TestEncoderReuse(t *testing.T) {
+	q := queryplan.SmartGridLocal(20_000)
+	c, err := cluster.New(5, cluster.SeenTypes(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := func(seed int) *queryplan.PQP {
+		p := queryplan.NewPQP(q)
+		for _, op := range q.Ops {
+			p.SetDegree(op.ID, 1+(seed*(op.ID+2)+op.ID)%9)
+		}
+		if err := cluster.Place(p, c); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	var plans []*queryplan.PQP
+	for seed := 0; seed < 12; seed++ {
+		plans = append(plans, plan(seed))
+	}
+	scattered := plan(3)
+	first := q.Ops[0].ID
+	scattered.SetDegree(first, 4)
+	scattered.Placement[first] = []string{c.Nodes[4].Name, c.Nodes[1].Name, c.Nodes[4].Name, c.Nodes[4].Name}
+	plans = append(plans, scattered)
+
+	unplaced := queryplan.NewPQP(q)
+	badDegree := plan(1)
+	badDegree.Parallelism[first] = 0
+	strayNode := plan(2)
+	strayNode.Placement[first][0] = "no-such-node"
+	other := queryplan.NewPQP(queryplan.SmartGridLocal(20_000))
+	if err := cluster.Place(other, c); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, mask := range []Mask{MaskAll, MaskOperatorOnly, MaskParallelismResource} {
+		enc, err := NewEncoder(q, c, mask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range plans {
+			for name, bad := range map[string]*queryplan.PQP{
+				"unplaced": unplaced, "degree 0": badDegree, "unknown node": strayNode, "another query": other,
+			} {
+				if _, err := enc.Encode(bad); err == nil {
+					t.Fatalf("mask %v: encoder accepted the %s plan", mask, name)
+				}
+			}
+			got, err := enc.Encode(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Encode(p, c, mask)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("mask %v, plan %d: reused encoder\n got %+v\nwant %+v", mask, i, got, want)
+			}
 		}
 	}
 }

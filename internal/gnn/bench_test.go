@@ -1,6 +1,7 @@
 package gnn
 
 import (
+	"fmt"
 	"testing"
 
 	"zerotune/internal/cluster"
@@ -39,6 +40,36 @@ func benchGraphs(tb testing.TB, n int) []*features.Graph {
 			tb.Fatal(err)
 		}
 		graphs = append(graphs, g)
+	}
+	return graphs
+}
+
+// sweepGraphs builds n candidates of one query — one operator topology — at n
+// different degree vectors on a six-node cluster, so resource counts and
+// mapping edges vary from graph to graph the way a tuning sweep's do.
+func sweepGraphs(tb testing.TB, n int) []*features.Graph {
+	tb.Helper()
+	c, err := cluster.New(6, cluster.SeenTypes(), 10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	q := queryplan.SmartGridLocal(20_000)
+	enc, err := features.NewEncoder(q, c, features.MaskAll)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	graphs := make([]*features.Graph, n)
+	for i := range graphs {
+		p := queryplan.NewPQP(q)
+		for _, op := range q.Ops {
+			p.SetDegree(op.ID, 1+(i*(op.ID+1)+op.ID)%(1+i%11))
+		}
+		if err := cluster.PlaceWith(enc.Topology(), p, c); err != nil {
+			tb.Fatal(err)
+		}
+		if graphs[i], err = enc.Encode(p); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	return graphs
 }
@@ -110,5 +141,29 @@ func BenchmarkPredictSingle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.forwardInto(tr, g)
+	}
+}
+
+// BenchmarkPredictSweep measures the fused engine on what a tuning sweep
+// hands it: n graphs of one operator topology with n different mappings, so
+// all of them share one bucket. us/graph against n is the curve fusedGroup
+// was chosen from.
+func BenchmarkPredictSweep(b *testing.B) {
+	cm, err := Compile(benchModel(), CompileOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{1, 2, 4, 8, 12, 16, 24, 48} {
+		b.Run(fmt.Sprintf("graphs=%d", n), func(b *testing.B) {
+			graphs := sweepGraphs(b, n)
+			dst := cm.PredictBatchInto(make([]Prediction, 0, n), graphs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = cm.PredictBatchInto(dst, graphs)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*n), "us/graph")
+		})
 	}
 }

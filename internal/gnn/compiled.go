@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"zerotune/internal/cluster"
 	"zerotune/internal/features"
@@ -15,10 +16,13 @@ import (
 
 // The compiled inference engine. A CompiledModel is an immutable, inference-
 // only view of a Model whose forward pass is restructured around batched
-// GEMMs: graphs are grouped by topology fingerprint, every graph in a bucket
-// shares one schedule (upstream lists, mapping-edge lists), and each MLP
-// application over the bucket becomes one matrix multiply of B stacked rows
-// instead of B vector passes. Weights are converted once at compile time —
+// GEMMs: graphs are grouped by operator topology, every graph in a bucket
+// shares one data-flow schedule (upstream lists), and each MLP application
+// over the bucket becomes one matrix multiply of stacked rows instead of one
+// vector pass per graph. Resources and mapping edges are not part of the
+// topology — they change with every parallelism degree vector — so inside a
+// bucket they are ragged: each graph brings its own resource rows and walks
+// its own mapping edges. Weights are converted once at compile time —
 // to float32 for the fast path (tensor.Gemm32BiasActInto, AVX2+FMA where
 // available), or kept float64 for the bit-exact reference engine — and a
 // load-time accuracy gate compares the compiled predictions against the
@@ -70,9 +74,9 @@ var ErrAccuracyGate = errors.New("gnn: compiled model failed accuracy gate")
 // GateReport records the accuracy-gate outcome of a Compile call.
 type GateReport struct {
 	Engine    Engine  `json:"engine"`
-	Graphs    int     `json:"graphs"`     // validation graphs evaluated
-	MaxQErr   float64 `json:"max_q_err"`  // worst q-error vs the float64 reference
-	Threshold float64 `json:"threshold"`  // gate budget (MaxQErr must be <= 1+Threshold)
+	Graphs    int     `json:"graphs"`    // validation graphs evaluated
+	MaxQErr   float64 `json:"max_q_err"` // worst q-error vs the float64 reference
+	Threshold float64 `json:"threshold"` // gate budget (MaxQErr must be <= 1+Threshold)
 }
 
 // CompileOptions configures Compile.
@@ -126,6 +130,8 @@ type CompiledModel struct {
 	tptHead    []layer32
 
 	scratch scratchPool
+
+	fusedGraphs, fusedBuckets atomic.Uint64
 }
 
 // scratchPool is a persistent free list of fused scratches. Unlike
@@ -297,6 +303,9 @@ func Compile(m *Model, opts CompileOptions) (*CompiledModel, error) {
 	}
 	refPreds := m.PredictBatch(val, opts.Workers)
 	gotPreds := cm.PredictBatch(val)
+	// The counters report serving traffic, not the gate's own batch.
+	cm.fusedGraphs.Store(0)
+	cm.fusedBuckets.Store(0)
 	maxQ := 1.0
 	for i := range val {
 		for _, q := range []float64{
@@ -384,10 +393,12 @@ func gateGraphs() ([]*features.Graph, error) {
 	return graphs, nil
 }
 
-// structKey fingerprints a graph's topology: everything that determines the
-// fused schedule (node counts, op types, data edges, mapping edges, sink),
-// excluding per-graph data such as features and instance counts. Graphs with
-// equal keys are verified with sameStructure before sharing a bucket.
+// structKey fingerprints a graph's operator topology: everything that
+// determines the shared data-flow schedule (operator count, op types, data
+// edges, sink). Resource nodes and mapping edges are deliberately left out:
+// they follow the degree vector, so the candidates of one tuning sweep — one
+// query, many degree vectors — differ in them and must still share a bucket.
+// Graphs with equal keys are verified with sameStructure before sharing one.
 func structKey(g *features.Graph) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -399,7 +410,6 @@ func structKey(g *features.Graph) uint64 {
 		h *= prime64
 	}
 	mix(uint64(len(g.OpNodes)))
-	mix(uint64(len(g.ResNodes)))
 	mix(uint64(g.SinkIdx))
 	for _, nd := range g.OpNodes {
 		mix(uint64(nd.Type))
@@ -407,17 +417,13 @@ func structKey(g *features.Graph) uint64 {
 	for _, e := range g.DataEdges {
 		mix(uint64(e[0])<<32 | uint64(uint32(e[1])))
 	}
-	for _, e := range g.Mapping {
-		mix(uint64(e.OpIdx)<<32 | uint64(uint32(e.ResIdx)))
-	}
 	return h
 }
 
-// sameStructure reports whether two graphs share the exact fused schedule;
-// it backs structKey against hash collisions.
+// sameStructure reports whether two graphs share the data-flow schedule; it
+// backs structKey against hash collisions.
 func sameStructure(a, b *features.Graph) bool {
-	if len(a.OpNodes) != len(b.OpNodes) || len(a.ResNodes) != len(b.ResNodes) ||
-		a.SinkIdx != b.SinkIdx || len(a.DataEdges) != len(b.DataEdges) || len(a.Mapping) != len(b.Mapping) {
+	if len(a.OpNodes) != len(b.OpNodes) || a.SinkIdx != b.SinkIdx || len(a.DataEdges) != len(b.DataEdges) {
 		return false
 	}
 	for i := range a.OpNodes {
@@ -430,11 +436,6 @@ func sameStructure(a, b *features.Graph) bool {
 			return false
 		}
 	}
-	for i := range a.Mapping {
-		if a.Mapping[i].OpIdx != b.Mapping[i].OpIdx || a.Mapping[i].ResIdx != b.Mapping[i].ResIdx {
-			return false
-		}
-	}
 	return true
 }
 
@@ -442,10 +443,9 @@ func sameStructure(a, b *features.Graph) bool {
 // structure and their positions in the output slice. Slots and their slices
 // are recycled across calls.
 type bucketSlot struct {
-	key   uint64
-	proto *features.Graph
-	gs    []*features.Graph
-	pos   []int
+	key uint64
+	gs  []*features.Graph // gs[0] is the prototype the others were matched against
+	pos []int
 }
 
 // fusedScratch is the per-call arena: every matrix the fused forward needs,
@@ -455,7 +455,7 @@ type bucketSlot struct {
 type fusedScratch struct {
 	buckets   []bucketSlot
 	upstreams [][]int // per op position: upstream positions
-	edgesOp   [][]int // per op position: indices into proto.Mapping
+	resOff    []int   // per graph of the bucket: its first resource row
 
 	// float32 engine matrices (nil until first use).
 	xg, e, hop, xc, er, sum, xcr, hres, xm, hmap, lt, pooled, tt *tensor.Matrix32
@@ -467,13 +467,13 @@ type fusedScratch struct {
 	mlpAD, mlpBD                                                              []float64
 	vxD, vyD, vpAD, vpBD                                                      tensor.Matrix
 
-	lat, latW []float64
+	lat, latW, tot []float64
 
 	oneG [1]*features.Graph
 	oneP []Prediction
 }
 
-func (s *fusedScratch) addBucket(key uint64, proto *features.Graph) *bucketSlot {
+func (s *fusedScratch) addBucket(key uint64) *bucketSlot {
 	n := len(s.buckets)
 	if n < cap(s.buckets) {
 		s.buckets = s.buckets[:n+1]
@@ -481,21 +481,27 @@ func (s *fusedScratch) addBucket(key uint64, proto *features.Graph) *bucketSlot 
 		s.buckets = append(s.buckets, bucketSlot{})
 	}
 	b := &s.buckets[n]
-	b.key, b.proto = key, proto
+	b.key = key
 	b.gs, b.pos = b.gs[:0], b.pos[:0]
 	return b
 }
 
-func (s *fusedScratch) buildSchedule(g *features.Graph) {
-	n := len(g.OpNodes)
-	s.upstreams = growSchedule(s.upstreams, n)
-	for _, e := range g.DataEdges {
+// buildSchedule derives what the graphs of one bucket share — the upstream
+// lists of their common data edges — and what they do not: every graph's
+// resource rows are laid end to end, graph bi's starting at resOff[bi]. It
+// returns the total number of resource rows.
+func (s *fusedScratch) buildSchedule(gs []*features.Graph) int {
+	s.upstreams = growSchedule(s.upstreams, len(gs[0].OpNodes))
+	for _, e := range gs[0].DataEdges {
 		s.upstreams[e[1]] = append(s.upstreams[e[1]], e[0])
 	}
-	s.edgesOp = growSchedule(s.edgesOp, n)
-	for ei, e := range g.Mapping {
-		s.edgesOp[e.OpIdx] = append(s.edgesOp[e.OpIdx], ei)
+	s.resOff = s.resOff[:0]
+	rows := 0
+	for _, g := range gs {
+		s.resOff = append(s.resOff, rows)
+		rows += len(g.ResNodes)
 	}
+	return rows
 }
 
 // growSchedule resizes ss to n empty inner slices. Unlike growIntSlices it
@@ -621,25 +627,55 @@ func (cm *CompiledModel) batchInto(s *fusedScratch, dst []Prediction, graphs []*
 		key := structKey(g)
 		var slot *bucketSlot
 		for bi := range s.buckets {
-			if s.buckets[bi].key == key && sameStructure(s.buckets[bi].proto, g) {
+			if s.buckets[bi].key == key && sameStructure(s.buckets[bi].gs[0], g) {
 				slot = &s.buckets[bi]
 				break
 			}
 		}
 		if slot == nil {
-			slot = s.addBucket(key, g)
+			slot = s.addBucket(key)
 		}
 		slot.gs = append(slot.gs, g)
 		slot.pos = append(slot.pos, gi)
 	}
+	cm.fusedGraphs.Add(uint64(len(graphs)))
+	cm.fusedBuckets.Add(uint64(len(s.buckets)))
 	for bi := range s.buckets {
-		if cm.Engine == EngineF64 {
-			cm.forwardBucket64(s, &s.buckets[bi], dst)
-		} else {
-			cm.forwardBucket32(s, &s.buckets[bi], dst)
+		b := &s.buckets[bi]
+		// Near-equal groups of at most fusedGroup graphs.
+		groups := (len(b.gs) + fusedGroup - 1) / fusedGroup
+		for j := 0; j < groups; j++ {
+			lo, hi := j*len(b.gs)/groups, (j+1)*len(b.gs)/groups
+			if cm.Engine == EngineF64 {
+				cm.forwardBucket64(s, b.gs[lo:hi], b.pos[lo:hi], dst)
+			} else {
+				cm.forwardBucket32(s, b.gs[lo:hi], b.pos[lo:hi], dst)
+			}
 		}
 	}
 	return dst
+}
+
+// fusedGroup caps how many graphs of one bucket run through the GEMMs
+// together. The scratch matrices are sized by the largest group and stay live
+// in the pool, one scratch per concurrent caller, so the cap bounds resident
+// memory — while the GEMMs gain nothing from taller matrices once the
+// microkernel's four rows are full. Measured without the cap on
+// BenchmarkPredictSweep's graphs (one five-operator topology, ragged
+// mappings; AVX2, 2.1 GHz Xeon), graphs sharing a bucket → µs/graph, scratch:
+// 1 → 11.2, 0.02 MiB; 2 → 7.7, 0.03; 4 → 6.4, 0.04; 8 → 6.0, 0.09;
+// 12 → 6.6, 0.14; 16 → 6.6, 0.18; 24 → 6.5, 0.27; 48 → 6.0, 0.55. Flat from
+// 4 up, so 8 keeps every group of a split bucket above the knee (a 25-graph
+// bucket runs as 7+6+6+6) at a third of the memory a whole candidate set
+// would pin.
+const fusedGroup = 8
+
+// FusedCounts reports how many graphs the engine has predicted and how many
+// topology buckets they fell into. graphs/buckets is the fusion the GEMMs
+// actually see: near 1 means every graph runs alone, padded to the
+// microkernel's four rows.
+func (cm *CompiledModel) FusedCounts() (graphs, buckets uint64) {
+	return cm.fusedGraphs.Load(), cm.fusedBuckets.Load()
 }
 
 // applyMLP32 runs the compiled layers over x, ping-ponging intermediate
@@ -668,24 +704,27 @@ func (cm *CompiledModel) applyMLP32(s *fusedScratch, ls []layer32, x, out *tenso
 // forwardBucket32 runs the float32 fused schedule for one bucket, writing
 // predictions into dst at the bucket's positions.
 //
-// Row layout: per-position blocks of B consecutive rows (row i*B+b is op
-// position i of graph b). GEMM row counts are rounded up to the microkernel's
-// group of 4; the slack rows either overlap the next position's block (which
-// is written afterwards) or live in the matrices' extra capacity, so the
-// padded work is harmless and every matrix is written with fixed-shape
-// kernels only.
-func (cm *CompiledModel) forwardBucket32(s *fusedScratch, b *bucketSlot, dst []Prediction) {
-	proto := b.proto
-	n, r, B := len(proto.OpNodes), len(proto.ResNodes), len(b.gs)
+// Operator rows are laid out per position in blocks of B consecutive rows
+// (row i*B+b is op position i of graph b). Resource rows are ragged: graph b
+// owns rows resOff[b] … resOff[b]+r_b, one per resource node it has, so the
+// resource encoder and combiner each run as one GEMM over all Σ r_b rows.
+// GEMM row counts are rounded up to the microkernel's group of 4; the slack
+// rows either overlap the next position's block (which is written afterwards)
+// or live in the matrices' extra capacity, so the padded work is harmless and
+// every matrix is written with fixed-shape kernels only. No row ever reads
+// another row, which is why a graph's result does not depend on what shares
+// its bucket.
+func (cm *CompiledModel) forwardBucket32(s *fusedScratch, gs []*features.Graph, pos []int, dst []Prediction) {
+	proto := gs[0]
+	n, B := len(proto.OpNodes), len(gs)
 	h := cm.cfg.Hidden
 	np := tensor.PadTo16(h)
 	B4 := roundUp4(B)
 	opRows := maxInt(roundUp4(n*B), (n-1)*B+B4)
-	resRows := maxInt(roundUp4(r*B), (r-1)*B+B4)
+	resRows := roundUp4(s.buildSchedule(gs))
 
-	s.buildSchedule(proto)
 	featMax := maxInt(features.OpFeatDim, features.ResFeatDim)
-	s.xg = grow32(s.xg, B4, features.OpFeatDim, featMax)
+	s.xg = grow32(s.xg, maxInt(B4, resRows), features.OpFeatDim, featMax)
 	s.e = grow32(s.e, opRows, h, np)
 	s.hop = grow32(s.hop, opRows, h, np)
 	s.xc = grow32(s.xc, B4, 2*h, 2*h)
@@ -698,15 +737,16 @@ func (cm *CompiledModel) forwardBucket32(s *fusedScratch, b *bucketSlot, dst []P
 	s.lt = grow32(s.lt, opRows, 1, 16)
 	s.pooled = grow32(s.pooled, B4, 2*h, 2*h)
 	s.tt = grow32(s.tt, B4, 1, 16)
-	s.mlpA = growF32(s.mlpA, opRows*cm.maxNp)
-	s.mlpB = growF32(s.mlpB, opRows*cm.maxNp)
+	s.mlpA = growF32(s.mlpA, maxInt(opRows, resRows)*cm.maxNp)
+	s.mlpB = growF32(s.mlpB, maxInt(opRows, resRows)*cm.maxNp)
 	s.lat = growF64(s.lat, n)
 	s.latW = growF64(s.latW, n)
+	s.tot = growF64(s.tot, n)
 
 	// Stage 1: encoders + data-flow pass, topologically ordered positions.
 	s.xg.Cols = features.OpFeatDim
 	for i, node := range proto.OpNodes {
-		for bi, g := range b.gs {
+		for bi, g := range gs {
 			feat := g.OpNodes[i].Feat
 			row := s.xg.Row(bi)
 			for t, v := range feat {
@@ -726,37 +766,34 @@ func (cm *CompiledModel) forwardBucket32(s *fusedScratch, b *bucketSlot, dst []P
 		cm.applyMLP32(s, cm.combineOp, setView32(&s.vx, s.xc, 0, B4), setView32(&s.vy, s.hop, i*B, B4))
 	}
 
-	// Stage 2: resource pass.
+	// Stage 2: resource pass, one GEMM per MLP over every graph's rows.
 	s.xg.Cols = features.ResFeatDim
-	for i := 0; i < r; i++ {
-		for bi, g := range b.gs {
-			feat := g.ResNodes[i].Feat
-			row := s.xg.Row(bi)
-			for t, v := range feat {
+	for bi, g := range gs {
+		for i := range g.ResNodes {
+			row := s.xg.Row(s.resOff[bi] + i)
+			for t, v := range g.ResNodes[i].Feat {
 				row[t] = float32(v)
 			}
 		}
-		cm.applyMLP32(s, cm.encRes, setView32(&s.vx, s.xg, 0, B4), setView32(&s.vy, s.er, i*B, B4))
 	}
-	for bi := 0; bi < B; bi++ {
+	cm.applyMLP32(s, cm.encRes, setView32(&s.vx, s.xg, 0, resRows), setView32(&s.vy, s.er, 0, resRows))
+	for bi, g := range gs {
+		r, off := len(g.ResNodes), s.resOff[bi]
 		sumRow := s.sum.Row(bi)
 		sumRow.Zero()
 		for i := 0; i < r; i++ {
-			sumRow.AddInPlace(s.er.Row(i*B + bi))
+			sumRow.AddInPlace(s.er.Row(off + i))
 		}
-	}
-	invR := float32(0)
-	if r > 1 {
-		invR = float32(1 / float64(r-1))
-	}
-	for i := 0; i < r; i++ {
-		for bi := 0; bi < B; bi++ {
-			own := s.er.Row(i*B + bi)
-			xcrRow := s.xcr.Row(i*B + bi)
+		invR := float32(0)
+		if r > 1 {
+			invR = float32(1 / float64(r-1))
+		}
+		for i := 0; i < r; i++ {
+			own := s.er.Row(off + i)
+			xcrRow := s.xcr.Row(off + i)
 			copy(xcrRow[:h], own)
 			oth := xcrRow[h:]
 			if r > 1 {
-				sumRow := s.sum.Row(bi)
 				for j := range oth {
 					oth[j] = (sumRow[j] - own[j]) * invR
 				}
@@ -765,34 +802,30 @@ func (cm *CompiledModel) forwardBucket32(s *fusedScratch, b *bucketSlot, dst []P
 			}
 		}
 	}
-	cm.applyMLP32(s, cm.combineRes, setView32(&s.vx, s.xcr, 0, roundUp4(r*B)), setView32(&s.vy, s.hres, 0, roundUp4(r*B)))
+	cm.applyMLP32(s, cm.combineRes, setView32(&s.vx, s.xcr, 0, resRows), setView32(&s.vy, s.hres, 0, resRows))
 
 	// Stage 3: mapping pass. Left half of xm is the op state; the right half
-	// accumulates the instance-weighted resource states per graph.
-	for i := 0; i < n; i++ {
-		for bi := 0; bi < B; bi++ {
-			xmRow := s.xm.Row(i*B + bi)
-			copy(xmRow[:h], s.hop.Row(i*B+bi))
-			xmRow[h:].Zero()
+	// accumulates the instance-weighted resource states, each graph walking
+	// its own mapping edges in order.
+	for i := 0; i < n*B; i++ {
+		xmRow := s.xm.Row(i)
+		copy(xmRow[:h], s.hop.Row(i))
+		xmRow[h:].Zero()
+	}
+	tot := s.tot[:n]
+	for bi, g := range gs {
+		for i := range tot {
+			tot[i] = 0
 		}
-		edges := s.edgesOp[i]
-		if len(edges) == 0 {
-			continue
+		for _, e := range g.Mapping {
+			tot[e.OpIdx] += float64(e.Instances)
 		}
-		for bi, g := range b.gs {
-			var tot float64
-			for _, ei := range edges {
-				tot += float64(g.Mapping[ei].Instances)
+		for _, e := range g.Mapping {
+			w := float64(e.Instances)
+			if tot[e.OpIdx] > 0 {
+				w /= tot[e.OpIdx]
 			}
-			msg := s.xm.Row(i*B + bi)[h:]
-			for _, ei := range edges {
-				e := g.Mapping[ei]
-				w := float64(e.Instances)
-				if tot > 0 {
-					w /= tot
-				}
-				msg.AxpyInPlace(float32(w), s.hres.Row(e.ResIdx*B+bi))
-			}
+			s.xm.Row(e.OpIdx*B + bi)[h:].AxpyInPlace(float32(w), s.hres.Row(s.resOff[bi]+e.ResIdx))
 		}
 	}
 	cm.applyMLP32(s, cm.combineMap, setView32(&s.vx, s.xm, 0, roundUp4(n*B)), setView32(&s.vy, s.hmap, 0, roundUp4(n*B)))
@@ -817,7 +850,7 @@ func (cm *CompiledModel) forwardBucket32(s *fusedScratch, b *bucketSlot, dst []P
 	}
 	cm.applyMLP32(s, cm.tptHead, setView32(&s.vx, s.pooled, 0, B4), setView32(&s.vy, s.tt, 0, B4))
 
-	for bi := range b.gs {
+	for bi := range gs {
 		var logLat float64
 		if structured {
 			for i := 0; i < n; i++ {
@@ -828,7 +861,7 @@ func (cm *CompiledModel) forwardBucket32(s *fusedScratch, b *bucketSlot, dst []P
 			logLat = float64(s.lt.Row(bi)[0])
 		}
 		logTpt := float64(s.tt.Row(bi)[0])
-		dst[b.pos[bi]] = Prediction{
+		dst[pos[bi]] = Prediction{
 			LatencyMs:     math.Pow(10, logLat),
 			ThroughputEPS: math.Pow(10, logTpt),
 			LogLatency:    logLat,
@@ -871,17 +904,17 @@ func (cm *CompiledModel) applyMLP64(s *fusedScratch, mlp *nn.MLP, x, out *tensor
 }
 
 // forwardBucket64 runs the fused schedule in float64 with the reference
-// weights. Every per-element operation replicates the reference forward's
-// accumulation order, so the results are bit-identical to Model.Predict for
-// each graph — the anchor the differential tests and the accuracy gate
-// measure against.
-func (cm *CompiledModel) forwardBucket64(s *fusedScratch, b *bucketSlot, dst []Prediction) {
-	proto := b.proto
+// weights, in forwardBucket32's row layout without the padding. Every
+// per-element operation replicates the reference forward's accumulation
+// order, so the results are bit-identical to Model.Predict for each graph —
+// the anchor the differential tests and the accuracy gate measure against.
+func (cm *CompiledModel) forwardBucket64(s *fusedScratch, gs []*features.Graph, pos []int, dst []Prediction) {
+	proto := gs[0]
 	m := cm.Ref
-	n, r, B := len(proto.OpNodes), len(proto.ResNodes), len(b.gs)
+	n, B := len(proto.OpNodes), len(gs)
 	h := cm.cfg.Hidden
+	resRows := s.buildSchedule(gs)
 
-	s.buildSchedule(proto)
 	maxW := 0
 	for _, mlp := range m.mlps() {
 		for _, l := range mlp.Layers {
@@ -891,30 +924,31 @@ func (cm *CompiledModel) forwardBucket64(s *fusedScratch, b *bucketSlot, dst []P
 		}
 	}
 	featMax := maxInt(features.OpFeatDim, features.ResFeatDim)
-	s.xgD = grow64(s.xgD, B, featMax)
+	s.xgD = grow64(s.xgD, maxInt(B, resRows), featMax)
 	s.eD = grow64(s.eD, n*B, h)
 	s.hopD = grow64(s.hopD, n*B, h)
 	s.xcD = grow64(s.xcD, B, 2*h)
-	s.erD = grow64(s.erD, r*B, h)
+	s.erD = grow64(s.erD, resRows, h)
 	s.sumD = grow64(s.sumD, B, h)
-	s.xcrD = grow64(s.xcrD, r*B, 2*h)
-	s.hresD = grow64(s.hresD, r*B, h)
+	s.xcrD = grow64(s.xcrD, resRows, 2*h)
+	s.hresD = grow64(s.hresD, resRows, h)
 	s.xmD = grow64(s.xmD, n*B, 2*h)
 	s.hmapD = grow64(s.hmapD, n*B, h)
 	s.ltD = grow64(s.ltD, n*B, 1)
 	s.pooledD = grow64(s.pooledD, B, 2*h)
 	s.ttD = grow64(s.ttD, B, 1)
-	s.mlpAD = growF64(s.mlpAD, n*B*maxW)
-	s.mlpBD = growF64(s.mlpBD, n*B*maxW)
+	s.mlpAD = growF64(s.mlpAD, maxInt(n*B, resRows)*maxW)
+	s.mlpBD = growF64(s.mlpBD, maxInt(n*B, resRows)*maxW)
 	s.lat = growF64(s.lat, n)
 	s.latW = growF64(s.latW, n)
+	s.tot = growF64(s.tot, n)
 
 	// Stage 1.
 	xg := s.xgD
 	for i, node := range proto.OpNodes {
-		xg.Cols = features.OpFeatDim
+		xg.Rows, xg.Cols = B, features.OpFeatDim
 		xg.Data = xg.Data[:B*features.OpFeatDim]
-		for bi, g := range b.gs {
+		for bi, g := range gs {
 			copy(xg.Row(bi), g.OpNodes[i].Feat)
 		}
 		cm.applyMLP64(s, m.EncOp[node.Type], xg, setView64(&s.vyD, s.eD, i*B, B))
@@ -931,29 +965,28 @@ func (cm *CompiledModel) forwardBucket64(s *fusedScratch, b *bucketSlot, dst []P
 	}
 
 	// Stage 2.
-	xg.Cols = features.ResFeatDim
-	xg.Data = xg.Data[:B*features.ResFeatDim]
-	for i := 0; i < r; i++ {
-		for bi, g := range b.gs {
-			copy(xg.Row(bi), g.ResNodes[i].Feat)
+	xg.Rows, xg.Cols = resRows, features.ResFeatDim
+	xg.Data = xg.Data[:resRows*features.ResFeatDim]
+	for bi, g := range gs {
+		for i := range g.ResNodes {
+			copy(xg.Row(s.resOff[bi]+i), g.ResNodes[i].Feat)
 		}
-		cm.applyMLP64(s, m.EncRes, xg, setView64(&s.vyD, s.erD, i*B, B))
 	}
-	for bi := 0; bi < B; bi++ {
+	cm.applyMLP64(s, m.EncRes, xg, s.erD)
+	for bi, g := range gs {
+		r, off := len(g.ResNodes), s.resOff[bi]
 		sumRow := s.sumD.Row(bi)
 		sumRow.Zero()
 		for i := 0; i < r; i++ {
-			sumRow.AddInPlace(s.erD.Row(i*B + bi))
+			sumRow.AddInPlace(s.erD.Row(off + i))
 		}
-	}
-	for i := 0; i < r; i++ {
-		for bi := 0; bi < B; bi++ {
-			xcrRow := s.xcrD.Row(i*B + bi)
-			copy(xcrRow[:h], s.erD.Row(i*B+bi))
+		for i := 0; i < r; i++ {
+			xcrRow := s.xcrD.Row(off + i)
+			copy(xcrRow[:h], s.erD.Row(off+i))
 			oth := tensor.Vector(xcrRow[h:])
 			if r > 1 {
-				copy(oth, s.sumD.Row(bi))
-				oth.SubInPlace(s.erD.Row(i*B + bi)).ScaleInPlace(1 / float64(r-1))
+				copy(oth, sumRow)
+				oth.SubInPlace(s.erD.Row(off + i)).ScaleInPlace(1 / float64(r-1))
 			} else {
 				oth.Zero()
 			}
@@ -962,30 +995,25 @@ func (cm *CompiledModel) forwardBucket64(s *fusedScratch, b *bucketSlot, dst []P
 	cm.applyMLP64(s, m.CombineRes, s.xcrD, s.hresD)
 
 	// Stage 3.
-	for i := 0; i < n; i++ {
-		for bi := 0; bi < B; bi++ {
-			xmRow := s.xmD.Row(i*B + bi)
-			copy(xmRow[:h], s.hopD.Row(i*B+bi))
-			xmRow[h:].Zero()
+	for i := 0; i < n*B; i++ {
+		xmRow := s.xmD.Row(i)
+		copy(xmRow[:h], s.hopD.Row(i))
+		xmRow[h:].Zero()
+	}
+	tot := s.tot[:n]
+	for bi, g := range gs {
+		for i := range tot {
+			tot[i] = 0
 		}
-		edges := s.edgesOp[i]
-		if len(edges) == 0 {
-			continue
+		for _, e := range g.Mapping {
+			tot[e.OpIdx] += float64(e.Instances)
 		}
-		for bi, g := range b.gs {
-			var tot float64
-			for _, ei := range edges {
-				tot += float64(g.Mapping[ei].Instances)
+		for _, e := range g.Mapping {
+			w := float64(e.Instances)
+			if tot[e.OpIdx] > 0 {
+				w /= tot[e.OpIdx]
 			}
-			msg := tensor.Vector(s.xmD.Row(i*B + bi)[h:])
-			for _, ei := range edges {
-				e := g.Mapping[ei]
-				w := float64(e.Instances)
-				if tot > 0 {
-					w /= tot
-				}
-				msg.AxpyInPlace(w, s.hresD.Row(e.ResIdx*B+bi))
-			}
+			tensor.Vector(s.xmD.Row(e.OpIdx*B + bi)[h:]).AxpyInPlace(w, s.hresD.Row(s.resOff[bi]+e.ResIdx))
 		}
 	}
 	cm.applyMLP64(s, m.CombineMap, s.xmD, s.hmapD)
@@ -1009,7 +1037,7 @@ func (cm *CompiledModel) forwardBucket64(s *fusedScratch, b *bucketSlot, dst []P
 	}
 	cm.applyMLP64(s, m.TptHead, s.pooledD, s.ttD)
 
-	for bi := range b.gs {
+	for bi := range gs {
 		var logLat float64
 		if structured {
 			for i := 0; i < n; i++ {
@@ -1020,7 +1048,7 @@ func (cm *CompiledModel) forwardBucket64(s *fusedScratch, b *bucketSlot, dst []P
 			logLat = s.ltD.Row(bi)[0]
 		}
 		logTpt := s.ttD.Row(bi)[0]
-		dst[b.pos[bi]] = Prediction{
+		dst[pos[bi]] = Prediction{
 			LatencyMs:     math.Pow(10, logLat),
 			ThroughputEPS: math.Pow(10, logTpt),
 			LogLatency:    logLat,

@@ -212,7 +212,7 @@ func TestCompiledZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs := corpusGraphs(t)
+	graphs := append(corpusGraphs(t), sweepGraphs(t, 25)...)
 	dst := make([]Prediction, 0, len(graphs))
 	dst = cm.PredictBatchInto(dst, graphs) // warm the scratch pool
 	if n := testing.AllocsPerRun(20, func() {
@@ -247,6 +247,52 @@ func TestCompiledBucketOrder(t *testing.T) {
 	for i, g := range shuffled {
 		if want := m.Predict(g); got[i] != want {
 			t.Errorf("position %d: got %+v, want %+v", i, got[i], want)
+		}
+	}
+}
+
+// TestCompiledRaggedBucket: graphs of one operator topology share one bucket
+// whatever their resource counts and mapping edges — a tuning sweep's
+// candidates do — and sharing must not move a bit: the f64 engine equals
+// Model.Predict and the f32 engine equals its own single-graph prediction,
+// with the sweep interleaved among other topologies and large enough to split
+// into several groups.
+func TestCompiledRaggedBucket(t *testing.T) {
+	sweep := sweepGraphs(t, 27)
+	resCounts, mappings := map[int]bool{}, map[int]bool{}
+	for _, g := range sweep {
+		resCounts[len(g.ResNodes)] = true
+		mappings[len(g.Mapping)] = true
+	}
+	if len(resCounts) < 3 || len(mappings) < 3 {
+		t.Fatalf("sweep is not ragged: resource counts %v, mapping sizes %v", resCounts, mappings)
+	}
+	others := corpusGraphs(t)
+	var mixed []*features.Graph
+	for i, g := range sweep {
+		mixed = append(mixed, g, others[i%len(others)])
+	}
+
+	m := New(tensor.NewRNG(23), DefaultConfig())
+	for _, engine := range []Engine{EngineF64, EngineF32} {
+		cm, err := Compile(m, CompileOptions{Engine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm.PredictBatch(sweep)
+		if graphs, buckets := cm.FusedCounts(); graphs != uint64(len(sweep)) || buckets != 1 {
+			t.Fatalf("%v: sweep of %d graphs counted as %d graphs in %d buckets, want 1 bucket",
+				engine, len(sweep), graphs, buckets)
+		}
+		got := cm.PredictBatch(mixed)
+		for i, g := range mixed {
+			want := cm.Predict(g)
+			if engine == EngineF64 {
+				want = m.Predict(g)
+			}
+			if got[i] != want {
+				t.Errorf("%v: position %d (%s): batched %+v != reference %+v", engine, i, g.Template, got[i], want)
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ package optimizer
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -103,29 +104,38 @@ type TuneResult struct {
 	Cost float64
 }
 
+// InputError is the class of Tune failures the caller's input caused — an
+// invalid query, a weight outside [0,1], a cluster nothing can be placed on —
+// as opposed to a failing or cancelled estimator. Servers map it to "bad
+// request" and everything else to "unavailable".
+type InputError struct{ Err error }
+
+func (e *InputError) Error() string { return "optimizer: " + e.Err.Error() }
+func (e *InputError) Unwrap() error { return e.Err }
+
 // Tune selects parallelism degrees for q on cluster c by enumerating
 // candidate configurations around the analytical OptiSample assignment and
 // choosing the one with the minimum predicted weighted cost. The context
 // cancels the what-if sweep between estimates and scopes its spans.
 func Tune(ctx context.Context, q *queryplan.Query, c *cluster.Cluster, est CostEstimator, opts TuneOptions) (*TuneResult, error) {
-	if err := q.Validate(); err != nil {
-		return nil, fmt.Errorf("optimizer: %w", err)
+	// The query is validated and analysed once; enumeration and the placement
+	// of every candidate reuse the analysis.
+	t, err := q.Analyze()
+	if err != nil {
+		return nil, &InputError{err}
 	}
 	if opts.Weight < 0 || opts.Weight > 1 {
-		return nil, fmt.Errorf("optimizer: weight %v outside [0,1]", opts.Weight)
+		return nil, &InputError{fmt.Errorf("weight %v outside [0,1]", opts.Weight)}
 	}
 	ctx, span := obs.StartSpan(ctx, "optimizer.tune")
 	defer span.End()
 
-	candidates, err := enumerate(q, c, opts)
-	if err != nil {
-		return nil, err
-	}
+	candidates := enumerate(t, c, opts)
 	span.SetAttr("candidates", len(candidates))
 
 	for _, cand := range candidates {
-		if err := cluster.Place(cand, c); err != nil {
-			return nil, err
+		if err := cluster.PlaceWith(t, cand, c); err != nil {
+			return nil, &InputError{err}
 		}
 	}
 	sweepCtx, sweep := obs.StartSpan(ctx, "optimizer.estimate")
@@ -179,63 +189,62 @@ func Tune(ctx context.Context, q *queryplan.Query, c *cluster.Cluster, est CostE
 
 // enumerate builds the candidate set: the analytical OptiSample plan, global
 // scalings of it, per-operator perturbations, and optional random
-// explorations — deduplicated by degree vector.
-func enumerate(q *queryplan.Query, c *cluster.Cluster, opts TuneOptions) ([]*queryplan.PQP, error) {
-	base := queryplan.NewPQP(q)
-	if err := optisample.Exact().Assign(base, c, nil); err != nil {
-		return nil, err
-	}
+// explorations — deduplicated by degree vector. It works on degree vectors by
+// topological position and materializes a plan only for a vector not seen
+// before.
+func enumerate(t *queryplan.Topology, c *cluster.Cluster, opts TuneOptions) []*queryplan.PQP {
+	base := optisample.Exact().Degrees(t, c, nil, nil)
 	maxP := c.TotalCores()
 
-	seen := make(map[string]bool)
+	seen := make(map[string]struct{})
+	var key []byte
 	var out []*queryplan.PQP
-	add := func(p *queryplan.PQP) {
-		key := fmt.Sprint(p.DegreesVector())
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, p)
+	add := func(deg []int) {
+		key = key[:0]
+		for _, d := range deg {
+			key = binary.AppendUvarint(key, uint64(d))
+		}
+		if _, dup := seen[string(key)]; !dup {
+			seen[string(key)] = struct{}{}
+			out = append(out, t.NewPlan(deg))
 		}
 	}
-
-	scale := func(p *queryplan.PQP, opID int, factor float64) {
-		d := int(math.Ceil(float64(p.Degree(opID)) * factor))
+	scale := func(d int, factor float64) int {
+		d = int(math.Ceil(float64(d) * factor))
 		if d < 1 {
 			d = 1
 		}
 		if d > maxP {
 			d = maxP
 		}
-		p.SetDegree(opID, d)
+		return d
 	}
 
-	add(base.Clone())
+	add(base)
+	deg := make([]int, len(base))
 	// Global multipliers around the analytical point.
 	for _, f := range []float64{0.25, 0.5, 1.5, 2, 3, 4} {
-		p := base.Clone()
-		for _, o := range q.Ops {
-			scale(p, o.ID, f)
+		for i, d := range base {
+			deg[i] = scale(d, f)
 		}
-		add(p)
+		add(deg)
 	}
-	// Per-operator perturbations.
-	for _, o := range q.Ops {
+	// Per-operator perturbations, in the query's declaration order.
+	copy(deg, base)
+	for _, pos := range t.Decl {
 		for _, f := range []float64{0.5, 2} {
-			p := base.Clone()
-			scale(p, o.ID, f)
-			add(p)
+			deg[pos] = scale(base[pos], f)
+			add(deg)
 		}
+		deg[pos] = base[pos]
 	}
 	// Random exploration.
 	if opts.RandomCandidates > 0 {
 		rng := tensor.NewRNG(opts.Seed)
 		strat := optisample.Default()
 		for i := 0; i < opts.RandomCandidates; i++ {
-			p := queryplan.NewPQP(q)
-			if err := strat.Assign(p, c, rng); err != nil {
-				return nil, err
-			}
-			add(p)
+			add(strat.Degrees(t, c, rng, deg))
 		}
 	}
-	return out, nil
+	return out
 }

@@ -88,10 +88,24 @@ func (o *OptiSample) Name() string { return "optisample" }
 
 // Assign implements Strategy (Algorithm 1).
 func (o *OptiSample) Assign(p *queryplan.PQP, c *cluster.Cluster, rng *tensor.RNG) error {
-	order, err := p.Query.TopoOrder()
+	t, err := p.Query.Topology()
 	if err != nil {
 		return err
 	}
+	for i, d := range o.Degrees(t, c, rng, nil) {
+		p.SetDegree(t.Ops[i].ID, d)
+	}
+	return nil
+}
+
+// Degrees is Algorithm 1 on an analysed query: the degree of every operator
+// by topological position, appended to dst[:0]. Assign is
+// this plus writing the degrees into a plan; callers sampling many
+// assignments of one query analyse it once and call Degrees. The draws from
+// rng are those of Assign, in the same order.
+func (o *OptiSample) Degrees(t *queryplan.Topology, c *cluster.Cluster, rng *tensor.RNG, dst []int) []int {
+	n := len(t.Ops)
+	dst = dst[:0]
 	maxP := o.MaxDegree
 	if maxP <= 0 {
 		maxP = c.TotalCores()
@@ -102,27 +116,24 @@ func (o *OptiSample) Assign(p *queryplan.PQP, c *cluster.Cluster, rng *tensor.RN
 
 	// Bottom-up rate estimation with (imperfect) selectivities,
 	// Defs. 3–6 / Algorithm 1 lines 3–6.
-	outRate := make(map[int]float64, len(order))
-	inRate := make(map[int]float64, len(order))
-	for _, id := range order {
-		op := p.Query.Op(id)
-		ups := p.Query.Upstream(id)
+	rates := make([]float64, 2*n)
+	outRate, inRate := rates[:n], rates[n:]
+	for i, op := range t.Ops {
 		in := 0.0
 		if op.Type == queryplan.OpSource {
 			in = op.EventRate // line 12: ComputeSourceER
 		} else {
-			for _, up := range ups {
-				in += outRate[up]
+			for _, up := range t.In[i] {
+				in += outRate[up.From]
 			}
 		}
-		inRate[id] = in
-		outRate[id] = o.estimateOutRate(op, p.Query, ups, outRate, in, rng)
+		inRate[i] = in
+		outRate[i] = o.estimateOutRate(op, t.In[i], outRate, in, rng)
 	}
 
 	// Degree assignment (Defs. 7–8): P = sf · In_ER with per-type scaling.
-	for _, id := range order {
-		op := p.Query.Op(id)
-		analytical := o.Headroom * inRate[id] / instanceCapacity(op.Type)
+	for i, op := range t.Ops {
+		analytical := o.Headroom * inRate[i] / instanceCapacity(op.Type)
 		degree := int(math.Ceil(analytical))
 		if len(o.ExploreFactors) > 0 && rng != nil {
 			degree = int(math.Ceil(float64(degree) * tensor.Pick(rng, o.ExploreFactors)))
@@ -133,9 +144,9 @@ func (o *OptiSample) Assign(p *queryplan.PQP, c *cluster.Cluster, rng *tensor.RN
 		if degree > maxP {
 			degree = maxP
 		}
-		p.SetDegree(id, degree)
+		dst = append(dst, degree)
 	}
-	return nil
+	return dst
 }
 
 // noisySel perturbs a declared selectivity with the configured estimation
@@ -179,8 +190,8 @@ func windowHorizon(op *queryplan.Operator, inRate float64) (horizonSec, windowsP
 // Def. 5 implies — each arriving tuple matches sel·|W_opposite| buffered
 // tuples — because under-estimating it leaves downstream operators
 // hopelessly under-provisioned.
-func (o *OptiSample) estimateOutRate(op *queryplan.Operator, q *queryplan.Query,
-	ups []int, outRate map[int]float64, in float64, rng *tensor.RNG) float64 {
+func (o *OptiSample) estimateOutRate(op *queryplan.Operator, ups []queryplan.InEdge,
+	outRate []float64, in float64, rng *tensor.RNG) float64 {
 
 	switch op.Type {
 	case queryplan.OpSource, queryplan.OpSink:
@@ -196,8 +207,8 @@ func (o *OptiSample) estimateOutRate(op *queryplan.Operator, q *queryplan.Query,
 		if len(ups) != 2 {
 			return in * o.noisySel(op.Selectivity, rng)
 		}
-		in1 := math.Max(outRate[ups[0]], 1e-9)
-		in2 := math.Max(outRate[ups[1]], 1e-9)
+		in1 := math.Max(outRate[ups[0].From], 1e-9)
+		in2 := math.Max(outRate[ups[1].From], 1e-9)
 		horizon, _ := windowHorizon(op, in)
 		w1, w2 := in1*horizon, in2*horizon
 		return o.noisySel(op.Selectivity, rng) * (in1*w2 + in2*w1)

@@ -101,71 +101,29 @@ func (p *PQP) AvgDegree() float64 {
 
 // Validate checks degrees and placements for consistency with the query.
 func (p *PQP) Validate() error {
-	if err := p.Query.Validate(); err != nil {
+	t, err := p.Query.Analyze()
+	if err != nil {
 		return err
 	}
-	for id, d := range p.Parallelism {
-		if p.Query.Op(id) == nil {
-			return fmt.Errorf("queryplan: parallelism for unknown operator %d", id)
-		}
-		if d < 1 {
-			return fmt.Errorf("queryplan: operator %d has parallelism %d < 1", id, d)
-		}
-	}
-	for id, nodes := range p.Placement {
-		op := p.Query.Op(id)
-		if op == nil {
-			return fmt.Errorf("queryplan: placement for unknown operator %d", id)
-		}
-		if len(nodes) != p.Degree(id) {
-			return fmt.Errorf("queryplan: operator %d placed on %d nodes, degree is %d", id, len(nodes), p.Degree(id))
-		}
-		for i, n := range nodes {
-			if n == "" {
-				return fmt.Errorf("queryplan: operator %d instance %d has empty node name", id, i)
-			}
-		}
-	}
-	return nil
+	return t.Check(p, t.Degrees(p, nil))
 }
 
-// ChainGroups computes Flink-style operator chaining: consecutive operators
-// connected by a forward edge with identical parallelism degrees are fused
-// into one chain group and execute within the same task slots, avoiding
-// network transfer and serialization between them. Sources and sinks
-// participate in chains exactly like Flink's default chaining.
-//
-// The result maps every operator ID to its chain group; groups are numbered
-// densely in topological order. Operators with multiple inputs (joins) start
-// a new chain, as do targets of rebalance/hash edges.
+// ChainGroups maps every operator ID to its chain group (see
+// Topology.ChainGroups, which this wraps for callers holding only the plan).
 func (p *PQP) ChainGroups() map[int]int {
-	order, err := p.Query.TopoOrder()
+	groups := make(map[int]int, len(p.Query.Ops))
+	t, err := p.Query.Topology()
 	if err != nil {
 		// Callers validate first; fall back to singleton groups.
-		groups := make(map[int]int, len(p.Query.Ops))
 		for i, o := range p.Query.Ops {
 			groups[o.ID] = i
 		}
 		return groups
 	}
-	group := make(map[int]int, len(order))
-	next := 0
-	for _, id := range order {
-		ins := p.Query.InEdges(id)
-		// Chainable iff exactly one input edge, forward partitioning, equal
-		// parallelism with the upstream operator, and chaining not disabled
-		// for this operator.
-		if len(ins) == 1 && !p.NoChain[id] {
-			e := ins[0]
-			if e.Partitioning == PartForward && p.Degree(e.From) == p.Degree(id) {
-				group[id] = group[e.From]
-				continue
-			}
-		}
-		group[id] = next
-		next++
+	for i, g := range t.ChainGroups(p, t.Degrees(p, nil), nil) {
+		groups[t.Ops[i].ID] = g
 	}
-	return group
+	return groups
 }
 
 // GroupingNumber returns, per operator, the size of its chain group — the

@@ -2,7 +2,6 @@ package queryplan
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -92,46 +91,13 @@ func (q *Query) InEdges(id int) []Edge {
 // (sources first, sink last; ties broken by ID). It returns an error when
 // the edge set contains a cycle or references unknown operators.
 func (q *Query) TopoOrder() ([]int, error) {
-	inDeg := make(map[int]int, len(q.Ops))
-	for _, o := range q.Ops {
-		inDeg[o.ID] = 0
+	t, err := q.Topology()
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range q.Edges {
-		if _, ok := inDeg[e.From]; !ok {
-			return nil, fmt.Errorf("queryplan: edge from unknown operator %d", e.From)
-		}
-		if _, ok := inDeg[e.To]; !ok {
-			return nil, fmt.Errorf("queryplan: edge to unknown operator %d", e.To)
-		}
-		inDeg[e.To]++
-	}
-	var ready []int
-	for id, d := range inDeg {
-		if d == 0 {
-			ready = append(ready, id)
-		}
-	}
-	sort.Ints(ready)
-	var order []int
-	for len(ready) > 0 {
-		id := ready[0]
-		ready = ready[1:]
-		order = append(order, id)
-		next := q.Downstream(id)
-		sort.Ints(next)
-		for _, to := range next {
-			inDeg[to]--
-			if inDeg[to] == 0 {
-				// Insert keeping ready sorted for determinism.
-				i := sort.SearchInts(ready, to)
-				ready = append(ready, 0)
-				copy(ready[i+1:], ready[i:])
-				ready[i] = to
-			}
-		}
-	}
-	if len(order) != len(q.Ops) {
-		return nil, fmt.Errorf("queryplan: cycle detected (%d of %d operators ordered)", len(order), len(q.Ops))
+	order := make([]int, len(t.Ops))
+	for i, o := range t.Ops {
+		order[i] = o.ID
 	}
 	return order, nil
 }
@@ -140,69 +106,8 @@ func (q *Query) TopoOrder() ([]int, error) {
 // acyclicity, at least one source, exactly one sink, sources without inputs,
 // sink without outputs, and everything reachable.
 func (q *Query) Validate() error {
-	if len(q.Ops) == 0 {
-		return fmt.Errorf("queryplan: query %q has no operators", q.Name)
-	}
-	seen := make(map[int]bool, len(q.Ops))
-	for _, o := range q.Ops {
-		if seen[o.ID] {
-			return fmt.Errorf("queryplan: duplicate operator ID %d", o.ID)
-		}
-		seen[o.ID] = true
-		if err := o.Validate(); err != nil {
-			return err
-		}
-	}
-	if len(q.Sources()) == 0 {
-		return fmt.Errorf("queryplan: query %q has no source", q.Name)
-	}
-	sinks := 0
-	for _, o := range q.Ops {
-		if o.Type == OpSink {
-			sinks++
-		}
-	}
-	if sinks != 1 {
-		return fmt.Errorf("queryplan: query %q has %d sinks, want 1", q.Name, sinks)
-	}
-	for _, o := range q.Ops {
-		ups, downs := q.Upstream(o.ID), q.Downstream(o.ID)
-		switch o.Type {
-		case OpSource:
-			if len(ups) != 0 {
-				return fmt.Errorf("queryplan: source %d has %d inputs", o.ID, len(ups))
-			}
-			if len(downs) == 0 {
-				return fmt.Errorf("queryplan: source %d is disconnected", o.ID)
-			}
-		case OpSink:
-			if len(downs) != 0 {
-				return fmt.Errorf("queryplan: sink %d has outputs", o.ID)
-			}
-			if len(ups) == 0 {
-				return fmt.Errorf("queryplan: sink %d is disconnected", o.ID)
-			}
-		case OpJoin:
-			if len(ups) != 2 {
-				return fmt.Errorf("queryplan: join %d has %d inputs, want 2", o.ID, len(ups))
-			}
-		default:
-			if len(ups) != 1 {
-				return fmt.Errorf("queryplan: operator %d (%s) has %d inputs, want 1", o.ID, o.Type, len(ups))
-			}
-			if len(downs) == 0 {
-				return fmt.Errorf("queryplan: operator %d (%s) has no output", o.ID, o.Type)
-			}
-		}
-	}
-	order, err := q.TopoOrder()
-	if err != nil {
-		return err
-	}
-	if len(order) != len(q.Ops) {
-		return fmt.Errorf("queryplan: unreachable operators in query %q", q.Name)
-	}
-	return nil
+	_, err := q.Analyze()
+	return err
 }
 
 // OpCountByType returns the number of operators of each type, used by the

@@ -154,6 +154,17 @@ type Server struct {
 	boundAddr atomic.Pointer[string]
 }
 
+// fusedCounts reads the fusion counters of the serving revision's compiled
+// engine (zero without one; they restart with every revision).
+func (s *Server) fusedCounts() (graphs, buckets uint64) {
+	if entry := s.reg.Current(); entry != nil {
+		if cm := entry.ZT.Compiled(); cm != nil {
+			return cm.FusedCounts()
+		}
+	}
+	return 0, 0
+}
+
 // New builds a server around an empty registry; install a model with
 // Registry().Install or ServeModelFile before serving predictions.
 func New(opts Options) *Server {
@@ -183,6 +194,16 @@ func New(opts Options) *Server {
 		Evictions: reg.Counter("zerotune_cache_evictions_total"),
 	})
 	reg.GaugeFunc("zerotune_cache_size", func() float64 { return float64(s.cache.Stats().Size) })
+	// Fusion of the serving revision's compiled engine: graphs / buckets is
+	// how many graphs share a GEMM bucket; near 1 means nothing fuses.
+	reg.GaugeFunc("zerotune_fused_graphs_total", func() float64 {
+		graphs, _ := s.fusedCounts()
+		return float64(graphs)
+	})
+	reg.GaugeFunc("zerotune_fused_buckets_total", func() float64 {
+		_, buckets := s.fusedCounts()
+		return float64(buckets)
+	})
 	if s.tracer != nil {
 		reg.GaugeFunc("zerotune_traces_completed_total", func() float64 {
 			completed, _ := s.tracer.Stats()
@@ -552,6 +573,12 @@ func predictStatus(err error) int {
 	}
 }
 
+// MaxRandomCandidates bounds TuneRequest.RandomCandidates. Every candidate
+// costs an encode and a forward pass and /v1/tune runs under no deadline, so
+// an unbounded count would let one request pin a core for as long as it
+// liked; 64 times the default explores far past where the winner moves.
+const MaxRandomCandidates = 1024
+
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	var req TuneRequest
 	if err := decodeJSON(w, r, &req); err != nil {
@@ -576,14 +603,31 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		opts.Weight = *req.Weight
 	}
 	if req.RandomCandidates != nil {
+		if n := *req.RandomCandidates; n < 0 || n > MaxRandomCandidates {
+			writeError(w, http.StatusBadRequest,
+				fmt.Errorf("serve: random_candidates %d outside [0,%d]", n, MaxRandomCandidates))
+			return
+		}
 		opts.RandomCandidates = *req.RandomCandidates
 	}
 	if req.Seed != 0 {
 		opts.Seed = req.Seed
 	}
-	res, err := entry.ZT.Tune(r.Context(), req.Query, c, opts)
+	// The what-if sweep is the model's forward pass, so it answers to the
+	// same injection point as the batcher's.
+	var res *optimizer.TuneResult
+	if err = fault.Inject(fault.GNNForward); err == nil {
+		res, err = entry.ZT.Tune(r.Context(), req.Query, c, opts)
+	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		// What the request got wrong is a 400; a client that hung up or a
+		// sweep that failed is not the caller's bad request.
+		status := predictStatus(err)
+		var input *optimizer.InputError
+		if errors.As(err, &input) {
+			status = http.StatusBadRequest
+		}
+		writeError(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, TuneResponse{
