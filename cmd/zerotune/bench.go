@@ -89,36 +89,23 @@ func benchTarget(targetURL, model string, replicas int, slo string, timeout time
 		if err != nil {
 			return nil, "", nil, err
 		}
-		var pool []serve.Backend
-		var closers []func()
-		closeAll := func() {
-			for _, c := range closers {
-				c()
-			}
-		}
-		for i := 0; i < replicas; i++ {
-			s := serve.New(serve.Options{RequestTimeout: timeout})
-			if _, err := s.ServeModelFile(model); err != nil {
-				closeAll()
-				return nil, "", nil, fmt.Errorf("bench: replica %d: %w", i, err)
-			}
-			pool = append(pool, serve.NewInProcessBackend(fmt.Sprintf("replica-%d", i), s))
-			closers = append(closers, s.Close)
-		}
-		g, err := gateway.New(pool, gateway.Options{Classes: classes, RequestTimeout: timeout})
+		pool, closeReplicas, err := inProcessReplicas("bench", model, replicas, timeout)
 		if err != nil {
-			closeAll()
+			return nil, "", nil, err
+		}
+		g, err := gateway.New(asBackends(pool), gateway.Options{Classes: classes, RequestTimeout: timeout})
+		if err != nil {
+			closeReplicas()
 			return nil, "", nil, err
 		}
 		g.Start()
-		closers = append([]func(){g.Close}, closers...)
-		return loadgen.HandlerTarget{Handler: g}, "gateway", closeAll, nil
+		return loadgen.HandlerTarget{Handler: g}, "gateway", func() { g.Close(); closeReplicas() }, nil
 	}
-	s := serve.New(serve.Options{RequestTimeout: timeout})
-	if _, err := s.ServeModelFile(model); err != nil {
-		return nil, "", nil, fmt.Errorf("bench: %w", err)
+	pool, closeReplicas, err := inProcessReplicas("bench", model, 1, timeout)
+	if err != nil {
+		return nil, "", nil, err
 	}
-	return loadgen.HandlerTarget{Handler: s}, "serve", s.Close, nil
+	return loadgen.HandlerTarget{Handler: pool[0].Server()}, "serve", closeReplicas, nil
 }
 
 // runBench is the open-loop load harness: fixed-rate runs, saturation

@@ -88,7 +88,6 @@ func runGateway(args []string) error {
 	}
 
 	var pool []serve.Backend
-	var closers []func()
 	switch {
 	case *backends != "" && *replicas > 0:
 		return errors.New("gateway: -backends and -replicas are mutually exclusive")
@@ -109,25 +108,15 @@ func runGateway(args []string) error {
 			return errors.New("gateway: -backends parsed to an empty list")
 		}
 	case *replicas > 0:
-		for i := 0; i < *replicas; i++ {
-			s := serve.New(serve.Options{RequestTimeout: *reqTimeout})
-			entry, err := s.ServeModelFile(*model)
-			if err != nil {
-				return fmt.Errorf("gateway: replica %d: %w", i, err)
-			}
-			name := fmt.Sprintf("replica-%d", i)
-			fmt.Fprintf(os.Stderr, "gateway: in-process %s serving model %s\n", name, entry.ID)
-			pool = append(pool, serve.NewInProcessBackend(name, s))
-			closers = append(closers, s.Close)
+		local, closeReplicas, err := inProcessReplicas("gateway", *model, *replicas, *reqTimeout)
+		if err != nil {
+			return err
 		}
+		defer closeReplicas()
+		pool = asBackends(local)
 	default:
 		return errors.New("gateway: need -backends URLs or -replicas N")
 	}
-	defer func() {
-		for _, c := range closers {
-			c()
-		}
-	}()
 
 	g, err := gateway.New(pool, gateway.Options{
 		Route:          gateway.RoutePolicy(*route),

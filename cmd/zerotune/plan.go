@@ -16,6 +16,7 @@ import (
 	"zerotune/internal/core"
 	"zerotune/internal/desim"
 	"zerotune/internal/gateway"
+	"zerotune/internal/gnn"
 	"zerotune/internal/loadgen"
 	"zerotune/internal/queryplan"
 	"zerotune/internal/serve"
@@ -188,6 +189,12 @@ func planServiceModel(pin, model string, seed uint64, reps int) (desim.ServiceMo
 		zt, _, err := core.LoadFile(model)
 		if err != nil {
 			return svc, fmt.Errorf("plan: %w", err)
+		}
+		// Calibrate on the engine `zerotune serve` would run here.
+		if core.CompiledEnabled() {
+			if err := zt.Compile(gnn.CompileOptions{}); err != nil {
+				return svc, fmt.Errorf("plan: %w", err)
+			}
 		}
 		gen := workload.NewSeenGenerator(seed)
 		structures := workload.SeenRanges().Structures

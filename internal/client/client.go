@@ -27,6 +27,8 @@ import (
 	"net/url"
 	"strings"
 	"time"
+
+	"zerotune/internal/serve"
 )
 
 // DefaultMaxResponseBytes bounds how much of any response body the client
@@ -195,13 +197,13 @@ func (c *Client) callHandler(req *http.Request) (int, []byte, error) {
 	}
 	done := make(chan handlerResult, 1)
 	go func() {
-		rec := &memRecorder{header: make(http.Header), status: http.StatusOK}
-		c.handler.ServeHTTP(rec, inner)
-		body := rec.body.Bytes()
+		var rec serve.Recorder
+		c.handler.ServeHTTP(&rec, inner)
+		body := rec.Body()
 		if int64(len(body)) > c.maxBody {
 			body = body[:c.maxBody]
 		}
-		done <- handlerResult{status: rec.status, body: body}
+		done <- handlerResult{status: rec.Status(), body: body}
 	}()
 	select {
 	case res := <-done:
@@ -209,29 +211,6 @@ func (c *Client) callHandler(req *http.Request) (int, []byte, error) {
 	case <-req.Context().Done():
 		return 0, nil, req.Context().Err()
 	}
-}
-
-// memRecorder is a minimal in-memory ResponseWriter for the handler
-// transport (net/http/httptest stays out of the non-test dependency graph).
-type memRecorder struct {
-	header http.Header
-	body   bytes.Buffer
-	status int
-	wrote  bool
-}
-
-func (r *memRecorder) Header() http.Header { return r.header }
-
-func (r *memRecorder) WriteHeader(code int) {
-	if !r.wrote {
-		r.status = code
-		r.wrote = true
-	}
-}
-
-func (r *memRecorder) Write(p []byte) (int, error) {
-	r.wrote = true
-	return r.body.Write(p)
 }
 
 // do runs one typed round trip: marshal in (nil means empty body), issue

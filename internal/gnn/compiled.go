@@ -28,6 +28,14 @@ import (
 // load-time accuracy gate compares the compiled predictions against the
 // float64 reference so degraded numerics can never reach serving silently.
 //
+// There is one schedule and two kernels. engine[T].forwardBucket owns
+// everything the numeric representations share: the row layout, the four
+// message-passing stages, the means, the mapping walk and the read-out. What
+// differs sits behind engine[T].gemm, one linear layer over stacked rows, and
+// the two paddings that kernel needs (gemm32 and gemm64 below). The float64
+// instance is the reference the bit-exact tests hold against Model.Predict,
+// so what they prove is the schedule serving runs.
+//
 // Steady-state inference is allocation-free: all per-bucket matrices live in
 // a fusedScratch arena recycled through a persistent free list, growing only
 // when a bucket outgrows every previous one.
@@ -96,13 +104,145 @@ type CompileOptions struct {
 	Workers int
 }
 
-// layer32 is one compiled linear layer: transposed, column-padded float32
-// weights plus a padded bias, with the activation fused into the GEMM.
-type layer32 struct {
-	wt   *tensor.Matrix32 // in×out, stride padded to a multiple of 16
-	bias tensor.Vector32  // len == wt.Stride, padding zero
-	act  tensor.Act32
+// float is the element type of an engine: float32 serves, float64 is the
+// reference.
+type float interface{ float32 | float64 }
+
+// mat is a row-major matrix with an explicit row stride: element (r, c) is
+// data[r*stride+c], columns [cols, stride) of a row are padding.
+type mat[T float] struct {
+	rows, cols, stride int
+	data               []T
+}
+
+func (m *mat[T]) row(r int) []T { return m.data[r*m.stride : r*m.stride+m.cols] }
+
+// grow reshapes m, reusing its backing array when large enough (stale values
+// are overwritten or live in padding).
+func (m *mat[T]) grow(rows, cols, stride int) {
+	need := rows * stride
+	if cap(m.data) < need {
+		m.data = make([]T, need)
+	}
+	m.rows, m.cols, m.stride, m.data = rows, cols, stride, m.data[:need]
+}
+
+// view returns rows [start, start+rows) of m, sharing its storage.
+func (m *mat[T]) view(start, rows int) mat[T] {
+	return mat[T]{rows, m.cols, m.stride, m.data[start*m.stride : (start+rows)*m.stride]}
+}
+
+// layer is one compiled linear layer in its kernel's own weight layout.
+type layer[T float] struct {
+	w    mat[T]
+	bias []T
+	act  nn.Activation
 	out  int
+}
+
+// engine is one numeric representation of the model: its weights, and the
+// kernel that applies a layer of them.
+type engine[T float] struct {
+	cfg Config
+
+	// gemm computes y = act(x·W + b), one input per row of x. It is the only
+	// code that differs between the representations.
+	gemm func(x mat[T], l *layer[T], y mat[T])
+	// rowPad and colPad are what gemm needs of the matrices it is handed:
+	// row counts are rounded up to a multiple of rowPad, the stride of every
+	// matrix it writes to a multiple of colPad.
+	rowPad, colPad int
+	maxW           int // widest padded layer output, sizes the MLP ping-pong scratch
+
+	encOp      map[queryplan.OpType][]layer[T]
+	encRes     []layer[T]
+	combineOp  []layer[T]
+	combineRes []layer[T]
+	combineMap []layer[T]
+	latHead    []layer[T]
+	tptHead    []layer[T]
+}
+
+// gemm32 is the serving kernel: transposed weights (in×out) and biases padded
+// to 16 columns, the activation fused into the GEMM, row counts in the
+// microkernel's groups of 4.
+func gemm32(x mat[float32], l *layer[float32], y mat[float32]) {
+	xm, wt, ym := matrix32(x), matrix32(l.w), matrix32(y)
+	act, _ := act32Of(l.act) // layer32 refused every other activation
+	tensor.Gemm32BiasActInto(&xm, &wt, l.bias, &ym, act)
+}
+
+func matrix32(m mat[float32]) tensor.Matrix32 {
+	return tensor.Matrix32{Rows: m.rows, Cols: m.cols, Stride: m.stride, Data: m.data}
+}
+
+// layer32 packs l for gemm32, from the int8 quantization q of its weights
+// when non-nil.
+func layer32(l *nn.Linear, q *Int8Layer) (layer[float32], error) {
+	if _, err := act32Of(l.Act); err != nil {
+		return layer[float32]{}, err
+	}
+	var wt *tensor.Matrix32
+	if q != nil {
+		wt = dequantTransposed32(*q)
+	} else {
+		wt = tensor.TransposedPadded32(l.W)
+	}
+	bias := tensor.NewVector32(wt.Stride)
+	for j, b := range l.B {
+		bias[j] = float32(b)
+	}
+	w := mat[float32]{rows: wt.Rows, cols: wt.Cols, stride: wt.Stride, data: wt.Data}
+	return layer[float32]{w: w, bias: bias, act: l.Act, out: l.Out()}, nil
+}
+
+// gemm64 is the reference kernel: the model's own weights (out×in), each row
+// through MulVecAddBias and Activation.Apply exactly as nn.MLP runs it, no
+// padding.
+func gemm64(x mat[float64], l *layer[float64], y mat[float64]) {
+	xm, w, ym := matrix64(x), matrix64(l.w), matrix64(y)
+	tensor.GemmBiasInto(&xm, &w, l.bias, &ym)
+	for i, p := range y.data {
+		y.data[i] = l.act.Apply(p)
+	}
+}
+
+// matrix64 is m as a dense tensor.Matrix; with colPad 1 every stride is cols.
+func matrix64(m mat[float64]) tensor.Matrix {
+	return tensor.Matrix{Rows: m.rows, Cols: m.cols, Data: m.data}
+}
+
+// layer64 shares l's storage.
+func layer64(l *nn.Linear) (layer[float64], error) {
+	w := mat[float64]{rows: l.W.Rows, cols: l.W.Cols, stride: l.W.Cols, data: l.W.Data}
+	return layer[float64]{w: w, bias: l.B, act: l.Act, out: l.Out()}, nil
+}
+
+// newEngine converts every layer of m, in the stable order of Model.mlps (the
+// order QuantizeInt8 numbers its layers in).
+func newEngine[T float](m *Model, gemm func(x mat[T], l *layer[T], y mat[T]), rowPad, colPad int,
+	conv func(*nn.Linear) (layer[T], error)) (*engine[T], error) {
+	e := &engine[T]{cfg: m.Cfg, gemm: gemm, rowPad: rowPad, colPad: colPad,
+		encOp: make(map[queryplan.OpType][]layer[T], len(opTypeOrder))}
+	mlps := m.mlps()
+	compiled := make([][]layer[T], len(mlps))
+	for i, mlp := range mlps {
+		compiled[i] = make([]layer[T], len(mlp.Layers))
+		for j, l := range mlp.Layers {
+			var err error
+			if compiled[i][j], err = conv(l); err != nil {
+				return nil, err
+			}
+			e.maxW = max(e.maxW, roundUp(l.Out(), colPad))
+		}
+	}
+	for i, t := range opTypeOrder {
+		e.encOp[t] = compiled[i]
+	}
+	rest := compiled[len(opTypeOrder):]
+	e.encRes, e.combineOp, e.combineRes, e.combineMap, e.latHead, e.tptHead =
+		rest[0], rest[1], rest[2], rest[3], rest[4], rest[5]
+	return e, nil
 }
 
 // CompiledModel is the fused-batch inference engine built by Compile.
@@ -110,7 +250,7 @@ type layer32 struct {
 // Compile and per-call scratch comes from an internal pool.
 type CompiledModel struct {
 	// Ref is the model this engine was compiled from; the float64 engine
-	// reads its weights directly, and callers may use it for training or
+	// shares its weight storage, and callers may use it for training or
 	// explanations.
 	Ref *Model
 	// Engine is the numeric representation compiled in.
@@ -118,16 +258,9 @@ type CompiledModel struct {
 	// Gate is the recorded accuracy-gate outcome.
 	Gate GateReport
 
-	cfg   Config
-	maxNp int // widest padded layer output, sizes the MLP ping-pong scratch
-
-	encOp      map[queryplan.OpType][]layer32
-	encRes     []layer32
-	combineOp  []layer32
-	combineRes []layer32
-	combineMap []layer32
-	latHead    []layer32
-	tptHead    []layer32
+	// Exactly one is set, by Engine: int8 dequantizes into f32.
+	f32 *engine[float32]
+	f64 *engine[float64]
 
 	scratch scratchPool
 
@@ -221,11 +354,12 @@ func Compile(m *Model, opts CompileOptions) (*CompiledModel, error) {
 	if threshold == 0 {
 		threshold = DefaultGateThreshold
 	}
-	cm := &CompiledModel{Ref: m, Engine: opts.Engine, cfg: m.Cfg}
+	cm := &CompiledModel{Ref: m, Engine: opts.Engine}
 
+	var err error
 	switch opts.Engine {
 	case EngineF64:
-		// The float64 engine reads the reference weights directly.
+		cm.f64, err = newEngine(m, gemm64, 1, 1, layer64)
 	case EngineF32, EngineInt8:
 		var int8w *Int8Weights
 		if opts.Engine == EngineInt8 {
@@ -235,68 +369,31 @@ func Compile(m *Model, opts CompileOptions) (*CompiledModel, error) {
 			}
 		}
 		cursor := 0
-		compile := func(mlp *nn.MLP) ([]layer32, error) {
-			ls := make([]layer32, len(mlp.Layers))
-			for i, l := range mlp.Layers {
-				act, err := act32Of(l.Act)
-				if err != nil {
-					return nil, err
+		cm.f32, err = newEngine(m, gemm32, 4, 16, func(l *nn.Linear) (layer[float32], error) {
+			var q *Int8Layer
+			if int8w != nil {
+				if cursor >= len(int8w.Layers) {
+					return layer[float32]{}, fmt.Errorf("gnn: compile: int8 weights have %d layers, model has more", len(int8w.Layers))
 				}
-				var wt *tensor.Matrix32
-				if int8w != nil {
-					if cursor >= len(int8w.Layers) {
-						return nil, fmt.Errorf("gnn: compile: int8 weights have %d layers, model has more", len(int8w.Layers))
-					}
-					q := int8w.Layers[cursor]
-					if q.Rows != l.W.Rows || q.Cols != l.W.Cols {
-						return nil, fmt.Errorf("gnn: compile: int8 layer %d is %dx%d, model layer is %dx%d",
-							cursor, q.Rows, q.Cols, l.W.Rows, l.W.Cols)
-					}
-					wt = dequantTransposed32(q)
-				} else {
-					wt = tensor.TransposedPadded32(l.W)
+				q = &int8w.Layers[cursor]
+				if q.Rows != l.W.Rows || q.Cols != l.W.Cols {
+					return layer[float32]{}, fmt.Errorf("gnn: compile: int8 layer %d is %dx%d, model layer is %dx%d",
+						cursor, q.Rows, q.Cols, l.W.Rows, l.W.Cols)
 				}
-				bias := tensor.NewVector32(wt.Stride)
-				for j, b := range l.B {
-					bias[j] = float32(b)
-				}
-				if wt.Cols > cm.maxNp {
-					cm.maxNp = tensor.PadTo16(wt.Cols)
-				}
-				ls[i] = layer32{wt: wt, bias: bias, act: act, out: l.Out()}
 				cursor++
 			}
-			return ls, nil
-		}
-		var err error
-		cm.encOp = make(map[queryplan.OpType][]layer32, len(opTypeOrder))
-		for _, t := range opTypeOrder {
-			if cm.encOp[t], err = compile(m.EncOp[t]); err != nil {
-				return nil, err
-			}
-		}
-		for _, c := range []struct {
-			dst *[]layer32
-			mlp *nn.MLP
-		}{
-			{&cm.encRes, m.EncRes}, {&cm.combineOp, m.CombineOp}, {&cm.combineRes, m.CombineRes},
-			{&cm.combineMap, m.CombineMap}, {&cm.latHead, m.LatHead}, {&cm.tptHead, m.TptHead},
-		} {
-			if *c.dst, err = compile(c.mlp); err != nil {
-				return nil, err
-			}
-		}
-		if cm.maxNp < 16 {
-			cm.maxNp = 16
-		}
+			return layer32(l, q)
+		})
 	default:
 		return nil, fmt.Errorf("gnn: compile: unknown engine %v", opts.Engine)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	// Accuracy gate: compiled vs float64 reference on the validation set.
 	val := opts.Validation
 	if len(val) == 0 {
-		var err error
 		if val, err = gateGraphs(); err != nil {
 			return nil, fmt.Errorf("gnn: compile: build validation set: %w", err)
 		}
@@ -448,7 +545,7 @@ type bucketSlot struct {
 	pos []int
 }
 
-// fusedScratch is the per-call arena: every matrix the fused forward needs,
+// fusedScratch is the per-call arena: everything the fused forward needs,
 // grown to the largest bucket seen and reused. One scratch serves one
 // PredictBatchInto call at a time; the pool hands them to concurrent
 // callers.
@@ -457,20 +554,21 @@ type fusedScratch struct {
 	upstreams [][]int // per op position: upstream positions
 	resOff    []int   // per graph of the bucket: its first resource row
 
-	// float32 engine matrices (nil until first use).
-	xg, e, hop, xc, er, sum, xcr, hres, xm, hmap, lt, pooled, tt *tensor.Matrix32
-	mlpA, mlpB                                                   []float32
-	vx, vy, vpA, vpB                                             tensor.Matrix32
-
-	// float64 engine matrices.
-	xgD, eD, hopD, xcD, erD, sumD, xcrD, hresD, xmD, hmapD, ltD, pooledD, ttD *tensor.Matrix
-	mlpAD, mlpBD                                                              []float64
-	vxD, vyD, vpAD, vpBD                                                      tensor.Matrix
+	// The matrices of the engine the model was compiled for; the other set
+	// stays empty.
+	m32 bucketMats[float32]
+	m64 bucketMats[float64]
 
 	lat, latW, tot []float64
 
 	oneG [1]*features.Graph
 	oneP []Prediction
+}
+
+// bucketMats are the matrices of one forwardBucket call.
+type bucketMats[T float] struct {
+	xg, e, hop, xc, er, sum, xcr, hres, xm, hmap, lt, pooled, tt mat[T]
+	mlpA, mlpB                                                   []T
 }
 
 func (s *fusedScratch) addBucket(key uint64) *bucketSlot {
@@ -520,69 +618,29 @@ func growSchedule(ss [][]int, n int) [][]int {
 	return ss
 }
 
-func roundUp4(n int) int {
-	if n < 4 {
-		return 4
+// roundUp rounds n up to a multiple of m.
+func roundUp(n, m int) int { return (n + m - 1) / m * m }
+
+// zero, add and axpy are the element-wise steps between the GEMMs, in the
+// reference forward's form: v = 0, v += w, v += a·w.
+func zero[T float](v []T) {
+	for i := range v {
+		v[i] = 0
 	}
-	return (n + 3) &^ 3
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+func add[T float](v, w []T) {
+	w = w[:len(v)]
+	for i := range v {
+		v[i] += w[i]
 	}
-	return b
 }
 
-// grow32 resizes m to rows×cols with the given stride, reusing its backing
-// array when large enough (stale values are overwritten or live in padding).
-func grow32(m *tensor.Matrix32, rows, cols, stride int) *tensor.Matrix32 {
-	need := rows * stride
-	if m == nil || cap(m.Data) < need {
-		return tensor.NewMatrix32Strided(rows, cols, stride)
+func axpy[T float](v []T, a T, w []T) {
+	w = w[:len(v)]
+	for i := range v {
+		v[i] += a * w[i]
 	}
-	m.Rows, m.Cols, m.Stride = rows, cols, stride
-	m.Data = m.Data[:need]
-	return m
-}
-
-// grow64 is grow32 for float64 matrices (stride == cols).
-func grow64(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
-	need := rows * cols
-	if m == nil || cap(m.Data) < need {
-		return tensor.NewMatrix(rows, cols)
-	}
-	m.Rows, m.Cols = rows, cols
-	m.Data = m.Data[:need]
-	return m
-}
-
-func growF32(buf []float32, n int) []float32 {
-	if cap(buf) < n {
-		return make([]float32, n)
-	}
-	return buf[:n]
-}
-
-func growF64(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
-	}
-	return buf[:n]
-}
-
-// setView32 points v at rows [start, start+rows) of src.
-func setView32(v *tensor.Matrix32, src *tensor.Matrix32, start, rows int) *tensor.Matrix32 {
-	v.Rows, v.Cols, v.Stride = rows, src.Cols, src.Stride
-	v.Data = src.Data[start*src.Stride : (start+rows)*src.Stride]
-	return v
-}
-
-// setView64 points v at rows [start, start+rows) of src.
-func setView64(v *tensor.Matrix, src *tensor.Matrix, start, rows int) *tensor.Matrix {
-	v.Rows, v.Cols = rows, src.Cols
-	v.Data = src.Data[start*src.Cols : (start+rows)*src.Cols]
-	return v
 }
 
 // Predict returns the compiled prediction for one graph. Allocation-free in
@@ -647,9 +705,9 @@ func (cm *CompiledModel) batchInto(s *fusedScratch, dst []Prediction, graphs []*
 		for j := 0; j < groups; j++ {
 			lo, hi := j*len(b.gs)/groups, (j+1)*len(b.gs)/groups
 			if cm.Engine == EngineF64 {
-				cm.forwardBucket64(s, b.gs[lo:hi], b.pos[lo:hi], dst)
+				cm.f64.forwardBucket(s, &s.m64, b.gs[lo:hi], b.pos[lo:hi], dst)
 			} else {
-				cm.forwardBucket32(s, b.gs[lo:hi], b.pos[lo:hi], dst)
+				cm.f32.forwardBucket(s, &s.m32, b.gs[lo:hi], b.pos[lo:hi], dst)
 			}
 		}
 	}
@@ -678,119 +736,116 @@ func (cm *CompiledModel) FusedCounts() (graphs, buckets uint64) {
 	return cm.fusedGraphs.Load(), cm.fusedBuckets.Load()
 }
 
-// applyMLP32 runs the compiled layers over x, ping-ponging intermediate
-// activations through the scratch buffers and writing the last layer into
-// out. x.Rows must equal out.Rows and both fit the mlpA/mlpB capacity.
-func (cm *CompiledModel) applyMLP32(s *fusedScratch, ls []layer32, x, out *tensor.Matrix32) {
-	cur := x
-	useA := true
-	for i := 0; i < len(ls)-1; i++ {
+// applyMLP runs the layers over x, ping-ponging intermediate activations
+// through the scratch buffers and writing the last layer into out. x.rows
+// must equal out.rows and fit the mlpA/mlpB capacity.
+func (e *engine[T]) applyMLP(ms *bucketMats[T], ls []layer[T], x, out mat[T]) {
+	last := len(ls) - 1
+	for i := range ls[:last] {
 		l := &ls[i]
-		v := &s.vpA
-		buf := s.mlpA
-		if !useA {
-			v, buf = &s.vpB, s.mlpB
+		buf := ms.mlpA
+		if i%2 == 1 {
+			buf = ms.mlpB
 		}
-		useA = !useA
-		v.Rows, v.Cols, v.Stride = cur.Rows, l.out, cm.maxNp
-		v.Data = buf[:cur.Rows*cm.maxNp]
-		tensor.Gemm32BiasActInto(cur, l.wt, l.bias, v, l.act)
-		cur = v
+		stride := roundUp(l.out, e.colPad)
+		v := mat[T]{x.rows, l.out, stride, buf[:x.rows*stride]}
+		e.gemm(x, l, v)
+		x = v
 	}
-	l := &ls[len(ls)-1]
-	tensor.Gemm32BiasActInto(cur, l.wt, l.bias, out, l.act)
+	e.gemm(x, &ls[last], out)
 }
 
-// forwardBucket32 runs the float32 fused schedule for one bucket, writing
-// predictions into dst at the bucket's positions.
+// forwardBucket runs the fused schedule for one group of same-topology
+// graphs, writing predictions into dst at the group's positions.
 //
 // Operator rows are laid out per position in blocks of B consecutive rows
 // (row i*B+b is op position i of graph b). Resource rows are ragged: graph b
 // owns rows resOff[b] … resOff[b]+r_b, one per resource node it has, so the
 // resource encoder and combiner each run as one GEMM over all Σ r_b rows.
-// GEMM row counts are rounded up to the microkernel's group of 4; the slack
-// rows either overlap the next position's block (which is written afterwards)
-// or live in the matrices' extra capacity, so the padded work is harmless and
-// every matrix is written with fixed-shape kernels only. No row ever reads
-// another row, which is why a graph's result does not depend on what shares
-// its bucket.
-func (cm *CompiledModel) forwardBucket32(s *fusedScratch, gs []*features.Graph, pos []int, dst []Prediction) {
+// GEMM row counts are rounded up to the kernel's rowPad; the slack rows either
+// overlap the next position's block (which is written afterwards) or live in
+// the matrices' extra capacity, so the padded work is harmless and every
+// matrix is written with fixed-shape kernels only. No row ever reads another
+// row, which is why a graph's result does not depend on what shares its
+// bucket. Every element-wise step replicates the reference forward's
+// expression and accumulation order, so with gemm64 the results are
+// bit-identical to Model.Predict for each graph — the anchor the differential
+// tests and the accuracy gate measure against.
+func (e *engine[T]) forwardBucket(s *fusedScratch, ms *bucketMats[T], gs []*features.Graph, pos []int, dst []Prediction) {
 	proto := gs[0]
 	n, B := len(proto.OpNodes), len(gs)
-	h := cm.cfg.Hidden
-	np := tensor.PadTo16(h)
-	B4 := roundUp4(B)
-	opRows := maxInt(roundUp4(n*B), (n-1)*B+B4)
-	resRows := roundUp4(s.buildSchedule(gs))
+	h := e.cfg.Hidden
+	hs, ones := roundUp(h, e.colPad), roundUp(1, e.colPad) // strides of GEMM outputs
+	Bp, nB := roundUp(B, e.rowPad), roundUp(n*B, e.rowPad)
+	opRows := max(nB, (n-1)*B+Bp)
+	resRows := roundUp(s.buildSchedule(gs), e.rowPad)
 
-	featMax := maxInt(features.OpFeatDim, features.ResFeatDim)
-	s.xg = grow32(s.xg, maxInt(B4, resRows), features.OpFeatDim, featMax)
-	s.e = grow32(s.e, opRows, h, np)
-	s.hop = grow32(s.hop, opRows, h, np)
-	s.xc = grow32(s.xc, B4, 2*h, 2*h)
-	s.er = grow32(s.er, resRows, h, np)
-	s.sum = grow32(s.sum, B4, h, np)
-	s.xcr = grow32(s.xcr, resRows, 2*h, 2*h)
-	s.hres = grow32(s.hres, resRows, h, np)
-	s.xm = grow32(s.xm, opRows, 2*h, 2*h)
-	s.hmap = grow32(s.hmap, opRows, h, np)
-	s.lt = grow32(s.lt, opRows, 1, 16)
-	s.pooled = grow32(s.pooled, B4, 2*h, 2*h)
-	s.tt = grow32(s.tt, B4, 1, 16)
-	s.mlpA = growF32(s.mlpA, maxInt(opRows, resRows)*cm.maxNp)
-	s.mlpB = growF32(s.mlpB, maxInt(opRows, resRows)*cm.maxNp)
-	s.lat = growF64(s.lat, n)
-	s.latW = growF64(s.latW, n)
-	s.tot = growF64(s.tot, n)
+	ms.e.grow(opRows, h, hs)
+	ms.hop.grow(opRows, h, hs)
+	ms.xc.grow(Bp, 2*h, 2*h)
+	ms.er.grow(resRows, h, hs)
+	ms.sum.grow(Bp, h, h)
+	ms.xcr.grow(resRows, 2*h, 2*h)
+	ms.hres.grow(resRows, h, hs)
+	ms.xm.grow(opRows, 2*h, 2*h)
+	ms.hmap.grow(opRows, h, hs)
+	ms.lt.grow(opRows, 1, ones)
+	ms.pooled.grow(Bp, 2*h, 2*h)
+	ms.tt.grow(Bp, 1, ones)
+	if need := max(opRows, resRows) * e.maxW; cap(ms.mlpA) < need {
+		ms.mlpA, ms.mlpB = make([]T, need), make([]T, need)
+	}
+	if cap(s.lat) < n {
+		s.lat, s.latW, s.tot = make([]float64, n), make([]float64, n), make([]float64, n)
+	}
 
 	// Stage 1: encoders + data-flow pass, topologically ordered positions.
-	s.xg.Cols = features.OpFeatDim
+	ms.xg.grow(Bp, features.OpFeatDim, features.OpFeatDim)
 	for i, node := range proto.OpNodes {
 		for bi, g := range gs {
-			feat := g.OpNodes[i].Feat
-			row := s.xg.Row(bi)
-			for t, v := range feat {
-				row[t] = float32(v)
+			row := ms.xg.row(bi)
+			for t, v := range g.OpNodes[i].Feat {
+				row[t] = T(v)
 			}
 		}
-		cm.applyMLP32(s, cm.encOp[node.Type], setView32(&s.vx, s.xg, 0, B4), setView32(&s.vy, s.e, i*B, B4))
+		e.applyMLP(ms, e.encOp[node.Type], ms.xg, ms.e.view(i*B, Bp))
 		for bi := 0; bi < B; bi++ {
-			xcRow := s.xc.Row(bi)
-			copy(xcRow[:h], s.e.Row(i*B+bi))
+			xcRow := ms.xc.row(bi)
+			copy(xcRow[:h], ms.e.row(i*B+bi))
 			agg := xcRow[h:]
-			agg.Zero()
+			zero(agg)
 			for _, up := range s.upstreams[i] {
-				agg.AddInPlace(s.hop.Row(up*B + bi))
+				add(agg, ms.hop.row(up*B+bi))
 			}
 		}
-		cm.applyMLP32(s, cm.combineOp, setView32(&s.vx, s.xc, 0, B4), setView32(&s.vy, s.hop, i*B, B4))
+		e.applyMLP(ms, e.combineOp, ms.xc, ms.hop.view(i*B, Bp))
 	}
 
 	// Stage 2: resource pass, one GEMM per MLP over every graph's rows.
-	s.xg.Cols = features.ResFeatDim
+	ms.xg.grow(resRows, features.ResFeatDim, features.ResFeatDim)
 	for bi, g := range gs {
 		for i := range g.ResNodes {
-			row := s.xg.Row(s.resOff[bi] + i)
+			row := ms.xg.row(s.resOff[bi] + i)
 			for t, v := range g.ResNodes[i].Feat {
-				row[t] = float32(v)
+				row[t] = T(v)
 			}
 		}
 	}
-	cm.applyMLP32(s, cm.encRes, setView32(&s.vx, s.xg, 0, resRows), setView32(&s.vy, s.er, 0, resRows))
+	e.applyMLP(ms, e.encRes, ms.xg, ms.er)
 	for bi, g := range gs {
 		r, off := len(g.ResNodes), s.resOff[bi]
-		sumRow := s.sum.Row(bi)
-		sumRow.Zero()
+		sumRow := ms.sum.row(bi)
+		zero(sumRow)
 		for i := 0; i < r; i++ {
-			sumRow.AddInPlace(s.er.Row(off + i))
+			add(sumRow, ms.er.row(off+i))
 		}
-		invR := float32(0)
+		var invR T
 		if r > 1 {
-			invR = float32(1 / float64(r-1))
+			invR = T(1 / float64(r-1))
 		}
 		for i := 0; i < r; i++ {
-			own := s.er.Row(off + i)
-			xcrRow := s.xcr.Row(off + i)
+			own := ms.er.row(off + i)
+			xcrRow := ms.xcr.row(off + i)
 			copy(xcrRow[:h], own)
 			oth := xcrRow[h:]
 			if r > 1 {
@@ -798,256 +853,69 @@ func (cm *CompiledModel) forwardBucket32(s *fusedScratch, gs []*features.Graph, 
 					oth[j] = (sumRow[j] - own[j]) * invR
 				}
 			} else {
-				oth.Zero()
+				zero(oth)
 			}
 		}
 	}
-	cm.applyMLP32(s, cm.combineRes, setView32(&s.vx, s.xcr, 0, resRows), setView32(&s.vy, s.hres, 0, resRows))
+	e.applyMLP(ms, e.combineRes, ms.xcr, ms.hres)
 
 	// Stage 3: mapping pass. Left half of xm is the op state; the right half
 	// accumulates the instance-weighted resource states, each graph walking
 	// its own mapping edges in order.
 	for i := 0; i < n*B; i++ {
-		xmRow := s.xm.Row(i)
-		copy(xmRow[:h], s.hop.Row(i))
-		xmRow[h:].Zero()
+		xmRow := ms.xm.row(i)
+		copy(xmRow[:h], ms.hop.row(i))
+		zero(xmRow[h:])
 	}
 	tot := s.tot[:n]
 	for bi, g := range gs {
 		for i := range tot {
 			tot[i] = 0
 		}
-		for _, e := range g.Mapping {
-			tot[e.OpIdx] += float64(e.Instances)
+		for _, edge := range g.Mapping {
+			tot[edge.OpIdx] += float64(edge.Instances)
 		}
-		for _, e := range g.Mapping {
-			w := float64(e.Instances)
-			if tot[e.OpIdx] > 0 {
-				w /= tot[e.OpIdx]
+		for _, edge := range g.Mapping {
+			w := float64(edge.Instances)
+			if tot[edge.OpIdx] > 0 {
+				w /= tot[edge.OpIdx]
 			}
-			s.xm.Row(e.OpIdx*B + bi)[h:].AxpyInPlace(float32(w), s.hres.Row(s.resOff[bi]+e.ResIdx))
+			axpy(ms.xm.row(edge.OpIdx*B + bi)[h:], T(w), ms.hres.row(s.resOff[bi]+edge.ResIdx))
 		}
 	}
-	cm.applyMLP32(s, cm.combineMap, setView32(&s.vx, s.xm, 0, roundUp4(n*B)), setView32(&s.vy, s.hmap, 0, roundUp4(n*B)))
+	e.applyMLP(ms, e.combineMap, ms.xm.view(0, nB), ms.hmap.view(0, nB))
 
 	// Stage 4: read-out.
-	invN := float32(1 / float64(n))
+	invN := T(1 / float64(n))
 	for bi := 0; bi < B; bi++ {
-		mean := s.sum.Row(bi)
-		mean.Zero()
+		mean := ms.sum.row(bi)
+		zero(mean)
 		for i := 0; i < n; i++ {
-			mean.AxpyInPlace(invN, s.hmap.Row(i*B+bi))
+			axpy(mean, invN, ms.hmap.row(i*B+bi))
 		}
-		pRow := s.pooled.Row(bi)
-		copy(pRow[:h], s.hmap.Row(proto.SinkIdx*B+bi))
+		pRow := ms.pooled.row(bi)
+		copy(pRow[:h], ms.hmap.row(proto.SinkIdx*B+bi))
 		copy(pRow[h:], mean)
 	}
-	structured := cm.cfg.Readout != ReadoutSink
+	structured := e.cfg.Readout != ReadoutSink
 	if structured {
-		cm.applyMLP32(s, cm.latHead, setView32(&s.vx, s.hmap, 0, roundUp4(n*B)), setView32(&s.vy, s.lt, 0, roundUp4(n*B)))
+		e.applyMLP(ms, e.latHead, ms.hmap.view(0, nB), ms.lt.view(0, nB))
 	} else {
-		cm.applyMLP32(s, cm.latHead, setView32(&s.vx, s.pooled, 0, B4), setView32(&s.vy, s.lt, 0, B4))
+		e.applyMLP(ms, e.latHead, ms.pooled, ms.lt.view(0, Bp))
 	}
-	cm.applyMLP32(s, cm.tptHead, setView32(&s.vx, s.pooled, 0, B4), setView32(&s.vy, s.tt, 0, B4))
+	e.applyMLP(ms, e.tptHead, ms.pooled, ms.tt)
 
 	for bi := range gs {
 		var logLat float64
 		if structured {
 			for i := 0; i < n; i++ {
-				s.lat[i] = float64(s.lt.Row(i*B + bi)[0])
+				s.lat[i] = float64(ms.lt.row(i*B + bi)[0])
 			}
 			logLat = logSumExp10(s.lat[:n], s.latW[:n])
 		} else {
-			logLat = float64(s.lt.Row(bi)[0])
+			logLat = float64(ms.lt.row(bi)[0])
 		}
-		logTpt := float64(s.tt.Row(bi)[0])
-		dst[pos[bi]] = Prediction{
-			LatencyMs:     math.Pow(10, logLat),
-			ThroughputEPS: math.Pow(10, logTpt),
-			LogLatency:    logLat,
-			LogThroughput: logTpt,
-		}
-	}
-}
-
-// applyMLP64 is applyMLP32 for the float64 engine: batched per-row
-// MulVecAddBias (bit-identical to the reference MLP forward) plus the exact
-// element-wise activation.
-func (cm *CompiledModel) applyMLP64(s *fusedScratch, mlp *nn.MLP, x, out *tensor.Matrix) {
-	cur := x
-	useA := true
-	last := len(mlp.Layers) - 1
-	for i, l := range mlp.Layers {
-		var dst *tensor.Matrix
-		if i == last {
-			dst = out
-		} else {
-			v := &s.vpAD
-			buf := s.mlpAD
-			if !useA {
-				v, buf = &s.vpBD, s.mlpBD
-			}
-			useA = !useA
-			v.Rows, v.Cols = cur.Rows, l.Out()
-			v.Data = buf[:cur.Rows*l.Out()]
-			dst = v
-		}
-		tensor.GemmBiasInto(cur, l.W, l.B, dst)
-		for ri := 0; ri < dst.Rows; ri++ {
-			row := dst.Row(ri)
-			for j, p := range row {
-				row[j] = l.Act.Apply(p)
-			}
-		}
-		cur = dst
-	}
-}
-
-// forwardBucket64 runs the fused schedule in float64 with the reference
-// weights, in forwardBucket32's row layout without the padding. Every
-// per-element operation replicates the reference forward's accumulation
-// order, so the results are bit-identical to Model.Predict for each graph —
-// the anchor the differential tests and the accuracy gate measure against.
-func (cm *CompiledModel) forwardBucket64(s *fusedScratch, gs []*features.Graph, pos []int, dst []Prediction) {
-	proto := gs[0]
-	m := cm.Ref
-	n, B := len(proto.OpNodes), len(gs)
-	h := cm.cfg.Hidden
-	resRows := s.buildSchedule(gs)
-
-	maxW := 0
-	for _, mlp := range m.mlps() {
-		for _, l := range mlp.Layers {
-			if l.Out() > maxW {
-				maxW = l.Out()
-			}
-		}
-	}
-	featMax := maxInt(features.OpFeatDim, features.ResFeatDim)
-	s.xgD = grow64(s.xgD, maxInt(B, resRows), featMax)
-	s.eD = grow64(s.eD, n*B, h)
-	s.hopD = grow64(s.hopD, n*B, h)
-	s.xcD = grow64(s.xcD, B, 2*h)
-	s.erD = grow64(s.erD, resRows, h)
-	s.sumD = grow64(s.sumD, B, h)
-	s.xcrD = grow64(s.xcrD, resRows, 2*h)
-	s.hresD = grow64(s.hresD, resRows, h)
-	s.xmD = grow64(s.xmD, n*B, 2*h)
-	s.hmapD = grow64(s.hmapD, n*B, h)
-	s.ltD = grow64(s.ltD, n*B, 1)
-	s.pooledD = grow64(s.pooledD, B, 2*h)
-	s.ttD = grow64(s.ttD, B, 1)
-	s.mlpAD = growF64(s.mlpAD, maxInt(n*B, resRows)*maxW)
-	s.mlpBD = growF64(s.mlpBD, maxInt(n*B, resRows)*maxW)
-	s.lat = growF64(s.lat, n)
-	s.latW = growF64(s.latW, n)
-	s.tot = growF64(s.tot, n)
-
-	// Stage 1.
-	xg := s.xgD
-	for i, node := range proto.OpNodes {
-		xg.Rows, xg.Cols = B, features.OpFeatDim
-		xg.Data = xg.Data[:B*features.OpFeatDim]
-		for bi, g := range gs {
-			copy(xg.Row(bi), g.OpNodes[i].Feat)
-		}
-		cm.applyMLP64(s, m.EncOp[node.Type], xg, setView64(&s.vyD, s.eD, i*B, B))
-		for bi := 0; bi < B; bi++ {
-			xcRow := s.xcD.Row(bi)
-			copy(xcRow[:h], s.eD.Row(i*B+bi))
-			agg := xcRow[h:]
-			agg.Zero()
-			for _, up := range s.upstreams[i] {
-				agg.AddInPlace(s.hopD.Row(up*B + bi))
-			}
-		}
-		cm.applyMLP64(s, m.CombineOp, s.xcD, setView64(&s.vyD, s.hopD, i*B, B))
-	}
-
-	// Stage 2.
-	xg.Rows, xg.Cols = resRows, features.ResFeatDim
-	xg.Data = xg.Data[:resRows*features.ResFeatDim]
-	for bi, g := range gs {
-		for i := range g.ResNodes {
-			copy(xg.Row(s.resOff[bi]+i), g.ResNodes[i].Feat)
-		}
-	}
-	cm.applyMLP64(s, m.EncRes, xg, s.erD)
-	for bi, g := range gs {
-		r, off := len(g.ResNodes), s.resOff[bi]
-		sumRow := s.sumD.Row(bi)
-		sumRow.Zero()
-		for i := 0; i < r; i++ {
-			sumRow.AddInPlace(s.erD.Row(off + i))
-		}
-		for i := 0; i < r; i++ {
-			xcrRow := s.xcrD.Row(off + i)
-			copy(xcrRow[:h], s.erD.Row(off+i))
-			oth := tensor.Vector(xcrRow[h:])
-			if r > 1 {
-				copy(oth, sumRow)
-				oth.SubInPlace(s.erD.Row(off + i)).ScaleInPlace(1 / float64(r-1))
-			} else {
-				oth.Zero()
-			}
-		}
-	}
-	cm.applyMLP64(s, m.CombineRes, s.xcrD, s.hresD)
-
-	// Stage 3.
-	for i := 0; i < n*B; i++ {
-		xmRow := s.xmD.Row(i)
-		copy(xmRow[:h], s.hopD.Row(i))
-		xmRow[h:].Zero()
-	}
-	tot := s.tot[:n]
-	for bi, g := range gs {
-		for i := range tot {
-			tot[i] = 0
-		}
-		for _, e := range g.Mapping {
-			tot[e.OpIdx] += float64(e.Instances)
-		}
-		for _, e := range g.Mapping {
-			w := float64(e.Instances)
-			if tot[e.OpIdx] > 0 {
-				w /= tot[e.OpIdx]
-			}
-			tensor.Vector(s.xmD.Row(e.OpIdx*B + bi)[h:]).AxpyInPlace(w, s.hresD.Row(s.resOff[bi]+e.ResIdx))
-		}
-	}
-	cm.applyMLP64(s, m.CombineMap, s.xmD, s.hmapD)
-
-	// Stage 4.
-	for bi := 0; bi < B; bi++ {
-		mean := s.sumD.Row(bi)
-		mean.Zero()
-		for i := 0; i < n; i++ {
-			mean.AxpyInPlace(1/float64(n), s.hmapD.Row(i*B+bi))
-		}
-		pRow := s.pooledD.Row(bi)
-		copy(pRow[:h], s.hmapD.Row(proto.SinkIdx*B+bi))
-		copy(pRow[h:], mean)
-	}
-	structured := cm.cfg.Readout != ReadoutSink
-	if structured {
-		cm.applyMLP64(s, m.LatHead, s.hmapD, s.ltD)
-	} else {
-		cm.applyMLP64(s, m.LatHead, s.pooledD, setView64(&s.vyD, s.ltD, 0, B))
-	}
-	cm.applyMLP64(s, m.TptHead, s.pooledD, s.ttD)
-
-	for bi := range gs {
-		var logLat float64
-		if structured {
-			for i := 0; i < n; i++ {
-				s.lat[i] = s.ltD.Row(i*B + bi)[0]
-			}
-			logLat = logSumExp10(s.lat[:n], s.latW[:n])
-		} else {
-			logLat = s.ltD.Row(bi)[0]
-		}
-		logTpt := s.ttD.Row(bi)[0]
+		logTpt := float64(ms.tt.row(bi)[0])
 		dst[pos[bi]] = Prediction{
 			LatencyMs:     math.Pow(10, logLat),
 			ThroughputEPS: math.Pow(10, logTpt),

@@ -103,18 +103,34 @@ func TestCompiledF64BitIdentical(t *testing.T) {
 	}
 }
 
-// TestCompiledF64ReadoutSink covers the ablation read-out mode.
+// TestCompiledF64ReadoutSink covers the ablation read-out mode: the f64
+// engine equals Model.Predict bit for bit; the f32 engine stays within the
+// gate budget of it and its batched results equal its single-graph ones.
 func TestCompiledF64ReadoutSink(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Readout = ReadoutSink
 	m := New(tensor.NewRNG(12), cfg)
-	cm, err := Compile(m, CompileOptions{Engine: EngineF64})
-	if err != nil {
-		t.Fatalf("Compile(f64, sink): %v", err)
-	}
-	for i, g := range corpusGraphs(t) {
-		if got, want := cm.Predict(g), m.Predict(g); got != want {
-			t.Errorf("graph %d: sink readout fused %+v != reference %+v", i, got, want)
+	graphs := corpusGraphs(t)
+	for _, engine := range []Engine{EngineF64, EngineF32} {
+		cm, err := Compile(m, CompileOptions{Engine: engine})
+		if err != nil {
+			t.Fatalf("Compile(%v, sink): %v", engine, err)
+		}
+		batched := cm.PredictBatch(graphs)
+		for i, g := range graphs {
+			got, want := cm.Predict(g), m.Predict(g)
+			if batched[i] != got {
+				t.Errorf("%v graph %d: sink readout batched %+v != single %+v", engine, i, batched[i], got)
+			}
+			if engine == EngineF64 {
+				if got != want {
+					t.Errorf("graph %d: sink readout fused %+v != reference %+v", i, got, want)
+				}
+				continue
+			}
+			if q := max(qerr(want.LatencyMs, got.LatencyMs), qerr(want.ThroughputEPS, got.ThroughputEPS)); q > 1+DefaultGateThreshold {
+				t.Errorf("graph %d: sink readout f32 q-error %v vs reference (%+v vs %+v)", i, q, got, want)
+			}
 		}
 	}
 }
@@ -205,27 +221,30 @@ func TestCompiledTightGateRejectsInt8(t *testing.T) {
 }
 
 // TestCompiledZeroAlloc: steady-state fused inference must not allocate —
-// batch, single-graph, and mixed-topology paths.
+// batch, single-graph, and mixed-topology paths, for both instantiations of
+// the schedule.
 func TestCompiledZeroAlloc(t *testing.T) {
 	m := New(tensor.NewRNG(17), DefaultConfig())
-	cm, err := Compile(m, CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	graphs := append(corpusGraphs(t), sweepGraphs(t, 25)...)
-	dst := make([]Prediction, 0, len(graphs))
-	dst = cm.PredictBatchInto(dst, graphs) // warm the scratch pool
-	if n := testing.AllocsPerRun(20, func() {
-		dst = cm.PredictBatchInto(dst, graphs)
-	}); n != 0 {
-		t.Errorf("PredictBatchInto allocs/op = %v, want 0", n)
-	}
-	g := graphs[0]
-	cm.Predict(g)
-	if n := testing.AllocsPerRun(20, func() {
+	for _, engine := range []Engine{EngineF32, EngineF64} {
+		cm, err := Compile(m, CompileOptions{Engine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]Prediction, 0, len(graphs))
+		dst = cm.PredictBatchInto(dst, graphs) // warm the scratch pool
+		if n := testing.AllocsPerRun(20, func() {
+			dst = cm.PredictBatchInto(dst, graphs)
+		}); n != 0 {
+			t.Errorf("%v: PredictBatchInto allocs/op = %v, want 0", engine, n)
+		}
+		g := graphs[0]
 		cm.Predict(g)
-	}); n != 0 {
-		t.Errorf("Predict allocs/op = %v, want 0", n)
+		if n := testing.AllocsPerRun(20, func() {
+			cm.Predict(g)
+		}); n != 0 {
+			t.Errorf("%v: Predict allocs/op = %v, want 0", engine, n)
+		}
 	}
 }
 

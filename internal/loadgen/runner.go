@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"zerotune/internal/client"
+	"zerotune/internal/serve"
 )
 
 // Target abstracts the system under load: an in-process handler (serve
@@ -25,16 +26,6 @@ type Target interface {
 // tier without network noise.
 type HandlerTarget struct{ Handler http.Handler }
 
-// discardWriter is a minimal ResponseWriter that keeps only the status.
-type discardWriter struct {
-	h      http.Header
-	status int
-}
-
-func (w *discardWriter) Header() http.Header         { return w.h }
-func (w *discardWriter) WriteHeader(c int)           { w.status = c }
-func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
-
 // Do implements Target.
 func (t HandlerTarget) Do(ctx context.Context, path, class string, body []byte) (int, error) {
 	method := http.MethodGet
@@ -48,9 +39,9 @@ func (t HandlerTarget) Do(ctx context.Context, path, class string, body []byte) 
 	if class != "" {
 		req.Header.Set(SLOClassHeader, class)
 	}
-	w := &discardWriter{h: make(http.Header), status: http.StatusOK}
-	t.Handler.ServeHTTP(w, req)
-	return w.status, nil
+	w := serve.Recorder{DiscardBody: true}
+	t.Handler.ServeHTTP(&w, req)
+	return w.Status(), nil
 }
 
 // HTTPTarget sends requests to a remote base URL through the shared typed

@@ -56,19 +56,56 @@ func (b *InProcessBackend) Server() *Server { return b.srv }
 // refused from a killed process.
 func (b *InProcessBackend) SetDown(down bool) { b.down.Store(down) }
 
-// backendRecorder captures a handler's response without net/http/httptest
-// (which is test-flavored and allocates more than this hot path wants).
-type backendRecorder struct {
-	h      http.Header
+// Recorder is the in-process http.ResponseWriter: what InProcessBackend, the
+// client's handler transport and the load generator's HandlerTarget hand a
+// handler in place of a connection (net/http/httptest is test-flavored and
+// allocates more than these hot paths want). It keeps net/http's rule that
+// the first WriteHeader, or a Write that comes before any, fixes the status.
+// The zero value is ready to use.
+type Recorder struct {
+	// DiscardBody drops what the handler writes, for callers that read only
+	// the status.
+	DiscardBody bool
+
+	header http.Header
 	status int
-	buf    bytes.Buffer
+	body   bytes.Buffer
 }
 
-func (w *backendRecorder) Header() http.Header { return w.h }
-func (w *backendRecorder) WriteHeader(c int)   { w.status = c }
-func (w *backendRecorder) Write(p []byte) (int, error) {
-	return w.buf.Write(p)
+// Header implements http.ResponseWriter.
+func (r *Recorder) Header() http.Header {
+	if r.header == nil {
+		r.header = make(http.Header)
+	}
+	return r.header
 }
+
+// WriteHeader implements http.ResponseWriter.
+func (r *Recorder) WriteHeader(code int) {
+	if r.status == 0 {
+		r.status = code
+	}
+}
+
+// Write implements http.ResponseWriter.
+func (r *Recorder) Write(p []byte) (int, error) {
+	r.WriteHeader(http.StatusOK)
+	if r.DiscardBody {
+		return len(p), nil
+	}
+	return r.body.Write(p)
+}
+
+// Status is the response status: 200 when the handler never set one.
+func (r *Recorder) Status() int {
+	if r.status == 0 {
+		return http.StatusOK
+	}
+	return r.status
+}
+
+// Body is what the handler wrote; it shares the recorder's storage.
+func (r *Recorder) Body() []byte { return r.body.Bytes() }
 
 // Call implements Backend by synchronously running the server's handler.
 func (b *InProcessBackend) Call(ctx context.Context, path string, body []byte) (int, []byte, error) {
@@ -83,7 +120,7 @@ func (b *InProcessBackend) Call(ctx context.Context, path string, body []byte) (
 	if err != nil {
 		return 0, nil, fmt.Errorf("serve: backend %s: %w", b.name, err)
 	}
-	w := &backendRecorder{h: make(http.Header), status: http.StatusOK}
-	b.srv.ServeHTTP(w, req)
-	return w.status, append([]byte(nil), w.buf.Bytes()...), nil
+	var w Recorder
+	b.srv.ServeHTTP(&w, req)
+	return w.Status(), append([]byte(nil), w.Body()...), nil
 }

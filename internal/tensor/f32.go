@@ -14,71 +14,6 @@ type Vector32 []float32
 // NewVector32 returns a zeroed vector of length n.
 func NewVector32(n int) Vector32 { return make(Vector32, n) }
 
-// Zero resets every element to 0 and returns v.
-func (v Vector32) Zero() Vector32 {
-	for i := range v {
-		v[i] = 0
-	}
-	return v
-}
-
-// AddInPlace adds w element-wise into v. Lengths must match.
-func (v Vector32) AddInPlace(w Vector32) Vector32 {
-	mustSameLen(len(v), len(w))
-	n := len(v)
-	w = w[:n]
-	i := 0
-	for ; i+3 < n; i += 4 {
-		v[i] += w[i]
-		v[i+1] += w[i+1]
-		v[i+2] += w[i+2]
-		v[i+3] += w[i+3]
-	}
-	for ; i < n; i++ {
-		v[i] += w[i]
-	}
-	return v
-}
-
-// AxpyInPlace performs v += a*w. Lengths must match.
-func (v Vector32) AxpyInPlace(a float32, w Vector32) Vector32 {
-	mustSameLen(len(v), len(w))
-	n := len(v)
-	w = w[:n]
-	i := 0
-	for ; i+3 < n; i += 4 {
-		v[i] += a * w[i]
-		v[i+1] += a * w[i+1]
-		v[i+2] += a * w[i+2]
-		v[i+3] += a * w[i+3]
-	}
-	for ; i < n; i++ {
-		v[i] += a * w[i]
-	}
-	return v
-}
-
-// ToF64 converts v into out (allocated when nil) and returns it.
-func (v Vector32) ToF64(out Vector) Vector {
-	if out == nil {
-		out = NewVector(len(v))
-	}
-	mustSameLen(len(v), len(out))
-	for i, x := range v {
-		out[i] = float64(x)
-	}
-	return out
-}
-
-// Vector32From converts a float64 vector to float32.
-func Vector32From(v Vector) Vector32 {
-	out := make(Vector32, len(v))
-	for i, x := range v {
-		out[i] = float32(x)
-	}
-	return out
-}
-
 // Matrix32 is a dense row-major float32 matrix with an explicit row stride
 // (Stride >= Cols). Element (r, c) lives at Data[r*Stride+c]; columns
 // [Cols, Stride) of each row are padding owned by the matrix.
@@ -87,9 +22,6 @@ type Matrix32 struct {
 	Stride     int
 	Data       []float32 // len == Rows*Stride
 }
-
-// NewMatrix32 returns a zeroed rows×cols matrix with Stride == cols.
-func NewMatrix32(rows, cols int) *Matrix32 { return NewMatrix32Strided(rows, cols, cols) }
 
 // NewMatrix32Strided returns a zeroed rows×cols matrix with the given row
 // stride (>= cols). Use a stride rounded up to a multiple of 16 to make the
@@ -104,34 +36,9 @@ func NewMatrix32Strided(rows, cols, stride int) *Matrix32 {
 // At returns the element at (r, c).
 func (m *Matrix32) At(r, c int) float32 { return m.Data[r*m.Stride+c] }
 
-// Set writes the element at (r, c).
-func (m *Matrix32) Set(r, c int, v float32) { m.Data[r*m.Stride+c] = v }
-
 // Row returns row r (without padding) sharing storage with m.
 func (m *Matrix32) Row(r int) Vector32 {
 	return Vector32(m.Data[r*m.Stride : r*m.Stride+m.Cols])
-}
-
-// PaddedRow returns row r including its padding columns.
-func (m *Matrix32) PaddedRow(r int) Vector32 {
-	return Vector32(m.Data[r*m.Stride : (r+1)*m.Stride])
-}
-
-// Zero resets every element (padding included) to 0 and returns m.
-func (m *Matrix32) Zero() *Matrix32 {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-	return m
-}
-
-// Matrix32From converts a float64 matrix to float32 with Stride == Cols.
-func Matrix32From(m *Matrix) *Matrix32 {
-	out := NewMatrix32(m.Rows, m.Cols)
-	for i, x := range m.Data {
-		out.Data[i] = float32(x)
-	}
-	return out
 }
 
 // PadTo16 returns n rounded up to the next multiple of 16, the column width

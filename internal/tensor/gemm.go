@@ -2,26 +2,10 @@ package tensor
 
 import "fmt"
 
-// This file holds the float64 batched kernels. They exist for two reasons:
-// the compiled inference engine's bit-exact reference mode (GemmInto /
-// GemmBiasInto compute each output row with exactly the MulVec/MulVecAddBias
-// accumulation, so a batched forward is bit-identical to the per-graph one),
-// and a general blocked MatMulInto for code that wants plain C = A·B.
-
-// GemmInto computes Y = X · Wᵀ where X is M×K (one input per row), W is the
-// N×K layer-weight layout used by nn.Linear, and Y is M×N. Each output row is
-// produced by W.MulVec on the corresponding input row, so the result is
-// bit-identical to calling MulVec per row.
-func GemmInto(x, w, y *Matrix) *Matrix {
-	if x.Cols != w.Cols || y.Rows != x.Rows || y.Cols != w.Rows {
-		panic(fmt.Sprintf("tensor: GemmInto shape mismatch x %dx%d w %dx%d y %dx%d",
-			x.Rows, x.Cols, w.Rows, w.Cols, y.Rows, y.Cols))
-	}
-	for i := 0; i < x.Rows; i++ {
-		w.MulVec(x.Row(i), y.Row(i))
-	}
-	return y
-}
+// This file holds the float64 batched kernel of the compiled inference
+// engine's bit-exact reference mode: GemmBiasInto computes each output row with
+// exactly the MulVecAddBias accumulation, so a batched forward is bit-identical
+// to the per-graph one.
 
 // GemmBiasInto computes Y = X · Wᵀ + 1⊗b, the batched form of a linear layer
 // pre-activation. It is bit-identical to MulVec followed by AddInPlace(b) on
@@ -35,55 +19,4 @@ func GemmBiasInto(x, w *Matrix, b Vector, y *Matrix) *Matrix {
 		w.MulVecAddBias(x.Row(i), b, y.Row(i))
 	}
 	return y
-}
-
-// MatMulInto computes C = A · B for row-major matrices (A is M×K, B is K×N,
-// C is M×N) with a blocked, 4-way-unrolled axpy kernel: B's rows stream
-// through the cache while four A rows' partial sums build up in C. C must not
-// alias A or B.
-func MatMulInto(a, b, c *Matrix) *Matrix {
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulInto shape mismatch a %dx%d b %dx%d c %dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	c.Zero()
-	n := b.Cols
-	if n == 0 {
-		return c
-	}
-	// Block over K so the touched rows of B stay resident.
-	const kBlock = 64
-	for k0 := 0; k0 < a.Cols; k0 += kBlock {
-		k1 := k0 + kBlock
-		if k1 > a.Cols {
-			k1 = a.Cols
-		}
-		for i := 0; i < a.Rows; i++ {
-			arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-			crow := c.Data[i*n : i*n+n : i*n+n]
-			for k := k0; k < k1; k++ {
-				aik := arow[k]
-				if aik == 0 {
-					continue
-				}
-				brow := b.Data[k*n : k*n+n : k*n+n]
-				j := 0
-				for ; j+3 < n; j += 4 {
-					crow[j] += aik * brow[j]
-					crow[j+1] += aik * brow[j+1]
-					crow[j+2] += aik * brow[j+2]
-					crow[j+3] += aik * brow[j+3]
-				}
-				for ; j < n; j++ {
-					crow[j] += aik * brow[j]
-				}
-			}
-		}
-	}
-	return c
-}
-
-// MatMul is MatMulInto allocating the result.
-func MatMul(a, b *Matrix) *Matrix {
-	return MatMulInto(a, b, NewMatrix(a.Rows, b.Cols))
 }

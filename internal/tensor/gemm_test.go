@@ -149,36 +149,6 @@ func TestGemmIntoBitIdentical(t *testing.T) {
 				}
 			}
 		}
-		y2 := GemmInto(x, w, NewMatrix(m, n))
-		for i := 0; i < m; i++ {
-			want := w.MulVec(x.Row(i), NewVector(n))
-			for j := range want {
-				if y2.At(i, j) != want[j] {
-					t.Fatalf("shape %v GemmInto mismatch at (%d,%d)", shape, i, j)
-				}
-			}
-		}
-	}
-}
-
-func TestMatMul(t *testing.T) {
-	rng := NewRNG(16)
-	for _, shape := range [][3]int{{1, 1, 1}, {3, 5, 4}, {8, 70, 9}, {5, 130, 17}} {
-		m, k, n := shape[0], shape[1], shape[2]
-		a := randMatrix(rng, m, k)
-		b := randMatrix(rng, k, n)
-		c := MatMul(a, b)
-		for i := 0; i < m; i++ {
-			for j := 0; j < n; j++ {
-				var s float64
-				for t2 := 0; t2 < k; t2++ {
-					s += a.At(i, t2) * b.At(t2, j)
-				}
-				if math.Abs(c.At(i, j)-s) > 1e-12*(1+math.Abs(s)) {
-					t.Fatalf("shape %v at (%d,%d): %v want %v", shape, i, j, c.At(i, j), s)
-				}
-			}
-		}
 	}
 }
 
