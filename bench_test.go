@@ -377,6 +377,59 @@ func BenchmarkServePredict(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/sec")
 }
 
+// BenchmarkServePredictMiss is the cold half of BenchmarkServePredict: 1024
+// distinct seeded plans cycle against 256-entry caches, so every request
+// misses the body cache and the fingerprint cache and pays for the whole
+// pipeline — decode, analyse, place, encode, fingerprint, forward, marshal.
+// BatchWindow -1 flushes every request alone, so the batch timer is not what
+// is timed; one client at a time, so ns/op and allocs/op are one miss.
+func BenchmarkServePredictMiss(b *testing.B) {
+	gen := workload.NewSeenGenerator(5)
+	items, err := gen.Generate(workload.SeenRanges().Structures, 60)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := core.DefaultTrainOptions()
+	opts.Hidden, opts.EncDepth, opts.HeadHidden = 12, 1, 12
+	opts.Epochs = 2
+	zt, _, err := core.Train(context.Background(), items, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := serve.New(serve.Options{BatchWindow: -1, CacheSize: 256, Compiled: true})
+	defer s.Close()
+	s.Registry().Install(zt, "bench", "")
+
+	structures := workload.SeenRanges().Structures
+	bodies := make([][]byte, 1024)
+	for i := range bodies {
+		q, c, err := gen.SampleQuery(structures[i%len(structures)], uint64(i+1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := serve.PredictRequest{Plan: queryplan.NewPQP(q), Cluster: serve.ClusterSpec{Workers: len(c.Nodes)}}
+		if bodies[i], err = json.Marshal(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+
+	w := &benchResponseWriter{h: make(http.Header)}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(bodies[i%len(bodies)]))
+		w.reset()
+		s.ServeHTTP(w, r)
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d: %s", w.status, w.buf.String())
+		}
+	}
+	b.StopTimer()
+	if snap := s.Snapshot(); snap.BodyHits+snap.Cache.Hits+snap.Cache.Coalesced != 0 {
+		b.Fatalf("%d body hits, %+v: every request should miss both caches", snap.BodyHits, snap.Cache)
+	}
+}
+
 // BenchmarkTune measures the paper's headline use end to end: /v1/tune at
 // default options, in process, over 64 seeded queries of the seen structures —
 // request decode, candidate enumeration, placement and encoding of every

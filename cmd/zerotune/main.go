@@ -133,18 +133,6 @@ func runDatagen(args []string) error {
 	return nil
 }
 
-func loadModel(path string) (*core.ZeroTune, error) {
-	zt, legacy, err := core.LoadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if legacy {
-		fmt.Fprintf(os.Stderr, "note: %s is a legacy bare-JSON model without a checksum; re-save it "+
-			"(zerotune train -out %s) to get the durable checksummed format\n", path, path)
-	}
-	return zt, nil
-}
-
 // buildQuery instantiates one of the benchmark query templates by name.
 func buildQuery(name string, rate float64) (*queryplan.Query, error) {
 	switch name {
@@ -176,7 +164,7 @@ func runPredict(args []string) error {
 	degree := fs.Int("degree", 0, "uniform parallelism degree (0 = 1 per operator)")
 	_ = fs.Parse(args)
 
-	zt, err := loadModel(*model)
+	zt, err := core.LoadFile(*model)
 	if err != nil {
 		return err
 	}
@@ -213,7 +201,7 @@ func runTune(args []string) error {
 	weight := fs.Float64("weight", 0.5, "Eq. 1 latency weight wt in [0,1]")
 	_ = fs.Parse(args)
 
-	zt, err := loadModel(*model)
+	zt, err := core.LoadFile(*model)
 	if err != nil {
 		return err
 	}

@@ -186,7 +186,7 @@ func runPlan(args []string) error {
 func planServiceModel(pin, model string, seed uint64, reps int) (desim.ServiceModel, error) {
 	svc := desim.DefaultServiceModel()
 	if model != "" {
-		zt, _, err := core.LoadFile(model)
+		zt, err := core.LoadFile(model)
 		if err != nil {
 			return svc, fmt.Errorf("plan: %w", err)
 		}

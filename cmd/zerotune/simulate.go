@@ -45,6 +45,9 @@ func runSimulate(args []string) error {
 		if err := json.Unmarshal(data, p); err != nil {
 			return err
 		}
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("simulate: %s: %w", *planPath, err)
+		}
 	} else {
 		q, err := buildQuery(*query, *rate)
 		if err != nil {

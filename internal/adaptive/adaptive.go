@@ -48,25 +48,20 @@ type FeedbackSink interface {
 	Record(feedback.Sample)
 }
 
-// Controller re-tunes a running query when its workload drifts.
-//
-// The exported fields are the pre-redesign construction surface, kept so
-// struct-literal construction and direct field tweaks continue to compile.
-//
-// Deprecated: populate them through New and the With* options instead; the
-// fields will become unexported in a future change.
+// Controller re-tunes a running query when its workload drifts. Build one
+// with New and the With* options.
 type Controller struct {
-	// Estimator prices candidate plans (normally the trained model).
-	Estimator optimizer.CostEstimator
-	// TuneOptions configure each optimization pass.
-	TuneOptions optimizer.TuneOptions
-	// DriftThreshold is the relative change in total source rate that
+	// estimator prices candidate plans (normally the trained model).
+	estimator optimizer.CostEstimator
+	// tuneOptions configure each optimization pass.
+	tuneOptions optimizer.TuneOptions
+	// driftThreshold is the relative change in total source rate that
 	// triggers re-tuning (0.3 = re-tune on ±30% drift).
-	DriftThreshold float64
-	// MinImprovement is the minimum predicted relative cost improvement
+	driftThreshold float64
+	// minImprovement is the minimum predicted relative cost improvement
 	// required to actually reconfigure — reconfiguration is expensive, so
 	// marginal wins are skipped.
-	MinImprovement float64
+	minImprovement float64
 
 	sink FeedbackSink
 
@@ -81,18 +76,18 @@ type Option func(*Controller)
 
 // WithTuneOptions overrides the optimizer options used by every pass.
 func WithTuneOptions(o optimizer.TuneOptions) Option {
-	return func(c *Controller) { c.TuneOptions = o }
+	return func(c *Controller) { c.tuneOptions = o }
 }
 
 // WithDriftThreshold sets the relative rate drift that triggers re-tuning.
 func WithDriftThreshold(v float64) Option {
-	return func(c *Controller) { c.DriftThreshold = v }
+	return func(c *Controller) { c.driftThreshold = v }
 }
 
 // WithMinImprovement sets the predicted-score margin a new plan must beat
 // the re-priced current plan by before the controller reconfigures.
 func WithMinImprovement(v float64) Option {
-	return func(c *Controller) { c.MinImprovement = v }
+	return func(c *Controller) { c.minImprovement = v }
 }
 
 // WithRegistry publishes controller metrics:
@@ -118,10 +113,10 @@ func WithFeedback(sink FeedbackSink) Option {
 // New returns a controller with sane defaults, refined by opts.
 func New(est optimizer.CostEstimator, opts ...Option) *Controller {
 	c := &Controller{
-		Estimator:      est,
-		TuneOptions:    optimizer.DefaultTuneOptions(),
-		DriftThreshold: 0.3,
-		MinImprovement: 0.05,
+		estimator:      est,
+		tuneOptions:    optimizer.DefaultTuneOptions(),
+		driftThreshold: 0.3,
+		minImprovement: 0.05,
 	}
 	for _, o := range opts {
 		o(c)
@@ -163,10 +158,10 @@ func totalRate(q *queryplan.Query) float64 {
 func (c *Controller) Deploy(ctx context.Context, q *queryplan.Query, cl *cluster.Cluster) (*State, error) {
 	ctx, span := obs.StartSpan(ctx, "adaptive.deploy")
 	defer span.End()
-	if c.Estimator == nil {
+	if c.estimator == nil {
 		return nil, ErrNoEstimator
 	}
-	res, err := optimizer.Tune(ctx, q, cl, c.Estimator, c.TuneOptions)
+	res, err := optimizer.Tune(ctx, q, cl, c.estimator, c.tuneOptions)
 	if err != nil {
 		return nil, err
 	}
@@ -191,8 +186,8 @@ func scaledQuery(q *queryplan.Query, factor float64) *queryplan.Query {
 // the drift against the tuned rate exceeds the threshold, the controller
 // re-tunes against the observed rate and reconfigures if the predicted
 // weighted cost of the new plan beats the current plan's (re-priced at the
-// observed rate) by at least MinImprovement. It returns whether a
-// reconfiguration happened.
+// observed rate) by at least the WithMinImprovement margin. It returns
+// whether a reconfiguration happened.
 func (c *Controller) Observe(ctx context.Context, st *State, cl *cluster.Cluster, observedRate float64) (bool, error) {
 	return c.ObserveMetrics(ctx, st, cl, Observation{TotalRate: observedRate})
 }
@@ -210,7 +205,7 @@ func (c *Controller) ObserveMetrics(ctx context.Context, st *State, cl *cluster.
 	if o.TotalRate <= 0 {
 		return false, fmt.Errorf("%w: %v", ErrBadRate, o.TotalRate)
 	}
-	if c.Estimator == nil {
+	if c.estimator == nil {
 		return false, ErrNoEstimator
 	}
 	if c.observations != nil {
@@ -226,13 +221,13 @@ func (c *Controller) ObserveMetrics(ctx context.Context, st *State, cl *cluster.
 	if c.driftGauge != nil {
 		c.driftGauge.Set(drift)
 	}
-	if drift < c.DriftThreshold {
+	if drift < c.driftThreshold {
 		return false, nil
 	}
 	// Re-tune against the observed workload.
 	factor := o.TotalRate / totalRate(st.Query)
 	shifted := scaledQuery(st.Query, factor)
-	res, err := optimizer.Tune(ctx, shifted, cl, c.Estimator, c.TuneOptions)
+	res, err := optimizer.Tune(ctx, shifted, cl, c.estimator, c.tuneOptions)
 	if err != nil {
 		return false, err
 	}
@@ -244,14 +239,14 @@ func (c *Controller) ObserveMetrics(ctx context.Context, st *State, cl *cluster.
 	if err := cluster.Place(current, cl); err != nil {
 		return false, err
 	}
-	curEst, err := c.Estimator.Estimate(ctx, current, cl)
+	curEst, err := c.estimator.Estimate(ctx, current, cl)
 	if err != nil {
 		return false, err
 	}
 	// Compare on the optimizer's scale-free score (lower is better).
-	curScore := scoreOf(curEst, c.TuneOptions.Weight)
-	newScore := scoreOf(res.Estimate, c.TuneOptions.Weight)
-	if curScore-newScore < c.MinImprovement {
+	curScore := scoreOf(curEst, c.tuneOptions.Weight)
+	newScore := scoreOf(res.Estimate, c.tuneOptions.Weight)
+	if curScore-newScore < c.minImprovement {
 		// Not worth a reconfiguration; accept the drift as the new normal
 		// so the controller does not re-evaluate every observation.
 		st.Query = shifted
@@ -277,7 +272,7 @@ func (c *Controller) recordFeedback(ctx context.Context, st *State, cl *cluster.
 	if c.sink == nil || o.LatencyMs <= 0 || o.ThroughputEPS <= 0 {
 		return
 	}
-	est, err := c.Estimator.Estimate(ctx, st.Plan, cl)
+	est, err := c.estimator.Estimate(ctx, st.Plan, cl)
 	if err != nil {
 		return
 	}

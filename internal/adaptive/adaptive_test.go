@@ -104,7 +104,7 @@ func TestObserveRetunesOnLargeDrift(t *testing.T) {
 func TestObserveSkipsMarginalImprovements(t *testing.T) {
 	q, c := testSetup(t, 100_000)
 	ctl := New(optimizer.EstimatorFunc(oracle))
-	ctl.MinImprovement = 1e9 // nothing is ever worth reconfiguring
+	ctl.minImprovement = 1e9 // nothing is ever worth reconfiguring
 	st, err := ctl.Deploy(context.Background(), q, c)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestDeployRequiresEstimator(t *testing.T) {
 	q, c := testSetup(t, 1000)
 	// The pre-redesign struct-literal construction must keep compiling (the
 	// exported fields are the deprecation shim) and keep failing typed.
-	ctl := &Controller{TuneOptions: optimizer.DefaultTuneOptions(), DriftThreshold: 0.3}
+	ctl := &Controller{tuneOptions: optimizer.DefaultTuneOptions(), driftThreshold: 0.3}
 	if _, err := ctl.Deploy(context.Background(), q, c); !errors.Is(err, ErrNoEstimator) {
 		t.Fatalf("want ErrNoEstimator, got %v", err)
 	}
@@ -152,7 +152,7 @@ func TestFunctionalOptions(t *testing.T) {
 		WithDriftThreshold(0.7),
 		WithMinImprovement(0.2),
 		WithTuneOptions(optimizer.TuneOptions{Weight: 0.9}))
-	if ctl.DriftThreshold != 0.7 || ctl.MinImprovement != 0.2 || ctl.TuneOptions.Weight != 0.9 {
+	if ctl.driftThreshold != 0.7 || ctl.minImprovement != 0.2 || ctl.tuneOptions.Weight != 0.9 {
 		t.Fatalf("options not applied: %+v", ctl)
 	}
 }

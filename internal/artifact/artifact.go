@@ -36,8 +36,8 @@ import (
 	"zerotune/internal/fault"
 )
 
-// magic identifies an artifact envelope; files not starting with it are
-// treated as legacy (pre-envelope) formats by callers.
+// magic identifies an artifact envelope; anything not starting with it is
+// ErrNotArtifact.
 var magic = [4]byte{'Z', 'T', 'A', 'F'}
 
 // Version is the current envelope format version.
@@ -51,19 +51,13 @@ const (
 )
 
 var (
-	// ErrNotArtifact marks bytes that do not start with the envelope magic
-	// — either garbage or a legacy bare-format file the caller may want to
-	// fall back to.
+	// ErrNotArtifact marks bytes that do not start with the envelope magic:
+	// garbage, or a file from before the envelope existed.
 	ErrNotArtifact = errors.New("artifact: not an artifact envelope")
 	// ErrChecksum marks an envelope whose payload does not hash to the
 	// recorded digest: torn write, truncation or bit rot.
 	ErrChecksum = errors.New("artifact: payload checksum mismatch")
 )
-
-// IsEnvelope reports whether data begins with the envelope magic.
-func IsEnvelope(data []byte) bool {
-	return len(data) >= len(magic) && bytes.Equal(data[:len(magic)], magic[:])
-}
 
 // Encode writes one envelope wrapping payload to w.
 func Encode(w io.Writer, kind string, payload []byte) error {

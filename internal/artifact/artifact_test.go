@@ -15,9 +15,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err := Encode(&buf, "zerotune-model", payload); err != nil {
 		t.Fatal(err)
 	}
-	if !IsEnvelope(buf.Bytes()) {
-		t.Fatal("encoded envelope not recognized by IsEnvelope")
-	}
 	kind, got, err := DecodeBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)

@@ -208,6 +208,9 @@ func PlaceWith(t *queryplan.Topology, p *queryplan.PQP, c *Cluster) error {
 		total += d
 	}
 	names := make([]string, total)
+	if p.Placement == nil { // a decoded plan that named no placement
+		p.Placement = make(map[int][]string, n)
+	}
 	for pos, op := range t.Ops {
 		nodes := names[:deg[pos]:deg[pos]]
 		names = names[deg[pos]:]

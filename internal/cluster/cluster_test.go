@@ -131,26 +131,30 @@ func TestNodeLookup(t *testing.T) {
 
 func TestPlaceFillsAllOperators(t *testing.T) {
 	q := linearQuery()
-	p := queryplan.NewPQP(q)
-	p.SetDegree(1, 3)
-	p.SetDegree(2, 2)
+	built := queryplan.NewPQP(q)
+	built.SetDegree(1, 3)
+	built.SetDegree(2, 2)
+	// What decoding a plan that names no placement yields: a nil map.
+	decoded := &queryplan.PQP{Query: q, Parallelism: map[int]int{1: 3, 2: 2}}
 	c, _ := New(2, SeenTypes(), 10)
-	if err := Place(p, c); err != nil {
-		t.Fatal(err)
-	}
-	for _, o := range q.Ops {
-		nodes := p.Placement[o.ID]
-		if len(nodes) != p.Degree(o.ID) {
-			t.Fatalf("op %d placed on %d nodes, degree %d", o.ID, len(nodes), p.Degree(o.ID))
+	for _, p := range []*queryplan.PQP{built, decoded} {
+		if err := Place(p, c); err != nil {
+			t.Fatal(err)
 		}
-		for _, n := range nodes {
-			if c.Node(n) == nil {
-				t.Fatalf("op %d placed on unknown node %q", o.ID, n)
+		for _, o := range q.Ops {
+			nodes := p.Placement[o.ID]
+			if len(nodes) != p.Degree(o.ID) {
+				t.Fatalf("op %d placed on %d nodes, degree %d", o.ID, len(nodes), p.Degree(o.ID))
+			}
+			for _, n := range nodes {
+				if c.Node(n) == nil {
+					t.Fatalf("op %d placed on unknown node %q", o.ID, n)
+				}
 			}
 		}
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -171,7 +171,11 @@ func (z *ZeroTune) Predict(ctx context.Context, p *queryplan.PQP, c *cluster.Clu
 	if err := ctx.Err(); err != nil {
 		return gnn.Prediction{}, err
 	}
-	g, err := z.EncodePlan(ctx, p, c)
+	t, err := p.Query.Analyze()
+	if err != nil {
+		return gnn.Prediction{}, err
+	}
+	g, err := z.EncodePlan(ctx, t, p, c)
 	if err != nil {
 		return gnn.Prediction{}, err
 	}
@@ -201,10 +205,11 @@ func (z *ZeroTune) PredictBatch(ctx context.Context, ps []*queryplan.PQP, c *clu
 	var enc *features.Encoder
 	for i, p := range ps {
 		if enc == nil || enc.Topology().Query != p.Query {
-			var err error
-			if enc, err = features.NewEncoder(p.Query, c, z.Mask); err != nil {
+			t, err := p.Query.Analyze()
+			if err != nil {
 				return nil, err
 			}
+			enc = features.NewEncoder(t, c, z.Mask)
 		}
 		g, err := encodeWith(enc, p, c)
 		if err != nil {
@@ -238,17 +243,16 @@ func encodeWith(enc *features.Encoder, p *queryplan.PQP, c *cluster.Cluster) (*f
 
 // EncodePlan places p on c (when not already placed) and featurizes it
 // under the model's mask — the exact graph Predict would run the forward
-// pass on. Callers that need to fingerprint or batch requests (the serving
-// layer) encode once, key off the graph, and feed the same graph to
-// PredictEncoded, so cache key and model input can never disagree.
-func (z *ZeroTune) EncodePlan(ctx context.Context, p *queryplan.PQP, c *cluster.Cluster) (*features.Graph, error) {
+// pass on. t is the caller's analysis of p.Query — Query.Analyze, or
+// PQP.Analyze where a plan from outside must be judged before it is encoded
+// (the serving layer) — so one analysis serves validation, placement and
+// encoding. Callers that need to fingerprint or batch requests encode once,
+// key off the graph, and feed the same graph to PredictEncoded, so cache key
+// and model input can never disagree.
+func (z *ZeroTune) EncodePlan(ctx context.Context, t *queryplan.Topology, p *queryplan.PQP, c *cluster.Cluster) (*features.Graph, error) {
 	_, span := obs.StartSpan(ctx, "encode.plan")
 	defer span.End()
-	enc, err := features.NewEncoder(p.Query, c, z.Mask)
-	if err != nil {
-		return nil, err
-	}
-	return encodeWith(enc, p, c)
+	return encodeWith(features.NewEncoder(t, c, z.Mask), p, c)
 }
 
 // PredictEncoded runs the batched forward pass over pre-encoded graphs (see
@@ -331,8 +335,7 @@ func (z *ZeroTune) QErrors(items []*workload.Item) (latQ, tptQ []float64, err er
 	return latQ, tptQ, nil
 }
 
-// persisted is the model payload inside the artifact envelope (and the
-// whole file in the legacy bare-JSON format).
+// persisted is the model payload inside the artifact envelope.
 type persisted struct {
 	Mask     features.Mask     `json:"mask"`
 	Model    *gnn.Model        `json:"model"`
@@ -369,61 +372,53 @@ func (z *ZeroTune) SaveFile(path string) error {
 // structurally corrupt payloads with a descriptive error instead of handing
 // back a model that would panic on its first forward pass — the serving
 // layer's hot-reload endpoint depends on a bad file never taking down a
-// running server. Both the artifact envelope and the legacy (deprecated)
-// bare-JSON format are accepted; see LoadFile to detect which one was read.
+// running server. Anything outside the artifact envelope, the pre-envelope
+// bare-JSON model files included, is artifact.ErrNotArtifact.
 func Load(r io.Reader) (*ZeroTune, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: load model: %w", err)
 	}
-	zt, _, err := loadBytes(data)
-	return zt, err
+	return loadBytes(data)
 }
 
-// LoadFile reads a model file and additionally reports whether it used the
-// legacy pre-envelope bare-JSON format. Legacy files lack the checksum that
-// detects torn writes and bit rot; callers should surface a deprecation
-// note and re-save with SaveFile.
-func LoadFile(path string) (zt *ZeroTune, legacy bool, err error) {
+// LoadFile is Load on the file at path.
+func LoadFile(path string) (*ZeroTune, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	return loadBytes(data)
 }
 
-// loadBytes decodes either format and validates the model.
-func loadBytes(data []byte) (*ZeroTune, bool, error) {
-	payload, legacy := data, true
-	if artifact.IsEnvelope(data) {
-		kind, p, err := artifact.DecodeBytes(data)
-		if err != nil {
-			return nil, false, fmt.Errorf("core: load model: %w", err)
-		}
-		if kind != ModelArtifactKind {
-			return nil, false, fmt.Errorf("core: load model: artifact is a %q, not a %q", kind, ModelArtifactKind)
-		}
-		payload, legacy = p, false
+// loadBytes opens the envelope and validates the model inside it.
+func loadBytes(data []byte) (*ZeroTune, error) {
+	kind, payload, err := artifact.DecodeBytes(data)
+	if err != nil {
+		return nil, fmt.Errorf("core: load model: %w", err)
+	}
+	if kind != ModelArtifactKind {
+		return nil, fmt.Errorf("core: load model: artifact is a %q, not a %q", kind, ModelArtifactKind)
 	}
 	var p persisted
 	if err := json.Unmarshal(payload, &p); err != nil {
-		return nil, legacy, fmt.Errorf("core: load model: %w", err)
+		return nil, fmt.Errorf("core: load model: %w", err)
 	}
 	if p.Model == nil {
-		return nil, legacy, fmt.Errorf("core: load model: missing model payload")
+		return nil, fmt.Errorf("core: load model: missing model payload")
 	}
 	if p.Mask != features.MaskAll && p.Mask != features.MaskOperatorOnly && p.Mask != features.MaskParallelismResource {
-		return nil, legacy, fmt.Errorf("core: load model: unknown feature mask %d", int(p.Mask))
+		return nil, fmt.Errorf("core: load model: unknown feature mask %d", int(p.Mask))
 	}
 	if err := p.Model.Validate(); err != nil {
-		return nil, legacy, fmt.Errorf("core: load model: %w", err)
+		return nil, fmt.Errorf("core: load model: %w", err)
 	}
 	if p.Fallback != nil {
 		if err := p.Fallback.Validate(); err != nil {
-			return nil, legacy, fmt.Errorf("core: load model: %w", err)
+			return nil, fmt.Errorf("core: load model: %w", err)
 		}
 	}
-	return &ZeroTune{Model: p.Model, Mask: p.Mask, Fallback: p.Fallback}, legacy, nil
+	return &ZeroTune{Model: p.Model, Mask: p.Mask, Fallback: p.Fallback}, nil
 }
 
 // MetricModel predicts one additional cost metric (e.g. resource usage) on
@@ -469,7 +464,11 @@ func (z *ZeroTune) FineTuneMetric(ctx context.Context, name string, items []*wor
 
 // Predict estimates the metric for the placed plan p on cluster c.
 func (m *MetricModel) Predict(ctx context.Context, p *queryplan.PQP, c *cluster.Cluster) (float64, error) {
-	g, err := m.zt.EncodePlan(ctx, p, c)
+	t, err := p.Query.Analyze()
+	if err != nil {
+		return 0, err
+	}
+	g, err := m.zt.EncodePlan(ctx, t, p, c)
 	if err != nil {
 		return 0, err
 	}

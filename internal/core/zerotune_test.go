@@ -308,12 +308,9 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 	if err := zt.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	loaded, legacy, err := LoadFile(path)
+	loaded, err := LoadFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if legacy {
-		t.Fatal("SaveFile output reported as legacy format")
 	}
 	a, _, err := zt.QErrors(ds.Test[:3])
 	if err != nil {
@@ -330,28 +327,24 @@ func TestSaveFileLoadFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyBareJSON keeps the pre-envelope format readable: a model
-// saved by an older build (bare JSON, no checksum) must still load, flagged
-// as legacy so callers can surface the deprecation.
+// TestLoadLegacyBareJSON: the pre-envelope format (bare JSON, no checksum)
+// is no longer read. A model file saved that way is rejected as not an
+// artifact, by Load and LoadFile alike, rather than decoded unchecked.
 func TestLoadLegacyBareJSON(t *testing.T) {
 	zt, _ := smallTrained(t, 60, 3)
 	legacyBytes, err := json.Marshal(persisted{Mask: zt.Mask, Model: zt.Model})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(bytes.NewReader(legacyBytes))
-	if err != nil {
-		t.Fatalf("legacy bare-JSON model rejected: %v", err)
-	}
-	if loaded.Model.NumParams() != zt.Model.NumParams() {
-		t.Fatal("legacy load dropped parameters")
+	if _, err := Load(bytes.NewReader(legacyBytes)); !errors.Is(err, artifact.ErrNotArtifact) {
+		t.Fatalf("Load(bare JSON) = %v, want ErrNotArtifact", err)
 	}
 	path := filepath.Join(t.TempDir(), "legacy.json")
 	if err := os.WriteFile(path, legacyBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, legacy, err := LoadFile(path); err != nil || !legacy {
-		t.Fatalf("LoadFile(legacy) = legacy=%v err=%v, want legacy=true", legacy, err)
+	if _, err := LoadFile(path); !errors.Is(err, artifact.ErrNotArtifact) {
+		t.Fatalf("LoadFile(bare JSON) = %v, want ErrNotArtifact", err)
 	}
 }
 
@@ -385,7 +378,11 @@ func TestEncodePlanPredictEncodedMatchesPredict(t *testing.T) {
 	var want []float64
 	for _, rate := range []float64{5_000, 20_000, 80_000} {
 		p := queryplan.NewPQP(queryplan.SpikeDetection(rate))
-		g, err := zt.EncodePlan(context.Background(), p, c)
+		topo, err := p.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := zt.EncodePlan(context.Background(), topo, p, c)
 		if err != nil {
 			t.Fatal(err)
 		}

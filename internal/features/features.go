@@ -201,11 +201,11 @@ type Graph struct {
 // analyses p.Query for this one plan; callers encoding many plans of one
 // query build an Encoder once and reuse it.
 func Encode(p *queryplan.PQP, c *cluster.Cluster, mask Mask) (*Graph, error) {
-	e, err := NewEncoder(p.Query, c, mask)
+	t, err := p.Query.Analyze()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("features: %w", err)
 	}
-	return e.Encode(p)
+	return NewEncoder(t, c, mask).Encode(p)
 }
 
 // Encoder holds everything of a plan's graph that depends only on the query,
@@ -231,13 +231,9 @@ type Encoder struct {
 	nodeIdx map[string]int
 }
 
-// NewEncoder validates q and precomputes the plan-independent half of its
-// graphs on c under mask.
-func NewEncoder(q *queryplan.Query, c *cluster.Cluster, mask Mask) (*Encoder, error) {
-	t, err := q.Analyze()
-	if err != nil {
-		return nil, fmt.Errorf("features: %w", err)
-	}
+// NewEncoder precomputes the plan-independent half of the graphs of the
+// analysed query t (Query.Analyze or PQP.Analyze) on c under mask.
+func NewEncoder(t *queryplan.Topology, c *cluster.Cluster, mask Mask) *Encoder {
 	e := &Encoder{
 		topo:    t,
 		c:       c,
@@ -261,7 +257,7 @@ func NewEncoder(q *queryplan.Query, c *cluster.Cluster, mask Mask) (*Encoder, er
 			encodeResource(e.resFeat[k*ResFeatDim:(k+1)*ResFeatDim], n, c.LinkGbps)
 		}
 	}
-	return e, nil
+	return e
 }
 
 // Topology returns the analysis of the encoder's query, for callers that

@@ -296,10 +296,11 @@ func TestEncoderReuse(t *testing.T) {
 	}
 
 	for _, mask := range []Mask{MaskAll, MaskOperatorOnly, MaskParallelismResource} {
-		enc, err := NewEncoder(q, c, mask)
+		topo, err := q.Analyze()
 		if err != nil {
 			t.Fatal(err)
 		}
+		enc := NewEncoder(topo, c, mask)
 		for i, p := range plans {
 			for name, bad := range map[string]*queryplan.PQP{
 				"unplaced": unplaced, "degree 0": badDegree, "unknown node": strayNode, "another query": other,

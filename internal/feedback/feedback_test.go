@@ -238,7 +238,7 @@ func (p *stubPromoter) CurrentModel() (*core.ZeroTune, string, uint64, error) {
 }
 
 func (p *stubPromoter) PromoteModel(path string) (uint64, error) {
-	zt, _, err := core.LoadFile(path)
+	zt, err := core.LoadFile(path)
 	if err != nil {
 		return 0, err
 	}
@@ -273,7 +273,7 @@ func learnerFixture(t *testing.T) (*Learner, *Store, *stubPromoter) {
 	if err := zt.SaveFile(base); err != nil {
 		t.Fatal(err)
 	}
-	cur, _, err := core.LoadFile(base)
+	cur, err := core.LoadFile(base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -388,11 +388,13 @@ func itemsOf(ctx context.Context, zt *core.ZeroTune, samples []Sample) ([]*workl
 			if s.Plan == nil || s.Cluster == nil {
 				continue
 			}
-			eg, err := zt.EncodePlan(ctx, s.Plan, s.Cluster)
+			t, err := s.Plan.Query.Analyze()
+			if err == nil {
+				g, err = zt.EncodePlan(ctx, t, s.Plan, s.Cluster)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("feedback: encode sample %d: %w", i, err)
 			}
-			g = eg
 		}
 		cp := *g
 		cp.LatencyMs = s.ObservedLatencyMs

@@ -54,10 +54,11 @@ func sweepGraphs(tb testing.TB, n int) []*features.Graph {
 		tb.Fatal(err)
 	}
 	q := queryplan.SmartGridLocal(20_000)
-	enc, err := features.NewEncoder(q, c, features.MaskAll)
+	topo, err := q.Analyze()
 	if err != nil {
 		tb.Fatal(err)
 	}
+	enc := features.NewEncoder(topo, c, features.MaskAll)
 	graphs := make([]*features.Graph, n)
 	for i := range graphs {
 		p := queryplan.NewPQP(q)

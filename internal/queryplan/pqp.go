@@ -1,6 +1,7 @@
 package queryplan
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 )
@@ -9,15 +10,51 @@ import (
 // parallelism degree and a placement of their parallel instances onto
 // cluster nodes (referenced by node name; the cluster package owns the node
 // catalogue).
+//
+// The struct is its own wire format (plan files, /v1/predict bodies, recorded
+// traces). Decoding does not validate and leaves absent maps nil, which every
+// read tolerates and every writer (SetDegree, SetNoChain, cluster.Place)
+// allocates on first use; whoever consumes a decoded plan calls Validate or
+// Analyze first, as it would for a plan built in code.
 type PQP struct {
-	Query       *Query
-	Parallelism map[int]int      // operator ID → degree (≥ 1)
-	Placement   map[int][]string // operator ID → node name per instance, len == degree
+	Query       *Query           `json:"query"`
+	Parallelism map[int]int      `json:"parallelism"`         // operator ID → degree (≥ 1)
+	Placement   map[int][]string `json:"placement,omitempty"` // operator ID → node name per instance, len == degree
 	// NoChain marks operators that must start a new chain even when the
 	// structural chaining conditions hold — Flink's disableChaining()
 	// knob, used by the autopipelining baseline to trade hand-off cost for
 	// pipeline parallelism.
-	NoChain map[int]bool
+	NoChain OpSet `json:"no_chain,omitempty"`
+}
+
+// OpSet is a set of operator IDs: a map in memory, where membership is what
+// chaining asks, and a sorted list of the members on the wire, so one plan
+// always marshals to the same bytes.
+type OpSet map[int]bool
+
+// MarshalJSON implements json.Marshaler.
+func (s OpSet) MarshalJSON() ([]byte, error) {
+	ids := make([]int, 0, len(s))
+	for id, member := range s {
+		if member {
+			ids = append(ids, id)
+		}
+	}
+	sort.Ints(ids)
+	return json.Marshal(ids)
+}
+
+// UnmarshalJSON implements json.Unmarshaler; repeated IDs collapse.
+func (s *OpSet) UnmarshalJSON(data []byte) error {
+	var ids []int
+	if err := json.Unmarshal(data, &ids); err != nil {
+		return err
+	}
+	*s = make(OpSet, len(ids))
+	for _, id := range ids {
+		(*s)[id] = true
+	}
+	return nil
 }
 
 // NewPQP returns a PQP over q with every operator at parallelism 1 and no
@@ -77,6 +114,9 @@ func (p *PQP) SetDegree(opID, degree int) {
 	if degree < 1 {
 		degree = 1
 	}
+	if p.Parallelism == nil {
+		p.Parallelism = make(map[int]int)
+	}
 	p.Parallelism[opID] = degree
 	delete(p.Placement, opID)
 }
@@ -99,13 +139,25 @@ func (p *PQP) AvgDegree() float64 {
 	return float64(p.TotalInstances()) / float64(len(p.Query.Ops))
 }
 
-// Validate checks degrees and placements for consistency with the query.
-func (p *PQP) Validate() error {
+// Analyze validates p — its query (Query.Analyze), then its degrees and
+// placements against it (Topology.Check) — and returns the query's Topology,
+// so a caller that goes on to place or encode p analyses the query once.
+func (p *PQP) Analyze() (*Topology, error) {
 	t, err := p.Query.Analyze()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return t.Check(p, t.Degrees(p, nil))
+	if err := t.Check(p, t.Degrees(p, make([]int, 0, len(t.Ops)))); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// Validate checks the query, and degrees and placements for consistency with
+// it (exactly the checks of Analyze).
+func (p *PQP) Validate() error {
+	_, err := p.Analyze()
+	return err
 }
 
 // ChainGroups maps every operator ID to its chain group (see

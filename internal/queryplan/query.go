@@ -15,12 +15,13 @@ type Edge struct {
 }
 
 // Query is a logical streaming query: a DAG of operators from one or more
-// sources to a single sink.
+// sources to a single sink. Like PQP it is its own wire format and is not
+// validated by decoding.
 type Query struct {
-	Name     string // human-readable, e.g. "smart-grid (local)"
-	Template string // structural template id, e.g. "linear", "3-way-join"
-	Ops      []*Operator
-	Edges    []Edge
+	Name     string      `json:"name"`     // human-readable, e.g. "smart-grid (local)"
+	Template string      `json:"template"` // structural template id, e.g. "linear", "3-way-join"
+	Ops      []*Operator `json:"ops"`
+	Edges    []Edge      `json:"edges"`
 }
 
 // Op returns the operator with the given ID, or nil if absent.

@@ -1,6 +1,7 @@
 package queryplan
 
 import (
+	"bytes"
 	"encoding/json"
 	"testing"
 )
@@ -29,13 +30,27 @@ func TestQueryJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// Decoding does not validate; Validate on the decoded value is what rejects.
 func TestQueryJSONRejectsInvalid(t *testing.T) {
 	var q Query
-	if err := json.Unmarshal([]byte(`{"name":"x","ops":[],"edges":[]}`), &q); err == nil {
+	if err := json.Unmarshal([]byte(`{"name":"x","ops":[],"edges":[]}`), &q); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Validate(); err == nil {
 		t.Fatal("accepted empty query")
 	}
 	if err := json.Unmarshal([]byte(`{bad`), &q); err == nil {
 		t.Fatal("accepted malformed JSON")
+	}
+	// A null operator is an invalid query for both analyses, not a panic.
+	if err := json.Unmarshal([]byte(`{"name":"x","ops":[null],"edges":[]}`), &q); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Validate(); err == nil {
+		t.Fatal("Validate accepted a null operator")
+	}
+	if _, err := q.Topology(); err == nil {
+		t.Fatal("Topology accepted a null operator")
 	}
 }
 
@@ -77,7 +92,10 @@ func TestPQPJSONRoundTrip(t *testing.T) {
 
 func TestPQPJSONRejectsInvalid(t *testing.T) {
 	var p PQP
-	if err := json.Unmarshal([]byte(`{"parallelism":{}}`), &p); err == nil {
+	if err := json.Unmarshal([]byte(`{"parallelism":{}}`), &p); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Validate(); err == nil {
 		t.Fatal("accepted plan without query")
 	}
 	// Degree below 1.
@@ -91,7 +109,75 @@ func TestPQPJSONRejectsInvalid(t *testing.T) {
 	tweaked["parallelism"] = map[string]int{"1": 0}
 	bad, _ := json.Marshal(tweaked)
 	var p2 PQP
-	if err := json.Unmarshal(bad, &p2); err == nil {
+	if err := json.Unmarshal(bad, &p2); err != nil {
+		t.Fatal(err)
+	}
+	if err := p2.Validate(); err == nil {
 		t.Fatal("accepted degree 0")
+	}
+}
+
+// TestNoChainWireForm: the set is a sorted, duplicate-free list on the wire,
+// so a plan with several chain-disabled operators has one spelling.
+func TestNoChainWireForm(t *testing.T) {
+	p := NewPQP(testLinear())
+	for _, id := range []int{3, 1, 2} {
+		p.SetNoChain(id, true)
+	}
+	first, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(first, []byte(`"no_chain":[1,2,3]`)) {
+		t.Fatalf("no_chain is not the sorted member list: %s", first)
+	}
+	for i := 0; i < 100; i++ {
+		again, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, first) {
+			t.Fatalf("marshal %d differs:\n%s\n%s", i, again, first)
+		}
+	}
+	var s OpSet
+	if err := json.Unmarshal([]byte(`[7,3,3]`), &s); err != nil {
+		t.Fatal(err)
+	}
+	if len(s) != 2 || !s[3] || !s[7] {
+		t.Fatalf("[7,3,3] decoded to %v, want {3,7}", s)
+	}
+	if out, _ := json.Marshal(s); string(out) != `[3,7]` {
+		t.Fatalf("{3,7} marshalled to %s", out)
+	}
+}
+
+// TestDecodedPlanBehavesAsBuilt: a plan file that names only its query
+// decodes with nil maps; reads default and writers allocate, so it is used
+// like NewPQP's.
+func TestDecodedPlanBehavesAsBuilt(t *testing.T) {
+	qdata, err := json.Marshal(testLinear())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"query":` + string(qdata) + `}`,
+		`{"query":` + string(qdata) + `,"parallelism":null,"placement":null,"no_chain":null}`,
+	} {
+		var p PQP
+		if err := json.Unmarshal([]byte(body), &p); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if p.Degree(1) != 1 || p.NoChain[1] || len(p.Clone().Placement) != 0 {
+			t.Fatalf("absent maps do not read as defaults: %+v", p)
+		}
+		p.SetDegree(1, 3)
+		p.SetNoChain(2, true)
+		if p.Degree(1) != 3 || !p.NoChain[2] {
+			t.Fatalf("writes on a decoded plan were lost: %+v", p)
+		}
 	}
 }

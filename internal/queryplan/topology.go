@@ -41,14 +41,21 @@ type Topology struct {
 }
 
 // Analyze validates q (exactly the checks of Validate) and returns its
-// Topology.
+// Topology. A nil q — a decoded plan or request that named no query — is
+// invalid like any other, so every consumer that analyses rejects it.
 func (q *Query) Analyze() (*Topology, error) {
+	if q == nil {
+		return nil, fmt.Errorf("queryplan: no query")
+	}
 	if len(q.Ops) == 0 {
 		return nil, fmt.Errorf("queryplan: query %q has no operators", q.Name)
 	}
 	idx := make(map[int]int, len(q.Ops))
 	sources, sinks := 0, 0
 	for k, o := range q.Ops {
+		if o == nil {
+			return nil, errNilOperator(k)
+		}
 		if _, dup := idx[o.ID]; dup {
 			return nil, fmt.Errorf("queryplan: duplicate operator ID %d", o.ID)
 		}
@@ -194,15 +201,23 @@ func (q *Query) topology(idx map[int]int) (*Topology, error) {
 }
 
 // Topology returns the position-indexed view of q without validating it: the
-// only errors are the ones TopoOrder reports, a cycle or an edge naming an
-// unknown operator.
+// only errors are the ones TopoOrder reports — a cycle or an edge naming an
+// unknown operator — and a null operator, which nothing can be said about.
 func (q *Query) Topology() (*Topology, error) {
 	// Duplicate IDs are not judged here: the last declaration wins.
 	idx := make(map[int]int, len(q.Ops))
 	for k, o := range q.Ops {
+		if o == nil {
+			return nil, errNilOperator(k)
+		}
 		idx[o.ID] = k
 	}
 	return q.topology(idx)
+}
+
+// errNilOperator reports a null entry in Query.Ops ("ops":[null] on the wire).
+func errNilOperator(k int) error {
+	return fmt.Errorf("queryplan: operator %d of the query is null", k)
 }
 
 // Degrees returns p's parallelism degree per position, appended to dst[:0] —

@@ -73,8 +73,13 @@ func MeasureServiceTimings(ctx context.Context, zt *core.ZeroTune, plans []*quer
 	graphs := make([]*features.Graph, 0, len(plans))
 	var encodeNs int64
 	for i, p := range plans {
+		p = p.Clone()
 		start := time.Now()
-		g, err := zt.EncodePlan(ctx, p.Clone(), c)
+		t, err := p.Query.Analyze()
+		var g *features.Graph
+		if err == nil {
+			g, err = zt.EncodePlan(ctx, t, p, c)
+		}
 		if err != nil {
 			return ServiceTimings{}, fmt.Errorf("serve: measure timings: encode plan %d: %w", i, err)
 		}

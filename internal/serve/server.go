@@ -410,9 +410,26 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
 		return
 	}
-	if req.Plan == nil || req.Plan.Query == nil {
+	if req.Plan == nil {
 		writeError(w, http.StatusBadRequest, errors.New("serve: request has no plan"))
 		return
+	}
+	// Decoding validates nothing. The plan is judged here, ahead of the
+	// breaker, so an invalid one is a 400 whether the learned path or the
+	// fallback would have priced it; this is the request's one analysis of
+	// its query, and placement and encoding below reuse it.
+	topo, err := req.Plan.Analyze()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: invalid plan: %w", err))
+		return
+	}
+	instances := 0
+	for _, d := range req.Plan.Parallelism {
+		if instances += d; d > MaxPlanInstances || instances > MaxPlanInstances {
+			writeError(w, http.StatusBadRequest,
+				fmt.Errorf("serve: plan exceeds the limit of %d operator instances", MaxPlanInstances))
+			return
+		}
 	}
 	c, err := req.Cluster.Build()
 	if err != nil {
@@ -438,7 +455,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		defer s.breaker.AbandonProbe()
 	}
 	// Encode once; the graph is both the cache key and the model input.
-	g, err := entry.ZT.EncodePlan(ctx, req.Plan, c)
+	g, err := entry.ZT.EncodePlan(ctx, topo, req.Plan, c)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -458,24 +475,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		lookup.SetAttr("leader", leader)
 		lookup.End()
 		_ = lookupCtx
+		var pred gnn.Prediction
 		if leader {
-			pred, err := s.batcher.Predict(ctx, entry, g)
+			pred, err = s.batcher.Predict(ctx, entry, g)
 			s.cache.Complete(e, pred, err)
 			if err != nil {
 				s.finishPredict(w, ctx, entry, req.Plan, c, err)
 				return
 			}
 			s.breaker.RecordSuccess()
-			resp := PredictResponse{
-				LatencyMs: pred.LatencyMs, ThroughputEPS: pred.ThroughputEPS,
-				Cached: false, ModelID: entry.ID,
-			}
-			s.noteRecent(fp, req.Plan, c, g, pred, &resp)
-			s.writePredict(w, body, resp)
-			return
-		}
-		pred, err := e.Wait(ctx)
-		if err != nil {
+		} else if pred, err = e.Wait(ctx); err != nil {
 			// The leader this request attached to failed; its entry is gone,
 			// so a bounded number of re-acquires (with jittered backoff, to
 			// avoid a retry stampede) run or join a fresh inference instead
@@ -489,7 +498,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		resp := PredictResponse{
 			LatencyMs: pred.LatencyMs, ThroughputEPS: pred.ThroughputEPS,
-			Cached: true, ModelID: entry.ID,
+			Cached: !leader, ModelID: entry.ID,
 		}
 		s.noteRecent(fp, req.Plan, c, g, pred, &resp)
 		s.writePredict(w, body, resp)
@@ -583,10 +592,6 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	var req TuneRequest
 	if err := decodeJSON(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Query == nil {
-		writeError(w, http.StatusBadRequest, errors.New("serve: request has no query"))
 		return
 	}
 	c, err := req.Cluster.Build()

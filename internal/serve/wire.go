@@ -20,6 +20,15 @@ import (
 // so anything near the limit is abuse, not workload.
 const maxBodyBytes = 8 << 20
 
+// MaxPlanInstances and MaxClusterNodes bound what one body can make the
+// server allocate: placement and encoding are linear in a plan's operator
+// instances, a cluster in its nodes, and both numbers are the client's to
+// write. The paper's plans run to hundreds of instances on tens of nodes.
+const (
+	MaxPlanInstances = 1 << 16
+	MaxClusterNodes  = 1 << 12
+)
+
 // ClusterSpec describes the target cluster on the wire. Either give the
 // full node list (round-tripping cluster.Cluster) or the shorthand —
 // workers + node type names — which mirrors the CLI's -workers flag.
@@ -36,6 +45,9 @@ type ClusterSpec struct {
 
 // Build materializes the spec into a cluster.
 func (s *ClusterSpec) Build() (*cluster.Cluster, error) {
+	if n := max(s.Workers, len(s.Nodes)); n > MaxClusterNodes {
+		return nil, fmt.Errorf("serve: cluster of %d nodes exceeds the limit of %d", n, MaxClusterNodes)
+	}
 	link := s.LinkGbps
 	if link == 0 {
 		link = 10
