@@ -28,6 +28,7 @@ import (
 	"zerotune/internal/gnn"
 	"zerotune/internal/queryplan"
 	"zerotune/internal/serve"
+	"zerotune/internal/simulator"
 	"zerotune/internal/tensor"
 	"zerotune/internal/workload"
 )
@@ -490,6 +491,25 @@ func BenchmarkTune(b *testing.B) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(candidates.Load())/float64(b.N), "candidates/op")
+}
+
+// BenchmarkSimulate measures the ground-truth engine on one placed plan, over
+// 64 seeded plans of the seen structures: the cost of every label in a corpus
+// and of every observation Greedy, Dhalion and the experiments make. allocs/op
+// is the handle on "a plan is analysed once and walked by position".
+func BenchmarkSimulate(b *testing.B) {
+	items, err := workload.NewSeenGenerator(1).Generate(workload.SeenRanges().Structures, 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		it := items[i%len(items)]
+		if _, err := simulator.Simulate(it.Plan, it.Cluster, simulator.Options{Seed: uint64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkGatewayPredict measures the scale-out tier: the same in-process

@@ -3,7 +3,7 @@
 // It is the machinery behind the committed BENCH_*.json perf trajectory:
 //
 //	go test -run '^$' -bench . -benchtime 2s ./... | benchjson -out BENCH_6.json
-//	benchjson -in bench.txt -baseline BENCH_15.json \
+//	benchjson -in bench.txt -baseline BENCH_16.json \
 //	    -check BenchmarkServePredict,BenchmarkTune -max-regress-pct 10
 //
 // The parser understands the standard benchmark line shape — iterations,

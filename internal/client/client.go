@@ -140,15 +140,14 @@ func WithHeader(key, value string) CallOption {
 	return func(r *http.Request) { r.Header.Set(key, value) }
 }
 
-// Call is the raw protocol primitive, mirroring serve.Backend.Call: POST
-// for /v1/* paths, GET otherwise; transport-level failures return err; any
+// Call is the raw protocol primitive, mirroring serve.Backend.Call: the
+// method is serve.MethodFor(path); transport-level failures return err; any
 // HTTP response — error envelopes included — passes through as (status,
 // body) with the body read bounded. The typed methods are built on it.
 func (c *Client) Call(ctx context.Context, path string, body []byte, opts ...CallOption) (int, []byte, error) {
-	method := http.MethodGet
+	method := serve.MethodFor(path)
 	var rd io.Reader
-	if strings.HasPrefix(path, "/v1/") {
-		method = http.MethodPost
+	if method == http.MethodPost {
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)

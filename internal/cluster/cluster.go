@@ -239,28 +239,3 @@ func SlotOwners(t *queryplan.Topology, groups, dst []int) []int {
 	}
 	return dst
 }
-
-// SlotLoad returns, per node name, the number of operator-instance slots
-// placed on it: one per instance of each chain group, not per operator
-// instance. The simulator uses this for its contention model.
-func SlotLoad(p *queryplan.PQP) map[string]int {
-	load := make(map[string]int)
-	count := func(o *queryplan.Operator) {
-		for _, n := range p.Placement[o.ID] {
-			load[n]++
-		}
-	}
-	t, err := p.Query.Topology()
-	if err != nil {
-		// Callers validate first; without a topology nothing chains.
-		for _, o := range p.Query.Ops {
-			count(o)
-		}
-		return load
-	}
-	groups := t.ChainGroups(p, t.Degrees(p, nil), nil)
-	for _, pos := range SlotOwners(t, groups, nil) {
-		count(t.Ops[pos])
-	}
-	return load
-}

@@ -47,7 +47,7 @@ type tuneGolden struct {
 type scatteredCase struct {
 	Structure string `json:"structure"`
 	Seq       uint64 `json:"seq"`
-	// Graphs digests the graph under the three masks, then cluster.SlotLoad.
+	// Graphs digests the graph under the three masks, then the slot load per node.
 	Graphs string `json:"graphs_sha256"`
 }
 
@@ -187,7 +187,18 @@ func computeScatteredGolden(t *testing.T) []scatteredCase {
 			}
 			digestGraph(h, g)
 		}
-		load := cluster.SlotLoad(p)
+		// Slot load: the placement of every chain group's slot owner.
+		topo, err := p.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		load := make(map[string]int)
+		groups := topo.ChainGroups(p, topo.Degrees(p, nil), nil)
+		for _, pos := range cluster.SlotOwners(topo, groups, nil) {
+			for _, n := range p.Placement[topo.Ops[pos].ID] {
+				load[n]++
+			}
+		}
 		for _, n := range c.Nodes {
 			fmt.Fprintf(h, "%s=%d;", n.Name, load[n.Name])
 		}

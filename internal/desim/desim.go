@@ -72,7 +72,7 @@ type tuple struct {
 type event struct {
 	atMs float64
 	kind eventKind
-	op   int // chain-group head op ID (arrival) or op ID (timer)
+	op   int // operator position (arrival, timer) or chain group (service done)
 	inst int
 	tup  tuple
 	side int // join input side (0/1)
@@ -105,17 +105,14 @@ func Run(p *queryplan.PQP, c *cluster.Cluster, opts Options) (*Metrics, error) {
 		d.BufferFlushMs = 0
 		cm = &d
 	}
-	if err := p.Validate(); err != nil {
+	t, err := p.Analyze()
+	if err != nil {
 		return nil, fmt.Errorf("desim: %w", err)
 	}
-	if len(p.Placement) != len(p.Query.Ops) {
-		if err := cluster.Place(p, c); err != nil {
+	if len(p.Placement) != len(t.Ops) {
+		if err := cluster.PlaceWith(t, p, c); err != nil {
 			return nil, err
 		}
 	}
-	s, err := newSim(p, c, cm, opts)
-	if err != nil {
-		return nil, err
-	}
-	return s.run()
+	return newSim(t, p, c, cm, opts).run()
 }

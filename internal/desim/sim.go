@@ -17,10 +17,9 @@ const saturationFloor = 100
 // group is one chain group: operators fused onto one logical thread per
 // instance.
 type group struct {
-	id     int
-	ops    []int // member op IDs in topological order
-	degree int
-	rr     map[int]int // downstream group id → round-robin counter
+	ops       []int // member positions in topological order
+	instances []*instance
+	rr        []int // round-robin counter per upstream position feeding the group
 }
 
 // instance is one parallel instance of a chain group.
@@ -38,10 +37,10 @@ type work struct {
 	side  int // join side, when entering at a join
 }
 
-// windowState holds the buffered contents of one windowed operator
-// instance.
-type windowState struct {
-	opID   int
+// opState holds what one operator instance carries between tuples: the
+// buffered contents of a window, and the fractional-emission accumulators
+// (a filter uses emitAcc alone, for its selectivity).
+type opState struct {
 	births []float64 // buffered tuple birth times (non-join)
 	// join buffers per side: birth and insertion times for eviction
 	joinBirths [2][]float64
@@ -52,19 +51,27 @@ type windowState struct {
 	inserts  int // count-window insert counter
 }
 
+// outEdge is one data edge leaving an operator, with everything forward needs
+// to deliver a tuple across it.
+type outEdge struct {
+	to      int     // downstream position
+	side    int     // join input side at the downstream operator
+	delayMs float64 // transfer delay; zero within a chain group
+}
+
+// sim is one run's state. Everything per operator is indexed by the
+// operator's topological position in t, everything per chain group by the
+// group's number (Topology.ChainGroups numbers them densely).
 type sim struct {
-	plan *queryplan.PQP
-	c    *cluster.Cluster
-	cm   *simulator.CostModel
+	t    *queryplan.Topology
 	opts Options
 
-	groups    map[int]*group // group id → group
-	opGroup   map[int]int    // op ID → group id
-	opPos     map[int]int    // op ID → position within its group
-	instances map[int][]*instance
-	winState  map[int][]*windowState // op ID → per-instance window state
-	outPerIn  map[int]float64        // analytical amortization factor for service times
-	probes    map[int]float64
+	groups  []group
+	opGroup []int        // position → chain group
+	opPos   []int        // position → index within its group's ops
+	out     [][]outEdge  // position → outgoing edges, in query edge order
+	svcMs   [][]float64  // position → per-instance service time of one tuple
+	state   [][]*opState // position → per-instance state (filters and windows)
 
 	tl        Timeline // virtual clock in milliseconds
 	nowMs     float64
@@ -76,74 +83,85 @@ type sim struct {
 	samples   []int // total queue occupancy at periodic sample points
 }
 
-func newSim(p *queryplan.PQP, c *cluster.Cluster, cm *simulator.CostModel, opts Options) (*sim, error) {
+// newSim lays out p — a placed plan over the analysed query t — on c.
+func newSim(t *queryplan.Topology, p *queryplan.PQP, c *cluster.Cluster, cm *simulator.CostModel, opts Options) *sim {
+	n := len(t.Ops)
+	deg := t.Degrees(p, make([]int, 0, n))
 	s := &sim{
-		plan: p, c: c, cm: cm, opts: opts,
-		groups:    make(map[int]*group),
-		opGroup:   p.ChainGroups(),
-		opPos:     make(map[int]int),
-		instances: make(map[int][]*instance),
-		winState:  make(map[int][]*windowState),
-		outPerIn:  make(map[int]float64),
-		probes:    make(map[int]float64),
-		endMs:     opts.WarmupMs + opts.DurationMs,
+		t: t, opts: opts,
+		opGroup: t.ChainGroups(p, deg, make([]int, 0, n)),
+		opPos:   make([]int, n),
+		out:     make([][]outEdge, n),
+		svcMs:   make([][]float64, n),
+		state:   make([][]*opState, n),
+		endMs:   opts.WarmupMs + opts.DurationMs,
 	}
-	order, err := p.Query.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	for _, id := range order {
-		g := s.opGroup[id]
-		grp := s.groups[g]
-		if grp == nil {
-			grp = &group{id: g, degree: p.Degree(id), rr: make(map[int]int)}
-			s.groups[g] = grp
-		}
-		s.opPos[id] = len(grp.ops)
-		grp.ops = append(grp.ops, id)
-	}
-	for _, grp := range s.groups {
-		for i := 0; i < grp.degree; i++ {
-			s.instances[grp.id] = append(s.instances[grp.id], &instance{})
-		}
-	}
-	// Window states and analytical amortization factors (for service-time
-	// parity with the analytical engine).
-	rates := simulator.EstimateSteadyRates(p.Query, order)
-	for _, id := range order {
-		op := p.Query.Op(id)
-		s.outPerIn[id] = rates[id].OutPerIn
-		s.probes[id] = rates[id].ProbeCandidates
-		if op.IsWindowed() {
-			grp := s.groups[s.opGroup[id]]
-			for i := 0; i < grp.degree; i++ {
-				ws := &windowState{opID: id}
-				s.winState[id] = append(s.winState[id], ws)
+	for pos, g := range s.opGroup {
+		if g == len(s.groups) {
+			grp := group{rr: make([]int, n), instances: make([]*instance, deg[pos])}
+			for i := range grp.instances {
+				grp.instances[i] = &instance{}
 			}
-			// Time windows emit on slide timers per instance.
-			if op.WindowPolicy == queryplan.PolicyTime {
-				slide := op.SlidingLength
-				if op.WindowType != queryplan.WindowSliding || slide <= 0 {
-					slide = op.WindowLength
-				}
-				for i := 0; i < grp.degree; i++ {
-					s.schedule(&event{atMs: slide, kind: evWindowTimer, op: id, inst: i})
-				}
+			s.groups = append(s.groups, grp)
+		}
+		s.opPos[pos] = len(s.groups[g].ops)
+		s.groups[g].ops = append(s.groups[g].ops, pos)
+	}
+
+	// Service times use the analytical engine's amortization factors, for
+	// parity with it; per-operator state; slide timers of time windows.
+	rates := simulator.EstimateSteadyRates(t)
+	for pos, op := range t.Ops {
+		placed := p.Placement[op.ID]
+		s.svcMs[pos] = make([]float64, deg[pos])
+		for i := range s.svcMs[pos] {
+			freq := 1.0
+			if node := c.Node(placed[i]); node != nil {
+				freq = node.Type.FreqGHz
+			}
+			s.svcMs[pos][i] = cm.ServiceTimeUs(op, freq, rates[pos].OutPerIn, rates[pos].ProbeCandidates) / 1000
+		}
+		if !op.IsWindowed() && op.Type != queryplan.OpFilter {
+			continue
+		}
+		s.state[pos] = make([]*opState, deg[pos])
+		for i := range s.state[pos] {
+			s.state[pos][i] = &opState{}
+		}
+		// Time windows emit on slide timers per instance.
+		if op.IsWindowed() && op.WindowPolicy == queryplan.PolicyTime {
+			for i := 0; i < deg[pos]; i++ {
+				s.schedule(&event{atMs: slideOf(op), kind: evWindowTimer, op: pos, inst: i})
 			}
 		}
 	}
-	// Source emissions: each source instance emits at interval degree/rate,
-	// staggered across instances. All emissions over the horizon are
-	// enqueued up front (Run caps total events).
-	for _, src := range p.Query.Sources() {
-		grp := s.groups[s.opGroup[src.ID]]
-		intervalMs := 1000 * float64(grp.degree) / src.EventRate
-		for i := 0; i < grp.degree; i++ {
-			start := intervalMs * float64(i) / float64(grp.degree)
+	for _, e := range t.Edges {
+		from, to := e[0], e[1]
+		edge := outEdge{to: to}
+		if ins := t.In[to]; len(ins) == 2 && ins[1].From == from {
+			edge.side = 1
+		}
+		if s.opGroup[from] != s.opGroup[to] {
+			edge.delayMs = edgeDelayMs(t.Ops[from], p.Placement[t.Ops[from].ID], p.Placement[t.Ops[to].ID], c, cm)
+		}
+		s.out[from] = append(s.out[from], edge)
+	}
+	// Source emissions, sources in declaration order: each source instance
+	// emits at interval degree/rate, staggered across instances. All
+	// emissions over the horizon are enqueued up front (Run caps total
+	// events).
+	for k, src := range t.Query.Ops {
+		if src.Type != queryplan.OpSource {
+			continue
+		}
+		pos := t.Decl[k]
+		intervalMs := 1000 * float64(deg[pos]) / src.EventRate
+		for i := 0; i < deg[pos]; i++ {
+			start := intervalMs * float64(i) / float64(deg[pos])
 			for at := start; at <= s.endMs; at += intervalMs {
 				s.schedule(&event{
 					atMs: at, kind: evArrival,
-					op: src.ID, inst: i,
+					op: pos, inst: i,
 					tup: tuple{birthMs: at},
 				})
 			}
@@ -153,7 +171,16 @@ func newSim(p *queryplan.PQP, c *cluster.Cluster, cm *simulator.CostModel, opts 
 	for i := 1; i <= 20; i++ {
 		s.schedule(&event{atMs: s.endMs * float64(i) / 20, kind: evSample})
 	}
-	return s, nil
+	return s
+}
+
+// slideOf returns how far a window operator's window advances per emission:
+// its own length unless it slides.
+func slideOf(op *queryplan.Operator) float64 {
+	if op.WindowType == queryplan.WindowSliding && op.SlidingLength > 0 {
+		return op.SlidingLength
+	}
+	return op.WindowLength
 }
 
 func (s *sim) schedule(e *event) {
@@ -183,8 +210,8 @@ func (s *sim) run() (*Metrics, error) {
 			s.onWindowTimer(e)
 		case evSample:
 			total := 0
-			for _, insts := range s.instances {
-				for _, in := range insts {
+			for g := range s.groups {
+				for _, in := range s.groups[g].instances {
 					total += len(in.queue)
 				}
 			}
@@ -198,7 +225,7 @@ func (s *sim) run() (*Metrics, error) {
 // if idle.
 func (s *sim) onArrival(e *event) {
 	gid := s.opGroup[e.op]
-	inst := s.instances[gid][e.inst]
+	inst := s.groups[gid].instances[e.inst]
 	pos, side := s.opPos[e.op], e.side
 	if side == emissionSide {
 		// A time-window emission resumes after the window operator.
@@ -209,7 +236,7 @@ func (s *sim) onArrival(e *event) {
 	if len(inst.queue) > inst.maxQueue {
 		inst.maxQueue = len(inst.queue)
 	}
-	if s.plan.Query.Op(e.op).Type == queryplan.OpSource && e.tup.birthMs >= s.opts.WarmupMs {
+	if s.t.Ops[e.op].Type == queryplan.OpSource && e.tup.birthMs >= s.opts.WarmupMs {
 		s.ingested++
 	}
 	if !inst.busy {
@@ -219,7 +246,7 @@ func (s *sim) onArrival(e *event) {
 
 // startService pops the next work item and processes it through the chain.
 func (s *sim) startService(gid, instIdx int) {
-	inst := s.instances[gid][instIdx]
+	inst := s.groups[gid].instances[instIdx]
 	if len(inst.queue) == 0 {
 		inst.busy = false
 		return
@@ -239,7 +266,7 @@ func (s *sim) onServiceDone(e *event) {
 // position, consuming service time, dropping at filters, buffering at
 // windows and emitting downstream. Returns the total service duration.
 func (s *sim) process(gid, instIdx int, w *work) float64 {
-	grp := s.groups[gid]
+	grp := &s.groups[gid]
 	var totalMs float64
 	type flight struct {
 		tup  tuple
@@ -255,15 +282,15 @@ func (s *sim) process(gid, instIdx int, w *work) float64 {
 		exited := true // false when dropped, buffered or delivered
 	walk:
 		for pos < len(grp.ops) {
-			opID := grp.ops[pos]
-			op := s.plan.Query.Op(opID)
-			off += s.serviceMs(opID, instIdx)
+			opAt := grp.ops[pos]
+			op := s.t.Ops[opAt]
+			off += s.svcMs[opAt][instIdx]
 			if off > totalMs {
 				totalMs = off
 			}
 			switch op.Type {
 			case queryplan.OpFilter:
-				acc := s.filterAcc(opID, instIdx)
+				acc := s.state[opAt][instIdx]
 				acc.emitAcc += op.Selectivity
 				if acc.emitAcc < 1 {
 					exited = false
@@ -271,13 +298,13 @@ func (s *sim) process(gid, instIdx int, w *work) float64 {
 				}
 				acc.emitAcc -= 1
 			case queryplan.OpAggregate:
-				for _, o := range s.insertAggregate(opID, instIdx, cur) {
+				for _, o := range s.insertAggregate(opAt, instIdx, cur) {
 					pending = append(pending, flight{tup: o, pos: pos + 1, off: off})
 				}
 				exited = false
 				break walk // buffered; emissions continue separately
 			case queryplan.OpJoin:
-				for _, o := range s.insertJoin(opID, instIdx, cur, f.side) {
+				for _, o := range s.insertJoin(opAt, instIdx, cur, f.side) {
 					pending = append(pending, flight{tup: o, pos: pos + 1, off: off})
 				}
 				exited = false
@@ -292,31 +319,22 @@ func (s *sim) process(gid, instIdx int, w *work) float64 {
 			pos++
 		}
 		if exited {
-			s.forward(grp.ops[len(grp.ops)-1], instIdx, cur, s.nowMs+off)
+			s.forward(grp.ops[len(grp.ops)-1], cur, s.nowMs+off)
 		}
 	}
 	return totalMs
 }
 
-// forward delivers a tuple to every downstream group of the chain's tail.
-func (s *sim) forward(tailOp, instIdx int, tup tuple, atMs float64) {
-	for _, e := range s.plan.Query.Edges {
-		if e.From != tailOp {
-			continue
-		}
-		gid := s.opGroup[e.To]
-		grp := s.groups[gid]
-		target := grp.rr[tailOp] % grp.degree
-		grp.rr[tailOp]++
-		side := 0
-		ups := s.plan.Query.Upstream(e.To)
-		if len(ups) == 2 && ups[1] == tailOp {
-			side = 1
-		}
-		delay := s.edgeDelayMs(e)
+// forward delivers a tuple leaving the chain's tail to every downstream
+// group, round-robin over the group's instances.
+func (s *sim) forward(tail int, tup tuple, atMs float64) {
+	for _, e := range s.out[tail] {
+		grp := &s.groups[s.opGroup[e.to]]
+		target := grp.rr[tail] % len(grp.instances)
+		grp.rr[tail]++
 		s.schedule(&event{
-			atMs: atMs + delay, kind: evArrival,
-			op: e.To, inst: target, tup: tup, side: side,
+			atMs: atMs + e.delayMs, kind: evArrival,
+			op: e.to, inst: target, tup: tup, side: e.side,
 		})
 	}
 }
@@ -325,8 +343,8 @@ func (s *sim) forward(tailOp, instIdx int, tup tuple, atMs float64) {
 func (s *sim) metrics() *Metrics {
 	m := &Metrics{SinkDeliveries: len(s.latencies)}
 	maxQ := 0
-	for _, insts := range s.instances {
-		for _, in := range insts {
+	for g := range s.groups {
+		for _, in := range s.groups[g].instances {
 			if in.maxQueue > maxQ {
 				maxQ = in.maxQueue
 			}
@@ -348,82 +366,38 @@ func (s *sim) metrics() *Metrics {
 	return m
 }
 
-// serviceMs returns the deterministic per-tuple service time of one
-// operator on the instance's node, consistent with the analytical engine.
-func (s *sim) serviceMs(opID, instIdx int) float64 {
-	op := s.plan.Query.Op(opID)
-	nodeName := ""
-	if pl := s.plan.Placement[opID]; instIdx < len(pl) {
-		nodeName = pl[instIdx]
-	}
-	freq := 1.0
-	if n := s.c.Node(nodeName); n != nil {
-		freq = n.Type.FreqGHz
-	}
-	return s.cm.ServiceTimeUs(op, freq, s.outPerIn[opID], s.probes[opID]) / 1000
-}
-
-// edgeDelayMs mirrors the analytical edge latency with buffering disabled.
-func (s *sim) edgeDelayMs(e queryplan.Edge) float64 {
-	if s.opGroup[e.From] == s.opGroup[e.To] {
-		return 0
-	}
-	up := s.plan.Query.Op(e.From)
+// edgeDelayMs mirrors the analytical edge latency with buffering disabled,
+// for an edge out of operator up between instances placed on upNodes and
+// downNodes: serialization plus the network hop weighted by the fraction of
+// instance pairs on different machines.
+func edgeDelayMs(up *queryplan.Operator, upNodes, downNodes []string, c *cluster.Cluster, cm *simulator.CostModel) float64 {
 	bytes := simulator.TupleBytes(up.TupleWidthOut, up.TupleDataType)
-	serdeMs := bytes * s.cm.SerdePerByte / 2 / 1000
-	frac := s.remoteFraction(e)
-	linkBytesPerMs := s.c.LinkGbps * 1e9 / 8 / 1000
-	return serdeMs + frac*(s.cm.HopLatencyMs+bytes/linkBytesPerMs)
-}
-
-func (s *sim) remoteFraction(e queryplan.Edge) float64 {
-	up := s.plan.Placement[e.From]
-	down := s.plan.Placement[e.To]
-	if len(up) == 0 || len(down) == 0 {
-		return 1
-	}
+	serdeMs := bytes * cm.SerdePerByte / 2 / 1000
 	remote := 0
-	for _, u := range up {
-		for _, d := range down {
+	for _, u := range upNodes {
+		for _, d := range downNodes {
 			if u != d {
 				remote++
 			}
 		}
 	}
-	return float64(remote) / float64(len(up)*len(down))
-}
-
-// filterAcc returns the selectivity accumulator state for a filter
-// instance (lazily created, reusing windowState storage).
-func (s *sim) filterAcc(opID, instIdx int) *windowState {
-	states := s.winState[opID]
-	if states == nil {
-		grp := s.groups[s.opGroup[opID]]
-		states = make([]*windowState, grp.degree)
-		for i := range states {
-			states[i] = &windowState{opID: opID}
-		}
-		s.winState[opID] = states
-	}
-	return states[instIdx]
+	frac := float64(remote) / float64(len(upNodes)*len(downNodes))
+	linkBytesPerMs := c.LinkGbps * 1e9 / 8 / 1000
+	return serdeMs + frac*(cm.HopLatencyMs+bytes/linkBytesPerMs)
 }
 
 // insertAggregate buffers a tuple into the window and returns emissions
 // (count-based windows emit inline; time windows emit on timers).
-func (s *sim) insertAggregate(opID, instIdx int, tup tuple) []tuple {
-	op := s.plan.Query.Op(opID)
-	ws := s.winState[opID][instIdx]
+func (s *sim) insertAggregate(pos, instIdx int, tup tuple) []tuple {
+	op := s.t.Ops[pos]
+	ws := s.state[pos][instIdx]
 	ws.births = append(ws.births, tup.birthMs)
 	if op.WindowPolicy != queryplan.PolicyCount {
 		return nil
 	}
 	ws.inserts++
 	length := int(op.WindowLength)
-	slide := length
-	if op.WindowType == queryplan.WindowSliding && op.SlidingLength > 0 {
-		slide = int(op.SlidingLength)
-	}
-	if ws.inserts%slide != 0 || len(ws.births) < 1 {
+	if ws.inserts%int(slideOf(op)) != 0 || len(ws.births) < 1 {
 		return nil
 	}
 	// Window contents: the last `length` buffered tuples.
@@ -444,16 +418,13 @@ func (s *sim) insertAggregate(opID, instIdx int, tup tuple) []tuple {
 
 // onWindowTimer fires a time-window emission for one instance.
 func (s *sim) onWindowTimer(e *event) {
-	op := s.plan.Query.Op(e.op)
-	slide := op.SlidingLength
-	if op.WindowType != queryplan.WindowSliding || slide <= 0 {
-		slide = op.WindowLength
-	}
+	op := s.t.Ops[e.op]
+	slide := slideOf(op)
 	// Reschedule the next tick first.
 	if s.nowMs+slide <= s.endMs {
 		s.schedule(&event{atMs: s.nowMs + slide, kind: evWindowTimer, op: e.op, inst: e.inst})
 	}
-	ws := s.winState[e.op][e.inst]
+	ws := s.state[e.op][e.inst]
 	if op.Type == queryplan.OpJoin {
 		for _, o := range s.fireJoinWindow(op, ws) {
 			s.schedule(&event{atMs: s.nowMs, kind: evArrival, op: e.op, inst: e.inst, tup: o, side: emissionSide})
@@ -489,7 +460,7 @@ func (s *sim) onWindowTimer(e *event) {
 const emissionSide = -1
 
 // emitGroups produces the aggregate output tuples for one window emission.
-func (s *sim) emitGroups(op *queryplan.Operator, ws *windowState, contents []float64) []tuple {
+func (s *sim) emitGroups(op *queryplan.Operator, ws *opState, contents []float64) []tuple {
 	var mean float64
 	for _, b := range contents {
 		mean += b
@@ -510,9 +481,9 @@ func (s *sim) emitGroups(op *queryplan.Operator, ws *windowState, contents []flo
 // close (the semantics the analytical model's window-wait term describes):
 // time-policy joins emit on their slide timers, count-policy joins when
 // the combined insert counter crosses the slide boundary.
-func (s *sim) insertJoin(opID, instIdx int, tup tuple, side int) []tuple {
-	op := s.plan.Query.Op(opID)
-	ws := s.winState[opID][instIdx]
+func (s *sim) insertJoin(pos, instIdx int, tup tuple, side int) []tuple {
+	op := s.t.Ops[pos]
+	ws := s.state[pos][instIdx]
 	if side != 0 && side != 1 {
 		side = 0
 	}
@@ -530,11 +501,7 @@ func (s *sim) insertJoin(opID, instIdx int, tup tuple, side int) []tuple {
 		}
 	}
 	ws.inserts++
-	slide := l
-	if op.WindowType == queryplan.WindowSliding && op.SlidingLength > 0 {
-		slide = int(op.SlidingLength)
-	}
-	if ws.inserts%slide != 0 {
+	if ws.inserts%int(slideOf(op)) != 0 {
 		return nil
 	}
 	outs := s.emitJoinWindow(op, ws)
@@ -547,7 +514,7 @@ func (s *sim) insertJoin(opID, instIdx int, tup tuple, side int) []tuple {
 
 // emitJoinWindow produces the expected matches of the current window pair:
 // sel · |W1| · |W2| results whose birth is the mean participant birth.
-func (s *sim) emitJoinWindow(op *queryplan.Operator, ws *windowState) []tuple {
+func (s *sim) emitJoinWindow(op *queryplan.Operator, ws *opState) []tuple {
 	n1, n2 := len(ws.joinBirths[0]), len(ws.joinBirths[1])
 	if n1 == 0 || n2 == 0 {
 		return nil
@@ -571,7 +538,7 @@ func (s *sim) emitJoinWindow(op *queryplan.Operator, ws *windowState) []tuple {
 
 // fireJoinWindow emits the matches of a time-policy join window and evicts
 // tuples outside the horizon (tumbling windows clear entirely).
-func (s *sim) fireJoinWindow(op *queryplan.Operator, ws *windowState) []tuple {
+func (s *sim) fireJoinWindow(op *queryplan.Operator, ws *opState) []tuple {
 	outs := s.emitJoinWindow(op, ws)
 	if op.WindowType == queryplan.WindowTumbling {
 		ws.joinBirths[0], ws.joinBirths[1] = nil, nil

@@ -245,7 +245,7 @@ func NewEncoder(t *queryplan.Topology, c *cluster.Cluster, mask Mask) *Encoder {
 	inRates := estimateInputRates(t)
 	for i, op := range t.Ops {
 		f := tensor.Vector(e.opFeat[i*OpFeatDim : (i+1)*OpFeatDim])
-		encodeOperator(f, op, dominantPartitioning(t, i), inRates[i])
+		encodeOperator(f, op, t.Partitioning(i), inRates[i])
 		applyMask(f, mask)
 	}
 	for k := range c.Nodes {
@@ -518,22 +518,6 @@ func encodeSlots(f tensor.Vector, n *cluster.Node, slots int) {
 	}
 }
 
-// dominantPartitioning mirrors the simulator's view: the "heaviest"
-// partitioning strategy among the operator's input edges (hash > rebalance
-// > forward); sources report rebalance (their stream splits evenly).
-func dominantPartitioning(t *queryplan.Topology, pos int) queryplan.PartitionStrategy {
-	if t.Ops[pos].Type == queryplan.OpSource {
-		return queryplan.PartRebalance
-	}
-	best := queryplan.PartForward
-	for _, e := range t.In[pos] {
-		if e.Partitioning > best {
-			best = e.Partitioning
-		}
-	}
-	return best
-}
-
 // estimateInputRates propagates *estimated* input rates through the logical
 // plan using the declared selectivities and window specifications (the
 // paper's Defs. 3–6), returning one rate per topological position. This is a
@@ -556,7 +540,7 @@ func estimateInputRates(t *queryplan.Topology) []float64 {
 			in = op.EventRate
 			outRate[i] = op.EventRate
 		case queryplan.OpAggregate:
-			horizon, wps := estWindowHorizon(op, in)
+			horizon, wps := op.WindowSpan(in)
 			windowTuples := in * horizon
 			groups := math.Max(1, math.Min(op.Selectivity*windowTuples, windowTuples))
 			outRate[i] = wps * groups
@@ -564,7 +548,7 @@ func estimateInputRates(t *queryplan.Topology) []float64 {
 			if len(ups) == 2 {
 				in1 := math.Max(outRate[ups[0].From], 1e-9)
 				in2 := math.Max(outRate[ups[1].From], 1e-9)
-				horizon, _ := estWindowHorizon(op, in)
+				horizon, _ := op.WindowSpan(in)
 				outRate[i] = op.Selectivity * (in1*in2*horizon + in2*in1*horizon)
 			} else {
 				outRate[i] = in * op.Selectivity
@@ -575,25 +559,4 @@ func estimateInputRates(t *queryplan.Topology) []float64 {
 		out[i] = in
 	}
 	return out
-}
-
-// estWindowHorizon mirrors the analytical estimator: window coverage in
-// seconds and emissions per second from the declared window spec.
-func estWindowHorizon(op *queryplan.Operator, inRate float64) (horizonSec, windowsPerSec float64) {
-	if inRate < 1e-9 {
-		inRate = 1e-9
-	}
-	length := op.WindowLength
-	slide := op.SlidingLength
-	if op.WindowType != queryplan.WindowSliding || slide <= 0 {
-		slide = length
-	}
-	switch op.WindowPolicy {
-	case queryplan.PolicyTime:
-		return length / 1000, 1000 / slide
-	case queryplan.PolicyCount:
-		return length / inRate, inRate / slide
-	default:
-		return 0, 0
-	}
 }

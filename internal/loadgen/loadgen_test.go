@@ -5,11 +5,15 @@ import (
 	"context"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"zerotune/internal/client"
+	"zerotune/internal/serve"
 )
 
 // testBodies is a small deterministic corpus.
@@ -423,6 +427,55 @@ func TestHandlerTarget(t *testing.T) {
 	}
 	if gotClass != "gold" || gotMethod != http.MethodPost || gotBody != `{"x":1}` {
 		t.Fatalf("request mangled: class=%q method=%q body=%q", gotClass, gotMethod, gotBody)
+	}
+}
+
+// TestTransportsAgreeOnMethod pins the one rule (serve.MethodFor): the path,
+// not the body, picks the method, on every transport. An empty-body /v1/reload
+// is a valid request and must reach the handler through each of them;
+// HandlerTarget used to send it as a GET and was turned away by the mux with
+// 405, so a recorded trace replayed differently in process and over HTTP.
+func TestTransportsAgreeOnMethod(t *testing.T) {
+	srv := serve.New(serve.Options{})
+	defer srv.Close()
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	overHTTP, err := NewHTTPTarget(hs.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := serve.NewInProcessBackend("replica-0", srv)
+	inProcess := client.NewForHandler(srv)
+	ctx := context.Background()
+	transports := []struct {
+		name string
+		do   func(path string, body []byte) (int, error)
+	}{
+		{"loadgen.HandlerTarget", func(path string, body []byte) (int, error) {
+			return HandlerTarget{Handler: srv}.Do(ctx, path, "", body)
+		}},
+		{"loadgen.HTTPTarget", func(path string, body []byte) (int, error) {
+			return overHTTP.Do(ctx, path, "", body)
+		}},
+		{"serve.InProcessBackend", func(path string, body []byte) (int, error) {
+			status, _, err := backend.Call(ctx, path, body)
+			return status, err
+		}},
+		{"client.Client", func(path string, body []byte) (int, error) {
+			status, _, err := inProcess.Call(ctx, path, body)
+			return status, err
+		}},
+	}
+	for _, tr := range transports {
+		// No model is loaded, so the reload handler's own answer is 400
+		// "reload needs a model path"; 405 means the mux never let it in.
+		if status, err := tr.do("/v1/reload", nil); err != nil || status != http.StatusBadRequest {
+			t.Errorf("%s: empty-body POST /v1/reload: status %d, err %v; want 400 from the handler", tr.name, status, err)
+		}
+		// And a body does not turn a GET path into a POST.
+		if status, err := tr.do("/healthz", []byte(`{}`)); err != nil || status == http.StatusMethodNotAllowed {
+			t.Errorf("%s: /healthz with a body: status %d, err %v", tr.name, status, err)
+		}
 	}
 }
 

@@ -28,11 +28,7 @@ type HandlerTarget struct{ Handler http.Handler }
 
 // Do implements Target.
 func (t HandlerTarget) Do(ctx context.Context, path, class string, body []byte) (int, error) {
-	method := http.MethodGet
-	if len(body) > 0 {
-		method = http.MethodPost
-	}
-	req, err := http.NewRequestWithContext(ctx, method, "http://loadgen"+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, serve.MethodFor(path), "http://loadgen"+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}

@@ -48,8 +48,14 @@ func Greedy(q *queryplan.Query, c *cluster.Cluster, observe Observe, budget int,
 	if budget < 1 {
 		return nil, fmt.Errorf("optimizer: greedy budget must be positive, got %d", budget)
 	}
+	// The query is analysed once; every round reads chain groups and
+	// upstreams from the analysis, and every candidate is placed with it.
+	t, err := q.Analyze()
+	if err != nil {
+		return nil, fmt.Errorf("optimizer: greedy: %w", err)
+	}
 	cur := queryplan.NewPQP(q)
-	if err := cluster.Place(cur, c); err != nil {
+	if err := cluster.PlaceWith(t, cur, c); err != nil {
 		return nil, err
 	}
 	curEst, err := observe(cur, c)
@@ -58,24 +64,28 @@ func Greedy(q *queryplan.Query, c *cluster.Cluster, observe Observe, budget int,
 	}
 	obs := 1
 
+	n := len(t.Ops)
+	deg := t.Degrees(cur, make([]int, 0, n)) // all 1, and Greedy keeps them so
+	groups := make([]int, 0, n)
+	size := make([]int, n)
 	for obs < budget {
-		// Split candidates: operators currently fused into a chain behind
-		// an upstream operator.
-		groups := cur.ChainGroups()
-		size := make(map[int]int)
+		// Split candidates, in declaration order: operators currently fused
+		// into a chain behind an upstream operator.
+		groups = t.ChainGroups(cur, deg, groups)
+		clear(size)
 		for _, g := range groups {
 			size[g]++
 		}
 		var candidates []int
-		for _, o := range q.Ops {
-			if cur.NoChain[o.ID] || size[groups[o.ID]] < 2 {
+		for k, o := range q.Ops {
+			pos := t.Decl[k]
+			if cur.NoChain[o.ID] || size[groups[pos]] < 2 {
 				continue
 			}
 			// Head operators of a chain cannot be split away from
 			// themselves; an operator is splittable when its single
 			// upstream shares its group.
-			ups := q.Upstream(o.ID)
-			if len(ups) == 1 && groups[ups[0]] == groups[o.ID] {
+			if ins := t.In[pos]; len(ins) == 1 && groups[ins[0].From] == groups[pos] {
 				candidates = append(candidates, o.ID)
 			}
 		}
@@ -93,7 +103,7 @@ func Greedy(q *queryplan.Query, c *cluster.Cluster, observe Observe, budget int,
 			}
 			cand := cur.Clone()
 			cand.SetNoChain(opID, true)
-			if err := cluster.Place(cand, c); err != nil {
+			if err := cluster.PlaceWith(t, cand, c); err != nil {
 				return nil, err
 			}
 			e, err := observe(cand, c)

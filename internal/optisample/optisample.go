@@ -161,32 +161,10 @@ func (o *OptiSample) noisySel(sel float64, rng *tensor.RNG) float64 {
 	return sel
 }
 
-// windowHorizon returns the estimated window coverage in seconds and the
-// emission frequency (windows/second) from the *declared* window
-// specification and the estimated input rate — exactly the stream
-// statistics an offline estimator has access to.
-func windowHorizon(op *queryplan.Operator, inRate float64) (horizonSec, windowsPerSec float64) {
-	if inRate < 1e-9 {
-		inRate = 1e-9
-	}
-	length := op.WindowLength
-	slide := op.SlidingLength
-	if op.WindowType != queryplan.WindowSliding || slide <= 0 {
-		slide = length
-	}
-	switch op.WindowPolicy {
-	case queryplan.PolicyTime: // milliseconds
-		return length / 1000, 1000 / slide
-	case queryplan.PolicyCount: // tuples
-		return length / inRate, inRate / slide
-	default:
-		return 0, 0
-	}
-}
-
 // estimateOutRate applies Defs. 3–6: the operator's estimated output rate
 // from its estimated input rates, its (noisy) declared selectivity and its
-// declared window specification. Join amplification is modelled the way
+// declared window specification — exactly the stream statistics an offline
+// estimator has access to. Join amplification is modelled the way
 // Def. 5 implies — each arriving tuple matches sel·|W_opposite| buffered
 // tuples — because under-estimating it leaves downstream operators
 // hopelessly under-provisioned.
@@ -199,7 +177,7 @@ func (o *OptiSample) estimateOutRate(op *queryplan.Operator, ups []queryplan.InE
 	case queryplan.OpFilter:
 		return in * o.noisySel(op.Selectivity, rng)
 	case queryplan.OpAggregate:
-		horizon, wps := windowHorizon(op, in)
+		horizon, wps := op.WindowSpan(in)
 		windowTuples := in * horizon
 		groups := math.Max(1, math.Min(o.noisySel(op.Selectivity, rng)*windowTuples, windowTuples))
 		return wps * groups
@@ -209,7 +187,7 @@ func (o *OptiSample) estimateOutRate(op *queryplan.Operator, ups []queryplan.InE
 		}
 		in1 := math.Max(outRate[ups[0].From], 1e-9)
 		in2 := math.Max(outRate[ups[1].From], 1e-9)
-		horizon, _ := windowHorizon(op, in)
+		horizon, _ := op.WindowSpan(in)
 		w1, w2 := in1*horizon, in2*horizon
 		return o.noisySel(op.Selectivity, rng) * (in1*w2 + in2*w1)
 	default:

@@ -254,6 +254,31 @@ func (o *Operator) IsWindowed() bool {
 	return o.Type == OpAggregate || o.Type == OpJoin
 }
 
+// WindowSpan returns the horizon (seconds) the operator's window covers and
+// its emission frequency (windows/second) at input rate inRate (events/second,
+// floored at 1e-9): a time window's lengths are milliseconds, a count window's
+// are tuples and so scale with the rate. A tumbling window slides by its own
+// length. Unwindowed operators report 0, 0. Every estimate of Defs. 3–6 — the
+// simulator's, the feature encoder's, OptiSample's — reads the window here.
+func (o *Operator) WindowSpan(inRate float64) (horizonSec, windowsPerSec float64) {
+	if inRate < 1e-9 {
+		inRate = 1e-9
+	}
+	length := o.WindowLength
+	slide := o.SlidingLength
+	if o.WindowType != WindowSliding || slide <= 0 {
+		slide = length
+	}
+	switch o.WindowPolicy {
+	case PolicyTime:
+		return length / 1000, 1000 / slide
+	case PolicyCount:
+		return length / inRate, inRate / slide
+	default:
+		return 0, 0
+	}
+}
+
 // Validate checks the operator's parameters for internal consistency.
 func (o *Operator) Validate() error {
 	if o.Selectivity < 0 {

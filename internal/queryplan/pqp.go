@@ -160,39 +160,6 @@ func (p *PQP) Validate() error {
 	return err
 }
 
-// ChainGroups maps every operator ID to its chain group (see
-// Topology.ChainGroups, which this wraps for callers holding only the plan).
-func (p *PQP) ChainGroups() map[int]int {
-	groups := make(map[int]int, len(p.Query.Ops))
-	t, err := p.Query.Topology()
-	if err != nil {
-		// Callers validate first; fall back to singleton groups.
-		for i, o := range p.Query.Ops {
-			groups[o.ID] = i
-		}
-		return groups
-	}
-	for i, g := range t.ChainGroups(p, t.Degrees(p, nil), nil) {
-		groups[t.Ops[i].ID] = g
-	}
-	return groups
-}
-
-// GroupingNumber returns, per operator, the size of its chain group — the
-// "grouping number" transferable feature of Table I.
-func (p *PQP) GroupingNumber() map[int]int {
-	groups := p.ChainGroups()
-	size := make(map[int]int)
-	for _, g := range groups {
-		size[g]++
-	}
-	out := make(map[int]int, len(groups))
-	for id, g := range groups {
-		out[id] = size[g]
-	}
-	return out
-}
-
 // DegreesVector returns the parallelism degrees in operator-ID order, useful
 // for logging and tests.
 func (p *PQP) DegreesVector() []int {

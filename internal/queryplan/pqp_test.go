@@ -68,10 +68,25 @@ func TestPQPValidate(t *testing.T) {
 	}
 }
 
+// chainGroups analyses p and returns Topology.ChainGroups keyed by operator
+// ID, which is how these tests name operators.
+func chainGroups(t *testing.T, p *PQP) map[int]int {
+	t.Helper()
+	topo, err := p.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[int]int, len(topo.Ops))
+	for pos, g := range topo.ChainGroups(p, topo.Degrees(p, nil), nil) {
+		byID[topo.Ops[pos].ID] = g
+	}
+	return byID
+}
+
 func TestChainGroupsLinear(t *testing.T) {
 	// linear: source -(rebalance)-> filter -(hash)-> agg -(forward)-> sink
 	p := NewPQP(testLinear())
-	g := p.ChainGroups()
+	g := chainGroups(t, p)
 	// With all degrees 1: filter not chained to source (rebalance); agg not
 	// chained to filter (hash); sink chained to agg (forward, equal degree).
 	if g[2] != g[3] {
@@ -85,7 +100,7 @@ func TestChainGroupsLinear(t *testing.T) {
 func TestChainGroupsDegreeBreaksChain(t *testing.T) {
 	p := NewPQP(testLinear())
 	p.SetDegree(3, 2) // sink degree ≠ agg degree → chain broken
-	g := p.ChainGroups()
+	g := chainGroups(t, p)
 	if g[2] == g[3] {
 		t.Fatalf("chain should break on degree mismatch: %v", g)
 	}
@@ -102,32 +117,45 @@ func TestChainGroupsChainedFilters(t *testing.T) {
 	for _, o := range q.Ops {
 		p.SetDegree(o.ID, 4)
 	}
-	g := p.ChainGroups()
+	g := chainGroups(t, p)
 	// All three filters + sink share forward edges and equal degree → one chain.
 	if g[1] != g[2] || g[2] != g[3] || g[3] != g[4] {
 		t.Fatalf("filters+sink should chain: %v", g)
 	}
-	gn := p.GroupingNumber()
-	if gn[1] != 4 { // filter1 chain group holds filter1..3 + sink
-		t.Fatalf("grouping number %v", gn)
+	// The grouping number of Table I is the size of an operator's chain
+	// group: filter1's holds filter1..3 + sink.
+	size := 0
+	for _, group := range g {
+		if group == g[1] {
+			size++
+		}
+	}
+	if size != 4 {
+		t.Fatalf("grouping number %d, groups %v", size, g)
 	}
 }
 
 func TestChainGroupsJoinStartsNewChain(t *testing.T) {
 	p := NewPQP(test3Way())
-	g := p.ChainGroups()
-	var joinIDs []int
-	for _, o := range p.Query.Ops {
-		if o.Type == OpJoin {
-			joinIDs = append(joinIDs, o.ID)
-		}
+	topo, err := p.Analyze()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, jid := range joinIDs {
-		for _, up := range p.Query.Upstream(jid) {
-			if g[jid] == g[up] {
-				t.Fatalf("join %d chained to upstream %d", jid, up)
+	g := topo.ChainGroups(p, topo.Degrees(p, nil), nil)
+	joins := 0
+	for pos, o := range topo.Ops {
+		if o.Type != OpJoin {
+			continue
+		}
+		joins++
+		for _, in := range topo.In[pos] {
+			if g[pos] == g[in.From] {
+				t.Fatalf("join %d chained to upstream %d", o.ID, topo.Ops[in.From].ID)
 			}
 		}
+	}
+	if joins != 2 {
+		t.Fatalf("3-way join has %d joins", joins)
 	}
 }
 
@@ -156,7 +184,7 @@ func TestChainGroupsUniformDegree(t *testing.T) {
 			rngDegrees = rngDegrees*6364136223846793005 + 1442695040888963407
 			p.SetDegree(o.ID, 1+int(rngDegrees%16))
 		}
-		groups := p.ChainGroups()
+		groups := chainGroups(t, p)
 		degreeOf := map[int]int{}
 		for id, g := range groups {
 			d := p.Degree(id)

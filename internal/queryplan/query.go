@@ -34,7 +34,7 @@ func (q *Query) Op(id int) *Operator {
 	return nil
 }
 
-// Sources returns the source operators in ID order.
+// Sources returns the source operators in declaration order.
 func (q *Query) Sources() []*Operator {
 	var out []*Operator
 	for _, o := range q.Ops {
@@ -55,70 +55,12 @@ func (q *Query) Sink() *Operator {
 	return nil
 }
 
-// Upstream returns the IDs of direct upstream operators of id, in edge order.
-func (q *Query) Upstream(id int) []int {
-	var out []int
-	for _, e := range q.Edges {
-		if e.To == id {
-			out = append(out, e.From)
-		}
-	}
-	return out
-}
-
-// Downstream returns the IDs of direct downstream operators of id.
-func (q *Query) Downstream(id int) []int {
-	var out []int
-	for _, e := range q.Edges {
-		if e.From == id {
-			out = append(out, e.To)
-		}
-	}
-	return out
-}
-
-// InEdges returns the edges arriving at id.
-func (q *Query) InEdges(id int) []Edge {
-	var out []Edge
-	for _, e := range q.Edges {
-		if e.To == id {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// TopoOrder returns the operator IDs in a deterministic topological order
-// (sources first, sink last; ties broken by ID). It returns an error when
-// the edge set contains a cycle or references unknown operators.
-func (q *Query) TopoOrder() ([]int, error) {
-	t, err := q.Topology()
-	if err != nil {
-		return nil, err
-	}
-	order := make([]int, len(t.Ops))
-	for i, o := range t.Ops {
-		order[i] = o.ID
-	}
-	return order, nil
-}
-
 // Validate checks structural well-formedness: unique IDs, valid operators,
 // acyclicity, at least one source, exactly one sink, sources without inputs,
 // sink without outputs, and everything reachable.
 func (q *Query) Validate() error {
 	_, err := q.Analyze()
 	return err
-}
-
-// OpCountByType returns the number of operators of each type, used by the
-// flat-vector baseline featurization.
-func (q *Query) OpCountByType() map[OpType]int {
-	out := make(map[OpType]int)
-	for _, o := range q.Ops {
-		out[o.Type]++
-	}
-	return out
 }
 
 // DOT renders the logical plan in Graphviz format for debugging.

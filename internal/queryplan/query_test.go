@@ -92,7 +92,12 @@ func TestNWayJoinStructure(t *testing.T) {
 		if len(q.Ops) != want {
 			t.Fatalf("n=%d: %d ops, want %d", n, len(q.Ops), want)
 		}
-		joinCount := q.OpCountByType()[OpJoin]
+		joinCount := 0
+		for _, o := range q.Ops {
+			if o.Type == OpJoin {
+				joinCount++
+			}
+		}
 		if joinCount != n-1 {
 			t.Fatalf("n=%d: %d joins", n, joinCount)
 		}
@@ -109,27 +114,33 @@ func TestBenchmarkQueriesValid(t *testing.T) {
 
 func TestTopoOrderLinear(t *testing.T) {
 	q := testLinear()
-	order, err := q.TopoOrder()
+	topo, err := q.Topology()
 	if err != nil {
 		t.Fatal(err)
 	}
 	pos := make(map[int]int)
-	for i, id := range order {
-		pos[id] = i
+	for i, o := range topo.Ops {
+		pos[o.ID] = i
 	}
-	for _, e := range q.Edges {
+	for k, e := range q.Edges {
 		if pos[e.From] >= pos[e.To] {
-			t.Fatalf("edge %d→%d violates topo order %v", e.From, e.To, order)
+			t.Fatalf("edge %d→%d violates the topological order", e.From, e.To)
+		}
+		if topo.Edges[k] != [2]int{pos[e.From], pos[e.To]} {
+			t.Fatalf("edge %d→%d analysed as %v", e.From, e.To, topo.Edges[k])
 		}
 	}
 }
 
 func TestTopoOrderDeterministic(t *testing.T) {
 	q := test3Way()
-	a, _ := q.TopoOrder()
-	b, _ := q.TopoOrder()
-	for i := range a {
-		if a[i] != b[i] {
+	a, err := q.Topology()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := q.Topology()
+	for i := range a.Ops {
+		if a.Ops[i] != b.Ops[i] {
 			t.Fatal("topo order not deterministic")
 		}
 	}
@@ -138,7 +149,7 @@ func TestTopoOrderDeterministic(t *testing.T) {
 func TestTopoOrderDetectsCycle(t *testing.T) {
 	q := testLinear()
 	q.Edges = append(q.Edges, Edge{From: 2, To: 1})
-	if _, err := q.TopoOrder(); err == nil {
+	if _, err := q.Topology(); err == nil {
 		t.Fatal("cycle not detected")
 	}
 }
@@ -199,19 +210,25 @@ func TestOperatorValidate(t *testing.T) {
 
 func TestUpstreamDownstream(t *testing.T) {
 	q := test3Way()
-	var joinID int
-	for _, o := range q.Ops {
+	topo, err := q.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos, o := range topo.Ops {
 		if o.Type == OpJoin {
-			joinID = o.ID
+			if got := len(topo.In[pos]); got != 2 {
+				t.Fatalf("join upstream count %d", got)
+			}
 			break
 		}
 	}
-	if got := len(q.Upstream(joinID)); got != 2 {
-		t.Fatalf("join upstream count %d", got)
+	if topo.Ops[topo.Sink] != q.Sink() {
+		t.Fatalf("sink analysed at position %d", topo.Sink)
 	}
-	snk := q.Sink()
-	if got := len(q.Downstream(snk.ID)); got != 0 {
-		t.Fatalf("sink has %d downstream", got)
+	for _, e := range topo.Edges {
+		if e[0] == topo.Sink {
+			t.Fatalf("sink has a downstream: %v", e)
+		}
 	}
 }
 

@@ -82,7 +82,7 @@ func TestPQPJSONRoundTrip(t *testing.T) {
 		t.Fatal("placement lost")
 	}
 	// Chain groups must match after the round trip.
-	g1, g2 := p.ChainGroups(), p2.ChainGroups()
+	g1, g2 := chainGroups(t, p), chainGroups(t, &p2)
 	for id := range g1 {
 		if (g1[id] == g1[3]) != (g2[id] == g2[3]) {
 			t.Fatal("chain structure changed")

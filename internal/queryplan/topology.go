@@ -26,8 +26,8 @@ type InEdge struct {
 // keep it across changes to q.
 type Topology struct {
 	Query *Query
-	// Ops lists the operators in topological order (sources first, sink
-	// last, ties broken by ID) — the order TopoOrder returns.
+	// Ops lists the operators in topological order: sources first, sink
+	// last, ties broken by ID.
 	Ops []*Operator
 	// In holds, per position, the operator's input edges in q.Edges order.
 	In [][]InEdge
@@ -201,8 +201,8 @@ func (q *Query) topology(idx map[int]int) (*Topology, error) {
 }
 
 // Topology returns the position-indexed view of q without validating it: the
-// only errors are the ones TopoOrder reports — a cycle or an edge naming an
-// unknown operator — and a null operator, which nothing can be said about.
+// only errors are a cycle, an edge naming an unknown operator, and a null
+// operator, which nothing can be said about.
 func (q *Query) Topology() (*Topology, error) {
 	// Duplicate IDs are not judged here: the last declaration wins.
 	idx := make(map[int]int, len(q.Ops))
@@ -218,6 +218,24 @@ func (q *Query) Topology() (*Topology, error) {
 // errNilOperator reports a null entry in Query.Ops ("ops":[null] on the wire).
 func errNilOperator(k int) error {
 	return fmt.Errorf("queryplan: operator %d of the query is null", k)
+}
+
+// Partitioning returns the dominant partitioning strategy feeding the operator
+// at pos — the one that decides how evenly its instances share the input: hash
+// wins over rebalance wins over forward when inputs disagree (a join with one
+// hash input is hash-partitioned), and a source, which has no input edge,
+// reports rebalance because its stream splits evenly.
+func (t *Topology) Partitioning(pos int) PartitionStrategy {
+	if t.Ops[pos].Type == OpSource {
+		return PartRebalance
+	}
+	best := PartForward
+	for _, e := range t.In[pos] {
+		if e.Partitioning > best {
+			best = e.Partitioning
+		}
+	}
+	return best
 }
 
 // Degrees returns p's parallelism degree per position, appended to dst[:0] —

@@ -107,16 +107,24 @@ func (r *Recorder) Status() int {
 // Body is what the handler wrote; it shares the recorder's storage.
 func (r *Recorder) Body() []byte { return r.body.Bytes() }
 
+// MethodFor is the one rule by which every transport of the repo — this
+// in-process backend, the typed client, the load generator's handler target —
+// picks a request's method: POST for the /v1/* API, whatever the body (an
+// empty /v1/reload is valid), GET for everything else. The path decides, so a
+// recorded trace replays the same in process and over HTTP.
+func MethodFor(path string) string {
+	if strings.HasPrefix(path, "/v1/") {
+		return http.MethodPost
+	}
+	return http.MethodGet
+}
+
 // Call implements Backend by synchronously running the server's handler.
 func (b *InProcessBackend) Call(ctx context.Context, path string, body []byte) (int, []byte, error) {
 	if b.down.Load() {
 		return 0, nil, fmt.Errorf("serve: backend %s is down", b.name)
 	}
-	method := http.MethodGet
-	if strings.HasPrefix(path, "/v1/") {
-		method = http.MethodPost
-	}
-	req, err := http.NewRequestWithContext(ctx, method, "http://"+b.name+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, MethodFor(path), "http://"+b.name+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, fmt.Errorf("serve: backend %s: %w", b.name, err)
 	}

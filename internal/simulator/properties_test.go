@@ -96,6 +96,55 @@ func TestPropertyDeterministic(t *testing.T) {
 	}
 }
 
+// A result is a function of (plan, cluster, options), bit for bit: every float
+// sum in the engine runs in topological-position order, instance order within
+// an operator. BusyCores used to be summed over a map of operators and took
+// three or more distinct values on most plans.
+func TestSimulateBitDeterministic(t *testing.T) {
+	plans := 0
+	for _, structures := range [][]string{workload.SeenRanges().Structures, workload.BenchmarkStructures()} {
+		items, err := workload.NewSeenGenerator(9).Generate(structures, 18)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, it := range items {
+			plans++
+			opts := simulator.Options{Seed: 5}
+			want, err := simulator.Simulate(it.Plan, it.Cluster, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for run := 1; run < 200; run++ {
+				got, err := simulator.Simulate(it.Plan, it.Cluster, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, pair := range map[string][2]float64{
+					"LatencyMs":     {got.LatencyMs, want.LatencyMs},
+					"ThroughputEPS": {got.ThroughputEPS, want.ThroughputEPS},
+					"CapacityEPS":   {got.CapacityEPS, want.CapacityEPS},
+					"BusyCores":     {got.BusyCores, want.BusyCores},
+				} {
+					if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+						t.Fatalf("%s run %d: %s = %v (%#x), first run %v (%#x)", it.Plan, run, name,
+							pair[0], math.Float64bits(pair[0]), pair[1], math.Float64bits(pair[1]))
+					}
+				}
+				// OpStat holds floats and a flag only, and none is NaN, so ==
+				// compares every field by value.
+				for id, st := range want.OpStats {
+					if got.OpStats[id] != st {
+						t.Fatalf("%s run %d: operator %d stats %+v, first run %+v", it.Plan, run, id, got.OpStats[id], st)
+					}
+				}
+			}
+		}
+	}
+	if plans < 32 {
+		t.Fatalf("only %d plans", plans)
+	}
+}
+
 // Raising every node's clock frequency must never reduce capacity.
 func TestPropertyFrequencyMonotone(t *testing.T) {
 	rng := tensor.NewRNG(77)
@@ -133,13 +182,17 @@ func TestPropertyFlowConservation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, o := range p.Query.Ops {
+		topo, err := p.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pos, o := range topo.Ops {
 			if o.Type == queryplan.OpSource {
 				continue
 			}
 			var upSum float64
-			for _, up := range p.Query.Upstream(o.ID) {
-				upSum += res.OpStats[up].OutRate
+			for _, in := range topo.In[pos] {
+				upSum += res.OpStats[topo.Ops[in.From].ID].OutRate
 			}
 			in := res.OpStats[o.ID].InRate
 			if math.Abs(in-upSum) > 1e-6*(1+upSum) {

@@ -1,7 +1,6 @@
 package simulator
 
 import (
-	"fmt"
 	"math"
 
 	"zerotune/internal/queryplan"
@@ -28,36 +27,14 @@ type opRates struct {
 
 const minRate = 1e-9
 
-// windowSpan returns the effective horizon (seconds) a window covers and the
-// emission frequency (windows/second) given the operator's window definition
-// and its input rate.
-func windowSpan(op *queryplan.Operator, inRate float64) (horizonSec, windowsPerSec float64) {
-	if inRate < minRate {
-		inRate = minRate
-	}
-	length := op.WindowLength
-	slide := op.SlidingLength
-	if op.WindowType != queryplan.WindowSliding || slide <= 0 {
-		slide = length
-	}
-	switch op.WindowPolicy {
-	case queryplan.PolicyTime: // lengths in milliseconds
-		return length / 1000, 1000 / slide
-	case queryplan.PolicyCount: // lengths in tuples
-		return length / inRate, inRate / slide
-	default:
-		return 0, 0
-	}
-}
-
-// propagateRates computes the per-operator steady-state rates when the
-// sources are scaled by factor alpha (alpha = 1 is the nominal plan).
-// Operators are visited in topological order; joins read both inputs.
-func propagateRates(q *queryplan.Query, order []int, alpha float64) (map[int]*opRates, error) {
-	rates := make(map[int]*opRates, len(q.Ops))
-	for _, id := range order {
-		op := q.Op(id)
-		r := &opRates{}
+// propagateRates fills rates, one entry per topological position of t, with the
+// steady-state rates when the sources are scaled by factor alpha (alpha = 1 is
+// the nominal plan). t is an analysed query (Query.Analyze), so every operator
+// has a known type and the inputs that type takes; joins read both.
+func propagateRates(t *queryplan.Topology, alpha float64, rates []opRates) {
+	for pos, op := range t.Ops {
+		ins := t.In[pos]
+		var r opRates
 		switch op.Type {
 		case queryplan.OpSource:
 			r.inRate = math.Max(op.EventRate*alpha, minRate)
@@ -65,21 +42,13 @@ func propagateRates(q *queryplan.Query, order []int, alpha float64) (map[int]*op
 			r.outPerIn = 1
 
 		case queryplan.OpFilter:
-			ups := q.Upstream(id)
-			if len(ups) != 1 {
-				return nil, fmt.Errorf("simulator: filter %d has %d inputs", id, len(ups))
-			}
-			r.inRate = math.Max(rates[ups[0]].outRate, minRate)
+			r.inRate = math.Max(rates[ins[0].From].outRate, minRate)
 			r.outRate = r.inRate * op.Selectivity
 			r.outPerIn = op.Selectivity
 
 		case queryplan.OpAggregate:
-			ups := q.Upstream(id)
-			if len(ups) != 1 {
-				return nil, fmt.Errorf("simulator: aggregate %d has %d inputs", id, len(ups))
-			}
-			r.inRate = math.Max(rates[ups[0]].outRate, minRate)
-			horizon, wps := windowSpan(op, r.inRate)
+			r.inRate = math.Max(rates[ins[0].From].outRate, minRate)
+			horizon, wps := op.WindowSpan(r.inRate)
 			r.windowSeconds = horizon
 			r.windowsPerSec = wps
 			windowTuples := r.inRate * horizon
@@ -90,14 +59,10 @@ func propagateRates(q *queryplan.Query, order []int, alpha float64) (map[int]*op
 			r.outPerIn = r.outRate / r.inRate
 
 		case queryplan.OpJoin:
-			ups := q.Upstream(id)
-			if len(ups) != 2 {
-				return nil, fmt.Errorf("simulator: join %d has %d inputs", id, len(ups))
-			}
-			in1 := math.Max(rates[ups[0]].outRate, minRate)
-			in2 := math.Max(rates[ups[1]].outRate, minRate)
+			in1 := math.Max(rates[ins[0].From].outRate, minRate)
+			in2 := math.Max(rates[ins[1].From].outRate, minRate)
 			r.inRate = in1 + in2
-			horizon, wps := windowSpan(op, r.inRate)
+			horizon, wps := op.WindowSpan(r.inRate)
 			r.windowSeconds = horizon
 			r.windowsPerSec = wps
 			// Buffered tuples per side over the window horizon.
@@ -110,20 +75,12 @@ func propagateRates(q *queryplan.Query, order []int, alpha float64) (map[int]*op
 			r.probeCandidates = r.outPerIn // candidates ≈ matches per tuple
 
 		case queryplan.OpSink:
-			ups := q.Upstream(id)
-			if len(ups) != 1 {
-				return nil, fmt.Errorf("simulator: sink %d has %d inputs", id, len(ups))
-			}
-			r.inRate = math.Max(rates[ups[0]].outRate, minRate)
+			r.inRate = math.Max(rates[ins[0].From].outRate, minRate)
 			r.outRate = r.inRate
 			r.outPerIn = 1
-
-		default:
-			return nil, fmt.Errorf("simulator: unknown operator type %v", op.Type)
 		}
-		rates[id] = r
+		rates[pos] = r
 	}
-	return rates, nil
 }
 
 // maxShare returns the fraction of an operator's input stream that its most
@@ -143,19 +100,6 @@ func (cm *CostModel) maxShare(part queryplan.PartitionStrategy, degree int) floa
 	}
 }
 
-// inputPartitioning returns the dominant partitioning strategy feeding the
-// operator: hash wins over rebalance wins over forward when inputs disagree
-// (a join with one hash input is hash-partitioned).
-func inputPartitioning(q *queryplan.Query, id int) queryplan.PartitionStrategy {
-	best := queryplan.PartForward
-	for _, e := range q.InEdges(id) {
-		if e.Partitioning > best {
-			best = e.Partitioning
-		}
-	}
-	return best
-}
-
 // RateEstimate summarizes the steady-state analytical rates of one
 // operator at the offered load.
 type RateEstimate struct {
@@ -165,17 +109,16 @@ type RateEstimate struct {
 	ProbeCandidates float64
 }
 
-// EstimateSteadyRates exposes the engine's Def. 3–6 rate propagation to
-// external consumers (the discrete-event validator uses it to derive the
-// same amortized service times the analytical engine charges).
-func EstimateSteadyRates(q *queryplan.Query, order []int) map[int]RateEstimate {
-	rates, err := propagateRates(q, order, 1)
-	if err != nil {
-		return map[int]RateEstimate{}
-	}
-	out := make(map[int]RateEstimate, len(rates))
-	for id, r := range rates {
-		out[id] = RateEstimate{
+// EstimateSteadyRates exposes the engine's Def. 3–6 rate propagation at the
+// offered load, by topological position of the analysed query t, to external
+// consumers (the discrete-event validator uses it to derive the same amortized
+// service times the analytical engine charges).
+func EstimateSteadyRates(t *queryplan.Topology) []RateEstimate {
+	rates := make([]opRates, len(t.Ops))
+	propagateRates(t, 1, rates)
+	out := make([]RateEstimate, len(rates))
+	for pos, r := range rates {
+		out[pos] = RateEstimate{
 			InRate:          r.inRate,
 			OutRate:         r.outRate,
 			OutPerIn:        r.outPerIn,

@@ -337,17 +337,17 @@ func TestHigherEventRateRaisesUtilization(t *testing.T) {
 
 func TestWindowSpan(t *testing.T) {
 	op := &queryplan.Operator{WindowPolicy: queryplan.PolicyTime, WindowType: queryplan.WindowTumbling, WindowLength: 2000}
-	h, w := windowSpan(op, 1000)
+	h, w := op.WindowSpan(1000)
 	if h != 2 || w != 0.5 {
 		t.Fatalf("time tumbling: horizon %v windows/s %v", h, w)
 	}
 	op = &queryplan.Operator{WindowPolicy: queryplan.PolicyTime, WindowType: queryplan.WindowSliding, WindowLength: 2000, SlidingLength: 500}
-	h, w = windowSpan(op, 1000)
+	h, w = op.WindowSpan(1000)
 	if h != 2 || w != 2 {
 		t.Fatalf("time sliding: horizon %v windows/s %v", h, w)
 	}
 	op = &queryplan.Operator{WindowPolicy: queryplan.PolicyCount, WindowType: queryplan.WindowTumbling, WindowLength: 100}
-	h, w = windowSpan(op, 1000)
+	h, w = op.WindowSpan(1000)
 	if math.Abs(h-0.1) > 1e-9 || math.Abs(w-10) > 1e-9 {
 		t.Fatalf("count tumbling: horizon %v windows/s %v", h, w)
 	}

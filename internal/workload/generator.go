@@ -151,9 +151,7 @@ func (g *Generator) sample(structure string, rng *tensor.RNG, ov Overrides) (*It
 	if err := strat.Assign(p, c, rng); err != nil {
 		return nil, err
 	}
-	if err := cluster.Place(p, c); err != nil {
-		return nil, err
-	}
+	// Simulate places the plan, with the analysis it holds anyway.
 	res, err := simulator.Simulate(p, c, simulator.Options{Cost: g.Cost, Seed: rng.Uint64()})
 	if err != nil {
 		return nil, err
