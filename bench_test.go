@@ -341,7 +341,7 @@ func BenchmarkServePredict(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	s := serve.New(serve.Options{BatchWindow: 500 * time.Microsecond, MaxBatch: 64, CacheSize: 256, Compiled: true})
+	s := serve.New(serve.Options{BatchWindow: 500 * time.Microsecond, MaxBatch: 64, CacheSize: 256})
 	defer s.Close()
 	s.Registry().Install(zt, "bench", "")
 
@@ -397,7 +397,7 @@ func BenchmarkServePredictMiss(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := serve.New(serve.Options{BatchWindow: -1, CacheSize: 256, Compiled: true})
+	s := serve.New(serve.Options{BatchWindow: -1, CacheSize: 256})
 	defer s.Close()
 	s.Registry().Install(zt, "bench", "")
 
@@ -449,7 +449,7 @@ func BenchmarkTune(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := serve.New(serve.Options{Compiled: true})
+	s := serve.New(serve.Options{})
 	defer s.Close()
 	s.Registry().Install(zt, "bench", "")
 
@@ -553,7 +553,7 @@ func BenchmarkGatewayPredict(b *testing.B) {
 			backends := make([]serve.Backend, n)
 			for i := range backends {
 				s := serve.New(serve.Options{BatchWindow: 500 * time.Microsecond,
-					MaxBatch: 64, CacheSize: 192, Compiled: true})
+					MaxBatch: 64, CacheSize: 192})
 				defer s.Close()
 				s.Registry().Install(zt, fmt.Sprintf("bench-%d", i), "")
 				backends[i] = serve.NewInProcessBackend(fmt.Sprintf("replica-%d", i), s)

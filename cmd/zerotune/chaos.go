@@ -49,22 +49,7 @@ func runChaos(args []string) error {
 		return fmt.Errorf("chaos: -requests must be at least 2")
 	}
 
-	s := serve.New(serve.Options{
-		BatchWindow:       -1, // flush immediately: one flush per request, deterministic
-		MaxBatch:          8,
-		CacheSize:         256,
-		RequestTimeout:    *reqTimeout,
-		CircuitThreshold:  *threshold,
-		CircuitProbeEvery: *probeEvery,
-		// Probing is count-based (probe-every); park the cooldown far away so
-		// wall-clock time never influences breaker transitions.
-		CircuitCooldown: time.Hour,
-		// Learning on, so the feedback.ingest fault point sits in the line
-		// of fire (the learner loop itself is not started here — promote
-		// faults are covered by the feedback package's own tests and the
-		// learn-e2e CI job).
-		Learn: &serve.LearnOptions{},
-	})
+	s := newChaosServer(*reqTimeout, *threshold, *probeEvery)
 	defer s.Close()
 	// Load before activating faults: the replay targets the serving path, not
 	// its own setup.
@@ -132,6 +117,26 @@ func runChaos(args []string) error {
 	}
 	fmt.Println("chaos: all invariants held")
 	return nil
+}
+
+// newChaosServer builds the server the drill replays against.
+func newChaosServer(reqTimeout time.Duration, threshold, probeEvery int) *serve.Server {
+	return serve.New(serve.Options{
+		BatchWindow:       -1, // flush immediately: one flush per request, deterministic
+		MaxBatch:          8,
+		CacheSize:         256,
+		RequestTimeout:    reqTimeout,
+		CircuitThreshold:  threshold,
+		CircuitProbeEvery: probeEvery,
+		// Probing is count-based (probe-every); park the cooldown far away so
+		// wall-clock time never influences breaker transitions.
+		CircuitCooldown: time.Hour,
+		// Learning on, so the feedback.ingest fault point sits in the line
+		// of fire (the learner loop itself is not started here — promote
+		// faults are covered by the feedback package's own tests and the
+		// learn-e2e CI job).
+		Learn: &serve.LearnOptions{},
+	})
 }
 
 // chaosSchedule derives the per-point fault schedule from the seed alone, so

@@ -1,17 +1,12 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"zerotune/internal/gateway"
@@ -133,44 +128,10 @@ func runGateway(args []string) error {
 		return err
 	}
 
-	// Bind before announcing, same contract as serve: with -addr :0 the
-	// resolved address lands on stdout and in /healthz.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return fmt.Errorf("gateway: listen %s: %w", *addr, err)
-	}
-	bound := ln.Addr().String()
-	g.SetBoundAddr(bound)
-	fmt.Printf("zerotune gateway: listening on http://%s\n", bound)
-	fmt.Fprintf(os.Stderr, "gateway: %d replicas, route=%s queue=%s on http://%s\n",
-		len(pool), *route, *queuePolicy, bound)
-
 	g.Start()
 	defer g.Close()
-
-	srv := &http.Server{Handler: g}
-	errCh := make(chan error, 1)
-	go func() {
-		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
-		}
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		return err
-	case got := <-sig:
-		fmt.Fprintf(os.Stderr, "received %s, draining (deadline %s)...\n", got, *drain)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	shutdownErr := srv.Shutdown(ctx)
-	fmt.Fprintln(os.Stderr, g.Summary())
-	if shutdownErr != nil {
-		return fmt.Errorf("gateway: shutdown: %w", shutdownErr)
-	}
-	return nil
+	return listenAndDrain("gateway", *addr, *drain, g, func(bound string) {
+		fmt.Fprintf(os.Stderr, "gateway: %d replicas, route=%s queue=%s on http://%s\n",
+			len(pool), *route, *queuePolicy, bound)
+	})
 }

@@ -190,11 +190,10 @@ func planServiceModel(pin, model string, seed uint64, reps int) (desim.ServiceMo
 		if err != nil {
 			return svc, fmt.Errorf("plan: %w", err)
 		}
-		// Calibrate on the engine `zerotune serve` would run here.
-		if core.CompiledEnabled() {
-			if err := zt.Compile(gnn.CompileOptions{}); err != nil {
-				return svc, fmt.Errorf("plan: %w", err)
-			}
+		// Calibrate on the engine `zerotune serve` runs; a model its gate
+		// refuses is one serve would not load.
+		if err := zt.Compile(gnn.CompileOptions{}); err != nil {
+			return svc, fmt.Errorf("plan: %w", err)
 		}
 		gen := workload.NewSeenGenerator(seed)
 		structures := workload.SeenRanges().Structures

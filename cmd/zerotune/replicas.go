@@ -5,16 +5,13 @@ import (
 	"os"
 	"time"
 
-	"zerotune/internal/core"
 	"zerotune/internal/serve"
 )
 
 // inProcessReplicas starts n serve replicas of the model file inside this
-// process, named replica-0 … for the gateway's routing and metrics. They run
-// the compiled engine under the condition `zerotune serve` reads,
-// ZEROTUNE_COMPILED, so what bench measures and the gateway fronts is the
-// tier serve would run in the same environment. cmd prefixes errors and the
-// per-replica log line. The returned function closes every replica started.
+// process, named replica-0 … for the gateway's routing and metrics. cmd
+// prefixes errors and the per-replica log line. The returned function closes
+// every replica started.
 func inProcessReplicas(cmd, model string, n int, timeout time.Duration) ([]*serve.InProcessBackend, func(), error) {
 	var pool []*serve.InProcessBackend
 	closeAll := func() {
@@ -23,7 +20,7 @@ func inProcessReplicas(cmd, model string, n int, timeout time.Duration) ([]*serv
 		}
 	}
 	for i := 0; i < n; i++ {
-		s := serve.New(serve.Options{RequestTimeout: timeout, Compiled: core.CompiledEnabled()})
+		s := serve.New(serve.Options{RequestTimeout: timeout})
 		name := fmt.Sprintf("replica-%d", i)
 		pool = append(pool, serve.NewInProcessBackend(name, s))
 		entry, err := s.ServeModelFile(model)

@@ -9,13 +9,15 @@ import (
 	"time"
 
 	"zerotune/internal/core"
+	"zerotune/internal/serve"
 	"zerotune/internal/workload"
 )
 
-// TestInProcessReplicasHonourCompiledEnv: the replicas bench and gateway
-// build run the fused engine exactly when ZEROTUNE_COMPILED asks for it, as
-// `zerotune serve` does — read off /metrics after one predict.
-func TestInProcessReplicasHonourCompiledEnv(t *testing.T) {
+// TestInProcessServersRunFusedEngine: every server the CLI builds inside its
+// own process — the replicas behind bench and gateway, and the chaos drill's
+// target — answers through the fused engine with nothing set in the
+// environment, read off /metrics after one predict.
+func TestInProcessServersRunFusedEngine(t *testing.T) {
 	items, err := workload.NewSeenGenerator(5).Generate(workload.SeenRanges().Structures, 60)
 	if err != nil {
 		t.Fatal(err)
@@ -38,21 +40,35 @@ func TestInProcessReplicasHonourCompiledEnv(t *testing.T) {
 
 	fusedGraphs := regexp.MustCompile(`(?m)^zerotune_fused_graphs_total (\S+)$`)
 	for _, tc := range []struct {
-		env  string
-		want string
-	}{{"1", "1"}, {"", "0"}} {
-		t.Setenv(core.CompiledEnv, tc.env)
-		pool, closeAll, err := inProcessReplicas("test", model, 1, 10*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if status, body, err := pool[0].Call(context.Background(), "/v1/predict", bodies[0]); err != nil || status != http.StatusOK {
-			t.Fatalf("%s=%q: predict: status %d, err %v: %s", core.CompiledEnv, tc.env, status, err, body)
-		}
-		_, metrics, _ := pool[0].Call(context.Background(), "/metrics", nil)
-		if m := fusedGraphs.FindSubmatch(metrics); m == nil || string(m[1]) != tc.want {
-			t.Errorf("%s=%q: zerotune_fused_graphs_total = %q, want %s", core.CompiledEnv, tc.env, m, tc.want)
-		}
-		closeAll()
+		name  string
+		build func(t *testing.T) *serve.InProcessBackend
+	}{
+		{"inProcessReplicas", func(t *testing.T) *serve.InProcessBackend {
+			pool, closeAll, err := inProcessReplicas("test", model, 1, 10*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(closeAll)
+			return pool[0]
+		}},
+		{"chaos", func(t *testing.T) *serve.InProcessBackend {
+			s := newChaosServer(10*time.Second, 3, 4)
+			t.Cleanup(s.Close)
+			if _, err := s.ServeModelFile(model); err != nil {
+				t.Fatal(err)
+			}
+			return serve.NewInProcessBackend("chaos", s)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := tc.build(t)
+			if status, body, err := b.Call(context.Background(), "/v1/predict", bodies[0]); err != nil || status != http.StatusOK {
+				t.Fatalf("predict: status %d, err %v: %s", status, err, body)
+			}
+			_, metrics, _ := b.Call(context.Background(), "/metrics", nil)
+			if m := fusedGraphs.FindSubmatch(metrics); m == nil || string(m[1]) != "1" {
+				t.Errorf("zerotune_fused_graphs_total = %q, want 1", m)
+			}
+		})
 	}
 }

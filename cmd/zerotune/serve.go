@@ -2,20 +2,14 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
-	"zerotune/internal/core"
 	"zerotune/internal/fault"
 	"zerotune/internal/serve"
 )
@@ -72,8 +66,6 @@ func runServe(args []string) error {
 	debug := fs.Bool("debug", false, "enable /debug/traces and /debug/pprof endpoints")
 	circuitThreshold := fs.Int("circuit-threshold", 5, "consecutive forward failures that trip the circuit breaker (negative: disabled)")
 	circuitCooldown := fs.Duration("circuit-cooldown", 5*time.Second, "open-circuit wait before probing the learned path again")
-	compiled := fs.Bool("compiled", core.CompiledEnabled(),
-		"serve through the fused-batch inference engine; its accuracy gate becomes part of model validation (default: ZEROTUNE_COMPILED)")
 	learn := fs.Bool("learn", false, "enable the closed continual-learning loop (/v1/feedback, drift-triggered fine-tune, auto-promote)")
 	learnStore := fs.Int("learn-store", 2048, "feedback reservoir capacity")
 	learnSeed := fs.Uint64("learn-seed", 1, "seed for reservoir eviction, holdout split and fine-tune schedule")
@@ -108,7 +100,6 @@ func runServe(args []string) error {
 		Debug:            *debug,
 		CircuitThreshold: *circuitThreshold,
 		CircuitCooldown:  *circuitCooldown,
-		Compiled:         *compiled,
 	}
 	if *learn {
 		dir := *learnDir
@@ -141,49 +132,10 @@ func runServe(args []string) error {
 		fmt.Fprintf(os.Stderr, "continual learning enabled (store %d, drift mape %.2f, artifacts in %s)\n",
 			*learnStore, *driftMAPE, opts.Learn.Dir)
 	}
-	// Bind before announcing: with -addr :0 the kernel picks the port, and
-	// both the stdout line and /healthz report the resolved address, so
-	// tests and a fronting gateway can spawn replicas on ephemeral ports
-	// without a bind race.
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return fmt.Errorf("serve: listen %s: %w", *addr, err)
-	}
-	bound := ln.Addr().String()
-	s.SetBoundAddr(bound)
-	fmt.Printf("zerotune serve: listening on http://%s\n", bound)
-	fmt.Fprintf(os.Stderr, "serving model %s (%s) on http://%s\n", entry.ID, *model, bound)
-	if *debug {
-		fmt.Fprintf(os.Stderr, "debug endpoints enabled: /debug/traces, /debug/pprof/\n")
-	}
-
-	srv := &http.Server{Handler: s}
-	errCh := make(chan error, 1)
-	go func() {
-		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
-			errCh <- err
+	return listenAndDrain("serve", *addr, *drain, s, func(bound string) {
+		fmt.Fprintf(os.Stderr, "serving model %s (%s) on http://%s\n", entry.ID, *model, bound)
+		if *debug {
+			fmt.Fprintf(os.Stderr, "debug endpoints enabled: /debug/traces, /debug/pprof/\n")
 		}
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		s.Close()
-		return err
-	case got := <-sig:
-		fmt.Fprintf(os.Stderr, "received %s, draining (deadline %s)...\n", got, *drain)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	shutdownErr := srv.Shutdown(ctx)
-	// Handlers are done (or abandoned at the deadline); stop the coalescer
-	// and emit the final observability digest.
-	s.Close()
-	fmt.Fprintln(os.Stderr, s.Summary())
-	if shutdownErr != nil {
-		return fmt.Errorf("serve: shutdown: %w", shutdownErr)
-	}
-	return nil
+	})
 }

@@ -69,8 +69,6 @@ func runTrain(args []string) error {
 	ckptEvery := fs.Int("checkpoint-every", 5, "checkpoint every N epochs")
 	resume := fs.String("resume", "", "resume from this checkpoint file")
 	tracePath := fs.String("trace", "", "write the training trace (per-epoch spans) as JSON to this file")
-	compiled := fs.Bool("compiled", core.CompiledEnabled(),
-		"after training, compile the fused inference engine and report its accuracy gate (default: ZEROTUNE_COMPILED)")
 	_ = fs.Parse(args)
 
 	var resumed *trainCheckpoint
@@ -177,16 +175,14 @@ func runTrain(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "trained in %s, final loss %.4f\n", stats.Duration.Round(1e9), stats.FinalLoss)
 
-	if *compiled {
-		// A dry-run of the serve-time compile step: the gate verdict tells the
-		// operator now whether `serve -compiled` will accept this model.
-		if err := zt.Compile(gnn.CompileOptions{}); err != nil {
-			fmt.Fprintf(os.Stderr, "warning: compiled engine rejected: %v\n", err)
-		} else {
-			g := zt.Compiled().Gate
-			fmt.Fprintf(os.Stderr, "compiled engine (%s) passed accuracy gate: max q-error %.6f over %d graphs (budget %.6f)\n",
-				g.Engine, g.MaxQErr, g.Graphs, g.Threshold)
-		}
+	// A dry-run of the serve-time compile step: the gate verdict tells the
+	// operator now whether `serve` will accept this model.
+	if err := zt.Compile(gnn.CompileOptions{}); err != nil {
+		fmt.Fprintf(os.Stderr, "warning: compiled engine rejected, `zerotune serve` will refuse %s: %v\n", *out, err)
+	} else {
+		g := zt.Compiled().Gate
+		fmt.Fprintf(os.Stderr, "compiled engine (%s) passed accuracy gate: max q-error %.6f over %d graphs (budget %.6f)\n",
+			g.Engine, g.MaxQErr, g.Graphs, g.Threshold)
 	}
 
 	if err := zt.SaveFile(*out); err != nil {

@@ -31,14 +31,6 @@ import (
 	"zerotune/internal/serve"
 )
 
-// DefaultMaxResponseBytes bounds how much of any response body the client
-// reads, mirroring the server's own request-body cap.
-const DefaultMaxResponseBytes = 8 << 20
-
-// SLOClassHeader carries the SLO class consumed by the gateway's admission
-// control (duplicated from gateway so the client depends on neither tier).
-const SLOClassHeader = "X-SLO-Class"
-
 // Client issues requests against one serving endpoint (a serve replica or a
 // gateway — both speak the same protocol). Safe for concurrent use.
 type Client struct {
@@ -67,7 +59,8 @@ func WithTimeout(d time.Duration) Option {
 	return func(c *Client) { c.hc.Timeout = d }
 }
 
-// WithMaxResponseBytes bounds response-body reads (default 8 MiB).
+// WithMaxResponseBytes bounds response-body reads (default
+// serve.MaxBodyBytes, the server's own request-body cap).
 func WithMaxResponseBytes(n int64) Option {
 	return func(c *Client) {
 		if n > 0 {
@@ -91,7 +84,7 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	c := &Client{
 		base:    strings.TrimRight(u.String(), "/"),
 		hc:      &http.Client{},
-		maxBody: DefaultMaxResponseBytes,
+		maxBody: serve.MaxBodyBytes,
 	}
 	for _, o := range opts {
 		o(c)
@@ -112,7 +105,7 @@ func NewForHandler(h http.Handler, opts ...Option) *Client {
 		base:    "http://in-process",
 		hc:      &http.Client{},
 		handler: h,
-		maxBody: DefaultMaxResponseBytes,
+		maxBody: serve.MaxBodyBytes,
 	}
 	for _, o := range opts {
 		o(c)
@@ -130,7 +123,7 @@ type CallOption func(*http.Request)
 func WithSLOClass(class string) CallOption {
 	return func(r *http.Request) {
 		if class != "" {
-			r.Header.Set(SLOClassHeader, class)
+			r.Header.Set(serve.SLOClassHeader, class)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func TestHandlerTransportMethodAndHeaders(t *testing.T) {
 	var gotMethod, gotCT, gotClass, gotX string
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotMethod, gotCT = r.Method, r.Header.Get("Content-Type")
-		gotClass, gotX = r.Header.Get(SLOClassHeader), r.Header.Get("X-Extra")
+		gotClass, gotX = r.Header.Get(serve.SLOClassHeader), r.Header.Get("X-Extra")
 		w.Write([]byte("{}"))
 	})
 	c := NewForHandler(h)

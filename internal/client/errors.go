@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+
+	"zerotune/internal/serve"
 )
 
 // Typed views of the stable wire codes. The serving stack promises that
@@ -134,11 +136,8 @@ func (e *APIError) Unwrap() error {
 		return ErrBadRequest
 	case http.StatusServiceUnavailable:
 		return ErrUnavailable
-	case statusClientClosedRequest:
+	case serve.StatusClientClosedRequest:
 		return ErrCanceled
 	}
 	return ErrInternal
 }
-
-// statusClientClosedRequest mirrors the stack's non-standard 499.
-const statusClientClosedRequest = 499

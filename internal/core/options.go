@@ -91,38 +91,15 @@ func WithArchitecture(hidden, encDepth, headHidden int) TrainOption {
 	}
 }
 
-// WithReadout selects the read-out mode (structured vs. sink ablation).
-func WithReadout(r gnn.ReadoutMode) TrainOption {
-	return func(o *TrainOptions) { o.Readout = r }
-}
-
 // WithEpochs sets the epoch budget.
 func WithEpochs(n int) TrainOption { return func(o *TrainOptions) { o.Epochs = n } }
-
-// WithBatchSize sets the minibatch size.
-func WithBatchSize(n int) TrainOption { return func(o *TrainOptions) { o.BatchSize = n } }
-
-// WithLearningRate sets the Adam learning rate.
-func WithLearningRate(lr float64) TrainOption { return func(o *TrainOptions) { o.LR = lr } }
 
 // WithSeed sets the RNG seed for init and shuffling.
 func WithSeed(seed uint64) TrainOption { return func(o *TrainOptions) { o.Seed = seed } }
 
-// WithMask restricts feature visibility.
-func WithMask(m features.Mask) TrainOption { return func(o *TrainOptions) { o.Mask = m } }
-
-// WithWorkers caps the data-parallel fan-out (0 = auto).
-func WithWorkers(n int) TrainOption { return func(o *TrainOptions) { o.Workers = n } }
-
 // WithProgress installs a per-epoch progress callback.
 func WithProgress(fn func(epoch int, loss float64)) TrainOption {
 	return func(o *TrainOptions) { o.Progress = fn }
-}
-
-// WithValidation enables early stopping on graphs with the given patience
-// (0 keeps the default).
-func WithValidation(graphs []*features.Graph, patience int) TrainOption {
-	return func(o *TrainOptions) { o.Val = graphs; o.Patience = patience }
 }
 
 // WithCheckpoint installs a checkpoint sink called every `every` epochs

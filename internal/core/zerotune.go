@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"sync/atomic"
 
 	"zerotune/internal/artifact"
@@ -44,21 +43,6 @@ type ZeroTune struct {
 	// When present, every predict path dispatches to it; nil keeps the
 	// reference float64 forward pass.
 	compiled atomic.Pointer[gnn.CompiledModel]
-}
-
-// CompiledEnv is the environment variable that turns the compiled inference
-// engine on ("1", "true", "on", "yes") for commands that honor it; the
-// -compiled flag overrides it.
-const CompiledEnv = "ZEROTUNE_COMPILED"
-
-// CompiledEnabled reports whether the environment asks for the compiled
-// engine.
-func CompiledEnabled() bool {
-	switch strings.ToLower(os.Getenv(CompiledEnv)) {
-	case "1", "true", "on", "yes":
-		return true
-	}
-	return false
 }
 
 // Compile builds the fused-batch inference engine for the model (see

@@ -394,7 +394,7 @@ func TestServeSimAdmissionMatchesGateway(t *testing.T) {
 		now = time.Unix(0, int64(r.Offset))
 		req := httptest.NewRequest(http.MethodPost, r.Path, bytes.NewReader(r.Body))
 		if r.Class != "" {
-			req.Header.Set(gateway.SLOClassHeader, r.Class)
+			req.Header.Set(serve.SLOClassHeader, r.Class)
 		}
 		rec := httptest.NewRecorder()
 		gw.ServeHTTP(rec, req)

@@ -73,9 +73,6 @@ type Config struct {
 	Epochs int
 	// Seed drives the train/holdout split and the fine-tune schedule.
 	Seed uint64
-	// Gate additionally requires the candidate to pass the compiled
-	// engine's accuracy gate (gnn.Compile) before promotion.
-	Gate bool
 	// Interval, when positive, also kicks a run periodically — drift trips
 	// remain the primary trigger.
 	Interval time.Duration
@@ -296,15 +293,6 @@ func (l *Learner) RunOnce(ctx context.Context) (*Report, error) {
 		l.rejected.Add(1)
 		l.rejectedCounter.Inc()
 		return rep, fmt.Errorf("%w: candidate %.4f vs current %.4f", ErrShadowRegressed, candMAPE, curMAPE)
-	}
-	if l.cfg.Gate {
-		// The compiled engine's 12-plan accuracy gate: a candidate whose
-		// compiled predictions drift past the budget never ships.
-		if err := cand.Compile(gnn.CompileOptions{}); err != nil {
-			l.rejected.Add(1)
-			l.rejectedCounter.Inc()
-			return rep, fmt.Errorf("feedback: candidate failed compile gate: %w", err)
-		}
 	}
 
 	// Artifact write → load-validate-swap promotion.

@@ -6,12 +6,8 @@ import (
 	"time"
 
 	"zerotune/internal/obs"
+	"zerotune/internal/serve"
 )
-
-// SLOClassHeader is the request header declaring the caller's SLO class.
-// Requests without it (or naming an unconfigured class) are treated as the
-// default best-effort class.
-const SLOClassHeader = "X-SLO-Class"
 
 // DefaultClassName is the class unlabelled traffic belongs to.
 const DefaultClassName = "best-effort"
@@ -138,7 +134,7 @@ func newAdmission(classes []ClassConfig, reg *obs.Registry) (*admission, error) 
 			admitted:    reg.Counter("zerotune_gateway_class_admitted_total", l),
 			rejected:    reg.Counter("zerotune_gateway_class_rejected_total", l),
 			goodput:     reg.Counter("zerotune_gateway_class_goodput_total", l),
-			queueWait:   reg.Histogram("zerotune_gateway_queue_wait_seconds", latencyBounds, 1024, l),
+			queueWait:   reg.Histogram("zerotune_gateway_queue_wait_seconds", serve.LatencyBounds, 1024, l),
 		}
 		a.classes[cfg.Name] = c
 		a.ordered = append(a.ordered, c)

@@ -18,7 +18,7 @@ var (
 	// code "admission_rejected" so clients can distinguish their own
 	// over-rate from gateway-wide queue pressure.
 	ErrAdmissionRejected = errors.New("gateway: admission rejected (SLO class over rate)")
-	// ErrGatewayQueueFull is returned when the dispatch queue's wait line
+	// errGatewayQueueFull is returned when the dispatch queue's wait line
 	// is at capacity — gateway-wide backpressure, 429 like the replica
 	// batcher's own queue-full.
 	errGatewayQueueFull = errors.New("gateway: dispatch queue full")
@@ -31,13 +31,6 @@ var (
 	// non-200 — alive, but not fit to serve.
 	errProbeUnhealthy = errors.New("gateway: replica probe answered non-200")
 )
-
-// ErrGatewayQueueFull is the exported view of the dispatch-queue sentinel.
-var ErrGatewayQueueFull = errGatewayQueueFull
-
-// statusClientClosedRequest mirrors serve's non-standard 499 for cancelled
-// requests.
-const statusClientClosedRequest = 499
 
 // gatewayErrorCode maps a gateway-originated error to the stable code of
 // the shared error envelope.
@@ -63,7 +56,7 @@ func gatewayErrorCode(status int, err error) string {
 		return "bad_request"
 	case http.StatusTooManyRequests:
 		return "queue_full"
-	case statusClientClosedRequest:
+	case serve.StatusClientClosedRequest:
 		return "canceled"
 	case http.StatusServiceUnavailable:
 		return "unavailable"

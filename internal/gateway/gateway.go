@@ -44,17 +44,6 @@ import (
 	"zerotune/internal/serve"
 )
 
-// latencyBounds are the histogram bucket edges (seconds) shared by the
-// gateway's latency instruments — same shape as serve's, so dashboards can
-// overlay the two tiers.
-var latencyBounds = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// maxBodyBytes mirrors serve's request-body bound.
-const maxBodyBytes = 8 << 20
-
 // endpointNames fixes the per-endpoint stat keys and render order.
 var endpointNames = []string{"predict", "tune", "feedback", "healthz", "metrics"}
 
@@ -221,7 +210,7 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 		g.endpoints[name] = &endpointStats{
 			requests: reg.Counter("zerotune_gateway_requests_total", l),
 			errors:   reg.Counter("zerotune_gateway_request_errors_total", l),
-			latency:  reg.Histogram("zerotune_gateway_request_duration_seconds", latencyBounds, 1024, l),
+			latency:  reg.Histogram("zerotune_gateway_request_duration_seconds", serve.LatencyBounds, 1024, l),
 		}
 	}
 	for _, r := range g.pool.Replicas() {
@@ -323,14 +312,14 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 	path := "/v1/" + endpoint
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("gateway: read request: %w", err))
 			return
 		}
 
 		// Stage 1: admission.
-		cls := g.adm.class(r.Header.Get(SLOClassHeader))
+		cls := g.adm.class(r.Header.Get(serve.SLOClassHeader))
 		if !cls.Allow(g.opts.Now()) {
 			cls.rejected.Inc()
 			writeError(w, http.StatusTooManyRequests, ErrAdmissionRejected)
@@ -345,7 +334,7 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 			case errors.Is(err, errGatewayQueueFull):
 				writeError(w, http.StatusTooManyRequests, err)
 			case errors.Is(err, context.Canceled):
-				writeError(w, statusClientClosedRequest, err)
+				writeError(w, serve.StatusClientClosedRequest, err)
 			default:
 				writeError(w, http.StatusServiceUnavailable, err)
 			}
@@ -413,7 +402,7 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 
 		switch {
 		case ctx.Err() != nil && errors.Is(ctx.Err(), context.Canceled):
-			writeError(w, statusClientClosedRequest, context.Canceled)
+			writeError(w, serve.StatusClientClosedRequest, context.Canceled)
 		case lastErr == nil:
 			writeError(w, http.StatusServiceUnavailable, ErrNoReplica)
 		default:

@@ -150,7 +150,7 @@ func TestGatewayE2E(t *testing.T) {
 		}
 		req.Header.Set("Content-Type", "application/json")
 		if class != "" {
-			req.Header.Set(SLOClassHeader, class)
+			req.Header.Set(serve.SLOClassHeader, class)
 		}
 		resp, err := client.Do(req)
 		if err != nil {
@@ -321,7 +321,7 @@ func TestAdmissionTokenBucket(t *testing.T) {
 	post := func(class string) (int, []byte) {
 		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/predict",
 			bytes.NewReader(predictBody(t, 1)))
-		req.Header.Set(SLOClassHeader, class)
+		req.Header.Set(serve.SLOClassHeader, class)
 		resp, err := ts.Client().Do(req)
 		if err != nil {
 			t.Fatal(err)

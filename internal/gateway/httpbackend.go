@@ -29,7 +29,7 @@ func NewHTTPBackend(name, baseURL string, timeout time.Duration) (*HTTPBackend, 
 	if err != nil {
 		return nil, fmt.Errorf("gateway: backend url %q: %w", baseURL, err)
 	}
-	c, err := client.New(baseURL, client.WithTimeout(timeout), client.WithMaxResponseBytes(maxBodyBytes))
+	c, err := client.New(baseURL, client.WithTimeout(timeout))
 	if err != nil {
 		return nil, fmt.Errorf("gateway: backend url %q: %w", baseURL, err)
 	}

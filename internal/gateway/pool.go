@@ -106,7 +106,7 @@ func newPool(backends []serve.Backend, seed uint64, failThreshold int, reg *obs.
 			ejections: reg.Counter("zerotune_gateway_replica_ejections_total", obs.L("replica", b.Name())),
 			rejoins:   reg.Counter("zerotune_gateway_replica_rejoins_total", obs.L("replica", b.Name())),
 			forwardS: reg.Histogram("zerotune_gateway_forward_duration_seconds",
-				latencyBounds, 1024, obs.L("replica", b.Name())),
+				serve.LatencyBounds, 1024, obs.L("replica", b.Name())),
 		}
 		rr := r
 		reg.GaugeFunc("zerotune_gateway_replica_healthy", func() float64 {

@@ -94,14 +94,9 @@ type CompileOptions struct {
 	// MaxQErrDelta is the accuracy-gate budget; 0 means
 	// DefaultGateThreshold.
 	MaxQErrDelta float64
-	// Validation supplies the gate's evaluation graphs. When nil, a small
-	// deterministic corpus of benchmark-query plans is generated.
-	Validation []*features.Graph
 	// Int8 supplies pre-quantized weights for EngineInt8 (so callers can
 	// persist or inspect them); nil quantizes m on the fly.
 	Int8 *Int8Weights
-	// Workers bounds the reference model's validation fan-out (0 = auto).
-	Workers int
 }
 
 // float is the element type of an engine: float32 serves, float64 is the
@@ -392,13 +387,11 @@ func Compile(m *Model, opts CompileOptions) (*CompiledModel, error) {
 	}
 
 	// Accuracy gate: compiled vs float64 reference on the validation set.
-	val := opts.Validation
-	if len(val) == 0 {
-		if val, err = gateGraphs(); err != nil {
-			return nil, fmt.Errorf("gnn: compile: build validation set: %w", err)
-		}
+	val, err := gateGraphs()
+	if err != nil {
+		return nil, fmt.Errorf("gnn: compile: build validation set: %w", err)
 	}
-	refPreds := m.PredictBatch(val, opts.Workers)
+	refPreds := m.PredictBatch(val, 0)
 	gotPreds := cm.PredictBatch(val)
 	// The counters report serving traffic, not the gate's own batch.
 	cm.fusedGraphs.Store(0)
@@ -458,7 +451,7 @@ func qerr(ref, got float64) float64 {
 	return got / ref
 }
 
-// gateGraphs builds the default validation corpus: the three benchmark
+// gateGraphs builds the gate's validation corpus: the three benchmark
 // queries at a deterministic sweep of parallelism degrees on a seen-hardware
 // cluster.
 func gateGraphs() ([]*features.Graph, error) {

@@ -34,11 +34,6 @@ import (
 	"zerotune/internal/fault"
 )
 
-// SLOClassHeader is the request header carrying the SLO class, matching the
-// gateway's gateway.SLOClassHeader (duplicated here so loadgen does not
-// depend on the gateway package it load-tests).
-const SLOClassHeader = "X-SLO-Class"
-
 // ArrivalKind names an interarrival process.
 type ArrivalKind string
 
@@ -101,7 +96,7 @@ type Spec struct {
 type Request struct {
 	// Offset is the intended send time relative to run start.
 	Offset time.Duration
-	// Class is the SLO class (empty = unclassed; sent as SLOClassHeader).
+	// Class is the SLO class (empty = unclassed; sent as serve.SLOClassHeader).
 	Class string
 	// Path is the endpoint.
 	Path string

@@ -414,7 +414,7 @@ func (f targetFunc) Do(ctx context.Context, path, class string, body []byte) (in
 func TestHandlerTarget(t *testing.T) {
 	var gotClass, gotMethod, gotBody string
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotClass = r.Header.Get(SLOClassHeader)
+		gotClass = r.Header.Get(serve.SLOClassHeader)
 		gotMethod = r.Method
 		var b bytes.Buffer
 		_, _ = b.ReadFrom(r.Body)

@@ -33,7 +33,7 @@ func (t HandlerTarget) Do(ctx context.Context, path, class string, body []byte) 
 		return 0, err
 	}
 	if class != "" {
-		req.Header.Set(SLOClassHeader, class)
+		req.Header.Set(serve.SLOClassHeader, class)
 	}
 	w := serve.Recorder{DiscardBody: true}
 	t.Handler.ServeHTTP(&w, req)

@@ -9,6 +9,8 @@ import (
 	"io"
 	"os"
 	"time"
+
+	"zerotune/internal/serve"
 )
 
 // Trace file format (versioned, little-endian, checksummed):
@@ -38,13 +40,10 @@ var traceMagic = [4]byte{'Z', 'T', 'R', 'C'}
 
 const traceVersion = 1
 
-// maxTraceString bounds class/path fields; maxTraceBody mirrors the serve
-// tier's request-body bound so a hostile trace cannot allocate unbounded
-// memory during replay.
-const (
-	maxTraceString = 1 << 10
-	maxTraceBody   = 8 << 20
-)
+// maxTraceString bounds class/path fields, and bodies are bounded by the
+// serve tier's own request-body limit, so a hostile trace cannot allocate
+// unbounded memory during replay.
+const maxTraceString = 1 << 10
 
 // TraceHeader carries the workload provenance of a trace: enough to
 // re-derive the schedule (seed, process, rate) and to label reports, but
@@ -125,8 +124,8 @@ func WriteTrace(w io.Writer, h TraceHeader, reqs []Request) error {
 		if len(r.Class) > maxTraceString || len(r.Path) > maxTraceString {
 			return fmt.Errorf("loadgen: trace record %d class/path exceeds %d bytes", i, maxTraceString)
 		}
-		if len(r.Body) > maxTraceBody {
-			return fmt.Errorf("loadgen: trace record %d body exceeds %d bytes", i, maxTraceBody)
+		if len(r.Body) > serve.MaxBodyBytes {
+			return fmt.Errorf("loadgen: trace record %d body exceeds %d bytes", i, serve.MaxBodyBytes)
 		}
 		if _, err := cw.Write([]byte{'R'}); err != nil {
 			return err
@@ -277,7 +276,7 @@ func ReadTrace(r io.Reader) (TraceHeader, []Request, error) {
 		if err != nil {
 			return h, nil, fmt.Errorf("loadgen: truncated trace record: %w", err)
 		}
-		if blen > maxTraceBody {
+		if blen > serve.MaxBodyBytes {
 			return h, nil, fmt.Errorf("loadgen: corrupt trace: body of %d bytes", blen)
 		}
 		body := make([]byte, blen)

@@ -6,14 +6,6 @@ import (
 	"net/http/pprof"
 )
 
-// MetricsHandler serves r in Prometheus text exposition format.
-func MetricsHandler(r *Registry) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
-	})
-}
-
 // TracesHandler serves the tracer's completed-trace ring as a JSON array,
 // newest trace first.
 func TracesHandler(t *Tracer) http.Handler {

@@ -1,24 +1,30 @@
-// Serving through the fused-batch inference engine: -compiled loads must
-// build (and gate) the engine as part of load-validate-swap, and the
-// body-level response cache must never outlive the model that filled it.
+// Serving through the fused-batch inference engine: every load must build
+// (and gate) the engine as part of load-validate-swap, and the body-level
+// response cache must never outlive the model that filled it.
 package serve_test
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"zerotune/internal/client"
+	"zerotune/internal/core"
 	"zerotune/internal/serve"
 )
 
-// TestServeCompiledLoadBuildsEngine verifies that with Options.Compiled the
-// load path compiles every model revision and the gate report is attached,
-// for both the initial load and a hot swap.
+// TestServeCompiledLoadBuildsEngine verifies that at default options the load
+// path compiles every model revision and the gate report is attached, for
+// both the initial load and a hot swap.
 func TestServeCompiledLoadBuildsEngine(t *testing.T) {
 	ztA, ztB := models(t)
 	pathA, pathB := saveModel(t, ztA, "a.json"), saveModel(t, ztB, "b.json")
 
-	s := serve.New(serve.Options{Compiled: true})
+	s := serve.New(serve.Options{})
 	if _, err := s.ServeModelFile(pathA); err != nil {
 		t.Fatal(err)
 	}
@@ -51,6 +57,56 @@ func TestServeCompiledLoadBuildsEngine(t *testing.T) {
 		t.Fatalf("reload status %d", code)
 	}
 	check("after hot swap")
+}
+
+// TestServeGateRefusal: a model the accuracy gate refuses is an invalid file
+// on the load path (422, the old revision keeps serving on the engine) and a
+// reference-path revision when installed in memory, which /healthz names.
+func TestServeGateRefusal(t *testing.T) {
+	ztA, _ := models(t)
+	// A private copy of A whose throughput underflows to zero: finite, so the
+	// load probe passes, but a q-error against zero is unbounded.
+	var buf bytes.Buffer
+	if err := ztA.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	refused, err := core.Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := refused.Model.TptHead.Layers
+	head[len(head)-1].B[0] -= 400
+
+	s := serve.New(serve.Options{})
+	t.Cleanup(s.Close)
+	if _, err := s.ServeModelFile(saveModel(t, ztA, "a.json")); err != nil {
+		t.Fatal(err)
+	}
+	c := client.NewForHandler(s)
+	engine := func() string {
+		t.Helper()
+		h, err := c.Health(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h.Model.Engine
+	}
+	if got := engine(); got != "f32" {
+		t.Fatalf("loaded model serves on %q, want f32", got)
+	}
+
+	_, err = c.Reload(context.Background(), &serve.ReloadRequest{Path: saveModel(t, refused, "refused.json")})
+	if !errors.Is(err, client.ErrInvalidModel) || !strings.Contains(err.Error(), "accuracy gate") {
+		t.Fatalf("reload of a gate-refused file: %v, want invalid_model naming the accuracy gate", err)
+	}
+	if got := engine(); got != "f32" {
+		t.Fatalf("after the refused reload the server is on %q, want f32", got)
+	}
+
+	s.Registry().Install(refused, "refused", "")
+	if got := engine(); got != "reference" {
+		t.Fatalf("installed gate-refused model serves on %q, want reference", got)
+	}
 }
 
 // TestServeBodyCacheRepeat verifies a byte-identical repeat is answered from

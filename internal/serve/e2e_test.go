@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -21,6 +22,7 @@ import (
 
 	"zerotune/internal/cluster"
 	"zerotune/internal/core"
+	"zerotune/internal/gnn"
 	"zerotune/internal/optimizer"
 	"zerotune/internal/queryplan"
 	"zerotune/internal/serve"
@@ -354,11 +356,23 @@ func TestServeReloadHotSwap(t *testing.T) {
 		t.Fatalf("model identity did not swap: old %s new %s reload %s", oldID, newID, rel.ModelID)
 	}
 	// Post-swap predictions come from model B — including the cached path
-	// (the swap must have invalidated model A's cache entries).
+	// (the swap must have invalidated model A's cache entries): bit-identical
+	// to the served revision's own Predict, and within the accuracy gate's
+	// budget of B's float64 reference.
 	req := serve.PredictRequest{Plan: testPlan(2, 10_000), Cluster: serve.ClusterSpec{Workers: 4, LinkGbps: 10}}
-	want, err := ztB.Predict(context.Background(), testPlan(2, 10_000), testCluster(t))
+	want, err := s.Registry().Current().ZT.Predict(context.Background(), testPlan(2, 10_000), testCluster(t))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if ztB.Compiled() != nil {
+		t.Fatal("ztB was compiled by another test; it is this test's float64 reference")
+	}
+	ref, err := ztB.Predict(context.Background(), testPlan(2, 10_000), testCluster(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	within := func(got, ref float64) bool {
+		return math.Abs(got-ref) <= gnn.DefaultGateThreshold*ref
 	}
 	for i := 0; i < 2; i++ {
 		var got serve.PredictResponse
@@ -368,6 +382,10 @@ func TestServeReloadHotSwap(t *testing.T) {
 		if got.LatencyMs != want.LatencyMs || got.ThroughputEPS != want.ThroughputEPS {
 			t.Fatalf("request %d served stale model: (%v, %v) != (%v, %v)",
 				i, got.LatencyMs, got.ThroughputEPS, want.LatencyMs, want.ThroughputEPS)
+		}
+		if !within(got.LatencyMs, ref.LatencyMs) || !within(got.ThroughputEPS, ref.ThroughputEPS) {
+			t.Fatalf("request %d: (%v, %v) is outside the gate budget of model B's reference (%v, %v)",
+				i, got.LatencyMs, got.ThroughputEPS, ref.LatencyMs, ref.ThroughputEPS)
 		}
 	}
 }

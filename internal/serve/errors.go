@@ -47,9 +47,9 @@ var (
 	ErrUnknownFingerprint = errors.New("serve: unknown plan fingerprint")
 )
 
-// statusClientClosedRequest is nginx's non-standard 499: the client went
+// StatusClientClosedRequest is nginx's non-standard 499: the client went
 // away before the response; no standard code fits a cancelled request.
-const statusClientClosedRequest = 499
+const StatusClientClosedRequest = 499
 
 // errorCode maps an error (and the status it is served with) to the stable
 // `code` field of the error envelope.
@@ -87,7 +87,7 @@ func errorCode(status int, err error) string {
 		return "queue_full"
 	case http.StatusServiceUnavailable:
 		return "unavailable"
-	case statusClientClosedRequest:
+	case StatusClientClosedRequest:
 		return "canceled"
 	default:
 		return "internal"

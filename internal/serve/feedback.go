@@ -14,8 +14,8 @@ import (
 	"zerotune/internal/cluster"
 	"zerotune/internal/core"
 	"zerotune/internal/fault"
-	"zerotune/internal/feedback"
 	"zerotune/internal/features"
+	"zerotune/internal/feedback"
 	"zerotune/internal/gnn"
 	"zerotune/internal/queryplan"
 )
@@ -97,7 +97,6 @@ func (s *Server) newLearnState(lo LearnOptions) (*learnState, error) {
 		MaxShadowRegress: lo.MaxShadowRegress,
 		Epochs:           lo.Epochs,
 		Seed:             lo.Seed,
-		Gate:             s.opts.Compiled,
 		Interval:         lo.Interval,
 		Registry:         reg,
 	})
@@ -311,10 +310,6 @@ func (s *Server) learnInfo() *LearnInfo {
 		Rollbacks:     rollbacks,
 	}
 }
-
-// SLOClassHeader mirrors the gateway's class header so feedback samples
-// keep their class attribution when posted directly to a replica.
-const SLOClassHeader = "X-SLO-Class"
 
 func isPositiveFinite(v float64) bool {
 	return v > 0 && !math.IsInf(v, 0) && !math.IsNaN(v)

@@ -31,42 +31,46 @@ type ModelEntry struct {
 	LoadedAt time.Time
 }
 
+// Engine names what answers predictions on this revision: the compiled
+// engine's numeric representation ("f32"), or "reference" when the model
+// runs the float64 forward pass.
+func (e *ModelEntry) Engine() string {
+	if cm := e.ZT.Compiled(); cm != nil {
+		return cm.Engine.String()
+	}
+	return "reference"
+}
+
 // Registry holds the currently served model behind an atomic pointer and
 // implements the load-validate-swap reload protocol: the candidate file is
-// fully parsed, structurally validated (core.Load) and probe-evaluated
-// before the pointer moves, so a truncated or corrupt file leaves the old
-// model serving untouched.
+// fully parsed, structurally validated (core.Load), probe-evaluated and
+// compiled — the fused engine's accuracy gate included — before the pointer
+// moves, so a truncated, corrupt or gate-refused file leaves the old model
+// serving untouched.
 type Registry struct {
 	cur atomic.Pointer[ModelEntry]
 	gen atomic.Uint64
 	mu  sync.Mutex // serializes reloads; reads are lock-free
-
-	// compile asks every load to build the fused inference engine
-	// (core.ZeroTune.Compile) and makes its accuracy gate part of
-	// load-validate-swap: a model whose compiled predictions drift beyond the
-	// gate budget is refused like any other invalid file, leaving the old
-	// model serving.
-	compile atomic.Bool
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
-
-// SetCompile turns compiled-engine loading on or off for subsequent loads;
-// the currently served entry is unaffected.
-func (r *Registry) SetCompile(on bool) { r.compile.Store(on) }
 
 // Current returns the active model revision, or nil before the first
 // install.
 func (r *Registry) Current() *ModelEntry { return r.cur.Load() }
 
 // Install activates an in-memory model (tests, embedded serving). The id
-// may be empty; a generation-derived one is assigned. With compiled loading
-// enabled the engine is built here too, but a gate failure only logs the
-// model back to the reference path — the caller handed us the model
-// directly, and the reference forward pass is always correct.
+// may be empty; a generation-derived one is assigned. The fused engine is
+// built here unless the caller already compiled the model. Unlike a file
+// load, a gate refusal does not reject the model — the caller handed it to
+// us directly, and the reference forward pass is always correct — it keeps
+// it on the reference path, which /healthz reports as model.engine
+// "reference".
 func (r *Registry) Install(zt *core.ZeroTune, id, path string) *ModelEntry {
-	if r.compile.Load() && zt.Compiled() == nil {
+	if zt.Compiled() == nil {
+		// The refusal is what Engine() reads back; there is nobody to return
+		// it to.
 		_ = zt.Compile(gnn.CompileOptions{})
 	}
 	r.mu.Lock()
@@ -85,11 +89,11 @@ func (r *Registry) Install(zt *core.ZeroTune, id, path string) *ModelEntry {
 // replaced does not hammer the filesystem in lockstep.
 const reloadAttempts = 3
 
-// LoadFile reads, validates and probe-evaluates a model file without
-// swapping it in. Transient failures — a checksum mismatch (the file was
-// replaced between open and read, or a non-atomic writer was mid-flight) or
-// an injected fault — are retried with jittered backoff; structural errors
-// (bad JSON, failed probe) surface immediately.
+// LoadFile reads, validates, probe-evaluates and compiles a model file
+// without swapping it in. Transient failures — a checksum mismatch (the file
+// was replaced between open and read, or a non-atomic writer was mid-flight)
+// or an injected fault — are retried with jittered backoff; structural
+// errors (bad JSON, failed probe, refused accuracy gate) surface immediately.
 func (r *Registry) LoadFile(path string) (*ModelEntry, error) {
 	var e *ModelEntry
 	var err error
@@ -135,13 +139,11 @@ func (r *Registry) loadFileOnce(path string) (*ModelEntry, error) {
 	if err := probe(zt); err != nil {
 		return nil, err
 	}
-	if r.compile.Load() {
-		// The compile step's accuracy gate is part of validation: a compiled
-		// model that disagrees with its own float64 reference beyond the
-		// budget never swaps in.
-		if err := zt.Compile(gnn.CompileOptions{}); err != nil {
-			return nil, fmt.Errorf("serve: compile model: %w", err)
-		}
+	// The compile step's accuracy gate is part of validation: a compiled
+	// model that disagrees with its own float64 reference beyond the budget
+	// never swaps in.
+	if err := zt.Compile(gnn.CompileOptions{}); err != nil {
+		return nil, fmt.Errorf("serve: compile model: %w", err)
 	}
 	sum := sha256.Sum256(data)
 	return &ModelEntry{ZT: zt, ID: fmt.Sprintf("sha256:%x", sum[:6]), Path: path, LoadedAt: time.Now()}, nil

@@ -93,11 +93,11 @@ type Options struct {
 	// count-based schedule makes breaker transitions a pure function of the
 	// request sequence — required for seed-reproducible chaos runs.
 	CircuitProbeEvery int
-	// Compiled builds the fused-batch inference engine for every installed
-	// model (gnn.Compile) and makes its accuracy gate part of the reload
-	// protocol: a model whose compiled predictions drift beyond the gate
-	// budget is refused at load time. The cmd layer defaults this from the
-	// ZEROTUNE_COMPILED environment variable.
+	// Compiled is accepted and ignored: every model the registry takes is
+	// compiled (see Registry), so there is nothing left to switch. The field
+	// survives only because benchmark/fixture.go sets it and a change to the
+	// serving code may not edit the benchmark that measures it; the next
+	// benchmark change deletes both (ROADMAP item 5).
 	Compiled bool
 	// Learn enables the closed continual-learning loop (feedback
 	// ingestion, drift detection, drift-triggered fine-tune with shadow
@@ -183,7 +183,6 @@ func New(opts Options) *Server {
 		tracer: opts.Tracer,
 		mux:    http.NewServeMux(),
 	}
-	s.reg.SetCompile(opts.Compiled)
 	s.resp = newRespCache(opts.CacheSize)
 	s.respHits = reg.Counter("zerotune_respcache_body_hits_total")
 	s.bodyBufs.New = func() any { b := make([]byte, 0, 4096); return &b }
@@ -576,7 +575,7 @@ func predictStatus(err error) int {
 	case errors.Is(err, ErrQueueFull):
 		return http.StatusTooManyRequests
 	case errors.Is(err, context.Canceled):
-		return statusClientClosedRequest
+		return StatusClientClosedRequest
 	default:
 		return http.StatusServiceUnavailable
 	}
@@ -692,7 +691,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Learn:   s.learnInfo(),
 		Model: ModelInfo{
 			ID: entry.ID, Path: entry.Path, Params: entry.ZT.Model.NumParams(),
-			Mask: entry.ZT.Mask.String(), Gen: entry.Gen,
+			Mask: entry.ZT.Mask.String(), Engine: entry.Engine(), Gen: entry.Gen,
 			LoadedAt:  entry.LoadedAt.UTC().Format(time.RFC3339),
 			UptimeSec: int64(time.Since(entry.LoadedAt).Seconds()),
 		},

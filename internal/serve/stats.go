@@ -8,8 +8,9 @@ import (
 	"zerotune/internal/obs"
 )
 
-// latencyBounds are the request-latency bucket edges in seconds.
-var latencyBounds = []float64{
+// LatencyBounds are the latency bucket edges in seconds of every duration
+// histogram in both tiers, so dashboards can overlay replica and gateway.
+var LatencyBounds = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
@@ -69,7 +70,7 @@ func NewStats(reg *obs.Registry) *Stats {
 		s.endpoints[name] = &EndpointStats{
 			Requests: reg.Counter("zerotune_requests_total", l),
 			Errors:   reg.Counter("zerotune_request_errors_total", l),
-			Latency:  reg.Histogram("zerotune_request_duration_seconds", latencyBounds, 1024, l),
+			Latency:  reg.Histogram("zerotune_request_duration_seconds", LatencyBounds, 1024, l),
 		}
 	}
 	reg.GaugeFunc("zerotune_uptime_seconds", func() float64 { return time.Since(s.start).Seconds() })

@@ -97,7 +97,7 @@ func TestTuneForwardFaultIs503(t *testing.T) {
 // topology, so the compiled engine must report them in one bucket — the
 // counters that would have shown the 1.12-graphs-per-bucket pathology.
 func TestTuneFusionVisibleOnMetrics(t *testing.T) {
-	_, ts := newTestServer(t, serve.Options{Compiled: true})
+	_, ts := newTestServer(t, serve.Options{})
 	scrape := func() (graphs, buckets float64) {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/metrics")

@@ -16,9 +16,16 @@ import (
 // integer enum codes), so a plan file written for `zerotune simulate -plan`
 // is a valid /v1/predict payload verbatim.
 
-// maxBodyBytes bounds request bodies; a parallel query plan is a few KB,
-// so anything near the limit is abuse, not workload.
-const maxBodyBytes = 8 << 20
+// MaxBodyBytes bounds request bodies; a parallel query plan is a few KB,
+// so anything near the limit is abuse, not workload. The gateway, the client
+// and trace replay bound what they read by the same number.
+const MaxBodyBytes = 8 << 20
+
+// SLOClassHeader is the request header declaring the caller's SLO class. The
+// gateway's admission control reads it (requests without it, or naming an
+// unconfigured class, are best-effort); a replica keeps it as the class
+// attribution of feedback samples posted to it directly.
+const SLOClassHeader = "X-SLO-Class"
 
 // MaxPlanInstances and MaxClusterNodes bound what one body can make the
 // server allocate: placement and encoding are linear in a plan's operator
@@ -206,12 +213,15 @@ type LearnInfo struct {
 	Rollbacks     uint64  `json:"rollbacks"`
 }
 
-// ModelInfo identifies the active model revision.
+// ModelInfo identifies the active model revision. Engine is what answers
+// its predictions: "f32" (the fused engine) or "reference" (an installed
+// model whose accuracy gate refused the engine).
 type ModelInfo struct {
 	ID        string `json:"id"`
 	Path      string `json:"path,omitempty"`
 	Params    int    `json:"params"`
 	Mask      string `json:"mask"`
+	Engine    string `json:"engine"`
 	Gen       uint64 `json:"gen"`
 	LoadedAt  string `json:"loaded_at"`
 	UptimeSec int64  `json:"uptime_sec"`
@@ -233,7 +243,7 @@ type errorResponse struct {
 // decodeJSON reads one JSON value from the request body, rejecting trailing
 // garbage and oversized payloads.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("serve: decode request: %w", err)
 	}
@@ -248,7 +258,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 // buffer keeps the body-cache hit path free of per-request read allocations
 // once buffers are warm.
 func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
-	lr := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	lr := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
@@ -299,6 +309,6 @@ func degreesByOp(p *queryplan.PQP) map[string]int {
 // drainBody discards any unread remainder so keep-alive connections reuse
 // cleanly.
 func drainBody(r *http.Request) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, maxBodyBytes))
+	_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, MaxBodyBytes))
 	_ = r.Body.Close()
 }
