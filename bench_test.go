@@ -41,14 +41,8 @@ var (
 func benchLab(b *testing.B) *experiments.Lab {
 	b.Helper()
 	benchOnce.Do(func() {
-		var cfg experiments.Config
-		switch os.Getenv("ZEROTUNE_BENCH_SCALE") {
-		case "paper":
-			cfg = experiments.PaperScaleConfig()
-		case "quick":
-			cfg = experiments.Config{TrainQueries: 400, TestPerType: 30, Epochs: 12,
-				Hidden: 24, FewShotQueries: 60, TuneQueriesPerType: 3, Seed: 1}
-		default:
+		cfg, err := experiments.ScaleConfig(os.Getenv("ZEROTUNE_BENCH_SCALE"))
+		if err != nil { // unset or unknown: the default scale
 			cfg = experiments.DefaultConfig()
 		}
 		benchL = experiments.NewLab(cfg)

@@ -18,8 +18,8 @@ import (
 	"zerotune/internal/serve"
 )
 
-// runChaos replays a seed-deterministic fault schedule against an in-process
-// server and asserts the serving invariants hold under fire:
+// chaosCommand replays a seed-deterministic fault schedule against an
+// in-process server and asserts the serving invariants hold under fire:
 //
 //   - every error response carries the stable envelope with a known code —
 //     no bare 500s, no unmapped failures;
@@ -35,88 +35,88 @@ import (
 // requests sequentially, flushing batches immediately (no coalescing
 // window), and probing the circuit on a request-count schedule instead of a
 // cooldown timer.
-func runChaos(args []string) error {
-	fs := flag.NewFlagSet("chaos", flag.ExitOnError)
-	model := fs.String("model", "model.json", "model path")
+func chaosCommand(fs *flag.FlagSet) func() error {
+	model := bindModel(fs, "model path")
 	seed := fs.Uint64("seed", 1, "fault schedule seed")
 	requests := fs.Int("requests", 120, "predict requests to replay")
 	logPath := fs.String("log", "", "write the fault event log to this file (byte-identical per seed)")
 	reqTimeout := fs.Duration("request-timeout", 300*time.Millisecond, "per-predict deadline")
 	threshold := fs.Int("circuit-threshold", 3, "consecutive forward failures that trip the circuit")
 	probeEvery := fs.Int("probe-every", 4, "admit every Nth rejected request as the recovery probe")
-	_ = fs.Parse(args)
-	if *requests < 2 {
-		return fmt.Errorf("chaos: -requests must be at least 2")
-	}
-
-	s := newChaosServer(*reqTimeout, *threshold, *probeEvery)
-	defer s.Close()
-	// Load before activating faults: the replay targets the serving path, not
-	// its own setup.
-	if _, err := s.ServeModelFile(*model); err != nil {
-		return err
-	}
-
-	reg := fault.New(*seed)
-	for _, sched := range chaosSchedule(*seed, *reqTimeout) {
-		reg.Install(sched)
-	}
-	fault.Activate(reg)
-	defer fault.Deactivate()
-
-	h := &chaosHarness{srv: s, c: client.NewForHandler(s), deadline: *reqTimeout}
-	clearAt := *requests / 2
-	for i := 0; i < *requests; i++ {
-		if i == clearAt {
-			// Halfway the storm ends; the tail of the run must recover.
-			reg.ClearAll()
+	return func() error {
+		if *requests < 2 {
+			return fmt.Errorf("chaos: -requests must be at least 2")
 		}
-		h.predict(i, i >= clearAt)
-		if i%10 == 9 {
-			h.reload(*model)
-			h.health()
-		}
-	}
 
-	// Recovery invariants: with the schedule cleared for the whole second
-	// half, the breaker must have closed and the learned path answered again.
-	if st := s.Circuit(); st != serve.CircuitClosed {
-		h.violate("circuit %s after %d fault-free requests, want closed", st, *requests-clearAt)
-	}
-	if h.healthyAfterClear == 0 {
-		h.violate("no healthy (non-degraded) 200 after the faults cleared")
-	}
-
-	if *logPath != "" {
-		if err := os.WriteFile(*logPath, []byte(reg.DumpEvents()), 0o644); err != nil {
-			return fmt.Errorf("chaos: write event log: %w", err)
+		s := newChaosServer(*reqTimeout, *threshold, *probeEvery)
+		defer s.Close()
+		// Load before activating faults: the replay targets the serving path, not
+		// its own setup.
+		if _, err := s.ServeModelFile(*model); err != nil {
+			return err
 		}
-	}
 
-	snap := s.Snapshot()
-	fmt.Printf("chaos: seed=%d requests=%d healthy=%d degraded=%d errors=%d stuck=%d fedback=%d\n",
-		*seed, *requests, h.healthy, h.degraded, h.errored, h.stuck, h.fedback)
-	fmt.Printf("chaos: faults=%d dropped_events=%d circuit_opens=%d served_degraded=%d\n",
-		len(reg.Events()), reg.Dropped(), snap.CircuitOpens, snap.Degraded)
-	for _, code := range sortedKeys(h.codes) {
-		fmt.Printf("chaos: code %-18s %d\n", code, h.codes[code])
-	}
-	var metrics bytes.Buffer
-	s.Metrics().WritePrometheus(&metrics)
-	for _, line := range strings.Split(metrics.String(), "\n") {
-		if strings.Contains(line, "degraded") || strings.Contains(line, "circuit") {
-			fmt.Println("chaos: metric", line)
+		reg := fault.New(*seed)
+		for _, sched := range chaosSchedule(*seed, *reqTimeout) {
+			reg.Install(sched)
 		}
-	}
+		fault.Activate(reg)
+		defer fault.Deactivate()
 
-	if len(h.violations) > 0 {
-		for _, v := range h.violations {
-			fmt.Fprintln(os.Stderr, "chaos: VIOLATION:", v)
+		h := &chaosHarness{srv: s, c: client.NewForHandler(s), deadline: *reqTimeout}
+		clearAt := *requests / 2
+		for i := 0; i < *requests; i++ {
+			if i == clearAt {
+				// Halfway the storm ends; the tail of the run must recover.
+				reg.ClearAll()
+			}
+			h.predict(i, i >= clearAt)
+			if i%10 == 9 {
+				h.reload(*model)
+				h.health()
+			}
 		}
-		return fmt.Errorf("chaos: %d invariant violation(s)", len(h.violations))
+
+		// Recovery invariants: with the schedule cleared for the whole second
+		// half, the breaker must have closed and the learned path answered again.
+		if st := s.Circuit(); st != serve.CircuitClosed {
+			h.violate("circuit %s after %d fault-free requests, want closed", st, *requests-clearAt)
+		}
+		if h.healthyAfterClear == 0 {
+			h.violate("no healthy (non-degraded) 200 after the faults cleared")
+		}
+
+		if *logPath != "" {
+			if err := os.WriteFile(*logPath, []byte(reg.DumpEvents()), 0o644); err != nil {
+				return fmt.Errorf("chaos: write event log: %w", err)
+			}
+		}
+
+		snap := s.Snapshot()
+		fmt.Printf("chaos: seed=%d requests=%d healthy=%d degraded=%d errors=%d stuck=%d fedback=%d\n",
+			*seed, *requests, h.healthy, h.degraded, h.errored, h.stuck, h.fedback)
+		fmt.Printf("chaos: faults=%d dropped_events=%d circuit_opens=%d served_degraded=%d\n",
+			len(reg.Events()), reg.Dropped(), snap.CircuitOpens, snap.Degraded)
+		for _, code := range sortedKeys(h.codes) {
+			fmt.Printf("chaos: code %-18s %d\n", code, h.codes[code])
+		}
+		var metrics bytes.Buffer
+		s.Metrics().WritePrometheus(&metrics)
+		for _, line := range strings.Split(metrics.String(), "\n") {
+			if strings.Contains(line, "degraded") || strings.Contains(line, "circuit") {
+				fmt.Println("chaos: metric", line)
+			}
+		}
+
+		if len(h.violations) > 0 {
+			for _, v := range h.violations {
+				fmt.Fprintln(os.Stderr, "chaos: VIOLATION:", v)
+			}
+			return fmt.Errorf("chaos: %d invariant violation(s)", len(h.violations))
+		}
+		fmt.Println("chaos: all invariants held")
+		return nil
 	}
-	fmt.Println("chaos: all invariants held")
-	return nil
 }
 
 // newChaosServer builds the server the drill replays against.

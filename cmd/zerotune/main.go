@@ -2,7 +2,8 @@
 // workloads, train and persist cost models, predict what-if costs, tune
 // parallelism degrees, and regenerate every experiment of the paper.
 //
-// Usage:
+// Usage (one line per row of the command table; `zerotune <command> -h`
+// prints every flag with its default):
 //
 //	zerotune datagen    -n 500 [-seed 1] [-structures linear,2-way-join]
 //	zerotune train      -n 3000 [-epochs 60] [-hidden 48] -out model.json [-checkpoint ckpt.zt] [-checkpoint-every 5] [-resume ckpt.zt]
@@ -26,12 +27,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
-	"zerotune/internal/cluster"
 	"zerotune/internal/core"
 	"zerotune/internal/experiments"
 	"zerotune/internal/optimizer"
@@ -39,98 +37,105 @@ import (
 	"zerotune/internal/workload"
 )
 
+// command is one row of the subcommand table: main dispatches on it, usage
+// prints it, and the tests walk it (help goldens, the usage comment above).
+type command struct {
+	name    string
+	summary string
+	// bind registers the command's flags on fs and returns what to run once
+	// they are parsed.
+	bind func(fs *flag.FlagSet) func() error
+}
+
+var commands = []command{
+	{"datagen", "generate a labelled workload and print it as JSON lines", datagenCommand},
+	{"train", "train a zero-shot cost model and write it to a file", trainCommand},
+	{"predict", "predict latency/throughput for a benchmark query", predictCommand},
+	{"tune", "recommend parallelism degrees for a query", tuneCommand},
+	{"serve", "expose predict/tune over HTTP with micro-batching, caching, and optional continual learning (-learn)", serveCommand},
+	{"gateway", "front N serve replicas with routing, SLO admission and health probing", gatewayCommand},
+	{"chaos", "replay a seeded fault schedule against an in-process server", chaosCommand},
+	{"bench", "open-loop load harness: seeded arrivals, RPS sweeps, trace record/replay", benchCommand},
+	{"plan", "capacity planner: simulate the serve tier, binary-search max RPS under a p99 SLO", planCommand},
+	{"simulate", "run the ground-truth engine on one plan and print its costs", simulateCommand},
+	{"validate", "cross-check the analytical engine against the event simulator", validateCommand},
+	{"experiment", `regenerate a table or figure of the paper (id or "all")`, experimentCommand},
+}
+
+func lookup(name string) *command {
+	for i := range commands {
+		if commands[i].name == name {
+			return &commands[i]
+		}
+	}
+	return nil
+}
+
+func (c *command) run(args []string) error {
+	fs := flag.NewFlagSet(c.name, flag.ExitOnError)
+	run := c.bind(fs)
+	_ = fs.Parse(args)
+	return run()
+}
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
-	var err error
-	switch os.Args[1] {
-	case "datagen":
-		err = runDatagen(os.Args[2:])
-	case "train":
-		err = runTrain(os.Args[2:])
-	case "predict":
-		err = runPredict(os.Args[2:])
-	case "tune":
-		err = runTune(os.Args[2:])
-	case "serve":
-		err = runServe(os.Args[2:])
-	case "gateway":
-		err = runGateway(os.Args[2:])
-	case "chaos":
-		err = runChaos(os.Args[2:])
-	case "bench":
-		err = runBench(os.Args[2:])
-	case "plan":
-		err = runPlan(os.Args[2:])
-	case "simulate":
-		err = runSimulate(os.Args[2:])
-	case "validate":
-		err = runValidate(os.Args[2:])
-	case "experiment":
-		err = runExperiment(os.Args[2:])
-	case "help", "-h", "--help":
+	name := os.Args[1]
+	if name == "help" || name == "-h" || name == "--help" {
 		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "zerotune: unknown command %q\n", os.Args[1])
+		return
+	}
+	c := lookup(name)
+	if c == nil {
+		fmt.Fprintf(os.Stderr, "zerotune: unknown command %q\n", name)
 		usage()
 		os.Exit(2)
 	}
-	if err != nil {
+	if err := c.run(os.Args[2:]); err != nil {
 		fmt.Fprintln(os.Stderr, "zerotune:", err)
 		os.Exit(1)
 	}
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: zerotune <command> [flags]
-
-commands:
-  datagen     generate a labelled workload and print it as JSON lines
-  train       train a zero-shot cost model and write it to a file
-  predict     predict latency/throughput for a benchmark query
-  tune        recommend parallelism degrees for a query
-  serve       expose predict/tune over HTTP with micro-batching, caching, and optional continual learning (-learn)
-  gateway     front N serve replicas with routing, SLO admission and health probing
-  chaos       replay a seeded fault schedule against an in-process server
-  bench       open-loop load harness: seeded arrivals, RPS sweeps, trace record/replay
-  plan        capacity planner: simulate the serve tier, binary-search max RPS under a p99 SLO
-  simulate    run the ground-truth engine on one plan and print its costs
-  validate    cross-check the analytical engine against the event simulator
-  experiment  regenerate a table or figure of the paper (id or "all")`)
+	fmt.Fprint(os.Stderr, "usage: zerotune <command> [flags]\n\ncommands:\n")
+	for _, c := range commands {
+		fmt.Fprintf(os.Stderr, "  %-12s%s\n", c.name, c.summary)
+	}
 }
 
-func runDatagen(args []string) error {
-	fs := flag.NewFlagSet("datagen", flag.ExitOnError)
+func datagenCommand(fs *flag.FlagSet) func() error {
 	n := fs.Int("n", 100, "number of queries")
 	seed := fs.Uint64("seed", 1, "random seed")
 	structs := fs.String("structures", "", "comma-separated structure list (default: seen structures)")
-	_ = fs.Parse(args)
-
-	structures := workload.SeenRanges().Structures
-	if *structs != "" {
-		structures = strings.Split(*structs, ",")
-	}
-	gen := workload.NewSeenGenerator(*seed)
-	items, err := gen.Generate(structures, *n)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	for _, it := range items {
-		row := map[string]any{
-			"template":       it.Plan.Query.Template,
-			"degrees":        it.Plan.DegreesVector(),
-			"workers":        len(it.Cluster.Nodes),
-			"latency_ms":     it.LatencyMs,
-			"throughput_eps": it.ThroughputEPS,
+	return func() error {
+		structures := workload.SeenRanges().Structures
+		if *structs != "" {
+			structures = strings.Split(*structs, ",")
 		}
-		if err := enc.Encode(row); err != nil {
+		gen := workload.NewSeenGenerator(*seed)
+		items, err := gen.Generate(structures, *n)
+		if err != nil {
 			return err
 		}
+		enc := json.NewEncoder(os.Stdout)
+		for _, it := range items {
+			row := map[string]any{
+				"template":       it.Plan.Query.Template,
+				"degrees":        it.Plan.DegreesVector(),
+				"workers":        len(it.Cluster.Nodes),
+				"latency_ms":     it.LatencyMs,
+				"throughput_eps": it.ThroughputEPS,
+			}
+			if err := enc.Encode(row); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return nil
 }
 
 // buildQuery instantiates one of the benchmark query templates by name.
@@ -155,258 +160,80 @@ func buildQuery(name string, rate float64) (*queryplan.Query, error) {
 	}
 }
 
-func runPredict(args []string) error {
-	fs := flag.NewFlagSet("predict", flag.ExitOnError)
-	model := fs.String("model", "model.json", "model path")
-	query := fs.String("query", "spike-detection", "query template")
-	rate := fs.Float64("rate", 10_000, "source event rate (ev/s)")
-	workers := fs.Int("workers", 4, "cluster size")
+func predictCommand(fs *flag.FlagSet) func() error {
+	qf := queryFlags{query: "spike-detection", rate: 10_000, workers: 4}
+	model := bindModel(fs, "model path")
+	bindQuery(fs, &qf, "", "")
 	degree := fs.Int("degree", 0, "uniform parallelism degree (0 = 1 per operator)")
-	_ = fs.Parse(args)
-
-	zt, err := core.LoadFile(*model)
-	if err != nil {
-		return err
-	}
-	q, err := buildQuery(*query, *rate)
-	if err != nil {
-		return err
-	}
-	c, err := cluster.New(*workers, cluster.SeenTypes(), 10)
-	if err != nil {
-		return err
-	}
-	p := queryplan.NewPQP(q)
-	if *degree > 0 {
-		for _, o := range q.Ops {
-			p.SetDegree(o.ID, *degree)
+	return func() error {
+		zt, err := core.LoadFile(*model)
+		if err != nil {
+			return err
 		}
+		q, c, err := qf.build()
+		if err != nil {
+			return err
+		}
+		p := queryplan.NewPQP(q)
+		if *degree > 0 {
+			for _, o := range q.Ops {
+				p.SetDegree(o.ID, *degree)
+			}
+		}
+		pred, err := zt.Predict(context.Background(), p, c)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("query=%s rate=%.0f workers=%d degrees=%v\n", qf.query, qf.rate, qf.workers, p.DegreesVector())
+		fmt.Printf("predicted latency:    %.2f ms\n", pred.LatencyMs)
+		fmt.Printf("predicted throughput: %.0f ev/s\n", pred.ThroughputEPS)
+		return nil
 	}
-	pred, err := zt.Predict(context.Background(), p, c)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("query=%s rate=%.0f workers=%d degrees=%v\n", *query, *rate, *workers, p.DegreesVector())
-	fmt.Printf("predicted latency:    %.2f ms\n", pred.LatencyMs)
-	fmt.Printf("predicted throughput: %.0f ev/s\n", pred.ThroughputEPS)
-	return nil
 }
 
-func runTune(args []string) error {
-	fs := flag.NewFlagSet("tune", flag.ExitOnError)
-	model := fs.String("model", "model.json", "model path")
-	query := fs.String("query", "3-way-join", "query template")
-	rate := fs.Float64("rate", 100_000, "source event rate (ev/s)")
-	workers := fs.Int("workers", 6, "cluster size")
-	weight := fs.Float64("weight", 0.5, "Eq. 1 latency weight wt in [0,1]")
-	_ = fs.Parse(args)
-
-	zt, err := core.LoadFile(*model)
-	if err != nil {
-		return err
-	}
-	q, err := buildQuery(*query, *rate)
-	if err != nil {
-		return err
-	}
-	c, err := cluster.New(*workers, cluster.SeenTypes(), 10)
-	if err != nil {
-		return err
-	}
+func tuneCommand(fs *flag.FlagSet) func() error {
+	qf := queryFlags{query: "3-way-join", rate: 100_000, workers: 6}
 	opts := optimizer.DefaultTuneOptions()
-	opts.Weight = *weight
-	res, err := zt.Tune(context.Background(), q, c, opts)
-	if err != nil {
-		return err
+	model := bindModel(fs, "model path")
+	bindQuery(fs, &qf, "", "")
+	fs.Float64Var(&opts.Weight, "weight", opts.Weight, "Eq. 1 latency weight wt in [0,1]")
+	return func() error {
+		zt, err := core.LoadFile(*model)
+		if err != nil {
+			return err
+		}
+		q, c, err := qf.build()
+		if err != nil {
+			return err
+		}
+		res, err := zt.Tune(context.Background(), q, c, opts)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("query=%s rate=%.0f workers=%d candidates=%d\n", qf.query, qf.rate, qf.workers, res.Candidates)
+		fmt.Printf("recommended degrees: %v\n", res.Plan.DegreesVector())
+		fmt.Printf("predicted latency:    %.2f ms\n", res.Estimate.LatencyMs)
+		fmt.Printf("predicted throughput: %.0f ev/s\n", res.Estimate.ThroughputEPS)
+		return nil
 	}
-	fmt.Printf("query=%s rate=%.0f workers=%d candidates=%d\n", *query, *rate, *workers, res.Candidates)
-	fmt.Printf("recommended degrees: %v\n", res.Plan.DegreesVector())
-	fmt.Printf("predicted latency:    %.2f ms\n", res.Estimate.LatencyMs)
-	fmt.Printf("predicted throughput: %.0f ev/s\n", res.Estimate.ThroughputEPS)
-	return nil
 }
 
-func runExperiment(args []string) error {
-	if len(args) < 1 {
-		return fmt.Errorf("experiment: missing id (fig3, tab4-seen, ..., all)")
-	}
-	id := args[0]
-	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
+// experimentCommand takes its id ahead of the flags (`experiment all -scale
+// quick`), where flag parsing stops, so it parses what follows the id itself.
+func experimentCommand(fs *flag.FlagSet) func() error {
 	scale := fs.String("scale", "default", "quick | default | paper")
 	csvDir := fs.String("csv", "", "also write each artifact's raw series as CSV into this directory")
 	plot := fs.Bool("plot", false, "also render figure-type results as ASCII charts")
-	_ = fs.Parse(args[1:])
-
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			return err
+	return func() error {
+		if fs.NArg() < 1 {
+			return fmt.Errorf("experiment: missing id (%s)", strings.Join(experiments.IDs(), ", "))
 		}
-	}
-
-	var cfg experiments.Config
-	switch *scale {
-	case "quick":
-		cfg = experiments.Config{TrainQueries: 400, TestPerType: 30, Epochs: 12, Hidden: 24,
-			FewShotQueries: 60, TuneQueriesPerType: 3, Seed: 1}
-	case "default":
-		cfg = experiments.DefaultConfig()
-	case "paper":
-		cfg = experiments.PaperScaleConfig()
-	default:
-		return fmt.Errorf("experiment: unknown scale %q", *scale)
-	}
-	l := experiments.NewLab(cfg)
-
-	writeCSV := func(name string, res any) error {
-		if *csvDir == "" {
-			return nil
-		}
-		cw, ok := res.(interface{ WriteCSV(w io.Writer) error })
-		if !ok {
-			return nil
-		}
-		path := filepath.Join(*csvDir, name+".csv")
-		f, err := os.Create(path)
+		id := fs.Arg(0)
+		_ = fs.Parse(fs.Args()[1:])
+		cfg, err := experiments.ScaleConfig(*scale)
 		if err != nil {
 			return err
 		}
-		// Close errors matter here: a full disk surfaces at Close, and a
-		// deferred unchecked Close would report a truncated CSV as success.
-		if err := cw.WriteCSV(f); err != nil {
-			f.Close()
-			return fmt.Errorf("write %s: %w", path, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("close %s: %w", path, err)
-		}
-		return nil
-	}
-
-	run := func(name string, fn func() (fmt.Stringer, error)) error {
-		fmt.Printf("== %s ==\n", name)
-		res, err := fn()
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		fmt.Println(res.String())
-		if *plot {
-			if p, ok := res.(interface{ Plot() string }); ok {
-				fmt.Println(p.Plot())
-			}
-		}
-		return writeCSV(name, res)
-	}
-
-	table := map[string]func() (fmt.Stringer, error){
-		"fig3":             func() (fmt.Stringer, error) { return experiments.RunFig3(32) },
-		"tab4-seen":        func() (fmt.Stringer, error) { return l.RunTable4Seen() },
-		"tab4-unseen":      func() (fmt.Stringer, error) { return l.RunTable4Unseen() },
-		"tab4-bench":       func() (fmt.Stringer, error) { return l.RunTable4Benchmarks() },
-		"fig5":             func() (fmt.Stringer, error) { return l.RunFig5ModelComparison() },
-		"fig6":             func() (fmt.Stringer, error) { return l.RunFig6FewShot() },
-		"fig9":             func() (fmt.Stringer, error) { return l.RunFig9DataEfficiency(nil) },
-		"fig10a":           func() (fmt.Stringer, error) { return l.RunFig10aSpeedup() },
-		"fig10b":           func() (fmt.Stringer, error) { return l.RunFig10bDhalion() },
-		"fig11":            func() (fmt.Stringer, error) { return l.RunFig11Ablation() },
-		"readout-ablation": func() (fmt.Stringer, error) { return l.RunReadoutAblation() },
-	}
-
-	runFig7 := func() error {
-		a, err := l.RunFig7a()
-		if err != nil {
-			return err
-		}
-		fmt.Println(a.String())
-		if err := writeCSV("fig7a", a); err != nil {
-			return err
-		}
-		b, err := l.RunFig7b()
-		if err != nil {
-			return err
-		}
-		fmt.Println(b.String())
-		if err := writeCSV("fig7b", b); err != nil {
-			return err
-		}
-		c, panels, err := l.RunFig7c()
-		if err != nil {
-			return err
-		}
-		fmt.Println(c.String())
-		for _, p := range panels {
-			fmt.Println(p.String())
-		}
-		if err := writeCSV("fig7c", c); err != nil {
-			return err
-		}
-		zero, few, err := l.RunFig7d()
-		if err != nil {
-			return err
-		}
-		fmt.Println(zero.String())
-		fmt.Println(few.String())
-		if err := writeCSV("fig7d-zeroshot", zero); err != nil {
-			return err
-		}
-		return writeCSV("fig7d-fewshot", few)
-	}
-	runFig8 := func() error {
-		names := []string{"fig8a-width", "fig8b-rate", "fig8c-duration", "fig8d-length", "fig8e-workers"}
-		for i, fn := range []func() (*experiments.Fig8Result, error){
-			l.RunFig8TupleWidth, l.RunFig8EventRate, l.RunFig8WindowDuration,
-			l.RunFig8WindowLength, l.RunFig8Workers,
-		} {
-			res, err := fn()
-			if err != nil {
-				return err
-			}
-			fmt.Println(res.String())
-			if *plot {
-				fmt.Println(res.Plot())
-			}
-			if err := writeCSV(names[i], res); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	switch id {
-	case "fig7":
-		return runFig7()
-	case "fig8":
-		return runFig8()
-	case "fig10":
-		if err := run("fig10a", table["fig10a"]); err != nil {
-			return err
-		}
-		return run("fig10b", table["fig10b"])
-	case "all":
-		order := []string{"fig3", "tab4-seen", "tab4-unseen", "tab4-bench", "fig5", "fig6"}
-		for _, name := range order {
-			if err := run(name, table[name]); err != nil {
-				return err
-			}
-		}
-		fmt.Println("== fig7 ==")
-		if err := runFig7(); err != nil {
-			return err
-		}
-		fmt.Println("== fig8 ==")
-		if err := runFig8(); err != nil {
-			return err
-		}
-		for _, name := range []string{"fig9", "fig10a", "fig10b", "fig11", "readout-ablation"} {
-			if err := run(name, table[name]); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		fn, ok := table[id]
-		if !ok {
-			return fmt.Errorf("experiment: unknown id %q", id)
-		}
-		return run(id, fn)
+		return experiments.Run(os.Stdout, experiments.NewLab(cfg), id, *csvDir, *plot)
 	}
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -12,173 +11,127 @@ import (
 	"strings"
 	"time"
 
-	"zerotune/internal/cluster"
 	"zerotune/internal/core"
 	"zerotune/internal/desim"
-	"zerotune/internal/gateway"
 	"zerotune/internal/gnn"
 	"zerotune/internal/loadgen"
-	"zerotune/internal/queryplan"
 	"zerotune/internal/serve"
-	"zerotune/internal/workload"
 )
 
-// runPlan is the capacity planner: it answers "what is the maximum RPS this
-// serve-tier configuration sustains inside a p99 SLO?" and "how do candidate
-// configurations compare on identical load?" by running the seeded bench
-// workload through the serve-tier discrete-event simulator instead of a live
-// cluster. A full multi-scenario plan costs seconds of CPU; the same spec
-// can then be replayed against real replicas with `zerotune bench` to check
-// the simulator's answer.
-func runPlan(args []string) error {
-	fs := flag.NewFlagSet("plan", flag.ExitOnError)
+// planCommand is the capacity planner: it answers "what is the maximum RPS
+// this serve-tier configuration sustains inside a p99 SLO?" and "how do
+// candidate configurations compare on identical load?" by running the seeded
+// bench workload through the serve-tier discrete-event simulator instead of a
+// live cluster. A full multi-scenario plan costs seconds of CPU; the same
+// spec can then be replayed against real replicas with `zerotune bench` to
+// check the simulator's answer.
+func planCommand(fs *flag.FlagSet) func() error {
+	var (
+		gen    specFlags
+		tier   desim.ServeConfig // every scenario's configuration but its replica count
+		target desim.SLOTarget
+		search desim.SearchOptions
+	)
 	model := fs.String("model", "", "model to calibrate service timings from (omit with -service to plan without a model)")
 	measureReps := fs.Int("measure-reps", 5, "repetitions per timing measurement when calibrating from -model")
 	service := fs.String("service", "", "pin per-stage service times: gateway=2µs,encode=25µs,base=150µs,peritem=6µs,hit=3µs,fallback=10µs (pinning makes runs byte-reproducible)")
 
-	seed := fs.Uint64("seed", 1, "seed for the arrival/class/body draws (same seed = byte-identical schedule and trace)")
-	arrival := fs.String("arrival", "poisson", "interarrival process: poisson | gamma | weibull | uniform")
-	cv := fs.Float64("cv", 1, "interarrival coefficient of variation (gamma/weibull)")
-	diurnal := fs.Float64("diurnal", 0, "diurnal rate-envelope amplitude in [0,1)")
-	diurnalPeriod := fs.Duration("diurnal-period", 0, "diurnal period (default: the step duration)")
-	classMix := fs.String("classes", "", "SLO class mix of generated load: name=weight,...")
-	corpus := fs.Int("corpus", 8, "number of distinct request bodies in the generated corpus")
+	bindSpec(fs, &gen, "schedule and trace", "step duration")
 
 	replicaList := fs.String("replicas", "1,3", "replica counts to compare, comma-separated (each is one scenario)")
-	route := fs.String("route", "", "routing policy: affinity | round-robin | least-loaded (default affinity)")
-	slo := fs.String("slo", "", "admission classes: name=rate[:burst[:priority]],...")
-	batchWindow := fs.Duration("batch-window", 0, "micro-batch collection window (default: the serve tier's)")
-	maxBatch := fs.Int("max-batch", 0, "micro-batch size cap (default: the serve tier's)")
-	queueDepth := fs.Int("queue-depth", 0, "per-replica queue bound (default: the serve tier's)")
-	cacheEntries := fs.Int("cache", 0, "per-replica cache entries (default: the serve tier's; negative disables)")
-	failureProb := fs.Float64("failure-prob", 0, "per-flush forward failure probability (exercises breaker dynamics)")
-	circuit := fs.Int("circuit-threshold", 0, "consecutive failures tripping the breaker (default: the serve tier's; negative disables)")
+	fs.StringVar((*string)(&tier.Route), "route", "", "routing policy: affinity | round-robin | least-loaded (default affinity)")
+	slo := bindSLO(fs, "admission classes", "")
+	fs.DurationVar(&tier.BatchWindow, "batch-window", 0, "micro-batch collection window (default: the serve tier's)")
+	fs.IntVar(&tier.MaxBatch, "max-batch", 0, "micro-batch size cap (default: the serve tier's)")
+	fs.IntVar(&tier.QueueDepth, "queue-depth", 0, "per-replica queue bound (default: the serve tier's)")
+	fs.IntVar(&tier.CacheEntries, "cache", 0, "per-replica cache entries (default: the serve tier's; negative disables)")
+	fs.Float64Var(&tier.FailureProb, "failure-prob", 0, "per-flush forward failure probability (exercises breaker dynamics)")
+	fs.IntVar(&tier.CircuitThreshold, "circuit-threshold", 0, "consecutive failures tripping the breaker (default: the serve tier's; negative disables)")
 
-	p99 := fs.Duration("p99", 50*time.Millisecond, "SLO target: corrected p99 must stay inside this")
-	goodput := fs.Float64("goodput-fraction", 0.95, "SLO target: goodput must cover this fraction of offered load")
-	minRate := fs.Float64("min-rate", 50, "search floor (req/s)")
-	maxRate := fs.Float64("max-rate", 50_000, "search ceiling (req/s)")
-	iterations := fs.Int("iterations", 12, "bisection budget per scenario")
-	stepDuration := fs.Duration("step-duration", 5*time.Second, "virtual horizon per evaluated rate")
+	fs.DurationVar(&target.P99, "p99", desim.DefaultP99, "SLO target: corrected p99 must stay inside this")
+	fs.Float64Var(&target.GoodputFraction, "goodput-fraction", desim.DefaultGoodputFraction, "SLO target: goodput must cover this fraction of offered load")
+	fs.Float64Var(&search.MinRPS, "min-rate", desim.DefaultMinRPS, "search floor (req/s)")
+	fs.Float64Var(&search.MaxRPS, "max-rate", desim.DefaultMaxRPS, "search ceiling (req/s)")
+	fs.IntVar(&search.Iterations, "iterations", desim.DefaultIterations, "bisection budget per scenario")
+	fs.DurationVar(&search.StepDuration, "step-duration", desim.DefaultStepDuration, "virtual horizon per evaluated rate")
 	rate := fs.Float64("rate", 0, "skip the search: compare scenarios at this fixed offered rate")
 
 	tracePath := fs.String("trace", "", "write the decision trace (every routing/queueing/caching decision) here")
-	reportPath := fs.String("report", "", "write the machine-readable JSON report (benchjson-compatible) here")
-	_ = fs.Parse(args)
-
-	svc, err := planServiceModel(*service, *model, *seed, *measureReps)
-	if err != nil {
-		return err
-	}
-	counts, err := parseReplicaList(*replicaList)
-	if err != nil {
-		return err
-	}
-	classes, err := parseClassMix(*classMix)
-	if err != nil {
-		return err
-	}
-	sloClasses, err := parseSLOClasses(*slo)
-	if err != nil {
-		return err
-	}
-	bodies, err := benchBodies(*seed, *corpus)
-	if err != nil {
-		return err
-	}
-	spec := loadgen.Spec{
-		Seed:             *seed,
-		Arrival:          loadgen.ArrivalKind(*arrival),
-		CV:               *cv,
-		DiurnalAmplitude: *diurnal,
-		DiurnalPeriod:    *diurnalPeriod,
-		Classes:          classes,
-		Bodies:           bodies,
-	}
-
-	// trace stays a true nil interface when no path was given — a typed-nil
-	// *os.File would read as "tracing on" downstream.
-	var trace io.Writer
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
+	reportPath := bindReport(fs)
+	return func() error {
+		var err error
+		if tier.Service, err = planServiceModel(*service, *model, gen.Seed, *measureReps); err != nil {
+			return err
+		}
+		counts, err := parseReplicaList(*replicaList)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		trace = f
-	}
-
-	scenarios := make([]desim.Scenario, 0, len(counts))
-	for _, n := range counts {
-		scenarios = append(scenarios, desim.Scenario{
-			Name: fmt.Sprintf("replicas=%d", n),
-			Config: desim.ServeConfig{
-				Replicas:         n,
-				BatchWindow:      *batchWindow,
-				MaxBatch:         *maxBatch,
-				QueueDepth:       *queueDepth,
-				CacheEntries:     *cacheEntries,
-				Route:            gateway.RoutePolicy(*route),
-				Classes:          sloClasses,
-				Service:          svc,
-				CircuitThreshold: *circuit,
-				FailureProb:      *failureProb,
-				Seed:             *seed,
-			},
-		})
-	}
-
-	rep := &planReport{
-		Mode:    "plan",
-		Target:  "desim",
-		Trace:   loadgen.HeaderFromSpec(spec),
-		Service: svc,
-	}
-	if *rate > 0 {
-		// Fixed-rate what-if: every scenario sees the same schedule.
-		spec.Rate = *rate
-		spec.Duration = *stepDuration
-		rep.Mode = "plan-fixed"
-		rep.Fixed, err = desim.Compare(spec, scenarios, trace)
+		if tier.Classes, err = parseSLOClasses(*slo); err != nil {
+			return err
+		}
+		spec, err := gen.build()
 		if err != nil {
 			return err
 		}
-		fmt.Print(fixedTable(*rate, rep.Fixed))
-	} else {
-		target := desim.SLOTarget{P99: *p99, GoodputFraction: *goodput}
-		opts := desim.SearchOptions{
-			Spec:         spec,
-			MinRPS:       *minRate,
-			MaxRPS:       *maxRate,
-			Iterations:   *iterations,
-			StepDuration: *stepDuration,
-			Trace:        trace,
-		}
-		for _, sc := range scenarios {
-			res, err := desim.SearchMaxRPS(sc.Name, sc.Config, target, opts)
+		tier.Seed = spec.Seed
+
+		// trace stays a true nil interface when no path was given — a typed-nil
+		// *os.File would read as "tracing on" downstream.
+		var trace io.Writer
+		if *tracePath != "" {
+			f, err := os.Create(*tracePath)
 			if err != nil {
 				return err
 			}
-			rep.Plans = append(rep.Plans, res)
+			defer f.Close()
+			trace = f
 		}
-		fmt.Print(planTable(*p99, rep.Plans))
-	}
-	rep.buildBenchmarks()
 
-	if *reportPath != "" {
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
+		scenarios := make([]desim.Scenario, 0, len(counts))
+		for _, n := range counts {
+			cfg := tier
+			cfg.Replicas = n
+			scenarios = append(scenarios, desim.Scenario{Name: fmt.Sprintf("replicas=%d", n), Config: cfg})
+		}
+
+		rep := &planReport{
+			Mode:    "plan",
+			Target:  "desim",
+			Trace:   loadgen.HeaderFromSpec(spec),
+			Service: tier.Service,
+		}
+		if *rate > 0 {
+			// Fixed-rate what-if: every scenario sees the same schedule.
+			spec.Rate = *rate
+			spec.Duration = search.StepDuration
+			rep.Mode = "plan-fixed"
+			rep.Fixed, err = desim.Compare(spec, scenarios, trace)
+			if err != nil {
+				return err
+			}
+			fmt.Print(fixedTable(*rate, rep.Fixed))
+		} else {
+			search.Spec, search.Trace = spec, trace
+			for _, sc := range scenarios {
+				res, err := desim.SearchMaxRPS(sc.Name, sc.Config, target, search)
+				if err != nil {
+					return err
+				}
+				rep.Plans = append(rep.Plans, res)
+			}
+			fmt.Print(planTable(target.P99, rep.Plans))
+		}
+		rep.buildBenchmarks()
+
+		if err := writeReport("plan", *reportPath, rep); err != nil {
 			return err
 		}
-		if err := os.WriteFile(*reportPath, append(out, '\n'), 0o644); err != nil {
-			return err
+		if trace != nil {
+			fmt.Fprintf(os.Stderr, "plan: decision trace written to %s\n", *tracePath)
 		}
-		fmt.Fprintf(os.Stderr, "plan: report written to %s\n", *reportPath)
+		return nil
 	}
-	if trace != nil {
-		fmt.Fprintf(os.Stderr, "plan: decision trace written to %s\n", *tracePath)
-	}
-	return nil
 }
 
 // planServiceModel resolves the simulator's cost table: pinned -service
@@ -195,21 +148,11 @@ func planServiceModel(pin, model string, seed uint64, reps int) (desim.ServiceMo
 		if err := zt.Compile(gnn.CompileOptions{}); err != nil {
 			return svc, fmt.Errorf("plan: %w", err)
 		}
-		gen := workload.NewSeenGenerator(seed)
-		structures := workload.SeenRanges().Structures
-		var plans []*queryplan.PQP
-		var clu *cluster.Cluster
-		for i := 0; i < 4; i++ {
-			q, c, err := gen.SampleQuery(structures[i%len(structures)], uint64(i+1))
-			if err != nil {
-				return svc, fmt.Errorf("plan: sample plan %d: %w", i, err)
-			}
-			plans = append(plans, queryplan.NewPQP(q))
-			if clu == nil {
-				clu = c
-			}
+		plans, clusters, err := benchPlans(seed, 4)
+		if err != nil {
+			return svc, err
 		}
-		t, err := serve.MeasureServiceTimings(context.Background(), zt, plans, clu, reps)
+		t, err := serve.MeasureServiceTimings(context.Background(), zt, plans, clusters[0], reps)
 		if err != nil {
 			return svc, fmt.Errorf("plan: %w", err)
 		}
@@ -217,48 +160,24 @@ func planServiceModel(pin, model string, seed uint64, reps int) (desim.ServiceMo
 		fmt.Fprintf(os.Stderr, "plan: calibrated from %s: encode=%s base=%s peritem=%s\n",
 			model, time.Duration(svc.EncodeNs), time.Duration(svc.ForwardBaseNs), time.Duration(svc.ForwardPerItemNs))
 	}
-	if pin != "" {
-		if err := applyServicePins(&svc, pin); err != nil {
-			return svc, err
-		}
-	}
-	return svc, nil
+	return svc, applyServicePins(&svc, pin)
 }
 
 // applyServicePins parses "stage=duration,..." overrides onto the model.
 func applyServicePins(svc *desim.ServiceModel, pin string) error {
-	for _, entry := range strings.Split(pin, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(entry, "=")
+	stages := map[string]*int64{
+		"gateway": &svc.GatewayNs, "encode": &svc.EncodeNs, "base": &svc.ForwardBaseNs,
+		"peritem": &svc.ForwardPerItemNs, "hit": &svc.CacheHitNs, "fallback": &svc.FallbackNs,
+	}
+	return eachEntry("-service", pin, func(stage, val string) error {
+		ns, ok := stages[stage]
 		if !ok {
-			return fmt.Errorf("plan: -service entry %q: want stage=duration", entry)
+			return errors.New("unknown stage (want gateway|encode|base|peritem|hit|fallback)")
 		}
 		d, err := time.ParseDuration(val)
-		if err != nil {
-			return fmt.Errorf("plan: -service entry %q: %w", entry, err)
-		}
-		ns := d.Nanoseconds()
-		switch name {
-		case "gateway":
-			svc.GatewayNs = ns
-		case "encode":
-			svc.EncodeNs = ns
-		case "base":
-			svc.ForwardBaseNs = ns
-		case "peritem":
-			svc.ForwardPerItemNs = ns
-		case "hit":
-			svc.CacheHitNs = ns
-		case "fallback":
-			svc.FallbackNs = ns
-		default:
-			return fmt.Errorf("plan: -service entry %q: unknown stage (want gateway|encode|base|peritem|hit|fallback)", entry)
-		}
-	}
-	return nil
+		*ns = d.Nanoseconds()
+		return err
+	})
 }
 
 // parseReplicaList parses the -replicas scenario list ("1,3,6").

@@ -13,11 +13,10 @@ import (
 	"zerotune/internal/workload"
 )
 
-// TestInProcessServersRunFusedEngine: every server the CLI builds inside its
-// own process — the replicas behind bench and gateway, and the chaos drill's
-// target — answers through the fused engine with nothing set in the
-// environment, read off /metrics after one predict.
-func TestInProcessServersRunFusedEngine(t *testing.T) {
+// tinyModel trains a model just large enough to pass the serve-time accuracy
+// gate and saves it under t.TempDir().
+func tinyModel(t *testing.T) string {
+	t.Helper()
 	items, err := workload.NewSeenGenerator(5).Generate(workload.SeenRanges().Structures, 60)
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +32,15 @@ func TestInProcessServersRunFusedEngine(t *testing.T) {
 	if err := zt.SaveFile(model); err != nil {
 		t.Fatal(err)
 	}
+	return model
+}
+
+// TestInProcessServersRunFusedEngine: every server the CLI builds inside its
+// own process — the replicas behind bench and gateway, and the chaos drill's
+// target — answers through the fused engine with nothing set in the
+// environment, read off /metrics after one predict.
+func TestInProcessServersRunFusedEngine(t *testing.T) {
+	model := tinyModel(t)
 	bodies, err := benchBodies(1, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -58,143 +58,130 @@ func saveTrainCheckpoint(path string, ck *trainCheckpoint) error {
 	return artifact.WriteFile(path, trainCheckpointKind, payload)
 }
 
-func runTrain(args []string) error {
-	fs := flag.NewFlagSet("train", flag.ExitOnError)
+func trainCommand(fs *flag.FlagSet) func() error {
+	opts := core.DefaultTrainOptions()
 	n := fs.Int("n", 3000, "training corpus size")
-	epochs := fs.Int("epochs", 60, "training epochs")
-	hidden := fs.Int("hidden", 48, "hidden width")
-	seed := fs.Uint64("seed", 1, "random seed")
-	out := fs.String("out", "model.json", "output model path")
+	fs.IntVar(&opts.Epochs, "epochs", 60, "training epochs")
+	fs.IntVar(&opts.Hidden, "hidden", opts.Hidden, "hidden width")
+	fs.Uint64Var(&opts.Seed, "seed", opts.Seed, "random seed")
+	out := fs.String("out", defaultModel, "output model path")
 	ckptPath := fs.String("checkpoint", "", "checkpoint file path (empty: checkpointing disabled)")
-	ckptEvery := fs.Int("checkpoint-every", 5, "checkpoint every N epochs")
+	fs.IntVar(&opts.CheckpointEvery, "checkpoint-every", 5, "checkpoint every N epochs")
 	resume := fs.String("resume", "", "resume from this checkpoint file")
 	tracePath := fs.String("trace", "", "write the training trace (per-epoch spans) as JSON to this file")
-	_ = fs.Parse(args)
+	return func() error {
+		if *resume != "" {
+			ck, err := loadTrainCheckpoint(*resume)
+			if err != nil {
+				return err
+			}
+			// Stored hyperparameters win: the corpus and model are rebuilt from
+			// them, so flag values that disagree are ignored (and said so).
+			if *n != ck.N || opts.Epochs != ck.Epochs || opts.Hidden != ck.Hidden || opts.Seed != ck.Seed {
+				fmt.Fprintf(os.Stderr, "resume: using checkpointed hyperparameters (n=%d epochs=%d hidden=%d seed=%d)\n",
+					ck.N, ck.Epochs, ck.Hidden, ck.Seed)
+			}
+			*n, opts.Epochs, opts.Hidden, opts.Seed = ck.N, ck.Epochs, ck.Hidden, ck.Seed
+			opts.Resume = ck.State
+			if *ckptPath == "" {
+				*ckptPath = *resume // keep checkpointing where we resumed from
+			}
+			fmt.Fprintf(os.Stderr, "resuming from %s at epoch %d/%d\n", *resume, ck.State.Epoch, ck.Epochs)
+		}
+		// -hidden is the one width the CLI exposes: the read-out head follows it.
+		opts.HeadHidden = opts.Hidden
+		if err := opts.Validate(); err != nil {
+			return err
+		}
 
-	var resumed *trainCheckpoint
-	if *resume != "" {
-		ck, err := loadTrainCheckpoint(*resume)
+		gen := workload.NewSeenGenerator(opts.Seed)
+		fmt.Fprintf(os.Stderr, "generating %d labelled queries...\n", *n)
+		items, err := gen.Generate(workload.SeenRanges().Structures, *n)
 		if err != nil {
 			return err
 		}
-		resumed = ck
-		// Stored hyperparameters win: the corpus and model are rebuilt from
-		// them, so flag values that disagree are ignored (and said so).
-		if *n != ck.N || *epochs != ck.Epochs || *hidden != ck.Hidden || *seed != ck.Seed {
-			fmt.Fprintf(os.Stderr, "resume: using checkpointed hyperparameters (n=%d epochs=%d hidden=%d seed=%d)\n",
-				ck.N, ck.Epochs, ck.Hidden, ck.Seed)
+		ds, err := workload.Split(items, 0.8, 0.1, opts.Seed+1)
+		if err != nil {
+			return err
 		}
-		*n, *epochs, *hidden, *seed = ck.N, ck.Epochs, ck.Hidden, ck.Seed
-		if *ckptPath == "" {
-			*ckptPath = *resume // keep checkpointing where we resumed from
-		}
-		fmt.Fprintf(os.Stderr, "resuming from %s at epoch %d/%d\n", *resume, ck.State.Epoch, ck.Epochs)
-	}
-
-	gen := workload.NewSeenGenerator(*seed)
-	fmt.Fprintf(os.Stderr, "generating %d labelled queries...\n", *n)
-	items, err := gen.Generate(workload.SeenRanges().Structures, *n)
-	if err != nil {
-		return err
-	}
-	ds, err := workload.Split(items, 0.8, 0.1, *seed+1)
-	if err != nil {
-		return err
-	}
-	// SIGINT/SIGTERM asks the trainer to finish the current epoch, write a
-	// final checkpoint, and stop — not to die mid-gradient-step.
-	interrupt := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		if got, ok := <-sig; ok {
-			fmt.Fprintf(os.Stderr, "received %s, checkpointing and stopping...\n", got)
-			close(interrupt)
-		}
-	}()
-
-	topts := []core.TrainOption{
-		core.WithArchitecture(*hidden, 1, *hidden),
-		core.WithEpochs(*epochs),
-		core.WithSeed(*seed),
-		core.WithInterrupt(interrupt),
-		core.WithProgress(func(epoch int, loss float64) {
+		// SIGINT/SIGTERM asks the trainer to finish the current epoch, write a
+		// final checkpoint, and stop — not to die mid-gradient-step.
+		interrupt := make(chan struct{})
+		sig := make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		go func() {
+			if got, ok := <-sig; ok {
+				fmt.Fprintf(os.Stderr, "received %s, checkpointing and stopping...\n", got)
+				close(interrupt)
+			}
+		}()
+		opts.Interrupt = interrupt
+		opts.Progress = func(epoch int, loss float64) {
 			if epoch%5 == 0 {
 				fmt.Fprintf(os.Stderr, "epoch %3d loss %.4f\n", epoch, loss)
 			}
-		}),
-	}
-	if resumed != nil {
-		topts = append(topts, core.WithResume(resumed.State))
-	}
-	if *ckptPath != "" {
-		wrapper := &trainCheckpoint{N: *n, Epochs: *epochs, Hidden: *hidden, Seed: *seed}
-		topts = append(topts, core.WithCheckpoint(func(ck *gnn.Checkpoint) error {
-			wrapper.State = ck
-			return saveTrainCheckpoint(*ckptPath, wrapper)
-		}, *ckptEvery))
-	}
-	opts, err := core.NewTrainOptions(topts...)
-	if err != nil {
-		return err
-	}
-
-	// With -trace, record the run's span tree (core.train → one train.epoch
-	// per epoch with loss/grad-norm/timing attributes) and write it as JSON.
-	ctx := context.Background()
-	var tracer *obs.Tracer
-	if *tracePath != "" {
-		tracer = obs.NewTracer(4)
-		ctx = obs.WithTracer(ctx, tracer)
-	}
-
-	zt, stats, err := core.Train(ctx, ds.Train, opts)
-	signal.Stop(sig)
-	close(sig)
-	if err != nil {
-		return err
-	}
-	if tracer != nil {
-		data, jerr := json.MarshalIndent(tracer.Traces(), "", "  ")
-		if jerr == nil {
-			jerr = os.WriteFile(*tracePath, append(data, '\n'), 0o644)
 		}
-		if jerr != nil {
-			fmt.Fprintf(os.Stderr, "warning: could not write trace %s: %v\n", *tracePath, jerr)
-		} else {
-			fmt.Fprintf(os.Stderr, "training trace written to %s\n", *tracePath)
-		}
-	}
-	if stats.Interrupted {
-		fmt.Fprintf(os.Stderr, "interrupted after epoch %d/%d", stats.Epochs, *epochs)
 		if *ckptPath != "" {
-			fmt.Fprintf(os.Stderr, "; resume with: zerotune train -resume %s -out %s", *ckptPath, *out)
+			wrapper := &trainCheckpoint{N: *n, Epochs: opts.Epochs, Hidden: opts.Hidden, Seed: opts.Seed}
+			opts.Checkpoint = func(ck *gnn.Checkpoint) error {
+				wrapper.State = ck
+				return saveTrainCheckpoint(*ckptPath, wrapper)
+			}
 		}
-		fmt.Fprintln(os.Stderr)
+
+		// With -trace, record the run's span tree (core.train → one train.epoch
+		// per epoch with loss/grad-norm/timing attributes) and write it as JSON.
+		ctx := context.Background()
+		var tracer *obs.Tracer
+		if *tracePath != "" {
+			tracer = obs.NewTracer(4)
+			ctx = obs.WithTracer(ctx, tracer)
+		}
+
+		zt, stats, err := core.Train(ctx, ds.Train, opts)
+		signal.Stop(sig)
+		close(sig)
+		if err != nil {
+			return err
+		}
+		if tracer != nil {
+			if err := writeJSON(*tracePath, tracer.Traces()); err != nil {
+				fmt.Fprintf(os.Stderr, "warning: could not write trace %s: %v\n", *tracePath, err)
+			} else {
+				fmt.Fprintf(os.Stderr, "training trace written to %s\n", *tracePath)
+			}
+		}
+		if stats.Interrupted {
+			fmt.Fprintf(os.Stderr, "interrupted after epoch %d/%d", stats.Epochs, opts.Epochs)
+			if *ckptPath != "" {
+				fmt.Fprintf(os.Stderr, "; *resume with: zerotune train -resume %s -out %s", *ckptPath, *out)
+			}
+			fmt.Fprintln(os.Stderr)
+			return nil
+		}
+		fmt.Fprintf(os.Stderr, "trained in %s, final loss %.4f\n", stats.Duration.Round(1e9), stats.FinalLoss)
+
+		// A dry-run of the serve-time compile step: the gate verdict tells the
+		// operator now whether `serve` will accept this model.
+		if err := zt.Compile(gnn.CompileOptions{}); err != nil {
+			fmt.Fprintf(os.Stderr, "warning: compiled engine rejected, `zerotune serve` will refuse %s: %v\n", *out, err)
+		} else {
+			g := zt.Compiled().Gate
+			fmt.Fprintf(os.Stderr, "compiled engine (%s) passed accuracy gate: max q-error %.6f over %d graphs (budget %.6f)\n",
+				g.Engine, g.MaxQErr, g.Graphs, g.Threshold)
+		}
+
+		if err := zt.SaveFile(*out); err != nil {
+			return err
+		}
+		if *ckptPath != "" {
+			// The run completed and the model is durable; the checkpoint has
+			// served its purpose.
+			if err := os.Remove(*ckptPath); err != nil && !os.IsNotExist(err) {
+				fmt.Fprintf(os.Stderr, "warning: could not remove checkpoint %s: %v\n", *ckptPath, err)
+			}
+		}
+		fmt.Fprintf(os.Stderr, "model written to %s\n", *out)
 		return nil
 	}
-	fmt.Fprintf(os.Stderr, "trained in %s, final loss %.4f\n", stats.Duration.Round(1e9), stats.FinalLoss)
-
-	// A dry-run of the serve-time compile step: the gate verdict tells the
-	// operator now whether `serve` will accept this model.
-	if err := zt.Compile(gnn.CompileOptions{}); err != nil {
-		fmt.Fprintf(os.Stderr, "warning: compiled engine rejected, `zerotune serve` will refuse %s: %v\n", *out, err)
-	} else {
-		g := zt.Compiled().Gate
-		fmt.Fprintf(os.Stderr, "compiled engine (%s) passed accuracy gate: max q-error %.6f over %d graphs (budget %.6f)\n",
-			g.Engine, g.MaxQErr, g.Graphs, g.Threshold)
-	}
-
-	if err := zt.SaveFile(*out); err != nil {
-		return err
-	}
-	if *ckptPath != "" {
-		// The run completed and the model is durable; the checkpoint has
-		// served its purpose.
-		if err := os.Remove(*ckptPath); err != nil && !os.IsNotExist(err) {
-			fmt.Fprintf(os.Stderr, "warning: could not remove checkpoint %s: %v\n", *ckptPath, err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "model written to %s\n", *out)
-	return nil
 }

@@ -93,8 +93,8 @@ func Train(ctx context.Context, items []*workload.Item, opts *TrainOptions) (*Ze
 			return nil, gnn.TrainStats{}, err
 		}
 	}
-	model := gnn.New(tensor.NewRNG(opts.Seed), opts.modelConfig())
-	stats, err := gnn.Train(ctx, model, workload.Graphs(data), opts.trainConfig())
+	model := gnn.New(tensor.NewRNG(opts.Seed), opts.Config)
+	stats, err := gnn.Train(ctx, model, workload.Graphs(data), opts.TrainConfig)
 	if err != nil {
 		return nil, gnn.TrainStats{}, err
 	}
@@ -147,7 +147,7 @@ func (z *ZeroTune) FineTune(ctx context.Context, items []*workload.Item, opts *T
 	// Training mutates the weights a compiled engine froze; drop it rather
 	// than serve stale predictions. Callers re-Compile after fine-tuning.
 	z.Decompile()
-	return gnn.Train(ctx, z.Model, workload.Graphs(data), opts.trainConfig())
+	return gnn.Train(ctx, z.Model, workload.Graphs(data), opts.TrainConfig)
 }
 
 // Predict estimates the cost of executing the placed plan p on cluster c.
@@ -439,7 +439,7 @@ func (z *ZeroTune) FineTuneMetric(ctx context.Context, name string, items []*wor
 	for i, it := range data {
 		targets[i] = extract(it)
 	}
-	head, err := gnn.FineTuneMetricHead(ctx, z.Model, name, workload.Graphs(data), targets, opts.trainConfig())
+	head, err := gnn.FineTuneMetricHead(ctx, z.Model, name, workload.Graphs(data), targets, opts.TrainConfig)
 	if err != nil {
 		return nil, err
 	}

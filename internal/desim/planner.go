@@ -17,21 +17,31 @@ import (
 // is virtual; a planning run costs milliseconds of CPU, not minutes of
 // cluster time.
 
+// Defaults of a capacity search (SLOTarget, SearchOptions).
+const (
+	DefaultP99             = 50 * time.Millisecond
+	DefaultGoodputFraction = 0.95
+	DefaultMinRPS          = 50
+	DefaultMaxRPS          = 50_000
+	DefaultIterations      = 12 // a 1.5× starting bracket resolved to well under 1%
+	DefaultStepDuration    = 5 * time.Second
+)
+
 // SLOTarget is what "sustained" means: the corrected p99 stays inside P99
 // and goodput covers GoodputFraction of the offered rate. Admission or
 // queue rejections count against goodput exactly as they do in live sweeps.
 type SLOTarget struct {
-	P99 time.Duration `json:"p99_ns"`
-	// GoodputFraction is the minimum goodput/offered ratio (default 0.95).
+	P99 time.Duration `json:"p99_ns"` // default DefaultP99
+	// GoodputFraction is the least goodput/offered ratio (DefaultGoodputFraction).
 	GoodputFraction float64 `json:"goodput_fraction"`
 }
 
 func (t SLOTarget) withDefaults() SLOTarget {
 	if t.P99 <= 0 {
-		t.P99 = 50 * time.Millisecond
+		t.P99 = DefaultP99
 	}
 	if t.GoodputFraction <= 0 || t.GoodputFraction > 1 {
-		t.GoodputFraction = 0.95
+		t.GoodputFraction = DefaultGoodputFraction
 	}
 	return t
 }
@@ -48,13 +58,12 @@ type SearchOptions struct {
 	// bodies are taken from it; Rate and Duration are overridden per
 	// evaluation.
 	Spec loadgen.Spec
-	// MinRPS and MaxRPS bracket the search (defaults 50 and 50,000).
+	// MinRPS and MaxRPS bracket the search (DefaultMinRPS, DefaultMaxRPS).
 	MinRPS float64
 	MaxRPS float64
-	// Iterations bounds the bisection count (default 12 ≈ a 1.5× starting
-	// bracket resolved to well under 1%).
+	// Iterations bounds the bisection count (default DefaultIterations).
 	Iterations int
-	// StepDuration is each evaluation's virtual horizon (default 5s).
+	// StepDuration is each evaluation's horizon (default DefaultStepDuration).
 	StepDuration time.Duration
 	// Trace, when set, receives every evaluation's decision trace, each
 	// prefixed by a "# eval" header line.
@@ -63,16 +72,16 @@ type SearchOptions struct {
 
 func (o SearchOptions) withDefaults() SearchOptions {
 	if o.MinRPS <= 0 {
-		o.MinRPS = 50
+		o.MinRPS = DefaultMinRPS
 	}
 	if o.MaxRPS <= o.MinRPS {
-		o.MaxRPS = 50_000
+		o.MaxRPS = DefaultMaxRPS
 	}
 	if o.Iterations <= 0 {
-		o.Iterations = 12
+		o.Iterations = DefaultIterations
 	}
 	if o.StepDuration <= 0 {
-		o.StepDuration = 5 * time.Second
+		o.StepDuration = DefaultStepDuration
 	}
 	return o
 }

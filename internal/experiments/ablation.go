@@ -70,11 +70,8 @@ func (l *Lab) RunReadoutAblation() (*ReadoutAblationResult, error) {
 				return nil, err
 			}
 		} else {
-			opts := core.DefaultTrainOptions()
-			opts.Hidden, opts.EncDepth, opts.HeadHidden = l.Cfg.Hidden, 1, l.Cfg.Hidden
+			opts := l.trainOptions()
 			opts.Readout = mode
-			opts.Epochs = l.Cfg.Epochs
-			opts.Seed = l.Cfg.Seed
 			zt, _, err = core.Train(context.Background(), ds.Train, opts)
 			if err != nil {
 				return nil, err

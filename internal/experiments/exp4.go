@@ -97,10 +97,7 @@ func (l *Lab) RunFig9DataEfficiency(sizes []int) (*Fig9Result, error) {
 			if n < 1 || n > len(corpus) {
 				return nil, fmt.Errorf("experiments: fig9 size %d out of range", n)
 			}
-			opts := core.DefaultTrainOptions()
-			opts.Hidden, opts.EncDepth, opts.HeadHidden = l.Cfg.Hidden, 1, l.Cfg.Hidden
-			opts.Epochs = l.Cfg.Epochs
-			opts.Seed = l.Cfg.Seed
+			opts := l.trainOptions()
 			zt, stats, err := core.Train(context.Background(), corpus[:n], opts)
 			if err != nil {
 				return nil, err

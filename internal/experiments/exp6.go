@@ -100,10 +100,7 @@ func (l *Lab) RunFig11Ablation() (*Fig11Result, error) {
 				return nil, err
 			}
 		} else {
-			opts := core.DefaultTrainOptions()
-			opts.Hidden, opts.EncDepth, opts.HeadHidden = l.Cfg.Hidden, 1, l.Cfg.Hidden
-			opts.Epochs = l.Cfg.Epochs
-			opts.Seed = l.Cfg.Seed
+			opts := l.trainOptions()
 			opts.Mask = mask
 			zt, _, err = core.Train(context.Background(), ds.Train, opts)
 			if err != nil {

@@ -79,6 +79,30 @@ func PaperScaleConfig() Config {
 	}
 }
 
+// QuickConfig is the smoke scale: every artifact regenerates in seconds. It
+// is the configuration CI's determinism job pins (`experiment all -scale
+// quick` twice, CSVs compared byte for byte).
+func QuickConfig() Config {
+	return Config{
+		TrainQueries:       400,
+		TestPerType:        30,
+		Epochs:             12,
+		Hidden:             24,
+		FewShotQueries:     60,
+		TuneQueriesPerType: 3,
+		Seed:               1,
+	}
+}
+
+// ScaleConfig returns the configuration named quick, default or paper.
+func ScaleConfig(scale string) (Config, error) {
+	cfg, ok := map[string]func() Config{"quick": QuickConfig, "default": DefaultConfig, "paper": PaperScaleConfig}[scale]
+	if !ok {
+		return Config{}, fmt.Errorf("experiments: unknown scale %q (want quick, default or paper)", scale)
+	}
+	return cfg(), nil
+}
+
 // Lab holds the shared, lazily built experiment state.
 type Lab struct {
 	Cfg Config
@@ -149,17 +173,21 @@ func (l *Lab) zerotuneLocked() (*core.ZeroTune, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := core.DefaultTrainOptions()
-	opts.Hidden, opts.EncDepth, opts.HeadHidden = l.Cfg.Hidden, 1, l.Cfg.Hidden
-	opts.Epochs = l.Cfg.Epochs
-	opts.Workers = l.Cfg.Workers
-	opts.Seed = l.Cfg.Seed
-	zt, stats, err := core.Train(context.Background(), ds.Train, opts)
+	zt, stats, err := core.Train(context.Background(), ds.Train, l.trainOptions())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: train ZeroTune: %w", err)
 	}
 	l.zt, l.ztStats = zt, stats
 	return zt, nil
+}
+
+// trainOptions is the lab's Config as the training configuration every model
+// the suite trains starts from.
+func (l *Lab) trainOptions() *core.TrainOptions {
+	opts := core.DefaultTrainOptions()
+	opts.Hidden, opts.HeadHidden = l.Cfg.Hidden, l.Cfg.Hidden
+	opts.Epochs, opts.Seed, opts.Workers = l.Cfg.Epochs, l.Cfg.Seed, l.Cfg.Workers
+	return opts
 }
 
 // CloneZeroTune returns an independent copy of the trained model (for

@@ -7,20 +7,27 @@ import (
 	"zerotune/internal/obs"
 )
 
+// Defaults of DetectorConfig, declared here and nowhere else.
+const (
+	DefaultDriftWindow     = 256
+	DefaultDriftMinSamples = 32
+	DefaultDriftMAPE       = 0.5 // predictions off by more than 50% on average
+)
+
 // DetectorConfig configures drift detection over a sliding window of
-// (predicted, observed) latency pairs.
+// (predicted, observed) latency pairs. Zero fields take defaults.
 type DetectorConfig struct {
-	// Window is the sliding-window length (default 256).
+	// Window is the sliding-window length (default DefaultDriftWindow).
 	Window int
 	// MinSamples is how many pairs must be in the window before the
-	// detector may trip (default 32, clamped to Window).
+	// detector may trip (default DefaultDriftMinSamples, clamped to Window).
 	MinSamples int
 	// MAPEThreshold trips the detector when the window MAPE exceeds it
-	// (default 0.5, i.e. predictions off by more than 50% on average).
+	// (default DefaultDriftMAPE).
 	MAPEThreshold float64
 	// PearsonFloor additionally trips when the window's Pearson r falls
-	// below it — the model may be well-scaled yet rank plans badly. Values
-	// <= -1 (the default) disable the correlation trigger.
+	// below it — the model may be well-scaled yet rank plans badly. 0 (the
+	// default) and values <= -1 disable the correlation trigger.
 	PearsonFloor float64
 	// Registry receives the zerotune_drift_* instruments; nil creates a
 	// private one.
@@ -30,19 +37,19 @@ type DetectorConfig struct {
 	OnTrip func()
 }
 
-// withDefaults fills unset config fields.
-func (c DetectorConfig) withDefaults() DetectorConfig {
+// WithDefaults fills unset config fields.
+func (c DetectorConfig) WithDefaults() DetectorConfig {
 	if c.Window < 1 {
-		c.Window = 256
+		c.Window = DefaultDriftWindow
 	}
 	if c.MinSamples < 1 {
-		c.MinSamples = 32
+		c.MinSamples = DefaultDriftMinSamples
 	}
 	if c.MinSamples > c.Window {
 		c.MinSamples = c.Window
 	}
 	if c.MAPEThreshold <= 0 {
-		c.MAPEThreshold = 0.5
+		c.MAPEThreshold = DefaultDriftMAPE
 	}
 	if c.PearsonFloor == 0 {
 		c.PearsonFloor = -1.01
@@ -75,7 +82,7 @@ type Detector struct {
 
 // NewDetector builds a detector from cfg (zero fields take defaults).
 func NewDetector(cfg DetectorConfig) *Detector {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	return &Detector{
 		cfg:          cfg,
 		pred:         make([]float64, 0, cfg.Window),

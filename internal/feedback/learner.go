@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -49,18 +50,22 @@ type Promoter interface {
 // holdoutPoint names the seeded uniform stream deciding holdout membership.
 const holdoutPoint = "feedback.holdout"
 
-// Config configures a Learner.
+// DefaultMinSamples gates a fine-tune run. Like every default of the learner
+// it is declared here only: serve hands its Config through untouched and the
+// CLI's flag reads this constant.
+const DefaultMinSamples = 32
+
+// Config configures a Learner. Zero fields take defaults.
 type Config struct {
 	// Store supplies the samples (required).
 	Store *Store
 	// Promoter supplies and swaps the serving model (required).
 	Promoter Promoter
-	// Dir receives candidate artifacts (default: os temp via SaveFile's
-	// caller — set this; empty means alongside nothing, so required when
-	// promotion should survive the process). Default "." is refused; the
-	// serve layer defaults it next to the served model file.
+	// Dir receives candidate artifacts (default: the OS temp dir). Set it
+	// when a promoted candidate should outlive a reboot; the CLI defaults
+	// it next to the served model file.
 	Dir string
-	// MinSamples gates a run (default 16).
+	// MinSamples gates a run (default DefaultMinSamples).
 	MinSamples int
 	// HoldbackFrac is the share of drained samples held out of training
 	// for shadow evaluation (default 0.25, at least one sample each side).
@@ -81,10 +86,10 @@ type Config struct {
 	Registry *obs.Registry
 }
 
-// withDefaults fills unset config fields.
-func (c Config) withDefaults() Config {
+// WithDefaults fills unset config fields.
+func (c Config) WithDefaults() Config {
 	if c.MinSamples < 2 {
-		c.MinSamples = 16
+		c.MinSamples = DefaultMinSamples
 	}
 	if c.HoldbackFrac <= 0 || c.HoldbackFrac >= 1 {
 		c.HoldbackFrac = 0.25
@@ -96,7 +101,7 @@ func (c Config) withDefaults() Config {
 		c.Epochs = core.FewShotTrainOptions().Epochs
 	}
 	if c.Dir == "" {
-		c.Dir = "."
+		c.Dir = os.TempDir()
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -155,7 +160,7 @@ func NewLearner(cfg Config) (*Learner, error) {
 	if cfg.Promoter == nil {
 		return nil, ErrNoPromoter
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	reg := cfg.Registry
 	return &Learner{
 		cfg:             cfg,

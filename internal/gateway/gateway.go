@@ -47,36 +47,46 @@ import (
 // endpointNames fixes the per-endpoint stat keys and render order.
 var endpointNames = []string{"predict", "tune", "feedback", "healthz", "metrics"}
 
+// Defaults of Options, declared here and nowhere else; the CLI's flags read
+// them.
+const (
+	DefaultQueueDepth           = 256
+	DefaultConcurrentPerReplica = 8 // MaxConcurrent per replica fronted
+	DefaultFailThreshold        = 3
+	DefaultProbeInterval        = time.Second
+	DefaultSeed                 = 1
+)
+
 // Options configures a Gateway.
 type Options struct {
-	// Route selects the routing policy (default affinity).
+	// Route selects the routing policy (default RouteAffinity).
 	Route RoutePolicy
-	// Queue selects the dispatch-queue ordering (default fcfs).
+	// Queue selects the dispatch-queue ordering (default QueueFCFS).
 	Queue QueuePolicy
 	// QueueDepth bounds how many admitted requests may park waiting for a
-	// dispatch slot (default 256); beyond it requests get 429 queue_full.
+	// slot (default DefaultQueueDepth); beyond it requests get 429 queue_full.
 	QueueDepth int
 	// MaxConcurrent bounds forwards in flight across all replicas
-	// (default 8 × replicas).
+	// (default DefaultConcurrentPerReplica × replicas).
 	MaxConcurrent int
 	// Classes is the SLO class set (default: one unlimited best-effort
 	// class). The best-effort class is appended when absent.
 	Classes []ClassConfig
 	// FailThreshold ejects a replica after this many consecutive
-	// transport/probe failures (default 3).
+	// transport/probe failures (default DefaultFailThreshold).
 	FailThreshold int
-	// ProbeInterval is the background health-probe period (default 1s).
-	// Negative disables the loop — tests drive Pool().Probe directly for
-	// determinism.
+	// ProbeInterval is the background health-probe period (default
+	// DefaultProbeInterval). Negative disables the loop — tests drive
+	// Pool().Probe directly for determinism.
 	ProbeInterval time.Duration
 	// ForwardRetries is how many additional replicas a request tries after
 	// a transport failure (default 2, capped at the replica count).
 	ForwardRetries int
-	// RequestTimeout bounds each forward attempt (default 30s; negative
-	// disables).
+	// RequestTimeout bounds each forward attempt (default
+	// serve.DefaultRequestTimeout; negative disables).
 	RequestTimeout time.Duration
-	// Seed drives every probabilistic health decision (rejoin backoff
-	// jitter); same seed + same failure sequence = same transitions.
+	// Seed drives every probabilistic health decision (rejoin backoff jitter,
+	// default DefaultSeed); same seed + same failure sequence = same transitions.
 	Seed uint64
 	// Registry receives the gateway metrics (private when nil).
 	Registry *obs.Registry
@@ -85,21 +95,25 @@ type Options struct {
 	Now func() time.Time
 }
 
-func (o Options) withDefaults(replicas int) Options {
+// WithDefaults fills unset options for a gateway over this many replicas.
+func (o Options) WithDefaults(replicas int) Options {
 	if o.Route == "" {
 		o.Route = RouteAffinity
 	}
+	if o.Queue == "" {
+		o.Queue = QueueFCFS
+	}
 	if o.QueueDepth < 1 {
-		o.QueueDepth = 256
+		o.QueueDepth = DefaultQueueDepth
 	}
 	if o.MaxConcurrent < 1 {
-		o.MaxConcurrent = 8 * replicas
+		o.MaxConcurrent = DefaultConcurrentPerReplica * replicas
 	}
 	if o.FailThreshold < 1 {
-		o.FailThreshold = 3
+		o.FailThreshold = DefaultFailThreshold
 	}
 	if o.ProbeInterval == 0 {
-		o.ProbeInterval = time.Second
+		o.ProbeInterval = DefaultProbeInterval
 	}
 	if o.ForwardRetries < 0 {
 		o.ForwardRetries = 0
@@ -110,12 +124,12 @@ func (o Options) withDefaults(replicas int) Options {
 		o.ForwardRetries = replicas - 1
 	}
 	if o.RequestTimeout == 0 {
-		o.RequestTimeout = 30 * time.Second
+		o.RequestTimeout = serve.DefaultRequestTimeout
 	} else if o.RequestTimeout < 0 {
 		o.RequestTimeout = 0
 	}
 	if o.Seed == 0 {
-		o.Seed = 1
+		o.Seed = DefaultSeed
 	}
 	if o.Now == nil {
 		o.Now = time.Now
@@ -172,16 +186,14 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 		}
 		seen[b.Name()] = true
 	}
-	opts = opts.withDefaults(len(backends))
+	opts = opts.WithDefaults(len(backends))
 	rt, err := newRouter(opts.Route)
 	if err != nil {
 		return nil, err
 	}
-	qp, err := queuePolicy(opts.Queue)
-	if err != nil {
+	if err := queuePolicy(opts.Queue); err != nil {
 		return nil, err
 	}
-	opts.Queue = qp
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -196,7 +208,7 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 		pool:      newPool(backends, opts.Seed, opts.FailThreshold, reg),
 		router:    rt,
 		adm:       adm,
-		queue:     newDispatchQueue(qp, opts.MaxConcurrent, opts.QueueDepth),
+		queue:     newDispatchQueue(opts.Queue, opts.MaxConcurrent, opts.QueueDepth),
 		mux:       http.NewServeMux(),
 		endpoints: make(map[string]*endpointStats, len(endpointNames)),
 		spillover: reg.Counter("zerotune_gateway_spillover_total"),

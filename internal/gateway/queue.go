@@ -25,15 +25,14 @@ const (
 	QueueSJF QueuePolicy = "sjf"
 )
 
-// queuePolicy validates a policy name.
-func queuePolicy(p QueuePolicy) (QueuePolicy, error) {
+// queuePolicy validates a policy name (Options.WithDefaults has named the
+// default by now).
+func queuePolicy(p QueuePolicy) error {
 	switch p {
-	case "":
-		return QueueFCFS, nil
 	case QueueFCFS, QueuePriority, QueueSJF:
-		return p, nil
+		return nil
 	default:
-		return "", fmt.Errorf("gateway: unknown queue policy %q", p)
+		return fmt.Errorf("gateway: unknown queue policy %q", p)
 	}
 }
 

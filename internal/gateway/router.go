@@ -43,7 +43,7 @@ func newRouter(p RoutePolicy) (router, error) {
 		return &roundRobinRouter{}, nil
 	case RouteLeastLoaded:
 		return &leastLoadedRouter{}, nil
-	case RouteAffinity, "":
+	case RouteAffinity:
 		return &affinityRouter{}, nil
 	default:
 		return nil, fmt.Errorf("gateway: unknown routing policy %q", p)

@@ -253,7 +253,7 @@ func TestRoutePolicyValidation(t *testing.T) {
 	if _, err := newRouter("random"); err == nil {
 		t.Fatal("newRouter accepted an unknown policy")
 	}
-	if _, err := queuePolicy("lifo"); err == nil {
+	if err := queuePolicy("lifo"); err == nil {
 		t.Fatal("queuePolicy accepted an unknown policy")
 	}
 }

@@ -59,6 +59,10 @@ type ClassShare struct {
 	Weight float64 `json:"weight"`
 }
 
+// DefaultCV is Spec.CV unset: the exponential's, so gamma and weibull start
+// out Poisson-like.
+const DefaultCV = 1
+
 // Spec describes one open-loop workload. The schedule derived from it is a
 // pure function of the struct's value; two equal Specs yield byte-identical
 // schedules.
@@ -70,7 +74,7 @@ type Spec struct {
 	// Rate is the mean offered load in requests/second.
 	Rate float64 `json:"rate_rps"`
 	// CV is the interarrival coefficient of variation for gamma/weibull
-	// (default 1; ignored by poisson and uniform).
+	// (default DefaultCV; ignored by poisson and uniform).
 	CV float64 `json:"cv,omitempty"`
 	// Duration bounds the schedule in intended-send time.
 	Duration time.Duration `json:"duration_ns"`
@@ -141,7 +145,7 @@ func (s *Spec) validate() error {
 		return fmt.Errorf("loadgen: duration must be positive, got %s", s.Duration)
 	}
 	if s.CV == 0 {
-		s.CV = 1
+		s.CV = DefaultCV
 	}
 	if s.CV < 0 {
 		return fmt.Errorf("loadgen: cv must be non-negative, got %g", s.CV)

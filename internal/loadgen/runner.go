@@ -91,16 +91,30 @@ type Result struct {
 	SendLag time.Duration
 }
 
+// DefaultMaxInFlight caps the requests one run keeps outstanding.
+const DefaultMaxInFlight = 1024
+
 // RunOptions configures one open-loop run.
 type RunOptions struct {
 	Target Target
-	// MaxInFlight caps concurrently outstanding requests (default 1024).
+	// MaxInFlight caps outstanding requests (default DefaultMaxInFlight).
 	// When the cap is hit the sender blocks — the wait is charged to the
 	// affected requests' latency via the intended-time measurement, so the
 	// cap degrades gracefully instead of hiding overload.
 	MaxInFlight int
-	// Timeout bounds each request (default 30s; <0 disables).
+	// Timeout bounds each request (serve.DefaultRequestTimeout; <0 disables).
 	Timeout time.Duration
+}
+
+// WithDefaults fills unset options.
+func (o RunOptions) WithDefaults() RunOptions {
+	if o.MaxInFlight <= 0 {
+		o.MaxInFlight = DefaultMaxInFlight
+	}
+	if o.Timeout == 0 {
+		o.Timeout = serve.DefaultRequestTimeout
+	}
+	return o
 }
 
 // Run fires the schedule open-loop against the target and returns one
@@ -111,17 +125,10 @@ func Run(ctx context.Context, reqs []Request, opts RunOptions) ([]Result, error)
 	if opts.Target == nil {
 		return nil, fmt.Errorf("loadgen: RunOptions.Target is required")
 	}
-	maxInFlight := opts.MaxInFlight
-	if maxInFlight <= 0 {
-		maxInFlight = 1024
-	}
-	timeout := opts.Timeout
-	if timeout == 0 {
-		timeout = 30 * time.Second
-	}
+	opts = opts.WithDefaults()
 
 	results := make([]Result, len(reqs))
-	sem := make(chan struct{}, maxInFlight)
+	sem := make(chan struct{}, opts.MaxInFlight)
 	var wg sync.WaitGroup
 	start := time.Now()
 
@@ -147,8 +154,8 @@ func Run(ctx context.Context, reqs []Request, opts RunOptions) ([]Result, error)
 			defer func() { <-sem }()
 			rctx := ctx
 			var cancel context.CancelFunc
-			if timeout > 0 {
-				rctx, cancel = context.WithTimeout(ctx, timeout)
+			if opts.Timeout > 0 {
+				rctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 				defer cancel()
 			}
 			sent := time.Now()

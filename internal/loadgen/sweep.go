@@ -6,23 +6,31 @@ import (
 	"time"
 )
 
+// Defaults of a sweep (SweepOptions).
+const (
+	DefaultSweepFactor     = 2
+	DefaultSweepSteps      = 5
+	DefaultStepDuration    = 5 * time.Second
+	DefaultGoodputFraction = 0.9
+)
+
 // SweepOptions configures a closed-form RPS sweep: offered load walks
 // upward step by step until the saturation knee — the point where goodput
 // stops tracking offered rate — is located, or the steps run out.
 type SweepOptions struct {
 	// Start is the first step's offered rate (req/s).
 	Start float64
-	// Factor multiplies the rate between steps (default 2; must be > 1
-	// unless Add is set).
+	// Factor multiplies the rate between steps (default DefaultSweepFactor;
+	// must be > 1 unless Add is set).
 	Factor float64
 	// Add is added to the rate between steps (applied after Factor; 0 = off).
 	Add float64
-	// Steps is the number of load steps (default 5).
+	// Steps is the number of load steps (default DefaultSweepSteps).
 	Steps int
-	// StepDuration is each step's intended horizon (default 5s).
+	// StepDuration is each step's horizon (default DefaultStepDuration).
 	StepDuration time.Duration
-	// GoodputFraction defines saturation: a step whose goodput falls below
-	// this fraction of its offered rate is past the knee (default 0.9).
+	// GoodputFraction defines saturation: a step whose goodput falls below this
+	// fraction of its offered rate is past the knee (DefaultGoodputFraction).
 	GoodputFraction float64
 	// Run configures the per-step open-loop runner.
 	Run RunOptions
@@ -33,7 +41,7 @@ func (o *SweepOptions) validate() error {
 		return fmt.Errorf("loadgen: sweep start rate must be positive, got %g", o.Start)
 	}
 	if o.Factor == 0 && o.Add == 0 {
-		o.Factor = 2
+		o.Factor = DefaultSweepFactor
 	}
 	if o.Factor == 0 {
 		o.Factor = 1
@@ -42,13 +50,13 @@ func (o *SweepOptions) validate() error {
 		return fmt.Errorf("loadgen: sweep must walk load upward (factor %g, add %g)", o.Factor, o.Add)
 	}
 	if o.Steps <= 0 {
-		o.Steps = 5
+		o.Steps = DefaultSweepSteps
 	}
 	if o.StepDuration <= 0 {
-		o.StepDuration = 5 * time.Second
+		o.StepDuration = DefaultStepDuration
 	}
 	if o.GoodputFraction <= 0 || o.GoodputFraction > 1 {
-		o.GoodputFraction = 0.9
+		o.GoodputFraction = DefaultGoodputFraction
 	}
 	return nil
 }

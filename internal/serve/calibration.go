@@ -33,6 +33,9 @@ const (
 	// DefaultCircuitCooldown is how long an open circuit waits before
 	// admitting a half-open probe.
 	DefaultCircuitCooldown = 5 * time.Second
+	// DefaultRequestTimeout bounds one request at every tier that waits on
+	// one: a replica's predict, a gateway forward, a load-generator call.
+	DefaultRequestTimeout = 30 * time.Second
 )
 
 // ServiceTimings is the measured per-stage cost of the predict path, the

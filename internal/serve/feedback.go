@@ -7,9 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"os"
 	"sync"
-	"time"
 
 	"zerotune/internal/cluster"
 	"zerotune/internal/core"
@@ -20,41 +18,46 @@ import (
 	"zerotune/internal/queryplan"
 )
 
+// Defaults of the parts of the learning loop the server builds itself; the
+// learner's and the detector's own live in package feedback.
+const (
+	DefaultLearnStoreSize = 2048
+	DefaultLearnSeed      = 1
+)
+
 // LearnOptions enables the closed continual-learning loop: /v1/feedback
 // ingestion into a seed-deterministic reservoir, drift detection over
 // prediction-vs-observed pairs, and drift-triggered shadow-evaluated
 // fine-tune runs that auto-promote (and auto-roll-back) through the
 // registry. Zero fields take defaults.
 type LearnOptions struct {
-	// StoreSize bounds the feedback reservoir (default 2048).
+	// StoreSize bounds the feedback reservoir (default DefaultLearnStoreSize).
 	StoreSize int
 	// RecentSize bounds the fingerprint → prediction index that attributes
 	// feedback to served predictions (default 4×StoreSize).
 	RecentSize int
-	// Seed drives reservoir eviction, the train/holdout split, and the
-	// fine-tune schedule (default 1).
-	Seed uint64
-	// MinSamples gates a fine-tune run (default 32).
-	MinSamples int
-	// Epochs per fine-tune run (default: the few-shot schedule's).
-	Epochs int
-	// Dir receives candidate artifacts (default: the OS temp dir; the cmd
-	// layer defaults it next to the served model file).
-	Dir string
-	// HoldbackFrac is the shadow-evaluation share (default 0.25).
-	HoldbackFrac float64
-	// MaxShadowRegress is the relative holdout-MAPE margin a candidate may
-	// regress by and still promote (default 0).
-	MaxShadowRegress float64
-	// DriftWindow / DriftMinSamples / DriftMAPE / DriftPearson configure
-	// the detector (defaults 256 / 32 / 0.5 / disabled).
-	DriftWindow     int
-	DriftMinSamples int
-	DriftMAPE       float64
-	DriftPearson    float64
-	// Interval additionally runs the learner periodically (0 = drift-trip
-	// only).
-	Interval time.Duration
+	// Learner configures the fine-tune runs. Its Seed also drives reservoir
+	// eviction (default DefaultLearnSeed); the server supplies Store,
+	// Promoter and Registry.
+	Learner feedback.Config
+	// Drift configures the detector that trips those runs; the server
+	// supplies Registry and OnTrip.
+	Drift feedback.DetectorConfig
+}
+
+// WithDefaults fills the fields the server itself reads; Learner and Drift
+// are defaulted by the feedback constructors they are handed to.
+func (lo LearnOptions) WithDefaults() LearnOptions {
+	if lo.StoreSize < 1 {
+		lo.StoreSize = DefaultLearnStoreSize
+	}
+	if lo.RecentSize < 1 {
+		lo.RecentSize = 4 * lo.StoreSize
+	}
+	if lo.Learner.Seed == 0 {
+		lo.Learner.Seed = DefaultLearnSeed
+	}
+	return lo
 }
 
 // learnState bundles the server's closed-loop machinery.
@@ -68,50 +71,20 @@ type learnState struct {
 // newLearnState wires store → detector → learner onto the server's
 // registry, with the server itself as the promoter.
 func (s *Server) newLearnState(lo LearnOptions) (*learnState, error) {
-	if lo.StoreSize < 1 {
-		lo.StoreSize = 2048
-	}
-	if lo.RecentSize < 1 {
-		lo.RecentSize = 4 * lo.StoreSize
-	}
-	if lo.Seed == 0 {
-		lo.Seed = 1
-	}
-	if lo.MinSamples < 2 {
-		lo.MinSamples = 32
-	}
-	if lo.Dir == "" {
-		lo.Dir = os.TempDir()
-	}
+	lo = lo.WithDefaults()
 	reg := s.opts.Registry
 	ls := &learnState{
-		store:  feedback.NewStore(lo.StoreSize, lo.Seed, reg),
+		store:  feedback.NewStore(lo.StoreSize, lo.Learner.Seed, reg),
 		recent: newRecentIndex(lo.RecentSize),
 	}
-	learner, err := feedback.NewLearner(feedback.Config{
-		Store:            ls.store,
-		Promoter:         s,
-		Dir:              lo.Dir,
-		MinSamples:       lo.MinSamples,
-		HoldbackFrac:     lo.HoldbackFrac,
-		MaxShadowRegress: lo.MaxShadowRegress,
-		Epochs:           lo.Epochs,
-		Seed:             lo.Seed,
-		Interval:         lo.Interval,
-		Registry:         reg,
-	})
+	lo.Learner.Store, lo.Learner.Promoter, lo.Learner.Registry = ls.store, s, reg
+	learner, err := feedback.NewLearner(lo.Learner)
 	if err != nil {
 		return nil, err
 	}
 	ls.learner = learner
-	ls.detector = feedback.NewDetector(feedback.DetectorConfig{
-		Window:        lo.DriftWindow,
-		MinSamples:    lo.DriftMinSamples,
-		MAPEThreshold: lo.DriftMAPE,
-		PearsonFloor:  lo.DriftPearson,
-		Registry:      reg,
-		OnTrip:        learner.Kick,
-	})
+	lo.Drift.Registry, lo.Drift.OnTrip = reg, learner.Kick
+	ls.detector = feedback.NewDetector(lo.Drift)
 	return ls, nil
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"zerotune/internal/client"
 	"zerotune/internal/fault"
+	"zerotune/internal/feedback"
 	"zerotune/internal/serve"
 )
 
@@ -16,8 +17,8 @@ func learnServer(t *testing.T, lo serve.LearnOptions) (*serve.Server, *client.Cl
 	t.Helper()
 	zt, _ := models(t)
 	path := saveModel(t, zt, "learn.json")
-	if lo.Dir == "" {
-		lo.Dir = t.TempDir()
+	if lo.Learner.Dir == "" {
+		lo.Learner.Dir = t.TempDir()
 	}
 	s := serve.New(serve.Options{Learn: &lo})
 	if _, err := s.ServeModelFile(path); err != nil {
@@ -70,12 +71,9 @@ func TestFeedbackValidation(t *testing.T) {
 // trips on miscalibration, and a learner run promotes a new generation.
 func TestFeedbackClosedLoop(t *testing.T) {
 	s, c := learnServer(t, serve.LearnOptions{
-		MinSamples:      4,
-		Epochs:          1,
-		DriftMinSamples: 4,
-		DriftMAPE:       0.5,
 		// Promotion mechanics are under test, not model quality.
-		MaxShadowRegress: 100,
+		Learner: feedback.Config{MinSamples: 4, Epochs: 1, MaxShadowRegress: 100},
+		Drift:   feedback.DetectorConfig{MinSamples: 4, MAPEThreshold: 0.5},
 	})
 	ctx := context.Background()
 

@@ -52,21 +52,21 @@ import (
 // Options configures the server.
 type Options struct {
 	// BatchWindow is how long the coalescer holds the first request of a
-	// batch waiting for companions (default 2ms; negative disables
+	// batch waiting for companions (default DefaultBatchWindow; negative disables
 	// waiting, flushing whatever has queued).
 	BatchWindow time.Duration
 	// MaxBatch flushes a batch early once this many plans queued
-	// (default 64).
+	// (default DefaultMaxBatch).
 	MaxBatch int
 	// QueueDepth bounds submitted-but-unflushed predictions (default
-	// 4×MaxBatch).
+	// DefaultQueueFactor×MaxBatch).
 	QueueDepth int
-	// CacheSize bounds the plan-fingerprint cache (default 4096 entries).
+	// CacheSize bounds the plan-fingerprint cache (default DefaultCacheSize entries).
 	CacheSize int
 	// RequestTimeout bounds how long a predict request waits for its
 	// micro-batch to run before failing with 503 — a wedged or overloaded
-	// flush loop must not hang clients (default 30s; negative disables the
-	// deadline).
+	// flush loop must not hang clients (default DefaultRequestTimeout;
+	// negative disables the deadline).
 	RequestTimeout time.Duration
 	// Registry receives every serving metric. Nil creates a private one;
 	// pass a shared registry to merge serving metrics with other
@@ -83,10 +83,10 @@ type Options struct {
 	// CircuitThreshold is how many consecutive forward-path failures
 	// (inference errors or timeouts) trip the circuit breaker, after which
 	// predictions degrade to the model's fallback estimator until a probe
-	// succeeds (default 5; negative disables the breaker).
+	// succeeds (default DefaultCircuitThreshold; negative disables the breaker).
 	CircuitThreshold int
 	// CircuitCooldown is how long an open circuit waits before admitting a
-	// half-open probe back onto the learned path (default 5s).
+	// half-open probe onto the learned path (default DefaultCircuitCooldown).
 	CircuitCooldown time.Duration
 	// CircuitProbeEvery, when positive, admits every Nth rejected request
 	// as the half-open probe instead of waiting out CircuitCooldown. The
@@ -106,8 +106,8 @@ type Options struct {
 	Learn *LearnOptions
 }
 
-// withDefaults fills unset options.
-func (o Options) withDefaults() Options {
+// WithDefaults fills unset options.
+func (o Options) WithDefaults() Options {
 	if o.BatchWindow == 0 {
 		o.BatchWindow = DefaultBatchWindow
 	}
@@ -118,7 +118,7 @@ func (o Options) withDefaults() Options {
 		o.CacheSize = DefaultCacheSize
 	}
 	if o.RequestTimeout == 0 {
-		o.RequestTimeout = 30 * time.Second
+		o.RequestTimeout = DefaultRequestTimeout
 	} else if o.RequestTimeout < 0 {
 		o.RequestTimeout = 0
 	}
@@ -168,7 +168,7 @@ func (s *Server) fusedCounts() (graphs, buckets uint64) {
 // New builds a server around an empty registry; install a model with
 // Registry().Install or ServeModelFile before serving predictions.
 func New(opts Options) *Server {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	if opts.Registry == nil {
 		opts.Registry = obs.NewRegistry()
 	}
