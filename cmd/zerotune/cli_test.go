@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"zerotune/internal/core"
 	"zerotune/internal/experiments"
 	"zerotune/internal/gateway"
 	"zerotune/internal/loadgen"
@@ -183,6 +184,15 @@ func TestBenchDryRunReportsTheScheduleItBuilt(t *testing.T) {
 	replayed := stdout(t, func() { runCLI(t, "bench", "-replay", trace, "-dry") })
 	if !strings.Contains(recorded, "over 2s not sent") || replayed != recorded {
 		t.Errorf("dry runs disagree on one schedule:\nrecorded: %sreplayed: %s", recorded, replayed)
+	}
+}
+
+// TestBenchReplayRejectsAModelFile: the wrong artifact handed to -replay is
+// named for what it is before any target is built, not replayed as load.
+func TestBenchReplayRejectsAModelFile(t *testing.T) {
+	err := lookup("bench").run([]string{"-replay", tinyModel(t), "-dry"})
+	if err == nil || !strings.Contains(err.Error(), core.ModelArtifactKind) || !strings.Contains(err.Error(), loadgen.TraceArtifactKind) {
+		t.Errorf("bench -replay <model file>: err = %v, want one naming both artifact kinds", err)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"zerotune/internal/desim"
 	"zerotune/internal/gnn"
 	"zerotune/internal/loadgen"
-	"zerotune/internal/serve"
 )
 
 // planCommand is the capacity planner: it answers "what is the maximum RPS
@@ -152,11 +151,9 @@ func planServiceModel(pin, model string, seed uint64, reps int) (desim.ServiceMo
 		if err != nil {
 			return svc, err
 		}
-		t, err := serve.MeasureServiceTimings(context.Background(), zt, plans, clusters[0], reps)
-		if err != nil {
+		if svc, err = desim.MeasureServiceModel(context.Background(), zt, plans, clusters[0], reps); err != nil {
 			return svc, fmt.Errorf("plan: %w", err)
 		}
-		svc = desim.ServiceModelFromTimings(t)
 		fmt.Fprintf(os.Stderr, "plan: calibrated from %s: encode=%s base=%s peritem=%s\n",
 			model, time.Duration(svc.EncodeNs), time.Duration(svc.ForwardBaseNs), time.Duration(svc.ForwardPerItemNs))
 	}

@@ -104,18 +104,6 @@ func trainCommand(fs *flag.FlagSet) func() error {
 		if err != nil {
 			return err
 		}
-		// SIGINT/SIGTERM asks the trainer to finish the current epoch, write a
-		// final checkpoint, and stop — not to die mid-gradient-step.
-		interrupt := make(chan struct{})
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			if got, ok := <-sig; ok {
-				fmt.Fprintf(os.Stderr, "received %s, checkpointing and stopping...\n", got)
-				close(interrupt)
-			}
-		}()
-		opts.Interrupt = interrupt
 		opts.Progress = func(epoch int, loss float64) {
 			if epoch%5 == 0 {
 				fmt.Fprintf(os.Stderr, "epoch %3d loss %.4f\n", epoch, loss)
@@ -129,9 +117,12 @@ func trainCommand(fs *flag.FlagSet) func() error {
 			}
 		}
 
+		// SIGINT/SIGTERM cancels the context, which asks the trainer to finish
+		// the current epoch, write a final checkpoint, and stop — not to die
+		// mid-gradient-step.
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		// With -trace, record the run's span tree (core.train → one train.epoch
 		// per epoch with loss/grad-norm/timing attributes) and write it as JSON.
-		ctx := context.Background()
 		var tracer *obs.Tracer
 		if *tracePath != "" {
 			tracer = obs.NewTracer(4)
@@ -139,8 +130,7 @@ func trainCommand(fs *flag.FlagSet) func() error {
 		}
 
 		zt, stats, err := core.Train(ctx, ds.Train, opts)
-		signal.Stop(sig)
-		close(sig)
+		stop()
 		if err != nil {
 			return err
 		}
@@ -152,7 +142,7 @@ func trainCommand(fs *flag.FlagSet) func() error {
 			}
 		}
 		if stats.Interrupted {
-			fmt.Fprintf(os.Stderr, "interrupted after epoch %d/%d", stats.Epochs, opts.Epochs)
+			fmt.Fprintf(os.Stderr, "received a signal, checkpointing and stopping: interrupted after epoch %d/%d", stats.Epochs, opts.Epochs)
 			if *ckptPath != "" {
 				fmt.Fprintf(os.Stderr, "; *resume with: zerotune train -resume %s -out %s", *ckptPath, *out)
 			}

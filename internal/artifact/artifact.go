@@ -1,17 +1,21 @@
-// Package artifact is the durable on-disk envelope for every file the model
-// lifecycle produces: trained models and training checkpoints. The trained
-// artifact is the crown jewel of a zero-shot cost model — it is trained once
-// and then serves unseen queries indefinitely — so the file format is built
-// so that a reader can never confuse a torn, truncated or bit-rotted file
-// with a valid one, and a writer crash can never destroy the previous good
-// version.
+// Package artifact is the durable on-disk envelope for every file the CLI
+// writes and later reads back, three kinds in all: trained models
+// ("zerotune-model", internal/core), training checkpoints
+// ("zerotune-train-checkpoint", cmd/zerotune train) and recorded load traces
+// ("zerotune-trace", internal/loadgen). The trained artifact is the crown
+// jewel of a zero-shot cost model — it is trained once and then serves unseen
+// queries indefinitely — and a trace is the workload a serving result is
+// reproduced from, so the file format is built so that a reader can never
+// confuse a torn, truncated or bit-rotted file with a valid one, a file of
+// one kind can never be read as another, and a writer crash can never destroy
+// the previous good version.
 //
 // Envelope layout (all integers big-endian):
 //
 //	[4]  magic "ZTAF"
 //	[2]  format version (currently 1)
 //	[2]  kind length k
-//	[k]  kind tag (e.g. "zerotune-model", "zerotune-train-checkpoint")
+//	[k]  kind tag (one of the three above)
 //	[8]  payload length n
 //	[32] SHA-256 over everything above it (magic through payload length)
 //	     followed by the payload, so corruption anywhere is detected

@@ -80,21 +80,34 @@ func calibrationCorpus(t *testing.T, seed uint64, n int) ([][]byte, []*queryplan
 
 // TestServeSimCalibration drives one seeded open-loop schedule against (a)
 // a live in-process server and (b) the simulator calibrated from that
-// server's measured service timings, then holds the two to the documented
+// server's measured stage costs, then holds the two to the documented
 // tolerance (DESIGN §16):
 //
 //   - goodput: simulated and live 2xx counts within 10% of each other;
-//   - latency: the simulator must not predict materially *worse* than
-//     observed — sim p50 ≤ live p50 + 3ms, sim p99 ≤ live p99 + 5ms.
+//   - p50, two-sided: sim p50 within a factor of two of live p50, in both
+//     directions, on the closed-loop view (Service: actual send → done). The
+//     simulator has no load generator, so its latency is its service time;
+//     the live open-loop p50 adds the harness's send lag (≈0.6 ms of timer
+//     wake-up on a shared box, ±0.3 ms between runs) that it cannot model;
+//   - p99, one-sided: sim p99 ≤ live p99 + 5ms.
 //
-// The latency bound is one-sided on purpose: live percentiles at light load
-// sit on Go timer granularity, scheduler jitter and GC pauses, none of
-// which the idealized single-threaded replica model simulates. The gate
-// still catches real drift — a simulator that queues where the live tier
-// does not (or vice versa) blows through milliseconds immediately.
+// The corpus is drawn larger than the schedule so that most requests (≈70%)
+// are cache misses: the median request, live and simulated, is a miss that
+// waits out the batch window, which makes p50 a quantity both sides produce
+// for the same reason and the ratio stable (live 2.4–2.5 ms against a
+// simulated 2.0 ms, also under CPU contention). The lower side is what a
+// one-sided gate cannot give: a simulator that answers misses as hits,
+// flushes without the window, or charges a flat microsecond per request
+// reports a p50 of microseconds and fails. It does not pin the
+// microsecond-scale stage costs themselves — see DESIGN §16.
+//
+// The p99 bound stays one-sided on purpose: the live tail sits on Go timer
+// granularity, scheduler jitter and GC pauses (3 ms to 60 ms between
+// identical runs on a shared box), none of which the idealized
+// single-threaded replica model simulates, so no lower bound on it holds.
 func TestServeSimCalibration(t *testing.T) {
 	zt := calibrationModel(t)
-	bodies, plans, clu := calibrationCorpus(t, 31, 8)
+	bodies, plans, clu := calibrationCorpus(t, 31, 600)
 
 	spec := loadgen.Spec{
 		Seed:     31,
@@ -120,13 +133,13 @@ func TestServeSimCalibration(t *testing.T) {
 	live := loadgen.BuildStep(spec.Rate, spec.Duration, liveResults)
 
 	// Simulated: same schedule, service model measured from the same model.
-	timings, err := serve.MeasureServiceTimings(context.Background(), zt, plans, clu, 3)
+	svc, err := desim.MeasureServiceModel(context.Background(), zt, plans, clu, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run, err := desim.SimulateServe(sched, desim.ServeConfig{
 		Replicas: 1,
-		Service:  desim.ServiceModelFromTimings(timings),
+		Service:  svc,
 		Seed:     31,
 	})
 	if err != nil {
@@ -134,10 +147,10 @@ func TestServeSimCalibration(t *testing.T) {
 	}
 	sim := loadgen.BuildStep(spec.Rate, spec.Duration, run.Results())
 
-	t.Logf("live: ok=%d p50=%.2fms p99=%.2fms | sim: ok=%d p50=%.2fms p99=%.2fms (encode=%s base=%s peritem=%s)",
-		live.OK, live.Latency.P50, live.Latency.P99,
+	t.Logf("live: ok=%d p50=%.2fms (service %.2fms) p99=%.2fms | sim: ok=%d p50=%.2fms p99=%.2fms (encode=%s base=%s peritem=%s)",
+		live.OK, live.Latency.P50, live.Service.P50, live.Latency.P99,
 		sim.OK, sim.Latency.P50, sim.Latency.P99,
-		time.Duration(timings.EncodeNs), time.Duration(timings.ForwardBaseNs), time.Duration(timings.ForwardPerItemNs))
+		time.Duration(svc.EncodeNs), time.Duration(svc.ForwardBaseNs), time.Duration(svc.ForwardPerItemNs))
 
 	if live.Requests != sim.Requests {
 		t.Fatalf("schedules diverged: live saw %d requests, sim %d", live.Requests, sim.Requests)
@@ -148,11 +161,8 @@ func TestServeSimCalibration(t *testing.T) {
 	if diff := absInt(sim.OK - live.OK); diff*10 > live.OK {
 		t.Fatalf("goodput mismatch: sim %d ok vs live %d (tolerance 10%%)", sim.OK, live.OK)
 	}
-	if sim.Latency.P50 <= 0 {
-		t.Fatal("sim p50 is zero: the simulator charged no service time")
-	}
-	if sim.Latency.P50 > live.Latency.P50+3 {
-		t.Fatalf("sim p50 %.2fms exceeds live %.2fms + 3ms tolerance", sim.Latency.P50, live.Latency.P50)
+	if sim.Service.P50 < live.Service.P50/2 || sim.Service.P50 > live.Service.P50*2 {
+		t.Fatalf("sim p50 %.2fms is not within a factor of two of live service p50 %.2fms", sim.Service.P50, live.Service.P50)
 	}
 	if sim.Latency.P99 > live.Latency.P99+5 {
 		t.Fatalf("sim p99 %.2fms exceeds live %.2fms + 5ms tolerance", sim.Latency.P99, live.Latency.P99)

@@ -1,16 +1,21 @@
 package desim
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"time"
 
+	"zerotune/internal/cluster"
+	"zerotune/internal/core"
 	"zerotune/internal/fault"
+	"zerotune/internal/features"
 	"zerotune/internal/gateway"
 	"zerotune/internal/gnn"
 	"zerotune/internal/loadgen"
+	"zerotune/internal/queryplan"
 	"zerotune/internal/serve"
 )
 
@@ -59,8 +64,8 @@ import (
 
 // ServiceModel is the simulator's cost table: integer nanoseconds of
 // virtual time per pipeline stage. The forward pass is batch-size-linear,
-// matching the fused-batch engine's measured profile
-// (serve.MeasureServiceTimings fits the same line on the live model).
+// matching the fused-batch engine's measured profile (MeasureServiceModel
+// fits the same line on the live model).
 type ServiceModel struct {
 	// GatewayNs is routing + admission overhead per request.
 	GatewayNs int64 `json:"gateway_ns"`
@@ -77,7 +82,7 @@ type ServiceModel struct {
 
 // DefaultServiceModel carries rough constants from the committed BENCH
 // snapshots (fused-batch engine on one core). Real capacity questions
-// should calibrate against the served model via serve.MeasureServiceTimings.
+// should calibrate against the served model via MeasureServiceModel.
 func DefaultServiceModel() ServiceModel {
 	return ServiceModel{
 		GatewayNs:        2_000,
@@ -89,24 +94,72 @@ func DefaultServiceModel() ServiceModel {
 	}
 }
 
-// ServiceModelFromTimings lifts live-measured predict-path timings into the
-// simulator's cost table, keeping the defaults for the stages the
-// measurement does not cover.
-func ServiceModelFromTimings(t serve.ServiceTimings) ServiceModel {
+// MeasureServiceModel calibrates the cost table against the live model: it
+// times the predict stages and fits the batch-size-linear forward cost from
+// two operating points (batch of 1 and batch of serve.DefaultMaxBatch),
+// keeping DefaultServiceModel's value for every stage it does not time. Each
+// stage takes the minimum over reps repetitions — the minimum estimates the
+// uncontended cost, which is what the single-threaded replica model wants.
+// plans supplies representative query plans (a few suffice); c is the
+// cluster they are placed on.
+//
+// The measurement is wall-clock and therefore NOT deterministic: a seeded
+// `zerotune plan` run that must produce byte-identical decision traces
+// across invocations pins the stages explicitly instead of re-measuring.
+func MeasureServiceModel(ctx context.Context, zt *core.ZeroTune, plans []*queryplan.PQP, c *cluster.Cluster, reps int) (ServiceModel, error) {
 	m := DefaultServiceModel()
-	if t.EncodeNs > 0 {
-		m.EncodeNs = t.EncodeNs
+	if len(plans) == 0 {
+		return m, errors.New("desim: measure service model: no plans")
 	}
-	if t.ForwardBaseNs > 0 {
-		m.ForwardBaseNs = t.ForwardBaseNs
+	if reps < 1 {
+		reps = 5
 	}
-	if t.ForwardPerItemNs > 0 {
-		m.ForwardPerItemNs = t.ForwardPerItemNs
+	graphs := make([]*features.Graph, 0, len(plans))
+	var encodeNs int64
+	for i, p := range plans {
+		p = p.Clone()
+		start := time.Now()
+		t, err := p.Query.Analyze()
+		var g *features.Graph
+		if err == nil {
+			g, err = zt.EncodePlan(ctx, t, p, c)
+		}
+		if err != nil {
+			return m, fmt.Errorf("desim: measure service model: encode plan %d: %w", i, err)
+		}
+		if d := time.Since(start).Nanoseconds(); i == 0 || d < encodeNs {
+			encodeNs = d
+		}
+		graphs = append(graphs, g)
 	}
-	if t.CacheHitNs > 0 {
-		m.CacheHitNs = t.CacheHitNs
+	// Forward cost at batch sizes 1 and DefaultMaxBatch; the two points fit
+	// the base + per-item line the batcher's service time follows.
+	big := make([]*features.Graph, serve.DefaultMaxBatch)
+	for i := range big {
+		big[i] = graphs[i%len(graphs)]
 	}
-	return m
+	var preds []gnn.Prediction
+	minForward := func(batch []*features.Graph) int64 {
+		best := int64(0)
+		for r := 0; r < reps; r++ {
+			start := time.Now()
+			preds = zt.PredictEncodedInto(preds, batch)
+			if d := time.Since(start).Nanoseconds(); r == 0 || d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	t1 := minForward(big[:1])
+	tN := minForward(big)
+	// CacheHitNs keeps its default: the completed-entry hit path is a
+	// fingerprint lookup plus a marshaled response write — small and flat, a
+	// fixed floor rather than a sub-microsecond path timed through the wall
+	// clock's noise.
+	m.EncodeNs = max(encodeNs, 1_000)
+	m.ForwardPerItemNs = max((tN-t1)/int64(serve.DefaultMaxBatch-1), 1)
+	m.ForwardBaseNs = max(t1-m.ForwardPerItemNs, 1)
+	return m, nil
 }
 
 // ServeConfig describes one simulated serve tier — the counterfactual knobs

@@ -104,8 +104,8 @@ func TestResumeBitIdenticalWithValidation(t *testing.T) {
 	}
 }
 
-// TestInterruptCheckpointsAndStops closes the Interrupt channel before
-// training starts: the loop must stop after exactly one epoch, having
+// TestInterruptCheckpointsAndStops cancels the context before training
+// starts: the loop must stop after exactly one epoch, having
 // delivered an off-schedule checkpoint, and resuming from it must match the
 // uninterrupted run.
 func TestInterruptCheckpointsAndStops(t *testing.T) {
@@ -118,15 +118,14 @@ func TestInterruptCheckpointsAndStops(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	interrupt := make(chan struct{})
-	close(interrupt)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
 	var last *Checkpoint
 	m := smallModel(5)
 	cfg := resumeCfg(epochs)
 	cfg.CheckpointEvery = 100 // off-schedule: only the interrupt forces a snapshot
 	cfg.Checkpoint = func(ck *Checkpoint) error { last = ck; return nil }
-	cfg.Interrupt = interrupt
-	stats, err := Train(context.Background(), m, graphs, cfg)
+	stats, err := Train(cancelled, m, graphs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

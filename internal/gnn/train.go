@@ -53,11 +53,6 @@ type TrainConfig struct {
 	// zero. The resumed run is bit-identical to an uninterrupted run with
 	// the same config, corpus and worker count.
 	Resume *Checkpoint
-	// Interrupt, when non-nil, requests a clean stop: once it is closed,
-	// training halts at the next epoch boundary — after a final Checkpoint
-	// call — and TrainStats.Interrupted reports the early exit. This is how
-	// SIGINT/SIGTERM becomes a resumable checkpoint instead of lost work.
-	Interrupt <-chan struct{}
 }
 
 // DefaultTrainConfig returns the settings used by the experiments.
@@ -94,8 +89,8 @@ type TrainStats struct {
 	// BestValLoss is the validation loss of the restored weights (0 when
 	// no validation set was given).
 	BestValLoss float64
-	// Interrupted reports that cfg.Interrupt stopped the run at an epoch
-	// boundary; the last Checkpoint call holds the state to resume from.
+	// Interrupted reports that a cancelled context stopped the run at an
+	// epoch boundary; the last Checkpoint call holds the state to resume from.
 	Interrupted bool
 }
 
@@ -165,10 +160,11 @@ func reduceShards(shards []*gradShard) {
 // Train optimizes the model on the labelled graphs. Graphs must carry
 // LatencyMs and ThroughputEPS labels. Returns an error for empty input.
 //
-// The context plays two roles. Cancelling it stops training at the next
-// epoch boundary exactly like cfg.Interrupt (a final checkpoint is written
-// when one is configured, and TrainStats.Interrupted reports the early
-// exit). When it carries an obs tracer, every epoch emits a "train.epoch"
+// The context plays two roles. Cancelling it requests a clean stop: training
+// halts at the next epoch boundary — after a final Checkpoint call when one
+// is configured — and TrainStats.Interrupted reports the early exit. This is
+// how SIGINT/SIGTERM becomes a resumable checkpoint instead of lost work.
+// When it carries an obs tracer, every epoch emits a "train.epoch"
 // span with loss, gradient norm, and shuffle/validation/checkpoint timings.
 //
 // Minibatches run data-parallel: each batch is cut into fixed logical shards
@@ -318,18 +314,9 @@ func Train(ctx context.Context, m *Model, graphs []*features.Graph, cfg TrainCon
 				earlyStop = sinceBest >= patience // validation plateaued
 			}
 		}
-		if cfg.Interrupt != nil && !interrupted {
-			select {
-			case <-cfg.Interrupt:
-				interrupted = true
-			default:
-			}
-		}
-		if !interrupted && ctx.Err() != nil {
-			// Context cancellation is an interrupt: stop cleanly at the
-			// epoch boundary, after the final checkpoint below.
-			interrupted = true
-		}
+		// Context cancellation is an interrupt: stop cleanly at the epoch
+		// boundary, after the final checkpoint below.
+		interrupted = ctx.Err() != nil
 		if cfg.Checkpoint != nil && !earlyStop {
 			// On schedule, at the natural end, and at an interrupt boundary
 			// (so a signal loses at most the in-progress epoch, never the

@@ -3,16 +3,22 @@ package loadgen
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"zerotune/internal/artifact"
 	"zerotune/internal/client"
+	"zerotune/internal/core"
 	"zerotune/internal/serve"
 )
 
@@ -307,6 +313,117 @@ func TestTraceRejectsCorruption(t *testing.T) {
 	mutate("trailing garbage", func(b []byte) []byte { return append(b, 0xff) })
 	mutate("wrong magic", func(b []byte) []byte { b[0] = 'X'; return b })
 	mutate("future version", func(b []byte) []byte { b[4] = 99; return b })
+}
+
+// TestTraceRejectsForeignFiles: a file that is not a trace is named for what
+// it is — another kind of artifact, or no artifact at all (garbage, or a
+// trace from before the envelope) — never read as a workload.
+func TestTraceRejectsForeignFiles(t *testing.T) {
+	var model bytes.Buffer
+	if err := artifact.Encode(&model, core.ModelArtifactKind, []byte(`{"model":{}}`)); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := ReadTrace(&model)
+	if err == nil || !strings.Contains(err.Error(), core.ModelArtifactKind) || !strings.Contains(err.Error(), TraceArtifactKind) {
+		t.Errorf("model artifact read as a trace: err = %v, want one naming both kinds", err)
+	}
+	for name, data := range map[string][]byte{
+		"empty":        nil,
+		"garbage":      []byte("not a trace at all"),
+		"legacy trace": append([]byte("ZTRC\x01"), make([]byte, 64)...),
+	} {
+		if _, _, err := ReadTrace(bytes.NewReader(data)); !errors.Is(err, artifact.ErrNotArtifact) {
+			t.Errorf("%s: err = %v, want artifact.ErrNotArtifact", name, err)
+		}
+	}
+}
+
+// TestTraceBoundsEnforcedOnRead builds well-formed envelopes — the checksum
+// is valid — around records no writer here would emit: only checkRecord
+// stands between such a file and the replay loop.
+func TestTraceBoundsEnforcedOnRead(t *testing.T) {
+	ok := traceRecord{OffsetNs: 1, Class: []byte("gold"), Path: []byte("/v1/predict"), Body: []byte("{}")}
+	read := func(second traceRecord) error {
+		payload, err := json.Marshal(traceFile{Requests: []traceRecord{ok, second}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var file bytes.Buffer
+		if err := artifact.Encode(&file, TraceArtifactKind, payload); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = ReadTrace(&file)
+		return err
+	}
+	if err := read(ok); err != nil {
+		t.Fatalf("in-bounds records rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*traceRecord){
+		"negative offset": func(r *traceRecord) { r.OffsetNs = -1 },
+		"2 KiB class":     func(r *traceRecord) { r.Class = bytes.Repeat([]byte("c"), 2<<10) },
+		"2 KiB path":      func(r *traceRecord) { r.Path = bytes.Repeat([]byte("p"), 2<<10) },
+		"oversize body":   func(r *traceRecord) { r.Body = make([]byte, serve.MaxBodyBytes+1) },
+	} {
+		rec := ok
+		mutate(&rec)
+		if err := read(rec); err == nil || !strings.Contains(err.Error(), "record 1") {
+			t.Errorf("%s: err = %v, want record 1 rejected", name, err)
+		}
+	}
+}
+
+// TestWriteTraceFileKeepsPreviousOnError: a recording that fails its bounds
+// returns the error and leaves the file already at the path byte-identical.
+func TestWriteTraceFileKeepsPreviousOnError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.ztrc")
+	s := baseSpec()
+	s.Duration = 100 * time.Millisecond
+	reqs, err := s.Schedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := HeaderFromSpec(s)
+	if err := WriteTraceFile(path, h, reqs); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append(append([]Request(nil), reqs...), Request{Path: "/v1/predict", Body: make([]byte, serve.MaxBodyBytes+1)})
+	if err := WriteTraceFile(path, h, bad); err == nil {
+		t.Fatal("oversize record was recorded")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("failed recording changed the previous trace")
+	}
+	if entries, _ := os.ReadDir(filepath.Dir(path)); len(entries) != 1 {
+		t.Errorf("failed recording left %d files beside the trace", len(entries)-1)
+	}
+	if gotH, got, err := ReadTraceFile(path); err != nil || gotH != h || !reflect.DeepEqual(got, reqs) {
+		t.Errorf("previous trace no longer reads back: err = %v", err)
+	}
+}
+
+// TestTraceRoundTripsRawBytes: class and path are bytes on the wire, so a
+// record that is not valid UTF-8 comes back exactly, not U+FFFD-repaired.
+func TestTraceRoundTripsRawBytes(t *testing.T) {
+	reqs := []Request{{Offset: time.Millisecond, Class: "g\xffld\x00", Path: "/v1/\xc3\x28", Body: []byte{0, 0xff, '"'}}}
+	var file bytes.Buffer
+	if err := WriteTrace(&file, TraceHeader{Seed: 1}, reqs); err != nil {
+		t.Fatal(err)
+	}
+	_, got, err := ReadTrace(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, reqs) {
+		t.Errorf("round trip changed the record: got %q, want %q", got, reqs)
+	}
 }
 
 // countingTarget succeeds for the first capacity requests and then returns

@@ -1,48 +1,24 @@
 package loadgen
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"time"
 
+	"zerotune/internal/artifact"
 	"zerotune/internal/serve"
 )
 
-// Trace file format (versioned, little-endian, checksummed):
-//
-//	magic   "ZTRC" (4 bytes)
-//	version uint8 (currently 1)
-//	hlen    uint32 — length of the JSON header
-//	header  hlen bytes of canonical JSON (TraceHeader)
-//	records, each:
-//	    tag      'R' (1 byte)
-//	    offset   uint64 — intended send time, nanoseconds from run start
-//	    classLen uint16, class bytes
-//	    pathLen  uint16, path bytes
-//	    bodyLen  uint32, body bytes
-//	trailer:
-//	    tag      'E' (1 byte)
-//	    count    uint64 — number of records (truncation check)
-//	    checksum uint64 — FNV-1a over every preceding byte of the file
-//
-// The writer is fully deterministic — no wall-clock timestamps anywhere —
-// so recording the same seeded schedule twice yields byte-identical files,
-// and replaying a recorded trace while re-recording reproduces the original
-// file exactly. That is the contract CI's `cmp` enforces.
-
-// traceMagic and traceVersion identify the on-disk format.
-var traceMagic = [4]byte{'Z', 'T', 'R', 'C'}
-
-const traceVersion = 1
+// TraceArtifactKind tags trace payloads inside the artifact envelope
+// (internal/artifact: magic, format version, kind tag, SHA-256 over header
+// and payload, atomic durable write). The payload is the JSON of traceFile.
+const TraceArtifactKind = "zerotune-trace"
 
 // maxTraceString bounds class/path fields, and bodies are bounded by the
-// serve tier's own request-body limit, so a hostile trace cannot allocate
-// unbounded memory during replay.
+// serve tier's own request-body limit: the envelope's checksum says the file
+// is what was written, not that what was written is a sane workload.
 const maxTraceString = 1 << 10
 
 // TraceHeader carries the workload provenance of a trace: enough to
@@ -74,243 +50,108 @@ func HeaderFromSpec(s Spec) TraceHeader {
 	}
 }
 
-// checksumWriter hashes every byte on its way to the underlying writer.
-type checksumWriter struct {
-	w   io.Writer
-	sum hash64
+// traceFile is the envelope payload. Marshalling a struct is deterministic
+// and nothing here reads a clock, so recording the same seeded schedule twice
+// yields byte-identical files, and replaying a recorded trace while
+// re-recording reproduces the original file exactly. That is the contract
+// CI's `cmp` enforces.
+type traceFile struct {
+	Header   TraceHeader   `json:"header"`
+	Requests []traceRecord `json:"requests"`
 }
 
-type hash64 interface {
-	io.Writer
-	Sum64() uint64
+// traceRecord is one Request on the wire. Class, path and body are byte
+// fields (base64 in JSON), so a record round-trips whatever bytes it holds.
+type traceRecord struct {
+	OffsetNs int64  `json:"offset_ns"`
+	Class    []byte `json:"class"`
+	Path     []byte `json:"path"`
+	Body     []byte `json:"body"`
 }
 
-func (c *checksumWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	_, _ = c.sum.Write(p[:n])
-	return n, err
-}
-
-// WriteTrace renders header + requests in the versioned trace format.
-func WriteTrace(w io.Writer, h TraceHeader, reqs []Request) error {
-	bw := bufio.NewWriter(w)
-	cw := &checksumWriter{w: bw, sum: fnv.New64a()}
-	hdr, err := json.Marshal(h)
-	if err != nil {
-		return fmt.Errorf("loadgen: encode trace header: %w", err)
+// checkRecord holds one record to the trace bounds, on the way out and on
+// the way in.
+func checkRecord(i int, r Request) error {
+	if r.Offset < 0 {
+		return fmt.Errorf("loadgen: trace record %d has negative offset %s", i, r.Offset)
 	}
-	if _, err := cw.Write(traceMagic[:]); err != nil {
-		return err
+	if len(r.Class) > maxTraceString || len(r.Path) > maxTraceString {
+		return fmt.Errorf("loadgen: trace record %d class/path exceeds %d bytes", i, maxTraceString)
 	}
-	if _, err := cw.Write([]byte{traceVersion}); err != nil {
-		return err
-	}
-	var scratch [8]byte
-	writeU := func(v uint64, n int) error {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		_, err := cw.Write(scratch[:n])
-		return err
-	}
-	if err := writeU(uint64(len(hdr)), 4); err != nil {
-		return err
-	}
-	if _, err := cw.Write(hdr); err != nil {
-		return err
-	}
-	for i, r := range reqs {
-		if r.Offset < 0 {
-			return fmt.Errorf("loadgen: trace record %d has negative offset %s", i, r.Offset)
-		}
-		if len(r.Class) > maxTraceString || len(r.Path) > maxTraceString {
-			return fmt.Errorf("loadgen: trace record %d class/path exceeds %d bytes", i, maxTraceString)
-		}
-		if len(r.Body) > serve.MaxBodyBytes {
-			return fmt.Errorf("loadgen: trace record %d body exceeds %d bytes", i, serve.MaxBodyBytes)
-		}
-		if _, err := cw.Write([]byte{'R'}); err != nil {
-			return err
-		}
-		if err := writeU(uint64(r.Offset), 8); err != nil {
-			return err
-		}
-		if err := writeU(uint64(len(r.Class)), 2); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(cw, r.Class); err != nil {
-			return err
-		}
-		if err := writeU(uint64(len(r.Path)), 2); err != nil {
-			return err
-		}
-		if _, err := io.WriteString(cw, r.Path); err != nil {
-			return err
-		}
-		if err := writeU(uint64(len(r.Body)), 4); err != nil {
-			return err
-		}
-		if _, err := cw.Write(r.Body); err != nil {
-			return err
-		}
-	}
-	if _, err := cw.Write([]byte{'E'}); err != nil {
-		return err
-	}
-	if err := writeU(uint64(len(reqs)), 8); err != nil {
-		return err
-	}
-	// The checksum covers everything before it, itself excluded.
-	sum := cw.sum.Sum64()
-	binary.LittleEndian.PutUint64(scratch[:], sum)
-	if _, err := bw.Write(scratch[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// WriteTraceFile writes the trace to path (0644, truncating).
-func WriteTraceFile(path string, h TraceHeader, reqs []Request) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteTrace(f, h, reqs); err != nil {
-		f.Close()
-		return fmt.Errorf("loadgen: write trace %s: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("loadgen: close trace %s: %w", path, err)
+	if len(r.Body) > serve.MaxBodyBytes {
+		return fmt.Errorf("loadgen: trace record %d body exceeds %d bytes", i, serve.MaxBodyBytes)
 	}
 	return nil
 }
 
-// checksumReader hashes every byte read.
-type checksumReader struct {
-	r   io.Reader
-	sum hash64
+// encodeTrace validates the records and renders the envelope payload.
+func encodeTrace(h TraceHeader, reqs []Request) ([]byte, error) {
+	f := traceFile{Header: h, Requests: make([]traceRecord, len(reqs))}
+	for i, r := range reqs {
+		if err := checkRecord(i, r); err != nil {
+			return nil, err
+		}
+		f.Requests[i] = traceRecord{OffsetNs: int64(r.Offset), Class: []byte(r.Class), Path: []byte(r.Path), Body: r.Body}
+	}
+	payload, err := json.Marshal(f)
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: encode trace: %w", err)
+	}
+	return payload, nil
 }
 
-func (c *checksumReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	_, _ = c.sum.Write(p[:n])
-	return n, err
+// WriteTrace renders header + requests as a trace artifact on w. Writing to
+// a file should go through WriteTraceFile, which is atomic and durable.
+func WriteTrace(w io.Writer, h TraceHeader, reqs []Request) error {
+	payload, err := encodeTrace(h, reqs)
+	if err != nil {
+		return err
+	}
+	return artifact.Encode(w, TraceArtifactKind, payload)
 }
 
-// ReadTrace parses and validates a trace: magic, version, structure, record
-// count and checksum. Any flipped or missing byte is an error, never a
-// silently different workload.
+// WriteTraceFile durably replaces path with the trace (temp file, fsync,
+// atomic rename): an interrupted or rejected recording leaves the previous
+// file intact.
+func WriteTraceFile(path string, h TraceHeader, reqs []Request) error {
+	payload, err := encodeTrace(h, reqs)
+	if err == nil {
+		err = artifact.WriteFile(path, TraceArtifactKind, payload)
+	}
+	if err != nil {
+		return fmt.Errorf("loadgen: write trace %s: %w", path, err)
+	}
+	return nil
+}
+
+// ReadTrace opens the envelope — anything outside it, traces from before
+// the envelope included, is artifact.ErrNotArtifact; any flipped, missing or
+// extra byte is an error — and holds every record to the trace bounds, so a
+// bad file is never a silently different workload.
 func ReadTrace(r io.Reader) (TraceHeader, []Request, error) {
-	var h TraceHeader
-	cr := &checksumReader{r: bufio.NewReader(r), sum: fnv.New64a()}
-	var magic [5]byte
-	if _, err := io.ReadFull(cr, magic[:]); err != nil {
-		return h, nil, fmt.Errorf("loadgen: read trace magic: %w", err)
-	}
-	if [4]byte(magic[:4]) != traceMagic {
-		return h, nil, fmt.Errorf("loadgen: not a trace file (magic %q)", magic[:4])
-	}
-	if magic[4] != traceVersion {
-		return h, nil, fmt.Errorf("loadgen: unsupported trace version %d (want %d)", magic[4], traceVersion)
-	}
-	var scratch [8]byte
-	readU := func(n int) (uint64, error) {
-		scratch = [8]byte{}
-		if _, err := io.ReadFull(cr, scratch[:n]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(scratch[:]), nil
-	}
-	hlen, err := readU(4)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return h, nil, fmt.Errorf("loadgen: read trace header length: %w", err)
+		return TraceHeader{}, nil, fmt.Errorf("loadgen: read trace: %w", err)
 	}
-	if hlen > 1<<20 {
-		return h, nil, fmt.Errorf("loadgen: trace header of %d bytes is implausible", hlen)
-	}
-	hdr := make([]byte, hlen)
-	if _, err := io.ReadFull(cr, hdr); err != nil {
-		return h, nil, fmt.Errorf("loadgen: read trace header: %w", err)
-	}
-	if err := json.Unmarshal(hdr, &h); err != nil {
-		return h, nil, fmt.Errorf("loadgen: decode trace header: %w", err)
-	}
-
-	var reqs []Request
-	for {
-		var tag [1]byte
-		if _, err := io.ReadFull(cr, tag[:]); err != nil {
-			return h, nil, fmt.Errorf("loadgen: truncated trace (no trailer): %w", err)
-		}
-		if tag[0] == 'E' {
-			break
-		}
-		if tag[0] != 'R' {
-			return h, nil, fmt.Errorf("loadgen: corrupt trace: record tag %q", tag[0])
-		}
-		off, err := readU(8)
-		if err != nil {
-			return h, nil, fmt.Errorf("loadgen: truncated trace record: %w", err)
-		}
-		clen, err := readU(2)
-		if err != nil {
-			return h, nil, fmt.Errorf("loadgen: truncated trace record: %w", err)
-		}
-		if clen > maxTraceString {
-			return h, nil, fmt.Errorf("loadgen: corrupt trace: class of %d bytes", clen)
-		}
-		class := make([]byte, clen)
-		if _, err := io.ReadFull(cr, class); err != nil {
-			return h, nil, fmt.Errorf("loadgen: truncated trace record: %w", err)
-		}
-		plen, err := readU(2)
-		if err != nil {
-			return h, nil, fmt.Errorf("loadgen: truncated trace record: %w", err)
-		}
-		if plen > maxTraceString {
-			return h, nil, fmt.Errorf("loadgen: corrupt trace: path of %d bytes", plen)
-		}
-		path := make([]byte, plen)
-		if _, err := io.ReadFull(cr, path); err != nil {
-			return h, nil, fmt.Errorf("loadgen: truncated trace record: %w", err)
-		}
-		blen, err := readU(4)
-		if err != nil {
-			return h, nil, fmt.Errorf("loadgen: truncated trace record: %w", err)
-		}
-		if blen > serve.MaxBodyBytes {
-			return h, nil, fmt.Errorf("loadgen: corrupt trace: body of %d bytes", blen)
-		}
-		body := make([]byte, blen)
-		if _, err := io.ReadFull(cr, body); err != nil {
-			return h, nil, fmt.Errorf("loadgen: truncated trace record: %w", err)
-		}
-		reqs = append(reqs, Request{
-			Offset: time.Duration(off),
-			Class:  string(class),
-			Path:   string(path),
-			Body:   body,
-		})
-	}
-	count, err := readU(8)
+	kind, payload, err := artifact.DecodeBytes(data)
 	if err != nil {
-		return h, nil, fmt.Errorf("loadgen: truncated trace trailer: %w", err)
+		return TraceHeader{}, nil, fmt.Errorf("loadgen: read trace: %w", err)
 	}
-	if count != uint64(len(reqs)) {
-		return h, nil, fmt.Errorf("loadgen: trace trailer says %d records, file holds %d", count, len(reqs))
+	if kind != TraceArtifactKind {
+		return TraceHeader{}, nil, fmt.Errorf("loadgen: read trace: artifact is a %q, not a %q", kind, TraceArtifactKind)
 	}
-	want := cr.sum.Sum64() // everything up to (excluding) the checksum field
-	got, err := readU(8)
-	if err != nil {
-		return h, nil, fmt.Errorf("loadgen: truncated trace checksum: %w", err)
+	var f traceFile
+	if err := json.Unmarshal(payload, &f); err != nil {
+		return TraceHeader{}, nil, fmt.Errorf("loadgen: decode trace: %w", err)
 	}
-	if got != want {
-		return h, nil, fmt.Errorf("loadgen: trace checksum mismatch: file says %016x, content hashes to %016x", got, want)
+	reqs := make([]Request, len(f.Requests))
+	for i, rec := range f.Requests {
+		reqs[i] = Request{Offset: time.Duration(rec.OffsetNs), Class: string(rec.Class), Path: string(rec.Path), Body: rec.Body}
+		if err := checkRecord(i, reqs[i]); err != nil {
+			return TraceHeader{}, nil, err
+		}
 	}
-	// Reject trailing garbage: a trace is one schedule, not a container.
-	var extra [1]byte
-	if _, err := cr.r.Read(extra[:]); err != io.EOF {
-		return h, nil, fmt.Errorf("loadgen: trailing data after trace checksum")
-	}
-	return h, reqs, nil
+	return f.Header, reqs, nil
 }
 
 // ReadTraceFile opens and parses the trace at path.
@@ -322,7 +163,7 @@ func ReadTraceFile(path string) (TraceHeader, []Request, error) {
 	defer f.Close()
 	h, reqs, err := ReadTrace(f)
 	if err != nil {
-		return h, nil, fmt.Errorf("loadgen: %s: %w", path, err)
+		return h, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return h, reqs, nil
 }

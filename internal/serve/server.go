@@ -49,6 +49,32 @@ import (
 	"zerotune/internal/queryplan"
 )
 
+// The serving pipeline's sizing defaults, exported so the capacity planner
+// (internal/desim) simulates the same tier it predicts for: a simulator
+// calibrated against different batcher or cache constants than the live
+// server answers capacity questions about a system that does not exist.
+const (
+	// DefaultBatchWindow is how long the coalescer holds the first request
+	// of a micro-batch waiting for companions.
+	DefaultBatchWindow = 2 * time.Millisecond
+	// DefaultMaxBatch flushes a batch early once this many plans queued.
+	DefaultMaxBatch = 64
+	// DefaultQueueFactor sizes the submitted-but-unflushed queue bound as a
+	// multiple of MaxBatch.
+	DefaultQueueFactor = 4
+	// DefaultCacheSize bounds the plan-fingerprint and response caches.
+	DefaultCacheSize = 4096
+	// DefaultCircuitThreshold is the consecutive-failure count that trips
+	// the circuit breaker.
+	DefaultCircuitThreshold = 5
+	// DefaultCircuitCooldown is how long an open circuit waits before
+	// admitting a half-open probe.
+	DefaultCircuitCooldown = 5 * time.Second
+	// DefaultRequestTimeout bounds one request at every tier that waits on
+	// one: a replica's predict, a gateway forward, a load-generator call.
+	DefaultRequestTimeout = 30 * time.Second
+)
+
 // Options configures the server.
 type Options struct {
 	// BatchWindow is how long the coalescer holds the first request of a
