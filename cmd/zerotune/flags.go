@@ -55,7 +55,7 @@ func (q *queryFlags) build() (*queryplan.Query, *cluster.Cluster, error) {
 }
 
 func bindServeOptions(fs *flag.FlagSet, o *serve.Options) {
-	fs.DurationVar(&o.BatchWindow, "batch-window", serve.DefaultBatchWindow, "micro-batch coalescing window (negative: flush immediately)")
+	fs.DurationVar(&o.BatchWindow, "batch-window", serve.DefaultBatchWindow, "longest a micro-batch is held for requests already on their way to it; a lone request is never held (negative: never hold)")
 	fs.IntVar(&o.MaxBatch, "batch-max", serve.DefaultMaxBatch, "flush a micro-batch at this many plans")
 	fs.IntVar(&o.CacheSize, "cache-size", serve.DefaultCacheSize, "plan-fingerprint cache entries")
 	fs.DurationVar(&o.RequestTimeout, "request-timeout", serve.DefaultRequestTimeout, "per-predict deadline before 503 (negative: unbounded)")

@@ -40,7 +40,7 @@ func planCommand(fs *flag.FlagSet) func() error {
 	replicaList := fs.String("replicas", "1,3", "replica counts to compare, comma-separated (each is one scenario)")
 	fs.StringVar((*string)(&tier.Route), "route", "", "routing policy: affinity | round-robin | least-loaded (default affinity)")
 	slo := bindSLO(fs, "admission classes", "")
-	fs.DurationVar(&tier.BatchWindow, "batch-window", 0, "micro-batch collection window (default: the serve tier's)")
+	fs.DurationVar(&tier.BatchWindow, "batch-window", 0, "longest a micro-batch is held for requests on their way to it (default: the serve tier's; negative: never hold)")
 	fs.IntVar(&tier.MaxBatch, "max-batch", 0, "micro-batch size cap (default: the serve tier's)")
 	fs.IntVar(&tier.QueueDepth, "queue-depth", 0, "per-replica queue bound (default: the serve tier's)")
 	fs.IntVar(&tier.CacheEntries, "cache", 0, "per-replica cache entries (default: the serve tier's; negative disables)")
@@ -154,8 +154,9 @@ func planServiceModel(pin, model string, seed uint64, reps int) (desim.ServiceMo
 		if svc, err = desim.MeasureServiceModel(context.Background(), zt, plans, clusters[0], reps); err != nil {
 			return svc, fmt.Errorf("plan: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "plan: calibrated from %s: encode=%s base=%s peritem=%s\n",
-			model, time.Duration(svc.EncodeNs), time.Duration(svc.ForwardBaseNs), time.Duration(svc.ForwardPerItemNs))
+		fmt.Fprintf(os.Stderr, "plan: calibrated from %s: encode=%s base=%s peritem=%s hit=%s\n",
+			model, time.Duration(svc.EncodeNs), time.Duration(svc.ForwardBaseNs), time.Duration(svc.ForwardPerItemNs),
+			time.Duration(svc.CacheHitNs))
 	}
 	return svc, applyServicePins(&svc, pin)
 }

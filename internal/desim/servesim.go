@@ -3,9 +3,11 @@ package desim
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"time"
 
 	"zerotune/internal/cluster"
@@ -43,13 +45,14 @@ import (
 //     front-door Lookup → breaker → encode → Acquire → queue bound → batch →
 //     Complete. Hit, coalesce and eviction counts are read from its counters.
 //   - Keys and placement: serve.HashBody and gateway.AffinityScore.
+//   - The batching rule: serve.CollectDecision, asked where the live flush
+//     loop asks it — when a batch opens, on every enqueue, whenever a request
+//     that was on its way leaves without enqueueing (follower, filled hit,
+//     429), and when the window runs out. "On its way" is counted per replica
+//     from the front-door miss to onEnqueue, the span a live request holds
+//     its serve.Arrival for.
 //
 // Modelled here rather than shared (fidelity notes):
-//   - The batcher. The live Batcher is a goroutine select loop whose policy
-//     is three lines (take what is queued up to MaxBatch; if short, wait up
-//     to the window for more; flush); the idle/collecting/flushing events
-//     below restate that policy, because sharing it would add a layer both
-//     callers must see through.
 //   - Least-loaded routing ranks replicas by instantaneous outstanding
 //     requests; the live router ranks by its load EWMA first.
 //   - The one serve.Cache per replica stands in for both the body-level
@@ -94,14 +97,20 @@ func DefaultServiceModel() ServiceModel {
 	}
 }
 
-// MeasureServiceModel calibrates the cost table against the live model: it
-// times the predict stages and fits the batch-size-linear forward cost from
-// two operating points (batch of 1 and batch of serve.DefaultMaxBatch),
-// keeping DefaultServiceModel's value for every stage it does not time. Each
-// stage takes the minimum over reps repetitions — the minimum estimates the
-// uncontended cost, which is what the single-threaded replica model wants.
-// plans supplies representative query plans (a few suffice); c is the
-// cluster they are placed on.
+// MeasureServiceModel calibrates the cost table against the live tier. The
+// forward pass is timed on the model and fitted as a line through two
+// operating points (a batch of 1 and of serve.DefaultMaxBatch). The two
+// per-request stages are timed where a request pays them, through the
+// handler of a replica serving zt: one lone cold request less its forward
+// pass is EncodeNs — decode, analysis, placement, featurization, fingerprint,
+// both caches, the hand-off to a parked flush loop and back, and the
+// response, not featurization alone — and a byte-identical repeat is
+// CacheHitNs. Every timing is the minimum over reps repetitions, the
+// uncontended cost the single-threaded replica model wants; the per-request
+// stages are then averaged over plans.
+// plans supplies representative query plans (a few suffice); c is the cluster
+// they are placed on. An uncompiled zt is compiled on the way, as by any
+// replica that serves it.
 //
 // The measurement is wall-clock and therefore NOT deterministic: a seeded
 // `zerotune plan` run that must produce byte-identical decision traces
@@ -114,23 +123,26 @@ func MeasureServiceModel(ctx context.Context, zt *core.ZeroTune, plans []*queryp
 	if reps < 1 {
 		reps = 5
 	}
-	graphs := make([]*features.Graph, 0, len(plans))
-	var encodeNs int64
+	graphs := make([]*features.Graph, len(plans))
+	bodies := make([][]byte, len(plans))
 	for i, p := range plans {
-		p = p.Clone()
-		start := time.Now()
+		p = p.Clone() // encoding places the plan; the body carries it as given
 		t, err := p.Query.Analyze()
-		var g *features.Graph
 		if err == nil {
-			g, err = zt.EncodePlan(ctx, t, p, c)
+			graphs[i], err = zt.EncodePlan(ctx, t, p, c)
+		}
+		if err == nil {
+			bodies[i], err = json.Marshal(serve.PredictRequest{Plan: plans[i], Cluster: serve.ClusterSpec{Workers: len(c.Nodes)}})
 		}
 		if err != nil {
 			return m, fmt.Errorf("desim: measure service model: encode plan %d: %w", i, err)
 		}
-		if d := time.Since(start).Nanoseconds(); i == 0 || d < encodeNs {
-			encodeNs = d
+	}
+	miss, hit := make([]int64, len(bodies)), make([]int64, len(bodies))
+	for r := 0; r < reps; r++ {
+		if err := timeHandlerPaths(ctx, zt, bodies, r, miss, hit); err != nil {
+			return m, fmt.Errorf("desim: measure service model: %w", err)
 		}
-		graphs = append(graphs, g)
 	}
 	// Forward cost at batch sizes 1 and DefaultMaxBatch; the two points fit
 	// the base + per-item line the batcher's service time follows.
@@ -152,14 +164,57 @@ func MeasureServiceModel(ctx context.Context, zt *core.ZeroTune, plans []*queryp
 	}
 	t1 := minForward(big[:1])
 	tN := minForward(big)
-	// CacheHitNs keeps its default: the completed-entry hit path is a
-	// fingerprint lookup plus a marshaled response write — small and flat, a
-	// fixed floor rather than a sub-microsecond path timed through the wall
-	// clock's noise.
-	m.EncodeNs = max(encodeNs, 1_000)
 	m.ForwardPerItemNs = max((tN-t1)/int64(serve.DefaultMaxBatch-1), 1)
 	m.ForwardBaseNs = max(t1-m.ForwardPerItemNs, 1)
+	m.EncodeNs = max(mean(miss)-t1, 1_000)
+	m.CacheHitNs = max(mean(hit), 1)
 	return m, nil
+}
+
+// timeHandlerPaths sends every body twice through a fresh replica serving zt
+// — the first is a miss of both caches, the repeat a body-cache hit — and
+// keeps each path's fastest time so far in miss[i] and hit[i]. The replica
+// has no batch window, so a miss is the stage costs and nothing else, and
+// each request finds it quiet (quietGap), as a lone request does: waking the
+// goroutines it hands off to is most of what such a request costs, and a
+// back-to-back loop, whose threads never park, would not see it. round
+// rotates which body meets the new server first.
+func timeHandlerPaths(ctx context.Context, zt *core.ZeroTune, bodies [][]byte, round int, miss, hit []int64) error {
+	srv := serve.New(serve.Options{BatchWindow: -1})
+	defer srv.Close()
+	srv.Registry().Install(zt, "calibration", "")
+	replica := serve.NewInProcessBackend("calibration", srv)
+	for k := range bodies {
+		i := (k + round) % len(bodies)
+		for _, best := range []*int64{&miss[i], &hit[i]} {
+			time.Sleep(quietGap)
+			start := time.Now()
+			status, resp, err := replica.Call(ctx, "/v1/predict", bodies[i])
+			d := time.Since(start).Nanoseconds()
+			if err != nil {
+				return err
+			}
+			if status != http.StatusOK {
+				return fmt.Errorf("plan %d: status %d: %s", i, status, resp)
+			}
+			if round == 0 || d < *best {
+				*best = d
+			}
+		}
+	}
+	return nil
+}
+
+// quietGap is how long timeHandlerPaths lets a replica sit before a timed
+// request: long enough for the Go scheduler's spinning threads to park.
+const quietGap = 200 * time.Microsecond
+
+func mean(xs []int64) int64 {
+	var sum int64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / int64(len(xs))
 }
 
 // ServeConfig describes one simulated serve tier — the counterfactual knobs
@@ -289,6 +344,9 @@ type ReplicaStats struct {
 	QueueBusts   int    `json:"queue_busts"`
 	CircuitOpens int    `json:"circuit_opens"`
 	MaxQueue     int    `json:"max_queue"`
+	// Flushes splits Batches by the clause of serve.CollectDecision that
+	// released each one — the live replica's zerotune_batch_flush_total.
+	Flushes serve.FlushCounts `json:"flushes"`
 }
 
 // ServeStats aggregates a run.
@@ -393,7 +451,9 @@ type svReplica struct {
 	mode        int
 	queue       []*svItem
 	batch       []*svItem
+	openedNs    int64 // when the batch being collected took its first item
 	timerGen    int
+	arriving    int          // past the front door, not yet at onEnqueue
 	outstanding int          // routed-but-uncompleted, for least-loaded
 	cache       *serve.Cache // nil when caching is disabled
 	// followers lists the requests coalesced onto each in-flight entry. The
@@ -519,7 +579,7 @@ func (s *serveSim) run() error {
 		case svBatchTimer:
 			rep := s.replicas[e.replica]
 			if rep.mode == replicaCollecting && rep.timerGen == e.gen {
-				s.beginFlush(now, rep)
+				s.collect(now, rep)
 			}
 		case svFlushDone:
 			s.onFlushDone(now, e)
@@ -600,12 +660,17 @@ func (s *serveSim) onAtReplica(now int64, req, replica int) {
 	if probe {
 		s.trace.reqEvent(now, "breaker", req, "replica", replica, "action", "probe")
 	}
+	rep.arriving++
 	s.tl.Schedule(float64(now+s.cfg.Service.EncodeNs), svEnqueue{req: req, replica: replica, probe: probe})
 }
 
-// onEnqueue is the post-encode cache acquire + batcher submission.
+// onEnqueue is the post-encode cache acquire + batcher submission. However
+// the request leaves it — queued, coalesced, answered, refused — it is no
+// longer on its way, and a batch that was held for it is judged again.
 func (s *serveSim) onEnqueue(now int64, req, replica int, probe bool) {
 	rep := s.replicas[replica]
+	rep.arriving--
+	defer s.collect(now, rep)
 	it := &svItem{req: req, enqueuedNs: now, probe: probe}
 	if rep.cache != nil {
 		e, leader := rep.cache.Acquire(cacheKey(s.keys[req]))
@@ -644,42 +709,42 @@ func (s *serveSim) onEnqueue(now int64, req, replica int, probe bool) {
 		rep.stats.MaxQueue = len(rep.queue)
 	}
 	s.trace.reqEvent(now, "enqueue", req, "replica", replica, "depth", len(rep.queue))
-	switch rep.mode {
-	case replicaIdle:
-		s.beginCollect(now, rep)
-	case replicaCollecting:
-		if len(rep.batch) < s.cfg.MaxBatch {
-			rep.batch = append(rep.batch, rep.queue[0])
-			rep.queue = rep.queue[1:]
-			if len(rep.batch) == s.cfg.MaxBatch {
-				s.beginFlush(now, rep)
-			}
-		}
-	}
 }
 
-// beginCollect opens a collection window: the flush loop popped its first
-// item and now waits (up to BatchWindow) for companions.
-func (s *serveSim) beginCollect(now int64, rep *svReplica) {
-	n := len(rep.queue)
-	if n > s.cfg.MaxBatch {
-		n = s.cfg.MaxBatch
-	}
-	rep.batch = append(rep.batch, rep.queue[:n]...)
-	rep.queue = rep.queue[n:]
-	s.trace.repEvent(now, "collect", rep.idx, "size", len(rep.batch))
-	if len(rep.batch) == s.cfg.MaxBatch || s.cfg.BatchWindow <= 0 {
-		s.beginFlush(now, rep)
+// collect is the flush loop's turn on the virtual clock: move what is queued
+// into the open batch (opening one if the loop was idle) and do what the live
+// tier's rule says — flush, or hold until the next enqueue, the next
+// withdrawal, or the end of the window.
+func (s *serveSim) collect(now int64, rep *svReplica) {
+	if rep.mode == replicaFlushing || len(rep.queue)+len(rep.batch) == 0 {
 		return
 	}
-	rep.mode = replicaCollecting
-	rep.timerGen++
-	s.tl.Schedule(float64(now+int64(s.cfg.BatchWindow)), svBatchTimer{replica: rep.idx, gen: rep.timerGen})
+	opening := rep.mode == replicaIdle
+	if opening {
+		rep.openedNs = now
+	}
+	n := min(len(rep.queue), s.cfg.MaxBatch-len(rep.batch))
+	rep.batch = append(rep.batch, rep.queue[:n]...)
+	rep.queue = rep.queue[n:]
+	if opening {
+		s.trace.repEvent(now, "collect", rep.idx, "size", len(rep.batch))
+	}
+	reason, hold := serve.CollectDecision(len(rep.batch), s.cfg.MaxBatch, rep.arriving,
+		time.Duration(now-rep.openedNs), s.cfg.BatchWindow)
+	if reason != serve.Hold {
+		s.beginFlush(now, rep, reason)
+		return
+	}
+	if opening {
+		rep.mode = replicaCollecting
+		rep.timerGen++
+		s.tl.Schedule(float64(now+int64(hold)), svBatchTimer{replica: rep.idx, gen: rep.timerGen})
+	}
 }
 
 // beginFlush runs the batched forward pass; the failure draw is one seeded
 // uniform per flush.
-func (s *serveSim) beginFlush(now int64, rep *svReplica) {
+func (s *serveSim) beginFlush(now int64, rep *svReplica, reason serve.FlushReason) {
 	batch := rep.batch
 	rep.batch = nil
 	rep.mode = replicaFlushing
@@ -690,9 +755,10 @@ func (s *serveSim) beginFlush(now int64, rep *svReplica) {
 	dur := s.cfg.Service.ForwardBaseNs + int64(len(batch))*s.cfg.Service.ForwardPerItemNs
 	rep.stats.Batches++
 	rep.stats.Inferences += len(batch)
+	rep.stats.Flushes.Count(reason)
 	s.stats.Batches++
 	s.stats.Inferences += len(batch)
-	s.trace.repEvent(now, "flush", rep.idx, "size", len(batch), "service", dur)
+	s.trace.repEvent(now, "flush", rep.idx, "size", len(batch), "reason", reason.String(), "service", dur)
 	s.tl.Schedule(float64(now+dur), svFlushDone{replica: rep.idx, batch: batch, fail: fail})
 }
 
@@ -730,12 +796,8 @@ func (s *serveSim) onFlushDone(now int64, e svFlushDone) {
 			rep.cache.Complete(it.entry, gnn.Prediction{}, flushErr)
 		}
 	}
-	if len(rep.queue) > 0 {
-		rep.mode = replicaIdle
-		s.beginCollect(now, rep)
-	} else {
-		rep.mode = replicaIdle
-	}
+	rep.mode = replicaIdle
+	s.collect(now, rep)
 }
 
 // degrade answers a request from the simulated fallback estimator.

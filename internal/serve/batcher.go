@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"zerotune/internal/fault"
@@ -24,13 +25,71 @@ type batchItem struct {
 	done  chan struct{}
 }
 
-// Batcher coalesces concurrent predictions into micro-batches: the first
-// arrival opens a collection window (default 2ms) and the batch flushes
-// when the window closes or MaxBatch items queued, funnelling the whole
-// batch through the model's data-parallel PredictBatch path instead of N
-// independent forward passes. One flush loop runs at a time; arrivals
-// during a flush queue up in the channel and form the next batch, so the
-// forward pass and request collection pipeline naturally.
+// FlushReason says why a batch leaves the collector; Hold, that it does not
+// yet.
+type FlushReason uint8
+
+const (
+	Hold        FlushReason = iota // another request is on its way and the window is open
+	FlushIdle                      // nothing else is on its way to this batcher
+	FlushFull                      // MaxBatch items collected
+	FlushWindow                    // announced arrivals did not show up within the window
+)
+
+// String is the reason's label on /metrics and in the simulator's trace.
+func (r FlushReason) String() string {
+	return [...]string{"hold", "idle", "full", "window"}[r]
+}
+
+// CollectDecision is the batching rule, written once for the live flush loop
+// and the serve-tier simulator (internal/desim) to call: a batch of queued
+// items flushes when it is full or when no other request is on its way
+// (arriving counts requests announced to this batcher that have neither
+// enqueued nor left); otherwise it is held for the rest of the window, which
+// opened waited ago. A held batch is judged again on every enqueue, whenever
+// arriving falls to zero, and when the returned duration has passed.
+func CollectDecision(queued, max, arriving int, waited, window time.Duration) (FlushReason, time.Duration) {
+	switch {
+	case queued >= max:
+		return FlushFull, 0
+	case arriving <= 0:
+		return FlushIdle, 0
+	case waited >= window:
+		return FlushWindow, 0
+	}
+	return Hold, window - waited
+}
+
+// FlushCounts tallies flushed batches by the reason they left the collector.
+type FlushCounts struct {
+	Idle   uint64 `json:"idle"`
+	Full   uint64 `json:"full"`
+	Window uint64 `json:"window"`
+}
+
+// Count adds one batch that left for reason r.
+func (c *FlushCounts) Count(r FlushReason) {
+	switch r {
+	case FlushIdle:
+		c.Idle++
+	case FlushFull:
+		c.Full++
+	case FlushWindow:
+		c.Window++
+	}
+}
+
+// Batcher coalesces concurrent predictions into micro-batches, funnelling
+// each through the model's data-parallel PredictBatch path instead of N
+// independent forward passes. It is work-conserving: the flush loop takes
+// whatever has queued and holds the batch open only while another request is
+// demonstrably on its way — announced through Announce and not yet enqueued
+// or withdrawn — and then for at most the window (CollectDecision is the
+// rule). A lone request is therefore never delayed, and a caller of the bare
+// Predict, which announces nothing, says "nobody else is coming". One flush
+// loop runs at a time; arrivals during a flush queue up in the channel and
+// form the next batch, so the forward pass and request collection pipeline
+// naturally.
 type Batcher struct {
 	window   time.Duration
 	max      int
@@ -39,6 +98,14 @@ type Batcher struct {
 	quit     chan struct{}
 	wg       sync.WaitGroup
 	onBatch  func(graphs int) // stats hook, called once per flushed batch
+
+	// arriving counts open Arrivals. wake (capacity 1) is signalled when it
+	// falls to zero, so a held batch is released as soon as the last request it
+	// was waiting for enqueues or leaves; a token left over from an earlier
+	// batch costs the loop one more look at the rule.
+	arriving atomic.Int64
+	wake     chan struct{}
+	flushes  [FlushWindow + 1]atomic.Uint64 // by FlushReason
 
 	// forward runs the batched forward pass for one model group. The server
 	// installs a wrapper that threads the gnn.forward injection point (and is
@@ -54,11 +121,11 @@ type Batcher struct {
 	closed bool
 }
 
-// NewBatcher starts the flush loop. window <= 0 flushes opportunistically
-// (whatever is queued, no waiting); max < 1 defaults to 64; queue bounds
-// the number of submitted-but-unflushed items (submissions beyond it fail
-// fast with ErrQueueFull); deadline bounds how long Predict waits for its
-// batch to run (<= 0: forever).
+// NewBatcher starts the flush loop. window bounds how long a batch waits for
+// announced arrivals (<= 0: never, flush whatever is queued); max < 1
+// defaults to 64; queue bounds the number of submitted-but-unflushed items
+// (submissions beyond it fail fast with ErrQueueFull); deadline bounds how
+// long Predict waits for its batch to run (<= 0: forever).
 func NewBatcher(window time.Duration, max, queue int, deadline time.Duration, onBatch func(int)) *Batcher {
 	if max < 1 {
 		max = DefaultMaxBatch
@@ -70,7 +137,8 @@ func NewBatcher(window time.Duration, max, queue int, deadline time.Duration, on
 		onBatch = func(int) {}
 	}
 	b := &Batcher{window: window, max: max, deadline: deadline,
-		in: make(chan *batchItem, queue), quit: make(chan struct{}), onBatch: onBatch}
+		in: make(chan *batchItem, queue), quit: make(chan struct{}), onBatch: onBatch,
+		wake: make(chan struct{}, 1)}
 	b.wg.Add(1)
 	go b.loop()
 	return b
@@ -87,6 +155,57 @@ func defaultForward(entry *ModelEntry, graphs []*features.Graph) ([]gnn.Predicti
 	return entry.ZT.PredictEncoded(graphs), nil
 }
 
+// Arrival is one request announced to a Batcher: a promise that an item is on
+// its way, which holds a collecting batch open for it (up to the window). It
+// ends exactly once — Predict ends it once the item is queued, Withdraw ends
+// one that will not enqueue — and every announcement must end, or the batches
+// behind it wait out the window for nobody. Not for concurrent use.
+type Arrival struct {
+	b    *Batcher
+	open bool
+}
+
+// Announce says a request is on its way to the batcher.
+func (b *Batcher) Announce() Arrival {
+	b.arriving.Add(1)
+	return Arrival{b: b, open: true}
+}
+
+// Withdraw ends an arrival that will not enqueue. It is a no-op on one that
+// has already ended, so a handler defers it once and every exit is covered.
+func (a *Arrival) Withdraw() {
+	if !a.open {
+		return
+	}
+	a.open = false
+	if a.b.arriving.Add(-1) == 0 {
+		// The batch the loop may be holding was waiting for this request.
+		select {
+		case a.b.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// Predict is Batcher.Predict for an announced request.
+func (a *Arrival) Predict(ctx context.Context, entry *ModelEntry, g *features.Graph) (gnn.Prediction, error) {
+	return a.b.predict(ctx, entry, g, a)
+}
+
+// Arriving is the number of announced requests that have neither enqueued nor
+// withdrawn.
+func (b *Batcher) Arriving() int64 { return b.arriving.Load() }
+
+// Flushes reports how many batches left the collector for each reason. A
+// batch cut short by Close counts under none.
+func (b *Batcher) Flushes() FlushCounts {
+	return FlushCounts{
+		Idle:   b.flushes[FlushIdle].Load(),
+		Full:   b.flushes[FlushFull].Load(),
+		Window: b.flushes[FlushWindow].Load(),
+	}
+}
+
 // Predict submits one encoded graph bound to a model revision and blocks
 // until its batch has run, the context is cancelled, the deadline passes,
 // or the batcher shuts down. The model binding and the context travel with
@@ -94,8 +213,13 @@ func defaultForward(entry *ModelEntry, graphs []*features.Graph) ([]gnn.Predicti
 // model the request was admitted under, and a request whose context is
 // cancelled while queued (client disconnect) is dropped at flush time
 // before it joins the forward pass. A full queue fails immediately with
-// ErrQueueFull rather than blocking the caller.
+// ErrQueueFull rather than blocking the caller. The caller announces nothing,
+// so no batch waits for it and its own batch waits only for others' arrivals.
 func (b *Batcher) Predict(ctx context.Context, entry *ModelEntry, g *features.Graph) (gnn.Prediction, error) {
+	return b.predict(ctx, entry, g, nil)
+}
+
+func (b *Batcher) predict(ctx context.Context, entry *ModelEntry, g *features.Graph, arrival *Arrival) (gnn.Prediction, error) {
 	ctx, span := obs.StartSpan(ctx, "batcher.enqueue")
 	defer span.End()
 	if err := ctx.Err(); err != nil {
@@ -113,6 +237,12 @@ func (b *Batcher) Predict(ctx context.Context, entry *ModelEntry, g *features.Gr
 	default:
 		b.mu.RUnlock()
 		return gnn.Prediction{}, ErrQueueFull
+	}
+	if arrival != nil {
+		// Only now, with the item in the channel: the loop reads arriving
+		// before it drains the channel, so it never finds zero while this
+		// request is in neither place.
+		arrival.Withdraw()
 	}
 	var deadline <-chan time.Time
 	if b.deadline > 0 {
@@ -164,36 +294,55 @@ func (b *Batcher) loop() {
 			// exited — draining here would race a straggling enqueue.
 			return
 		}
-		batch := b.collect(first)
+		batch, reason := b.collect(first)
+		b.flushes[reason].Add(1)
 		b.run(batch)
 	}
 }
 
-// collect gathers one micro-batch starting from the first arrival.
-func (b *Batcher) collect(first *batchItem) []*batchItem {
+// collect gathers one micro-batch starting from the first arrival, asking
+// CollectDecision after everything that can change its answer: an enqueue,
+// arriving falling to zero, the window running out. The timer, the loop's
+// only clock, exists only once the batch is actually held. Close releases a
+// held batch (reason Hold), so shutdown never waits out a window.
+func (b *Batcher) collect(first *batchItem) ([]*batchItem, FlushReason) {
 	batch := []*batchItem{first}
-	if b.window <= 0 {
+	var (
+		timer  *time.Timer
+		waited time.Duration // zero until the timer says the window has passed
+	)
+	for {
+		// arriving is read before the channel is drained: a request ends its
+		// arrival only after its item is in the channel, so a zero here means
+		// every request announced so far is in the batch or in the drain below.
+		arriving := int(b.arriving.Load())
+	drain:
 		for len(batch) < b.max {
 			select {
 			case it := <-b.in:
 				batch = append(batch, it)
 			default:
-				return batch
+				break drain
 			}
 		}
-		return batch
-	}
-	timer := time.NewTimer(b.window)
-	defer timer.Stop()
-	for len(batch) < b.max {
+		reason, hold := CollectDecision(len(batch), b.max, arriving, waited, b.window)
+		if reason != Hold {
+			return batch, reason
+		}
+		if timer == nil {
+			timer = time.NewTimer(hold)
+			defer timer.Stop()
+		}
 		select {
 		case it := <-b.in:
 			batch = append(batch, it)
+		case <-b.wake:
 		case <-timer.C:
-			return batch
+			waited = b.window
+		case <-b.quit:
+			return batch, Hold
 		}
 	}
-	return batch
 }
 
 // run evaluates one batch. Requests cancelled while they were queued are

@@ -48,30 +48,37 @@ func TestBatcherPredictCancelledWhileQueued(t *testing.T) {
 // so the flushed batch the stats hook sees does not include it.
 func TestBatcherRunFiltersCancelledItems(t *testing.T) {
 	batches := make(chan int, 4)
-	// A long window lets both items land in the same batch before it flushes.
-	b := NewBatcher(100*time.Millisecond, 8, 32, 0, func(n int) { batches <- n })
+	b := NewBatcher(10*time.Second, 8, 32, 0, func(n int) { batches <- n })
 	defer b.Close()
 	entry := &ModelEntry{} // nil ZT: a live item fails via panic recovery, never via ctx
 
+	// An announced arrival that has not shown up holds the batch open, so both
+	// items are in it before the cancellation; the two items announce
+	// themselves too, which makes their enqueues observable.
+	hold := b.Announce()
+	dead, live := b.Announce(), b.Announce()
 	cancelled, cancel := context.WithCancel(context.Background())
 	deadErr := make(chan error, 1)
 	liveErr := make(chan error, 1)
 	go func() {
-		_, err := b.Predict(cancelled, entry, nil)
+		_, err := dead.Predict(cancelled, entry, nil)
 		deadErr <- err
 	}()
 	go func() {
-		_, err := b.Predict(context.Background(), entry, nil)
+		_, err := live.Predict(context.Background(), entry, nil)
 		liveErr <- err
 	}()
-	// Both submissions land inside the 100ms collection window (the flush
-	// loop may have already pulled them off the channel, so the queue length
-	// is not observable — a short sleep is the synchronization here).
-	time.Sleep(20 * time.Millisecond)
+	for deadline := time.Now().Add(5 * time.Second); b.Arriving() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("items never enqueued: %d arrivals still open", b.Arriving())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	cancel()
 	if err := <-deadErr; !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled item returned %v, want context.Canceled", err)
 	}
+	hold.Withdraw() // nobody else is coming: the batch flushes
 
 	// The surviving item runs against the nil model and fails through the
 	// panic-recovery path — crucially NOT with context.Canceled, proving it

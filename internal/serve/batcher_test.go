@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"zerotune/internal/features"
 	"zerotune/internal/gnn"
 )
 
@@ -131,5 +132,74 @@ func TestCacheLeaderErrorIsStaleForFollowers(t *testing.T) {
 	// The failed entry must be gone: the retry becomes a fresh leader.
 	if _, leader := c.Acquire(fp(1)); !leader {
 		t.Fatal("retry after leader failure did not become leader")
+	}
+}
+
+// TestBatcherCollectDecision walks the rule's clauses in their order of
+// precedence: full, nobody on the way, window spent, hold.
+func TestBatcherCollectDecision(t *testing.T) {
+	const window = 2 * time.Millisecond
+	for _, tc := range []struct {
+		name                  string
+		queued, max, arriving int
+		waited, window        time.Duration
+		want                  FlushReason
+		hold                  time.Duration
+	}{
+		{name: "full", queued: 4, max: 4, arriving: 3, window: window, want: FlushFull},
+		{name: "full beats idle", queued: 4, max: 4, window: window, want: FlushFull},
+		{name: "lone request", queued: 1, max: 4, window: window, want: FlushIdle},
+		{name: "idle after a wait", queued: 2, max: 4, waited: window / 2, window: window, want: FlushIdle},
+		{name: "arriving, window just opened", queued: 1, max: 4, arriving: 1, window: window, want: Hold, hold: window},
+		{name: "arriving, inside the window", queued: 2, max: 4, arriving: 2, waited: window / 4, window: window, want: Hold, hold: 3 * window / 4},
+		{name: "arriving, window spent", queued: 2, max: 4, arriving: 1, waited: window, window: window, want: FlushWindow},
+		{name: "arriving, past the window", queued: 2, max: 4, arriving: 1, waited: 3 * window, window: window, want: FlushWindow},
+		{name: "no window", queued: 1, max: 4, arriving: 5, window: 0, want: FlushWindow},
+		{name: "negative window", queued: 1, max: 4, arriving: 5, window: -1, want: FlushWindow},
+		{name: "no window, nobody coming", queued: 1, max: 4, window: -1, want: FlushIdle},
+	} {
+		got, hold := CollectDecision(tc.queued, tc.max, tc.arriving, tc.waited, tc.window)
+		if got != tc.want || hold != tc.hold {
+			t.Errorf("%s: CollectDecision(%d, %d, %d, %v, %v) = %v, %v; want %v, %v",
+				tc.name, tc.queued, tc.max, tc.arriving, tc.waited, tc.window, got, hold, tc.want, tc.hold)
+		}
+	}
+}
+
+// TestBatcherCloseReleasesHeldBatch is the regression test for shutdown
+// waiting out the window: a batch held for an announced arrival that never
+// comes must be flushed by Close at once, its caller answered, not failed.
+func TestBatcherCloseReleasesHeldBatch(t *testing.T) {
+	b := NewBatcher(10*time.Second, 4, 16, 0, nil)
+	b.SetForward(func(_ *ModelEntry, graphs []*features.Graph) ([]gnn.Prediction, error) {
+		return make([]gnn.Prediction, len(graphs)), nil
+	})
+	never := b.Announce()
+	defer never.Withdraw()
+	item := b.Announce()
+	result := make(chan error, 1)
+	go func() {
+		_, err := item.Predict(context.Background(), &ModelEntry{}, nil)
+		result <- err
+	}()
+	// Enqueued (its arrival ended) and off the queue: the loop is holding it.
+	for deadline := time.Now().Add(5 * time.Second); b.Arriving() != 1 || len(b.in) != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("item never reached the collector")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	b.Close()
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("Close took %v with a batch held open: it waited for the window", took)
+	}
+	select {
+	case err := <-result:
+		if err != nil {
+			t.Fatalf("held item failed at shutdown: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("held item never answered")
 	}
 }

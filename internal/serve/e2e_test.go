@@ -22,6 +22,7 @@ import (
 
 	"zerotune/internal/cluster"
 	"zerotune/internal/core"
+	"zerotune/internal/fault"
 	"zerotune/internal/gnn"
 	"zerotune/internal/optimizer"
 	"zerotune/internal/queryplan"
@@ -211,26 +212,79 @@ func TestServeTuneMatchesDirect(t *testing.T) {
 	}
 }
 
+// gateClock is a fault.Clock whose Sleep parks the caller until the test
+// releases it: a delay fault on it stalls a request or a flush for exactly as
+// long as the test needs, instead of for a duration the test hopes is long
+// enough. Every parked caller hands the test its own release channel, in the
+// order the callers arrived.
+type gateClock struct{ entered chan chan struct{} }
+
+func newGateClock() *gateClock { return &gateClock{entered: make(chan chan struct{})} }
+
+func (c *gateClock) Sleep(time.Duration) {
+	release := make(chan struct{})
+	c.entered <- release
+	<-release
+}
+
+// parkAt activates a fault registry that parks every pass through point on
+// the returned gate.
+func parkAt(t *testing.T, point string) *gateClock {
+	t.Helper()
+	gate := newGateClock()
+	reg := fault.New(1)
+	reg.SetClock(gate)
+	reg.Install(fault.Schedule{Point: point, Mode: fault.ModeDelay, Every: 1})
+	fault.Activate(reg)
+	t.Cleanup(fault.Deactivate)
+	return gate
+}
+
+// waitSnapshot polls the server's counters until ok accepts them.
+func waitSnapshot(t *testing.T, s *serve.Server, what string, ok func(serve.Snapshot) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !ok(s.Snapshot()); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s: %+v", what, s.Snapshot())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestServeCoalescesBatches(t *testing.T) {
-	// A wide window guarantees concurrent distinct plans land in one batch.
-	s, ts := newTestServer(t, serve.Options{BatchWindow: 200 * time.Millisecond, MaxBatch: 64})
+	s, ts := newTestServer(t, serve.Options{MaxBatch: 64})
+	// The first request's forward pass is parked on the gate; the other seven
+	// are then demonstrably queued behind it at the same time, and must leave
+	// as one batch when the flush loop comes back for them.
+	gate := parkAt(t, fault.GNNForward)
 
 	const n = 8
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := serve.PredictRequest{
-				Plan:    testPlan(i+1, 10_000), // distinct degrees → distinct fingerprints
-				Cluster: serve.ClusterSpec{Workers: 4, LinkGbps: 10},
-			}
-			var resp serve.PredictResponse
-			if code, err := tryPost(predictURL(ts), &req, &resp); err != nil || code != http.StatusOK {
-				t.Errorf("request %d: status %d err %v", i, code, err)
-			}
-		}(i)
+	send := func(i int) {
+		defer wg.Done()
+		req := serve.PredictRequest{
+			Plan:    testPlan(i+1, 10_000), // distinct degrees → distinct fingerprints
+			Cluster: serve.ClusterSpec{Workers: 4, LinkGbps: 10},
+		}
+		var resp serve.PredictResponse
+		if code, err := tryPost(predictURL(ts), &req, &resp); err != nil || code != http.StatusOK {
+			t.Errorf("request %d: status %d err %v", i, code, err)
+		}
 	}
+	wg.Add(1)
+	go send(0)
+	first := <-gate.entered
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go send(i)
+	}
+	// Every request has led a plan-cache miss and none is still on its way:
+	// seven items sit in the batcher's queue.
+	waitSnapshot(t, s, "seven queued requests", func(snap serve.Snapshot) bool {
+		return snap.Cache.Misses == n && snap.Arriving == 0
+	})
+	close(first)
+	close(<-gate.entered) // the batch of seven
 	wg.Wait()
 	snap := s.Snapshot()
 	if snap.MaxBatch < 2 {
@@ -268,8 +322,10 @@ func TestServeCacheHitSkipsInference(t *testing.T) {
 }
 
 func TestServeConcurrentIdenticalSingleFlight(t *testing.T) {
-	// Identical concurrent plans must collapse to one forward pass.
-	s, ts := newTestServer(t, serve.Options{BatchWindow: 50 * time.Millisecond})
+	// Identical concurrent plans must collapse to one forward pass. The leader
+	// does not wait for its twins, so one that arrives after it finished is a
+	// body-cache hit rather than a follower.
+	s, ts := newTestServer(t, serve.Options{})
 	const n = 8
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -288,8 +344,8 @@ func TestServeConcurrentIdenticalSingleFlight(t *testing.T) {
 	if snap.Inferences != 1 {
 		t.Fatalf("identical plans ran %d inferences, want 1", snap.Inferences)
 	}
-	if snap.Cache.Hits+snap.Cache.Coalesced != n-1 {
-		t.Fatalf("dedup accounting off: %+v", snap.Cache)
+	if snap.Cache.Hits+snap.Cache.Coalesced+snap.BodyHits != n-1 {
+		t.Fatalf("dedup accounting off: %+v, %d body hits", snap.Cache, snap.BodyHits)
 	}
 }
 

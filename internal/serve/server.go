@@ -10,9 +10,12 @@
 //  3. Fingerprint + cache: a canonical hash over the featurized graph
 //     keys a bounded LRU with single-flight semantics, so repeated and
 //     concurrent-identical plans cost one forward pass.
-//  4. Micro-batching: cache leaders enter a coalescing window (default
-//     2ms / 64 plans) and whole batches ride the model's data-parallel
-//     PredictBatch path instead of N independent forward passes.
+//  4. Micro-batching: cache leaders queue for the flush loop, which takes
+//     whatever is queued (up to 64 plans) and holds the batch open only
+//     while another request is on its way here — past the body cache, not
+//     yet queued — and then for 2ms at most; a lone request is never held.
+//     Whole batches ride the model's data-parallel PredictBatch path
+//     instead of N independent forward passes.
 //
 // /v1/tune runs the optimizer's candidate sweep (itself batched through
 // the same inference path). /v1/reload hot-swaps the served model via
@@ -54,8 +57,8 @@ import (
 // calibrated against different batcher or cache constants than the live
 // server answers capacity questions about a system that does not exist.
 const (
-	// DefaultBatchWindow is how long the coalescer holds the first request
-	// of a micro-batch waiting for companions.
+	// DefaultBatchWindow is the longest the coalescer holds a micro-batch
+	// for requests that have announced themselves and not yet enqueued.
 	DefaultBatchWindow = 2 * time.Millisecond
 	// DefaultMaxBatch flushes a batch early once this many plans queued.
 	DefaultMaxBatch = 64
@@ -77,9 +80,10 @@ const (
 
 // Options configures the server.
 type Options struct {
-	// BatchWindow is how long the coalescer holds the first request of a
-	// batch waiting for companions (default DefaultBatchWindow; negative disables
-	// waiting, flushing whatever has queued).
+	// BatchWindow is the upper bound on how long the coalescer holds a batch
+	// for requests that are on their way to it; with nobody on the way a
+	// batch flushes at once, whatever this says (default DefaultBatchWindow;
+	// negative never waits, flushing whatever has queued).
 	BatchWindow time.Duration
 	// MaxBatch flushes a batch early once this many plans queued
 	// (default DefaultMaxBatch).
@@ -251,6 +255,14 @@ func New(opts Options) *Server {
 		s.stats.Inferences.Add(uint64(n))
 		s.stats.BatchSizes.Observe(float64(n))
 	})
+	// Why a batch had the size it had, from outside the process: how many
+	// requests are on their way to the batcher right now, and which clause of
+	// CollectDecision released each batch.
+	reg.GaugeFunc("zerotune_predict_arriving", func() float64 { return float64(s.batcher.Arriving()) })
+	for _, r := range []FlushReason{FlushIdle, FlushFull, FlushWindow} {
+		reg.GaugeFunc("zerotune_batch_flush_total",
+			func() float64 { return float64(s.batcher.flushes[r].Load()) }, obs.L("reason", r.String()))
+	}
 	// The forward pass runs through the gnn.forward injection point so chaos
 	// and tests can fail or stall inference without touching the model. The
 	// prediction slice persists across flushes — the closure runs only on the
@@ -331,7 +343,7 @@ func (s *Server) Close() { s.batcher.Close() }
 
 // Summary renders the shutdown digest of every counter.
 func (s *Server) Summary() string {
-	return s.stats.Summary(s.cache.Stats(), s.respHits.Load(), s.reg.Current())
+	return s.stats.Summary(s.cache.Stats(), s.respHits.Load(), s.batcher.Flushes(), s.reg.Current())
 }
 
 // Snapshot flattens the counters for tests and callers.
@@ -342,6 +354,8 @@ func (s *Server) Snapshot() Snapshot {
 		Batches:      s.stats.Batches.Load(),
 		Inferences:   s.stats.Inferences.Load(),
 		MaxBatch:     s.stats.maxBatch(),
+		Flushes:      s.batcher.Flushes(),
+		Arriving:     s.batcher.Arriving(),
 		Reloads:      s.stats.Reloads.Load(),
 		Degraded:     s.stats.Degraded.Load(),
 		CircuitOpens: s.stats.CircuitOpens.Load(),
@@ -430,6 +444,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write(data)
 		return
 	}
+	// From here the request is on its way to the batcher, and a batch being
+	// collected waits for it. Every exit that does not enqueue — each 4xx, no
+	// model, a degraded answer, a plan-cache hit, backpressure, a panic —
+	// takes the announcement back through this one defer.
+	arrival := s.batcher.Announce()
+	defer arrival.Withdraw()
 	var req PredictRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
@@ -489,37 +509,44 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	for attempt := 0; ; attempt++ {
 		if err := fault.Inject(fault.CacheAcquire); err != nil {
 			if attempt < acquireRetries {
+				// Nobody should wait for a request that is backing off; when
+				// it returns it enqueues unannounced.
+				arrival.Withdraw()
 				sleepBackoff(attempt)
 				continue
 			}
 			writeError(w, predictStatus(err), err)
 			return
 		}
-		lookupCtx, lookup := obs.StartSpan(ctx, "cache.lookup")
+		_, lookup := obs.StartSpan(ctx, "cache.lookup")
 		e, leader := s.cache.Acquire(fp)
 		lookup.SetAttr("leader", leader)
 		lookup.End()
-		_ = lookupCtx
 		var pred gnn.Prediction
 		if leader {
-			pred, err = s.batcher.Predict(ctx, entry, g)
+			pred, err = arrival.Predict(ctx, entry, g)
 			s.cache.Complete(e, pred, err)
 			if err != nil {
 				s.finishPredict(w, ctx, entry, req.Plan, c, err)
 				return
 			}
 			s.breaker.RecordSuccess()
-		} else if pred, err = e.Wait(ctx); err != nil {
-			// The leader this request attached to failed; its entry is gone,
-			// so a bounded number of re-acquires (with jittered backoff, to
-			// avoid a retry stampede) run or join a fresh inference instead
-			// of reporting the dead leader's transient error as our own.
-			if errors.Is(err, ErrStaleEntry) && attempt < acquireRetries {
-				sleepBackoff(attempt)
-				continue
+		} else {
+			// A follower waits on its leader's batch, which must not in turn
+			// be waiting for the follower.
+			arrival.Withdraw()
+			if pred, err = e.Wait(ctx); err != nil {
+				// The leader this request attached to failed; its entry is gone,
+				// so a bounded number of re-acquires (with jittered backoff, to
+				// avoid a retry stampede) run or join a fresh inference instead
+				// of reporting the dead leader's transient error as our own.
+				if errors.Is(err, ErrStaleEntry) && attempt < acquireRetries {
+					sleepBackoff(attempt)
+					continue
+				}
+				writeError(w, predictStatus(err), err)
+				return
 			}
-			writeError(w, predictStatus(err), err)
-			return
 		}
 		resp := PredictResponse{
 			LatencyMs: pred.LatencyMs, ThroughputEPS: pred.ThroughputEPS,

@@ -87,11 +87,16 @@ func (s *Stats) Endpoint(name string) *EndpointStats { return s.endpoints[name] 
 // Snapshot is the flattened counter view used by tests and the shutdown
 // summary.
 type Snapshot struct {
-	Requests     map[string]uint64
-	Errors       map[string]uint64
-	Batches      uint64
-	Inferences   uint64
-	MaxBatch     float64
+	Requests   map[string]uint64
+	Errors     map[string]uint64
+	Batches    uint64
+	Inferences uint64
+	MaxBatch   float64
+	// Flushes splits Batches by what released each batch; Arriving is the
+	// number of predict requests between their body-cache miss and the
+	// batcher right now (zero once the server is quiet).
+	Flushes      FlushCounts
+	Arriving     int64
 	Reloads      uint64
 	Degraded     uint64
 	CircuitOpens uint64
@@ -120,7 +125,7 @@ func (s *Stats) WriteMetrics(w io.Writer, model *ModelEntry) {
 // shutdown. bodyHits is the raw-body response cache's hit count — it lives
 // outside CacheStats (the respCache fronts the fingerprint cache) and was
 // historically dropped from the digest.
-func (s *Stats) Summary(cache CacheStats, bodyHits uint64, model *ModelEntry) string {
+func (s *Stats) Summary(cache CacheStats, bodyHits uint64, flushes FlushCounts, model *ModelEntry) string {
 	var b []byte
 	w := func(format string, args ...any) { b = fmt.Appendf(b, format, args...) }
 	w("serve: uptime %s", time.Since(s.start).Round(time.Millisecond))
@@ -141,8 +146,9 @@ func (s *Stats) Summary(cache CacheStats, bodyHits uint64, model *ModelEntry) st
 	}
 	bs := s.BatchSizes.Snapshot()
 	if bs.Count > 0 {
-		w("serve: %d batches, %d graphs inferred, mean batch %.2f, max batch %.0f\n",
-			s.Batches.Load(), s.Inferences.Load(), bs.Sum/float64(bs.Count), bs.Max)
+		w("serve: %d batches, %d graphs inferred, mean batch %.2f, max batch %.0f; flushed %d idle, %d full, %d at the window\n",
+			s.Batches.Load(), s.Inferences.Load(), bs.Sum/float64(bs.Count), bs.Max,
+			flushes.Idle, flushes.Full, flushes.Window)
 	}
 	w("serve: cache %d entries, %d hits, %d coalesced, %d misses, %d evictions, %d body hits, %d reloads",
 		cache.Size, cache.Hits, cache.Coalesced, cache.Misses, cache.Evictions, bodyHits, s.Reloads.Load())

@@ -84,7 +84,7 @@ func TestSummaryRendersQuantiles(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		ep.Latency.Observe(0.010)
 	}
-	sum := s.Summary(CacheStats{}, 0, nil)
+	sum := s.Summary(CacheStats{}, 0, FlushCounts{}, nil)
 	if !strings.Contains(sum, "p50 10.000ms") || !strings.Contains(sum, "p99 10.000ms") {
 		t.Fatalf("summary missing quantiles:\n%s", sum)
 	}
