@@ -17,6 +17,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -312,18 +313,10 @@ func (w *benchResponseWriter) reset() {
 	}
 }
 
-// BenchmarkServePredict measures request throughput of the online serving
-// path: request decode, plan featurization, fingerprint cache, the
-// micro-batching coalescer, and batched inference. Requests are driven
-// through Server.ServeHTTP in-process — the kernel socket and HTTP client
-// cost the same before and after any serving change, so keeping them out of
-// the timed region is what makes snapshots comparable. Parallel clients
-// rotate through a pool of distinct plans so the coalescer sees concurrent
-// misses to batch while repeat requests exercise the cache, as in a steady
-// production mix.
-func BenchmarkServePredict(b *testing.B) {
-	gen := workload.NewSeenGenerator(5)
-	items, err := gen.Generate(workload.SeenRanges().Structures, 60)
+// benchServeModel trains the small model the serve benchmarks share.
+func benchServeModel(b *testing.B) *core.ZeroTune {
+	b.Helper()
+	items, err := workload.NewSeenGenerator(5).Generate(workload.SeenRanges().Structures, 60)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -334,22 +327,40 @@ func BenchmarkServePredict(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return zt
+}
 
-	s := serve.New(serve.Options{BatchWindow: 500 * time.Microsecond, MaxBatch: 64, CacheSize: 256})
-	defer s.Close()
-	s.Registry().Install(zt, "bench", "")
-
+// benchSpikeBodies marshals 32 distinct spike-detection predict requests.
+func benchSpikeBodies(b *testing.B) [][]byte {
+	b.Helper()
 	bodies := make([][]byte, 32)
 	for i := range bodies {
 		req := serve.PredictRequest{
 			Plan:    queryplan.NewPQP(queryplan.SpikeDetection(float64(5_000 + 1_000*i))),
 			Cluster: serve.ClusterSpec{Workers: 4, LinkGbps: 10},
 		}
-		bodies[i], err = json.Marshal(req)
-		if err != nil {
+		var err error
+		if bodies[i], err = json.Marshal(req); err != nil {
 			b.Fatal(err)
 		}
 	}
+	return bodies
+}
+
+// BenchmarkServePredict measures request throughput of the online serving
+// path: request decode, plan featurization, fingerprint cache, the
+// micro-batching coalescer, and batched inference. Requests are driven
+// through Server.ServeHTTP in-process — the kernel socket and HTTP client
+// cost the same before and after any serving change, so keeping them out of
+// the timed region is what makes snapshots comparable. Parallel clients
+// rotate through a pool of distinct plans so the coalescer sees concurrent
+// misses to batch while repeat requests exercise the cache, as in a steady
+// production mix.
+func BenchmarkServePredict(b *testing.B) {
+	s := serve.New(serve.Options{BatchWindow: 500 * time.Microsecond, MaxBatch: 64, CacheSize: 256})
+	defer s.Close()
+	s.Registry().Install(benchServeModel(b), "bench", "")
+	bodies := benchSpikeBodies(b)
 
 	var next atomic.Uint64
 	b.ReportAllocs()
@@ -379,22 +390,11 @@ func BenchmarkServePredict(b *testing.B) {
 // BatchWindow -1 flushes every request alone, so the batch timer is not what
 // is timed; one client at a time, so ns/op and allocs/op are one miss.
 func BenchmarkServePredictMiss(b *testing.B) {
-	gen := workload.NewSeenGenerator(5)
-	items, err := gen.Generate(workload.SeenRanges().Structures, 60)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := core.DefaultTrainOptions()
-	opts.Hidden, opts.EncDepth, opts.HeadHidden = 12, 1, 12
-	opts.Epochs = 2
-	zt, _, err := core.Train(context.Background(), items, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
 	s := serve.New(serve.Options{BatchWindow: -1, CacheSize: 256})
 	defer s.Close()
-	s.Registry().Install(zt, "bench", "")
+	s.Registry().Install(benchServeModel(b), "bench", "")
 
+	gen := workload.NewSeenGenerator(5)
 	structures := workload.SeenRanges().Structures
 	bodies := make([][]byte, 1024)
 	for i := range bodies {
@@ -422,6 +422,47 @@ func BenchmarkServePredictMiss(b *testing.B) {
 	b.StopTimer()
 	if snap := s.Snapshot(); snap.BodyHits+snap.Cache.Hits+snap.Cache.Coalesced != 0 {
 		b.Fatalf("%d body hits, %+v: every request should miss both caches", snap.BodyHits, snap.Cache)
+	}
+}
+
+// BenchmarkServePredictPlanHit is the middle of the three predict paths: the
+// plan has been answered before but these bytes have not. Each request is one
+// of BenchmarkServePredict's 32 bodies respelled under a unique leading
+// "client_request_id" field, so it misses the body cache and pays for decode,
+// analyse, place, encode and fingerprint before the warm fingerprint cache
+// answers it — everything of a miss except the batcher and the forward pass.
+// One client at a time, so ns/op and allocs/op are one such request.
+func BenchmarkServePredictPlanHit(b *testing.B) {
+	s := serve.New(serve.Options{BatchWindow: -1, CacheSize: 256})
+	defer s.Close()
+	s.Registry().Install(benchServeModel(b), "bench", "")
+	bodies := benchSpikeBodies(b)
+
+	w := &benchResponseWriter{h: make(http.Header)}
+	post := func(body []byte) {
+		r := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
+		w.reset()
+		s.ServeHTTP(w, r)
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d: %s", w.status, w.buf.String())
+		}
+	}
+	for _, body := range bodies {
+		post(body)
+	}
+	var respelled []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		respelled = append(respelled[:0], `{"client_request_id":"`...)
+		respelled = strconv.AppendInt(respelled, int64(i), 10)
+		respelled = append(respelled, `",`...)
+		respelled = append(respelled, bodies[i%len(bodies)][1:]...)
+		post(respelled)
+	}
+	b.StopTimer()
+	if snap := s.Snapshot(); snap.BodyHits != 0 || snap.Cache.Hits != uint64(b.N) || snap.Cache.Misses != uint64(len(bodies)) {
+		b.Fatalf("%d body hits, %+v: every timed request should miss the body cache and hit the plan cache", snap.BodyHits, snap.Cache)
 	}
 }
 

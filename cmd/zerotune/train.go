@@ -13,6 +13,7 @@ import (
 	"zerotune/internal/core"
 	"zerotune/internal/gnn"
 	"zerotune/internal/obs"
+	"zerotune/internal/tensor"
 	"zerotune/internal/workload"
 )
 
@@ -157,8 +158,8 @@ func trainCommand(fs *flag.FlagSet) func() error {
 			fmt.Fprintf(os.Stderr, "warning: compiled engine rejected, `zerotune serve` will refuse %s: %v\n", *out, err)
 		} else {
 			g := zt.Compiled().Gate
-			fmt.Fprintf(os.Stderr, "compiled engine (%s) passed accuracy gate: max q-error %.6f over %d graphs (budget %.6f)\n",
-				g.Engine, g.MaxQErr, g.Graphs, g.Threshold)
+			fmt.Fprintf(os.Stderr, "compiled engine (%s, %s kernel) passed accuracy gate: max q-error %.6f over %d graphs (budget %.6f)\n",
+				g.Engine, tensor.Kernel(), g.MaxQErr, g.Graphs, g.Threshold)
 		}
 
 		if err := zt.SaveFile(*out); err != nil {

@@ -34,8 +34,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/tune_golden.json
 // structure, the digest of every candidate's encoded graph under each feature
 // mask, and — with a seeded random-weight model compiled to the f32 engine —
 // the tuned degree vector, the candidate count and the bits of the winning
-// estimate, once through the portable GEMM kernel and once through the
-// AVX2+FMA one. Tune only ever encodes what cluster.Place laid out, so a
+// estimate, once through the portable GEMM kernel and once through every
+// vector kernel the CPU has (recorded from the AVX2+FMA one; the AVX-512 one
+// must reproduce the same bits). Tune only ever encodes what cluster.Place laid out, so a
 // second section pins the encoder on placements Place would never produce:
 // instances scattered at random, chaining disabled on some operators.
 
@@ -207,39 +208,33 @@ func computeScatteredGolden(t *testing.T) []scatteredCase {
 	return out
 }
 
-func computeTuneGolden(t *testing.T, haveSIMD bool) []tuneGoldenCase {
+// computeTuneGolden runs the sweep with the named GEMM kernel pinned; the
+// answers land in the Portable or the SIMD half of each case accordingly.
+func computeTuneGolden(t *testing.T, kernel string) []tuneGoldenCase {
 	t.Helper()
+	defer tensor.SetSIMD(tensor.SetSIMD(kernel))
 	zt := &ZeroTune{Model: gnn.New(tensor.NewRNG(13), gnn.DefaultConfig()), Mask: features.MaskAll}
 	if err := zt.Compile(gnn.CompileOptions{Engine: gnn.EngineF32}); err != nil {
 		t.Fatal(err)
 	}
-	run := func(q *queryplan.Query, c *cluster.Cluster, simd bool) (tuneGoldenRun, int, string) {
-		prev := tensor.SetSIMD(simd)
-		defer tensor.SetSIMD(prev)
+	var out []tuneGoldenCase
+	goldenQueries(t, func(s string, seq uint64, q *queryplan.Query, c *cluster.Cluster) {
 		est := &digestingEstimator{BatchCostEstimator: zt.Estimator().(optimizer.BatchCostEstimator)}
 		res, err := optimizer.Tune(context.Background(), q, c, est, optimizer.DefaultTuneOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return tuneGoldenRun{
+		run := tuneGoldenRun{
 			Degrees:  res.Plan.DegreesVector(),
 			LatBits:  math.Float64bits(res.Estimate.LatencyMs),
 			TptBits:  math.Float64bits(res.Estimate.ThroughputEPS),
 			CostBits: math.Float64bits(res.Cost),
-		}, res.Candidates, est.sum
-	}
-
-	var out []tuneGoldenCase
-	goldenQueries(t, func(s string, seq uint64, q *queryplan.Query, c *cluster.Cluster) {
-		gc := tuneGoldenCase{Structure: s, Seq: seq}
-		gc.Portable, gc.Candidates, gc.Graphs = run(q, c, false)
-		if haveSIMD {
-			var n int
-			var sum string
-			gc.SIMD, n, sum = run(q, c, true)
-			if n != gc.Candidates || sum != gc.Graphs {
-				t.Fatalf("%s/%d: candidate set depends on the GEMM kernel", s, seq)
-			}
+		}
+		gc := tuneGoldenCase{Structure: s, Seq: seq, Candidates: res.Candidates, Graphs: est.sum}
+		if kernel == "portable" {
+			gc.Portable = run
+		} else {
+			gc.SIMD = run
 		}
 		out = append(out, gc)
 	})
@@ -250,15 +245,20 @@ func TestTuneGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden bits were recorded on amd64; other targets fuse multiply-adds differently")
 	}
-	prev := tensor.SetSIMD(true)
-	haveSIMD := tensor.SIMDEnabled()
-	tensor.SetSIMD(prev)
-
 	path := filepath.Join("testdata", "tune_golden.json")
-	got := tuneGolden{Tune: computeTuneGolden(t, haveSIMD), Scattered: computeScatteredGolden(t)}
 	if *updateGolden {
-		if !haveSIMD {
+		prev := tensor.SetSIMD("avx2")
+		haveAVX2 := tensor.Kernel() == "avx2"
+		tensor.SetSIMD(prev)
+		if !haveAVX2 {
 			t.Fatal("recording needs AVX2+FMA so both kernels are pinned")
+		}
+		got := tuneGolden{Tune: computeTuneGolden(t, "portable"), Scattered: computeScatteredGolden(t)}
+		for i, c := range computeTuneGolden(t, "avx2") {
+			if c.Candidates != got.Tune[i].Candidates || c.Graphs != got.Tune[i].Graphs {
+				t.Fatalf("%s/%d: candidate set depends on the GEMM kernel", c.Structure, c.Seq)
+			}
+			got.Tune[i].SIMD = c.SIMD
 		}
 		// One case per line keeps the file reviewable.
 		var b bytes.Buffer
@@ -298,21 +298,36 @@ func TestTuneGolden(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Tune) != len(want.Tune) || len(got.Scattered) != len(want.Scattered) {
-		t.Fatalf("%d+%d cases, golden has %d+%d", len(got.Tune), len(got.Scattered), len(want.Tune), len(want.Scattered))
+	for _, kernel := range []string{"portable", "avx2", "avx512"} {
+		t.Run(kernel, func(t *testing.T) {
+			defer tensor.SetSIMD(tensor.SetSIMD(kernel))
+			if tensor.Kernel() != kernel {
+				t.Skipf("this CPU has no %s kernel", kernel)
+			}
+			got := computeTuneGolden(t, kernel)
+			if len(got) != len(want.Tune) {
+				t.Fatalf("%d cases, golden has %d", len(got), len(want.Tune))
+			}
+			for i, w := range want.Tune {
+				// Each leg fills one half; the other is not its business.
+				if kernel == "portable" {
+					w.SIMD = tuneGoldenRun{}
+				} else {
+					w.Portable = tuneGoldenRun{}
+				}
+				if !reflect.DeepEqual(got[i], w) {
+					t.Errorf("%s/%d: answers moved\n got %+v\nwant %+v", w.Structure, w.Seq, got[i], w)
+				}
+			}
+		})
 	}
-	for i, w := range want.Tune {
-		g := got.Tune[i]
-		if !haveSIMD {
-			g.SIMD = w.SIMD
-		}
-		if !reflect.DeepEqual(g, w) {
-			t.Errorf("%s/%d: answers moved\n got %+v\nwant %+v", w.Structure, w.Seq, g, w)
-		}
+	scattered := computeScatteredGolden(t)
+	if len(scattered) != len(want.Scattered) {
+		t.Fatalf("%d scattered cases, golden has %d", len(scattered), len(want.Scattered))
 	}
 	for i, w := range want.Scattered {
-		if got.Scattered[i] != w {
-			t.Errorf("%s/%d: scattered placement encodes differently\n got %+v\nwant %+v", w.Structure, w.Seq, got.Scattered[i], w)
+		if scattered[i] != w {
+			t.Errorf("%s/%d: scattered placement encodes differently\n got %+v\nwant %+v", w.Structure, w.Seq, scattered[i], w)
 		}
 	}
 }
@@ -321,9 +336,10 @@ func TestTuneGolden(t *testing.T) {
 // candidate only what its degree vector changes. Before the query was
 // analysed once per Tune, this sweep cost 265 allocations per candidate (maps
 // rebuilt by six topological sorts, two validations and a map-based encode);
-// it now costs 17 — the plan and its two maps, one placement array, the
-// graph's seven slices, and the per-call analysis spread over the set. The
-// ceiling leaves room to grow, not to bring the maps back.
+// then 17, seven of them the graph's slices; with the graphs carved out of one
+// recycled arena it costs 10 — six for the plan and its two maps (NewPlan), two
+// to three for its placement, and the per-call analysis spread over the set.
+// The ceiling leaves room to grow, not to bring the per-graph makes back.
 func TestTuneAllocsPerCandidate(t *testing.T) {
 	zt := &ZeroTune{Model: gnn.New(tensor.NewRNG(13), gnn.DefaultConfig()), Mask: features.MaskAll}
 	if err := zt.Compile(gnn.CompileOptions{Engine: gnn.EngineF32}); err != nil {
@@ -343,7 +359,7 @@ func TestTuneAllocsPerCandidate(t *testing.T) {
 	})
 	perCandidate := allocs / float64(candidates)
 	t.Logf("%.0f allocs for %d candidates: %.1f per candidate", allocs, candidates, perCandidate)
-	if perCandidate > 25 {
-		t.Fatalf("%.1f allocations per candidate (ceiling 25): per-candidate query analysis is back", perCandidate)
+	if perCandidate > 12 {
+		t.Fatalf("%.1f allocations per candidate (ceiling 12): the candidates' graphs are allocated one by one again", perCandidate)
 	}
 }

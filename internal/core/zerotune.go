@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"sync/atomic"
 
 	"zerotune/internal/artifact"
@@ -171,16 +172,35 @@ func (z *ZeroTune) Predict(ctx context.Context, p *queryplan.PQP, c *cluster.Clu
 	return z.Model.Predict(g), nil
 }
 
+// sweepArenas recycles the graph storage of PredictBatch calls. A sync.Pool,
+// not a persistent free list: an idle arena should cost the heap nothing once
+// the collector has run.
+var sweepArenas = sync.Pool{New: func() any { return new(features.Arena) }}
+
+// maxPooledSweep is the largest batch whose arena goes back to the pool. A
+// tuning sweep prices a few dozen candidates; an experiment scoring a whole
+// corpus in one call would leave slabs of its size behind for every later
+// sweep to carry.
+const maxPooledSweep = 256
+
 // PredictBatch estimates costs for many plans on the same cluster, encoding
 // the plans and running the model's batched forward pass. Plans that share a
 // *queryplan.Query — every candidate set of a tuning sweep does — are
 // analysed once: one features.Encoder serves each run of consecutive plans
 // over the same query, so a plan costs only what its degree vector changes.
-// Results match per-plan Predict calls in order and value for any worker
-// count.
+// The graphs are encoded into one recycled features.Arena and die with the
+// call: nothing below keeps a graph once it has returned predictions. Results
+// match per-plan Predict calls in order and value for any worker count.
 func (z *ZeroTune) PredictBatch(ctx context.Context, ps []*queryplan.PQP, c *cluster.Cluster) ([]gnn.Prediction, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	arena := sweepArenas.Get().(*features.Arena)
+	if len(ps) <= maxPooledSweep {
+		defer func() {
+			arena.Reset()
+			sweepArenas.Put(arena)
+		}()
 	}
 	graphs := make([]*features.Graph, len(ps))
 	ctx, span := obs.StartSpan(ctx, "predict.batch")
@@ -195,7 +215,10 @@ func (z *ZeroTune) PredictBatch(ctx context.Context, ps []*queryplan.PQP, c *clu
 			}
 			enc = features.NewEncoder(t, c, z.Mask)
 		}
-		g, err := encodeWith(enc, p, c)
+		if err := placeWith(enc, p, c); err != nil {
+			return nil, err
+		}
+		g, err := enc.EncodeIn(arena, p)
 		if err != nil {
 			return nil, err
 		}
@@ -214,15 +237,13 @@ func (z *ZeroTune) PredictBatch(ctx context.Context, ps []*queryplan.PQP, c *clu
 	return z.Model.PredictBatch(graphs, parallel.Workers()), nil
 }
 
-// encodeWith places p on c when it has no complete placement yet, then
-// encodes it; enc must be an encoder over p.Query and c.
-func encodeWith(enc *features.Encoder, p *queryplan.PQP, c *cluster.Cluster) (*features.Graph, error) {
+// placeWith places p on c when it has no complete placement yet; enc must be
+// an encoder over p.Query and c.
+func placeWith(enc *features.Encoder, p *queryplan.PQP, c *cluster.Cluster) error {
 	if len(p.Placement) != len(p.Query.Ops) {
-		if err := cluster.PlaceWith(enc.Topology(), p, c); err != nil {
-			return nil, err
-		}
+		return cluster.PlaceWith(enc.Topology(), p, c)
 	}
-	return enc.Encode(p)
+	return nil
 }
 
 // EncodePlan places p on c (when not already placed) and featurizes it
@@ -236,7 +257,11 @@ func encodeWith(enc *features.Encoder, p *queryplan.PQP, c *cluster.Cluster) (*f
 func (z *ZeroTune) EncodePlan(ctx context.Context, t *queryplan.Topology, p *queryplan.PQP, c *cluster.Cluster) (*features.Graph, error) {
 	_, span := obs.StartSpan(ctx, "encode.plan")
 	defer span.End()
-	return encodeWith(features.NewEncoder(t, c, z.Mask), p, c)
+	enc := features.NewEncoder(t, c, z.Mask)
+	if err := placeWith(enc, p, c); err != nil {
+		return nil, err
+	}
+	return enc.Encode(p)
 }
 
 // PredictEncoded runs the batched forward pass over pre-encoded graphs (see

@@ -8,15 +8,18 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"zerotune/internal/artifact"
 	"zerotune/internal/cluster"
 	"zerotune/internal/features"
+	"zerotune/internal/gnn"
 	"zerotune/internal/metrics"
 	"zerotune/internal/optimizer"
 	"zerotune/internal/queryplan"
 	"zerotune/internal/simulator"
+	"zerotune/internal/tensor"
 	"zerotune/internal/workload"
 )
 
@@ -399,4 +402,68 @@ func TestEncodePlanPredictEncodedMatchesPredict(t *testing.T) {
 			t.Fatalf("graph %d: PredictEncoded %v != Predict %v", i, pred.LatencyMs, want[i])
 		}
 	}
+}
+
+// TestPredictBatchConcurrent: concurrent sweeps each draw their own arena, so
+// every call must return exactly what per-plan Predict calls return — for
+// batches of different queries and sizes interleaved on several goroutines,
+// one of them too large for its arena to be pooled. Run under -race, which is
+// what would see two calls carving from one arena.
+func TestPredictBatchConcurrent(t *testing.T) {
+	zt := &ZeroTune{Model: gnn.New(tensor.NewRNG(29), gnn.DefaultConfig()), Mask: features.MaskAll}
+	if err := zt.Compile(gnn.CompileOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	gen := workload.NewSeenGenerator(29)
+	type sweep struct {
+		c     *cluster.Cluster
+		plans []*queryplan.PQP
+		want  []gnn.Prediction
+	}
+	var sweeps []sweep
+	for i, size := range []int{1, 7, 24, 40, maxPooledSweep + 3} {
+		structures := workload.SeenRanges().Structures
+		q, c, err := gen.SampleQuery(structures[i%len(structures)], uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw := sweep{c: c}
+		for j := 0; j < size; j++ {
+			p := queryplan.NewPQP(q)
+			for _, op := range q.Ops {
+				if op.Type != queryplan.OpSource && op.Type != queryplan.OpSink {
+					p.SetDegree(op.ID, 1+(j+op.ID)%7)
+				}
+			}
+			pred, err := zt.Predict(ctx, p, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sw.plans, sw.want = append(sw.plans, p), append(sw.want, pred)
+		}
+		sweeps = append(sweeps, sw)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 6; round++ {
+				sw := sweeps[(w+round)%len(sweeps)]
+				got, err := zt.PredictBatch(ctx, sw.plans, sw.c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range got {
+					if got[i] != sw.want[i] {
+						t.Errorf("worker %d, sweep of %d, plan %d: PredictBatch %+v != Predict %+v", w, len(sw.plans), i, got[i], sw.want[i])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

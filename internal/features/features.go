@@ -264,13 +264,74 @@ func NewEncoder(t *queryplan.Topology, c *cluster.Cluster, mask Mask) *Encoder {
 // also place the plans they encode (cluster.PlaceWith).
 func (e *Encoder) Topology() *queryplan.Topology { return e.topo }
 
-// Encode builds the graph of p, a placed plan over the encoder's query.
-func (e *Encoder) Encode(p *queryplan.PQP) (*Graph, error) {
+// Arena is recycled storage for the graphs of one batch: EncodeIn carves each
+// graph — the Graph itself, its nodes, feature vectors and mapping edges — out
+// of the arena's slabs, so a sweep of candidates costs no allocation once the
+// slabs have grown to fit one.
+//
+// The lifetime rule: graphs encoded into an arena die at its Reset. A caller
+// may use an arena only for graphs that never outlive the call that resets
+// it; core.PredictBatch is the one such caller. Anything that keeps a graph —
+// a cache key, a batcher queue, a training corpus — encodes with Encode.
+//
+// The zero Arena is ready to use. An Arena is not safe for concurrent use.
+type Arena struct {
+	scratch  []int
+	graphs   []Graph
+	ops      []OpNode
+	opFeats  []float64
+	maps     []MapEdge
+	res      []ResNode
+	resFeats []float64
+}
+
+// Reset takes back everything the arena handed out: every graph encoded into
+// it since the last Reset is invalid from here on.
+func (a *Arena) Reset() {
+	recycle(&a.graphs)
+	recycle(&a.ops)
+	recycle(&a.opFeats)
+	recycle(&a.maps)
+	recycle(&a.res)
+	recycle(&a.resFeats)
+}
+
+// recycle empties *slab for reuse, zeroing what was carved from it: carve
+// hands out zeroed memory (EncodeIn leaves resource features unwritten under
+// MaskOperatorOnly), and an idle arena must not pin the last batch's topology
+// and node names.
+func recycle[T any](slab *[]T) {
+	clear(*slab)
+	*slab = (*slab)[:0]
+}
+
+// carve bumps n zeroed elements off *slab. A full slab is replaced by one
+// twice as large and left to the graphs that point into it. EncodeIn carves
+// each slab once per graph, so on a fresh Arena every carve is one allocation
+// of exactly n elements.
+func carve[T any](slab *[]T, n int) []T {
+	s := *slab
+	if len(s)+n > cap(s) {
+		s = make([]T, 0, max(2*cap(s), n))
+	}
+	*slab = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
+}
+
+// Encode builds the graph of p, a placed plan over the encoder's query, in
+// heap allocations of its own: a fresh arena sizes each exactly, which is what
+// a graph that is kept (cached, queued, trained on) should cost.
+func (e *Encoder) Encode(p *queryplan.PQP) (*Graph, error) { return e.EncodeIn(&Arena{}, p) }
+
+// EncodeIn is Encode with the graph's storage carved out of a; see Arena for
+// how long such a graph lives.
+func (e *Encoder) EncodeIn(a *Arena, p *queryplan.PQP) (*Graph, error) {
 	t, n, nc := e.topo, len(e.topo.Ops), len(e.c.Nodes)
-	// One scratch slab: degrees, chain groups, group sizes and slot owners
-	// per position; resource index, instance count and slot load per
-	// cluster node; the machines of the operator at hand.
-	scratch := make([]int, 4*n+4*nc)
+	// One scratch slab, recycled per graph: degrees, chain groups, group sizes
+	// and slot owners per position; resource index, instance count and slot
+	// load per cluster node; the machines of the operator at hand.
+	recycle(&a.scratch)
+	scratch := carve(&a.scratch, 4*n+4*nc)
 	deg, scratch := scratch[:0:n], scratch[n:]
 	groups, scratch := scratch[:0:n], scratch[n:]
 	size, scratch := scratch[:n], scratch[n:]
@@ -295,14 +356,15 @@ func (e *Encoder) Encode(p *queryplan.PQP) (*Graph, error) {
 	}
 	owners = cluster.SlotOwners(t, groups, owners)
 
-	g := &Graph{
+	g := &carve(&a.graphs, 1)[0]
+	*g = Graph{
 		Template:  t.Query.Template,
 		AvgDegree: float64(instances) / float64(n),
-		OpNodes:   make([]OpNode, n),
+		OpNodes:   carve(&a.ops, n),
 		DataEdges: t.Edges,
 		SinkIdx:   t.Sink,
 	}
-	feats := make([]float64, n*OpFeatDim)
+	feats := carve(&a.opFeats, n*OpFeatDim)
 	copy(feats, e.opFeat)
 	maxEdges := 0
 	for i, op := range t.Ops {
@@ -321,7 +383,7 @@ func (e *Encoder) Encode(p *queryplan.PQP) (*Graph, error) {
 	for k := range resOf {
 		resOf[k] = -1
 	}
-	g.Mapping = make([]MapEdge, 0, maxEdges)
+	g.Mapping = carve(&a.maps, maxEdges)[:0]
 	used := 0
 	for i, op := range t.Ops {
 		hosts = hosts[:0]
@@ -348,8 +410,8 @@ func (e *Encoder) Encode(p *queryplan.PQP) (*Graph, error) {
 			inst[k] = 0
 		}
 	}
-	g.ResNodes = make([]ResNode, used)
-	resFeats := make([]float64, used*ResFeatDim)
+	g.ResNodes = carve(&a.res, used)
+	resFeats := carve(&a.resFeats, used*ResFeatDim)
 	for k, ri := range resOf {
 		if ri < 0 {
 			continue

@@ -258,7 +258,10 @@ func TestMappingEdgesCoverAllInstances(t *testing.T) {
 // TestEncoderReuse: one Encoder serving many plans of its query must produce
 // exactly the graphs fresh one-shot Encode calls do, under every mask — also
 // after a bad plan made it return an error, and for a hand-written placement
-// that scatters one operator's instances unevenly.
+// that scatters one operator's instances unevenly. The same holds when the
+// graphs come out of an Arena: equal to Encode's across a whole sweep, still
+// equal on a second sweep after Reset, and never sharing storage with a graph
+// of another arena that is still held.
 func TestEncoderReuse(t *testing.T) {
 	q := queryplan.SmartGridLocal(20_000)
 	c, err := cluster.New(5, cluster.SeenTypes(), 10)
@@ -294,6 +297,9 @@ func TestEncoderReuse(t *testing.T) {
 	if err := cluster.Place(other, c); err != nil {
 		t.Fatal(err)
 	}
+	bad := map[string]*queryplan.PQP{
+		"unplaced": unplaced, "degree 0": badDegree, "unknown node": strayNode, "another query": other,
+	}
 
 	for _, mask := range []Mask{MaskAll, MaskOperatorOnly, MaskParallelismResource} {
 		topo, err := q.Analyze()
@@ -301,25 +307,73 @@ func TestEncoderReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		enc := NewEncoder(topo, c, mask)
+		want := make([]*Graph, len(plans))
 		for i, p := range plans {
-			for name, bad := range map[string]*queryplan.PQP{
-				"unplaced": unplaced, "degree 0": badDegree, "unknown node": strayNode, "another query": other,
-			} {
-				if _, err := enc.Encode(bad); err == nil {
-					t.Fatalf("mask %v: encoder accepted the %s plan", mask, name)
-				}
-			}
-			got, err := enc.Encode(p)
-			if err != nil {
+			if want[i], err = Encode(p, c, mask); err != nil {
 				t.Fatal(err)
-			}
-			want, err := Encode(p, c, mask)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("mask %v, plan %d: reused encoder\n got %+v\nwant %+v", mask, i, got, want)
 			}
 		}
+		// sweep encodes every plan into a (nil: graphs of their own, from
+		// Encode), bad plans in between, and returns the graphs.
+		sweep := func(a *Arena) []*Graph {
+			encode := func(p *queryplan.PQP) (*Graph, error) {
+				if a == nil {
+					return enc.Encode(p)
+				}
+				return enc.EncodeIn(a, p)
+			}
+			got := make([]*Graph, len(plans))
+			for i, p := range plans {
+				for name, b := range bad {
+					if _, err := encode(b); err == nil {
+						t.Fatalf("mask %v: encoder accepted the %s plan", mask, name)
+					}
+				}
+				var err error
+				if got[i], err = encode(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return got
+		}
+		check := func(what string, got []*Graph) {
+			t.Helper()
+			for i := range got {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("mask %v, plan %d: %s\n got %+v\nwant %+v", mask, i, what, got[i], want[i])
+				}
+			}
+		}
+		check("reused encoder", sweep(nil))
+
+		var held, recycled Arena
+		heldGraphs := sweep(&held)
+		check("arena, first sweep", heldGraphs)
+		for round := 0; round < 3; round++ {
+			// Later rounds reuse slabs the earlier ones grew and, below,
+			// dirtied: what EncodeIn leaves unwritten (every resource feature
+			// under MaskOperatorOnly) must read zero again after Reset.
+			got := sweep(&recycled)
+			check("arena, sweep after reset", got)
+			for _, g := range got {
+				for i := range g.OpNodes {
+					for j := range g.OpNodes[i].Feat {
+						g.OpNodes[i].Feat[j] = -1
+					}
+				}
+				for i := range g.ResNodes {
+					for j := range g.ResNodes[i].Feat {
+						g.ResNodes[i].Feat[j] = -1
+					}
+					g.ResNodes[i].Name = "scribble"
+				}
+				for i := range g.Mapping {
+					g.Mapping[i] = MapEdge{-1, -1, -1}
+				}
+				*g = Graph{Template: "scribble"}
+			}
+			recycled.Reset()
+		}
+		check("graphs of an arena another one was recycled beside", heldGraphs)
 	}
 }

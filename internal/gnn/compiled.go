@@ -23,8 +23,8 @@ import (
 // topology — they change with every parallelism degree vector — so inside a
 // bucket they are ragged: each graph brings its own resource rows and walks
 // its own mapping edges. Weights are converted once at compile time —
-// to float32 for the fast path (tensor.Gemm32BiasActInto, AVX2+FMA where
-// available), or kept float64 for the bit-exact reference engine — and a
+// to float32 for the fast path (tensor.Gemm32BiasActInto, AVX-512 or AVX2
+// where available), or kept float64 for the bit-exact reference engine — and a
 // load-time accuracy gate compares the compiled predictions against the
 // float64 reference so degraded numerics can never reach serving silently.
 //
@@ -647,6 +647,7 @@ func (cm *CompiledModel) Predict(g *features.Graph) Prediction {
 	out := cm.batchInto(s, s.oneP[:0], s.oneG[:])
 	p := out[0]
 	s.oneP = out[:0]
+	s.oneG[0] = nil
 	cm.scratch.put(s)
 	return p
 }
@@ -703,6 +704,10 @@ func (cm *CompiledModel) batchInto(s *fusedScratch, dst []Prediction, graphs []*
 				cm.f32.forwardBucket(s, &s.m32, b.gs[lo:hi], b.pos[lo:hi], dst)
 			}
 		}
+		// The scratch outlives the call in a free list that is never drained;
+		// a graph left here would stay reachable, and with it whatever arena
+		// it was carved from.
+		clear(b.gs)
 	}
 	return dst
 }
@@ -710,15 +715,18 @@ func (cm *CompiledModel) batchInto(s *fusedScratch, dst []Prediction, graphs []*
 // fusedGroup caps how many graphs of one bucket run through the GEMMs
 // together. The scratch matrices are sized by the largest group and stay live
 // in the pool, one scratch per concurrent caller, so the cap bounds resident
-// memory — while the GEMMs gain nothing from taller matrices once the
-// microkernel's four rows are full. Measured without the cap on
+// memory — while the GEMMs gain nothing from taller matrices once the widest
+// microkernel's eight rows are full. Measured without the cap on
 // BenchmarkPredictSweep's graphs (one five-operator topology, ragged
-// mappings; AVX2, 2.1 GHz Xeon), graphs sharing a bucket → µs/graph, scratch:
-// 1 → 11.2, 0.02 MiB; 2 → 7.7, 0.03; 4 → 6.4, 0.04; 8 → 6.0, 0.09;
-// 12 → 6.6, 0.14; 16 → 6.6, 0.18; 24 → 6.5, 0.27; 48 → 6.0, 0.55. Flat from
-// 4 up, so 8 keeps every group of a split bucket above the knee (a 25-graph
-// bucket runs as 7+6+6+6) at a third of the memory a whole candidate set
-// would pin.
+// mappings; 2.1 GHz Xeon, best of four), graphs sharing a bucket → µs/graph
+// under the AVX-512 kernel (under the AVX2 one), scratch:
+// 1 → 10.6 (11.2), 0.02 MiB; 2 → 6.3 (7.7), 0.03; 4 → 4.6 (6.4), 0.04;
+// 8 → 4.2 (6.0), 0.09; 12 → 4.5 (6.6), 0.14; 16 → 4.5 (6.6), 0.18;
+// 24 → 4.0 (6.5), 0.27; 48 → 4.0 (6.0), 0.55. Flat from 4 up under either
+// kernel (12 pays for an overlapped tail group), so 8 keeps every group of a
+// split bucket above the knee and in the eight-row kernel (a 25-graph bucket
+// runs as 7+6+6+6, each padded to 8 rows; capped, 24 and 48 graphs read 4.2)
+// at a third of the memory a whole candidate set would pin.
 const fusedGroup = 8
 
 // FusedCounts reports how many graphs the engine has predicted and how many

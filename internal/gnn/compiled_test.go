@@ -3,7 +3,9 @@ package gnn
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"zerotune/internal/cluster"
 	"zerotune/internal/features"
@@ -165,29 +167,41 @@ func TestCompiledF32WithinGate(t *testing.T) {
 	}
 }
 
-// TestCompiledF32PortableKernel: with SIMD off, the portable Go kernel must
-// produce near-identical results to the vector path (and still pass the
-// gate), so non-amd64 builds share the tested numerics.
+// TestCompiledF32PortableKernel: every vector kernel this CPU has must
+// produce near-identical results to the portable Go kernel (which still passes
+// the gate), so non-amd64 builds share the tested numerics — and the vector
+// kernels must agree with each other exactly, so a prediction does not depend
+// on which of them a CPU selects.
 func TestCompiledF32PortableKernel(t *testing.T) {
 	m := New(tensor.NewRNG(14), DefaultConfig())
 	cm, err := Compile(m, CompileOptions{})
 	if err != nil {
 		t.Fatalf("Compile(f32): %v", err)
 	}
-	graphs := corpusGraphs(t)
-	fast := cm.PredictBatch(graphs)
-	prev := tensor.SetSIMD(false)
+	graphs := append(corpusGraphs(t), sweepGraphs(t, 25)...)
+	defer tensor.SetSIMD(tensor.SetSIMD("portable"))
 	slow := cm.PredictBatch(graphs)
-	tensor.SetSIMD(prev)
-	for i := range graphs {
-		for _, pair := range [][2]float64{
-			{fast[i].LogLatency, slow[i].LogLatency},
-			{fast[i].LogThroughput, slow[i].LogThroughput},
-		} {
-			if d := math.Abs(pair[0] - pair[1]); d > 1e-4 {
-				t.Errorf("graph %d: simd/portable drift %v (%v vs %v)", i, d, pair[0], pair[1])
+	var vector []Prediction
+	for _, kernel := range []string{"avx2", "avx512"} {
+		if tensor.SetSIMD(kernel); tensor.Kernel() != kernel {
+			t.Logf("this CPU has no %s kernel", kernel)
+			continue
+		}
+		fast := cm.PredictBatch(graphs)
+		for i := range graphs {
+			for _, pair := range [][2]float64{
+				{fast[i].LogLatency, slow[i].LogLatency},
+				{fast[i].LogThroughput, slow[i].LogThroughput},
+			} {
+				if d := math.Abs(pair[0] - pair[1]); d > 1e-4 {
+					t.Errorf("graph %d: %s/portable drift %v (%v vs %v)", i, kernel, d, pair[0], pair[1])
+				}
+			}
+			if vector != nil && fast[i] != vector[i] {
+				t.Errorf("graph %d: %s predicts %+v, the narrower vector kernel %+v", i, kernel, fast[i], vector[i])
 			}
 		}
+		vector = fast
 	}
 }
 
@@ -244,6 +258,35 @@ func TestCompiledZeroAlloc(t *testing.T) {
 			cm.Predict(g)
 		}); n != 0 {
 			t.Errorf("%v: Predict allocs/op = %v, want 0", engine, n)
+		}
+	}
+}
+
+// TestCompiledScratchDropsGraphs: the fused scratch sits in a free list that
+// is never drained, so a graph pointer left in it (a bucket's graph list, the
+// single-graph slot) keeps the caller's last batch alive for good — and, once
+// graphs share an arena, every slab of it.
+func TestCompiledScratchDropsGraphs(t *testing.T) {
+	cm, err := Compile(New(tensor.NewRNG(24), DefaultConfig()), CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, predict := range map[string]func(*features.Graph){
+		"PredictBatchInto": func(g *features.Graph) { cm.PredictBatchInto(nil, []*features.Graph{g}) },
+		"Predict":          func(g *features.Graph) { cm.Predict(g) },
+	} {
+		collected := make(chan struct{})
+		func() {
+			g := sweepGraphs(t, 1)[0]
+			runtime.SetFinalizer(g, func(*features.Graph) { close(collected) })
+			predict(g)
+		}()
+		runtime.GC()
+		runtime.GC()
+		select {
+		case <-collected:
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: the graph is still reachable after the call returned", name)
 		}
 	}
 }

@@ -50,6 +50,7 @@ import (
 	"zerotune/internal/obs"
 	"zerotune/internal/optimizer"
 	"zerotune/internal/queryplan"
+	"zerotune/internal/tensor"
 )
 
 // The serving pipeline's sizing defaults, exported so the capacity planner
@@ -233,6 +234,9 @@ func New(opts Options) *Server {
 		_, buckets := s.fusedCounts()
 		return float64(buckets)
 	})
+	// Which GEMM kernel this process selected: a p50 that differs between two
+	// boxes can be pinned on the ISA from outside.
+	reg.SetInfo("zerotune_gemm_kernel_info", obs.L("kernel", tensor.Kernel()))
 	if s.tracer != nil {
 		reg.GaugeFunc("zerotune_traces_completed_total", func() float64 {
 			completed, _ := s.tracer.Stats()

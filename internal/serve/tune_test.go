@@ -15,6 +15,7 @@ import (
 	"zerotune/internal/obs"
 	"zerotune/internal/queryplan"
 	"zerotune/internal/serve"
+	"zerotune/internal/tensor"
 )
 
 func tuneRequest() serve.TuneRequest {
@@ -113,6 +114,11 @@ func TestTuneFusionVisibleOnMetrics(t *testing.T) {
 		buckets, okB := obs.FindSample(samples, "zerotune_fused_buckets_total")
 		if !okG || !okB {
 			t.Fatal("/metrics lacks the fused counters")
+		}
+		// Beside them, which kernel multiplied: what a cross-box comparison
+		// of these numbers needs first.
+		if v, ok := obs.FindSample(samples, "zerotune_gemm_kernel_info", obs.L("kernel", tensor.Kernel())); !ok || v != 1 {
+			t.Fatalf("/metrics lacks zerotune_gemm_kernel_info{kernel=%q} 1", tensor.Kernel())
 		}
 		return graphs, buckets
 	}

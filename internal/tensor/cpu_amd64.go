@@ -2,9 +2,10 @@
 
 package tensor
 
-// CPU feature detection for the AVX2+FMA GEMM kernel. Hand-rolled CPUID
-// because the repo carries no external dependencies: AVX needs both the
-// hardware flag and OS support for saving ymm state (OSXSAVE + XCR0).
+// CPU feature detection for the assembly GEMM kernels. Hand-rolled CPUID
+// because the repo carries no external dependencies: a vector extension needs
+// both the hardware flag and OS support for saving its register state
+// (OSXSAVE + XCR0).
 
 // cpuidex executes CPUID with the given leaf and subleaf. Implemented in
 // cpu_amd64.s.
@@ -14,35 +15,19 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // cpu_amd64.s. Only call when CPUID.1:ECX.OSXSAVE is set.
 func xgetbv0() (eax, edx uint32)
 
-// hasAVX2FMA reports hardware and OS support for the assembly kernel.
-var hasAVX2FMA = detectAVX2FMA()
+// cpuKernel is the widest kernel this CPU and OS can run.
+var cpuKernel = detectKernel()
 
-func detectAVX2FMA() bool {
+func detectKernel() kernel {
 	maxLeaf, _, _, _ := cpuidex(0, 0)
 	if maxLeaf < 7 {
-		return false
+		return kernelPortable
 	}
-	const (
-		fma     = 1 << 12
-		osxsave = 1 << 27
-		avx     = 1 << 28
-	)
-	_, _, c1, _ := cpuidex(1, 0)
-	if c1&fma == 0 || c1&osxsave == 0 || c1&avx == 0 {
-		return false
+	_, _, ecx1, _ := cpuidex(1, 0)
+	_, ebx7, _, _ := cpuidex(7, 0)
+	var xcr0 uint32
+	if ecx1&cpuidOSXSAVE != 0 {
+		xcr0, _ = xgetbv0()
 	}
-	// XCR0 bits 1 (SSE) and 2 (AVX): the OS saves xmm and ymm state.
-	xlo, _ := xgetbv0()
-	if xlo&0x6 != 0x6 {
-		return false
-	}
-	const avx2 = 1 << 5
-	_, b7, _, _ := cpuidex(7, 0)
-	return b7&avx2 != 0
+	return kernelFor(ecx1, ebx7, xcr0)
 }
-
-// gemm4x16 is the AVX2+FMA microkernel; see gemm32_amd64.s. Only call when
-// hasAVX2FMA is true.
-//
-//go:noescape
-func gemm4x16(x0, x1, x2, x3, wt, bias *float32, y0, y1, y2, y3 *float32, k, ldwt, act int64)

@@ -6,7 +6,7 @@ import "fmt"
 // its weights and activations in float32: half the memory traffic of float64
 // and twice the SIMD lane count, which is where the fused forward pass gets
 // most of its speed. Matrices carry an explicit row stride so columns can be
-// padded to the 16-float width of the AVX2 microkernel without copies.
+// padded to the 16-float width of the vector microkernels without copies.
 
 // Vector32 is a dense float32 vector.
 type Vector32 []float32
@@ -25,7 +25,7 @@ type Matrix32 struct {
 
 // NewMatrix32Strided returns a zeroed rows×cols matrix with the given row
 // stride (>= cols). Use a stride rounded up to a multiple of 16 to make the
-// matrix eligible for the AVX2 GEMM path.
+// matrix eligible for the assembly GEMM path.
 func NewMatrix32Strided(rows, cols, stride int) *Matrix32 {
 	if rows < 0 || cols < 0 || stride < cols {
 		panic(fmt.Sprintf("tensor: bad Matrix32 shape %dx%d stride %d", rows, cols, stride))
@@ -42,7 +42,7 @@ func (m *Matrix32) Row(r int) Vector32 {
 }
 
 // PadTo16 returns n rounded up to the next multiple of 16, the column width
-// of the AVX2 microkernel (with a floor of 16 so a single block always
+// of the vector microkernels (with a floor of 16 so a single block always
 // exists).
 func PadTo16(n int) int {
 	if n <= 16 {

@@ -8,8 +8,8 @@ import (
 // Float32 fused GEMM: y = act(x · wt + bias), the per-layer kernel of the
 // compiled inference engine. The weight matrix arrives pre-transposed and
 // column-padded (see TransposedPadded32): wt row t holds the weights of input
-// t across all outputs, padded to a multiple of 16 columns, so the AVX2
-// microkernel can stream 16 outputs per fused multiply-add with no tails.
+// t across all outputs, padded to a multiple of 16 columns, so the vector
+// microkernels stream 16 outputs per row step with no tails.
 //
 // Conventions, enforced by Gemm32BiasActInto:
 //   - x is M×K with any stride
@@ -19,10 +19,17 @@ import (
 //   - y is M×N with Stride >= Np; the kernel writes columns [0, Np) of each
 //     row and keeps the padding columns at zero, so Row(i) is the result
 //
-// On amd64 with AVX2+FMA the inner kernel is gemm4x16 (assembly): four input
-// rows against a 16-column weight block, bias preloaded into the
-// accumulators and the activation applied before the store. Everywhere else
-// a 4-way-unrolled pure-Go kernel with identical conventions runs instead.
+// On amd64 the inner kernel is assembly, chosen once at start-up from what
+// the CPU and OS support: gemm8x16 (AVX-512F: eight input rows against a
+// 16-column weight block, one zmm accumulator per row) or gemm4x16 (AVX2+FMA:
+// four rows, two ymm accumulators per row), bias preloaded into the
+// accumulators and the activation applied before the store. Both run the same
+// per-element sequence — acc = bias; acc = fma(x[t], wt[t][j], acc) for t in
+// order; max(acc, 0.01·acc) — so their results are bit-identical and which
+// one answered never shows in a prediction. Everywhere else, and under
+// ZEROTUNE_NOSIMD, a 4-way-unrolled pure-Go kernel with identical conventions
+// runs instead; it agrees with the vector kernels to float32 rounding, not bit
+// for bit (no fused multiply-add on amd64).
 
 // Act32 selects the activation fused into the float32 GEMM kernel.
 type Act32 int64
@@ -34,21 +41,75 @@ const (
 	Act32LeakyReLU Act32 = 1
 )
 
-// simdEnabled gates the assembly kernel. It is true when the CPU supports
-// AVX2+FMA and ZEROTUNE_NOSIMD is unset; tests flip it via SetSIMD to
-// compare the two implementations.
-var simdEnabled = hasAVX2FMA && os.Getenv("ZEROTUNE_NOSIMD") == ""
+// kernel identifies a GEMM implementation, ordered by vector width: a CPU
+// that can run one can run every kernel below it.
+type kernel int
 
-// SIMDEnabled reports whether the assembly GEMM kernel is active.
-func SIMDEnabled() bool { return simdEnabled }
+const (
+	kernelPortable kernel = iota
+	kernelAVX2
+	kernelAVX512
+)
 
-// SetSIMD enables or disables the assembly kernel and returns the previous
-// setting. Enabling is a no-op on hardware without AVX2+FMA. Not safe for
-// concurrent use; intended for tests and benchmarks.
-func SetSIMD(on bool) bool {
-	prev := simdEnabled
-	simdEnabled = on && hasAVX2FMA
-	return prev
+var kernelNames = [...]string{kernelPortable: "portable", kernelAVX2: "avx2", kernelAVX512: "avx512"}
+
+// active is the kernel Gemm32BiasActInto runs: the widest the CPU supports,
+// or the portable one when ZEROTUNE_NOSIMD is set. Tests pin it via SetSIMD.
+var active = startKernel()
+
+func startKernel() kernel {
+	if os.Getenv("ZEROTUNE_NOSIMD") != "" {
+		return kernelPortable
+	}
+	return cpuKernel
+}
+
+const cpuidOSXSAVE = 1 << 27 // CPUID.1:ECX: XGETBV is usable
+
+// kernelFor is the selection rule as a function of the three words it reads:
+// CPUID.1:ECX, CPUID.(7,0):EBX and XCR0 (zero when OSXSAVE is clear). Each
+// kernel needs the one below it, so an AVX-512 CPU whose OS saves only ymm
+// state runs the AVX2 kernel.
+func kernelFor(ecx1, ebx7, xcr0 uint32) kernel {
+	const (
+		fma     = 1 << 12 // leaf 1 ECX
+		avx     = 1 << 28
+		avx2    = 1 << 5 // leaf 7 EBX
+		avx512f = 1 << 16
+		// XCR0: the OS saves xmm (bit 1) and ymm (bit 2) state; for AVX-512
+		// also the opmask registers (bit 5) and both zmm halves (bits 6, 7).
+		xcrYMM = 0x06
+		xcrZMM = 0xe0
+	)
+	const need1 = fma | cpuidOSXSAVE | avx
+	if ecx1&need1 != need1 || xcr0&xcrYMM != xcrYMM || ebx7&avx2 == 0 {
+		return kernelPortable
+	}
+	if ebx7&avx512f == 0 || xcr0&xcrZMM != xcrZMM {
+		return kernelAVX2
+	}
+	return kernelAVX512
+}
+
+// Kernel names the GEMM kernel in use: "avx512", "avx2" or "portable".
+func Kernel() string { return kernelNames[active] }
+
+// SIMDEnabled reports whether an assembly GEMM kernel is active.
+func SIMDEnabled() bool { return active != kernelPortable }
+
+// SetSIMD pins the named kernel (a Kernel value) and returns the name of the
+// previous one. A kernel the CPU cannot run selects the widest one below it
+// that it can, so callers compare Kernel() with what they asked for. Not safe
+// for concurrent use; intended for tests and benchmarks.
+func SetSIMD(name string) string {
+	prev := Kernel()
+	for k, n := range kernelNames {
+		if n == name {
+			active = min(kernel(k), cpuKernel)
+			return prev
+		}
+	}
+	panic(fmt.Sprintf("tensor: SetSIMD(%q): no such kernel", name))
 }
 
 // Gemm32BiasActInto computes y = act(x · wt + bias) under the package
@@ -62,40 +123,11 @@ func Gemm32BiasActInto(x, wt *Matrix32, bias Vector32, y *Matrix32, act Act32) {
 	if m == 0 {
 		return
 	}
-	if simdEnabled && np%16 == 0 && k > 0 && m >= 4 {
+	if active != kernelPortable && np%16 == 0 && k > 0 && m >= 4 {
 		gemm32Asm(x, wt, bias, y, act)
 		return
 	}
 	gemm32Go(x, wt, bias, y, act, 0, m)
-}
-
-// gemm32Asm drives the 4×16 assembly microkernel over all rows and column
-// blocks. The row remainder (m%4 != 0) is handled by re-running the last
-// four rows as one overlapped group: the overlapping rows are recomputed to
-// identical values, so the overlap is harmless and keeps the kernel fixed
-// shape. Requires m >= 4, k >= 1, np%16 == 0.
-func gemm32Asm(x, wt *Matrix32, bias Vector32, y *Matrix32, act Act32) {
-	m, k, np := x.Rows, x.Cols, wt.Stride
-	xs, ys := x.Stride, y.Stride
-	for j := 0; j < np; j += 16 {
-		wtj := &wt.Data[j]
-		bj := &bias[j]
-		for i := 0; i+4 <= m; i += 4 {
-			gemm4x16(
-				&x.Data[i*xs], &x.Data[(i+1)*xs], &x.Data[(i+2)*xs], &x.Data[(i+3)*xs],
-				wtj, bj,
-				&y.Data[i*ys+j], &y.Data[(i+1)*ys+j], &y.Data[(i+2)*ys+j], &y.Data[(i+3)*ys+j],
-				int64(k), int64(np), int64(act))
-		}
-		if r := m % 4; r != 0 {
-			i := m - 4
-			gemm4x16(
-				&x.Data[i*xs], &x.Data[(i+1)*xs], &x.Data[(i+2)*xs], &x.Data[(i+3)*xs],
-				wtj, bj,
-				&y.Data[i*ys+j], &y.Data[(i+1)*ys+j], &y.Data[(i+2)*ys+j], &y.Data[(i+3)*ys+j],
-				int64(k), int64(np), int64(act))
-		}
-	}
 }
 
 // gemm32Go is the portable kernel for rows [i0, i1): bias copy, then one

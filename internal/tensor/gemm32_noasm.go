@@ -3,8 +3,8 @@
 package tensor
 
 // Non-amd64 targets run the portable kernel only.
-var hasAVX2FMA = false
+const cpuKernel = kernelPortable
 
-func gemm4x16(x0, x1, x2, x3, wt, bias *float32, y0, y1, y2, y3 *float32, k, ldwt, act int64) {
-	panic("tensor: gemm4x16 called without AVX2 support")
+func gemm32Asm(x, wt *Matrix32, bias Vector32, y *Matrix32, act Act32) {
+	panic("tensor: assembly GEMM called on a target without one")
 }

@@ -175,78 +175,200 @@ func gemm32F64Ref(x, wt *Matrix32, bias Vector32, act Act32, i, j int) float64 {
 	return s
 }
 
-func TestGemm32BiasActInto(t *testing.T) {
-	rng := NewRNG(17)
-	for _, simd := range []bool{false, true} {
-		if simd && !hasAVX2FMA {
-			t.Log("no AVX2+FMA; skipping SIMD leg")
-			continue
-		}
-		prev := SetSIMD(simd)
-		for _, shape := range [][3]int{{1, 5, 3}, {2, 43, 48}, {4, 48, 48}, {5, 96, 48}, {7, 48, 1}, {64, 96, 48}, {3, 7, 17}} {
-			m, k, n := shape[0], shape[1], shape[2]
-			np := PadTo16(n)
-			x := randMatrix32(rng, m, k, k)
-			wt := randMatrix32(rng, k, n, np)
-			bias := NewVector32(np)
-			for j := 0; j < n; j++ {
-				bias[j] = float32(rng.Range(-1, 1))
+// eachKernel runs fn once per GEMM kernel with that kernel pinned, skipping
+// the ones this CPU cannot run.
+func eachKernel(t *testing.T, fn func(t *testing.T)) {
+	for _, name := range kernelNames {
+		t.Run(name, func(t *testing.T) {
+			defer SetSIMD(SetSIMD(name))
+			if Kernel() != name {
+				t.Skipf("this CPU has no %s kernel", name)
 			}
+			fn(t)
+		})
+	}
+}
+
+// gemm32Case is one randomly filled layer: x and y carry extra stride so a
+// kernel that assumed dense rows would show.
+type gemm32Case struct {
+	x, wt *Matrix32
+	bias  Vector32
+	n, np int
+}
+
+func newGemm32Case(rng *RNG, m, k, n, xPad int) gemm32Case {
+	np := PadTo16(n)
+	c := gemm32Case{x: randMatrix32(rng, m, k, k+xPad), wt: randMatrix32(rng, k, n, np), bias: NewVector32(np), n: n, np: np}
+	for j := 0; j < n; j++ {
+		c.bias[j] = float32(rng.Range(-1, 1))
+	}
+	return c
+}
+
+// run computes the layer into a fresh y whose stride exceeds np by yPad.
+func (c gemm32Case) run(act Act32, yPad int) *Matrix32 {
+	y := NewMatrix32Strided(c.x.Rows, c.n, c.np+yPad)
+	Gemm32BiasActInto(c.x, c.wt, c.bias, y, act)
+	return y
+}
+
+func TestGemm32BiasActInto(t *testing.T) {
+	eachKernel(t, func(t *testing.T) {
+		rng := NewRNG(17)
+		for _, shape := range [][3]int{{1, 5, 3}, {2, 43, 48}, {4, 48, 48}, {5, 96, 48}, {7, 48, 1}, {9, 47, 48}, {64, 96, 48}, {3, 7, 17}} {
+			m, k, n := shape[0], shape[1], shape[2]
+			c := newGemm32Case(rng, m, k, n, 0)
 			for _, act := range []Act32{Act32Identity, Act32LeakyReLU} {
-				y := NewMatrix32Strided(m, n, np)
-				Gemm32BiasActInto(x, wt, bias, y, act)
+				y := c.run(act, 0)
 				for i := 0; i < m; i++ {
 					for j := 0; j < n; j++ {
-						want := gemm32F64Ref(x, wt, bias, act, i, j)
+						want := gemm32F64Ref(c.x, c.wt, c.bias, act, i, j)
 						got := float64(y.At(i, j))
 						if math.Abs(got-want) > 1e-4*(1+math.Abs(want)) {
-							t.Fatalf("simd=%v shape %v act %d at (%d,%d): %v want %v", simd, shape, act, i, j, got, want)
+							t.Fatalf("shape %v act %d at (%d,%d): %v want %v", shape, act, i, j, got, want)
 						}
 					}
 					// Padding must stay zero so downstream gathers can read padded rows.
-					for j := n; j < np; j++ {
+					for j := n; j < c.np; j++ {
 						if y.At(i, j) != 0 {
-							t.Fatalf("simd=%v shape %v: padding (%d,%d) = %v, want 0", simd, shape, i, j, y.At(i, j))
+							t.Fatalf("shape %v: padding (%d,%d) = %v, want 0", shape, i, j, y.At(i, j))
 						}
 					}
 				}
 			}
 		}
-		SetSIMD(prev)
-	}
+	})
 }
 
-// The SIMD and portable kernels must agree to float32 rounding (FMA vs
+// The vector and portable kernels must agree to float32 rounding (FMA vs
 // separate rounding), so compare with a tight relative tolerance.
 func TestGemm32SimdMatchesGo(t *testing.T) {
-	if on := SetSIMD(true); !SIMDEnabled() {
-		SetSIMD(on)
-		t.Skip("no AVX2+FMA on this machine")
+	c := newGemm32Case(NewRNG(18), 13, 91, 48, 0)
+	defer SetSIMD(SetSIMD("portable"))
+	yGo := c.run(Act32LeakyReLU, 0)
+	eachKernel(t, func(t *testing.T) {
+		y := c.run(Act32LeakyReLU, 0)
+		for i := 0; i < c.x.Rows; i++ {
+			for j := 0; j < c.n; j++ {
+				a, b := float64(y.At(i, j)), float64(yGo.At(i, j))
+				if math.Abs(a-b) > 1e-4*(1+math.Abs(b)) {
+					t.Fatalf("(%d,%d): %s %v vs go %v", i, j, Kernel(), a, b)
+				}
+			}
+		}
+	})
+}
+
+// The AVX-512 kernel must reproduce the AVX2 kernel bit for bit: served
+// answers and the golden files may not depend on which of the two a CPU
+// selects. Exact comparison of every float of y, padding included, over the
+// row counts around both kernels' group sizes and tails, the layer widths the
+// model runs plus awkward ones, strided x and y, and rows of non-finite and
+// signed-zero inputs through both activations.
+func TestGemm32AVX512MatchesAVX2(t *testing.T) {
+	if cpuKernel < kernelAVX512 {
+		t.Skip("this CPU or OS lacks AVX-512F (CPUID.7:EBX bit 16, XCR0 bits 5-7)")
 	}
-	rng := NewRNG(18)
-	m, k, n := 13, 91, 48
-	np := PadTo16(n)
-	x := randMatrix32(rng, m, k, k)
-	wt := randMatrix32(rng, k, n, np)
-	bias := NewVector32(np)
-	for j := 0; j < n; j++ {
-		bias[j] = float32(rng.Range(-1, 1))
-	}
-	ySIMD := NewMatrix32Strided(m, n, np)
-	yGo := NewMatrix32Strided(m, n, np)
-	SetSIMD(true)
-	Gemm32BiasActInto(x, wt, bias, ySIMD, Act32LeakyReLU)
-	SetSIMD(false)
-	Gemm32BiasActInto(x, wt, bias, yGo, Act32LeakyReLU)
-	SetSIMD(true)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			a, b := float64(ySIMD.At(i, j)), float64(yGo.At(i, j))
-			if math.Abs(a-b) > 1e-4*(1+math.Abs(b)) {
-				t.Fatalf("(%d,%d): simd %v vs go %v", i, j, a, b)
+	defer SetSIMD(Kernel())
+	rng := NewRNG(21)
+	nan, inf, negZero := float32(math.NaN()), float32(math.Inf(1)), float32(math.Copysign(0, -1))
+	for _, m := range []int{4, 5, 7, 8, 9, 12, 13, 16, 64} {
+		for _, k := range []int{1, 6, 47, 48, 96} {
+			for _, n := range []int{1, 16, 17, 48} {
+				c := newGemm32Case(rng, m, k, n, 3)
+				// Rows 1–3 carry the values a comparison by tolerance would
+				// wave through: a NaN, infinities of both signs, and all
+				// negative zeros (with a zero bias the sum stays -0).
+				c.x.Row(1)[k/2] = nan
+				c.x.Row(2)[0], c.x.Row(2)[k-1] = inf, -inf
+				for t := range c.x.Row(3) {
+					c.x.Row(3)[t] = negZero
+				}
+				for _, act := range []Act32{Act32Identity, Act32LeakyReLU} {
+					SetSIMD("avx2")
+					want := c.run(act, 16)
+					SetSIMD("avx512")
+					got := c.run(act, 16)
+					for i, w := range want.Data {
+						if g := got.Data[i]; math.Float32bits(g) != math.Float32bits(w) {
+							t.Fatalf("m=%d k=%d n=%d act %d at (%d,%d): avx512 %v (%#x) != avx2 %v (%#x)",
+								m, k, n, act, i/want.Stride, i%want.Stride, g, math.Float32bits(g), w, math.Float32bits(w))
+						}
+					}
+					// Padding stays zero: the kernel's own columns [n, np) on
+					// finite rows (NaN·0 is NaN), the columns past np it must
+					// not touch on every row.
+					for i := 0; i < m; i++ {
+						from := n
+						if i == 1 || i == 2 {
+							from = c.np
+						}
+						for j := from; j < got.Stride; j++ {
+							if got.Data[i*got.Stride+j] != 0 {
+								t.Fatalf("m=%d k=%d n=%d: padding (%d,%d) = %v, want 0", m, k, n, i, j, got.Data[i*got.Stride+j])
+							}
+						}
+					}
+				}
 			}
 		}
 	}
+}
+
+// The selection rule over the three words it reads. The XCR0 rows are the ones
+// that crash in production when wrong: a CPU that advertises a vector
+// extension under an OS (or hypervisor) that does not save its registers.
+func TestKernelFor(t *testing.T) {
+	const (
+		fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+		avx2, avx512f     = 1 << 5, 1 << 16
+		all1              = fma | osxsave | avx
+	)
+	for _, tc := range []struct {
+		name             string
+		ecx1, ebx7, xcr0 uint32
+		want             kernel
+	}{
+		{"nothing", 0, 0, 0, kernelPortable},
+		{"avx512 box", all1, avx2 | avx512f, 0xe7, kernelAVX512},
+		{"avx512f, OS saves ymm only", all1, avx2 | avx512f, 0x07, kernelAVX2},
+		{"avx512f, zmm halves but no opmask", all1, avx2 | avx512f, 0xc7, kernelAVX2},
+		{"avx512f, opmask and low zmm only", all1, avx2 | avx512f, 0x67, kernelAVX2},
+		{"avx2 box", all1, avx2, 0x07, kernelAVX2},
+		{"avx2 box with stray zmm state bits", all1, avx2, 0xe7, kernelAVX2},
+		{"avx2, OS saves xmm only", all1, avx2 | avx512f, 0x03, kernelPortable},
+		{"no OSXSAVE", fma | avx, avx2 | avx512f, 0, kernelPortable},
+		{"no FMA", osxsave | avx, avx2 | avx512f, 0xe7, kernelPortable},
+		{"AVX without AVX2", all1, 0, 0x07, kernelPortable},
+		{"avx512f without avx2", all1, avx512f, 0xe7, kernelPortable},
+	} {
+		if got := kernelFor(tc.ecx1, tc.ebx7, tc.xcr0); got != tc.want {
+			t.Errorf("%s: kernelFor(%#x, %#x, %#x) = %s, want %s", tc.name, tc.ecx1, tc.ebx7, tc.xcr0, kernelNames[got], kernelNames[tc.want])
+		}
+	}
+}
+
+// SetSIMD clamps to what the CPU has, returns the previous kernel by name and
+// refuses names that are not kernels.
+func TestSetSIMD(t *testing.T) {
+	start := Kernel()
+	defer SetSIMD(start)
+	// CI's bench-snapshot job greps this line: which kernel its numbers are of.
+	t.Logf("start-up kernel: %s (widest this CPU runs: %s)", start, kernelNames[cpuKernel])
+	if prev := SetSIMD("portable"); prev != start || Kernel() != "portable" || SIMDEnabled() {
+		t.Fatalf("SetSIMD(portable) = %q with %q active (SIMDEnabled %v), want %q and portable", prev, Kernel(), SIMDEnabled(), start)
+	}
+	SetSIMD("avx512")
+	if got, want := Kernel(), kernelNames[cpuKernel]; got != want {
+		t.Fatalf("SetSIMD(avx512) selected %q, the widest this CPU has is %q", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetSIMD accepted a name that is no kernel")
+		}
+	}()
+	SetSIMD("sse9")
 }
 
 func TestTransposedPadded32(t *testing.T) {
