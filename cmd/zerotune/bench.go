@@ -102,8 +102,8 @@ func benchTarget(targetURL, model string, replicas int, slo string, timeout time
 
 // benchCommand is the open-loop load harness: fixed-rate runs, saturation
 // sweeps, and deterministic trace record/replay, all reporting
-// coordinated-omission-corrected percentiles over the full per-request
-// record.
+// coordinated-omission-corrected percentiles of the whole run, read from the
+// same obs.Histogram that backs /metrics.
 func benchCommand(fs *flag.FlagSet) func() error {
 	var (
 		gen   specFlags

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"zerotune/internal/obs"
-	"zerotune/internal/serve"
 )
 
 // DefaultClassName is the class unlabelled traffic belongs to.
@@ -134,7 +133,7 @@ func newAdmission(classes []ClassConfig, reg *obs.Registry) (*admission, error) 
 			admitted:    reg.Counter("zerotune_gateway_class_admitted_total", l),
 			rejected:    reg.Counter("zerotune_gateway_class_rejected_total", l),
 			goodput:     reg.Counter("zerotune_gateway_class_goodput_total", l),
-			queueWait:   reg.Histogram("zerotune_gateway_queue_wait_seconds", serve.LatencyBounds, 1024, l),
+			queueWait:   reg.Histogram("zerotune_gateway_queue_wait_seconds", l),
 		}
 		a.classes[cfg.Name] = c
 		a.ordered = append(a.ordered, c)

@@ -137,13 +137,6 @@ func (o Options) WithDefaults(replicas int) Options {
 	return o
 }
 
-// endpointStats counts one gateway endpoint.
-type endpointStats struct {
-	requests *obs.Counter
-	errors   *obs.Counter
-	latency  *obs.Histogram
-}
-
 // Gateway fronts a replica pool behind one HTTP surface.
 type Gateway struct {
 	opts   Options
@@ -154,7 +147,7 @@ type Gateway struct {
 	queue  *dispatchQueue
 	mux    *http.ServeMux
 
-	endpoints map[string]*endpointStats
+	endpoints map[string]*obs.Endpoint
 	spillover *obs.Counter
 	routed    map[string]*obs.Counter // per-replica routing decisions
 	retries   *obs.Counter
@@ -210,7 +203,7 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 		adm:       adm,
 		queue:     newDispatchQueue(opts.Queue, opts.MaxConcurrent, opts.QueueDepth),
 		mux:       http.NewServeMux(),
-		endpoints: make(map[string]*endpointStats, len(endpointNames)),
+		endpoints: make(map[string]*obs.Endpoint, len(endpointNames)),
 		spillover: reg.Counter("zerotune_gateway_spillover_total"),
 		retries:   reg.Counter("zerotune_gateway_forward_retries_total"),
 		routed:    make(map[string]*obs.Counter, len(backends)),
@@ -218,12 +211,7 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 		stop:      make(chan struct{}),
 	}
 	for _, name := range endpointNames {
-		l := obs.L("endpoint", name)
-		g.endpoints[name] = &endpointStats{
-			requests: reg.Counter("zerotune_gateway_requests_total", l),
-			errors:   reg.Counter("zerotune_gateway_request_errors_total", l),
-			latency:  reg.Histogram("zerotune_gateway_request_duration_seconds", serve.LatencyBounds, 1024, l),
-		}
+		g.endpoints[name] = obs.NewEndpoint(reg, "zerotune_gateway", name)
 	}
 	for _, r := range g.pool.Replicas() {
 		g.routed[r.Name()] = reg.Counter("zerotune_gateway_route_decisions_total",
@@ -234,11 +222,11 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 	reg.GaugeFunc("zerotune_gateway_replicas_healthy", func() float64 { return float64(g.pool.HealthyCount()) })
 	reg.GaugeFunc("zerotune_gateway_uptime_seconds", func() float64 { return time.Since(g.start).Seconds() })
 
-	g.mux.HandleFunc("POST /v1/predict", g.instrument("predict", g.proxyHandler("predict")))
-	g.mux.HandleFunc("POST /v1/tune", g.instrument("tune", g.proxyHandler("tune")))
-	g.mux.HandleFunc("POST /v1/feedback", g.instrument("feedback", g.proxyHandler("feedback")))
-	g.mux.HandleFunc("GET /healthz", g.instrument("healthz", g.handleHealthz))
-	g.mux.HandleFunc("GET /metrics", g.instrument("metrics", g.handleMetrics))
+	g.mux.HandleFunc("POST /v1/predict", g.endpoints["predict"].Wrap(g.proxyHandler("predict")))
+	g.mux.HandleFunc("POST /v1/tune", g.endpoints["tune"].Wrap(g.proxyHandler("tune")))
+	g.mux.HandleFunc("POST /v1/feedback", g.endpoints["feedback"].Wrap(g.proxyHandler("feedback")))
+	g.mux.HandleFunc("GET /healthz", g.endpoints["healthz"].Wrap(g.handleHealthz))
+	g.mux.HandleFunc("GET /metrics", g.endpoints["metrics"].Wrap(g.handleMetrics))
 	return g, nil
 }
 
@@ -283,32 +271,6 @@ func (g *Gateway) SetBoundAddr(addr string) { g.boundAddr.Store(&addr) }
 
 // ServeHTTP implements http.Handler.
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.ServeHTTP(w, r) }
-
-// statusWriter remembers the response code for error counting.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a handler with request/error/latency accounting.
-func (g *Gateway) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	ep := g.endpoints[name]
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
-		ep.requests.Inc()
-		if sw.status >= 400 {
-			ep.errors.Inc()
-		}
-		ep.latency.Observe(time.Since(start).Seconds())
-	}
-}
 
 // forwardContext bounds one forward attempt; a non-positive timeout means
 // no per-attempt deadline beyond the parent's.
@@ -508,8 +470,8 @@ func (g *Gateway) Summary() string {
 		len(g.pool.Replicas()), g.router.policy(), g.opts.Queue)
 	for _, name := range endpointNames {
 		ep := g.endpoints[name]
-		if n := ep.requests.Load(); n > 0 {
-			w("gateway: %-8s %6d requests, %d errors\n", name, n, ep.errors.Load())
+		if n := ep.Requests.Load(); n > 0 {
+			w("gateway: %-8s %6d requests, %d errors\n", name, n, ep.Errors.Load())
 		}
 	}
 	for _, c := range g.adm.ordered {

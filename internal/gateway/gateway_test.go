@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"zerotune/internal/core"
+	"zerotune/internal/obs"
 	"zerotune/internal/queryplan"
 	"zerotune/internal/serve"
 	"zerotune/internal/workload"
@@ -224,6 +225,25 @@ func TestGatewayE2E(t *testing.T) {
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Fatalf("/metrics missing %s", want)
+		}
+	}
+	// The page is strictly parseable, its histograms consistent, and the
+	// whole-run quantile series the repo benchmark scrapes are on it.
+	samples, err := obs.ParseText(bytes.NewReader(metrics))
+	if err != nil {
+		t.Fatalf("/metrics failed strict parse: %v", err)
+	}
+	if err := obs.CheckHistograms(samples); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := obs.FindSample(samples, "zerotune_gateway_request_duration_seconds_count", obs.L("endpoint", "predict")); n != 200 {
+		t.Fatalf("gateway timed %v predict requests, sent 200", n)
+	}
+	for _, q := range []string{"0.5", "0.9", "0.99"} {
+		for _, name := range []string{"zerotune_gateway_queue_wait_seconds", "zerotune_gateway_request_duration_seconds", "zerotune_gateway_forward_duration_seconds"} {
+			if _, ok := obs.FindSample(samples, name, obs.L("quantile", q)); !ok {
+				t.Fatalf("/metrics missing %s{quantile=%q}", name, q)
+			}
 		}
 	}
 	sum := g.Summary()

@@ -105,8 +105,7 @@ func newPool(backends []serve.Backend, seed uint64, failThreshold int, reg *obs.
 			failures:  reg.Counter("zerotune_gateway_replica_failures_total", obs.L("replica", b.Name())),
 			ejections: reg.Counter("zerotune_gateway_replica_ejections_total", obs.L("replica", b.Name())),
 			rejoins:   reg.Counter("zerotune_gateway_replica_rejoins_total", obs.L("replica", b.Name())),
-			forwardS: reg.Histogram("zerotune_gateway_forward_duration_seconds",
-				serve.LatencyBounds, 1024, obs.L("replica", b.Name())),
+			forwardS:  reg.Histogram("zerotune_gateway_forward_duration_seconds", obs.L("replica", b.Name())),
 		}
 		rr := r
 		reg.GaugeFunc("zerotune_gateway_replica_healthy", func() float64 {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -19,6 +20,8 @@ import (
 	"zerotune/internal/artifact"
 	"zerotune/internal/client"
 	"zerotune/internal/core"
+	"zerotune/internal/metrics"
+	"zerotune/internal/obs"
 	"zerotune/internal/serve"
 )
 
@@ -490,6 +493,55 @@ func TestRunAndStepReport(t *testing.T) {
 	}
 	if !strings.Contains(rep.Table(), "p99.9") {
 		t.Fatalf("table missing percentile columns:\n%s", rep.Table())
+	}
+}
+
+// TestBuildStepPercentiles holds the report's percentiles — whole step and
+// per class — against the exact sorted quantile of the same results: each
+// within the histogram's stated error, monotone, zero for an empty step, and
+// the same bytes for the same results (plan reports and CI's record/replay
+// cmp steps depend on that).
+func TestBuildStepPercentiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	results := make([]Result, 10000)
+	exact := map[string][]float64{}
+	for i := range results {
+		class := []string{"gold", "best-effort"}[i%2]
+		svc := 0.4 * math.Exp(0.8*rng.NormFloat64()) * float64(1+i%2) // ms
+		lat := svc + 2*rng.Float64()
+		results[i] = Result{Seq: i, Class: class, Status: 200,
+			Latency: time.Duration(lat * float64(time.Millisecond)),
+			Service: time.Duration(svc * float64(time.Millisecond))}
+		ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+		exact["latency"] = append(exact["latency"], ms(results[i].Latency))
+		exact["service"] = append(exact["service"], ms(results[i].Service))
+		exact[class] = append(exact[class], ms(results[i].Latency))
+	}
+	st := BuildStep(1000, 10*time.Second, results)
+	got := map[string]Percentiles{
+		"latency": st.Latency, "service": st.Service,
+		"gold": st.PerClass["gold"].Latency, "best-effort": st.PerClass["best-effort"].Latency,
+	}
+	for name, p := range got {
+		for _, q := range reportQuantiles {
+			want := metrics.Quantile(exact[name], q.Q)
+			if v := p.byName(q.Name); math.Abs(v-want) > obs.QuantileRelErr*want {
+				t.Errorf("%s %s = %.4fms, exact %.4fms: outside %.1f%%", name, q.Name, v, want, 100*obs.QuantileRelErr)
+			}
+		}
+		if !(p.P50 <= p.P90 && p.P90 <= p.P95 && p.P95 <= p.P99 && p.P99 <= p.P999) {
+			t.Errorf("%s percentiles not monotone: %+v", name, p)
+		}
+	}
+
+	if empty := BuildStep(1000, time.Second, nil); empty.Latency != (Percentiles{}) || empty.Service != (Percentiles{}) {
+		t.Errorf("empty step reported percentiles: %+v", empty)
+	}
+
+	a, _ := json.Marshal(st)
+	b, _ := json.Marshal(BuildStep(1000, 10*time.Second, results))
+	if !bytes.Equal(a, b) {
+		t.Errorf("equal results gave different reports:\n%s\n%s", a, b)
 	}
 }
 

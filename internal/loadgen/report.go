@@ -2,11 +2,10 @@ package loadgen
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
-	"zerotune/internal/metrics"
+	"zerotune/internal/obs"
 )
 
 // quantile labels rendered in tables and reports, in order.
@@ -17,10 +16,10 @@ var reportQuantiles = []struct {
 	{0.50, "p50"}, {0.90, "p90"}, {0.95, "p95"}, {0.99, "p99"}, {0.999, "p99.9"},
 }
 
-// Percentiles is one latency distribution summary in milliseconds. Values
-// are computed over the *full* per-request record of a run — never over a
-// bounded recent-observation window like the /metrics quantile ring — so a
-// report's p99.9 means the whole run's p99.9.
+// Percentiles is one latency distribution summary in milliseconds, read from
+// an obs.Histogram that recorded every request of the step — the estimator
+// behind /metrics and the drain digest, whole-run like them — so each value
+// is within obs.QuantileRelErr of the exact sorted quantile.
 type Percentiles struct {
 	P50  float64 `json:"p50_ms"`
 	P90  float64 `json:"p90_ms"`
@@ -29,23 +28,12 @@ type Percentiles struct {
 	P999 float64 `json:"p999_ms"`
 }
 
-// pct computes the summary from a slice of durations (sorted once).
-func pct(durs []time.Duration) Percentiles {
-	if len(durs) == 0 {
-		return Percentiles{}
-	}
-	ms := make([]float64, len(durs))
-	for i, d := range durs {
-		ms[i] = float64(d) / float64(time.Millisecond)
-	}
-	sort.Float64s(ms)
-	return Percentiles{
-		P50:  metrics.QuantileSorted(ms, 0.50),
-		P90:  metrics.QuantileSorted(ms, 0.90),
-		P95:  metrics.QuantileSorted(ms, 0.95),
-		P99:  metrics.QuantileSorted(ms, 0.99),
-		P999: metrics.QuantileSorted(ms, 0.999),
-	}
+// percentiles reads the summary off a histogram of seconds (all zero when
+// nothing was recorded).
+func percentiles(h *obs.Histogram) Percentiles {
+	s := h.Snapshot()
+	ms := func(q float64) float64 { return s.Quantile(q) * 1e3 }
+	return Percentiles{P50: ms(0.50), P90: ms(0.90), P95: ms(0.95), P99: ms(0.99), P999: ms(0.999)}
 }
 
 // byName returns the named percentile.
@@ -110,12 +98,15 @@ func BuildStep(offered float64, wall time.Duration, results []Result) StepReport
 		Requests:   len(results),
 		WallSec:    wall.Seconds(),
 	}
-	var lat, svc []time.Duration
-	perClass := map[string]*ClassReport{}
-	classLat := map[string][]time.Duration{}
+	var lat, svc obs.Histogram
+	type classAcc struct {
+		ClassReport
+		lat obs.Histogram
+	}
+	perClass := map[string]*classAcc{}
 	for _, r := range results {
-		lat = append(lat, r.Latency)
-		svc = append(svc, r.Service)
+		lat.Observe(r.Latency.Seconds())
+		svc.Observe(r.Service.Seconds())
 		if ms := float64(r.SendLag) / float64(time.Millisecond); ms > st.MaxSendLagMs {
 			st.MaxSendLagMs = ms
 		}
@@ -133,18 +124,18 @@ func BuildStep(offered float64, wall time.Duration, results []Result) StepReport
 		if r.Class != "" {
 			c := perClass[r.Class]
 			if c == nil {
-				c = &ClassReport{}
+				c = &classAcc{}
 				perClass[r.Class] = c
 			}
 			c.Requests++
 			if ok {
 				c.OK++
 			}
-			classLat[r.Class] = append(classLat[r.Class], r.Latency)
+			c.lat.Observe(r.Latency.Seconds())
 		}
 	}
-	st.Latency = pct(lat)
-	st.Service = pct(svc)
+	st.Latency = percentiles(&lat)
+	st.Service = percentiles(&svc)
 	if wall > 0 {
 		st.GoodputRPS = float64(st.OK) / wall.Seconds()
 	}
@@ -157,8 +148,8 @@ func BuildStep(offered float64, wall time.Duration, results []Result) StepReport
 	if len(perClass) > 0 {
 		st.PerClass = make(map[string]ClassReport, len(perClass))
 		for name, c := range perClass {
-			c.Latency = pct(classLat[name])
-			st.PerClass[name] = *c
+			c.Latency = percentiles(&c.lat)
+			st.PerClass[name] = c.ClassReport
 		}
 	}
 	return st

@@ -1,6 +1,12 @@
 // Package metrics implements the evaluation metrics of the paper: the
 // q-error (Leis et al.) with its median/percentile aggregations, speed-up
 // factors, and small helpers for bucketing results the way the figures do.
+//
+// Quantile here is the exact quantile of a small sample — a table's worth of
+// q-errors — and sorts a copy on every call. Anything recorded on a serving
+// path (request latencies, batch sizes, a load run's results) goes into an
+// obs.Histogram instead, which never allocates and answers within a stated
+// relative error.
 package metrics
 
 import (
@@ -27,23 +33,11 @@ func QError(truth, pred float64) float64 {
 }
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation. It panics on an empty slice; boundary code that cannot
-// rule out empty input (e.g. serving-layer histogram summaries before the
-// first request) should use TryQuantile instead.
+// interpolation between order statistics: exact, at the price of a copy and
+// a sort per call. It panics on an empty slice.
 func Quantile(xs []float64, q float64) float64 {
-	v, ok := TryQuantile(xs, q)
-	if !ok {
-		panic("metrics: quantile of empty slice")
-	}
-	return v
-}
-
-// TryQuantile is the non-panicking Quantile: it reports ok=false on empty
-// input and otherwise behaves exactly like Quantile (a singleton slice
-// yields its only element for every q).
-func TryQuantile(xs []float64, q float64) (v float64, ok bool) {
 	if len(xs) == 0 {
-		return 0, false
+		panic("metrics: quantile of empty slice")
 	}
 	if q < 0 {
 		q = 0
@@ -53,30 +47,6 @@ func TryQuantile(xs []float64, q float64) (v float64, ok bool) {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo], true
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, true
-}
-
-// QuantileSorted is Quantile for a slice the caller has already sorted
-// ascending: no copy, no re-sort. Bulk consumers (the load harness computes
-// five percentiles per step over every recorded request) sort once and call
-// this per quantile point. It panics on an empty slice like Quantile.
-func QuantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		panic("metrics: quantile of empty slice")
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
 	pos := q * float64(len(sorted)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))

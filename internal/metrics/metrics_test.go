@@ -45,6 +45,12 @@ func TestQuantile(t *testing.T) {
 	if Quantile(xs, 0.25) != 2 {
 		t.Fatalf("q25 %v", Quantile(xs, 0.25))
 	}
+	// A singleton is its own quantile everywhere.
+	for _, q := range []float64{0, 0.5, 0.9, 1} {
+		if v := Quantile([]float64{3.5}, q); v != 3.5 {
+			t.Fatalf("Quantile([3.5], %v) = %v", q, v)
+		}
+	}
 	// Does not mutate input.
 	ys := []float64{3, 1, 2}
 	Median(ys)
@@ -117,38 +123,5 @@ func TestParallelismCategory(t *testing.T) {
 	}
 	if len(Categories()) != 5 {
 		t.Fatal("categories")
-	}
-}
-
-func TestTryQuantileEmpty(t *testing.T) {
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if v, ok := TryQuantile(nil, q); ok || v != 0 {
-			t.Fatalf("TryQuantile(nil, %v) = %v, %v; want 0, false", q, v, ok)
-		}
-		if _, ok := TryQuantile([]float64{}, q); ok {
-			t.Fatalf("TryQuantile(empty, %v) reported ok", q)
-		}
-	}
-}
-
-func TestTryQuantileSingleton(t *testing.T) {
-	for _, q := range []float64{0, 0.5, 0.9, 1} {
-		v, ok := TryQuantile([]float64{3.5}, q)
-		if !ok || v != 3.5 {
-			t.Fatalf("TryQuantile([3.5], %v) = %v, %v; want 3.5, true", q, v, ok)
-		}
-	}
-}
-
-func TestTryQuantileMatchesQuantile(t *testing.T) {
-	xs := []float64{9, 1, 5, 3, 7}
-	for _, q := range []float64{0, 0.25, 0.5, 0.75, 0.9, 1} {
-		v, ok := TryQuantile(xs, q)
-		if !ok {
-			t.Fatalf("TryQuantile(%v, %v) not ok", xs, q)
-		}
-		if want := Quantile(xs, q); v != want {
-			t.Fatalf("TryQuantile(%v) = %v, Quantile = %v", q, v, want)
-		}
 	}
 }

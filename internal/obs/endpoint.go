@@ -1,0 +1,54 @@
+package obs
+
+import (
+	"net/http"
+	"time"
+)
+
+// Endpoint is the request accounting of one HTTP endpoint, the same triple
+// at every tier: requests, errors (status ≥ 400) and latency.
+type Endpoint struct {
+	Requests *Counter
+	Errors   *Counter
+	Latency  *Histogram
+}
+
+// NewEndpoint registers <prefix>_requests_total, <prefix>_request_errors_total
+// and <prefix>_request_duration_seconds on reg, labelled endpoint=name.
+func NewEndpoint(reg *Registry, prefix, name string) *Endpoint {
+	l := L("endpoint", name)
+	return &Endpoint{
+		Requests: reg.Counter(prefix+"_requests_total", l),
+		Errors:   reg.Counter(prefix+"_request_errors_total", l),
+		Latency:  reg.Histogram(prefix+"_request_duration_seconds", l),
+	}
+}
+
+// StatusWriter remembers the response code for error counting.
+type StatusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (w *StatusWriter) WriteHeader(code int) {
+	w.status = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// Status is the code written so far (200 until WriteHeader says otherwise).
+func (w *StatusWriter) Status() int { return w.status }
+
+// Wrap counts every request h answers and times it. h is handed a
+// *StatusWriter, so a layer composed inside can read the status too.
+func (e *Endpoint) Wrap(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		sw := &StatusWriter{ResponseWriter: w, status: http.StatusOK}
+		h(sw, r)
+		e.Requests.Inc()
+		if sw.status >= 400 {
+			e.Errors.Inc()
+		}
+		e.Latency.Observe(time.Since(start).Seconds())
+	}
+}

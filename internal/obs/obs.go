@@ -17,6 +17,11 @@
 //     or not it is registered; the Registry only names instruments and
 //     renders them, so packages can keep private counters and expose them
 //     later without changing their hot paths.
+//
+// Histogram is the one quantile estimator for anything recorded on a serving
+// path: /metrics, the drain digests and the bench and plan reports all read
+// Snapshot().Quantile, whole-run and within QuantileRelErr. The exact
+// quantile of a small sample (a table of q-errors) is metrics.Quantile.
 package obs
 
 import (

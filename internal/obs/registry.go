@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"zerotune/internal/metrics"
 )
 
 // Label is one metric dimension (key="value" in the exposition format).
@@ -157,12 +155,18 @@ func InfoLine(name string, labels ...Label) string {
 // under the registry lock, so a renderer can never observe a series whose
 // instrument is still nil.
 func (r *Registry) lookup(name string, kind metricKind, labels []Label, fill func(*series)) *series {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lookupLocked(name, kind, labels, fill)
+}
+
+// lookupLocked is lookup for a caller that holds r.mu because it has more to
+// do to the series before a renderer may see it.
+func (r *Registry) lookupLocked(name string, kind metricKind, labels []Label, fill func(*series)) *series {
 	if !nameRE.MatchString(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
 	key := renderLabels(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	f, ok := r.fams[name]
 	if !ok {
 		f = &family{name: name, kind: kind, series: make(map[string]*series)}
@@ -198,17 +202,14 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 // called during rendering with the registry lock held, so it must not call
 // back into the registry.
 func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...Label) {
-	s := r.lookup(name, kindGaugeFunc, labels, func(s *series) {})
 	r.mu.Lock()
-	s.fn = fn
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	r.lookupLocked(name, kindGaugeFunc, labels, func(*series) {}).fn = fn
 }
 
-// Histogram returns the named histogram over the given ascending upper
-// bucket bounds, creating it on first use (ringSize bounds the quantile
-// ring; see NewHistogram). Bounds are fixed at first registration.
-func (r *Registry) Histogram(name string, bounds []float64, ringSize int, labels ...Label) *Histogram {
-	s := r.lookup(name, kindHistogram, labels, func(s *series) { s.hist = NewHistogram(bounds, ringSize) })
+// Histogram returns the named histogram, creating it on first use.
+func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
+	s := r.lookup(name, kindHistogram, labels, func(s *series) { s.hist = NewHistogram() })
 	return s.hist
 }
 
@@ -229,9 +230,6 @@ func (r *Registry) SetInfo(name string, labels ...Label) {
 	f.keys = nil
 }
 
-// quantilePoints are the summary quantiles exported for histograms.
-var quantilePoints = []float64{0.5, 0.9, 0.99}
-
 // WritePrometheus renders every registered series in the text exposition
 // format, families sorted by name and series sorted by label set, so the
 // output is deterministic. Rendering happens into a buffer under the
@@ -248,12 +246,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, name := range names {
 		f := r.fams[name]
 		if f.kind == kindHistogram {
-			// The quantile series come from a bounded ring of recent
-			// observations, not the whole run — say so where every scraper
-			// can see it, and point at the series that quantify the window.
-			fmt.Fprintf(&b, "# HELP %s buckets/sum/count cover the whole run; quantile series are computed "+
-				"over a sliding window of the most recent observations "+
-				"(see %s_window_capacity and %s_window_filled)\n", name, name, name)
 			fmt.Fprintf(&b, "# TYPE %s histogram\n", name)
 		}
 		if f.keys == nil {
@@ -302,118 +294,161 @@ func writeSample(w *strings.Builder, name, labels, extra string, v float64, inte
 	}
 }
 
-// writeHistogram renders cumulative buckets, sum, count and the ring
-// quantiles for one histogram series.
+// writeHistogram renders cumulative buckets, sum, count and the summary
+// quantiles for one histogram series. Every `le` edge is one of the
+// histogram's own bucket edges, so the cumulative counts are exact.
 func writeHistogram(w *strings.Builder, name, labels string, s HistogramSnapshot) {
-	cum := uint64(0)
-	for i, b := range s.Bounds {
-		cum += s.Counts[i]
-		writeSample(w, name+"_bucket", labels, fmt.Sprintf("le=%q", fmt.Sprintf("%g", b)), float64(cum), true)
+	cum, next := uint64(0), 0
+	for e := leFirstExp; e <= leLastExp; e += 2 {
+		for end := bucketAbove(e); next < end; next++ {
+			cum += s.counts[next]
+		}
+		writeSample(w, name+"_bucket", labels, fmt.Sprintf("le=%q", fmt.Sprintf("%g", math.Ldexp(1, e))), float64(cum), true)
 	}
 	writeSample(w, name+"_bucket", labels, `le="+Inf"`, float64(s.Count), true)
 	writeSample(w, name+"_sum", labels, "", s.Sum, false)
 	writeSample(w, name+"_count", labels, "", float64(s.Count), true)
-	for _, q := range quantilePoints {
-		if v, ok := s.Quantiles[q]; ok {
-			writeSample(w, name, labels, fmt.Sprintf("quantile=%q", fmt.Sprintf("%g", q)), v, false)
-		}
+	if s.Count == 0 {
+		return
 	}
-	// The window series make the quantile ring's reach machine-readable:
-	// when _count exceeds _window_filled, the quantiles above reflect only
-	// the most recent _window_capacity observations, not the whole run.
-	writeSample(w, name+"_window_capacity", labels, "", float64(s.RingCapacity), true)
-	writeSample(w, name+"_window_filled", labels, "", float64(s.RingFilled), true)
+	for _, q := range [...]float64{0.5, 0.9, 0.99} {
+		writeSample(w, name, labels, fmt.Sprintf("quantile=%q", fmt.Sprintf("%g", q)), s.Quantile(q), false)
+	}
 }
 
-// Histogram is a concurrency-safe fixed-bucket histogram that additionally
-// keeps a ring of recent observations for quantile summaries (quantiles
-// from buckets alone would be bound-quantized). Bounds are upper bucket
-// edges; observations above the last bound land in the implicit +Inf
-// bucket.
+// The histogram's shape is fixed: histSub linear sub-buckets in each power
+// of two from 2^histMinExp (60 ns, in seconds) to 2^histMaxExp (17 minutes;
+// also every batch size), one bucket below and one above. A bucket is at
+// most 1/histSub of its lower edge wide, which is the relative error of any
+// quantile read from it. /metrics renders the powers of four from
+// 2^leFirstExp to 2^leLastExp as `le` edges.
+const (
+	histSubBits = 5
+	histSub     = 1 << histSubBits
+	histMinExp  = -24
+	histMaxExp  = 10
+	histBuckets = (histMaxExp-histMinExp)*histSub + 2
+
+	leFirstExp = -22
+	leLastExp  = 8
+)
+
+// QuantileRelErr bounds the relative error of a quantile whose true value
+// lies inside the histogram's range.
+const QuantileRelErr = 1.0 / histSub
+
+// Histogram is a lock-free log-linear histogram: a fixed array of atomic
+// bucket counters indexed straight from the bits of the observed float64.
+// Observe is a handful of atomic operations and never allocates; quantiles
+// cover every observation since the histogram was created and are within
+// QuantileRelErr of the true value. The zero value is ready to use.
+//
+// Buckets are upper-inclusive, (lo, hi], which is what Prometheus' `le`
+// means: an observation of exactly 64 counts under le="64". Values that are
+// not positive (zero, negatives, NaN) or at most 2^histMinExp land in the
+// bottom bucket and read back as 0; values above 2^histMaxExp (+Inf too)
+// land in the top bucket and read back as Max.
 type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64
-	counts []uint64 // len(bounds)+1, last is +Inf
-	count  uint64
-	sum    float64
-	min    float64
-	max    float64
-
-	ring []float64
-	pos  int
+	counts [histBuckets]atomic.Uint64
+	sum    atomic.Uint64 // float64 bits
+	max    atomic.Uint64 // float64 bits; the largest positive observation
 }
 
-// NewHistogram builds a histogram over the given ascending upper bounds,
-// remembering the last ringSize observations for quantiles (default 1024).
-func NewHistogram(bounds []float64, ringSize int) *Histogram {
-	if ringSize < 1 {
-		ringSize = 1024
+// NewHistogram returns an unregistered histogram.
+func NewHistogram() *Histogram { return &Histogram{} }
+
+// bucketIndex maps v to its bucket. Reading the float one ULP below v makes
+// the bucket's upper edge inclusive; the exponent and the top histSubBits
+// of the mantissa are then the octave and the sub-bucket.
+func bucketIndex(v float64) int {
+	if !(v > 0) {
+		return 0
 	}
-	return &Histogram{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-		min:    math.Inf(1),
-		max:    math.Inf(-1),
-		ring:   make([]float64, 0, ringSize),
-	}
+	i := int((math.Float64bits(v)-1)>>(52-histSubBits)) - (1023+histMinExp)<<histSubBits + 1
+	return min(max(i, 0), histBuckets-1)
 }
 
-// Observe records one value.
+// bucketAbove is the index of the first bucket wholly above 2^e, for e
+// within the histogram's range: the buckets below it hold exactly the
+// observations ≤ 2^e.
+func bucketAbove(e int) int { return (e-histMinExp)*histSub + 1 }
+
+// bucketBounds is the lower edge and width of an in-range bucket.
+func bucketBounds(i int) (lo, width float64) {
+	octave, sub := (i-1)/histSub+histMinExp, (i-1)%histSub
+	width = math.Ldexp(1, octave-histSubBits)
+	return math.Ldexp(1, octave) + float64(sub)*width, width
+}
+
+// Observe records one value. Non-finite values are counted but left out of
+// the sum, so _sum stays finite.
 func (h *Histogram) Observe(v float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.count++
-	h.sum += v
-	h.min = math.Min(h.min, v)
-	h.max = math.Max(h.max, v)
-	if len(h.ring) < cap(h.ring) {
-		h.ring = append(h.ring, v)
-	} else {
-		h.ring[h.pos] = v
-		h.pos = (h.pos + 1) % cap(h.ring)
-	}
-}
-
-// HistogramSnapshot is a point-in-time copy for rendering.
-type HistogramSnapshot struct {
-	Bounds []float64
-	Counts []uint64
-	Count  uint64
-	Sum    float64
-	Min    float64
-	Max    float64
-	// Quantiles over the recent-observation ring; nil when no data yet
-	// (TryQuantile keeps the empty case panic-free). The ring is a last-N
-	// window: once Count exceeds RingFilled these are *recent* quantiles,
-	// not whole-run quantiles — whole-run summaries must be computed from
-	// full per-observation records (as the bench harness does).
-	Quantiles map[float64]float64
-	// RingCapacity is the quantile window's bound; RingFilled is how many
-	// observations it currently holds (== min(Count, RingCapacity)).
-	RingCapacity int
-	RingFilled   int
-}
-
-// Snapshot copies the histogram state and computes ring quantiles.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	h.mu.Lock()
-	ring := append([]float64(nil), h.ring...)
-	s := HistogramSnapshot{
-		Bounds: append([]float64(nil), h.bounds...),
-		Counts: append([]uint64(nil), h.counts...),
-		Count:  h.count, Sum: h.sum, Min: h.min, Max: h.max,
-		RingCapacity: cap(h.ring), RingFilled: len(h.ring),
-	}
-	h.mu.Unlock()
-	for _, q := range quantilePoints {
-		if v, ok := metrics.TryQuantile(ring, q); ok {
-			if s.Quantiles == nil {
-				s.Quantiles = make(map[float64]float64, len(quantilePoints))
-			}
-			s.Quantiles[q] = v
+	// Max before the bucket, and Snapshot reads them the other way round: a
+	// snapshot that counts an observation also sees a max at least as large.
+	for {
+		old := h.max.Load()
+		if !(v > math.Float64frombits(old)) || h.max.CompareAndSwap(old, math.Float64bits(v)) {
+			break
 		}
 	}
+	h.counts[bucketIndex(v)].Add(1)
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return
+	}
+	for {
+		old := h.sum.Load()
+		if h.sum.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
+			return
+		}
+	}
+}
+
+// HistogramSnapshot is a point-in-time copy of a histogram. Count is the
+// total of the copied buckets, so the rendered +Inf bucket always equals
+// _count; Sum and Max are read after the buckets and may include
+// observations that raced with the copy.
+type HistogramSnapshot struct {
+	Count uint64
+	Sum   float64
+	Max   float64 // exact; 0 when nothing positive was observed
+
+	counts [histBuckets]uint64
+}
+
+// Snapshot copies the histogram state.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	var s HistogramSnapshot
+	for i := range h.counts {
+		s.counts[i] = h.counts[i].Load()
+		s.Count += s.counts[i]
+	}
+	s.Sum = math.Float64frombits(h.sum.Load())
+	s.Max = math.Float64frombits(h.max.Load())
 	return s
+}
+
+// Quantile returns the q-quantile (0 when empty): the bucket holding the
+// nearest rank, interpolated linearly by the rank's position in it and
+// never above Max.
+func (s HistogramSnapshot) Quantile(q float64) float64 {
+	if s.Count == 0 {
+		return 0
+	}
+	n := float64(s.Count)
+	rank := min(max(q*n, 0.5), n-0.5)
+	var cum float64
+	for i, c := range s.counts[:histBuckets-1] {
+		if c == 0 {
+			continue
+		}
+		if cum+float64(c) >= rank {
+			if i == 0 {
+				return 0
+			}
+			lo, width := bucketBounds(i)
+			return min(lo+width*(rank-cum)/float64(c), s.Max)
+		}
+		cum += float64(c)
+	}
+	return s.Max
 }

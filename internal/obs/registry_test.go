@@ -1,10 +1,16 @@
 package obs
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
+
+	"zerotune/internal/metrics"
 )
 
 func TestRegistryRoundTrip(t *testing.T) {
@@ -14,10 +20,12 @@ func TestRegistryRoundTrip(t *testing.T) {
 	r.Gauge("queue_depth").Set(3.5)
 	r.GaugeFunc("uptime_seconds", func() float64 { return 12.25 })
 	r.SetInfo("model_info", L("id", `we"ird\pa`+"\n"+`th`), L("gen", "4"))
-	h := r.Histogram("latency_seconds", []float64{0.001, 0.01, 0.1}, 16, L("endpoint", "predict"))
+	h := r.Histogram("latency_seconds", L("endpoint", "predict"))
 	for _, v := range []float64{0.0005, 0.004, 0.02, 0.5} {
 		h.Observe(v)
 	}
+	// `le` means ≤: a full micro-batch is exactly 64 and belongs under le="64".
+	r.Histogram("batch_size").Observe(64)
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -42,7 +50,11 @@ func TestRegistryRoundTrip(t *testing.T) {
 		{"queue_depth", nil, 3.5},
 		{"uptime_seconds", nil, 12.25},
 		{"model_info", []Label{L("id", `we"ird\pa`+"\n"+`th`), L("gen", "4")}, 1},
-		{"latency_seconds_bucket", []Label{L("endpoint", "predict"), L("le", "0.01")}, 2},
+		{"latency_seconds_bucket", []Label{L("endpoint", "predict"), L("le", "0.00390625")}, 1},
+		{"latency_seconds_bucket", []Label{L("endpoint", "predict"), L("le", "0.015625")}, 2},
+		{"latency_seconds_bucket", []Label{L("endpoint", "predict"), L("le", "0.0625")}, 3},
+		{"batch_size_bucket", []Label{L("le", "16")}, 0},
+		{"batch_size_bucket", []Label{L("le", "64")}, 1},
 		{"latency_seconds_bucket", []Label{L("endpoint", "predict"), L("le", "+Inf")}, 4},
 		{"latency_seconds_count", []Label{L("endpoint", "predict")}, 4},
 	}
@@ -60,8 +72,10 @@ func TestRegistryRoundTrip(t *testing.T) {
 	if want := 0.0005 + 0.004 + 0.02 + 0.5; sum < want-1e-12 || sum > want+1e-12 {
 		t.Errorf("histogram sum = %g, want %g", sum, want)
 	}
-	if _, ok := FindSample(samples, "latency_seconds", L("quantile", "0.5")); !ok {
-		t.Errorf("quantile series missing:\n%s", text)
+	for _, q := range []string{"0.5", "0.9", "0.99"} {
+		if _, ok := FindSample(samples, "latency_seconds", L("quantile", q)); !ok {
+			t.Errorf("quantile %s series missing:\n%s", q, text)
+		}
 	}
 }
 
@@ -92,42 +106,171 @@ func TestInfoLineEscaping(t *testing.T) {
 	InfoLine("bad metric name")
 }
 
-func TestHistogramWindowSeries(t *testing.T) {
+// within reports whether got is within the histogram's stated relative error
+// of want.
+func within(got, want float64) bool {
+	return math.Abs(got-want) <= QuantileRelErr*want
+}
+
+// TestHistogramWholeRun: quantiles cover every observation since the
+// histogram was created, not the most recent thousand.
+func TestHistogramWholeRun(t *testing.T) {
+	h := NewHistogram()
+	for i := 0; i < 10000; i++ {
+		h.Observe(0.001)
+	}
+	for i := 0; i < 1024; i++ {
+		h.Observe(0.100)
+	}
+	s := h.Snapshot()
+	if s.Count != 11024 || s.Max != 0.100 {
+		t.Fatalf("count %d max %g, want 11024 and 0.1", s.Count, s.Max)
+	}
+	if p50 := s.Quantile(0.5); !within(p50, 0.001) {
+		t.Fatalf("p50 = %g, want ≈0.001: the last 1024 observations must not own the quantile", p50)
+	}
+	if p99 := s.Quantile(0.99); !within(p99, 0.100) {
+		t.Fatalf("p99 = %g, want ≈0.1", p99)
+	}
+}
+
+// TestHistogramAccuracy holds the log-linear quantile against the exact one
+// on a smooth and on a two-humped sample.
+func TestHistogramAccuracy(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	samples := map[string]func() float64{
+		"lognormal": func() float64 { return 0.002 * math.Exp(1.5*rng.NormFloat64()) },
+		"bimodal": func() float64 {
+			if rng.Float64() < 0.7 {
+				return 0.0003 * (1 + 0.2*rng.Float64())
+			}
+			return 0.040 * (1 + 0.5*rng.Float64())
+		},
+	}
+	for name, draw := range samples {
+		h := NewHistogram()
+		xs := make([]float64, 100000)
+		for i := range xs {
+			xs[i] = draw()
+			h.Observe(xs[i])
+		}
+		s := h.Snapshot()
+		prev := 0.0
+		for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
+			got, want := s.Quantile(q), metrics.Quantile(xs, q)
+			if !within(got, want) {
+				t.Errorf("%s q=%g: histogram %g, exact %g (off by %.2f%%, bound %.2f%%)",
+					name, q, got, want, 100*math.Abs(got-want)/want, 100*QuantileRelErr)
+			}
+			if got < prev {
+				t.Errorf("%s q=%g: %g below the previous quantile %g", name, q, got, prev)
+			}
+			prev = got
+		}
+		if max := metrics.Quantile(xs, 1); s.Max != max || s.Quantile(1) > max {
+			t.Errorf("%s: max %g and q=1 %g, want exactly %g and no more", name, s.Max, s.Quantile(1), max)
+		}
+	}
+}
+
+// TestHistogramHostileInput: nothing a caller can pass panics or indexes out
+// of range; what the buckets cannot hold lands in the end buckets.
+func TestHistogramHostileInput(t *testing.T) {
+	below := []float64{0, -1, math.Inf(-1), math.NaN(), 5e-324, 1e-9, math.Ldexp(1, histMinExp)}
+	above := []float64{math.Nextafter(math.Ldexp(1, histMaxExp), 2e9), 1e12, math.MaxFloat64, math.Inf(1)}
+	for _, v := range below {
+		if i := bucketIndex(v); i != 0 {
+			t.Errorf("bucketIndex(%g) = %d, want the bottom bucket", v, i)
+		}
+	}
+	for _, v := range above {
+		if i := bucketIndex(v); i != histBuckets-1 {
+			t.Errorf("bucketIndex(%g) = %d, want the top bucket", v, i)
+		}
+	}
+	// The first and last in-range buckets are upper-inclusive like the rest.
+	if i := bucketIndex(math.Nextafter(math.Ldexp(1, histMinExp), 1)); i != 1 {
+		t.Errorf("just above the range floor: bucket %d, want 1", i)
+	}
+	if i := bucketIndex(math.Ldexp(1, histMaxExp)); i != histBuckets-2 {
+		t.Errorf("the range ceiling: bucket %d, want %d", i, histBuckets-2)
+	}
+
 	r := NewRegistry()
-	h := r.Histogram("lat_seconds", []float64{0.1}, 4)
-	for i := 0; i < 10; i++ {
-		h.Observe(float64(i)) // 10 observed, ring holds last 4
+	h := r.Histogram("hostile")
+	for _, v := range append(below, above...) {
+		h.Observe(v)
 	}
-	snap := h.Snapshot()
-	if snap.RingCapacity != 4 || snap.RingFilled != 4 || snap.Count != 10 {
-		t.Fatalf("snapshot window = cap %d filled %d count %d, want 4/4/10",
-			snap.RingCapacity, snap.RingFilled, snap.Count)
+	s := h.Snapshot()
+	if want := uint64(len(below) + len(above)); s.Count != want {
+		t.Fatalf("count %d, want %d", s.Count, want)
 	}
-	// The ring is a last-N window: with observations 0..9 and capacity 4,
-	// the p50 covers {6,7,8,9}, not the whole run — which is exactly why
-	// the window series must be exported alongside the quantiles.
-	if q := snap.Quantiles[0.5]; q < 6 {
-		t.Fatalf("ring p50 = %g, expected it to reflect only recent samples (>= 6)", q)
+	if math.IsNaN(s.Sum) || math.IsInf(s.Sum, 0) {
+		t.Fatalf("sum %g: non-finite observations must stay out of it", s.Sum)
+	}
+	if !math.IsInf(s.Max, 1) {
+		t.Fatalf("max %g, want +Inf", s.Max)
+	}
+	if lo, hi := s.Quantile(0), s.Quantile(1); lo != 0 || !math.IsInf(hi, 1) {
+		t.Fatalf("end buckets read back as %g and %g, want 0 and Max", lo, hi)
 	}
 	var b strings.Builder
 	_ = r.WritePrometheus(&b)
-	text := b.String()
-	samples, err := ParseText(strings.NewReader(text))
+	samples, err := ParseText(strings.NewReader(b.String()))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v\n%s", err, b.String())
 	}
 	if err := CheckHistograms(samples); err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v\n%s", err, b.String())
 	}
-	if v, ok := FindSample(samples, "lat_seconds_window_capacity"); !ok || v != 4 {
-		t.Fatalf("window_capacity = %g (ok=%v), want 4:\n%s", v, ok, text)
+}
+
+// TestHistogramBucketEdges: every bucket's bounds invert bucketIndex, upper
+// edge included and lower edge excluded, and no bucket is wider than the
+// stated error.
+func TestHistogramBucketEdges(t *testing.T) {
+	for i := 1; i < histBuckets-1; i++ {
+		lo, width := bucketBounds(i)
+		if got := bucketIndex(lo + width); got != i {
+			t.Fatalf("bucket %d: upper edge %g indexes to %d", i, lo+width, got)
+		}
+		if got := bucketIndex(lo); got != i-1 {
+			t.Fatalf("bucket %d: lower edge %g indexes to %d, want %d", i, lo, got, i-1)
+		}
+		if width > QuantileRelErr*lo {
+			t.Fatalf("bucket %d: width %g over lower edge %g exceeds the bound", i, width, lo)
+		}
 	}
-	if v, ok := FindSample(samples, "lat_seconds_window_filled"); !ok || v != 4 {
-		t.Fatalf("window_filled = %g (ok=%v), want 4:\n%s", v, ok, text)
+	for e := leFirstExp; e <= leLastExp; e += 2 {
+		if got := bucketIndex(math.Ldexp(1, e)); got != bucketAbove(e)-1 {
+			t.Fatalf("le edge 2^%d sits in bucket %d, not at the top of bucket %d", e, got, bucketAbove(e)-1)
+		}
 	}
-	if !strings.Contains(text, "# HELP lat_seconds ") || !strings.Contains(text, "sliding window") {
-		t.Fatalf("histogram HELP must document the quantile window:\n%s", text)
+	if size := unsafe.Sizeof(Histogram{}); size > 16<<10 {
+		t.Fatalf("Histogram is %d bytes; seven of them live per replica, keep it under 16 KiB", size)
 	}
+}
+
+func TestHistogramObserveDoesNotAllocate(t *testing.T) {
+	h := NewHistogram()
+	v := 0.0001
+	if n := testing.AllocsPerRun(1000, func() { h.Observe(v); v *= 1.01 }); n != 0 {
+		t.Fatalf("Observe allocates %.1f times per call", n)
+	}
+}
+
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := NewHistogram()
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		v := 0.0001
+		for pb.Next() {
+			h.Observe(v)
+			if v *= 1.01; v > 10 {
+				v = 0.0001
+			}
+		}
+	})
 }
 
 func TestRegistryDeterministicOutput(t *testing.T) {
@@ -185,18 +328,35 @@ func TestRegistryInfoReplacement(t *testing.T) {
 	}
 }
 
+// TestRegistryConcurrent registers, records and renders from eight
+// goroutines at once (run it under -race). Counts come out exact, every page
+// rendered on the way is a consistent one, and a GaugeFunc series is never
+// visible to a renderer before its function is.
 func TestRegistryConcurrent(t *testing.T) {
+	const goroutines, observes, renderEvery = 8, 10000, 100
 	r := NewRegistry()
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
+			for i := 0; i < observes; i++ {
+				r.Histogram("h").Observe(float64(i%500) / 1000)
+				if i%renderEvery != 0 {
+					continue
+				}
 				r.Counter("c_total", L("g", string(rune('a'+g%4)))).Inc()
-				r.Histogram("h", []float64{1, 10}, 8).Observe(float64(i))
+				r.GaugeFunc("f", func() float64 { return 1 }, L("series", fmt.Sprintf("%d-%d", g, i)))
 				var b strings.Builder
 				_ = r.WritePrometheus(&b)
+				samples, err := ParseText(strings.NewReader(b.String()))
+				if err == nil {
+					err = CheckHistograms(samples)
+				}
+				if err != nil {
+					t.Errorf("page rendered beside concurrent writers: %v", err)
+					return
+				}
 			}
 		}(g)
 	}
@@ -205,8 +365,11 @@ func TestRegistryConcurrent(t *testing.T) {
 	for _, l := range []string{"a", "b", "c", "d"} {
 		total += r.Counter("c_total", L("g", l)).Load()
 	}
-	if total != 1600 {
-		t.Fatalf("counter total = %d, want 1600", total)
+	if want := uint64(goroutines * observes / renderEvery); total != want {
+		t.Fatalf("counter total = %d, want %d", total, want)
+	}
+	if n := r.Histogram("h").Snapshot().Count; n != goroutines*observes {
+		t.Fatalf("histogram count = %d, want %d", n, goroutines*observes)
 	}
 }
 

@@ -114,15 +114,15 @@ const DefaultRingSize = 256
 // trace is evicted as an orphan so abandoned roots cannot leak memory.
 const defaultMaxActive = 1024
 
-// NewTracer builds a tracer whose completed-trace ring holds ringSize
-// traces (DefaultRingSize when <= 0).
-func NewTracer(ringSize int) *Tracer {
-	if ringSize <= 0 {
-		ringSize = DefaultRingSize
+// NewTracer builds a tracer whose completed-trace ring holds size traces
+// (DefaultRingSize when <= 0).
+func NewTracer(size int) *Tracer {
+	if size <= 0 {
+		size = DefaultRingSize
 	}
 	return &Tracer{
 		active:    make(map[string]*activeTrace),
-		ring:      make([]TraceData, ringSize),
+		ring:      make([]TraceData, size),
 		maxActive: defaultMaxActive,
 	}
 }

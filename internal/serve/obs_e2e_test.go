@@ -158,6 +158,13 @@ func TestServeMetricsStrictParse(t *testing.T) {
 			t.Errorf("/metrics missing series %s", name)
 		}
 	}
+	for _, q := range []string{"0.5", "0.9", "0.99"} {
+		for _, name := range []string{"zerotune_request_duration_seconds", "zerotune_batch_size"} {
+			if _, ok := obs.FindSample(samples, name, obs.L("quantile", q)); !ok {
+				t.Errorf("/metrics missing %s{quantile=%q}", name, q)
+			}
+		}
+	}
 	if _, ok := obs.FindSample(samples, "zerotune_model_info", obs.L("id", "test-a")); !ok {
 		t.Error("/metrics missing zerotune_model_info{id=test-a}")
 	}

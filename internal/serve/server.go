@@ -357,7 +357,7 @@ func (s *Server) Snapshot() Snapshot {
 		Errors:       make(map[string]uint64, len(endpointNames)),
 		Batches:      s.stats.Batches.Load(),
 		Inferences:   s.stats.Inferences.Load(),
-		MaxBatch:     s.stats.maxBatch(),
+		MaxBatch:     s.stats.BatchSizes.Snapshot().Max,
 		Flushes:      s.batcher.Flushes(),
 		Arriving:     s.batcher.Arriving(),
 		Reloads:      s.stats.Reloads.Load(),
@@ -374,43 +374,24 @@ func (s *Server) Snapshot() Snapshot {
 	return snap
 }
 
-// statusWriter remembers the response code for error counting.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a handler with request counting, latency tracking, and
-// — when a tracer is configured — a root span per request whose trace ID is
-// reflected back in the X-Trace-Id response header. With tracing disabled
-// the wrapper adds one nil check and nothing else.
+// instrument wraps a handler with request accounting and — when a tracer is
+// configured — a root span per request whose trace ID is reflected back in
+// the X-Trace-Id response header. With tracing disabled the wrapper adds one
+// nil check and nothing else.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	ep := s.stats.Endpoint(name)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+	return s.stats.Endpoint(name).Wrap(func(w http.ResponseWriter, r *http.Request) {
 		defer drainBody(r)
 		if s.tracer != nil {
 			ctx, span := obs.StartTrace(r.Context(), s.tracer, "http."+name)
 			w.Header().Set("X-Trace-Id", span.TraceID)
 			r = r.WithContext(ctx)
 			defer func() {
-				span.SetAttr("status", sw.status)
+				span.SetAttr("status", w.(*obs.StatusWriter).Status())
 				span.End()
 			}()
 		}
-		h(sw, r)
-		ep.Requests.Inc()
-		if sw.status >= 400 {
-			ep.Errors.Inc()
-		}
-		ep.Latency.Observe(time.Since(start).Seconds())
-	}
+		h(w, r)
+	})
 }
 
 // activeModel fetches the served model or reports 503.

@@ -8,26 +8,8 @@ import (
 	"zerotune/internal/obs"
 )
 
-// LatencyBounds are the latency bucket edges in seconds of every duration
-// histogram in both tiers, so dashboards can overlay replica and gateway.
-var LatencyBounds = []float64{
-	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-}
-
-// batchBounds are the micro-batch-size bucket edges.
-var batchBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
-
 // endpointNames fixes the per-endpoint stat keys and render order.
 var endpointNames = []string{"predict", "tune", "feedback", "reload", "healthz", "metrics"}
-
-// EndpointStats counts requests and errors and tracks latency for one
-// endpoint.
-type EndpointStats struct {
-	Requests *obs.Counter
-	Errors   *obs.Counter
-	Latency  *obs.Histogram
-}
 
 // Stats is the server's observability state: every instrument lives on a
 // central obs.Registry (which renders /metrics), and this struct keeps the
@@ -35,7 +17,7 @@ type EndpointStats struct {
 type Stats struct {
 	start     time.Time
 	reg       *obs.Registry
-	endpoints map[string]*EndpointStats
+	endpoints map[string]*obs.Endpoint
 
 	BatchSizes *obs.Histogram
 	Batches    *obs.Counter // flushed micro-batches
@@ -56,8 +38,8 @@ func NewStats(reg *obs.Registry) *Stats {
 	s := &Stats{
 		start:      time.Now(),
 		reg:        reg,
-		endpoints:  make(map[string]*EndpointStats, len(endpointNames)),
-		BatchSizes: reg.Histogram("zerotune_batch_size", batchBounds, 1024),
+		endpoints:  make(map[string]*obs.Endpoint, len(endpointNames)),
+		BatchSizes: reg.Histogram("zerotune_batch_size"),
 		Batches:    reg.Counter("zerotune_batches_total"),
 		Inferences: reg.Counter("zerotune_inferences_total"),
 		Reloads:    reg.Counter("zerotune_model_reloads_total"),
@@ -66,12 +48,7 @@ func NewStats(reg *obs.Registry) *Stats {
 		CircuitOpens: reg.Counter("zerotune_circuit_open_total"),
 	}
 	for _, name := range endpointNames {
-		l := obs.L("endpoint", name)
-		s.endpoints[name] = &EndpointStats{
-			Requests: reg.Counter("zerotune_requests_total", l),
-			Errors:   reg.Counter("zerotune_request_errors_total", l),
-			Latency:  reg.Histogram("zerotune_request_duration_seconds", LatencyBounds, 1024, l),
-		}
+		s.endpoints[name] = obs.NewEndpoint(reg, "zerotune", name)
 	}
 	reg.GaugeFunc("zerotune_uptime_seconds", func() float64 { return time.Since(s.start).Seconds() })
 	return s
@@ -82,7 +59,7 @@ func (s *Stats) Registry() *obs.Registry { return s.reg }
 
 // Endpoint returns the named endpoint's stats (must be one of the fixed
 // endpoints).
-func (s *Stats) Endpoint(name string) *EndpointStats { return s.endpoints[name] }
+func (s *Stats) Endpoint(name string) *obs.Endpoint { return s.endpoints[name] }
 
 // Snapshot is the flattened counter view used by tests and the shutdown
 // summary.
@@ -139,9 +116,10 @@ func (s *Stats) Summary(cache CacheStats, bodyHits uint64, flushes FlushCounts, 
 		if n == 0 {
 			continue
 		}
-		ls := ep.Latency.Snapshot()
 		w("serve: %-8s %6d requests, %d errors", name, n, ep.Errors.Load())
-		appendQuantileDigest(w, ls)
+		if ls := ep.Latency.Snapshot(); ls.Count > 0 {
+			w(", p50 %.3fms p99 %.3fms", ls.Quantile(0.5)*1e3, ls.Quantile(0.99)*1e3)
+		}
 		w("\n")
 	}
 	bs := s.BatchSizes.Snapshot()
@@ -153,25 +131,4 @@ func (s *Stats) Summary(cache CacheStats, bodyHits uint64, flushes FlushCounts, 
 	w("serve: cache %d entries, %d hits, %d coalesced, %d misses, %d evictions, %d body hits, %d reloads",
 		cache.Size, cache.Hits, cache.Coalesced, cache.Misses, cache.Evictions, bodyHits, s.Reloads.Load())
 	return string(b)
-}
-
-// appendQuantileDigest renders the ", p50 …ms p99 …ms" tail of one endpoint
-// line. Every quantile is ok-checked independently: a snapshot carrying p50
-// but not p99 prints only p50 instead of a silent `p99 0.000ms`.
-func appendQuantileDigest(w func(format string, args ...any), ls obs.HistogramSnapshot) {
-	if p50, ok := ls.Quantiles[0.5]; ok {
-		w(", p50 %.3fms", p50*1e3)
-	}
-	if p99, ok := ls.Quantiles[0.99]; ok {
-		w(" p99 %.3fms", p99*1e3)
-	}
-}
-
-// maxBatch reports the largest flushed batch so far (0 before the first).
-func (s *Stats) maxBatch() float64 {
-	bs := s.BatchSizes.Snapshot()
-	if bs.Count == 0 {
-		return 0
-	}
-	return bs.Max
 }

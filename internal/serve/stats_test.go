@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -49,46 +50,29 @@ func TestWriteMetricsNoModel(t *testing.T) {
 	}
 }
 
-// TestQuantileDigestPartialSnapshot covers the Summary bug where a snapshot
-// carrying p50 but not p99 printed a fabricated `p99 0.000ms`: each
-// quantile must be ok-checked independently.
-func TestQuantileDigestPartialSnapshot(t *testing.T) {
-	render := func(qs map[float64]float64) string {
-		var b []byte
-		w := func(format string, args ...any) { b = fmt.Appendf(b, format, args...) }
-		appendQuantileDigest(w, obs.HistogramSnapshot{Quantiles: qs})
-		return string(b)
-	}
-
-	if got := render(map[float64]float64{0.5: 0.002}); got != ", p50 2.000ms" {
-		t.Fatalf("p50-only snapshot rendered %q; a fabricated p99 must not appear", got)
-	}
-	if got := render(map[float64]float64{0.5: 0.002, 0.99: 0.05}); got != ", p50 2.000ms p99 50.000ms" {
-		t.Fatalf("full snapshot rendered %q", got)
-	}
-	if got := render(nil); got != "" {
-		t.Fatalf("empty snapshot rendered %q, want nothing", got)
-	}
-	// A p99 without a p50 still prints (no cross-quantile coupling).
-	if got := render(map[float64]float64{0.99: 0.05}); got != " p99 50.000ms" {
-		t.Fatalf("p99-only snapshot rendered %q", got)
-	}
-}
-
 // TestSummaryRendersQuantiles exercises the real Summary path end to end:
-// observed latencies must show up as p50/p99, never as zeros.
+// observed latencies show up as p50/p99 within the histogram's error, and an
+// endpoint that counted a request but timed none prints no quantiles at all
+// rather than a fabricated zero.
 func TestSummaryRendersQuantiles(t *testing.T) {
 	s := NewStats(nil)
 	ep := s.Endpoint("predict")
 	ep.Requests.Inc()
+	if sum := s.Summary(CacheStats{}, 0, FlushCounts{}, nil); strings.Contains(sum, "p50") || strings.Contains(sum, "p99") {
+		t.Fatalf("summary fabricated quantiles before the first observation:\n%s", sum)
+	}
 	for i := 0; i < 100; i++ {
 		ep.Latency.Observe(0.010)
 	}
 	sum := s.Summary(CacheStats{}, 0, FlushCounts{}, nil)
-	if !strings.Contains(sum, "p50 10.000ms") || !strings.Contains(sum, "p99 10.000ms") {
-		t.Fatalf("summary missing quantiles:\n%s", sum)
+	var p50, p99 float64
+	_, tail, _ := strings.Cut(sum, ", p50 ")
+	if _, err := fmt.Sscanf(tail, "%fms p99 %fms", &p50, &p99); err != nil {
+		t.Fatalf("summary missing quantiles (%v):\n%s", err, sum)
 	}
-	if strings.Contains(sum, "p99 0.000ms") {
-		t.Fatalf("summary fabricated a zero p99:\n%s", sum)
+	for _, ms := range []float64{p50, p99} {
+		if math.Abs(ms-10) > 10*obs.QuantileRelErr {
+			t.Fatalf("p50 %.3fms p99 %.3fms, want both within %.1f%% of 10ms:\n%s", p50, p99, 100*obs.QuantileRelErr, sum)
+		}
 	}
 }
