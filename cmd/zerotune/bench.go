@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"os/signal"
 	"strconv"
@@ -13,9 +15,11 @@ import (
 	"syscall"
 	"time"
 
+	"zerotune/internal/client"
 	"zerotune/internal/cluster"
 	"zerotune/internal/gateway"
 	"zerotune/internal/loadgen"
+	"zerotune/internal/obs"
 	"zerotune/internal/queryplan"
 	"zerotune/internal/serve"
 	"zerotune/internal/workload"
@@ -65,45 +69,112 @@ func benchBodies(seed uint64, n int) ([][]byte, error) {
 	return bodies, nil
 }
 
+// liveTarget is a serving tier under load: what the harness drives, and
+// where that tier keeps the stage histograms it fills while driven — the
+// /metrics of a remote target, the registries of an in-process one.
+type liveTarget struct {
+	loadgen.Target
+	name     string
+	close    func()
+	remote   *client.Client            // a URL target
+	gateway  *gateway.Gateway          // in process; nil when the one replica is driven directly
+	replicas []*serve.InProcessBackend // in process
+}
+
+// metricsPage is one parsed /metrics page; source names it when its target
+// has several (each replica behind an in-process gateway).
+type metricsPage struct {
+	source  string
+	samples []obs.Sample
+}
+
+// pages reads the target's /metrics now.
+func (t *liveTarget) pages(ctx context.Context) ([]metricsPage, error) {
+	if t.remote != nil {
+		status, body, err := t.remote.Call(ctx, "/metrics", nil)
+		if err == nil && status != http.StatusOK {
+			err = fmt.Errorf("status %d", status)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("scrape %s/metrics: %w", t.remote.Base(), err)
+		}
+		samples, err := obs.ParseText(bytes.NewReader(body))
+		return []metricsPage{{samples: samples}}, err
+	}
+	if t.gateway == nil {
+		samples, err := t.replicas[0].Server().Metrics().Samples()
+		return []metricsPage{{samples: samples}}, err
+	}
+	samples, err := t.gateway.Metrics().Samples()
+	pages := []metricsPage{{samples: samples}}
+	for _, b := range t.replicas {
+		if err != nil {
+			break
+		}
+		samples, err = b.Server().Metrics().Samples()
+		pages = append(pages, metricsPage{b.Name(), samples})
+	}
+	return pages, err
+}
+
+// stageRows is the per-stage table of a target's pages: on each, the predict
+// stages that ran and, where the page is a gateway's, what a request cost the
+// gateway itself.
+func stageRows(pages []metricsPage) []loadgen.StageRow {
+	var rows []loadgen.StageRow
+	for _, p := range pages {
+		if self, _ := obs.FindHistogram(p.samples, gateway.SelfMetric); self.Count > 0 {
+			rows = append(rows, loadgen.NewStageRow(p.source, "gateway self", self))
+		}
+		rows = append(rows, loadgen.StageRows(p.source, p.samples)...)
+	}
+	return rows
+}
+
 // benchTarget resolves what the harness drives: a remote URL, an in-process
-// gateway fronting N replicas, or a single in-process serve instance. The
-// returned closer tears down whatever was started.
-func benchTarget(targetURL, model string, replicas int, slo string, timeout time.Duration) (loadgen.Target, string, func(), error) {
+// gateway fronting N replicas, or a single in-process serve instance. cmd
+// prefixes what it logs.
+func benchTarget(cmd, targetURL, model string, replicas int, slo string, timeout time.Duration) (*liveTarget, error) {
 	if targetURL != "" {
-		t, err := loadgen.NewHTTPTarget(strings.TrimRight(targetURL, "/"), nil)
+		base := strings.TrimRight(targetURL, "/")
+		t, err := loadgen.NewHTTPTarget(base, nil)
 		if err != nil {
-			return nil, "", nil, err
+			return nil, err
 		}
-		return t, targetURL, func() {}, nil
+		c, err := client.New(base)
+		if err != nil {
+			return nil, err
+		}
+		return &liveTarget{Target: t, name: targetURL, close: func() {}, remote: c}, nil
 	}
-	if replicas > 0 {
-		classes, err := parseSLOClasses(slo)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		pool, closeReplicas, err := inProcessReplicas("bench", model, replicas, timeout)
-		if err != nil {
-			return nil, "", nil, err
-		}
-		g, err := gateway.New(asBackends(pool), gateway.Options{Classes: classes, RequestTimeout: timeout})
-		if err != nil {
-			closeReplicas()
-			return nil, "", nil, err
-		}
-		g.Start()
-		return loadgen.HandlerTarget{Handler: g}, "gateway", func() { g.Close(); closeReplicas() }, nil
-	}
-	pool, closeReplicas, err := inProcessReplicas("bench", model, 1, timeout)
+	pool, closeReplicas, err := inProcessReplicas(cmd, model, max(replicas, 1), timeout)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, err
 	}
-	return loadgen.HandlerTarget{Handler: pool[0].Server()}, "serve", closeReplicas, nil
+	if replicas < 1 {
+		return &liveTarget{Target: loadgen.HandlerTarget{Handler: pool[0].Server()}, name: "serve",
+			close: closeReplicas, replicas: pool}, nil
+	}
+	classes, err := parseSLOClasses(slo)
+	if err != nil {
+		closeReplicas()
+		return nil, err
+	}
+	g, err := gateway.New(asBackends(pool), gateway.Options{Classes: classes, RequestTimeout: timeout})
+	if err != nil {
+		closeReplicas()
+		return nil, err
+	}
+	g.Start()
+	return &liveTarget{Target: loadgen.HandlerTarget{Handler: g}, name: "gateway",
+		close: func() { g.Close(); closeReplicas() }, gateway: g, replicas: pool}, nil
 }
 
 // benchCommand is the open-loop load harness: fixed-rate runs, saturation
 // sweeps, and deterministic trace record/replay, all reporting
 // coordinated-omission-corrected percentiles of the whole run, read from the
-// same obs.Histogram that backs /metrics.
+// same obs.Histogram that backs /metrics, and under them the target's own
+// per-stage histograms.
 func benchCommand(fs *flag.FlagSet) func() error {
 	var (
 		gen   specFlags
@@ -179,11 +250,11 @@ func benchCommand(fs *flag.FlagSet) func() error {
 			return nil
 		}
 
-		tgt, name, closeTarget, err := benchTarget(*target, *model, *replicas, *slo, sweep.Run.Timeout)
+		tgt, err := benchTarget("bench", *target, *model, *replicas, *slo, sweep.Run.Timeout)
 		if err != nil {
 			return err
 		}
-		defer closeTarget()
+		defer tgt.close()
 		sweep.Run.Target = tgt
 
 		var rep *loadgen.Report
@@ -194,15 +265,20 @@ func benchCommand(fs *flag.FlagSet) func() error {
 			if rep, err = loadgen.Sweep(ctx, spec, sweep); err != nil {
 				return err
 			}
-			rep.Target = name
+			rep.Target = tgt.name
 		} else {
 			results, err := loadgen.Run(ctx, reqs, sweep.Run)
 			if err != nil {
 				return err
 			}
-			rep = loadgen.SingleStep(mode, name, header, offered, wall, results)
+			rep = loadgen.SingleStep(mode, tgt.name, header, offered, wall, results)
 		}
-		rep.BuildBenchmarks("bench/" + name)
+		rep.BuildBenchmarks("bench/" + tgt.name)
+		pages, err := tgt.pages(ctx)
+		if err != nil {
+			return err
+		}
+		rep.Stages = stageRows(pages)
 
 		fmt.Print(rep.Table())
 		return writeReport("bench", *reportPath, rep)

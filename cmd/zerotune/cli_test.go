@@ -201,7 +201,7 @@ func TestBenchReplayRejectsAModelFile(t *testing.T) {
 // percentiles at every step, and one benchmarks entry per step.
 func TestBenchSweepReport(t *testing.T) {
 	report := filepath.Join(t.TempDir(), "bench.json")
-	stdout(t, func() {
+	table := stdout(t, func() {
 		runCLI(t, "bench", "-model", tinyModel(t), "-seed", "11", "-sweep", "-sweep-start", "100",
 			"-sweep-steps", "3", "-step-duration", "300ms", "-classes", "gold=1,best-effort=3", "-report", report)
 	})
@@ -220,6 +220,27 @@ func TestBenchSweepReport(t *testing.T) {
 	}
 	if len(rep.Benchmarks) != len(rep.Steps) {
 		t.Errorf("%d benchmarks entries for %d steps", len(rep.Benchmarks), len(rep.Steps))
+	}
+	// Under the percentiles, where inside the target they went: the replica's
+	// own stage histograms, every request in exactly one of the two first
+	// stages (a corpus of 8 bodies: hits, and at least one full miss).
+	if !strings.Contains(table, loadgen.StageTableHeader) {
+		t.Errorf("bench printed no stage table:\n%s", table)
+	}
+	counts := map[string]uint64{}
+	for _, row := range rep.Stages {
+		counts[row.Stage] = row.Count
+		if row.Count == 0 || row.P50Us <= 0 || row.P99Us < row.P50Us || row.P99OverP50 < 1 {
+			t.Errorf("stage row %+v: want observations and p50 ≤ p99", row)
+		}
+	}
+	requests := 0
+	for _, st := range rep.Steps {
+		requests += st.Requests
+	}
+	hit, front, forward := counts[serve.StageBodyHit.String()], counts[serve.StageFront.String()], counts[serve.StageForward.String()]
+	if hit == 0 || forward == 0 || hit+front != uint64(requests) {
+		t.Errorf("stages count %d body hits, %d misses of the body cache and %d forward passes over %d requests", hit, front, forward, requests)
 	}
 }
 

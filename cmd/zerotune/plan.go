@@ -11,10 +11,10 @@ import (
 	"strings"
 	"time"
 
-	"zerotune/internal/core"
 	"zerotune/internal/desim"
-	"zerotune/internal/gnn"
+	"zerotune/internal/gateway"
 	"zerotune/internal/loadgen"
+	"zerotune/internal/serve"
 )
 
 // planCommand is the capacity planner: it answers "what is the maximum RPS
@@ -31,9 +31,8 @@ func planCommand(fs *flag.FlagSet) func() error {
 		target desim.SLOTarget
 		search desim.SearchOptions
 	)
-	model := fs.String("model", "", "model to calibrate service timings from (omit with -service to plan without a model)")
-	measureReps := fs.Int("measure-reps", 5, "repetitions per timing measurement when calibrating from -model")
-	service := fs.String("service", "", "pin per-stage service times: gateway=2µs,encode=25µs,base=150µs,peritem=6µs,hit=3µs,fallback=10µs (pinning makes runs byte-reproducible)")
+	model := fs.String("model", "", "model to read service times from: the spec's own bodies are served once, one request at a time, by an in-process gateway and replica, and the stage histograms they fill are the cost table (without it, -service must name every stage that should cost anything)")
+	service := fs.String("service", "", "pin per-stage service times, e.g. gateway=2µs,encode=25µs,base=150µs,peritem=6µs,hit=3µs,fallback=10µs; an unnamed stage keeps what -model read, or costs nothing without -model (pinning makes runs byte-reproducible)")
 
 	bindSpec(fs, &gen, "schedule and trace", "step duration")
 
@@ -58,10 +57,6 @@ func planCommand(fs *flag.FlagSet) func() error {
 	tracePath := fs.String("trace", "", "write the decision trace (every routing/queueing/caching decision) here")
 	reportPath := bindReport(fs)
 	return func() error {
-		var err error
-		if tier.Service, err = planServiceModel(*service, *model, gen.Seed, *measureReps); err != nil {
-			return err
-		}
 		counts, err := parseReplicaList(*replicaList)
 		if err != nil {
 			return err
@@ -74,6 +69,17 @@ func planCommand(fs *flag.FlagSet) func() error {
 			return err
 		}
 		tier.Seed = spec.Seed
+		if *model == "" && *service == "" {
+			return errors.New("plan: no service times: give -model to read them from a live replica, or -service to pin them")
+		}
+		if *model != "" {
+			if tier.Service, err = calibrate(*model, spec); err != nil {
+				return fmt.Errorf("plan: calibrate from %s: %w", *model, err)
+			}
+		}
+		if err := applyServicePins(&tier.Service, *service); err != nil {
+			return err
+		}
 
 		// trace stays a true nil interface when no path was given — a typed-nil
 		// *os.File would read as "tracing on" downstream.
@@ -133,32 +139,68 @@ func planCommand(fs *flag.FlagSet) func() error {
 	}
 }
 
-// planServiceModel resolves the simulator's cost table: pinned -service
-// overrides beat -model calibration beat the committed defaults.
-func planServiceModel(pin, model string, seed uint64, reps int) (desim.ServiceModel, error) {
-	svc := desim.DefaultServiceModel()
-	if model != "" {
-		zt, err := core.LoadFile(model)
-		if err != nil {
-			return svc, fmt.Errorf("plan: %w", err)
-		}
-		// Calibrate on the engine `zerotune serve` runs; a model its gate
-		// refuses is one serve would not load.
-		if err := zt.Compile(gnn.CompileOptions{}); err != nil {
-			return svc, fmt.Errorf("plan: %w", err)
-		}
-		plans, clusters, err := benchPlans(seed, 4)
-		if err != nil {
-			return svc, err
-		}
-		if svc, err = desim.MeasureServiceModel(context.Background(), zt, plans, clusters[0], reps); err != nil {
-			return svc, fmt.Errorf("plan: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "plan: calibrated from %s: encode=%s base=%s peritem=%s hit=%s\n",
-			model, time.Duration(svc.EncodeNs), time.Duration(svc.ForwardBaseNs), time.Duration(svc.ForwardPerItemNs),
-			time.Duration(svc.CacheHitNs))
+// A calibration run offers calibrationRate requests a second, evenly spaced:
+// slow enough that every request finds the replica quiet and is timed alone,
+// as the simulator's per-request terms are meant. It sends four requests per
+// corpus body, so nearly every body is both missed and hit.
+const calibrationRate = 500
+
+// calibrate reads the simulator's cost table off a live tier: it serves the
+// model from an in-process gateway and replica, drives the spec's own corpus
+// and class mix through them once, and hands the stage histograms that run
+// filled to desim.ServiceModelFromStages; the forward line is fitted on the
+// engine the replica runs. Each term is printed with the stages it sums.
+func calibrate(model string, spec loadgen.Spec) (svc desim.ServiceModel, err error) {
+	ctx := context.Background()
+	tgt, err := benchTarget("plan", "", model, 1, "", 0)
+	if err != nil {
+		return svc, err
 	}
-	return svc, applyServicePins(&svc, pin)
+	defer tgt.close()
+	spec.Arrival, spec.Rate, spec.DiurnalAmplitude = loadgen.ArrivalUniform, calibrationRate, 0
+	spec.MaxRequests = 4 * len(spec.Bodies)
+	spec.Duration = time.Duration(spec.MaxRequests+1) * time.Second / calibrationRate
+	sched, err := spec.Schedule()
+	if err != nil {
+		return svc, err
+	}
+	results, err := loadgen.Run(ctx, sched, loadgen.RunOptions{Target: tgt})
+	if err != nil {
+		return svc, err
+	}
+	if step := loadgen.BuildStep(spec.Rate, spec.Duration, results); step.OK != step.Requests {
+		return svc, fmt.Errorf("%d of %d calibration requests failed", step.Requests-step.OK, step.Requests)
+	}
+	pages, err := tgt.pages(ctx)
+	if err != nil {
+		return svc, err
+	}
+	samples := append(pages[0].samples, pages[1].samples...) // the gateway's page, the replica's
+	if svc, err = desim.ServiceModelFromStages(samples); err != nil {
+		return svc, err
+	}
+	plans, clusters, err := benchPlans(spec.Seed, 4)
+	if err != nil {
+		return svc, err
+	}
+	zt := tgt.replicas[0].Server().Registry().Current().ZT
+	if svc.ForwardBaseNs, svc.ForwardPerItemNs, err = desim.FitForward(ctx, zt, plans, clusters[0]); err != nil {
+		return svc, err
+	}
+
+	stages := serve.ReadStages(samples)
+	var encode []string
+	for _, st := range desim.EncodeStages() {
+		encode = append(encode, fmt.Sprintf("%s %.1fµs", st, stages[st].Mean()*1e6))
+	}
+	fmt.Fprintf(os.Stderr, "plan: calibrated from %d requests served one at a time, %d of them body hits:\n"+
+		"plan:   hit     %10s = %s\nplan:   encode  %10s = %s\nplan:   gateway %10s = %s\n"+
+		"plan:   base    %10s, peritem %s: the engine's forward pass at batches of 1 and %d\n",
+		len(results), stages[serve.StageBodyHit].Count,
+		time.Duration(svc.CacheHitNs), serve.StageBodyHit, time.Duration(svc.EncodeNs), strings.Join(encode, " + "),
+		time.Duration(svc.GatewayNs), gateway.SelfMetric,
+		time.Duration(svc.ForwardBaseNs), time.Duration(svc.ForwardPerItemNs), serve.DefaultMaxBatch)
+	return svc, nil
 }
 
 // applyServicePins parses "stage=duration,..." overrides onto the model.

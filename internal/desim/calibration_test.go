@@ -79,9 +79,9 @@ func calibrationCorpus(t *testing.T, seed uint64, n int) ([][]byte, []*queryplan
 }
 
 // TestServeSimCalibration drives one seeded open-loop schedule against (a)
-// a live in-process server and (b) the simulator calibrated from that
-// server's measured stage costs, then holds the two to the documented
-// tolerance (DESIGN §16):
+// a live in-process server and (b) the simulator priced from the stage
+// histograms that very run left on the server's registry, then holds the two
+// to the documented tolerance (DESIGN §16):
 //
 //   - goodput: simulated and live 2xx counts within 10% of each other;
 //   - p50, two-sided: sim p50 within a factor of two of live p50, in both
@@ -95,15 +95,13 @@ func calibrationCorpus(t *testing.T, seed uint64, n int) ([][]byte, []*queryplan
 // are cache misses: the median request, live and simulated, is a lone miss,
 // and nothing holds a lone miss back — the batcher flushes at once when no
 // other request is on its way — so p50 is what one cold request costs from
-// the front door to the response (live 0.20–0.22 ms against a simulated
-// 0.16–0.18 ms). Both sides produce it for the same reason: the simulated
-// stages add up to that request because MeasureServiceModel times them on a
-// quiet replica's own handler, goroutine hand-offs included. The lower side
-// is what a one-sided gate cannot give: a simulator that answers misses as
-// hits or charges the model's arithmetic alone (encode + forward ≈ 10 µs)
-// reports a p50 an order of magnitude low and fails; the upper side fails
-// one that still waits out a window. It does not pin the stages one by one —
-// see DESIGN §16.
+// the front door to the response. Both sides produce it for the same reason:
+// the simulated stages are the live handler's own, timed where they ran,
+// goroutine hand-offs included. The lower side is what a one-sided gate cannot
+// give: a simulator that answers misses as hits or charges the model's
+// arithmetic alone (encode + forward ≈ 10 µs) reports a p50 an order of
+// magnitude low and fails; the upper side fails one that still waits out a
+// window. It does not pin the stages one by one — see DESIGN §16.
 //
 // The p99 bound stays one-sided on purpose: the live tail sits on Go timer
 // granularity, scheduler jitter and GC pauses (3 ms to 60 ms between
@@ -136,10 +134,17 @@ func TestServeSimCalibration(t *testing.T) {
 	}
 	live := loadgen.BuildStep(spec.Rate, spec.Duration, liveResults)
 
-	// Simulated: same schedule, service model measured from the same model on
-	// a sample of the corpus.
-	svc, err := desim.MeasureServiceModel(context.Background(), zt, plans[:32], clu, 3)
+	// Simulated: same schedule, per-request stages read from the registry the
+	// live run just wrote, forward line fitted on the model it served.
+	samples, err := s.Metrics().Samples()
 	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := desim.ServiceModelFromStages(samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if svc.ForwardBaseNs, svc.ForwardPerItemNs, err = desim.FitForward(context.Background(), zt, plans[:32], clu); err != nil {
 		t.Fatal(err)
 	}
 	run, err := desim.SimulateServe(sched, desim.ServeConfig{

@@ -3,11 +3,10 @@ package desim
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"net/http"
+	"math"
 	"time"
 
 	"zerotune/internal/cluster"
@@ -17,6 +16,7 @@ import (
 	"zerotune/internal/gateway"
 	"zerotune/internal/gnn"
 	"zerotune/internal/loadgen"
+	"zerotune/internal/obs"
 	"zerotune/internal/queryplan"
 	"zerotune/internal/serve"
 )
@@ -66,13 +66,16 @@ import (
 //     (admission / replica queue backpressure).
 
 // ServiceModel is the simulator's cost table: integer nanoseconds of
-// virtual time per pipeline stage. The forward pass is batch-size-linear,
-// matching the fused-batch engine's measured profile (MeasureServiceModel
-// fits the same line on the live model).
+// virtual time per pipeline stage. The per-request terms are read from the
+// live tier's own stage histograms (ServiceModelFromStages); the forward pass
+// is batch-size-linear, matching the fused-batch engine's measured profile
+// (FitForward fits the line on the model). There is no default table: a
+// simulation priced from nothing answers for no system.
 type ServiceModel struct {
 	// GatewayNs is routing + admission overhead per request.
 	GatewayNs int64 `json:"gateway_ns"`
-	// EncodeNs is decode + placement + featurization per request.
+	// EncodeNs is everything a miss costs its replica outside the forward
+	// pass and the waits the simulator models itself (EncodeStages).
 	EncodeNs int64 `json:"encode_ns"`
 	// ForwardBaseNs + n·ForwardPerItemNs is the cost of a batch of n.
 	ForwardBaseNs    int64 `json:"forward_base_ns"`
@@ -83,138 +86,90 @@ type ServiceModel struct {
 	FallbackNs int64 `json:"fallback_ns"`
 }
 
-// DefaultServiceModel carries rough constants from the committed BENCH
-// snapshots (fused-batch engine on one core). Real capacity questions
-// should calibrate against the served model via MeasureServiceModel.
-func DefaultServiceModel() ServiceModel {
-	return ServiceModel{
-		GatewayNs:        2_000,
-		EncodeNs:         25_000,
-		ForwardBaseNs:    150_000,
-		ForwardPerItemNs: 6_000,
-		CacheHitNs:       3_000,
-		FallbackNs:       10_000,
+// EncodeStages are the stages a simulated miss pays as EncodeNs: every stage
+// of the miss path but the three the simulator produces itself — the batcher's
+// queue wait, the forward pass, and a follower's wait for its leader.
+func EncodeStages() (out []serve.Stage) {
+	for _, st := range serve.Stages() {
+		switch st {
+		case serve.StageBodyHit, serve.StageQueueWait, serve.StageForward, serve.StageCoalesceWait:
+		default:
+			out = append(out, st)
+		}
 	}
+	return out
 }
 
-// MeasureServiceModel calibrates the cost table against the live tier. The
-// forward pass is timed on the model and fitted as a line through two
-// operating points (a batch of 1 and of serve.DefaultMaxBatch). The two
-// per-request stages are timed where a request pays them, through the
-// handler of a replica serving zt: one lone cold request less its forward
-// pass is EncodeNs — decode, analysis, placement, featurization, fingerprint,
-// both caches, the hand-off to a parked flush loop and back, and the
-// response, not featurization alone — and a byte-identical repeat is
-// CacheHitNs. Every timing is the minimum over reps repetitions, the
-// uncontended cost the single-threaded replica model wants; the per-request
-// stages are then averaged over plans.
-// plans supplies representative query plans (a few suffice); c is the cluster
-// they are placed on. An uncompiled zt is compiled on the way, as by any
-// replica that serves it.
-//
-// The measurement is wall-clock and therefore NOT deterministic: a seeded
-// `zerotune plan` run that must produce byte-identical decision traces
-// across invocations pins the stages explicitly instead of re-measuring.
-func MeasureServiceModel(ctx context.Context, zt *core.ZeroTune, plans []*queryplan.PQP, c *cluster.Cluster, reps int) (ServiceModel, error) {
-	m := DefaultServiceModel()
-	if len(plans) == 0 {
-		return m, errors.New("desim: measure service model: no plans")
-	}
-	if reps < 1 {
-		reps = 5
-	}
-	graphs := make([]*features.Graph, len(plans))
-	bodies := make([][]byte, len(plans))
-	for i, p := range plans {
-		p = p.Clone() // encoding places the plan; the body carries it as given
-		t, err := p.Query.Analyze()
-		if err == nil {
-			graphs[i], err = zt.EncodePlan(ctx, t, p, c)
+// ServiceModelFromStages reads the per-request terms of the cost table off a
+// parsed /metrics page (or several, concatenated) of the tier to be simulated:
+// CacheHitNs is the mean body_hit, EncodeNs the sum of the EncodeStages means,
+// GatewayNs the mean of gateway.SelfMetric — zero when the page has no such
+// series, which is a tier with no gateway. The forward line and FallbackNs are
+// not request stages and stay zero. A page on which any of those histograms is
+// empty is an error: a term priced from a request that never happened would
+// silently be free.
+func ServiceModelFromStages(samples []obs.Sample) (m ServiceModel, err error) {
+	meanNs := func(h obs.HistogramStat, what string) int64 {
+		if h.Count == 0 && err == nil {
+			err = fmt.Errorf("desim: service model: the metrics page has no %s observation", what)
 		}
-		if err == nil {
-			bodies[i], err = json.Marshal(serve.PredictRequest{Plan: plans[i], Cluster: serve.ClusterSpec{Workers: len(c.Nodes)}})
-		}
-		if err != nil {
-			return m, fmt.Errorf("desim: measure service model: encode plan %d: %w", i, err)
-		}
+		return int64(h.Mean() * 1e9)
 	}
-	miss, hit := make([]int64, len(bodies)), make([]int64, len(bodies))
-	for r := 0; r < reps; r++ {
-		if err := timeHandlerPaths(ctx, zt, bodies, r, miss, hit); err != nil {
-			return m, fmt.Errorf("desim: measure service model: %w", err)
-		}
+	stages := serve.ReadStages(samples)
+	m.CacheHitNs = meanNs(stages[serve.StageBodyHit], serve.StageBodyHit.String())
+	for _, st := range EncodeStages() {
+		m.EncodeNs += meanNs(stages[st], st.String())
 	}
-	// Forward cost at batch sizes 1 and DefaultMaxBatch; the two points fit
-	// the base + per-item line the batcher's service time follows.
-	big := make([]*features.Graph, serve.DefaultMaxBatch)
-	for i := range big {
-		big[i] = graphs[i%len(graphs)]
+	if self, ok := obs.FindHistogram(samples, gateway.SelfMetric); ok {
+		m.GatewayNs = meanNs(self, gateway.SelfMetric)
 	}
-	var preds []gnn.Prediction
-	minForward := func(batch []*features.Graph) int64 {
-		best := int64(0)
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			preds = zt.PredictEncodedInto(preds, batch)
-			if d := time.Since(start).Nanoseconds(); r == 0 || d < best {
-				best = d
-			}
-		}
-		return best
+	if err != nil {
+		return ServiceModel{}, err
 	}
-	t1 := minForward(big[:1])
-	tN := minForward(big)
-	m.ForwardPerItemNs = max((tN-t1)/int64(serve.DefaultMaxBatch-1), 1)
-	m.ForwardBaseNs = max(t1-m.ForwardPerItemNs, 1)
-	m.EncodeNs = max(mean(miss)-t1, 1_000)
-	m.CacheHitNs = max(mean(hit), 1)
 	return m, nil
 }
 
-// timeHandlerPaths sends every body twice through a fresh replica serving zt
-// — the first is a miss of both caches, the repeat a body-cache hit — and
-// keeps each path's fastest time so far in miss[i] and hit[i]. The replica
-// has no batch window, so a miss is the stage costs and nothing else, and
-// each request finds it quiet (quietGap), as a lone request does: waking the
-// goroutines it hands off to is most of what such a request costs, and a
-// back-to-back loop, whose threads never park, would not see it. round
-// rotates which body meets the new server first.
-func timeHandlerPaths(ctx context.Context, zt *core.ZeroTune, bodies [][]byte, round int, miss, hit []int64) error {
-	srv := serve.New(serve.Options{BatchWindow: -1})
-	defer srv.Close()
-	srv.Registry().Install(zt, "calibration", "")
-	replica := serve.NewInProcessBackend("calibration", srv)
-	for k := range bodies {
-		i := (k + round) % len(bodies)
-		for _, best := range []*int64{&miss[i], &hit[i]} {
-			time.Sleep(quietGap)
-			start := time.Now()
-			status, resp, err := replica.Call(ctx, "/v1/predict", bodies[i])
-			d := time.Since(start).Nanoseconds()
-			if err != nil {
-				return err
-			}
-			if status != http.StatusOK {
-				return fmt.Errorf("plan %d: status %d: %s", i, status, resp)
-			}
-			if round == 0 || d < *best {
-				*best = d
-			}
+// FitForward times the model's forward pass at a batch of one and of
+// serve.DefaultMaxBatch and returns the line through the two points, the
+// base + per-item cost the batcher's service time follows. The line is a
+// property of the model and the machine, not of the request path, so it is
+// fitted on the engine: each size keeps the fastest of five passes, the
+// uncontended cost the single-threaded replica model wants. plans (a few
+// suffice) are placed on c and cycled to fill the large batch; zt must be
+// compiled, as a replica serving it would have. Wall-clock, so not
+// deterministic: a byte-reproducible plan pins the line.
+func FitForward(ctx context.Context, zt *core.ZeroTune, plans []*queryplan.PQP, c *cluster.Cluster) (baseNs, perItemNs int64, err error) {
+	if len(plans) == 0 {
+		return 0, 0, errors.New("desim: fit forward: no plans")
+	}
+	batch := make([]*features.Graph, serve.DefaultMaxBatch)
+	for i := range batch {
+		if i >= len(plans) {
+			batch[i] = batch[i-len(plans)]
+			continue
+		}
+		p := plans[i].Clone() // encoding places the plan
+		t, err := p.Query.Analyze()
+		if err == nil {
+			batch[i], err = zt.EncodePlan(ctx, t, p, c)
+		}
+		if err != nil {
+			return 0, 0, fmt.Errorf("desim: fit forward: encode plan %d: %w", i, err)
 		}
 	}
-	return nil
-}
-
-// quietGap is how long timeHandlerPaths lets a replica sit before a timed
-// request: long enough for the Go scheduler's spinning threads to park.
-const quietGap = 200 * time.Microsecond
-
-func mean(xs []int64) int64 {
-	var sum int64
-	for _, x := range xs {
-		sum += x
+	var preds []gnn.Prediction
+	fastest := func(graphs []*features.Graph) int64 {
+		best := int64(math.MaxInt64)
+		for r := 0; r < 5; r++ {
+			start := time.Now()
+			preds = zt.PredictEncodedInto(preds, graphs)
+			best = min(best, time.Since(start).Nanoseconds())
+		}
+		return best
 	}
-	return sum / int64(len(xs))
+	t1, tN := fastest(batch[:1]), fastest(batch)
+	perItemNs = max((tN-t1)/int64(len(batch)-1), 1)
+	return max(t1-perItemNs, 1), perItemNs, nil
 }
 
 // ServeConfig describes one simulated serve tier — the counterfactual knobs
@@ -242,14 +197,15 @@ type ServeConfig struct {
 	// Classes configures per-SLO-class token-bucket admission, normalized
 	// by gateway.NormalizeClasses exactly as gateway.Options.Classes is.
 	Classes []gateway.ClassConfig
-	// Service is the stage cost table (zero → DefaultServiceModel).
+	// Service is the stage cost table. It has no default: the zero table is
+	// an error.
 	Service ServiceModel
 	// CircuitThreshold trips a replica's breaker after this many
 	// consecutive forward failures (0 → serve.DefaultCircuitThreshold;
 	// negative disables).
 	CircuitThreshold int
 	// CircuitProbeEvery admits every Nth rejected request as the half-open
-	// probe (default 100). Count-based, like chaos runs, so breaker
+	// probe (default DefaultCircuitProbeEvery). Count-based, like chaos runs, so breaker
 	// transitions are a pure function of the request sequence.
 	CircuitProbeEvery int
 	// FailureProb is the per-flush probability of a forward-pass failure,
@@ -259,47 +215,42 @@ type ServeConfig struct {
 	// seed inside the loadgen.Spec it was built from).
 	Seed uint64
 	// MaxEvents aborts runaway simulations with ErrEventBudget
-	// (default 10,000,000).
+	// (default DefaultMaxEvents).
 	MaxEvents int
 	// Trace receives the decision trace; nil disables tracing.
 	Trace io.Writer
 }
 
-// withDefaults fills unset knobs from the live tier's constants.
+// Defaults of the two ServeConfig knobs the live tier has no counterpart of.
+const (
+	DefaultCircuitProbeEvery = 100
+	DefaultMaxEvents         = 10_000_000
+)
+
+// withDefaults fills unset knobs. Those the live tier shares go through the
+// live tier's own rules — serve.Options.WithDefaults and the batcher's
+// serve.QueueBound — so zero and negative mean here what they mean to
+// `zerotune serve`; the one counterfactual is a negative CacheEntries, a
+// replica with no cache at all.
 func (c ServeConfig) withDefaults() ServeConfig {
-	if c.Replicas < 1 {
-		c.Replicas = 1
+	live := serve.Options{
+		BatchWindow: c.BatchWindow, MaxBatch: c.MaxBatch,
+		CacheSize: c.CacheEntries, CircuitThreshold: c.CircuitThreshold,
+	}.WithDefaults()
+	c.BatchWindow, c.MaxBatch, c.CircuitThreshold = live.BatchWindow, live.MaxBatch, live.CircuitThreshold
+	if c.CacheEntries >= 0 {
+		c.CacheEntries = live.CacheSize
 	}
-	if c.BatchWindow == 0 {
-		c.BatchWindow = serve.DefaultBatchWindow
-	} else if c.BatchWindow < 0 {
-		c.BatchWindow = 0
-	}
-	if c.MaxBatch < 1 {
-		c.MaxBatch = serve.DefaultMaxBatch
-	}
-	if c.QueueDepth < c.MaxBatch {
-		c.QueueDepth = serve.DefaultQueueFactor * c.MaxBatch
-	}
-	if c.CacheEntries == 0 {
-		c.CacheEntries = serve.DefaultCacheSize
-	}
+	c.QueueDepth = serve.QueueBound(c.QueueDepth, c.MaxBatch)
+	c.Replicas = max(c.Replicas, 1)
 	if c.Route == "" {
 		c.Route = gateway.RouteAffinity
 	}
-	if c.Service == (ServiceModel{}) {
-		c.Service = DefaultServiceModel()
-	}
-	if c.CircuitThreshold == 0 {
-		c.CircuitThreshold = serve.DefaultCircuitThreshold
-	} else if c.CircuitThreshold < 0 {
-		c.CircuitThreshold = 0 // disabled
-	}
 	if c.CircuitProbeEvery < 1 {
-		c.CircuitProbeEvery = 100
+		c.CircuitProbeEvery = DefaultCircuitProbeEvery
 	}
 	if c.MaxEvents == 0 {
-		c.MaxEvents = 10_000_000
+		c.MaxEvents = DefaultMaxEvents
 	}
 	return c
 }
@@ -498,6 +449,9 @@ type serveSim struct {
 // traces. A budget abort returns partial results wrapped in ErrEventBudget.
 func SimulateServe(sched []loadgen.Request, cfg ServeConfig) (*RunResult, error) {
 	cfg = cfg.withDefaults()
+	if cfg.Service == (ServiceModel{}) {
+		return nil, errors.New("desim: ServeConfig.Service is the zero cost table; read one from a live tier (ServiceModelFromStages) or pin its terms")
+	}
 	if cfg.Replicas > 64 {
 		return nil, fmt.Errorf("desim: %d replicas exceed the routing bitmask width (64)", cfg.Replicas)
 	}

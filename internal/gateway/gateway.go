@@ -57,6 +57,14 @@ const (
 	DefaultSeed                 = 1
 )
 
+// SelfMetric is the histogram, in seconds, of what a proxied request costs at
+// the gateway itself: its handler time less the time it parked for a dispatch
+// slot (zerotune_gateway_queue_wait_seconds) and the time its forwards took
+// (zerotune_gateway_forward_duration_seconds) — admission, routing, the body
+// read and the response write. The capacity planner reads it as the simulated
+// gateway's cost per request.
+const SelfMetric = "zerotune_gateway_self_seconds"
+
 // Options configures a Gateway.
 type Options struct {
 	// Route selects the routing policy (default RouteAffinity).
@@ -148,6 +156,7 @@ type Gateway struct {
 	mux    *http.ServeMux
 
 	endpoints map[string]*obs.Endpoint
+	self      *obs.Histogram // SelfMetric
 	spillover *obs.Counter
 	routed    map[string]*obs.Counter // per-replica routing decisions
 	retries   *obs.Counter
@@ -204,6 +213,7 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 		queue:     newDispatchQueue(opts.Queue, opts.MaxConcurrent, opts.QueueDepth),
 		mux:       http.NewServeMux(),
 		endpoints: make(map[string]*obs.Endpoint, len(endpointNames)),
+		self:      reg.Histogram(SelfMetric),
 		spillover: reg.Counter("zerotune_gateway_spillover_total"),
 		retries:   reg.Counter("zerotune_gateway_forward_retries_total"),
 		routed:    make(map[string]*obs.Counter, len(backends)),
@@ -286,6 +296,12 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 	path := "/v1/" + endpoint
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
+		// away is the time this request spends parked or at a replica; the
+		// rest of the handler is the gateway's own.
+		var away time.Duration
+		defer func() {
+			g.self.Observe((time.Since(w.(*obs.StatusWriter).Started()) - away).Seconds())
+		}()
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("gateway: read request: %w", err))
@@ -315,7 +331,9 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 			return
 		}
 		defer g.queue.release()
-		cls.queueWait.Observe(time.Since(enq).Seconds())
+		parked := time.Since(enq)
+		away += parked
+		cls.queueWait.Observe(parked.Seconds())
 
 		// Stages 3+4: route and forward, retrying transport failures on the
 		// next-best replica. The affinity key is the replica body cache's
@@ -351,7 +369,9 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 			status, resp, err := rep.backend.Call(fctx, path, body)
 			cancel()
 			rep.noteDone()
-			rep.forwardS.Observe(time.Since(fstart).Seconds())
+			took := time.Since(fstart)
+			away += took
+			rep.forwardS.Observe(took.Seconds())
 			if err != nil {
 				// Transport failure: the replica never answered. Feed
 				// ejection and try the next-best replica — unless the client

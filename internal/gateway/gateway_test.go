@@ -240,11 +240,17 @@ func TestGatewayE2E(t *testing.T) {
 		t.Fatalf("gateway timed %v predict requests, sent 200", n)
 	}
 	for _, q := range []string{"0.5", "0.9", "0.99"} {
-		for _, name := range []string{"zerotune_gateway_queue_wait_seconds", "zerotune_gateway_request_duration_seconds", "zerotune_gateway_forward_duration_seconds"} {
+		for _, name := range []string{"zerotune_gateway_queue_wait_seconds", "zerotune_gateway_request_duration_seconds", "zerotune_gateway_forward_duration_seconds", SelfMetric} {
 			if _, ok := obs.FindSample(samples, name, obs.L("quantile", q)); !ok {
 				t.Fatalf("/metrics missing %s{quantile=%q}", name, q)
 			}
 		}
+	}
+	// What a request cost the gateway itself is observed once per proxied
+	// request and is a part of that request's time, not all of it.
+	whole, _ := obs.FindHistogram(samples, "zerotune_gateway_request_duration_seconds", obs.L("endpoint", "predict"))
+	if self, _ := obs.FindHistogram(samples, SelfMetric); self.Count != 200 || self.Sum <= 0 || self.Sum >= whole.Sum {
+		t.Fatalf("%s: %d observations summing to %gs of the %gs 200 requests took", SelfMetric, self.Count, self.Sum, whole.Sum)
 	}
 	sum := g.Summary()
 	for _, want := range []string{"class gold", "class best-effort", "fairness="} {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"zerotune/internal/obs"
+	"zerotune/internal/serve"
 )
 
 // quantile labels rendered in tables and reports, in order.
@@ -155,6 +156,63 @@ func BuildStep(offered float64, wall time.Duration, results []Result) StepReport
 	return st
 }
 
+// StageRow is one stage histogram of the target, as its /metrics page showed
+// it once the run was over: where inside the target the end-to-end latency
+// above it went. The histograms are the target's own and whole-run, so a sweep
+// has one table, not one per step.
+type StageRow struct {
+	// Source names the page when the target has several (each replica behind
+	// an in-process gateway); empty otherwise.
+	Source string  `json:"source,omitempty"`
+	Stage  string  `json:"stage"`
+	Count  uint64  `json:"count"`
+	P50Us  float64 `json:"p50_us"`
+	P99Us  float64 `json:"p99_us"`
+	// P99OverP50 is the stage's fat-tail ratio; 0 when P50Us is 0.
+	P99OverP50 float64 `json:"p99_over_p50,omitempty"`
+}
+
+// NewStageRow is the row of one parsed histogram series.
+func NewStageRow(source, stage string, h obs.HistogramStat) StageRow {
+	r := StageRow{Source: source, Stage: stage, Count: h.Count, P50Us: h.P50 * 1e6, P99Us: h.P99 * 1e6}
+	if h.P50 > 0 {
+		r.P99OverP50 = h.P99 / h.P50
+	}
+	return r
+}
+
+// StageRows reads the predict stages that happened at least once off a parsed
+// /metrics page, in request order.
+func StageRows(source string, samples []obs.Sample) []StageRow {
+	var rows []StageRow
+	for st, h := range serve.ReadStages(samples) {
+		if h.Count > 0 {
+			rows = append(rows, NewStageRow(source, serve.Stage(st).String(), h))
+		}
+	}
+	return rows
+}
+
+// StageTableHeader opens the per-stage table Table prints.
+const StageTableHeader = "stage                         count       p50       p99   p99/p50"
+
+// stageTable renders rows under StageTableHeader ("" for no rows).
+func stageTable(rows []StageRow) string {
+	if len(rows) == 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.WriteString(StageTableHeader + "\n")
+	for _, r := range rows {
+		name := r.Stage
+		if r.Source != "" {
+			name = r.Source + " " + r.Stage
+		}
+		fmt.Fprintf(&b, "%-26s %8d %7.1fµs %7.1fµs %9.2f\n", name, r.Count, r.P50Us, r.P99Us, r.P99OverP50)
+	}
+	return b.String()
+}
+
 // BenchmarkEntry mirrors cmd/benchjson's Benchmark shape, so a bench report
 // can be fed anywhere a BENCH_*.json snapshot is accepted (regression
 // baselines, the perf-trajectory tooling).
@@ -189,6 +247,9 @@ type Report struct {
 	KneeUpperRPS float64 `json:"knee_upper_rps,omitempty"`
 	// Saturated reports whether a sweep actually found the knee.
 	Saturated bool `json:"saturated,omitempty"`
+	// Stages is where the target spent the run, stage by stage; the caller
+	// that owns the target fills it from the target's /metrics.
+	Stages []StageRow `json:"stages,omitempty"`
 	// Benchmarks is the benchjson-compatible projection of Steps.
 	Benchmarks []BenchmarkEntry `json:"benchmarks"`
 }
@@ -252,5 +313,6 @@ func (r *Report) Table() string {
 	case r.Mode == "sweep":
 		fmt.Fprintf(&b, "saturation knee: not reached (goodput tracked offered load through the last step)\n")
 	}
+	b.WriteString(stageTable(r.Stages))
 	return b.String()
 }

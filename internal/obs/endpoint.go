@@ -24,10 +24,12 @@ func NewEndpoint(reg *Registry, prefix, name string) *Endpoint {
 	}
 }
 
-// StatusWriter remembers the response code for error counting.
+// StatusWriter remembers the response code for error counting, and when the
+// request it answers began.
 type StatusWriter struct {
 	http.ResponseWriter
-	status int
+	status  int
+	started time.Time
 }
 
 func (w *StatusWriter) WriteHeader(code int) {
@@ -38,12 +40,17 @@ func (w *StatusWriter) WriteHeader(code int) {
 // Status is the code written so far (200 until WriteHeader says otherwise).
 func (w *StatusWriter) Status() int { return w.status }
 
+// Started is the instant Wrap began timing the request: where a handler that
+// splits its own time into stages starts, so the stages and the endpoint's
+// latency share one clock reading.
+func (w *StatusWriter) Started() time.Time { return w.started }
+
 // Wrap counts every request h answers and times it. h is handed a
 // *StatusWriter, so a layer composed inside can read the status too.
 func (e *Endpoint) Wrap(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sw := &StatusWriter{ResponseWriter: w, status: http.StatusOK}
+		sw := &StatusWriter{ResponseWriter: w, status: http.StatusOK, started: start}
 		h(sw, r)
 		e.Requests.Inc()
 		if sw.status >= 400 {

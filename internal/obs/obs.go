@@ -91,6 +91,25 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, spanKey, sp), sp
 }
 
+// RecordSpan records a span that has already happened, from start to end, as
+// a child of the innermost open span in ctx — for work one goroutine did on
+// behalf of many requests, which each of them records from its own goroutine
+// once it knows when the work ran. attrs are key, value pairs. Without a
+// tracer in ctx it does nothing.
+func RecordSpan(ctx context.Context, name string, start, end time.Time, attrs ...any) {
+	t := TracerFrom(ctx)
+	if t == nil {
+		return
+	}
+	sp := t.start(name, SpanFrom(ctx))
+	sp.start = start
+	m := make(map[string]any, len(attrs)/2)
+	for i := 0; i+1 < len(attrs); i += 2 {
+		m[attrs[i].(string)] = attrs[i+1]
+	}
+	t.finish(sp, end, m)
+}
+
 // StartTrace opens a new root span named name on tracer t and returns a
 // context carrying both the tracer and the span — the entry point for
 // non-HTTP roots like a training run or a CLI invocation.

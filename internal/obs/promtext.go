@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -170,6 +171,45 @@ func FindSample(samples []Sample, name string, labels ...Label) (float64, bool) 
 		}
 	}
 	return 0, false
+}
+
+// Samples is the registry as a scraper of its /metrics page would see it:
+// rendered by WritePrometheus and parsed back, so an in-process reader and a
+// remote one read the same thing.
+func (r *Registry) Samples() ([]Sample, error) {
+	var page bytes.Buffer
+	if err := r.WritePrometheus(&page); err != nil {
+		return nil, err
+	}
+	return ParseText(&page)
+}
+
+// HistogramStat is one histogram series as a parsed page shows it: how many
+// observations, their sum, and the rendered median and p99 (zero when the
+// series is empty, for which no quantile is rendered).
+type HistogramStat struct {
+	Count    uint64
+	Sum      float64
+	P50, P99 float64
+}
+
+// Mean is Sum over Count, 0 when empty.
+func (h HistogramStat) Mean() float64 {
+	if h.Count == 0 {
+		return 0
+	}
+	return h.Sum / float64(h.Count)
+}
+
+// FindHistogram reads the histogram series name{labels} off a parsed page;
+// ok is whether the page has the series at all.
+func FindHistogram(samples []Sample, name string, labels ...Label) (h HistogramStat, ok bool) {
+	count, ok := FindSample(samples, name+"_count", labels...)
+	h.Count = uint64(count)
+	h.Sum, _ = FindSample(samples, name+"_sum", labels...)
+	h.P50, _ = FindSample(samples, name, append(labels, L("quantile", "0.5"))...)
+	h.P99, _ = FindSample(samples, name, append(labels, L("quantile", "0.99"))...)
+	return h, ok
 }
 
 // CheckHistograms validates every histogram family in samples: `le` bounds

@@ -6,7 +6,6 @@
 package serve_test
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -52,15 +51,7 @@ func call(ctx context.Context, s *serve.Server, body []byte) int {
 // arrivingGauge reads zerotune_predict_arriving off the server's /metrics.
 func arrivingGauge(t *testing.T, s *serve.Server) float64 {
 	t.Helper()
-	var page bytes.Buffer
-	if err := s.Metrics().WritePrometheus(&page); err != nil {
-		t.Fatal(err)
-	}
-	samples, err := obs.ParseText(&page)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, ok := obs.FindSample(samples, "zerotune_predict_arriving")
+	v, ok := obs.FindSample(metricsPage(t, s), "zerotune_predict_arriving")
 	if !ok {
 		t.Fatal("/metrics has no zerotune_predict_arriving")
 	}
@@ -216,19 +207,37 @@ func TestServeConcurrentDistinctPlansCoalesce(t *testing.T) {
 	}
 }
 
-// TestServeArrivalsNeverLeak drives every way a request can announce itself
-// and then not enqueue, and reads the gauge back as exactly zero after each:
-// one leaked announcement would make every later batch on the replica wait out
-// its window.
-func TestServeArrivalsNeverLeak(t *testing.T) {
+// The stages a predict request is timed through, by how it ends: a miss of
+// both caches runs the whole pipeline; everything else stops short of it
+// somewhere and closes with the respond stage.
+var (
+	stagesToDecode  = []serve.Stage{serve.StageFront, serve.StageDecode}
+	stagesToAnalyse = stageSet(stagesToDecode, serve.StageAnalyse)
+	stagesToAcquire = stageSet(stagesToAnalyse, serve.StageEncode, serve.StageFingerprint)
+	stagesToCache   = stageSet(stagesToAcquire, serve.StagePlanCache)
+
+	stagesBodyHit  = []serve.Stage{serve.StageBodyHit}
+	stagesMiss     = stageSet(stagesToCache, serve.StageQueueWait, serve.StageForward, serve.StageWake, serve.StageRespond)
+	stagesFollower = stageSet(stagesToCache, serve.StageCoalesceWait, serve.StageRespond)
+	stagesPlanHit  = ended(stagesToCache)
+)
+
+func stageSet(base []serve.Stage, more ...serve.Stage) []serve.Stage {
+	return append(append([]serve.Stage(nil), base...), more...)
+}
+
+// ended is the stage set of a request that got through reached and then
+// answered: with an error, a degraded prediction or a plan-cache hit.
+func ended(reached []serve.Stage) []serve.Stage { return stageSet(reached, serve.StageRespond) }
+
+// earlyExits drives every way a predict request can announce itself to the
+// batcher and then not enqueue. settled runs whenever the server has answered
+// everything sent so far, with the stage set of each request answered since
+// the last call; midway runs where one request has returned and others are
+// still parked.
+func earlyExits(t *testing.T, midway func(*testing.T, *serve.Server), settled func(*testing.T, *serve.Server, ...[]serve.Stage)) {
 	ctx := context.Background()
 	valid := predictBody(t, 1, 10_000)
-	check := func(t *testing.T, s *serve.Server) {
-		t.Helper()
-		if got := arrivingGauge(t, s); got != 0 {
-			t.Fatalf("zerotune_predict_arriving = %v after the request returned, want 0", got)
-		}
-	}
 	wantStatus := func(t *testing.T, what string, got, want int) {
 		t.Helper()
 		if got != want {
@@ -243,22 +252,25 @@ func TestServeArrivalsNeverLeak(t *testing.T) {
 		for _, o := range testPlan(1, 10_000).Query.Ops {
 			ghosts[fmt.Sprint(o.ID)] = []string{"no-such-node"}
 		}
-		for name, body := range map[string][]byte{
-			"bad JSON": []byte(`{"plan":`),
-			"nil plan": []byte(`{}`),
-			"invalid plan": marshal(t, map[string]any{"cluster": spec,
-				"plan": respell(t, testPlan(1, 10_000), func(p map[string]any) { delete(p, "query") })}),
-			"oversized plan": marshal(t, map[string]any{"cluster": spec,
+		for name, tc := range map[string]struct {
+			body    []byte
+			reached []serve.Stage
+		}{
+			"bad JSON": {[]byte(`{"plan":`), stagesToDecode[:1]},
+			"nil plan": {[]byte(`{}`), stagesToDecode},
+			"invalid plan": {marshal(t, map[string]any{"cluster": spec,
+				"plan": respell(t, testPlan(1, 10_000), func(p map[string]any) { delete(p, "query") })}), stagesToDecode},
+			"oversized plan": {marshal(t, map[string]any{"cluster": spec,
 				"plan": respell(t, testPlan(1, 10_000), func(p map[string]any) {
 					p["parallelism"].(map[string]any)["1"] = serve.MaxPlanInstances + 1
-				})}),
-			"bad cluster": marshal(t, serve.PredictRequest{Plan: testPlan(1, 10_000),
-				Cluster: serve.ClusterSpec{Workers: serve.MaxClusterNodes + 1}}),
-			"encode error": marshal(t, map[string]any{"cluster": spec,
-				"plan": respell(t, testPlan(1, 10_000), func(p map[string]any) { p["placement"] = ghosts })}),
+				})}), stagesToDecode},
+			"bad cluster": {marshal(t, serve.PredictRequest{Plan: testPlan(1, 10_000),
+				Cluster: serve.ClusterSpec{Workers: serve.MaxClusterNodes + 1}}), stagesToDecode},
+			"encode error": {marshal(t, map[string]any{"cluster": spec,
+				"plan": respell(t, testPlan(1, 10_000), func(p map[string]any) { p["placement"] = ghosts })}), stagesToAnalyse},
 		} {
-			wantStatus(t, name, call(ctx, s, body), http.StatusBadRequest)
-			check(t, s)
+			wantStatus(t, name, call(ctx, s, tc.body), http.StatusBadRequest)
+			settled(t, s, ended(tc.reached))
 		}
 	})
 
@@ -266,7 +278,7 @@ func TestServeArrivalsNeverLeak(t *testing.T) {
 		s := serve.New(serve.Options{})
 		t.Cleanup(s.Close)
 		wantStatus(t, "no model", call(ctx, s, valid), http.StatusServiceUnavailable)
-		check(t, s)
+		settled(t, s, ended(stagesToDecode))
 	})
 
 	t.Run("breaker open", func(t *testing.T) {
@@ -276,7 +288,7 @@ func TestServeArrivalsNeverLeak(t *testing.T) {
 		fault.Activate(reg)
 		t.Cleanup(fault.Deactivate)
 		wantStatus(t, "tripping request", call(ctx, s, valid), http.StatusOK) // enqueued, failed, degraded
-		check(t, s)
+		settled(t, s, ended(stagesToCache))
 		if s.Circuit() == serve.CircuitClosed {
 			t.Fatal("circuit still closed after the injected forward fault")
 		}
@@ -284,7 +296,7 @@ func TestServeArrivalsNeverLeak(t *testing.T) {
 		if snap := s.Snapshot(); snap.Degraded != 2 {
 			t.Fatalf("%d degraded answers, want 2", snap.Degraded)
 		}
-		check(t, s)
+		settled(t, s, ended(stagesToDecode))
 	})
 
 	t.Run("cache.acquire fault", func(t *testing.T) {
@@ -294,7 +306,7 @@ func TestServeArrivalsNeverLeak(t *testing.T) {
 		fault.Activate(reg)
 		t.Cleanup(fault.Deactivate)
 		wantStatus(t, "acquire fault", call(ctx, s, valid), http.StatusServiceUnavailable)
-		check(t, s)
+		settled(t, s, ended(stagesToAcquire))
 	})
 
 	t.Run("cancelled context", func(t *testing.T) {
@@ -302,7 +314,7 @@ func TestServeArrivalsNeverLeak(t *testing.T) {
 		gone, cancel := context.WithCancel(ctx)
 		cancel()
 		wantStatus(t, "cancelled request", call(gone, s, valid), serve.StatusClientClosedRequest)
-		check(t, s)
+		settled(t, s, ended(stagesToCache))
 	})
 
 	t.Run("queue full and follower", func(t *testing.T) {
@@ -319,7 +331,7 @@ func TestServeArrivalsNeverLeak(t *testing.T) {
 			return snap.Cache.Misses == 2 && snap.Arriving == 0
 		})
 		wantStatus(t, "third request", call(ctx, s, predictBody(t, 3, 30_000)), http.StatusTooManyRequests)
-		check(t, s)
+		midway(t, s)
 		go func() { statuses <- call(ctx, s, append([]byte(" "), valid...)) }()
 		waitSnapshot(t, s, "the twin to follow", func(snap serve.Snapshot) bool {
 			return snap.Cache.Coalesced == 1 && snap.Arriving == 0
@@ -329,7 +341,7 @@ func TestServeArrivalsNeverLeak(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			wantStatus(t, "parked request", <-statuses, http.StatusOK)
 		}
-		check(t, s)
+		settled(t, s, stagesMiss, stagesMiss, ended(stagesToCache), stagesFollower)
 	})
 
 	t.Run("stale-entry retry", func(t *testing.T) {
@@ -357,6 +369,23 @@ func TestServeArrivalsNeverLeak(t *testing.T) {
 		if snap := s.Snapshot(); snap.Degraded != 1 || snap.Cache.Misses != 2 {
 			t.Fatalf("%d degraded, cache %+v; want the leader degraded and the follower leading a second inference", snap.Degraded, snap.Cache)
 		}
+		// The follower acquires twice and is timed through the plan cache once.
+		settled(t, s, ended(stagesToCache), stagesMiss)
+	})
+}
+
+// TestServeArrivalsNeverLeak reads the arriving gauge back as exactly zero
+// after every request of earlyExits: one leaked announcement would make every
+// later batch on the replica wait out its window.
+func TestServeArrivalsNeverLeak(t *testing.T) {
+	check := func(t *testing.T, s *serve.Server) {
+		t.Helper()
+		if got := arrivingGauge(t, s); got != 0 {
+			t.Fatalf("zerotune_predict_arriving = %v after the request returned, want 0", got)
+		}
+	}
+	earlyExits(t, check, func(t *testing.T, s *serve.Server, _ ...[]serve.Stage) {
+		t.Helper()
 		check(t, s)
 	})
 }

@@ -15,14 +15,24 @@ import (
 
 // batchItem is one in-flight prediction: the encoded graph, the model
 // revision captured at request time, the request context (cancellation +
-// trace), and the slot the result lands in.
+// trace), and the slot the result lands in — with when the forward pass it
+// rode started and ended and how many graphs rode it, so the request can
+// account for the flush from its own goroutine. The flush stays zero for an
+// item failed before or without a forward pass.
 type batchItem struct {
 	ctx   context.Context
 	g     *features.Graph
 	entry *ModelEntry
 	pred  gnn.Prediction
 	err   error
+	flush flushStamp
 	done  chan struct{}
+}
+
+// flushStamp is one forward pass as its riders see it.
+type flushStamp struct {
+	start, end time.Time
+	graphs     int
 }
 
 // FlushReason says why a batch leaves the collector; Hold, that it does not
@@ -130,9 +140,7 @@ func NewBatcher(window time.Duration, max, queue int, deadline time.Duration, on
 	if max < 1 {
 		max = DefaultMaxBatch
 	}
-	if queue < max {
-		queue = DefaultQueueFactor * max
-	}
+	queue = QueueBound(queue, max)
 	if onBatch == nil {
 		onBatch = func(int) {}
 	}
@@ -142,6 +150,16 @@ func NewBatcher(window time.Duration, max, queue int, deadline time.Duration, on
 	b.wg.Add(1)
 	go b.loop()
 	return b
+}
+
+// QueueBound is the submitted-but-unflushed bound a batcher of batch size max
+// runs with when asked for queue: a bound that could not hold one full batch
+// (unset included) becomes DefaultQueueFactor batches.
+func QueueBound(queue, max int) int {
+	if queue < max {
+		return DefaultQueueFactor * max
+	}
+	return queue
 }
 
 // SetForward replaces the forward-pass function. Call before the first
@@ -163,6 +181,9 @@ func defaultForward(entry *ModelEntry, graphs []*features.Graph) ([]gnn.Predicti
 type Arrival struct {
 	b    *Batcher
 	open bool
+	// flush is the forward pass a successful Predict rode, for the handler's
+	// stage clock.
+	flush flushStamp
 }
 
 // Announce says a request is on its way to the batcher.
@@ -252,6 +273,14 @@ func (b *Batcher) predict(ctx context.Context, entry *ModelEntry, g *features.Gr
 	}
 	select {
 	case <-it.done:
+		if it.flush.graphs > 0 {
+			// ctx still carries the batcher.enqueue span, which parents the
+			// inference this request waited on into its own trace.
+			obs.RecordSpan(ctx, "gnn.forward", it.flush.start, it.flush.end, "batch", it.flush.graphs)
+			if arrival != nil {
+				arrival.flush = it.flush
+			}
+		}
 		return it.pred, it.err
 	case <-ctx.Done():
 		// The queued item is abandoned; the flush loop sees the cancelled
@@ -394,26 +423,10 @@ func (b *Batcher) run(batch []*batchItem) {
 }
 
 func (b *Batcher) runGroup(entry *ModelEntry, items []*batchItem) {
-	// One gnn.forward span per item, bracketing the shared forward pass:
-	// every traced request records the inference it actually waited on,
-	// with its own parent link into that request's trace.
-	spans := make([]*obs.Span, len(items))
-	for i, it := range items {
-		if it.ctx != nil {
-			_, spans[i] = obs.StartSpan(it.ctx, "gnn.forward")
-			spans[i].SetAttr("batch", len(items))
-		}
-	}
-	endSpans := func() {
-		for _, sp := range spans {
-			sp.End()
-		}
-	}
 	// A validated model should never panic, but a forward-pass crash must
 	// fail the batch, not the server.
 	defer func() {
 		if r := recover(); r != nil {
-			endSpans()
 			for _, it := range items {
 				if it.err == nil && !closed(it.done) {
 					it.err = fmt.Errorf("serve: inference panic: %v", r)
@@ -430,19 +443,16 @@ func (b *Batcher) runGroup(entry *ModelEntry, items []*batchItem) {
 	if fwd == nil {
 		fwd = defaultForward
 	}
+	flush := flushStamp{start: time.Now(), graphs: len(items)}
 	preds, ferr := fwd(entry, graphs)
-	// Spans end before done closes: a span that outlived its request's
-	// root span would be dropped as an orphan.
-	endSpans()
-	if ferr != nil {
-		for _, it := range items {
-			it.err = ferr
-			close(it.done)
-		}
-		return
-	}
+	flush.end = time.Now()
 	for i, it := range items {
-		it.pred = preds[i]
+		it.flush = flush
+		if ferr != nil {
+			it.err = ferr
+		} else {
+			it.pred = preds[i]
+		}
 		close(it.done)
 	}
 }

@@ -165,6 +165,16 @@ func TestServeMetricsStrictParse(t *testing.T) {
 			}
 		}
 	}
+	// Every stage of the list has its series from start-up; the one request,
+	// a miss, went through a forward pass and no body hit.
+	for _, st := range serve.Stages() {
+		if _, ok := obs.FindHistogram(samples, serve.StageMetric, obs.L("stage", st.String())); !ok {
+			t.Errorf("/metrics missing %s{stage=%q}", serve.StageMetric, st)
+		}
+	}
+	if stages := serve.ReadStages(samples); stages[serve.StageForward].Count != 1 || stages[serve.StageBodyHit].Count != 0 {
+		t.Errorf("one miss timed as %d forward passes and %d body hits", stages[serve.StageForward].Count, stages[serve.StageBodyHit].Count)
+	}
 	if _, ok := obs.FindSample(samples, "zerotune_model_info", obs.L("id", "test-a")); !ok {
 		t.Error("/metrics missing zerotune_model_info{id=test-a}")
 	}

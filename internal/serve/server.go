@@ -29,7 +29,10 @@
 // cancellation. A disconnected client aborts its queued prediction before
 // it joins a batch; a traced request records http.<endpoint> →
 // encode.plan / cache.lookup / batcher.enqueue → gnn.forward spans,
-// retrievable from /debug/traces when the server runs in debug mode.
+// retrievable from /debug/traces when the server runs in debug mode. Traced
+// or not, every predict request is timed stage by stage where it runs (Stage)
+// into the one set of histograms /metrics, `zerotune bench` and the capacity
+// planner read.
 package serve
 
 import (
@@ -171,7 +174,8 @@ type Server struct {
 	cache    *Cache
 	resp     *respCache
 	respHits *obs.Counter
-	bodyBufs sync.Pool // *[]byte request-body read buffers
+	stages   [NumStages]*obs.Histogram // StageMetric, by Stage
+	bodyBufs sync.Pool                 // *[]byte request-body read buffers
 	batcher  *Batcher
 	stats    *Stats
 	breaker  *Breaker
@@ -216,6 +220,9 @@ func New(opts Options) *Server {
 	}
 	s.resp = newRespCache(opts.CacheSize)
 	s.respHits = reg.Counter("zerotune_respcache_body_hits_total")
+	for _, st := range Stages() {
+		s.stages[st] = reg.Histogram(StageMetric, obs.L("stage", st.String()))
+	}
 	s.bodyBufs.New = func() any { b := make([]byte, 0, 4096); return &b }
 	s.cache = NewCacheWithCounters(opts.CacheSize, CacheCounters{
 		Hits:      reg.Counter("zerotune_cache_hits_total"),
@@ -410,6 +417,8 @@ const acquireRetries = 3
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
+	// The request's stages are timed from where its endpoint latency is.
+	clock := stageClock{hist: &s.stages, last: w.(*obs.StatusWriter).Started()}
 	// The body is read once: its raw bytes key the outermost response cache,
 	// and on a miss the same bytes are decoded. A byte-identical repeat of a
 	// recent request skips decode, placement, featurization and inference
@@ -427,8 +436,13 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.respHits.Inc()
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(data)
+		clock.mark(StageBodyHit)
 		return
 	}
+	clock.mark(StageFront)
+	// Whatever is left when the handler returns — the answer, or the step that
+	// failed and its error — is the request's last stage.
+	defer clock.mark(StageRespond)
 	// From here the request is on its way to the batcher, and a batch being
 	// collected waits for it. Every exit that does not enqueue — each 4xx, no
 	// model, a degraded answer, a plan-cache hit, backpressure, a panic —
@@ -440,6 +454,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
 		return
 	}
+	clock.mark(StageDecode)
 	if req.Plan == nil {
 		writeError(w, http.StatusBadRequest, errors.New("serve: request has no plan"))
 		return
@@ -477,6 +492,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.serveDegraded(w, ctx, entry, req.Plan, c, ErrCircuitOpen)
 		return
 	}
+	clock.mark(StageAnalyse)
 	if probe {
 		// A probe that exits below without reaching RecordSuccess or
 		// RecordFailure (encode error, cache hit, backpressure, injected
@@ -490,7 +506,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	clock.mark(StageEncode)
 	fp := PlanFingerprint(g, entry.ZT.Mask)
+	clock.mark(StageFingerprint)
+	acquired := false
 	for attempt := 0; ; attempt++ {
 		if err := fault.Inject(fault.CacheAcquire); err != nil {
 			if attempt < acquireRetries {
@@ -507,9 +526,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		e, leader := s.cache.Acquire(fp)
 		lookup.SetAttr("leader", leader)
 		lookup.End()
+		if !acquired {
+			// Once a request: a stale-entry retry's backoff and re-acquire
+			// count towards the wait they end in.
+			clock.mark(StagePlanCache)
+			acquired = true
+		}
 		var pred gnn.Prediction
 		if leader {
-			pred, err = arrival.Predict(ctx, entry, g)
+			if pred, err = arrival.Predict(ctx, entry, g); err == nil {
+				clock.markAt(StageQueueWait, arrival.flush.start)
+				clock.markAt(StageForward, arrival.flush.end)
+				clock.mark(StageWake)
+			}
 			s.cache.Complete(e, pred, err)
 			if err != nil {
 				s.finishPredict(w, ctx, entry, req.Plan, c, err)
@@ -520,6 +549,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			// A follower waits on its leader's batch, which must not in turn
 			// be waiting for the follower.
 			arrival.Withdraw()
+			waits := !e.Filled() // a filled entry is a plan-cache hit
 			if pred, err = e.Wait(ctx); err != nil {
 				// The leader this request attached to failed; its entry is gone,
 				// so a bounded number of re-acquires (with jittered backoff, to
@@ -531,6 +561,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 				}
 				writeError(w, predictStatus(err), err)
 				return
+			}
+			if waits {
+				clock.mark(StageCoalesceWait)
 			}
 		}
 		resp := PredictResponse{
