@@ -383,17 +383,10 @@ func BenchmarkServePredict(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/sec")
 }
 
-// BenchmarkServePredictMiss is the cold half of BenchmarkServePredict: 1024
-// distinct seeded plans cycle against 256-entry caches, so every request
-// misses the body cache and the fingerprint cache and pays for the whole
-// pipeline — decode, analyse, place, encode, fingerprint, forward, marshal.
-// BatchWindow -1 flushes every request alone, so the batch timer is not what
-// is timed; one client at a time, so ns/op and allocs/op are one miss.
-func BenchmarkServePredictMiss(b *testing.B) {
-	s := serve.New(serve.Options{BatchWindow: -1, CacheSize: 256})
-	defer s.Close()
-	s.Registry().Install(benchServeModel(b), "bench", "")
-
+// benchMissBodies marshals 1024 distinct seeded predict requests over the seen
+// structures: the bodies of a cold request.
+func benchMissBodies(b *testing.B) [][]byte {
+	b.Helper()
 	gen := workload.NewSeenGenerator(5)
 	structures := workload.SeenRanges().Structures
 	bodies := make([][]byte, 1024)
@@ -407,6 +400,69 @@ func BenchmarkServePredictMiss(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	return bodies
+}
+
+// BenchmarkDecodePredict is the decode stage of a cold request alone: the
+// request's own decoder over BenchmarkServePredictMiss's bodies, called as
+// the handler calls it.
+func BenchmarkDecodePredict(b *testing.B) {
+	bodies := benchMissBodies(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var req serve.PredictRequest
+		if err := req.UnmarshalJSON(bodies[i%len(bodies)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// refPredictRequest is serve.PredictRequest without its decoder: the same
+// fields and tags over types that have no UnmarshalJSON, so encoding/json
+// decodes it by reflection, as every request was decoded before the wire
+// types decoded themselves (internal/serve's differential test holds the two
+// to equal results; this benchmark holds them side by side on cost).
+type (
+	refQuery          queryplan.Query   // a defined type keeps the fields and tags and drops the methods
+	refCluster        serve.ClusterSpec // likewise
+	refPredictRequest struct {
+		Plan *struct {
+			Query       *refQuery        `json:"query"`
+			Parallelism map[int]int      `json:"parallelism"`
+			Placement   map[int][]string `json:"placement,omitempty"`
+			NoChain     []int            `json:"no_chain,omitempty"` // what OpSet used to decode through
+		} `json:"plan"`
+		Cluster refCluster `json:"cluster"`
+	}
+)
+
+// BenchmarkDecodePredictRef is the same bodies through encoding/json's
+// reflection: what BenchmarkDecodePredict is measured against.
+func BenchmarkDecodePredictRef(b *testing.B) {
+	bodies := benchMissBodies(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var req refPredictRequest
+		if err := json.Unmarshal(bodies[i%len(bodies)], &req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServePredictMiss is the cold half of BenchmarkServePredict: 1024
+// distinct seeded plans cycle against 256-entry caches, so every request
+// misses the body cache and the fingerprint cache and pays for the whole
+// pipeline — decode, analyse, place, encode, fingerprint, forward, marshal.
+// BatchWindow -1 flushes every request alone, so the batch timer is not what
+// is timed; one client at a time, so ns/op and allocs/op are one miss.
+func BenchmarkServePredictMiss(b *testing.B) {
+	s := serve.New(serve.Options{BatchWindow: -1, CacheSize: 256})
+	defer s.Close()
+	s.Registry().Install(benchServeModel(b), "bench", "")
+
+	bodies := benchMissBodies(b)
 
 	w := &benchResponseWriter{h: make(http.Header)}
 	b.ReportAllocs()

@@ -231,6 +231,7 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 	reg.GaugeFunc("zerotune_gateway_queue_depth", func() float64 { return float64(g.queue.depth()) })
 	reg.GaugeFunc("zerotune_gateway_replicas_healthy", func() float64 { return float64(g.pool.HealthyCount()) })
 	reg.GaugeFunc("zerotune_gateway_uptime_seconds", func() float64 { return time.Since(g.start).Seconds() })
+	obs.RegisterRuntime(reg)
 
 	g.mux.HandleFunc("POST /v1/predict", g.endpoints["predict"].Wrap(g.proxyHandler("predict")))
 	g.mux.HandleFunc("POST /v1/tune", g.endpoints["tune"].Wrap(g.proxyHandler("tune")))

@@ -236,6 +236,17 @@ func TestGatewayE2E(t *testing.T) {
 	if err := obs.CheckHistograms(samples); err != nil {
 		t.Fatal(err)
 	}
+	// The Go runtime's series are beside the gateway's own.
+	for _, name := range []string{obs.RuntimeGoroutinesMetric, obs.RuntimeHeapLiveMetric} {
+		if v, ok := obs.FindSample(samples, name); !ok || v <= 0 {
+			t.Fatalf("/metrics: %s = %v (present=%v), want a positive gauge", name, v, ok)
+		}
+	}
+	for _, name := range []string{obs.RuntimeGCPauseMetric, obs.RuntimeSchedLatencyMetric} {
+		if _, ok := obs.FindSample(samples, name+"_bucket", obs.L("le", "+Inf")); !ok {
+			t.Fatalf("/metrics missing histogram %s", name)
+		}
+	}
 	if n, _ := obs.FindSample(samples, "zerotune_gateway_request_duration_seconds_count", obs.L("endpoint", "predict")); n != 200 {
 		t.Fatalf("gateway timed %v predict requests, sent 200", n)
 	}

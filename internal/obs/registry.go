@@ -77,6 +77,7 @@ type series struct {
 	gauge   *Gauge
 	fn      func() float64
 	hist    *Histogram
+	histFn  func() HistogramSnapshot // a histogram kept elsewhere, read at render time
 }
 
 // family groups every series of one metric name.
@@ -213,6 +214,14 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 	return s.hist
 }
 
+// HistogramFunc exports a histogram kept elsewhere, snapshotted at scrape time
+// under the rules of GaugeFunc.
+func (r *Registry) HistogramFunc(name string, fn func() HistogramSnapshot, labels ...Label) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.lookupLocked(name, kindHistogram, labels, func(*series) {}).histFn = fn
+}
+
 // SetInfo publishes a constant-1 info metric whose labels carry identity
 // (model ID, build revision). Unlike other instruments the label set is
 // replaceable: publishing again drops the previous series, so a hot model
@@ -266,7 +275,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case kindInfo:
 				writeSample(&b, name, s.labels, "", 1, true)
 			case kindHistogram:
-				writeHistogram(&b, name, s.labels, s.hist.Snapshot())
+				if s.histFn != nil {
+					writeHistogram(&b, name, s.labels, s.histFn())
+				} else {
+					writeHistogram(&b, name, s.labels, s.hist.Snapshot())
+				}
 			}
 		}
 	}

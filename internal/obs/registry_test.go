@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -388,5 +389,37 @@ func TestParseTextRejectsMalformed(t *testing.T) {
 		if _, err := ParseText(strings.NewReader(line + "\n")); err == nil {
 			t.Errorf("ParseText accepted malformed line %q", line)
 		}
+	}
+}
+
+// TestRuntimeSeries: the runtime's histograms read back through the page as
+// what the runtime itself reports — every pause counted, none read shorter
+// than the runtime's own bucket says it was.
+func TestRuntimeSeries(t *testing.T) {
+	for i := 0; i < 3; i++ {
+		runtime.GC() // so the pause histogram is not empty
+	}
+	reg := NewRegistry()
+	RegisterRuntime(reg)
+	RegisterRuntime(reg) // a registry shared by two tiers registers twice
+	samples, err := reg.Samples()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckHistograms(samples); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := FindSample(samples, RuntimeGoroutinesMetric); !ok || v < 1 {
+		t.Fatalf("%s = %v (present=%v)", RuntimeGoroutinesMetric, v, ok)
+	}
+	if v, ok := FindSample(samples, RuntimeHeapLiveMetric); !ok || v <= 0 {
+		t.Fatalf("%s = %v (present=%v)", RuntimeHeapLiveMetric, v, ok)
+	}
+	pauses, ok := FindHistogram(samples, RuntimeGCPauseMetric)
+	if !ok || pauses.Count < 3 || pauses.Sum <= 0 || pauses.P99 <= 0 || pauses.P99 > 10 {
+		t.Fatalf("%s after three collections: %+v (present=%v)", RuntimeGCPauseMetric, pauses, ok)
+	}
+	if _, ok := FindHistogram(samples, RuntimeSchedLatencyMetric); !ok {
+		t.Fatalf("page has no %s", RuntimeSchedLatencyMetric)
 	}
 }

@@ -12,10 +12,11 @@ import (
 // catalogue).
 //
 // The struct is its own wire format (plan files, /v1/predict bodies, recorded
-// traces). Decoding does not validate and leaves absent maps nil, which every
-// read tolerates and every writer (SetDegree, SetNoChain, cluster.Place)
-// allocates on first use; whoever consumes a decoded plan calls Validate or
-// Analyze first, as it would for a plan built in code.
+// traces) and its own decoder (UnmarshalJSON, decode.go: one schema-specific
+// pass, no reflection). Decoding does not validate and leaves absent maps nil,
+// which every read tolerates and every writer (SetDegree, SetNoChain,
+// cluster.Place) allocates on first use; whoever consumes a decoded plan calls
+// Validate or Analyze first, as it would for a plan built in code.
 type PQP struct {
 	Query       *Query           `json:"query"`
 	Parallelism map[int]int      `json:"parallelism"`         // operator ID → degree (≥ 1)
@@ -29,7 +30,8 @@ type PQP struct {
 
 // OpSet is a set of operator IDs: a map in memory, where membership is what
 // chaining asks, and a sorted list of the members on the wire, so one plan
-// always marshals to the same bytes.
+// always marshals to the same bytes. Its UnmarshalJSON is with the plan's, in
+// decode.go.
 type OpSet map[int]bool
 
 // MarshalJSON implements json.Marshaler.
@@ -42,19 +44,6 @@ func (s OpSet) MarshalJSON() ([]byte, error) {
 	}
 	sort.Ints(ids)
 	return json.Marshal(ids)
-}
-
-// UnmarshalJSON implements json.Unmarshaler; repeated IDs collapse.
-func (s *OpSet) UnmarshalJSON(data []byte) error {
-	var ids []int
-	if err := json.Unmarshal(data, &ids); err != nil {
-		return err
-	}
-	*s = make(OpSet, len(ids))
-	for _, id := range ids {
-		(*s)[id] = true
-	}
-	return nil
 }
 
 // NewPQP returns a PQP over q with every operator at parallelism 1 and no

@@ -15,8 +15,8 @@ type Edge struct {
 }
 
 // Query is a logical streaming query: a DAG of operators from one or more
-// sources to a single sink. Like PQP it is its own wire format and is not
-// validated by decoding.
+// sources to a single sink. Like PQP it is its own wire format and its own
+// decoder, and is not validated by decoding.
 type Query struct {
 	Name     string      `json:"name"`     // human-readable, e.g. "smart-grid (local)"
 	Template string      `json:"template"` // structural template id, e.g. "linear", "3-way-join"

@@ -7,7 +7,9 @@ package serve_test
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
 
 	"zerotune/internal/fault"
@@ -111,4 +113,87 @@ func TestInvalidPlansAre400(t *testing.T) {
 		_, ts := newTestServer(t, serve.Options{})
 		want400(t, ts.URL+"/v1/tune", tuneBodies)
 	})
+}
+
+// postBytes posts body as it is — the bytes under test are the ones
+// json.Marshal would never write.
+func postBytes(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	payload, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, payload
+}
+
+// TestUndecodableBodiesAre400: /v1/predict and /v1/tune read and decode a body
+// the same way, so what one refuses to decode the other refuses with the same
+// words — a 400 bad_request whose message starts "serve: decode request:" —
+// and what one tolerates (unknown keys, repeated or not; whitespace around
+// the value) the other does too.
+func TestUndecodableBodiesAre400(t *testing.T) {
+	_, ts := newTestServer(t, serve.Options{BatchWindow: -1})
+	marshal := func(v any) string {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	valid := map[string]string{
+		"/v1/predict": marshal(serve.PredictRequest{Plan: testPlan(1, 10_000), Cluster: serve.ClusterSpec{Workers: 4}}),
+		"/v1/tune":    marshal(tuneRequest()),
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(valid string) string
+		ok   bool
+	}{
+		{"as written", func(v string) string { return v }, true},
+		{"whitespace around the value", func(v string) string { return " \n" + v + "\t\r\n" }, true},
+		{"an unknown key, twice", func(v string) string { return `{"client_request_id":"a","client_request_id":{"b":[1]},` + v[1:] }, true},
+		{"empty body", func(string) string { return "" }, false},
+		{"truncated", func(v string) string { return v[:len(v)-1] }, false},
+		{"trailing data", func(v string) string { return v + ` trailing` }, false},
+		{"a second value", func(v string) string { return v + v }, false},
+		{"not an object", func(v string) string { return `[` + v + `]` }, false},
+		{"a known key, twice", func(v string) string { return `{"cluster":{"workers":4},` + v[1:] }, false},
+		{"a known key, twice, case-folded", func(v string) string { return `{"CLUSTER":{"workers":4},` + v[1:] }, false},
+		{"a known key, twice, nested", func(v string) string { return strings.Replace(v, `"workers":4`, `"workers":4,"workers":4`, 1) }, false},
+		{"a fraction in an integer", func(v string) string { return strings.Replace(v, `"workers":4`, `"workers":4.0`, 1) }, false},
+		{"an unknown value nested too deep", func(v string) string {
+			return `{"x":` + strings.Repeat("[", 10_001) + strings.Repeat("]", 10_001) + `,` + v[1:]
+		}, false},
+	} {
+		messages := map[string]string{}
+		for path, body := range valid {
+			status, payload := postBytes(t, ts.URL+path, tc.edit(body))
+			if tc.ok {
+				if status != http.StatusOK {
+					t.Errorf("%s, %s: status %d (%s), want 200", tc.name, path, status, payload)
+				}
+				continue
+			}
+			if status != http.StatusBadRequest || envelopeCode(t, payload) != "bad_request" {
+				t.Errorf("%s, %s: status %d, body %s; want 400 bad_request", tc.name, path, status, payload)
+				continue
+			}
+			var env struct {
+				Error serve.ErrorBody `json:"error"`
+			}
+			if err := json.Unmarshal(payload, &env); err != nil || !strings.HasPrefix(env.Error.Message, "serve: decode request: ") {
+				t.Errorf("%s, %s: message %q does not say the body failed to decode", tc.name, path, env.Error.Message)
+			}
+			// The offset in the message depends on the body; the rest must not.
+			messages[path] = strings.TrimRight(env.Error.Message, "0123456789")
+		}
+		if messages["/v1/predict"] != messages["/v1/tune"] {
+			t.Errorf("%s: predict says %q, tune says %q", tc.name, messages["/v1/predict"], messages["/v1/tune"])
+		}
+	}
 }

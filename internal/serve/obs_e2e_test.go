@@ -178,6 +178,27 @@ func TestServeMetricsStrictParse(t *testing.T) {
 	if _, ok := obs.FindSample(samples, "zerotune_model_info", obs.L("id", "test-a")); !ok {
 		t.Error("/metrics missing zerotune_model_info{id=test-a}")
 	}
+	checkRuntimeSeries(t, samples)
+}
+
+// checkRuntimeSeries: the Go runtime's series are on the page, live (this
+// process has goroutines and a heap) and shaped like the page's own
+// histograms, which CheckHistograms has already held them to.
+func checkRuntimeSeries(t *testing.T, samples []obs.Sample) {
+	t.Helper()
+	for _, name := range []string{obs.RuntimeGoroutinesMetric, obs.RuntimeHeapLiveMetric} {
+		if v, ok := obs.FindSample(samples, name); !ok || v <= 0 {
+			t.Errorf("/metrics: %s = %v (present=%v), want a positive gauge", name, v, ok)
+		}
+	}
+	for _, name := range []string{obs.RuntimeGCPauseMetric, obs.RuntimeSchedLatencyMetric} {
+		if _, ok := obs.FindHistogram(samples, name); !ok {
+			t.Errorf("/metrics missing histogram %s", name)
+		}
+		if _, ok := obs.FindSample(samples, name+"_bucket", obs.L("le", "+Inf")); !ok {
+			t.Errorf("/metrics: %s has no buckets", name)
+		}
+	}
 }
 
 // TestServeErrorSchema pins the wire error contract: every error path

@@ -450,7 +450,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	arrival := s.batcher.Announce()
 	defer arrival.Withdraw()
 	var req PredictRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	if err := req.UnmarshalJSON(body); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
 		return
 	}
@@ -659,9 +659,19 @@ func predictStatus(err error) int {
 const MaxRandomCandidates = 1024
 
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	var req TuneRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	// Read and decoded as /v1/predict's body is: the pooled buffer, the
+	// request's own decoder, the same two errors.
+	bufp := s.bodyBufs.Get().(*[]byte)
+	defer s.bodyBufs.Put(bufp)
+	body, err := readBody(w, r, (*bufp)[:0])
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	*bufp = body[:0]
+	var req TuneRequest
+	if err := req.UnmarshalJSON(body); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
 		return
 	}
 	c, err := req.Cluster.Build()

@@ -51,6 +51,7 @@ func NewStats(reg *obs.Registry) *Stats {
 		s.endpoints[name] = obs.NewEndpoint(reg, "zerotune", name)
 	}
 	reg.GaugeFunc("zerotune_uptime_seconds", func() float64 { return time.Since(s.start).Seconds() })
+	obs.RegisterRuntime(reg)
 	return s
 }
 

@@ -14,7 +14,10 @@ import (
 // Wire layer: the JSON request/response schema of the HTTP API. Plans and
 // queries reuse the canonical queryplan serialization (snake_case fields,
 // integer enum codes), so a plan file written for `zerotune simulate -plan`
-// is a valid /v1/predict payload verbatim.
+// is a valid /v1/predict payload verbatim. The three types a request body is
+// made of — PredictRequest, TuneRequest, ClusterSpec — decode themselves
+// (decode.go); everything else on this page is small and goes through
+// encoding/json.
 
 // MaxBodyBytes bounds request bodies; a parallel query plan is a few KB,
 // so anything near the limit is abuse, not workload. The gateway, the client
@@ -241,7 +244,9 @@ type errorResponse struct {
 }
 
 // decodeJSON reads one JSON value from the request body, rejecting trailing
-// garbage and oversized payloads.
+// garbage and oversized payloads: the way in for /v1/reload and /v1/feedback,
+// whose bodies are a field or three. /v1/predict and /v1/tune read theirs
+// with readBody and decode it themselves.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err := dec.Decode(v); err != nil {
