@@ -170,15 +170,16 @@ func benchTarget(cmd, targetURL, model string, replicas int, slo string, timeout
 		close: func() { g.Close(); closeReplicas() }, gateway: g, replicas: pool}, nil
 }
 
-// benchCommand is the open-loop load harness: fixed-rate runs, saturation
-// sweeps, and deterministic trace record/replay, all reporting
+// benchCommand is the open-loop load harness: fixed-rate runs, capacity
+// searches, and deterministic trace record/replay, all reporting
 // coordinated-omission-corrected percentiles of the whole run, read from the
 // same obs.Histogram that backs /metrics, and under them the target's own
 // per-stage histograms.
 func benchCommand(fs *flag.FlagSet) func() error {
 	var (
-		gen   specFlags
-		sweep loadgen.SweepOptions
+		gen    specFlags
+		run    loadgen.RunOptions
+		search loadgen.SearchOptions
 	)
 	target := fs.String("target", "", "remote base URL (http://host:port); default: in-process serve")
 	model := bindModel(fs, "model path for in-process targets")
@@ -191,17 +192,13 @@ func benchCommand(fs *flag.FlagSet) func() error {
 	record := fs.String("record", "", "write the schedule (bodies, intended send times, classes) as a trace file")
 	replay := fs.String("replay", "", "replay a recorded trace byte-exactly instead of generating a schedule")
 	dry := fs.Bool("dry", false, "build (and -record) the schedule without sending any load")
-	sweepMode := fs.Bool("sweep", false, "walk offered load upward to locate the saturation knee")
-	fs.Float64Var(&sweep.Start, "sweep-start", 0, "first sweep step's rate (default: -rate)")
-	fs.Float64Var(&sweep.Factor, "sweep-factor", loadgen.DefaultSweepFactor, "rate multiplier between sweep steps")
-	fs.IntVar(&sweep.Steps, "sweep-steps", loadgen.DefaultSweepSteps, "number of sweep steps")
-	fs.DurationVar(&sweep.StepDuration, "step-duration", loadgen.DefaultStepDuration, "per-step horizon in sweep mode")
-	fs.Float64Var(&sweep.GoodputFraction, "goodput-fraction", loadgen.DefaultGoodputFraction, "a step whose goodput falls below this fraction of offered load is saturated")
+	sweep := fs.Bool("sweep", false, "search for the highest rate the target sustains, from -min-rate up to -max-rate")
+	bindSearch(fs, &search)
 	reportPath := bindReport(fs)
-	bindRunOptions(fs, &sweep.Run)
+	bindRunOptions(fs, &run)
 	return func() error {
-		if *sweepMode && (*record != "" || *replay != "") {
-			return errors.New("bench: -sweep varies the rate per step; it cannot be combined with -record/-replay")
+		if *sweep && (*record != "" || *replay != "") {
+			return errors.New("bench: -sweep varies the rate per probe; it cannot be combined with -record/-replay")
 		}
 
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -228,12 +225,12 @@ func benchCommand(fs *flag.FlagSet) func() error {
 			if spec, err = gen.build(); err != nil {
 				return err
 			}
-			if !*sweepMode {
-				if reqs, err = spec.Schedule(); err != nil {
-					return err
-				}
-				header = loadgen.HeaderFromSpec(spec)
+			if *sweep { // each probe draws its own rate
+				spec.Rate, spec.Duration = 0, search.StepDuration
+			} else if reqs, err = spec.Schedule(); err != nil {
+				return err
 			}
+			header = loadgen.HeaderFromSpec(spec)
 		}
 		// What the schedule offers and spans: the header's word for it, which
 		// for a replayed trace is the recording's, not this run's flags.
@@ -250,30 +247,29 @@ func benchCommand(fs *flag.FlagSet) func() error {
 			return nil
 		}
 
-		tgt, err := benchTarget("bench", *target, *model, *replicas, *slo, sweep.Run.Timeout)
+		tgt, err := benchTarget("bench", *target, *model, *replicas, *slo, run.Timeout)
 		if err != nil {
 			return err
 		}
 		defer tgt.close()
-		sweep.Run.Target = tgt
+		run.Target = tgt
 
 		var rep *loadgen.Report
-		if *sweepMode {
-			if sweep.Start == 0 {
-				sweep.Start = spec.Rate
-			}
-			if rep, err = loadgen.Sweep(ctx, spec, sweep); err != nil {
+		if *sweep {
+			c, err := loadgen.Search(search, loadgen.Oracle(ctx, spec, run))
+			if err != nil {
 				return err
 			}
-			rep.Target = tgt.name
+			c.Scenario = tgt.name
+			rep = &loadgen.Report{Mode: "sweep", Target: tgt.name, Trace: header, Search: &search, Capacity: []loadgen.Capacity{c}}
 		} else {
-			results, err := loadgen.Run(ctx, reqs, sweep.Run)
+			results, err := loadgen.Run(ctx, reqs, run)
 			if err != nil {
 				return err
 			}
 			rep = loadgen.SingleStep(mode, tgt.name, header, offered, wall, results)
 		}
-		rep.BuildBenchmarks("bench/" + tgt.name)
+		rep.BuildBenchmarks("bench")
 		pages, err := tgt.pages(ctx)
 		if err != nil {
 			return err

@@ -120,6 +120,15 @@ func bindRunOptions(fs *flag.FlagSet, o *loadgen.RunOptions) {
 	fs.DurationVar(&o.Timeout, "timeout", serve.DefaultRequestTimeout, "per-request deadline (negative: unbounded)")
 }
 
+// bindSearch registers the capacity search's question, which bench -sweep
+// asks of a live target and plan of the simulator.
+func bindSearch(fs *flag.FlagSet, o *loadgen.SearchOptions) {
+	fs.DurationVar(&o.P99, "p99", loadgen.DefaultP99, "a probed rate is sustained when its corrected p99 stays inside this and 95% of its requests succeed")
+	fs.Float64Var(&o.MinRPS, "min-rate", loadgen.DefaultMinRPS, "search floor (req/s): the first rate probed")
+	fs.Float64Var(&o.MaxRPS, "max-rate", loadgen.DefaultMaxRPS, "search ceiling (req/s)")
+	fs.DurationVar(&o.StepDuration, "step-duration", loadgen.DefaultStepDuration, "load horizon of each evaluated rate")
+}
+
 // specFlags is the generated load bench drives and plan simulates: the
 // loadgen.Spec fields a flag sets directly, plus the two list-valued ones
 // build turns into Spec.Classes and Spec.Bodies.

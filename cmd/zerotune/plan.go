@@ -28,8 +28,7 @@ func planCommand(fs *flag.FlagSet) func() error {
 	var (
 		gen    specFlags
 		tier   desim.ServeConfig // every scenario's configuration but its replica count
-		target desim.SLOTarget
-		search desim.SearchOptions
+		search loadgen.SearchOptions
 	)
 	model := fs.String("model", "", "model to read service times from: the spec's own bodies are served once, one request at a time, by an in-process gateway and replica, and the stage histograms they fill are the cost table (without it, -service must name every stage that should cost anything)")
 	service := fs.String("service", "", "pin per-stage service times, e.g. gateway=2µs,encode=25µs,base=150µs,peritem=6µs,hit=3µs,fallback=10µs; an unnamed stage keeps what -model read, or costs nothing without -model (pinning makes runs byte-reproducible)")
@@ -46,12 +45,7 @@ func planCommand(fs *flag.FlagSet) func() error {
 	fs.Float64Var(&tier.FailureProb, "failure-prob", 0, "per-flush forward failure probability (exercises breaker dynamics)")
 	fs.IntVar(&tier.CircuitThreshold, "circuit-threshold", 0, "consecutive failures tripping the breaker (default: the serve tier's; negative disables)")
 
-	fs.DurationVar(&target.P99, "p99", desim.DefaultP99, "SLO target: corrected p99 must stay inside this")
-	fs.Float64Var(&target.GoodputFraction, "goodput-fraction", desim.DefaultGoodputFraction, "SLO target: goodput must cover this fraction of offered load")
-	fs.Float64Var(&search.MinRPS, "min-rate", desim.DefaultMinRPS, "search floor (req/s)")
-	fs.Float64Var(&search.MaxRPS, "max-rate", desim.DefaultMaxRPS, "search ceiling (req/s)")
-	fs.IntVar(&search.Iterations, "iterations", desim.DefaultIterations, "bisection budget per scenario")
-	fs.DurationVar(&search.StepDuration, "step-duration", desim.DefaultStepDuration, "virtual horizon per evaluated rate")
+	bindSearch(fs, &search)
 	rate := fs.Float64("rate", 0, "skip the search: compare scenarios at this fixed offered rate")
 
 	tracePath := fs.String("trace", "", "write the decision trace (every routing/queueing/caching decision) here")
@@ -100,32 +94,30 @@ func planCommand(fs *flag.FlagSet) func() error {
 			scenarios = append(scenarios, desim.Scenario{Name: fmt.Sprintf("replicas=%d", n), Config: cfg})
 		}
 
+		spec.Duration = search.StepDuration
 		rep := &planReport{
-			Mode:    "plan",
-			Target:  "desim",
-			Trace:   loadgen.HeaderFromSpec(spec),
+			Report:  loadgen.Report{Mode: "plan", Target: "desim", Trace: loadgen.HeaderFromSpec(spec)},
 			Service: tier.Service,
 		}
 		if *rate > 0 {
 			// Fixed-rate what-if: every scenario sees the same schedule.
 			spec.Rate = *rate
-			spec.Duration = search.StepDuration
 			rep.Mode = "plan-fixed"
-			rep.Fixed, err = desim.Compare(spec, scenarios, trace)
-			if err != nil {
+			if rep.Fixed, err = desim.Compare(spec, scenarios, trace); err != nil {
 				return err
 			}
 			fmt.Print(fixedTable(*rate, rep.Fixed))
 		} else {
-			search.Spec, search.Trace = spec, trace
+			rep.Search = &search
 			for _, sc := range scenarios {
-				res, err := desim.SearchMaxRPS(sc.Name, sc.Config, target, search)
+				c, err := loadgen.Search(search, desim.Oracle(spec, sc, trace))
 				if err != nil {
 					return err
 				}
-				rep.Plans = append(rep.Plans, res)
+				c.Scenario = sc.Name
+				rep.Capacity = append(rep.Capacity, c)
 			}
-			fmt.Print(planTable(target.P99, rep.Plans))
+			fmt.Print(rep.Table())
 		}
 		rep.buildBenchmarks()
 
@@ -139,17 +131,11 @@ func planCommand(fs *flag.FlagSet) func() error {
 	}
 }
 
-// A calibration run offers calibrationRate requests a second, evenly spaced:
-// slow enough that every request finds the replica quiet and is timed alone,
-// as the simulator's per-request terms are meant. It sends four requests per
-// corpus body, so nearly every body is both missed and hit.
-const calibrationRate = 500
-
 // calibrate reads the simulator's cost table off a live tier: it serves the
-// model from an in-process gateway and replica, drives the spec's own corpus
-// and class mix through them once, and hands the stage histograms that run
-// filled to desim.ServiceModelFromStages; the forward line is fitted on the
-// engine the replica runs. Each term is printed with the stages it sums.
+// model from an in-process gateway and replica, drives the spec's
+// desim.CalibrationSpec through them once, and hands the stage histograms
+// that run filled to desim.ServiceModelFromStages; the forward line is fitted
+// on the engine the replica runs. Each term is printed with the stages it sums.
 func calibrate(model string, spec loadgen.Spec) (svc desim.ServiceModel, err error) {
 	ctx := context.Background()
 	tgt, err := benchTarget("plan", "", model, 1, "", 0)
@@ -157,9 +143,7 @@ func calibrate(model string, spec loadgen.Spec) (svc desim.ServiceModel, err err
 		return svc, err
 	}
 	defer tgt.close()
-	spec.Arrival, spec.Rate, spec.DiurnalAmplitude = loadgen.ArrivalUniform, calibrationRate, 0
-	spec.MaxRequests = 4 * len(spec.Bodies)
-	spec.Duration = time.Duration(spec.MaxRequests+1) * time.Second / calibrationRate
+	spec = desim.CalibrationSpec(spec)
 	sched, err := spec.Schedule()
 	if err != nil {
 		return svc, err
@@ -240,33 +224,16 @@ func parseReplicaList(spec string) ([]int, error) {
 	return out, nil
 }
 
-// planReport is the machine-readable output; Benchmarks mirrors
-// cmd/benchjson's schema like the bench report does.
+// planReport is bench's report plus what only a plan has: the cost table it
+// simulated and the fixed-rate comparison.
 type planReport struct {
-	Mode       string                   `json:"mode"`
-	Target     string                   `json:"target"`
-	Trace      loadgen.TraceHeader      `json:"trace"`
-	Service    desim.ServiceModel       `json:"service"`
-	Plans      []*desim.PlanResult      `json:"plans,omitempty"`
-	Fixed      []desim.ScenarioResult   `json:"fixed,omitempty"`
-	Benchmarks []loadgen.BenchmarkEntry `json:"benchmarks"`
+	loadgen.Report
+	Service desim.ServiceModel     `json:"service"`
+	Fixed   []desim.ScenarioResult `json:"fixed,omitempty"`
 }
 
 func (r *planReport) buildBenchmarks() {
-	for _, p := range r.Plans {
-		best := p.Best()
-		r.Benchmarks = append(r.Benchmarks, loadgen.BenchmarkEntry{
-			Name:       "plan/" + p.Scenario,
-			Iterations: int64(best.Requests),
-			NsPerOp:    best.Latency.P50 * 1e6,
-			Metrics: map[string]float64{
-				"max-rps":     p.MaxRPS,
-				"fail-rps":    p.FailRPS,
-				"p99-ms":      best.Latency.P99,
-				"goodput-rps": best.GoodputRPS,
-			},
-		})
-	}
+	r.BuildBenchmarks("plan")
 	for _, f := range r.Fixed {
 		r.Benchmarks = append(r.Benchmarks, loadgen.BenchmarkEntry{
 			Name:       "plan/" + f.Scenario,
@@ -281,28 +248,6 @@ func (r *planReport) buildBenchmarks() {
 			},
 		})
 	}
-}
-
-// planTable renders the search results, one row per scenario: the capacity
-// interval and the operating point at the sustained rate.
-func planTable(p99 time.Duration, plans []*desim.PlanResult) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "capacity under p99 ≤ %s:\n", p99)
-	fmt.Fprintf(&b, "%14s %10s %10s %9s %9s %9s %6s\n",
-		"scenario", "max rps", "knee <", "p50", "p99", "goodput", "evals")
-	for _, p := range plans {
-		best := p.Best()
-		maxCol, failCol := "none", "—"
-		if p.MaxRPS > 0 {
-			maxCol = fmt.Sprintf("%.0f/s", p.MaxRPS)
-		}
-		if p.FailRPS > 0 {
-			failCol = fmt.Sprintf("%.0f/s", p.FailRPS)
-		}
-		fmt.Fprintf(&b, "%14s %10s %10s %7.2fms %7.2fms %7.1f/s %6d\n",
-			p.Scenario, maxCol, failCol, best.Latency.P50, best.Latency.P99, best.GoodputRPS, len(p.Evals))
-	}
-	return b.String()
 }
 
 // fixedTable renders the fixed-rate comparison.

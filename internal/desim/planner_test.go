@@ -32,23 +32,30 @@ func unbatchedConfig(replicas int) ServeConfig {
 	}
 }
 
-// TestSearchMaxRPSBrackets: the search must return a coherent capacity
-// interval — every sustained evaluation at or below MaxRPS, every failed one
-// at or above FailRPS, and the two bracketing a plausible knee for a known
-// 100µs/request server (theoretical ceiling 10,000 rps).
-func TestSearchMaxRPSBrackets(t *testing.T) {
-	target := SLOTarget{P99: 5 * time.Millisecond, GoodputFraction: 0.95}
-	opts := SearchOptions{
-		Spec:         plannerSpec(),
-		MinRPS:       500,
-		MaxRPS:       40_000,
-		Iterations:   10,
-		StepDuration: 2 * time.Second,
-	}
-	res, err := SearchMaxRPS("one", unbatchedConfig(1), target, opts)
+// searchScenario runs the capacity search over one simulated scenario, each
+// probe spec's workload over opts.StepDuration.
+func searchScenario(t *testing.T, name string, cfg ServeConfig, opts loadgen.SearchOptions) loadgen.Capacity {
+	t.Helper()
+	spec := plannerSpec()
+	spec.Duration = opts.StepDuration
+	c, err := loadgen.Search(opts, Oracle(spec, Scenario{Name: name, Config: cfg}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return c
+}
+
+// TestSearchMaxRPSBrackets: the search must return a coherent capacity
+// interval — every sustained probe at or below MaxRPS, every failed one at or
+// above FailRPS, and the two bracketing a plausible knee for a known
+// 100µs/request server (theoretical ceiling 10,000 rps).
+func TestSearchMaxRPSBrackets(t *testing.T) {
+	res := searchScenario(t, "one", unbatchedConfig(1), loadgen.SearchOptions{
+		P99:          5 * time.Millisecond,
+		MinRPS:       500,
+		MaxRPS:       40_000,
+		StepDuration: 2 * time.Second,
+	})
 	if res.MaxRPS <= 0 || res.FailRPS <= res.MaxRPS {
 		t.Fatalf("capacity interval (%g, %g] is not a bracket", res.MaxRPS, res.FailRPS)
 	}
@@ -58,12 +65,12 @@ func TestSearchMaxRPSBrackets(t *testing.T) {
 	if res.MaxRPS < 5_000 {
 		t.Fatalf("MaxRPS %g is implausibly low for a 100µs server under a 5ms p99", res.MaxRPS)
 	}
-	for _, ev := range res.Evals {
-		if ev.Sustained && ev.RPS > res.MaxRPS {
-			t.Fatalf("rate %g sustained but above reported MaxRPS %g", ev.RPS, res.MaxRPS)
+	for _, p := range res.Probes {
+		if p.Sustained && p.RPS > res.MaxRPS {
+			t.Fatalf("rate %g sustained but above reported MaxRPS %g", p.RPS, res.MaxRPS)
 		}
-		if !ev.Sustained && ev.RPS < res.FailRPS {
-			t.Fatalf("rate %g failed but below reported FailRPS %g", ev.RPS, res.FailRPS)
+		if !p.Sustained && p.RPS < res.FailRPS {
+			t.Fatalf("rate %g failed but below reported FailRPS %g", p.RPS, res.FailRPS)
 		}
 	}
 	if res.Best().Requests == 0 {
@@ -74,22 +81,14 @@ func TestSearchMaxRPSBrackets(t *testing.T) {
 // TestSearchMaxRPSReplicaScaling: three replicas must sustain at least what
 // one does — and, for an unbatched uncached tier, close to 3×.
 func TestSearchMaxRPSReplicaScaling(t *testing.T) {
-	target := SLOTarget{P99: 5 * time.Millisecond, GoodputFraction: 0.95}
-	opts := SearchOptions{
-		Spec:         plannerSpec(),
+	opts := loadgen.SearchOptions{
+		P99:          5 * time.Millisecond,
 		MinRPS:       500,
 		MaxRPS:       60_000,
-		Iterations:   10,
 		StepDuration: 2 * time.Second,
 	}
-	one, err := SearchMaxRPS("one", unbatchedConfig(1), target, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	three, err := SearchMaxRPS("three", unbatchedConfig(3), target, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := searchScenario(t, "one", unbatchedConfig(1), opts)
+	three := searchScenario(t, "three", unbatchedConfig(3), opts)
 	if three.MaxRPS < one.MaxRPS {
 		t.Fatalf("3 replicas sustain %g rps < 1 replica's %g", three.MaxRPS, one.MaxRPS)
 	}
@@ -101,25 +100,16 @@ func TestSearchMaxRPSReplicaScaling(t *testing.T) {
 // TestSearchUnbracketedEnds: a floor that already fails reports MaxRPS 0;
 // a ceiling that still sustains reports FailRPS 0.
 func TestSearchUnbracketedEnds(t *testing.T) {
-	target := SLOTarget{P99: 5 * time.Millisecond, GoodputFraction: 0.95}
-	base := SearchOptions{Spec: plannerSpec(), Iterations: 4, StepDuration: time.Second}
+	opts := loadgen.SearchOptions{P99: 5 * time.Millisecond, StepDuration: time.Second}
 
-	over := base
-	over.MinRPS, over.MaxRPS = 20_000, 40_000 // both past the 10k ceiling
-	res, err := SearchMaxRPS("over", unbatchedConfig(1), target, over)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts.MinRPS, opts.MaxRPS = 20_000, 40_000 // both past the 10k ceiling
+	res := searchScenario(t, "over", unbatchedConfig(1), opts)
 	if res.MaxRPS != 0 || res.FailRPS != 20_000 {
 		t.Fatalf("over-capacity bracket: max=%g fail=%g, want 0 / 20000", res.MaxRPS, res.FailRPS)
 	}
 
-	under := base
-	under.MinRPS, under.MaxRPS = 100, 1_000 // both comfortably sustained
-	res, err = SearchMaxRPS("under", unbatchedConfig(1), target, under)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts.MinRPS, opts.MaxRPS = 100, 1_000 // both comfortably sustained
+	res = searchScenario(t, "under", unbatchedConfig(1), opts)
 	if res.MaxRPS != 1_000 || res.FailRPS != 0 {
 		t.Fatalf("under-capacity bracket: max=%g fail=%g, want 1000 / 0", res.MaxRPS, res.FailRPS)
 	}

@@ -100,6 +100,18 @@ func EncodeStages() (out []serve.Stage) {
 	return out
 }
 
+// CalibrationSpec is the run a cost table is read from: spec's own corpus
+// and class mix, four requests per body so nearly every body is both missed
+// and hit, evenly spaced at 500 req/s — slow enough that every request finds
+// the tier quiet and is timed alone, as the per-request terms are meant.
+func CalibrationSpec(spec loadgen.Spec) loadgen.Spec {
+	const rate = 500
+	spec.Arrival, spec.Rate, spec.DiurnalAmplitude = loadgen.ArrivalUniform, rate, 0
+	spec.MaxRequests = 4 * len(spec.Bodies)
+	spec.Duration = time.Duration(spec.MaxRequests+1) * time.Second / rate
+	return spec
+}
+
 // ServiceModelFromStages reads the per-request terms of the cost table off a
 // parsed /metrics page (or several, concatenated) of the tier to be simulated:
 // CacheHitNs is the mean body_hit, EncodeNs the sum of the EncodeStages means,

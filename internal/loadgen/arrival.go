@@ -7,8 +7,8 @@ import (
 
 // interarrival draws successive gaps of a unit-rate arrival process (mean
 // interarrival 1). The offered rate and the diurnal envelope are applied
-// afterwards by time-rescaling, so one sampler serves every rate step of a
-// sweep.
+// afterwards by time-rescaling, so one sampler serves every rate a capacity
+// search probes.
 type interarrival interface {
 	next() float64
 }

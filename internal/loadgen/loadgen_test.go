@@ -482,9 +482,9 @@ func TestRunAndStepReport(t *testing.T) {
 		t.Fatalf("per-class breakdown missing: %v", st.PerClass)
 	}
 	var rep Report
-	rep.Mode = "fixed"
+	rep.Mode, rep.Target = "fixed", "serve"
 	rep.Steps = []StepReport{st}
-	rep.BuildBenchmarks("bench/serve")
+	rep.BuildBenchmarks("bench")
 	if len(rep.Benchmarks) != 1 || !strings.HasPrefix(rep.Benchmarks[0].Name, "bench/serve/rate=") {
 		t.Fatalf("benchjson projection wrong: %+v", rep.Benchmarks)
 	}
@@ -648,52 +648,40 @@ func TestTransportsAgreeOnMethod(t *testing.T) {
 	}
 }
 
-// TestSweepLocatesKnee drives the sweep against the deterministic counting
-// target: the first step fits within capacity, the second blows through it,
-// so the sweep must stop after two steps and report the first rate as knee.
+// TestSweepLocatesKnee drives the search through the live oracle against
+// the deterministic counting target: the first probe fits within capacity,
+// the second blows through it, so the walk must stop there and bisection close
+// in on the first rate — every later probe fails too, the target being spent.
 func TestSweepLocatesKnee(t *testing.T) {
 	s := baseSpec()
 	s.Arrival = ArrivalUniform // metronome: request counts are exact
-	tgt := &countingTarget{capacity: 60}
-	rep, err := Sweep(context.Background(), s, SweepOptions{
-		Start:        250,
-		Factor:       2,
-		Steps:        4,
-		StepDuration: 200 * time.Millisecond,
-		Run:          RunOptions{Target: tgt},
-	})
+	s.Duration = 200 * time.Millisecond
+	opts := SearchOptions{P99: time.Second, MinRPS: 250, MaxRPS: 2000, StepDuration: s.Duration}
+	c, err := Search(opts, Oracle(context.Background(), s, RunOptions{Target: &countingTarget{capacity: 60}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Step 1 at 250 rps / 200ms = 49 requests (all within capacity 60);
-	// step 2 at 500 rps = 99 requests, only 11 succeed → saturated.
-	if len(rep.Steps) != 2 {
-		t.Fatalf("sweep ran %d steps, want early stop after 2: %+v", len(rep.Steps), rep.Steps)
+	// 250 rps over 200ms = 49 requests (all within capacity 60); 500 rps = 99
+	// requests, only 11 succeed → not sustained.
+	if len(c.Probes) < 2 || c.Probes[1].RPS != 500 || c.Probes[0].Step.OK != 49 || c.Probes[1].Step.OK != 11 {
+		t.Fatalf("walk did not stop at the first failing rate: %+v", c.Probes)
 	}
-	if !rep.Saturated || rep.KneeRPS != 250 || rep.KneeUpperRPS != 500 {
-		t.Fatalf("saturated=%v knee=%g upper=%g, want knee bracketed (250, 500]",
-			rep.Saturated, rep.KneeRPS, rep.KneeUpperRPS)
+	if c.MaxRPS != 250 || c.FailRPS <= 250 || c.FailRPS > 250*bracketRatio {
+		t.Fatalf("knee bracketed (%g, %g], want (250, %g]", c.MaxRPS, c.FailRPS, 250*bracketRatio)
 	}
-	if rep.Steps[0].OK != 49 || rep.Steps[1].OK != 11 {
-		t.Fatalf("step OKs = %d/%d, want 49/11", rep.Steps[0].OK, rep.Steps[1].OK)
-	}
-	if !strings.Contains(rep.Table(), "saturation knee: between 250 and 500 req/s") {
-		t.Fatalf("table missing knee interval verdict:\n%s", rep.Table())
+	c.Scenario = "counting"
+	rep := &Report{Search: &opts, Capacity: []Capacity{c}}
+	if table := rep.Table(); !strings.Contains(table, "counting      250/s      251/s") {
+		t.Fatalf("capacity table missing the knee interval:\n%s", table)
 	}
 
-	// A target with headroom never saturates. (Rates are high enough that
-	// the metronome's one-slot discretization undershoot stays inside the
-	// 0.9 goodput fraction.)
-	rep2, err := Sweep(context.Background(), s, SweepOptions{
-		Start:        500,
-		Steps:        2,
-		StepDuration: 200 * time.Millisecond,
-		Run:          RunOptions{Target: &countingTarget{capacity: 1 << 30}},
-	})
+	// A target with headroom sustains the whole bracket: two probes, no failure.
+	opts.MinRPS, opts.MaxRPS = 500, 1000
+	c, err = Search(opts, Oracle(context.Background(), s, RunOptions{Target: &countingTarget{capacity: 1 << 30}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Saturated || len(rep2.Steps) != 2 || rep2.KneeRPS != 0 {
-		t.Fatalf("unsaturated sweep misreported: %+v", rep2)
+	if c.MaxRPS != 1000 || c.FailRPS != 0 || len(c.Probes) != 2 {
+		t.Fatalf("unsaturated search misreported: max %g, fail %g, %d probes", c.MaxRPS, c.FailRPS, len(c.Probes))
 	}
 }

@@ -60,8 +60,8 @@ type ClassReport struct {
 	Latency  Percentiles `json:"latency"`
 }
 
-// StepReport summarizes one offered-load step (a whole run is one step;
-// a sweep is several).
+// StepReport summarizes one offered-load step: a whole fixed-rate run, or
+// one probe of a capacity search.
 type StepReport struct {
 	// OfferedRPS is the intended mean arrival rate of the step.
 	OfferedRPS float64 `json:"offered_rps"`
@@ -158,8 +158,8 @@ func BuildStep(offered float64, wall time.Duration, results []Result) StepReport
 
 // StageRow is one stage histogram of the target, as its /metrics page showed
 // it once the run was over: where inside the target the end-to-end latency
-// above it went. The histograms are the target's own and whole-run, so a sweep
-// has one table, not one per step.
+// above it went. The histograms are the target's own and whole-run, so a search
+// has one table, not one per probe.
 type StageRow struct {
 	// Source names the page when the target has several (each replica behind
 	// an in-process gateway); empty otherwise.
@@ -225,32 +225,25 @@ type BenchmarkEntry struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Report is the machine-readable bench output.
+// Report is the machine-readable output of bench and plan.
 type Report struct {
-	// Mode is "fixed", "sweep" or "replay".
+	// Mode is "fixed", "replay" or "sweep" (bench), "plan" or "plan-fixed"
+	// (plan).
 	Mode string `json:"mode"`
-	// Target names what was driven ("serve", "gateway", or a URL).
+	// Target names what was driven ("serve", "gateway", a URL, or "desim").
 	Target string `json:"target"`
 	// Trace echoes the workload provenance (seed, process, rates).
 	Trace TraceHeader `json:"trace"`
-	// Steps holds one entry per offered-load step.
-	Steps []StepReport `json:"steps"`
-	// KneeRPS is the highest offered rate that still met the sweep's
-	// goodput fraction before the first failing step; 0 when the sweep
-	// never saturated (or mode != sweep).
-	KneeRPS float64 `json:"knee_rps,omitempty"`
-	// KneeUpperRPS is the first offered rate that failed the goodput
-	// fraction: together with KneeRPS it brackets the true knee, which lies
-	// somewhere in (KneeRPS, KneeUpperRPS]. A bare KneeRPS overstates
-	// certainty — with a coarse step factor the capacity could be nearly
-	// double the last sustaining rate. 0 when the sweep never saturated.
-	KneeUpperRPS float64 `json:"knee_upper_rps,omitempty"`
-	// Saturated reports whether a sweep actually found the knee.
-	Saturated bool `json:"saturated,omitempty"`
+	// Steps holds the one step of a fixed-rate or replayed run.
+	Steps []StepReport `json:"steps,omitempty"`
+	// Search is the question of a capacity search, Capacity its answer for
+	// each scenario searched.
+	Search   *SearchOptions `json:"search,omitempty"`
+	Capacity []Capacity     `json:"capacity,omitempty"`
 	// Stages is where the target spent the run, stage by stage; the caller
 	// that owns the target fills it from the target's /metrics.
 	Stages []StageRow `json:"stages,omitempty"`
-	// Benchmarks is the benchjson-compatible projection of Steps.
+	// Benchmarks is the benchjson-compatible projection of Steps and Capacity.
 	Benchmarks []BenchmarkEntry `json:"benchmarks"`
 }
 
@@ -264,14 +257,15 @@ func SingleStep(mode, target string, h TraceHeader, offered float64, wall time.D
 	}
 }
 
-// BuildBenchmarks projects steps into benchjson's schema: ns_per_op is the
-// corrected p50 (a latency, like any ns/op), everything else rides in the
-// metrics map.
-func (r *Report) BuildBenchmarks(prefix string) {
+// BuildBenchmarks projects the report into benchjson's schema under cmd: one
+// cmd/target/rate=R entry per step, whose ns_per_op is the corrected p50 (a
+// latency, like any ns/op), and one cmd/scenario entry per capacity, read at
+// its highest sustained rate; everything else rides in the metrics map.
+func (r *Report) BuildBenchmarks(cmd string) {
 	r.Benchmarks = r.Benchmarks[:0]
 	for _, st := range r.Steps {
-		e := BenchmarkEntry{
-			Name:       fmt.Sprintf("%s/rate=%g", prefix, st.OfferedRPS),
+		r.Benchmarks = append(r.Benchmarks, BenchmarkEntry{
+			Name:       fmt.Sprintf("%s/%s/rate=%g", cmd, r.Target, st.OfferedRPS),
 			Iterations: int64(st.Requests),
 			NsPerOp:    st.Latency.P50 * 1e6,
 			Metrics: map[string]float64{
@@ -283,35 +277,59 @@ func (r *Report) BuildBenchmarks(prefix string) {
 				"errors":      float64(st.Requests - st.OK),
 				"offered-rps": st.OfferedRPS,
 			},
-		}
-		r.Benchmarks = append(r.Benchmarks, e)
+		})
+	}
+	for _, c := range r.Capacity {
+		best := c.Best()
+		r.Benchmarks = append(r.Benchmarks, BenchmarkEntry{
+			Name:       cmd + "/" + c.Scenario,
+			Iterations: int64(best.Requests),
+			NsPerOp:    best.Latency.P50 * 1e6,
+			Metrics: map[string]float64{
+				"max-rps":     c.MaxRPS,
+				"fail-rps":    c.FailRPS,
+				"p99-ms":      best.Latency.P99,
+				"goodput-rps": best.GoodputRPS,
+			},
+		})
 	}
 }
 
-// Table renders the human-readable percentile table: one row per step, the
-// saturation verdict at the bottom.
+// Table renders the human-readable report: the percentile table of the
+// steps, the capacity table of a search, and the target's stage table, each
+// when the report has one.
 func (r *Report) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%10s %9s %8s %10s", "offered", "requests", "goodput", "errors")
-	for _, q := range reportQuantiles {
-		fmt.Fprintf(&b, " %9s", q.Name)
-	}
-	fmt.Fprintf(&b, " %9s %9s\n", "p99/p50", "p99.9/p99")
-	for _, st := range r.Steps {
-		fmt.Fprintf(&b, "%8.1f/s %9d %6.1f/s %10d", st.OfferedRPS, st.Requests, st.GoodputRPS, st.Requests-st.OK)
+	if len(r.Steps) > 0 {
+		fmt.Fprintf(&b, "%10s %9s %8s %10s", "offered", "requests", "goodput", "errors")
 		for _, q := range reportQuantiles {
-			fmt.Fprintf(&b, " %7.2fms", st.Latency.byName(q.Name))
+			fmt.Fprintf(&b, " %9s", q.Name)
 		}
-		fmt.Fprintf(&b, " %9.2f %9.2f\n", st.P99OverP50, st.P999OverP99)
+		fmt.Fprintf(&b, " %9s %9s\n", "p99/p50", "p99.9/p99")
+		for _, st := range r.Steps {
+			fmt.Fprintf(&b, "%8.1f/s %9d %6.1f/s %10d", st.OfferedRPS, st.Requests, st.GoodputRPS, st.Requests-st.OK)
+			for _, q := range reportQuantiles {
+				fmt.Fprintf(&b, " %7.2fms", st.Latency.byName(q.Name))
+			}
+			fmt.Fprintf(&b, " %9.2f %9.2f\n", st.P99OverP50, st.P999OverP99)
+		}
 	}
-	switch {
-	case r.Saturated && r.KneeUpperRPS > 0:
-		fmt.Fprintf(&b, "saturation knee: between %.0f and %.0f req/s (last sustaining / first failing offered rates)\n",
-			r.KneeRPS, r.KneeUpperRPS)
-	case r.Saturated:
-		fmt.Fprintf(&b, "saturation knee: ~%.0f req/s (last step sustaining the goodput target)\n", r.KneeRPS)
-	case r.Mode == "sweep":
-		fmt.Fprintf(&b, "saturation knee: not reached (goodput tracked offered load through the last step)\n")
+	if r.Search != nil {
+		fmt.Fprintf(&b, "capacity under p99 ≤ %s:\n", r.Search.P99)
+		fmt.Fprintf(&b, "%14s %10s %10s %9s %9s %9s %6s\n",
+			"scenario", "max rps", "knee <", "p50", "p99", "goodput", "evals")
+		for _, c := range r.Capacity {
+			best := c.Best()
+			maxCol, failCol := "none", "—"
+			if c.MaxRPS > 0 {
+				maxCol = fmt.Sprintf("%.0f/s", c.MaxRPS)
+			}
+			if c.FailRPS > 0 {
+				failCol = fmt.Sprintf("%.0f/s", c.FailRPS)
+			}
+			fmt.Fprintf(&b, "%14s %10s %10s %7.2fms %7.2fms %7.1f/s %6d\n",
+				c.Scenario, maxCol, failCol, best.Latency.P50, best.Latency.P99, best.GoodputRPS, len(c.Probes))
+		}
 	}
 	b.WriteString(stageTable(r.Stages))
 	return b.String()

@@ -33,7 +33,6 @@ type TraceHeader struct {
 	DurationNs       int64   `json:"duration_ns"`
 	DiurnalAmplitude float64 `json:"diurnal_amplitude,omitempty"`
 	DiurnalPeriodNs  int64   `json:"diurnal_period_ns,omitempty"`
-	Note             string  `json:"note,omitempty"`
 }
 
 // HeaderFromSpec snapshots the schedule-relevant spec fields into a trace
