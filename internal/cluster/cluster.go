@@ -199,10 +199,8 @@ func PlaceWith(t *queryplan.Topology, p *queryplan.PQP, c *Cluster) error {
 		return fmt.Errorf("cluster: invalid plan: %w", err)
 	}
 	groups := t.ChainGroups(p, deg, scratch[n:n])
-	// Groups are numbered in topological order and the degree is uniform
-	// within one, so group g's instance i lands on node (g+i) mod N whichever
-	// member is placed. Each operator gets its own slice of one backing
-	// array, capped so an append cannot reach a neighbour's.
+	// Each operator gets its own slice of one backing array, capped so an
+	// append cannot reach a neighbour's.
 	total := 0
 	for _, d := range deg {
 		total += d
@@ -215,12 +213,19 @@ func PlaceWith(t *queryplan.Topology, p *queryplan.PQP, c *Cluster) error {
 		nodes := names[:deg[pos]:deg[pos]]
 		names = names[deg[pos]:]
 		for i := range nodes {
-			nodes[i] = c.Nodes[(groups[pos]+i)%len(c.Nodes)].Name
+			nodes[i] = c.Nodes[RoundRobin(groups[pos], i, len(c.Nodes))].Name
 		}
 		p.Placement[op.ID] = nodes
 	}
 	return nil
 }
+
+// RoundRobin is Place's rule: instance i of chain group g runs on node
+// (g+i) mod nodes, by index into Cluster.Nodes. Groups are numbered in
+// topological order and the degree is uniform within one, so every member of
+// a group lands on the same node for the same instance. features.Encoder
+// applies it to degree vectors that are never placed as plans.
+func RoundRobin(group, instance, nodes int) int { return (group + instance) % nodes }
 
 // SlotOwners returns, per chain group, the position of the operator whose
 // placement stands for the group's task slots. Chained operators share their

@@ -36,9 +36,11 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/tune_golden.json
 // the tuned degree vector, the candidate count and the bits of the winning
 // estimate, once through the portable GEMM kernel and once through every
 // vector kernel the CPU has (recorded from the AVX2+FMA one; the AVX-512 one
-// must reproduce the same bits). Tune only ever encodes what cluster.Place laid out, so a
-// second section pins the encoder on placements Place would never produce:
-// instances scattered at random, chaining disabled on some operators.
+// must reproduce the same bits). The candidate digests are taken from
+// Encoder.EncodeDegrees, the path /v1/tune serves. Tune only ever encodes
+// cluster.RoundRobin's placement, so a second section pins the encoder on
+// placements it would never produce: instances scattered at random, chaining
+// disabled on some operators.
 
 type tuneGolden struct {
 	Tune      []tuneGoldenCase `json:"tune"`
@@ -114,19 +116,26 @@ func digestGraph(h interface{ Write([]byte) (int, error) }, g *features.Graph) {
 	u64(math.Float64bits(g.AvgDegree))
 }
 
-// digestingEstimator hashes the graphs of every candidate set it is handed
-// (through the one-shot features.Encode, so the digest also pins that form)
-// before passing the set on to the model's own batch estimator.
+var allMasks = []features.Mask{features.MaskAll, features.MaskOperatorOnly, features.MaskParallelismResource}
+
+// digestingEstimator hashes the graphs of every candidate sweep it is handed,
+// encoded from the degree vectors as the served sweep encodes them, before
+// passing the sweep on to the model's own estimator.
 type digestingEstimator struct {
-	optimizer.BatchCostEstimator
+	optimizer.SweepEstimator
 	sum string
 }
 
-func (d *digestingEstimator) EstimateBatch(ctx context.Context, ps []*queryplan.PQP, c *cluster.Cluster) ([]optimizer.Estimate, error) {
+func (d *digestingEstimator) EstimateSweep(ctx context.Context, t *queryplan.Topology, c *cluster.Cluster, degs []int) ([]optimizer.Estimate, error) {
+	encs := make([]*features.Encoder, len(allMasks))
+	for i, mask := range allMasks {
+		encs[i] = features.NewEncoder(t, c, mask)
+	}
 	h := sha256.New()
-	for _, p := range ps {
-		for _, mask := range []features.Mask{features.MaskAll, features.MaskOperatorOnly, features.MaskParallelismResource} {
-			g, err := features.Encode(p, c, mask)
+	var a features.Arena
+	for n, i := len(t.Ops), 0; i < len(degs); i += n {
+		for _, enc := range encs {
+			g, err := enc.EncodeDegrees(&a, degs[i:i+n])
 			if err != nil {
 				return nil, err
 			}
@@ -134,7 +143,7 @@ func (d *digestingEstimator) EstimateBatch(ctx context.Context, ps []*queryplan.
 		}
 	}
 	d.sum = hex.EncodeToString(h.Sum(nil))
-	return d.BatchCostEstimator.EstimateBatch(ctx, ps, c)
+	return d.SweepEstimator.EstimateSweep(ctx, t, c, degs)
 }
 
 // goldenQueries calls fn with three sampled queries of every structure.
@@ -181,7 +190,7 @@ func computeScatteredGolden(t *testing.T) []scatteredCase {
 			p.Placement[op.ID] = nodes
 		}
 		h := sha256.New()
-		for _, mask := range []features.Mask{features.MaskAll, features.MaskOperatorOnly, features.MaskParallelismResource} {
+		for _, mask := range allMasks {
 			g, err := features.Encode(p, c, mask)
 			if err != nil {
 				t.Fatal(err)
@@ -219,7 +228,7 @@ func computeTuneGolden(t *testing.T, kernel string) []tuneGoldenCase {
 	}
 	var out []tuneGoldenCase
 	goldenQueries(t, func(s string, seq uint64, q *queryplan.Query, c *cluster.Cluster) {
-		est := &digestingEstimator{BatchCostEstimator: zt.Estimator().(optimizer.BatchCostEstimator)}
+		est := &digestingEstimator{SweepEstimator: zt.Estimator().(optimizer.SweepEstimator)}
 		res, err := optimizer.Tune(context.Background(), q, c, est, optimizer.DefaultTuneOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -333,13 +342,12 @@ func TestTuneGolden(t *testing.T) {
 }
 
 // TestTuneAllocsPerCandidate: the sweep pays for the query once and for each
-// candidate only what its degree vector changes. Before the query was
-// analysed once per Tune, this sweep cost 265 allocations per candidate (maps
-// rebuilt by six topological sorts, two validations and a map-based encode);
-// then 17, seven of them the graph's slices; with the graphs carved out of one
-// recycled arena it costs 10 — six for the plan and its two maps (NewPlan), two
-// to three for its placement, and the per-call analysis spread over the set.
-// The ceiling leaves room to grow, not to bring the per-graph makes back.
+// candidate only what its degree vector changes. A candidate stays a degree
+// vector, encoded straight into the pooled arena, so it costs its dedup key in
+// enumerate, OptiSample's scratch when it is a random draw, and its share of
+// the per-call analysis, encoder and forward pass: 2.6 allocations on this
+// 35-candidate sweep. The ceiling leaves room to grow, not to build a plan per
+// candidate again (NewPlan's plan and two maps and PlaceWith's names cost six).
 func TestTuneAllocsPerCandidate(t *testing.T) {
 	zt := &ZeroTune{Model: gnn.New(tensor.NewRNG(13), gnn.DefaultConfig()), Mask: features.MaskAll}
 	if err := zt.Compile(gnn.CompileOptions{Engine: gnn.EngineF32}); err != nil {
@@ -359,7 +367,98 @@ func TestTuneAllocsPerCandidate(t *testing.T) {
 	})
 	perCandidate := allocs / float64(candidates)
 	t.Logf("%.0f allocs for %d candidates: %.1f per candidate", allocs, candidates, perCandidate)
-	if perCandidate > 12 {
-		t.Fatalf("%.1f allocations per candidate (ceiling 12): the candidates' graphs are allocated one by one again", perCandidate)
+	if perCandidate > 4 {
+		t.Fatalf("%.1f allocations per candidate (ceiling 4): the candidates are built as plans again", perCandidate)
 	}
+}
+
+// recordingEstimator keeps a copy of the last sweep it priced.
+type recordingEstimator struct {
+	optimizer.SweepEstimator
+	degs []int
+}
+
+func (r *recordingEstimator) EstimateSweep(ctx context.Context, t *queryplan.Topology, c *cluster.Cluster, degs []int) ([]optimizer.Estimate, error) {
+	r.degs = append(r.degs[:0], degs...)
+	return r.SweepEstimator.EstimateSweep(ctx, t, c, degs)
+}
+
+// plansOnly hides EstimateSweep, so Tune prices every candidate as a placed
+// plan through the model's EstimateBatch.
+type plansOnly struct{ optimizer.BatchCostEstimator }
+
+// TestSweepMatchesMaterialisedPlans: a candidate encoded from its degree
+// vector is the graph of the plan it stands for, under every mask, and Tune
+// answers the same whether it prices degree vectors or placed plans — for
+// every golden query on its own cluster, on that cluster's first node alone,
+// and on a hand-built cluster whose node names repeat (a repeated name stands
+// for its first node, whatever the later one's type).
+func TestSweepMatchesMaterialisedPlans(t *testing.T) {
+	zt := &ZeroTune{Model: gnn.New(tensor.NewRNG(13), gnn.DefaultConfig()), Mask: features.MaskAll}
+	if err := zt.Compile(gnn.CompileOptions{Engine: gnn.EngineF32}); err != nil {
+		t.Fatal(err)
+	}
+	types := cluster.Catalog()
+	dup := &cluster.Cluster{LinkGbps: 1, Nodes: []cluster.Node{
+		{Name: "a", Type: types[0]}, {Name: "b", Type: types[2]}, {Name: "a", Type: types[1]},
+		{Name: "c", Type: types[7]}, {Name: "b", Type: types[0]},
+	}}
+	ctx := context.Background()
+	opts := optimizer.DefaultTuneOptions()
+	goldenQueries(t, func(s string, seq uint64, q *queryplan.Query, c *cluster.Cluster) {
+		topo, err := q.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(topo.Ops)
+		one := &cluster.Cluster{Nodes: c.Nodes[:1], LinkGbps: c.LinkGbps}
+		for ci, cl := range []*cluster.Cluster{c, one, dup} {
+			rec := &recordingEstimator{SweepEstimator: zt.Estimator().(optimizer.SweepEstimator)}
+			if _, err := optimizer.Tune(ctx, q, cl, rec, opts); err != nil {
+				t.Fatal(err)
+			}
+			for _, mask := range allMasks {
+				enc := features.NewEncoder(topo, cl, mask)
+				var a features.Arena
+				for i := 0; i < len(rec.degs); i += n {
+					deg := rec.degs[i : i+n]
+					got, err := enc.EncodeDegrees(&a, deg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					p := topo.NewPlan(deg)
+					if err := cluster.PlaceWith(topo, p, cl); err != nil {
+						t.Fatal(err)
+					}
+					want, err := enc.Encode(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s/%d cluster %d mask %v: degrees %v encode differently from their plan\n got %+v\nwant %+v",
+							s, seq, ci, mask, deg, got, want)
+					}
+				}
+			}
+
+			got, err := zt.Tune(ctx, q, cl, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := optimizer.Tune(ctx, q, cl, plansOnly{zt.Estimator().(optimizer.BatchCostEstimator)}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Plan.DegreesVector(), want.Plan.DegreesVector()) ||
+				!reflect.DeepEqual(got.Plan.Placement, want.Plan.Placement) ||
+				got.Candidates != want.Candidates ||
+				math.Float64bits(got.Estimate.LatencyMs) != math.Float64bits(want.Estimate.LatencyMs) ||
+				math.Float64bits(got.Estimate.ThroughputEPS) != math.Float64bits(want.Estimate.ThroughputEPS) ||
+				math.Float64bits(got.Cost) != math.Float64bits(want.Cost) {
+				t.Errorf("%s/%d cluster %d: degree-vector sweep and plan sweep disagree\n got %v %v %d %+v %v\nwant %v %v %d %+v %v",
+					s, seq, ci, got.Plan.DegreesVector(), got.Plan.Placement, got.Candidates, got.Estimate, got.Cost,
+					want.Plan.DegreesVector(), want.Plan.Placement, want.Candidates, want.Estimate, want.Cost)
+			}
+		}
+	})
 }

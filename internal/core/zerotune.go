@@ -192,22 +192,9 @@ const maxPooledSweep = 256
 // call: nothing below keeps a graph once it has returned predictions. Results
 // match per-plan Predict calls in order and value for any worker count.
 func (z *ZeroTune) PredictBatch(ctx context.Context, ps []*queryplan.PQP, c *cluster.Cluster) ([]gnn.Prediction, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	arena := sweepArenas.Get().(*features.Arena)
-	if len(ps) <= maxPooledSweep {
-		defer func() {
-			arena.Reset()
-			sweepArenas.Put(arena)
-		}()
-	}
-	graphs := make([]*features.Graph, len(ps))
-	ctx, span := obs.StartSpan(ctx, "predict.batch")
-	defer span.End()
-	span.SetAttr("plans", len(ps))
 	var enc *features.Encoder
-	for i, p := range ps {
+	return z.predictSweep(ctx, len(ps), func(a *features.Arena, i int) (*features.Graph, error) {
+		p := ps[i]
 		if enc == nil || enc.Topology().Query != p.Query {
 			t, err := p.Query.Analyze()
 			if err != nil {
@@ -218,7 +205,30 @@ func (z *ZeroTune) PredictBatch(ctx context.Context, ps []*queryplan.PQP, c *clu
 		if err := placeWith(enc, p, c); err != nil {
 			return nil, err
 		}
-		g, err := enc.EncodeIn(arena, p)
+		return enc.EncodeIn(a, p)
+	})
+}
+
+// predictSweep encodes n graphs, graph i by encode, into one pooled arena and
+// runs the batched forward pass over them under a "predict.batch" span. It is
+// the body of PredictBatch and of the model's tuning sweep.
+func (z *ZeroTune) predictSweep(ctx context.Context, n int, encode func(a *features.Arena, i int) (*features.Graph, error)) ([]gnn.Prediction, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	arena := sweepArenas.Get().(*features.Arena)
+	if n <= maxPooledSweep {
+		defer func() {
+			arena.Reset()
+			sweepArenas.Put(arena)
+		}()
+	}
+	graphs := make([]*features.Graph, n)
+	ctx, span := obs.StartSpan(ctx, "predict.batch")
+	defer span.End()
+	span.SetAttr("plans", n)
+	for i := range graphs {
+		g, err := encode(arena, i)
 		if err != nil {
 			return nil, err
 		}
@@ -287,8 +297,8 @@ func (z *ZeroTune) PredictEncodedInto(dst []gnn.Prediction, graphs []*features.G
 	return append(dst[:0], preds...)
 }
 
-// modelEstimator adapts the model to the optimizer's estimator interfaces,
-// including the batch fan-out used for candidate-plan sweeps.
+// modelEstimator adapts the model to the optimizer's estimator interfaces:
+// one plan, a batch of plans, and the tuning sweep over degree vectors.
 type modelEstimator struct{ z *ZeroTune }
 
 // Estimate implements optimizer.CostEstimator.
@@ -302,7 +312,20 @@ func (e modelEstimator) Estimate(ctx context.Context, p *queryplan.PQP, c *clust
 
 // EstimateBatch implements optimizer.BatchCostEstimator.
 func (e modelEstimator) EstimateBatch(ctx context.Context, ps []*queryplan.PQP, c *cluster.Cluster) ([]optimizer.Estimate, error) {
-	preds, err := e.z.PredictBatch(ctx, ps, c)
+	return estimates(e.z.PredictBatch(ctx, ps, c))
+}
+
+// EstimateSweep implements optimizer.SweepEstimator: one encoder for the
+// sweep, each candidate encoded straight from its degree vector.
+func (e modelEstimator) EstimateSweep(ctx context.Context, t *queryplan.Topology, c *cluster.Cluster, degs []int) ([]optimizer.Estimate, error) {
+	n := len(t.Ops)
+	enc := features.NewEncoder(t, c, e.z.Mask)
+	return estimates(e.z.predictSweep(ctx, len(degs)/n, func(a *features.Arena, i int) (*features.Graph, error) {
+		return enc.EncodeDegrees(a, degs[i*n:(i+1)*n])
+	}))
+}
+
+func estimates(preds []gnn.Prediction, err error) ([]optimizer.Estimate, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -314,8 +337,9 @@ func (e modelEstimator) EstimateBatch(ctx context.Context, ps []*queryplan.PQP, 
 }
 
 // Estimator adapts the model to the optimizer's CostEstimator interface.
-// The returned estimator also implements optimizer.BatchCostEstimator, so
-// Tune scores its whole candidate set in one parallel batch.
+// The returned estimator also implements optimizer.SweepEstimator, so Tune
+// scores its whole candidate set in one batch without building a plan per
+// candidate, and optimizer.BatchCostEstimator for callers holding plans.
 func (z *ZeroTune) Estimator() optimizer.CostEstimator {
 	return modelEstimator{z: z}
 }

@@ -227,20 +227,26 @@ type Encoder struct {
 	// resFeat holds the static machine features, ResFeatDim per cluster node.
 	resFeat []float64
 	// nodeIdx maps a node name to its index in c.Nodes (the first, as
-	// Cluster.Node resolves duplicates).
+	// Cluster.Node resolves duplicates); first is the same lookup by index,
+	// for instances placed by position rather than by name.
 	nodeIdx map[string]int
+	first   []int
 }
 
 // NewEncoder precomputes the plan-independent half of the graphs of the
 // analysed query t (Query.Analyze or PQP.Analyze) on c under mask.
 func NewEncoder(t *queryplan.Topology, c *cluster.Cluster, mask Mask) *Encoder {
+	// One slab for both feature tables: an encoder is built per predict
+	// request, so each make here is one per request.
+	feats := make([]float64, len(t.Ops)*OpFeatDim+len(c.Nodes)*ResFeatDim)
 	e := &Encoder{
 		topo:    t,
 		c:       c,
 		mask:    mask,
-		opFeat:  make([]float64, len(t.Ops)*OpFeatDim),
-		resFeat: make([]float64, len(c.Nodes)*ResFeatDim),
+		opFeat:  feats[:len(t.Ops)*OpFeatDim],
+		resFeat: feats[len(t.Ops)*OpFeatDim:],
 		nodeIdx: make(map[string]int, len(c.Nodes)),
+		first:   make([]int, len(c.Nodes)),
 	}
 	inRates := estimateInputRates(t)
 	for i, op := range t.Ops {
@@ -250,9 +256,12 @@ func NewEncoder(t *queryplan.Topology, c *cluster.Cluster, mask Mask) *Encoder {
 	}
 	for k := range c.Nodes {
 		n := &c.Nodes[k]
-		if _, dup := e.nodeIdx[n.Name]; !dup {
+		first, dup := e.nodeIdx[n.Name]
+		if !dup {
+			first = k
 			e.nodeIdx[n.Name] = k
 		}
+		e.first[k] = first
 		if mask != MaskOperatorOnly {
 			encodeResource(e.resFeat[k*ResFeatDim:(k+1)*ResFeatDim], n, c.LinkGbps)
 		}
@@ -271,7 +280,8 @@ func (e *Encoder) Topology() *queryplan.Topology { return e.topo }
 //
 // The lifetime rule: graphs encoded into an arena die at its Reset. A caller
 // may use an arena only for graphs that never outlive the call that resets
-// it; core.PredictBatch is the one such caller. Anything that keeps a graph —
+// it; core.PredictBatch and the model's tuning sweep are the callers, both
+// returning predictions, not graphs. Anything that keeps a graph —
 // a cache key, a batcher queue, a training corpus — encodes with Encode.
 //
 // The zero Arena is ready to use. An Arena is not safe for concurrent use.
@@ -326,21 +336,13 @@ func (e *Encoder) Encode(p *queryplan.PQP) (*Graph, error) { return e.EncodeIn(&
 // EncodeIn is Encode with the graph's storage carved out of a; see Arena for
 // how long such a graph lives.
 func (e *Encoder) EncodeIn(a *Arena, p *queryplan.PQP) (*Graph, error) {
-	t, n, nc := e.topo, len(e.topo.Ops), len(e.c.Nodes)
-	// One scratch slab, recycled per graph: degrees, chain groups, group sizes
-	// and slot owners per position; resource index, instance count and slot
-	// load per cluster node; the machines of the operator at hand.
-	recycle(&a.scratch)
-	scratch := carve(&a.scratch, 4*n+4*nc)
-	deg, scratch := scratch[:0:n], scratch[n:]
-	groups, scratch := scratch[:0:n], scratch[n:]
-	size, scratch := scratch[:n], scratch[n:]
-	owners, scratch := scratch[:0:n], scratch[n:]
-	resOf, scratch := scratch[:nc], scratch[nc:]
-	inst, scratch := scratch[:nc], scratch[nc:]
-	slots, hosts := scratch[:nc], scratch[nc:nc]
-
-	deg = t.Degrees(p, deg)
+	t, n := e.topo, len(e.topo.Ops)
+	instances := 0
+	for _, op := range t.Ops {
+		instances += len(p.Placement[op.ID])
+	}
+	s, rest := e.scratch(a, 2*n+instances)
+	deg := t.Degrees(p, s[:0:n])
 	if err := t.Check(p, deg); err != nil {
 		return nil, fmt.Errorf("features: %w", err)
 	}
@@ -348,18 +350,86 @@ func (e *Encoder) EncodeIn(a *Arena, p *queryplan.PQP) (*Graph, error) {
 		return nil, fmt.Errorf("features: plan has no complete placement (%d of %d operators)",
 			len(p.Placement), n)
 	}
-	groups = t.ChainGroups(p, deg, groups)
+	// Check held every placed operator to one name per instance, so the
+	// names fill nodeOf exactly.
+	groups := t.ChainGroups(p, deg, s[n:n:2*n])
+	nodeOf := s[2*n : 2*n : 2*n+instances]
+	for _, op := range t.Ops {
+		for _, name := range p.Placement[op.ID] {
+			k, ok := e.nodeIdx[name]
+			if !ok {
+				return nil, fmt.Errorf("features: placement references unknown node %q", name)
+			}
+			nodeOf = append(nodeOf, k)
+		}
+	}
+	return e.build(a, deg, groups, nodeOf, rest), nil
+}
+
+// EncodeDegrees is EncodeIn for the plan with degrees deg (one per
+// topological position) and no NoChain entries, placed as cluster.PlaceWith
+// would place it — without building that plan: each instance's node comes
+// from cluster.RoundRobin, a duplicated node name standing for its first
+// node as in EncodeIn. The graph equals EncodeIn's of PlaceWith(NewPlan(deg)).
+func (e *Encoder) EncodeDegrees(a *Arena, deg []int) (*Graph, error) {
+	t, n, nc := e.topo, len(e.topo.Ops), len(e.c.Nodes)
+	if len(deg) != n {
+		return nil, fmt.Errorf("features: %d degrees for %d operators", len(deg), n)
+	}
+	if nc == 0 {
+		return nil, fmt.Errorf("features: cannot place on empty cluster")
+	}
 	instances := 0
-	for i, g := range groups {
+	for pos, d := range deg {
+		if d < 1 {
+			return nil, fmt.Errorf("features: operator %d has parallelism %d < 1", t.Ops[pos].ID, d)
+		}
+		instances += d
+	}
+	s, rest := e.scratch(a, n+instances)
+	groups := t.ChainGroups(nil, deg, s[:0:n])
+	nodeOf := s[n : n : n+instances]
+	for pos, d := range deg {
+		for i := 0; i < d; i++ {
+			nodeOf = append(nodeOf, e.first[cluster.RoundRobin(groups[pos], i, nc)])
+		}
+	}
+	return e.build(a, deg, groups, nodeOf, rest), nil
+}
+
+// scratch empties a's scratch slab and carves one graph's worth in one piece:
+// head ints for the caller, then the rest for build.
+func (e *Encoder) scratch(a *Arena, head int) (s, rest []int) {
+	n, nc := len(e.topo.Ops), len(e.c.Nodes)
+	recycle(&a.scratch)
+	s = carve(&a.scratch, head+2*n+4*nc)
+	return s[:head], s[head:]
+}
+
+// build carves the graph of a plan with degrees deg and chain groups groups
+// out of a. nodeOf holds every instance's index into the cluster's nodes,
+// operators in topological order and each operator's instances in order.
+// scratch is the rest of Encoder.scratch.
+func (e *Encoder) build(a *Arena, deg, groups, nodeOf, scratch []int) *Graph {
+	t, n, nc := e.topo, len(e.topo.Ops), len(e.c.Nodes)
+	// Group sizes and slot owners per position; resource index, instance
+	// count and slot load per cluster node; the machines of the operator at
+	// hand.
+	size, scratch := scratch[:n], scratch[n:]
+	owners, scratch := scratch[:0:n], scratch[n:]
+	resOf, scratch := scratch[:nc], scratch[nc:]
+	inst, scratch := scratch[:nc], scratch[nc:]
+	slots, hosts := scratch[:nc], scratch[nc:nc]
+
+	for _, g := range groups {
 		size[g]++
-		instances += deg[i]
 	}
 	owners = cluster.SlotOwners(t, groups, owners)
 
 	g := &carve(&a.graphs, 1)[0]
 	*g = Graph{
 		Template:  t.Query.Template,
-		AvgDegree: float64(instances) / float64(n),
+		AvgDegree: float64(len(nodeOf)) / float64(n),
 		OpNodes:   carve(&a.ops, n),
 		DataEdges: t.Edges,
 		SinkIdx:   t.Sink,
@@ -385,13 +455,9 @@ func (e *Encoder) EncodeIn(a *Arena, p *queryplan.PQP) (*Graph, error) {
 	}
 	g.Mapping = carve(&a.maps, maxEdges)[:0]
 	used := 0
-	for i, op := range t.Ops {
+	for i := range t.Ops {
 		hosts = hosts[:0]
-		for _, name := range p.Placement[op.ID] {
-			k, ok := e.nodeIdx[name]
-			if !ok {
-				return nil, fmt.Errorf("features: placement references unknown node %q", name)
-			}
+		for _, k := range nodeOf[:deg[i]] {
 			if resOf[k] < 0 {
 				resOf[k] = used
 				used++
@@ -401,6 +467,7 @@ func (e *Encoder) EncodeIn(a *Arena, p *queryplan.PQP) (*Graph, error) {
 			}
 			inst[k]++
 		}
+		nodeOf = nodeOf[deg[i]:]
 		owner := owners[groups[i]] == i
 		for _, k := range hosts {
 			g.Mapping = append(g.Mapping, MapEdge{OpIdx: i, ResIdx: resOf[k], Instances: inst[k]})
@@ -424,7 +491,7 @@ func (e *Encoder) EncodeIn(a *Arena, p *queryplan.PQP) (*Graph, error) {
 		}
 		g.ResNodes[ri] = ResNode{Name: node.Name, Feat: f}
 	}
-	return g, nil
+	return g
 }
 
 // encodeOperator fills the plan-independent features of one operator node

@@ -377,3 +377,63 @@ func TestEncoderReuse(t *testing.T) {
 		check("graphs of an arena another one was recycled beside", heldGraphs)
 	}
 }
+
+// TestEncodeDegrees: a degree vector encodes to the graph of the plan it
+// stands for — NewPlan, placed by PlaceWith — also when both share one arena
+// with plans encoded by name in between, and a vector no plan could stand
+// for is refused.
+func TestEncodeDegrees(t *testing.T) {
+	q := queryplan.SmartGridLocal(20_000)
+	c, err := cluster.New(5, cluster.SeenTypes(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := q.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(topo.Ops)
+	for _, mask := range []Mask{MaskAll, MaskOperatorOnly, MaskParallelismResource} {
+		enc := NewEncoder(topo, c, mask)
+		var a Arena
+		for seed := 0; seed < 12; seed++ {
+			deg := make([]int, n)
+			for i := range deg {
+				deg[i] = 1 + (seed*(i+2)+i)%9
+			}
+			p := topo.NewPlan(deg)
+			if err := cluster.PlaceWith(topo, p, c); err != nil {
+				t.Fatal(err)
+			}
+			want, err := enc.EncodeIn(&a, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := enc.EncodeDegrees(&a, deg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("mask %v, degrees %v:\n got %+v\nwant %+v", mask, deg, got, want)
+			}
+		}
+	}
+
+	enc := NewEncoder(topo, c, MaskAll)
+	ones := make([]int, n)
+	for i := range ones {
+		ones[i] = 1
+	}
+	zero := append([]int(nil), ones...)
+	zero[n-1] = 0
+	empty := NewEncoder(topo, &cluster.Cluster{LinkGbps: 10}, MaskAll)
+	for name, encode := range map[string]func() (*Graph, error){
+		"short vector":  func() (*Graph, error) { return enc.EncodeDegrees(&Arena{}, ones[:n-1]) },
+		"degree 0":      func() (*Graph, error) { return enc.EncodeDegrees(&Arena{}, zero) },
+		"empty cluster": func() (*Graph, error) { return empty.EncodeDegrees(&Arena{}, ones) },
+	} {
+		if _, err := encode(); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
+	}
+}

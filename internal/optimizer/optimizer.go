@@ -43,12 +43,55 @@ func (f EstimatorFunc) Estimate(ctx context.Context, p *queryplan.PQP, c *cluste
 
 // BatchCostEstimator is an optional CostEstimator extension for estimators
 // that can score many candidate plans at once — e.g. by fanning GNN forward
-// passes across cores. Tune uses it when available, which turns the what-if
-// sweep over the candidate set into a single parallel batch. Implementations
-// must return one estimate per plan, in order.
+// passes across cores. Tune uses it when the estimator is not a
+// SweepEstimator, which turns the what-if sweep over the candidate set into a
+// single parallel batch. Implementations must return one estimate per plan,
+// in order.
 type BatchCostEstimator interface {
 	CostEstimator
 	EstimateBatch(ctx context.Context, ps []*queryplan.PQP, c *cluster.Cluster) ([]Estimate, error)
+}
+
+// SweepEstimator is an optional CostEstimator extension for estimators that
+// score candidates as degree vectors, never building their plans. degs holds
+// len(t.Ops) degrees per candidate, by topological position of the analysed
+// query t; each candidate stands for the plan with those degrees, no NoChain
+// entries, placed by cluster.PlaceWith. Tune prefers it over every other
+// interface. Implementations must return one estimate per candidate, in
+// order.
+type SweepEstimator interface {
+	CostEstimator
+	EstimateSweep(ctx context.Context, t *queryplan.Topology, c *cluster.Cluster, degs []int) ([]Estimate, error)
+}
+
+// planSweep adapts an estimator that prices plans to SweepEstimator: every
+// candidate becomes a placed plan, priced in one EstimateBatch call when the
+// estimator has one and one Estimate call at a time otherwise.
+type planSweep struct{ CostEstimator }
+
+func (s planSweep) EstimateSweep(ctx context.Context, t *queryplan.Topology, c *cluster.Cluster, degs []int) ([]Estimate, error) {
+	n := len(t.Ops)
+	plans := make([]*queryplan.PQP, len(degs)/n)
+	for i := range plans {
+		plans[i] = t.NewPlan(degs[i*n : (i+1)*n])
+		if err := cluster.PlaceWith(t, plans[i], c); err != nil {
+			return nil, err
+		}
+	}
+	if be, ok := s.CostEstimator.(BatchCostEstimator); ok {
+		return be.EstimateBatch(ctx, plans, c)
+	}
+	estimates := make([]Estimate, len(plans))
+	for i, p := range plans {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var err error
+		if estimates[i], err = s.Estimate(ctx, p, c); err != nil {
+			return nil, err
+		}
+	}
+	return estimates, nil
 }
 
 // WeightedCost is Eq. 1: wt·C_L + (1−wt)·C_T with both costs min-max
@@ -115,56 +158,58 @@ func (e *InputError) Unwrap() error { return e.Err }
 
 // Tune selects parallelism degrees for q on cluster c by enumerating
 // candidate configurations around the analytical OptiSample assignment and
-// choosing the one with the minimum predicted weighted cost. The context
-// cancels the what-if sweep between estimates and scopes its spans.
+// choosing the one with the minimum predicted weighted cost. The candidates
+// are degree vectors until one wins: a SweepEstimator prices them as such,
+// any other estimator through planSweep, and only the winner is built and
+// placed as TuneResult.Plan. The context cancels the what-if sweep and scopes
+// its spans.
 func Tune(ctx context.Context, q *queryplan.Query, c *cluster.Cluster, est CostEstimator, opts TuneOptions) (*TuneResult, error) {
-	// The query is validated and analysed once; enumeration and the placement
-	// of every candidate reuse the analysis.
+	// The query is validated and analysed once; enumeration, pricing and the
+	// winner's placement reuse the analysis.
 	t, err := q.Analyze()
 	if err != nil {
 		return nil, &InputError{err}
 	}
-	if opts.Weight < 0 || opts.Weight > 1 {
+	// Written so that NaN, which fails every comparison, is refused too.
+	if !(opts.Weight >= 0 && opts.Weight <= 1) {
 		return nil, &InputError{fmt.Errorf("weight %v outside [0,1]", opts.Weight)}
+	}
+	// Every candidate degree lies in [1, TotalCores], so this is the one
+	// check that makes every candidate placeable.
+	if c.TotalCores() < 1 {
+		return nil, &InputError{fmt.Errorf("cluster has no cores to place on")}
 	}
 	ctx, span := obs.StartSpan(ctx, "optimizer.tune")
 	defer span.End()
 
-	candidates := enumerate(t, c, opts)
-	span.SetAttr("candidates", len(candidates))
+	n := len(t.Ops)
+	degs := enumerate(t, c, opts)
+	candidates := len(degs) / n
+	span.SetAttr("candidates", candidates)
 
-	for _, cand := range candidates {
-		if err := cluster.PlaceWith(t, cand, c); err != nil {
-			return nil, &InputError{err}
-		}
+	sweep, ok := est.(SweepEstimator)
+	if !ok {
+		sweep = planSweep{est}
 	}
-	sweepCtx, sweep := obs.StartSpan(ctx, "optimizer.estimate")
-	var estimates []Estimate
-	if be, ok := est.(BatchCostEstimator); ok {
-		estimates, err = be.EstimateBatch(sweepCtx, candidates, c)
-		if err == nil && len(estimates) != len(candidates) {
-			err = fmt.Errorf("batch estimator returned %d estimates for %d candidates",
-				len(estimates), len(candidates))
-		}
-	} else {
-		estimates = make([]Estimate, len(candidates))
-		for i, cand := range candidates {
-			if err = sweepCtx.Err(); err != nil {
-				break
-			}
-			if estimates[i], err = est.Estimate(sweepCtx, cand, c); err != nil {
-				break
-			}
-		}
+	sweepCtx, sweepSpan := obs.StartSpan(ctx, "optimizer.estimate")
+	estimates, err := sweep.EstimateSweep(sweepCtx, t, c, degs)
+	sweepSpan.End()
+	if err == nil && len(estimates) != candidates {
+		err = fmt.Errorf("estimator returned %d estimates for %d candidates", len(estimates), candidates)
 	}
-	sweep.End()
 	if err != nil {
 		return nil, fmt.Errorf("optimizer: estimate failed: %w", err)
 	}
 
 	latMin, latMax := math.Inf(1), math.Inf(-1)
 	tptMin, tptMax := math.Inf(1), math.Inf(-1)
-	for _, e := range estimates {
+	for i, e := range estimates {
+		// A NaN or infinite estimate would poison Eq. 1's normalization for
+		// every candidate; it is the estimator's failure, not the caller's.
+		if !finite(e.LatencyMs) || !finite(e.ThroughputEPS) {
+			return nil, fmt.Errorf("optimizer: candidate %d has a non-finite estimate (latency %v ms, throughput %v ev/s)",
+				i, e.LatencyMs, e.ThroughputEPS)
+		}
 		latMin = math.Min(latMin, e.LatencyMs)
 		latMax = math.Max(latMax, e.LatencyMs)
 		tptMin = math.Min(tptMin, e.ThroughputEPS)
@@ -179,26 +224,33 @@ func Tune(ctx context.Context, q *queryplan.Query, c *cluster.Cluster, est CostE
 			best, bestCost = i, cost
 		}
 	}
+	plan := t.NewPlan(degs[best*n : (best+1)*n])
+	if err := cluster.PlaceWith(t, plan, c); err != nil {
+		return nil, &InputError{err}
+	}
 	return &TuneResult{
-		Plan:       candidates[best],
+		Plan:       plan,
 		Estimate:   estimates[best],
-		Candidates: len(candidates),
+		Candidates: candidates,
 		Cost:       bestCost,
 	}, nil
 }
 
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // enumerate builds the candidate set: the analytical OptiSample plan, global
 // scalings of it, per-operator perturbations, and optional random
-// explorations — deduplicated by degree vector. It works on degree vectors by
-// topological position and materializes a plan only for a vector not seen
-// before.
-func enumerate(t *queryplan.Topology, c *cluster.Cluster, opts TuneOptions) []*queryplan.PQP {
+// explorations — deduplicated by degree vector. It returns the candidates as
+// one slab of degree vectors by topological position, len(t.Ops) entries
+// each, in enumeration order.
+func enumerate(t *queryplan.Topology, c *cluster.Cluster, opts TuneOptions) []int {
 	base := optisample.Exact().Degrees(t, c, nil, nil)
 	maxP := c.TotalCores()
 
 	seen := make(map[string]struct{})
 	var key []byte
-	var out []*queryplan.PQP
+	// Room for every deterministic candidate and every random draw.
+	out := make([]int, 0, len(base)*(1+6+2*len(base)+opts.RandomCandidates))
 	add := func(deg []int) {
 		key = key[:0]
 		for _, d := range deg {
@@ -206,7 +258,7 @@ func enumerate(t *queryplan.Topology, c *cluster.Cluster, opts TuneOptions) []*q
 		}
 		if _, dup := seen[string(key)]; !dup {
 			seen[string(key)] = struct{}{}
-			out = append(out, t.NewPlan(deg))
+			out = append(out, deg...)
 		}
 	}
 	scale := func(d int, factor float64) int {

@@ -2,7 +2,9 @@ package optimizer
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"zerotune/internal/cluster"
@@ -114,6 +116,51 @@ func TestTuneRespectsWeightBounds(t *testing.T) {
 	bad.Weight = 1.5
 	if _, err := Tune(context.Background(), q, c, EstimatorFunc(oracle), bad); err == nil {
 		t.Fatal("accepted weight > 1")
+	}
+}
+
+// NaN fails both halves of "w < 0 || w > 1", so that bound once let it
+// through to a sweep whose every cost was NaN. It is the caller's error.
+func TestTuneRejectsNaNWeight(t *testing.T) {
+	opts := DefaultTuneOptions()
+	opts.Weight = math.NaN()
+	_, err := Tune(context.Background(), linear(1000), testCluster(t), EstimatorFunc(oracle), opts)
+	var input *InputError
+	if !errors.As(err, &input) {
+		t.Fatalf("NaN weight: got %v, want an InputError", err)
+	}
+}
+
+// A NaN estimate compares false against every cost, which once left no
+// winner and panicked indexing candidate -1. It is the estimator's failure:
+// a plain error naming the candidate, not an InputError.
+func TestTuneRejectsNonFiniteEstimate(t *testing.T) {
+	q := linear(100_000)
+	c := testCluster(t)
+	for name, bad := range map[string]Estimate{
+		"NaN latency":      {LatencyMs: math.NaN(), ThroughputEPS: 1000},
+		"NaN throughput":   {LatencyMs: 5, ThroughputEPS: math.NaN()},
+		"infinite latency": {LatencyMs: math.Inf(1), ThroughputEPS: 1000},
+	} {
+		calls := 0
+		est := EstimatorFunc(func(ctx context.Context, p *queryplan.PQP, c *cluster.Cluster) (Estimate, error) {
+			calls++
+			if calls == 3 {
+				return bad, nil
+			}
+			return oracle(ctx, p, c)
+		})
+		_, err := Tune(context.Background(), q, c, est, DefaultTuneOptions())
+		if err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+		var input *InputError
+		if errors.As(err, &input) {
+			t.Fatalf("%s: %v is an InputError", name, err)
+		}
+		if !strings.Contains(err.Error(), "candidate 2 ") {
+			t.Fatalf("%s: %q does not name candidate 2", name, err)
+		}
 	}
 }
 

@@ -319,13 +319,14 @@ func (t *Topology) Check(p *PQP, deg []int) error {
 // as do targets of rebalance/hash edges and operators in p.NoChain.
 //
 // The result, appended to dst[:0], holds every position's chain group; groups
-// are numbered densely in topological order.
+// are numbered densely in topological order. A nil p chains like a plan with
+// no NoChain entries — a bare degree vector.
 func (t *Topology) ChainGroups(p *PQP, deg, dst []int) []int {
 	dst = dst[:0]
 	next := 0
 	for i, ins := range t.In {
 		if len(ins) == 1 && ins[0].Partitioning == PartForward && deg[ins[0].From] == deg[i] &&
-			!(len(p.NoChain) > 0 && p.NoChain[t.Ops[i].ID]) {
+			!(p != nil && len(p.NoChain) > 0 && p.NoChain[t.Ops[i].ID]) {
 			dst = append(dst, dst[ins[0].From])
 			continue
 		}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
+	"strconv"
 
 	"zerotune/internal/cluster"
 	"zerotune/internal/queryplan"
@@ -296,17 +296,13 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	}})
 }
 
-// degreesByOp renders a plan's parallelism map with string keys (JSON
-// object keys must be strings) in deterministic order for tests and logs.
+// degreesByOp renders a plan's parallelism per operator with the operator ID
+// as a string key (JSON object keys must be strings). encoding/json writes
+// map keys sorted as strings, so "10" comes before "2".
 func degreesByOp(p *queryplan.PQP) map[string]int {
-	ids := make([]int, 0, len(p.Query.Ops))
+	out := make(map[string]int, len(p.Query.Ops))
 	for _, o := range p.Query.Ops {
-		ids = append(ids, o.ID)
-	}
-	sort.Ints(ids)
-	out := make(map[string]int, len(ids))
-	for _, id := range ids {
-		out[fmt.Sprint(id)] = p.Degree(id)
+		out[strconv.Itoa(o.ID)] = p.Degree(o.ID)
 	}
 	return out
 }
