@@ -232,6 +232,10 @@ func (c *Client) do(ctx context.Context, path string, in, out any, opts ...CallO
 	return nil
 }
 
+// maxRawMessage bounds, in bytes, the APIError.Message taken from a body that
+// is not the error envelope.
+const maxRawMessage = 256
+
 // decodeAPIError turns a non-2xx response into an *APIError, tolerating
 // bodies that are not the envelope (proxies, panics mid-write).
 func decodeAPIError(status int, body []byte) error {
@@ -245,8 +249,9 @@ func decodeAPIError(status int, body []byte) error {
 		return &APIError{Status: status, Code: env.Error.Code, Message: env.Error.Message}
 	}
 	msg := strings.TrimSpace(string(body))
-	if len(msg) > 256 {
-		msg = msg[:256]
+	if len(msg) > maxRawMessage {
+		// The cut may split a rune; drop what is left of it.
+		msg = strings.ToValidUTF8(msg[:maxRawMessage], "")
 	}
 	return &APIError{Status: status, Message: msg}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"zerotune/internal/serve"
 )
@@ -29,6 +30,25 @@ func TestNonEnvelopeBodyClassifiedByStatus(t *testing.T) {
 		err := decodeAPIError(c.status, []byte("<html>proxy says no</html>"))
 		if !errors.Is(err, c.want) {
 			t.Errorf("status %d: got %v, want %v", c.status, err, c.want)
+		}
+	}
+}
+
+// TestNonEnvelopeBodyTruncatedOnRuneBoundary: a long non-envelope body is cut
+// to at most maxRawMessage bytes without splitting a multi-byte rune, whether
+// or not the cut falls on one.
+func TestNonEnvelopeBodyTruncatedOnRuneBoundary(t *testing.T) {
+	for _, body := range []string{
+		strings.Repeat("é", 150),       // 300 bytes, a rune starts at byte 256
+		"x" + strings.Repeat("é", 150), // byte 256 is the middle of a rune
+	} {
+		err := decodeAPIError(400, []byte(body))
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("got %v, want a bad-request *APIError", err)
+		}
+		if msg := apiErr.Message; !utf8.ValidString(msg) || len(msg) > maxRawMessage || len(msg) < maxRawMessage-utf8.UTFMax {
+			t.Errorf("%d-byte body: message of %d bytes, valid UTF-8 %v", len(body), len(msg), utf8.ValidString(msg))
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package integration_test exercises the library end-to-end across module
 // boundaries: data generation → training → persistence → prediction →
-// tuning → verification against the ground-truth engine, plus the adaptive
-// controller on top — the full Fig. 2 workflow.
+// tuning → verification against the ground-truth engine — the full Fig. 2
+// workflow.
 package integration_test
 
 import (
@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"zerotune/internal/adaptive"
 	"zerotune/internal/cluster"
 	"zerotune/internal/core"
 	"zerotune/internal/metrics"
@@ -115,22 +114,18 @@ func TestEndToEndAdaptiveLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := adaptive.New(zt.Estimator())
-	st, err := ctl.Deploy(context.Background(), queryplan.SpikeDetection(20_000), c)
+	// Re-tune after the rate jumps 20×: the model must land on a plan that
+	// sustains the new rate.
+	res, err := zt.Tune(context.Background(), queryplan.SpikeDetection(400_000), c, optimizer.DefaultTuneOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Push the rate up 20×; the controller must react and land on a plan
-	// that sustains the new rate.
-	if _, err := ctl.Observe(context.Background(), st, c, 400_000); err != nil {
-		t.Fatal(err)
-	}
-	truth, err := simulator.Simulate(st.Plan.Clone(), c, simulator.Options{DisableNoise: true})
+	truth, err := simulator.Simulate(res.Plan.Clone(), c, simulator.Options{DisableNoise: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if truth.Backpressured {
-		t.Fatalf("adaptive controller left the query backpressured: %v", st.Plan.DegreesVector())
+		t.Fatalf("re-tuned plan is backpressured at 20x the rate: %v", res.Plan.DegreesVector())
 	}
 }
 

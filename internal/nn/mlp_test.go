@@ -215,28 +215,6 @@ func TestMLPLearnsXOR(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumLearns(t *testing.T) {
-	rng := tensor.NewRNG(46)
-	m := NewMLP(rng, []int{1, 6, 1}, Tanh, Identity)
-	opt := NewSGD(0.05, 0.9)
-	// Fit y = 2x − 1 on [−1, 1].
-	var loss float64
-	for epoch := 0; epoch < 500; epoch++ {
-		m.ZeroGrad()
-		loss = 0
-		for _, x := range []float64{-1, -0.5, 0, 0.5, 1} {
-			tr := m.Forward(tensor.Vector{x})
-			l, g := MSE(tr.Output()[0], 2*x-1)
-			loss += l
-			m.Backward(tr, tensor.Vector{g})
-		}
-		opt.Step(m.Params())
-	}
-	if loss > 0.02 {
-		t.Fatalf("linear fn not learned, final loss %v", loss)
-	}
-}
-
 func TestHuberMatchesMSEInside(t *testing.T) {
 	lH, gH := Huber(1.2, 1.0, 1.0)
 	lM, gM := MSE(1.2, 1.0)

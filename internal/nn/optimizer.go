@@ -5,42 +5,6 @@ import (
 	"math"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update to every parameter using its gradient.
-	Step(params []Param)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	velocity [][]float64
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate and momentum.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []Param) {
-	if s.velocity == nil {
-		s.velocity = make([][]float64, len(params))
-		for i, p := range params {
-			s.velocity[i] = make([]float64, len(p.Value))
-		}
-	}
-	for i, p := range params {
-		v := s.velocity[i]
-		for j := range p.Value {
-			v[j] = s.Momentum*v[j] - s.LR*p.Grad[j]
-			p.Value[j] += v[j]
-		}
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba) with decoupled weight decay
 // (AdamW-style: decay is applied directly to weights, not folded into the
 // gradient moments).
@@ -61,7 +25,7 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step implements Optimizer.
+// Step applies one update to every parameter using its gradient.
 func (a *Adam) Step(params []Param) {
 	if a.m == nil {
 		a.m = make([][]float64, len(params))
