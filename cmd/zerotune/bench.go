@@ -11,7 +11,6 @@ import (
 	"os"
 	"os/signal"
 	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -73,10 +72,10 @@ func benchBodies(seed uint64, n int) ([][]byte, error) {
 // where that tier keeps the stage histograms it fills while driven — the
 // /metrics of a remote target, the registries of an in-process one.
 type liveTarget struct {
-	loadgen.Target
+	serve.Backend
 	name     string
 	close    func()
-	remote   *client.Client            // a URL target
+	remote   *client.Client            // a URL target: the Backend itself
 	gateway  *gateway.Gateway          // in process; nil when the one replica is driven directly
 	replicas []*serve.InProcessBackend // in process
 }
@@ -136,23 +135,18 @@ func stageRows(pages []metricsPage) []loadgen.StageRow {
 // prefixes what it logs.
 func benchTarget(cmd, targetURL, model string, replicas int, slo string, timeout time.Duration) (*liveTarget, error) {
 	if targetURL != "" {
-		base := strings.TrimRight(targetURL, "/")
-		t, err := loadgen.NewHTTPTarget(base, nil)
+		c, err := client.New(targetURL)
 		if err != nil {
 			return nil, err
 		}
-		c, err := client.New(base)
-		if err != nil {
-			return nil, err
-		}
-		return &liveTarget{Target: t, name: targetURL, close: func() {}, remote: c}, nil
+		return &liveTarget{Backend: c, name: targetURL, close: func() {}, remote: c}, nil
 	}
 	pool, closeReplicas, err := inProcessReplicas(cmd, model, max(replicas, 1), timeout)
 	if err != nil {
 		return nil, err
 	}
 	if replicas < 1 {
-		return &liveTarget{Target: loadgen.HandlerTarget{Handler: pool[0].Server()}, name: "serve",
+		return &liveTarget{Backend: loadgen.HandlerTarget{Handler: pool[0].Server()}, name: "serve",
 			close: closeReplicas, replicas: pool}, nil
 	}
 	classes, err := parseSLOClasses(slo)
@@ -166,7 +160,7 @@ func benchTarget(cmd, targetURL, model string, replicas int, slo string, timeout
 		return nil, err
 	}
 	g.Start()
-	return &liveTarget{Target: loadgen.HandlerTarget{Handler: g}, name: "gateway",
+	return &liveTarget{Backend: loadgen.HandlerTarget{Handler: g}, name: "gateway",
 		close: func() { g.Close(); closeReplicas() }, gateway: g, replicas: pool}, nil
 }
 

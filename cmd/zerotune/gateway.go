@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"zerotune/internal/client"
 	"zerotune/internal/gateway"
 	"zerotune/internal/serve"
 )
@@ -71,10 +72,11 @@ func gatewayCommand(fs *flag.FlagSet) func() error {
 				if u == "" {
 					continue
 				}
-				b, err := gateway.NewHTTPBackend(fmt.Sprintf("replica-%d", i), u, 0)
+				c, err := client.New(u)
 				if err != nil {
 					return err
 				}
+				b := c.Named(fmt.Sprintf("replica-%d", i))
 				fmt.Fprintf(os.Stderr, "gateway: backend %s -> %s\n", b.Name(), u)
 				pool = append(pool, b)
 			}

@@ -8,20 +8,21 @@ import (
 
 // The typed endpoints. Request/response shapes are the serve wire types —
 // the gateway proxies them unmodified, so one method set covers both tiers.
+// A call's SLO class rides on ctx (serve.WithSLOClass).
 
 // Predict asks for the cost estimate of one placed parallel plan.
-func (c *Client) Predict(ctx context.Context, req *serve.PredictRequest, opts ...CallOption) (*serve.PredictResponse, error) {
+func (c *Client) Predict(ctx context.Context, req *serve.PredictRequest) (*serve.PredictResponse, error) {
 	var out serve.PredictResponse
-	if err := c.do(ctx, "/v1/predict", req, &out, opts...); err != nil {
+	if err := c.do(ctx, "/v1/predict", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
 // Tune asks the optimizer to pick parallelism degrees for a logical query.
-func (c *Client) Tune(ctx context.Context, req *serve.TuneRequest, opts ...CallOption) (*serve.TuneResponse, error) {
+func (c *Client) Tune(ctx context.Context, req *serve.TuneRequest) (*serve.TuneResponse, error) {
 	var out serve.TuneResponse
-	if err := c.do(ctx, "/v1/tune", req, &out, opts...); err != nil {
+	if err := c.do(ctx, "/v1/tune", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -29,18 +30,18 @@ func (c *Client) Tune(ctx context.Context, req *serve.TuneRequest, opts ...CallO
 
 // Feedback reports the observed runtime cost of a previously predicted
 // plan, closing the continual-learning loop.
-func (c *Client) Feedback(ctx context.Context, req *serve.FeedbackRequest, opts ...CallOption) (*serve.FeedbackResponse, error) {
+func (c *Client) Feedback(ctx context.Context, req *serve.FeedbackRequest) (*serve.FeedbackResponse, error) {
 	var out serve.FeedbackResponse
-	if err := c.do(ctx, "/v1/feedback", req, &out, opts...); err != nil {
+	if err := c.do(ctx, "/v1/feedback", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
 
 // Reload hot-swaps the served model (empty path re-reads the current file).
-func (c *Client) Reload(ctx context.Context, req *serve.ReloadRequest, opts ...CallOption) (*serve.ReloadResponse, error) {
+func (c *Client) Reload(ctx context.Context, req *serve.ReloadRequest) (*serve.ReloadResponse, error) {
 	var out serve.ReloadResponse
-	if err := c.do(ctx, "/v1/reload", req, &out, opts...); err != nil {
+	if err := c.do(ctx, "/v1/reload", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -49,9 +50,9 @@ func (c *Client) Reload(ctx context.Context, req *serve.ReloadRequest, opts ...C
 // Health fetches /healthz. A serving endpoint answers 200; an endpoint
 // without a model answers 503, surfaced as an error (errors.Is
 // ErrUnavailable / ErrNoModel depending on the body).
-func (c *Client) Health(ctx context.Context, opts ...CallOption) (*serve.HealthResponse, error) {
+func (c *Client) Health(ctx context.Context) (*serve.HealthResponse, error) {
 	var out serve.HealthResponse
-	if err := c.do(ctx, "/healthz", nil, &out, opts...); err != nil {
+	if err := c.do(ctx, "/healthz", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

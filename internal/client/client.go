@@ -3,22 +3,22 @@
 // /healthz that decodes the stack's stable error envelope
 // `{"error":{"code","message"}}` into exported sentinel errors.
 //
-// Everything in the repo that speaks the wire protocol — the gateway's
-// remote-replica backend, the load harness's remote target, the chaos
-// driver — goes through this package, so there is exactly one place that
-// builds requests, bounds response reads (io.LimitReader; a misbehaving
-// backend cannot balloon memory), and maps wire codes to errors.
+// A *Client is a serve.Backend: the gateway fronts a remote replica with
+// one, `zerotune bench -target` drives one, the chaos driver watches one.
+// Requests are serve.NewRequest's, so the SLO class rides on the context
+// (serve.WithSLOClass); response reads are bounded at serve.MaxBodyBytes, so
+// a misbehaving backend cannot balloon memory; and wire codes map to errors
+// here only.
 //
 // Two transports share every code path above them: New dials a base URL
-// over a real *http.Client, NewForHandler drives an http.Handler in
-// process. The handler transport deliberately shields the handler from the
-// caller's context and abandons the in-flight call when that context ends —
-// the semantics a watchdog harness needs to detect a wedged handler instead
-// of deadlocking on it.
+// over HTTP, NewForHandler drives an http.Handler in process. The handler
+// transport deliberately shields the handler from the caller's cancellation
+// and abandons the in-flight call when that context ends — the semantics a
+// watchdog harness needs to detect a wedged handler instead of deadlocking
+// on it.
 package client
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -26,51 +26,22 @@ import (
 	"net/http"
 	"net/url"
 	"strings"
-	"time"
 
 	"zerotune/internal/serve"
 )
 
 // Client issues requests against one serving endpoint (a serve replica or a
-// gateway — both speak the same protocol). Safe for concurrent use.
+// gateway — both speak the same protocol) and is itself a serve.Backend, which
+// is how the gateway fronts a remote replica. Safe for concurrent use.
 type Client struct {
+	name    string
 	base    string
-	hc      *http.Client
 	handler http.Handler
-	maxBody int64
 }
 
-// Option configures a Client.
-type Option func(*Client)
-
-// WithHTTPClient substitutes the underlying *http.Client (connection pools,
-// custom transports). Ignored by handler-backed clients.
-func WithHTTPClient(hc *http.Client) Option {
-	return func(c *Client) {
-		if hc != nil {
-			c.hc = hc
-		}
-	}
-}
-
-// WithTimeout sets a transport-level per-request backstop on the underlying
-// HTTP client. Per-call deadlines still come from the context.
-func WithTimeout(d time.Duration) Option {
-	return func(c *Client) { c.hc.Timeout = d }
-}
-
-// WithMaxResponseBytes bounds response-body reads (default
-// serve.MaxBodyBytes, the server's own request-body cap).
-func WithMaxResponseBytes(n int64) Option {
-	return func(c *Client) {
-		if n > 0 {
-			c.maxBody = n
-		}
-	}
-}
-
-// New builds a client for the endpoint at baseURL (scheme://host[:port]).
-func New(baseURL string, opts ...Option) (*Client, error) {
+// New builds a client for the endpoint at baseURL (scheme://host[:port]),
+// named by its host:port.
+func New(baseURL string) (*Client, error) {
 	u, err := url.Parse(baseURL)
 	if err != nil {
 		return nil, fmt.Errorf("client: base url %q: %w", baseURL, err)
@@ -81,87 +52,52 @@ func New(baseURL string, opts ...Option) (*Client, error) {
 	if u.Host == "" {
 		return nil, fmt.Errorf("client: base url %q: missing host", baseURL)
 	}
-	c := &Client{
-		base:    strings.TrimRight(u.String(), "/"),
-		hc:      &http.Client{},
-		maxBody: serve.MaxBodyBytes,
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c, nil
+	return &Client{name: u.Host, base: strings.TrimRight(u.String(), "/")}, nil
 }
 
 // NewForHandler builds a client that drives h in process — no sockets. Each
-// call runs h.ServeHTTP on its own goroutine against a private recorder;
-// the handler sees an uncancellable context, and if the caller's context
-// ends first the call is abandoned (the goroutine keeps running, its
-// response is discarded) and the context's error is returned as a transport
-// error. That makes a wedged handler observable as context.DeadlineExceeded
-// instead of a deadlock — exactly what the chaos driver's stuck-request
-// watchdog relies on.
-func NewForHandler(h http.Handler, opts ...Option) *Client {
-	c := &Client{
-		base:    "http://in-process",
-		hc:      &http.Client{},
-		handler: h,
-		maxBody: serve.MaxBodyBytes,
-	}
-	for _, o := range opts {
-		o(c)
-	}
-	return c
+// call runs serve.ServeInProcess on its own goroutine; the handler sees the
+// caller's context without its cancellation, and if the caller's context ends
+// first the call is abandoned (the goroutine keeps running, its response is
+// discarded) and the context's error is returned as a transport error. That
+// makes a wedged handler observable as context.DeadlineExceeded instead of a
+// deadlock — exactly what the chaos driver's stuck-request watchdog relies on.
+func NewForHandler(h http.Handler) *Client {
+	return &Client{name: "in-process", handler: h}
 }
 
-// Base returns the base URL requests are issued against.
+// Named returns a copy of c whose serve.Backend name is name.
+func (c *Client) Named(name string) *Client {
+	cp := *c
+	cp.name = name
+	return &cp
+}
+
+// Name implements serve.Backend.
+func (c *Client) Name() string { return c.name }
+
+// Base returns the base URL requests are issued against ("" in process).
 func (c *Client) Base() string { return c.base }
 
-// CallOption adjusts one request.
-type CallOption func(*http.Request)
-
-// WithSLOClass stamps the request with the gateway's SLO-class header.
-func WithSLOClass(class string) CallOption {
-	return func(r *http.Request) {
-		if class != "" {
-			r.Header.Set(serve.SLOClassHeader, class)
-		}
-	}
-}
-
-// WithHeader sets one request header.
-func WithHeader(key, value string) CallOption {
-	return func(r *http.Request) { r.Header.Set(key, value) }
-}
-
-// Call is the raw protocol primitive, mirroring serve.Backend.Call: the
-// method is serve.MethodFor(path); transport-level failures return err; any
+// Call is the raw protocol primitive and implements serve.Backend: the
+// request is serve.NewRequest's; transport-level failures return err; any
 // HTTP response — error envelopes included — passes through as (status,
-// body) with the body read bounded. The typed methods are built on it.
-func (c *Client) Call(ctx context.Context, path string, body []byte, opts ...CallOption) (int, []byte, error) {
-	method := serve.MethodFor(path)
-	var rd io.Reader
-	if method == http.MethodPost {
-		rd = bytes.NewReader(body)
+// body), the body read bounded at serve.MaxBodyBytes. The typed methods are
+// built on it.
+func (c *Client) Call(ctx context.Context, path string, body []byte) (int, []byte, error) {
+	if c.handler != nil {
+		return c.callHandler(ctx, path, body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	req, err := serve.NewRequest(ctx, c.base, path, body)
 	if err != nil {
 		return 0, nil, err
 	}
-	if method == http.MethodPost {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	for _, o := range opts {
-		o(req)
-	}
-	if c.handler != nil {
-		return c.callHandler(req)
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, c.maxBody))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, serve.MaxBodyBytes))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -169,46 +105,37 @@ func (c *Client) Call(ctx context.Context, path string, body []byte, opts ...Cal
 }
 
 // handlerResult is one in-process call's outcome, handed over the channel
-// so an abandoned call's recorder is never touched by the caller again.
+// so an abandoned call's response is never touched by the caller again.
 type handlerResult struct {
 	status int
 	body   []byte
+	err    error
 }
 
-// callHandler serves req on the in-process handler, honoring the request
-// context by abandonment (see NewForHandler).
-func (c *Client) callHandler(req *http.Request) (int, []byte, error) {
+// callHandler serves one call on the in-process handler, honoring the
+// caller's context by abandonment (see NewForHandler).
+func (c *Client) callHandler(ctx context.Context, path string, body []byte) (int, []byte, error) {
 	// The handler must not observe the caller's cancellation: the watchdog
 	// contract is "detect a stuck handler", and cancelling the request would
 	// instead unwedge handlers that respect their context.
-	inner := req.WithContext(context.WithoutCancel(req.Context()))
-	if inner.Body == nil {
-		// Handlers are written against net/http's guarantee of a non-nil
-		// Body; uphold it on the in-process transport too.
-		inner.Body = http.NoBody
-	}
+	inner := context.WithoutCancel(ctx)
 	done := make(chan handlerResult, 1)
 	go func() {
-		var rec serve.Recorder
-		c.handler.ServeHTTP(&rec, inner)
-		body := rec.Body()
-		if int64(len(body)) > c.maxBody {
-			body = body[:c.maxBody]
-		}
-		done <- handlerResult{status: rec.Status(), body: body}
+		status, resp, err := serve.ServeInProcess(inner, c.handler, path, body, false)
+		done <- handlerResult{status, resp[:min(len(resp), serve.MaxBodyBytes)], err}
 	}()
 	select {
 	case res := <-done:
-		return res.status, res.body, nil
-	case <-req.Context().Done():
-		return 0, nil, req.Context().Err()
+		return res.status, res.body, res.err
+	case <-ctx.Done():
+		return 0, nil, ctx.Err()
 	}
 }
 
 // do runs one typed round trip: marshal in (nil means empty body), issue
 // the call, and either decode a 2xx body into out or decode the error
 // envelope into an *APIError.
-func (c *Client) do(ctx context.Context, path string, in, out any, opts ...CallOption) error {
+func (c *Client) do(ctx context.Context, path string, in, out any) error {
 	var body []byte
 	if in != nil {
 		b, err := json.Marshal(in)
@@ -217,7 +144,7 @@ func (c *Client) do(ctx context.Context, path string, in, out any, opts ...CallO
 		}
 		body = b
 	}
-	status, data, err := c.Call(ctx, path, body, opts...)
+	status, data, err := c.Call(ctx, path, body)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -68,49 +69,27 @@ func TestNewValidatesBaseURL(t *testing.T) {
 	}
 }
 
-// TestResponseReadBounded: a handler streaming more than the cap must not
-// balloon the returned body past MaxResponseBytes.
+// TestResponseReadBounded: a handler streaming more than serve.MaxBodyBytes
+// must not balloon the returned body past the cap, in process or over HTTP.
 func TestResponseReadBounded(t *testing.T) {
-	big := strings.Repeat("x", 4096)
+	big := strings.Repeat("x", serve.MaxBodyBytes+4096)
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, big)
 	})
-	c := NewForHandler(h, WithMaxResponseBytes(1024))
-	_, body, err := c.Call(context.Background(), "/healthz", nil)
+	hs := httptest.NewServer(h)
+	defer hs.Close()
+	overHTTP, err := New(hs.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(body) != 1024 {
-		t.Fatalf("read %d bytes past the 1024 cap", len(body))
-	}
-}
-
-// TestHandlerTransportMethodAndHeaders: /v1/* goes out as POST with the JSON
-// content type; class and custom headers land on the request.
-func TestHandlerTransportMethodAndHeaders(t *testing.T) {
-	var gotMethod, gotCT, gotClass, gotX string
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotMethod, gotCT = r.Method, r.Header.Get("Content-Type")
-		gotClass, gotX = r.Header.Get(serve.SLOClassHeader), r.Header.Get("X-Extra")
-		w.Write([]byte("{}"))
-	})
-	c := NewForHandler(h)
-	_, _, err := c.Call(context.Background(), "/v1/predict", []byte(`{}`),
-		WithSLOClass("gold"), WithHeader("X-Extra", "1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotMethod != http.MethodPost || gotCT != "application/json" {
-		t.Fatalf("v1 call: method=%s ct=%s", gotMethod, gotCT)
-	}
-	if gotClass != "gold" || gotX != "1" {
-		t.Fatalf("headers lost: class=%q extra=%q", gotClass, gotX)
-	}
-	if _, _, err := c.Call(context.Background(), "/healthz", nil); err != nil {
-		t.Fatal(err)
-	}
-	if gotMethod != http.MethodGet {
-		t.Fatalf("non-v1 call sent as %s", gotMethod)
+	for _, c := range []*Client{NewForHandler(h), overHTTP} {
+		_, body, err := c.Call(context.Background(), "/healthz", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) != serve.MaxBodyBytes {
+			t.Fatalf("%s: read %d bytes, want the %d-byte cap", c.Name(), len(body), serve.MaxBodyBytes)
+		}
 	}
 }
 

@@ -50,6 +50,10 @@ type Promoter interface {
 // holdoutPoint names the seeded uniform stream deciding holdout membership.
 const holdoutPoint = "feedback.holdout"
 
+// holdbackFrac is the share of drained samples held out of training for
+// shadow evaluation (at least one sample each side).
+const holdbackFrac = 0.25
+
 // DefaultMinSamples gates a fine-tune run. Like every default of the learner
 // it is declared here only: serve hands its Config through untouched and the
 // CLI's flag reads this constant.
@@ -67,9 +71,6 @@ type Config struct {
 	Dir string
 	// MinSamples gates a run (default DefaultMinSamples).
 	MinSamples int
-	// HoldbackFrac is the share of drained samples held out of training
-	// for shadow evaluation (default 0.25, at least one sample each side).
-	HoldbackFrac float64
 	// MaxShadowRegress is the relative margin by which the candidate's
 	// holdout MAPE may exceed the current model's before rejection
 	// (default 0 — the candidate must be at least as good).
@@ -90,9 +91,6 @@ type Config struct {
 func (c Config) WithDefaults() Config {
 	if c.MinSamples < 2 {
 		c.MinSamples = DefaultMinSamples
-	}
-	if c.HoldbackFrac <= 0 || c.HoldbackFrac >= 1 {
-		c.HoldbackFrac = 0.25
 	}
 	if c.MaxShadowRegress < 0 {
 		c.MaxShadowRegress = 0
@@ -212,8 +210,9 @@ func (l *Learner) Run(ctx context.Context) {
 }
 
 // RunOnce executes one full closed-loop iteration: drain → fine-tune a
-// clone → shadow-evaluate → write artifact → promote → post-promote check
-// (the feedback.promote fault point) with automatic rollback. A
+// clone → compile → shadow-evaluate → write artifact → promote →
+// post-promote check (the feedback.promote fault point) with automatic
+// rollback. A
 // ctx-cancelled fine-tune parks its checkpoint and drained samples; the
 // next RunOnce resumes them.
 func (l *Learner) RunOnce(ctx context.Context) (*Report, error) {
@@ -227,7 +226,7 @@ func (l *Learner) RunOnce(ctx context.Context) (*Report, error) {
 			span.SetAttr("skipped", "not_enough_samples")
 			return nil, ErrNotEnoughSamples
 		}
-		train, holdout := splitSamples(l.cfg.Store.Drain(), l.cfg.HoldbackFrac, l.cfg.Seed)
+		train, holdout := splitSamples(l.cfg.Store.Drain(), holdbackFrac, l.cfg.Seed)
 		l.pending = &pendingJob{train: train, holdout: holdout}
 	}
 	job := l.pending
@@ -274,6 +273,15 @@ func (l *Learner) RunOnce(ctx context.Context) (*Report, error) {
 	opts.Checkpoint = func(ck *gnn.Checkpoint) error { job.ckpt = ck; return nil }
 	if _, err := cand.FineTune(ctx, items, opts); err != nil {
 		return rep, park(err)
+	}
+
+	// Compile gate: the candidate is judged on the engine that would serve
+	// it, as the serving model is, and a gate refusal rejects it before its
+	// artifact is written.
+	if err := cand.Compile(gnn.CompileOptions{}); err != nil {
+		l.rejected.Add(1)
+		l.rejectedCounter.Inc()
+		return rep, park(fmt.Errorf("feedback: compile candidate: %w", err))
 	}
 
 	// Shadow evaluation: both models answer the held-back slice; the

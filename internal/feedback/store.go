@@ -10,7 +10,7 @@
 //
 //	ingest → reservoir Store → drift Detector ─trip→ Learner.RunOnce
 //	  RunOnce: drain → split train/holdout → clone + core.FineTune
-//	         → shadow eval (holdout MAPE) + compile gate → artifact write
+//	         → compile gate + shadow eval (holdout MAPE) → artifact write
 //	         → promote (registry swap) → post-promote check → rollback?
 //
 // Every random decision — reservoir eviction, holdout membership — draws

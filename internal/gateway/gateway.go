@@ -1,7 +1,7 @@
 // Package gateway is the scale-out serving tier: one endpoint surface
 // (/v1/predict, /v1/tune, /healthz, /metrics) fronting N serve replicas —
-// in-process backends for tests and single-binary deployments, HTTP
-// backends for real clusters.
+// in-process backends for tests and single-binary deployments, a
+// *client.Client per remote replica for real clusters.
 //
 // The request path composes four stages, each independently configurable:
 //
@@ -16,9 +16,10 @@
 //     hashing, so each replica's plan and body caches shard naturally) —
 //     picks a healthy replica; transport failures retry on the next-best
 //     replica and feed consecutive-failure ejection.
-//  4. Forwarding: the raw body is proxied; replica responses, including
-//     error envelopes, pass through byte-for-byte with an X-Gateway-Replica
-//     header naming the backend that answered.
+//  4. Forwarding: the raw body and the X-SLO-Class header are proxied
+//     through serve.Backend.Call; replica responses, including error
+//     envelopes, pass through byte-for-byte with an X-Gateway-Replica header
+//     naming the backend that answered.
 //
 // Health is active and passive: a probe loop ejects replicas that fail
 // consecutively (probes or forwards) and readmits them after a seeded
@@ -57,6 +58,10 @@ const (
 	DefaultSeed                 = 1
 )
 
+// forwardRetries is how many more replicas a request tries after a transport
+// failure, at most one fewer than the pool holds.
+const forwardRetries = 2
+
 // SelfMetric is the histogram, in seconds, of what a proxied request costs at
 // the gateway itself: its handler time less the time it parked for a dispatch
 // slot (zerotune_gateway_queue_wait_seconds) and the time its forwards took
@@ -87,9 +92,6 @@ type Options struct {
 	// DefaultProbeInterval). Negative disables the loop — tests drive
 	// Pool().Probe directly for determinism.
 	ProbeInterval time.Duration
-	// ForwardRetries is how many additional replicas a request tries after
-	// a transport failure (default 2, capped at the replica count).
-	ForwardRetries int
 	// RequestTimeout bounds each forward attempt (default
 	// serve.DefaultRequestTimeout; negative disables).
 	RequestTimeout time.Duration
@@ -123,14 +125,6 @@ func (o Options) WithDefaults(replicas int) Options {
 	if o.ProbeInterval == 0 {
 		o.ProbeInterval = DefaultProbeInterval
 	}
-	if o.ForwardRetries < 0 {
-		o.ForwardRetries = 0
-	} else if o.ForwardRetries == 0 {
-		o.ForwardRetries = 2
-	}
-	if o.ForwardRetries > replicas-1 {
-		o.ForwardRetries = replicas - 1
-	}
 	if o.RequestTimeout == 0 {
 		o.RequestTimeout = serve.DefaultRequestTimeout
 	} else if o.RequestTimeout < 0 {
@@ -147,13 +141,14 @@ func (o Options) WithDefaults(replicas int) Options {
 
 // Gateway fronts a replica pool behind one HTTP surface.
 type Gateway struct {
-	opts   Options
-	reg    *obs.Registry
-	pool   *Pool
-	router router
-	adm    *admission
-	queue  *dispatchQueue
-	mux    *http.ServeMux
+	opts       Options
+	maxRetries int // forwardRetries, capped by the pool
+	reg        *obs.Registry
+	pool       *Pool
+	router     router
+	adm        *admission
+	queue      *dispatchQueue
+	mux        *http.ServeMux
 
 	endpoints map[string]*obs.Endpoint
 	self      *obs.Histogram // SelfMetric
@@ -205,20 +200,21 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 		return nil, err
 	}
 	g := &Gateway{
-		opts:      opts,
-		reg:       reg,
-		pool:      newPool(backends, opts.Seed, opts.FailThreshold, reg),
-		router:    rt,
-		adm:       adm,
-		queue:     newDispatchQueue(opts.Queue, opts.MaxConcurrent, opts.QueueDepth),
-		mux:       http.NewServeMux(),
-		endpoints: make(map[string]*obs.Endpoint, len(endpointNames)),
-		self:      reg.Histogram(SelfMetric),
-		spillover: reg.Counter("zerotune_gateway_spillover_total"),
-		retries:   reg.Counter("zerotune_gateway_forward_retries_total"),
-		routed:    make(map[string]*obs.Counter, len(backends)),
-		start:     time.Now(),
-		stop:      make(chan struct{}),
+		opts:       opts,
+		maxRetries: min(forwardRetries, len(backends)-1),
+		reg:        reg,
+		pool:       newPool(backends, opts.Seed, opts.FailThreshold, reg),
+		router:     rt,
+		adm:        adm,
+		queue:      newDispatchQueue(opts.Queue, opts.MaxConcurrent, opts.QueueDepth),
+		mux:        http.NewServeMux(),
+		endpoints:  make(map[string]*obs.Endpoint, len(endpointNames)),
+		self:       reg.Histogram(SelfMetric),
+		spillover:  reg.Counter("zerotune_gateway_spillover_total"),
+		retries:    reg.Counter("zerotune_gateway_forward_retries_total"),
+		routed:     make(map[string]*obs.Counter, len(backends)),
+		start:      time.Now(),
+		stop:       make(chan struct{}),
 	}
 	for _, name := range endpointNames {
 		g.endpoints[name] = obs.NewEndpoint(reg, "zerotune_gateway", name)
@@ -309,8 +305,11 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 			return
 		}
 
-		// Stage 1: admission.
-		cls := g.adm.class(r.Header.Get(serve.SLOClassHeader))
+		// Stage 1: admission. The class header goes on to the replica with
+		// every forward, carried by the context.
+		class := r.Header.Get(serve.SLOClassHeader)
+		ctx = serve.WithSLOClass(ctx, class)
+		cls := g.adm.class(class)
 		if !cls.Allow(g.opts.Now()) {
 			cls.rejected.Inc()
 			writeError(w, http.StatusTooManyRequests, ErrAdmissionRejected)
@@ -345,7 +344,7 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 		replicas := g.pool.Replicas()
 		var tried uint64
 		var lastErr error
-		for attempt := 0; attempt <= g.opts.ForwardRetries; attempt++ {
+		for attempt := 0; attempt <= g.maxRetries; attempt++ {
 			rep, spill := g.router.pick(replicas, key, tried)
 			if rep == nil {
 				break

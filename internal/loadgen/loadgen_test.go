@@ -8,7 +8,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,7 +17,6 @@ import (
 	"time"
 
 	"zerotune/internal/artifact"
-	"zerotune/internal/client"
 	"zerotune/internal/core"
 	"zerotune/internal/metrics"
 	"zerotune/internal/obs"
@@ -437,14 +435,16 @@ type countingTarget struct {
 	capacity int
 }
 
-func (c *countingTarget) Do(ctx context.Context, path, class string, body []byte) (int, error) {
+func (c *countingTarget) Name() string { return "counting" }
+
+func (c *countingTarget) Call(context.Context, string, []byte) (int, []byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.served++
 	if c.served > c.capacity {
-		return http.StatusServiceUnavailable, nil
+		return http.StatusServiceUnavailable, nil, nil
 	}
-	return http.StatusOK, nil
+	return http.StatusOK, nil, nil
 }
 
 // TestRunAndStepReport exercises the runner end to end against an in-process
@@ -554,10 +554,7 @@ func TestRunChargesCoordinatedOmission(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = Request{Offset: time.Duration(i) * time.Millisecond, Path: "/x", Body: []byte("b")}
 	}
-	slow := targetFunc(func(ctx context.Context, path, class string, body []byte) (int, error) {
-		time.Sleep(30 * time.Millisecond)
-		return 200, nil
-	})
+	slow := sleepyTarget(30 * time.Millisecond)
 	results, err := Run(context.Background(), reqs, RunOptions{Target: slow, MaxInFlight: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -572,79 +569,34 @@ func TestRunChargesCoordinatedOmission(t *testing.T) {
 	}
 }
 
-type targetFunc func(ctx context.Context, path, class string, body []byte) (int, error)
+// sleepyTarget answers every call with 200 after sleeping its length.
+type sleepyTarget time.Duration
 
-func (f targetFunc) Do(ctx context.Context, path, class string, body []byte) (int, error) {
-	return f(ctx, path, class, body)
+func (sleepyTarget) Name() string { return "sleepy" }
+
+func (d sleepyTarget) Call(context.Context, string, []byte) (int, []byte, error) {
+	time.Sleep(time.Duration(d))
+	return http.StatusOK, nil, nil
 }
 
-// TestHandlerTarget drives a real http.Handler and checks method, SLO-class
-// header and body delivery.
-func TestHandlerTarget(t *testing.T) {
-	var gotClass, gotMethod, gotBody string
+// TestRunSendsClass: a request's Class rides on its call's context, which
+// every serve.Backend sends as X-SLO-Class.
+func TestRunSendsClass(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		classes []string
+	)
 	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		gotClass = r.Header.Get(serve.SLOClassHeader)
-		gotMethod = r.Method
-		var b bytes.Buffer
-		_, _ = b.ReadFrom(r.Body)
-		gotBody = b.String()
-		w.WriteHeader(http.StatusTeapot)
+		mu.Lock()
+		defer mu.Unlock()
+		classes = append(classes, r.Header.Get(serve.SLOClassHeader))
 	})
-	status, err := HandlerTarget{Handler: h}.Do(context.Background(), "/v1/predict", "gold", []byte(`{"x":1}`))
-	if err != nil || status != http.StatusTeapot {
-		t.Fatalf("status=%d err=%v", status, err)
-	}
-	if gotClass != "gold" || gotMethod != http.MethodPost || gotBody != `{"x":1}` {
-		t.Fatalf("request mangled: class=%q method=%q body=%q", gotClass, gotMethod, gotBody)
-	}
-}
-
-// TestTransportsAgreeOnMethod pins the one rule (serve.MethodFor): the path,
-// not the body, picks the method, on every transport. An empty-body /v1/reload
-// is a valid request and must reach the handler through each of them;
-// HandlerTarget used to send it as a GET and was turned away by the mux with
-// 405, so a recorded trace replayed differently in process and over HTTP.
-func TestTransportsAgreeOnMethod(t *testing.T) {
-	srv := serve.New(serve.Options{})
-	defer srv.Close()
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
-	overHTTP, err := NewHTTPTarget(hs.URL, nil)
-	if err != nil {
+	reqs := []Request{{Path: "/v1/predict", Class: "gold"}, {Offset: time.Millisecond, Path: "/v1/predict"}}
+	if _, err := Run(context.Background(), reqs, RunOptions{Target: HandlerTarget{Handler: h}, MaxInFlight: 1}); err != nil {
 		t.Fatal(err)
 	}
-	backend := serve.NewInProcessBackend("replica-0", srv)
-	inProcess := client.NewForHandler(srv)
-	ctx := context.Background()
-	transports := []struct {
-		name string
-		do   func(path string, body []byte) (int, error)
-	}{
-		{"loadgen.HandlerTarget", func(path string, body []byte) (int, error) {
-			return HandlerTarget{Handler: srv}.Do(ctx, path, "", body)
-		}},
-		{"loadgen.HTTPTarget", func(path string, body []byte) (int, error) {
-			return overHTTP.Do(ctx, path, "", body)
-		}},
-		{"serve.InProcessBackend", func(path string, body []byte) (int, error) {
-			status, _, err := backend.Call(ctx, path, body)
-			return status, err
-		}},
-		{"client.Client", func(path string, body []byte) (int, error) {
-			status, _, err := inProcess.Call(ctx, path, body)
-			return status, err
-		}},
-	}
-	for _, tr := range transports {
-		// No model is loaded, so the reload handler's own answer is 400
-		// "reload needs a model path"; 405 means the mux never let it in.
-		if status, err := tr.do("/v1/reload", nil); err != nil || status != http.StatusBadRequest {
-			t.Errorf("%s: empty-body POST /v1/reload: status %d, err %v; want 400 from the handler", tr.name, status, err)
-		}
-		// And a body does not turn a GET path into a POST.
-		if status, err := tr.do("/healthz", []byte(`{}`)); err != nil || status == http.StatusMethodNotAllowed {
-			t.Errorf("%s: /healthz with a body: status %d, err %v", tr.name, status, err)
-		}
+	if got := strings.Join(classes, ","); got != "gold," {
+		t.Fatalf("handler saw classes %q, want \"gold,\"", got)
 	}
 }
 

@@ -1,73 +1,27 @@
 package loadgen
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"net/http"
 	"sync"
 	"time"
 
-	"zerotune/internal/client"
 	"zerotune/internal/serve"
 )
 
-// Target abstracts the system under load: an in-process handler (serve
-// replica or gateway driven directly, no sockets) or a remote HTTP base URL.
-type Target interface {
-	// Do sends body to path with the given SLO class and returns the HTTP
-	// status. Transport-level failures return err; application errors are a
-	// non-2xx status with err nil (mirroring serve.Backend).
-	Do(ctx context.Context, path, class string, body []byte) (status int, err error)
-}
-
-// HandlerTarget drives an http.Handler in-process — both *serve.Server and
-// *gateway.Gateway implement http.Handler, so one adapter load-tests either
-// tier without network noise.
+// HandlerTarget drives an http.Handler in process as a serve.Backend — both
+// *serve.Server and *gateway.Gateway implement http.Handler, so one adapter
+// load-tests either tier without network noise. It reads only the status:
+// Call returns no payload.
 type HandlerTarget struct{ Handler http.Handler }
 
-// Do implements Target.
-func (t HandlerTarget) Do(ctx context.Context, path, class string, body []byte) (int, error) {
-	req, err := http.NewRequestWithContext(ctx, serve.MethodFor(path), "http://loadgen"+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	if class != "" {
-		req.Header.Set(serve.SLOClassHeader, class)
-	}
-	w := serve.Recorder{DiscardBody: true}
-	t.Handler.ServeHTTP(&w, req)
-	return w.Status(), nil
-}
+// Name implements serve.Backend.
+func (HandlerTarget) Name() string { return "in-process" }
 
-// HTTPTarget sends requests to a remote base URL through the shared typed
-// client (internal/client) — the one request/decode implementation of the
-// repo, which also bounds response reads. Build it with NewHTTPTarget.
-type HTTPTarget struct {
-	c *client.Client
-}
-
-// NewHTTPTarget wraps the endpoint at base ("http://host:port"). A nil hc
-// uses the client's default *http.Client.
-func NewHTTPTarget(base string, hc *http.Client) (*HTTPTarget, error) {
-	opts := []client.Option{}
-	if hc != nil {
-		opts = append(opts, client.WithHTTPClient(hc))
-	}
-	c, err := client.New(base, opts...)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: %w", err)
-	}
-	return &HTTPTarget{c: c}, nil
-}
-
-// Do implements Target.
-func (t *HTTPTarget) Do(ctx context.Context, path, class string, body []byte) (int, error) {
-	status, _, err := t.c.Call(ctx, path, body, client.WithSLOClass(class))
-	if err != nil {
-		return 0, err
-	}
-	return status, nil
+// Call implements serve.Backend.
+func (t HandlerTarget) Call(ctx context.Context, path string, body []byte) (int, []byte, error) {
+	return serve.ServeInProcess(ctx, t.Handler, path, body, true)
 }
 
 // Result is one request's outcome. Latency is measured from the *intended*
@@ -96,7 +50,9 @@ const DefaultMaxInFlight = 1024
 
 // RunOptions configures one open-loop run.
 type RunOptions struct {
-	Target Target
+	// Target is what the run drives; each request's Class rides on its
+	// context (serve.WithSLOClass).
+	Target serve.Backend
 	// MaxInFlight caps outstanding requests (default DefaultMaxInFlight).
 	// When the cap is hit the sender blocks — the wait is charged to the
 	// affected requests' latency via the intended-time measurement, so the
@@ -152,14 +108,14 @@ func Run(ctx context.Context, reqs []Request, opts RunOptions) ([]Result, error)
 		go func(seq int, req Request, intended time.Time) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			rctx := ctx
+			rctx := serve.WithSLOClass(ctx, req.Class)
 			var cancel context.CancelFunc
 			if opts.Timeout > 0 {
-				rctx, cancel = context.WithTimeout(ctx, opts.Timeout)
+				rctx, cancel = context.WithTimeout(rctx, opts.Timeout)
 				defer cancel()
 			}
 			sent := time.Now()
-			status, err := opts.Target.Do(rctx, req.Path, req.Class, req.Body)
+			status, _, err := opts.Target.Call(rctx, req.Path, req.Body)
 			done := time.Now()
 			results[seq] = Result{
 				Seq:     seq,

@@ -9,12 +9,14 @@ import (
 	"sync/atomic"
 )
 
-// Backend is the surface a fronting tier (the gateway) needs from one serve
-// replica: a stable identity, request forwarding, and nothing else — health
-// probing rides the same Call path against /healthz. Two implementations
-// exist: InProcessBackend wraps a *Server directly (tests, benchmarks,
-// single-binary deployments) and the gateway package's HTTPBackend dials a
-// remote replica.
+// Backend is the one interface anything uses to call a serving tier: the
+// gateway forwarding to and probing a replica, the load generator driving a
+// target, the chaos driver's watchdog. Its implementations are
+// InProcessBackend (a *Server, in process), loadgen.HandlerTarget (any
+// handler, status only) and the typed *client.Client (a base URL, or a handler
+// behind a watchdog). Every one of them builds its request with NewRequest, so
+// the method, the content type and the SLO class are the same however a tier
+// is reached. Per-call metadata rides on the context: WithSLOClass.
 type Backend interface {
 	// Name identifies the replica. Names must be unique within a pool:
 	// affinity routing rendezvous-hashes them, and the pool's metrics label
@@ -26,6 +28,68 @@ type Backend interface {
 	// connection died — surface as err; application-level failures are a
 	// non-2xx status wearing the stable error envelope, with err nil.
 	Call(ctx context.Context, path string, body []byte) (status int, resp []byte, err error)
+}
+
+// sloClassKey is the context key of WithSLOClass.
+type sloClassKey struct{}
+
+// WithSLOClass returns ctx carrying class as the SLO class of every Backend
+// call made with it: NewRequest sends it as the SLOClassHeader. An empty
+// class returns ctx unchanged.
+func WithSLOClass(ctx context.Context, class string) context.Context {
+	if class == "" {
+		return ctx
+	}
+	return context.WithValue(ctx, sloClassKey{}, class)
+}
+
+// sloClass is the class WithSLOClass put on ctx, "" when none.
+func sloClass(ctx context.Context) string {
+	class, _ := ctx.Value(sloClassKey{}).(string)
+	return class
+}
+
+// MethodFor is the one rule by which a call's method is picked: POST for the
+// /v1/* API, whatever the body (an empty /v1/reload is valid), GET for
+// everything else. The path decides, so a recorded trace replays the same in
+// process and over HTTP.
+func MethodFor(path string) string {
+	if strings.HasPrefix(path, "/v1/") {
+		return http.MethodPost
+	}
+	return http.MethodGet
+}
+
+// NewRequest builds the request of every Backend call, in process (base "")
+// and over HTTP: method MethodFor(path), URL base+path, body as the payload,
+// the JSON content type on a POST, and ctx's SLO class, if any, as the
+// SLOClassHeader.
+func NewRequest(ctx context.Context, base, path string, body []byte) (*http.Request, error) {
+	method := MethodFor(path)
+	req, err := http.NewRequestWithContext(ctx, method, base+path, bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	if method == http.MethodPost {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if class := sloClass(ctx); class != "" {
+		req.Header.Set(SLOClassHeader, class)
+	}
+	return req, nil
+}
+
+// ServeInProcess is the in-process call: it runs h on NewRequest's request in
+// the calling goroutine and returns the status and what h wrote. With
+// discard, what h writes is dropped, for callers that read only the status.
+func ServeInProcess(ctx context.Context, h http.Handler, path string, body []byte, discard bool) (int, []byte, error) {
+	req, err := NewRequest(ctx, "", path, body)
+	if err != nil {
+		return 0, nil, err
+	}
+	w := recorder{discard: discard}
+	h.ServeHTTP(&w, req)
+	return w.Status(), w.body.Bytes(), nil
 }
 
 // InProcessBackend adapts a *Server to the Backend interface by driving its
@@ -56,24 +120,31 @@ func (b *InProcessBackend) Server() *Server { return b.srv }
 // refused from a killed process.
 func (b *InProcessBackend) SetDown(down bool) { b.down.Store(down) }
 
-// Recorder is the in-process http.ResponseWriter: what InProcessBackend, the
-// client's handler transport and the load generator's HandlerTarget hand a
-// handler in place of a connection (net/http/httptest is test-flavored and
-// allocates more than these hot paths want). It keeps net/http's rule that
-// the first WriteHeader, or a Write that comes before any, fixes the status.
-// The zero value is ready to use.
-type Recorder struct {
-	// DiscardBody drops what the handler writes, for callers that read only
-	// the status.
-	DiscardBody bool
+// Call implements Backend by synchronously running the server's handler.
+func (b *InProcessBackend) Call(ctx context.Context, path string, body []byte) (int, []byte, error) {
+	if b.down.Load() {
+		return 0, nil, fmt.Errorf("serve: backend %s is down", b.name)
+	}
+	status, resp, err := ServeInProcess(ctx, b.srv, path, body, false)
+	if err != nil {
+		return 0, nil, fmt.Errorf("serve: backend %s: %w", b.name, err)
+	}
+	return status, resp, nil
+}
 
-	header http.Header
-	status int
-	body   bytes.Buffer
+// recorder is the in-process http.ResponseWriter (net/http/httptest is
+// test-flavored and allocates more than the hot path wants). It keeps
+// net/http's rule that the first WriteHeader, or a Write that comes before
+// any, fixes the status.
+type recorder struct {
+	discard bool
+	header  http.Header
+	status  int
+	body    bytes.Buffer
 }
 
 // Header implements http.ResponseWriter.
-func (r *Recorder) Header() http.Header {
+func (r *recorder) Header() http.Header {
 	if r.header == nil {
 		r.header = make(http.Header)
 	}
@@ -81,54 +152,25 @@ func (r *Recorder) Header() http.Header {
 }
 
 // WriteHeader implements http.ResponseWriter.
-func (r *Recorder) WriteHeader(code int) {
+func (r *recorder) WriteHeader(code int) {
 	if r.status == 0 {
 		r.status = code
 	}
 }
 
 // Write implements http.ResponseWriter.
-func (r *Recorder) Write(p []byte) (int, error) {
+func (r *recorder) Write(p []byte) (int, error) {
 	r.WriteHeader(http.StatusOK)
-	if r.DiscardBody {
+	if r.discard {
 		return len(p), nil
 	}
 	return r.body.Write(p)
 }
 
 // Status is the response status: 200 when the handler never set one.
-func (r *Recorder) Status() int {
+func (r *recorder) Status() int {
 	if r.status == 0 {
 		return http.StatusOK
 	}
 	return r.status
-}
-
-// Body is what the handler wrote; it shares the recorder's storage.
-func (r *Recorder) Body() []byte { return r.body.Bytes() }
-
-// MethodFor is the one rule by which every transport of the repo — this
-// in-process backend, the typed client, the load generator's handler target —
-// picks a request's method: POST for the /v1/* API, whatever the body (an
-// empty /v1/reload is valid), GET for everything else. The path decides, so a
-// recorded trace replays the same in process and over HTTP.
-func MethodFor(path string) string {
-	if strings.HasPrefix(path, "/v1/") {
-		return http.MethodPost
-	}
-	return http.MethodGet
-}
-
-// Call implements Backend by synchronously running the server's handler.
-func (b *InProcessBackend) Call(ctx context.Context, path string, body []byte) (int, []byte, error) {
-	if b.down.Load() {
-		return 0, nil, fmt.Errorf("serve: backend %s is down", b.name)
-	}
-	req, err := http.NewRequestWithContext(ctx, MethodFor(path), "http://"+b.name+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, fmt.Errorf("serve: backend %s: %w", b.name, err)
-	}
-	var w Recorder
-	b.srv.ServeHTTP(&w, req)
-	return w.Status(), append([]byte(nil), w.Body()...), nil
 }

@@ -25,6 +25,10 @@ const (
 	DefaultLearnSeed      = 1
 )
 
+// recentPerStored sizes the fingerprint → prediction index that attributes
+// feedback to served predictions: this many entries per reservoir slot.
+const recentPerStored = 4
+
 // LearnOptions enables the closed continual-learning loop: /v1/feedback
 // ingestion into a seed-deterministic reservoir, drift detection over
 // prediction-vs-observed pairs, and drift-triggered shadow-evaluated
@@ -33,9 +37,6 @@ const (
 type LearnOptions struct {
 	// StoreSize bounds the feedback reservoir (default DefaultLearnStoreSize).
 	StoreSize int
-	// RecentSize bounds the fingerprint → prediction index that attributes
-	// feedback to served predictions (default 4×StoreSize).
-	RecentSize int
 	// Learner configures the fine-tune runs. Its Seed also drives reservoir
 	// eviction (default DefaultLearnSeed); the server supplies Store,
 	// Promoter and Registry.
@@ -50,9 +51,6 @@ type LearnOptions struct {
 func (lo LearnOptions) WithDefaults() LearnOptions {
 	if lo.StoreSize < 1 {
 		lo.StoreSize = DefaultLearnStoreSize
-	}
-	if lo.RecentSize < 1 {
-		lo.RecentSize = 4 * lo.StoreSize
 	}
 	if lo.Learner.Seed == 0 {
 		lo.Learner.Seed = DefaultLearnSeed
@@ -75,7 +73,7 @@ func (s *Server) newLearnState(lo LearnOptions) (*learnState, error) {
 	reg := s.opts.Registry
 	ls := &learnState{
 		store:  feedback.NewStore(lo.StoreSize, lo.Learner.Seed, reg),
-		recent: newRecentIndex(lo.RecentSize),
+		recent: newRecentIndex(recentPerStored * lo.StoreSize),
 	}
 	lo.Learner.Store, lo.Learner.Promoter, lo.Learner.Registry = ls.store, s, reg
 	learner, err := feedback.NewLearner(lo.Learner)
