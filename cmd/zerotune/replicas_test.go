@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"testing"
 	"time"
 
@@ -38,7 +39,8 @@ func tinyModel(t *testing.T) string {
 // TestInProcessServersRunFusedEngine: every server the CLI builds inside its
 // own process — the replicas behind bench and gateway, and the chaos drill's
 // target — answers through the fused engine with nothing set in the
-// environment, read off /metrics after one predict.
+// environment: one predict moves /metrics' fused-graph count by exactly one.
+// (The load probe already ran one graph through the same engine.)
 func TestInProcessServersRunFusedEngine(t *testing.T) {
 	model := tinyModel(t)
 	bodies, err := benchBodies(1, 1)
@@ -70,12 +72,25 @@ func TestInProcessServersRunFusedEngine(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := tc.build(t)
+			fused := func() float64 {
+				t.Helper()
+				_, metrics, _ := b.Call(context.Background(), "/metrics", nil)
+				m := fusedGraphs.FindSubmatch(metrics)
+				if m == nil {
+					t.Fatal("/metrics lacks zerotune_fused_graphs_total")
+				}
+				v, err := strconv.ParseFloat(string(m[1]), 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return v
+			}
+			before := fused()
 			if status, body, err := b.Call(context.Background(), "/v1/predict", bodies[0]); err != nil || status != http.StatusOK {
 				t.Fatalf("predict: status %d, err %v: %s", status, err, body)
 			}
-			_, metrics, _ := b.Call(context.Background(), "/metrics", nil)
-			if m := fusedGraphs.FindSubmatch(metrics); m == nil || string(m[1]) != "1" {
-				t.Errorf("zerotune_fused_graphs_total = %q, want 1", m)
+			if after := fused(); after != before+1 {
+				t.Errorf("zerotune_fused_graphs_total %v → %v after one predict, want +1", before, after)
 			}
 		})
 	}

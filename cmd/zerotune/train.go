@@ -152,15 +152,11 @@ func trainCommand(fs *flag.FlagSet) func() error {
 		}
 		fmt.Fprintf(os.Stderr, "trained in %s, final loss %.4f\n", stats.Duration.Round(1e9), stats.FinalLoss)
 
-		// A dry-run of the serve-time compile step: the gate verdict tells the
-		// operator now whether `serve` will accept this model.
-		if err := zt.Compile(gnn.CompileOptions{}); err != nil {
-			fmt.Fprintf(os.Stderr, "warning: compiled engine rejected, `zerotune serve` will refuse %s: %v\n", *out, err)
-		} else {
-			g := zt.Compiled().Gate
-			fmt.Fprintf(os.Stderr, "compiled engine (%s, %s kernel) passed accuracy gate: max q-error %.6f over %d graphs (budget %.6f)\n",
-				g.Engine, tensor.Kernel(), g.MaxQErr, g.Graphs, g.Threshold)
-		}
+		// core.Train compiled the model, so a gate refusal was its error; the
+		// verdict line says which engine `serve` will run.
+		g := zt.Compiled().Gate
+		fmt.Fprintf(os.Stderr, "compiled engine (%s, %s kernel) passed accuracy gate: max q-error %.6f over %d graphs (budget %.6f)\n",
+			g.Engine, tensor.Kernel(), g.MaxQErr, g.Graphs, g.Threshold)
 
 		if err := zt.SaveFile(*out); err != nil {
 			return err

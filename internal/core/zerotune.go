@@ -22,7 +22,6 @@ import (
 	"zerotune/internal/metrics"
 	"zerotune/internal/obs"
 	"zerotune/internal/optimizer"
-	"zerotune/internal/parallel"
 	"zerotune/internal/queryplan"
 	"zerotune/internal/tensor"
 	"zerotune/internal/workload"
@@ -40,19 +39,16 @@ type ZeroTune struct {
 	// before fallbacks existed.
 	Fallback *flatvec.Fallback
 
-	// compiled is the fused-batch inference engine, installed by Compile.
-	// When present, every predict path dispatches to it; nil keeps the
-	// reference float64 forward pass.
+	// compiled is the inference engine every prediction runs on (see
+	// Compiled).
 	compiled atomic.Pointer[gnn.CompiledModel]
 }
 
-// Compile builds the fused-batch inference engine for the model (see
-// gnn.Compile) and installs it, so Predict/PredictBatch/PredictEncoded run
-// the batched float32 GEMM path instead of the per-graph float64 reference.
-// The accuracy gate runs first: an engine whose validation q-error exceeds
-// the budget is refused, the error is returned, and the reference path keeps
-// serving. Safe to call concurrently with predictions; in-flight calls
-// finish on the engine they started with.
+// Compile builds an inference engine for the model (see gnn.Compile) and
+// installs it. The accuracy gate runs first: an engine it refuses is not
+// installed, and the error is returned. Train, FineTune and Load end here
+// with the float32 engine. Safe to call concurrently with predictions;
+// in-flight calls finish on the engine they started with.
 func (z *ZeroTune) Compile(opts gnn.CompileOptions) error {
 	cm, err := gnn.Compile(z.Model, opts)
 	if err != nil {
@@ -62,13 +58,21 @@ func (z *ZeroTune) Compile(opts gnn.CompileOptions) error {
 	return nil
 }
 
-// Compiled returns the installed inference engine, nil when predictions run
-// the reference path.
-func (z *ZeroTune) Compiled() *gnn.CompiledModel { return z.compiled.Load() }
-
-// Decompile removes the compiled engine, reverting to the reference path
-// (used after fine-tuning, which mutates the weights the engine froze).
-func (z *ZeroTune) Decompile() { z.compiled.Store(nil) }
+// Compiled returns the engine every prediction runs on. A value assembled by
+// hand rather than by Train, FineTune or Load has none until its first use,
+// which builds the float64 reference engine: bit-identical to Model.Predict
+// per graph. It panics when the model is invalid, as its forward pass would.
+func (z *ZeroTune) Compiled() *gnn.CompiledModel {
+	if cm := z.compiled.Load(); cm != nil {
+		return cm
+	}
+	cm, err := gnn.Compile(z.Model, gnn.CompileOptions{Engine: gnn.EngineF64})
+	if err != nil {
+		panic(fmt.Sprintf("core: %v", err))
+	}
+	z.compiled.CompareAndSwap(nil, cm)
+	return z.compiled.Load()
+}
 
 // Train fits a fresh ZeroTune model on labelled workload items. The
 // context cancels training at the next epoch boundary (after a final
@@ -105,7 +109,11 @@ func Train(ctx context.Context, items []*workload.Item, opts *TrainOptions) (*Ze
 	if err != nil {
 		return nil, gnn.TrainStats{}, err
 	}
-	return &ZeroTune{Model: model, Mask: opts.Mask, Fallback: fb}, stats, nil
+	z := &ZeroTune{Model: model, Mask: opts.Mask, Fallback: fb}
+	if err := z.Compile(gnn.CompileOptions{}); err != nil {
+		return nil, gnn.TrainStats{}, err
+	}
+	return z, stats, nil
 }
 
 // FitFallback fits the flat-vector ridge-regression fallback estimator on
@@ -130,6 +138,8 @@ func FitFallback(items []*workload.Item) (*flatvec.Fallback, error) {
 // FineTune continues training on additional items (few-shot learning,
 // Sec. V-A); FewShotTrainOptions is the usual schedule. The options'
 // architecture and mask fields are ignored — the existing model fixes both.
+// It ends by compiling the new weights; an accuracy-gate refusal is the
+// returned error.
 func (z *ZeroTune) FineTune(ctx context.Context, items []*workload.Item, opts *TrainOptions) (gnn.TrainStats, error) {
 	if err := opts.Validate(); err != nil {
 		return gnn.TrainStats{}, err
@@ -145,10 +155,11 @@ func (z *ZeroTune) FineTune(ctx context.Context, items []*workload.Item, opts *T
 			return gnn.TrainStats{}, err
 		}
 	}
-	// Training mutates the weights a compiled engine froze; drop it rather
-	// than serve stale predictions. Callers re-Compile after fine-tuning.
-	z.Decompile()
-	return gnn.Train(ctx, z.Model, workload.Graphs(data), opts.TrainConfig)
+	stats, err := gnn.Train(ctx, z.Model, workload.Graphs(data), opts.TrainConfig)
+	if err != nil {
+		return stats, err
+	}
+	return stats, z.Compile(gnn.CompileOptions{})
 }
 
 // Predict estimates the cost of executing the placed plan p on cluster c.
@@ -166,10 +177,7 @@ func (z *ZeroTune) Predict(ctx context.Context, p *queryplan.PQP, c *cluster.Clu
 	}
 	_, span := obs.StartSpan(ctx, "gnn.forward")
 	defer span.End()
-	if cm := z.compiled.Load(); cm != nil {
-		return cm.Predict(g), nil
-	}
-	return z.Model.Predict(g), nil
+	return z.Compiled().Predict(g), nil
 }
 
 // sweepArenas recycles the graph storage of PredictBatch calls. A sync.Pool,
@@ -241,10 +249,7 @@ func (z *ZeroTune) predictSweep(ctx context.Context, n int, encode func(a *featu
 	}
 	_, fwd := obs.StartSpan(ctx, "gnn.forward")
 	defer fwd.End()
-	if cm := z.compiled.Load(); cm != nil {
-		return cm.PredictBatch(graphs), nil
-	}
-	return z.Model.PredictBatch(graphs, parallel.Workers()), nil
+	return z.Compiled().PredictBatch(graphs), nil
 }
 
 // placeWith places p on c when it has no complete placement yet; enc must be
@@ -275,26 +280,18 @@ func (z *ZeroTune) EncodePlan(ctx context.Context, t *queryplan.Topology, p *que
 }
 
 // PredictEncoded runs the batched forward pass over pre-encoded graphs (see
-// EncodePlan) — the compiled fused engine when one is installed, the
-// data-parallel reference otherwise. Results are identical to Predict on the
-// plans the graphs came from, for any worker count.
+// EncodePlan). Results are identical to Predict on the plans the graphs came
+// from.
 func (z *ZeroTune) PredictEncoded(graphs []*features.Graph) []gnn.Prediction {
-	if cm := z.compiled.Load(); cm != nil {
-		return cm.PredictBatch(graphs)
-	}
-	return z.Model.PredictBatch(graphs, parallel.Workers())
+	return z.Compiled().PredictBatch(graphs)
 }
 
 // PredictEncodedInto is PredictEncoded writing into dst (reset to length 0,
-// appended once per graph, in order, and returned). With a compiled engine
-// installed and cap(dst) >= len(graphs) the call is allocation-free in the
-// steady state — the serve batcher's flush path relies on this.
+// appended once per graph, in order, and returned). With cap(dst) >=
+// len(graphs) the call is allocation-free in the steady state — the serve
+// batcher's flush path relies on this.
 func (z *ZeroTune) PredictEncodedInto(dst []gnn.Prediction, graphs []*features.Graph) []gnn.Prediction {
-	if cm := z.compiled.Load(); cm != nil {
-		return cm.PredictBatchInto(dst, graphs)
-	}
-	preds := z.Model.PredictBatch(graphs, parallel.Workers())
-	return append(dst[:0], preds...)
+	return z.Compiled().PredictBatchInto(dst, graphs)
 }
 
 // modelEstimator adapts the model to the optimizer's estimator interfaces:
@@ -350,8 +347,9 @@ func (z *ZeroTune) Tune(ctx context.Context, q *queryplan.Query, c *cluster.Clus
 	return optimizer.Tune(ctx, q, c, z.Estimator(), opts)
 }
 
-// QErrors evaluates the model on labelled items and returns the latency and
-// throughput q-errors per item.
+// QErrors evaluates the model on labelled items, through the engine that
+// answers its predictions, and returns the latency and throughput q-errors
+// per item.
 func (z *ZeroTune) QErrors(items []*workload.Item) (latQ, tptQ []float64, err error) {
 	data := items
 	if z.Mask != features.MaskAll {
@@ -360,8 +358,9 @@ func (z *ZeroTune) QErrors(items []*workload.Item) (latQ, tptQ []float64, err er
 			return nil, nil, err
 		}
 	}
-	for _, it := range data {
-		pred := z.Model.Predict(it.Graph)
+	preds := z.PredictEncoded(workload.Graphs(data))
+	for i, it := range data {
+		pred := preds[i]
 		latQ = append(latQ, metrics.QError(it.LatencyMs, pred.LatencyMs))
 		tptQ = append(tptQ, metrics.QError(it.ThroughputEPS, pred.ThroughputEPS))
 	}
@@ -401,12 +400,13 @@ func (z *ZeroTune) SaveFile(path string) error {
 	return artifact.WriteFile(path, ModelArtifactKind, payload)
 }
 
-// Load reads a model previously written with Save. It rejects truncated or
-// structurally corrupt payloads with a descriptive error instead of handing
-// back a model that would panic on its first forward pass — the serving
-// layer's hot-reload endpoint depends on a bad file never taking down a
-// running server. Anything outside the artifact envelope, the pre-envelope
-// bare-JSON model files included, is artifact.ErrNotArtifact.
+// Load reads a model previously written with Save and compiles it. It rejects
+// truncated or structurally corrupt payloads, and weights the accuracy gate
+// refuses, with a descriptive error instead of handing back a model that
+// would panic on its first forward pass — the serving layer's hot-reload
+// endpoint depends on a bad file never taking down a running server.
+// Anything outside the artifact envelope, the pre-envelope bare-JSON model
+// files included, is artifact.ErrNotArtifact.
 func Load(r io.Reader) (*ZeroTune, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -424,7 +424,8 @@ func LoadFile(path string) (*ZeroTune, error) {
 	return loadBytes(data)
 }
 
-// loadBytes opens the envelope and validates the model inside it.
+// loadBytes opens the envelope and validates and compiles the model inside
+// it.
 func loadBytes(data []byte) (*ZeroTune, error) {
 	kind, payload, err := artifact.DecodeBytes(data)
 	if err != nil {
@@ -443,15 +444,16 @@ func loadBytes(data []byte) (*ZeroTune, error) {
 	if p.Mask != features.MaskAll && p.Mask != features.MaskOperatorOnly && p.Mask != features.MaskParallelismResource {
 		return nil, fmt.Errorf("core: load model: unknown feature mask %d", int(p.Mask))
 	}
-	if err := p.Model.Validate(); err != nil {
-		return nil, fmt.Errorf("core: load model: %w", err)
-	}
 	if p.Fallback != nil {
 		if err := p.Fallback.Validate(); err != nil {
 			return nil, fmt.Errorf("core: load model: %w", err)
 		}
 	}
-	return &ZeroTune{Model: p.Model, Mask: p.Mask, Fallback: p.Fallback}, nil
+	z := &ZeroTune{Model: p.Model, Mask: p.Mask, Fallback: p.Fallback}
+	if err := z.Compile(gnn.CompileOptions{}); err != nil {
+		return nil, fmt.Errorf("core: load model: %w", err)
+	}
+	return z, nil
 }
 
 // MetricModel predicts one additional cost metric (e.g. resource usage) on

@@ -467,3 +467,47 @@ func TestPredictBatchConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestHandBuiltValueRunsReferenceEngine: a ZeroTune assembled from a bare
+// gnn.Model was never compiled. Its first use — here from several goroutines
+// at once — installs one float64 reference engine, whose answers are
+// Model.Predict's bit for bit.
+func TestHandBuiltValueRunsReferenceEngine(t *testing.T) {
+	zt := &ZeroTune{Model: gnn.New(tensor.NewRNG(31), gnn.DefaultConfig()), Mask: features.MaskAll}
+	engines := make([]*gnn.CompiledModel, 4)
+	var wg sync.WaitGroup
+	for i := range engines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			engines[i] = zt.Compiled()
+		}()
+	}
+	wg.Wait()
+	for _, cm := range engines {
+		if cm != engines[0] || cm.Engine != gnn.EngineF64 {
+			t.Fatalf("concurrent first uses installed %p (%v), want one f64 engine %p", cm, cm.Engine, engines[0])
+		}
+	}
+	ctx := context.Background()
+	c, err := cluster.New(4, cluster.SeenTypes(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := queryplan.NewPQP(queryplan.SpikeDetection(20_000))
+	got, err := zt.Predict(ctx, p, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := p.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := zt.EncodePlan(ctx, topo, p, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := zt.Model.Predict(g); got != want {
+		t.Fatalf("hand-built value predicts %+v, Model.Predict %+v", got, want)
+	}
+}

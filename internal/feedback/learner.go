@@ -271,17 +271,15 @@ func (l *Learner) RunOnce(ctx context.Context) (*Report, error) {
 	opts.Resume = job.ckpt
 	opts.CheckpointEvery = 1
 	opts.Checkpoint = func(ck *gnn.Checkpoint) error { job.ckpt = ck; return nil }
-	if _, err := cand.FineTune(ctx, items, opts); err != nil {
-		return rep, park(err)
-	}
-
-	// Compile gate: the candidate is judged on the engine that would serve
-	// it, as the serving model is, and a gate refusal rejects it before its
+	// FineTune ends by compiling, so the candidate is judged on the engine
+	// that would serve it, and an accuracy-gate refusal rejects it before its
 	// artifact is written.
-	if err := cand.Compile(gnn.CompileOptions{}); err != nil {
-		l.rejected.Add(1)
-		l.rejectedCounter.Inc()
-		return rep, park(fmt.Errorf("feedback: compile candidate: %w", err))
+	if _, err := cand.FineTune(ctx, items, opts); err != nil {
+		if errors.Is(err, gnn.ErrAccuracyGate) {
+			l.rejected.Add(1)
+			l.rejectedCounter.Inc()
+		}
+		return rep, park(err)
 	}
 
 	// Shadow evaluation: both models answer the held-back slice; the

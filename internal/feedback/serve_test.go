@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"zerotune/internal/feedback"
+	"zerotune/internal/gnn"
 	"zerotune/internal/serve"
 )
 
@@ -40,8 +41,8 @@ func TestCandidateJudgedOnServingEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if served.Compiled() == nil {
-		t.Fatal("the promoted revision runs no compiled engine")
+	if e := served.Compiled().Engine; e != gnn.EngineF32 {
+		t.Fatalf("the promoted revision runs the %v engine, want f32", e)
 	}
 	_, holdout := feedback.SplitSamples(samples, feedback.HoldbackFrac, serve.DefaultLearnSeed)
 	want, err := feedback.ShadowMAPE(ctx, served, holdout)

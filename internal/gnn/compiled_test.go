@@ -285,6 +285,22 @@ func TestCompiledScratchDropsGraphs(t *testing.T) {
 	}
 }
 
+// TestCompileLeavesNoScratch: the gate's validation batch runs through the
+// engine's scratch free list, which is never drained; an engine fresh from
+// Compile must not carry that scratch into serving.
+func TestCompileLeavesNoScratch(t *testing.T) {
+	m := New(tensor.NewRNG(25), DefaultConfig())
+	for _, engine := range []Engine{EngineF32, EngineF64} {
+		cm, err := Compile(m, CompileOptions{Engine: engine})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(cm.scratch.free); n != 0 {
+			t.Errorf("%v: %d scratches on the free list after Compile, want 0", engine, n)
+		}
+	}
+}
+
 // TestCompiledBucketOrder: predictions come back in input order regardless
 // of how the batch buckets, including duplicate graphs.
 func TestCompiledBucketOrder(t *testing.T) {

@@ -9,11 +9,14 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"zerotune/internal/client"
 	"zerotune/internal/core"
+	"zerotune/internal/gnn"
+	"zerotune/internal/optimizer"
 	"zerotune/internal/serve"
 )
 
@@ -34,8 +37,8 @@ func TestServeCompiledLoadBuildsEngine(t *testing.T) {
 	check := func(stage string) {
 		t.Helper()
 		cm := s.Registry().Current().ZT.Compiled()
-		if cm == nil {
-			t.Fatalf("%s: served model has no compiled engine", stage)
+		if cm.Engine != gnn.EngineF32 {
+			t.Fatalf("%s: served model runs the %v engine, want f32", stage, cm.Engine)
 		}
 		if cm.Gate.Graphs == 0 || cm.Gate.MaxQErr > 1+cm.Gate.Threshold {
 			t.Fatalf("%s: implausible gate report %+v", stage, cm.Gate)
@@ -59,21 +62,72 @@ func TestServeCompiledLoadBuildsEngine(t *testing.T) {
 	check("after hot swap")
 }
 
+// TestOneModelFileOneAnswer: a model file gives one answer, bit for bit,
+// whether a server loads it (ServeModelFile) or the library does
+// (core.LoadFile, as the CLI's predict and tune do) — for /v1/predict against
+// Predict and for /v1/tune against Tune.
+func TestOneModelFileOneAnswer(t *testing.T) {
+	ztA, _ := models(t)
+	path := saveModel(t, ztA, "a.json")
+	s := serve.New(serve.Options{})
+	if _, err := s.ServeModelFile(path); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	t.Cleanup(func() { ts.Close(); s.Close() })
+	zt, err := core.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	req := serve.PredictRequest{Plan: testPlan(3, 20_000), Cluster: serve.ClusterSpec{Workers: 4, LinkGbps: 10}}
+	var served serve.PredictResponse
+	if code := postJSON(t, predictURL(ts), &req, &served); code != http.StatusOK {
+		t.Fatalf("predict status %d", code)
+	}
+	want, err := zt.Predict(ctx, testPlan(3, 20_000), testCluster(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served.LatencyMs != want.LatencyMs || served.ThroughputEPS != want.ThroughputEPS {
+		t.Errorf("/v1/predict answers (%v ms, %v eps), Predict on the same file (%v ms, %v eps)",
+			served.LatencyMs, served.ThroughputEPS, want.LatencyMs, want.ThroughputEPS)
+	}
+
+	treq := tuneRequest()
+	var tuned serve.TuneResponse
+	if code := postJSON(t, ts.URL+"/v1/tune", &treq, &tuned); code != http.StatusOK {
+		t.Fatalf("tune status %d", code)
+	}
+	res, err := zt.Tune(ctx, tuneRequest().Query, testCluster(t), optimizer.DefaultTuneOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Plan.DegreesVector(); !slices.Equal(tuned.DegreesVector, got) ||
+		tuned.LatencyMs != res.Estimate.LatencyMs || tuned.ThroughputEPS != res.Estimate.ThroughputEPS {
+		t.Errorf("/v1/tune answers %v at (%v ms, %v eps), Tune on the same file %v at (%v ms, %v eps)",
+			tuned.DegreesVector, tuned.LatencyMs, tuned.ThroughputEPS, got, res.Estimate.LatencyMs, res.Estimate.ThroughputEPS)
+	}
+}
+
 // TestServeGateRefusal: a model the accuracy gate refuses is an invalid file
-// on the load path (422, the old revision keeps serving on the engine) and a
-// reference-path revision when installed in memory, which /healthz names.
+// on the load path (422, the old revision keeps serving on the engine). Built
+// by hand and installed in memory, it runs the float64 reference engine,
+// which /healthz names.
 func TestServeGateRefusal(t *testing.T) {
 	ztA, _ := models(t)
-	// A private copy of A whose throughput underflows to zero: finite, so the
-	// load probe passes, but a q-error against zero is unbounded.
+	// A private copy of A's weights whose throughput underflows to zero: a
+	// q-error against zero is unbounded.
 	var buf bytes.Buffer
 	if err := ztA.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	refused, err := core.Load(&buf)
+	copyA, err := core.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	refused := &core.ZeroTune{Model: copyA.Model, Mask: copyA.Mask}
 	head := refused.Model.TptHead.Layers
 	head[len(head)-1].B[0] -= 400
 
@@ -104,8 +158,8 @@ func TestServeGateRefusal(t *testing.T) {
 	}
 
 	s.Registry().Install(refused, "refused", "")
-	if got := engine(); got != "reference" {
-		t.Fatalf("installed gate-refused model serves on %q, want reference", got)
+	if got := engine(); got != "f64" {
+		t.Fatalf("installed hand-built model serves on %q, want f64", got)
 	}
 }
 

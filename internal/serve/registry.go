@@ -16,7 +16,6 @@ import (
 	"zerotune/internal/cluster"
 	"zerotune/internal/core"
 	"zerotune/internal/fault"
-	"zerotune/internal/gnn"
 	"zerotune/internal/queryplan"
 )
 
@@ -31,15 +30,10 @@ type ModelEntry struct {
 	LoadedAt time.Time
 }
 
-// Engine names what answers predictions on this revision: the compiled
-// engine's numeric representation ("f32"), or "reference" when the model
-// runs the float64 forward pass.
-func (e *ModelEntry) Engine() string {
-	if cm := e.ZT.Compiled(); cm != nil {
-		return cm.Engine.String()
-	}
-	return "reference"
-}
+// Engine names the numeric representation of the engine that answers
+// predictions on this revision: "f32", or "f64" for a model built by hand
+// and installed uncompiled.
+func (e *ModelEntry) Engine() string { return e.ZT.Compiled().Engine.String() }
 
 // Registry holds the currently served model behind an atomic pointer and
 // implements the load-validate-swap reload protocol: the candidate file is
@@ -61,18 +55,9 @@ func NewRegistry() *Registry { return &Registry{} }
 func (r *Registry) Current() *ModelEntry { return r.cur.Load() }
 
 // Install activates an in-memory model (tests, embedded serving). The id
-// may be empty; a generation-derived one is assigned. The fused engine is
-// built here unless the caller already compiled the model. Unlike a file
-// load, a gate refusal does not reject the model — the caller handed it to
-// us directly, and the reference forward pass is always correct — it keeps
-// it on the reference path, which /healthz reports as model.engine
-// "reference".
+// may be empty; a generation-derived one is assigned. The model serves on
+// the engine it carries (see core.ZeroTune.Compiled).
 func (r *Registry) Install(zt *core.ZeroTune, id, path string) *ModelEntry {
-	if zt.Compiled() == nil {
-		// The refusal is what Engine() reads back; there is nobody to return
-		// it to.
-		_ = zt.Compile(gnn.CompileOptions{})
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if id == "" {
@@ -89,7 +74,7 @@ func (r *Registry) Install(zt *core.ZeroTune, id, path string) *ModelEntry {
 // replaced does not hammer the filesystem in lockstep.
 const reloadAttempts = 3
 
-// LoadFile reads, validates, probe-evaluates and compiles a model file
+// LoadFile reads, validates, compiles and probe-evaluates a model file
 // without swapping it in. Transient failures — a checksum mismatch (the file
 // was replaced between open and read, or a non-atomic writer was mid-flight)
 // or an injected fault — are retried with jittered backoff; structural
@@ -132,18 +117,15 @@ func (r *Registry) loadFileOnce(path string) (*ModelEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: read model: %w", err)
 	}
+	// core.Load compiles, and its accuracy gate is part of validation: a
+	// compiled model that disagrees with its own float64 reference beyond the
+	// budget never swaps in.
 	zt, err := core.Load(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
 	if err := probe(zt); err != nil {
 		return nil, err
-	}
-	// The compile step's accuracy gate is part of validation: a compiled
-	// model that disagrees with its own float64 reference beyond the budget
-	// never swaps in.
-	if err := zt.Compile(gnn.CompileOptions{}); err != nil {
-		return nil, fmt.Errorf("serve: compile model: %w", err)
 	}
 	sum := sha256.Sum256(data)
 	return &ModelEntry{ZT: zt, ID: fmt.Sprintf("sha256:%x", sum[:6]), Path: path, LoadedAt: time.Now()}, nil

@@ -189,13 +189,11 @@ type Server struct {
 	boundAddr atomic.Pointer[string]
 }
 
-// fusedCounts reads the fusion counters of the serving revision's compiled
-// engine (zero without one; they restart with every revision).
+// fusedCounts reads the fusion counters of the serving revision's engine
+// (zero before the first install; they restart with every revision).
 func (s *Server) fusedCounts() (graphs, buckets uint64) {
 	if entry := s.reg.Current(); entry != nil {
-		if cm := entry.ZT.Compiled(); cm != nil {
-			return cm.FusedCounts()
-		}
+		return entry.ZT.Compiled().FusedCounts()
 	}
 	return 0, 0
 }

@@ -216,9 +216,9 @@ type LearnInfo struct {
 	Rollbacks     uint64  `json:"rollbacks"`
 }
 
-// ModelInfo identifies the active model revision. Engine is what answers
-// its predictions: "f32" (the fused engine) or "reference" (an installed
-// model whose accuracy gate refused the engine).
+// ModelInfo identifies the active model revision. Engine is the numeric
+// representation of the engine that answers its predictions: "f32", or "f64"
+// for a model built by hand and installed uncompiled.
 type ModelInfo struct {
 	ID        string `json:"id"`
 	Path      string `json:"path,omitempty"`
