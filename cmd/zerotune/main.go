@@ -16,7 +16,7 @@
 //	zerotune plan       [-model model.json | -service encode=25µs,...] [-replicas 1,3] [-p99 50ms] [-min-rate 50] [-max-rate 50000] [-rate 0] [-trace plan.trace] [-report plan.json]
 //	zerotune simulate   -query linear -rate 100000 [-workers 4] [-degrees 1,4,4,1 | -plan plan.json]
 //	zerotune validate   -query linear -rate 5000 [-workers 2] [-duration 5000]
-//	zerotune experiment <id> [-scale quick|default|paper] [-csv dir]
+//	zerotune experiment <id> [-scale quick|default|paper] [-seed 1] [-csv dir]
 //
 // Experiment ids: fig3, tab4-seen, tab4-unseen, tab4-bench, fig5, fig6,
 // fig7, fig8, fig9, fig10, fig10a, fig10b, fig11, readout-ablation, all.
@@ -224,6 +224,7 @@ func experimentCommand(fs *flag.FlagSet) func() error {
 	scale := fs.String("scale", "default", "quick | default | paper")
 	csvDir := fs.String("csv", "", "also write each artifact's raw series as CSV into this directory")
 	plot := fs.Bool("plot", false, "also render figure-type results as ASCII charts")
+	seed := fs.Uint64("seed", experiments.DefaultConfig().Seed, "seed for every corpus draw, split and training run of the experiments")
 	return func() error {
 		if fs.NArg() < 1 {
 			return fmt.Errorf("experiment: missing id (%s)", strings.Join(experiments.IDs(), ", "))
@@ -234,6 +235,7 @@ func experimentCommand(fs *flag.FlagSet) func() error {
 		if err != nil {
 			return err
 		}
+		cfg.Seed = *seed
 		return experiments.Run(os.Stdout, experiments.NewLab(cfg), id, *csvDir, *plot)
 	}
 }

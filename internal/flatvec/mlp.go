@@ -74,7 +74,7 @@ func (m *MLPModel) Fit(X []tensor.Vector, yLat, yTpt []float64, cfg MLPTrainConf
 				}
 			}
 			nn.ClipGradNorm(params, 5)
-			opt.Step(params)
+			opt.Step(params, 1)
 		}
 	}
 	return nil

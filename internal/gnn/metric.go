@@ -92,7 +92,7 @@ func FineTuneMetricHead(ctx context.Context, m *Model, name string, graphs []*fe
 			if cfg.ClipNorm > 0 {
 				nn.ClipGradNorm(params, cfg.ClipNorm)
 			}
-			opt.Step(params)
+			opt.Step(params, 1)
 		}
 	}
 	return &MetricHead{Name: name, Net: head}, nil

@@ -2,9 +2,12 @@ package gnn
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 
 	"zerotune/internal/features"
+	"zerotune/internal/tensor"
 )
 
 // trainSet builds a small mixed corpus with varied labels so the loss
@@ -71,6 +74,86 @@ func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 		if ok, why := paramsEqual(base, m); !ok {
 			t.Errorf("workers=%d: %s vs sequential run", w, why)
 		}
+	}
+}
+
+// TestTrainSameBitsEveryKernel: training runs on the float64 vector kernels
+// of whatever CPU it lands on, and those kernels are bit-identical to the
+// portable loops — so a model trained under the start-up kernel equals one
+// trained under the portable kernel, weight for weight. Widths 6 and 48 take
+// the kernels through their tails and their full 16-column blocks.
+func TestTrainSameBitsEveryKernel(t *testing.T) {
+	graphs := trainSet(t, 24)
+	run := func(kernel string, cfg Config) (*Model, TrainStats) {
+		defer tensor.SetSIMD(tensor.SetSIMD(kernel))
+		m := New(tensor.NewRNG(7), cfg)
+		tc := DefaultTrainConfig()
+		tc.Epochs = 3
+		tc.BatchSize = 5
+		stats, err := Train(context.Background(), m, graphs, tc)
+		if err != nil {
+			t.Fatalf("train under %s: %v", kernel, err)
+		}
+		return m, stats
+	}
+	start := tensor.Kernel()
+	if start == "portable" {
+		t.Log("the start-up kernel is portable: both runs take the same path")
+	}
+	for _, cfg := range []Config{{Hidden: 6, EncDepth: 1, HeadHidden: 6}, DefaultConfig()} {
+		want, wantStats := run("portable", cfg)
+		got, gotStats := run(start, cfg)
+		if gotStats.FinalLoss != wantStats.FinalLoss {
+			t.Errorf("hidden %d: final loss %v under %s != %v under portable", cfg.Hidden, gotStats.FinalLoss, start, wantStats.FinalLoss)
+		}
+		if ok, why := paramsEqual(want, got); !ok {
+			t.Errorf("hidden %d: %s between %s and portable", cfg.Hidden, why, start)
+		}
+	}
+}
+
+// TestTrainRejectsBadLabels: a label the log-space loss cannot use is an
+// error naming the graph, returned before any epoch runs — not a NaN or
+// infinite FinalLoss with the weights stepped anyway.
+func TestTrainRejectsBadLabels(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		lat, tpt float64
+	}{
+		{"NaN latency", math.NaN(), 1000},
+		{"+Inf latency", math.Inf(1), 1000},
+		{"-Inf latency", math.Inf(-1), 1000},
+		{"zero latency", 0, 1000},
+		{"negative latency", -5, 1000},
+		{"NaN throughput", 10, math.NaN()},
+		{"+Inf throughput", 10, math.Inf(1)},
+		{"-Inf throughput", 10, math.Inf(-1)},
+		{"zero throughput", 10, 0},
+		{"negative throughput", 10, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			graphs := trainSet(t, 6)
+			graphs[3].LatencyMs, graphs[3].ThroughputEPS = tc.lat, tc.tpt
+			m := smallModel(7)
+			before := smallModel(7)
+			cfg := DefaultTrainConfig()
+			cfg.Epochs = 2
+			epochs := 0
+			cfg.Progress = func(int, float64) { epochs++ }
+			stats, err := Train(context.Background(), m, graphs, cfg)
+			if err == nil {
+				t.Fatalf("trained to FinalLoss %v without an error", stats.FinalLoss)
+			}
+			if !strings.Contains(err.Error(), "training graph 3") {
+				t.Errorf("error %q does not name graph 3", err)
+			}
+			if epochs != 0 {
+				t.Errorf("%d epochs ran before the error", epochs)
+			}
+			if ok, why := paramsEqual(before, m); !ok {
+				t.Errorf("weights moved: %s", why)
+			}
+		})
 	}
 }
 

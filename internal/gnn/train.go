@@ -81,6 +81,22 @@ func FewShotConfig() TrainConfig {
 // the model regresses.
 func LogTarget(x float64) float64 { return math.Log10(x + 1e-3) }
 
+// checkLabels rejects a label the log-space loss cannot use: LogTarget of a
+// non-positive cost is NaN or far below any real one, and an infinite or NaN
+// label makes the loss non-finite while the clipped gradients still step the
+// weights.
+func checkLabels(g *features.Graph) error {
+	if !positiveFinite(g.LatencyMs) {
+		return fmt.Errorf("latency label %v ms is not positive and finite", g.LatencyMs)
+	}
+	if !positiveFinite(g.ThroughputEPS) {
+		return fmt.Errorf("throughput label %v ev/s is not positive and finite", g.ThroughputEPS)
+	}
+	return nil
+}
+
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 // TrainStats summarizes a training run.
 type TrainStats struct {
 	Epochs    int // total epochs completed, including epochs before a resume
@@ -134,31 +150,30 @@ func restoreParams(params []nn.Param, snap [][]float64) {
 	}
 }
 
-// addGrads accumulates src's gradients into dst. Both must come from Params
-// of the same model (or a ShadowGrads of it), so tensors align.
-func addGrads(dst, src []nn.Param) {
-	for i := range dst {
-		d, s := dst[i].Grad, src[i].Grad
-		for j := range d {
-			d[j] += s[j]
-		}
-	}
-}
-
-// reduceShards tree-reduces the shards' gradients into shards[0]: strides
+// averageGrads writes the batch-mean gradient of parameter tensor i into dst.
+// The shards' copies of the tensor are tree-reduced into shard 0's: strides
 // double each level, and within a level pairs are combined left to right.
-// The order depends only on the shard count, which depends only on the
-// batch, so the reduction is deterministic for any worker count.
-func reduceShards(shards []*gradShard) {
+// Then dst = (0 + sum)·scale, where the 0 + is deliberate: it turns a -0 sum
+// into +0, as accumulating into a zeroed gradient does, and trained weights
+// are pinned to that. The order depends only on the shard count, which
+// depends only on the batch, so every element is summed the same way for any
+// worker count — and tensors are independent, so they can be averaged
+// concurrently.
+func averageGrads(shards []*gradShard, i int, dst []float64, scale float64) {
 	for stride := 1; stride < len(shards); stride *= 2 {
 		for s := 0; s+stride < len(shards); s += 2 * stride {
-			addGrads(shards[s].params, shards[s+stride].params)
+			tensor.Vector(shards[s].params[i].Grad).AddInPlace(shards[s+stride].params[i].Grad)
 		}
+	}
+	sum := shards[0].params[i].Grad
+	for j := range dst {
+		dst[j] = (0 + sum[j]) * scale
 	}
 }
 
 // Train optimizes the model on the labelled graphs. Graphs must carry
-// LatencyMs and ThroughputEPS labels. Returns an error for empty input.
+// LatencyMs and ThroughputEPS labels. Returns an error for empty input and,
+// before any epoch runs, for a label that is not positive and finite.
 //
 // The context plays two roles. Cancelling it requests a clean stop: training
 // halts at the next epoch boundary — after a final Checkpoint call when one
@@ -172,13 +187,19 @@ func reduceShards(shards []*gradShard) {
 // loss and gradients into its own buffers on a pool of cfg.Workers
 // goroutines, and the shards are reduced in a fixed order before the Adam
 // step — so fixed-seed runs produce bit-identical models at any worker
-// count.
+// count. The reduction and the Adam step fan out over parameter tensors on
+// the same pool; only the global gradient norm between them is serial.
 func Train(ctx context.Context, m *Model, graphs []*features.Graph, cfg TrainConfig) (TrainStats, error) {
 	if len(graphs) == 0 {
 		return TrainStats{}, fmt.Errorf("gnn: no training graphs")
 	}
 	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 || cfg.LR <= 0 {
 		return TrainStats{}, fmt.Errorf("gnn: invalid train config %+v", cfg)
+	}
+	for i, g := range graphs {
+		if err := checkLabels(g); err != nil {
+			return TrainStats{}, fmt.Errorf("gnn: training graph %d: %w", i, err)
+		}
 	}
 	start := time.Now()
 	rng := tensor.NewRNG(cfg.Seed)
@@ -268,20 +289,15 @@ func Train(ctx context.Context, m *Model, graphs []*features.Graph, cfg TrainCon
 			for s := 0; s < k; s++ {
 				epochLoss += shards[s].loss
 			}
-			reduceShards(shards[:k])
-			m.ZeroGrad()
-			addGrads(params, shards[0].params)
-			// Average gradients over the batch.
+			// Average gradients over the batch, one parameter tensor per task.
 			scale := 1.0 / float64(len(batch))
-			for _, p := range params {
-				for i := range p.Grad {
-					p.Grad[i] *= scale
-				}
-			}
+			parallel.For(len(params), workers, func(i int) {
+				averageGrads(shards[:k], i, params[i].Grad, scale)
+			})
 			if cfg.ClipNorm > 0 {
 				gradNorm = nn.ClipGradNorm(params, cfg.ClipNorm)
 			}
-			opt.Step(params)
+			opt.Step(params, workers)
 		}
 		meanLoss = epochLoss / float64(len(idx))
 		epochSpan.SetAttr("loss", meanLoss)

@@ -123,8 +123,7 @@ func (m *MLP) ForwardInto(t *Trace, x tensor.Vector) *Trace {
 	copy(t.layers[0].in, x)
 	for i, l := range m.Layers {
 		lt := &t.layers[i]
-		l.W.MulVec(lt.in, lt.pre)
-		lt.pre.AddInPlace(l.B)
+		l.W.MulVecAddBias(lt.in, l.B, lt.pre)
 		for j, p := range lt.pre {
 			lt.out[j] = l.Act.Apply(p)
 		}

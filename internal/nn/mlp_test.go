@@ -208,7 +208,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 			loss += l
 			m.Backward(tr, tensor.Vector{g})
 		}
-		opt.Step(m.Params())
+		opt.Step(m.Params(), 1)
 	}
 	if loss > 0.01 {
 		t.Fatalf("XOR not learned, final loss %v", loss)

@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math"
+
+	"zerotune/internal/parallel"
 )
 
 // Adam is the Adam optimizer (Kingma & Ba) with decoupled weight decay
@@ -25,8 +27,11 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step applies one update to every parameter using its gradient.
-func (a *Adam) Step(params []Param) {
+// Step applies one update to every parameter using its gradient, updating
+// the parameter tensors on up to workers goroutines (workers <= 1 runs
+// inline). The update is element-wise, so the result is the same for every
+// worker count.
+func (a *Adam) Step(params []Param, workers int) {
 	if a.m == nil {
 		a.m = make([][]float64, len(params))
 		a.v = make([][]float64, len(params))
@@ -38,8 +43,8 @@ func (a *Adam) Step(params []Param) {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
-	for i, p := range params {
-		m, v := a.m[i], a.v[i]
+	parallel.For(len(params), workers, func(i int) {
+		p, m, v := params[i], a.m[i], a.v[i]
 		for j := range p.Value {
 			g := p.Grad[j]
 			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
@@ -48,7 +53,7 @@ func (a *Adam) Step(params []Param) {
 			vHat := v[j] / bc2
 			p.Value[j] -= a.LR * (mHat/(math.Sqrt(vHat)+a.Eps) + a.WeightDecay*p.Value[j])
 		}
-	}
+	})
 }
 
 // AdamState is the optimizer's serializable internal state: the step count

@@ -5,7 +5,10 @@ import "fmt"
 // This file holds the float64 batched kernel of the compiled inference
 // engine's bit-exact reference mode: GemmBiasInto computes each output row with
 // exactly the MulVecAddBias accumulation, so a batched forward is bit-identical
-// to the per-graph one.
+// to the per-graph one. Each row runs MulVecAddBias's AVX2 kernel when a vector
+// kernel is active (see Kernel), which is itself bit-identical to the portable
+// loop: its four lanes are the loop's four accumulators and it never fuses a
+// multiply into an add.
 
 // GemmBiasInto computes Y = X · Wᵀ + 1⊗b, the batched form of a linear layer
 // pre-activation. It is bit-identical to MulVec followed by AddInPlace(b) on

@@ -42,7 +42,13 @@ const (
 )
 
 // kernel identifies a GEMM implementation, ordered by vector width: a CPU
-// that can run one can run every kernel below it.
+// that can run one can run every kernel below it. The same choice covers the
+// float64 vector paths (MulVec, MulVecAddBias, MulVecT, AddOuterInPlace,
+// AxpyInPlace and AddInPlace): any kernel but kernelPortable runs their AVX2
+// versions, which are bit-identical to the portable loops — lane j of a
+// vector is the loop's accumulator j and products and sums stay separate
+// instructions, never an FMA — so unlike the float32 GEMM, which kernel ran
+// never shows in a float64 result.
 type kernel int
 
 const (
@@ -53,8 +59,9 @@ const (
 
 var kernelNames = [...]string{kernelPortable: "portable", kernelAVX2: "avx2", kernelAVX512: "avx512"}
 
-// active is the kernel Gemm32BiasActInto runs: the widest the CPU supports,
-// or the portable one when ZEROTUNE_NOSIMD is set. Tests pin it via SetSIMD.
+// active is the kernel Gemm32BiasActInto and the float64 vector paths run:
+// the widest the CPU supports, or the portable one when ZEROTUNE_NOSIMD is
+// set. Tests pin it via SetSIMD.
 var active = startKernel()
 
 func startKernel() kernel {
@@ -91,14 +98,15 @@ func kernelFor(ecx1, ebx7, xcr0 uint32) kernel {
 	return kernelAVX512
 }
 
-// Kernel names the GEMM kernel in use: "avx512", "avx2" or "portable".
+// Kernel names the GEMM kernel in use: "avx512", "avx2" or "portable". Under
+// either vector kernel the float64 vector paths run their AVX2 kernels.
 func Kernel() string { return kernelNames[active] }
 
-// SIMDEnabled reports whether an assembly GEMM kernel is active.
+// SIMDEnabled reports whether an assembly kernel is active.
 func SIMDEnabled() bool { return active != kernelPortable }
 
-// SetSIMD pins the named kernel (a Kernel value) and returns the name of the
-// previous one. A kernel the CPU cannot run selects the widest one below it
+// SetSIMD pins the named kernel (a Kernel value), for the float32 GEMM and
+// the float64 vector paths alike, and returns the name of the previous one. A kernel the CPU cannot run selects the widest one below it
 // that it can, so callers compare Kernel() with what they asked for. Not safe
 // for concurrent use; intended for tests and benchmarks.
 func SetSIMD(name string) string {

@@ -2,9 +2,25 @@
 
 package tensor
 
-// Non-amd64 targets run the portable kernel only.
+// Non-amd64 targets run the portable kernels only.
 const cpuKernel = kernelPortable
 
 func gemm32Asm(x, wt *Matrix32, bias Vector32, y *Matrix32, act Act32) {
 	panic("tensor: assembly GEMM called on a target without one")
+}
+
+func mulVec64(w, v, b, out *float64, rows, cols int64) {
+	panic("tensor: assembly kernel called on a target without one")
+}
+
+func mulVecT64(w, v, out *float64, rows, cols int64) {
+	panic("tensor: assembly kernel called on a target without one")
+}
+
+func addOuter64(m, u, v *float64, a float64, rows, cols int64) {
+	panic("tensor: assembly kernel called on a target without one")
+}
+
+func axpy64(dst, src *float64, a float64, n int64) {
+	panic("tensor: assembly kernel called on a target without one")
 }

@@ -86,9 +86,22 @@ func (m *Matrix) RandomizeHe(rng *RNG, fanIn int) *Matrix {
 // The dot product is 4-way unrolled with independent accumulators; the
 // partial sums are combined in a fixed order, so results are deterministic
 // (though not bit-identical to a strictly sequential accumulation).
+//
+// Like every float64 vector path here (MulVecAddBias, MulVecT,
+// AddOuterInPlace, AxpyInPlace, AddInPlace), MulVec runs an AVX2 kernel
+// whenever Kernel() is not "portable", and the loop below otherwise. The two
+// are bit-identical: the kernel's four vector lanes are the loop's four
+// accumulators, it multiplies and adds in separate instructions (never a
+// fused multiply-add) with the loop's operand order, and it keeps the tail,
+// the zero skips and the final (s0+s1)+(s2+s3) where the loop has them. So a
+// model trains to the same bits under any kernel.
 func (m *Matrix) MulVec(v, out Vector) Vector {
 	mustSameLen(len(v), m.Cols)
 	mustSameLen(len(out), m.Rows)
+	if m.vec64() {
+		mulVec64(&m.Data[0], &v[0], nil, &out[0], int64(m.Rows), int64(m.Cols))
+		return out
+	}
 	n := m.Cols
 	v = v[:n] // bounds-check elimination: inner loops index v[c..c+3] with c+3 < n
 	for r := 0; r < m.Rows; r++ {
@@ -117,6 +130,10 @@ func (m *Matrix) MulVecAddBias(v, b, out Vector) Vector {
 	mustSameLen(len(v), m.Cols)
 	mustSameLen(len(b), m.Rows)
 	mustSameLen(len(out), m.Rows)
+	if m.vec64() {
+		mulVec64(&m.Data[0], &v[0], &b[0], &out[0], int64(m.Rows), int64(m.Cols))
+		return out
+	}
 	n := m.Cols
 	v = v[:n]
 	for r := 0; r < m.Rows; r++ {
@@ -142,6 +159,10 @@ func (m *Matrix) MulVecAddBias(v, b, out Vector) Vector {
 func (m *Matrix) MulVecT(v, out Vector) Vector {
 	mustSameLen(len(v), m.Rows)
 	mustSameLen(len(out), m.Cols)
+	if m.vec64() {
+		mulVecT64(&m.Data[0], &v[0], &out[0], int64(m.Rows), int64(m.Cols))
+		return out
+	}
 	out.Zero()
 	n := m.Cols
 	out = out[:n] // bounds-check elimination for the unrolled column loop
@@ -170,6 +191,10 @@ func (m *Matrix) MulVecT(v, out Vector) Vector {
 func (m *Matrix) AddOuterInPlace(a float64, u, v Vector) *Matrix {
 	mustSameLen(len(u), m.Rows)
 	mustSameLen(len(v), m.Cols)
+	if m.vec64() {
+		addOuter64(&m.Data[0], &u[0], &v[0], a, int64(m.Rows), int64(m.Cols))
+		return m
+	}
 	n := m.Cols
 	for r := 0; r < m.Rows; r++ {
 		au := a * u[r]
@@ -225,6 +250,14 @@ func (m *Matrix) HasNaN() bool {
 		}
 	}
 	return false
+}
+
+// vec64 reports whether m's vector paths run the AVX2 kernels: a vector
+// kernel is active and m is not empty. It first checks that Data holds
+// Rows×Cols elements, which the kernels read without bounds checks.
+func (m *Matrix) vec64() bool {
+	_ = m.Data[:m.Rows*m.Cols]
+	return active != kernelPortable && m.Rows > 0 && m.Cols > 0
 }
 
 func (m *Matrix) mustSameShape(w *Matrix) {

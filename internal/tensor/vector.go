@@ -35,8 +35,15 @@ func (v Vector) Fill(x float64) Vector {
 }
 
 // AddInPlace adds w element-wise into v. Lengths must match.
+//
+// Under a vector kernel it runs the AxpyInPlace kernel with a = 1: 1·w[i] is
+// exactly w[i], so v[i] + 1·w[i] is the same sum bit for bit.
 func (v Vector) AddInPlace(w Vector) Vector {
 	mustSameLen(len(v), len(w))
+	if active != kernelPortable && len(v) > 0 {
+		axpy64(&v[0], &w[0], 1, int64(len(v)))
+		return v
+	}
 	for i := range v {
 		v[i] += w[i]
 	}
@@ -64,10 +71,16 @@ func (v Vector) ScaleInPlace(a float64) Vector {
 //
 // The loop is 4-way unrolled with a bounds-check-elimination preload; because
 // every element is independent, the result is exactly the element-wise
-// `v[i] += a*w[i]` of the naive loop.
+// `v[i] += a*w[i]` of the naive loop. The AVX2 kernel that runs when Kernel()
+// is not "portable" computes the same VMULPD-then-VADDPD per element (see
+// MulVec).
 func (v Vector) AxpyInPlace(a float64, w Vector) Vector {
 	mustSameLen(len(v), len(w))
 	n := len(v)
+	if active != kernelPortable && n > 0 {
+		axpy64(&v[0], &w[0], a, int64(n))
+		return v
+	}
 	w = w[:n] // bounds-check elimination: w indexed with the same i as v
 	i := 0
 	for ; i+3 < n; i += 4 {
