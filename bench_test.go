@@ -86,6 +86,27 @@ func BenchmarkTrainThroughput(b *testing.B) {
 	b.ReportMetric(float64(b.N*cfg.Epochs*len(graphs))/b.Elapsed().Seconds(), "graphs/sec")
 }
 
+// BenchmarkTrainEpoch is one epoch of gnn.Train at the served model's shape
+// (gnn.DefaultConfig) over 600 seen queries at seed 1: one tenth of what the
+// benchmark fixture trains before it serves.
+func BenchmarkTrainEpoch(b *testing.B) {
+	items, err := workload.NewSeenGenerator(1).Generate(workload.SeenRanges().Structures, 600)
+	if err != nil {
+		b.Fatal(err)
+	}
+	graphs := workload.Graphs(items)
+	cfg := gnn.DefaultTrainConfig()
+	cfg.Epochs = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		model := gnn.New(tensor.NewRNG(1), gnn.DefaultConfig())
+		if _, err := gnn.Train(context.Background(), model, graphs, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkFig3Microbenchmark regenerates Fig. 3: latency and throughput vs
 // parallelism degree with the operator-grouping jump.
 func BenchmarkFig3Microbenchmark(b *testing.B) {

@@ -275,7 +275,8 @@ func TestLoadRejectsStructurallyCorruptModel(t *testing.T) {
 
 	// Chop the latency head down to its hidden layer: each remaining MLP is
 	// internally consistent, so only whole-model validation can catch it.
-	mangled := &ZeroTune{Model: zt.Model.ShadowGrads(), Mask: zt.Mask}
+	model := *zt.Model // a copy, so the chopped head stays off zt
+	mangled := &ZeroTune{Model: &model, Mask: zt.Mask}
 	headless := *zt.Model.LatHead
 	headless.Layers = headless.Layers[:1]
 	mangled.Model.LatHead = &headless

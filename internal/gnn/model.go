@@ -75,8 +75,9 @@ func DefaultConfig() Config {
 	return Config{Hidden: 48, EncDepth: 1, HeadHidden: 48}
 }
 
-// opTypeOrder fixes the serialization order of the per-type encoders.
-var opTypeOrder = []queryplan.OpType{
+// opTypeOrder fixes the serialization order of the per-type encoders (and
+// their slots in Model.mlps).
+var opTypeOrder = [...]queryplan.OpType{
 	queryplan.OpSource, queryplan.OpFilter, queryplan.OpAggregate,
 	queryplan.OpJoin, queryplan.OpSink,
 }
@@ -143,13 +144,6 @@ func (m *Model) Params() []nn.Param {
 	return ps
 }
 
-// ZeroGrad clears all gradient accumulators.
-func (m *Model) ZeroGrad() {
-	for _, mm := range m.mlps() {
-		mm.ZeroGrad()
-	}
-}
-
 // NumParams returns the total scalar parameter count.
 func (m *Model) NumParams() int {
 	n := 0
@@ -157,25 +151,6 @@ func (m *Model) NumParams() int {
 		n += mm.NumParams()
 	}
 	return n
-}
-
-// ShadowGrads returns a model sharing m's weights with fresh, independent
-// gradient accumulators. Data-parallel training gives each gradient shard a
-// shadow: forward passes read the shared weights concurrently, each shard's
-// backward pass accumulates into its own buffers, and the shards are reduced
-// into the primary model's gradients before the optimizer step.
-func (m *Model) ShadowGrads() *Model {
-	out := &Model{Cfg: m.Cfg, EncOp: make(map[queryplan.OpType]*nn.MLP, len(m.EncOp))}
-	for t, mm := range m.EncOp {
-		out.EncOp[t] = mm.ShadowGrads()
-	}
-	out.EncRes = m.EncRes.ShadowGrads()
-	out.CombineOp = m.CombineOp.ShadowGrads()
-	out.CombineRes = m.CombineRes.ShadowGrads()
-	out.CombineMap = m.CombineMap.ShadowGrads()
-	out.LatHead = m.LatHead.ShadowGrads()
-	out.TptHead = m.TptHead.ShadowGrads()
-	return out
 }
 
 // Prediction is the model output in natural units.
@@ -187,11 +162,13 @@ type Prediction struct {
 	LogThroughput float64
 }
 
-// trace captures one forward pass for backpropagation. The zero value is
-// ready for use; forwardInto grows every buffer to the graph's shape and
-// overwrites it in place, so a long-lived trace (one per worker) eliminates
-// per-graph allocation churn in training, inference and batch estimation.
-// A trace serves one graph at a time and is not safe for concurrent use.
+// trace captures one graph's forward pass: what per-graph inference and
+// evaluation read, and what the per-graph reference backward of the tests
+// replays (training runs the batched trainStep). The zero value is ready for
+// use; forwardInto grows every buffer to the graph's shape and overwrites it
+// in place, so a long-lived trace (one per worker) eliminates per-graph
+// allocation churn. A trace serves one graph at a time and is not safe for
+// concurrent use.
 type trace struct {
 	g *features.Graph
 
@@ -213,7 +190,7 @@ type trace struct {
 	latTrace  *nn.Trace   // sink mode: latency head on [sink ‖ mean op states]
 	tptTrace  *nn.Trace   // throughput head on [sink ‖ mean op states]
 
-	// Forward scratch (transient within one pass).
+	// Scratch (transient within one pass).
 	concat         tensor.Vector // 2h concat input, copied by ForwardInto
 	agg            tensor.Vector // h: upstream aggregation / mapping message
 	encSum         tensor.Vector // h: sum of resource encodings
@@ -221,14 +198,6 @@ type trace struct {
 	meanState      tensor.Vector // h: mean pooling over per-op states
 	pooled         tensor.Vector // 2h: [sink ‖ mean op states]
 	totalInstances []float64     // per op node
-
-	// Backward scratch.
-	dHOp       []tensor.Vector
-	dHRes      []tensor.Vector
-	dEncRes    []tensor.Vector
-	dSinkState tensor.Vector
-	dMeanState tensor.Vector
-	dState     tensor.Vector
 }
 
 type weightedRes struct {
@@ -319,18 +288,6 @@ func ensureVec(v tensor.Vector, dim int) tensor.Vector {
 		return tensor.NewVector(dim)
 	}
 	return v
-}
-
-// growZeroedVecs grows vs to n vectors of length dim and zeroes each.
-func growZeroedVecs(vs []tensor.Vector, n, dim int) []tensor.Vector {
-	for len(vs) < n {
-		vs = append(vs, nil)
-	}
-	vs = vs[:n]
-	for i := range vs {
-		vs[i] = ensureVec(vs[i], dim).Zero()
-	}
-	return vs
 }
 
 // forward runs the three-stage message passing with a fresh trace. Hot paths
@@ -470,88 +427,6 @@ func logSumExp10(xs, w []float64) float64 {
 func (m *Model) Predict(g *features.Graph) Prediction {
 	p, _ := m.forward(g)
 	return *p
-}
-
-// backward propagates dLogLat and dLogTpt (∂loss/∂head outputs) through the
-// whole graph pass, accumulating parameter gradients. It reuses tr's scratch
-// buffers, so it must be called before the trace's next forwardInto.
-func (m *Model) backward(tr *trace, dLogLat, dLogTpt float64) {
-	h := m.Cfg.Hidden
-	g := tr.g
-	n := len(g.OpNodes)
-	r := len(g.ResNodes)
-
-	tr.dHOp = growZeroedVecs(tr.dHOp, n, h)
-	tr.dHRes = growZeroedVecs(tr.dHRes, r, h)
-	dHOp, dHRes := tr.dHOp, tr.dHRes
-
-	// Pooled-head backward: gradients split into the sink's state and the
-	// mean pooling over all per-operator states.
-	dTptIn := m.TptHead.Backward(tr.tptTrace, tensor.Vector{dLogTpt})
-	dSinkState := ensureVec(tr.dSinkState, h)
-	dMeanState := ensureVec(tr.dMeanState, h)
-	tr.dSinkState, tr.dMeanState = dSinkState, dMeanState
-	copy(dSinkState, dTptIn[:h])
-	copy(dMeanState, dTptIn[h:])
-	if m.Cfg.Readout == ReadoutSink {
-		dLatIn := m.LatHead.Backward(tr.latTrace, tensor.Vector{dLogLat})
-		dSinkState.AddInPlace(dLatIn[:h])
-		dMeanState.AddInPlace(dLatIn[h:])
-	}
-	dMeanState.ScaleInPlace(1 / float64(n))
-
-	dState := ensureVec(tr.dState, h)
-	tr.dState = dState
-	for i := 0; i < n; i++ {
-		copy(dState, dMeanState)
-		if m.Cfg.Readout != ReadoutSink {
-			// Structured latency read-out: ∂logLat/∂o_i are the cached
-			// softmax weights of the per-operator contributions.
-			dState.AddInPlace(m.LatHead.Backward(tr.latTraces[i], tensor.Vector{dLogLat * tr.latW[i]}))
-		}
-		if i == g.SinkIdx {
-			dState.AddInPlace(dSinkState)
-		}
-
-		// Mapping pass backward for operator i.
-		dIn := m.CombineMap.Backward(tr.combineMap[i], dState)
-		dHOp[i].AddInPlace(dIn[:h])
-		dMsg := tensor.Vector(dIn[h:])
-		for _, wr := range tr.mapWeights[i] {
-			dHRes[wr.resIdx].AxpyInPlace(wr.weight, dMsg)
-		}
-	}
-
-	// Resource pass backward.
-	tr.dEncRes = growZeroedVecs(tr.dEncRes, r, h)
-	dEncRes := tr.dEncRes
-	for i := 0; i < r; i++ {
-		dIn := m.CombineRes.Backward(tr.combineRes[i], dHRes[i])
-		dEncRes[i].AddInPlace(dIn[:h])
-		dOthers := tensor.Vector(dIn[h:])
-		if r > 1 {
-			scale := 1 / float64(r-1)
-			for j := 0; j < r; j++ {
-				if j != i {
-					dEncRes[j].AxpyInPlace(scale, dOthers)
-				}
-			}
-		}
-	}
-	for i := 0; i < r; i++ {
-		m.EncRes.Backward(tr.encRes[i], dEncRes[i])
-	}
-
-	// Data-flow pass backward, reverse topological order.
-	for i := n - 1; i >= 0; i-- {
-		dIn := m.CombineOp.Backward(tr.combineOp[i], dHOp[i])
-		dEnc := tensor.Vector(dIn[:h])
-		dAgg := tensor.Vector(dIn[h:])
-		for _, up := range tr.upstreams[i] {
-			dHOp[up].AddInPlace(dAgg)
-		}
-		m.EncOp[g.OpNodes[i].Type].Backward(tr.encOp[i], dEnc)
-	}
 }
 
 // modelJSON is the serialized form of a Model.

@@ -86,9 +86,10 @@ func TestPredictionSensitiveToDegrees(t *testing.T) {
 	}
 }
 
-// Full-model gradient check: analytic gradients of the composed graph pass
-// must match central finite differences for a sample of parameters in every
-// sub-network.
+// Full-model gradient check: the gradients Train's batched step computes for
+// one graph must match central finite differences for a sample of parameters
+// in every sub-network. An infinite Huber threshold makes the step's loss the
+// squared error the finite differences take.
 func TestGNNGradientCheck(t *testing.T) {
 	for _, join := range []bool{false, true} {
 		m := smallModel(11)
@@ -103,11 +104,7 @@ func TestGNNGradientCheck(t *testing.T) {
 			return l1 + l2
 		}
 
-		m.ZeroGrad()
-		pred, tr := m.forward(g)
-		_, gLat := nn.MSE(pred.LogLatency, targetLat)
-		_, gTpt := nn.MSE(pred.LogThroughput, targetTpt)
-		m.backward(tr, gLat, gTpt)
+		newTrainStep(m, 1, math.Inf(1)).run([]*features.Graph{g})
 
 		const h = 1e-6
 		params := m.Params()
@@ -260,7 +257,7 @@ func TestFewShotConfigGentler(t *testing.T) {
 }
 
 // Sink-mode read-out (the paper's original read-out, kept as an ablation)
-// must also pass the full gradient check.
+// must also pass the full gradient check on the batched step.
 func TestGNNSinkReadoutGradientCheck(t *testing.T) {
 	m := New(tensor.NewRNG(21), Config{Hidden: 6, EncDepth: 1, HeadHidden: 6, Readout: ReadoutSink})
 	g := testGraph(t, true, map[int]int{1: 2})
@@ -273,11 +270,7 @@ func TestGNNSinkReadoutGradientCheck(t *testing.T) {
 		l2, _ := nn.MSE(pred.LogThroughput, targetTpt)
 		return l1 + l2
 	}
-	m.ZeroGrad()
-	pred, tr := m.forward(g)
-	_, gLat := nn.MSE(pred.LogLatency, targetLat)
-	_, gTpt := nn.MSE(pred.LogThroughput, targetTpt)
-	m.backward(tr, gLat, gTpt)
+	newTrainStep(m, 1, math.Inf(1)).run([]*features.Graph{g})
 
 	const h = 1e-6
 	for pi, p := range m.Params() {

@@ -1,0 +1,159 @@
+package gnn
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"zerotune/internal/features"
+	"zerotune/internal/nn"
+	"zerotune/internal/queryplan"
+	"zerotune/internal/tensor"
+	"zerotune/internal/workload"
+)
+
+// structureGraphs generates n labelled graphs of one query structure.
+func structureGraphs(t *testing.T, gen *workload.Generator, structure string, n int) []*features.Graph {
+	t.Helper()
+	items, err := gen.Generate([]string{structure}, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return workload.Graphs(items)
+}
+
+// TestTrainStepMatchesSerialReference holds Train's batched step to its
+// definition: per graph, forwardInto and the per-sample backward into one
+// zeroed gradient buffer, graph after graph in batch order. Losses, batch-mean
+// gradients and the weights after the clipped Adam step must agree bit for
+// bit, for both read-outs, ragged and full batches, every seen structure and
+// an unseen one, at one worker and at three (so chunks of the batch run
+// concurrently). A batch with no join leaves the join encoder's gradient
+// exactly zero.
+func TestTrainStepMatchesSerialReference(t *testing.T) {
+	seen, unseen := workload.NewSeenGenerator(5), workload.NewUnseenGenerator(5)
+	linear := structureGraphs(t, seen, "linear", 8)
+	join2 := structureGraphs(t, seen, "2-way-join", 8)
+	join3 := structureGraphs(t, seen, "3-way-join", 8)
+	join4 := structureGraphs(t, unseen, "4-way-join", 8)
+	var mixed []*features.Graph
+	for i := 0; i < 8; i++ {
+		mixed = append(mixed, join3[i], linear[i], join4[i], join2[i])
+	}
+	batches := []struct {
+		name   string
+		graphs []*features.Graph
+	}{
+		{"one graph", mixed[:1]},
+		{"ragged 5", mixed[1:6]},
+		{"full 16", mixed[6:22]},
+		{"no join", linear[:5]},
+		{"unseen only", join4[:3]},
+	}
+	joinSlot := typeSlot(queryplan.OpJoin)
+
+	for _, cfg := range []Config{
+		{Hidden: 6, EncDepth: 1, HeadHidden: 6},
+		{Hidden: 20, EncDepth: 1, HeadHidden: 20},
+		{Hidden: 20, EncDepth: 2, HeadHidden: 20, Readout: ReadoutSink},
+		{Hidden: 6, EncDepth: 1, HeadHidden: 6, Readout: ReadoutSink},
+	} {
+		for _, workers := range []int{1, 3} {
+			ref, got := New(tensor.NewRNG(9), cfg), New(tensor.NewRNG(9), cfg)
+			refOpt, gotOpt := nn.NewAdam(3e-3), nn.NewAdam(3e-3)
+			step := newTrainStep(got, workers, 1.0)
+			for _, b := range batches {
+				want := serialStep(ref, b.graphs, 1.0)
+				step.run(b.graphs)
+				where := func() string {
+					return fmt.Sprintf("%v read-out, hidden %d, %d workers, %s", cfg.Readout, cfg.Hidden, workers, b.name)
+				}
+				for i := range want {
+					if math.Float64bits(step.losses[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s: graph %d loss %v, reference %v", where(), i, step.losses[i], want[i])
+					}
+				}
+				refParams, gotParams := ref.Params(), got.Params()
+				for pi := range refParams {
+					for j, w := range refParams[pi].Grad {
+						if g := gotParams[pi].Grad[j]; math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("%s: param %d[%d] gradient %v, reference %v", where(), pi, j, g, w)
+						}
+					}
+				}
+				if b.name == "no join" {
+					for _, p := range got.mlps()[joinSlot].Params() {
+						for j, g := range p.Grad {
+							if math.Float64bits(g) != 0 {
+								t.Fatalf("%s: join encoder gradient [%d] = %v without a join", where(), j, g)
+							}
+						}
+					}
+				}
+				nn.ClipGradNorm(refParams, 5)
+				nn.ClipGradNorm(gotParams, 5)
+				refOpt.Step(refParams, 1)
+				gotOpt.Step(gotParams, workers)
+				if ok, why := paramsEqual(ref, got); !ok {
+					t.Fatalf("%s: %s after the Adam step", where(), why)
+				}
+			}
+		}
+	}
+}
+
+// TestTrainRejectsBadGraphs: a graph whose label is not positive and finite,
+// whose operator or machine features hold a NaN or an infinity, or whose
+// structure the batched step cannot lay out, is an error naming its set and
+// index before any epoch runs — in the training set and in the validation set
+// alike. Unchecked, one NaN feature trains every
+// weight to NaN without an error, and a NaN validation label ends a run early
+// with a best validation loss of 0.
+func TestTrainRejectsBadGraphs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		val   bool // corrupt the validation set, not the training set
+		spoil func(g *features.Graph)
+		want  string
+	}{
+		{"NaN operator feature", false, func(g *features.Graph) { g.OpNodes[0].Feat[0] = math.NaN() }, "training graph 2: operator 0: feature 0"},
+		{"Inf machine feature", false, func(g *features.Graph) { g.ResNodes[1].Feat[2] = math.Inf(1) }, "training graph 2: machine 1: feature 2"},
+		{"NaN latency", false, func(g *features.Graph) { g.LatencyMs = math.NaN() }, "training graph 2: latency label"},
+		{"validation NaN latency", true, func(g *features.Graph) { g.LatencyMs = math.NaN() }, "validation graph 2: latency label"},
+		{"validation zero throughput", true, func(g *features.Graph) { g.ThroughputEPS = 0 }, "validation graph 2: throughput label"},
+		{"validation -Inf operator feature", true, func(g *features.Graph) { g.OpNodes[1].Feat[3] = math.Inf(-1) }, "validation graph 2: operator 1: feature 3"},
+		{"validation NaN machine feature", true, func(g *features.Graph) { g.ResNodes[0].Feat[0] = math.NaN() }, "validation graph 2: machine 0: feature 0"},
+		{"backward data-flow edge", false, func(g *features.Graph) { g.DataEdges = append(g.DataEdges, [2]int{2, 1}) }, "training graph 2: data-flow edge 2→1"},
+		{"validation unknown operator type", true, func(g *features.Graph) { g.OpNodes[0].Type = 99 }, "validation graph 2: operator 0: unknown type"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			graphs, val := trainSet(t, 6), trainSet(t, 4)
+			if tc.val {
+				tc.spoil(val[2])
+			} else {
+				tc.spoil(graphs[2])
+			}
+			m, before := smallModel(7), smallModel(7)
+			cfg := DefaultTrainConfig()
+			cfg.Epochs = 30
+			cfg.Val = val
+			epochs := 0
+			cfg.Progress = func(int, float64) { epochs++ }
+			stats, err := Train(context.Background(), m, graphs, cfg)
+			if err == nil {
+				t.Fatalf("trained %d epochs to FinalLoss %v, BestValLoss %v without an error", stats.Epochs, stats.FinalLoss, stats.BestValLoss)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not say %q", err, tc.want)
+			}
+			if epochs != 0 {
+				t.Errorf("%d epochs ran before the error", epochs)
+			}
+			if ok, why := paramsEqual(before, m); !ok {
+				t.Errorf("weights moved: %s", why)
+			}
+		})
+	}
+}

@@ -23,10 +23,12 @@ type TrainConfig struct {
 	ClipNorm    float64 // global gradient-norm clip; 0 disables
 	HuberDelta  float64 // log-space Huber threshold
 	Seed        uint64
-	// Workers caps the data-parallel fan-out per minibatch (0 resolves via
+	// Workers caps the parallel fan-out of a training step (0 resolves via
 	// parallel.Workers, i.e. the ZEROTUNE_WORKERS override or GOMAXPROCS).
-	// The result is identical for every worker count: gradients accumulate
-	// into fixed logical shards that are reduced in a fixed order.
+	// The result is identical for every worker count, because work is split
+	// only over independent outputs: contiguous chunks of a minibatch's
+	// graphs, whose activation and input-gradient rows are their own, and
+	// whole parameter tensors, whose sums one task computes — never a sum.
 	Workers int
 	// Progress, when non-nil, receives (epoch, mean training loss) after
 	// every epoch.
@@ -81,16 +83,60 @@ func FewShotConfig() TrainConfig {
 // the model regresses.
 func LogTarget(x float64) float64 { return math.Log10(x + 1e-3) }
 
-// checkLabels rejects a label the log-space loss cannot use: LogTarget of a
-// non-positive cost is NaN or far below any real one, and an infinite or NaN
-// label makes the loss non-finite while the clipped gradients still step the
-// weights.
-func checkLabels(g *features.Graph) error {
+// checkGraph rejects a graph training cannot use, naming what is wrong: a
+// label the log-space loss cannot use (LogTarget of a non-positive cost is NaN
+// or far below any real one, and an infinite or NaN label makes the loss
+// non-finite while the clipped gradients still step the weights), a feature
+// that is NaN or ±Inf (one turns every weight it reaches into NaN), or a
+// structure the message passing cannot run: no operator, an operator type
+// without an encoder, a sink, edge or mapping index out of range, or a
+// data-flow edge that does not run from a lower to a higher operator index
+// (operators are topologically ordered, which the step's depth levels need).
+func checkGraph(g *features.Graph) error {
 	if !positiveFinite(g.LatencyMs) {
 		return fmt.Errorf("latency label %v ms is not positive and finite", g.LatencyMs)
 	}
 	if !positiveFinite(g.ThroughputEPS) {
 		return fmt.Errorf("throughput label %v ev/s is not positive and finite", g.ThroughputEPS)
+	}
+	n, r := len(g.OpNodes), len(g.ResNodes)
+	for i, node := range g.OpNodes {
+		if typeSlot(node.Type) < 0 {
+			return fmt.Errorf("operator %d: unknown type %v", i, node.Type)
+		}
+		if err := checkFeatures(node.Feat, features.OpFeatDim); err != nil {
+			return fmt.Errorf("operator %d: %w", i, err)
+		}
+	}
+	for i, node := range g.ResNodes {
+		if err := checkFeatures(node.Feat, features.ResFeatDim); err != nil {
+			return fmt.Errorf("machine %d: %w", i, err)
+		}
+	}
+	if n == 0 || g.SinkIdx < 0 || g.SinkIdx >= n {
+		return fmt.Errorf("sink index %d with %d operators", g.SinkIdx, n)
+	}
+	for _, e := range g.DataEdges {
+		if e[0] < 0 || e[0] >= e[1] || e[1] >= n {
+			return fmt.Errorf("data-flow edge %d→%d with %d operators", e[0], e[1], n)
+		}
+	}
+	for _, e := range g.Mapping {
+		if e.OpIdx < 0 || e.OpIdx >= n || e.ResIdx < 0 || e.ResIdx >= r {
+			return fmt.Errorf("mapping edge %d→%d with %d operators and %d machines", e.OpIdx, e.ResIdx, n, r)
+		}
+	}
+	return nil
+}
+
+func checkFeatures(feat []float64, dim int) error {
+	if len(feat) != dim {
+		return fmt.Errorf("%d features, want %d", len(feat), dim)
+	}
+	for j, x := range feat {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("feature %d is %v", j, x)
+		}
 	}
 	return nil
 }
@@ -108,22 +154,6 @@ type TrainStats struct {
 	// Interrupted reports that a cancelled context stopped the run at an
 	// epoch boundary; the last Checkpoint call holds the state to resume from.
 	Interrupted bool
-}
-
-// maxGradShards fixes the number of logical gradient shards per minibatch.
-// The shard structure depends only on the batch, never on the worker count,
-// and shards are reduced in a fixed tree order — that is what makes training
-// results identical whether a batch runs on 1 worker or 16.
-const maxGradShards = 16
-
-// gradShard is one logical slice of a minibatch: a weight-sharing gradient
-// shadow of the model, a reusable forward/backward trace, and a private loss
-// accumulator. Shards are the unit of work a training worker picks up.
-type gradShard struct {
-	model  *Model
-	params []nn.Param
-	tr     *trace
-	loss   float64
 }
 
 // snapshotParams deep-copies the current parameter values.
@@ -150,30 +180,11 @@ func restoreParams(params []nn.Param, snap [][]float64) {
 	}
 }
 
-// averageGrads writes the batch-mean gradient of parameter tensor i into dst.
-// The shards' copies of the tensor are tree-reduced into shard 0's: strides
-// double each level, and within a level pairs are combined left to right.
-// Then dst = (0 + sum)·scale, where the 0 + is deliberate: it turns a -0 sum
-// into +0, as accumulating into a zeroed gradient does, and trained weights
-// are pinned to that. The order depends only on the shard count, which
-// depends only on the batch, so every element is summed the same way for any
-// worker count — and tensors are independent, so they can be averaged
-// concurrently.
-func averageGrads(shards []*gradShard, i int, dst []float64, scale float64) {
-	for stride := 1; stride < len(shards); stride *= 2 {
-		for s := 0; s+stride < len(shards); s += 2 * stride {
-			tensor.Vector(shards[s].params[i].Grad).AddInPlace(shards[s+stride].params[i].Grad)
-		}
-	}
-	sum := shards[0].params[i].Grad
-	for j := range dst {
-		dst[j] = (0 + sum[j]) * scale
-	}
-}
-
 // Train optimizes the model on the labelled graphs. Graphs must carry
 // LatencyMs and ThroughputEPS labels. Returns an error for empty input and,
-// before any epoch runs, for a label that is not positive and finite.
+// before any epoch runs, for a graph of the training or validation set that
+// checkGraph rejects: a label that is not positive and finite, a NaN or
+// infinite feature, or a broken structure.
 //
 // The context plays two roles. Cancelling it requests a clean stop: training
 // halts at the next epoch boundary — after a final Checkpoint call when one
@@ -182,13 +193,17 @@ func averageGrads(shards []*gradShard, i int, dst []float64, scale float64) {
 // When it carries an obs tracer, every epoch emits a "train.epoch"
 // span with loss, gradient norm, and shuffle/validation/checkpoint timings.
 //
-// Minibatches run data-parallel: each batch is cut into fixed logical shards
-// (at most maxGradShards, fewer for small batches), every shard accumulates
-// loss and gradients into its own buffers on a pool of cfg.Workers
-// goroutines, and the shards are reduced in a fixed order before the Adam
-// step — so fixed-seed runs produce bit-identical models at any worker
-// count. The reduction and the Adam step fan out over parameter tensors on
-// the same pool; only the global gradient norm between them is serial.
+// A minibatch is one batched step (see trainStep): every sub-network runs
+// once over the stacked rows of all the batch's graphs that use it — the
+// data-flow combiner once per topological depth level — as float64 GEMMs
+// whose rows are bit-identical to the per-graph mat-vecs, and each weight
+// gradient is one sum over the batch's samples in sample order (graph in
+// batch order, then node in per-graph backward order) into the model's single
+// gradient buffer. Work fans out to cfg.Workers goroutines over chunks of the
+// batch's graphs, then over parameter tensors for the gradient sums and the
+// Adam step; only the global gradient norm between them is serial. Nothing is
+// split inside a sum, so fixed-seed runs produce bit-identical models at any
+// worker count.
 func Train(ctx context.Context, m *Model, graphs []*features.Graph, cfg TrainConfig) (TrainStats, error) {
 	if len(graphs) == 0 {
 		return TrainStats{}, fmt.Errorf("gnn: no training graphs")
@@ -197,8 +212,13 @@ func Train(ctx context.Context, m *Model, graphs []*features.Graph, cfg TrainCon
 		return TrainStats{}, fmt.Errorf("gnn: invalid train config %+v", cfg)
 	}
 	for i, g := range graphs {
-		if err := checkLabels(g); err != nil {
+		if err := checkGraph(g); err != nil {
 			return TrainStats{}, fmt.Errorf("gnn: training graph %d: %w", i, err)
+		}
+	}
+	for i, g := range cfg.Val {
+		if err := checkGraph(g); err != nil {
+			return TrainStats{}, fmt.Errorf("gnn: validation graph %d: %w", i, err)
 		}
 	}
 	start := time.Now()
@@ -210,15 +230,8 @@ func Train(ctx context.Context, m *Model, graphs []*features.Graph, cfg TrainCon
 	if workers <= 0 {
 		workers = parallel.Workers()
 	}
-	nShards := maxGradShards
-	if cfg.BatchSize < nShards {
-		nShards = cfg.BatchSize
-	}
-	shards := make([]*gradShard, nShards)
-	for i := range shards {
-		sm := m.ShadowGrads()
-		shards[i] = &gradShard{model: sm, params: sm.Params(), tr: &trace{}}
-	}
+	step := newTrainStep(m, workers, cfg.HuberDelta)
+	batch := make([]*features.Graph, 0, cfg.BatchSize)
 	params := m.Params()
 
 	idx := make([]int, len(graphs))
@@ -267,33 +280,14 @@ func Train(ctx context.Context, m *Model, graphs []*features.Graph, cfg TrainCon
 			if end > len(idx) {
 				end = len(idx)
 			}
-			batch := idx[batchStart:end]
-			k := len(shards)
-			if len(batch) < k {
-				k = len(batch)
+			batch = batch[:0]
+			for _, gi := range idx[batchStart:end] {
+				batch = append(batch, graphs[gi])
 			}
-			parallel.For(k, workers, func(s int) {
-				sh := shards[s]
-				sh.model.ZeroGrad()
-				sh.loss = 0
-				lo, hi := len(batch)*s/k, len(batch)*(s+1)/k
-				for _, gi := range batch[lo:hi] {
-					g := graphs[gi]
-					pred := sh.model.forwardInto(sh.tr, g)
-					latLoss, latGrad := nn.Huber(pred.LogLatency, LogTarget(g.LatencyMs), cfg.HuberDelta)
-					tptLoss, tptGrad := nn.Huber(pred.LogThroughput, LogTarget(g.ThroughputEPS), cfg.HuberDelta)
-					sh.loss += latLoss + tptLoss
-					sh.model.backward(sh.tr, latGrad, tptGrad)
-				}
-			})
-			for s := 0; s < k; s++ {
-				epochLoss += shards[s].loss
+			step.run(batch)
+			for _, loss := range step.losses {
+				epochLoss += loss
 			}
-			// Average gradients over the batch, one parameter tensor per task.
-			scale := 1.0 / float64(len(batch))
-			parallel.For(len(params), workers, func(i int) {
-				averageGrads(shards[:k], i, params[i].Grad, scale)
-			})
 			if cfg.ClipNorm > 0 {
 				gradNorm = nn.ClipGradNorm(params, cfg.ClipNorm)
 			}

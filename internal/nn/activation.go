@@ -8,7 +8,9 @@
 // therefore returns an explicit Trace of intermediate activations, and
 // Backward consumes a trace and accumulates gradients — calling Backward
 // once per trace sums the gradient contributions exactly as weight sharing
-// requires.
+// requires. A BatchTrace does the same for a stack of samples at once, with
+// the bits of the per-sample calls: one GEMM per layer forward and backward,
+// and one sum over the samples, in order, per parameter tensor.
 package nn
 
 import (

@@ -189,23 +189,6 @@ func (m *MLP) Backward(t *Trace, dOut tensor.Vector) tensor.Vector {
 	return grad
 }
 
-// ShadowGrads returns an MLP sharing m's weights (same W and B slices) but
-// with fresh, independent gradient accumulators. Shadows are the per-shard
-// gradient sinks of data-parallel training: forward passes read the shared
-// weights concurrently while each shard's backward pass accumulates into its
-// own buffers, which are then reduced into the primary model's gradients.
-func (m *MLP) ShadowGrads() *MLP {
-	out := &MLP{Layers: make([]*Linear, len(m.Layers))}
-	for i, l := range m.Layers {
-		out.Layers[i] = &Linear{
-			W: l.W, B: l.B, Act: l.Act,
-			GradW: tensor.NewMatrix(l.W.Rows, l.W.Cols),
-			GradB: tensor.NewVector(len(l.B)),
-		}
-	}
-	return out
-}
-
 // ZeroGrad clears all gradient accumulators.
 func (m *MLP) ZeroGrad() {
 	for _, l := range m.Layers {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"zerotune/internal/parallel"
+	"zerotune/internal/tensor"
 )
 
 // Adam is the Adam optimizer (Kingma & Ba) with decoupled weight decay
@@ -43,16 +44,12 @@ func (a *Adam) Step(params []Param, workers int) {
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c := tensor.AdamCoeffs{
+		Beta1: a.Beta1, Beta2: a.Beta2, BC1: bc1, BC2: bc2,
+		LR: a.LR, Eps: a.Eps, WD: a.WeightDecay,
+	}
 	parallel.For(len(params), workers, func(i int) {
-		p, m, v := params[i], a.m[i], a.v[i]
-		for j := range p.Value {
-			g := p.Grad[j]
-			m[j] = a.Beta1*m[j] + (1-a.Beta1)*g
-			v[j] = a.Beta2*v[j] + (1-a.Beta2)*g*g
-			mHat := m[j] / bc1
-			vHat := v[j] / bc2
-			p.Value[j] -= a.LR * (mHat/(math.Sqrt(vHat)+a.Eps) + a.WeightDecay*p.Value[j])
-		}
+		tensor.AdamInPlace(params[i].Value, params[i].Grad, a.m[i], a.v[i], &c)
 	})
 }
 

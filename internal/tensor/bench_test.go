@@ -48,3 +48,44 @@ func BenchmarkAddOuter(b *testing.B) {
 		m.AddOuterInPlace(0.5, u, v)
 	}
 }
+
+// The batched kernels at one training minibatch's shape: 128 stacked rows
+// (the operator nodes of 16 plans) through a 96→48 layer.
+
+func benchRows(rows, cols int, seed uint64) *Matrix {
+	rng := NewRNG(seed)
+	m := NewMatrix(rows, cols)
+	for i := range m.Data {
+		m.Data[i] = rng.Range(-1, 1)
+	}
+	return m
+}
+
+func BenchmarkGemmBias64(b *testing.B) {
+	w, x, bias := benchRows(48, 96, 4), benchRows(128, 96, 5), NewVector(48)
+	y := NewMatrix(128, 48)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GemmBiasInto(x, w, bias, y)
+	}
+}
+
+func BenchmarkGemmT64(b *testing.B) {
+	w, d := benchRows(48, 96, 6), benchRows(128, 48, 7)
+	y := NewMatrix(128, 96)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		GemmTInto(d, w, y)
+	}
+}
+
+func BenchmarkAddOuterRows(b *testing.B) {
+	g, d, x := NewMatrix(48, 96), benchRows(128, 48, 8), benchRows(128, 96, 9)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.AddOuterRowsInPlace(d, x)
+	}
+}

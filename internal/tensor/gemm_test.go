@@ -423,9 +423,11 @@ func ExamplePadTo16() {
 
 // The float64 vector kernels must reproduce the portable loops bit for bit:
 // training runs on them, and a model may not depend on the CPU it was trained
-// on. Every primitive with a vector path is compared, by Float64bits, with
-// the portable kernel over the GNN's widths (6, 47, 48, 96 columns; 1 and 48
-// rows), widths below 4 and every 1–3 element tail, on operands salted with
+// on. Every primitive with a vector path, the batched GemmBiasInto, GemmTInto
+// and AddOuterRowsInPlace and the Adam update included, is compared, by Float64bits, with the
+// portable kernel over the GNN's widths (6, 47, 48, 96 columns; 1 and 48
+// rows), widths below 4 and every 1–3 element tail, odd and even row and
+// sample counts up to 113 (tile remainders), on operands salted with
 // zeros and negative zeros so the skip-on-zero branches and the sign of a
 // zero sum both show, and with a NaN multiplier, which no skip may take.
 func TestF64KernelsMatchPortable(t *testing.T) {
@@ -462,10 +464,31 @@ func TestF64KernelsMatchPortable(t *testing.T) {
 		for c := 0; c < cols; c++ {
 			m.Set(0, c, negZero)
 		}
-		x := randMatrix(rng, 3, cols)
+		// The batched kernels run over k = rows samples, so the sample count
+		// takes the same odd, even and tile-remainder values as the widths.
+		x := randMatrix(rng, rows, cols)
+		d := randMatrix(rng, rows, rows)
+		salt(d.Data)
+		if rows > 2 {
+			d.Set(rows/2, 2, math.NaN())
+		}
+		d.Set(0, 0, negZero) // meets the row of -0 weights
 		acc := m.Clone()
 		axpy := vc.Clone()
+		// One Adam step over the matrix's elements: gradients salted like
+		// the operands, moments drawn positive for the second one.
+		adamVal, adamGrad := m.Clone().Data, m.Clone().Data
+		salt(adamGrad)
+		adamM, adamV := randVector(rng, rows*cols), randVector(rng, rows*cols)
+		for i := range adamV {
+			adamV[i] *= adamV[i]
+		}
+		AdamInPlace(adamVal, adamGrad, adamM, adamV, &AdamCoeffs{
+			Beta1: 0.9, Beta2: 0.999, BC1: 1 - 0.9*0.9, BC2: 1 - 0.999*0.999,
+			LR: 3e-3, Eps: 1e-8, WD: 1e-5,
+		})
 		return []result{
+			{"AdamInPlace", Concat(adamVal, adamM, adamV)},
 			{"MulVec", m.MulVec(vc, NewVector(rows))},
 			{"MulVecAddBias", m.MulVecAddBias(vc, b, NewVector(rows))},
 			{"MulVecT", m.MulVecT(vr, NewVector(cols))},
@@ -473,11 +496,13 @@ func TestF64KernelsMatchPortable(t *testing.T) {
 			{"AddOuterInPlace(a=-0)", m.Clone().AddOuterInPlace(negZero, vr, vc).Data},
 			{"AxpyInPlace", axpy.AxpyInPlace(-1.25, randVector(NewRNG(uint64(cols)), cols))},
 			{"AddInPlace", vc.Clone().AddInPlace(axpy)},
-			{"GemmBiasInto", GemmBiasInto(x, m, b, NewMatrix(3, rows)).Data},
+			{"GemmBiasInto", GemmBiasInto(x, m, b, NewMatrix(rows, rows)).Data},
+			{"GemmTInto", GemmTInto(d, m, NewMatrix(rows, cols)).Data},
+			{"AddOuterRowsInPlace", m.Clone().AddOuterRowsInPlace(d, x).Data},
 		}
 	}
 	var shapes [][2]int
-	for _, rows := range []int{1, 2, 3, 4, 5, 7, 48} {
+	for _, rows := range []int{1, 2, 3, 4, 5, 7, 48, 113} {
 		for _, cols := range []int{1, 2, 3, 4, 5, 6, 7, 15, 16, 17, 18, 19, 47, 48, 96} {
 			shapes = append(shapes, [2]int{rows, cols})
 		}
