@@ -101,20 +101,6 @@ func BenchmarkPredictBatch(b *testing.B) {
 	b.ReportMetric(float64(b.N*len(graphs))/b.Elapsed().Seconds(), "graphs/sec")
 }
 
-// BenchmarkPredictBatchRef measures the same sweep through the float64
-// reference path, for comparison against the compiled engine.
-func BenchmarkPredictBatchRef(b *testing.B) {
-	m := benchModel()
-	graphs := benchGraphs(b, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.PredictBatch(graphs, 0)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N*len(graphs))/b.Elapsed().Seconds(), "graphs/sec")
-}
-
 // BenchmarkPredictCompiledSingle measures one-graph latency through the
 // compiled engine (scratch pool warm).
 func BenchmarkPredictCompiledSingle(b *testing.B) {

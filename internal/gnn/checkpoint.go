@@ -9,10 +9,9 @@ import (
 
 // Checkpoint is a resumable snapshot of a Train run, captured at an epoch
 // boundary. It holds everything the loop's next epoch depends on — parameter
-// values, Adam moments, the RNG cursor, the current example order (epoch
-// shuffles compound, so the permutation itself is state) and the
-// early-stopping bookkeeping — which is what makes a resumed run
-// bit-identical to one that was never interrupted.
+// values, Adam moments, the RNG cursor and the current example order (epoch
+// shuffles compound, so the permutation itself is state) — which is what
+// makes a resumed run bit-identical to one that was never interrupted.
 type Checkpoint struct {
 	// Epoch counts completed epochs; the resumed run starts at this epoch
 	// index.
@@ -25,43 +24,17 @@ type Checkpoint struct {
 	RNG uint64 `json:"rng"`
 	// Idx is the current training-example permutation.
 	Idx []int `json:"idx"`
-
-	// Early-stopping state (meaningful only when training with a validation
-	// set): the best validation loss seen, the weights that achieved it, and
-	// how many epochs have passed since.
-	BestVal    float64     `json:"best_val,omitempty"`
-	BestParams [][]float64 `json:"best_params,omitempty"`
-	SinceBest  int         `json:"since_best,omitempty"`
-}
-
-// copyTensors deep-copies a parameter snapshot.
-func copyTensors(src [][]float64) [][]float64 {
-	if src == nil {
-		return nil
-	}
-	out := make([][]float64, len(src))
-	for i, t := range src {
-		out[i] = append([]float64(nil), t...)
-	}
-	return out
 }
 
 // captureCheckpoint snapshots the loop state after `completed` epochs.
-func captureCheckpoint(completed int, params []nn.Param, opt *nn.Adam, rng *tensor.RNG,
-	idx []int, bestVal float64, bestSnap [][]float64, sinceBest int) *Checkpoint {
-	ck := &Checkpoint{
+func captureCheckpoint(completed int, params []nn.Param, opt *nn.Adam, rng *tensor.RNG, idx []int) *Checkpoint {
+	return &Checkpoint{
 		Epoch:  completed,
 		Params: snapshotParams(params),
 		Opt:    opt.State(),
 		RNG:    rng.State(),
 		Idx:    append([]int(nil), idx...),
 	}
-	if bestSnap != nil {
-		ck.BestVal = bestVal
-		ck.BestParams = copyTensors(bestSnap)
-		ck.SinceBest = sinceBest
-	}
-	return ck
 }
 
 // restore validates the checkpoint against the model/corpus being resumed
@@ -82,10 +55,6 @@ func (ck *Checkpoint) restore(params []nn.Param, opt *nn.Adam, rng *tensor.RNG, 
 			return fmt.Errorf("gnn: checkpoint tensor %d has %d values, model expects %d",
 				i, len(ck.Params[i]), len(p.Value))
 		}
-	}
-	if ck.BestParams != nil && len(ck.BestParams) != len(params) {
-		return fmt.Errorf("gnn: checkpoint best-weights tensor count %d, model has %d",
-			len(ck.BestParams), len(params))
 	}
 	if len(ck.Idx) != nGraphs {
 		return fmt.Errorf("gnn: checkpoint permutes %d examples, training set has %d (different corpus?)",

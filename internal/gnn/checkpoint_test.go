@@ -69,41 +69,6 @@ func TestResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestResumeBitIdenticalWithValidation covers the early-stopping state:
-// best weights, best loss and the plateau counter must survive the
-// checkpoint round-trip.
-func TestResumeBitIdenticalWithValidation(t *testing.T) {
-	graphs := trainSet(t, 24)
-	val := trainSet(t, 6)
-	const epochs = 8
-
-	run := func(resume *Checkpoint, epochsCfg int, hook func(*Checkpoint) error) (*Model, TrainStats) {
-		m := smallModel(7)
-		cfg := resumeCfg(epochsCfg)
-		cfg.Val = val
-		cfg.Resume = resume
-		cfg.Checkpoint = hook
-		stats, err := Train(context.Background(), m, graphs, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m, stats
-	}
-
-	full, fullStats := run(nil, epochs, nil)
-
-	var last *Checkpoint
-	run(nil, 4, func(ck *Checkpoint) error { last = ck; return nil })
-	resumed, stats := run(last, epochs, nil)
-
-	if stats.BestValLoss != fullStats.BestValLoss {
-		t.Errorf("resumed best val loss %v != uninterrupted %v", stats.BestValLoss, fullStats.BestValLoss)
-	}
-	if ok, why := paramsEqual(full, resumed); !ok {
-		t.Errorf("%s between resumed and uninterrupted run (with validation)", why)
-	}
-}
-
 // TestInterruptCheckpointsAndStops cancels the context before training
 // starts: the loop must stop after exactly one epoch, having
 // delivered an off-schedule checkpoint, and resuming from it must match the

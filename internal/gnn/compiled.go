@@ -302,15 +302,15 @@ func Compile(m *Model, opts CompileOptions) (*CompiledModel, error) {
 }
 
 // gate is Compile's accuracy gate: it predicts the validation set through the
-// compiled engine, records the worst q-error against the float64 reference in
-// cm.Gate, and returns an error wrapping ErrAccuracyGate when a float32 engine
-// exceeds 1 + DefaultGateThreshold.
+// compiled engine, records the worst q-error against the float64 reference —
+// Model.Predict, one graph after another — in cm.Gate, and returns an error
+// wrapping ErrAccuracyGate when a float32 engine exceeds
+// 1 + DefaultGateThreshold.
 func (cm *CompiledModel) gate() error {
 	val, err := gateGraphs()
 	if err != nil {
 		return fmt.Errorf("gnn: compile: build validation set: %w", err)
 	}
-	refPreds := cm.Ref.PredictBatch(val, 0)
 	gotPreds := cm.PredictBatch(val)
 	// The counters report serving traffic, not the gate's own batch, and the
 	// free list, never drained, would keep the batch's scratch for good.
@@ -318,10 +318,11 @@ func (cm *CompiledModel) gate() error {
 	cm.fusedBuckets.Store(0)
 	cm.scratch.free = nil
 	maxQ := 1.0
-	for i := range val {
+	for i, g := range val {
+		ref := cm.Ref.Predict(g)
 		for _, q := range []float64{
-			qerr(refPreds[i].LatencyMs, gotPreds[i].LatencyMs),
-			qerr(refPreds[i].ThroughputEPS, gotPreds[i].ThroughputEPS),
+			qerr(ref.LatencyMs, gotPreds[i].LatencyMs),
+			qerr(ref.ThroughputEPS, gotPreds[i].ThroughputEPS),
 		} {
 			if q > maxQ {
 				maxQ = q

@@ -34,7 +34,9 @@ type MetricHead struct {
 // FineTuneMetricHead fits a fresh head for a new metric on labelled graphs,
 // keeping every encoder weight frozen (only the new head trains). targets
 // are the metric values in natural units; they are regressed in log10
-// space with Huber loss.
+// space with Huber loss. Before any epoch runs it returns an error naming the
+// index of a target that is NaN, infinite or negative, or of a graph that
+// checkStructure rejects.
 func FineTuneMetricHead(ctx context.Context, m *Model, name string, graphs []*features.Graph, targets []float64, cfg TrainConfig) (*MetricHead, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -44,6 +46,16 @@ func FineTuneMetricHead(ctx context.Context, m *Model, name string, graphs []*fe
 	}
 	if cfg.Epochs <= 0 || cfg.BatchSize <= 0 || cfg.LR <= 0 {
 		return nil, fmt.Errorf("gnn: invalid metric train config %+v", cfg)
+	}
+	for i, t := range targets {
+		if math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
+			return nil, fmt.Errorf("gnn: metric target %d is %v, want finite and non-negative", i, t)
+		}
+	}
+	for i, g := range graphs {
+		if err := checkStructure(g); err != nil {
+			return nil, fmt.Errorf("gnn: metric graph %d: %w", i, err)
+		}
 	}
 	// Precompute embeddings once: the encoder is frozen, so they never
 	// change during head training. The passes are read-only on the model,

@@ -3,6 +3,7 @@ package gnn
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"zerotune/internal/features"
@@ -91,4 +92,47 @@ func TestFineTuneMetricHeadValidation(t *testing.T) {
 		t.Fatal("accepted zero epochs")
 	}
 	_ = tensor.NewRNG(1)
+}
+
+// TestFineTuneMetricHeadRejectsBadInput: a target the log-space loss cannot
+// use, or a graph the frozen encoder cannot embed, is an error naming its
+// index before any epoch runs. Unchecked, a NaN target trains as if it were
+// infinitely large, and a NaN feature yields a head that predicts NaN.
+func TestFineTuneMetricHeadRejectsBadInput(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		target float64
+		spoil  func(g *features.Graph)
+		want   string
+	}{
+		{"NaN target", math.NaN(), nil, "gnn: metric target 3 is NaN"},
+		{"+Inf target", math.Inf(1), nil, "gnn: metric target 3 is +Inf"},
+		{"-Inf target", math.Inf(-1), nil, "gnn: metric target 3 is -Inf"},
+		{"negative target", -5, nil, "gnn: metric target 3 is -5"},
+		{"NaN operator feature", 7, func(g *features.Graph) { g.OpNodes[0].Feat[0] = math.NaN() }, "gnn: metric graph 3: operator 0: feature 0 is NaN"},
+		{"Inf machine feature", 7, func(g *features.Graph) { g.ResNodes[1].Feat[2] = math.Inf(1) }, "gnn: metric graph 3: machine 1: feature 2 is +Inf"},
+		{"unknown operator type", 7, func(g *features.Graph) { g.OpNodes[0].Type = 99 }, "gnn: metric graph 3: operator 0: unknown type"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			graphs := trainSet(t, 8)
+			targets := make([]float64, len(graphs))
+			for i := range targets {
+				targets[i] = float64(3 + i)
+			}
+			targets[3] = tc.target
+			if tc.spoil != nil {
+				tc.spoil(graphs[3])
+			}
+			m := smallModel(5)
+			cfg := DefaultTrainConfig()
+			cfg.Epochs = 3
+			head, err := FineTuneMetricHead(context.Background(), m, "x", graphs, targets, cfg)
+			if err == nil {
+				t.Fatalf("returned a head (%v on graph 3) without an error", head.Predict(m, graphs[3]))
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not say %q", err, tc.want)
+			}
+		})
+	}
 }

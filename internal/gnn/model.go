@@ -163,7 +163,7 @@ type Prediction struct {
 }
 
 // trace captures one graph's forward pass: what per-graph inference and
-// evaluation read, and what the per-graph reference backward of the tests
+// embedding read, and what the per-graph reference backward of the tests
 // replays (training runs the batched trainStep). The zero value is ready for
 // use; forwardInto grows every buffer to the graph's shape and overwrites it
 // in place, so a long-lived trace (one per worker) eliminates per-graph

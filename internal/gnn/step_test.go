@@ -106,44 +106,35 @@ func TestTrainStepMatchesSerialReference(t *testing.T) {
 
 // TestTrainRejectsBadGraphs: a graph whose label is not positive and finite,
 // whose operator or machine features hold a NaN or an infinity, or whose
-// structure the batched step cannot lay out, is an error naming its set and
-// index before any epoch runs — in the training set and in the validation set
-// alike. Unchecked, one NaN feature trains every
-// weight to NaN without an error, and a NaN validation label ends a run early
-// with a best validation loss of 0.
+// structure the batched step cannot lay out, is an error naming its index
+// before any epoch runs. Unchecked, one NaN feature trains every weight to NaN
+// without an error.
 func TestTrainRejectsBadGraphs(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		val   bool // corrupt the validation set, not the training set
 		spoil func(g *features.Graph)
 		want  string
 	}{
-		{"NaN operator feature", false, func(g *features.Graph) { g.OpNodes[0].Feat[0] = math.NaN() }, "training graph 2: operator 0: feature 0"},
-		{"Inf machine feature", false, func(g *features.Graph) { g.ResNodes[1].Feat[2] = math.Inf(1) }, "training graph 2: machine 1: feature 2"},
-		{"NaN latency", false, func(g *features.Graph) { g.LatencyMs = math.NaN() }, "training graph 2: latency label"},
-		{"validation NaN latency", true, func(g *features.Graph) { g.LatencyMs = math.NaN() }, "validation graph 2: latency label"},
-		{"validation zero throughput", true, func(g *features.Graph) { g.ThroughputEPS = 0 }, "validation graph 2: throughput label"},
-		{"validation -Inf operator feature", true, func(g *features.Graph) { g.OpNodes[1].Feat[3] = math.Inf(-1) }, "validation graph 2: operator 1: feature 3"},
-		{"validation NaN machine feature", true, func(g *features.Graph) { g.ResNodes[0].Feat[0] = math.NaN() }, "validation graph 2: machine 0: feature 0"},
-		{"backward data-flow edge", false, func(g *features.Graph) { g.DataEdges = append(g.DataEdges, [2]int{2, 1}) }, "training graph 2: data-flow edge 2→1"},
-		{"validation unknown operator type", true, func(g *features.Graph) { g.OpNodes[0].Type = 99 }, "validation graph 2: operator 0: unknown type"},
+		{"NaN operator feature", func(g *features.Graph) { g.OpNodes[0].Feat[0] = math.NaN() }, "training graph 2: operator 0: feature 0"},
+		{"-Inf operator feature", func(g *features.Graph) { g.OpNodes[1].Feat[3] = math.Inf(-1) }, "training graph 2: operator 1: feature 3"},
+		{"Inf machine feature", func(g *features.Graph) { g.ResNodes[1].Feat[2] = math.Inf(1) }, "training graph 2: machine 1: feature 2"},
+		{"NaN machine feature", func(g *features.Graph) { g.ResNodes[0].Feat[0] = math.NaN() }, "training graph 2: machine 0: feature 0"},
+		{"NaN latency", func(g *features.Graph) { g.LatencyMs = math.NaN() }, "training graph 2: latency label"},
+		{"zero throughput", func(g *features.Graph) { g.ThroughputEPS = 0 }, "training graph 2: throughput label"},
+		{"backward data-flow edge", func(g *features.Graph) { g.DataEdges = append(g.DataEdges, [2]int{2, 1}) }, "training graph 2: data-flow edge 2→1"},
+		{"unknown operator type", func(g *features.Graph) { g.OpNodes[0].Type = 99 }, "training graph 2: operator 0: unknown type"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			graphs, val := trainSet(t, 6), trainSet(t, 4)
-			if tc.val {
-				tc.spoil(val[2])
-			} else {
-				tc.spoil(graphs[2])
-			}
+			graphs := trainSet(t, 6)
+			tc.spoil(graphs[2])
 			m, before := smallModel(7), smallModel(7)
 			cfg := DefaultTrainConfig()
 			cfg.Epochs = 30
-			cfg.Val = val
 			epochs := 0
 			cfg.Progress = func(int, float64) { epochs++ }
 			stats, err := Train(context.Background(), m, graphs, cfg)
 			if err == nil {
-				t.Fatalf("trained %d epochs to FinalLoss %v, BestValLoss %v without an error", stats.Epochs, stats.FinalLoss, stats.BestValLoss)
+				t.Fatalf("trained %d epochs to FinalLoss %v without an error", stats.Epochs, stats.FinalLoss)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not say %q", err, tc.want)

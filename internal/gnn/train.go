@@ -34,14 +34,6 @@ type TrainConfig struct {
 	// every epoch.
 	Progress func(epoch int, loss float64)
 
-	// Val, when non-empty, enables early stopping: after every epoch the
-	// model is evaluated on these graphs, and training stops once the
-	// validation loss has not improved for Patience consecutive epochs.
-	// The best-validation weights are restored at the end.
-	Val []*features.Graph
-	// Patience is the early-stopping tolerance in epochs (0 = 8).
-	Patience int
-
 	// Checkpoint, when non-nil, receives a resumable state snapshot every
 	// CheckpointEvery epochs, after the final epoch, and at the interrupt
 	// boundary. The hook owns persistence (the CLI writes snapshots through
@@ -86,12 +78,8 @@ func LogTarget(x float64) float64 { return math.Log10(x + 1e-3) }
 // checkGraph rejects a graph training cannot use, naming what is wrong: a
 // label the log-space loss cannot use (LogTarget of a non-positive cost is NaN
 // or far below any real one, and an infinite or NaN label makes the loss
-// non-finite while the clipped gradients still step the weights), a feature
-// that is NaN or ±Inf (one turns every weight it reaches into NaN), or a
-// structure the message passing cannot run: no operator, an operator type
-// without an encoder, a sink, edge or mapping index out of range, or a
-// data-flow edge that does not run from a lower to a higher operator index
-// (operators are topologically ordered, which the step's depth levels need).
+// non-finite while the clipped gradients still step the weights), or a graph
+// checkStructure rejects.
 func checkGraph(g *features.Graph) error {
 	if !positiveFinite(g.LatencyMs) {
 		return fmt.Errorf("latency label %v ms is not positive and finite", g.LatencyMs)
@@ -99,6 +87,17 @@ func checkGraph(g *features.Graph) error {
 	if !positiveFinite(g.ThroughputEPS) {
 		return fmt.Errorf("throughput label %v ev/s is not positive and finite", g.ThroughputEPS)
 	}
+	return checkStructure(g)
+}
+
+// checkStructure rejects a graph the forward pass cannot use, whatever its
+// labels: a feature that is NaN or ±Inf (one turns every weight it reaches
+// into NaN), or a structure the message passing cannot run: no operator, an
+// operator type without an encoder, a sink, edge or mapping index out of
+// range, or a data-flow edge that does not run from a lower to a higher
+// operator index (operators are topologically ordered, which the step's depth
+// levels need).
+func checkStructure(g *features.Graph) error {
 	n, r := len(g.OpNodes), len(g.ResNodes)
 	for i, node := range g.OpNodes {
 		if typeSlot(node.Type) < 0 {
@@ -148,9 +147,6 @@ type TrainStats struct {
 	Epochs    int // total epochs completed, including epochs before a resume
 	FinalLoss float64
 	Duration  time.Duration
-	// BestValLoss is the validation loss of the restored weights (0 when
-	// no validation set was given).
-	BestValLoss float64
 	// Interrupted reports that a cancelled context stopped the run at an
 	// epoch boundary; the last Checkpoint call holds the state to resume from.
 	Interrupted bool
@@ -165,14 +161,6 @@ func snapshotParams(params []nn.Param) [][]float64 {
 	return out
 }
 
-// copyParamsInto writes the current parameter values into an existing
-// snapshot without allocating.
-func copyParamsInto(snap [][]float64, params []nn.Param) {
-	for i, p := range params {
-		copy(snap[i], p.Value)
-	}
-}
-
 // restoreParams writes a snapshot back into the parameters.
 func restoreParams(params []nn.Param, snap [][]float64) {
 	for i, p := range params {
@@ -182,16 +170,16 @@ func restoreParams(params []nn.Param, snap [][]float64) {
 
 // Train optimizes the model on the labelled graphs. Graphs must carry
 // LatencyMs and ThroughputEPS labels. Returns an error for empty input and,
-// before any epoch runs, for a graph of the training or validation set that
-// checkGraph rejects: a label that is not positive and finite, a NaN or
-// infinite feature, or a broken structure.
+// before any epoch runs, for a graph that checkGraph rejects: a label that is
+// not positive and finite, a NaN or infinite feature, or a broken structure.
+// A run lasts exactly cfg.Epochs epochs unless its context is cancelled.
 //
 // The context plays two roles. Cancelling it requests a clean stop: training
 // halts at the next epoch boundary — after a final Checkpoint call when one
-// is configured — and TrainStats.Interrupted reports the early exit. This is
+// is configured — and TrainStats.Interrupted reports the interrupt. This is
 // how SIGINT/SIGTERM becomes a resumable checkpoint instead of lost work.
 // When it carries an obs tracer, every epoch emits a "train.epoch"
-// span with loss, gradient norm, and shuffle/validation/checkpoint timings.
+// span with loss, gradient norm, and shuffle/checkpoint timings.
 //
 // A minibatch is one batched step (see trainStep): every sub-network runs
 // once over the stacked rows of all the batch's graphs that use it — the
@@ -216,11 +204,6 @@ func Train(ctx context.Context, m *Model, graphs []*features.Graph, cfg TrainCon
 			return TrainStats{}, fmt.Errorf("gnn: training graph %d: %w", i, err)
 		}
 	}
-	for i, g := range cfg.Val {
-		if err := checkGraph(g); err != nil {
-			return TrainStats{}, fmt.Errorf("gnn: validation graph %d: %w", i, err)
-		}
-	}
 	start := time.Now()
 	rng := tensor.NewRNG(cfg.Seed)
 	opt := nn.NewAdam(cfg.LR)
@@ -238,25 +221,12 @@ func Train(ctx context.Context, m *Model, graphs []*features.Graph, cfg TrainCon
 	for i := range idx {
 		idx[i] = i
 	}
-	patience := cfg.Patience
-	if patience <= 0 {
-		patience = 8
-	}
-	bestVal := math.Inf(1)
-	var bestSnap [][]float64
-	sinceBest := 0
-
 	startEpoch := 0
 	if cfg.Resume != nil {
 		if err := cfg.Resume.restore(params, opt, rng, idx, len(graphs)); err != nil {
 			return TrainStats{}, err
 		}
 		startEpoch = cfg.Resume.Epoch
-		if cfg.Resume.BestParams != nil {
-			bestVal = cfg.Resume.BestVal
-			bestSnap = copyTensors(cfg.Resume.BestParams)
-			sinceBest = cfg.Resume.SinceBest
-		}
 	}
 	ckptEvery := cfg.CheckpointEvery
 	if ckptEvery < 1 {
@@ -303,66 +273,29 @@ func Train(ctx context.Context, m *Model, graphs []*features.Graph, cfg TrainCon
 		if cfg.Progress != nil {
 			cfg.Progress(epoch, meanLoss)
 		}
-		earlyStop := false
-		if len(cfg.Val) > 0 {
-			valStart := time.Now()
-			valLoss := evalLoss(m, cfg.Val, cfg.HuberDelta, workers)
-			epochSpan.SetAttr("val_ms", float64(time.Since(valStart))/float64(time.Millisecond))
-			epochSpan.SetAttr("val_loss", valLoss)
-			if valLoss < bestVal {
-				bestVal = valLoss
-				// Reuse the snapshot buffers: fresh slices on every
-				// improvement would churn allocations for nothing.
-				if bestSnap == nil {
-					bestSnap = snapshotParams(params)
-				} else {
-					copyParamsInto(bestSnap, params)
-				}
-				sinceBest = 0
-			} else {
-				sinceBest++
-				earlyStop = sinceBest >= patience // validation plateaued
-			}
-		}
 		// Context cancellation is an interrupt: stop cleanly at the epoch
 		// boundary, after the final checkpoint below.
 		interrupted = ctx.Err() != nil
-		if cfg.Checkpoint != nil && !earlyStop {
-			// On schedule, at the natural end, and at an interrupt boundary
-			// (so a signal loses at most the in-progress epoch, never the
-			// run). An early stop completes the run, so no snapshot needed.
-			if (epoch+1)%ckptEvery == 0 || epoch == cfg.Epochs-1 || interrupted {
-				ckptStart := time.Now()
-				ck := captureCheckpoint(epoch+1, params, opt, rng, idx, bestVal, bestSnap, sinceBest)
-				err := fault.Inject(fault.CheckpointWrite)
-				if err == nil {
-					err = cfg.Checkpoint(ck)
-				}
-				epochSpan.SetAttr("checkpoint_ms", float64(time.Since(ckptStart))/float64(time.Millisecond))
-				if err != nil {
-					epochSpan.End()
-					return TrainStats{}, fmt.Errorf("gnn: checkpoint after epoch %d: %w", epoch+1, err)
-				}
+		// Checkpoint on schedule, at the natural end, and at an interrupt
+		// boundary (so a signal loses at most the in-progress epoch, never
+		// the run).
+		if cfg.Checkpoint != nil && ((epoch+1)%ckptEvery == 0 || epoch == cfg.Epochs-1 || interrupted) {
+			ckptStart := time.Now()
+			ck := captureCheckpoint(epoch+1, params, opt, rng, idx)
+			err := fault.Inject(fault.CheckpointWrite)
+			if err == nil {
+				err = cfg.Checkpoint(ck)
+			}
+			epochSpan.SetAttr("checkpoint_ms", float64(time.Since(ckptStart))/float64(time.Millisecond))
+			if err != nil {
+				epochSpan.End()
+				return TrainStats{}, fmt.Errorf("gnn: checkpoint after epoch %d: %w", epoch+1, err)
 			}
 		}
 		epochSpan.End()
-		if earlyStop || interrupted {
+		if interrupted {
 			break
 		}
 	}
-	stats := TrainStats{Epochs: epochsRun, FinalLoss: meanLoss, Duration: time.Since(start), Interrupted: interrupted}
-	if !interrupted && bestSnap != nil {
-		// An interrupted run keeps the latest weights: restoring the best-so-
-		// far would bake early-stopping into the checkpointed trajectory and
-		// break bit-identical resume.
-		restoreParams(params, bestSnap)
-		stats.BestValLoss = bestVal
-	}
-	return stats, nil
-}
-
-// EvalLoss computes the mean log-space Huber loss on a labelled set without
-// updating the model.
-func EvalLoss(m *Model, graphs []*features.Graph, huberDelta float64) float64 {
-	return evalLoss(m, graphs, huberDelta, parallel.Workers())
+	return TrainStats{Epochs: epochsRun, FinalLoss: meanLoss, Duration: time.Since(start), Interrupted: interrupted}, nil
 }

@@ -7,7 +7,9 @@ import (
 	"zerotune/internal/tensor"
 )
 
-// Dataset is a labelled workload split the trainers consume.
+// Dataset is a labelled workload split. The trainers consume Train and the
+// evaluations Test; Val is a held-back share that nothing reads, kept so that
+// Train and Test draw the same items they always have.
 type Dataset struct {
 	Train []*Item
 	Val   []*Item
