@@ -335,18 +335,18 @@ func (w *benchResponseWriter) reset() {
 }
 
 // benchServeModel trains the small model the serve benchmarks share.
-func benchServeModel(b *testing.B) *core.ZeroTune {
-	b.Helper()
+func benchServeModel(tb testing.TB) *core.ZeroTune {
+	tb.Helper()
 	items, err := workload.NewSeenGenerator(5).Generate(workload.SeenRanges().Structures, 60)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	opts := core.DefaultTrainOptions()
 	opts.Hidden, opts.EncDepth, opts.HeadHidden = 12, 1, 12
 	opts.Epochs = 2
 	zt, _, err := core.Train(context.Background(), items, opts)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return zt
 }
@@ -633,80 +633,92 @@ func BenchmarkSimulate(b *testing.B) {
 // reuse) while three affinity-sharded replicas each own a ~128-plan shard
 // that fits, turning repeat traffic into cache hits instead of forward
 // passes. That is the deployment claim of the gateway — replica caches
-// shard by plan fingerprint — measured directly.
+// shard by plan fingerprint — measured directly; TestGatewayScaleOut
+// asserts it.
 func BenchmarkGatewayPredict(b *testing.B) {
-	gen := workload.NewSeenGenerator(5)
-	items, err := gen.Generate(workload.SeenRanges().Structures, 60)
-	if err != nil {
-		b.Fatal(err)
+	zt := benchServeModel(b)
+	bodies := scaleOutBodies(b)
+	for _, n := range []int{1, 3} {
+		b.Run(fmt.Sprintf("replicas=%d", n), func(b *testing.B) {
+			g, _ := scaleOutGateway(b, zt, n)
+			driveGateway(b, g, bodies)
+		})
 	}
-	topts := core.DefaultTrainOptions()
-	topts.Hidden, topts.EncDepth, topts.HeadHidden = 12, 1, 12
-	topts.Epochs = 2
-	zt, _, err := core.Train(context.Background(), items, topts)
-	if err != nil {
-		b.Fatal(err)
-	}
+}
 
+// scaleOutBodies marshals BenchmarkGatewayPredict's 384 distinct
+// spike-detection predict requests.
+func scaleOutBodies(tb testing.TB) [][]byte {
+	tb.Helper()
 	bodies := make([][]byte, 384)
 	for i := range bodies {
 		req := serve.PredictRequest{
 			Plan:    queryplan.NewPQP(queryplan.SpikeDetection(float64(5_000 + 500*i))),
 			Cluster: serve.ClusterSpec{Workers: 4, LinkGbps: 10},
 		}
-		bodies[i], err = json.Marshal(req)
-		if err != nil {
-			b.Fatal(err)
+		var err error
+		if bodies[i], err = json.Marshal(req); err != nil {
+			tb.Fatal(err)
 		}
 	}
+	return bodies
+}
 
-	for _, n := range []int{1, 3} {
-		b.Run(fmt.Sprintf("replicas=%d", n), func(b *testing.B) {
-			backends := make([]serve.Backend, n)
-			for i := range backends {
-				s := serve.New(serve.Options{BatchWindow: 500 * time.Microsecond,
-					MaxBatch: 64, CacheSize: 192})
-				defer s.Close()
-				s.Registry().Install(zt, fmt.Sprintf("bench-%d", i), "")
-				backends[i] = serve.NewInProcessBackend(fmt.Sprintf("replica-%d", i), s)
-			}
-			g, err := gateway.New(backends, gateway.Options{
-				Route:         gateway.RouteAffinity,
-				ProbeInterval: -1,
-				MaxConcurrent: 64 * n,
-				QueueDepth:    4096,
-				Seed:          1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer g.Close()
-
-			var next atomic.Uint64
-			b.ReportAllocs()
-			// More clients than cores: the gateway's value is overlapping
-			// micro-batch flushes across replicas, which only shows once
-			// requests actually queue behind a single replica's flush loop.
-			b.SetParallelism(8)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				w := &benchResponseWriter{h: make(http.Header)}
-				for pb.Next() {
-					i := next.Add(1)
-					r := httptest.NewRequest(http.MethodPost, "/v1/predict",
-						bytes.NewReader(bodies[i%uint64(len(bodies))]))
-					w.reset()
-					g.ServeHTTP(w, r)
-					if w.status != http.StatusOK {
-						b.Errorf("status %d: %s", w.status, w.buf.String())
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/sec")
-		})
+// scaleOutGateway builds BenchmarkGatewayPredict's tier: an affinity-routing
+// gateway over n in-process replicas of zt, each with 192-entry caches. The
+// test's cleanup closes it.
+func scaleOutGateway(tb testing.TB, zt *core.ZeroTune, n int) (*gateway.Gateway, []*serve.Server) {
+	tb.Helper()
+	servers := make([]*serve.Server, n)
+	backends := make([]serve.Backend, n)
+	for i := range backends {
+		s := serve.New(serve.Options{BatchWindow: 500 * time.Microsecond,
+			MaxBatch: 64, CacheSize: 192})
+		tb.Cleanup(s.Close)
+		s.Registry().Install(zt, fmt.Sprintf("bench-%d", i), "")
+		servers[i] = s
+		backends[i] = serve.NewInProcessBackend(fmt.Sprintf("replica-%d", i), s)
 	}
+	g, err := gateway.New(backends, gateway.Options{
+		Route:         gateway.RouteAffinity,
+		ProbeInterval: -1,
+		MaxConcurrent: 64 * n,
+		QueueDepth:    4096,
+		Seed:          1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(g.Close)
+	return g, servers
+}
+
+// driveGateway is BenchmarkGatewayPredict's timed loop: parallel clients
+// cycling through bodies, reported as req/sec.
+func driveGateway(b *testing.B, g http.Handler, bodies [][]byte) {
+	var next atomic.Uint64
+	b.ReportAllocs()
+	// More clients than cores: the gateway's value is overlapping
+	// micro-batch flushes across replicas, which only shows once
+	// requests actually queue behind a single replica's flush loop.
+	b.SetParallelism(8)
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		w := &benchResponseWriter{h: make(http.Header)}
+		for pb.Next() {
+			i := next.Add(1)
+			r := httptest.NewRequest(http.MethodPost, "/v1/predict",
+				bytes.NewReader(bodies[i%uint64(len(bodies))]))
+			w.reset()
+			g.ServeHTTP(w, r)
+			if w.status != http.StatusOK {
+				b.Errorf("status %d: %s", w.status, w.buf.String())
+				return
+			}
+		}
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/sec")
 }
 
 // BenchmarkAblationReadout quantifies this reproduction's structured

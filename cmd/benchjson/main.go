@@ -21,23 +21,16 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"zerotune/internal/loadgen"
 )
 
-// Benchmark is one parsed benchmark result.
-type Benchmark struct {
-	Name        string             `json:"name"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-}
-
-// Snapshot is the committed BENCH_*.json shape.
+// Snapshot is the committed BENCH_*.json shape. Its rows are the ones a
+// `zerotune bench` or `plan` report carries, so either can be a baseline.
 type Snapshot struct {
-	CPU        string      `json:"cpu,omitempty"`
-	GoVersion  string      `json:"go,omitempty"`
-	Benchmarks []Benchmark `json:"benchmarks"`
+	CPU        string                   `json:"cpu,omitempty"`
+	GoVersion  string                   `json:"go,omitempty"`
+	Benchmarks []loadgen.BenchmarkEntry `json:"benchmarks"`
 }
 
 func main() {
@@ -127,10 +120,10 @@ func Parse(r io.Reader, tee bool) (*Snapshot, error) {
 }
 
 // parseLine parses one "BenchmarkX-8  N  v unit  v unit ..." line.
-func parseLine(line string) (Benchmark, bool) {
+func parseLine(line string) (loadgen.BenchmarkEntry, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 3 {
-		return Benchmark{}, false
+		return loadgen.BenchmarkEntry{}, false
 	}
 	name := fields[0]
 	if i := strings.LastIndex(name, "-"); i > 0 {
@@ -140,14 +133,14 @@ func parseLine(line string) (Benchmark, bool) {
 	}
 	iters, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Benchmark{}, false
+		return loadgen.BenchmarkEntry{}, false
 	}
-	b := Benchmark{Name: name, Iterations: iters}
+	b := loadgen.BenchmarkEntry{Name: name, Iterations: iters}
 	// The remainder alternates value, unit.
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
-			return Benchmark{}, false
+			return loadgen.BenchmarkEntry{}, false
 		}
 		switch unit := fields[i+1]; unit {
 		case "ns/op":
@@ -179,7 +172,7 @@ func compare(path string, cur *Snapshot, checks []string, maxRegressPct float64)
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("benchjson: parse baseline %s: %w", path, err)
 	}
-	baseBy := make(map[string]Benchmark, len(base.Benchmarks))
+	baseBy := make(map[string]loadgen.BenchmarkEntry, len(base.Benchmarks))
 	for _, b := range base.Benchmarks {
 		baseBy[b.Name] = b
 	}

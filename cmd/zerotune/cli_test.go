@@ -196,6 +196,9 @@ func TestBenchReplayRejectsAModelFile(t *testing.T) {
 	}
 }
 
+// stageHeader is the stage table's header line as a reader greps for it.
+var stageHeader = regexp.MustCompile(`(?m)^stage +count +p50 +p99 +p99/p50$`)
+
 // TestBenchSweepReport holds `bench -sweep -report` to what a reader of the
 // report relies on: the mode, a capacity answer for the target, a positive
 // goodput and positive monotone percentiles at every probe, and one
@@ -234,7 +237,7 @@ func TestBenchSweepReport(t *testing.T) {
 	// Under the capacity, where inside the target the time went: the
 	// replica's own stage histograms, every request in exactly one of the two
 	// first stages (a corpus of 8 bodies: hits, and at least one full miss).
-	if !strings.Contains(table, loadgen.StageTableHeader) {
+	if !strings.Contains(table, loadgen.StageTableHeader) || !stageHeader.MatchString(table) {
 		t.Errorf("bench printed no stage table:\n%s", table)
 	}
 	counts := map[string]uint64{}

@@ -50,7 +50,7 @@ type ZeroTune struct {
 // with the float32 engine. Safe to call concurrently with predictions;
 // in-flight calls finish on the engine they started with.
 func (z *ZeroTune) Compile(opts gnn.CompileOptions) error {
-	cm, err := gnn.Compile(z.Model, opts)
+	cm, err := gnn.Compile(z.Model, z.Mask, opts)
 	if err != nil {
 		return err
 	}
@@ -66,7 +66,7 @@ func (z *ZeroTune) Compiled() *gnn.CompiledModel {
 	if cm := z.compiled.Load(); cm != nil {
 		return cm
 	}
-	cm, err := gnn.Compile(z.Model, gnn.CompileOptions{Engine: gnn.EngineF64})
+	cm, err := gnn.Compile(z.Model, z.Mask, gnn.CompileOptions{Engine: gnn.EngineF64})
 	if err != nil {
 		panic(fmt.Sprintf("core: %v", err))
 	}

@@ -194,6 +194,47 @@ func TestTrainWithMask(t *testing.T) {
 	}
 }
 
+// TestCompileGatesUnderTheTrainedMask: the accuracy gate compares the engines
+// on the inputs the model serves, encoded under its own mask. An
+// operator-only model never sees a resource feature, so the weights that read
+// them are never trained; scaled until unmasked inputs overflow, they must not
+// matter to its gate, nor to loading its file.
+func TestCompileGatesUnderTheTrainedMask(t *testing.T) {
+	items, err := workload.NewSeenGenerator(15).Generate([]string{"linear"}, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultTrainOptions()
+	opts.Hidden, opts.EncDepth, opts.HeadHidden = 8, 1, 8
+	opts.Epochs = 1
+	opts.Mask = features.MaskOperatorOnly
+	zt, _, err := Train(context.Background(), items, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := zt.Model.EncRes.Layers[0].W.Data
+	for i := range w {
+		w[i] *= 1e20
+	}
+	// The premise: shown every feature, this model overflows.
+	if _, err := gnn.Compile(zt.Model, features.MaskAll, gnn.CompileOptions{}); !errors.Is(err, gnn.ErrAccuracyGate) {
+		t.Fatalf("compile under MaskAll: err = %v, want the accuracy gate's refusal", err)
+	}
+	if err := zt.Compile(gnn.CompileOptions{}); err != nil {
+		t.Fatalf("compile under the trained mask: %v", err)
+	}
+	if g := zt.Compiled().Gate; g.Engine != gnn.EngineF32 || !(g.MaxQErr <= 1+g.Threshold) {
+		t.Errorf("gate report %+v, want a finite f32 verdict within budget", g)
+	}
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := zt.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(path); err != nil {
+		t.Errorf("load of the operator-only model file: %v", err)
+	}
+}
+
 func TestEstimatorInterface(t *testing.T) {
 	zt, _ := smallTrained(t, 60, 3)
 	est := zt.Estimator()

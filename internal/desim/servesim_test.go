@@ -47,6 +47,15 @@ func md1Config() ServeConfig {
 	}
 }
 
+// twice runs body as two subtests in one process: state one run leaves
+// behind — a package-level cache, a shared random source — breaks the
+// determinism or counterfactual property the other asserts.
+func twice(t *testing.T, body func(t *testing.T)) {
+	for _, run := range []string{"first", "second"} {
+		t.Run(run, body)
+	}
+}
+
 func mustSchedule(t *testing.T, spec loadgen.Spec) []loadgen.Request {
 	t.Helper()
 	sched, err := spec.Schedule()
@@ -104,79 +113,83 @@ func TestServeSimMD1(t *testing.T) {
 // the sum of its pipeline stages — integer-nanosecond virtual time means no
 // tolerance is needed.
 func TestServeSimPipelineExact(t *testing.T) {
-	svc := ServiceModel{
-		GatewayNs:        2_000,
-		EncodeNs:         25_000,
-		ForwardBaseNs:    150_000,
-		ForwardPerItemNs: 6_000,
-		CacheHitNs:       3_000,
-		FallbackNs:       1_000,
-	}
-	cfg := md1Config()
-	cfg.Service = svc
-	spec := loadgen.Spec{
-		Seed:     3,
-		Arrival:  loadgen.ArrivalUniform, // metronome
-		Rate:     100,                    // 10ms apart ≫ 183µs pipeline
-		Duration: 2 * time.Second,
-		Bodies:   [][]byte{[]byte("m")},
-	}
-	run, err := SimulateServe(mustSchedule(t, spec), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := svc.GatewayNs + svc.EncodeNs + svc.ForwardBaseNs + svc.ForwardPerItemNs
-	if len(run.Outcomes) == 0 {
-		t.Fatal("no outcomes")
-	}
-	for _, o := range run.Outcomes {
-		if o.LatencyNs() != want || o.QueueWaitNs != 0 {
-			t.Fatalf("req %d: latency %dns wait %dns, want exactly %dns / 0", o.Seq, o.LatencyNs(), o.QueueWaitNs, want)
+	twice(t, func(t *testing.T) {
+		svc := ServiceModel{
+			GatewayNs:        2_000,
+			EncodeNs:         25_000,
+			ForwardBaseNs:    150_000,
+			ForwardPerItemNs: 6_000,
+			CacheHitNs:       3_000,
+			FallbackNs:       1_000,
 		}
-	}
+		cfg := md1Config()
+		cfg.Service = svc
+		spec := loadgen.Spec{
+			Seed:     3,
+			Arrival:  loadgen.ArrivalUniform, // metronome
+			Rate:     100,                    // 10ms apart ≫ 183µs pipeline
+			Duration: 2 * time.Second,
+			Bodies:   [][]byte{[]byte("m")},
+		}
+		run, err := SimulateServe(mustSchedule(t, spec), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := svc.GatewayNs + svc.EncodeNs + svc.ForwardBaseNs + svc.ForwardPerItemNs
+		if len(run.Outcomes) == 0 {
+			t.Fatal("no outcomes")
+		}
+		for _, o := range run.Outcomes {
+			if o.LatencyNs() != want || o.QueueWaitNs != 0 {
+				t.Fatalf("req %d: latency %dns wait %dns, want exactly %dns / 0", o.Seq, o.LatencyNs(), o.QueueWaitNs, want)
+			}
+		}
+	})
 }
 
 // TestServeSimPerReplicaFIFO: batched leaders on one replica must complete
 // in their arrival order — the queue is FIFO and flushes are sequential, so
 // any inversion means the event machinery reordered work.
 func TestServeSimPerReplicaFIFO(t *testing.T) {
-	bodies := make([][]byte, 32)
-	for i := range bodies {
-		bodies[i] = []byte(fmt.Sprintf("body-%d", i))
-	}
-	spec := loadgen.Spec{
-		Seed:     5,
-		Arrival:  loadgen.ArrivalPoisson,
-		Rate:     4000,
-		Duration: 3 * time.Second,
-		Bodies:   bodies,
-	}
-	cfg := ServeConfig{
-		Replicas:     3,
-		CacheEntries: -1, // leaders only: every request is batched
-		QueueDepth:   1 << 20,
-		Service:      mdService(),
-	}
-	run, err := SimulateServe(mustSchedule(t, spec), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lastDone := make(map[int]int64)
-	batched := 0
-	for _, o := range run.Outcomes { // outcomes are in Seq (= arrival) order
-		if o.Status != 200 || o.BatchSize == 0 {
-			continue
+	twice(t, func(t *testing.T) {
+		bodies := make([][]byte, 32)
+		for i := range bodies {
+			bodies[i] = []byte(fmt.Sprintf("body-%d", i))
 		}
-		batched++
-		if o.DoneNs < lastDone[o.Replica] {
-			t.Fatalf("req %d on replica %d done at %dns, before its predecessor at %dns",
-				o.Seq, o.Replica, o.DoneNs, lastDone[o.Replica])
+		spec := loadgen.Spec{
+			Seed:     5,
+			Arrival:  loadgen.ArrivalPoisson,
+			Rate:     4000,
+			Duration: 3 * time.Second,
+			Bodies:   bodies,
 		}
-		lastDone[o.Replica] = o.DoneNs
-	}
-	if batched < 1000 {
-		t.Fatalf("only %d batched completions; the property needs real traffic", batched)
-	}
+		cfg := ServeConfig{
+			Replicas:     3,
+			CacheEntries: -1, // leaders only: every request is batched
+			QueueDepth:   1 << 20,
+			Service:      mdService(),
+		}
+		run, err := SimulateServe(mustSchedule(t, spec), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lastDone := make(map[int]int64)
+		batched := 0
+		for _, o := range run.Outcomes { // outcomes are in Seq (= arrival) order
+			if o.Status != 200 || o.BatchSize == 0 {
+				continue
+			}
+			batched++
+			if o.DoneNs < lastDone[o.Replica] {
+				t.Fatalf("req %d on replica %d done at %dns, before its predecessor at %dns",
+					o.Seq, o.Replica, o.DoneNs, lastDone[o.Replica])
+			}
+			lastDone[o.Replica] = o.DoneNs
+		}
+		if batched < 1000 {
+			t.Fatalf("only %d batched completions; the property needs real traffic", batched)
+		}
+	})
 }
 
 // TestServeSimCounterfactualSharedSchedule: two configurations simulated
@@ -184,87 +197,91 @@ func TestServeSimPerReplicaFIFO(t *testing.T) {
 // lines — the counterfactual contract that makes cross-scenario comparisons
 // attributable to configuration alone.
 func TestServeSimCounterfactualSharedSchedule(t *testing.T) {
-	spec := loadgen.Spec{
-		Seed:     9,
-		Arrival:  loadgen.ArrivalPoisson,
-		Rate:     2000,
-		Duration: 2 * time.Second,
-		Bodies:   [][]byte{[]byte("a"), []byte("b"), []byte("c")},
-	}
-	sched := mustSchedule(t, spec)
-	arriveLines := func(cfg ServeConfig) []byte {
-		var buf bytes.Buffer
-		cfg.Trace = &buf
-		if _, err := SimulateServe(sched, cfg); err != nil {
-			t.Fatal(err)
+	twice(t, func(t *testing.T) {
+		spec := loadgen.Spec{
+			Seed:     9,
+			Arrival:  loadgen.ArrivalPoisson,
+			Rate:     2000,
+			Duration: 2 * time.Second,
+			Bodies:   [][]byte{[]byte("a"), []byte("b"), []byte("c")},
 		}
-		var arr bytes.Buffer
-		for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
-			if bytes.Contains(line, []byte(" ev=arrive ")) {
-				arr.Write(line)
-				arr.WriteByte('\n')
+		sched := mustSchedule(t, spec)
+		arriveLines := func(cfg ServeConfig) []byte {
+			var buf bytes.Buffer
+			cfg.Trace = &buf
+			if _, err := SimulateServe(sched, cfg); err != nil {
+				t.Fatal(err)
 			}
+			var arr bytes.Buffer
+			for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
+				if bytes.Contains(line, []byte(" ev=arrive ")) {
+					arr.Write(line)
+					arr.WriteByte('\n')
+				}
+			}
+			return arr.Bytes()
 		}
-		return arr.Bytes()
-	}
-	one := arriveLines(ServeConfig{Replicas: 1, Service: mdService()})
-	three := arriveLines(ServeConfig{Replicas: 3, MaxBatch: 4, CacheEntries: -1,
-		Route: gateway.RouteLeastLoaded, Service: mdService()})
-	if len(one) == 0 {
-		t.Fatal("no arrive lines traced")
-	}
-	if !bytes.Equal(one, three) {
-		t.Fatal("arrival trace sections differ between counterfactual configs sharing one schedule")
-	}
+		one := arriveLines(ServeConfig{Replicas: 1, Service: mdService()})
+		three := arriveLines(ServeConfig{Replicas: 3, MaxBatch: 4, CacheEntries: -1,
+			Route: gateway.RouteLeastLoaded, Service: mdService()})
+		if len(one) == 0 {
+			t.Fatal("no arrive lines traced")
+		}
+		if !bytes.Equal(one, three) {
+			t.Fatal("arrival trace sections differ between counterfactual configs sharing one schedule")
+		}
+	})
 }
 
-// TestServeSimGoldenDeterminism: the contract CI enforces with cmp — one
-// (schedule, config) pair, two runs, byte-identical decision traces and
-// deep-equal outcomes. Run under -race and -count=2 to flush any hidden
-// shared state.
+// TestServeSimGoldenDeterminism: the contract `plan` users check with cmp —
+// one (schedule, config) pair, two runs, byte-identical decision traces and
+// deep-equal outcomes. Run twice, and under -race, to flush any hidden shared
+// state.
 func TestServeSimGoldenDeterminism(t *testing.T) {
-	spec := loadgen.Spec{
-		Seed:     21,
-		Arrival:  loadgen.ArrivalGamma,
-		CV:       2,
-		Rate:     3000,
-		Duration: 2 * time.Second,
-		Classes:  []loadgen.ClassShare{{Name: "gold", Weight: 1}, {Name: "bronze", Weight: 3}},
-		Bodies:   [][]byte{[]byte("x"), []byte("y")},
-	}
-	sched := mustSchedule(t, spec)
-	cfg := ServeConfig{
-		Replicas:    3,
-		MaxBatch:    8,
-		Classes:     []gateway.ClassConfig{{Name: "gold", Rate: 2000}, {Name: "bronze", Rate: 500}},
-		Service:     mdService(),
-		FailureProb: 0.01,
-		Seed:        21,
-	}
-	runOnce := func() ([]byte, *RunResult) {
-		var buf bytes.Buffer
-		c := cfg
-		c.Trace = &buf
-		run, err := SimulateServe(sched, c)
-		if err != nil {
-			t.Fatal(err)
+	twice(t, func(t *testing.T) {
+		spec := loadgen.Spec{
+			Seed:     21,
+			Arrival:  loadgen.ArrivalGamma,
+			CV:       2,
+			Rate:     3000,
+			Duration: 2 * time.Second,
+			Classes:  []loadgen.ClassShare{{Name: "gold", Weight: 1}, {Name: "bronze", Weight: 3}},
+			Bodies:   [][]byte{[]byte("x"), []byte("y")},
 		}
-		return buf.Bytes(), run
-	}
-	t1, r1 := runOnce()
-	t2, r2 := runOnce()
-	if !bytes.Equal(t1, t2) {
-		t.Fatal("decision traces differ across identical runs")
-	}
-	if !reflect.DeepEqual(r1.Outcomes, r2.Outcomes) {
-		t.Fatal("outcomes differ across identical runs")
-	}
-	if !reflect.DeepEqual(r1.Stats, r2.Stats) {
-		t.Fatal("stats differ across identical runs")
-	}
-	if len(t1) == 0 || r1.Stats.Requests == 0 {
-		t.Fatal("empty run proves nothing")
-	}
+		sched := mustSchedule(t, spec)
+		cfg := ServeConfig{
+			Replicas:    3,
+			MaxBatch:    8,
+			Classes:     []gateway.ClassConfig{{Name: "gold", Rate: 2000}, {Name: "bronze", Rate: 500}},
+			Service:     mdService(),
+			FailureProb: 0.01,
+			Seed:        21,
+		}
+		runOnce := func() ([]byte, *RunResult) {
+			var buf bytes.Buffer
+			c := cfg
+			c.Trace = &buf
+			run, err := SimulateServe(sched, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes(), run
+		}
+		t1, r1 := runOnce()
+		t2, r2 := runOnce()
+		if !bytes.Equal(t1, t2) {
+			t.Fatal("decision traces differ across identical runs")
+		}
+		if !reflect.DeepEqual(r1.Outcomes, r2.Outcomes) {
+			t.Fatal("outcomes differ across identical runs")
+		}
+		if !reflect.DeepEqual(r1.Stats, r2.Stats) {
+			t.Fatal("stats differ across identical runs")
+		}
+		if len(t1) == 0 || r1.Stats.Requests == 0 {
+			t.Fatal("empty run proves nothing")
+		}
+	})
 }
 
 // TestServeSimCacheLRU: cache hit counts must be monotone in cache size,
@@ -539,38 +556,40 @@ func TestServeSimEventBudget(t *testing.T) {
 // TestTimelineOrdering: the virtual clock pops events in (time, insertion)
 // order and never moves backwards; scheduling into the past panics.
 func TestTimelineOrdering(t *testing.T) {
-	var tl Timeline
-	times := []float64{5, 1, 3, 1, 4, 2, 5, 0}
-	for i, at := range times {
-		tl.Schedule(at, i)
-	}
-	var prevAt float64
-	var order []int
-	for tl.Len() > 0 {
-		at, payload, ok := tl.Pop()
-		if !ok {
-			t.Fatal("Pop reported empty with events queued")
+	twice(t, func(t *testing.T) {
+		var tl Timeline
+		times := []float64{5, 1, 3, 1, 4, 2, 5, 0}
+		for i, at := range times {
+			tl.Schedule(at, i)
 		}
-		if at < prevAt {
-			t.Fatalf("clock moved backwards: %g after %g", at, prevAt)
+		var prevAt float64
+		var order []int
+		for tl.Len() > 0 {
+			at, payload, ok := tl.Pop()
+			if !ok {
+				t.Fatal("Pop reported empty with events queued")
+			}
+			if at < prevAt {
+				t.Fatalf("clock moved backwards: %g after %g", at, prevAt)
+			}
+			if at != tl.Now() {
+				t.Fatalf("Now() = %g after popping %g", tl.Now(), at)
+			}
+			prevAt = at
+			order = append(order, payload.(int))
 		}
-		if at != tl.Now() {
-			t.Fatalf("Now() = %g after popping %g", tl.Now(), at)
+		// Equal times break ties by insertion order: payload 1 before 3 (both
+		// t=1), 0 before 6 (both t=5).
+		want := []int{7, 1, 3, 5, 2, 4, 0, 6}
+		if !reflect.DeepEqual(order, want) {
+			t.Fatalf("pop order %v, want %v", order, want)
 		}
-		prevAt = at
-		order = append(order, payload.(int))
-	}
-	// Equal times break ties by insertion order: payload 1 before 3 (both
-	// t=1), 0 before 6 (both t=5).
-	want := []int{7, 1, 3, 5, 2, 4, 0, 6}
-	if !reflect.DeepEqual(order, want) {
-		t.Fatalf("pop order %v, want %v", order, want)
-	}
 
-	defer func() {
-		if recover() == nil {
-			t.Fatal("scheduling into the past must panic")
-		}
-	}()
-	tl.Schedule(tl.Now()-1, "late")
+		defer func() {
+			if recover() == nil {
+				t.Fatal("scheduling into the past must panic")
+			}
+		}()
+		tl.Schedule(tl.Now()-1, "late")
+	})
 }

@@ -85,7 +85,7 @@ func benchModel() *Model {
 // Reported in graphs/sec.
 func BenchmarkPredictBatch(b *testing.B) {
 	m := benchModel()
-	cm, err := Compile(m, CompileOptions{})
+	cm, err := Compile(m, features.MaskAll, CompileOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 // compiled engine (scratch pool warm).
 func BenchmarkPredictCompiledSingle(b *testing.B) {
 	m := benchModel()
-	cm, err := Compile(m, CompileOptions{})
+	cm, err := Compile(m, features.MaskAll, CompileOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func BenchmarkPredictSingle(b *testing.B) {
 // all of them share one bucket. us/graph against n is the curve fusedGroup
 // was chosen from.
 func BenchmarkPredictSweep(b *testing.B) {
-	cm, err := Compile(benchModel(), CompileOptions{})
+	cm, err := Compile(benchModel(), features.MaskAll, CompileOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

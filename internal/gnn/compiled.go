@@ -276,8 +276,11 @@ func (p *scratchPool) put(s *fusedScratch) {
 // q-error against the float64 reference must stay within the budget, or
 // Compile returns an error wrapping ErrAccuracyGate and the compiled model
 // must not be served. The float64 engine is that reference, so the gate
-// records its agreement and never refuses it.
-func Compile(m *Model, opts CompileOptions) (*CompiledModel, error) {
+// records its agreement and never refuses it. mask is the feature
+// visibility m was trained with and is served under: the gate encodes its
+// validation set with it, so the engines are compared on the inputs the
+// model will see.
+func Compile(m *Model, mask features.Mask, opts CompileOptions) (*CompiledModel, error) {
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("gnn: compile: %w", err)
 	}
@@ -295,19 +298,19 @@ func Compile(m *Model, opts CompileOptions) (*CompiledModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cm.gate(); err != nil {
+	if err := cm.gate(mask); err != nil {
 		return nil, err
 	}
 	return cm, nil
 }
 
-// gate is Compile's accuracy gate: it predicts the validation set through the
-// compiled engine, records the worst q-error against the float64 reference —
+// gate is Compile's accuracy gate: it predicts the validation set, encoded
+// under mask, through the compiled engine, records the worst q-error against the float64 reference —
 // Model.Predict, one graph after another — in cm.Gate, and returns an error
 // wrapping ErrAccuracyGate when a float32 engine exceeds
 // 1 + DefaultGateThreshold.
-func (cm *CompiledModel) gate() error {
-	val, err := gateGraphs()
+func (cm *CompiledModel) gate(mask features.Mask) error {
+	val, err := gateGraphs(mask)
 	if err != nil {
 		return fmt.Errorf("gnn: compile: build validation set: %w", err)
 	}
@@ -362,8 +365,8 @@ func qerr(ref, got float64) float64 {
 
 // gateGraphs builds the gate's validation corpus: the three benchmark
 // queries at a deterministic sweep of parallelism degrees on a seen-hardware
-// cluster.
-func gateGraphs() ([]*features.Graph, error) {
+// cluster, encoded under mask.
+func gateGraphs(mask features.Mask) ([]*features.Graph, error) {
 	c, err := cluster.New(4, cluster.SeenTypes(), 10)
 	if err != nil {
 		return nil, err
@@ -383,7 +386,7 @@ func gateGraphs() ([]*features.Graph, error) {
 		if err := cluster.Place(p, c); err != nil {
 			return nil, err
 		}
-		g, err := features.Encode(p, c, features.MaskAll)
+		g, err := features.Encode(p, c, mask)
 		if err != nil {
 			return nil, err
 		}

@@ -82,7 +82,7 @@ func corpusGraphs(tb testing.TB) []*features.Graph {
 // structures, in a single mixed-topology batch.
 func TestCompiledF64BitIdentical(t *testing.T) {
 	m := New(tensor.NewRNG(11), DefaultConfig())
-	cm, err := Compile(m, CompileOptions{Engine: EngineF64})
+	cm, err := Compile(m, features.MaskAll, CompileOptions{Engine: EngineF64})
 	if err != nil {
 		t.Fatalf("Compile(f64): %v", err)
 	}
@@ -114,7 +114,7 @@ func TestCompiledF64ReadoutSink(t *testing.T) {
 	m := New(tensor.NewRNG(12), cfg)
 	graphs := corpusGraphs(t)
 	for _, engine := range []Engine{EngineF64, EngineF32} {
-		cm, err := Compile(m, CompileOptions{Engine: engine})
+		cm, err := Compile(m, features.MaskAll, CompileOptions{Engine: engine})
 		if err != nil {
 			t.Fatalf("Compile(%v, sink): %v", engine, err)
 		}
@@ -141,7 +141,7 @@ func TestCompiledF64ReadoutSink(t *testing.T) {
 // accuracy gate and stay within it on an independent corpus.
 func TestCompiledF32WithinGate(t *testing.T) {
 	m := New(tensor.NewRNG(13), DefaultConfig())
-	cm, err := Compile(m, CompileOptions{})
+	cm, err := Compile(m, features.MaskAll, CompileOptions{})
 	if err != nil {
 		t.Fatalf("Compile(f32): %v", err)
 	}
@@ -174,7 +174,7 @@ func TestCompiledF32WithinGate(t *testing.T) {
 // on which of them a CPU selects.
 func TestCompiledF32PortableKernel(t *testing.T) {
 	m := New(tensor.NewRNG(14), DefaultConfig())
-	cm, err := Compile(m, CompileOptions{})
+	cm, err := Compile(m, features.MaskAll, CompileOptions{})
 	if err != nil {
 		t.Fatalf("Compile(f32): %v", err)
 	}
@@ -210,7 +210,7 @@ func TestCompiledF32PortableKernel(t *testing.T) {
 // (simulating a damaged conversion) must be refused by it.
 func TestCompiledGateRejectsCorruptedModel(t *testing.T) {
 	m := New(tensor.NewRNG(15), DefaultConfig())
-	cm, err := Compile(m, CompileOptions{})
+	cm, err := Compile(m, features.MaskAll, CompileOptions{})
 	if err != nil {
 		t.Fatalf("honest f32 refused: %v", err)
 	}
@@ -219,7 +219,7 @@ func TestCompiledGateRejectsCorruptedModel(t *testing.T) {
 	for i := range cm.f32.combineRes[0].w.data {
 		cm.f32.combineRes[0].w.data[i] *= 64
 	}
-	err = cm.gate()
+	err = cm.gate(features.MaskAll)
 	if !errors.Is(err, ErrAccuracyGate) {
 		t.Fatalf("corrupted f32 layer: got err %v, want ErrAccuracyGate", err)
 	}
@@ -235,7 +235,7 @@ func TestCompiledZeroAlloc(t *testing.T) {
 	m := New(tensor.NewRNG(17), DefaultConfig())
 	graphs := append(corpusGraphs(t), sweepGraphs(t, 25)...)
 	for _, engine := range []Engine{EngineF32, EngineF64} {
-		cm, err := Compile(m, CompileOptions{Engine: engine})
+		cm, err := Compile(m, features.MaskAll, CompileOptions{Engine: engine})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +261,7 @@ func TestCompiledZeroAlloc(t *testing.T) {
 // single-graph slot) keeps the caller's last batch alive for good — and, once
 // graphs share an arena, every slab of it.
 func TestCompiledScratchDropsGraphs(t *testing.T) {
-	cm, err := Compile(New(tensor.NewRNG(24), DefaultConfig()), CompileOptions{})
+	cm, err := Compile(New(tensor.NewRNG(24), DefaultConfig()), features.MaskAll, CompileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestCompiledScratchDropsGraphs(t *testing.T) {
 func TestCompileLeavesNoScratch(t *testing.T) {
 	m := New(tensor.NewRNG(25), DefaultConfig())
 	for _, engine := range []Engine{EngineF32, EngineF64} {
-		cm, err := Compile(m, CompileOptions{Engine: engine})
+		cm, err := Compile(m, features.MaskAll, CompileOptions{Engine: engine})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func TestCompileLeavesNoScratch(t *testing.T) {
 // of how the batch buckets, including duplicate graphs.
 func TestCompiledBucketOrder(t *testing.T) {
 	m := New(tensor.NewRNG(18), DefaultConfig())
-	cm, err := Compile(m, CompileOptions{Engine: EngineF64})
+	cm, err := Compile(m, features.MaskAll, CompileOptions{Engine: EngineF64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +347,7 @@ func TestCompiledRaggedBucket(t *testing.T) {
 
 	m := New(tensor.NewRNG(23), DefaultConfig())
 	for _, engine := range []Engine{EngineF64, EngineF32} {
-		cm, err := Compile(m, CompileOptions{Engine: engine})
+		cm, err := Compile(m, features.MaskAll, CompileOptions{Engine: engine})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +374,7 @@ func TestCompiledRaggedBucket(t *testing.T) {
 func TestCompiledValidatesModel(t *testing.T) {
 	m := New(tensor.NewRNG(19), DefaultConfig())
 	m.LatHead.Layers[0].W.Data[0] = math.NaN()
-	if _, err := Compile(m, CompileOptions{}); err == nil {
+	if _, err := Compile(m, features.MaskAll, CompileOptions{}); err == nil {
 		t.Fatal("Compile accepted a NaN model")
 	}
 }

@@ -213,9 +213,9 @@ func stageTable(rows []StageRow) string {
 	return b.String()
 }
 
-// BenchmarkEntry mirrors cmd/benchjson's Benchmark shape, so a bench report
-// can be fed anywhere a BENCH_*.json snapshot is accepted (regression
-// baselines, the perf-trajectory tooling).
+// BenchmarkEntry is one row of a BENCH_*.json snapshot: cmd/benchjson writes
+// its rows with this type, so a bench report can be fed anywhere a snapshot
+// is accepted (regression baselines, the perf-trajectory tooling).
 type BenchmarkEntry struct {
 	Name        string             `json:"name"`
 	Iterations  int64              `json:"iterations"`

@@ -131,7 +131,7 @@ type Options struct {
 	// compiled (see Registry), so there is nothing left to switch. The field
 	// survives only because benchmark/fixture.go sets it and a change to the
 	// serving code may not edit the benchmark that measures it; the next
-	// benchmark change deletes both (ROADMAP item 5).
+	// benchmark change deletes both (ROADMAP item 3(b)).
 	Compiled bool
 	// Learn enables the closed continual-learning loop (feedback
 	// ingestion, drift detection, drift-triggered fine-tune with shadow
