@@ -97,8 +97,7 @@ func (*leastLoadedRouter) pick(replicas []*Replica, _ uint64, tried uint64) (*Re
 // affinityRouter implements rendezvous (highest-random-weight) hashing: each
 // replica scores score(key, name) and the maximum over the full pool owns
 // the key. Scores reuse the fault package's seeded splitmix64∘FNV uniform —
-// the same keyed-hash machinery the fingerprint and fault layers already
-// trust — so placement is a pure function of (key, replica names): stable
+// the same keyed-hash machinery the fault layer already trusts — so placement is a pure function of (key, replica names): stable
 // across gateway restarts, independent of replica order, and with minimal
 // disruption (only the ejected owner's keys move) on membership change.
 type affinityRouter struct{}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math"
 
 	"zerotune/internal/features"
@@ -12,6 +11,13 @@ import (
 // key of the serving layer.
 type Fingerprint [16]byte
 
+// Fingerprint seeds: the two 64-bit halves of a Fingerprint are XXH64
+// digests of one word stream under these.
+const (
+	fingerprintSeedHi uint64 = 0
+	fingerprintSeedLo uint64 = 0x9E3779B97F4A7C15
+)
+
 // PlanFingerprint hashes exactly the model-visible parts of an encoded
 // graph: operator feature vectors, resource feature vectors, data-flow
 // edges, mapping edges with instance counts, and the read-out position.
@@ -20,42 +26,44 @@ type Fingerprint [16]byte
 // indistinguishable to the model and must share a cache slot. The mask is
 // hashed too so models with different feature visibility never collide
 // (the cache is additionally cleared on model swap; see Registry).
+//
+// Those fields form a stream of little-endian 64-bit words (floats by their
+// IEEE-754 bits), streamed straight into XXH64's lanes under two fixed seeds
+// — 128 bits out, big-endian, and no allocation. Like the FNV-128a it
+// replaced, the hash is not cryptographic: it resists accidents, not an
+// adversary. The plan cache does not compare graphs on a hit, so two plans
+// that collide share one cached prediction, and the second is answered
+// wrongly; at 128 bits an accidental collision is not expected.
 func PlanFingerprint(g *features.Graph, mask features.Mask) Fingerprint {
-	h := fnv.New128a()
-	var buf [8]byte
-	wu := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	wf := func(v float64) { wu(math.Float64bits(v)) }
-
-	wu(uint64(mask))
-	wu(uint64(len(g.OpNodes)))
+	d := newXXHWords(fingerprintSeedHi, fingerprintSeedLo)
+	d.write(uint64(mask))
+	d.write(uint64(len(g.OpNodes)))
 	for _, n := range g.OpNodes {
-		wu(uint64(n.Type))
+		d.write(uint64(n.Type))
 		for _, v := range n.Feat {
-			wf(v)
+			d.write(math.Float64bits(v))
 		}
 	}
-	wu(uint64(len(g.ResNodes)))
+	d.write(uint64(len(g.ResNodes)))
 	for _, n := range g.ResNodes {
 		for _, v := range n.Feat {
-			wf(v)
+			d.write(math.Float64bits(v))
 		}
 	}
-	wu(uint64(len(g.DataEdges)))
+	d.write(uint64(len(g.DataEdges)))
 	for _, e := range g.DataEdges {
-		wu(uint64(e[0])<<32 | uint64(uint32(e[1])))
+		d.write(uint64(e[0])<<32 | uint64(uint32(e[1])))
 	}
-	wu(uint64(len(g.Mapping)))
+	d.write(uint64(len(g.Mapping)))
 	for _, m := range g.Mapping {
-		wu(uint64(m.OpIdx))
-		wu(uint64(m.ResIdx))
-		wu(uint64(m.Instances))
+		d.write(uint64(m.OpIdx))
+		d.write(uint64(m.ResIdx))
+		d.write(uint64(m.Instances))
 	}
-	wu(uint64(g.SinkIdx))
+	d.write(uint64(g.SinkIdx))
 
 	var fp Fingerprint
-	h.Sum(fp[:0])
+	binary.BigEndian.PutUint64(fp[:8], d.sum(0))
+	binary.BigEndian.PutUint64(fp[8:], d.sum(1))
 	return fp
 }

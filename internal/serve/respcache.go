@@ -13,8 +13,9 @@ import (
 // agree) and is invalidated wholesale on every model swap — the stored
 // responses embed the model ID.
 //
-// Lookups hash the body with FNV-1a and verify with a full byte compare, so
-// a hash collision degrades to a miss, never a wrong answer. The hit path
+// Lookups hash the body with XXH64 and verify with a full byte compare, so
+// a hash collision degrades to a miss, never a wrong answer. A miss hashes
+// its body once: get returns the key, and put takes it back. The hit path
 // performs no allocation; eviction is FIFO over a fixed ring.
 type respCache struct {
 	mu   sync.RWMutex
@@ -36,55 +37,47 @@ func newRespCache(max int) *respCache {
 	return &respCache{max: max, m: make(map[uint64]*respEntry, max)}
 }
 
-// HashBody is FNV-1a-64 over the raw request bytes: the body cache's key,
-// and — so that byte-identical requests land on the replica whose caches
-// already hold them — the gateway's affinity-routing key and the serve-tier
-// simulator's cache key too.
+// HashBody is XXH64 with seed 0 over the raw request bytes: the body cache's
+// key, and — so that byte-identical requests land on the replica whose
+// caches already hold them — the gateway's affinity-routing key and the
+// serve-tier simulator's cache key too.
 func HashBody(body []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range body {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
+	return xxh64(body, 0)
 }
 
-// get returns the stored response for a byte-identical body. The returned
-// slice is shared and must not be modified.
-func (c *respCache) get(body []byte) ([]byte, bool) {
-	h := HashBody(body)
+// get returns the stored response for a byte-identical body, and the body's
+// key either way, for a miss to hand to put. The returned slice is shared
+// and must not be modified.
+func (c *respCache) get(body []byte) (resp []byte, key uint64, ok bool) {
+	key = HashBody(body)
 	c.mu.RLock()
-	e := c.m[h]
+	e := c.m[key]
 	c.mu.RUnlock()
 	if e == nil || !bytes.Equal(e.body, body) {
-		return nil, false
+		return nil, key, false
 	}
-	return e.resp, true
+	return e.resp, key, true
 }
 
-// put stores resp as the answer for body, copying body and taking ownership
-// of resp. A colliding hash slot is simply overwritten.
-func (c *respCache) put(body, resp []byte) {
-	h := HashBody(body)
+// put stores resp as the answer for body under key, which must be
+// HashBody(body) (get returns it), copying body and taking ownership of
+// resp. A colliding hash slot is simply overwritten.
+func (c *respCache) put(key uint64, body, resp []byte) {
 	e := &respEntry{body: append([]byte(nil), body...), resp: resp}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, exists := c.m[h]; exists {
-		c.m[h] = e // refresh in place; ring position unchanged
+	if _, exists := c.m[key]; exists {
+		c.m[key] = e // refresh in place; ring position unchanged
 		return
 	}
 	if len(c.ring) < c.max {
-		c.ring = append(c.ring, h)
+		c.ring = append(c.ring, key)
 	} else {
 		delete(c.m, c.ring[c.head])
-		c.ring[c.head] = h
+		c.ring[c.head] = key
 		c.head = (c.head + 1) % c.max
 	}
-	c.m[h] = e
+	c.m[key] = e
 }
 
 // clear drops every entry (model swap).

@@ -430,7 +430,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	*bufp = body[:0]
-	if data, ok := s.resp.get(body); ok {
+	data, bodyKey, ok := s.resp.get(body)
+	if ok {
 		s.respHits.Inc()
 		w.Header().Set("Content-Type", "application/json")
 		_, _ = w.Write(data)
@@ -569,19 +570,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			Cached: !leader, ModelID: entry.ID,
 		}
 		s.noteRecent(fp, req.Plan, c, g, pred, &resp)
-		s.writePredict(w, body, resp)
+		s.writePredict(w, bodyKey, body, resp)
 		return
 	}
 }
 
 // writePredict writes a successful prediction and retains its marshaled form
-// in the body-level response cache, flagged Cached for the repeats it will
-// answer.
-func (s *Server) writePredict(w http.ResponseWriter, body []byte, resp PredictResponse) {
+// in the body-level response cache under bodyKey, the key its lookup
+// computed, flagged Cached for the repeats it will answer.
+func (s *Server) writePredict(w http.ResponseWriter, bodyKey uint64, body []byte, resp PredictResponse) {
 	writeJSON(w, http.StatusOK, resp)
 	resp.Cached = true
 	if data, err := json.Marshal(resp); err == nil {
-		s.resp.put(body, append(data, '\n'))
+		s.resp.put(bodyKey, body, append(data, '\n'))
 	}
 }
 
