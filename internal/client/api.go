@@ -47,9 +47,10 @@ func (c *Client) Reload(ctx context.Context, req *serve.ReloadRequest) (*serve.R
 	return &out, nil
 }
 
-// Health fetches /healthz. A serving endpoint answers 200; an endpoint
-// without a model answers 503, surfaced as an error (errors.Is
-// ErrUnavailable / ErrNoModel depending on the body).
+// Health fetches /healthz. A serving endpoint answers 200. A replica without
+// a model, or a gateway with no healthy replica, answers 503 with a health
+// body, not the error envelope; it surfaces as an *APIError with Code
+// unavailable.
 func (c *Client) Health(ctx context.Context) (*serve.HealthResponse, error) {
 	var out serve.HealthResponse
 	if err := c.do(ctx, "/healthz", nil, &out); err != nil {

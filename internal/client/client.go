@@ -1,14 +1,15 @@
 // Package client is the one HTTP client of the zerotune serving stack: a
 // typed Go API over /v1/predict, /v1/tune, /v1/feedback, /v1/reload and
 // /healthz that decodes the stack's stable error envelope
-// `{"error":{"code","message"}}` into exported sentinel errors.
+// `{"error":{"code","message"}}` into an *APIError that errors.Is-matches the
+// serve sentinel of its code.
 //
 // A *Client is a serve.Backend: the gateway fronts a remote replica with
 // one, `zerotune bench -target` drives one, the chaos driver watches one.
 // Requests are serve.NewRequest's, so the SLO class rides on the context
 // (serve.WithSLOClass); response reads are bounded at serve.MaxBodyBytes, so
 // a misbehaving backend cannot balloon memory; and wire codes map to errors
-// here only.
+// through serve's one code table.
 //
 // Two transports share every code path above them: New dials a base URL
 // over HTTP, NewForHandler drives an http.Handler in process. The handler
@@ -167,10 +168,7 @@ const maxRawMessage = 256
 // bodies that are not the envelope (proxies, panics mid-write).
 func decodeAPIError(status int, body []byte) error {
 	var env struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
+		Error serve.ErrorBody `json:"error"`
 	}
 	if err := json.Unmarshal(body, &env); err == nil && env.Error.Code != "" {
 		return &APIError{Status: status, Code: env.Error.Code, Message: env.Error.Message}
@@ -180,5 +178,5 @@ func decodeAPIError(status int, body []byte) error {
 		// The cut may split a rune; drop what is left of it.
 		msg = strings.ToValidUTF8(msg[:maxRawMessage], "")
 	}
-	return &APIError{Status: status, Message: msg}
+	return &APIError{Status: status, Code: serve.ErrorCode(status, nil), Message: msg}
 }

@@ -15,26 +15,6 @@ import (
 	"zerotune/internal/serve"
 )
 
-func TestNonEnvelopeBodyClassifiedByStatus(t *testing.T) {
-	cases := []struct {
-		status int
-		want   error
-	}{
-		{429, ErrQueueFull},
-		{400, ErrBadRequest},
-		{503, ErrUnavailable},
-		{499, ErrCanceled},
-		{500, ErrInternal},
-		{502, ErrInternal},
-	}
-	for _, c := range cases {
-		err := decodeAPIError(c.status, []byte("<html>proxy says no</html>"))
-		if !errors.Is(err, c.want) {
-			t.Errorf("status %d: got %v, want %v", c.status, err, c.want)
-		}
-	}
-}
-
 // TestNonEnvelopeBodyTruncatedOnRuneBoundary: a long non-envelope body is cut
 // to at most maxRawMessage bytes without splitting a multi-byte rune, whether
 // or not the cut falls on one.
@@ -45,7 +25,7 @@ func TestNonEnvelopeBodyTruncatedOnRuneBoundary(t *testing.T) {
 	} {
 		err := decodeAPIError(400, []byte(body))
 		var apiErr *APIError
-		if !errors.As(err, &apiErr) || !errors.Is(err, ErrBadRequest) {
+		if !errors.As(err, &apiErr) || apiErr.Code != "bad_request" {
 			t.Fatalf("got %v, want a bad-request *APIError", err)
 		}
 		if msg := apiErr.Message; !utf8.ValidString(msg) || len(msg) > maxRawMessage || len(msg) < maxRawMessage-utf8.UTFMax {
@@ -132,9 +112,10 @@ func TestTypedMethodsAgainstServe(t *testing.T) {
 	c := NewForHandler(s)
 	ctx := context.Background()
 
-	// No model installed: predict is 503 no_model.
+	// An empty predict is a 400 whether or not a model is installed.
 	_, err := c.Predict(ctx, &serve.PredictRequest{})
-	if !errors.Is(err, ErrNoModel) && !errors.Is(err, ErrBadRequest) {
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Code != "bad_request" {
 		t.Fatalf("modelless predict: %v", err)
 	}
 	// Health on a modelless server is non-200 → typed error.
@@ -143,8 +124,8 @@ func TestTypedMethodsAgainstServe(t *testing.T) {
 	}
 	// Learning disabled: feedback is 503 learning_disabled.
 	_, err = c.Feedback(ctx, &serve.FeedbackRequest{Fingerprint: "00", ObservedLatencyMs: 1, ObservedThroughputEPS: 1})
-	if !errors.Is(err, ErrLearningDisabled) {
-		t.Fatalf("feedback on non-learning server: %v, want ErrLearningDisabled", err)
+	if !errors.Is(err, serve.ErrLearningDisabled) {
+		t.Fatalf("feedback on non-learning server: %v, want serve.ErrLearningDisabled", err)
 	}
 	// Malformed body through the raw Call: enveloped 400.
 	status, body, err := c.Call(ctx, "/v1/predict", []byte("{nope"))

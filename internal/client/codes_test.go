@@ -3,56 +3,104 @@ package client_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
-	"sort"
 	"testing"
 
 	"zerotune/internal/client"
-	"zerotune/internal/gateway"
 	"zerotune/internal/serve"
 )
 
-// TestEveryKnownCodeHasSentinel pins the contract the client exists for:
-// every stable wire code either tier can emit maps to an exported sentinel,
-// a decoded envelope errors.Is-matches it, and the client's own code list
-// carries nothing the tiers no longer emit. (External test package: the
-// gateway imports client, so this cannot live inside package client.)
-func TestEveryKnownCodeHasSentinel(t *testing.T) {
-	codes := gateway.KnownErrorCodes() // superset: includes serve's
-	if len(codes) <= len(serve.KnownErrorCodes()) {
-		t.Fatal("gateway code list no longer includes serve's")
+// decode runs one typed call against a handler that answers with write and
+// returns the error the client decoded.
+func decode(t *testing.T, write func(w http.ResponseWriter)) error {
+	t.Helper()
+	c := client.NewForHandler(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { write(w) }))
+	_, err := c.Predict(context.Background(), &serve.PredictRequest{})
+	if err == nil {
+		t.Fatal("error response decoded as success")
 	}
-	emitted := make(map[string]bool)
+	return err
+}
+
+// writable finds a (status, error) pair serve's writer answers with code: the
+// code's sentinel at its failure status, or, for a code with no sentinel, a
+// plain error at the first status whose fallback the code is.
+func writable(code string) (int, error, bool) {
+	if s := serve.SentinelFor(code); s != nil {
+		return serve.FailureStatus(s), s, true
+	}
+	plain := errors.New("plain")
+	for status := 400; status < 600; status++ {
+		if serve.ErrorCode(status, plain) == code {
+			return status, plain, true
+		}
+	}
+	return 0, nil, false
+}
+
+// TestEveryCodeRoundTrips pins what the client exists for: every code either
+// tier can write, written by serve's writer, decodes to an *APIError with that
+// code and status, which errors.Is-matches its own code's sentinel and no
+// other code's — and never the caller's own context errors.
+func TestEveryCodeRoundTrips(t *testing.T) {
+	codes := serve.KnownErrorCodes()
 	for _, code := range codes {
-		emitted[code] = true
-		sentinel, ok := client.SentinelForCode(code)
+		status, werr, ok := writable(code)
 		if !ok {
-			t.Errorf("wire code %q has no exported sentinel", code)
+			t.Errorf("no error or status makes serve write code %q", code)
 			continue
 		}
-		// Round-trip through a real decode: a handler answering with the
-		// envelope must come back as the matching sentinel.
-		h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusInternalServerError)
-			fmt.Fprintf(w, `{"error":{"code":%q,"message":"m"}}`, code)
-		})
-		_, err := client.NewForHandler(h).Predict(context.Background(), &serve.PredictRequest{})
-		if !errors.Is(err, sentinel) {
-			t.Errorf("decoded %q does not errors.Is its sentinel: %v", code, err)
-		}
+		err := decode(t, func(w http.ResponseWriter) { serve.WriteError(w, status, werr) })
 		var apiErr *client.APIError
-		if !errors.As(err, &apiErr) || apiErr.Code != code || apiErr.Status != http.StatusInternalServerError {
-			t.Errorf("decoded %q lost envelope fields: %+v", code, apiErr)
+		if !errors.As(err, &apiErr) || apiErr.Code != code || apiErr.Status != status || apiErr.Message != werr.Error() {
+			t.Errorf("%q written at %d decoded as %#v", code, status, apiErr)
+			continue
+		}
+		for _, other := range codes {
+			s := serve.SentinelFor(other)
+			if s == nil {
+				continue
+			}
+			if want := other == code; errors.Is(err, s) != want {
+				t.Errorf("decoded %q: errors.Is(%q's sentinel) = %v, want %v", code, other, !want, want)
+			}
+		}
+		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("decoded %q matches a caller-side context error", code)
 		}
 	}
-	want := make([]string, 0, len(emitted))
-	for code := range emitted {
-		want = append(want, code)
+}
+
+// TestNonEnvelopeBodyClassifiedByStatus: a body that is not the envelope
+// takes the code serve's table gives its status alone, and that code's
+// sentinel where it has one.
+func TestNonEnvelopeBodyClassifiedByStatus(t *testing.T) {
+	cases := []struct {
+		status   int
+		code     string
+		sentinel error
+	}{
+		{429, "queue_full", serve.ErrQueueFull},
+		{400, "bad_request", nil},
+		{404, "not_found", nil},
+		{405, "method_not_allowed", nil},
+		{422, "invalid_model", nil},
+		{499, "canceled", nil},
+		{503, "unavailable", nil},
+		{500, "internal", nil},
+		{502, "internal", nil},
 	}
-	sort.Strings(want)
-	if got := client.KnownCodes(); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Errorf("client code list out of sync with the tiers:\n client: %v\n  tiers: %v", got, want)
+	for _, c := range cases {
+		err := decode(t, func(w http.ResponseWriter) {
+			w.WriteHeader(c.status)
+			_, _ = w.Write([]byte("<html>proxy says no</html>"))
+		})
+		var apiErr *client.APIError
+		if !errors.As(err, &apiErr) || apiErr.Code != c.code || apiErr.Code != serve.ErrorCode(c.status, nil) {
+			t.Errorf("status %d: decoded %v, want code %q", c.status, err, c.code)
+		}
+		if c.sentinel != nil && !errors.Is(err, c.sentinel) {
+			t.Errorf("status %d: %v does not match %v", c.status, err, c.sentinel)
+		}
 	}
 }

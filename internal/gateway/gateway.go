@@ -19,7 +19,8 @@
 //  4. Forwarding: the raw body and the X-SLO-Class header are proxied
 //     through serve.Backend.Call; replica responses, including error
 //     envelopes, pass through byte-for-byte with an X-Gateway-Replica header
-//     naming the backend that answered.
+//     naming the backend that answered. Feedback that a replica answers 404
+//     unknown_fingerprint goes on to the replica that served its predict.
 //
 // Health is active and passive: a probe loop ejects replicas that fail
 // consecutively (probes or forwards) and readmits them after a seeded
@@ -207,7 +208,7 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 		router:     rt,
 		adm:        adm,
 		queue:      newDispatchQueue(opts.Queue, opts.MaxConcurrent, opts.QueueDepth),
-		mux:        http.NewServeMux(),
+		mux:        serve.NewMux(),
 		endpoints:  make(map[string]*obs.Endpoint, len(endpointNames)),
 		self:       reg.Histogram(SelfMetric),
 		spillover:  reg.Counter("zerotune_gateway_spillover_total"),
@@ -301,7 +302,7 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 		}()
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("gateway: read request: %w", err))
+			serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("gateway: read request: %w", err))
 			return
 		}
 
@@ -312,7 +313,7 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 		cls := g.adm.class(class)
 		if !cls.Allow(g.opts.Now()) {
 			cls.rejected.Inc()
-			writeError(w, http.StatusTooManyRequests, ErrAdmissionRejected)
+			serve.WriteError(w, http.StatusTooManyRequests, serve.ErrAdmissionRejected)
 			return
 		}
 		cls.admitted.Inc()
@@ -320,14 +321,7 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 		// Stage 2: a dispatch slot, in queue-policy order.
 		enq := time.Now()
 		if err := g.queue.acquire(ctx, cls.cfg.Priority, len(body)); err != nil {
-			switch {
-			case errors.Is(err, errGatewayQueueFull):
-				writeError(w, http.StatusTooManyRequests, err)
-			case errors.Is(err, context.Canceled):
-				writeError(w, serve.StatusClientClosedRequest, err)
-			default:
-				writeError(w, http.StatusServiceUnavailable, err)
-			}
+			serve.WriteError(w, serve.FailureStatus(err), err)
 			return
 		}
 		defer g.queue.release()
@@ -339,20 +333,24 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 		// next-best replica. The affinity key is the replica body cache's
 		// own key, so byte-identical requests always route together;
 		// semantically-identical-but-differently-encoded requests still
-		// coalesce inside whichever replica owns each encoding.
+		// coalesce inside whichever replica owns each encoding. Feedback is
+		// keyed by its own body, not by the predict it reports on, so a
+		// replica answering 404 unknown_fingerprint sends it on to the next
+		// replica, through the whole pool, in the router's order.
 		key := serve.HashBody(body)
 		replicas := g.pool.Replicas()
 		var tried uint64
 		var lastErr error
-		for attempt := 0; attempt <= g.maxRetries; attempt++ {
+		var passMiss func() // passes on the last answer that feedback's plan is not held
+		for failures := 0; failures <= g.maxRetries; {
 			rep, spill := g.router.pick(replicas, key, tried)
 			if rep == nil {
 				break
 			}
-			tried |= 1 << uint(rep.idx)
-			if attempt > 0 {
+			if tried != 0 {
 				g.retries.Inc()
 			}
+			tried |= 1 << uint(rep.idx)
 			if spill {
 				g.spillover.Inc()
 			}
@@ -360,6 +358,7 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 			if err := fault.Inject(fault.GatewayRoute); err != nil {
 				g.pool.recordFailure(rep)
 				lastErr = err
+				failures++
 				continue
 			}
 			rep.requests.Inc()
@@ -381,29 +380,56 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 				if ctx.Err() != nil {
 					break
 				}
+				failures++
 				continue
 			}
 			g.pool.recordSuccess(rep)
+			if endpoint == "feedback" && predictedElsewhere(status, resp) {
+				passMiss = func() { writeReplica(w, rep, status, resp) }
+				continue
+			}
 			if status >= 200 && status < 300 {
 				cls.goodput.Inc()
 			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Gateway-Replica", rep.Name())
-			w.WriteHeader(status)
-			_, _ = w.Write(resp)
+			writeReplica(w, rep, status, resp)
 			return
 		}
 
 		switch {
 		case ctx.Err() != nil && errors.Is(ctx.Err(), context.Canceled):
-			writeError(w, serve.StatusClientClosedRequest, context.Canceled)
+			err = context.Canceled
+		case passMiss != nil && lastErr == nil:
+			// Every replica answered, and none holds the plan.
+			passMiss()
+			return
 		case lastErr == nil:
-			writeError(w, http.StatusServiceUnavailable, ErrNoReplica)
+			err = serve.ErrNoReplica
 		default:
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Errorf("%w: %w", ErrBackendUnavailable, lastErr))
+			err = fmt.Errorf("%w: %w", serve.ErrBackendUnavailable, lastErr)
 		}
+		serve.WriteError(w, serve.FailureStatus(err), err)
 	}
+}
+
+// writeReplica passes a replica's answer through byte-for-byte, naming the
+// replica.
+func writeReplica(w http.ResponseWriter, rep *Replica, status int, resp []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("X-Gateway-Replica", rep.Name())
+	w.WriteHeader(status)
+	_, _ = w.Write(resp)
+}
+
+// predictedElsewhere reports whether a replica's answer to a feedback post is
+// 404 unknown_fingerprint: the plan it reports on was not predicted there.
+func predictedElsewhere(status int, resp []byte) bool {
+	if status != http.StatusNotFound {
+		return false
+	}
+	var env struct {
+		Error serve.ErrorBody `json:"error"`
+	}
+	return json.Unmarshal(resp, &env) == nil && serve.SentinelFor(env.Error.Code) == serve.ErrUnknownFingerprint
 }
 
 // HealthResponse is the gateway's /healthz payload.
@@ -462,21 +488,12 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	default:
 		resp.Status = "ok"
 	}
-	writeJSON(w, status, resp)
+	serve.WriteJSON(w, status, resp)
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_ = g.reg.WritePrometheus(w)
-}
-
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
 }
 
 // Summary renders the shutdown digest: per-endpoint traffic, per-class

@@ -113,7 +113,7 @@ func checkEnvelope(t *testing.T, status int, body []byte, known map[string]bool)
 
 func knownCodes() map[string]bool {
 	m := map[string]bool{}
-	for _, c := range KnownErrorCodes() {
+	for _, c := range serve.KnownErrorCodes() {
 		m[c] = true
 	}
 	return m
@@ -471,8 +471,8 @@ func TestDispatchQueueFullAndCancel(t *testing.T) {
 	for q.depth() != 1 {
 		time.Sleep(100 * time.Microsecond)
 	}
-	if err := q.acquire(context.Background(), 0, 0); err != errGatewayQueueFull {
-		t.Fatalf("full wait line returned %v, want errGatewayQueueFull", err)
+	if err := q.acquire(context.Background(), 0, 0); err != serve.ErrQueueFull {
+		t.Fatalf("full wait line returned %v, want serve.ErrQueueFull", err)
 	}
 	cancel()
 	if err := <-parked; err != context.Canceled {
@@ -535,5 +535,36 @@ func TestGatewayValidation(t *testing.T) {
 	}
 	if _, err := New(asBackends(reps), Options{Classes: []ClassConfig{{Name: "x"}, {Name: "x"}}}); err == nil {
 		t.Fatal("New accepted duplicate SLO classes")
+	}
+}
+
+// TestGatewayUnroutedWearsEnvelope: a request no gateway route takes gets the
+// envelope, as a replica's would: a wrong method is 405 with the methods the
+// path takes in Allow, an unknown path (the gateway does not proxy
+// /v1/reload) is 404.
+func TestGatewayUnroutedWearsEnvelope(t *testing.T) {
+	g, err := New(asBackends(newReplicaSet(t, 1)), Options{ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	for _, c := range []struct {
+		method, path string
+		status       int
+		code, allow  string
+	}{
+		{http.MethodGet, "/v1/predict", http.StatusMethodNotAllowed, "method_not_allowed", "POST"},
+		{http.MethodDelete, "/healthz", http.StatusMethodNotAllowed, "method_not_allowed", "GET, HEAD"},
+		{http.MethodPost, "/v1/reload", http.StatusNotFound, "not_found", ""},
+		{http.MethodPost, "/v2/predict", http.StatusNotFound, "not_found", ""},
+	} {
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, nil))
+		var env envelope
+		err := json.Unmarshal(rec.Body.Bytes(), &env)
+		if err != nil || rec.Code != c.status || env.Error.Code != c.code || rec.Header().Get("Allow") != c.allow {
+			t.Errorf("%s %s: %d Allow %q %s, want %d %q Allow %q", c.method, c.path,
+				rec.Code, rec.Header().Get("Allow"), rec.Body, c.status, c.code, c.allow)
+		}
 	}
 }

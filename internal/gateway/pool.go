@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -18,6 +19,10 @@ const (
 	stateHealthy int32 = iota
 	stateEjected
 )
+
+// errProbeUnhealthy marks a probe that reached a replica that answered
+// non-200 — alive, but not fit to serve.
+var errProbeUnhealthy = errors.New("gateway: replica probe answered non-200")
 
 // loadEWMAAlpha weights the newest outstanding-request observation in the
 // per-replica load estimate. 0.25 reacts within a few requests while still

@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
+
+	"zerotune/internal/serve"
 )
 
 // QueuePolicy names the ordering discipline of the gateway-side dispatch
@@ -120,7 +122,7 @@ func (q *dispatchQueue) depth() int {
 }
 
 // acquire takes a dispatch slot, parking in policy order when all slots are
-// busy. It returns errGatewayQueueFull when the wait line is at capacity and
+// busy. It returns serve.ErrQueueFull when the wait line is at capacity and
 // the context error if the caller gave up while parked.
 func (q *dispatchQueue) acquire(ctx context.Context, prio, cost int) error {
 	q.mu.Lock()
@@ -131,7 +133,7 @@ func (q *dispatchQueue) acquire(ctx context.Context, prio, cost int) error {
 	}
 	if q.heap.Len() >= q.maxWaiting {
 		q.mu.Unlock()
-		return errGatewayQueueFull
+		return serve.ErrQueueFull
 	}
 	q.seq++
 	w := &waiter{prio: prio, cost: cost, seq: q.seq, ready: make(chan struct{})}

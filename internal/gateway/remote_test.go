@@ -66,13 +66,6 @@ func TestGatewayForwardsSLOClass(t *testing.T) {
 			if err := json.Unmarshal(predictBody(t, 2), &req); err != nil {
 				t.Fatal(err)
 			}
-			// Every replica serves the plan once, so the feedback finds its
-			// fingerprint on whichever replica affinity routes it to.
-			for _, s := range servers {
-				if _, err := client.NewForHandler(s).Predict(ctx, &req); err != nil {
-					t.Fatal(err)
-				}
-			}
 			// The gateway is reached over HTTP, so the class arrives as a
 			// header only and must be put back on each forward's context.
 			gs := httptest.NewServer(g)
@@ -100,6 +93,67 @@ func TestGatewayForwardsSLOClass(t *testing.T) {
 				t.Fatalf("replicas recorded feedback under classes %q, want [gold]", classes)
 			}
 		})
+	}
+}
+
+// TestGatewayFeedbackFindsThePredictingReplica: feedback is routed by its own
+// body, not the predict's, so it usually lands on a replica that never served
+// the plan. That replica's 404 unknown_fingerprint sends the gateway on to the
+// rest of the pool, and the feedback is recorded where the predict ran.
+func TestGatewayFeedbackFindsThePredictingReplica(t *testing.T) {
+	servers, _, backends := replicas(t, 3, false, serve.Options{Learn: &serve.LearnOptions{}})
+	g, err := New(backends, Options{ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	byName := map[string]*serve.Server{}
+	for i, b := range backends {
+		byName[b.Name()] = servers[i]
+	}
+	forward := func(path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		return rec
+	}
+	const posts = 8
+	for i := 1; i <= posts; i++ {
+		rec := forward("/v1/predict", predictBody(t, i))
+		var pred serve.PredictResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &pred); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("predict %d: %d %s", i, rec.Code, rec.Body)
+		}
+		owner := byName[rec.Header().Get("X-Gateway-Replica")]
+		if owner == nil {
+			t.Fatalf("predict %d names no replica: %q", i, rec.Header().Get("X-Gateway-Replica"))
+		}
+		fb, err := json.Marshal(serve.FeedbackRequest{
+			Fingerprint: pred.Fingerprint, ObservedLatencyMs: 2 * pred.LatencyMs, ObservedThroughputEPS: pred.ThroughputEPS,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec := forward("/v1/feedback", fb); rec.Code != http.StatusOK {
+			t.Fatalf("feedback %d: %d %s", i, rec.Code, rec.Body)
+		}
+		recorded := false
+		for _, smp := range owner.FeedbackStore().Snapshot() {
+			recorded = recorded || smp.Fingerprint == pred.Fingerprint
+		}
+		if !recorded {
+			t.Errorf("feedback %d is not recorded on %s, which served its predict", i, rec.Header().Get("X-Gateway-Replica"))
+		}
+	}
+	// A fingerprint no replica holds: every replica is asked, none ejected,
+	// and the last 404 passes through.
+	fb := []byte(`{"fingerprint":"` + strings.Repeat("ab", 16) + `","observed_latency_ms":1,"observed_throughput_eps":1}`)
+	rec := forward("/v1/feedback", fb)
+	var env envelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusNotFound || env.Error.Code != "unknown_fingerprint" {
+		t.Fatalf("unheld fingerprint: %d %s", rec.Code, rec.Body)
+	}
+	if n := g.Pool().HealthyCount(); n != len(backends) {
+		t.Fatalf("%d of %d replicas healthy after unknown-fingerprint answers", n, len(backends))
 	}
 }
 

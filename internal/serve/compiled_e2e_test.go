@@ -150,7 +150,8 @@ func TestServeGateRefusal(t *testing.T) {
 	}
 
 	_, err = c.Reload(context.Background(), &serve.ReloadRequest{Path: saveModel(t, refused, "refused.json")})
-	if !errors.Is(err, client.ErrInvalidModel) || !strings.Contains(err.Error(), "accuracy gate") {
+	var apiErr *client.APIError
+	if !errors.As(err, &apiErr) || apiErr.Code != "invalid_model" || !strings.Contains(err.Error(), "accuracy gate") {
 		t.Fatalf("reload of a gate-refused file: %v, want invalid_model naming the accuracy gate", err)
 	}
 	if got := engine(); got != "f32" {

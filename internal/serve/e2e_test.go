@@ -497,14 +497,32 @@ func TestServeWireErrors(t *testing.T) {
 		t.Fatalf("invalid plan: status %d, want 400", code)
 	}
 
-	// Wrong method.
-	resp, err = http.Get(predictURL(ts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET predict: status %d, want 405", resp.StatusCode)
+	// Unrouted requests wear the envelope too: a wrong method is 405 with the
+	// methods the path takes in Allow, an unknown path is 404.
+	for _, c := range []struct {
+		method, path string
+		status       int
+		code, allow  string
+	}{
+		{http.MethodGet, "/v1/predict", http.StatusMethodNotAllowed, "method_not_allowed", "POST"},
+		{http.MethodDelete, "/healthz", http.StatusMethodNotAllowed, "method_not_allowed", "GET, HEAD"},
+		{http.MethodPost, "/v2/predict", http.StatusNotFound, "not_found", ""},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env struct{ Error serve.ErrorBody }
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != c.status || env.Error.Code != c.code || resp.Header.Get("Allow") != c.allow {
+			t.Fatalf("%s %s: %d %q Allow %q (decode: %v), want %d %q Allow %q", c.method, c.path,
+				resp.StatusCode, env.Error.Code, resp.Header.Get("Allow"), err, c.status, c.code, c.allow)
+		}
 	}
 
 	// No model installed.

@@ -3,27 +3,29 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
+	"strings"
 
 	"zerotune/internal/artifact"
 	"zerotune/internal/fault"
 )
 
-// Sentinel errors of the serving layer. Callers branch on them with
-// errors.Is; the HTTP layer maps each to a stable machine-readable code in
-// the error envelope (see writeError).
+// Sentinel errors of the serving stack, replica and gateway alike. Callers
+// branch on them with errors.Is, on either side of the wire: the envelope
+// writer maps each to its code through wireCodes, and a client's decoded
+// envelope matches the sentinel of its code.
 var (
 	// ErrBatcherClosed is returned for predictions submitted after
 	// shutdown began.
 	ErrBatcherClosed = errors.New("serve: batcher closed")
-	// ErrQueueFull is returned when the submission queue is at capacity —
-	// backpressure the HTTP layer maps to 429 instead of letting requests
-	// pile up blocked inside the process.
-	ErrQueueFull = errors.New("serve: prediction queue full")
+	// ErrQueueFull is returned when the batcher's submission queue or the
+	// gateway's dispatch wait line is at capacity: backpressure answered
+	// with 429 instead of letting requests pile up blocked in the process.
+	ErrQueueFull = errors.New("serve: queue full")
 	// ErrPredictTimeout is returned when a submitted prediction's batch
 	// did not run within the deadline (a wedged or overloaded flush loop);
-	// the HTTP layer maps it to 503 so clients fail fast instead of
-	// hanging.
+	// it is answered with 503 so clients fail fast instead of hanging.
 	ErrPredictTimeout = errors.New("serve: prediction deadline exceeded")
 	// ErrStaleEntry is what followers of a failed cache leader receive:
 	// the leader's entry was deleted on error, so followers that attached
@@ -34,9 +36,8 @@ var (
 	// ErrNoModel is returned while the registry has no installed model.
 	ErrNoModel = errors.New("serve: no model installed")
 	// ErrCircuitOpen is the cause attached to requests rejected by an open
-	// circuit breaker. Clients only see it (as a 503 with code
-	// "circuit_open") when the served model has no fallback estimator;
-	// otherwise the request is answered degraded.
+	// circuit breaker. Clients only see it (as a 503) when the served model
+	// has no fallback estimator; otherwise the request is answered degraded.
 	ErrCircuitOpen = errors.New("serve: circuit open (learned path unavailable)")
 	// ErrLearningDisabled is returned for /v1/feedback when the server was
 	// built without Options.Learn — there is no store to ingest into.
@@ -45,63 +46,154 @@ var (
 	// fingerprint absent from the recent-prediction index (never predicted
 	// here, or already evicted).
 	ErrUnknownFingerprint = errors.New("serve: unknown plan fingerprint")
+	// ErrAdmissionRejected is returned by the gateway when an SLO class's
+	// token bucket is empty: the class is over its contracted rate, which
+	// its 429 tells apart from gateway-wide queue pressure.
+	ErrAdmissionRejected = errors.New("gateway: admission rejected (SLO class over rate)")
+	// ErrNoReplica is returned by the gateway when no healthy replica
+	// remains to route to.
+	ErrNoReplica = errors.New("gateway: no healthy replica")
+	// ErrBackendUnavailable is returned by the gateway when every routable
+	// replica failed at the transport level for one request.
+	ErrBackendUnavailable = errors.New("gateway: backend unavailable")
 )
 
 // StatusClientClosedRequest is nginx's non-standard 499: the client went
 // away before the response; no standard code fits a cancelled request.
 const StatusClientClosedRequest = 499
 
-// errorCode maps an error (and the status it is served with) to the stable
-// `code` field of the error envelope.
-func errorCode(status int, err error) string {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		return "queue_full"
-	case errors.Is(err, ErrPredictTimeout) || errors.Is(err, context.DeadlineExceeded):
-		return "timeout"
-	case errors.Is(err, context.Canceled):
-		return "canceled"
-	case errors.Is(err, ErrBatcherClosed):
-		return "shutting_down"
-	case errors.Is(err, ErrStaleEntry):
-		return "stale_entry"
-	case errors.Is(err, ErrNoModel):
-		return "no_model"
-	case errors.Is(err, ErrCircuitOpen):
-		return "circuit_open"
-	case errors.Is(err, ErrLearningDisabled):
-		return "learning_disabled"
-	case errors.Is(err, ErrUnknownFingerprint):
-		return "unknown_fingerprint"
-	case fault.IsInjected(err):
-		return "fault_injected"
-	case errors.Is(err, artifact.ErrChecksum):
-		return "checksum_mismatch"
-	}
-	switch status {
-	case http.StatusBadRequest:
-		return "bad_request"
-	case http.StatusUnprocessableEntity:
-		return "invalid_model"
-	case http.StatusTooManyRequests:
-		return "queue_full"
-	case http.StatusServiceUnavailable:
-		return "unavailable"
-	case StatusClientClosedRequest:
-		return "canceled"
-	default:
-		return "internal"
-	}
+// wireCode is one row of the wire error vocabulary.
+type wireCode struct {
+	code   string
+	status int
+	// err is the sentinel that carries the code, on the serving side and in a
+	// client's decoded envelope; nil for a code read from the status alone.
+	err error
+	// ctxErr is a context error that carries the code on the serving side
+	// only: a client's decoded envelope never matches it, so a server's
+	// timeout is not mistaken for the caller's own deadline.
+	ctxErr error
+	// fallback makes the row the code of its status when no row claims the
+	// error.
+	fallback bool
 }
 
-// KnownErrorCodes lists every code errorCode can emit. Harnesses (the chaos
-// driver) use it to assert that no error response ever carries an unmapped
-// code.
-func KnownErrorCodes() []string {
-	return []string{
-		"queue_full", "timeout", "canceled", "shutting_down", "stale_entry",
-		"no_model", "circuit_open", "learning_disabled", "unknown_fingerprint",
-		"fault_injected", "checksum_mismatch",
-		"bad_request", "invalid_model", "unavailable", "internal",
+// wireCodes is the wire error vocabulary: every code either tier writes in
+// the envelope `{"error":{"code","message"}}`. An error takes the code of the
+// first row whose err or ctxErr it wraps, so order decides between errors
+// that wrap two sentinels (an injected fault wrapping a deadline is a
+// timeout; a transport failure wrapping one is a timeout, and any other is
+// backend_unavailable). An error no row claims takes the code of the first
+// fallback row with its status, and internal when none has it.
+var wireCodes = []wireCode{
+	{code: "queue_full", status: http.StatusTooManyRequests, err: ErrQueueFull, fallback: true},
+	{code: "timeout", status: http.StatusServiceUnavailable, err: ErrPredictTimeout, ctxErr: context.DeadlineExceeded},
+	{code: "canceled", status: StatusClientClosedRequest, ctxErr: context.Canceled, fallback: true},
+	{code: "shutting_down", status: http.StatusServiceUnavailable, err: ErrBatcherClosed},
+	{code: "stale_entry", status: http.StatusServiceUnavailable, err: ErrStaleEntry},
+	{code: "no_model", status: http.StatusServiceUnavailable, err: ErrNoModel},
+	{code: "circuit_open", status: http.StatusServiceUnavailable, err: ErrCircuitOpen},
+	{code: "learning_disabled", status: http.StatusServiceUnavailable, err: ErrLearningDisabled},
+	{code: "unknown_fingerprint", status: http.StatusNotFound, err: ErrUnknownFingerprint},
+	{code: "admission_rejected", status: http.StatusTooManyRequests, err: ErrAdmissionRejected},
+	{code: "no_replica", status: http.StatusServiceUnavailable, err: ErrNoReplica},
+	{code: "backend_unavailable", status: http.StatusServiceUnavailable, err: ErrBackendUnavailable},
+	{code: "fault_injected", status: http.StatusServiceUnavailable, err: fault.ErrInjected},
+	{code: "checksum_mismatch", status: http.StatusUnprocessableEntity, err: artifact.ErrChecksum},
+	{code: "bad_request", status: http.StatusBadRequest, fallback: true},
+	{code: "invalid_model", status: http.StatusUnprocessableEntity, fallback: true},
+	{code: "unavailable", status: http.StatusServiceUnavailable, fallback: true},
+	{code: "method_not_allowed", status: http.StatusMethodNotAllowed, fallback: true},
+	{code: "not_found", status: http.StatusNotFound, fallback: true},
+	{code: "internal", status: http.StatusInternalServerError, fallback: true},
+}
+
+// claiming is the first row that claims err, nil when none does.
+func claiming(err error) *wireCode {
+	for i := range wireCodes {
+		row := &wireCodes[i]
+		if (row.err != nil && errors.Is(err, row.err)) || (row.ctxErr != nil && errors.Is(err, row.ctxErr)) {
+			return row
+		}
 	}
+	return nil
+}
+
+// ErrorCode is the code of the envelope answering err with status.
+func ErrorCode(status int, err error) string {
+	if row := claiming(err); row != nil {
+		return row.code
+	}
+	for _, row := range wireCodes {
+		if row.fallback && row.status == status {
+			return row.code
+		}
+	}
+	return wireCodes[len(wireCodes)-1].code
+}
+
+// FailureStatus is the status of a failed predict, tune or forward: that of
+// the first row claiming err, and 503 when none does.
+func FailureStatus(err error) int {
+	if row := claiming(err); row != nil {
+		return row.status
+	}
+	return http.StatusServiceUnavailable
+}
+
+// SentinelFor is the sentinel a decoded envelope carrying code matches with
+// errors.Is; nil for a code with none (canceled, bad_request, invalid_model,
+// unavailable, method_not_allowed, not_found, internal), which callers read
+// from the code itself.
+func SentinelFor(code string) error {
+	for _, row := range wireCodes {
+		if row.code == code {
+			return row.err
+		}
+	}
+	return nil
+}
+
+// KnownErrorCodes lists every code either tier can write, in table order.
+// Harnesses (the chaos driver) use it to assert that no error response ever
+// carries an unmapped code.
+func KnownErrorCodes() []string {
+	codes := make([]string, len(wireCodes))
+	for i, row := range wireCodes {
+		codes[i] = row.code
+	}
+	return codes
+}
+
+// WriteError writes the error envelope with status, its code derived from
+// err and status by ErrorCode. It is the one writer of both tiers' errors.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, errorResponse{Error: ErrorBody{
+		Code: ErrorCode(status, err), Message: err.Error(),
+	}})
+}
+
+// NewMux returns a ServeMux that answers a request no route takes with the
+// envelope: 405 method_not_allowed, with the methods the path does take in
+// the Allow header, or 404 not_found. Both tiers route through one.
+func NewMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		var allow []string // sorted, as net/http's own 405 lists them
+		for _, m := range []string{http.MethodDelete, http.MethodGet, http.MethodHead, http.MethodOptions,
+			http.MethodPatch, http.MethodPost, http.MethodPut, http.MethodTrace} {
+			alt := r.Clone(r.Context())
+			alt.Method = m
+			if _, pattern := mux.Handler(alt); pattern != "/" {
+				allow = append(allow, m)
+			}
+		}
+		if len(allow) == 0 {
+			WriteError(w, http.StatusNotFound, fmt.Errorf("serve: %s %s: no such endpoint", r.Method, r.URL.Path))
+			return
+		}
+		w.Header().Set("Allow", strings.Join(allow, ", "))
+		WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: %s %s: method not allowed", r.Method, r.URL.Path))
+	})
+	return mux
 }

@@ -210,34 +210,34 @@ func parseFingerprint(s string) (Fingerprint, error) {
 
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	if s.learn == nil {
-		writeError(w, http.StatusServiceUnavailable, ErrLearningDisabled)
+		WriteError(w, http.StatusServiceUnavailable, ErrLearningDisabled)
 		return
 	}
 	if err := fault.Inject(fault.FeedbackIngest); err != nil {
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	var req FeedbackRequest
 	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Fingerprint == "" {
-		writeError(w, http.StatusBadRequest, errors.New("serve: feedback needs the fingerprint echoed by /v1/predict"))
+		WriteError(w, http.StatusBadRequest, errors.New("serve: feedback needs the fingerprint echoed by /v1/predict"))
 		return
 	}
 	if !isPositiveFinite(req.ObservedLatencyMs) || !isPositiveFinite(req.ObservedThroughputEPS) {
-		writeError(w, http.StatusBadRequest, errors.New("serve: observed latency and throughput must be positive finite"))
+		WriteError(w, http.StatusBadRequest, errors.New("serve: observed latency and throughput must be positive finite"))
 		return
 	}
 	fp, err := parseFingerprint(req.Fingerprint)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	e, ok := s.learn.recent.get(fp)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %s", ErrUnknownFingerprint, req.Fingerprint))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("%w: %s", ErrUnknownFingerprint, req.Fingerprint))
 		return
 	}
 	s.learn.store.Record(feedback.Sample{
@@ -253,7 +253,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	})
 	s.learn.detector.Observe(e.predLat, req.ObservedLatencyMs)
 	mape, pearson, _ := s.learn.detector.Stats()
-	writeJSON(w, http.StatusOK, FeedbackResponse{
+	WriteJSON(w, http.StatusOK, FeedbackResponse{
 		Accepted:      true,
 		Fingerprint:   req.Fingerprint,
 		StoreSize:     s.learn.store.Len(),

@@ -34,7 +34,7 @@ func TestFeedbackDisabledIs503(t *testing.T) {
 	c := client.NewForHandler(s)
 	_, err := c.Feedback(context.Background(),
 		&serve.FeedbackRequest{Fingerprint: "00", ObservedLatencyMs: 1, ObservedThroughputEPS: 1})
-	if !errors.Is(err, client.ErrLearningDisabled) {
+	if !errors.Is(err, serve.ErrLearningDisabled) {
 		t.Fatalf("want ErrLearningDisabled, got %v", err)
 	}
 }
@@ -50,14 +50,15 @@ func TestFeedbackValidation(t *testing.T) {
 		{Fingerprint: "00112233445566778899aabbccddeeff", ObservedLatencyMs: 1, ObservedThroughputEPS: 0},
 	}
 	for i, req := range cases {
-		if _, err := c.Feedback(ctx, req); !errors.Is(err, client.ErrBadRequest) {
-			t.Errorf("case %d: want ErrBadRequest, got %v", i, err)
+		var apiErr *client.APIError
+		if _, err := c.Feedback(ctx, req); !errors.As(err, &apiErr) || apiErr.Code != "bad_request" {
+			t.Errorf("case %d: want bad_request, got %v", i, err)
 		}
 	}
 	// Well-formed but never served: 404 unknown_fingerprint.
 	_, err := c.Feedback(ctx, &serve.FeedbackRequest{
 		Fingerprint: "00112233445566778899aabbccddeeff", ObservedLatencyMs: 1, ObservedThroughputEPS: 1})
-	if !errors.Is(err, client.ErrUnknownFingerprint) {
+	if !errors.Is(err, serve.ErrUnknownFingerprint) {
 		t.Fatalf("want ErrUnknownFingerprint, got %v", err)
 	}
 	var apiErr *client.APIError
@@ -177,8 +178,8 @@ func TestFeedbackIngestFaultEnveloped(t *testing.T) {
 	_, c := learnServer(t, serve.LearnOptions{})
 	_, err := c.Feedback(context.Background(), &serve.FeedbackRequest{
 		Fingerprint: "00112233445566778899aabbccddeeff", ObservedLatencyMs: 1, ObservedThroughputEPS: 1})
-	if !errors.Is(err, client.ErrFaultInjected) {
-		t.Fatalf("want ErrFaultInjected, got %v", err)
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("want fault.ErrInjected, got %v", err)
 	}
 	var apiErr *client.APIError
 	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusServiceUnavailable {

@@ -136,7 +136,7 @@ type Options struct {
 	// Learn enables the closed continual-learning loop (feedback
 	// ingestion, drift detection, drift-triggered fine-tune with shadow
 	// evaluation and auto-promote/rollback). Nil disables it; /v1/feedback
-	// then answers 503 with code "learning_disabled".
+	// then answers 503 with ErrLearningDisabled.
 	Learn *LearnOptions
 }
 
@@ -214,7 +214,7 @@ func New(opts Options) *Server {
 		reg:    NewRegistry(),
 		stats:  NewStats(reg),
 		tracer: opts.Tracer,
-		mux:    http.NewServeMux(),
+		mux:    NewMux(),
 	}
 	s.resp = newRespCache(opts.CacheSize)
 	s.respHits = reg.Counter("zerotune_respcache_body_hits_total")
@@ -403,7 +403,7 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 func (s *Server) activeModel(w http.ResponseWriter) *ModelEntry {
 	entry := s.reg.Current()
 	if entry == nil {
-		writeError(w, http.StatusServiceUnavailable, ErrNoModel)
+		WriteError(w, http.StatusServiceUnavailable, ErrNoModel)
 		return nil
 	}
 	return entry
@@ -426,7 +426,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer s.bodyBufs.Put(bufp)
 	body, err := readBody(w, r, (*bufp)[:0])
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	*bufp = body[:0]
@@ -450,12 +450,12 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer arrival.Withdraw()
 	var req PredictRequest
 	if err := req.UnmarshalJSON(body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
 		return
 	}
 	clock.mark(StageDecode)
 	if req.Plan == nil {
-		writeError(w, http.StatusBadRequest, errors.New("serve: request has no plan"))
+		WriteError(w, http.StatusBadRequest, errors.New("serve: request has no plan"))
 		return
 	}
 	// Decoding validates nothing. The plan is judged here, ahead of the
@@ -464,20 +464,20 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// its query, and placement and encoding below reuse it.
 	topo, err := req.Plan.Analyze()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: invalid plan: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: invalid plan: %w", err))
 		return
 	}
 	instances := 0
 	for _, d := range req.Plan.Parallelism {
 		if instances += d; d > MaxPlanInstances || instances > MaxPlanInstances {
-			writeError(w, http.StatusBadRequest,
+			WriteError(w, http.StatusBadRequest,
 				fmt.Errorf("serve: plan exceeds the limit of %d operator instances", MaxPlanInstances))
 			return
 		}
 	}
 	c, err := req.Cluster.Build()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	entry := s.activeModel(w)
@@ -502,7 +502,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// Encode once; the graph is both the cache key and the model input.
 	g, err := entry.ZT.EncodePlan(ctx, topo, req.Plan, c)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	clock.mark(StageEncode)
@@ -518,7 +518,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 				sleepBackoff(attempt)
 				continue
 			}
-			writeError(w, predictStatus(err), err)
+			WriteError(w, FailureStatus(err), err)
 			return
 		}
 		_, lookup := obs.StartSpan(ctx, "cache.lookup")
@@ -558,7 +558,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 					sleepBackoff(attempt)
 					continue
 				}
-				writeError(w, predictStatus(err), err)
+				WriteError(w, FailureStatus(err), err)
 				return
 			}
 			if waits {
@@ -579,7 +579,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // in the body-level response cache under bodyKey, the key its lookup
 // computed, flagged Cached for the repeats it will answer.
 func (s *Server) writePredict(w http.ResponseWriter, bodyKey uint64, body []byte, resp PredictResponse) {
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 	resp.Cached = true
 	if data, err := json.Marshal(resp); err == nil {
 		s.resp.put(bodyKey, body, append(data, '\n'))
@@ -593,7 +593,7 @@ func (s *Server) writePredict(w http.ResponseWriter, bodyKey uint64, body []byte
 func (s *Server) finishPredict(w http.ResponseWriter, ctx context.Context, entry *ModelEntry,
 	p *queryplan.PQP, c *cluster.Cluster, err error) {
 	if !isForwardFailure(err) {
-		writeError(w, predictStatus(err), err)
+		WriteError(w, FailureStatus(err), err)
 		return
 	}
 	s.breaker.RecordFailure()
@@ -623,32 +623,17 @@ func (s *Server) serveDegraded(w http.ResponseWriter, ctx context.Context, entry
 	p *queryplan.PQP, c *cluster.Cluster, cause error) {
 	fb := entry.ZT.Fallback
 	if fb == nil {
-		writeError(w, predictStatus(cause), cause)
+		WriteError(w, FailureStatus(cause), cause)
 		return
 	}
 	_, span := obs.StartSpan(ctx, "fallback.predict")
 	lat, tpt := fb.Predict(p, c)
 	span.End()
 	s.stats.Degraded.Inc()
-	writeJSON(w, http.StatusOK, PredictResponse{
+	WriteJSON(w, http.StatusOK, PredictResponse{
 		LatencyMs: lat, ThroughputEPS: tpt,
 		ModelID: entry.ID, Degraded: true, Fallback: fb.Kind,
 	})
-}
-
-// predictStatus maps prediction failures to HTTP: a full queue is
-// backpressure the client should retry later (429), a cancelled request is
-// the client's own doing (499), everything else is service unavailability
-// (503).
-func predictStatus(err error) int {
-	switch {
-	case errors.Is(err, ErrQueueFull):
-		return http.StatusTooManyRequests
-	case errors.Is(err, context.Canceled):
-		return StatusClientClosedRequest
-	default:
-		return http.StatusServiceUnavailable
-	}
 }
 
 // MaxRandomCandidates bounds TuneRequest.RandomCandidates. Every candidate
@@ -664,18 +649,18 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	defer s.bodyBufs.Put(bufp)
 	body, err := readBody(w, r, (*bufp)[:0])
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	*bufp = body[:0]
 	var req TuneRequest
 	if err := req.UnmarshalJSON(body); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: decode request: %w", err))
 		return
 	}
 	c, err := req.Cluster.Build()
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	entry := s.activeModel(w)
@@ -688,7 +673,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.RandomCandidates != nil {
 		if n := *req.RandomCandidates; n < 0 || n > MaxRandomCandidates {
-			writeError(w, http.StatusBadRequest,
+			WriteError(w, http.StatusBadRequest,
 				fmt.Errorf("serve: random_candidates %d outside [0,%d]", n, MaxRandomCandidates))
 			return
 		}
@@ -706,15 +691,15 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// What the request got wrong is a 400; a client that hung up or a
 		// sweep that failed is not the caller's bad request.
-		status := predictStatus(err)
+		status := FailureStatus(err)
 		var input *optimizer.InputError
 		if errors.As(err, &input) {
 			status = http.StatusBadRequest
 		}
-		writeError(w, status, err)
+		WriteError(w, status, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, TuneResponse{
+	WriteJSON(w, http.StatusOK, TuneResponse{
 		Degrees:       degreesByOp(res.Plan),
 		DegreesVector: res.Plan.DegreesVector(),
 		LatencyMs:     res.Estimate.LatencyMs,
@@ -729,7 +714,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	var req ReloadRequest
 	// An empty body is a valid "reload what you're serving" request.
 	if err := decodeJSON(w, r, &req); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	path := req.Path
@@ -739,13 +724,13 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if path == "" {
-		writeError(w, http.StatusBadRequest, errors.New("serve: reload needs a model path"))
+		WriteError(w, http.StatusBadRequest, errors.New("serve: reload needs a model path"))
 		return
 	}
 	old, cur, err := s.reg.Swap(path)
 	if err != nil {
 		// Load-validate-swap: a bad file leaves the old model serving.
-		writeError(w, http.StatusUnprocessableEntity, err)
+		WriteError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	s.cache.Clear()
@@ -755,16 +740,16 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if old != nil {
 		resp.PreviousModelID = old.ID
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	entry := s.reg.Current()
 	if entry == nil {
-		writeJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "no model", Addr: s.BoundAddr()})
+		WriteJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "no model", Addr: s.BoundAddr()})
 		return
 	}
-	writeJSON(w, http.StatusOK, HealthResponse{
+	WriteJSON(w, http.StatusOK, HealthResponse{
 		Status:  "ok",
 		Addr:    s.BoundAddr(),
 		Circuit: s.breaker.State().String(),

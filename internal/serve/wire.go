@@ -231,7 +231,7 @@ type ModelInfo struct {
 }
 
 // ErrorBody is the uniform error payload: a stable machine-readable code
-// (see errorCode) plus a human-readable message. Every error on every
+// (see wireCodes) plus a human-readable message. Every error on every
 // endpoint uses this one shape — `{"error":{"code":...,"message":...}}`.
 type ErrorBody struct {
 	Code    string `json:"code"`
@@ -279,21 +279,14 @@ func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error
 	}
 }
 
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as JSON with the given status: every answer of both
+// tiers that is not a byte-for-byte pass-through.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
-}
-
-// writeError writes the error envelope, deriving the stable code from the
-// error chain and the status.
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: ErrorBody{
-		Code: errorCode(status, err), Message: err.Error(),
-	}})
 }
 
 // degreesByOp renders a plan's parallelism per operator with the operator ID
