@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"zerotune/internal/client"
-	"zerotune/internal/cluster"
 	"zerotune/internal/gateway"
 	"zerotune/internal/loadgen"
 	"zerotune/internal/obs"
@@ -35,32 +34,20 @@ func parseClassMix(spec string) (classes []loadgen.ClassShare, err error) {
 	return classes, err
 }
 
-// benchPlans samples n plans, and the cluster each was drawn for, from the
-// seeded workload generator, cycling the seen query structures.
-func benchPlans(seed uint64, n int) ([]*queryplan.PQP, []*cluster.Cluster, error) {
+// benchBodies builds n distinct /v1/predict payloads from plans sampled by
+// the seeded workload generator, cycling the seen query structures, each on
+// the cluster it was drawn for. The corpus is a pure function of the seed,
+// like everything else in a bench run.
+func benchBodies(seed uint64, n int) ([][]byte, error) {
 	gen := workload.NewSeenGenerator(seed)
 	structures := workload.SeenRanges().Structures
-	plans, clusters := make([]*queryplan.PQP, n), make([]*cluster.Cluster, n)
-	for i := range plans {
+	bodies := make([][]byte, max(n, 1))
+	for i := range bodies {
 		q, c, err := gen.SampleQuery(structures[i%len(structures)], uint64(i+1))
 		if err != nil {
-			return nil, nil, fmt.Errorf("sample plan %d: %w", i, err)
+			return nil, fmt.Errorf("sample plan %d: %w", i, err)
 		}
-		plans[i], clusters[i] = queryplan.NewPQP(q), c
-	}
-	return plans, clusters, nil
-}
-
-// benchBodies builds n distinct /v1/predict payloads from those plans. The
-// corpus is a pure function of the seed, like everything else in a bench run.
-func benchBodies(seed uint64, n int) ([][]byte, error) {
-	plans, clusters, err := benchPlans(seed, max(n, 1))
-	if err != nil {
-		return nil, err
-	}
-	bodies := make([][]byte, len(plans))
-	for i, p := range plans {
-		req := serve.PredictRequest{Plan: p, Cluster: serve.ClusterSpec{Workers: len(clusters[i].Nodes)}}
+		req := serve.PredictRequest{Plan: queryplan.NewPQP(q), Cluster: serve.ClusterSpec{Workers: len(c.Nodes)}}
 		if bodies[i], err = json.Marshal(req); err != nil {
 			return nil, fmt.Errorf("bench: encode body %d: %w", i, err)
 		}
@@ -131,9 +118,8 @@ func stageRows(pages []metricsPage) []loadgen.StageRow {
 }
 
 // benchTarget resolves what the harness drives: a remote URL, an in-process
-// gateway fronting N replicas, or a single in-process serve instance. cmd
-// prefixes what it logs.
-func benchTarget(cmd, targetURL, model string, replicas int, slo string, timeout time.Duration) (*liveTarget, error) {
+// gateway fronting N replicas, or a single in-process serve instance.
+func benchTarget(targetURL, model string, replicas int, slo string, timeout time.Duration) (*liveTarget, error) {
 	if targetURL != "" {
 		c, err := client.New(targetURL)
 		if err != nil {
@@ -141,7 +127,7 @@ func benchTarget(cmd, targetURL, model string, replicas int, slo string, timeout
 		}
 		return &liveTarget{Backend: c, name: targetURL, close: func() {}, remote: c}, nil
 	}
-	pool, closeReplicas, err := inProcessReplicas(cmd, model, max(replicas, 1), timeout)
+	pool, closeReplicas, err := inProcessReplicas("bench", model, max(replicas, 1), timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +146,7 @@ func benchTarget(cmd, targetURL, model string, replicas int, slo string, timeout
 		return nil, err
 	}
 	g.Start()
-	return &liveTarget{Backend: loadgen.HandlerTarget{Handler: g}, name: "gateway",
+	return &liveTarget{Backend: loadgen.HandlerTarget{Handler: g}, name: fmt.Sprintf("replicas=%d", replicas),
 		close: func() { g.Close(); closeReplicas() }, gateway: g, replicas: pool}, nil
 }
 
@@ -179,7 +165,7 @@ func benchCommand(fs *flag.FlagSet) func() error {
 	model := bindModel(fs, "model path for in-process targets")
 	replicas := fs.Int("replicas", 0, "front this many in-process replicas with the gateway")
 	slo := bindSLO(fs, "gateway SLO classes for -replicas", "")
-	bindSpec(fs, &gen, "schedule", "duration")
+	bindSpec(fs, &gen)
 	fs.Float64Var(&gen.Rate, "rate", 200, "mean offered load (req/s)")
 	fs.DurationVar(&gen.Duration, "duration", 10*time.Second, "intended-send horizon")
 	fs.IntVar(&gen.MaxRequests, "max-requests", 0, "additionally cap the schedule length (0 = unlimited)")
@@ -191,8 +177,15 @@ func benchCommand(fs *flag.FlagSet) func() error {
 	reportPath := bindReport(fs)
 	bindRunOptions(fs, &run)
 	return func() error {
-		if *sweep && (*record != "" || *replay != "") {
+		switch {
+		case *sweep && (*record != "" || *replay != ""):
 			return errors.New("bench: -sweep varies the rate per probe; it cannot be combined with -record/-replay")
+		case *replicas < 0:
+			return fmt.Errorf("bench: -replicas %d: want a replica count, or 0 for one bare serve", *replicas)
+		case *target != "" && (*replicas != 0 || *slo != ""):
+			return errors.New("bench: -replicas and -slo build an in-process tier; -target drives a remote one")
+		case *slo != "" && *replicas == 0:
+			return errors.New("bench: -slo configures the gateway's admission classes; it needs -replicas N")
 		}
 
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -241,7 +234,7 @@ func benchCommand(fs *flag.FlagSet) func() error {
 			return nil
 		}
 
-		tgt, err := benchTarget("bench", *target, *model, *replicas, *slo, run.Timeout)
+		tgt, err := benchTarget(*target, *model, *replicas, *slo, run.Timeout)
 		if err != nil {
 			return err
 		}

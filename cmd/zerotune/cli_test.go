@@ -196,6 +196,25 @@ func TestBenchReplayRejectsAModelFile(t *testing.T) {
 	}
 }
 
+// TestBenchRefusesFlagsItCannotUse: a tier flag the chosen target has no use
+// for is refused, naming the flag, before any replica starts — not dropped.
+func TestBenchRefusesFlagsItCannotUse(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-replicas", "-2"}, "-replicas"},
+		{[]string{"-target", "http://127.0.0.1:1", "-replicas", "2"}, "-replicas"},
+		{[]string{"-target", "http://127.0.0.1:1", "-slo", "gold=100"}, "-slo"},
+		{[]string{"-slo", "gold=100"}, "-slo"},
+	} {
+		err := lookup("bench").run(append(tc.args, "-dry"))
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("bench %s: err = %v, want a refusal naming %s", strings.Join(tc.args, " "), err, tc.flag)
+		}
+	}
+}
+
 // stageHeader is the stage table's header line as a reader greps for it.
 var stageHeader = regexp.MustCompile(`(?m)^stage +count +p50 +p99 +p99/p50$`)
 
@@ -250,49 +269,5 @@ func TestBenchSweepReport(t *testing.T) {
 	hit, front, forward := counts[serve.StageBodyHit.String()], counts[serve.StageFront.String()], counts[serve.StageForward.String()]
 	if hit == 0 || forward == 0 || hit+front != uint64(requests) {
 		t.Errorf("stages count %d body hits, %d misses of the body cache and %d forward passes over %d requests", hit, front, forward, requests)
-	}
-}
-
-// TestPlanReport holds `plan -report` to the 1-vs-3 replica capacity question
-// it exists to answer, under pinned service times and the flags README and CI
-// run it with, at several seeds: both scenarios present with a sustained rate
-// below the knee's upper end, monotone percentiles at every probed rate, and
-// three replicas sustaining at least what one does. Seeds 2 and 5 are there
-// because a goodput judged against the nominal rate, not the requests the
-// schedule drew, once found no sustained rate at all for either.
-func TestPlanReport(t *testing.T) {
-	for _, seed := range []string{"2", "5", "11"} {
-		report := filepath.Join(t.TempDir(), "plan.json")
-		stdout(t, func() {
-			runCLI(t, "plan", "-service", "encode=25µs,base=150µs,peritem=6µs,hit=3µs,gateway=2µs",
-				"-replicas", "1,3", "-cache=-1", "-max-batch", "1", "-route", "round-robin", "-p99", "10ms",
-				"-min-rate", "200", "-max-rate", "20000", "-step-duration", "500ms",
-				"-seed", seed, "-report", report)
-		})
-		var rep planReport
-		readJSON(t, report, &rep)
-		maxRPS := map[string]float64{}
-		for _, c := range rep.Capacity {
-			maxRPS[c.Scenario] = c.MaxRPS
-			if c.MaxRPS <= 0 {
-				t.Errorf("seed %s, %s: no sustained rate found", seed, c.Scenario)
-			}
-			if c.FailRPS != 0 && c.MaxRPS >= c.FailRPS {
-				t.Errorf("seed %s, %s: knee interval inverted: max %g, fail %g", seed, c.Scenario, c.MaxRPS, c.FailRPS)
-			}
-			for _, p := range c.Probes {
-				if !monotone(p.Step.Latency) {
-					t.Errorf("seed %s, %s at %g rps: percentiles not monotone: %+v", seed, c.Scenario, p.RPS, p.Step.Latency)
-				}
-			}
-		}
-		one, ok1 := maxRPS["replicas=1"]
-		three, ok3 := maxRPS["replicas=3"]
-		if len(maxRPS) != 2 || !ok1 || !ok3 {
-			t.Fatalf("seed %s: scenarios %v, want replicas=1 and replicas=3", seed, maxRPS)
-		}
-		if three < one {
-			t.Errorf("seed %s: 3 replicas sustain %g rps, fewer than 1 replica's %g", seed, three, one)
-		}
 	}
 }

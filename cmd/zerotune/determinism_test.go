@@ -92,20 +92,3 @@ func TestBenchTraceRecordReplay(t *testing.T) {
 	stdout(t, func() { runCLI(t, "bench", "-model", model, "-replay", trace("t1.ztrc"), "-record", trace("t3.ztrc")) })
 	sameFiles(t, trace("t1.ztrc"), trace("t3.ztrc"))
 }
-
-// TestPlanIsDeterministic: two planning runs with pinned service times agree
-// byte for byte on the decision trace and on the JSON report. What the report
-// must say is TestPlanReport's.
-func TestPlanIsDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	for _, run := range []string{"1", "2"} {
-		stdout(t, func() {
-			runCLI(t, "plan", "-service", "encode=25µs,base=150µs,peritem=6µs,hit=3µs,gateway=2µs",
-				"-replicas", "1,3", "-cache=-1", "-max-batch", "1", "-route", "round-robin", "-p99", "10ms",
-				"-min-rate", "200", "-max-rate", "20000", "-step-duration", "500ms", "-seed", "11",
-				"-trace", filepath.Join(dir, "plan"+run+".trace"), "-report", filepath.Join(dir, "plan"+run+".json"))
-		})
-	}
-	sameFiles(t, filepath.Join(dir, "plan1.trace"), filepath.Join(dir, "plan2.trace"))
-	sameFiles(t, filepath.Join(dir, "plan1.json"), filepath.Join(dir, "plan2.json"))
-}

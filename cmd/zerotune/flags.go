@@ -121,7 +121,7 @@ func bindRunOptions(fs *flag.FlagSet, o *loadgen.RunOptions) {
 }
 
 // bindSearch registers the capacity search's question, which bench -sweep
-// asks of a live target and plan of the simulator.
+// asks of its target.
 func bindSearch(fs *flag.FlagSet, o *loadgen.SearchOptions) {
 	fs.DurationVar(&o.P99, "p99", loadgen.DefaultP99, "a probed rate is sustained when its corrected p99 stays inside this and 95% of its requests succeed")
 	fs.Float64Var(&o.MinRPS, "min-rate", loadgen.DefaultMinRPS, "search floor (req/s): the first rate probed")
@@ -129,23 +129,21 @@ func bindSearch(fs *flag.FlagSet, o *loadgen.SearchOptions) {
 	fs.DurationVar(&o.StepDuration, "step-duration", loadgen.DefaultStepDuration, "load horizon of each evaluated rate")
 }
 
-// specFlags is the generated load bench drives and plan simulates: the
-// loadgen.Spec fields a flag sets directly, plus the two list-valued ones
-// build turns into Spec.Classes and Spec.Bodies.
+// specFlags is the generated load bench drives: the loadgen.Spec fields a
+// flag sets directly, plus the two list-valued ones build turns into
+// Spec.Classes and Spec.Bodies.
 type specFlags struct {
 	loadgen.Spec
 	classes string
 	corpus  int
 }
 
-// bindSpec's two notes are where bench and plan word a usage string
-// differently: what a seed pins, and the horizon a diurnal period defaults to.
-func bindSpec(fs *flag.FlagSet, s *specFlags, seedPins, horizon string) {
-	fs.Uint64Var(&s.Seed, "seed", 1, "seed for the arrival/class/body draws (same seed = byte-identical "+seedPins+")")
+func bindSpec(fs *flag.FlagSet, s *specFlags) {
+	fs.Uint64Var(&s.Seed, "seed", 1, "seed for the arrival/class/body draws (same seed = byte-identical schedule)")
 	fs.StringVar((*string)(&s.Arrival), "arrival", string(loadgen.ArrivalPoisson), "interarrival process: poisson | gamma | weibull | uniform")
 	fs.Float64Var(&s.CV, "cv", loadgen.DefaultCV, "interarrival coefficient of variation (gamma/weibull)")
 	fs.Float64Var(&s.DiurnalAmplitude, "diurnal", 0, "diurnal rate-envelope amplitude in [0,1)")
-	fs.DurationVar(&s.DiurnalPeriod, "diurnal-period", 0, "diurnal period (default: the "+horizon+")")
+	fs.DurationVar(&s.DiurnalPeriod, "diurnal-period", 0, "diurnal period (default: the duration)")
 	fs.StringVar(&s.classes, "classes", "", "SLO class mix of generated load: name=weight,...")
 	fs.IntVar(&s.corpus, "corpus", 8, "number of distinct request bodies in the generated corpus")
 }

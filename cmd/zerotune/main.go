@@ -13,7 +13,6 @@
 //	zerotune gateway    -addr 127.0.0.1:8090 {-backends http://h1:p1,http://h2:p2 | -replicas 3 -model model.json} [-route affinity] [-queue-policy fcfs] [-slo gold=200:400:10,bronze=50]
 //	zerotune chaos      -model model.json [-seed 1] [-requests 120] [-log events.log] [-circuit-threshold 3] [-probe-every 4]
 //	zerotune bench      -model model.json [-seed 1] [-rate 200] [-duration 10s] [-arrival poisson] [-sweep [-p99 50ms] [-min-rate 50] [-max-rate 50000]] [-record trace.ztrc | -replay trace.ztrc] [-report report.json]
-//	zerotune plan       [-model model.json | -service encode=25µs,...] [-replicas 1,3] [-p99 50ms] [-min-rate 50] [-max-rate 50000] [-rate 0] [-trace plan.trace] [-report plan.json]
 //	zerotune simulate   -query linear -rate 100000 [-workers 4] [-degrees 1,4,4,1 | -plan plan.json]
 //	zerotune validate   -query linear -rate 5000 [-workers 2] [-duration 5000]
 //	zerotune experiment <id> [-scale quick|default|paper] [-seed 1] [-csv dir]
@@ -56,7 +55,6 @@ var commands = []command{
 	{"gateway", "front N serve replicas with routing, SLO admission and health probing", gatewayCommand},
 	{"chaos", "replay a seeded fault schedule against an in-process server", chaosCommand},
 	{"bench", "open-loop load harness: seeded arrivals, capacity searches, trace record/replay", benchCommand},
-	{"plan", "capacity planner: simulate the serve tier, search max RPS under a p99 SLO", planCommand},
 	{"simulate", "run the ground-truth engine on one plan and print its costs", simulateCommand},
 	{"validate", "cross-check the analytical engine against the event simulator", validateCommand},
 	{"experiment", `regenerate a table or figure of the paper (id or "all")`, experimentCommand},

@@ -68,7 +68,7 @@ type tuple struct {
 }
 
 // event is a scheduled simulation step. Determinism tie-breaking lives in
-// the shared Timeline (insertion order at equal times).
+// the timeline (insertion order at equal times).
 type event struct {
 	atMs float64
 	kind eventKind

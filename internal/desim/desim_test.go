@@ -2,6 +2,7 @@ package desim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"zerotune/internal/cluster"
@@ -269,4 +270,51 @@ func TestValidateSlidingCountWindow(t *testing.T) {
 	if dis.SinkDeliveries < 150 || dis.SinkDeliveries > 250 {
 		t.Fatalf("sliding count window deliveries %d, want ≈200", dis.SinkDeliveries)
 	}
+}
+
+// TestTimelineOrdering: the virtual clock pops events in (time, insertion)
+// order and never moves backwards; scheduling into the past panics. It runs
+// twice in one process, as the subtests first and second, so state one run
+// left behind would show in the other.
+func TestTimelineOrdering(t *testing.T) {
+	for _, run := range []string{"first", "second"} {
+		t.Run(run, testTimelineOrdering)
+	}
+}
+
+func testTimelineOrdering(t *testing.T) {
+	var tl timeline
+	times := []float64{5, 1, 3, 1, 4, 2, 5, 0}
+	for i, at := range times {
+		tl.Schedule(at, i)
+	}
+	var prevAt float64
+	var order []int
+	for tl.Len() > 0 {
+		at, payload, ok := tl.Pop()
+		if !ok {
+			t.Fatal("Pop reported empty with events queued")
+		}
+		if at < prevAt {
+			t.Fatalf("clock moved backwards: %g after %g", at, prevAt)
+		}
+		if at != tl.Now() {
+			t.Fatalf("Now() = %g after popping %g", tl.Now(), at)
+		}
+		prevAt = at
+		order = append(order, payload.(int))
+	}
+	// Equal times break ties by insertion order: payload 1 before 3 (both
+	// t=1), 0 before 6 (both t=5).
+	want := []int{7, 1, 3, 5, 2, 4, 0, 6}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("pop order %v, want %v", order, want)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("scheduling into the past must panic")
+		}
+	}()
+	tl.Schedule(tl.Now()-1, "late")
 }

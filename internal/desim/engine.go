@@ -13,18 +13,15 @@ import (
 // truncated table.
 var ErrEventBudget = errors.New("event budget exceeded")
 
-// Timeline is the shared virtual-clock event queue both simulators run on:
-// the tuple-level engine simulation (milliseconds) and the serve-tier
-// simulation (nanoseconds). It is a min-heap ordered by (time, insertion
-// sequence) — the sequence tie-break makes pop order, and therefore every
-// simulation built on it, fully deterministic: equal-time events replay in
-// the exact order they were scheduled, independent of heap internals.
+// timeline is the simulator's virtual-clock event queue: a min-heap ordered
+// by (time, insertion sequence). The sequence tie-break makes pop order, and
+// therefore every run, fully deterministic: equal-time events replay in the
+// exact order they were scheduled, independent of heap internals.
 //
-// The time unit is the caller's choice; Timeline only requires that it is
-// totally ordered. Clock monotonicity is enforced: popping an event earlier
-// than the current virtual time panics, because a backwards clock silently
-// corrupts every latency a simulation measures.
-type Timeline struct {
+// Clock monotonicity is enforced: popping an event earlier than the current
+// virtual time panics, because a backwards clock silently corrupts every
+// latency a simulation measures.
+type timeline struct {
 	h   tlHeap
 	seq int
 	now float64
@@ -60,7 +57,7 @@ func (h *tlHeap) Pop() any {
 // Schedule enqueues payload at virtual time at. Scheduling in the past (before
 // the current clock) panics — an event that fires before its cause is a
 // simulation bug, not a condition to tolerate.
-func (tl *Timeline) Schedule(at float64, payload any) {
+func (tl *timeline) Schedule(at float64, payload any) {
 	if tl.set && at < tl.now {
 		panic("desim: event scheduled before the virtual clock")
 	}
@@ -70,7 +67,7 @@ func (tl *Timeline) Schedule(at float64, payload any) {
 
 // Pop removes and returns the earliest event, advancing the virtual clock to
 // its time. ok is false when the timeline is empty.
-func (tl *Timeline) Pop() (at float64, payload any, ok bool) {
+func (tl *timeline) Pop() (at float64, payload any, ok bool) {
 	if len(tl.h) == 0 {
 		return 0, nil, false
 	}
@@ -84,7 +81,7 @@ func (tl *Timeline) Pop() (at float64, payload any, ok bool) {
 }
 
 // Now returns the current virtual time (the time of the last popped event).
-func (tl *Timeline) Now() float64 { return tl.now }
+func (tl *timeline) Now() float64 { return tl.now }
 
 // Len returns the number of pending events.
-func (tl *Timeline) Len() int { return len(tl.h) }
+func (tl *timeline) Len() int { return len(tl.h) }

@@ -73,7 +73,7 @@ type sim struct {
 	svcMs   [][]float64  // position → per-instance service time of one tuple
 	state   [][]*opState // position → per-instance state (filters and windows)
 
-	tl        Timeline // virtual clock in milliseconds
+	tl        timeline // virtual clock in milliseconds
 	nowMs     float64
 	processed int
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"zerotune/internal/metrics"
 	"zerotune/internal/obs"
 )
 
@@ -61,10 +62,11 @@ func (c DetectorConfig) WithDefaults() DetectorConfig {
 }
 
 // Detector watches prediction-vs-observed calibration over a sliding
-// window, exports zerotune_drift_mape / zerotune_drift_pearson_r gauges,
-// and trips a retrain trigger on threshold breach. After a trip the window
-// resets, so a second trip requires a full window of fresh evidence. Safe
-// for concurrent use.
+// window, exports zerotune_drift_mape / zerotune_drift_pearson_r gauges and
+// the window's median and p95 q-error, the paper's unit, as
+// zerotune_drift_qerror{quantile="0.5"|"0.95"}, and trips a retrain trigger
+// on threshold breach. After a trip the window resets, so a second trip
+// requires a full window of fresh evidence. Safe for concurrent use.
 type Detector struct {
 	cfg DetectorConfig
 
@@ -73,9 +75,12 @@ type Detector struct {
 	obs   []float64
 	next  int // ring write position once full
 	trips uint64
+	qerr  []float64 // scratch for the q-error quantiles, cap == Window
 
 	mapeGauge    *obs.Gauge
 	pearsonGauge *obs.Gauge
+	q50Gauge     *obs.Gauge
+	q95Gauge     *obs.Gauge
 	windowGauge  *obs.Gauge
 	tripsCounter *obs.Counter
 }
@@ -87,15 +92,19 @@ func NewDetector(cfg DetectorConfig) *Detector {
 		cfg:          cfg,
 		pred:         make([]float64, 0, cfg.Window),
 		obs:          make([]float64, 0, cfg.Window),
+		qerr:         make([]float64, 0, cfg.Window),
 		mapeGauge:    cfg.Registry.Gauge("zerotune_drift_mape"),
 		pearsonGauge: cfg.Registry.Gauge("zerotune_drift_pearson_r"),
+		q50Gauge:     cfg.Registry.Gauge("zerotune_drift_qerror", obs.L("quantile", "0.5")),
+		q95Gauge:     cfg.Registry.Gauge("zerotune_drift_qerror", obs.L("quantile", "0.95")),
 		windowGauge:  cfg.Registry.Gauge("zerotune_drift_window"),
 		tripsCounter: cfg.Registry.Counter("zerotune_drift_trips_total"),
 	}
 }
 
-// Observe records one (predicted, observed) pair, refreshes the gauges,
-// and fires OnTrip when the window breaches a threshold.
+// Observe records one (predicted, observed) pair, fires OnTrip when the
+// window breaches a threshold, and refreshes the gauges from the window as it
+// then stands — so after a trip they read the reset window, 0.
 func (d *Detector) Observe(predicted, observed float64) {
 	if math.IsNaN(predicted) || math.IsNaN(observed) ||
 		math.IsInf(predicted, 0) || math.IsInf(observed, 0) {
@@ -112,19 +121,21 @@ func (d *Detector) Observe(predicted, observed float64) {
 	}
 	mape := MAPE(d.pred, d.obs)
 	r := Pearson(d.pred, d.obs)
+	tripped := len(d.pred) >= d.cfg.MinSamples &&
+		(mape > d.cfg.MAPEThreshold || (!math.IsNaN(r) && r < d.cfg.PearsonFloor))
+	if tripped {
+		d.trips++
+		d.pred = d.pred[:0]
+		d.obs = d.obs[:0]
+		d.next = 0
+		mape, r = math.NaN(), math.NaN()
+	}
 	d.windowGauge.Set(float64(len(d.pred)))
 	d.mapeGauge.Set(gaugeSafe(mape))
 	d.pearsonGauge.Set(gaugeSafe(r))
-	tripped := false
-	if len(d.pred) >= d.cfg.MinSamples {
-		if mape > d.cfg.MAPEThreshold || (!math.IsNaN(r) && r < d.cfg.PearsonFloor) {
-			tripped = true
-			d.trips++
-			d.pred = d.pred[:0]
-			d.obs = d.obs[:0]
-			d.next = 0
-		}
-	}
+	q50, q95 := d.qErrors()
+	d.q50Gauge.Set(q50)
+	d.q95Gauge.Set(q95)
 	onTrip := d.cfg.OnTrip
 	d.mu.Unlock()
 	if tripped {
@@ -141,6 +152,19 @@ func (d *Detector) Stats() (mape, pearson float64, n int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return MAPE(d.pred, d.obs), Pearson(d.pred, d.obs), len(d.pred)
+}
+
+// qErrors is the window's median and p95 q-error of prediction against
+// observation, 0 and 0 for an empty window. Caller holds d.mu.
+func (d *Detector) qErrors() (q50, q95 float64) {
+	if len(d.pred) == 0 {
+		return 0, 0
+	}
+	d.qerr = d.qerr[:0]
+	for i, p := range d.pred {
+		d.qerr = append(d.qerr, metrics.QError(d.obs[i], p))
+	}
+	return metrics.Quantile(d.qerr, 0.5), metrics.Quantile(d.qerr, 0.95)
 }
 
 // Trips reports how many times the detector has fired.

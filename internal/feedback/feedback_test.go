@@ -11,6 +11,7 @@ import (
 
 	"zerotune/internal/core"
 	"zerotune/internal/fault"
+	"zerotune/internal/obs"
 	"zerotune/internal/workload"
 )
 
@@ -138,6 +139,43 @@ func TestDetectorTripsOnMAPE(t *testing.T) {
 	d.Observe(200, 100)
 	if d.Trips() != 1 {
 		t.Fatal("tripped again before the window refilled")
+	}
+}
+
+// TestDetectorQErrorGauges: the window's median and p95 q-error are
+// exported on the registry's page, and a window reset by a trip reads 0.
+func TestDetectorQErrorGauges(t *testing.T) {
+	reg := obs.NewRegistry()
+	d := NewDetector(DetectorConfig{Window: 8, MinSamples: 8, MAPEThreshold: 5, Registry: reg})
+	qerrors := func() (q50, q95 float64) {
+		t.Helper()
+		samples, err := reg.Samples()
+		if err != nil {
+			t.Fatal(err)
+		}
+		q50, ok50 := obs.FindSample(samples, "zerotune_drift_qerror", obs.L("quantile", "0.5"))
+		q95, ok95 := obs.FindSample(samples, "zerotune_drift_qerror", obs.L("quantile", "0.95"))
+		if !ok50 || !ok95 {
+			t.Fatal("zerotune_drift_qerror quantiles not exported")
+		}
+		return q50, q95
+	}
+	// (predicted, observed) with q-errors 1, 1, 1, 2, 2, 4, 4, 10: the median
+	// interpolates 2 and 2, the p95 sits 0.65 of the way from 4 to 10. The
+	// window MAPE is 1.78, under the threshold.
+	for _, p := range [][2]float64{{1, 1}, {2, 2}, {3, 3}, {2, 1}, {1, 2}, {4, 1}, {1, 4}, {10, 1}} {
+		d.Observe(p[0], p[1])
+	}
+	if q50, q95 := qerrors(); math.Abs(q50-2) > 1e-12 || math.Abs(q95-7.9) > 1e-12 {
+		t.Errorf("q-error gauges: median %v, p95 %v; want 2, 7.9", q50, q95)
+	}
+	// 100× off replaces (1, 1): the window MAPE reaches 14.2 and trips.
+	d.Observe(100, 1)
+	if d.Trips() != 1 {
+		t.Fatalf("trips = %d, want 1", d.Trips())
+	}
+	if q50, q95 := qerrors(); q50 != 0 || q95 != 0 {
+		t.Errorf("reset window reads median %v, p95 %v; want 0, 0", q50, q95)
 	}
 }
 

@@ -32,11 +32,11 @@ func DefaultClasses() []ClassConfig {
 	return []ClassConfig{{Name: DefaultClassName}}
 }
 
-// NormalizeClasses validates a class set and fills its defaults: an empty
+// normalizeClasses validates a class set and fills its defaults: an empty
 // set becomes DefaultClasses, a rate-limited class without a Burst gets
 // max(Rate, 1), and the best-effort class is appended when absent so
 // unlabelled traffic always has a home. Names must be non-empty and unique.
-func NormalizeClasses(classes []ClassConfig) ([]ClassConfig, error) {
+func normalizeClasses(classes []ClassConfig) ([]ClassConfig, error) {
 	if len(classes) == 0 {
 		return DefaultClasses(), nil
 	}
@@ -61,10 +61,9 @@ func NormalizeClasses(classes []ClassConfig) ([]ClassConfig, error) {
 	return out, nil
 }
 
-// TokenBucket is one class's admission budget. The caller supplies the
-// clock on every call, so the gateway drives it with wall time and the
-// serve-tier simulator (internal/desim) with virtual time.
-type TokenBucket struct {
+// tokenBucket is one class's admission budget. The caller supplies the
+// clock on every call: the gateway's Options.Now, so a test can drive it.
+type tokenBucket struct {
 	rate, burst float64
 
 	mu     sync.Mutex
@@ -72,14 +71,14 @@ type TokenBucket struct {
 	last   time.Time
 }
 
-// NewTokenBucket builds a full bucket from a normalized ClassConfig.
-func NewTokenBucket(cfg ClassConfig) *TokenBucket {
-	return &TokenBucket{rate: cfg.Rate, burst: cfg.Burst, tokens: cfg.Burst}
+// newTokenBucket builds a full bucket from a normalized ClassConfig.
+func newTokenBucket(cfg ClassConfig) *tokenBucket {
+	return &tokenBucket{rate: cfg.Rate, burst: cfg.Burst, tokens: cfg.Burst}
 }
 
 // Allow takes one token if the bucket has it, refilling by the time elapsed
 // since the previous call first. Unlimited classes always admit.
-func (b *TokenBucket) Allow(now time.Time) bool {
+func (b *tokenBucket) Allow(now time.Time) bool {
 	if b.rate <= 0 {
 		return true
 	}
@@ -102,7 +101,7 @@ func (b *TokenBucket) Allow(now time.Time) bool {
 // classState is one class's bucket plus its instruments.
 type classState struct {
 	cfg ClassConfig
-	*TokenBucket
+	*tokenBucket
 
 	admitted  *obs.Counter
 	rejected  *obs.Counter
@@ -120,7 +119,7 @@ type admission struct {
 
 // newAdmission registers one bucket and instrument set per normalized class.
 func newAdmission(classes []ClassConfig, reg *obs.Registry) (*admission, error) {
-	classes, err := NormalizeClasses(classes)
+	classes, err := normalizeClasses(classes)
 	if err != nil {
 		return nil, err
 	}
@@ -129,7 +128,7 @@ func newAdmission(classes []ClassConfig, reg *obs.Registry) (*admission, error) 
 		l := obs.L("class", cfg.Name)
 		c := &classState{
 			cfg:         cfg,
-			TokenBucket: NewTokenBucket(cfg),
+			tokenBucket: newTokenBucket(cfg),
 			admitted:    reg.Counter("zerotune_gateway_class_admitted_total", l),
 			rejected:    reg.Counter("zerotune_gateway_class_rejected_total", l),
 			goodput:     reg.Counter("zerotune_gateway_class_goodput_total", l),

@@ -67,8 +67,7 @@ const forwardRetries = 2
 // the gateway itself: its handler time less the time it parked for a dispatch
 // slot (zerotune_gateway_queue_wait_seconds) and the time its forwards took
 // (zerotune_gateway_forward_duration_seconds) — admission, routing, the body
-// read and the response write. The capacity planner reads it as the simulated
-// gateway's cost per request.
+// read and the response write.
 const SelfMetric = "zerotune_gateway_self_seconds"
 
 // Options configures a Gateway.

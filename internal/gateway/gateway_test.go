@@ -335,7 +335,8 @@ func TestGatewayAffinityRoutesStable(t *testing.T) {
 
 // TestAdmissionTokenBucket: a rate-limited class is admitted up to its
 // burst, rejected with 429 admission_rejected beyond it, and refills with
-// the (injected) clock.
+// the (injected) clock; a class configured without a burst gets its rate as
+// one, and a class header naming no configured class is best-effort.
 func TestAdmissionTokenBucket(t *testing.T) {
 	reps := newReplicaSet(t, 1)
 	now := time.Unix(1000, 0)
@@ -343,6 +344,7 @@ func TestAdmissionTokenBucket(t *testing.T) {
 		ProbeInterval: -1,
 		Classes: []ClassConfig{
 			{Name: "gold", Rate: 10, Burst: 3},
+			{Name: "bronze", Rate: 2},
 		},
 		Now:  func() time.Time { return now },
 		Seed: 1,
@@ -384,9 +386,19 @@ func TestAdmissionTokenBucket(t *testing.T) {
 		t.Fatalf("over-burst code %q, want admission_rejected", env.Error.Code)
 	}
 
-	// Unlabelled traffic is best-effort (unlimited) and unaffected.
-	if status, body := post(""); status != 200 {
-		t.Fatalf("best-effort request: status %d (%s)", status, body)
+	// Unlabelled traffic and an unconfigured class are best-effort
+	// (unlimited) and unaffected.
+	for _, class := range []string{"", "unconfigured"} {
+		if status, body := post(class); status != 200 {
+			t.Fatalf("best-effort request (class %q): status %d (%s)", class, status, body)
+		}
+	}
+
+	// bronze, configured without a burst, holds Rate = 2 tokens.
+	for i, want := range []int{200, 200, http.StatusTooManyRequests} {
+		if status, _ := post("bronze"); status != want {
+			t.Fatalf("bronze request %d: status %d, want %d", i, status, want)
+		}
 	}
 
 	// 200ms of refill at 10 rps buys exactly 2 more tokens.

@@ -104,12 +104,9 @@ type affinityRouter struct{}
 
 func (*affinityRouter) policy() RoutePolicy { return RouteAffinity }
 
-// AffinityScore ranks replica ownership of a key under rendezvous hashing:
-// the replica whose name scores highest for the key owns it. Exported so the
-// capacity planner's simulated gateway (internal/desim) places requests with
-// the *same* function the live gateway routes with — simulated cache
-// sharding then matches production placement exactly, not approximately.
-func AffinityScore(key uint64, name string) float64 {
+// affinityScore ranks replica ownership of a key under rendezvous hashing:
+// the replica whose name scores highest for the key owns it.
+func affinityScore(key uint64, name string) float64 {
 	return fault.Uniform(key, "gateway/affinity/"+name, 0)
 }
 
@@ -117,7 +114,7 @@ func (*affinityRouter) pick(replicas []*Replica, key uint64, tried uint64) (*Rep
 	var owner, best *Replica
 	var ownerScore, bestScore float64
 	for _, r := range replicas {
-		s := AffinityScore(key, r.Name())
+		s := affinityScore(key, r.Name())
 		if owner == nil || s > ownerScore {
 			owner, ownerScore = r, s
 		}

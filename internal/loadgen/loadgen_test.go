@@ -463,7 +463,7 @@ func TestRunAndStepReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := BuildStep(s.Rate, s.Duration, results)
+	st := buildStep(s.Rate, s.Duration, results)
 	if st.Requests != len(reqs) {
 		t.Fatalf("step counted %d requests, ran %d", st.Requests, len(reqs))
 	}
@@ -517,7 +517,7 @@ func TestBuildStepPercentiles(t *testing.T) {
 		exact["service"] = append(exact["service"], ms(results[i].Service))
 		exact[class] = append(exact[class], ms(results[i].Latency))
 	}
-	st := BuildStep(1000, 10*time.Second, results)
+	st := buildStep(1000, 10*time.Second, results)
 	got := map[string]Percentiles{
 		"latency": st.Latency, "service": st.Service,
 		"gold": st.PerClass["gold"].Latency, "best-effort": st.PerClass["best-effort"].Latency,
@@ -534,12 +534,12 @@ func TestBuildStepPercentiles(t *testing.T) {
 		}
 	}
 
-	if empty := BuildStep(1000, time.Second, nil); empty.Latency != (Percentiles{}) || empty.Service != (Percentiles{}) {
+	if empty := buildStep(1000, time.Second, nil); empty.Latency != (Percentiles{}) || empty.Service != (Percentiles{}) {
 		t.Errorf("empty step reported percentiles: %+v", empty)
 	}
 
 	a, _ := json.Marshal(st)
-	b, _ := json.Marshal(BuildStep(1000, 10*time.Second, results))
+	b, _ := json.Marshal(buildStep(1000, 10*time.Second, results))
 	if !bytes.Equal(a, b) {
 		t.Errorf("equal results gave different reports:\n%s\n%s", a, b)
 	}

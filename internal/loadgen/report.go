@@ -89,11 +89,8 @@ type StepReport struct {
 	PerClass map[string]ClassReport `json:"per_class,omitempty"`
 }
 
-// BuildStep aggregates one run's results into a step summary. Exported so
-// the serve-tier simulator (internal/desim) reports its virtual runs through
-// the same percentile machinery live bench runs use — a plan table and a
-// bench table disagree only where the model does, never in the arithmetic.
-func BuildStep(offered float64, wall time.Duration, results []Result) StepReport {
+// buildStep aggregates one run's results into a step summary.
+func buildStep(offered float64, wall time.Duration, results []Result) StepReport {
 	st := StepReport{
 		OfferedRPS: offered,
 		Requests:   len(results),
@@ -225,12 +222,12 @@ type BenchmarkEntry struct {
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
 
-// Report is the machine-readable output of bench and plan.
+// Report is the machine-readable output of bench.
 type Report struct {
-	// Mode is "fixed", "replay" or "sweep" (bench), "plan" or "plan-fixed"
-	// (plan).
+	// Mode is "fixed", "replay" or "sweep".
 	Mode string `json:"mode"`
-	// Target names what was driven ("serve", "gateway", a URL, or "desim").
+	// Target names what was driven: a URL, "serve" (one in-process replica)
+	// or "replicas=N" (an in-process gateway over N of them).
 	Target string `json:"target"`
 	// Trace echoes the workload provenance (seed, process, rates).
 	Trace TraceHeader `json:"trace"`
@@ -253,7 +250,7 @@ func SingleStep(mode, target string, h TraceHeader, offered float64, wall time.D
 		Mode:   mode,
 		Target: target,
 		Trace:  h,
-		Steps:  []StepReport{BuildStep(offered, wall, results)},
+		Steps:  []StepReport{buildStep(offered, wall, results)},
 	}
 }
 

@@ -8,11 +8,8 @@ import (
 )
 
 // The capacity search is the one way this repo finds how much load a serving
-// tier sustains. `zerotune bench -sweep` asks it of a live target (Oracle) and
-// `zerotune plan` of the serve-tier simulator (desim.Oracle); the two differ
-// only in the oracle that turns an offered rate into a StepReport, so a live
-// knee and a simulated one answer the same question and can be set side by
-// side.
+// tier sustains: `zerotune bench -sweep` asks it of a live target through
+// Oracle, which turns an offered rate into a measured StepReport.
 
 // Defaults of a capacity search (SearchOptions).
 const (
@@ -80,7 +77,7 @@ type Probe struct {
 // MaxRPS is 0 when even SearchOptions.MinRPS failed; FailRPS is 0 when even
 // SearchOptions.MaxRPS was sustained (the capacity exceeds the bracket).
 type Capacity struct {
-	// Scenario names what was searched: a target, or a simulated configuration.
+	// Scenario names what was searched: a URL, "serve", or "replicas=N".
 	Scenario string  `json:"scenario"`
 	MaxRPS   float64 `json:"max_rps"`
 	FailRPS  float64 `json:"fail_rps,omitempty"`
@@ -155,6 +152,6 @@ func Oracle(ctx context.Context, spec Spec, run RunOptions) func(rate float64) (
 		if err != nil {
 			return StepReport{}, err
 		}
-		return BuildStep(rate, spec.Duration, results), nil
+		return buildStep(rate, spec.Duration, results), nil
 	}
 }

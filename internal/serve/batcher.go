@@ -46,19 +46,18 @@ const (
 	FlushWindow                    // announced arrivals did not show up within the window
 )
 
-// String is the reason's label on /metrics and in the simulator's trace.
+// String is the reason's label on /metrics.
 func (r FlushReason) String() string {
 	return [...]string{"hold", "idle", "full", "window"}[r]
 }
 
-// CollectDecision is the batching rule, written once for the live flush loop
-// and the serve-tier simulator (internal/desim) to call: a batch of queued
-// items flushes when it is full or when no other request is on its way
-// (arriving counts requests announced to this batcher that have neither
-// enqueued nor left); otherwise it is held for the rest of the window, which
-// opened waited ago. A held batch is judged again on every enqueue, whenever
-// arriving falls to zero, and when the returned duration has passed.
-func CollectDecision(queued, max, arriving int, waited, window time.Duration) (FlushReason, time.Duration) {
+// collectDecision is the batching rule: a batch of queued items flushes when
+// it is full or when no other request is on its way (arriving counts requests
+// announced to this batcher that have neither enqueued nor left); otherwise it
+// is held for the rest of the window, which opened waited ago. A held batch is
+// judged again on every enqueue, whenever arriving falls to zero, and when the
+// returned duration has passed.
+func collectDecision(queued, max, arriving int, waited, window time.Duration) (FlushReason, time.Duration) {
 	switch {
 	case queued >= max:
 		return FlushFull, 0
@@ -89,12 +88,12 @@ func (c *FlushCounts) Count(r FlushReason) {
 	}
 }
 
-// Batcher coalesces concurrent predictions into micro-batches, funnelling
-// each through the model's data-parallel PredictBatch path instead of N
-// independent forward passes. It is work-conserving: the flush loop takes
+// Batcher coalesces concurrent predictions into micro-batches, each flushed
+// as one call into the compiled engine's fused GEMM (the server's forward is
+// one PredictEncodedInto) instead of N independent forward passes. It is work-conserving: the flush loop takes
 // whatever has queued and holds the batch open only while another request is
 // demonstrably on its way — announced through Announce and not yet enqueued
-// or withdrawn — and then for at most the window (CollectDecision is the
+// or withdrawn — and then for at most the window (collectDecision is the
 // rule). A lone request is therefore never delayed, and a caller of the bare
 // Predict, which announces nothing, says "nobody else is coming". One flush
 // loop runs at a time; arrivals during a flush queue up in the channel and
@@ -140,7 +139,9 @@ func NewBatcher(window time.Duration, max, queue int, deadline time.Duration, on
 	if max < 1 {
 		max = DefaultMaxBatch
 	}
-	queue = QueueBound(queue, max)
+	if queue < max { // a bound that could not hold one full batch, unset included
+		queue = DefaultQueueFactor * max
+	}
 	if onBatch == nil {
 		onBatch = func(int) {}
 	}
@@ -150,16 +151,6 @@ func NewBatcher(window time.Duration, max, queue int, deadline time.Duration, on
 	b.wg.Add(1)
 	go b.loop()
 	return b
-}
-
-// QueueBound is the submitted-but-unflushed bound a batcher of batch size max
-// runs with when asked for queue: a bound that could not hold one full batch
-// (unset included) becomes DefaultQueueFactor batches.
-func QueueBound(queue, max int) int {
-	if queue < max {
-		return DefaultQueueFactor * max
-	}
-	return queue
 }
 
 // SetForward replaces the forward-pass function. Call before the first
@@ -330,7 +321,7 @@ func (b *Batcher) loop() {
 }
 
 // collect gathers one micro-batch starting from the first arrival, asking
-// CollectDecision after everything that can change its answer: an enqueue,
+// collectDecision after everything that can change its answer: an enqueue,
 // arriving falling to zero, the window running out. The timer, the loop's
 // only clock, exists only once the batch is actually held. Close releases a
 // held batch (reason Hold), so shutdown never waits out a window.
@@ -354,7 +345,7 @@ func (b *Batcher) collect(first *batchItem) ([]*batchItem, FlushReason) {
 				break drain
 			}
 		}
-		reason, hold := CollectDecision(len(batch), b.max, arriving, waited, b.window)
+		reason, hold := collectDecision(len(batch), b.max, arriving, waited, b.window)
 		if reason != Hold {
 			return batch, reason
 		}

@@ -158,7 +158,7 @@ func TestBatcherCollectDecision(t *testing.T) {
 		{name: "negative window", queued: 1, max: 4, arriving: 5, window: -1, want: FlushWindow},
 		{name: "no window, nobody coming", queued: 1, max: 4, window: -1, want: FlushIdle},
 	} {
-		got, hold := CollectDecision(tc.queued, tc.max, tc.arriving, tc.waited, tc.window)
+		got, hold := collectDecision(tc.queued, tc.max, tc.arriving, tc.waited, tc.window)
 		if got != tc.want || hold != tc.hold {
 			t.Errorf("%s: CollectDecision(%d, %d, %d, %v, %v) = %v, %v; want %v, %v",
 				tc.name, tc.queued, tc.max, tc.arriving, tc.waited, tc.window, got, hold, tc.want, tc.hold)
@@ -201,5 +201,45 @@ func TestBatcherCloseReleasesHeldBatch(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("held item never answered")
+	}
+}
+
+// TestBatcherLoopFlushReasons drives the live flush loop into the two
+// clauses of collectDecision that end a batch held for a request still on
+// its way: the window runs out, or the batch fills first.
+func TestBatcherLoopFlushReasons(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		window        time.Duration
+		max, enqueued int
+		want          FlushCounts
+	}{
+		{"window", 20 * time.Millisecond, 4, 1, FlushCounts{Window: 1}},
+		{"full", 10 * time.Second, 2, 2, FlushCounts{Full: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBatcher(tc.window, tc.max, 0, 0, nil)
+			defer b.Close()
+			b.SetForward(func(_ *ModelEntry, graphs []*features.Graph) ([]gnn.Prediction, error) {
+				return make([]gnn.Prediction, len(graphs)), nil
+			})
+			never := b.Announce() // on its way throughout: no batch is ever idle
+			defer never.Withdraw()
+			var wg sync.WaitGroup
+			for range tc.enqueued {
+				a := b.Announce()
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := a.Predict(context.Background(), &ModelEntry{}, nil); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+			if got := b.Flushes(); got != tc.want {
+				t.Errorf("flushes %+v, want %+v", got, tc.want)
+			}
+		})
 	}
 }

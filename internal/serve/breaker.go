@@ -29,14 +29,13 @@ func (s CircuitState) String() string {
 	}
 }
 
-// BreakerConfig sizes a Breaker. Threshold <= 0 disables it (Admit always
+// breakerConfig sizes a breaker. Threshold <= 0 disables it (Admit always
 // allows). Recovery is probed either after Cooldown wall-clock time (the
 // production default) or, when ProbeEvery > 0, on every Nth rejected
 // request — a count-based schedule whose transitions are a pure function of
 // the request sequence, which is what lets seeded chaos runs reproduce
-// breaker behavior byte-for-byte and lets the serve-tier simulator
-// (internal/desim) drive this same type on its virtual clock.
-type BreakerConfig struct {
+// breaker behavior byte-for-byte.
+type breakerConfig struct {
 	Threshold  int
 	Cooldown   time.Duration
 	ProbeEvery int
@@ -46,13 +45,13 @@ type BreakerConfig struct {
 	OnOpen func()
 }
 
-// Breaker is a consecutive-failure circuit breaker around the GNN forward
+// breaker is a consecutive-failure circuit breaker around the GNN forward
 // path. Closed: requests flow and consecutive forward failures are counted.
 // Open: requests are rejected (the server degrades them to the fallback)
 // until the probe schedule admits one. Half-open: exactly one probe is in
 // flight; its success closes the circuit, its failure re-opens it.
-type Breaker struct {
-	cfg BreakerConfig
+type breaker struct {
+	cfg breakerConfig
 
 	mu          sync.Mutex
 	state       CircuitState
@@ -61,12 +60,12 @@ type Breaker struct {
 	rejected    int       // rejections since the circuit opened (ProbeEvery schedule)
 }
 
-// NewBreaker builds a closed breaker.
-func NewBreaker(cfg BreakerConfig) *Breaker {
+// newBreaker builds a closed breaker.
+func newBreaker(cfg breakerConfig) *breaker {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	return &Breaker{cfg: cfg}
+	return &breaker{cfg: cfg}
 }
 
 // Admit reports whether this request may take the learned forward path. In
@@ -76,7 +75,7 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 // breaker with exactly one of RecordSuccess, RecordFailure, or
 // AbandonProbe — otherwise the circuit stays half-open (which rejects
 // everyone) forever.
-func (b *Breaker) Admit() (allowed, probe bool) {
+func (b *breaker) Admit() (allowed, probe bool) {
 	if b.cfg.Threshold <= 0 {
 		return true, false
 	}
@@ -114,7 +113,7 @@ func (b *Breaker) Admit() (allowed, probe bool) {
 // probe admitted between this probe's resolution and its deferred abandon
 // could be bounced back to open one request early — benign, the schedule
 // re-admits it.
-func (b *Breaker) AbandonProbe() {
+func (b *breaker) AbandonProbe() {
 	if b.cfg.Threshold <= 0 {
 		return
 	}
@@ -128,7 +127,7 @@ func (b *Breaker) AbandonProbe() {
 // RecordSuccess reports a completed forward pass. Any success closes the
 // circuit and resets the failure streak — in particular the half-open
 // probe's.
-func (b *Breaker) RecordSuccess() {
+func (b *breaker) RecordSuccess() {
 	if b.cfg.Threshold <= 0 {
 		return
 	}
@@ -141,7 +140,7 @@ func (b *Breaker) RecordSuccess() {
 // RecordFailure reports a forward-path failure (error or timeout). In the
 // closed state it trips the circuit after threshold consecutive failures; a
 // failed half-open probe re-opens immediately.
-func (b *Breaker) RecordFailure() {
+func (b *breaker) RecordFailure() {
 	if b.cfg.Threshold <= 0 {
 		return
 	}
@@ -158,8 +157,8 @@ func (b *Breaker) RecordFailure() {
 	b.mu.Unlock()
 }
 
-// open transitions to CircuitOpen. Caller holds b.mu (see BreakerConfig.OnOpen).
-func (b *Breaker) open() {
+// open transitions to CircuitOpen. Caller holds b.mu (see breakerConfig.OnOpen).
+func (b *breaker) open() {
 	b.state = CircuitOpen
 	b.consecutive = 0
 	b.rejected = 0
@@ -170,7 +169,7 @@ func (b *Breaker) open() {
 }
 
 // State returns the breaker position for health/metrics.
-func (b *Breaker) State() CircuitState {
+func (b *breaker) State() CircuitState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state

@@ -6,7 +6,7 @@ import (
 )
 
 // allow is Admit for cases that do not care which request is the probe.
-func allow(b *Breaker) bool {
+func allow(b *breaker) bool {
 	ok, _ := b.Admit()
 	return ok
 }
@@ -16,7 +16,7 @@ func allow(b *Breaker) bool {
 // probe re-opens, a successful probe closes.
 func TestBreakerTripAndProbeEvery(t *testing.T) {
 	opens := 0
-	b := NewBreaker(BreakerConfig{Threshold: 3, ProbeEvery: 2, OnOpen: func() { opens++ }})
+	b := newBreaker(breakerConfig{Threshold: 3, ProbeEvery: 2, OnOpen: func() { opens++ }})
 	for i := 0; i < 3; i++ {
 		if !allow(b) {
 			t.Fatalf("closed breaker rejected request %d", i)
@@ -67,7 +67,7 @@ func TestBreakerTripAndProbeEvery(t *testing.T) {
 // injected now() so no real time passes.
 func TestBreakerCooldownClock(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Second, Now: func() time.Time { return now }})
+	b := newBreaker(breakerConfig{Threshold: 1, Cooldown: time.Second, Now: func() time.Time { return now }})
 	allow(b)
 	b.RecordFailure()
 	if allow(b) {
@@ -85,7 +85,7 @@ func TestBreakerCooldownClock(t *testing.T) {
 // TestBreakerSuccessResetsStreak checks that interleaved successes keep the
 // consecutive-failure count from accumulating across them.
 func TestBreakerSuccessResetsStreak(t *testing.T) {
-	b := NewBreaker(BreakerConfig{Threshold: 2, ProbeEvery: 1})
+	b := newBreaker(breakerConfig{Threshold: 2, ProbeEvery: 1})
 	for i := 0; i < 5; i++ {
 		allow(b)
 		b.RecordFailure()
@@ -103,7 +103,7 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 // next probe on time instead of wedging half-open forever.
 func TestBreakerAbandonedProbe(t *testing.T) {
 	opens := 0
-	b := NewBreaker(BreakerConfig{Threshold: 1, ProbeEvery: 1, OnOpen: func() { opens++ }})
+	b := newBreaker(breakerConfig{Threshold: 1, ProbeEvery: 1, OnOpen: func() { opens++ }})
 	allow(b)
 	b.RecordFailure() // trip
 	allowed, probe := b.Admit()
@@ -136,7 +136,7 @@ func TestBreakerAbandonedProbe(t *testing.T) {
 // TestBreakerDisabled verifies threshold 0 turns every method into a no-op
 // pass-through.
 func TestBreakerDisabled(t *testing.T) {
-	b := NewBreaker(BreakerConfig{})
+	b := newBreaker(breakerConfig{})
 	for i := 0; i < 10; i++ {
 		if !allow(b) {
 			t.Fatal("disabled breaker rejected a request")

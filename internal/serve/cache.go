@@ -104,23 +104,6 @@ func (c *Cache) Acquire(key Fingerprint) (e *CacheEntry, leader bool) {
 	return e, true
 }
 
-// Lookup returns key's entry only if it is filled and resident, counting the
-// hit and refreshing its LRU position like Acquire would. Unlike Acquire it
-// never creates an entry or joins an in-flight leader, so a nil result
-// leaves the caller with no obligation — the front-door check of a caller
-// that has more work (or a breaker) between "is it cached?" and "compute it".
-func (c *Cache) Lookup(key Fingerprint) *CacheEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[key]
-	if !ok || e.elem == nil {
-		return nil
-	}
-	c.counters.Hits.Inc()
-	c.ll.MoveToFront(e.elem)
-	return e
-}
-
 // Complete publishes the leader's result and inserts the entry into the
 // LRU (unless it errored or the cache was cleared since Acquire), evicting
 // the least recently used entries beyond the bound. A leader error is

@@ -144,53 +144,47 @@ func TestCacheClearInvalidatesInFlight(t *testing.T) {
 	}
 }
 
-// TestCacheLookupAndFilled covers the non-blocking accessors across an
-// entry's life: in flight (Lookup sees nothing and creates nothing, Filled is
-// false), filled (Lookup hits and refreshes the LRU position), and evicted
-// (the slot is gone from the cache, the result stays with its holders).
+// TestCacheLookupAndFilled covers a lookup (Acquire of a key) and Filled
+// across an entry's life: in flight (Filled is false, a second lookup
+// coalesces onto the leader), filled (a lookup hits, returns the entry and
+// refreshes its LRU position), evicted (the slot is gone from the cache, the
+// result stays with its holders), and failed (filled for its waiters, but
+// dropped so the next lookup leads again).
 func TestCacheLookupAndFilled(t *testing.T) {
 	c := NewCache(2)
-	if c.Lookup(fp(1)) != nil {
-		t.Fatal("Lookup found an entry in an empty cache")
-	}
 	e1, leader := c.Acquire(fp(1))
-	if !leader {
-		t.Fatal("Lookup on a missing key must not create its entry")
-	}
-	if e1.Filled() || c.Lookup(fp(1)) != nil {
+	if !leader || e1.Filled() {
 		t.Fatal("in-flight entry reported as filled")
 	}
-	if st := c.Stats(); st.Hits != 0 || st.Coalesced != 0 || st.Misses != 1 {
-		t.Fatalf("Lookup on missing/in-flight keys moved the counters: %+v", st)
+	if e, leader := c.Acquire(fp(1)); leader || e != e1 {
+		t.Fatal("lookup of an in-flight key did not join its leader")
 	}
 	c.Complete(e1, gnn.Prediction{LatencyMs: 1}, nil)
-	if !e1.Filled() || c.Lookup(fp(1)) != e1 {
-		t.Fatal("completed entry not reported as filled")
+	if e, leader := c.Acquire(fp(1)); leader || e != e1 || !e1.Filled() {
+		t.Fatal("completed entry not found filled")
 	}
 
 	e2, _ := c.Acquire(fp(2))
 	c.Complete(e2, gnn.Prediction{}, nil)
-	c.Lookup(fp(1)) // refresh 1 → 2 becomes the LRU victim
+	c.Acquire(fp(1)) // refresh 1 → 2 becomes the LRU victim
 	e3, _ := c.Acquire(fp(3))
 	c.Complete(e3, gnn.Prediction{}, nil)
-	if c.Lookup(fp(2)) != nil {
-		t.Fatal("evicted entry still found by Lookup")
-	}
 	if !e2.Filled() {
 		t.Fatal("eviction un-filled an entry a holder may still read")
 	}
-	if c.Lookup(fp(1)) != e1 {
-		t.Fatal("Lookup hit did not refresh the LRU position")
+	if e, leader := c.Acquire(fp(1)); leader || e != e1 {
+		t.Fatal("lookup hit did not refresh the LRU position")
 	}
-	if st := c.Stats(); st.Hits != 3 || st.Evictions != 1 {
-		t.Fatalf("stats: %+v, want 3 hits (every successful Lookup) and 1 eviction", st)
+	if st := c.Stats(); st.Hits != 3 || st.Coalesced != 1 || st.Misses != 3 || st.Evictions != 1 {
+		t.Fatalf("stats: %+v, want 3 hits, 1 coalesced, 3 misses and 1 eviction", st)
+	}
+	if _, leader := c.Acquire(fp(2)); !leader {
+		t.Fatal("evicted entry still found by a lookup")
 	}
 
-	// A failed leader's entry is filled (Wait returns its error) but never
-	// resident, so Lookup does not serve it.
 	e4, _ := c.Acquire(fp(4))
 	c.Complete(e4, gnn.Prediction{}, ErrBatcherClosed)
-	if !e4.Filled() || c.Lookup(fp(4)) != nil {
-		t.Fatal("failed entry must be filled for its waiters and absent from Lookup")
+	if _, leader := c.Acquire(fp(4)); !e4.Filled() || !leader {
+		t.Fatal("failed entry must be filled for its waiters and dropped from the cache")
 	}
 }

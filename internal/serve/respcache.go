@@ -39,8 +39,7 @@ func newRespCache(max int) *respCache {
 
 // HashBody is XXH64 with seed 0 over the raw request bytes: the body cache's
 // key, and — so that byte-identical requests land on the replica whose
-// caches already hold them — the gateway's affinity-routing key and the
-// serve-tier simulator's cache key too.
+// caches already hold them — the gateway's affinity-routing key too.
 func HashBody(body []byte) uint64 {
 	return xxh64(body, 0)
 }

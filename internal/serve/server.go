@@ -14,8 +14,9 @@
 //     whatever is queued (up to 64 plans) and holds the batch open only
 //     while another request is on its way here — past the body cache, not
 //     yet queued — and then for 2ms at most; a lone request is never held.
-//     Whole batches ride the model's data-parallel PredictBatch path
-//     instead of N independent forward passes.
+//     A flush is one PredictEncodedInto call: the whole batch goes through
+//     the compiled engine's fused GEMM instead of N independent forward
+//     passes.
 //
 // /v1/tune runs the optimizer's candidate sweep (itself batched through
 // the same inference path). /v1/reload hot-swaps the served model via
@@ -31,8 +32,7 @@
 // encode.plan / cache.lookup / batcher.enqueue → gnn.forward spans,
 // retrievable from /debug/traces when the server runs in debug mode. Traced
 // or not, every predict request is timed stage by stage where it runs (Stage)
-// into the one set of histograms /metrics, `zerotune bench` and the capacity
-// planner read.
+// into the one set of histograms /metrics and `zerotune bench` read.
 package serve
 
 import (
@@ -56,10 +56,8 @@ import (
 	"zerotune/internal/tensor"
 )
 
-// The serving pipeline's sizing defaults, exported so the capacity planner
-// (internal/desim) simulates the same tier it predicts for: a simulator
-// calibrated against different batcher or cache constants than the live
-// server answers capacity questions about a system that does not exist.
+// The serving pipeline's sizing defaults: the zero Options and the serve
+// command's flags both resolve to them.
 const (
 	// DefaultBatchWindow is the longest the coalescer holds a micro-batch
 	// for requests that have announced themselves and not yet enqueued.
@@ -178,7 +176,7 @@ type Server struct {
 	bodyBufs sync.Pool                 // *[]byte request-body read buffers
 	batcher  *Batcher
 	stats    *Stats
-	breaker  *Breaker
+	breaker  *breaker
 	tracer   *obs.Tracer
 	mux      *http.ServeMux
 	learn    *learnState // nil unless Options.Learn is set
@@ -252,7 +250,7 @@ func New(opts Options) *Server {
 			return float64(dropped)
 		})
 	}
-	s.breaker = NewBreaker(BreakerConfig{
+	s.breaker = newBreaker(breakerConfig{
 		Threshold:  opts.CircuitThreshold,
 		Cooldown:   opts.CircuitCooldown,
 		ProbeEvery: opts.CircuitProbeEvery,
@@ -266,7 +264,7 @@ func New(opts Options) *Server {
 	})
 	// Why a batch had the size it had, from outside the process: how many
 	// requests are on their way to the batcher right now, and which clause of
-	// CollectDecision released each batch.
+	// collectDecision released each batch.
 	reg.GaugeFunc("zerotune_predict_arriving", func() float64 { return float64(s.batcher.Arriving()) })
 	for _, r := range []FlushReason{FlushIdle, FlushFull, FlushWindow} {
 		reg.GaugeFunc("zerotune_batch_flush_total",

@@ -9,8 +9,7 @@ import (
 // Stage is one interval of a /v1/predict request. The list is the request
 // path's table of contents and the only place its stages are named:
 // handlePredict times each where it runs, /metrics publishes them as
-// StageMetric{stage=…}, `zerotune bench` prints them and the capacity planner
-// (internal/desim) prices its simulated replica from them.
+// StageMetric{stage=…} and `zerotune bench` prints them.
 //
 // A body-cache hit is one stage, StageBodyHit, from the first byte read to the
 // last byte written. Every other request is a sequence of the remaining

@@ -8,8 +8,8 @@ import (
 // XXH64, the xxHash 64-bit function (github.com/Cyan4973/xxHash,
 // doc/xxhash_spec.md), keys both serving caches: HashBody over a request's
 // raw bytes and PlanFingerprint over a featurized plan's word stream. It is
-// deterministic across processes and machines — gateway placement and the
-// serve-tier simulator's traces depend on that — and not cryptographic.
+// deterministic across processes and machines — gateway placement depends on
+// that — and not cryptographic.
 const (
 	xxhPrime1 uint64 = 0x9E3779B185EBCA87
 	xxhPrime2 uint64 = 0xC2B2AE3D27D4EB4F
