@@ -680,7 +680,6 @@ func scaleOutGateway(tb testing.TB, zt *core.ZeroTune, n int) (*gateway.Gateway,
 		backends[i] = serve.NewInProcessBackend(fmt.Sprintf("replica-%d", i), s)
 	}
 	g, err := gateway.New(backends, gateway.Options{
-		Route:         gateway.RouteAffinity,
 		ProbeInterval: -1,
 		MaxConcurrent: 64 * n,
 		QueueDepth:    4096,

@@ -119,7 +119,7 @@ func stageRows(pages []metricsPage) []loadgen.StageRow {
 
 // benchTarget resolves what the harness drives: a remote URL, an in-process
 // gateway fronting N replicas, or a single in-process serve instance.
-func benchTarget(targetURL, model string, replicas int, slo string, timeout time.Duration) (*liveTarget, error) {
+func benchTarget(targetURL, model string, replicas int, classes []gateway.ClassConfig, timeout time.Duration) (*liveTarget, error) {
 	if targetURL != "" {
 		c, err := client.New(targetURL)
 		if err != nil {
@@ -134,11 +134,6 @@ func benchTarget(targetURL, model string, replicas int, slo string, timeout time
 	if replicas < 1 {
 		return &liveTarget{Backend: loadgen.HandlerTarget{Handler: pool[0].Server()}, name: "serve",
 			close: closeReplicas, replicas: pool}, nil
-	}
-	classes, err := parseSLOClasses(slo)
-	if err != nil {
-		closeReplicas()
-		return nil, err
 	}
 	g, err := gateway.New(asBackends(pool), gateway.Options{Classes: classes, RequestTimeout: timeout})
 	if err != nil {
@@ -187,6 +182,10 @@ func benchCommand(fs *flag.FlagSet) func() error {
 		case *slo != "" && *replicas == 0:
 			return errors.New("bench: -slo configures the gateway's admission classes; it needs -replicas N")
 		}
+		classes, err := parseSLOClasses(*slo)
+		if err != nil {
+			return err
+		}
 
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
@@ -234,7 +233,7 @@ func benchCommand(fs *flag.FlagSet) func() error {
 			return nil
 		}
 
-		tgt, err := benchTarget(*target, *model, *replicas, *slo, run.Timeout)
+		tgt, err := benchTarget(*target, *model, *replicas, classes, run.Timeout)
 		if err != nil {
 			return err
 		}

@@ -197,7 +197,8 @@ func TestBenchReplayRejectsAModelFile(t *testing.T) {
 }
 
 // TestBenchRefusesFlagsItCannotUse: a tier flag the chosen target has no use
-// for is refused, naming the flag, before any replica starts — not dropped.
+// for, or an -slo whose budget is not a number, is refused, naming the flag,
+// before any replica starts — not dropped, and not left for -dry to skip.
 func TestBenchRefusesFlagsItCannotUse(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -207,6 +208,8 @@ func TestBenchRefusesFlagsItCannotUse(t *testing.T) {
 		{[]string{"-target", "http://127.0.0.1:1", "-replicas", "2"}, "-replicas"},
 		{[]string{"-target", "http://127.0.0.1:1", "-slo", "gold=100"}, "-slo"},
 		{[]string{"-slo", "gold=100"}, "-slo"},
+		{[]string{"-replicas", "2", "-slo", "gold=x"}, "-slo"},
+		{[]string{"-replicas", "2", "-slo", "gold=10:NaN"}, "-slo"},
 	} {
 		err := lookup("bench").run(append(tc.args, "-dry"))
 		if err == nil || !strings.Contains(err.Error(), tc.flag) {

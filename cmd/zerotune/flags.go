@@ -79,8 +79,6 @@ func bindLearnOptions(fs *flag.FlagSet, o *serve.LearnOptions) {
 }
 
 func bindGatewayOptions(fs *flag.FlagSet, o *gateway.Options) {
-	fs.StringVar((*string)(&o.Route), "route", string(gateway.RouteAffinity), "routing policy: round-robin | least-loaded | affinity")
-	fs.StringVar((*string)(&o.Queue), "queue-policy", string(gateway.QueueFCFS), "dispatch-queue ordering: fcfs | priority | sjf")
 	fs.IntVar(&o.QueueDepth, "queue-depth", gateway.DefaultQueueDepth, "max requests parked waiting for a dispatch slot")
 	fs.IntVar(&o.MaxConcurrent, "max-concurrent", 0,
 		fmt.Sprintf("max forwards in flight (0: %d per replica)", gateway.DefaultConcurrentPerReplica))

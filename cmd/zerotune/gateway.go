@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -15,7 +16,9 @@ import (
 
 // parseSLOClasses parses the -slo flag: a comma-separated list of
 // name=rate[:burst[:priority]] entries. rate 0 means unlimited; burst
-// defaults to max(rate, 1); priority defaults to 0.
+// defaults to max(rate, 1); priority defaults to 0 and orders the dispatch
+// queue. A rate or burst that is not a finite number is refused here, where
+// the error can name the flag.
 func parseSLOClasses(spec string) (classes []gateway.ClassConfig, err error) {
 	err = eachEntry("-slo", spec, func(name, val string) error {
 		parts := strings.Split(val, ":")
@@ -24,11 +27,11 @@ func parseSLOClasses(spec string) (classes []gateway.ClassConfig, err error) {
 		}
 		cfg := gateway.ClassConfig{Name: name}
 		var err error
-		if cfg.Rate, err = strconv.ParseFloat(parts[0], 64); err != nil {
+		if cfg.Rate, err = parseFinite(parts[0]); err != nil {
 			return fmt.Errorf("rate: %w", err)
 		}
 		if len(parts) > 1 {
-			if cfg.Burst, err = strconv.ParseFloat(parts[1], 64); err != nil {
+			if cfg.Burst, err = parseFinite(parts[1]); err != nil {
 				return fmt.Errorf("burst: %w", err)
 			}
 		}
@@ -41,6 +44,15 @@ func parseSLOClasses(spec string) (classes []gateway.ClassConfig, err error) {
 		return nil
 	})
 	return classes, err
+}
+
+// parseFinite parses a float and refuses NaN and ±Inf, which strconv accepts.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%q is not a finite number", s)
+	}
+	return v, err
 }
 
 // gatewayCommand starts the scale-out front tier. Backends come from one of
@@ -102,8 +114,7 @@ func gatewayCommand(fs *flag.FlagSet) func() error {
 		g.Start()
 		defer g.Close()
 		return listenAndDrain("gateway", *addr, *drain, g, func(bound string) {
-			fmt.Fprintf(os.Stderr, "gateway: %d replicas, route=%s queue=%s on http://%s\n",
-				len(pool), opts.Route, opts.Queue, bound)
+			fmt.Fprintf(os.Stderr, "gateway: %d replicas on http://%s\n", len(pool), bound)
 		})
 	}
 }

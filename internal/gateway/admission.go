@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -12,7 +13,7 @@ import (
 const DefaultClassName = "best-effort"
 
 // ClassConfig describes one SLO class: its admission budget (a token
-// bucket) and its standing in the priority queue policy.
+// bucket) and its standing in the dispatch queue.
 type ClassConfig struct {
 	Name string
 	// Rate is the sustained admission budget in requests/second. Zero or
@@ -21,8 +22,9 @@ type ClassConfig struct {
 	// Burst is the bucket capacity: how many requests above the sustained
 	// rate a quiet class may fire at once. Defaults to max(Rate, 1).
 	Burst float64
-	// Priority orders classes in the "priority" queue policy; higher is
-	// served first. Ties fall back to arrival order.
+	// Priority orders the dispatch queue: a parked request of a higher
+	// priority is served first, and equal priorities (the default) are
+	// served in arrival order.
 	Priority int
 }
 
@@ -35,7 +37,9 @@ func DefaultClasses() []ClassConfig {
 // normalizeClasses validates a class set and fills its defaults: an empty
 // set becomes DefaultClasses, a rate-limited class without a Burst gets
 // max(Rate, 1), and the best-effort class is appended when absent so
-// unlabelled traffic always has a home. Names must be non-empty and unique.
+// unlabelled traffic always has a home. Names must be non-empty and unique,
+// and Rate and Burst finite: a NaN compares false against every bound and
+// would silently turn the class's budget off.
 func normalizeClasses(classes []ClassConfig) ([]ClassConfig, error) {
 	if len(classes) == 0 {
 		return DefaultClasses(), nil
@@ -50,6 +54,9 @@ func normalizeClasses(classes []ClassConfig) ([]ClassConfig, error) {
 			return nil, fmt.Errorf("gateway: duplicate SLO class %q", cfg.Name)
 		}
 		seen[cfg.Name] = true
+		if math.IsNaN(cfg.Rate) || math.IsInf(cfg.Rate, 0) || math.IsNaN(cfg.Burst) || math.IsInf(cfg.Burst, 0) {
+			return nil, fmt.Errorf("gateway: SLO class %q: rate %v and burst %v must be finite", cfg.Name, cfg.Rate, cfg.Burst)
+		}
 		if cfg.Rate > 0 && cfg.Burst < 1 {
 			cfg.Burst = max(cfg.Rate, 1)
 		}

@@ -3,19 +3,18 @@
 // in-process backends for tests and single-binary deployments, a
 // *client.Client per remote replica for real clusters.
 //
-// The request path composes four stages, each independently configurable:
+// The request path composes four stages:
 //
 //  1. Admission: a token bucket per SLO class (declared via the X-SLO-Class
 //     header, default best-effort) rejects over-rate classes with the
 //     stable 429 envelope before they consume any gateway resources.
-//  2. Queueing: admitted requests take a bounded dispatch slot, parking in
-//     fcfs, class-priority, or shortest-job-first order when the replicas
-//     are saturated.
-//  3. Routing: a pluggable policy — round-robin, least-loaded
-//     (outstanding-request EWMA), or plan-fingerprint affinity (rendezvous
-//     hashing, so each replica's plan and body caches shard naturally) —
-//     picks a healthy replica; transport failures retry on the next-best
-//     replica and feed consecutive-failure ejection.
+//  2. Queueing: admitted requests take a bounded dispatch slot, parking when
+//     the replicas are saturated — higher class priority first, arrival
+//     order within a priority.
+//  3. Routing: body-fingerprint affinity (rendezvous hashing, so each
+//     replica's plan and body caches shard naturally) picks a healthy
+//     replica; transport failures retry on the next-best replica and feed
+//     consecutive-failure ejection.
 //  4. Forwarding: the raw body and the X-SLO-Class header are proxied
 //     through serve.Backend.Call; replica responses, including error
 //     envelopes, pass through byte-for-byte with an X-Gateway-Replica header
@@ -72,10 +71,6 @@ const SelfMetric = "zerotune_gateway_self_seconds"
 
 // Options configures a Gateway.
 type Options struct {
-	// Route selects the routing policy (default RouteAffinity).
-	Route RoutePolicy
-	// Queue selects the dispatch-queue ordering (default QueueFCFS).
-	Queue QueuePolicy
 	// QueueDepth bounds how many admitted requests may park waiting for a
 	// slot (default DefaultQueueDepth); beyond it requests get 429 queue_full.
 	QueueDepth int
@@ -107,12 +102,6 @@ type Options struct {
 
 // WithDefaults fills unset options for a gateway over this many replicas.
 func (o Options) WithDefaults(replicas int) Options {
-	if o.Route == "" {
-		o.Route = RouteAffinity
-	}
-	if o.Queue == "" {
-		o.Queue = QueueFCFS
-	}
 	if o.QueueDepth < 1 {
 		o.QueueDepth = DefaultQueueDepth
 	}
@@ -145,7 +134,6 @@ type Gateway struct {
 	maxRetries int // forwardRetries, capped by the pool
 	reg        *obs.Registry
 	pool       *Pool
-	router     router
 	adm        *admission
 	queue      *dispatchQueue
 	mux        *http.ServeMux
@@ -184,13 +172,6 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 		seen[b.Name()] = true
 	}
 	opts = opts.WithDefaults(len(backends))
-	rt, err := newRouter(opts.Route)
-	if err != nil {
-		return nil, err
-	}
-	if err := queuePolicy(opts.Queue); err != nil {
-		return nil, err
-	}
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -204,9 +185,8 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 		maxRetries: min(forwardRetries, len(backends)-1),
 		reg:        reg,
 		pool:       newPool(backends, opts.Seed, opts.FailThreshold, reg),
-		router:     rt,
 		adm:        adm,
-		queue:      newDispatchQueue(opts.Queue, opts.MaxConcurrent, opts.QueueDepth),
+		queue:      newDispatchQueue(opts.MaxConcurrent, opts.QueueDepth),
 		mux:        serve.NewMux(),
 		endpoints:  make(map[string]*obs.Endpoint, len(endpointNames)),
 		self:       reg.Histogram(SelfMetric),
@@ -220,8 +200,7 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 		g.endpoints[name] = obs.NewEndpoint(reg, "zerotune_gateway", name)
 	}
 	for _, r := range g.pool.Replicas() {
-		g.routed[r.Name()] = reg.Counter("zerotune_gateway_route_decisions_total",
-			obs.L("policy", string(rt.policy())), obs.L("replica", r.Name()))
+		g.routed[r.Name()] = reg.Counter("zerotune_gateway_route_decisions_total", obs.L("replica", r.Name()))
 	}
 	reg.GaugeFunc("zerotune_gateway_fairness_jain", g.adm.jainFairness)
 	reg.GaugeFunc("zerotune_gateway_queue_depth", func() float64 { return float64(g.queue.depth()) })
@@ -317,9 +296,9 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 		}
 		cls.admitted.Inc()
 
-		// Stage 2: a dispatch slot, in queue-policy order.
+		// Stage 2: a dispatch slot, in class-priority order.
 		enq := time.Now()
-		if err := g.queue.acquire(ctx, cls.cfg.Priority, len(body)); err != nil {
+		if err := g.queue.acquire(ctx, cls.cfg.Priority); err != nil {
 			serve.WriteError(w, serve.FailureStatus(err), err)
 			return
 		}
@@ -335,14 +314,14 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 		// coalesce inside whichever replica owns each encoding. Feedback is
 		// keyed by its own body, not by the predict it reports on, so a
 		// replica answering 404 unknown_fingerprint sends it on to the next
-		// replica, through the whole pool, in the router's order.
+		// replica, through the whole pool, in affinity order.
 		key := serve.HashBody(body)
 		replicas := g.pool.Replicas()
 		var tried uint64
 		var lastErr error
 		var passMiss func() // passes on the last answer that feedback's plan is not held
 		for failures := 0; failures <= g.maxRetries; {
-			rep, spill := g.router.pick(replicas, key, tried)
+			rep, spill := pick(replicas, key, tried)
 			if rep == nil {
 				break
 			}
@@ -438,26 +417,20 @@ type HealthResponse struct {
 	Status string `json:"status"`
 	// Addr is the gateway's own bound listener address, when recorded.
 	Addr     string          `json:"addr,omitempty"`
-	Route    string          `json:"route"`
-	Queue    string          `json:"queue"`
 	Replicas []ReplicaHealth `json:"replicas"`
 }
 
 // ReplicaHealth is one pool member's health view.
 type ReplicaHealth struct {
-	Name        string  `json:"name"`
-	State       string  `json:"state"` // "healthy" | "ejected"
-	Outstanding int64   `json:"outstanding"`
-	LoadEWMA    float64 `json:"load_ewma"`
-	Ejections   uint64  `json:"ejections"`
-	Rejoins     uint64  `json:"rejoins"`
+	Name        string `json:"name"`
+	State       string `json:"state"` // "healthy" | "ejected"
+	Outstanding int64  `json:"outstanding"`
+	Ejections   uint64 `json:"ejections"`
+	Rejoins     uint64 `json:"rejoins"`
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := HealthResponse{
-		Route: string(g.router.policy()),
-		Queue: string(g.opts.Queue),
-	}
+	var resp HealthResponse
 	if p := g.boundAddr.Load(); p != nil {
 		resp.Addr = *p
 	}
@@ -472,7 +445,6 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Name:        rep.Name(),
 			State:       state,
 			Outstanding: rep.Outstanding(),
-			LoadEWMA:    rep.Load(),
 			Ejections:   rep.ejections.Load(),
 			Rejoins:     rep.rejoins.Load(),
 		})
@@ -501,9 +473,9 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) Summary() string {
 	var b []byte
 	w := func(format string, args ...any) { b = fmt.Appendf(b, format, args...) }
-	w("gateway: uptime %s, %d/%d replicas healthy, route=%s queue=%s\n",
+	w("gateway: uptime %s, %d/%d replicas healthy\n",
 		time.Since(g.start).Round(time.Millisecond), g.pool.HealthyCount(),
-		len(g.pool.Replicas()), g.router.policy(), g.opts.Queue)
+		len(g.pool.Replicas()))
 	for _, name := range endpointNames {
 		ep := g.endpoints[name]
 		if n := ep.Requests.Load(); n > 0 {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -126,7 +127,6 @@ func knownCodes() map[string]bool {
 func TestGatewayE2E(t *testing.T) {
 	reps := newReplicaSet(t, 3)
 	g, err := New(asBackends(reps), Options{
-		Route:         RouteAffinity,
 		ProbeInterval: -1, // probes driven manually for determinism
 		FailThreshold: 2,
 		Classes: []ClassConfig{
@@ -413,48 +413,44 @@ func TestAdmissionTokenBucket(t *testing.T) {
 	}
 }
 
-// TestDispatchQueueOrdering: with one busy slot, parked waiters drain in
-// policy order — priority first under "priority", cheapest first under
-// "sjf", arrival order under "fcfs".
+// TestDispatchQueueOrdering: with one busy slot, parked waiters drain
+// higher class priority first, arrival order within a priority — so equal
+// priorities, the default, drain first come, first served.
 func TestDispatchQueueOrdering(t *testing.T) {
-	type waiterSpec struct {
-		prio, cost int
-	}
-	specs := []waiterSpec{{1, 500}, {5, 300}, {1, 100}, {9, 400}}
 	cases := []struct {
-		policy QueuePolicy
-		order  []int // indices into specs, expected drain order
+		name  string
+		prios []int // one parked waiter each, in arrival order
+		order []int // indices into prios, expected drain order
 	}{
-		{QueueFCFS, []int{0, 1, 2, 3}},
-		{QueuePriority, []int{3, 1, 0, 2}},
-		{QueueSJF, []int{2, 1, 3, 0}},
+		{"fcfs", []int{0, 0, 0, 0}, []int{0, 1, 2, 3}},
+		{"priority", []int{1, 5, 1, 9}, []int{3, 1, 0, 2}},
 	}
 	for _, tc := range cases {
-		t.Run(string(tc.policy), func(t *testing.T) {
-			q := newDispatchQueue(tc.policy, 1, 16)
-			if err := q.acquire(context.Background(), 0, 0); err != nil {
+		t.Run(tc.name, func(t *testing.T) {
+			q := newDispatchQueue(1, 16)
+			if err := q.acquire(context.Background(), 0); err != nil {
 				t.Fatal(err)
 			}
-			got := make(chan int, len(specs))
+			got := make(chan int, len(tc.prios))
 			var wg sync.WaitGroup
-			for i, s := range specs {
+			for i, prio := range tc.prios {
 				wg.Add(1)
-				go func(i int, s waiterSpec) {
+				go func(i, prio int) {
 					defer wg.Done()
-					if err := q.acquire(context.Background(), s.prio, s.cost); err != nil {
+					if err := q.acquire(context.Background(), prio); err != nil {
 						t.Error(err)
 						return
 					}
 					got <- i
 					q.release()
-				}(i, s)
+				}(i, prio)
 				// Park deterministically: wait until this waiter is in the heap
-				// before launching the next, so seq order equals spec order.
+				// before launching the next, so seq order equals arrival order.
 				for q.depth() != i+1 {
 					time.Sleep(100 * time.Microsecond)
 				}
 			}
-			q.release() // free the slot; the queue drains itself in policy order
+			q.release() // free the slot; the queue drains itself in priority order
 			wg.Wait()
 			close(got)
 			var order []int
@@ -473,17 +469,17 @@ func TestDispatchQueueOrdering(t *testing.T) {
 // TestDispatchQueueFullAndCancel: a full wait line rejects with the
 // queue-full sentinel; a parked waiter honors context cancellation.
 func TestDispatchQueueFullAndCancel(t *testing.T) {
-	q := newDispatchQueue(QueueFCFS, 1, 1)
-	if err := q.acquire(context.Background(), 0, 0); err != nil {
+	q := newDispatchQueue(1, 1)
+	if err := q.acquire(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	parked := make(chan error, 1)
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() { parked <- q.acquire(ctx, 0, 0) }()
+	go func() { parked <- q.acquire(ctx, 0) }()
 	for q.depth() != 1 {
 		time.Sleep(100 * time.Microsecond)
 	}
-	if err := q.acquire(context.Background(), 0, 0); err != serve.ErrQueueFull {
+	if err := q.acquire(context.Background(), 0); err != serve.ErrQueueFull {
 		t.Fatalf("full wait line returned %v, want serve.ErrQueueFull", err)
 	}
 	cancel()
@@ -493,7 +489,7 @@ func TestDispatchQueueFullAndCancel(t *testing.T) {
 	// The slot is still held by the first acquire; releasing leaves an empty,
 	// usable queue.
 	q.release()
-	if err := q.acquire(context.Background(), 0, 0); err != nil {
+	if err := q.acquire(context.Background(), 0); err != nil {
 		t.Fatalf("queue unusable after cancel: %v", err)
 	}
 }
@@ -542,8 +538,13 @@ func TestGatewayValidation(t *testing.T) {
 	if _, err := New(dup, Options{}); err == nil {
 		t.Fatal("New accepted duplicate backend names")
 	}
-	if _, err := New(asBackends(reps), Options{Route: "nope"}); err == nil {
-		t.Fatal("New accepted an unknown route policy")
+	for _, cfg := range []ClassConfig{
+		{Name: "x", Rate: math.NaN()},
+		{Name: "x", Rate: 10, Burst: math.NaN()},
+	} {
+		if _, err := New(asBackends(reps), Options{Classes: []ClassConfig{cfg}}); err == nil {
+			t.Errorf("New accepted SLO class %+v, whose budget is not a number", cfg)
+		}
 	}
 	if _, err := New(asBackends(reps), Options{Classes: []ClassConfig{{Name: "x"}, {Name: "x"}}}); err == nil {
 		t.Fatal("New accepted duplicate SLO classes")

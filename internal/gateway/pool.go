@@ -3,7 +3,6 @@ package gateway
 import (
 	"context"
 	"errors"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -24,14 +23,9 @@ const (
 // non-200 — alive, but not fit to serve.
 var errProbeUnhealthy = errors.New("gateway: replica probe answered non-200")
 
-// loadEWMAAlpha weights the newest outstanding-request observation in the
-// per-replica load estimate. 0.25 reacts within a few requests while still
-// smoothing over the instantaneous jitter of request completion order.
-const loadEWMAAlpha = 0.25
-
-// Replica is one pool member: a backend plus its health and load state.
-// Health transitions are serialized by the pool; the load fields are updated
-// lock-free on the request path.
+// Replica is one pool member: a backend plus its health state and in-flight
+// count. Health transitions are serialized by the pool; the in-flight count
+// is updated lock-free on the request path.
 type Replica struct {
 	backend serve.Backend
 	idx     int
@@ -39,7 +33,6 @@ type Replica struct {
 	state       atomic.Int32
 	consecFails atomic.Int32
 	outstanding atomic.Int64
-	loadBits    atomic.Uint64 // float64 bits of the outstanding-request EWMA
 
 	// Rejoin bookkeeping, guarded by the pool mutex: how many probe rounds
 	// to skip before the next rejoin attempt, which attempt of this
@@ -65,28 +58,15 @@ func (r *Replica) Healthy() bool { return r.state.Load() == stateHealthy }
 // Outstanding is the number of requests currently in flight to this replica.
 func (r *Replica) Outstanding() int64 { return r.outstanding.Load() }
 
-// Load is the outstanding-request EWMA the least-loaded router ranks by.
-func (r *Replica) Load() float64 { return math.Float64frombits(r.loadBits.Load()) }
-
-// noteDispatch marks a forward attempt in flight and folds the new
-// outstanding count into the load EWMA.
-func (r *Replica) noteDispatch() {
-	o := float64(r.outstanding.Add(1))
-	for {
-		old := r.loadBits.Load()
-		next := loadEWMAAlpha*o + (1-loadEWMAAlpha)*math.Float64frombits(old)
-		if r.loadBits.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
+// noteDispatch marks a forward attempt in flight.
+func (r *Replica) noteDispatch() { r.outstanding.Add(1) }
 
 // noteDone marks a forward attempt finished.
 func (r *Replica) noteDone() { r.outstanding.Add(-1) }
 
 // Pool is the gateway's replica set: it owns health state (probing,
 // consecutive-failure ejection, jittered-backoff rejoin) and exposes the
-// replica list routing policies pick from. Every health decision that
+// replica list routing picks from. Every health decision that
 // involves randomness draws from the seeded fault.Uniform stream, so two
 // pools built with the same seed, backends and failure sequence transition
 // identically — the property the chaos tests diff byte-for-byte.
@@ -121,9 +101,6 @@ func newPool(backends []serve.Backend, seed uint64, failThreshold int, reg *obs.
 		}, obs.L("replica", b.Name()))
 		reg.GaugeFunc("zerotune_gateway_replica_outstanding", func() float64 {
 			return float64(rr.Outstanding())
-		}, obs.L("replica", b.Name()))
-		reg.GaugeFunc("zerotune_gateway_replica_load_ewma", func() float64 {
-			return rr.Load()
 		}, obs.L("replica", b.Name()))
 		p.replicas = append(p.replicas, r)
 	}

@@ -3,70 +3,30 @@ package gateway
 import (
 	"container/heap"
 	"context"
-	"fmt"
 	"sync"
 
 	"zerotune/internal/serve"
 )
 
-// QueuePolicy names the ordering discipline of the gateway-side dispatch
-// queue that feeds the replicas.
-type QueuePolicy string
-
-const (
-	// QueueFCFS serves requests strictly in arrival order.
-	QueueFCFS QueuePolicy = "fcfs"
-	// QueuePriority serves higher-priority SLO classes first, arrival
-	// order within a class.
-	QueuePriority QueuePolicy = "priority"
-	// QueueSJF serves the cheapest request first, using the request body
-	// size as the forward-cost estimate: the GNN forward pass scales with
-	// plan size, and plan size is what the body encodes. Classic
-	// shortest-job-first — minimizes mean wait at the cost of tail latency
-	// for the largest plans (which the per-request deadline still bounds).
-	QueueSJF QueuePolicy = "sjf"
-)
-
-// queuePolicy validates a policy name (Options.WithDefaults has named the
-// default by now).
-func queuePolicy(p QueuePolicy) error {
-	switch p {
-	case QueueFCFS, QueuePriority, QueueSJF:
-		return nil
-	default:
-		return fmt.Errorf("gateway: unknown queue policy %q", p)
-	}
-}
-
 // waiter is one parked request. index is the heap position, -1 once granted
 // or abandoned (the grant/cancel race is resolved under the queue mutex).
 type waiter struct {
 	prio  int
-	cost  int
 	seq   uint64
 	index int
 	ready chan struct{}
 }
 
-// waiterHeap orders waiters by the queue policy.
-type waiterHeap struct {
-	policy QueuePolicy
-	items  []*waiter
-}
+// waiterHeap orders waiters by class priority, higher first, then by
+// arrival.
+type waiterHeap struct{ items []*waiter }
 
 func (h *waiterHeap) Len() int { return len(h.items) }
 
 func (h *waiterHeap) Less(i, j int) bool {
 	a, b := h.items[i], h.items[j]
-	switch h.policy {
-	case QueuePriority:
-		if a.prio != b.prio {
-			return a.prio > b.prio
-		}
-	case QueueSJF:
-		if a.cost != b.cost {
-			return a.cost < b.cost
-		}
+	if a.prio != b.prio {
+		return a.prio > b.prio
 	}
 	return a.seq < b.seq
 }
@@ -93,10 +53,11 @@ func (h *waiterHeap) Pop() any {
 }
 
 // dispatchQueue bounds gateway→replica concurrency: at most maxActive
-// forwards run at once, and at most maxWaiting requests park behind them in
-// policy order. The queue is a counting semaphore whose wait line is a heap
-// — release hands the freed slot directly to the best waiter, so a grant is
-// never lost to a scheduling race.
+// forwards run at once, and at most maxWaiting requests park behind them,
+// higher class priority first and arrival order within a priority. The queue
+// is a counting semaphore whose wait line is a heap — release hands the freed
+// slot directly to the best waiter, so a grant is never lost to a scheduling
+// race.
 type dispatchQueue struct {
 	mu         sync.Mutex
 	heap       waiterHeap
@@ -106,12 +67,8 @@ type dispatchQueue struct {
 	seq        uint64
 }
 
-func newDispatchQueue(policy QueuePolicy, maxActive, maxWaiting int) *dispatchQueue {
-	return &dispatchQueue{
-		heap:       waiterHeap{policy: policy},
-		maxActive:  maxActive,
-		maxWaiting: maxWaiting,
-	}
+func newDispatchQueue(maxActive, maxWaiting int) *dispatchQueue {
+	return &dispatchQueue{maxActive: maxActive, maxWaiting: maxWaiting}
 }
 
 // depth reports how many requests are parked.
@@ -121,10 +78,10 @@ func (q *dispatchQueue) depth() int {
 	return q.heap.Len()
 }
 
-// acquire takes a dispatch slot, parking in policy order when all slots are
+// acquire takes a dispatch slot, parking at priority prio when all slots are
 // busy. It returns serve.ErrQueueFull when the wait line is at capacity and
 // the context error if the caller gave up while parked.
-func (q *dispatchQueue) acquire(ctx context.Context, prio, cost int) error {
+func (q *dispatchQueue) acquire(ctx context.Context, prio int) error {
 	q.mu.Lock()
 	if q.active < q.maxActive {
 		q.active++
@@ -136,7 +93,7 @@ func (q *dispatchQueue) acquire(ctx context.Context, prio, cost int) error {
 		return serve.ErrQueueFull
 	}
 	q.seq++
-	w := &waiter{prio: prio, cost: cost, seq: q.seq, ready: make(chan struct{})}
+	w := &waiter{prio: prio, seq: q.seq, ready: make(chan struct{})}
 	heap.Push(&q.heap, w)
 	q.mu.Unlock()
 

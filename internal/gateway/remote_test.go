@@ -165,8 +165,6 @@ func TestGatewayFeedbackFindsThePredictingReplica(t *testing.T) {
 func TestGatewayOverHTTPReplicas(t *testing.T) {
 	_, hss, backends := replicas(t, 3, true, serve.Options{})
 	g, err := New(backends, Options{
-		Route: RouteAffinity,
-		Queue: QueuePriority,
 		Classes: []ClassConfig{
 			{Name: "gold", Rate: 500, Burst: 500, Priority: 10},
 			{Name: "best-effort"},

@@ -28,6 +28,7 @@ package loadgen
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -138,8 +139,10 @@ func (s *Spec) validate() error {
 	default:
 		return fmt.Errorf("loadgen: unknown arrival process %q", s.Arrival)
 	}
-	if s.Rate <= 0 {
-		return fmt.Errorf("loadgen: rate must be positive, got %g", s.Rate)
+	// Every float bound is written so that NaN fails it: NaN compares false
+	// against everything, and ±Inf must not pass as a rate or a weight.
+	if !(s.Rate > 0) || math.IsInf(s.Rate, 0) {
+		return fmt.Errorf("loadgen: rate must be positive and finite, got %g", s.Rate)
 	}
 	if s.Duration <= 0 {
 		return fmt.Errorf("loadgen: duration must be positive, got %s", s.Duration)
@@ -147,10 +150,10 @@ func (s *Spec) validate() error {
 	if s.CV == 0 {
 		s.CV = DefaultCV
 	}
-	if s.CV < 0 {
-		return fmt.Errorf("loadgen: cv must be non-negative, got %g", s.CV)
+	if !(s.CV >= 0) || math.IsInf(s.CV, 0) {
+		return fmt.Errorf("loadgen: cv must be non-negative and finite, got %g", s.CV)
 	}
-	if s.DiurnalAmplitude < 0 || s.DiurnalAmplitude >= 1 {
+	if !(s.DiurnalAmplitude >= 0 && s.DiurnalAmplitude < 1) {
 		return fmt.Errorf("loadgen: diurnal amplitude must be in [0,1), got %g", s.DiurnalAmplitude)
 	}
 	if s.DiurnalAmplitude > 0 && s.DiurnalPeriod == 0 {
@@ -163,8 +166,8 @@ func (s *Spec) validate() error {
 		return fmt.Errorf("loadgen: spec needs at least one request body")
 	}
 	for _, c := range s.Classes {
-		if c.Weight < 0 {
-			return fmt.Errorf("loadgen: class %q has negative weight", c.Name)
+		if !(c.Weight >= 0) || math.IsInf(c.Weight, 0) {
+			return fmt.Errorf("loadgen: class %q weight must be non-negative and finite, got %g", c.Name, c.Weight)
 		}
 	}
 	return nil

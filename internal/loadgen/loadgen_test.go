@@ -231,9 +231,18 @@ func TestSpecValidation(t *testing.T) {
 		"negative cv":     func(s *Spec) { s.CV = -0.5 },
 		"weibull tiny cv": func(s *Spec) { s.Arrival = ArrivalWeibull; s.CV = 0.01 },
 		"weibull huge cv": func(s *Spec) { s.Arrival = ArrivalWeibull; s.CV = 50 },
+		"NaN rate":        func(s *Spec) { s.Rate = math.NaN() },
+		"infinite rate":   func(s *Spec) { s.Rate = math.Inf(1) },
+		"gamma NaN cv":    func(s *Spec) { s.Arrival = ArrivalGamma; s.CV = math.NaN() },
+		"NaN amplitude":   func(s *Spec) { s.DiurnalAmplitude = math.NaN() },
+		"NaN weight":      func(s *Spec) { s.Classes[0].Weight = math.NaN() },
 	}
 	for name, mutate := range cases {
 		s := baseSpec()
+		// A non-finite rate or amplitude that slips through schedules every
+		// request at one instant; the cap bounds that schedule instead of
+		// letting it eat the memory.
+		s.MaxRequests = 10000
 		mutate(&s)
 		if _, err := s.Schedule(); err == nil {
 			t.Errorf("%s: Schedule accepted invalid spec", name)

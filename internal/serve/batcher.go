@@ -369,7 +369,7 @@ func (b *Batcher) collect(first *batchItem) ([]*batchItem, FlushReason) {
 // failed first — a disconnected client's prediction never joins the
 // forward pass. The survivors are grouped by their bound model revision
 // (normally a single group; briefly two around a hot swap) and each group
-// rides the data-parallel batch-inference path.
+// is one PredictEncodedInto call on the fused GEMM.
 func (b *Batcher) run(batch []*batchItem) {
 	live := batch[:0]
 	for _, it := range batch {
