@@ -30,6 +30,10 @@ type tier interface {
 // race. announce prints the command's own stderr lines once the address is
 // known.
 func listenAndDrain(cmd, addr string, drain time.Duration, t tier, announce func(bound string)) error {
+	// Catch the signals before the address is announced: a SIGTERM sent as
+	// soon as the listening line appears must drain, not kill the process.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return fmt.Errorf("%s: listen %s: %w", cmd, addr, err)
@@ -47,8 +51,6 @@ func listenAndDrain(cmd, addr string, drain time.Duration, t tier, announce func
 		}
 	}()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errCh:
 		t.Close()

@@ -527,7 +527,9 @@ func growSchedule(ss [][]int, n int) [][]int {
 func roundUp(n, m int) int { return (n + m - 1) / m * m }
 
 // zero, add and axpy are the element-wise steps between the GEMMs, in the
-// reference forward's form: v = 0, v += w, v += a·w.
+// reference forward's form: v = 0, v += w, v += a·w. The float64 axpy is the
+// reference's own tensor.Vector.AxpyInPlace, whose every element is one fused
+// multiply-add.
 func zero[T float](v []T) {
 	for i := range v {
 		v[i] = 0
@@ -543,6 +545,10 @@ func add[T float](v, w []T) {
 
 func axpy[T float](v []T, a T, w []T) {
 	w = w[:len(v)]
+	if v64, ok := any(v).([]float64); ok {
+		tensor.Vector(v64).AxpyInPlace(float64(a), any(w).([]float64))
+		return
+	}
 	for i := range v {
 		v[i] += a * w[i]
 	}

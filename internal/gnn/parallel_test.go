@@ -75,9 +75,10 @@ func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 
 // TestTrainSameBitsEveryKernel: training runs on the float64 vector kernels
 // of whatever CPU it lands on, and those kernels are bit-identical to the
-// portable loops — so a model trained under the start-up kernel equals one
-// trained under the portable kernel, weight for weight. Widths 6 and 48 take
-// the kernels through their tails and their full 16-column blocks.
+// portable loops — so a model trained under any kernel this CPU can run
+// (portable, avx2 and avx512, as tensor.SetSIMD allows) equals one trained
+// under the portable kernel, weight for weight. Widths 6 and 48 take the
+// kernels through their tails and their full column blocks.
 func TestTrainSameBitsEveryKernel(t *testing.T) {
 	graphs := trainSet(t, 24)
 	run := func(kernel string, cfg Config) (*Model, TrainStats) {
@@ -92,18 +93,27 @@ func TestTrainSameBitsEveryKernel(t *testing.T) {
 		}
 		return m, stats
 	}
-	start := tensor.Kernel()
-	if start == "portable" {
-		t.Log("the start-up kernel is portable: both runs take the same path")
+	var kernels []string
+	for _, k := range []string{"avx2", "avx512"} {
+		prev := tensor.SetSIMD(k)
+		if tensor.Kernel() == k {
+			kernels = append(kernels, k)
+		}
+		tensor.SetSIMD(prev)
+	}
+	if len(kernels) == 0 {
+		t.Log("this CPU runs only the portable kernel: nothing to compare it with")
 	}
 	for _, cfg := range []Config{{Hidden: 6, EncDepth: 1, HeadHidden: 6}, DefaultConfig()} {
 		want, wantStats := run("portable", cfg)
-		got, gotStats := run(start, cfg)
-		if gotStats.FinalLoss != wantStats.FinalLoss {
-			t.Errorf("hidden %d: final loss %v under %s != %v under portable", cfg.Hidden, gotStats.FinalLoss, start, wantStats.FinalLoss)
-		}
-		if ok, why := paramsEqual(want, got); !ok {
-			t.Errorf("hidden %d: %s between %s and portable", cfg.Hidden, why, start)
+		for _, k := range kernels {
+			got, gotStats := run(k, cfg)
+			if gotStats.FinalLoss != wantStats.FinalLoss {
+				t.Errorf("hidden %d: final loss %v under %s != %v under portable", cfg.Hidden, gotStats.FinalLoss, k, wantStats.FinalLoss)
+			}
+			if ok, why := paramsEqual(want, got); !ok {
+				t.Errorf("hidden %d: %s between %s and portable", cfg.Hidden, why, k)
+			}
 		}
 	}
 }

@@ -27,7 +27,7 @@ func TestBatchMatchesPerRow(t *testing.T) {
 		}
 		x.Row(2).Zero()         // pre-activation = bias = +0
 		x.Set(4, 1, math.NaN()) // a NaN pre-activation
-		dOut.Row(5).Zero()      // a zero gradient: the skips
+		dOut.Row(5).Zero()      // a zero gradient
 		perm := []int{3, 0, 8, 1, 7, 2, 6, 4, 5}
 
 		// Per row, in perm's order.

@@ -12,15 +12,19 @@ type AdamCoeffs struct {
 
 // AdamInPlace applies one Adam step to val, element by element:
 //
-//	m = Beta1·m + (1-Beta1)·g
-//	v = Beta2·v + (1-Beta2)·g·g
-//	val -= LR·((m/BC1)/(√(v/BC2)+Eps) + WD·val)
+//	m   = fma(1-Beta1, g, Beta1·m)
+//	v   = fma((1-Beta2)·g, g, Beta2·v)
+//	s   = (m·(1/BC1)) / (√(v·(1/BC2)) + Eps)
+//	val = fma(-LR, fma(WD, val, s), val)
 //
-// with every product, sum, quotient and root in that order. Under a vector
-// kernel (see Kernel) four elements run per AVX2 instruction; each lane does
-// the same operations (VDIVPD and VSQRTPD round exactly as their scalar
-// forms, and no multiply is fused into an add), so the result is the
-// portable loop's bit for bit. All four slices have the same length.
+// in that order: each fma rounds once, every other product, sum, quotient
+// and root rounds on its own, and the reciprocals 1/BC1 and 1/BC2 are
+// computed once per call, so an element costs one division and one root.
+// Under a vector kernel (see Kernel) four elements run per AVX2 instruction;
+// each lane does the same operations (each fma a VFMADD231PD or, for the
+// last, a VFNMADD231PD, and VDIVPD and VSQRTPD round exactly as their scalar
+// forms), so the result is the portable loop's bit for bit. All four slices
+// have the same length.
 func AdamInPlace(val, grad, m, v Vector, c *AdamCoeffs) {
 	n := len(val)
 	grad, m, v = grad[:n], m[:n], v[:n]
@@ -30,11 +34,13 @@ func AdamInPlace(val, grad, m, v Vector, c *AdamCoeffs) {
 		adam64(&val[0], &grad[0], &m[0], &v[0], int64(j), c)
 	}
 	c1, c2 := 1-c.Beta1, 1-c.Beta2
+	r1, r2 := 1/c.BC1, 1/c.BC2
 	for ; j < n; j++ {
 		g := grad[j]
-		mj := c.Beta1*m[j] + c1*g
-		vj := c.Beta2*v[j] + c2*g*g
+		mj := math.FMA(c1, g, float64(c.Beta1*m[j]))
+		vj := math.FMA(float64(c2*g), g, float64(c.Beta2*v[j]))
 		m[j], v[j] = mj, vj
-		val[j] -= c.LR * ((mj/c.BC1)/(math.Sqrt(vj/c.BC2)+c.Eps) + c.WD*val[j])
+		s := float64(mj*r1) / (math.Sqrt(float64(vj*r2)) + c.Eps)
+		val[j] = math.FMA(-c.LR, math.FMA(c.WD, val[j], s), val[j])
 	}
 }

@@ -7,11 +7,13 @@ import "fmt"
 // one-vector path and is bit-identical to it — GemmBiasInto to MulVecAddBias,
 // GemmTInto to MulVecT, AddOuterRowsInPlace to AddOuterInPlace with a = 1
 // applied sample after sample — so a batched pass computes the bits of the
-// per-sample loop. Under a vector kernel (see Kernel) they run the register-
-// tiled AVX2 kernels of gemm64_amd64.s, which keep every element's sequence
-// of products and sums and change only which elements share a pass; the rows
-// a tile leaves over run the one-vector kernels. The portable path is the
-// one-vector loop, row by row.
+// per-sample loop, whose order is the float64 contract: every term fused into
+// its sum with one rounding (math.FMA), in the documented per-element order
+// of the one-vector path. Under a vector kernel (see Kernel) they run the
+// register-tiled AVX2+FMA kernels of gemm64_amd64.s, which keep every
+// element's sequence of fused multiply-adds and change only which elements
+// share a pass; the rows a tile leaves over run the one-vector kernels. The
+// portable path is the one-vector loop, row by row.
 
 // GemmBiasInto computes Y = X · Wᵀ + 1⊗b, the batched form of a linear layer
 // pre-activation: row i of Y is w.MulVecAddBias(x.Row(i), b, ·), bit for bit.
@@ -44,7 +46,7 @@ func GemmBiasInto(x, w *Matrix, b Vector, y *Matrix) *Matrix {
 
 // GemmTInto computes Y = D · W, the batched input gradient of a linear layer:
 // row i of Y is w.MulVecT(d.Row(i), ·), bit for bit — summed over w's rows in
-// order, skipping the rows whose multiplier d[i][r] is zero.
+// order.
 func GemmTInto(d, w, y *Matrix) *Matrix {
 	if d.Cols != w.Rows || y.Rows != d.Rows || y.Cols != w.Cols {
 		panic(fmt.Sprintf("tensor: GemmTInto shape mismatch d %dx%d w %dx%d y %dx%d",
@@ -69,9 +71,8 @@ func GemmTInto(d, w, y *Matrix) *Matrix {
 
 // AddOuterRowsInPlace performs m += Dᵀ · X, the batched weight gradient of a
 // linear layer: bit for bit m.AddOuterInPlace(1, d.Row(s), x.Row(s)) for
-// s = 0, 1, … in order, so every element is a sum in sample order that skips
-// the samples whose multiplier d[s][r] is zero. The tiled kernel loads each
-// element of m once per call rather than once per sample.
+// s = 0, 1, … in order, so every element is a sum in sample order. The tiled
+// kernel loads each element of m once per call rather than once per sample.
 func (m *Matrix) AddOuterRowsInPlace(d, x *Matrix) *Matrix {
 	if d.Rows != x.Rows || d.Cols != m.Rows || x.Cols != m.Cols {
 		panic(fmt.Sprintf("tensor: AddOuterRowsInPlace shape mismatch m %dx%d d %dx%d x %dx%d",

@@ -29,7 +29,8 @@ import (
 // one answered never shows in a prediction. Everywhere else, and under
 // ZEROTUNE_NOSIMD, a 4-way-unrolled pure-Go kernel with identical conventions
 // runs instead; it agrees with the vector kernels to float32 rounding, not bit
-// for bit (no fused multiply-add on amd64).
+// for bit: it rounds each product before adding it (float32(a*w), which no
+// target fuses), where the vector kernels fuse.
 
 // Act32 selects the activation fused into the float32 GEMM kernel.
 type Act32 int64
@@ -43,12 +44,16 @@ const (
 
 // kernel identifies a GEMM implementation, ordered by vector width: a CPU
 // that can run one can run every kernel below it. The same choice covers the
-// float64 vector paths (MulVec, MulVecAddBias, MulVecT, AddOuterInPlace,
-// AxpyInPlace and AddInPlace): any kernel but kernelPortable runs their AVX2
-// versions, which are bit-identical to the portable loops — lane j of a
-// vector is the loop's accumulator j and products and sums stay separate
-// instructions, never an FMA — so unlike the float32 GEMM, which kernel ran
-// never shows in a float64 result.
+// float64 paths training runs (MulVec, MulVecAddBias, MulVecT,
+// AddOuterInPlace, AxpyInPlace, AddInPlace, the batched GemmBiasInto,
+// GemmTInto and AddOuterRowsInPlace, and AdamInPlace): kernelAVX2 and
+// kernelAVX512 alike run their one AVX2+FMA version, and kernelPortable the
+// Go loops. Their contract is fused multiply-add in one documented order per
+// element: the Go loops call math.FMA, which rounds once on every platform,
+// the kernels issue one VFMADD231PD for each such call, lane j of a vector is
+// the loop's partial sum j, and every other product or sum rounds on its own
+// in both. So unlike the float32 GEMM, which kernel ran never shows in a
+// float64 result.
 type kernel int
 
 const (
@@ -99,7 +104,7 @@ func kernelFor(ecx1, ebx7, xcr0 uint32) kernel {
 }
 
 // Kernel names the GEMM kernel in use: "avx512", "avx2" or "portable". Under
-// either vector kernel the float64 vector paths run their AVX2 kernels.
+// either vector kernel the float64 paths run their AVX2+FMA kernels.
 func Kernel() string { return kernelNames[active] }
 
 // SIMDEnabled reports whether an assembly kernel is active.
@@ -155,13 +160,13 @@ func gemm32Go(x, wt *Matrix32, bias Vector32, y *Matrix32, act Act32, i0, i1 int
 			wrow := wt.Data[t*np : t*np+np : t*np+np]
 			j := 0
 			for ; j+3 < np; j += 4 {
-				yrow[j] += a * wrow[j]
-				yrow[j+1] += a * wrow[j+1]
-				yrow[j+2] += a * wrow[j+2]
-				yrow[j+3] += a * wrow[j+3]
+				yrow[j] += float32(a * wrow[j])
+				yrow[j+1] += float32(a * wrow[j+1])
+				yrow[j+2] += float32(a * wrow[j+2])
+				yrow[j+3] += float32(a * wrow[j+3])
 			}
 			for ; j < np; j++ {
-				yrow[j] += a * wrow[j]
+				yrow[j] += float32(a * wrow[j])
 			}
 		}
 		if act == Act32LeakyReLU {

@@ -22,42 +22,39 @@ func randVector(rng *RNG, n int) Vector {
 	return v
 }
 
-// naiveMulVec is the strictly sequential reference the unrolled kernels are
-// compared against. Sequential accumulation and 4-way accumulation differ in
-// rounding, so MulVec is checked against its own documented order instead;
-// this reference pins down MulVecT and AxpyInPlace, whose per-element results
-// are order-independent and must match exactly.
+// naiveMulVecT is the strictly sequential reference MulVecT is compared
+// against: its per-element results do not depend on the unrolling and must
+// match exactly. (MulVec is checked against its own documented order
+// instead, which is not a sequential sum.)
 func naiveMulVecT(m *Matrix, v Vector) Vector {
-	// MulVecT accumulates out[c] += m[r,c]*v[r] in row order; replicate that
-	// exact order (a column-order sum would differ in rounding).
+	// MulVecT accumulates out[c] = fma(m[r,c], v[r], out[c]) in row order;
+	// replicate that exact order (a column-order sum would differ in
+	// rounding).
 	out := NewVector(m.Cols)
 	for r := 0; r < m.Rows; r++ {
 		for c := 0; c < m.Cols; c++ {
-			if v[r] == 0 {
-				continue
-			}
-			out[c] += m.At(r, c) * v[r]
+			out[c] = math.FMA(m.At(r, c), v[r], out[c])
 		}
 	}
 	return out
 }
 
 // mulVecDocumentedOrder recomputes MulVec's documented accumulation order
-// (4-way unrolled, (s0+s1)+(s2+s3)) without slices, pinning the kernel's
-// numerics across refactors.
+// (four fused partial sums, (s0+s1)+(s2+s3)) without slices, pinning the
+// kernel's numerics across refactors.
 func mulVecDocumentedOrder(m *Matrix, v Vector) Vector {
 	out := NewVector(m.Rows)
 	for r := 0; r < m.Rows; r++ {
 		var s0, s1, s2, s3 float64
 		c := 0
 		for ; c+3 < m.Cols; c += 4 {
-			s0 += m.At(r, c) * v[c]
-			s1 += m.At(r, c+1) * v[c+1]
-			s2 += m.At(r, c+2) * v[c+2]
-			s3 += m.At(r, c+3) * v[c+3]
+			s0 = math.FMA(m.At(r, c), v[c], s0)
+			s1 = math.FMA(m.At(r, c+1), v[c+1], s1)
+			s2 = math.FMA(m.At(r, c+2), v[c+2], s2)
+			s3 = math.FMA(m.At(r, c+3), v[c+3], s3)
 		}
 		for ; c < m.Cols; c++ {
-			s0 += m.At(r, c) * v[c]
+			s0 = math.FMA(m.At(r, c), v[c], s0)
 		}
 		out[r] = (s0 + s1) + (s2 + s3)
 	}
@@ -85,7 +82,7 @@ func TestMulVecTTailsExact(t *testing.T) {
 	for _, cols := range []int{1, 3, 5, 8, 13, 16, 31} {
 		m := randMatrix(rng, 7, cols)
 		v := randVector(rng, 7)
-		v[3] = 0 // exercise the zero-skip branch
+		v[3] = 0 // a zero multiplier is a term like any other
 		got := m.MulVecT(v, NewVector(cols))
 		want := naiveMulVecT(m, v)
 		for c := range got {
@@ -104,7 +101,7 @@ func TestAxpyTailsExact(t *testing.T) {
 		a := rng.Range(-2, 2)
 		want := NewVector(n)
 		for i := range want {
-			want[i] = v[i] + a*w[i]
+			want[i] = math.FMA(a, w[i], v[i])
 		}
 		v.AxpyInPlace(a, w)
 		for i := range v {
@@ -428,8 +425,11 @@ func ExamplePadTo16() {
 // portable kernel over the GNN's widths (6, 47, 48, 96 columns; 1 and 48
 // rows), widths below 4 and every 1–3 element tail, odd and even row and
 // sample counts up to 113 (tile remainders), on operands salted with
-// zeros and negative zeros so the skip-on-zero branches and the sign of a
-// zero sum both show, and with a NaN multiplier, which no skip may take.
+// zeros and negative zeros so zero multipliers and the sign of a zero sum
+// both show, and with a NaN multiplier.
+// Then every primitive, under every kernel, the portable one included, runs
+// on operands where a fused multiply-add and a twice-rounded one differ (see
+// fusedCase) and must give the fused bits.
 func TestF64KernelsMatchPortable(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	salt := func(v Vector) {
@@ -456,11 +456,11 @@ func TestF64KernelsMatchPortable(t *testing.T) {
 		salt(vc)
 		salt(vr)
 		if rows > 2 {
-			vr[2] = math.NaN() // not zero: the skips must not take it
+			vr[2] = math.NaN()
 		}
 		b := randVector(rng, rows)
-		// A row of -0 weights against a -0 multiplier: the skip must not hide
-		// a sign the loop would have produced.
+		// A row of -0 weights against a -0 multiplier: the sign of a zero sum
+		// shows.
 		for c := 0; c < cols; c++ {
 			m.Set(0, c, negZero)
 		}
@@ -525,5 +525,92 @@ func TestF64KernelsMatchPortable(t *testing.T) {
 				}
 			}
 		}
+		for _, c := range fusedCases() {
+			if math.Float64bits(c.fused) == math.Float64bits(c.twice) {
+				t.Fatalf("%s: the operands do not tell fused from twice-rounded (%v)", c.name, c.fused)
+			}
+			for k, got := range c.run() {
+				if math.Float64bits(got) != math.Float64bits(c.fused) {
+					t.Fatalf("%s [%d]: %s %v (%#x), want the fused %v (%#x); twice-rounded is %v", c.name, k,
+						Kernel(), got, math.Float64bits(got), c.fused, math.Float64bits(c.fused), c.twice)
+				}
+			}
+		}
 	})
+}
+
+// fusedCase is one primitive on operands where a fused multiply-add and a
+// product rounded before its sum part ways. With a = 1+2⁻²⁷ and b = 1−2⁻²⁷,
+// a·b = 1−2⁻⁵⁴ exactly: fma(a, b, −1) = −2⁻⁵⁴, while a·b rounded is 1 and
+// 1 + (−1) = 0. Every element run returns must be fused; twice is what it
+// would be if some path rounded a product before adding it.
+type fusedCase struct {
+	name         string
+	run          func() Vector
+	fused, twice float64
+}
+
+func fusedCases() []fusedCase {
+	const a, b = 1 + 0x1p-27, 1 - 0x1p-27
+	const tiny = 0x1p-600 // tiny·tiny underflows: fma(−tiny, tiny, +0) is −0
+	negZero := math.Copysign(0, -1)
+	fill := func(n int, x float64) Vector { return NewVector(n).Fill(x) }
+	rows := func(n int, row Vector) *Matrix {
+		m := NewMatrix(n, len(row))
+		for i := 0; i < n; i++ {
+			copy(m.Row(i), row)
+		}
+		return m
+	}
+	// Nine columns, nine rows (a group of four, a quad and the rows they
+	// leave): each lane goes to −1, then takes a·b — lane 0 in the tail
+	// column, after a zero weight in its second step — so the four partial
+	// sums are −2⁻⁵⁴ and the row is −2⁻⁵².
+	dotW := rows(9, Vector{1, 1, 1, 1, 0, a, a, a, a})
+	dotV := Vector{-1, -1, -1, -1, b, b, b, b, b}
+	// Five columns of products that underflow to −0 when fused: each lane is
+	// −0, and so is the row, unless the tail column touches lanes 1–3.
+	zeroW, zeroV := rows(9, fill(5, -tiny)), fill(5, tiny)
+	// 53 columns take every column block and tail: weight rows 1, 7 and a
+	// against multipliers −1, 0 and b (7·0 adds +0 to −1).
+	colW := rows(3, fill(53, 1))
+	copy(colW.Row(1), fill(53, 7))
+	copy(colW.Row(2), fill(53, a))
+	colV := Vector{-1, 0, b}
+	// One Adam step over five equal elements (four in a vector, one in the
+	// tail), each coefficient set putting one fused site out of step with
+	// its twice-rounded form.
+	adam := func(c AdamCoeffs, g, m, v, val float64) (Vector, Vector, Vector) {
+		vm, vv, vval := fill(5, m), fill(5, v), fill(5, val)
+		AdamInPlace(vval, fill(5, g), vm, vv, &c)
+		return vm, vv, vval
+	}
+	// m = fma(¼b, 4a, −¾−2⁻²⁹) and v = fma(2a, 4a, −8).
+	adamMV := AdamCoeffs{Beta1: 0.75 + 0x1p-29, Beta2: 0.5, BC1: 1, BC2: 1}
+	// s = −¾, so fma(WD = a, val = ¾b, s) = −¾·2⁻⁵⁴, scaled by LR into val.
+	adamU := AdamCoeffs{Beta1: 0.5, Beta2: 0.5, BC1: 1, BC2: 1, LR: 0x1p40, WD: a}
+	// s = b, so val = fma(−a, b, 1) = 2⁻⁵⁴.
+	adamVal := AdamCoeffs{Beta1: 0.5, Beta2: 0.5, BC1: 1, BC2: 1, LR: a}
+	return []fusedCase{
+		{"MulVec", func() Vector { return dotW.MulVec(dotV, NewVector(9)) }, -0x1p-52, 0},
+		{"MulVec, underflow to -0", func() Vector { return zeroW.MulVec(zeroV, NewVector(9)) }, negZero, 0},
+		{"MulVecAddBias", func() Vector { return dotW.MulVecAddBias(dotV, fill(9, 1), NewVector(9)) }, 1 - 0x1p-52, 1},
+		{"GemmBiasInto", func() Vector { return GemmBiasInto(rows(9, dotV), dotW, fill(9, 1), NewMatrix(9, 9)).Data }, 1 - 0x1p-52, 1},
+		{"GemmBiasInto, underflow to -0", func() Vector {
+			return GemmBiasInto(rows(9, zeroV), zeroW, fill(9, negZero), NewMatrix(9, 9)).Data
+		}, negZero, 0},
+		{"MulVecT", func() Vector { return colW.MulVecT(colV, NewVector(53)) }, -0x1p-54, 0},
+		{"GemmTInto", func() Vector { return GemmTInto(rows(5, colV), colW, NewMatrix(5, 53)).Data }, -0x1p-54, 0},
+		{"AddOuterInPlace", func() Vector { return rows(3, fill(53, -1)).AddOuterInPlace(1, fill(3, b), fill(53, a)).Data }, -0x1p-54, 0},
+		{"AddOuterRowsInPlace", func() Vector {
+			d := NewMatrixFrom([][]float64{fill(5, b), fill(5, 0)})   // the second sample
+			x := NewMatrixFrom([][]float64{fill(53, a), fill(53, 3)}) // adds 0·3 = +0
+			return rows(5, fill(53, -1)).AddOuterRowsInPlace(d, x).Data
+		}, -0x1p-54, 0},
+		{"AxpyInPlace", func() Vector { return fill(21, -1).AxpyInPlace(a, fill(21, b)) }, -0x1p-54, 0},
+		{"AdamInPlace m", func() Vector { m, _, _ := adam(adamMV, 4*a, -1, -16, 1); return m }, 0.25 - 0x1p-29 - 0x1p-54, 0.25 - 0x1p-29},
+		{"AdamInPlace v", func() Vector { _, v, _ := adam(adamMV, 4*a, -1, -16, 1); return v }, 0x1p-23 + 0x1p-51, 0x1p-23},
+		{"AdamInPlace fma(WD, val, s)", func() Vector { _, _, val := adam(adamU, 0, -1.5, 2, 0.75*b); return val }, 0.75*b + 3*0x1p-16, 0.75 * b},
+		{"AdamInPlace fma(-LR, u, val)", func() Vector { _, _, val := adam(adamVal, 0, 2*b, 2, 1); return val }, 0x1p-54, 0},
+	}
 }

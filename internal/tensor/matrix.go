@@ -83,18 +83,20 @@ func (m *Matrix) RandomizeHe(rng *RNG, fanIn int) *Matrix {
 // MulVec computes out = m · v. out must have length m.Rows and v length
 // m.Cols; out is returned for chaining. out must not alias v.
 //
-// The dot product is 4-way unrolled with independent accumulators; the
-// partial sums are combined in a fixed order, so results are deterministic
-// (though not bit-identical to a strictly sequential accumulation).
+// Every product is fused into its sum (math.FMA, one rounding per term) in
+// one documented order: four partial sums, s_j over the columns c ≡ j (mod 4)
+// below m.Cols&^3 in column order, then the tail columns into s0, then
+// out[r] = (s0+s1)+(s2+s3). The order is deterministic, though not a strictly
+// sequential accumulation.
 //
 // Like every float64 vector path here (MulVecAddBias, MulVecT,
-// AddOuterInPlace, AxpyInPlace, AddInPlace), MulVec runs an AVX2 kernel
-// whenever Kernel() is not "portable", and the loop below otherwise. The two
-// are bit-identical: the kernel's four vector lanes are the loop's four
-// accumulators, it multiplies and adds in separate instructions (never a
-// fused multiply-add) with the loop's operand order, and it keeps the tail,
-// the zero skips and the final (s0+s1)+(s2+s3) where the loop has them. So a
-// model trains to the same bits under any kernel.
+// AddOuterInPlace, AxpyInPlace, AddInPlace and the batched kernels of
+// gemm.go), MulVec runs an AVX2+FMA kernel whenever Kernel() is not
+// "portable", and the loop below otherwise. The two are bit-identical: the
+// kernel's four vector lanes are the loop's four partial sums, each term is
+// one VFMADD231PD where the loop calls math.FMA, and it keeps the tail and
+// the final (s0+s1)+(s2+s3) where the loop has them. So a model trains to the
+// same bits under any kernel.
 func (m *Matrix) MulVec(v, out Vector) Vector {
 	mustSameLen(len(v), m.Cols)
 	mustSameLen(len(out), m.Rows)
@@ -109,13 +111,13 @@ func (m *Matrix) MulVec(v, out Vector) Vector {
 		var s0, s1, s2, s3 float64
 		c := 0
 		for ; c+3 < n; c += 4 {
-			s0 += row[c] * v[c]
-			s1 += row[c+1] * v[c+1]
-			s2 += row[c+2] * v[c+2]
-			s3 += row[c+3] * v[c+3]
+			s0 = math.FMA(row[c], v[c], s0)
+			s1 = math.FMA(row[c+1], v[c+1], s1)
+			s2 = math.FMA(row[c+2], v[c+2], s2)
+			s3 = math.FMA(row[c+3], v[c+3], s3)
 		}
 		for ; c < n; c++ {
-			s0 += row[c] * v[c]
+			s0 = math.FMA(row[c], v[c], s0)
 		}
 		out[r] = (s0 + s1) + (s2 + s3)
 	}
@@ -123,9 +125,9 @@ func (m *Matrix) MulVec(v, out Vector) Vector {
 }
 
 // MulVecAddBias computes out = m · v + b in one pass. It is bit-identical to
-// m.MulVec(v, out) followed by out.AddInPlace(b): each dot product uses the
-// same 4-way unrolled accumulation and the bias is added last as a single
-// final term. out must not alias v or b.
+// m.MulVec(v, out) followed by out.AddInPlace(b): each dot product runs
+// MulVec's order and the bias is added last as a single final term. out must
+// not alias v or b.
 func (m *Matrix) MulVecAddBias(v, b, out Vector) Vector {
 	mustSameLen(len(v), m.Cols)
 	mustSameLen(len(b), m.Rows)
@@ -141,13 +143,13 @@ func (m *Matrix) MulVecAddBias(v, b, out Vector) Vector {
 		var s0, s1, s2, s3 float64
 		c := 0
 		for ; c+3 < n; c += 4 {
-			s0 += row[c] * v[c]
-			s1 += row[c+1] * v[c+1]
-			s2 += row[c+2] * v[c+2]
-			s3 += row[c+3] * v[c+3]
+			s0 = math.FMA(row[c], v[c], s0)
+			s1 = math.FMA(row[c+1], v[c+1], s1)
+			s2 = math.FMA(row[c+2], v[c+2], s2)
+			s3 = math.FMA(row[c+3], v[c+3], s3)
 		}
 		for ; c < n; c++ {
-			s0 += row[c] * v[c]
+			s0 = math.FMA(row[c], v[c], s0)
 		}
 		out[r] = ((s0 + s1) + (s2 + s3)) + b[r]
 	}
@@ -155,7 +157,8 @@ func (m *Matrix) MulVecAddBias(v, b, out Vector) Vector {
 }
 
 // MulVecT computes out = mᵀ · v, i.e. out[c] = Σ_r m[r,c]·v[r]. out must have
-// length m.Cols and v length m.Rows. out must not alias v.
+// length m.Cols and v length m.Rows. out must not alias v. Each out[c] starts
+// at +0 and takes out[c] = fma(m[r,c], v[r], out[c]) for every r in order.
 func (m *Matrix) MulVecT(v, out Vector) Vector {
 	mustSameLen(len(v), m.Rows)
 	mustSameLen(len(out), m.Cols)
@@ -168,26 +171,24 @@ func (m *Matrix) MulVecT(v, out Vector) Vector {
 	out = out[:n] // bounds-check elimination for the unrolled column loop
 	for r := 0; r < m.Rows; r++ {
 		vr := v[r]
-		if vr == 0 {
-			continue
-		}
 		row := m.Data[r*n : r*n+n : r*n+n]
 		c := 0
 		for ; c+3 < n; c += 4 {
-			out[c] += row[c] * vr
-			out[c+1] += row[c+1] * vr
-			out[c+2] += row[c+2] * vr
-			out[c+3] += row[c+3] * vr
+			out[c] = math.FMA(row[c], vr, out[c])
+			out[c+1] = math.FMA(row[c+1], vr, out[c+1])
+			out[c+2] = math.FMA(row[c+2], vr, out[c+2])
+			out[c+3] = math.FMA(row[c+3], vr, out[c+3])
 		}
 		for ; c < n; c++ {
-			out[c] += row[c] * vr
+			out[c] = math.FMA(row[c], vr, out[c])
 		}
 	}
 	return out
 }
 
 // AddOuterInPlace performs m += a · (u ⊗ v), the rank-1 update used for
-// gradient accumulation: m[r,c] += a*u[r]*v[c].
+// gradient accumulation: m[r,c] = fma(au, v[c], m[r,c]) with au = a·u[r]
+// rounded on its own.
 func (m *Matrix) AddOuterInPlace(a float64, u, v Vector) *Matrix {
 	mustSameLen(len(u), m.Rows)
 	mustSameLen(len(v), m.Cols)
@@ -197,20 +198,17 @@ func (m *Matrix) AddOuterInPlace(a float64, u, v Vector) *Matrix {
 	}
 	n := m.Cols
 	for r := 0; r < m.Rows; r++ {
-		au := a * u[r]
-		if au == 0 {
-			continue
-		}
+		au := float64(a * u[r])
 		row := m.Data[r*n : (r+1)*n]
 		c := 0
 		for ; c+3 < n; c += 4 {
-			row[c] += au * v[c]
-			row[c+1] += au * v[c+1]
-			row[c+2] += au * v[c+2]
-			row[c+3] += au * v[c+3]
+			row[c] = math.FMA(au, v[c], row[c])
+			row[c+1] = math.FMA(au, v[c+1], row[c+1])
+			row[c+2] = math.FMA(au, v[c+2], row[c+2])
+			row[c+3] = math.FMA(au, v[c+3], row[c+3])
 		}
 		for ; c < n; c++ {
-			row[c] += au * v[c]
+			row[c] = math.FMA(au, v[c], row[c])
 		}
 	}
 	return m
@@ -237,7 +235,7 @@ func (m *Matrix) ScaleInPlace(a float64) *Matrix {
 func (m *Matrix) FrobeniusNorm() float64 {
 	var s float64
 	for _, x := range m.Data {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }
@@ -252,7 +250,7 @@ func (m *Matrix) HasNaN() bool {
 	return false
 }
 
-// vec64 reports whether m's vector paths run the AVX2 kernels: a vector
+// vec64 reports whether m's vector paths run the AVX2+FMA kernels: a vector
 // kernel is active and m is not empty. It first checks that Data holds
 // Rows×Cols elements, which the kernels read without bounds checks.
 func (m *Matrix) vec64() bool {

@@ -74,7 +74,7 @@ func (r *RNG) Intn(n int) int {
 
 // Range returns a uniform value in [lo, hi).
 func (r *RNG) Range(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
+	return lo + float64((hi-lo)*r.Float64())
 }
 
 // NormFloat64 returns a standard normal variate (Box–Muller).
@@ -90,7 +90,7 @@ func (r *RNG) NormFloat64() float64 {
 
 // LogNormal returns exp(mu + sigma*N(0,1)); handy for noise factors.
 func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
+	return math.Exp(mu + float64(sigma*r.NormFloat64()))
 }
 
 // Perm returns a pseudo-random permutation of [0, n).

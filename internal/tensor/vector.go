@@ -36,8 +36,9 @@ func (v Vector) Fill(x float64) Vector {
 
 // AddInPlace adds w element-wise into v. Lengths must match.
 //
-// Under a vector kernel it runs the AxpyInPlace kernel with a = 1: 1·w[i] is
-// exactly w[i], so v[i] + 1·w[i] is the same sum bit for bit.
+// Under a vector kernel it runs the AxpyInPlace kernel with a = 1:
+// fma(1, w[i], v[i]) rounds the exact v[i] + w[i] once, the same sum bit for
+// bit.
 func (v Vector) AddInPlace(w Vector) Vector {
 	mustSameLen(len(v), len(w))
 	if active != kernelPortable && len(v) > 0 {
@@ -67,13 +68,13 @@ func (v Vector) ScaleInPlace(a float64) Vector {
 	return v
 }
 
-// AxpyInPlace performs v += a*w. Lengths must match.
+// AxpyInPlace performs v += a*w, each element as v[i] = fma(a, w[i], v[i])
+// with one rounding. Lengths must match.
 //
-// The loop is 4-way unrolled with a bounds-check-elimination preload; because
-// every element is independent, the result is exactly the element-wise
-// `v[i] += a*w[i]` of the naive loop. The AVX2 kernel that runs when Kernel()
-// is not "portable" computes the same VMULPD-then-VADDPD per element (see
-// MulVec).
+// The loop is 4-way unrolled with a bounds-check-elimination preload; every
+// element is independent, so the unrolling changes no result. The AVX2+FMA
+// kernel that runs when Kernel() is not "portable" computes the same
+// VFMADD231PD per element (see MulVec).
 func (v Vector) AxpyInPlace(a float64, w Vector) Vector {
 	mustSameLen(len(v), len(w))
 	n := len(v)
@@ -84,13 +85,13 @@ func (v Vector) AxpyInPlace(a float64, w Vector) Vector {
 	w = w[:n] // bounds-check elimination: w indexed with the same i as v
 	i := 0
 	for ; i+3 < n; i += 4 {
-		v[i] += a * w[i]
-		v[i+1] += a * w[i+1]
-		v[i+2] += a * w[i+2]
-		v[i+3] += a * w[i+3]
+		v[i] = math.FMA(a, w[i], v[i])
+		v[i+1] = math.FMA(a, w[i+1], v[i+1])
+		v[i+2] = math.FMA(a, w[i+2], v[i+2])
+		v[i+3] = math.FMA(a, w[i+3], v[i+3])
 	}
 	for ; i < n; i++ {
-		v[i] += a * w[i]
+		v[i] = math.FMA(a, w[i], v[i])
 	}
 	return v
 }
@@ -100,7 +101,7 @@ func (v Vector) Dot(w Vector) float64 {
 	mustSameLen(len(v), len(w))
 	var s float64
 	for i := range v {
-		s += v[i] * w[i]
+		s += float64(v[i] * w[i])
 	}
 	return s
 }
