@@ -93,8 +93,8 @@ func chaosCommand(fs *flag.FlagSet) func() error {
 		}
 
 		snap := s.Snapshot()
-		fmt.Printf("chaos: seed=%d requests=%d healthy=%d degraded=%d errors=%d stuck=%d fedback=%d\n",
-			*seed, *requests, h.healthy, h.degraded, h.errored, h.stuck, h.fedback)
+		fmt.Printf("chaos: seed=%d requests=%d healthy=%d degraded=%d errors=%d stuck=%d\n",
+			*seed, *requests, h.healthy, h.degraded, h.errored, h.stuck)
 		fmt.Printf("chaos: faults=%d dropped_events=%d circuit_opens=%d served_degraded=%d\n",
 			len(reg.Events()), reg.Dropped(), snap.CircuitOpens, snap.Degraded)
 		for _, code := range sortedKeys(h.codes) {
@@ -131,11 +131,6 @@ func newChaosServer(reqTimeout time.Duration, threshold, probeEvery int) *serve.
 		// Probing is count-based (probe-every); park the cooldown far away so
 		// wall-clock time never influences breaker transitions.
 		CircuitCooldown: time.Hour,
-		// Learning on, so the feedback.ingest fault point sits in the line
-		// of fire (the learner loop itself is not started here — promote
-		// faults are covered by the feedback package's own tests and the
-		// learn-e2e CI job).
-		Learn: &serve.LearnOptions{},
 	})
 }
 
@@ -159,9 +154,6 @@ func chaosSchedule(seed uint64, reqTimeout time.Duration) []fault.Schedule {
 		// duration never decides an outcome and determinism survives).
 		{Point: fault.BatcherFlush, Mode: fault.ModeDelay, Prob: prob(fault.BatcherFlush, 0.05, 0.15),
 			Delay: reqTimeout / 3, Limit: 3},
-		// Feedback ingestion drops some observations on the floor; the
-		// client must see the enveloped fault, never a half-ingested state.
-		{Point: fault.FeedbackIngest, Mode: fault.ModeError, Prob: prob(fault.FeedbackIngest, 0.10, 0.30)},
 	}
 }
 
@@ -176,7 +168,6 @@ type chaosHarness struct {
 	deadline time.Duration
 
 	healthy           int
-	fedback           int
 	healthyAfterClear int
 	degraded          int
 	errored           int
@@ -285,29 +276,6 @@ func (h *chaosHarness) predict(i int, afterClear bool) {
 	if afterClear {
 		h.healthyAfterClear++
 	}
-	if resp.Fingerprint != "" {
-		h.feedback(i, &resp)
-	}
-}
-
-// feedback closes the loop on a healthy prediction: observed costs shifted
-// a fixed 10% off the prediction, so ingestion (and its fault point) is
-// exercised without ever tripping the drift detector's default threshold.
-func (h *chaosHarness) feedback(i int, pred *serve.PredictResponse) {
-	req := serve.FeedbackRequest{
-		Fingerprint:           pred.Fingerprint,
-		ObservedLatencyMs:     pred.LatencyMs * 1.1,
-		ObservedThroughputEPS: pred.ThroughputEPS * 1.1,
-	}
-	status, payload, ok := h.do("/v1/feedback", &req)
-	if !ok {
-		return
-	}
-	if status != 200 {
-		h.checkEnvelope(fmt.Sprintf("feedback %d", i), status, payload)
-		return
-	}
-	h.fedback++
 }
 
 func (h *chaosHarness) reload(path string) {

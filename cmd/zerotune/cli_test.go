@@ -76,10 +76,7 @@ func TestUsageCommentMatchesTables(t *testing.T) {
 // TestFlagDefaultsAreLibraryDefaults: a binder run with no arguments leaves
 // an options struct that defaults to what the zero struct defaults to, so the
 // server `zerotune serve` builds is the server serve.New(serve.Options{})
-// builds. The LearnOptions case is `serve -learn` with no other flag against
-// serve.LearnOptions{}: same learner and same detector configuration (the
-// artifact directory aside, which the CLI points next to the model file at
-// run time).
+// builds.
 func TestFlagDefaultsAreLibraryDefaults(t *testing.T) {
 	parsed := func(bind func(*flag.FlagSet)) {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
@@ -90,12 +87,6 @@ func TestFlagDefaultsAreLibraryDefaults(t *testing.T) {
 	}
 	// Registries and clocks are per instance; they are not defaults a flag
 	// could restate.
-	learn := func(lo serve.LearnOptions) serve.LearnOptions {
-		lo = lo.WithDefaults()
-		lo.Learner, lo.Drift = lo.Learner.WithDefaults(), lo.Drift.WithDefaults()
-		lo.Learner.Registry, lo.Drift.Registry = nil, nil
-		return lo
-	}
 	gw := func(o gateway.Options) gateway.Options {
 		o = o.WithDefaults(3)
 		o.Now = nil
@@ -104,12 +95,10 @@ func TestFlagDefaultsAreLibraryDefaults(t *testing.T) {
 
 	var (
 		so serve.Options
-		lo serve.LearnOptions
 		g  gateway.Options
 		ro loadgen.RunOptions
 	)
 	parsed(func(fs *flag.FlagSet) { bindServeOptions(fs, &so) })
-	parsed(func(fs *flag.FlagSet) { bindLearnOptions(fs, &lo) })
 	parsed(func(fs *flag.FlagSet) { bindGatewayOptions(fs, &g) })
 	parsed(func(fs *flag.FlagSet) { bindRunOptions(fs, &ro) })
 	for _, tc := range []struct {
@@ -117,17 +106,12 @@ func TestFlagDefaultsAreLibraryDefaults(t *testing.T) {
 		got, want any
 	}{
 		{"serve.Options", so.WithDefaults(), serve.Options{}.WithDefaults()},
-		{"serve.LearnOptions", learn(lo), learn(serve.LearnOptions{})},
 		{"gateway.Options", gw(g), gw(gateway.Options{})},
 		{"loadgen.RunOptions", ro.WithDefaults(), loadgen.RunOptions{}.WithDefaults()},
 	} {
 		if !reflect.DeepEqual(tc.got, tc.want) {
 			t.Errorf("%s: flags default to\n%+v\nthe library to\n%+v", tc.name, tc.got, tc.want)
 		}
-	}
-	if d := learn(lo); d.Learner.MinSamples != 32 || d.Drift.MinSamples != 32 || d.StoreSize != 2048 {
-		t.Errorf("learning loop defaults moved: min samples %d, drift min samples %d, store %d",
-			d.Learner.MinSamples, d.Drift.MinSamples, d.StoreSize)
 	}
 }
 

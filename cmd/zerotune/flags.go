@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"zerotune/internal/cluster"
-	"zerotune/internal/feedback"
 	"zerotune/internal/gateway"
 	"zerotune/internal/loadgen"
 	"zerotune/internal/queryplan"
@@ -62,20 +61,6 @@ func bindServeOptions(fs *flag.FlagSet, o *serve.Options) {
 	fs.BoolVar(&o.Debug, "debug", false, "enable /debug/traces and /debug/pprof endpoints")
 	fs.IntVar(&o.CircuitThreshold, "circuit-threshold", serve.DefaultCircuitThreshold, "consecutive forward failures that trip the circuit breaker (negative: disabled)")
 	fs.DurationVar(&o.CircuitCooldown, "circuit-cooldown", serve.DefaultCircuitCooldown, "open-circuit wait before probing the learned path again")
-}
-
-func bindLearnOptions(fs *flag.FlagSet, o *serve.LearnOptions) {
-	fs.IntVar(&o.StoreSize, "learn-store", serve.DefaultLearnStoreSize, "feedback reservoir capacity")
-	fs.Uint64Var(&o.Learner.Seed, "learn-seed", serve.DefaultLearnSeed, "seed for reservoir eviction, holdout split and fine-tune schedule")
-	fs.StringVar(&o.Learner.Dir, "learn-dir", "", "candidate artifact directory (default: the model's directory)")
-	fs.IntVar(&o.Learner.MinSamples, "learn-min-samples", feedback.DefaultMinSamples, "feedback samples required before a fine-tune run")
-	fs.IntVar(&o.Learner.Epochs, "learn-epochs", 0, "fine-tune epochs (0: the few-shot schedule's default)")
-	fs.Float64Var(&o.Learner.MaxShadowRegress, "learn-max-regress", 0, "relative holdout-MAPE margin a candidate may regress by and still promote")
-	fs.DurationVar(&o.Learner.Interval, "learn-interval", 0, "additionally run the learner periodically (0: drift-trip only)")
-	fs.IntVar(&o.Drift.Window, "drift-window", feedback.DefaultDriftWindow, "drift detector sliding-window size")
-	fs.IntVar(&o.Drift.MinSamples, "drift-min-samples", feedback.DefaultDriftMinSamples, "window fill required before the detector may trip")
-	fs.Float64Var(&o.Drift.MAPEThreshold, "drift-mape", feedback.DefaultDriftMAPE, "MAPE threshold that trips a fine-tune run")
-	fs.Float64Var(&o.Drift.PearsonFloor, "drift-pearson", 0, "Pearson-r floor that trips a fine-tune run (0: disabled)")
 }
 
 func bindGatewayOptions(fs *flag.FlagSet, o *gateway.Options) {

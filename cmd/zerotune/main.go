@@ -9,7 +9,7 @@
 //	zerotune train      -n 3000 [-epochs 60] [-hidden 48] -out model.json [-checkpoint ckpt.zt] [-checkpoint-every 5] [-resume ckpt.zt]
 //	zerotune predict    -model model.json -query spike-detection -rate 10000 [-workers 4] [-degree 4]
 //	zerotune tune       -model model.json -query 3-way-join -rate 100000 [-workers 6] [-weight 0.5]
-//	zerotune serve      -model model.json -addr 127.0.0.1:8080 [-batch-window 2ms] [-batch-max 64] [-cache-size 4096] [-request-timeout 30s] [-learn] [-learn-min-samples 32] [-drift-mape 0.5] [-faults feedback.promote=every1]
+//	zerotune serve      -model model.json -addr 127.0.0.1:8080 [-batch-window 2ms] [-batch-max 64] [-cache-size 4096] [-request-timeout 30s] [-faults gnn.forward=every2]
 //	zerotune gateway    -addr 127.0.0.1:8090 {-backends http://h1:p1,http://h2:p2 | -replicas 3 -model model.json} [-slo gold=200:400:10,bronze=50]
 //	zerotune chaos      -model model.json [-seed 1] [-requests 120] [-log events.log] [-circuit-threshold 3] [-probe-every 4]
 //	zerotune bench      -model model.json [-seed 1] [-rate 200] [-duration 10s] [-arrival poisson] [-sweep [-p99 50ms] [-min-rate 50] [-max-rate 50000]] [-record trace.ztrc | -replay trace.ztrc] [-report report.json]
@@ -51,7 +51,7 @@ var commands = []command{
 	{"train", "train a zero-shot cost model and write it to a file", trainCommand},
 	{"predict", "predict latency/throughput for a benchmark query", predictCommand},
 	{"tune", "recommend parallelism degrees for a query", tuneCommand},
-	{"serve", "expose predict/tune over HTTP with micro-batching, caching, and optional continual learning (-learn)", serveCommand},
+	{"serve", "expose predict/tune over HTTP with micro-batching and caching", serveCommand},
 	{"gateway", "front N serve replicas with routing, SLO admission and health probing", gatewayCommand},
 	{"chaos", "replay a seeded fault schedule against an in-process server", chaosCommand},
 	{"bench", "open-loop load harness: seeded arrivals, capacity searches, trace record/replay", benchCommand},

@@ -2,10 +2,7 @@ package main
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -18,9 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"zerotune/internal/client"
-	"zerotune/internal/obs"
-	"zerotune/internal/serve"
+	"zerotune/internal/fault"
 )
 
 // cliEnv, set to 1 in the test binary's environment, makes TestMain run the
@@ -234,135 +229,28 @@ func TestTrainResumesByteIdentically(t *testing.T) {
 	}
 }
 
-// learnPlan is the two-operator predict request the learning loop is driven
-// with.
-func learnPlan(t *testing.T, degree, rate int) *serve.PredictRequest {
-	t.Helper()
-	body := fmt.Sprintf(`{"plan": {"query": {"ops": [
-		{"id": 0, "type": 0, "tuple_width_in": 4, "tuple_width_out": 4, "tuple_data_type": 2, "selectivity": 1, "event_rate": %d},
-		{"id": 1, "type": 4, "tuple_width_in": 4, "tuple_width_out": 4, "tuple_data_type": 2, "selectivity": 1}],
-		"edges": [{"from": 0, "to": 1, "partitioning": 1}]},
-		"parallelism": {"0": %d, "1": 1}},
-		"cluster": {"workers": 4, "link_gbps": 10}}`, rate, degree)
-	var req serve.PredictRequest
-	if err := json.Unmarshal([]byte(body), &req); err != nil {
-		t.Fatal(err)
+// TestServeRefusesUnknownFaultPoint: -faults takes only the declared
+// injection points. A schedule on any other name would never fire, so serve
+// exits non-zero naming it and the points it knows, and never starts
+// serving.
+func TestServeRefusesUnknownFaultPoint(t *testing.T) {
+	p := startCLI(t, "serve", "-model", tinyModel(t), "-addr", "127.0.0.1:0", "-faults", "feedback.promote=every1")
+	for deadline := time.Now().Add(time.Minute); !p.exited(); time.Sleep(2 * time.Millisecond) {
+		if listeningLine.MatchString(p.stdout.String()) || time.Now().After(deadline) {
+			t.Fatalf("serve -faults feedback.promote=every1 is running\nstderr:\n%s", p.stderr.String())
+		}
 	}
-	return &req
-}
-
-// TestServeLearnLoop drives `serve -learn` through the closed loop with
-// internal/client: predict, report each fingerprint back with observed
-// latency three times the prediction (MAPE 2, far over the 0.5 threshold),
-// and wait for the learner's asynchronous outcome. Unfaulted, a fine-tune
-// promotes a new generation and its artifact lands in -learn-dir; with
-// -faults feedback.promote=every1 every promotion is rolled back and the
-// served file stays the original. Malformed feedback is the enveloped 400
-// bad_request either way, and /metrics carries the loop's series.
-func TestServeLearnLoop(t *testing.T) {
-	model := tinyModel(t)
-	for _, tc := range []struct {
-		mode   string
-		faults []string
-		stderr string
-	}{
-		{"promote", nil, "continual learning enabled"},
-		{"rollback", []string{"-faults", "feedback.promote=every1"}, "fault injection active"},
-	} {
-		t.Run(tc.mode, func(t *testing.T) {
-			t.Parallel()
-			dir := t.TempDir()
-			args := append([]string{"-model", model, "-addr", "127.0.0.1:0",
-				"-learn", "-learn-min-samples", "4", "-learn-epochs", "2", "-learn-max-regress", "10",
-				"-learn-dir", dir, "-drift-min-samples", "4", "-drift-mape", "0.5"}, tc.faults...)
-			p := startCLI(t, "serve", args...)
-			c, err := client.New(p.url(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
-			h0, err := c.Health(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			var apiErr *client.APIError
-			_, err = c.Feedback(ctx, &serve.FeedbackRequest{Fingerprint: "zz", ObservedLatencyMs: 1, ObservedThroughputEPS: 1})
-			if !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest || apiErr.Code != "bad_request" {
-				t.Fatalf("malformed feedback: err = %v, want the 400 bad_request envelope", err)
-			}
-
-			for i := 0; i < 12; i++ {
-				resp, err := c.Predict(ctx, learnPlan(t, 1+i%4, 10000*(1+i%6)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if resp.Fingerprint == "" {
-					t.Fatal("a learning server stamped no fingerprint")
-				}
-				fb, err := c.Feedback(ctx, &serve.FeedbackRequest{Fingerprint: resp.Fingerprint,
-					ObservedLatencyMs: 3 * resp.LatencyMs, ObservedThroughputEPS: resp.ThroughputEPS})
-				if err != nil || !fb.Accepted {
-					t.Fatalf("feedback %d: %+v, %v", i, fb, err)
-				}
-			}
-
-			// In rollback mode every promotion is undone, so the served artifact
-			// settles back on the original path.
-			var h *serve.HealthResponse
-			p.waitFor(t, tc.mode+" outcome", func() bool {
-				if h, err = c.Health(ctx); err != nil {
-					t.Fatal(err)
-				}
-				if tc.mode == "promote" {
-					return h.Learn.Promotions >= 1 && h.Model.Gen > h0.Model.Gen
-				}
-				return h.Learn.Rollbacks >= 1 && h.Model.Path == h0.Model.Path
-			})
-			if l := h.Learn; l.DriftTrips < 1 || l.FineTunes < 1 || (tc.mode == "promote" && l.Rollbacks != 0) {
-				t.Errorf("learn state %+v", *l)
-			}
-
-			samples, err := obs.ParseText(strings.NewReader(httpGet(t, c.Base()+"/metrics")))
-			if err != nil {
-				t.Fatal(err)
-			}
-			outcome := "zerotune_promotions_total"
-			if tc.mode == "rollback" {
-				outcome = "zerotune_rollbacks_total"
-			}
-			for _, m := range []struct {
-				name string
-				min  float64
-			}{
-				{"zerotune_drift_trips_total", 1},
-				{"zerotune_drift_mape", 0},
-				{"zerotune_finetune_runs_total", 1},
-				{"zerotune_feedback_ingested_total", 12},
-				{outcome, 1},
-			} {
-				if v, ok := obs.FindSample(samples, m.name); !ok || !(v >= m.min) {
-					t.Errorf("%s = %v (exported %v), want ≥ %v", m.name, v, ok, m.min)
-				}
-			}
-
-			if tc.mode == "promote" {
-				entries, err := os.ReadDir(dir)
-				if err != nil {
-					t.Fatal(err)
-				}
-				found := false
-				for _, e := range entries {
-					found = found || strings.Contains(e.Name(), "candidate-gen")
-				}
-				if !found {
-					t.Errorf("no candidate-gen artifact in -learn-dir: %v", entries)
-				}
-			}
-			p.signal(t, syscall.SIGTERM)
-			if stderr := p.stderr.String(); !strings.Contains(stderr, tc.stderr) {
-				t.Errorf("stderr lacks %q:\n%s", tc.stderr, stderr)
-			}
-		})
+	var exit *exec.ExitError
+	stderr := p.stderr.String()
+	if !errors.As(p.err, &exit) || exit.ExitCode() == 0 {
+		t.Fatalf("serve -faults feedback.promote=every1 exited with %v, want non-zero\nstderr:\n%s", p.err, stderr)
+	}
+	if !strings.Contains(stderr, "feedback.promote") || !strings.Contains(stderr, fault.GNNForward) {
+		t.Errorf("stderr names neither the refused point nor the declared ones:\n%s", stderr)
+	}
+	for _, point := range fault.Points {
+		if _, err := parseFaultSpec(point+"=every1", 1); err != nil {
+			t.Errorf("declared point %s refused: %v", point, err)
+		}
 	}
 }

@@ -1,12 +1,11 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -16,11 +15,14 @@ import (
 
 // parseFaultSpec parses the -faults flag into error-mode schedules:
 // point=everyN (deterministic, every Nth hit) or point=pP (seeded
-// probability P per hit), comma-separated. Used by CI to force the
-// feedback.promote rollback path without touching code.
+// probability P per hit), comma-separated. A point must be one of
+// fault.Points: a schedule on any other name would never fire.
 func parseFaultSpec(spec string, seed uint64) (*fault.Registry, error) {
 	reg := fault.New(seed)
 	err := eachEntry("-faults", spec, func(point, val string) error {
+		if !slices.Contains(fault.Points, point) {
+			return fmt.Errorf("unknown injection point (want one of %s)", strings.Join(fault.Points, ", "))
+		}
 		s := fault.Schedule{Point: point, Mode: fault.ModeError}
 		var err error
 		switch {
@@ -45,16 +47,11 @@ func parseFaultSpec(spec string, seed uint64) (*fault.Registry, error) {
 // the model, serve the HTTP API, and on SIGINT/SIGTERM drain in-flight
 // requests within the deadline before logging the final serving statistics.
 func serveCommand(fs *flag.FlagSet) func() error {
-	var (
-		opts     serve.Options
-		learning serve.LearnOptions
-	)
+	var opts serve.Options
 	model := bindModel(fs, "model path")
 	addr, drain := bindListen(fs, "127.0.0.1:8080", "")
 	bindServeOptions(fs, &opts)
-	learn := fs.Bool("learn", false, "enable the closed continual-learning loop (/v1/feedback, drift-triggered fine-tune, auto-promote)")
-	bindLearnOptions(fs, &learning)
-	faults := fs.String("faults", "", "activate fault injection: point=everyN|pP,... (error mode; e.g. feedback.promote=every1)")
+	faults := fs.String("faults", "", "activate fault injection: point=everyN|pP,... (error mode; e.g. gnn.forward=every2)")
 	faultSeed := fs.Uint64("fault-seed", 1, "seed for probabilistic -faults schedules")
 	return func() error {
 		if *faults != "" {
@@ -67,23 +64,10 @@ func serveCommand(fs *flag.FlagSet) func() error {
 			fmt.Fprintf(os.Stderr, "fault injection active: %s (seed %d)\n", *faults, *faultSeed)
 		}
 
-		if *learn {
-			if learning.Learner.Dir == "" {
-				learning.Learner.Dir = filepath.Dir(*model)
-			}
-			opts.Learn = &learning
-		}
 		s := serve.New(opts)
 		entry, err := s.ServeModelFile(*model)
 		if err != nil {
 			return err
-		}
-		if *learn {
-			learnCtx, stopLearn := context.WithCancel(context.Background())
-			defer stopLearn()
-			s.StartLearning(learnCtx)
-			fmt.Fprintf(os.Stderr, "continual learning enabled (store %d, drift mape %.2f, artifacts in %s)\n",
-				learning.StoreSize, learning.Drift.MAPEThreshold, learning.Learner.Dir)
 		}
 		return listenAndDrain("serve", *addr, *drain, s, func(bound string) {
 			fmt.Fprintf(os.Stderr, "serving model %s (%s) on http://%s\n", entry.ID, *model, bound)

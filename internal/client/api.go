@@ -28,16 +28,6 @@ func (c *Client) Tune(ctx context.Context, req *serve.TuneRequest) (*serve.TuneR
 	return &out, nil
 }
 
-// Feedback reports the observed runtime cost of a previously predicted
-// plan, closing the continual-learning loop.
-func (c *Client) Feedback(ctx context.Context, req *serve.FeedbackRequest) (*serve.FeedbackResponse, error) {
-	var out serve.FeedbackResponse
-	if err := c.do(ctx, "/v1/feedback", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Reload hot-swaps the served model (empty path re-reads the current file).
 func (c *Client) Reload(ctx context.Context, req *serve.ReloadRequest) (*serve.ReloadResponse, error) {
 	var out serve.ReloadResponse

@@ -1,6 +1,5 @@
 // Package client is the one HTTP client of the zerotune serving stack: a
-// typed Go API over /v1/predict, /v1/tune, /v1/feedback, /v1/reload and
-// /healthz that decodes the stack's stable error envelope
+// typed Go API over /v1/predict, /v1/tune, /v1/reload and /healthz that decodes the stack's stable error envelope
 // `{"error":{"code","message"}}` into an *APIError that errors.Is-matches the
 // serve sentinel of its code.
 //

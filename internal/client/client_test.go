@@ -122,11 +122,6 @@ func TestTypedMethodsAgainstServe(t *testing.T) {
 	if _, err := c.Health(ctx); err == nil {
 		t.Fatal("health reported OK without a model")
 	}
-	// Learning disabled: feedback is 503 learning_disabled.
-	_, err = c.Feedback(ctx, &serve.FeedbackRequest{Fingerprint: "00", ObservedLatencyMs: 1, ObservedThroughputEPS: 1})
-	if !errors.Is(err, serve.ErrLearningDisabled) {
-		t.Fatalf("feedback on non-learning server: %v, want serve.ErrLearningDisabled", err)
-	}
 	// Malformed body through the raw Call: enveloped 400.
 	status, body, err := c.Call(ctx, "/v1/predict", []byte("{nope"))
 	if err != nil || status != http.StatusBadRequest {

@@ -26,8 +26,8 @@ import (
 )
 
 // Injection point names. These are the stable identifiers production code
-// passes to Inject; schedules are keyed by them. Keep them in sync with
-// DESIGN.md §11.
+// passes to Inject; schedules are keyed by them. Points lists them all; keep
+// both in sync with DESIGN.md §11.
 const (
 	// ArtifactRead fires when decoding a ZTAF artifact envelope.
 	ArtifactRead = "artifact.read"
@@ -50,14 +50,14 @@ const (
 	// gateway's pool, letting a seeded storm eject and rejoin replicas
 	// deterministically.
 	GatewayProbe = "gateway.probe"
-	// FeedbackIngest fires on each POST /v1/feedback before the sample is
-	// admitted to the reservoir store.
-	FeedbackIngest = "feedback.ingest"
-	// FeedbackPromote fires after a fine-tuned candidate has been swapped
-	// in, standing in for a post-promote shadow regression — an injected
-	// error forces the learner's automatic rollback path.
-	FeedbackPromote = "feedback.promote"
 )
+
+// Points is every injection point production code declares, in the order
+// above: the names a schedule may key on.
+var Points = []string{
+	ArtifactRead, RegistrySwap, BatcherFlush, GNNForward, CacheAcquire,
+	CheckpointWrite, GatewayRoute, GatewayProbe,
+}
 
 // Mode selects what an injected fault does to the caller.
 type Mode int

@@ -678,7 +678,8 @@ func estimateInputRates(t *queryplan.Topology) []float64 {
 				in1 := math.Max(outRate[ups[0].From], 1e-9)
 				in2 := math.Max(outRate[ups[1].From], 1e-9)
 				horizon, _ := op.WindowSpan(in)
-				outRate[i] = op.Selectivity * (in1*in2*horizon + in2*in1*horizon)
+				// float64(a*b): rounded on its own, never fused (arm64 would).
+				outRate[i] = op.Selectivity * (float64(in1*in2*horizon) + float64(in2*in1*horizon))
 			} else {
 				outRate[i] = in * op.Selectivity
 			}

@@ -18,8 +18,7 @@
 //  4. Forwarding: the raw body and the X-SLO-Class header are proxied
 //     through serve.Backend.Call; replica responses, including error
 //     envelopes, pass through byte-for-byte with an X-Gateway-Replica header
-//     naming the backend that answered. Feedback that a replica answers 404
-//     unknown_fingerprint goes on to the replica that served its predict.
+//     naming the backend that answered.
 //
 // Health is active and passive: a probe loop ejects replicas that fail
 // consecutively (probes or forwards) and readmits them after a seeded
@@ -31,7 +30,6 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -46,7 +44,7 @@ import (
 )
 
 // endpointNames fixes the per-endpoint stat keys and render order.
-var endpointNames = []string{"predict", "tune", "feedback", "healthz", "metrics"}
+var endpointNames = []string{"predict", "tune", "healthz", "metrics"}
 
 // Defaults of Options, declared here and nowhere else; the CLI's flags read
 // them.
@@ -210,7 +208,6 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 
 	g.mux.HandleFunc("POST /v1/predict", g.endpoints["predict"].Wrap(g.proxyHandler("predict")))
 	g.mux.HandleFunc("POST /v1/tune", g.endpoints["tune"].Wrap(g.proxyHandler("tune")))
-	g.mux.HandleFunc("POST /v1/feedback", g.endpoints["feedback"].Wrap(g.proxyHandler("feedback")))
 	g.mux.HandleFunc("GET /healthz", g.endpoints["healthz"].Wrap(g.handleHealthz))
 	g.mux.HandleFunc("GET /metrics", g.endpoints["metrics"].Wrap(g.handleMetrics))
 	return g, nil
@@ -311,15 +308,11 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 		// next-best replica. The affinity key is the replica body cache's
 		// own key, so byte-identical requests always route together;
 		// semantically-identical-but-differently-encoded requests still
-		// coalesce inside whichever replica owns each encoding. Feedback is
-		// keyed by its own body, not by the predict it reports on, so a
-		// replica answering 404 unknown_fingerprint sends it on to the next
-		// replica, through the whole pool, in affinity order.
+		// coalesce inside whichever replica owns each encoding.
 		key := serve.HashBody(body)
 		replicas := g.pool.Replicas()
 		var tried uint64
 		var lastErr error
-		var passMiss func() // passes on the last answer that feedback's plan is not held
 		for failures := 0; failures <= g.maxRetries; {
 			rep, spill := pick(replicas, key, tried)
 			if rep == nil {
@@ -362,10 +355,6 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 				continue
 			}
 			g.pool.recordSuccess(rep)
-			if endpoint == "feedback" && predictedElsewhere(status, resp) {
-				passMiss = func() { writeReplica(w, rep, status, resp) }
-				continue
-			}
 			if status >= 200 && status < 300 {
 				cls.goodput.Inc()
 			}
@@ -376,10 +365,6 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 		switch {
 		case ctx.Err() != nil && errors.Is(ctx.Err(), context.Canceled):
 			err = context.Canceled
-		case passMiss != nil && lastErr == nil:
-			// Every replica answered, and none holds the plan.
-			passMiss()
-			return
 		case lastErr == nil:
 			err = serve.ErrNoReplica
 		default:
@@ -396,18 +381,6 @@ func writeReplica(w http.ResponseWriter, rep *Replica, status int, resp []byte) 
 	w.Header().Set("X-Gateway-Replica", rep.Name())
 	w.WriteHeader(status)
 	_, _ = w.Write(resp)
-}
-
-// predictedElsewhere reports whether a replica's answer to a feedback post is
-// 404 unknown_fingerprint: the plan it reports on was not predicted there.
-func predictedElsewhere(status int, resp []byte) bool {
-	if status != http.StatusNotFound {
-		return false
-	}
-	var env struct {
-		Error serve.ErrorBody `json:"error"`
-	}
-	return json.Unmarshal(resp, &env) == nil && serve.SentinelFor(env.Error.Code) == serve.ErrUnknownFingerprint
 }
 
 // HealthResponse is the gateway's /healthz payload.

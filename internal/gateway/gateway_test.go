@@ -570,6 +570,7 @@ func TestGatewayUnroutedWearsEnvelope(t *testing.T) {
 		{http.MethodDelete, "/healthz", http.StatusMethodNotAllowed, "method_not_allowed", "GET, HEAD"},
 		{http.MethodPost, "/v1/reload", http.StatusNotFound, "not_found", ""},
 		{http.MethodPost, "/v2/predict", http.StatusNotFound, "not_found", ""},
+		{http.MethodPost, "/v1/feedback", http.StatusNotFound, "not_found", ""},
 	} {
 		rec := httptest.NewRecorder()
 		g.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, nil))

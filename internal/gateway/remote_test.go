@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"zerotune/internal/client"
@@ -15,27 +16,20 @@ import (
 	"zerotune/internal/serve"
 )
 
-// replicas builds n serve replicas sharing the package model, each fronted
-// by the gateway as a remote *client.Client over an httptest server or as an
-// in-process backend, named replica-0 … replica-(n-1) either way.
-func replicas(t *testing.T, n int, remote bool, opts serve.Options) ([]*serve.Server, []*httptest.Server, []serve.Backend) {
+// httpReplicas builds n serve replicas sharing the package model, each
+// behind an httptest server and fronted as a remote *client.Client named
+// replica-0 … replica-(n-1).
+func httpReplicas(t *testing.T, n int) ([]*httptest.Server, []serve.Backend) {
 	t.Helper()
 	zt := model(t)
 	var (
-		servers  []*serve.Server
 		hss      []*httptest.Server
 		backends []serve.Backend
 	)
 	for i := 0; i < n; i++ {
-		s := serve.New(opts)
+		s := serve.New(serve.Options{})
 		s.Registry().Install(zt, fmt.Sprintf("m-%d", i), "")
 		t.Cleanup(s.Close)
-		servers = append(servers, s)
-		name := fmt.Sprintf("replica-%d", i)
-		if !remote {
-			backends = append(backends, serve.NewInProcessBackend(name, s))
-			continue
-		}
 		hs := httptest.NewServer(s)
 		t.Cleanup(hs.Close)
 		c, err := client.New(hs.URL)
@@ -43,21 +37,57 @@ func replicas(t *testing.T, n int, remote bool, opts serve.Options) ([]*serve.Se
 			t.Fatal(err)
 		}
 		hss = append(hss, hs)
-		backends = append(backends, c.Named(name))
+		backends = append(backends, c.Named(fmt.Sprintf("replica-%d", i)))
 	}
-	return servers, hss, backends
+	return hss, backends
+}
+
+// handlerBackend is an in-process replica answered by any handler.
+type handlerBackend struct {
+	name string
+	h    http.Handler
+}
+
+func (b handlerBackend) Name() string { return b.name }
+
+func (b handlerBackend) Call(ctx context.Context, path string, body []byte) (int, []byte, error) {
+	return serve.ServeInProcess(ctx, b.h, path, body, false)
 }
 
 // TestGatewayForwardsSLOClass: the class a client declares reaches the
-// replica with the forward, so feedback proxied through the gateway is
-// recorded under it — over in-process replicas and over HTTP ones.
+// replica's handler as the X-SLO-Class header of the forward, and a request
+// without one arrives without one — over an in-process replica and over an
+// HTTP one.
 func TestGatewayForwardsSLOClass(t *testing.T) {
 	ctx := context.Background()
-	gold := serve.WithSLOClass(ctx, "gold")
 	for _, remote := range []bool{false, true} {
 		t.Run(fmt.Sprintf("remote=%v", remote), func(t *testing.T) {
-			servers, _, backends := replicas(t, 2, remote, serve.Options{Learn: &serve.LearnOptions{}})
-			g, err := New(backends, Options{ProbeInterval: -1, Classes: []ClassConfig{{Name: "gold"}}})
+			s := serve.New(serve.Options{})
+			s.Registry().Install(model(t), "m", "")
+			t.Cleanup(s.Close)
+			var (
+				mu      sync.Mutex
+				classes []string
+			)
+			h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/predict" {
+					mu.Lock()
+					classes = append(classes, r.Header.Get(serve.SLOClassHeader))
+					mu.Unlock()
+				}
+				s.ServeHTTP(w, r)
+			})
+			var b serve.Backend = handlerBackend{"replica-0", h}
+			if remote {
+				hs := httptest.NewServer(h)
+				defer hs.Close()
+				c, err := client.New(hs.URL)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b = c.Named("replica-0")
+			}
+			g, err := New([]serve.Backend{b}, Options{ProbeInterval: -1, Classes: []ClassConfig{{Name: "gold"}}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -74,86 +104,17 @@ func TestGatewayForwardsSLOClass(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pred, err := gc.Predict(gold, &req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := gc.Feedback(gold, &serve.FeedbackRequest{
-				Fingerprint: pred.Fingerprint, ObservedLatencyMs: 2 * pred.LatencyMs, ObservedThroughputEPS: pred.ThroughputEPS,
-			}); err != nil {
-				t.Fatal(err)
-			}
-			var classes []string
-			for _, s := range servers {
-				for _, smp := range s.FeedbackStore().Snapshot() {
-					classes = append(classes, smp.Class)
+			for _, c := range []context.Context{serve.WithSLOClass(ctx, "gold"), ctx} {
+				if _, err := gc.Predict(c, &req); err != nil {
+					t.Fatal(err)
 				}
 			}
-			if len(classes) != 1 || classes[0] != "gold" {
-				t.Fatalf("replicas recorded feedback under classes %q, want [gold]", classes)
+			mu.Lock()
+			defer mu.Unlock()
+			if len(classes) != 2 || classes[0] != "gold" || classes[1] != "" {
+				t.Fatalf("replica saw classes %q, want [gold \"\"]", classes)
 			}
 		})
-	}
-}
-
-// TestGatewayFeedbackFindsThePredictingReplica: feedback is routed by its own
-// body, not the predict's, so it usually lands on a replica that never served
-// the plan. That replica's 404 unknown_fingerprint sends the gateway on to the
-// rest of the pool, and the feedback is recorded where the predict ran.
-func TestGatewayFeedbackFindsThePredictingReplica(t *testing.T) {
-	servers, _, backends := replicas(t, 3, false, serve.Options{Learn: &serve.LearnOptions{}})
-	g, err := New(backends, Options{ProbeInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	byName := map[string]*serve.Server{}
-	for i, b := range backends {
-		byName[b.Name()] = servers[i]
-	}
-	forward := func(path string, body []byte) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		g.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-		return rec
-	}
-	const posts = 8
-	for i := 1; i <= posts; i++ {
-		rec := forward("/v1/predict", predictBody(t, i))
-		var pred serve.PredictResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &pred); rec.Code != http.StatusOK || err != nil {
-			t.Fatalf("predict %d: %d %s", i, rec.Code, rec.Body)
-		}
-		owner := byName[rec.Header().Get("X-Gateway-Replica")]
-		if owner == nil {
-			t.Fatalf("predict %d names no replica: %q", i, rec.Header().Get("X-Gateway-Replica"))
-		}
-		fb, err := json.Marshal(serve.FeedbackRequest{
-			Fingerprint: pred.Fingerprint, ObservedLatencyMs: 2 * pred.LatencyMs, ObservedThroughputEPS: pred.ThroughputEPS,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rec := forward("/v1/feedback", fb); rec.Code != http.StatusOK {
-			t.Fatalf("feedback %d: %d %s", i, rec.Code, rec.Body)
-		}
-		recorded := false
-		for _, smp := range owner.FeedbackStore().Snapshot() {
-			recorded = recorded || smp.Fingerprint == pred.Fingerprint
-		}
-		if !recorded {
-			t.Errorf("feedback %d is not recorded on %s, which served its predict", i, rec.Header().Get("X-Gateway-Replica"))
-		}
-	}
-	// A fingerprint no replica holds: every replica is asked, none ejected,
-	// and the last 404 passes through.
-	fb := []byte(`{"fingerprint":"` + strings.Repeat("ab", 16) + `","observed_latency_ms":1,"observed_throughput_eps":1}`)
-	rec := forward("/v1/feedback", fb)
-	var env envelope
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusNotFound || env.Error.Code != "unknown_fingerprint" {
-		t.Fatalf("unheld fingerprint: %d %s", rec.Code, rec.Body)
-	}
-	if n := g.Pool().HealthyCount(); n != len(backends) {
-		t.Fatalf("%d of %d replicas healthy after unknown-fingerprint answers", n, len(backends))
 	}
 }
 
@@ -163,7 +124,7 @@ func TestGatewayFeedbackFindsThePredictingReplica(t *testing.T) {
 // envelope; the survivors answer; the dead replica is ejected and its
 // affinity keys spill; /healthz says degraded.
 func TestGatewayOverHTTPReplicas(t *testing.T) {
-	_, hss, backends := replicas(t, 3, true, serve.Options{})
+	hss, backends := httpReplicas(t, 3)
 	g, err := New(backends, Options{
 		Classes: []ClassConfig{
 			{Name: "gold", Rate: 500, Burst: 500, Priority: 10},

@@ -21,8 +21,8 @@ func affinityScore(key uint64, name string) float64 {
 //
 // replicas is the full pool in index order; tried is a bitmask of indices
 // already attempted for this request, so successive picks under a growing
-// mask walk the pool in descending score order — the order retries and
-// feedback's 404 pass-on follow. A nil result means no routable replica
+// mask walk the pool in descending score order — the order retries
+// follow. A nil result means no routable replica
 // remains. spill reports that the key's owner exists but was not routable,
 // so the request landed on a runner-up.
 func pick(replicas []*Replica, key uint64, tried uint64) (r *Replica, spill bool) {

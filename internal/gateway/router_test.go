@@ -130,8 +130,7 @@ func TestAffinitySpilloverAndReturn(t *testing.T) {
 }
 
 // TestRouterHonorsTriedMask: retries fan out to untried replicas in
-// descending affinity score — the order retries and feedback's 404 pass-on
-// walk — and report exhaustion once every healthy replica has been tried.
+// descending affinity score — the order retries walk — and report exhaustion once every healthy replica has been tried.
 func TestRouterHonorsTriedMask(t *testing.T) {
 	pool, _ := testPool(t, 1, "replica-0", "replica-1", "replica-2")
 	replicas := pool.Replicas()

@@ -189,7 +189,8 @@ func (o *OptiSample) estimateOutRate(op *queryplan.Operator, ups []queryplan.InE
 		in2 := math.Max(outRate[ups[1].From], 1e-9)
 		horizon, _ := op.WindowSpan(in)
 		w1, w2 := in1*horizon, in2*horizon
-		return o.noisySel(op.Selectivity, rng) * (in1*w2 + in2*w1)
+		// float64(a*b): rounded on its own, never fused (arm64 would).
+		return o.noisySel(op.Selectivity, rng) * (float64(in1*w2) + float64(in2*w1))
 	default:
 		return in
 	}

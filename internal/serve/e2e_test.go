@@ -507,6 +507,7 @@ func TestServeWireErrors(t *testing.T) {
 		{http.MethodGet, "/v1/predict", http.StatusMethodNotAllowed, "method_not_allowed", "POST"},
 		{http.MethodDelete, "/healthz", http.StatusMethodNotAllowed, "method_not_allowed", "GET, HEAD"},
 		{http.MethodPost, "/v2/predict", http.StatusNotFound, "not_found", ""},
+		{http.MethodPost, "/v1/feedback", http.StatusNotFound, "not_found", ""},
 	} {
 		req, err := http.NewRequest(c.method, ts.URL+c.path, nil)
 		if err != nil {

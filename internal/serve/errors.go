@@ -39,13 +39,6 @@ var (
 	// circuit breaker. Clients only see it (as a 503) when the served model
 	// has no fallback estimator; otherwise the request is answered degraded.
 	ErrCircuitOpen = errors.New("serve: circuit open (learned path unavailable)")
-	// ErrLearningDisabled is returned for /v1/feedback when the server was
-	// built without Options.Learn — there is no store to ingest into.
-	ErrLearningDisabled = errors.New("serve: learning disabled")
-	// ErrUnknownFingerprint is returned for feedback referencing a plan
-	// fingerprint absent from the recent-prediction index (never predicted
-	// here, or already evicted).
-	ErrUnknownFingerprint = errors.New("serve: unknown plan fingerprint")
 	// ErrAdmissionRejected is returned by the gateway when an SLO class's
 	// token bucket is empty: the class is over its contracted rate, which
 	// its 429 tells apart from gateway-wide queue pressure.
@@ -93,8 +86,6 @@ var wireCodes = []wireCode{
 	{code: "stale_entry", status: http.StatusServiceUnavailable, err: ErrStaleEntry},
 	{code: "no_model", status: http.StatusServiceUnavailable, err: ErrNoModel},
 	{code: "circuit_open", status: http.StatusServiceUnavailable, err: ErrCircuitOpen},
-	{code: "learning_disabled", status: http.StatusServiceUnavailable, err: ErrLearningDisabled},
-	{code: "unknown_fingerprint", status: http.StatusNotFound, err: ErrUnknownFingerprint},
 	{code: "admission_rejected", status: http.StatusTooManyRequests, err: ErrAdmissionRejected},
 	{code: "no_replica", status: http.StatusServiceUnavailable, err: ErrNoReplica},
 	{code: "backend_unavailable", status: http.StatusServiceUnavailable, err: ErrBackendUnavailable},

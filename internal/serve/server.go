@@ -131,11 +131,6 @@ type Options struct {
 	// serving code may not edit the benchmark that measures it; the next
 	// benchmark change deletes both (ROADMAP item 3(b)).
 	Compiled bool
-	// Learn enables the closed continual-learning loop (feedback
-	// ingestion, drift detection, drift-triggered fine-tune with shadow
-	// evaluation and auto-promote/rollback). Nil disables it; /v1/feedback
-	// then answers 503 with ErrLearningDisabled.
-	Learn *LearnOptions
 }
 
 // WithDefaults fills unset options.
@@ -179,7 +174,6 @@ type Server struct {
 	breaker  *breaker
 	tracer   *obs.Tracer
 	mux      *http.ServeMux
-	learn    *learnState // nil unless Options.Learn is set
 	// boundAddr is the listener address actually serving this server, set by
 	// the cmd layer once the listener is bound. With -addr :0 the kernel
 	// picks the port, and /healthz is where tests and a fronting gateway
@@ -284,18 +278,8 @@ func New(opts Options) *Server {
 		flushPreds = entry.ZT.PredictEncodedInto(flushPreds, graphs)
 		return flushPreds, nil
 	})
-	if opts.Learn != nil {
-		ls, err := s.newLearnState(*opts.Learn)
-		if err != nil {
-			// Config errors here are programming mistakes (nil store is
-			// impossible; the promoter is s itself); fail loudly.
-			panic(fmt.Sprintf("serve: learn options: %v", err))
-		}
-		s.learn = ls
-	}
 	s.mux.HandleFunc("POST /v1/predict", s.instrument("predict", s.handlePredict))
 	s.mux.HandleFunc("POST /v1/tune", s.instrument("tune", s.handleTune))
-	s.mux.HandleFunc("POST /v1/feedback", s.instrument("feedback", s.handleFeedback))
 	s.mux.HandleFunc("POST /v1/reload", s.instrument("reload", s.handleReload))
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
@@ -567,7 +551,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			LatencyMs: pred.LatencyMs, ThroughputEPS: pred.ThroughputEPS,
 			Cached: !leader, ModelID: entry.ID,
 		}
-		s.noteRecent(fp, req.Plan, c, g, pred, &resp)
 		s.writePredict(w, bodyKey, body, resp)
 		return
 	}
@@ -751,7 +734,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Status:  "ok",
 		Addr:    s.BoundAddr(),
 		Circuit: s.breaker.State().String(),
-		Learn:   s.learnInfo(),
 		Model: ModelInfo{
 			ID: entry.ID, Path: entry.Path, Params: entry.ZT.Model.NumParams(),
 			Mask: entry.ZT.Mask.String(), Engine: entry.Engine(), Gen: entry.Gen,

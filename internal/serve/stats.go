@@ -9,7 +9,7 @@ import (
 )
 
 // endpointNames fixes the per-endpoint stat keys and render order.
-var endpointNames = []string{"predict", "tune", "feedback", "reload", "healthz", "metrics"}
+var endpointNames = []string{"predict", "tune", "reload", "healthz", "metrics"}
 
 // Stats is the server's observability state: every instrument lives on a
 // central obs.Registry (which renders /metrics), and this struct keeps the

@@ -26,8 +26,8 @@ const MaxBodyBytes = 8 << 20
 
 // SLOClassHeader is the request header declaring the caller's SLO class. The
 // gateway's admission control reads it (requests without it, or naming an
-// unconfigured class, are best-effort); a replica keeps it as the class
-// attribution of feedback samples posted to it directly.
+// unconfigured class, are best-effort) and forwards it with the request;
+// replicas do not read it.
 const SLOClassHeader = "X-SLO-Class"
 
 // MaxPlanInstances and MaxClusterNodes bound what one body can make the
@@ -124,32 +124,6 @@ type PredictResponse struct {
 	// Fallback names the estimator that answered a degraded request
 	// (currently "linreg").
 	Fallback string `json:"fallback,omitempty"`
-	// Fingerprint is the hex plan fingerprint, echoed only when learning is
-	// enabled so clients can report observed cost back via /v1/feedback.
-	Fingerprint string `json:"fingerprint,omitempty"`
-}
-
-// FeedbackRequest reports the observed runtime cost of a plan this server
-// recently predicted, keyed by the fingerprint echoed in PredictResponse.
-type FeedbackRequest struct {
-	Fingerprint           string  `json:"fingerprint"`
-	ObservedLatencyMs     float64 `json:"observed_latency_ms"`
-	ObservedThroughputEPS float64 `json:"observed_throughput_eps"`
-}
-
-// FeedbackResponse acknowledges an ingested feedback sample and reports the
-// closed-loop state it landed in.
-type FeedbackResponse struct {
-	Accepted    bool   `json:"accepted"`
-	Fingerprint string `json:"fingerprint"`
-	// StoreSize / Seen describe the reservoir after ingest: retained
-	// samples vs. total ever offered.
-	StoreSize int    `json:"store_size"`
-	Seen      uint64 `json:"seen"`
-	// DriftMAPE / DriftPearsonR are the detector's sliding-window stats at
-	// ingest time (NaN rendered as 0 until the window has enough samples).
-	DriftMAPE     float64 `json:"drift_mape"`
-	DriftPearsonR float64 `json:"drift_pearson_r"`
 }
 
 // TuneRequest asks the optimizer to pick parallelism degrees for a logical
@@ -199,21 +173,6 @@ type HealthResponse struct {
 	// Circuit is the breaker position: "closed", "half-open" or "open".
 	Circuit string    `json:"circuit,omitempty"`
 	Model   ModelInfo `json:"model"`
-	// Learn summarizes the closed-loop learner, present only when learning
-	// is enabled.
-	Learn *LearnInfo `json:"learn,omitempty"`
-}
-
-// LearnInfo is the /healthz view of the continual-learning loop.
-type LearnInfo struct {
-	StoreSize     int     `json:"store_size"`
-	Seen          uint64  `json:"seen"`
-	DriftMAPE     float64 `json:"drift_mape"`
-	DriftPearsonR float64 `json:"drift_pearson_r"`
-	DriftTrips    uint64  `json:"drift_trips"`
-	FineTunes     uint64  `json:"fine_tunes"`
-	Promotions    uint64  `json:"promotions"`
-	Rollbacks     uint64  `json:"rollbacks"`
 }
 
 // ModelInfo identifies the active model revision. Engine is the numeric
@@ -244,9 +203,9 @@ type errorResponse struct {
 }
 
 // decodeJSON reads one JSON value from the request body, rejecting trailing
-// garbage and oversized payloads: the way in for /v1/reload and /v1/feedback,
-// whose bodies are a field or three. /v1/predict and /v1/tune read theirs
-// with readBody and decode it themselves.
+// garbage and oversized payloads: the way in for /v1/reload, whose body is
+// one field. /v1/predict and /v1/tune read theirs with readBody and decode
+// it themselves.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err := dec.Decode(v); err != nil {

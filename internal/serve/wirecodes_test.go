@@ -68,9 +68,6 @@ func TestWireCodesPinned(t *testing.T) {
 		{"forward failure without a fallback", 503, plain, "unavailable"},
 		{"reload of an invalid model", 422, errors.New("core: load: bad magic"), "invalid_model"},
 		{"reload of a corrupt artifact", 422, fmt.Errorf("core: load: %w", artifact.ErrChecksum), "checksum_mismatch"},
-		{"feedback without learning", 503, ErrLearningDisabled, "learning_disabled"},
-		{"injected feedback fault", 503, fmt.Errorf("%w at %s (hit 1)", fault.ErrInjected, fault.FeedbackIngest), "fault_injected"},
-		{"feedback for an unknown plan", 404, fmt.Errorf("%w: %s", ErrUnknownFingerprint, "00ff"), "unknown_fingerprint"},
 		{"unrouted method", 405, errors.New("serve: GET /v1/predict: method not allowed"), "method_not_allowed"},
 		{"unrouted path", 404, errors.New("serve: POST /v2/predict: no such endpoint"), "not_found"},
 		{"anything else", 500, plain, "internal"},

@@ -171,7 +171,7 @@ func TupleBytes(width int, dt queryplan.DataType) float64 {
 	if dt == queryplan.TypeString {
 		per = 24.0
 	}
-	return 16 + float64(width)*per
+	return 16 + float64(float64(width)*per)
 }
 
 // ServiceTimeUs returns the CPU time (µs) one instance of op spends per
@@ -184,26 +184,28 @@ func (cm *CostModel) ServiceTimeUs(op *queryplan.Operator, freqGHz, outPerIn, op
 	}
 	tf := cm.typeFactor(op.TupleDataType)
 	width := float64(op.TupleWidthIn)
+	// Each product is rounded on its own, float64(a*b), so no architecture
+	// fuses it into the sum: labels are the same bits on amd64 and arm64.
 	var us float64
 	switch op.Type {
 	case queryplan.OpSource:
-		us = cm.SourceBase + cm.PerAttr*float64(op.TupleWidthOut)*tf
+		us = cm.SourceBase + float64(cm.PerAttr*float64(op.TupleWidthOut)*tf)
 	case queryplan.OpFilter:
-		us = cm.FilterBase*cmpFuncFactor(op.FilterFunc)*cm.typeFactor(op.FilterLiteralClass) +
-			cm.PerAttr*width
+		us = float64(cm.FilterBase*cmpFuncFactor(op.FilterFunc)*cm.typeFactor(op.FilterLiteralClass)) +
+			float64(cm.PerAttr*width)
 	case queryplan.OpAggregate:
-		us = cm.AggBase*aggFuncFactor(op.AggFunc) + cm.PerAttr*width
+		us = float64(cm.AggBase*aggFuncFactor(op.AggFunc)) + float64(cm.PerAttr*width)
 		if op.AggKeyClass != queryplan.TypeNone {
-			us += cm.KeyHash * cm.typeFactor(op.AggKeyClass)
+			us += float64(cm.KeyHash * cm.typeFactor(op.AggKeyClass))
 		}
-		us += cm.EmitCost * outPerIn // amortized window emissions
+		us += float64(cm.EmitCost * outPerIn) // amortized window emissions
 	case queryplan.OpJoin:
-		us = cm.JoinBase + cm.PerAttr*width +
-			cm.KeyHash*cm.typeFactor(op.JoinKeyClass) +
-			cm.JoinProbe*oppWindowTuples + // probe the opposite window
-			cm.EmitCost*outPerIn
+		us = cm.JoinBase + float64(cm.PerAttr*width) +
+			float64(cm.KeyHash*cm.typeFactor(op.JoinKeyClass)) +
+			float64(cm.JoinProbe*oppWindowTuples) + // probe the opposite window
+			float64(cm.EmitCost*outPerIn)
 	case queryplan.OpSink:
-		us = cm.SinkBase + cm.PerAttr*width
+		us = cm.SinkBase + float64(cm.PerAttr*width)
 	}
 	return us / freqGHz
 }

@@ -70,7 +70,8 @@ func propagateRates(t *queryplan.Topology, alpha float64, rates []opRates) {
 			w2 := in2 * horizon
 			// Def. 5: matches are sel · |W1|·|W2| per window pair; in
 			// steady state each arriving tuple matches sel · |W_opposite|.
-			r.outRate = op.Selectivity * (in1*w2 + in2*w1)
+			// Products are rounded on their own, as in ServiceTimeUs.
+			r.outRate = op.Selectivity * (float64(in1*w2) + float64(in2*w1))
 			r.outPerIn = r.outRate / r.inRate
 			r.probeCandidates = r.outPerIn // candidates ≈ matches per tuple
 
@@ -93,7 +94,7 @@ func (cm *CostModel) maxShare(part queryplan.PartitionStrategy, degree int) floa
 	p := float64(degree)
 	switch part {
 	case queryplan.PartHash:
-		skew := cm.SkewBase + cm.SkewGrowth*math.Log(p)
+		skew := cm.SkewBase + float64(cm.SkewGrowth*math.Log(p))
 		return math.Min(1, (1+skew)/p)
 	default: // forward, rebalance: even
 		return 1 / p
