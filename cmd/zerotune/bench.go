@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"syscall"
 	"time"
@@ -145,6 +146,25 @@ func benchTarget(targetURL, model string, replicas int, classes []gateway.ClassC
 		close: func() { g.Close(); closeReplicas() }, gateway: g, replicas: pool}, nil
 }
 
+// refuseUnusedScheduleFlags refuses, naming it, a schedule flag set
+// explicitly that the mode draws nothing from.
+func refuseUnusedScheduleFlags(fs *flag.FlagSet, replay, sweep bool) (err error) {
+	var unused []string
+	why := ""
+	switch {
+	case replay:
+		unused, why = []string{"seed", "rate", "duration", "classes", "corpus"}, "-replay sends the recording's schedule"
+	case sweep:
+		unused, why = []string{"rate", "duration"}, "-sweep offers each probe's own rate over -step-duration"
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && slices.Contains(unused, f.Name) {
+			err = fmt.Errorf("bench: -%s has no effect: %s", f.Name, why)
+		}
+	})
+	return err
+}
+
 // benchCommand is the open-loop load harness: fixed-rate runs, capacity
 // searches, and deterministic trace record/replay, all reporting
 // coordinated-omission-corrected percentiles of the whole run, read from the
@@ -163,7 +183,6 @@ func benchCommand(fs *flag.FlagSet) func() error {
 	bindSpec(fs, &gen)
 	fs.Float64Var(&gen.Rate, "rate", 200, "mean offered load (req/s)")
 	fs.DurationVar(&gen.Duration, "duration", 10*time.Second, "intended-send horizon")
-	fs.IntVar(&gen.MaxRequests, "max-requests", 0, "additionally cap the schedule length (0 = unlimited)")
 	record := fs.String("record", "", "write the schedule (bodies, intended send times, classes) as a trace file")
 	replay := fs.String("replay", "", "replay a recorded trace byte-exactly instead of generating a schedule")
 	dry := fs.Bool("dry", false, "build (and -record) the schedule without sending any load")
@@ -181,6 +200,9 @@ func benchCommand(fs *flag.FlagSet) func() error {
 			return errors.New("bench: -replicas and -slo build an in-process tier; -target drives a remote one")
 		case *slo != "" && *replicas == 0:
 			return errors.New("bench: -slo configures the gateway's admission classes; it needs -replicas N")
+		}
+		if err := refuseUnusedScheduleFlags(fs, *replay != "", *sweep); err != nil {
+			return err
 		}
 		classes, err := parseSLOClasses(*slo)
 		if err != nil {
@@ -204,8 +226,8 @@ func benchCommand(fs *flag.FlagSet) func() error {
 				return err
 			}
 			mode = "replay"
-			fmt.Fprintf(os.Stderr, "bench: replaying %d requests from %s (seed %d, %s @ %g rps)\n",
-				len(reqs), *replay, header.Seed, header.Arrival, header.RateRPS)
+			fmt.Fprintf(os.Stderr, "bench: replaying %d requests from %s (seed %d @ %g rps)\n",
+				len(reqs), *replay, header.Seed, header.RateRPS)
 		} else {
 			var err error
 			if spec, err = gen.build(); err != nil {
@@ -255,7 +277,6 @@ func benchCommand(fs *flag.FlagSet) func() error {
 			}
 			rep = loadgen.SingleStep(mode, tgt.name, header, offered, wall, results)
 		}
-		rep.BuildBenchmarks("bench")
 		pages, err := tgt.pages(ctx)
 		if err != nil {
 			return err

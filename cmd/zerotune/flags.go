@@ -123,10 +123,6 @@ type specFlags struct {
 
 func bindSpec(fs *flag.FlagSet, s *specFlags) {
 	fs.Uint64Var(&s.Seed, "seed", 1, "seed for the arrival/class/body draws (same seed = byte-identical schedule)")
-	fs.StringVar((*string)(&s.Arrival), "arrival", string(loadgen.ArrivalPoisson), "interarrival process: poisson | gamma | weibull | uniform")
-	fs.Float64Var(&s.CV, "cv", loadgen.DefaultCV, "interarrival coefficient of variation (gamma/weibull)")
-	fs.Float64Var(&s.DiurnalAmplitude, "diurnal", 0, "diurnal rate-envelope amplitude in [0,1)")
-	fs.DurationVar(&s.DiurnalPeriod, "diurnal-period", 0, "diurnal period (default: the duration)")
 	fs.StringVar(&s.classes, "classes", "", "SLO class mix of generated load: name=weight,...")
 	fs.IntVar(&s.corpus, "corpus", 8, "number of distinct request bodies in the generated corpus")
 }
@@ -150,7 +146,7 @@ func bindListen(fs *flag.FlagSet, addr, addrNote string) (*string, *time.Duratio
 }
 
 func bindReport(fs *flag.FlagSet) *string {
-	return fs.String("report", "", "write the machine-readable JSON report (benchjson-compatible) here")
+	return fs.String("report", "", "write the machine-readable JSON report here")
 }
 
 // writeReport writes v where -report said; no path, no report.

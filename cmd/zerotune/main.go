@@ -12,7 +12,7 @@
 //	zerotune serve      -model model.json -addr 127.0.0.1:8080 [-batch-window 2ms] [-batch-max 64] [-cache-size 4096] [-request-timeout 30s] [-faults gnn.forward=every2]
 //	zerotune gateway    -addr 127.0.0.1:8090 {-backends http://h1:p1,http://h2:p2 | -replicas 3 -model model.json} [-slo gold=200:400:10,bronze=50]
 //	zerotune chaos      -model model.json [-seed 1] [-requests 120] [-log events.log] [-circuit-threshold 3] [-probe-every 4]
-//	zerotune bench      -model model.json [-seed 1] [-rate 200] [-duration 10s] [-arrival poisson] [-sweep [-p99 50ms] [-min-rate 50] [-max-rate 50000]] [-record trace.ztrc | -replay trace.ztrc] [-report report.json]
+//	zerotune bench      -model model.json [-seed 1] [-rate 200] [-duration 10s] [-sweep [-p99 50ms] [-min-rate 50] [-max-rate 50000]] [-record trace.ztrc | -replay trace.ztrc] [-report report.json]
 //	zerotune simulate   -query linear -rate 100000 [-workers 4] [-degrees 1,4,4,1 | -plan plan.json]
 //	zerotune validate   -query linear -rate 5000 [-workers 2] [-duration 5000]
 //	zerotune experiment <id> [-scale quick|default|paper] [-seed 1] [-csv dir]

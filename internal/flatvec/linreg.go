@@ -66,7 +66,7 @@ func (lr *LinearRegression) Predict(x tensor.Vector) float64 {
 	}
 	s := lr.Weights[len(lr.Weights)-1] // bias
 	for i, v := range x {
-		s += lr.Weights[i] * v
+		s += float64(lr.Weights[i] * v)
 	}
 	return s
 }
@@ -105,9 +105,9 @@ func solve(A *tensor.Matrix, b tensor.Vector) (tensor.Vector, error) {
 				continue
 			}
 			for cc := col; cc < n; cc++ {
-				M.Set(r, cc, M.At(r, cc)-factor*M.At(col, cc))
+				M.Set(r, cc, M.At(r, cc)-float64(factor*M.At(col, cc)))
 			}
-			y[r] -= factor * y[col]
+			y[r] -= float64(factor * y[col])
 		}
 	}
 	// Back substitution.
@@ -115,7 +115,7 @@ func solve(A *tensor.Matrix, b tensor.Vector) (tensor.Vector, error) {
 	for r := n - 1; r >= 0; r-- {
 		s := y[r]
 		for cc := r + 1; cc < n; cc++ {
-			s -= M.At(r, cc) * x[cc]
+			s -= float64(M.At(r, cc) * x[cc])
 		}
 		x[r] = s / M.At(r, r)
 	}

@@ -142,11 +142,11 @@ func splitScore(X []tensor.Vector, y []float64, idx []int, feat int, thresh floa
 		if X[i][feat] <= thresh {
 			nL++
 			sumL += v
-			sqL += v * v
+			sqL += float64(v * v)
 		} else {
 			nR++
 			sumR += v
-			sqR += v * v
+			sqR += float64(v * v)
 		}
 	}
 	if nL < minLeaf || nR < minLeaf {

@@ -550,7 +550,7 @@ func axpy[T float](v []T, a T, w []T) {
 		return
 	}
 	for i := range v {
-		v[i] += a * w[i]
+		v[i] += T(a * w[i]) // rounded on its own, never fused (arm64 would)
 	}
 }
 

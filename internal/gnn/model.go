@@ -420,7 +420,8 @@ func logSumExp10(xs, w []float64) float64 {
 	for i := range w {
 		w[i] /= sum
 	}
-	return maxX + math.Log10(sum)
+	// math.Log10 inlines to a product: float64 keeps arm64 from fusing it.
+	return maxX + float64(math.Log10(sum))
 }
 
 // Predict returns the model's cost estimate for the encoded plan.

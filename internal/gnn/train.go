@@ -72,8 +72,9 @@ func FewShotConfig() TrainConfig {
 }
 
 // LogTarget maps a cost (latency ms or throughput ev/s) into the log space
-// the model regresses.
-func LogTarget(x float64) float64 { return math.Log10(x + 1e-3) }
+// the model regresses. math.Log10 inlines to a product: float64 keeps arm64
+// from fusing it into a caller's subtraction.
+func LogTarget(x float64) float64 { return float64(math.Log10(x + 1e-3)) }
 
 // checkGraph rejects a graph training cannot use, naming what is wrong: a
 // label the log-space loss cannot use (LogTarget of a non-positive cost is NaN

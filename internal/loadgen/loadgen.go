@@ -1,5 +1,6 @@
 // Package loadgen is the open-loop load harness behind `zerotune bench`:
-// it turns a workload specification into a deterministic arrival schedule,
+// it turns a workload specification — Poisson arrivals at a fixed mean rate,
+// the load the paper prices every query at — into a deterministic schedule,
 // fires it at a serving target without ever waiting for responses before
 // sending the next request, and reports latency percentiles that are free
 // of coordinated omission.
@@ -23,35 +24,17 @@
 // function of the Spec (seed included). All randomness is drawn from the
 // fault package's seeded splitmix64 uniform stream, so `zerotune bench
 // -seed S` twice produces byte-identical schedules and trace files, and a
-// recorded trace replays byte-exactly for regression runs.
+// recorded trace replays byte-exactly for regression runs. A trace is also
+// how any other arrival pattern is driven: whatever schedule a file holds,
+// bursty or shaped, replays as written.
 package loadgen
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"zerotune/internal/fault"
-)
-
-// ArrivalKind names an interarrival process.
-type ArrivalKind string
-
-const (
-	// ArrivalPoisson draws exponential interarrivals (CV fixed at 1) — the
-	// memoryless baseline for independent users.
-	ArrivalPoisson ArrivalKind = "poisson"
-	// ArrivalGamma draws gamma interarrivals with the Spec's CV: CV < 1
-	// models smoothed/paced traffic, CV > 1 bursty traffic.
-	ArrivalGamma ArrivalKind = "gamma"
-	// ArrivalWeibull draws Weibull interarrivals with the Spec's CV — a
-	// heavier tail than gamma at the same CV, the classic fat-tailed
-	// arrival model.
-	ArrivalWeibull ArrivalKind = "weibull"
-	// ArrivalUniform spaces requests exactly 1/rate apart (CV 0) — a
-	// metronome, useful for isolating server-side variance.
-	ArrivalUniform ArrivalKind = "uniform"
 )
 
 // ClassShare weights one SLO class in the generated mix.
@@ -60,37 +43,26 @@ type ClassShare struct {
 	Weight float64 `json:"weight"`
 }
 
-// DefaultCV is Spec.CV unset: the exponential's, so gamma and weibull start
-// out Poisson-like.
-const DefaultCV = 1
+// maxScheduleRequests bounds the expected length of one schedule, Rate ×
+// Duration: every request is materialized up front, so a finite but huge
+// product would append until the process runs out of memory.
+const maxScheduleRequests = 1 << 22
 
-// Spec describes one open-loop workload. The schedule derived from it is a
-// pure function of the struct's value; two equal Specs yield byte-identical
-// schedules.
+// predictPath is where every generated request goes.
+const predictPath = "/v1/predict"
+
+// Spec describes one open-loop workload: Poisson arrivals at a fixed mean
+// rate. The schedule derived from it is a pure function of the struct's
+// value; two equal Specs yield byte-identical schedules.
 type Spec struct {
 	// Seed drives every random draw (arrivals, class mix, body choice).
 	Seed uint64 `json:"seed"`
-	// Arrival selects the interarrival process (default poisson).
-	Arrival ArrivalKind `json:"arrival"`
 	// Rate is the mean offered load in requests/second.
 	Rate float64 `json:"rate_rps"`
-	// CV is the interarrival coefficient of variation for gamma/weibull
-	// (default DefaultCV; ignored by poisson and uniform).
-	CV float64 `json:"cv,omitempty"`
 	// Duration bounds the schedule in intended-send time.
 	Duration time.Duration `json:"duration_ns"`
-	// MaxRequests additionally caps the schedule length (0 = unlimited).
-	MaxRequests int `json:"max_requests,omitempty"`
-	// DiurnalAmplitude in [0, 1) modulates the rate sinusoidally:
-	// rate(t) = Rate * (1 + A*sin(2πt/Period)). 0 disables the envelope.
-	DiurnalAmplitude float64 `json:"diurnal_amplitude,omitempty"`
-	// DiurnalPeriod is the envelope period (default: the Duration, one
-	// full day-night cycle across the run).
-	DiurnalPeriod time.Duration `json:"diurnal_period_ns,omitempty"`
 	// Classes is the SLO class mix; empty means every request is unclassed.
 	Classes []ClassShare `json:"classes,omitempty"`
-	// Path is the target endpoint (default /v1/predict).
-	Path string `json:"path,omitempty"`
 	// Bodies is the request-body corpus; each request picks one body by a
 	// seeded draw. Must be non-empty to build a schedule.
 	Bodies [][]byte `json:"-"`
@@ -129,16 +101,8 @@ func (u *uniformStream) next() float64 {
 	return fault.Uniform(u.seed, u.label, u.n)
 }
 
-// validate normalizes defaults and rejects nonsense.
-func (s *Spec) validate() error {
-	if s.Arrival == "" {
-		s.Arrival = ArrivalPoisson
-	}
-	switch s.Arrival {
-	case ArrivalPoisson, ArrivalGamma, ArrivalWeibull, ArrivalUniform:
-	default:
-		return fmt.Errorf("loadgen: unknown arrival process %q", s.Arrival)
-	}
+// validate rejects a spec with no schedule, or one too long to build.
+func (s Spec) validate() error {
 	// Every float bound is written so that NaN fails it: NaN compares false
 	// against everything, and ±Inf must not pass as a rate or a weight.
 	if !(s.Rate > 0) || math.IsInf(s.Rate, 0) {
@@ -147,20 +111,9 @@ func (s *Spec) validate() error {
 	if s.Duration <= 0 {
 		return fmt.Errorf("loadgen: duration must be positive, got %s", s.Duration)
 	}
-	if s.CV == 0 {
-		s.CV = DefaultCV
-	}
-	if !(s.CV >= 0) || math.IsInf(s.CV, 0) {
-		return fmt.Errorf("loadgen: cv must be non-negative and finite, got %g", s.CV)
-	}
-	if !(s.DiurnalAmplitude >= 0 && s.DiurnalAmplitude < 1) {
-		return fmt.Errorf("loadgen: diurnal amplitude must be in [0,1), got %g", s.DiurnalAmplitude)
-	}
-	if s.DiurnalAmplitude > 0 && s.DiurnalPeriod == 0 {
-		s.DiurnalPeriod = s.Duration
-	}
-	if s.Path == "" {
-		s.Path = "/v1/predict"
+	if n := s.Rate * s.Duration.Seconds(); n > maxScheduleRequests {
+		return fmt.Errorf("loadgen: -rate %g over -duration %s expects %.3g requests, more than the %d one schedule holds",
+			s.Rate, s.Duration, n, maxScheduleRequests)
 	}
 	if len(s.Bodies) == 0 {
 		return fmt.Errorf("loadgen: spec needs at least one request body")
@@ -173,7 +126,7 @@ func (s *Spec) validate() error {
 	return nil
 }
 
-// Schedule materializes the spec into the full request schedule, sorted by
+// Schedule materializes the spec into the full request schedule, in order of
 // intended send time. The result is deterministic: equal specs (seed
 // included) produce byte-identical schedules.
 func (s Spec) Schedule() ([]Request, error) {
@@ -183,11 +136,6 @@ func (s Spec) Schedule() ([]Request, error) {
 	arrivals := newStream(s.Seed, "loadgen.arrival")
 	classes := newStream(s.Seed, "loadgen.class")
 	bodies := newStream(s.Seed, "loadgen.body")
-	sampler, err := newInterarrival(s.Arrival, s.CV, arrivals)
-	if err != nil {
-		return nil, err
-	}
-	env := envelope{rate: s.Rate, amplitude: s.DiurnalAmplitude, period: s.DiurnalPeriod.Seconds()}
 
 	totalWeight := 0.0
 	for _, c := range s.Classes {
@@ -195,10 +143,14 @@ func (s Spec) Schedule() ([]Request, error) {
 	}
 
 	var reqs []Request
-	unitTime := 0.0 // cumulative time of the unit-rate (mean-1) process
+	// unitTime is the arrival time of a unit-rate Poisson process: it only
+	// grows, and dividing by a positive rate and truncating to a Duration are
+	// monotone, so the offsets come out sorted.
+	unitTime := 0.0
 	for {
-		unitTime += sampler.next()
-		t := env.invert(unitTime) // seconds from run start
+		// 1-u keeps the argument in (0, 1]: the stream draws from [0, 1).
+		unitTime += -math.Log(1 - arrivals.next())
+		t := unitTime / s.Rate // seconds from run start
 		offset := time.Duration(t * float64(time.Second))
 		if offset >= s.Duration {
 			break
@@ -216,13 +168,7 @@ func (s Spec) Schedule() ([]Request, error) {
 			}
 		}
 		body := s.Bodies[int(bodies.next()*float64(len(s.Bodies)))%len(s.Bodies)]
-		reqs = append(reqs, Request{Offset: offset, Class: class, Path: s.Path, Body: body})
-		if s.MaxRequests > 0 && len(reqs) >= s.MaxRequests {
-			break
-		}
+		reqs = append(reqs, Request{Offset: offset, Class: class, Path: predictPath, Body: body})
 	}
-	// The time-rescaled arrivals are monotone by construction, but guard
-	// against float rounding so the runner can rely on sorted offsets.
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Offset < reqs[j].Offset })
 	return reqs, nil
 }

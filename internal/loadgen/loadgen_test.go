@@ -3,6 +3,9 @@ package loadgen
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"math"
@@ -33,7 +36,6 @@ var testBodies = [][]byte{
 func baseSpec() Spec {
 	return Spec{
 		Seed:     42,
-		Arrival:  ArrivalPoisson,
 		Rate:     500,
 		Duration: 2 * time.Second,
 		Classes:  []ClassShare{{Name: "gold", Weight: 1}, {Name: "best-effort", Weight: 3}},
@@ -76,6 +78,34 @@ func TestScheduleDeterminism(t *testing.T) {
 	}
 }
 
+// TestScheduleGolden pins one seeded schedule — every offset, class and
+// body — by digest. It was recorded before the shaped arrival processes were
+// deleted and proves no Poisson schedule moved with them; a change to the
+// generator that moves schedules must update it deliberately.
+func TestScheduleGolden(t *testing.T) {
+	const (
+		wantRequests = 6104
+		wantDigest   = "259b0057f3c2cdbece6f2114c1b66614029f05945c7ee0ebc4c975fee54ecda3"
+	)
+	s := baseSpec()
+	s.Seed, s.Rate, s.Duration = 1, 2000, 3*time.Second
+	reqs, err := s.Schedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, r := range reqs {
+		h.Write(binary.BigEndian.AppendUint64(nil, uint64(r.Offset)))
+		h.Write(binary.BigEndian.AppendUint32(nil, uint32(len(r.Class))))
+		h.Write([]byte(r.Class))
+		h.Write(binary.BigEndian.AppendUint32(nil, uint32(len(r.Body))))
+		h.Write(r.Body)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); len(reqs) != wantRequests || got != wantDigest {
+		t.Errorf("schedule of %d requests, digest %s; want %d, %s", len(reqs), got, wantRequests, wantDigest)
+	}
+}
+
 // TestPoissonMeanInterarrival checks the exponential sampler's mean gap is
 // 1/λ within statistical tolerance, and that offsets are sorted.
 func TestPoissonMeanInterarrival(t *testing.T) {
@@ -97,72 +127,6 @@ func TestPoissonMeanInterarrival(t *testing.T) {
 	mean := reqs[len(reqs)-1].Offset.Seconds() / float64(len(reqs)-1)
 	if want := 1.0 / s.Rate; math.Abs(mean-want) > 0.05*want {
 		t.Fatalf("poisson mean interarrival = %gs, want %gs ±5%%", mean, want)
-	}
-}
-
-// TestUniformArrivalIsMetronome checks CV-0 spacing: every gap is 1/rate.
-func TestUniformArrivalIsMetronome(t *testing.T) {
-	s := baseSpec()
-	s.Arrival = ArrivalUniform
-	s.Rate = 100
-	s.Duration = time.Second
-	reqs, err := s.Schedule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reqs) != 99 { // offsets k/100 s for k = 1..99 fall inside 1s
-		t.Fatalf("uniform schedule has %d requests, want 99", len(reqs))
-	}
-	for i := 1; i < len(reqs); i++ {
-		gap := reqs[i].Offset - reqs[i-1].Offset
-		if d := gap - 10*time.Millisecond; d < -time.Microsecond || d > time.Microsecond {
-			t.Fatalf("gap %d = %s, want 10ms", i, gap)
-		}
-	}
-}
-
-// TestShapedArrivalMoments checks gamma and weibull keep the requested mean
-// rate and roughly the requested coefficient of variation.
-func TestShapedArrivalMoments(t *testing.T) {
-	for _, tc := range []struct {
-		kind ArrivalKind
-		cv   float64
-	}{
-		{ArrivalGamma, 0.5}, {ArrivalGamma, 2.0},
-		{ArrivalWeibull, 0.5}, {ArrivalWeibull, 2.0},
-	} {
-		s := baseSpec()
-		s.Arrival = tc.kind
-		s.CV = tc.cv
-		s.Rate = 500
-		s.Duration = 20 * time.Second
-		reqs, err := s.Schedule()
-		if err != nil {
-			t.Fatalf("%s cv=%g: %v", tc.kind, tc.cv, err)
-		}
-		n := len(reqs)
-		if n < 5000 {
-			t.Fatalf("%s cv=%g: only %d arrivals", tc.kind, tc.cv, n)
-		}
-		gaps := make([]float64, 0, n-1)
-		sum := 0.0
-		for i := 1; i < n; i++ {
-			g := (reqs[i].Offset - reqs[i-1].Offset).Seconds()
-			gaps = append(gaps, g)
-			sum += g
-		}
-		mean := sum / float64(len(gaps))
-		if want := 1.0 / s.Rate; math.Abs(mean-want) > 0.10*want {
-			t.Errorf("%s cv=%g: mean gap %gs, want %gs ±10%%", tc.kind, tc.cv, mean, want)
-		}
-		varsum := 0.0
-		for _, g := range gaps {
-			varsum += (g - mean) * (g - mean)
-		}
-		cv := math.Sqrt(varsum/float64(len(gaps))) / mean
-		if math.Abs(cv-tc.cv) > 0.2*tc.cv {
-			t.Errorf("%s: measured cv %g, want %g ±20%%", tc.kind, cv, tc.cv)
-		}
 	}
 }
 
@@ -191,62 +155,31 @@ func TestClassMixMatchesWeights(t *testing.T) {
 	}
 }
 
-// TestDiurnalEnvelopeShiftsMass checks the sinusoidal envelope concentrates
-// arrivals in the high-rate half of the period.
-func TestDiurnalEnvelopeShiftsMass(t *testing.T) {
-	s := baseSpec()
-	s.Rate = 1000
-	s.Duration = 10 * time.Second
-	s.DiurnalAmplitude = 0.9
-	s.DiurnalPeriod = s.Duration // sin > 0 over the first half
-	reqs, err := s.Schedule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := 0
-	for _, r := range reqs {
-		if r.Offset < s.Duration/2 {
-			first++
-		}
-	}
-	second := len(reqs) - first
-	if second == 0 || float64(first)/float64(second) < 1.5 {
-		t.Fatalf("diurnal peak half has %d arrivals vs %d in trough half; envelope not applied", first, second)
-	}
-	// Total mass is preserved: Λ(Duration) = Rate·Duration for a full period.
-	if n := len(reqs); math.Abs(float64(n)-10000) > 500 {
-		t.Fatalf("diurnal schedule has %d arrivals, want ~10000", n)
-	}
-}
-
-// TestSpecValidation rejects nonsense specs.
+// TestSpecValidation rejects nonsense specs, and a schedule too long to
+// build: the error names the two flags that asked for it.
 func TestSpecValidation(t *testing.T) {
 	cases := map[string]func(*Spec){
 		"zero rate":       func(s *Spec) { s.Rate = 0 },
 		"zero duration":   func(s *Spec) { s.Duration = 0 },
-		"amplitude >= 1":  func(s *Spec) { s.DiurnalAmplitude = 1 },
 		"no bodies":       func(s *Spec) { s.Bodies = nil },
-		"unknown arrival": func(s *Spec) { s.Arrival = "pareto" },
 		"negative weight": func(s *Spec) { s.Classes[0].Weight = -1 },
-		"negative cv":     func(s *Spec) { s.CV = -0.5 },
-		"weibull tiny cv": func(s *Spec) { s.Arrival = ArrivalWeibull; s.CV = 0.01 },
-		"weibull huge cv": func(s *Spec) { s.Arrival = ArrivalWeibull; s.CV = 50 },
 		"NaN rate":        func(s *Spec) { s.Rate = math.NaN() },
 		"infinite rate":   func(s *Spec) { s.Rate = math.Inf(1) },
-		"gamma NaN cv":    func(s *Spec) { s.Arrival = ArrivalGamma; s.CV = math.NaN() },
-		"NaN amplitude":   func(s *Spec) { s.DiurnalAmplitude = math.NaN() },
 		"NaN weight":      func(s *Spec) { s.Classes[0].Weight = math.NaN() },
+		"over the bound":  func(s *Spec) { s.Rate, s.Duration = 1e12, time.Hour },
 	}
 	for name, mutate := range cases {
 		s := baseSpec()
-		// A non-finite rate or amplitude that slips through schedules every
-		// request at one instant; the cap bounds that schedule instead of
-		// letting it eat the memory.
-		s.MaxRequests = 10000
 		mutate(&s)
 		if _, err := s.Schedule(); err == nil {
 			t.Errorf("%s: Schedule accepted invalid spec", name)
 		}
+	}
+	s := baseSpec()
+	s.Rate = 2 * maxScheduleRequests / s.Duration.Seconds()
+	_, err := s.Schedule()
+	if err == nil || !strings.Contains(err.Error(), "-rate") || !strings.Contains(err.Error(), "-duration") {
+		t.Errorf("rate × duration of %d requests: err = %v, want one naming -rate and -duration", 2*maxScheduleRequests, err)
 	}
 }
 
@@ -460,7 +393,6 @@ func (c *countingTarget) Call(context.Context, string, []byte) (int, []byte, err
 // target and checks the aggregation: counts, goodput, monotone percentiles.
 func TestRunAndStepReport(t *testing.T) {
 	s := baseSpec()
-	s.Arrival = ArrivalUniform
 	s.Rate = 500
 	s.Duration = 200 * time.Millisecond
 	reqs, err := s.Schedule()
@@ -490,16 +422,7 @@ func TestRunAndStepReport(t *testing.T) {
 	if len(st.PerClass) != 2 {
 		t.Fatalf("per-class breakdown missing: %v", st.PerClass)
 	}
-	var rep Report
-	rep.Mode, rep.Target = "fixed", "serve"
-	rep.Steps = []StepReport{st}
-	rep.BuildBenchmarks("bench")
-	if len(rep.Benchmarks) != 1 || !strings.HasPrefix(rep.Benchmarks[0].Name, "bench/serve/rate=") {
-		t.Fatalf("benchjson projection wrong: %+v", rep.Benchmarks)
-	}
-	if rep.Benchmarks[0].Metrics["req/sec"] != st.GoodputRPS {
-		t.Fatal("benchjson metrics missing goodput")
-	}
+	rep := Report{Mode: "fixed", Target: "serve", Steps: []StepReport{st}}
 	if !strings.Contains(rep.Table(), "p99.9") {
 		t.Fatalf("table missing percentile columns:\n%s", rep.Table())
 	}
@@ -615,16 +538,31 @@ func TestRunSendsClass(t *testing.T) {
 // in on the first rate — every later probe fails too, the target being spent.
 func TestSweepLocatesKnee(t *testing.T) {
 	s := baseSpec()
-	s.Arrival = ArrivalUniform // metronome: request counts are exact
 	s.Duration = 200 * time.Millisecond
+	// The oracle draws each probe's schedule from s at the probe's rate; seed
+	// 42 draws 56 requests at 250 rps and 105 at 500 rps over 200ms.
+	drawn := func(rate float64) int {
+		s := s
+		s.Rate = rate
+		reqs, err := s.Schedule()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(reqs)
+	}
+	const capacity = 60
+	n250, n500 := drawn(250), drawn(500)
+	if n250 > capacity || n500 <= capacity {
+		t.Fatalf("schedules of %d and %d requests do not straddle capacity %d", n250, n500, capacity)
+	}
 	opts := SearchOptions{P99: time.Second, MinRPS: 250, MaxRPS: 2000, StepDuration: s.Duration}
-	c, err := Search(opts, Oracle(context.Background(), s, RunOptions{Target: &countingTarget{capacity: 60}}))
+	c, err := Search(opts, Oracle(context.Background(), s, RunOptions{Target: &countingTarget{capacity: capacity}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 250 rps over 200ms = 49 requests (all within capacity 60); 500 rps = 99
-	// requests, only 11 succeed → not sustained.
-	if len(c.Probes) < 2 || c.Probes[1].RPS != 500 || c.Probes[0].Step.OK != 49 || c.Probes[1].Step.OK != 11 {
+	// 250 rps fits within capacity; at 500 rps only what is left of it
+	// succeeds → not sustained.
+	if len(c.Probes) < 2 || c.Probes[1].RPS != 500 || c.Probes[0].Step.OK != n250 || c.Probes[1].Step.OK != capacity-n250 {
 		t.Fatalf("walk did not stop at the first failing rate: %+v", c.Probes)
 	}
 	if c.MaxRPS != 250 || c.FailRPS <= 250 || c.FailRPS > 250*bracketRatio {

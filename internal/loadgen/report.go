@@ -210,18 +210,6 @@ func stageTable(rows []StageRow) string {
 	return b.String()
 }
 
-// BenchmarkEntry is one row of a BENCH_*.json snapshot: cmd/benchjson writes
-// its rows with this type, so a bench report can be fed anywhere a snapshot
-// is accepted (regression baselines, the perf-trajectory tooling).
-type BenchmarkEntry struct {
-	Name        string             `json:"name"`
-	Iterations  int64              `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-}
-
 // Report is the machine-readable output of bench.
 type Report struct {
 	// Mode is "fixed", "replay" or "sweep".
@@ -229,7 +217,7 @@ type Report struct {
 	// Target names what was driven: a URL, "serve" (one in-process replica)
 	// or "replicas=N" (an in-process gateway over N of them).
 	Target string `json:"target"`
-	// Trace echoes the workload provenance (seed, process, rates).
+	// Trace echoes the workload provenance (seed, rate, horizon).
 	Trace TraceHeader `json:"trace"`
 	// Steps holds the one step of a fixed-rate or replayed run.
 	Steps []StepReport `json:"steps,omitempty"`
@@ -240,8 +228,6 @@ type Report struct {
 	// Stages is where the target spent the run, stage by stage; the caller
 	// that owns the target fills it from the target's /metrics.
 	Stages []StageRow `json:"stages,omitempty"`
-	// Benchmarks is the benchjson-compatible projection of Steps and Capacity.
-	Benchmarks []BenchmarkEntry `json:"benchmarks"`
 }
 
 // SingleStep assembles the one-step report of a fixed-rate or replay run.
@@ -251,44 +237,6 @@ func SingleStep(mode, target string, h TraceHeader, offered float64, wall time.D
 		Target: target,
 		Trace:  h,
 		Steps:  []StepReport{buildStep(offered, wall, results)},
-	}
-}
-
-// BuildBenchmarks projects the report into benchjson's schema under cmd: one
-// cmd/target/rate=R entry per step, whose ns_per_op is the corrected p50 (a
-// latency, like any ns/op), and one cmd/scenario entry per capacity, read at
-// its highest sustained rate; everything else rides in the metrics map.
-func (r *Report) BuildBenchmarks(cmd string) {
-	r.Benchmarks = r.Benchmarks[:0]
-	for _, st := range r.Steps {
-		r.Benchmarks = append(r.Benchmarks, BenchmarkEntry{
-			Name:       fmt.Sprintf("%s/%s/rate=%g", cmd, r.Target, st.OfferedRPS),
-			Iterations: int64(st.Requests),
-			NsPerOp:    st.Latency.P50 * 1e6,
-			Metrics: map[string]float64{
-				"req/sec":     st.GoodputRPS,
-				"p99-ms":      st.Latency.P99,
-				"p99.9-ms":    st.Latency.P999,
-				"p99/p50":     st.P99OverP50,
-				"p99.9/p99":   st.P999OverP99,
-				"errors":      float64(st.Requests - st.OK),
-				"offered-rps": st.OfferedRPS,
-			},
-		})
-	}
-	for _, c := range r.Capacity {
-		best := c.Best()
-		r.Benchmarks = append(r.Benchmarks, BenchmarkEntry{
-			Name:       cmd + "/" + c.Scenario,
-			Iterations: int64(best.Requests),
-			NsPerOp:    best.Latency.P50 * 1e6,
-			Metrics: map[string]float64{
-				"max-rps":     c.MaxRPS,
-				"fail-rps":    c.FailRPS,
-				"p99-ms":      best.Latency.P99,
-				"goodput-rps": best.GoodputRPS,
-			},
-		})
 	}
 }
 

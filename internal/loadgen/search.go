@@ -139,8 +139,8 @@ func Search(opts SearchOptions, eval func(rate float64) (StepReport, error)) (Ca
 }
 
 // Oracle is the live oracle of a search: each rate is spec's workload — its
-// seed, arrival process, class mix, bodies and Duration, the probe's horizon —
-// drawn afresh at that rate and run against run.Target.
+// seed, class mix, bodies and Duration, the probe's horizon — drawn afresh
+// at that rate and run against run.Target.
 func Oracle(ctx context.Context, spec Spec, run RunOptions) func(rate float64) (StepReport, error) {
 	return func(rate float64) (StepReport, error) {
 		spec.Rate = rate

@@ -22,31 +22,20 @@ const TraceArtifactKind = "zerotune-trace"
 const maxTraceString = 1 << 10
 
 // TraceHeader carries the workload provenance of a trace: enough to
-// re-derive the schedule (seed, process, rate) and to label reports, but
+// re-derive the schedule (seed, rate, horizon) and to label reports, but
 // deliberately no timestamps — the file must be a pure function of the
-// workload.
+// workload. Fields of older headers (arrival process, CV, diurnal envelope)
+// are ignored on read; their records replay as written.
 type TraceHeader struct {
-	Seed             uint64  `json:"seed"`
-	Arrival          string  `json:"arrival"`
-	RateRPS          float64 `json:"rate_rps"`
-	CV               float64 `json:"cv,omitempty"`
-	DurationNs       int64   `json:"duration_ns"`
-	DiurnalAmplitude float64 `json:"diurnal_amplitude,omitempty"`
-	DiurnalPeriodNs  int64   `json:"diurnal_period_ns,omitempty"`
+	Seed       uint64  `json:"seed"`
+	RateRPS    float64 `json:"rate_rps"`
+	DurationNs int64   `json:"duration_ns"`
 }
 
 // HeaderFromSpec snapshots the schedule-relevant spec fields into a trace
 // header.
 func HeaderFromSpec(s Spec) TraceHeader {
-	return TraceHeader{
-		Seed:             s.Seed,
-		Arrival:          string(s.Arrival),
-		RateRPS:          s.Rate,
-		CV:               s.CV,
-		DurationNs:       int64(s.Duration),
-		DiurnalAmplitude: s.DiurnalAmplitude,
-		DiurnalPeriodNs:  int64(s.DiurnalPeriod),
-	}
+	return TraceHeader{Seed: s.Seed, RateRPS: s.Rate, DurationNs: int64(s.Duration)}
 }
 
 // traceFile is the envelope payload. Marshalling a struct is deterministic

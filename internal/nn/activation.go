@@ -93,7 +93,7 @@ func (a Activation) Deriv(x float64) float64 {
 		return 0.01
 	case Tanh:
 		t := math.Tanh(x)
-		return 1 - t*t
+		return 1 - float64(t*t)
 	case Sigmoid:
 		s := 1 / (1 + math.Exp(-x))
 		return s * (1 - s)

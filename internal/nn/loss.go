@@ -21,9 +21,9 @@ func Huber(pred, target, delta float64) (loss, grad float64) {
 		return 0.5 * d * d, d
 	}
 	if d > 0 {
-		return delta * (math.Abs(d) - 0.5*delta), delta
+		return delta * (math.Abs(d) - float64(0.5*delta)), delta
 	}
-	return delta * (math.Abs(d) - 0.5*delta), -delta
+	return delta * (math.Abs(d) - float64(0.5*delta)), -delta
 }
 
 // QErrorLoss is a differentiable surrogate for the q-error metric operating

@@ -112,7 +112,7 @@ func ClipGradNorm(params []Param, maxNorm float64) float64 {
 	var sumSq float64
 	for _, p := range params {
 		for _, g := range p.Grad {
-			sumSq += g * g
+			sumSq += float64(g * g)
 		}
 	}
 	norm := math.Sqrt(sumSq)

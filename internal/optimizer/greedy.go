@@ -16,7 +16,7 @@ type Observe func(p *queryplan.PQP, c *cluster.Cluster) (Estimate, error)
 // logScore is the scale-free objective used for tie-breaking and by tests:
 // wt·ln(latency) − (1−wt)·ln(throughput). Lower is better.
 func logScore(e Estimate, wt float64) float64 {
-	return wt*math.Log(math.Max(e.LatencyMs, 1e-9)) - (1-wt)*math.Log(math.Max(e.ThroughputEPS, 1e-9))
+	return float64(wt*math.Log(math.Max(e.LatencyMs, 1e-9))) - float64((1-wt)*math.Log(math.Max(e.ThroughputEPS, 1e-9)))
 }
 
 // minTptGain is the relative throughput improvement a pipeline split must

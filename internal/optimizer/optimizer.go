@@ -103,7 +103,7 @@ func WeightedCost(latency, throughput, latMin, latMax, tptMin, tptMax, wt float6
 	if tptMax > tptMin {
 		ct = 1 - normalize(throughput, tptMin, tptMax)
 	}
-	return wt*cl + (1-wt)*ct
+	return float64(wt*cl) + float64((1-wt)*ct)
 }
 
 func normalize(x, lo, hi float64) float64 {
