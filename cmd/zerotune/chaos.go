@@ -140,7 +140,7 @@ func newChaosServer(reqTimeout time.Duration, threshold, probeEvery int) *serve.
 // independent of the registry's own hit counters.
 func chaosSchedule(seed uint64, reqTimeout time.Duration) []fault.Schedule {
 	prob := func(point string, lo, hi float64) float64 {
-		return lo + (hi-lo)*fault.Uniform(seed, "chaos/"+point, 0)
+		return lo + float64((hi-lo)*fault.Uniform(seed, "chaos/"+point, 0)) // never fused (arm64 would)
 	}
 	return []fault.Schedule{
 		// The forward path fails often enough to trip the breaker.

@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 
 	"zerotune/internal/queryplan"
 	"zerotune/internal/tensor"
@@ -23,24 +24,27 @@ type NodeType struct {
 	Homog   bool   // listed under the homogeneous ("Ho") cluster type
 }
 
+// catalog is Table II, the one copy every lookup reads.
+var catalog = [...]NodeType{
+	{Name: "m510", Cores: 8, FreqGHz: 2.0, MemGB: 64, DiskGB: 256, CPU: "Xeon D", Seen: true, Homog: true},
+	{Name: "c6420", Cores: 32, FreqGHz: 2.6, MemGB: 384, DiskGB: 1024, CPU: "Skylake", Seen: false, Homog: true},
+	{Name: "rs620", Cores: 10, FreqGHz: 2.2, MemGB: 256, DiskGB: 900, CPU: "Xeon", Seen: true, Homog: false},
+	{Name: "c8220x", Cores: 20, FreqGHz: 2.2, MemGB: 256, DiskGB: 4096, CPU: "Ivy Bridge", Seen: false, Homog: false},
+	{Name: "c8220", Cores: 20, FreqGHz: 2.2, MemGB: 256, DiskGB: 2048, CPU: "Ivy Bridge", Seen: false, Homog: false},
+	{Name: "dss7500", Cores: 12, FreqGHz: 2.4, MemGB: 128, DiskGB: 120, CPU: "Haswell", Seen: false, Homog: false},
+	{Name: "c6320", Cores: 28, FreqGHz: 2.0, MemGB: 256, DiskGB: 1024, CPU: "Haswell", Seen: false, Homog: false},
+	{Name: "rs6525", Cores: 64, FreqGHz: 2.8, MemGB: 256, DiskGB: 1600, CPU: "AMD EPYC", Seen: false, Homog: false},
+}
+
 // Catalog returns the eight CloudLab node types of Table II. The slice is
 // freshly allocated; callers may modify it.
 func Catalog() []NodeType {
-	return []NodeType{
-		{Name: "m510", Cores: 8, FreqGHz: 2.0, MemGB: 64, DiskGB: 256, CPU: "Xeon D", Seen: true, Homog: true},
-		{Name: "c6420", Cores: 32, FreqGHz: 2.6, MemGB: 384, DiskGB: 1024, CPU: "Skylake", Seen: false, Homog: true},
-		{Name: "rs620", Cores: 10, FreqGHz: 2.2, MemGB: 256, DiskGB: 900, CPU: "Xeon", Seen: true, Homog: false},
-		{Name: "c8220x", Cores: 20, FreqGHz: 2.2, MemGB: 256, DiskGB: 4096, CPU: "Ivy Bridge", Seen: false, Homog: false},
-		{Name: "c8220", Cores: 20, FreqGHz: 2.2, MemGB: 256, DiskGB: 2048, CPU: "Ivy Bridge", Seen: false, Homog: false},
-		{Name: "dss7500", Cores: 12, FreqGHz: 2.4, MemGB: 128, DiskGB: 120, CPU: "Haswell", Seen: false, Homog: false},
-		{Name: "c6320", Cores: 28, FreqGHz: 2.0, MemGB: 256, DiskGB: 1024, CPU: "Haswell", Seen: false, Homog: false},
-		{Name: "rs6525", Cores: 64, FreqGHz: 2.8, MemGB: 256, DiskGB: 1600, CPU: "AMD EPYC", Seen: false, Homog: false},
-	}
+	return append([]NodeType(nil), catalog[:]...)
 }
 
 // TypeByName returns the catalogue entry with the given name.
 func TypeByName(name string) (NodeType, error) {
-	for _, t := range Catalog() {
+	for _, t := range catalog {
 		if t.Name == name {
 			return t, nil
 		}
@@ -49,22 +53,21 @@ func TypeByName(name string) (NodeType, error) {
 }
 
 // SeenTypes returns the node types used for training data (Table III:
-// m510, rs620).
+// m510, rs620), freshly allocated.
 func SeenTypes() []NodeType {
-	var out []NodeType
-	for _, t := range Catalog() {
-		if t.Seen {
-			out = append(out, t)
-		}
-	}
-	return out
+	return typesWhere(true)
 }
 
-// UnseenTypes returns the node types reserved for generalization tests.
+// UnseenTypes returns the node types reserved for generalization tests,
+// freshly allocated.
 func UnseenTypes() []NodeType {
+	return typesWhere(false)
+}
+
+func typesWhere(seen bool) []NodeType {
 	var out []NodeType
-	for _, t := range Catalog() {
-		if !t.Seen {
+	for _, t := range catalog {
+		if t.Seen == seen {
 			out = append(out, t)
 		}
 	}
@@ -96,10 +99,10 @@ func New(n int, types []NodeType, linkGbps float64) (*Cluster, error) {
 	if linkGbps <= 0 {
 		return nil, fmt.Errorf("cluster: link speed must be positive, got %v", linkGbps)
 	}
-	c := &Cluster{LinkGbps: linkGbps}
-	for i := 0; i < n; i++ {
+	c := &Cluster{Nodes: make([]Node, n), LinkGbps: linkGbps}
+	for i := range c.Nodes {
 		t := types[i%len(types)]
-		c.Nodes = append(c.Nodes, Node{Name: fmt.Sprintf("%s-%d", t.Name, i), Type: t})
+		c.Nodes[i] = Node{Name: nodeName(t, i), Type: t}
 	}
 	return c, nil
 }
@@ -111,12 +114,17 @@ func NewRandom(rng *tensor.RNG, n int, types []NodeType, linkGbps float64) (*Clu
 	if n < 1 || len(types) == 0 || linkGbps <= 0 {
 		return nil, fmt.Errorf("cluster: invalid arguments (n=%d, types=%d, link=%v)", n, len(types), linkGbps)
 	}
-	c := &Cluster{LinkGbps: linkGbps}
-	for i := 0; i < n; i++ {
+	c := &Cluster{Nodes: make([]Node, n), LinkGbps: linkGbps}
+	for i := range c.Nodes {
 		t := tensor.Pick(rng, types)
-		c.Nodes = append(c.Nodes, Node{Name: fmt.Sprintf("%s-%d", t.Name, i), Type: t})
+		c.Nodes[i] = Node{Name: nodeName(t, i), Type: t}
 	}
 	return c, nil
+}
+
+// nodeName names worker i of type t: "m510-0", "rs620-1", ….
+func nodeName(t NodeType, i int) string {
+	return t.Name + "-" + strconv.Itoa(i)
 }
 
 // Node returns the node with the given name, or nil.

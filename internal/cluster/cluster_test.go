@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"zerotune/internal/queryplan"
@@ -53,6 +54,44 @@ func TestSeenUnseenSplit(t *testing.T) {
 	}
 	if got := len(UnseenTypes()); got != 6 {
 		t.Fatalf("%d unseen types, want 6", got)
+	}
+}
+
+// TestTypeListsAreFresh: callers may modify what Catalog, SeenTypes and
+// UnseenTypes return (a wire cluster spec reuses the seen list for its own
+// types), so each call must hand out a copy of the one table.
+func TestTypeListsAreFresh(t *testing.T) {
+	for name, list := range map[string]func() []NodeType{"Catalog": Catalog, "SeenTypes": SeenTypes, "UnseenTypes": UnseenTypes} {
+		first := list()
+		want := first[0].Name
+		first[0].Name = "scribbled"
+		_ = append(first[:0], NodeType{Name: "appended"})
+		if got := list()[0].Name; got != want {
+			t.Errorf("%s: a caller's write shows through: first entry %q, want %q", name, got, want)
+		}
+	}
+	if nt, err := TypeByName("m510"); err != nil || nt.Name != "m510" {
+		t.Errorf("TypeByName after the writes: %+v, %v", nt, err)
+	}
+}
+
+// TestNodeNames: workers are named "<type>-<index>", the names placements
+// and request bodies refer to.
+func TestNodeNames(t *testing.T) {
+	c, err := New(3, SeenTypes(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewRandom(tensor.NewRNG(1), 12, []NodeType{{Name: "c6420", Cores: 32}}, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, n := range append(c.Nodes, r.Nodes[10:]...) {
+		got = append(got, n.Name)
+	}
+	if want := "m510-0 rs620-1 m510-2 c6420-10 c6420-11"; strings.Join(got, " ") != want {
+		t.Errorf("node names %q, want %q", strings.Join(got, " "), want)
 	}
 }
 

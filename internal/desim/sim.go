@@ -383,7 +383,7 @@ func edgeDelayMs(up *queryplan.Operator, upNodes, downNodes []string, c *cluster
 	}
 	frac := float64(remote) / float64(len(upNodes)*len(downNodes))
 	linkBytesPerMs := c.LinkGbps * 1e9 / 8 / 1000
-	return serdeMs + frac*(cm.HopLatencyMs+bytes/linkBytesPerMs)
+	return serdeMs + float64(frac*(cm.HopLatencyMs+bytes/linkBytesPerMs)) // never fused (arm64 would)
 }
 
 // insertAggregate buffers a tuple into the window and returns emissions
@@ -526,7 +526,7 @@ func (s *sim) emitJoinWindow(op *queryplan.Operator, ws *opState) []tuple {
 		}
 	}
 	mean /= float64(n1 + n2)
-	ws.matchAcc += op.Selectivity * float64(n1) * float64(n2)
+	ws.matchAcc += float64(op.Selectivity * float64(n1) * float64(n2)) // never fused (arm64 would)
 	n := int(ws.matchAcc)
 	ws.matchAcc -= float64(n)
 	outs := make([]tuple, n)

@@ -244,7 +244,7 @@ func (l *Lab) RunFig10bDhalion() (*Fig10bResult, error) {
 				epochs++
 			}
 			final := cost(dh.Trajectory[len(dh.Trajectory)-1])
-			dhSum += float64(tuningHorizon-epochs) * final
+			dhSum += float64(float64(tuningHorizon-epochs) * final) // never fused (arm64 would)
 			dhCosts = append(dhCosts, dhSum/float64(tuningHorizon))
 			rounds = append(rounds, float64(dh.Rounds))
 		}

@@ -92,7 +92,7 @@ func (b *tokenBucket) Allow(now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.last.IsZero() {
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
+		b.tokens += float64(now.Sub(b.last).Seconds() * b.rate) // never fused (arm64 would)
 		if b.tokens > b.burst {
 			b.tokens = b.burst
 		}
@@ -168,7 +168,7 @@ func (a *admission) jainFairness() float64 {
 	for _, c := range a.ordered {
 		x := float64(c.goodput.Load())
 		sum += x
-		sumSq += x * x
+		sumSq += float64(x * x) // never fused (arm64 would)
 	}
 	if sumSq == 0 {
 		return 1 // no traffic: trivially fair

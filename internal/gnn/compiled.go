@@ -16,19 +16,21 @@ import (
 
 // The compiled inference engine. A CompiledModel is an immutable, inference-
 // only view of a Model whose forward pass is restructured around batched
-// GEMMs: graphs are grouped by operator topology, every graph in a bucket
-// shares one data-flow schedule (upstream lists), and each MLP application
-// over the bucket becomes one matrix multiply of stacked rows instead of one
-// vector pass per graph. Resources and mapping edges are not part of the
-// topology — they change with every parallelism degree vector — so inside a
-// bucket they are ragged: each graph brings its own resource rows and walks
-// its own mapping edges. Weights are converted once at compile time —
-// to float32 for the fast path (tensor.Gemm32BiasActInto, AVX-512 or AVX2
-// where available), or kept float64 for the bit-exact reference engine — and a
-// load-time accuracy gate compares the compiled predictions against the
-// float64 reference so degraded numerics can never reach serving silently.
+// GEMMs: a batch of graphs of any topologies runs in passes of up to passCap
+// graphs, and each MLP application over a pass becomes one matrix multiply of
+// stacked rows instead of one vector pass per graph. The rows are laid out by
+// the training step's opLayout: each operator type's encoder runs over that
+// type's rows from every graph of the pass, the data-flow combiner over one
+// depth level at a time, and the resource, mapping and read-out networks once
+// over the whole pass; resources are ragged, each graph bringing its own
+// machine rows and walking its own mapping edges. Weights are converted once
+// at compile time — to float32 for the fast path (tensor.Gemm32BiasActInto,
+// AVX-512 or AVX2 where available), or kept float64 for the bit-exact
+// reference engine — and a load-time accuracy gate compares the compiled
+// predictions against the float64 reference so degraded numerics can never
+// reach serving silently.
 //
-// There is one schedule and two kernels. engine[T].forwardBucket owns
+// There is one schedule and two kernels. engine[T].forwardPass owns
 // everything the numeric representations share: the row layout, the four
 // message-passing stages, the means, the mapping walk and the read-out. What
 // differs sits behind engine[T].gemm, one linear layer over stacked rows, and
@@ -36,9 +38,9 @@ import (
 // instance is the reference the bit-exact tests hold against Model.Predict,
 // so what they prove is the schedule serving runs.
 //
-// Steady-state inference is allocation-free: all per-bucket matrices live in
+// Steady-state inference is allocation-free: all per-pass matrices live in
 // a fusedScratch arena recycled through a persistent free list, growing only
-// when a bucket outgrows every previous one.
+// when a pass outgrows every previous one.
 
 // Engine selects the numeric representation of a compiled model.
 type Engine int
@@ -137,7 +139,7 @@ type engine[T float] struct {
 	rowPad, colPad int
 	maxW           int // widest padded layer output, sizes the MLP ping-pong scratch
 
-	encOp      map[queryplan.OpType][]layer[T]
+	encOp      [len(opTypeOrder)][]layer[T] // by typeSlot
 	encRes     []layer[T]
 	combineOp  []layer[T]
 	combineRes []layer[T]
@@ -198,8 +200,7 @@ func layer64(l *nn.Linear) (layer[float64], error) {
 // newEngine converts every layer of m, in the stable order of Model.mlps.
 func newEngine[T float](m *Model, gemm func(x mat[T], l *layer[T], y mat[T]), rowPad, colPad int,
 	conv func(*nn.Linear) (layer[T], error)) (*engine[T], error) {
-	e := &engine[T]{cfg: m.Cfg, gemm: gemm, rowPad: rowPad, colPad: colPad,
-		encOp: make(map[queryplan.OpType][]layer[T], len(opTypeOrder))}
+	e := &engine[T]{cfg: m.Cfg, gemm: gemm, rowPad: rowPad, colPad: colPad}
 	mlps := m.mlps()
 	compiled := make([][]layer[T], len(mlps))
 	for i, mlp := range mlps {
@@ -212,9 +213,7 @@ func newEngine[T float](m *Model, gemm func(x mat[T], l *layer[T], y mat[T]), ro
 			e.maxW = max(e.maxW, roundUp(l.Out(), colPad))
 		}
 	}
-	for i, t := range opTypeOrder {
-		e.encOp[t] = compiled[i]
-	}
+	copy(e.encOp[:], compiled)
 	rest := compiled[len(opTypeOrder):]
 	e.encRes, e.combineOp, e.combineRes, e.combineMap, e.latHead, e.tptHead =
 		rest[0], rest[1], rest[2], rest[3], rest[4], rest[5]
@@ -240,7 +239,7 @@ type CompiledModel struct {
 
 	scratch scratchPool
 
-	fusedGraphs, fusedBuckets atomic.Uint64
+	fusedGraphs, fusedPasses atomic.Uint64
 }
 
 // scratchPool is a persistent free list of fused scratches. Unlike
@@ -318,7 +317,7 @@ func (cm *CompiledModel) gate(mask features.Mask) error {
 	// The counters report serving traffic, not the gate's own batch, and the
 	// free list, never drained, would keep the batch's scratch for good.
 	cm.fusedGraphs.Store(0)
-	cm.fusedBuckets.Store(0)
+	cm.fusedPasses.Store(0)
 	cm.scratch.free = nil
 	maxQ := 1.0
 	for i, g := range val {
@@ -395,74 +394,18 @@ func gateGraphs(mask features.Mask) ([]*features.Graph, error) {
 	return graphs, nil
 }
 
-// structKey fingerprints a graph's operator topology: everything that
-// determines the shared data-flow schedule (operator count, op types, data
-// edges, sink). Resource nodes and mapping edges are deliberately left out:
-// they follow the degree vector, so the candidates of one tuning sweep — one
-// query, many degree vectors — differ in them and must still share a bucket.
-// Graphs with equal keys are verified with sameStructure before sharing one.
-func structKey(g *features.Graph) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(x uint64) {
-		h ^= x
-		h *= prime64
-	}
-	mix(uint64(len(g.OpNodes)))
-	mix(uint64(g.SinkIdx))
-	for _, nd := range g.OpNodes {
-		mix(uint64(nd.Type))
-	}
-	for _, e := range g.DataEdges {
-		mix(uint64(e[0])<<32 | uint64(uint32(e[1])))
-	}
-	return h
-}
-
-// sameStructure reports whether two graphs share the data-flow schedule; it
-// backs structKey against hash collisions.
-func sameStructure(a, b *features.Graph) bool {
-	if len(a.OpNodes) != len(b.OpNodes) || a.SinkIdx != b.SinkIdx || len(a.DataEdges) != len(b.DataEdges) {
-		return false
-	}
-	for i := range a.OpNodes {
-		if a.OpNodes[i].Type != b.OpNodes[i].Type {
-			return false
-		}
-	}
-	for i := range a.DataEdges {
-		if a.DataEdges[i] != b.DataEdges[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// bucketSlot is one topology bucket of a batch: the graphs sharing a
-// structure and their positions in the output slice. Slots and their slices
-// are recycled across calls.
-type bucketSlot struct {
-	key uint64
-	gs  []*features.Graph // gs[0] is the prototype the others were matched against
-	pos []int
-}
-
 // fusedScratch is the per-call arena: everything the fused forward needs,
-// grown to the largest bucket seen and reused. One scratch serves one
+// grown to the largest pass seen and reused. One scratch serves one
 // PredictBatchInto call at a time; the pool hands them to concurrent
 // callers.
 type fusedScratch struct {
-	buckets   []bucketSlot
-	upstreams [][]int // per op position: upstream positions
-	resOff    []int   // per graph of the bucket: its first resource row
+	opLayout
+	encOff [len(opTypeOrder) + 1]int // encoder slot k's rows of xg and e: [encOff[k], encOff[k+1])
 
 	// The matrices of the engine the model was compiled for; the other set
 	// stays empty.
-	m32 bucketMats[float32]
-	m64 bucketMats[float64]
+	m32 passMats[float32]
+	m64 passMats[float64]
 
 	lat, latW, tot []float64
 
@@ -470,57 +413,10 @@ type fusedScratch struct {
 	oneP []Prediction
 }
 
-// bucketMats are the matrices of one forwardBucket call.
-type bucketMats[T float] struct {
-	xg, e, hop, xc, er, sum, xcr, hres, xm, hmap, lt, pooled, tt mat[T]
-	mlpA, mlpB                                                   []T
-}
-
-func (s *fusedScratch) addBucket(key uint64) *bucketSlot {
-	n := len(s.buckets)
-	if n < cap(s.buckets) {
-		s.buckets = s.buckets[:n+1]
-	} else {
-		s.buckets = append(s.buckets, bucketSlot{})
-	}
-	b := &s.buckets[n]
-	b.key = key
-	b.gs, b.pos = b.gs[:0], b.pos[:0]
-	return b
-}
-
-// buildSchedule derives what the graphs of one bucket share — the upstream
-// lists of their common data edges — and what they do not: every graph's
-// resource rows are laid end to end, graph bi's starting at resOff[bi]. It
-// returns the total number of resource rows.
-func (s *fusedScratch) buildSchedule(gs []*features.Graph) int {
-	s.upstreams = growSchedule(s.upstreams, len(gs[0].OpNodes))
-	for _, e := range gs[0].DataEdges {
-		s.upstreams[e[1]] = append(s.upstreams[e[1]], e[0])
-	}
-	s.resOff = s.resOff[:0]
-	rows := 0
-	for _, g := range gs {
-		s.resOff = append(s.resOff, rows)
-		rows += len(g.ResNodes)
-	}
-	return rows
-}
-
-// growSchedule resizes ss to n empty inner slices. Unlike growIntSlices it
-// preserves the capacities of inner slices beyond the current length, so the
-// bucket loop's fluctuating shapes don't shed warmed-up buffers.
-func growSchedule(ss [][]int, n int) [][]int {
-	if cap(ss) < n {
-		grown := make([][]int, n)
-		copy(grown, ss[:cap(ss)])
-		ss = grown
-	}
-	ss = ss[:n]
-	for i := range ss {
-		ss[i] = ss[i][:0]
-	}
-	return ss
+// passMats are the matrices of one forwardPass call.
+type passMats[T float] struct {
+	xg, e, hop, er, sum, xcr, hres, xm, hmap, lt, pooled, tt mat[T]
+	mlpA, mlpB                                               []T
 }
 
 // roundUp rounds n up to a multiple of m.
@@ -529,7 +425,9 @@ func roundUp(n, m int) int { return (n + m - 1) / m * m }
 // zero, add and axpy are the element-wise steps between the GEMMs, in the
 // reference forward's form: v = 0, v += w, v += a·w. The float64 axpy is the
 // reference's own tensor.Vector.AxpyInPlace, whose every element is one fused
-// multiply-add.
+// multiply-add. add and the float32 axpy are unrolled four ways, which moves
+// no bit — each element is still its own sum — and spends fewer loop
+// branches per element.
 func zero[T float](v []T) {
 	for i := range v {
 		v[i] = 0
@@ -538,7 +436,15 @@ func zero[T float](v []T) {
 
 func add[T float](v, w []T) {
 	w = w[:len(v)]
-	for i := range v {
+	i := 0
+	for ; i+4 <= len(v); i += 4 {
+		v4, w4 := v[i:i+4:i+4], w[i:i+4:i+4]
+		v4[0] += w4[0]
+		v4[1] += w4[1]
+		v4[2] += w4[2]
+		v4[3] += w4[3]
+	}
+	for ; i < len(v); i++ {
 		v[i] += w[i]
 	}
 }
@@ -549,8 +455,16 @@ func axpy[T float](v []T, a T, w []T) {
 		tensor.Vector(v64).AxpyInPlace(float64(a), any(w).([]float64))
 		return
 	}
-	for i := range v {
-		v[i] += T(a * w[i]) // rounded on its own, never fused (arm64 would)
+	i := 0
+	for ; i+4 <= len(v); i += 4 {
+		v4, w4 := v[i:i+4:i+4], w[i:i+4:i+4]
+		v4[0] += T(a * w4[0]) // each product rounded on its own, never fused (arm64 would)
+		v4[1] += T(a * w4[1])
+		v4[2] += T(a * w4[2])
+		v4[3] += T(a * w4[3])
+	}
+	for ; i < len(v); i++ {
+		v[i] += T(a * w[i])
 	}
 }
 
@@ -592,73 +506,44 @@ func (cm *CompiledModel) batchInto(s *fusedScratch, dst []Prediction, graphs []*
 	for range graphs {
 		dst = append(dst, Prediction{})
 	}
-	s.buckets = s.buckets[:0]
-	for gi, g := range graphs {
-		key := structKey(g)
-		var slot *bucketSlot
-		for bi := range s.buckets {
-			if s.buckets[bi].key == key && sameStructure(s.buckets[bi].gs[0], g) {
-				slot = &s.buckets[bi]
-				break
-			}
+	// Near-equal passes of at most passCap graphs, in arrival order.
+	passes := (len(graphs) + passCap - 1) / passCap
+	for j := 0; j < passes; j++ {
+		lo, hi := j*len(graphs)/passes, (j+1)*len(graphs)/passes
+		if cm.Engine == EngineF64 {
+			cm.f64.forwardPass(s, &s.m64, graphs[lo:hi], dst[lo:hi])
+		} else {
+			cm.f32.forwardPass(s, &s.m32, graphs[lo:hi], dst[lo:hi])
 		}
-		if slot == nil {
-			slot = s.addBucket(key)
-		}
-		slot.gs = append(slot.gs, g)
-		slot.pos = append(slot.pos, gi)
 	}
 	cm.fusedGraphs.Add(uint64(len(graphs)))
-	cm.fusedBuckets.Add(uint64(len(s.buckets)))
-	for bi := range s.buckets {
-		b := &s.buckets[bi]
-		// Near-equal groups of at most fusedGroup graphs.
-		groups := (len(b.gs) + fusedGroup - 1) / fusedGroup
-		for j := 0; j < groups; j++ {
-			lo, hi := j*len(b.gs)/groups, (j+1)*len(b.gs)/groups
-			if cm.Engine == EngineF64 {
-				cm.f64.forwardBucket(s, &s.m64, b.gs[lo:hi], b.pos[lo:hi], dst)
-			} else {
-				cm.f32.forwardBucket(s, &s.m32, b.gs[lo:hi], b.pos[lo:hi], dst)
-			}
-		}
-		// The scratch outlives the call in a free list that is never drained;
-		// a graph left here would stay reachable, and with it whatever arena
-		// it was carved from.
-		clear(b.gs)
-	}
+	cm.fusedPasses.Add(uint64(passes))
 	return dst
 }
 
-// fusedGroup caps how many graphs of one bucket run through the GEMMs
-// together. The scratch matrices are sized by the largest group and stay live
-// in the pool, one scratch per concurrent caller, so the cap bounds resident
-// memory — while the GEMMs gain nothing from taller matrices once the widest
-// microkernel's eight rows are full. Measured without the cap on
-// BenchmarkPredictSweep's graphs (one five-operator topology, ragged
-// mappings; 2.1 GHz Xeon, best of four), graphs sharing a bucket → µs/graph
-// under the AVX-512 kernel (under the AVX2 one), scratch:
-// 1 → 10.6 (11.2), 0.02 MiB; 2 → 6.3 (7.7), 0.03; 4 → 4.6 (6.4), 0.04;
-// 8 → 4.2 (6.0), 0.09; 12 → 4.5 (6.6), 0.14; 16 → 4.5 (6.6), 0.18;
-// 24 → 4.0 (6.5), 0.27; 48 → 4.0 (6.0), 0.55. Flat from 4 up under either
-// kernel (12 pays for an overlapped tail group), so 8 keeps every group of a
-// split bucket above the knee and in the eight-row kernel (a 25-graph bucket
-// runs as 7+6+6+6, each padded to 8 rows; capped, 24 and 48 graphs read 4.2)
-// at a third of the memory a whole candidate set would pin.
-const fusedGroup = 8
+// passCap caps how many graphs run through the GEMMs together. The scratch
+// matrices are sized by the largest pass and stay live in the pool, one
+// scratch per concurrent caller, so the cap bounds resident memory. Measured
+// on BenchmarkPredictMixed's 64 graphs of all twelve workload topologies
+// (2-core Xeon, AVX-512 kernel, best of five on a noisy box), cap → scratch,
+// µs/graph: 4 → 97 KiB, 11.7; 8 → 163 KiB, 9.9; 16 → 296 KiB, 9.9;
+// 32 → 556 KiB, 7.7. Below 8 a pass pays for more and shorter GEMMs; above
+// it the scratch grows linearly for a gain the tune workload's heap cannot
+// pay for.
+const passCap = 8
 
-// FusedCounts reports how many graphs the engine has predicted and how many
-// topology buckets they fell into. graphs/buckets is the fusion the GEMMs
-// actually see: near 1 means every graph runs alone, padded to the
+// FusedCounts reports how many graphs the engine has predicted and in how
+// many passes. graphs/passes is the fusion the GEMMs actually see: near 1
+// means every graph runs alone, its narrowest GEMMs padded to the
 // microkernel's four rows.
-func (cm *CompiledModel) FusedCounts() (graphs, buckets uint64) {
-	return cm.fusedGraphs.Load(), cm.fusedBuckets.Load()
+func (cm *CompiledModel) FusedCounts() (graphs, passes uint64) {
+	return cm.fusedGraphs.Load(), cm.fusedPasses.Load()
 }
 
 // applyMLP runs the layers over x, ping-ponging intermediate activations
 // through the scratch buffers and writing the last layer into out. x.rows
 // must equal out.rows and fit the mlpA/mlpB capacity.
-func (e *engine[T]) applyMLP(ms *bucketMats[T], ls []layer[T], x, out mat[T]) {
+func (e *engine[T]) applyMLP(ms *passMats[T], ls []layer[T], x, out mat[T]) {
 	last := len(ls) - 1
 	for i := range ls[:last] {
 		l := &ls[i]
@@ -674,86 +559,108 @@ func (e *engine[T]) applyMLP(ms *bucketMats[T], ls []layer[T], x, out mat[T]) {
 	e.gemm(x, &ls[last], out)
 }
 
-// forwardBucket runs the fused schedule for one group of same-topology
-// graphs, writing predictions into dst at the group's positions.
+// forwardPass runs the fused schedule for one pass of graphs of any
+// topologies, writing their predictions into dst, one per graph.
 //
-// Operator rows are laid out per position in blocks of B consecutive rows
-// (row i*B+b is op position i of graph b). Resource rows are ragged: graph b
-// owns rows resOff[b] … resOff[b]+r_b, one per resource node it has, so the
-// resource encoder and combiner each run as one GEMM over all Σ r_b rows.
-// GEMM row counts are rounded up to the kernel's rowPad; the slack rows either
-// overlap the next position's block (which is written afterwards) or live in
-// the matrices' extra capacity, so the padded work is harmless and every
-// matrix is written with fixed-shape kernels only. No row ever reads another
-// row, which is why a graph's result does not depend on what shares its
-// bucket. Every element-wise step replicates the reference forward's
-// expression and accumulation order, so with gemm64 the results are
-// bit-identical to Model.Predict for each graph — the anchor the differential
-// tests and the accuracy gate measure against.
-func (e *engine[T]) forwardBucket(s *fusedScratch, ms *bucketMats[T], gs []*features.Graph, pos []int, dst []Prediction) {
-	proto := gs[0]
-	n, B := len(proto.OpNodes), len(gs)
+// Rows follow opLayout. Encoder inputs are stacked type by type, slot k's
+// rows starting at encOff[k]; the operator states (hop, xm, hmap, lt) are
+// depth-major, operator op at row opRow[op], so each depth level is one run
+// of consecutive rows; resource rows are ragged, graph b's machines at rows
+// resBase[b] … resBase[b+1]. GEMM row counts are rounded up to the kernel's
+// rowPad: an encoder's slack rows are padding of its own, a level's slack
+// rows overlap the next level (written afterwards) or the matrices' extra
+// capacity, so the padded work is harmless and every matrix is written with
+// fixed-shape kernels only. No row ever reads another row, which is why a
+// graph's result does not depend on what shares its pass. Every element-wise
+// step replicates the reference forward's expression and accumulation order —
+// upstream sums in DataEdges order, the mean and the latency read-out in node
+// order — so with gemm64 the results are bit-identical to Model.Predict for
+// each graph: the anchor the differential tests and the accuracy gate
+// measure against.
+func (e *engine[T]) forwardPass(s *fusedScratch, ms *passMats[T], gs []*features.Graph, dst []Prediction) {
+	nOps, nRes := s.index(gs)
 	h := e.cfg.Hidden
 	hs, ones := roundUp(h, e.colPad), roundUp(1, e.colPad) // strides of GEMM outputs
-	Bp, nB := roundUp(B, e.rowPad), roundUp(n*B, e.rowPad)
-	opRows := max(nB, (n-1)*B+Bp)
-	resRows := roundUp(s.buildSchedule(gs), e.rowPad)
+	Gp := roundUp(len(gs), e.rowPad)
+	opRows := nOps + e.rowPad - 1 // a level's padded GEMM ends inside
+	resRows := roundUp(nRes, e.rowPad)
+	for k, c := range s.counts {
+		s.encOff[k+1] = s.encOff[k] + roundUp(c, e.rowPad)
+	}
+	encRows := s.encOff[len(opTypeOrder)]
+	maxN := 0
+	for _, g := range gs {
+		maxN = max(maxN, len(g.OpNodes))
+	}
 
-	ms.e.grow(opRows, h, hs)
+	ms.e.grow(encRows, h, hs)
 	ms.hop.grow(opRows, h, hs)
-	ms.xc.grow(Bp, 2*h, 2*h)
 	ms.er.grow(resRows, h, hs)
-	ms.sum.grow(Bp, h, h)
+	ms.sum.grow(Gp, h, h)
 	ms.xcr.grow(resRows, 2*h, 2*h)
 	ms.hres.grow(resRows, h, hs)
 	ms.xm.grow(opRows, 2*h, 2*h)
 	ms.hmap.grow(opRows, h, hs)
 	ms.lt.grow(opRows, 1, ones)
-	ms.pooled.grow(Bp, 2*h, 2*h)
-	ms.tt.grow(Bp, 1, ones)
-	if need := max(opRows, resRows) * e.maxW; cap(ms.mlpA) < need {
+	ms.pooled.grow(Gp, 2*h, 2*h)
+	ms.tt.grow(Gp, 1, ones)
+	if need := max(encRows, opRows, resRows) * e.maxW; cap(ms.mlpA) < need {
 		ms.mlpA, ms.mlpB = make([]T, need), make([]T, need)
 	}
-	if cap(s.lat) < n {
-		s.lat, s.latW, s.tot = make([]float64, n), make([]float64, n), make([]float64, n)
+	if cap(s.lat) < maxN {
+		s.lat, s.latW, s.tot = make([]float64, maxN), make([]float64, maxN), make([]float64, maxN)
 	}
 
-	// Stage 1: encoders + data-flow pass, topologically ordered positions.
-	ms.xg.grow(Bp, features.OpFeatDim, features.OpFeatDim)
-	for i, node := range proto.OpNodes {
-		for bi, g := range gs {
-			row := ms.xg.row(bi)
+	// Stage 1a: encoders, one GEMM per operator type present.
+	ms.xg.grow(encRows, features.OpFeatDim, features.OpFeatDim)
+	for b, g := range gs {
+		ob := s.opBase[b]
+		for i := range g.OpNodes {
+			row := ms.xg.row(s.encOff[s.slot[ob+i]] + s.encRow[ob+i])
 			for t, v := range g.OpNodes[i].Feat {
 				row[t] = T(v)
 			}
 		}
-		e.applyMLP(ms, e.encOp[node.Type], ms.xg, ms.e.view(i*B, Bp))
-		for bi := 0; bi < B; bi++ {
-			xcRow := ms.xc.row(bi)
-			copy(xcRow[:h], ms.e.row(i*B+bi))
+	}
+	for k := range s.counts {
+		if lo, hi := s.encOff[k], s.encOff[k+1]; hi > lo {
+			e.applyMLP(ms, e.encOp[k], ms.xg.view(lo, hi-lo), ms.e.view(lo, hi-lo))
+		}
+	}
+
+	// Stage 1b: data-flow pass, one GEMM per depth level. Row k of xm is
+	// the combiner's input [own encoding ‖ Σ upstream states] for row k of
+	// hop; the mapping pass reuses xm once every level has run.
+	for d := 0; d+1 < len(s.levels); d++ {
+		lo, hi := s.levels[d], s.levels[d+1]
+		for row := lo; row < hi; row++ {
+			op := s.rowOp[row]
+			xcRow := ms.xm.row(row)
+			copy(xcRow[:h], ms.e.row(s.encOff[s.slot[op]]+s.encRow[op]))
 			agg := xcRow[h:]
 			zero(agg)
-			for _, up := range s.upstreams[i] {
-				add(agg, ms.hop.row(up*B+bi))
+			for _, up := range s.ups[op] {
+				add(agg, ms.hop.row(s.opRow[up]))
 			}
 		}
-		e.applyMLP(ms, e.combineOp, ms.xc, ms.hop.view(i*B, Bp))
+		rows := roundUp(hi-lo, e.rowPad)
+		e.applyMLP(ms, e.combineOp, ms.xm.view(lo, rows), ms.hop.view(lo, rows))
 	}
 
 	// Stage 2: resource pass, one GEMM per MLP over every graph's rows.
 	ms.xg.grow(resRows, features.ResFeatDim, features.ResFeatDim)
-	for bi, g := range gs {
+	for b, g := range gs {
 		for i := range g.ResNodes {
-			row := ms.xg.row(s.resOff[bi] + i)
+			row := ms.xg.row(s.resBase[b] + i)
 			for t, v := range g.ResNodes[i].Feat {
 				row[t] = T(v)
 			}
 		}
 	}
 	e.applyMLP(ms, e.encRes, ms.xg, ms.er)
-	for bi, g := range gs {
-		r, off := len(g.ResNodes), s.resOff[bi]
-		sumRow := ms.sum.row(bi)
+	for b, g := range gs {
+		r, off := len(g.ResNodes), s.resBase[b]
+		sumRow := ms.sum.row(b)
 		zero(sumRow)
 		for i := 0; i < r; i++ {
 			add(sumRow, ms.er.row(off+i))
@@ -781,13 +688,13 @@ func (e *engine[T]) forwardBucket(s *fusedScratch, ms *bucketMats[T], gs []*feat
 	// Stage 3: mapping pass. Left half of xm is the op state; the right half
 	// accumulates the instance-weighted resource states, each graph walking
 	// its own mapping edges in order.
-	for i := 0; i < n*B; i++ {
-		xmRow := ms.xm.row(i)
-		copy(xmRow[:h], ms.hop.row(i))
+	for row := 0; row < nOps; row++ {
+		xmRow := ms.xm.row(row)
+		copy(xmRow[:h], ms.hop.row(row))
 		zero(xmRow[h:])
 	}
-	tot := s.tot[:n]
-	for bi, g := range gs {
+	for b, g := range gs {
+		ob, tot := s.opBase[b], s.tot[:len(g.OpNodes)]
 		for i := range tot {
 			tot[i] = 0
 		}
@@ -799,43 +706,46 @@ func (e *engine[T]) forwardBucket(s *fusedScratch, ms *bucketMats[T], gs []*feat
 			if tot[edge.OpIdx] > 0 {
 				w /= tot[edge.OpIdx]
 			}
-			axpy(ms.xm.row(edge.OpIdx*B + bi)[h:], T(w), ms.hres.row(s.resOff[bi]+edge.ResIdx))
+			axpy(ms.xm.row(s.opRow[ob+edge.OpIdx])[h:], T(w), ms.hres.row(s.resBase[b]+edge.ResIdx))
 		}
 	}
-	e.applyMLP(ms, e.combineMap, ms.xm.view(0, nB), ms.hmap.view(0, nB))
+	nOpsP := roundUp(nOps, e.rowPad)
+	e.applyMLP(ms, e.combineMap, ms.xm.view(0, nOpsP), ms.hmap.view(0, nOpsP))
 
 	// Stage 4: read-out.
-	invN := T(1 / float64(n))
-	for bi := 0; bi < B; bi++ {
-		mean := ms.sum.row(bi)
+	for b, g := range gs {
+		ob, n := s.opBase[b], len(g.OpNodes)
+		invN := T(1 / float64(n))
+		mean := ms.sum.row(b)
 		zero(mean)
 		for i := 0; i < n; i++ {
-			axpy(mean, invN, ms.hmap.row(i*B+bi))
+			axpy(mean, invN, ms.hmap.row(s.opRow[ob+i]))
 		}
-		pRow := ms.pooled.row(bi)
-		copy(pRow[:h], ms.hmap.row(proto.SinkIdx*B+bi))
+		pRow := ms.pooled.row(b)
+		copy(pRow[:h], ms.hmap.row(s.opRow[ob+g.SinkIdx]))
 		copy(pRow[h:], mean)
 	}
 	structured := e.cfg.Readout != ReadoutSink
 	if structured {
-		e.applyMLP(ms, e.latHead, ms.hmap.view(0, nB), ms.lt.view(0, nB))
+		e.applyMLP(ms, e.latHead, ms.hmap.view(0, nOpsP), ms.lt.view(0, nOpsP))
 	} else {
-		e.applyMLP(ms, e.latHead, ms.pooled, ms.lt.view(0, Bp))
+		e.applyMLP(ms, e.latHead, ms.pooled, ms.lt.view(0, Gp))
 	}
 	e.applyMLP(ms, e.tptHead, ms.pooled, ms.tt)
 
-	for bi := range gs {
+	for b, g := range gs {
 		var logLat float64
 		if structured {
+			ob, n := s.opBase[b], len(g.OpNodes)
 			for i := 0; i < n; i++ {
-				s.lat[i] = float64(ms.lt.row(i*B + bi)[0])
+				s.lat[i] = float64(ms.lt.row(s.opRow[ob+i])[0])
 			}
 			logLat = logSumExp10(s.lat[:n], s.latW[:n])
 		} else {
-			logLat = float64(ms.lt.row(bi)[0])
+			logLat = float64(ms.lt.row(b)[0])
 		}
-		logTpt := float64(ms.tt.row(bi)[0])
-		dst[pos[bi]] = Prediction{
+		logTpt := float64(ms.tt.row(b)[0])
+		dst[b] = Prediction{
 			LatencyMs:     math.Pow(10, logLat),
 			ThroughputEPS: math.Pow(10, logTpt),
 			LogLatency:    logLat,

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sort"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"zerotune/internal/features"
 	"zerotune/internal/queryplan"
 	"zerotune/internal/tensor"
+	"zerotune/internal/workload"
 )
 
 // corpusQueries builds a structurally diverse query set: the three benchmark
@@ -257,9 +259,9 @@ func TestCompiledZeroAlloc(t *testing.T) {
 }
 
 // TestCompiledScratchDropsGraphs: the fused scratch sits in a free list that
-// is never drained, so a graph pointer left in it (a bucket's graph list, the
-// single-graph slot) keeps the caller's last batch alive for good — and, once
-// graphs share an arena, every slab of it.
+// is never drained, so a graph pointer left in it (the single-graph slot)
+// keeps the caller's last batch alive for good — and, once graphs share an
+// arena, every slab of it.
 func TestCompiledScratchDropsGraphs(t *testing.T) {
 	cm, err := Compile(New(tensor.NewRNG(24), DefaultConfig()), features.MaskAll, CompileOptions{})
 	if err != nil {
@@ -302,7 +304,7 @@ func TestCompileLeavesNoScratch(t *testing.T) {
 }
 
 // TestCompiledBucketOrder: predictions come back in input order regardless
-// of how the batch buckets, including duplicate graphs.
+// of how the batch splits into passes, including duplicate graphs.
 func TestCompiledBucketOrder(t *testing.T) {
 	m := New(tensor.NewRNG(18), DefaultConfig())
 	cm, err := Compile(m, features.MaskAll, CompileOptions{Engine: EngineF64})
@@ -323,14 +325,21 @@ func TestCompiledBucketOrder(t *testing.T) {
 	}
 }
 
-// TestCompiledRaggedBucket: graphs of one operator topology share one bucket
-// whatever their resource counts and mapping edges — a tuning sweep's
-// candidates do — and sharing must not move a bit: the f64 engine equals
-// Model.Predict and the f32 engine equals its own single-graph prediction,
-// with the sweep interleaved among other topologies and large enough to split
-// into several groups.
-func TestCompiledRaggedBucket(t *testing.T) {
-	sweep := sweepGraphs(t, 27)
+// mixedPassSizes are the batch sizes TestCompiledMixedPasses runs: every
+// size up to two passes, then each side of the pass boundaries up to 64.
+var mixedPassSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
+	23, 24, 25, 31, 32, 33, 47, 48, 49, 63, 64}
+
+// TestCompiledMixedPasses: a pass takes graphs of any topologies, and what
+// shares a pass must not move a bit. Batches of 1 to 64 graphs — one to
+// eight passes — interleave every seen, unseen and benchmark topology
+// (linear, 2- to 6-way joins, 2 to 4 chained filters, the three benchmark
+// queries) with a ragged sweep of one topology, in three orders. Under both
+// engines each batch must count ⌈size/8⌉ passes; the f64 engine must equal
+// Model.Predict and the f32 engine its own single-graph prediction, bit for
+// bit.
+func TestCompiledMixedPasses(t *testing.T) {
+	sweep := sweepGraphs(t, 13)
 	resCounts, mappings := map[int]bool{}, map[int]bool{}
 	for _, g := range sweep {
 		resCounts[len(g.ResNodes)] = true
@@ -339,11 +348,24 @@ func TestCompiledRaggedBucket(t *testing.T) {
 	if len(resCounts) < 3 || len(mappings) < 3 {
 		t.Fatalf("sweep is not ragged: resource counts %v, mapping sizes %v", resCounts, mappings)
 	}
-	others := corpusGraphs(t)
-	var mixed []*features.Graph
-	for i, g := range sweep {
-		mixed = append(mixed, g, others[i%len(others)])
+	structures := append(append(workload.SeenRanges().Structures, workload.UnseenRanges().Structures...),
+		workload.BenchmarkStructures()...)
+	others := mixedGraphs(t, structures, 52)
+	var roundRobin []*features.Graph
+	for i, g := range others {
+		roundRobin = append(roundRobin, g)
+		if i%4 == 3 {
+			roundRobin = append(roundRobin, sweep[i/4])
+		}
 	}
+	reversed := make([]*features.Graph, len(roundRobin))
+	for i, g := range roundRobin {
+		reversed[len(roundRobin)-1-i] = g
+	}
+	// Grouped by operator count, so same-topology graphs share passes.
+	grouped := append([]*features.Graph(nil), roundRobin...)
+	sort.SliceStable(grouped, func(i, j int) bool { return len(grouped[i].OpNodes) < len(grouped[j].OpNodes) })
+	orders := map[string][]*features.Graph{"round-robin": roundRobin, "reversed": reversed, "grouped": grouped}
 
 	m := New(tensor.NewRNG(23), DefaultConfig())
 	for _, engine := range []Engine{EngineF64, EngineF32} {
@@ -351,19 +373,27 @@ func TestCompiledRaggedBucket(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cm.PredictBatch(sweep)
-		if graphs, buckets := cm.FusedCounts(); graphs != uint64(len(sweep)) || buckets != 1 {
-			t.Fatalf("%v: sweep of %d graphs counted as %d graphs in %d buckets, want 1 bucket",
-				engine, len(sweep), graphs, buckets)
-		}
-		got := cm.PredictBatch(mixed)
-		for i, g := range mixed {
-			want := cm.Predict(g)
-			if engine == EngineF64 {
-				want = m.Predict(g)
+		want := map[*features.Graph]Prediction{}
+		for _, g := range roundRobin {
+			if want[g] = cm.Predict(g); engine == EngineF64 {
+				want[g] = m.Predict(g)
 			}
-			if got[i] != want {
-				t.Errorf("%v: position %d (%s): batched %+v != reference %+v", engine, i, g.Template, got[i], want)
+		}
+		for name, order := range orders {
+			for _, size := range mixedPassSizes {
+				graphs0, passes0 := cm.FusedCounts()
+				got := cm.PredictBatch(order[:size])
+				graphs, passes := cm.FusedCounts()
+				if graphs-graphs0 != uint64(size) || passes-passes0 != uint64((size+7)/8) {
+					t.Fatalf("%v %s: %d graphs counted as %d in %d passes, want %d passes",
+						engine, name, size, graphs-graphs0, passes-passes0, (size+7)/8)
+				}
+				for i, g := range order[:size] {
+					if got[i] != want[g] {
+						t.Errorf("%v %s size %d: position %d (%s): batched %+v != reference %+v",
+							engine, name, size, i, g.Template, got[i], want[g])
+					}
+				}
 			}
 		}
 	}

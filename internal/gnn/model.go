@@ -253,9 +253,14 @@ func growSlots(vs []tensor.Vector, n int) []tensor.Vector {
 	return vs[:n]
 }
 
+// growIntSlices resizes ss to n empty inner slices. It keeps the capacities
+// of inner slices beyond the current length, so a scratch that serves batches
+// of fluctuating sizes does not shed its warmed-up buffers.
 func growIntSlices(ss [][]int, n int) [][]int {
-	for len(ss) < n {
-		ss = append(ss, nil)
+	if cap(ss) < n {
+		grown := make([][]int, n)
+		copy(grown, ss[:cap(ss)])
+		ss = grown
 	}
 	ss = ss[:n]
 	for i := range ss {

@@ -1,13 +1,11 @@
 package gnn
 
 import (
-	"fmt"
 	"sort"
 
 	"zerotune/internal/features"
 	"zerotune/internal/nn"
 	"zerotune/internal/parallel"
-	"zerotune/internal/queryplan"
 	"zerotune/internal/tensor"
 )
 
@@ -122,38 +120,18 @@ const (
 	numSlots
 )
 
-// typeSlot is the encoder slot of an operator type, -1 if there is none.
-func typeSlot(t queryplan.OpType) int {
-	for k, tt := range opTypeOrder {
-		if tt == t {
-			return k
-		}
-	}
-	return -1
-}
-
 // stepChunk is the scratch of one chunk of a batch: a BatchTrace per
-// sub-network and the row bookkeeping that ties them together. Operators are
-// numbered chunk-wide in graph order, then node order (their row in the
-// mapping combiner and the structured latency head); machines likewise (their
-// row in both resource networks).
+// sub-network and the row bookkeeping that ties them together, the layout
+// the compiled engine's forward runs on plus what the backward pass needs.
 type stepChunk struct {
 	tr [numSlots]*nn.BatchTrace
 
-	opBase, resBase []int // per graph, and one past the last: first operator / machine number
-	slot            []int // per operator: encoder slot
-	encRow          []int // per operator: row in its encoder, sample order (graph, then node descending)
-	opRow           []int // per operator: row in the data-flow combiner, grouped by depth level
-	rowOp           []int // per data-flow combiner row: the operator
-	depth           []int // per operator: topological depth (0 for a node without upstreams)
-	levels          []int // data-flow combiner rows of depth d: [levels[d], levels[d+1])
-	fill            []int // per depth level: rows placed so far
-	perm            []int // data-flow combiner rows in sample order (graph, then node descending)
-	ups, downs      [][]int
-	mapW            [][]weightedRes
-	lat, latW       []float64             // structured read-out: per operator
-	total           []float64             // per operator: instances mapped to machines
-	counts          [len(opTypeOrder)]int // rows per encoder slot
+	opLayout
+	perm      []int   // data-flow combiner rows in sample order (graph, then node descending)
+	downs     [][]int // per operator: its downstream operators, downstream index descending
+	mapW      [][]weightedRes
+	lat, latW []float64 // structured read-out: per operator
+	total     []float64 // per operator: instances mapped to machines
 
 	vecA, vecB tensor.Vector // h-wide per-graph scratch
 }
@@ -313,87 +291,25 @@ func (c *stepChunk) backward(m *Model, mlps []*nn.MLP, gs []*features.Graph, hub
 	combOp.Permute(c.perm)
 }
 
-// index numbers the chunk's operators and machines and lays out the rows of
-// every sub-network. It returns the operator and machine counts.
+// index lays out gs's rows (opLayout.index) and sizes the backward pass's
+// bookkeeping. It returns the operator and machine counts.
 func (c *stepChunk) index(gs []*features.Graph) (nOps, nRes int) {
-	c.opBase, c.resBase = c.opBase[:0], c.resBase[:0]
-	for _, g := range gs {
-		c.opBase = append(c.opBase, nOps)
-		c.resBase = append(c.resBase, nRes)
-		nOps += len(g.OpNodes)
-		nRes += len(g.ResNodes)
-	}
-	c.opBase = append(c.opBase, nOps)
-	c.resBase = append(c.resBase, nRes)
-
-	c.slot = growInts(c.slot, nOps)
-	c.encRow = growInts(c.encRow, nOps)
-	c.opRow = growInts(c.opRow, nOps)
-	c.rowOp = growInts(c.rowOp, nOps)
-	c.depth = growInts(c.depth, nOps)
-	c.ups = growIntSlices(c.ups, nOps)
+	nOps, nRes = c.opLayout.index(gs)
 	c.downs = growIntSlices(c.downs, nOps)
 	c.mapW = growWeightSlices(c.mapW, nOps)
 	c.lat = growFloats(c.lat, nOps)
 	c.latW = growFloats(c.latW, nOps)
 	c.total = growFloats(c.total, nOps)
-	c.counts = [len(opTypeOrder)]int{}
-
-	maxDepth := -1
+	c.perm = c.perm[:0]
 	for b, g := range gs {
 		ob := c.opBase[b]
-		for _, e := range g.DataEdges {
-			c.ups[ob+e[1]] = append(c.ups[ob+e[1]], ob+e[0])
-		}
 		for i := len(g.OpNodes) - 1; i >= 0; i-- {
 			for _, up := range c.ups[ob+i] {
 				c.downs[up] = append(c.downs[up], ob+i)
 			}
 		}
-		for i, node := range g.OpNodes {
-			op := ob + i
-			d := 0
-			for _, up := range c.ups[op] {
-				d = max(d, c.depth[up]+1)
-			}
-			c.depth[op] = d
-			maxDepth = max(maxDepth, d)
-			if c.slot[op] = typeSlot(node.Type); c.slot[op] < 0 {
-				panic(fmt.Sprintf("gnn: no encoder for node type %v", node.Type)) // checkGraph rejects it first
-			}
-		}
 		for i := len(g.OpNodes) - 1; i >= 0; i-- {
-			op := ob + i
-			c.encRow[op] = c.counts[c.slot[op]]
-			c.counts[c.slot[op]]++
-		}
-	}
-
-	// Depth levels: count, prefix-sum, then place operators in number order.
-	c.levels = growInts(c.levels, maxDepth+2)
-	for d := range c.levels {
-		c.levels[d] = 0
-	}
-	for op := 0; op < nOps; op++ {
-		c.levels[c.depth[op]+1]++
-	}
-	for d := 1; d < len(c.levels); d++ {
-		c.levels[d] += c.levels[d-1]
-	}
-	c.fill = growInts(c.fill, maxDepth+1)
-	for d := range c.fill {
-		c.fill[d] = 0
-	}
-	for op := 0; op < nOps; op++ {
-		d := c.depth[op]
-		row := c.levels[d] + c.fill[d]
-		c.fill[d]++
-		c.opRow[op], c.rowOp[row] = row, op
-	}
-	c.perm = c.perm[:0]
-	for b, g := range gs {
-		for i := len(g.OpNodes) - 1; i >= 0; i-- {
-			c.perm = append(c.perm, c.opRow[c.opBase[b]+i])
+			c.perm = append(c.perm, c.opRow[ob+i])
 		}
 	}
 	return nOps, nRes
@@ -507,13 +423,6 @@ func (c *stepChunk) forward(m *Model, mlps []*nn.MLP, gs []*features.Graph) {
 	}
 	m.LatHead.ForwardRows(latHead, 0, latHead.In().Rows)
 	m.TptHead.ForwardRows(tptHead, 0, tptHead.In().Rows)
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
 }
 
 // trainLoss is a graph's training loss and output gradients for one forward

@@ -390,7 +390,7 @@ func bucketAbove(e int) int { return (e-histMinExp)*histSub + 1 }
 func bucketBounds(i int) (lo, width float64) {
 	octave, sub := (i-1)/histSub+histMinExp, (i-1)%histSub
 	width = math.Ldexp(1, octave-histSubBits)
-	return math.Ldexp(1, octave) + float64(sub)*width, width
+	return math.Ldexp(1, octave) + float64(float64(sub)*width), width // never fused (arm64 would)
 }
 
 // Observe records one value. Non-finite values are counted but left out of

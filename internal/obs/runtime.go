@@ -59,7 +59,7 @@ func runtimeHistogram(name string) HistogramSnapshot {
 		}
 		s.counts[bucketIndex(v)] += n
 		s.Count += n
-		s.Sum += float64(n) * v
+		s.Sum += float64(float64(n) * v) // never fused (arm64 would)
 		s.Max = max(s.Max, v)
 	}
 	return s

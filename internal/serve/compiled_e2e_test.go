@@ -164,6 +164,46 @@ func TestServeGateRefusal(t *testing.T) {
 	}
 }
 
+// TestServeBodyCacheRepeatBytes: a cold answer and its byte-identical
+// repeat, served from the body cache, differ only in the cached flag — also
+// under a model ID that HTML escaping would rewrite, which the repeat must
+// spell as the first answer did.
+func TestServeBodyCacheRepeatBytes(t *testing.T) {
+	zt, _ := models(t)
+	body := predictBody(t, 3, 40_000)
+	for _, id := range []string{"test-a", "a&b<c"} {
+		s := serve.New(serve.Options{})
+		s.Registry().Install(zt, id, "")
+		ts := httptest.NewServer(s)
+		post := func() []byte {
+			t.Helper()
+			resp, err := http.Post(predictURL(ts), "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var out bytes.Buffer
+			if _, err := out.ReadFrom(resp.Body); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", id, resp.StatusCode, out.Bytes())
+			}
+			return out.Bytes()
+		}
+		cold, repeat := post(), post()
+		ts.Close()
+		s.Close()
+		if !bytes.Contains(cold, []byte(`"model_id":"`+id+`"`)) {
+			t.Errorf("%s: cold answer does not spell the model ID as installed: %s", id, cold)
+		}
+		want := bytes.Replace(cold, []byte(`"cached":false`), []byte(`"cached":true`), 1)
+		if bytes.Equal(want, cold) || !bytes.Equal(repeat, want) {
+			t.Errorf("%s: repeat differs from the cold answer beyond the cached flag:\ncold   %s\nrepeat %s", id, cold, repeat)
+		}
+	}
+}
+
 // TestServeBodyCacheRepeat verifies a byte-identical repeat is answered from
 // the body-level response cache (Cached=true, BodyHits advances) and that a
 // model swap invalidates it — the repeat after a reload must carry the new

@@ -36,6 +36,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -183,7 +184,7 @@ type Server struct {
 
 // fusedCounts reads the fusion counters of the serving revision's engine
 // (zero before the first install; they restart with every revision).
-func (s *Server) fusedCounts() (graphs, buckets uint64) {
+func (s *Server) fusedCounts() (graphs, passes uint64) {
 	if entry := s.reg.Current(); entry != nil {
 		return entry.ZT.Compiled().FusedCounts()
 	}
@@ -221,15 +222,15 @@ func New(opts Options) *Server {
 		Evictions: reg.Counter("zerotune_cache_evictions_total"),
 	})
 	reg.GaugeFunc("zerotune_cache_size", func() float64 { return float64(s.cache.Stats().Size) })
-	// Fusion of the serving revision's compiled engine: graphs / buckets is
-	// how many graphs share a GEMM bucket; near 1 means nothing fuses.
+	// Fusion of the serving revision's compiled engine: graphs / passes is
+	// how many graphs share a pass of GEMMs; near 1 means nothing fuses.
 	reg.GaugeFunc("zerotune_fused_graphs_total", func() float64 {
 		graphs, _ := s.fusedCounts()
 		return float64(graphs)
 	})
-	reg.GaugeFunc("zerotune_fused_buckets_total", func() float64 {
-		_, buckets := s.fusedCounts()
-		return float64(buckets)
+	reg.GaugeFunc("zerotune_fused_passes_total", func() float64 {
+		_, passes := s.fusedCounts()
+		return float64(passes)
 	})
 	// Which GEMM kernel this process selected: a p50 that differs between two
 	// boxes can be pinned on the ISA from outside.
@@ -556,15 +557,38 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writePredict writes a successful prediction and retains its marshaled form
-// in the body-level response cache under bodyKey, the key its lookup
-// computed, flagged Cached for the repeats it will answer.
+// writePredict writes a successful prediction and retains its encoding in
+// the body-level response cache under bodyKey, the key its lookup computed,
+// flagged Cached for the repeats it will answer. The response is encoded
+// once, as WriteJSON encodes it; the stored repeat is those bytes with only
+// the cached field set to true.
 func (s *Server) writePredict(w http.ResponseWriter, bodyKey uint64, body []byte, resp PredictResponse) {
-	WriteJSON(w, http.StatusOK, resp)
-	resp.Cached = true
-	if data, err := json.Marshal(resp); err == nil {
-		s.resp.put(bodyKey, body, append(data, '\n'))
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	err := enc.Encode(resp) // fails only on a non-finite estimate, writing nothing
+	data := buf.Bytes()
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(data)
+	if err != nil {
+		return
 	}
+	if !resp.Cached {
+		data = setCached(data)
+	}
+	s.resp.put(bodyKey, body, data)
+}
+
+// setCached returns a copy of data, an encoded PredictResponse with Cached
+// false, with that field set to true. The field precedes the model ID and a
+// number cannot contain it, so its first occurrence is the field.
+func setCached(data []byte) []byte {
+	const from, to = `"cached":false`, `"cached":true`
+	i := bytes.Index(data, []byte(from))
+	out := make([]byte, 0, len(data)-len(from)+len(to))
+	out = append(append(out, data[:i]...), to...)
+	return append(out, data[i+len(from):]...)
 }
 
 // finishPredict handles a cache leader's forward-path failure: genuine

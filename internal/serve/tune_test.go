@@ -94,12 +94,13 @@ func TestTuneForwardFaultIs503(t *testing.T) {
 	}
 }
 
-// TestTuneFusionVisibleOnMetrics: a sweep's candidates are one operator
-// topology, so the compiled engine must report them in one bucket — the
-// counters that would have shown the 1.12-graphs-per-bucket pathology.
+// TestTuneFusionVisibleOnMetrics: a sweep's candidates run in passes of up
+// to eight graphs, so one tune's fused counters must read its candidates in
+// ⌈candidates/8⌉ passes — the counters that show from outside whether the
+// engine fuses or runs every graph alone.
 func TestTuneFusionVisibleOnMetrics(t *testing.T) {
 	_, ts := newTestServer(t, serve.Options{})
-	scrape := func() (graphs, buckets float64) {
+	scrape := func() (graphs, passes float64) {
 		t.Helper()
 		resp, err := http.Get(ts.URL + "/metrics")
 		if err != nil {
@@ -111,8 +112,8 @@ func TestTuneFusionVisibleOnMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 		graphs, okG := obs.FindSample(samples, "zerotune_fused_graphs_total")
-		buckets, okB := obs.FindSample(samples, "zerotune_fused_buckets_total")
-		if !okG || !okB {
+		passes, okP := obs.FindSample(samples, "zerotune_fused_passes_total")
+		if !okG || !okP {
 			t.Fatal("/metrics lacks the fused counters")
 		}
 		// Beside them, which kernel multiplied: what a cross-box comparison
@@ -120,18 +121,21 @@ func TestTuneFusionVisibleOnMetrics(t *testing.T) {
 		if v, ok := obs.FindSample(samples, "zerotune_gemm_kernel_info", obs.L("kernel", tensor.Kernel())); !ok || v != 1 {
 			t.Fatalf("/metrics lacks zerotune_gemm_kernel_info{kernel=%q} 1", tensor.Kernel())
 		}
-		return graphs, buckets
+		return graphs, passes
 	}
 	// The test model is shared, so its engine may have served before.
-	graphs0, buckets0 := scrape()
+	graphs0, passes0 := scrape()
 	req := tuneRequest()
 	var got serve.TuneResponse
 	if code := postJSON(t, ts.URL+"/v1/tune", &req, &got); code != http.StatusOK {
 		t.Fatalf("tune: status %d", code)
 	}
-	graphs, buckets := scrape()
-	if int(graphs-graphs0) != got.Candidates || buckets-buckets0 != 1 {
-		t.Fatalf("one tune added %v graphs in %v buckets; want %d graphs in 1 bucket",
-			graphs-graphs0, buckets-buckets0, got.Candidates)
+	if got.Candidates <= 8 {
+		t.Fatalf("tune swept %d candidates; the test needs a sweep longer than one pass", got.Candidates)
+	}
+	graphs, passes := scrape()
+	if want := (got.Candidates + 7) / 8; int(graphs-graphs0) != got.Candidates || int(passes-passes0) != want {
+		t.Fatalf("one tune added %v graphs in %v passes; want %d graphs in %d passes",
+			graphs-graphs0, passes-passes0, got.Candidates, want)
 	}
 }
