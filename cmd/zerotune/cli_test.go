@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"zerotune/internal/core"
 	"zerotune/internal/experiments"
@@ -85,13 +87,7 @@ func TestFlagDefaultsAreLibraryDefaults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Registries and clocks are per instance; they are not defaults a flag
-	// could restate.
-	gw := func(o gateway.Options) gateway.Options {
-		o = o.WithDefaults(3)
-		o.Now = nil
-		return o
-	}
+	gw := func(o gateway.Options) gateway.Options { return o.WithDefaults(3) }
 
 	var (
 		so serve.Options
@@ -112,6 +108,76 @@ func TestFlagDefaultsAreLibraryDefaults(t *testing.T) {
 		if !reflect.DeepEqual(tc.got, tc.want) {
 			t.Errorf("%s: flags default to\n%+v\nthe library to\n%+v", tc.name, tc.got, tc.want)
 		}
+	}
+}
+
+// TestEveryOptionIsBound: every exported field of serve.Options and
+// gateway.Options is moved by one of the flags their binders register, or is
+// named in unbound with the reason no flag moves it. An option that neither
+// a flag nor a listed caller sets is code without a user.
+func TestEveryOptionIsBound(t *testing.T) {
+	unbound := map[string]string{
+		"serve.Options.Compiled":  "set by benchmark/fixture.go until ROADMAP 3(b)",
+		"gateway.Options.Classes": "parsed from -slo",
+	}
+	for _, tc := range []struct {
+		name string
+		bind func(*flag.FlagSet) any // registers the flags; returns the options they write
+	}{
+		{"serve.Options", func(fs *flag.FlagSet) any { o := new(serve.Options); bindServeOptions(fs, o); return o }},
+		{"gateway.Options", func(fs *flag.FlagSet) any { o := new(gateway.Options); bindGatewayOptions(fs, o); return o }},
+	} {
+		moved := map[string]string{} // field → a flag that moves it
+		var names []string
+		probe := flag.NewFlagSet(tc.name, flag.ContinueOnError)
+		tc.bind(probe)
+		probe.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+		for _, name := range names {
+			// A fresh set per flag: the options at their flag defaults, then
+			// this one flag set to a value other than its default.
+			fs := flag.NewFlagSet(tc.name, flag.ContinueOnError)
+			opts := reflect.ValueOf(tc.bind(fs)).Elem()
+			before := reflect.New(opts.Type()).Elem()
+			before.Set(opts)
+			f := fs.Lookup(name)
+			var next any
+			switch v := f.Value.(flag.Getter).Get().(type) {
+			case bool:
+				next = !v
+			case int:
+				next = v + 1
+			case uint64:
+				next = v + 1
+			case time.Duration:
+				next = v + time.Second
+			default:
+				t.Fatalf("%s: -%s has a %T value this test cannot move", tc.name, name, v)
+			}
+			if err := fs.Set(name, fmt.Sprint(next)); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < opts.NumField(); i++ {
+				if !reflect.DeepEqual(opts.Field(i).Interface(), before.Field(i).Interface()) {
+					moved[opts.Type().Field(i).Name] = name
+				}
+			}
+		}
+		typ := reflect.TypeOf(tc.bind(flag.NewFlagSet(tc.name, flag.ContinueOnError))).Elem()
+		for i := 0; i < typ.NumField(); i++ {
+			field := typ.Field(i).Name
+			qualified := tc.name + "." + field
+			_, listed := unbound[qualified]
+			delete(unbound, qualified)
+			switch flagName, ok := moved[field]; {
+			case ok && listed:
+				t.Errorf("%s is moved by -%s but listed as unbound", qualified, flagName)
+			case !ok && !listed:
+				t.Errorf("%s is moved by no flag: bind it, list it with its reason, or delete it", qualified)
+			}
+		}
+	}
+	for stale := range unbound {
+		t.Errorf("%s is listed as unbound but is no field", stale)
 	}
 }
 

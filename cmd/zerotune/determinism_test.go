@@ -56,25 +56,6 @@ func TestSameSeedSameBytes(t *testing.T) {
 	}
 }
 
-// TestChaosEventLogIsAFunctionOfTheSeed replays three seeded fault storms
-// twice each: the event logs are byte-identical, every invariant holds, and
-// the degradation and circuit-breaker series are reported.
-func TestChaosEventLogIsAFunctionOfTheSeed(t *testing.T) {
-	model := tinyModel(t)
-	dir := t.TempDir()
-	for _, seed := range []string{"7", "42", "1337"} {
-		a, b := filepath.Join(dir, seed+"-a.log"), filepath.Join(dir, seed+"-b.log")
-		out := stdout(t, func() { runCLI(t, "chaos", "-model", model, "-seed", seed, "-log", a) })
-		stdout(t, func() { runCLI(t, "chaos", "-model", model, "-seed", seed, "-log", b) })
-		sameFiles(t, a, b)
-		for _, want := range []string{"chaos: all invariants held", "zerotune_serve_degraded_total", "zerotune_circuit_open_total"} {
-			if !strings.Contains(out, want) {
-				t.Errorf("seed %s: output lacks %q:\n%s", seed, want, out)
-			}
-		}
-	}
-}
-
 // TestBenchTraceRecordReplay holds the contract the load harness is built on:
 // the same seed records the same trace bytes, and replaying a trace while
 // re-recording it reproduces the original file exactly.

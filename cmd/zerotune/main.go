@@ -11,7 +11,6 @@
 //	zerotune tune       -model model.json -query 3-way-join -rate 100000 [-workers 6] [-weight 0.5]
 //	zerotune serve      -model model.json -addr 127.0.0.1:8080 [-batch-window 2ms] [-batch-max 64] [-cache-size 4096] [-request-timeout 30s] [-faults gnn.forward=every2]
 //	zerotune gateway    -addr 127.0.0.1:8090 {-backends http://h1:p1,http://h2:p2 | -replicas 3 -model model.json} [-slo gold=200:400:10,bronze=50]
-//	zerotune chaos      -model model.json [-seed 1] [-requests 120] [-log events.log] [-circuit-threshold 3] [-probe-every 4]
 //	zerotune bench      -model model.json [-seed 1] [-rate 200] [-duration 10s] [-sweep [-p99 50ms] [-min-rate 50] [-max-rate 50000]] [-record trace.ztrc | -replay trace.ztrc] [-report report.json]
 //	zerotune simulate   -query linear -rate 100000 [-workers 4] [-degrees 1,4,4,1 | -plan plan.json]
 //	zerotune validate   -query linear -rate 5000 [-workers 2] [-duration 5000]
@@ -53,7 +52,6 @@ var commands = []command{
 	{"tune", "recommend parallelism degrees for a query", tuneCommand},
 	{"serve", "expose predict/tune over HTTP with micro-batching and caching", serveCommand},
 	{"gateway", "front N serve replicas with routing, SLO admission and health probing", gatewayCommand},
-	{"chaos", "replay a seeded fault schedule against an in-process server", chaosCommand},
 	{"bench", "open-loop load harness: seeded arrivals, capacity searches, trace record/replay", benchCommand},
 	{"simulate", "run the ground-truth engine on one plan and print its costs", simulateCommand},
 	{"validate", "cross-check the analytical engine against the event simulator", validateCommand},
@@ -221,7 +219,6 @@ func tuneCommand(fs *flag.FlagSet) func() error {
 func experimentCommand(fs *flag.FlagSet) func() error {
 	scale := fs.String("scale", "default", "quick | default | paper")
 	csvDir := fs.String("csv", "", "also write each artifact's raw series as CSV into this directory")
-	plot := fs.Bool("plot", false, "also render figure-type results as ASCII charts")
 	seed := fs.Uint64("seed", experiments.DefaultConfig().Seed, "seed for every corpus draw, split and training run of the experiments")
 	return func() error {
 		if fs.NArg() < 1 {
@@ -234,6 +231,6 @@ func experimentCommand(fs *flag.FlagSet) func() error {
 			return err
 		}
 		cfg.Seed = *seed
-		return experiments.Run(os.Stdout, experiments.NewLab(cfg), id, *csvDir, *plot)
+		return experiments.Run(os.Stdout, experiments.NewLab(cfg), id, *csvDir)
 	}
 }

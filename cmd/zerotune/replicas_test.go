@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"zerotune/internal/core"
-	"zerotune/internal/serve"
 	"zerotune/internal/workload"
 )
 
@@ -36,11 +35,11 @@ func tinyModel(t *testing.T) string {
 	return model
 }
 
-// TestInProcessServersRunFusedEngine: every server the CLI builds inside its
-// own process — the replicas behind bench and gateway, and the chaos drill's
-// target — answers through the fused engine with nothing set in the
-// environment: one predict moves /metrics' fused-graph count by exactly one.
-// (The load probe already ran one graph through the same engine.)
+// TestInProcessServersRunFusedEngine: the servers the CLI builds inside its
+// own process — the replicas behind bench and gateway — answer through the
+// fused engine with nothing set in the environment: one predict moves
+// /metrics' fused-graph count by exactly one. (The load probe already ran one
+// graph through the same engine.)
 func TestInProcessServersRunFusedEngine(t *testing.T) {
 	model := tinyModel(t)
 	bodies, err := benchBodies(1, 1)
@@ -49,49 +48,32 @@ func TestInProcessServersRunFusedEngine(t *testing.T) {
 	}
 
 	fusedGraphs := regexp.MustCompile(`(?m)^zerotune_fused_graphs_total (\S+)$`)
-	for _, tc := range []struct {
-		name  string
-		build func(t *testing.T) *serve.InProcessBackend
-	}{
-		{"inProcessReplicas", func(t *testing.T) *serve.InProcessBackend {
-			pool, closeAll, err := inProcessReplicas("test", model, 1, 10*time.Second)
+	t.Run("inProcessReplicas", func(t *testing.T) {
+		pool, closeAll, err := inProcessReplicas("test", model, 1, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(closeAll)
+		b := pool[0]
+		fused := func() float64 {
+			t.Helper()
+			_, metrics, _ := b.Call(context.Background(), "/metrics", nil)
+			m := fusedGraphs.FindSubmatch(metrics)
+			if m == nil {
+				t.Fatal("/metrics lacks zerotune_fused_graphs_total")
+			}
+			v, err := strconv.ParseFloat(string(m[1]), 64)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(closeAll)
-			return pool[0]
-		}},
-		{"chaos", func(t *testing.T) *serve.InProcessBackend {
-			s := newChaosServer(10*time.Second, 3, 4)
-			t.Cleanup(s.Close)
-			if _, err := s.ServeModelFile(model); err != nil {
-				t.Fatal(err)
-			}
-			return serve.NewInProcessBackend("chaos", s)
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			b := tc.build(t)
-			fused := func() float64 {
-				t.Helper()
-				_, metrics, _ := b.Call(context.Background(), "/metrics", nil)
-				m := fusedGraphs.FindSubmatch(metrics)
-				if m == nil {
-					t.Fatal("/metrics lacks zerotune_fused_graphs_total")
-				}
-				v, err := strconv.ParseFloat(string(m[1]), 64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return v
-			}
-			before := fused()
-			if status, body, err := b.Call(context.Background(), "/v1/predict", bodies[0]); err != nil || status != http.StatusOK {
-				t.Fatalf("predict: status %d, err %v: %s", status, err, body)
-			}
-			if after := fused(); after != before+1 {
-				t.Errorf("zerotune_fused_graphs_total %v → %v after one predict, want +1", before, after)
-			}
-		})
-	}
+			return v
+		}
+		before := fused()
+		if status, body, err := b.Call(context.Background(), "/v1/predict", bodies[0]); err != nil || status != http.StatusOK {
+			t.Fatalf("predict: status %d, err %v: %s", status, err, body)
+		}
+		if after := fused(); after != before+1 {
+			t.Errorf("zerotune_fused_graphs_total %v → %v after one predict, want +1", before, after)
+		}
+	})
 }

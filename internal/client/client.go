@@ -4,7 +4,7 @@
 // serve sentinel of its code.
 //
 // A *Client is a serve.Backend: the gateway fronts a remote replica with
-// one, `zerotune bench -target` drives one, the chaos driver watches one.
+// one, `zerotune bench -target` drives one, the chaos drill watches one.
 // Requests are serve.NewRequest's, so the SLO class rides on the context
 // (serve.WithSLOClass); response reads are bounded at serve.MaxBodyBytes, so
 // a misbehaving backend cannot balloon memory; and wire codes map to errors
@@ -61,7 +61,7 @@ func New(baseURL string) (*Client, error) {
 // first the call is abandoned (the goroutine keeps running, its response is
 // discarded) and the context's error is returned as a transport error. That
 // makes a wedged handler observable as context.DeadlineExceeded instead of a
-// deadlock — exactly what the chaos driver's stuck-request watchdog relies on.
+// deadlock — exactly what the chaos drill's stuck-request watchdog relies on.
 func NewForHandler(h http.Handler) *Client {
 	return &Client{name: "in-process", handler: h}
 }

@@ -93,10 +93,9 @@ func IDs() []string {
 }
 
 // Run regenerates what id names — one artifact, a group or "all" — in table
-// order. Each artifact is announced on w and its results printed (and, with
-// plot, charted when they can be); with csvDir set every result that has a
-// series is also written there as <name>.csv.
-func Run(w io.Writer, l *Lab, id, csvDir string, plot bool) error {
+// order. Each artifact is announced on w and its results printed; with csvDir
+// set every result that has a series is also written there as <name>.csv.
+func Run(w io.Writer, l *Lab, id, csvDir string) error {
 	if !slices.Contains(IDs(), id) {
 		return fmt.Errorf("experiments: unknown id %q (want one of %s)", id, strings.Join(IDs(), ", "))
 	}
@@ -120,9 +119,6 @@ func Run(w io.Writer, l *Lab, id, csvDir string, plot bool) error {
 		}
 		for i, r := range results {
 			fmt.Fprintln(w, r)
-			if p, ok := r.(interface{ Plot() string }); ok && plot {
-				fmt.Fprintln(w, p.Plot())
-			}
 			if csvDir == "" || names[i] == "" {
 				continue
 			}

@@ -47,7 +47,7 @@ func TestRunWritesWhatTheTableNames(t *testing.T) {
 
 	dir := filepath.Join(t.TempDir(), "csv")
 	var out bytes.Buffer
-	if err := Run(&out, NewLab(cfg), "fig3", dir, true); err != nil {
+	if err := Run(&out, NewLab(cfg), "fig3", dir); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(out.String(), "== fig3 ==\n") {
@@ -58,7 +58,7 @@ func TestRunWritesWhatTheTableNames(t *testing.T) {
 		t.Errorf("csv dir holds %v, want fig3.csv alone", files)
 	}
 
-	err = Run(&out, NewLab(cfg), "fig12", "", false)
+	err = Run(&out, NewLab(cfg), "fig12", "")
 	if err == nil || !strings.Contains(err.Error(), strings.Join(IDs(), ", ")) {
 		t.Errorf("unknown id error does not list the valid ids: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestRunWritesEveryCSVOfAMultiResultRow(t *testing.T) {
 			continue
 		}
 		dir := t.TempDir()
-		if err := Run(&bytes.Buffer{}, lab(t), a.id, dir, false); err != nil {
+		if err := Run(&bytes.Buffer{}, lab(t), a.id, dir); err != nil {
 			t.Fatal(err)
 		}
 		var want, got []string

@@ -148,35 +148,3 @@ func TestFig11AndReadoutCSV(t *testing.T) {
 		t.Fatal("readout ablation")
 	}
 }
-
-func TestPlots(t *testing.T) {
-	f3 := &Fig3Result{Points: []Fig3Point{
-		{Parallelism: 1, LatencyMs: 100, ThroughputEPS: 1000},
-		{Parallelism: 8, LatencyMs: 10, ThroughputEPS: 8000},
-	}}
-	if s := f3.Plot(); !strings.Contains(s, "latency vs parallelism") {
-		t.Fatalf("fig3 plot:\n%s", s)
-	}
-	f8 := &Fig8Result{Title: "Fig. 8b: event rate", Param: "rate", Points: []Fig8Point{
-		{Value: 100, LatMed: 1.2, TptMed: 1.1},
-		{Value: 1_000_000, LatMed: 2.0, TptMed: 1.4},
-	}}
-	if s := f8.Plot(); !strings.Contains(s, "event rate") || !strings.Contains(s, "q-error") {
-		t.Fatalf("fig8 plot:\n%s", s)
-	}
-	f9 := &Fig9Result{Points: []Fig9Point{
-		{Strategy: "optisample", Queries: 500, UnseenLatMed: 2.0},
-		{Strategy: "random", Queries: 500, UnseenLatMed: 4.0},
-	}}
-	if s := f9.Plot(); !strings.Contains(s, "optisample") || !strings.Contains(s, "random") {
-		t.Fatalf("fig9 plot:\n%s", s)
-	}
-	f10a := &Fig10aResult{Rows: []Fig10aRow{{Structure: "linear", LatSpeedup: 3.5}}}
-	if s := f10a.Plot(); !strings.Contains(s, "linear") {
-		t.Fatalf("fig10a plot:\n%s", s)
-	}
-	f10b := &Fig10bResult{Rows: []Fig10bRow{{Structure: "linear", ZeroTune: 0.2, Dhalion: 0.1}}}
-	if s := f10b.Plot(); !strings.Contains(s, "Dhalion") {
-		t.Fatalf("fig10b plot:\n%s", s)
-	}
-}

@@ -2,7 +2,7 @@
 //
 // Production code declares named injection points (Inject calls compiled into
 // hot paths); by default they are free of side effects — a single atomic load
-// of a nil pointer. Tests and the `zerotune chaos` harness activate a Registry
+// of a nil pointer. Tests — the serve package's chaos drill among them — activate a Registry
 // holding per-point Schedules that decide, purely from (seed, point, hit
 // counter), whether a given pass-through faults and how: a returned error, an
 // injected delay on a pluggable clock, or a panic.
@@ -11,8 +11,8 @@
 // and the same schedules produce the same fault decisions in the same
 // per-point order, regardless of wall-clock time or goroutine interleaving
 // across points. Every fired fault is recorded in a bounded event log that
-// renders identically across runs, which is what lets `zerotune chaos -seed N`
-// diff its event logs byte-for-byte.
+// renders identically across runs, which is what lets the chaos drill
+// (TestChaosDrill in internal/serve) diff a seed's event logs byte-for-byte.
 package fault
 
 import (
@@ -86,7 +86,7 @@ func (m Mode) String() string {
 
 // ErrInjected is the sentinel wrapped by every error-mode fault. Callers that
 // must distinguish injected failures from organic ones (retry loops, the
-// chaos harness) test with IsInjected.
+// chaos drill) test with IsInjected.
 var ErrInjected = errors.New("fault: injected failure")
 
 // IsInjected reports whether err originates from an error-mode injection.
@@ -362,8 +362,8 @@ func (r *Registry) elect(s *Schedule, p *point, h uint64) bool {
 }
 
 // Uniform maps (seed, point, hit) to a uniform float64 in [0, 1). Exposed so
-// harnesses (chaos) can derive per-point parameters from the same seed stream
-// they hand the registry.
+// harnesses (the chaos drill) can derive per-point parameters from the same
+// seed stream they hand the registry.
 func Uniform(seed uint64, pointName string, hit uint64) float64 {
 	x := splitmix64(splitmix64(seed^fnv64(pointName)) + hit)
 	return float64(x>>11) / (1 << 53)

@@ -10,7 +10,7 @@ import (
 
 // TestDeterministicAcrossRegistries drives two same-seed registries through
 // an identical schedule and requires identical decisions and event logs —
-// the contract `zerotune chaos` relies on.
+// the contract the serve package's chaos drill relies on.
 func TestDeterministicAcrossRegistries(t *testing.T) {
 	run := func(seed uint64) (string, []bool) {
 		r := New(seed)

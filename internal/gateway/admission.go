@@ -69,7 +69,7 @@ func normalizeClasses(classes []ClassConfig) ([]ClassConfig, error) {
 }
 
 // tokenBucket is one class's admission budget. The caller supplies the
-// clock on every call: the gateway's Options.Now, so a test can drive it.
+// clock on every call: the gateway's admission clock, so a test can drive it.
 type tokenBucket struct {
 	rate, burst float64
 

@@ -91,11 +91,6 @@ type Options struct {
 	// Seed drives every probabilistic health decision (rejoin backoff jitter,
 	// default DefaultSeed); same seed + same failure sequence = same transitions.
 	Seed uint64
-	// Registry receives the gateway metrics (private when nil).
-	Registry *obs.Registry
-	// Now is the admission clock (default time.Now); injectable for
-	// deterministic token-bucket tests.
-	Now func() time.Time
 }
 
 // WithDefaults fills unset options for a gateway over this many replicas.
@@ -120,9 +115,6 @@ func (o Options) WithDefaults(replicas int) Options {
 	if o.Seed == 0 {
 		o.Seed = DefaultSeed
 	}
-	if o.Now == nil {
-		o.Now = time.Now
-	}
 	return o
 }
 
@@ -135,6 +127,7 @@ type Gateway struct {
 	adm        *admission
 	queue      *dispatchQueue
 	mux        *http.ServeMux
+	now        func() time.Time // the admission clock; package tests drive it
 
 	endpoints map[string]*obs.Endpoint
 	self      *obs.Histogram // SelfMetric
@@ -170,10 +163,7 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 		seen[b.Name()] = true
 	}
 	opts = opts.WithDefaults(len(backends))
-	reg := opts.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	adm, err := newAdmission(opts.Classes, reg)
 	if err != nil {
 		return nil, err
@@ -186,6 +176,7 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 		adm:        adm,
 		queue:      newDispatchQueue(opts.MaxConcurrent, opts.QueueDepth),
 		mux:        serve.NewMux(),
+		now:        time.Now,
 		endpoints:  make(map[string]*obs.Endpoint, len(endpointNames)),
 		self:       reg.Histogram(SelfMetric),
 		spillover:  reg.Counter("zerotune_gateway_spillover_total"),
@@ -286,7 +277,7 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 		class := r.Header.Get(serve.SLOClassHeader)
 		ctx = serve.WithSLOClass(ctx, class)
 		cls := g.adm.class(class)
-		if !cls.Allow(g.opts.Now()) {
+		if !cls.Allow(g.now()) {
 			cls.rejected.Inc()
 			serve.WriteError(w, http.StatusTooManyRequests, serve.ErrAdmissionRejected)
 			return

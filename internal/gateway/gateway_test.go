@@ -346,12 +346,12 @@ func TestAdmissionTokenBucket(t *testing.T) {
 			{Name: "gold", Rate: 10, Burst: 3},
 			{Name: "bronze", Rate: 2},
 		},
-		Now:  func() time.Time { return now },
 		Seed: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	g.now = func() time.Time { return now }
 	defer g.Close()
 	ts := httptest.NewServer(g)
 	defer ts.Close()

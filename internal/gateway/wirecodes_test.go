@@ -116,7 +116,8 @@ func TestGatewayWireCodesPinned(t *testing.T) {
 		}, 400, "bad_request"},
 		{"class over rate", func(t *testing.T) (int, string) {
 			now := time.Unix(0, 0)
-			g := pinGateway(t, ok, Options{Classes: []ClassConfig{{Name: "gold", Rate: 1, Burst: 1}}, Now: func() time.Time { return now }})
+			g := pinGateway(t, ok, Options{Classes: []ClassConfig{{Name: "gold", Rate: 1, Burst: 1}}})
+			g.now = func() time.Time { return now }
 			post(context.Background(), g, "gold", []byte("{}"))
 			return post(context.Background(), g, "gold", []byte("{}"))
 		}, 429, "admission_rejected"},

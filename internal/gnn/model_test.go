@@ -99,8 +99,8 @@ func TestGNNGradientCheck(t *testing.T) {
 
 		lossOf := func() float64 {
 			pred := m.Predict(g)
-			l1, _ := nn.MSE(pred.LogLatency, targetLat)
-			l2, _ := nn.MSE(pred.LogThroughput, targetTpt)
+			l1, _ := nn.Huber(pred.LogLatency, targetLat, math.Inf(1))
+			l2, _ := nn.Huber(pred.LogThroughput, targetTpt, math.Inf(1))
 			return l1 + l2
 		}
 
@@ -254,8 +254,8 @@ func TestGNNSinkReadoutGradientCheck(t *testing.T) {
 
 	lossOf := func() float64 {
 		pred := m.Predict(g)
-		l1, _ := nn.MSE(pred.LogLatency, targetLat)
-		l2, _ := nn.MSE(pred.LogThroughput, targetTpt)
+		l1, _ := nn.Huber(pred.LogLatency, targetLat, math.Inf(1))
+		l2, _ := nn.Huber(pred.LogThroughput, targetTpt, math.Inf(1))
 		return l1 + l2
 	}
 	newTrainStep(m, 1, math.Inf(1)).run([]*features.Graph{g})

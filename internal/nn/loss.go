@@ -6,13 +6,6 @@ import "math"
 // throughput) are regressed in log space, where Huber loss keeps extreme
 // backpressure outliers from dominating the gradient.
 
-// MSE returns the squared-error loss ½(pred−target)² and its derivative
-// w.r.t. pred.
-func MSE(pred, target float64) (loss, grad float64) {
-	d := pred - target
-	return 0.5 * d * d, d
-}
-
 // Huber returns the Huber loss with threshold delta and its derivative
 // w.r.t. pred. Quadratic within |pred−target| ≤ delta, linear outside.
 func Huber(pred, target, delta float64) (loss, grad float64) {
@@ -24,15 +17,4 @@ func Huber(pred, target, delta float64) (loss, grad float64) {
 		return delta * (math.Abs(d) - float64(0.5*delta)), delta
 	}
 	return delta * (math.Abs(d) - float64(0.5*delta)), -delta
-}
-
-// QErrorLoss is a differentiable surrogate for the q-error metric operating
-// on log-space predictions: |logPred − logTrue| corresponds to log(q).
-// Returns loss and gradient w.r.t. logPred.
-func QErrorLoss(logPred, logTrue float64) (loss, grad float64) {
-	d := logPred - logTrue
-	if d >= 0 {
-		return d, 1
-	}
-	return -d, -1
 }

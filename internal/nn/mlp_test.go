@@ -78,7 +78,8 @@ func TestMLPDeterministicForward(t *testing.T) {
 }
 
 // Gradient check: analytical gradients from Backward must match central
-// finite differences on every parameter of a small network.
+// finite differences on every parameter of a small network. The loss is Huber
+// with an infinite delta, which is the squared error ½d².
 func TestMLPGradientCheck(t *testing.T) {
 	rng := tensor.NewRNG(42)
 	m := NewMLP(rng, []int{3, 4, 2}, Tanh, Identity)
@@ -89,7 +90,7 @@ func TestMLPGradientCheck(t *testing.T) {
 		out := m.Predict(x)
 		var l float64
 		for i := range out {
-			li, _ := MSE(out[i], target[i])
+			li, _ := Huber(out[i], target[i], math.Inf(1))
 			l += li
 		}
 		return l
@@ -101,7 +102,7 @@ func TestMLPGradientCheck(t *testing.T) {
 	out := trace.Output()
 	dOut := tensor.NewVector(2)
 	for i := range out {
-		_, g := MSE(out[i], target[i])
+		_, g := Huber(out[i], target[i], math.Inf(1))
 		dOut[i] = g
 	}
 	m.Backward(trace, dOut)
@@ -204,7 +205,7 @@ func TestMLPLearnsXOR(t *testing.T) {
 		loss = 0
 		for i, x := range inputs {
 			tr := m.Forward(x)
-			l, g := MSE(tr.Output()[0], targets[i])
+			l, g := Huber(tr.Output()[0], targets[i], math.Inf(1))
 			loss += l
 			m.Backward(tr, tensor.Vector{g})
 		}
@@ -217,9 +218,9 @@ func TestMLPLearnsXOR(t *testing.T) {
 
 func TestHuberMatchesMSEInside(t *testing.T) {
 	lH, gH := Huber(1.2, 1.0, 1.0)
-	lM, gM := MSE(1.2, 1.0)
+	lM, gM := 0.5*0.2*0.2, 0.2 // ½d² and d at d = 0.2
 	if math.Abs(lH-lM) > 1e-12 || math.Abs(gH-gM) > 1e-12 {
-		t.Fatal("Huber != MSE inside delta")
+		t.Fatal("Huber != ½d² inside delta")
 	}
 }
 
@@ -244,17 +245,6 @@ func TestHuberGradMatchesNumeric(t *testing.T) {
 		if math.Abs(num-g) > 1e-5 {
 			t.Fatalf("Huber grad at %v: %v vs numeric %v", pred, g, num)
 		}
-	}
-}
-
-func TestQErrorLoss(t *testing.T) {
-	l, g := QErrorLoss(2, 1)
-	if l != 1 || g != 1 {
-		t.Fatalf("QErrorLoss(2,1) = %v, %v", l, g)
-	}
-	l, g = QErrorLoss(0, 1)
-	if l != 1 || g != -1 {
-		t.Fatalf("QErrorLoss(0,1) = %v, %v", l, g)
 	}
 }
 

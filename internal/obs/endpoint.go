@@ -25,11 +25,12 @@ func NewEndpoint(reg *Registry, prefix, name string) *Endpoint {
 }
 
 // StatusWriter remembers the response code for error counting, and when the
-// request it answers began.
+// request it answers began and, if its handler says so, ended.
 type StatusWriter struct {
 	http.ResponseWriter
 	status  int
 	started time.Time
+	ended   time.Time
 }
 
 func (w *StatusWriter) WriteHeader(code int) {
@@ -45,6 +46,12 @@ func (w *StatusWriter) Status() int { return w.status }
 // latency share one clock reading.
 func (w *StatusWriter) Started() time.Time { return w.started }
 
+// End records t as the instant the request ended: a handler that timed its
+// own last stage hands Wrap that reading, so the stages and the endpoint's
+// latency also end on one clock reading. Unset, Wrap reads the clock once h
+// returns.
+func (w *StatusWriter) End(t time.Time) { w.ended = t }
+
 // Wrap counts every request h answers and times it. h is handed a
 // *StatusWriter, so a layer composed inside can read the status too.
 func (e *Endpoint) Wrap(h http.HandlerFunc) http.HandlerFunc {
@@ -56,6 +63,10 @@ func (e *Endpoint) Wrap(h http.HandlerFunc) http.HandlerFunc {
 		if sw.status >= 400 {
 			e.Errors.Inc()
 		}
-		e.Latency.Observe(time.Since(start).Seconds())
+		end := sw.ended
+		if end.IsZero() {
+			end = time.Now()
+		}
+		e.Latency.Observe(end.Sub(start).Seconds())
 	}
 }

@@ -318,30 +318,42 @@ func earlyExits(t *testing.T, midway func(*testing.T, *serve.Server), settled fu
 	})
 
 	t.Run("queue full and follower", func(t *testing.T) {
-		// One slot in flight, one in the queue: the flush loop is parked in the
-		// first request's forward pass, the second fills the queue, the third
-		// is refused, and a twin of the first follows it through the plan cache.
-		s, _ := newTestServer(t, serve.Options{MaxBatch: 1, QueueDepth: 1})
+		// One slot in flight and a full queue behind it: the flush loop is
+		// parked in the first request's forward pass, the next queued fill the
+		// queue of a one-plan batch (DefaultQueueFactor×MaxBatch), the one
+		// after them is refused, and a twin of the first follows it through
+		// the plan cache.
+		s, _ := newTestServer(t, serve.Options{MaxBatch: 1})
 		gate := parkAt(t, fault.GNNForward)
-		statuses := make(chan int, 3)
+		const queued = serve.DefaultQueueFactor
+		statuses := make(chan int, queued+2)
 		go func() { statuses <- call(ctx, s, valid) }()
 		release := <-gate.entered
-		go func() { statuses <- call(ctx, s, predictBody(t, 2, 20_000)) }()
-		waitSnapshot(t, s, "the second request to queue", func(snap serve.Snapshot) bool {
-			return snap.Cache.Misses == 2 && snap.Arriving == 0
+		for i := 0; i < queued; i++ {
+			body := predictBody(t, 2+i, 20_000)
+			go func() { statuses <- call(ctx, s, body) }()
+		}
+		waitSnapshot(t, s, "the queue to fill", func(snap serve.Snapshot) bool {
+			return snap.Cache.Misses == 1+queued && snap.Arriving == 0
 		})
-		wantStatus(t, "third request", call(ctx, s, predictBody(t, 3, 30_000)), http.StatusTooManyRequests)
+		wantStatus(t, "request past the queue", call(ctx, s, predictBody(t, 2, 30_000)), http.StatusTooManyRequests)
 		midway(t, s)
 		go func() { statuses <- call(ctx, s, append([]byte(" "), valid...)) }()
 		waitSnapshot(t, s, "the twin to follow", func(snap serve.Snapshot) bool {
 			return snap.Cache.Coalesced == 1 && snap.Arriving == 0
 		})
 		close(release)
-		close(<-gate.entered) // the queued request's own forward pass
-		for i := 0; i < 3; i++ {
+		for i := 0; i < queued; i++ {
+			close(<-gate.entered) // each queued request's own forward pass
+		}
+		for i := 0; i < queued+2; i++ {
 			wantStatus(t, "parked request", <-statuses, http.StatusOK)
 		}
-		settled(t, s, stagesMiss, stagesMiss, ended(stagesToCache), stagesFollower)
+		misses := make([][]serve.Stage, 1+queued)
+		for i := range misses {
+			misses[i] = stagesMiss
+		}
+		settled(t, s, append(misses, ended(stagesToCache), stagesFollower)...)
 	})
 
 	t.Run("stale-entry retry", func(t *testing.T) {

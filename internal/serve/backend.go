@@ -11,7 +11,7 @@ import (
 
 // Backend is the one interface anything uses to call a serving tier: the
 // gateway forwarding to and probing a replica, the load generator driving a
-// target, the chaos driver's watchdog. Its implementations are
+// target, the chaos drill's watchdog. Its implementations are
 // InProcessBackend (a *Server, in process), loadgen.HandlerTarget (any
 // handler, status only) and the typed *client.Client (a base URL, or a handler
 // behind a watchdog). Every one of them builds its request with NewRequest, so

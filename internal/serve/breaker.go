@@ -30,16 +30,13 @@ func (s CircuitState) String() string {
 }
 
 // breakerConfig sizes a breaker. Threshold <= 0 disables it (Admit always
-// allows). Recovery is probed either after Cooldown wall-clock time (the
-// production default) or, when ProbeEvery > 0, on every Nth rejected
-// request — a count-based schedule whose transitions are a pure function of
-// the request sequence, which is what lets seeded chaos runs reproduce
-// breaker behavior byte-for-byte.
+// allows). Recovery is probed once Cooldown has passed on Now since the
+// circuit opened; a test that drives Now makes every transition a function
+// of its own sequence of requests and clock moves.
 type breakerConfig struct {
-	Threshold  int
-	Cooldown   time.Duration
-	ProbeEvery int
-	Now        func() time.Time // default time.Now; only the Cooldown schedule reads it
+	Threshold int
+	Cooldown  time.Duration
+	Now       func() time.Time // default time.Now
 	// OnOpen runs on every transition to open, with the breaker's lock held:
 	// it must not call back into the breaker.
 	OnOpen func()
@@ -48,7 +45,7 @@ type breakerConfig struct {
 // breaker is a consecutive-failure circuit breaker around the GNN forward
 // path. Closed: requests flow and consecutive forward failures are counted.
 // Open: requests are rejected (the server degrades them to the fallback)
-// until the probe schedule admits one. Half-open: exactly one probe is in
+// until the cooldown admits one. Half-open: exactly one probe is in
 // flight; its success closes the circuit, its failure re-opens it.
 type breaker struct {
 	cfg breakerConfig
@@ -57,7 +54,6 @@ type breaker struct {
 	state       CircuitState
 	consecutive int       // failures since the last success (closed state)
 	openedAt    time.Time // when the circuit last opened
-	rejected    int       // rejections since the circuit opened (ProbeEvery schedule)
 }
 
 // newBreaker builds a closed breaker.
@@ -69,10 +65,10 @@ func newBreaker(cfg breakerConfig) *breaker {
 }
 
 // Admit reports whether this request may take the learned forward path. In
-// the open state it admits a single probe per schedule tick and rejects the
-// rest; a rejected request should be served by the fallback. When probe is
-// true this request IS the half-open recovery probe and must resolve the
-// breaker with exactly one of RecordSuccess, RecordFailure, or
+// the open state it admits a single probe once the cooldown has passed and
+// rejects the rest; a rejected request should be served by the fallback.
+// When probe is true this request IS the half-open recovery probe and must
+// resolve the breaker with exactly one of RecordSuccess, RecordFailure, or
 // AbandonProbe — otherwise the circuit stays half-open (which rejects
 // everyone) forever.
 func (b *breaker) Admit() (allowed, probe bool) {
@@ -89,14 +85,7 @@ func (b *breaker) Admit() (allowed, probe bool) {
 		// probe resolves.
 		return false, false
 	default: // CircuitOpen
-		b.rejected++
-		due := false
-		if b.cfg.ProbeEvery > 0 {
-			due = b.rejected%b.cfg.ProbeEvery == 0
-		} else {
-			due = b.cfg.Now().Sub(b.openedAt) >= b.cfg.Cooldown
-		}
-		if !due {
+		if b.cfg.Now().Sub(b.openedAt) < b.cfg.Cooldown {
 			return false, false
 		}
 		b.state = CircuitHalfOpen
@@ -107,12 +96,12 @@ func (b *breaker) Admit() (allowed, probe bool) {
 // AbandonProbe hands back a half-open probe slot when the probe request
 // resolved without exercising the forward path (cache hit, bad request,
 // backpressure, injected acquire fault): the circuit returns to open with
-// its probe schedule untouched, so the next probe is admitted on time. A
-// probe that did run the forward path resolves the state via RecordSuccess
-// or RecordFailure first, which makes this a no-op. Concurrently, a new
-// probe admitted between this probe's resolution and its deferred abandon
-// could be bounced back to open one request early — benign, the schedule
-// re-admits it.
+// its opening time untouched, so the next request is admitted as the probe.
+// A probe that did run the forward path resolves the state via
+// RecordSuccess or RecordFailure first, which makes this a no-op.
+// Concurrently, a new probe admitted between this probe's resolution and its
+// deferred abandon could be bounced back to open — benign, the next request
+// is admitted again.
 func (b *breaker) AbandonProbe() {
 	if b.cfg.Threshold <= 0 {
 		return
@@ -161,7 +150,6 @@ func (b *breaker) RecordFailure() {
 func (b *breaker) open() {
 	b.state = CircuitOpen
 	b.consecutive = 0
-	b.rejected = 0
 	b.openedAt = b.cfg.Now()
 	if b.cfg.OnOpen != nil {
 		b.cfg.OnOpen()

@@ -11,12 +11,15 @@ func allow(b *breaker) bool {
 	return ok
 }
 
-// TestBreakerTripAndProbeEvery walks the count-based state machine:
-// threshold failures trip it, every Nth rejection admits a probe, a failed
-// probe re-opens, a successful probe closes.
+// TestBreakerTripAndProbeEvery walks the state machine on an injected clock:
+// threshold failures trip it, the first request once every cooldown has
+// passed is admitted as the probe, a failed probe re-opens and restarts the
+// cooldown, a successful probe closes.
 func TestBreakerTripAndProbeEvery(t *testing.T) {
 	opens := 0
-	b := newBreaker(breakerConfig{Threshold: 3, ProbeEvery: 2, OnOpen: func() { opens++ }})
+	now := time.Unix(0, 0)
+	b := newBreaker(breakerConfig{Threshold: 3, Cooldown: 2 * time.Second,
+		Now: func() time.Time { return now }, OnOpen: func() { opens++ }})
 	for i := 0; i < 3; i++ {
 		if !allow(b) {
 			t.Fatalf("closed breaker rejected request %d", i)
@@ -29,12 +32,14 @@ func TestBreakerTripAndProbeEvery(t *testing.T) {
 	if opens != 1 {
 		t.Fatalf("onOpen fired %d times, want 1", opens)
 	}
-	// probeEvery=2: first rejection stays on fallback, second becomes probe.
+	// Cooldown 2s: a request 1s in stays on the fallback, one at 2s probes.
+	now = now.Add(time.Second)
 	if allow(b) {
-		t.Fatal("first rejected request became a probe too early")
+		t.Fatal("request inside the cooldown became a probe")
 	}
+	now = now.Add(time.Second)
 	if !allow(b) {
-		t.Fatal("second rejected request should be admitted as probe")
+		t.Fatal("first request after the cooldown should be admitted as probe")
 	}
 	if st := b.State(); st != CircuitHalfOpen {
 		t.Fatalf("state during probe = %v, want half-open", st)
@@ -43,16 +48,19 @@ func TestBreakerTripAndProbeEvery(t *testing.T) {
 	if allow(b) {
 		t.Fatal("request admitted while a probe was in flight")
 	}
-	b.RecordFailure() // probe fails → re-open
+	b.RecordFailure() // probe fails → re-open, cooldown restarts
 	if st := b.State(); st != CircuitOpen {
 		t.Fatalf("state after failed probe = %v, want open", st)
 	}
 	if opens != 2 {
 		t.Fatalf("onOpen fired %d times after re-open, want 2", opens)
 	}
-	allow(b)
+	if allow(b) {
+		t.Fatal("failed probe did not restart the cooldown")
+	}
+	now = now.Add(2 * time.Second)
 	if !allow(b) {
-		t.Fatal("second post-reopen rejection should probe again")
+		t.Fatal("first request after the restarted cooldown should probe again")
 	}
 	b.RecordSuccess() // probe succeeds → close
 	if st := b.State(); st != CircuitClosed {
@@ -85,7 +93,7 @@ func TestBreakerCooldownClock(t *testing.T) {
 // TestBreakerSuccessResetsStreak checks that interleaved successes keep the
 // consecutive-failure count from accumulating across them.
 func TestBreakerSuccessResetsStreak(t *testing.T) {
-	b := newBreaker(breakerConfig{Threshold: 2, ProbeEvery: 1})
+	b := newBreaker(breakerConfig{Threshold: 2})
 	for i := 0; i < 5; i++ {
 		allow(b)
 		b.RecordFailure()
@@ -99,11 +107,12 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 
 // TestBreakerAbandonedProbe covers the probe-without-resolution path: a
 // probe that never exercised the forward path (cache hit, bad request) hands
-// its slot back, the circuit returns to open, and the schedule admits the
-// next probe on time instead of wedging half-open forever.
+// its slot back, the circuit returns to open, and the next request is
+// admitted as the probe instead of the breaker wedging half-open forever. A
+// zero cooldown makes every request on an open circuit due to probe.
 func TestBreakerAbandonedProbe(t *testing.T) {
 	opens := 0
-	b := newBreaker(breakerConfig{Threshold: 1, ProbeEvery: 1, OnOpen: func() { opens++ }})
+	b := newBreaker(breakerConfig{Threshold: 1, OnOpen: func() { opens++ }})
 	allow(b)
 	b.RecordFailure() // trip
 	allowed, probe := b.Admit()
@@ -117,7 +126,7 @@ func TestBreakerAbandonedProbe(t *testing.T) {
 	if opens != 1 {
 		t.Fatalf("abandoning a probe fired onOpen (%d opens), re-open should be silent", opens)
 	}
-	// The schedule keeps ticking: the next rejection is a probe again.
+	// The cooldown is still over: the next request is a probe again.
 	allowed, probe = b.Admit()
 	if !allowed || !probe {
 		t.Fatalf("post-abandon Admit() = (%v, %v), want a fresh probe", allowed, probe)

@@ -85,7 +85,7 @@ func TestCancelledLeaderReleasesSlot(t *testing.T) {
 // envelope with a mapped code. The breaker's state is hammered from many
 // goroutines, so -race guards its locking.
 func TestConcurrentCircuitOpenEnvelopes(t *testing.T) {
-	s := New(Options{BatchWindow: -1, CircuitThreshold: 1, CircuitProbeEvery: 1 << 30})
+	s := New(Options{BatchWindow: -1, CircuitThreshold: 1, CircuitCooldown: time.Hour})
 	t.Cleanup(s.Close)
 	zt := trainedModelNoFallback(t)
 	s.Registry().Install(zt, "bare", "")

@@ -11,7 +11,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"zerotune/internal/core"
 	"zerotune/internal/fault"
@@ -55,13 +57,12 @@ func envelopeCode(t *testing.T, payload []byte) string {
 // TestPredictDegradedOnForwardFault is the acceptance criterion: force
 // gnn.forward to fail on every pass, require 200 + "degraded": true from the
 // fallback estimator, require the circuit to trip, then clear the fault and
-// require the circuit to close again with non-degraded answers.
+// require the circuit to close again with non-degraded answers. The breaker
+// reads a clock that moves only when the test moves it.
 func TestPredictDegradedOnForwardFault(t *testing.T) {
-	s, ts := newTestServer(t, serve.Options{
-		BatchWindow:       -1,
-		CircuitThreshold:  2,
-		CircuitProbeEvery: 1,
-	})
+	s, ts := newTestServer(t, serve.Options{BatchWindow: -1, CircuitThreshold: 2})
+	var now atomic.Int64 // the breaker's clock, in nanoseconds
+	serve.SetBreakerClock(s, func() time.Time { return time.Unix(0, now.Load()) })
 	reg := fault.New(1)
 	reg.Install(fault.Schedule{Point: fault.GNNForward, Mode: fault.ModeError, Every: 1})
 	fault.Activate(reg)
@@ -105,9 +106,10 @@ func TestPredictDegradedOnForwardFault(t *testing.T) {
 		}
 	}
 
-	// Fault clears: the next request is admitted as the half-open probe,
-	// succeeds on the learned path, and closes the circuit.
+	// Fault clears and the cooldown passes: the next request is admitted as
+	// the half-open probe, succeeds on the learned path, and closes the circuit.
 	reg.Clear(fault.GNNForward)
+	now.Add(int64(serve.DefaultCircuitCooldown))
 	req := serve.PredictRequest{Plan: testPlan(1, 77_000), Cluster: serve.ClusterSpec{Workers: 4, LinkGbps: 10}}
 	var got serve.PredictResponse
 	if code := postJSON(t, predictURL(ts), &req, &got); code != http.StatusOK {
@@ -128,9 +130,9 @@ func TestCircuitOpenWithoutFallback503(t *testing.T) {
 	zt, _ := models(t)
 	bare := &core.ZeroTune{Model: zt.Model, Mask: zt.Mask} // no fallback
 	s := serve.New(serve.Options{
-		BatchWindow:       -1,
-		CircuitThreshold:  1,
-		CircuitProbeEvery: 1000, // effectively never probe during this test
+		BatchWindow:      -1,
+		CircuitThreshold: 1,
+		CircuitCooldown:  time.Hour, // never probe during this test
 	})
 	s.Registry().Install(bare, "bare", "")
 	ts := newHTTPServer(t, s)

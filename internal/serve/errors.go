@@ -146,7 +146,7 @@ func SentinelFor(code string) error {
 }
 
 // KnownErrorCodes lists every code either tier can write, in table order.
-// Harnesses (the chaos driver) use it to assert that no error response ever
+// Harnesses (the chaos drill) use it to assert that no error response ever
 // carries an unmapped code.
 func KnownErrorCodes() []string {
 	codes := make([]string, len(wireCodes))

@@ -26,7 +26,7 @@
 // Prometheus text format.
 //
 // Observability is context-first: every handler derives a request context
-// that carries the trace (when a tracer is configured) and the client's
+// that carries the trace (when the server runs in debug mode) and the client's
 // cancellation. A disconnected client aborts its queued prediction before
 // it joins a batch; a traced request records http.<endpoint> →
 // encode.plan / cache.lookup / batcher.enqueue → gnn.forward spans,
@@ -91,9 +91,6 @@ type Options struct {
 	// MaxBatch flushes a batch early once this many plans queued
 	// (default DefaultMaxBatch).
 	MaxBatch int
-	// QueueDepth bounds submitted-but-unflushed predictions (default
-	// DefaultQueueFactor×MaxBatch).
-	QueueDepth int
 	// CacheSize bounds the plan-fingerprint cache (default DefaultCacheSize entries).
 	CacheSize int
 	// RequestTimeout bounds how long a predict request waits for its
@@ -101,17 +98,10 @@ type Options struct {
 	// flush loop must not hang clients (default DefaultRequestTimeout;
 	// negative disables the deadline).
 	RequestTimeout time.Duration
-	// Registry receives every serving metric. Nil creates a private one;
-	// pass a shared registry to merge serving metrics with other
-	// subsystems' on one /metrics page.
-	Registry *obs.Registry
-	// Tracer records request traces. Nil disables tracing (spans become
-	// no-ops) unless Debug is set, which creates a default-sized tracer.
-	Tracer *obs.Tracer
-	// Debug exposes the debug surface: GET /debug/traces (the completed
-	// trace ring as JSON) and /debug/pprof/. Off by default — pprof and
-	// traces can leak operational detail, so exposing them is a deliberate
-	// operator choice.
+	// Debug records request traces and exposes the debug surface: GET
+	// /debug/traces (the completed trace ring as JSON) and /debug/pprof/.
+	// Off by default — pprof and traces can leak operational detail, so
+	// exposing them is a deliberate operator choice.
 	Debug bool
 	// CircuitThreshold is how many consecutive forward-path failures
 	// (inference errors or timeouts) trip the circuit breaker, after which
@@ -121,11 +111,6 @@ type Options struct {
 	// CircuitCooldown is how long an open circuit waits before admitting a
 	// half-open probe onto the learned path (default DefaultCircuitCooldown).
 	CircuitCooldown time.Duration
-	// CircuitProbeEvery, when positive, admits every Nth rejected request
-	// as the half-open probe instead of waiting out CircuitCooldown. The
-	// count-based schedule makes breaker transitions a pure function of the
-	// request sequence — required for seed-reproducible chaos runs.
-	CircuitProbeEvery int
 	// Compiled is accepted and ignored: every model the registry takes is
 	// compiled (see Registry), so there is nothing left to switch. The field
 	// survives only because benchmark/fixture.go sets it and a change to the
@@ -195,19 +180,15 @@ func (s *Server) fusedCounts() (graphs, passes uint64) {
 // Registry().Install or ServeModelFile before serving predictions.
 func New(opts Options) *Server {
 	opts = opts.WithDefaults()
-	if opts.Registry == nil {
-		opts.Registry = obs.NewRegistry()
-	}
-	if opts.Tracer == nil && opts.Debug {
-		opts.Tracer = obs.NewTracer(obs.DefaultRingSize)
-	}
-	reg := opts.Registry
+	reg := obs.NewRegistry()
 	s := &Server{
-		opts:   opts,
-		reg:    NewRegistry(),
-		stats:  NewStats(reg),
-		tracer: opts.Tracer,
-		mux:    NewMux(),
+		opts:  opts,
+		reg:   NewRegistry(),
+		stats: NewStats(reg),
+		mux:   NewMux(),
+	}
+	if opts.Debug {
+		s.tracer = obs.NewTracer(obs.DefaultRingSize)
 	}
 	s.resp = newRespCache(opts.CacheSize)
 	s.respHits = reg.Counter("zerotune_respcache_body_hits_total")
@@ -246,13 +227,13 @@ func New(opts Options) *Server {
 		})
 	}
 	s.breaker = newBreaker(breakerConfig{
-		Threshold:  opts.CircuitThreshold,
-		Cooldown:   opts.CircuitCooldown,
-		ProbeEvery: opts.CircuitProbeEvery,
-		OnOpen:     func() { s.stats.CircuitOpens.Inc() },
+		Threshold: opts.CircuitThreshold,
+		Cooldown:  opts.CircuitCooldown,
+		OnOpen:    func() { s.stats.CircuitOpens.Inc() },
 	})
 	reg.GaugeFunc("zerotune_circuit_state", func() float64 { return float64(s.breaker.State()) })
-	s.batcher = NewBatcher(opts.BatchWindow, opts.MaxBatch, opts.QueueDepth, opts.RequestTimeout, func(n int) {
+	// Queue bound 0: DefaultQueueFactor×MaxBatch.
+	s.batcher = NewBatcher(opts.BatchWindow, opts.MaxBatch, 0, opts.RequestTimeout, func(n int) {
 		s.stats.Batches.Add(1)
 		s.stats.Inferences.Add(uint64(n))
 		s.stats.BatchSizes.Observe(float64(n))
@@ -398,8 +379,10 @@ const acquireRetries = 3
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
-	// The request's stages are timed from where its endpoint latency is.
-	clock := stageClock{hist: &s.stages, last: w.(*obs.StatusWriter).Started()}
+	// The request's stages are timed from where its endpoint latency is, and
+	// its latency ends where its last stage does.
+	sw := w.(*obs.StatusWriter)
+	clock := stageClock{hist: &s.stages, w: sw, last: sw.Started()}
 	// The body is read once: its raw bytes key the outermost response cache,
 	// and on a miss the same bytes are decoded. A byte-identical repeat of a
 	// recent request skips decode, placement, featurization and inference

@@ -65,10 +65,13 @@ func ReadStages(samples []obs.Sample) [NumStages]obs.HistogramStat {
 }
 
 // stageClock times one request's stages: it remembers where the last stage
-// ended, and a mark ends the next one there or now. It lives on the handler's
-// stack.
+// ended, and a mark ends the next one there or now. The request ends where
+// its last stage does: every mark is handed to the endpoint's StatusWriter as
+// the request's end, so the stages of a request add up to its latency. It
+// lives on the handler's stack.
 type stageClock struct {
 	hist *[NumStages]*obs.Histogram
+	w    *obs.StatusWriter
 	last time.Time
 }
 
@@ -79,4 +82,5 @@ func (c *stageClock) mark(st Stage) { c.markAt(st, time.Now()) }
 func (c *stageClock) markAt(st Stage, t time.Time) {
 	c.hist[st].Observe(t.Sub(c.last).Seconds())
 	c.last = t
+	c.w.End(t)
 }

@@ -38,7 +38,7 @@ func followerError(t *testing.T, leaderErr error) error {
 // handlers write carries on the wire: each row is one writer call site's
 // (status, error) pair, and the status of a failed predict, tune or forward
 // is pinned separately below. The rows are what clients and the chaos
-// harness rely on; a refactor of how codes are derived must leave them be.
+// drill rely on; a refactor of how codes are derived must leave them be.
 func TestWireCodesPinned(t *testing.T) {
 	injected := fmt.Errorf("%w at %s (hit 1)", fault.ErrInjected, fault.CacheAcquire)
 	injectedDeadline := fmt.Errorf("%w at %s (hit 1): %w", fault.ErrInjected, fault.GNNForward, context.DeadlineExceeded)
