@@ -2,9 +2,12 @@ package gnn
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"zerotune/internal/features"
 	"zerotune/internal/tensor"
@@ -44,7 +47,8 @@ func paramsEqual(a, b *Model) (bool, string) {
 // data-parallel training loop: workers split a step only over independent
 // outputs (chunks of a minibatch's graphs, whole parameter tensors), never
 // inside a sum, so the final weights and loss are bit-identical for any
-// worker count (1, 2 and 8).
+// worker count (1, 2, 3 and 8; 3 and 8 are more workers than a 2-core box
+// has, where the step's team parks instead of polling).
 func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 	graphs := trainSet(t, 24)
 
@@ -62,7 +66,7 @@ func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	base, baseStats := run(1)
-	for _, w := range []int{2, 8} {
+	for _, w := range []int{2, 3, 8} {
 		m, stats := run(w)
 		if stats.FinalLoss != baseStats.FinalLoss {
 			t.Errorf("workers=%d: final loss %v != sequential %v", w, stats.FinalLoss, baseStats.FinalLoss)
@@ -160,5 +164,45 @@ func TestTrainRejectsBadLabels(t *testing.T) {
 				t.Errorf("weights moved: %s", why)
 			}
 		})
+	}
+}
+
+// TestTrainLeavesNoGoroutine: the worker team a Train call starts ends on
+// every way out of it — a full run, a run stopped by a cancelled context and
+// a run aborted by its checkpoint hook — so no goroutine of Train's outlives
+// it.
+func TestTrainLeavesNoGoroutine(t *testing.T) {
+	graphs := trainSet(t, 12)
+	hookErr := errors.New("disk full")
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+		hook func(*Checkpoint) error
+		want error
+	}{
+		{"full run", context.Background(), nil, nil},
+		{"cancelled", cancelled, func(*Checkpoint) error { return nil }, nil},
+		{"checkpoint error", context.Background(), func(*Checkpoint) error { return hookErr }, hookErr},
+	} {
+		before := runtime.NumGoroutine()
+		cfg := DefaultTrainConfig()
+		cfg.Epochs = 3
+		cfg.BatchSize = 5
+		cfg.Workers = 3
+		cfg.Checkpoint = tc.hook
+		stats, err := Train(tc.ctx, smallModel(7), graphs, cfg)
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if tc.name == "cancelled" && !stats.Interrupted {
+			t.Fatalf("%s: the run was not interrupted", tc.name)
+		}
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines after Train, %d before", tc.name, runtime.NumGoroutine(), before)
+			}
+		}
 	}
 }

@@ -56,10 +56,12 @@ func (m *MLP) Batch(t *BatchTrace, rows int) *BatchTrace {
 }
 
 // fit returns m as a rows×cols matrix, reusing its storage when it is large
-// enough.
+// enough. New storage has half as much again as asked for, so a training run,
+// whose batches grow to their largest over its first epoch, reallocates a few
+// times rather than at every new maximum.
 func fit(m *tensor.Matrix, rows, cols int) *tensor.Matrix {
 	if m == nil || cap(m.Data) < rows*cols {
-		return tensor.NewMatrix(rows, cols)
+		return &tensor.Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols, rows*cols*3/2)}
 	}
 	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
 	return m

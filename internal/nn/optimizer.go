@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"zerotune/internal/parallel"
 	"zerotune/internal/tensor"
@@ -18,9 +19,10 @@ type Adam struct {
 	Eps         float64
 	WeightDecay float64
 
-	t int
-	m [][]float64
-	v [][]float64
+	t     int
+	m     [][]float64
+	v     [][]float64
+	order []int // parameter indices, largest tensor first (StepScaled)
 }
 
 // NewAdam returns an Adam optimizer with standard betas (0.9, 0.999).
@@ -29,10 +31,22 @@ func NewAdam(lr float64) *Adam {
 }
 
 // Step applies one update to every parameter using its gradient, updating
-// the parameter tensors on up to workers goroutines (workers <= 1 runs
-// inline). The update is element-wise, so the result is the same for every
-// worker count.
+// the parameter tensors on up to workers workers (workers <= 1 runs inline):
+// StepScaled on a team of its own, gradients read as they are.
 func (a *Adam) Step(params []Param, workers int) {
+	team := parallel.NewTeam(parallel.Clamp(workers, len(params)))
+	defer team.Close()
+	a.StepScaled(team, params, 1)
+}
+
+// StepScaled applies one update to every parameter, reading each gradient
+// element g as float64(g·gradScale) (tensor.AdamInPlace): the bits of
+// ClipGradNorm's in-place rescale followed by Step, without the pass that
+// writes the rescaled gradients, which are left as they were. The parameter
+// tensors are handed to team's workers largest first, so the last one a
+// worker picks up is short. The update is element-wise, so the result is the
+// same for every team size.
+func (a *Adam) StepScaled(team *parallel.Team, params []Param, gradScale float64) {
 	if a.m == nil {
 		a.m = make([][]float64, len(params))
 		a.v = make([][]float64, len(params))
@@ -41,6 +55,13 @@ func (a *Adam) Step(params []Param, workers int) {
 			a.v[i] = make([]float64, len(p.Value))
 		}
 	}
+	if len(a.order) != len(params) {
+		a.order = make([]int, len(params))
+		for i := range a.order {
+			a.order[i] = i
+		}
+		sort.SliceStable(a.order, func(i, j int) bool { return len(params[a.order[i]].Value) > len(params[a.order[j]].Value) })
+	}
 	a.t++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
@@ -48,8 +69,9 @@ func (a *Adam) Step(params []Param, workers int) {
 		Beta1: a.Beta1, Beta2: a.Beta2, BC1: bc1, BC2: bc2,
 		LR: a.LR, Eps: a.Eps, WD: a.WeightDecay,
 	}
-	parallel.For(len(params), workers, func(i int) {
-		tensor.AdamInPlace(params[i].Value, params[i].Grad, a.m[i], a.v[i], &c)
+	team.For(len(params), func(k int) {
+		i := a.order[k]
+		tensor.AdamInPlace(params[i].Value, params[i].Grad, a.m[i], a.v[i], gradScale, &c)
 	})
 }
 
@@ -108,22 +130,41 @@ func (a *Adam) SetState(s AdamState) error {
 
 // ClipGradNorm rescales all gradients so the global L2 norm does not exceed
 // maxNorm, and returns the pre-clip norm. A non-positive maxNorm is a no-op.
+// The norm is one sum of float64(g·g) over the parameters in order, each
+// tensor in element order; the rescale multiplies every gradient by
+// GradScale(norm, maxNorm). gnn.Train computes the same sum beside its
+// gradient sums and hands the scale to Adam.StepScaled instead.
 func ClipGradNorm(params []Param, maxNorm float64) float64 {
 	var sumSq float64
 	for _, p := range params {
-		for _, g := range p.Grad {
-			sumSq += float64(g * g)
-		}
+		sumSq = SumSquares(sumSq, p.Grad)
 	}
 	norm := math.Sqrt(sumSq)
-	if maxNorm <= 0 || norm <= maxNorm || norm == 0 {
+	scale := GradScale(norm, maxNorm)
+	if scale == 1 {
 		return norm
 	}
-	scale := maxNorm / norm
 	for _, p := range params {
 		for j := range p.Grad {
 			p.Grad[j] *= scale
 		}
 	}
 	return norm
+}
+
+// SumSquares extends a running sum of squares over g in element order.
+func SumSquares(sumSq float64, g []float64) float64 {
+	for _, x := range g {
+		sumSq += float64(x * x)
+	}
+	return sumSq
+}
+
+// GradScale is the factor a global-norm clip multiplies every gradient by:
+// maxNorm/norm when norm exceeds a positive maxNorm, else exactly 1.
+func GradScale(norm, maxNorm float64) float64 {
+	if maxNorm <= 0 || norm <= maxNorm || norm == 0 {
+		return 1
+	}
+	return maxNorm / norm
 }

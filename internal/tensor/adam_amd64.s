@@ -2,21 +2,22 @@
 // lane running the portable loop's operations in its order (see adam.go):
 // every math.FMA there is one VFMADD231PD here (the last a VFNMADD231PD,
 // fma(-LR, u, val) = val - LR·u rounded once), and every other operation
-// rounds on its own.
+// rounds on its own, the gradient's scale included.
 
 #include "textflag.h"
 
-// func adam64(val, grad, m, v *float64, n int64, c *AdamCoeffs)
+// func adam64(val, grad, m, v *float64, n int64, s float64, c *AdamCoeffs)
 //
 // n is a positive multiple of 4.
-TEXT ·adam64(SB), NOSPLIT, $0-48
+TEXT ·adam64(SB), NOSPLIT, $0-56
 	MOVQ         val+0(FP), SI
 	MOVQ         grad+8(FP), DX
 	MOVQ         m+16(FP), R8
 	MOVQ         v+24(FP), R9
 	MOVQ         n+32(FP), R10
 	SHLQ         $3, R10
-	MOVQ         c+40(FP), AX
+	VBROADCASTSD s+40(FP), Y6    // gradient scale
+	MOVQ         c+48(FP), AX
 	VBROADCASTSD 0(AX), Y7       // Beta1
 	VBROADCASTSD 8(AX), Y9       // Beta2
 	VBROADCASTSD 32(AX), Y14     // LR
@@ -34,7 +35,7 @@ TEXT ·adam64(SB), NOSPLIT, $0-48
 	XORQ         CX, CX
 
 loop:
-	VMOVUPD     (DX)(CX*1), Y0   // g
+	VMULPD      (DX)(CX*1), Y6, Y0 // g = grad·s
 	VMULPD      (R8)(CX*1), Y7, Y1 // Beta1·m
 	VFMADD231PD Y0, Y10, Y1      // m = fma(1-Beta1, g, Beta1·m)
 	VMOVUPD     Y1, (R8)(CX*1)

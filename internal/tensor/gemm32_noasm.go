@@ -37,6 +37,6 @@ func addOuterRows64(m, d, x *float64, n, rows, cols, ldd int64) {
 	panic("tensor: assembly kernel called on a target without one")
 }
 
-func adam64(val, grad, m, v *float64, n int64, c *AdamCoeffs) {
+func adam64(val, grad, m, v *float64, n int64, s float64, c *AdamCoeffs) {
 	panic("tensor: assembly kernel called on a target without one")
 }

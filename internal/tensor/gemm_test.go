@@ -483,12 +483,16 @@ func TestF64KernelsMatchPortable(t *testing.T) {
 		for i := range adamV {
 			adamV[i] *= adamV[i]
 		}
-		AdamInPlace(adamVal, adamGrad, adamM, adamV, &AdamCoeffs{
+		adamC := AdamCoeffs{
 			Beta1: 0.9, Beta2: 0.999, BC1: 1 - 0.9*0.9, BC2: 1 - 0.999*0.999,
 			LR: 3e-3, Eps: 1e-8, WD: 1e-5,
-		})
+		}
+		clipVal, clipM, clipV := Vector(adamVal).Clone(), adamM.Clone(), adamV.Clone()
+		AdamInPlace(adamVal, adamGrad, adamM, adamV, 1, &adamC)
+		AdamInPlace(clipVal, adamGrad, clipM, clipV, 0.3713, &adamC)
 		return []result{
 			{"AdamInPlace", Concat(adamVal, adamM, adamV)},
+			{"AdamInPlace(gradScale)", Concat(clipVal, clipM, clipV)},
 			{"MulVec", m.MulVec(vc, NewVector(rows))},
 			{"MulVecAddBias", m.MulVecAddBias(vc, b, NewVector(rows))},
 			{"MulVecT", m.MulVecT(vr, NewVector(cols))},
@@ -539,6 +543,42 @@ func TestF64KernelsMatchPortable(t *testing.T) {
 	})
 }
 
+// TestAdamGradScaleIsAPreScale: reading the gradient scaled inside the update
+// gives the bits of scaling it in place first (g *= s, as a global-norm clip
+// does) and stepping on the stored product, under every kernel; a scale of 1
+// reads the gradient as it is and leaves it unwritten.
+func TestAdamGradScaleIsAPreScale(t *testing.T) {
+	c := AdamCoeffs{Beta1: 0.9, Beta2: 0.999, BC1: 1 - 0.9*0.9, BC2: 1 - 0.999*0.999, LR: 3e-3, Eps: 1e-8, WD: 1e-5}
+	eachKernel(t, func(t *testing.T) {
+		for _, n := range []int{1, 3, 4, 7, 48, 97} {
+			for _, scale := range []float64{1, 0.3713, 5 / 7.3} {
+				rng := NewRNG(uint64(n))
+				val, grad, m, v := randVector(rng, n), randVector(rng, n), randVector(rng, n), randVector(rng, n)
+				for i := range v {
+					v[i] *= v[i]
+				}
+				folded := []Vector{val.Clone(), m.Clone(), v.Clone()}
+				orig := grad.Clone()
+				AdamInPlace(folded[0], grad, folded[1], folded[2], scale, &c)
+				for i := range grad {
+					if math.Float64bits(grad[i]) != math.Float64bits(orig[i]) {
+						t.Fatalf("n=%d scale %v: gradient [%d] written", n, scale, i)
+					}
+					grad[i] *= scale
+				}
+				AdamInPlace(val, grad, m, v, 1, &c)
+				for k, want := range []Vector{val, m, v} {
+					for i := range want {
+						if math.Float64bits(folded[k][i]) != math.Float64bits(want[i]) {
+							t.Fatalf("n=%d scale %v: operand %d [%d] %v, pre-scaled %v", n, scale, k, i, folded[k][i], want[i])
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 // fusedCase is one primitive on operands where a fused multiply-add and a
 // product rounded before its sum part ways. With a = 1+2⁻²⁷ and b = 1−2⁻²⁷,
 // a·b = 1−2⁻⁵⁴ exactly: fma(a, b, −1) = −2⁻⁵⁴, while a·b rounded is 1 and
@@ -582,7 +622,7 @@ func fusedCases() []fusedCase {
 	// its twice-rounded form.
 	adam := func(c AdamCoeffs, g, m, v, val float64) (Vector, Vector, Vector) {
 		vm, vv, vval := fill(5, m), fill(5, v), fill(5, val)
-		AdamInPlace(vval, fill(5, g), vm, vv, &c)
+		AdamInPlace(vval, fill(5, g), vm, vv, 1, &c)
 		return vm, vv, vval
 	}
 	// m = fma(¼b, 4a, −¾−2⁻²⁹) and v = fma(2a, 4a, −8).

@@ -35,4 +35,4 @@ func addOuterRows64(m, d, x *float64, n, rows, cols, ldd int64)
 // positive multiple of 4; see adam_amd64.s.
 //
 //go:noescape
-func adam64(val, grad, m, v *float64, n int64, c *AdamCoeffs)
+func adam64(val, grad, m, v *float64, n int64, s float64, c *AdamCoeffs)
