@@ -45,24 +45,45 @@ const (
 //
 // The fault event log is a function of the seed: both runs of a seed dump
 // byte-identical logs. Wall-clock time is kept out of every decision:
-// requests run one at a time, batches flush at once, and the breaker reads a
-// clock that moves one chaosTick per predict.
+// requests run one at a time, batches flush at once, the breaker reads a
+// clock that moves one chaosTick per predict, and the slow flushes sleep on
+// a drillClock, which stalls for real once and counts the rest.
 func TestChaosDrill(t *testing.T) {
 	zt, _ := models(t)
 	model := saveModel(t, zt, "chaos.json")
+	clock := &drillClock{}
 	for _, seed := range []uint64{7, 42, 1337} {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
-			first, second := chaosDrill(t, model, seed), chaosDrill(t, model, seed)
+			first, second := chaosDrill(t, model, seed, clock), chaosDrill(t, model, seed, clock)
 			if first == "" || first != second {
 				t.Errorf("event logs of two runs differ or are empty:\n--- first\n%s--- second\n%s", first, second)
 			}
 		})
 	}
+	if clock.stalled.Load() == 0 {
+		t.Error("no slow flush fired: the in-deadline stall never ran")
+	}
+}
+
+// drillClock is the fault registry's clock in the drill. The first delay it
+// is asked for is slept for real, so one flush stalls inside its request's
+// deadline; every later one returns at once and is only counted. A slow
+// flush is shorter than the deadline, so it decides no outcome and the event
+// log is the same either way; only the test's wall time differs.
+type drillClock struct {
+	stalled atomic.Int64 // delays asked for, the real one included
+}
+
+func (c *drillClock) Sleep(d time.Duration) {
+	if c.stalled.Add(1) == 1 {
+		time.Sleep(d)
+	}
 }
 
 // chaosDrill runs one storm against a fresh server serving the model file at
-// model and returns the fault event log.
-func chaosDrill(t *testing.T, model string, seed uint64) string {
+// model, with clock as the fault registry's, and returns the fault event
+// log.
+func chaosDrill(t *testing.T, model string, seed uint64, clock fault.Clock) string {
 	t.Helper()
 	s := serve.New(serve.Options{
 		BatchWindow:      -1, // flush at once: one flush per request
@@ -81,6 +102,7 @@ func chaosDrill(t *testing.T, model string, seed uint64) string {
 	}
 
 	reg := fault.New(seed)
+	reg.SetClock(clock)
 	for _, sched := range chaosSchedule(seed) {
 		reg.Install(sched)
 	}
@@ -132,7 +154,7 @@ func chaosSchedule(seed uint64) []fault.Schedule {
 		{Point: fault.ArtifactRead, Mode: fault.ModeError, Prob: prob(fault.ArtifactRead, 0.15, 0.35)},
 		{Point: fault.RegistrySwap, Mode: fault.ModeError, Prob: prob(fault.RegistrySwap, 0.15, 0.35)},
 		// A few slow flushes, under the request deadline, so the sleep's real
-		// duration never decides an outcome.
+		// duration never decides an outcome (drillClock sleeps one of them).
 		{Point: fault.BatcherFlush, Mode: fault.ModeDelay, Prob: prob(fault.BatcherFlush, 0.05, 0.15),
 			Delay: chaosTimeout / 3, Limit: 3},
 	}
