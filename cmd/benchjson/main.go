@@ -45,7 +45,7 @@ func main() {
 	out := flag.String("out", "", "write the JSON snapshot to this file (default: stdout)")
 	baseline := flag.String("baseline", "", "previous snapshot to compare against")
 	check := flag.String("check", "", "comma-separated benchmark name prefixes the regression budget applies to")
-	maxRegress := flag.Float64("max-regress-pct", 10, "fail when ns/op of -check regresses more than this percent")
+	maxRegress := flag.Float64("max-regress-pct", 10, "fail when ns/op or allocs/op of -check regresses more than this percent")
 	tee := flag.Bool("tee", false, "copy the raw benchmark output to stderr while parsing")
 	flag.Parse()
 
@@ -168,8 +168,11 @@ func parseLine(line string) (BenchmarkEntry, bool) {
 
 // compare enforces the regression budget of the -check prefixes against the
 // baseline snapshot and prints the delta for every benchmark present in both.
-// A checked prefix that matches no benchmark present in both snapshots is an
-// error: a gate that compares nothing must not pass.
+// A checked row fails when its ns/op or its allocs/op exceeds the baseline's
+// by more than maxRegressPct; a row the baseline records as allocation-free
+// (no allocs_per_op) fails on any allocation. A checked prefix that matches
+// no benchmark present in both snapshots is an error: a gate that compares
+// nothing must not pass.
 func compare(path string, cur *Snapshot, checks []string, maxRegressPct float64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -191,8 +194,8 @@ func compare(path string, cur *Snapshot, checks []string, maxRegressPct float64)
 			continue
 		}
 		speedup := old.NsPerOp / b.NsPerOp
-		fmt.Fprintf(os.Stderr, "benchjson: %-40s %12.0f -> %12.0f ns/op (%.2fx)\n",
-			b.Name, old.NsPerOp, b.NsPerOp, speedup)
+		fmt.Fprintf(os.Stderr, "benchjson: %-40s %12.0f -> %12.0f ns/op (%.2fx) %8.0f -> %8.0f allocs/op\n",
+			b.Name, old.NsPerOp, b.NsPerOp, speedup, old.AllocsPerOp, b.AllocsPerOp)
 		for i, check := range checks {
 			if !strings.HasPrefix(b.Name, check) {
 				continue
@@ -203,6 +206,11 @@ func compare(path string, cur *Snapshot, checks []string, maxRegressPct float64)
 				failures = append(failures, fmt.Sprintf(
 					"%s regressed %.1f%% (%.0f -> %.0f ns/op, budget %.0f%%)",
 					b.Name, regressPct, old.NsPerOp, b.NsPerOp, maxRegressPct))
+			}
+			if b.AllocsPerOp > old.AllocsPerOp*(1+maxRegressPct/100) {
+				failures = append(failures, fmt.Sprintf(
+					"%s allocates more (%.0f -> %.0f allocs/op, budget %.0f%%)",
+					b.Name, old.AllocsPerOp, b.AllocsPerOp, maxRegressPct))
 			}
 			break
 		}

@@ -94,3 +94,38 @@ func TestCompareRefusesEmptyGate(t *testing.T) {
 		t.Errorf("a gate over nothing passed: err = %v", err)
 	}
 }
+
+// TestCompareGatesAllocations: a checked row whose allocs/op grew past the
+// budget fails even when its ns/op did not, one inside the budget passes, an
+// allocation-free baseline row fails on its first allocation, and an
+// unchecked row is never gated on allocations.
+func TestCompareGatesAllocations(t *testing.T) {
+	rows := func(allocs map[string]float64) *Snapshot {
+		var snap Snapshot
+		for name, a := range allocs {
+			snap.Benchmarks = append(snap.Benchmarks, BenchmarkEntry{Name: name, Iterations: 1, NsPerOp: 1000, AllocsPerOp: a})
+		}
+		return &snap
+	}
+	data, err := json.Marshal(rows(map[string]float64{"BenchmarkMiss": 40, "BenchmarkHash": 0, "BenchmarkOther": 10}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := filepath.Join(t.TempDir(), "BENCH.json")
+	if err := os.WriteFile(base, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	checks := []string{"BenchmarkMiss", "BenchmarkHash"}
+
+	if err := compare(base, rows(map[string]float64{"BenchmarkMiss": 44, "BenchmarkHash": 0, "BenchmarkOther": 99}), checks, 10); err != nil {
+		t.Errorf("allocations inside the budget failed: %v", err)
+	}
+	err = compare(base, rows(map[string]float64{"BenchmarkMiss": 45, "BenchmarkHash": 1, "BenchmarkOther": 10}), checks, 10)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkMiss allocates more (40 -> 45 allocs/op") ||
+		!strings.Contains(err.Error(), "BenchmarkHash allocates more (0 -> 1 allocs/op") {
+		t.Fatalf("allocations past the budget passed: err = %v", err)
+	}
+	if strings.Contains(err.Error(), "regressed") || strings.Contains(err.Error(), "BenchmarkOther") {
+		t.Errorf("rows failed for more than their allocations: %v", err)
+	}
+}

@@ -7,6 +7,7 @@ package cluster
 import (
 	"fmt"
 	"strconv"
+	"strings"
 
 	"zerotune/internal/queryplan"
 	"zerotune/internal/tensor"
@@ -55,23 +56,28 @@ func TypeByName(name string) (NodeType, error) {
 // SeenTypes returns the node types used for training data (Table III:
 // m510, rs620), freshly allocated.
 func SeenTypes() []NodeType {
-	return typesWhere(true)
+	return AppendSeenTypes(nil)
+}
+
+// AppendSeenTypes appends SeenTypes to dst: a caller with room for them
+// builds a cluster of the seen types without allocating the list.
+func AppendSeenTypes(dst []NodeType) []NodeType {
+	return appendTypesWhere(dst, true)
 }
 
 // UnseenTypes returns the node types reserved for generalization tests,
 // freshly allocated.
 func UnseenTypes() []NodeType {
-	return typesWhere(false)
+	return appendTypesWhere(nil, false)
 }
 
-func typesWhere(seen bool) []NodeType {
-	var out []NodeType
+func appendTypesWhere(dst []NodeType, seen bool) []NodeType {
 	for _, t := range catalog {
 		if t.Seen == seen {
-			out = append(out, t)
+			dst = append(dst, t)
 		}
 	}
-	return out
+	return dst
 }
 
 // Node is one worker machine in a cluster.
@@ -90,21 +96,35 @@ type Cluster struct {
 // single type yields a homogeneous cluster; several types are assigned
 // round-robin, producing the paper's heterogeneous configurations.
 func New(n int, types []NodeType, linkGbps float64) (*Cluster, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("cluster: need at least 1 worker, got %d", n)
-	}
-	if len(types) == 0 {
-		return nil, fmt.Errorf("cluster: no node types given")
-	}
-	if linkGbps <= 0 {
-		return nil, fmt.Errorf("cluster: link speed must be positive, got %v", linkGbps)
-	}
-	c := &Cluster{Nodes: make([]Node, n), LinkGbps: linkGbps}
-	for i := range c.Nodes {
-		t := types[i%len(types)]
-		c.Nodes[i] = Node{Name: nodeName(t, i), Type: t}
+	c := new(Cluster)
+	if err := c.Reset(n, types, linkGbps); err != nil {
+		return nil, err
 	}
 	return c, nil
+}
+
+// Reset makes c the cluster New(n, types, linkGbps) builds, in the array of
+// c.Nodes when it has room: a caller that builds one cluster after another
+// allocates only the node names. Whatever c held before is overwritten.
+func (c *Cluster) Reset(n int, types []NodeType, linkGbps float64) error {
+	if n < 1 {
+		return fmt.Errorf("cluster: need at least 1 worker, got %d", n)
+	}
+	if len(types) == 0 {
+		return fmt.Errorf("cluster: no node types given")
+	}
+	if linkGbps <= 0 {
+		return fmt.Errorf("cluster: link speed must be positive, got %v", linkGbps)
+	}
+	if cap(c.Nodes) < n {
+		c.Nodes = make([]Node, n)
+	}
+	c.Nodes, c.LinkGbps = c.Nodes[:n], linkGbps
+	for i := range c.Nodes {
+		c.Nodes[i] = Node{Type: types[i%len(types)]}
+	}
+	nameNodes(c.Nodes)
+	return nil
 }
 
 // NewRandom builds a cluster of n workers with types sampled uniformly from
@@ -116,15 +136,35 @@ func NewRandom(rng *tensor.RNG, n int, types []NodeType, linkGbps float64) (*Clu
 	}
 	c := &Cluster{Nodes: make([]Node, n), LinkGbps: linkGbps}
 	for i := range c.Nodes {
-		t := tensor.Pick(rng, types)
-		c.Nodes[i] = Node{Name: nodeName(t, i), Type: t}
+		c.Nodes[i].Type = tensor.Pick(rng, types)
 	}
+	nameNodes(c.Nodes)
 	return c, nil
 }
 
-// nodeName names worker i of type t: "m510-0", "rs620-1", ….
-func nodeName(t NodeType, i int) string {
-	return t.Name + "-" + strconv.Itoa(i)
+// nameNodes names worker i after its type: "m510-0", "rs620-1", …. The names
+// are substrings of one string, so naming a cluster is one allocation, not
+// one per node.
+func nameNodes(nodes []Node) {
+	var (
+		sb  strings.Builder
+		num [20]byte
+	)
+	size := 0
+	for i := range nodes {
+		size += len(nodes[i].Type.Name) + 1 + len(strconv.AppendInt(num[:0], int64(i), 10))
+	}
+	sb.Grow(size)
+	for i := range nodes {
+		sb.WriteString(nodes[i].Type.Name)
+		sb.WriteByte('-')
+		sb.Write(strconv.AppendInt(num[:0], int64(i), 10))
+	}
+	all := sb.String()
+	for i := range nodes {
+		n := len(nodes[i].Type.Name) + 1 + len(strconv.AppendInt(num[:0], int64(i), 10))
+		nodes[i].Name, all = all[:n], all[n:]
+	}
 }
 
 // Node returns the node with the given name, or nil.

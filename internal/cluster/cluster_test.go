@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -290,5 +291,29 @@ func TestSlotLoadSpreads(t *testing.T) {
 	load := slotLoad(t, p)
 	if len(load) < 2 {
 		t.Fatalf("load concentrated: %v", load)
+	}
+}
+
+// TestClusterReset: one cluster reset to clusters larger and smaller in turn
+// equals the one New builds each time, and a refused reset reports New's
+// error.
+func TestClusterReset(t *testing.T) {
+	var c Cluster
+	for _, tc := range []struct {
+		n     int
+		types []NodeType
+		link  float64
+	}{
+		{5, SeenTypes(), 10}, {2, UnseenTypes(), 1}, {0, SeenTypes(), 10}, {12, Catalog(), 10},
+		{3, nil, 10}, {1, SeenTypes(), 10}, {7, SeenTypes(), -1}, {11, UnseenTypes(), 10},
+	} {
+		want, wantErr := New(tc.n, tc.types, tc.link)
+		err := c.Reset(tc.n, tc.types, tc.link)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("Reset(%d, %d types, %v): error %v, New's %v", tc.n, len(tc.types), tc.link, err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(&c, want) {
+			t.Fatalf("Reset(%d, %d types, %v):\n got %+v\nwant %+v", tc.n, len(tc.types), tc.link, c, *want)
+		}
 	}
 }

@@ -279,6 +279,20 @@ func (z *ZeroTune) EncodePlan(ctx context.Context, t *queryplan.Topology, p *que
 	return enc.Encode(p)
 }
 
+// EncodeDegrees is EncodePlan for a plan over t that names no placement and
+// no NoChain entry, given by its degree vector deg (PQP.AnalyzeDegrees): the
+// same graph, encoded as the tuning sweep encodes a candidate
+// (features.Encoder.EncodeDegrees), without placing the plan. enc is reset to
+// t, c and the model's mask, and the graph is carved out of a; see
+// features.Arena for how long it lives.
+func (z *ZeroTune) EncodeDegrees(ctx context.Context, enc *features.Encoder, a *features.Arena,
+	t *queryplan.Topology, deg []int, c *cluster.Cluster) (*features.Graph, error) {
+	_, span := obs.StartSpan(ctx, "encode.plan")
+	defer span.End()
+	enc.Reset(t, c, z.Mask)
+	return enc.EncodeDegrees(a, deg)
+}
+
 // PredictEncoded runs the batched forward pass over pre-encoded graphs (see
 // EncodePlan). Results are identical to Predict on the plans the graphs came
 // from.

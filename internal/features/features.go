@@ -13,6 +13,8 @@ package features
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"zerotune/internal/cluster"
 	"zerotune/internal/queryplan"
@@ -215,58 +217,89 @@ func Encode(p *queryplan.PQP, c *cluster.Cluster, mask Mask) (*Graph, error) {
 // so that Encode pays only for what a degree vector changes: chain groups,
 // slot load, resource nodes, mapping edges, FeatDegree and FeatGrouping.
 //
-// An Encoder is immutable after NewEncoder and safe for concurrent Encode
-// calls. Like the Topology inside it, it is a snapshot of q and c: build one
-// per call, not one per process.
+// An Encoder is immutable between NewEncoder or Reset and the next Reset, and
+// safe for concurrent Encode calls in between. Like the Topology inside it, it
+// is a snapshot of q and c: build (or Reset) one per call, not one per process.
 type Encoder struct {
 	topo *queryplan.Topology
 	c    *cluster.Cluster
 	mask Mask
-	// opFeat holds the static operator features, OpFeatDim per position.
-	opFeat []float64
-	// resFeat holds the static machine features, ResFeatDim per cluster node.
-	resFeat []float64
-	// nodeIdx maps a node name to its index in c.Nodes (the first, as
-	// Cluster.Node resolves duplicates); first is the same lookup by index,
-	// for instances placed by position rather than by name.
-	nodeIdx map[string]int
-	first   []int
+	// feats holds the static operator features, OpFeatDim per position,
+	// then the static machine features, ResFeatDim per cluster node.
+	feats []float64
+	// rates is estimateInputRates' scratch.
+	rates []float64
+	// byName lists the indices of c.Nodes sorted by name, ties by index:
+	// EncodeIn resolves a placed node name by binary search over it. first[k]
+	// is the index of the first node named as node k (Cluster.Node resolves
+	// duplicates to it), for instances placed by position rather than by name.
+	byName []int
+	first  []int
 }
 
 // NewEncoder precomputes the plan-independent half of the graphs of the
 // analysed query t (Query.Analyze or PQP.Analyze) on c under mask.
 func NewEncoder(t *queryplan.Topology, c *cluster.Cluster, mask Mask) *Encoder {
-	// One slab for both feature tables: an encoder is built per predict
-	// request, so each make here is one per request.
-	feats := make([]float64, len(t.Ops)*OpFeatDim+len(c.Nodes)*ResFeatDim)
-	e := &Encoder{
-		topo:    t,
-		c:       c,
-		mask:    mask,
-		opFeat:  feats[:len(t.Ops)*OpFeatDim],
-		resFeat: feats[len(t.Ops)*OpFeatDim:],
-		nodeIdx: make(map[string]int, len(c.Nodes)),
-		first:   make([]int, len(c.Nodes)),
-	}
-	inRates := estimateInputRates(t)
+	e := new(Encoder)
+	e.Reset(t, c, mask)
+	return e
+}
+
+// Reset makes e the encoder NewEncoder(t, c, mask) would build, in e's own
+// storage: an encoder kept across requests allocates nothing once its tables
+// have grown to fit. Graphs encoded before the Reset keep their features.
+func (e *Encoder) Reset(t *queryplan.Topology, c *cluster.Cluster, mask Mask) {
+	n, nc := len(t.Ops), len(c.Nodes)
+	e.topo, e.c, e.mask = t, c, mask
+	e.feats = resize(e.feats, n*OpFeatDim+nc*ResFeatDim)
+	clear(e.feats)
+	e.rates = resize(e.rates, 2*n)
+	inRates := estimateInputRates(t, e.rates)
+	opFeat, resFeat := e.feats[:n*OpFeatDim], e.feats[n*OpFeatDim:]
 	for i, op := range t.Ops {
-		f := tensor.Vector(e.opFeat[i*OpFeatDim : (i+1)*OpFeatDim])
+		f := tensor.Vector(opFeat[i*OpFeatDim : (i+1)*OpFeatDim])
 		encodeOperator(f, op, t.Partitioning(i), inRates[i])
 		applyMask(f, mask)
 	}
-	for k := range c.Nodes {
-		n := &c.Nodes[k]
-		first, dup := e.nodeIdx[n.Name]
-		if !dup {
-			first = k
-			e.nodeIdx[n.Name] = k
+	e.byName, e.first = resize(e.byName, nc), resize(e.first, nc)
+	for k := range e.byName {
+		e.byName[k] = k
+	}
+	slices.SortFunc(e.byName, func(a, b int) int {
+		if d := strings.Compare(c.Nodes[a].Name, c.Nodes[b].Name); d != 0 {
+			return d
 		}
-		e.first[k] = first
+		return a - b
+	})
+	for j, k := range e.byName {
+		e.first[k] = k
+		if j > 0 && c.Nodes[e.byName[j-1]].Name == c.Nodes[k].Name {
+			e.first[k] = e.first[e.byName[j-1]]
+		}
 		if mask != MaskOperatorOnly {
-			encodeResource(e.resFeat[k*ResFeatDim:(k+1)*ResFeatDim], n, c.LinkGbps)
+			encodeResource(resFeat[k*ResFeatDim:(k+1)*ResFeatDim], &c.Nodes[k], c.LinkGbps)
 		}
 	}
-	return e
+}
+
+// resize returns s with length n, reusing its array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// nodeIndex is the index of the first cluster node named name.
+func (e *Encoder) nodeIndex(name string) (int, bool) {
+	nodes := e.c.Nodes
+	j, ok := slices.BinarySearchFunc(e.byName, name, func(k int, name string) int {
+		return strings.Compare(nodes[k].Name, name)
+	})
+	if !ok {
+		return 0, false
+	}
+	return e.byName[j], true
 }
 
 // Topology returns the analysis of the encoder's query, for callers that
@@ -278,11 +311,16 @@ func (e *Encoder) Topology() *queryplan.Topology { return e.topo }
 // of the arena's slabs, so a sweep of candidates costs no allocation once the
 // slabs have grown to fit one.
 //
-// The lifetime rule: graphs encoded into an arena die at its Reset. A caller
-// may use an arena only for graphs that never outlive the call that resets
-// it; core.PredictBatch and the model's tuning sweep are the callers, both
-// returning predictions, not graphs. Anything that keeps a graph —
-// a cache key, a batcher queue, a training corpus — encodes with Encode.
+// The lifetime rule: graphs encoded into an arena die at its Reset, so an
+// arena is reset only once nothing can read its graphs any more.
+// core.PredictBatch and the model's tuning sweep reset theirs when the call
+// returns its predictions. The serving layer's per-request arena carries its
+// graph through a batcher queue, and goes back to its pool — to be reset and
+// reused — only once the batcher has let go of the graph: the request
+// received its item's result, or never enqueued it. A request that leaves
+// while its item is still queued (cancelled, or timed out) leaves the arena
+// to the collector. Anything that keeps a graph past that — a training
+// corpus — encodes with Encode.
 //
 // The zero Arena is ready to use. An Arena is not safe for concurrent use.
 type Arena struct {
@@ -356,7 +394,7 @@ func (e *Encoder) EncodeIn(a *Arena, p *queryplan.PQP) (*Graph, error) {
 	nodeOf := s[2*n : 2*n : 2*n+instances]
 	for _, op := range t.Ops {
 		for _, name := range p.Placement[op.ID] {
-			k, ok := e.nodeIdx[name]
+			k, ok := e.nodeIndex(name)
 			if !ok {
 				return nil, fmt.Errorf("features: placement references unknown node %q", name)
 			}
@@ -435,7 +473,7 @@ func (e *Encoder) build(a *Arena, deg, groups, nodeOf, scratch []int) *Graph {
 		SinkIdx:   t.Sink,
 	}
 	feats := carve(&a.opFeats, n*OpFeatDim)
-	copy(feats, e.opFeat)
+	copy(feats, e.feats[:n*OpFeatDim])
 	maxEdges := 0
 	for i, op := range t.Ops {
 		f := tensor.Vector(feats[i*OpFeatDim : (i+1)*OpFeatDim : (i+1)*OpFeatDim])
@@ -486,7 +524,8 @@ func (e *Encoder) build(a *Arena, deg, groups, nodeOf, scratch []int) *Graph {
 		node := &e.c.Nodes[k]
 		f := tensor.Vector(resFeats[ri*ResFeatDim : (ri+1)*ResFeatDim : (ri+1)*ResFeatDim])
 		if e.mask != MaskOperatorOnly {
-			copy(f, e.resFeat[k*ResFeatDim:(k+1)*ResFeatDim])
+			static := e.feats[n*OpFeatDim+k*ResFeatDim:]
+			copy(f, static[:ResFeatDim])
 			encodeSlots(f, node, slots[k])
 		}
 		g.ResNodes[ri] = ResNode{Name: node.Name, Feat: f}
@@ -654,10 +693,10 @@ func encodeSlots(f tensor.Vector, n *cluster.Node, slots int) {
 // the deployment. Join output applies Def. 5's amplification (each tuple
 // matches sel·|W_opposite| buffered tuples) and window aggregates apply their
 // emission frequency — without this, the model cannot see that a join's
-// downstream operators face a much higher rate than the sources emit.
-func estimateInputRates(t *queryplan.Topology) []float64 {
-	rates := make([]float64, 2*len(t.Ops))
-	out, outRate := rates[:len(t.Ops)], rates[len(t.Ops):]
+// downstream operators face a much higher rate than the sources emit. rates
+// (2 per operator) is the scratch the result is returned in.
+func estimateInputRates(t *queryplan.Topology, rates []float64) []float64 {
+	out, outRate := rates[:len(t.Ops)], rates[len(t.Ops):2*len(t.Ops)]
 	for i, op := range t.Ops {
 		ups := t.In[i]
 		in := 0.0

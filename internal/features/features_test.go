@@ -437,3 +437,81 @@ func TestEncodeDegrees(t *testing.T) {
 		}
 	}
 }
+
+// TestEncoderReset: one encoder reset over queries, clusters larger and
+// smaller in turn and masks encodes, by name and from degrees, what a new
+// encoder encodes; where two nodes share a name, both ways resolve it to the
+// first of them, as Cluster.Node does.
+func TestEncoderReset(t *testing.T) {
+	dup, err := cluster.New(5, cluster.SeenTypes(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup.Nodes[4].Name = dup.Nodes[1].Name // an m510 answering to rs620-1's name
+	big, err := cluster.New(9, cluster.Catalog(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := cluster.New(2, cluster.UnseenTypes(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []*queryplan.Query{
+		queryplan.SmartGridGlobal(30_000), queryplan.SpikeDetection(5_000), queryplan.SmartGridLocal(20_000),
+	}
+	var reused Encoder
+	var a Arena
+	round, shared := 0, 0
+	for _, q := range queries {
+		topo, err := q.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*cluster.Cluster{big, dup, small} {
+			for _, mask := range []Mask{MaskAll, MaskOperatorOnly, MaskParallelismResource} {
+				round++
+				deg := make([]int, len(topo.Ops))
+				for i := range deg {
+					deg[i] = 1 + (round+i)%4
+				}
+				p := topo.NewPlan(deg)
+				if err := cluster.PlaceWith(topo, p, c); err != nil {
+					t.Fatal(err)
+				}
+				want, err := NewEncoder(topo, c, mask).Encode(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reused.Reset(topo, c, mask)
+				a.Reset()
+				byName, err := reused.EncodeIn(&a, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				byDegrees, err := reused.EncodeDegrees(&a, deg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(byName, want) || !reflect.DeepEqual(byDegrees, want) {
+					t.Fatalf("%s, %d nodes, mask %v: reset encoder\n got %+v\n and %+v\nwant %+v",
+						q.Name, len(c.Nodes), mask, byName, byDegrees, want)
+				}
+				if c != dup || mask == MaskOperatorOnly {
+					continue
+				}
+				for _, r := range want.ResNodes {
+					if r.Name != dup.Nodes[1].Name {
+						continue
+					}
+					shared++
+					if r.Feat[ResFeatCores] != log2p(float64(dup.Nodes[1].Type.Cores)) {
+						t.Fatalf("%s: the shared name resolved to a node other than the first", q.Name)
+					}
+				}
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no plan ran on the node whose name is shared")
+	}
+}

@@ -132,14 +132,26 @@ func (p *PQP) AvgDegree() float64 {
 // placements against it (Topology.Check) — and returns the query's Topology,
 // so a caller that goes on to place or encode p analyses the query once.
 func (p *PQP) Analyze() (*Topology, error) {
-	t, err := p.Query.Analyze()
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Check(p, t.Degrees(p, make([]int, 0, len(t.Ops)))); err != nil {
+	t := new(Topology)
+	if _, err := p.AnalyzeIn(t, nil); err != nil {
 		return nil, err
 	}
 	return t, nil
+}
+
+// AnalyzeIn is Analyze with the Topology built in t (Topology.Reset, which
+// says what becomes of t's previous contents). It returns the degree vector
+// the check was made on, appended to deg[:0], for a caller that encodes p
+// from its degrees.
+func (p *PQP) AnalyzeIn(t *Topology, deg []int) ([]int, error) {
+	if err := t.Reset(p.Query); err != nil {
+		return nil, err
+	}
+	deg = t.Degrees(p, deg)
+	if err := t.Check(p, deg); err != nil {
+		return nil, err
+	}
+	return deg, nil
 }
 
 // Validate checks the query, and degrees and placements for consistency with

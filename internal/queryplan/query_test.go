@@ -1,6 +1,7 @@
 package queryplan
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -256,4 +257,50 @@ func TestStringers(t *testing.T) {
 	_ = WindowPolicy(42).String()
 	_ = AggFunc(42).String()
 	_ = PartitionStrategy(42).String()
+}
+
+// TestTopologyReset: one Topology reset over queries of every shape, larger
+// and smaller in turn, with invalid ones and plans in between, holds what
+// Analyze returns for each, refuses what Analyze refuses with its error, and
+// hands back the degree vector the plan was checked on.
+func TestTopologyReset(t *testing.T) {
+	cycle := testLinear()
+	cycle.Edges = append(cycle.Edges, Edge{From: 2, To: 1})
+	dup := testLinear()
+	dup.Ops[1].ID = 0
+	stray := testLinear()
+	stray.Edges = append(stray.Edges, Edge{From: 0, To: 42})
+	queries := []*Query{
+		test3Way(), testLinear(), cycle, SmartGridGlobal(1e4), nil, SpikeDetection(2e4),
+		dup, SmartGridLocal(5e3), {Name: "empty"}, stray, test3Way(), testLinear(),
+	}
+	var reused Topology
+	var deg []int
+	for i, q := range queries {
+		want, wantErr := q.Analyze()
+		err := reused.Reset(q)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("query %d: Reset error %v, Analyze error %v", i, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		got := Topology{Query: reused.Query, Ops: reused.Ops, In: reused.In, Edges: reused.Edges, Sink: reused.Sink, Decl: reused.Decl}
+		want = &Topology{Query: want.Query, Ops: want.Ops, In: want.In, Edges: want.Edges, Sink: want.Sink, Decl: want.Decl}
+		if !reflect.DeepEqual(&got, want) {
+			t.Fatalf("query %d: reset analysis\n got %+v\nwant %+v", i, got, *want)
+		}
+		p := NewPQP(q)
+		p.SetDegree(q.Ops[0].ID, 3)
+		if deg, err = p.AnalyzeIn(&reused, deg); err != nil {
+			t.Fatal(err)
+		}
+		if wantDeg := reused.Degrees(p, nil); !reflect.DeepEqual(deg, wantDeg) {
+			t.Fatalf("query %d: AnalyzeIn degrees %v, want %v", i, deg, wantDeg)
+		}
+		p.Parallelism[q.Ops[0].ID] = 0
+		if _, err := p.AnalyzeIn(&reused, deg); err == nil {
+			t.Fatalf("query %d: AnalyzeIn accepted degree 0", i)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package queryplan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -38,30 +39,50 @@ type Topology struct {
 	Sink int
 	// Decl maps declaration order to position: q.Ops[k] sits at Decl[k].
 	Decl []int
+
+	// Storage Reset reuses: the operator-ID index, the analysis's ints (Decl
+	// first) and the input lists' backing array.
+	idx     map[int]int
+	ints    []int
+	inEdges []InEdge
 }
 
 // Analyze validates q (exactly the checks of Validate) and returns its
 // Topology. A nil q — a decoded plan or request that named no query — is
 // invalid like any other, so every consumer that analyses rejects it.
 func (q *Query) Analyze() (*Topology, error) {
+	t := new(Topology)
+	if err := t.Reset(q); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// Reset makes t the Topology Analyze returns for q, or returns Analyze's
+// error, in the storage of the analysis t held before: that analysis is
+// invalid from here on, and so is everything built over it (a
+// features.Encoder, the data edges of a graph encoded from it). A caller that
+// analyses one query after another — a server's pooled request scratch —
+// allocates nothing once t has grown to fit.
+func (t *Topology) Reset(q *Query) error {
 	if q == nil {
-		return nil, fmt.Errorf("queryplan: no query")
+		return fmt.Errorf("queryplan: no query")
 	}
 	if len(q.Ops) == 0 {
-		return nil, fmt.Errorf("queryplan: query %q has no operators", q.Name)
+		return fmt.Errorf("queryplan: query %q has no operators", q.Name)
 	}
-	idx := make(map[int]int, len(q.Ops))
+	idx := t.index(len(q.Ops))
 	sources, sinks := 0, 0
 	for k, o := range q.Ops {
 		if o == nil {
-			return nil, errNilOperator(k)
+			return errNilOperator(k)
 		}
 		if _, dup := idx[o.ID]; dup {
-			return nil, fmt.Errorf("queryplan: duplicate operator ID %d", o.ID)
+			return fmt.Errorf("queryplan: duplicate operator ID %d", o.ID)
 		}
 		idx[o.ID] = k
 		if err := o.Validate(); err != nil {
-			return nil, err
+			return err
 		}
 		switch o.Type {
 		case OpSource:
@@ -71,14 +92,14 @@ func (q *Query) Analyze() (*Topology, error) {
 		}
 	}
 	if sources == 0 {
-		return nil, fmt.Errorf("queryplan: query %q has no source", q.Name)
+		return fmt.Errorf("queryplan: query %q has no source", q.Name)
 	}
 	if sinks != 1 {
-		return nil, fmt.Errorf("queryplan: query %q has %d sinks, want 1", q.Name, sinks)
+		return fmt.Errorf("queryplan: query %q has %d sinks, want 1", q.Name, sinks)
 	}
 	// Arity per operator; edges to or from unknown operators are reported
 	// by the sort below.
-	arity := make([]int, 2*len(q.Ops))
+	arity := t.slab(len(q.Ops))
 	ins, outs := arity[:len(q.Ops)], arity[len(q.Ops):]
 	for _, e := range q.Edges {
 		if k, ok := idx[e.To]; ok {
@@ -92,51 +113,70 @@ func (q *Query) Analyze() (*Topology, error) {
 		switch o.Type {
 		case OpSource:
 			if ins[k] != 0 {
-				return nil, fmt.Errorf("queryplan: source %d has %d inputs", o.ID, ins[k])
+				return fmt.Errorf("queryplan: source %d has %d inputs", o.ID, ins[k])
 			}
 			if outs[k] == 0 {
-				return nil, fmt.Errorf("queryplan: source %d is disconnected", o.ID)
+				return fmt.Errorf("queryplan: source %d is disconnected", o.ID)
 			}
 		case OpSink:
 			if outs[k] != 0 {
-				return nil, fmt.Errorf("queryplan: sink %d has outputs", o.ID)
+				return fmt.Errorf("queryplan: sink %d has outputs", o.ID)
 			}
 			if ins[k] == 0 {
-				return nil, fmt.Errorf("queryplan: sink %d is disconnected", o.ID)
+				return fmt.Errorf("queryplan: sink %d is disconnected", o.ID)
 			}
 		case OpJoin:
 			if ins[k] != 2 {
-				return nil, fmt.Errorf("queryplan: join %d has %d inputs, want 2", o.ID, ins[k])
+				return fmt.Errorf("queryplan: join %d has %d inputs, want 2", o.ID, ins[k])
 			}
 		default:
 			if ins[k] != 1 {
-				return nil, fmt.Errorf("queryplan: operator %d (%s) has %d inputs, want 1", o.ID, o.Type, ins[k])
+				return fmt.Errorf("queryplan: operator %d (%s) has %d inputs, want 1", o.ID, o.Type, ins[k])
 			}
 			if outs[k] == 0 {
-				return nil, fmt.Errorf("queryplan: operator %d (%s) has no output", o.ID, o.Type)
+				return fmt.Errorf("queryplan: operator %d (%s) has no output", o.ID, o.Type)
 			}
 		}
 	}
-	return q.topology(idx)
+	return t.build(q, idx)
 }
 
-// topology sorts q topologically and builds the position-indexed view. idx
-// maps operator ID to declaration index; an operator shadowed by a later one
-// with the same ID never becomes ready and surfaces as an unordered operator.
-// Errors: edges naming unknown operators, and cycles.
-func (q *Query) topology(idx map[int]int) (*Topology, error) {
+// index returns t's operator-ID index, emptied, for a query of n operators.
+func (t *Topology) index(n int) map[int]int {
+	if t.idx == nil {
+		t.idx = make(map[int]int, n)
+	}
+	clear(t.idx)
+	return t.idx
+}
+
+// slab returns 2n zeroed ints of t's storage past the 3n build uses, which
+// are also zeroed.
+func (t *Topology) slab(n int) []int {
+	if cap(t.ints) < 5*n {
+		t.ints = make([]int, 5*n)
+	}
+	t.ints = t.ints[:5*n]
+	clear(t.ints)
+	return t.ints[3*n:]
+}
+
+// build sorts q topologically and fills in the position-indexed view; slab
+// has been called for q. idx maps operator ID to declaration index; an
+// operator shadowed by a later one with the same ID never becomes ready and
+// surfaces as an unordered operator. Errors: edges naming unknown operators,
+// and cycles.
+func (t *Topology) build(q *Query, idx map[int]int) error {
 	n := len(q.Ops)
-	// One slab: in-degree and declaration→position per operator, then the
-	// ready list.
-	slab := make([]int, 3*n)
-	inDeg, decl, ready := slab[:n], slab[n:2*n], slab[2*n:2*n]
+	// Declaration→position and in-degree per operator, then the ready list.
+	decl, inDeg, ready := t.ints[:n:n], t.ints[n:2*n], t.ints[2*n:2*n]
 	for _, e := range q.Edges {
 		if _, ok := idx[e.From]; !ok {
-			return nil, fmt.Errorf("queryplan: edge from unknown operator %d", e.From)
+			return fmt.Errorf("queryplan: edge from unknown operator %d", e.From)
 		}
 		k, ok := idx[e.To]
 		if !ok {
-			return nil, fmt.Errorf("queryplan: edge to unknown operator %d", e.To)
+			return fmt.Errorf("queryplan: edge to unknown operator %d", e.To)
 		}
 		inDeg[k]++
 	}
@@ -154,7 +194,7 @@ func (q *Query) topology(idx map[int]int) (*Topology, error) {
 			push(k)
 		}
 	}
-	t := &Topology{Query: q, Ops: make([]*Operator, 0, n), Decl: decl, Sink: -1}
+	t.Query, t.Ops, t.Decl, t.Sink = q, resize(t.Ops, n)[:0], decl, -1
 	for len(ready) > 0 {
 		k := ready[0]
 		ready = ready[1:]
@@ -175,12 +215,12 @@ func (q *Query) topology(idx map[int]int) (*Topology, error) {
 		}
 	}
 	if len(t.Ops) != n {
-		return nil, fmt.Errorf("queryplan: cycle detected (%d of %d operators ordered)", len(t.Ops), n)
+		return fmt.Errorf("queryplan: cycle detected (%d of %d operators ordered)", len(t.Ops), n)
 	}
 
-	t.Edges = make([][2]int, len(q.Edges))
-	t.In = make([][]InEdge, n)
-	inEdges := make([]InEdge, len(q.Edges))
+	t.Edges = resize(t.Edges, len(q.Edges))
+	t.In = resize(t.In, n)
+	t.inEdges = resize(t.inEdges, len(q.Edges))
 	// Every edge was consumed by the sort, so inDeg is all zero again; it
 	// now counts inputs per position to lay the input lists end to end.
 	for i, e := range q.Edges {
@@ -190,14 +230,22 @@ func (q *Query) topology(idx map[int]int) (*Topology, error) {
 	}
 	start := 0
 	for pos := 0; pos < n; pos++ {
-		t.In[pos] = inEdges[start : start : start+inDeg[pos]]
+		t.In[pos] = t.inEdges[start : start : start+inDeg[pos]]
 		start += inDeg[pos]
 	}
 	for i, e := range q.Edges {
 		to := t.Edges[i][1]
 		t.In[to] = append(t.In[to], InEdge{From: t.Edges[i][0], Partitioning: e.Partitioning})
 	}
-	return t, nil
+	return nil
+}
+
+// resize returns s with length n, reusing its array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Topology returns the position-indexed view of q without validating it: the
@@ -205,14 +253,19 @@ func (q *Query) topology(idx map[int]int) (*Topology, error) {
 // operator, which nothing can be said about.
 func (q *Query) Topology() (*Topology, error) {
 	// Duplicate IDs are not judged here: the last declaration wins.
-	idx := make(map[int]int, len(q.Ops))
+	t := new(Topology)
+	idx := t.index(len(q.Ops))
 	for k, o := range q.Ops {
 		if o == nil {
 			return nil, errNilOperator(k)
 		}
 		idx[o.ID] = k
 	}
-	return q.topology(idx)
+	t.slab(len(q.Ops))
+	if err := t.build(q, idx); err != nil {
+		return nil, err
+	}
+	return t, nil
 }
 
 // errNilOperator reports a null entry in Query.Ops ("ops":[null] on the wire).
@@ -242,7 +295,7 @@ func (t *Topology) Partitioning(pos int) PartitionStrategy {
 // p.Degree for every operator, so operators absent from p.Parallelism read
 // as 1.
 func (t *Topology) Degrees(p *PQP, dst []int) []int {
-	dst = dst[:0]
+	dst = slices.Grow(dst[:0], len(t.Ops))
 	for _, o := range t.Ops {
 		dst = append(dst, p.Degree(o.ID))
 	}

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,6 +21,11 @@ import (
 // rode started and ended and how many graphs rode it, so the request can
 // account for the flush from its own goroutine. The flush stays zero for an
 // item failed before or without a forward pass.
+//
+// An item can carry one prediction after another: the flush loop hands it
+// back with one token on done (finish) and never touches it after that send,
+// so a waiter that received the token may submit it again. The deadline timer
+// is kept across submissions too.
 type batchItem struct {
 	ctx   context.Context
 	g     *features.Graph
@@ -26,8 +33,18 @@ type batchItem struct {
 	pred  gnn.Prediction
 	err   error
 	flush flushStamp
-	done  chan struct{}
+	done  chan struct{} // capacity 1: one token per submission
+	timer *time.Timer
+	// abandoned is set, by the waiter alone, when it stopped waiting before
+	// the token came (cancellation, deadline): the flush loop may still read
+	// the item and its graph, so neither may be reused.
+	abandoned bool
 }
+
+func newBatchItem() *batchItem { return &batchItem{done: make(chan struct{}, 1)} }
+
+// finish hands the item back to its waiter: the flush loop's last touch of it.
+func (it *batchItem) finish() { it.done <- struct{}{} }
 
 // flushStamp is one forward pass as its riders see it.
 type flushStamp struct {
@@ -201,7 +218,9 @@ func (a *Arrival) Withdraw() {
 
 // Predict is Batcher.Predict for an announced request.
 func (a *Arrival) Predict(ctx context.Context, entry *ModelEntry, g *features.Graph) (gnn.Prediction, error) {
-	return a.b.predict(ctx, entry, g, a)
+	it := newBatchItem()
+	it.entry, it.g = entry, g
+	return a.b.predict(ctx, it, a)
 }
 
 // Arriving is the number of announced requests that have neither enqueued nor
@@ -228,16 +247,22 @@ func (b *Batcher) Flushes() FlushCounts {
 // ErrQueueFull rather than blocking the caller. The caller announces nothing,
 // so no batch waits for it and its own batch waits only for others' arrivals.
 func (b *Batcher) Predict(ctx context.Context, entry *ModelEntry, g *features.Graph) (gnn.Prediction, error) {
-	return b.predict(ctx, entry, g, nil)
+	it := newBatchItem()
+	it.entry, it.g = entry, g
+	return b.predict(ctx, it, nil)
 }
 
-func (b *Batcher) predict(ctx context.Context, entry *ModelEntry, g *features.Graph, arrival *Arrival) (gnn.Prediction, error) {
+// predict submits it, whose entry and graph the caller set, and waits for its
+// result. When it returns before the result came — the context ended or the
+// deadline passed while the item was queued or in flight — it marks the item
+// abandoned.
+func (b *Batcher) predict(ctx context.Context, it *batchItem, arrival *Arrival) (gnn.Prediction, error) {
 	ctx, span := obs.StartSpan(ctx, "batcher.enqueue")
 	defer span.End()
 	if err := ctx.Err(); err != nil {
 		return gnn.Prediction{}, err
 	}
-	it := &batchItem{ctx: ctx, g: g, entry: entry, done: make(chan struct{})}
+	it.ctx, it.pred, it.err, it.flush = ctx, gnn.Prediction{}, nil, flushStamp{}
 	b.mu.RLock()
 	if b.closed {
 		b.mu.RUnlock()
@@ -258,12 +283,20 @@ func (b *Batcher) predict(ctx context.Context, entry *ModelEntry, g *features.Gr
 	}
 	var deadline <-chan time.Time
 	if b.deadline > 0 {
-		timer := time.NewTimer(b.deadline)
-		defer timer.Stop()
-		deadline = timer.C
+		if it.timer == nil {
+			it.timer = time.NewTimer(b.deadline)
+		} else {
+			it.timer.Reset(b.deadline)
+		}
+		deadline = it.timer.C
 	}
 	select {
 	case <-it.done:
+		if it.timer != nil && !it.timer.Stop() {
+			// The deadline fired as the result came; its tick may still be
+			// on its way to the channel, so this timer is not used again.
+			it.timer = nil
+		}
 		if it.flush.graphs > 0 {
 			// ctx still carries the batcher.enqueue span, which parents the
 			// inference this request waited on into its own trace.
@@ -276,11 +309,13 @@ func (b *Batcher) predict(ctx context.Context, entry *ModelEntry, g *features.Gr
 	case <-ctx.Done():
 		// The queued item is abandoned; the flush loop sees the cancelled
 		// context and fails it without spending a forward pass on it.
+		it.abandoned = true
 		return gnn.Prediction{}, ctx.Err()
 	case <-deadline:
 		// The item stays queued and will eventually be flushed or failed;
 		// nobody reads its result. Returning now is what keeps a wedged
 		// batch from hanging the HTTP client.
+		it.abandoned = true
 		return gnn.Prediction{}, ErrPredictTimeout
 	}
 }
@@ -375,7 +410,7 @@ func (b *Batcher) run(batch []*batchItem) {
 	for _, it := range batch {
 		if it.ctx != nil && it.ctx.Err() != nil {
 			it.err = it.ctx.Err()
-			close(it.done)
+			it.finish()
 			continue
 		}
 		live = append(live, it)
@@ -383,27 +418,13 @@ func (b *Batcher) run(batch []*batchItem) {
 	if len(live) == 0 {
 		return
 	}
-	// A panic escaping the flush (batcher.flush panic mode, or a bug in the
-	// grouping below) must fail the live items instead of killing the flush
-	// loop and stranding every future request.
-	defer func() {
-		if r := recover(); r != nil {
-			for _, it := range live {
-				if it.err == nil && !closed(it.done) {
-					it.err = fmt.Errorf("serve: batch flush panic: %v", r)
-					close(it.done)
-				}
-			}
-		}
-	}()
-	if err := fault.Inject(fault.BatcherFlush); err != nil {
+	if err := b.startFlush(len(live)); err != nil {
 		for _, it := range live {
 			it.err = err
-			close(it.done)
+			it.finish()
 		}
 		return
 	}
-	b.onBatch(len(live))
 	groups := make(map[*ModelEntry][]*batchItem, 1)
 	for _, it := range live {
 		groups[it.entry] = append(groups[it.entry], it)
@@ -413,16 +434,36 @@ func (b *Batcher) run(batch []*batchItem) {
 	}
 }
 
-func (b *Batcher) runGroup(entry *ModelEntry, items []*batchItem) {
-	// A validated model should never panic, but a forward-pass crash must
-	// fail the batch, not the server.
+// startFlush passes the batcher.flush injection point and counts the batch.
+// A panic there (the point's panic mode) fails the batch instead of killing
+// the flush loop and stranding every future request.
+func (b *Batcher) startFlush(graphs int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			for _, it := range items {
-				if it.err == nil && !closed(it.done) {
-					it.err = fmt.Errorf("serve: inference panic: %v", r)
-					close(it.done)
-				}
+			err = fmt.Errorf("serve: batch flush panic: %v", r)
+		}
+	}()
+	if err := fault.Inject(fault.BatcherFlush); err != nil {
+		return err
+	}
+	b.onBatch(graphs)
+	return nil
+}
+
+// errNonFinite fails a prediction whose estimate is NaN or infinite: JSON has
+// no such number, and an answer the model cannot give is a forward failure.
+var errNonFinite = errors.New("serve: model produced a non-finite estimate")
+
+func (b *Batcher) runGroup(entry *ModelEntry, items []*batchItem) {
+	// items[:handed] have been handed back and are no longer the loop's to
+	// touch. A validated model should never panic, but a forward-pass crash
+	// must fail the rest of the batch, not the server.
+	handed := 0
+	defer func() {
+		if r := recover(); r != nil {
+			for _, it := range items[handed:] {
+				it.err = fmt.Errorf("serve: inference panic: %v", r)
+				it.finish()
 			}
 		}
 	}()
@@ -439,23 +480,22 @@ func (b *Batcher) runGroup(entry *ModelEntry, items []*batchItem) {
 	flush.end = time.Now()
 	for i, it := range items {
 		it.flush = flush
-		if ferr != nil {
+		switch {
+		case ferr != nil:
 			it.err = ferr
-		} else {
+		case !finitePrediction(preds[i]):
+			it.err = errNonFinite
+		default:
 			it.pred = preds[i]
 		}
-		close(it.done)
+		it.finish()
+		handed = i + 1
 	}
 }
 
-// closed reports whether ch has been closed (single-writer channels only).
-func closed(ch chan struct{}) bool {
-	select {
-	case <-ch:
-		return true
-	default:
-		return false
-	}
+func finitePrediction(p gnn.Prediction) bool {
+	return !math.IsNaN(p.LatencyMs) && !math.IsInf(p.LatencyMs, 0) &&
+		!math.IsNaN(p.ThroughputEPS) && !math.IsInf(p.ThroughputEPS, 0)
 }
 
 // failQueued drains anything still in the queue at shutdown.
@@ -464,7 +504,7 @@ func (b *Batcher) failQueued() {
 		select {
 		case it := <-b.in:
 			it.err = ErrBatcherClosed
-			close(it.done)
+			it.finish()
 		default:
 			return
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -28,6 +29,23 @@ type ModelEntry struct {
 	Path     string // source file, empty for in-memory models
 	Gen      uint64 // monotonically increasing swap counter
 	LoadedAt time.Time
+	// predictTail is what follows the cached flag in every answer of this
+	// revision (see appendPredictHead): `,"model_id":<ID as JSON>}` and the
+	// newline, the ID escaped as encoding/json escapes it with HTML escaping
+	// off.
+	predictTail []byte
+}
+
+// newModelEntry is the entry of zt under id, read from path.
+func newModelEntry(zt *core.ZeroTune, id, path string) *ModelEntry {
+	var tail bytes.Buffer
+	tail.WriteString(`,"model_id":`)
+	enc := json.NewEncoder(&tail)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(id) // a string always encodes: invalid UTF-8 becomes U+FFFD
+	tail.Truncate(tail.Len() - 1)
+	tail.WriteString("}\n")
+	return &ModelEntry{ZT: zt, ID: id, Path: path, LoadedAt: time.Now(), predictTail: tail.Bytes()}
 }
 
 // Engine names the numeric representation of the engine that answers
@@ -63,7 +81,8 @@ func (r *Registry) Install(zt *core.ZeroTune, id, path string) *ModelEntry {
 	if id == "" {
 		id = fmt.Sprintf("mem:%d", r.gen.Load()+1)
 	}
-	e := &ModelEntry{ZT: zt, ID: id, Path: path, Gen: r.gen.Add(1), LoadedAt: time.Now()}
+	e := newModelEntry(zt, id, path)
+	e.Gen = r.gen.Add(1)
 	r.cur.Store(e)
 	return e
 }
@@ -128,7 +147,7 @@ func (r *Registry) loadFileOnce(path string) (*ModelEntry, error) {
 		return nil, err
 	}
 	sum := sha256.Sum256(data)
-	return &ModelEntry{ZT: zt, ID: fmt.Sprintf("sha256:%x", sum[:6]), Path: path, LoadedAt: time.Now()}, nil
+	return newModelEntry(zt, fmt.Sprintf("sha256:%x", sum[:6]), path), nil
 }
 
 // Swap validates the file at path and atomically makes it the served

@@ -5,8 +5,11 @@
 // The pipeline per /v1/predict request:
 //
 //  1. Wire: decode the plan + cluster spec (the canonical queryplan JSON).
-//  2. Encode: place the plan and featurize it under the model's mask —
-//     the same graph a direct core.Predict call would evaluate.
+//  2. Encode: featurize the plan under the model's mask — the same graph a
+//     direct core.Predict call would evaluate. An unplaced plan is encoded
+//     from its degree vector as a tune candidate is, into storage the request
+//     borrows from the server and returns once the batcher is done with it;
+//     a placed one is placed where needed and encoded by node name.
 //  3. Fingerprint + cache: a canonical hash over the featurized graph
 //     keys a bounded LRU with single-flight semantics, so repeated and
 //     concurrent-identical plans cost one forward pass.
@@ -36,9 +39,7 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -155,6 +156,7 @@ type Server struct {
 	respHits *obs.Counter
 	stages   [NumStages]*obs.Histogram // StageMetric, by Stage
 	bodyBufs sync.Pool                 // *[]byte request-body read buffers
+	scratch  sync.Pool                 // *predictScratch
 	batcher  *Batcher
 	stats    *Stats
 	breaker  *breaker
@@ -196,6 +198,7 @@ func New(opts Options) *Server {
 		s.stages[st] = reg.Histogram(StageMetric, obs.L("stage", st.String()))
 	}
 	s.bodyBufs.New = func() any { b := make([]byte, 0, 4096); return &b }
+	s.scratch.New = func() any { return &predictScratch{item: batchItem{done: make(chan struct{}, 1)}} }
 	s.cache = NewCacheWithCounters(opts.CacheSize, CacheCounters{
 		Hits:      reg.Counter("zerotune_cache_hits_total"),
 		Coalesced: reg.Counter("zerotune_cache_coalesced_total"),
@@ -427,12 +430,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// Decoding validates nothing. The plan is judged here, ahead of the
 	// breaker, so an invalid one is a 400 whether the learned path or the
 	// fallback would have priced it; this is the request's one analysis of
-	// its query, and placement and encoding below reuse it.
-	topo, err := req.Plan.Analyze()
+	// its query, and encoding below reuses it and the degree vector.
+	sc := s.scratch.Get().(*predictScratch)
+	defer s.putScratch(sc)
+	deg, err := req.Plan.AnalyzeIn(&sc.topo, sc.deg)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: invalid plan: %w", err))
 		return
 	}
+	sc.deg = deg
 	instances := 0
 	for _, d := range req.Plan.Parallelism {
 		if instances += d; d > MaxPlanInstances || instances > MaxPlanInstances {
@@ -441,7 +447,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	c, err := req.Cluster.Build()
+	c, err := req.Cluster.BuildIn(&sc.cluster)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
@@ -466,7 +472,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		defer s.breaker.AbandonProbe()
 	}
 	// Encode once; the graph is both the cache key and the model input.
-	g, err := entry.ZT.EncodePlan(ctx, topo, req.Plan, c)
+	g, err := s.encode(ctx, entry, sc, req.Plan, c)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
@@ -499,7 +505,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 		var pred gnn.Prediction
 		if leader {
-			if pred, err = arrival.Predict(ctx, entry, g); err == nil {
+			sc.item.entry, sc.item.g = entry, g
+			if pred, err = s.batcher.predict(ctx, &sc.item, &arrival); err == nil {
 				clock.markAt(StageQueueWait, arrival.flush.start)
 				clock.markAt(StageForward, arrival.flush.end)
 				clock.mark(StageWake)
@@ -531,47 +538,74 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 				clock.mark(StageCoalesceWait)
 			}
 		}
-		resp := PredictResponse{
-			LatencyMs: pred.LatencyMs, ThroughputEPS: pred.ThroughputEPS,
-			Cached: !leader, ModelID: entry.ID,
-		}
-		s.writePredict(w, bodyKey, body, resp)
+		s.writePredict(w, sc, bodyKey, body, pred, !leader, entry)
 		return
 	}
 }
 
-// writePredict writes a successful prediction and retains its encoding in
-// the body-level response cache under bodyKey, the key its lookup computed,
-// flagged Cached for the repeats it will answer. The response is encoded
-// once, as WriteJSON encodes it; the stored repeat is those bytes with only
-// the cached field set to true.
-func (s *Server) writePredict(w http.ResponseWriter, bodyKey uint64, body []byte, resp PredictResponse) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetEscapeHTML(false)
-	err := enc.Encode(resp) // fails only on a non-finite estimate, writing nothing
-	data := buf.Bytes()
+// predictScratch is the storage a cold predict borrows from the server: the
+// plan's analysis and degree vector, a shorthand cluster's nodes, the
+// encoder's tables, the graph's arena (the graph's data edges are the
+// analysis's), the batch item that carries the graph to the flush loop, and
+// the answer's bytes. It goes back to the pool only once the batcher has let
+// go of the graph — the item's result was received, or the item was never
+// enqueued. A request that leaves on a cancelled context or on
+// ErrPredictTimeout while its item is still queued leaves the scratch to the
+// collector (putScratch).
+type predictScratch struct {
+	topo    queryplan.Topology
+	cluster cluster.Cluster
+	enc     features.Encoder
+	arena   features.Arena
+	deg     []int
+	item    batchItem
+	out     []byte
+}
+
+// putScratch returns sc to the pool unless the batcher may still read it.
+func (s *Server) putScratch(sc *predictScratch) {
+	if sc.item.abandoned {
+		return
+	}
+	sc.arena.Reset()
+	sc.item.ctx, sc.item.g, sc.item.entry = nil, nil, nil
+	s.scratch.Put(sc)
+}
+
+// encode featurizes p, analysed into sc, under the served model. A plan that
+// names no placement and no NoChain entry — every body `zerotune bench`
+// sends — is encoded from its degree vector as a tune candidate is, into sc;
+// a placed or partly placed plan, or one with NoChain entries, keeps
+// EncodePlan, which places what is unplaced. Both give the same graph for a
+// plan either could take (TestPredictFastPathIsEncodePlan).
+func (s *Server) encode(ctx context.Context, entry *ModelEntry, sc *predictScratch,
+	p *queryplan.PQP, c *cluster.Cluster) (*features.Graph, error) {
+	if len(p.Placement) == 0 && len(p.NoChain) == 0 {
+		return entry.ZT.EncodeDegrees(ctx, &sc.enc, &sc.arena, &sc.topo, sc.deg, c)
+	}
+	return entry.ZT.EncodePlan(ctx, &sc.topo, p, c)
+}
+
+// writePredict writes a successful prediction, flagged cached when it came
+// from the plan cache, and retains it in the body-level response cache under
+// bodyKey, the key its lookup computed, flagged cached for the repeats it
+// will answer. Both are one build of the answer, byte for byte what
+// encoding/json writes for the PredictResponse: the head with the numbers,
+// then "true" or "false", then the model's tail (ModelEntry.predictTail).
+func (s *Server) writePredict(w http.ResponseWriter, sc *predictScratch, bodyKey uint64, body []byte,
+	pred gnn.Prediction, cached bool, entry *ModelEntry) {
+	head := appendPredictHead(sc.out[:0], pred.LatencyMs, pred.ThroughputEPS)
+	stored := make([]byte, 0, len(head)+len("true")+len(entry.predictTail))
+	stored = append(append(append(stored, head...), "true"...), entry.predictTail...)
+	sent := stored
+	if !cached {
+		sent = append(append(head, "false"...), entry.predictTail...)
+		sc.out = sent
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
-	if err != nil {
-		return
-	}
-	if !resp.Cached {
-		data = setCached(data)
-	}
-	s.resp.put(bodyKey, body, data)
-}
-
-// setCached returns a copy of data, an encoded PredictResponse with Cached
-// false, with that field set to true. The field precedes the model ID and a
-// number cannot contain it, so its first occurrence is the field.
-func setCached(data []byte) []byte {
-	const from, to = `"cached":false`, `"cached":true`
-	i := bytes.Index(data, []byte(from))
-	out := make([]byte, 0, len(data)-len(from)+len(to))
-	out = append(append(out, data[:i]...), to...)
-	return append(out, data[i+len(from):]...)
+	_, _ = w.Write(sent)
+	s.resp.put(bodyKey, body, stored)
 }
 
 // finishPredict handles a cache leader's forward-path failure: genuine

@@ -1,9 +1,11 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -54,7 +56,12 @@ type ClusterSpec struct {
 }
 
 // Build materializes the spec into a cluster.
-func (s *ClusterSpec) Build() (*cluster.Cluster, error) {
+func (s *ClusterSpec) Build() (*cluster.Cluster, error) { return s.BuildIn(new(cluster.Cluster)) }
+
+// BuildIn is Build reusing c's storage for the shorthand form
+// (cluster.Cluster.Reset), which then returns c; the full form is a new
+// cluster over the spec's own nodes, and leaves c alone.
+func (s *ClusterSpec) BuildIn(c *cluster.Cluster) (*cluster.Cluster, error) {
 	if n := max(s.Workers, len(s.Nodes)); n > MaxClusterNodes {
 		return nil, fmt.Errorf("serve: cluster of %d nodes exceeds the limit of %d", n, MaxClusterNodes)
 	}
@@ -69,9 +76,8 @@ func (s *ClusterSpec) Build() (*cluster.Cluster, error) {
 		if link <= 0 {
 			return nil, fmt.Errorf("serve: link speed must be positive, got %v", link)
 		}
-		c := &cluster.Cluster{Nodes: s.Nodes, LinkGbps: link}
-		seen := make(map[string]bool, len(c.Nodes))
-		for _, n := range c.Nodes {
+		seen := make(map[string]bool, len(s.Nodes))
+		for _, n := range s.Nodes {
 			if n.Name == "" {
 				return nil, fmt.Errorf("serve: cluster node without a name")
 			}
@@ -83,12 +89,15 @@ func (s *ClusterSpec) Build() (*cluster.Cluster, error) {
 				return nil, fmt.Errorf("serve: node %q has %d cores", n.Name, n.Type.Cores)
 			}
 		}
-		return c, nil
+		return &cluster.Cluster{Nodes: s.Nodes, LinkGbps: link}, nil
 	}
 	if s.Workers < 1 {
 		return nil, fmt.Errorf("serve: cluster needs nodes or workers >= 1")
 	}
-	types := cluster.SeenTypes()
+	// The type list lives on the stack unless the request names more than
+	// the catalogue holds; cluster.New copies what it needs out of it.
+	var room [8]cluster.NodeType
+	types := cluster.AppendSeenTypes(room[:0])
 	if len(s.NodeTypes) > 0 {
 		types = types[:0]
 		for _, name := range s.NodeTypes {
@@ -99,7 +108,10 @@ func (s *ClusterSpec) Build() (*cluster.Cluster, error) {
 			types = append(types, t)
 		}
 	}
-	return cluster.New(s.Workers, types, link)
+	if err := c.Reset(s.Workers, types, link); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // PredictRequest asks for the cost of one placed (or degree-annotated,
@@ -240,12 +252,55 @@ func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error
 
 // WriteJSON writes v as JSON with the given status: every answer of both
 // tiers that is not a byte-for-byte pass-through.
+//
+// A value encoding/json cannot encode — a NaN or infinite number — is
+// answered with the 500 envelope instead: the status is written only once
+// the body is known to encode.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		_ = enc.Encode(errorResponse{Error: ErrorBody{
+			Code:    ErrorCode(status, err),
+			Message: fmt.Sprintf("serve: encode response: %v", err),
+		}})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes())
+}
+
+// appendPredictHead appends what encoding/json writes for a PredictResponse
+// (HTML escaping off) up to the value of its cached field:
+// `{"latency_ms":<lat>,"throughput_eps":<tpt>,"cached":`. The estimates are
+// finite: the batcher fails any other (errNonFinite), and the plan cache keeps
+// only what it answered.
+func appendPredictHead(dst []byte, lat, tpt float64) []byte {
+	dst = append(dst, `{"latency_ms":`...)
+	dst = appendJSONFloat(dst, lat)
+	dst = append(dst, `,"throughput_eps":`...)
+	dst = appendJSONFloat(dst, tpt)
+	return append(dst, `,"cached":`...)
+}
+
+// appendJSONFloat appends the finite f as encoding/json writes a float64: the
+// shortest representation that reads back as f, in exponent form below 1e-6
+// and from 1e21 up, with a two-digit negative exponent cut to one digit
+// ("e-09" becomes "e-9").
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
 }
 
 // degreesByOp renders a plan's parallelism per operator with the operator ID
