@@ -41,7 +41,9 @@ type batchItem struct {
 	abandoned bool
 }
 
-func newBatchItem() *batchItem { return &batchItem{done: make(chan struct{}, 1)} }
+func newBatchItem(entry *ModelEntry, g *features.Graph) *batchItem {
+	return &batchItem{entry: entry, g: g, done: make(chan struct{}, 1)}
+}
 
 // finish hands the item back to its waiter: the flush loop's last touch of it.
 func (it *batchItem) finish() { it.done <- struct{}{} }
@@ -218,9 +220,7 @@ func (a *Arrival) Withdraw() {
 
 // Predict is Batcher.Predict for an announced request.
 func (a *Arrival) Predict(ctx context.Context, entry *ModelEntry, g *features.Graph) (gnn.Prediction, error) {
-	it := newBatchItem()
-	it.entry, it.g = entry, g
-	return a.b.predict(ctx, it, a)
+	return a.b.predict(ctx, newBatchItem(entry, g), a)
 }
 
 // Arriving is the number of announced requests that have neither enqueued nor
@@ -247,9 +247,7 @@ func (b *Batcher) Flushes() FlushCounts {
 // ErrQueueFull rather than blocking the caller. The caller announces nothing,
 // so no batch waits for it and its own batch waits only for others' arrivals.
 func (b *Batcher) Predict(ctx context.Context, entry *ModelEntry, g *features.Graph) (gnn.Prediction, error) {
-	it := newBatchItem()
-	it.entry, it.g = entry, g
-	return b.predict(ctx, it, nil)
+	return b.predict(ctx, newBatchItem(entry, g), nil)
 }
 
 // predict submits it, whose entry and graph the caller set, and waits for its

@@ -95,7 +95,7 @@ func (s *ClusterSpec) BuildIn(c *cluster.Cluster) (*cluster.Cluster, error) {
 		return nil, fmt.Errorf("serve: cluster needs nodes or workers >= 1")
 	}
 	// The type list lives on the stack unless the request names more than
-	// the catalogue holds; cluster.New copies what it needs out of it.
+	// the catalogue holds; Cluster.Reset copies what it needs out of it.
 	var room [8]cluster.NodeType
 	types := cluster.AppendSeenTypes(room[:0])
 	if len(s.NodeTypes) > 0 {
