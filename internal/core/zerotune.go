@@ -280,7 +280,7 @@ func (z *ZeroTune) EncodePlan(ctx context.Context, t *queryplan.Topology, p *que
 }
 
 // EncodeDegrees is EncodePlan for a plan over t that names no placement and
-// no NoChain entry, given by its degree vector deg (PQP.AnalyzeDegrees): the
+// no NoChain entry, given by its degree vector deg (PQP.AnalyzeIn): the
 // same graph, encoded as the tuning sweep encodes a candidate
 // (features.Encoder.EncodeDegrees), without placing the plan. enc is reset to
 // t, c and the model's mask, and the graph is carved out of a; see
