@@ -293,11 +293,11 @@ func TestPredictFastPathIsEncodePlan(t *testing.T) {
 			if sc.deg, err = served.AnalyzeIn(&sc.topo, nil); err != nil {
 				t.Fatal(err)
 			}
-			sc2, err := spec.BuildIn(&sc.cluster)
+			built, err := spec.BuildIn(&sc.cluster)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.encode(ctx, entry, sc, served, sc2)
+			got, err := s.encode(ctx, entry, sc, served, built)
 			if err != nil {
 				t.Fatal(err)
 			}
