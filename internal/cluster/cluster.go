@@ -187,31 +187,6 @@ func (c *Cluster) TotalCores() int {
 	return n
 }
 
-// MaxNodeCores returns the largest core count of any single worker.
-func (c *Cluster) MaxNodeCores() int {
-	m := 0
-	for _, nd := range c.Nodes {
-		if nd.Type.Cores > m {
-			m = nd.Type.Cores
-		}
-	}
-	return m
-}
-
-// IsHeterogeneous reports whether the cluster mixes node types.
-func (c *Cluster) IsHeterogeneous() bool {
-	if len(c.Nodes) == 0 {
-		return false
-	}
-	first := c.Nodes[0].Type.Name
-	for _, nd := range c.Nodes[1:] {
-		if nd.Type.Name != first {
-			return true
-		}
-	}
-	return false
-}
-
 // Place assigns every operator instance of p to a cluster node, writing
 // p.Placement. The strategy mirrors Flink's default scheduling:
 //

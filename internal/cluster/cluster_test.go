@@ -111,11 +111,11 @@ func TestNewHomogeneous(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Nodes) != 4 || c.IsHeterogeneous() {
+	if len(c.Nodes) != 4 {
 		t.Fatalf("bad cluster: %+v", c)
 	}
-	if c.TotalCores() != 32 || c.MaxNodeCores() != 8 {
-		t.Fatalf("core counts: total=%d max=%d", c.TotalCores(), c.MaxNodeCores())
+	if c.TotalCores() != 32 {
+		t.Fatalf("TotalCores %d", c.TotalCores())
 	}
 }
 
@@ -124,9 +124,6 @@ func TestNewHeterogeneousRoundRobin(t *testing.T) {
 	c, err := New(5, types, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !c.IsHeterogeneous() {
-		t.Fatal("expected heterogeneous")
 	}
 	// a,b,a,b,a → 3×4 + 2×8 = 28
 	if c.TotalCores() != 28 {

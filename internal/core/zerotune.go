@@ -162,7 +162,8 @@ func (z *ZeroTune) FineTune(ctx context.Context, items []*workload.Item, opts *T
 	return stats, z.Compile(gnn.CompileOptions{})
 }
 
-// Predict estimates the cost of executing the placed plan p on cluster c.
+// Predict estimates the cost of executing plan p on cluster c, placed as
+// EncodePlan places it. p is left as it was.
 func (z *ZeroTune) Predict(ctx context.Context, p *queryplan.PQP, c *cluster.Cluster) (gnn.Prediction, error) {
 	if err := ctx.Err(); err != nil {
 		return gnn.Prediction{}, err
@@ -171,7 +172,7 @@ func (z *ZeroTune) Predict(ctx context.Context, p *queryplan.PQP, c *cluster.Clu
 	if err != nil {
 		return gnn.Prediction{}, err
 	}
-	g, err := z.EncodePlan(ctx, t, p, c)
+	g, err := z.EncodePlan(ctx, new(features.Encoder), new(features.Arena), t, p, nil, c)
 	if err != nil {
 		return gnn.Prediction{}, err
 	}
@@ -197,23 +198,22 @@ const maxPooledSweep = 256
 // analysed once: one features.Encoder serves each run of consecutive plans
 // over the same query, so a plan costs only what its degree vector changes.
 // The graphs are encoded into one recycled features.Arena and die with the
-// call: nothing below keeps a graph once it has returned predictions. Results
-// match per-plan Predict calls in order and value for any worker count.
+// call: nothing below keeps a graph once it has returned predictions. The
+// plans are left as they were. Results match per-plan Predict calls in order
+// and value for any worker count.
 func (z *ZeroTune) PredictBatch(ctx context.Context, ps []*queryplan.PQP, c *cluster.Cluster) ([]gnn.Prediction, error) {
 	var enc *features.Encoder
+	var q *queryplan.Query
 	return z.predictSweep(ctx, len(ps), func(a *features.Arena, i int) (*features.Graph, error) {
 		p := ps[i]
-		if enc == nil || enc.Topology().Query != p.Query {
+		if enc == nil || q != p.Query {
 			t, err := p.Query.Analyze()
 			if err != nil {
 				return nil, err
 			}
-			enc = features.NewEncoder(t, c, z.Mask)
+			enc, q = features.NewEncoder(t, c, z.Mask), p.Query
 		}
-		if err := placeWith(enc, p, c); err != nil {
-			return nil, err
-		}
-		return enc.EncodeIn(a, p)
+		return enc.EncodeIn(a, p, nil)
 	})
 }
 
@@ -252,45 +252,23 @@ func (z *ZeroTune) predictSweep(ctx context.Context, n int, encode func(a *featu
 	return z.Compiled().PredictBatch(graphs), nil
 }
 
-// placeWith places p on c when it has no complete placement yet; enc must be
-// an encoder over p.Query and c.
-func placeWith(enc *features.Encoder, p *queryplan.PQP, c *cluster.Cluster) error {
-	if len(p.Placement) != len(p.Query.Ops) {
-		return cluster.PlaceWith(enc.Topology(), p, c)
-	}
-	return nil
-}
-
-// EncodePlan places p on c (when not already placed) and featurizes it
-// under the model's mask — the exact graph Predict would run the forward
-// pass on. t is the caller's analysis of p.Query — Query.Analyze, or
-// PQP.Analyze where a plan from outside must be judged before it is encoded
-// (the serving layer) — so one analysis serves validation, placement and
-// encoding. Callers that need to fingerprint or batch requests encode once,
+// EncodePlan featurizes p on c under the model's mask — the exact graph
+// Predict would run the forward pass on — with enc reset to t, c and the
+// mask, and the graph carved out of a (see features.Arena for how long it
+// lives). A plan without a complete placement is placed as cluster.PlaceWith
+// would place it, in the graph only: p is left as it was. t is the caller's
+// analysis of p.Query — Query.Analyze, or PQP.AnalyzeIn where a plan from
+// outside must be judged before it is encoded (the serving layer), which
+// also returns the checked degree vector deg; nil has the encoder derive and
+// check it. Callers that need to fingerprint or batch requests encode once,
 // key off the graph, and feed the same graph to PredictEncoded, so cache key
 // and model input can never disagree.
-func (z *ZeroTune) EncodePlan(ctx context.Context, t *queryplan.Topology, p *queryplan.PQP, c *cluster.Cluster) (*features.Graph, error) {
-	_, span := obs.StartSpan(ctx, "encode.plan")
-	defer span.End()
-	enc := features.NewEncoder(t, c, z.Mask)
-	if err := placeWith(enc, p, c); err != nil {
-		return nil, err
-	}
-	return enc.Encode(p)
-}
-
-// EncodeDegrees is EncodePlan for a plan over t that names no placement and
-// no NoChain entry, given by its degree vector deg (PQP.AnalyzeIn): the
-// same graph, encoded as the tuning sweep encodes a candidate
-// (features.Encoder.EncodeDegrees), without placing the plan. enc is reset to
-// t, c and the model's mask, and the graph is carved out of a; see
-// features.Arena for how long it lives.
-func (z *ZeroTune) EncodeDegrees(ctx context.Context, enc *features.Encoder, a *features.Arena,
-	t *queryplan.Topology, deg []int, c *cluster.Cluster) (*features.Graph, error) {
+func (z *ZeroTune) EncodePlan(ctx context.Context, enc *features.Encoder, a *features.Arena,
+	t *queryplan.Topology, p *queryplan.PQP, deg []int, c *cluster.Cluster) (*features.Graph, error) {
 	_, span := obs.StartSpan(ctx, "encode.plan")
 	defer span.End()
 	enc.Reset(t, c, z.Mask)
-	return enc.EncodeDegrees(a, deg)
+	return enc.EncodeIn(a, p, deg)
 }
 
 // PredictEncoded runs the batched forward pass over pre-encoded graphs (see
@@ -511,13 +489,14 @@ func (z *ZeroTune) FineTuneMetric(ctx context.Context, name string, items []*wor
 	return &MetricModel{zt: z, head: head}, nil
 }
 
-// Predict estimates the metric for the placed plan p on cluster c.
+// Predict estimates the metric for plan p on cluster c, placed as
+// ZeroTune.Predict places it.
 func (m *MetricModel) Predict(ctx context.Context, p *queryplan.PQP, c *cluster.Cluster) (float64, error) {
 	t, err := p.Query.Analyze()
 	if err != nil {
 		return 0, err
 	}
-	g, err := m.zt.EncodePlan(ctx, t, p, c)
+	g, err := m.zt.EncodePlan(ctx, new(features.Encoder), new(features.Arena), t, p, nil, c)
 	if err != nil {
 		return 0, err
 	}

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -81,6 +82,65 @@ func TestPredictAutoPlaces(t *testing.T) {
 	}
 	if pred.LatencyMs <= 0 || pred.ThroughputEPS <= 0 {
 		t.Fatalf("bad prediction %+v", pred)
+	}
+}
+
+// TestPredictLeavesThePlanAlone: Predict and PredictBatch price a plan
+// without a complete placement as cluster.Place would place it, and leave
+// the plan as it was: no placement, a nil one, or a partial one stays so.
+func TestPredictLeavesThePlanAlone(t *testing.T) {
+	zt := &ZeroTune{Model: gnn.New(tensor.NewRNG(37), gnn.DefaultConfig()), Mask: features.MaskAll}
+	if err := zt.Compile(gnn.CompileOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	q := queryplan.SmartGridGlobal(30_000)
+	c, err := cluster.New(3, cluster.SeenTypes(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unplaced := queryplan.NewPQP(q)
+	for _, op := range q.Ops {
+		unplaced.SetDegree(op.ID, 2+op.ID%3)
+	}
+	decoded := unplaced.Clone()
+	decoded.Placement = nil
+	partly := unplaced.Clone()
+	if err := cluster.Place(partly, c); err != nil {
+		t.Fatal(err)
+	}
+	partly.Placement = map[int][]string{q.Ops[0].ID: partly.Placement[q.Ops[0].ID]}
+	plans := []*queryplan.PQP{unplaced, decoded, partly}
+	before := make([]*queryplan.PQP, len(plans))
+	placed := make([]*queryplan.PQP, len(plans))
+	for i, p := range plans {
+		before[i], placed[i] = p.Clone(), p.Clone()
+		if p.Placement == nil {
+			before[i].Placement = nil
+		}
+		if err := cluster.Place(placed[i], c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := zt.PredictBatch(ctx, placed, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := zt.PredictBatch(ctx, plans, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range plans {
+		one, err := zt.Predict(ctx, p, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[i] != want[i] || one != want[i] {
+			t.Errorf("plan %d: PredictBatch %+v, Predict %+v; placed by cluster.Place %+v", i, got[i], one, want[i])
+		}
+		if !reflect.DeepEqual(p, before[i]) {
+			t.Errorf("plan %d: predicting wrote the plan: placement %v, was %v", i, p.Placement, before[i].Placement)
+		}
 	}
 }
 
@@ -423,11 +483,12 @@ func TestEncodePlanPredictEncodedMatchesPredict(t *testing.T) {
 	var want []float64
 	for _, rate := range []float64{5_000, 20_000, 80_000} {
 		p := queryplan.NewPQP(queryplan.SpikeDetection(rate))
-		topo, err := p.Analyze()
+		var topo queryplan.Topology
+		deg, err := p.AnalyzeIn(&topo, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := zt.EncodePlan(context.Background(), topo, p, c)
+		g, err := zt.EncodePlan(context.Background(), new(features.Encoder), new(features.Arena), &topo, p, deg, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -545,7 +606,7 @@ func TestHandBuiltValueRunsReferenceEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := zt.EncodePlan(ctx, topo, p, c)
+	g, err := zt.EncodePlan(ctx, new(features.Encoder), new(features.Arena), topo, p, nil, c)
 	if err != nil {
 		t.Fatal(err)
 	}

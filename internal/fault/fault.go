@@ -402,12 +402,6 @@ func Activate(r *Registry) { active.Store(r) }
 // Deactivate removes the process-wide registry; all points become no-ops.
 func Deactivate() { active.Store(nil) }
 
-// Active returns the process-wide registry, or nil when injection is off.
-func Active() *Registry { return active.Load() }
-
-// Enabled reports whether a registry is currently activated.
-func Enabled() bool { return active.Load() != nil }
-
 // Inject is the call production code compiles into injection points. With no
 // active registry it is a single atomic load and returns nil.
 func Inject(name string) error {

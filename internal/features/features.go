@@ -198,10 +198,11 @@ type Graph struct {
 	AvgDegree float64
 }
 
-// Encode builds the graph representation of plan p placed on cluster c.
-// The plan must already have a placement (Encode never mutates p). It
-// analyses p.Query for this one plan; callers encoding many plans of one
-// query build an Encoder once and reuse it.
+// Encode builds the graph representation of plan p placed on cluster c. A
+// plan without a complete placement is encoded as cluster.PlaceWith would
+// place it; Encode never writes p. It analyses p.Query for this one plan;
+// callers encoding many plans of one query build an Encoder once and reuse
+// it.
 func Encode(p *queryplan.PQP, c *cluster.Cluster, mask Mask) (*Graph, error) {
 	t, err := p.Query.Analyze()
 	if err != nil {
@@ -302,10 +303,6 @@ func (e *Encoder) nodeIndex(name string) (int, bool) {
 	return e.byName[j], true
 }
 
-// Topology returns the analysis of the encoder's query, for callers that
-// also place the plans they encode (cluster.PlaceWith).
-func (e *Encoder) Topology() *queryplan.Topology { return e.topo }
-
 // Arena is recycled storage for the graphs of one batch: EncodeIn carves each
 // graph — the Graph itself, its nodes, feature vectors and mapping edges — out
 // of the arena's slabs, so a sweep of candidates costs no allocation once the
@@ -366,56 +363,44 @@ func carve[T any](slab *[]T, n int) []T {
 	return s[len(s) : len(s)+n : len(s)+n]
 }
 
-// Encode builds the graph of p, a placed plan over the encoder's query, in
-// heap allocations of its own: a fresh arena sizes each exactly, which is what
-// a graph that is kept (cached, queued, trained on) should cost.
-func (e *Encoder) Encode(p *queryplan.PQP) (*Graph, error) { return e.EncodeIn(&Arena{}, p) }
+// Encode builds the graph of p, a plan over the encoder's query, in heap
+// allocations of its own: a fresh arena sizes each exactly, which is what a
+// graph that is kept (cached, queued, trained on) should cost.
+func (e *Encoder) Encode(p *queryplan.PQP) (*Graph, error) { return e.EncodeIn(&Arena{}, p, nil) }
 
 // EncodeIn is Encode with the graph's storage carved out of a; see Arena for
-// how long such a graph lives.
-func (e *Encoder) EncodeIn(a *Arena, p *queryplan.PQP) (*Graph, error) {
+// how long such a graph lives. A complete placement is read by node name. A
+// plan with anything less — a partial placement is ignored — is placed as
+// cluster.PlaceWith would place it, into the graph and never into p. deg is
+// p's degree vector as PQP.AnalyzeIn returns it, already checked against p;
+// given a nil deg, EncodeIn derives and checks it itself.
+func (e *Encoder) EncodeIn(a *Arena, p *queryplan.PQP, deg []int) (*Graph, error) {
 	t, n := e.topo, len(e.topo.Ops)
 	instances := 0
-	for _, op := range t.Ops {
-		instances += len(p.Placement[op.ID])
-	}
-	s, rest := e.scratch(a, 2*n+instances)
-	deg := t.Degrees(p, s[:0:n])
-	if err := t.Check(p, deg); err != nil {
-		return nil, fmt.Errorf("features: %w", err)
-	}
-	if len(p.Placement) != n {
-		return nil, fmt.Errorf("features: plan has no complete placement (%d of %d operators)",
-			len(p.Placement), n)
-	}
-	// Check held every placed operator to one name per instance, so the
-	// names fill nodeOf exactly.
-	groups := t.ChainGroups(p, deg, s[n:n:2*n])
-	nodeOf := s[2*n : 2*n : 2*n+instances]
-	for _, op := range t.Ops {
-		for _, name := range p.Placement[op.ID] {
-			k, ok := e.nodeIndex(name)
-			if !ok {
-				return nil, fmt.Errorf("features: placement references unknown node %q", name)
-			}
-			nodeOf = append(nodeOf, k)
+	for i, op := range t.Ops {
+		if deg != nil {
+			instances += deg[i]
+		} else {
+			instances += max(p.Degree(op.ID), 0) // Check refuses a degree below 1
 		}
 	}
-	return e.build(a, deg, groups, nodeOf, rest), nil
+	s, rest := e.scratch(a, 2*n+instances)
+	if deg == nil {
+		deg = t.Degrees(p, s[:0:n])
+		if err := t.Check(p, deg); err != nil {
+			return nil, fmt.Errorf("features: %w", err)
+		}
+	}
+	return e.encode(a, p, deg, s[n:], rest)
 }
 
-// EncodeDegrees is EncodeIn for the plan with degrees deg (one per
-// topological position) and no NoChain entries, placed as cluster.PlaceWith
-// would place it — without building that plan: each instance's node comes
-// from cluster.RoundRobin, a duplicated node name standing for its first
-// node as in EncodeIn. The graph equals EncodeIn's of PlaceWith(NewPlan(deg)).
+// EncodeDegrees is EncodeIn for the plan NewPlan(deg) — degrees deg, one per
+// topological position, no placement and no NoChain entries — without
+// building that plan.
 func (e *Encoder) EncodeDegrees(a *Arena, deg []int) (*Graph, error) {
-	t, n, nc := e.topo, len(e.topo.Ops), len(e.c.Nodes)
+	t, n := e.topo, len(e.topo.Ops)
 	if len(deg) != n {
 		return nil, fmt.Errorf("features: %d degrees for %d operators", len(deg), n)
-	}
-	if nc == 0 {
-		return nil, fmt.Errorf("features: cannot place on empty cluster")
 	}
 	instances := 0
 	for pos, d := range deg {
@@ -425,14 +410,7 @@ func (e *Encoder) EncodeDegrees(a *Arena, deg []int) (*Graph, error) {
 		instances += d
 	}
 	s, rest := e.scratch(a, n+instances)
-	groups := t.ChainGroups(nil, deg, s[:0:n])
-	nodeOf := s[n : n : n+instances]
-	for pos, d := range deg {
-		for i := 0; i < d; i++ {
-			nodeOf = append(nodeOf, e.first[cluster.RoundRobin(groups[pos], i, nc)])
-		}
-	}
-	return e.build(a, deg, groups, nodeOf, rest), nil
+	return e.encode(a, nil, deg, s, rest)
 }
 
 // scratch empties a's scratch slab and carves one graph's worth in one piece:
@@ -441,7 +419,42 @@ func (e *Encoder) scratch(a *Arena, head int) (s, rest []int) {
 	n, nc := len(e.topo.Ops), len(e.c.Nodes)
 	recycle(&a.scratch)
 	s = carve(&a.scratch, head+2*n+4*nc)
-	return s[:head], s[head:]
+	return s[:head:head], s[head:]
+}
+
+// encode places p — a checked plan with degrees deg, or nil for a bare degree
+// vector — and builds its graph out of a. s holds the chain groups (one int
+// per position) and then every instance's node; rest is build's scratch.
+func (e *Encoder) encode(a *Arena, p *queryplan.PQP, deg, s, rest []int) (*Graph, error) {
+	t, n, nc := e.topo, len(e.topo.Ops), len(e.c.Nodes)
+	groups := t.ChainGroups(p, deg, s[:0:n])
+	nodeOf := s[n:n]
+	if p != nil && len(p.Placement) == n {
+		// Check held every operator to one name per instance, so the names
+		// fill nodeOf exactly.
+		for _, op := range t.Ops {
+			for _, name := range p.Placement[op.ID] {
+				k, ok := e.nodeIndex(name)
+				if !ok {
+					return nil, fmt.Errorf("features: placement references unknown node %q", name)
+				}
+				nodeOf = append(nodeOf, k)
+			}
+		}
+	} else {
+		// Placed as cluster.PlaceWith places it: instance i of chain group g on
+		// node cluster.RoundRobin(g, i), whose name resolves to the first node
+		// of that name, as a placed name does.
+		if nc == 0 {
+			return nil, fmt.Errorf("features: cannot place on empty cluster")
+		}
+		for pos, d := range deg {
+			for i := 0; i < d; i++ {
+				nodeOf = append(nodeOf, e.first[cluster.RoundRobin(groups[pos], i, nc)])
+			}
+		}
+	}
+	return e.build(a, deg, groups, nodeOf, rest), nil
 }
 
 // build carves the graph of a plan with degrees deg and chain groups groups

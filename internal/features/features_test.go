@@ -144,12 +144,59 @@ func TestEncodeInputRateEstimation(t *testing.T) {
 	}
 }
 
-func TestEncodeRequiresPlacement(t *testing.T) {
-	q := queryplan.SpikeDetection(1000)
-	p := queryplan.NewPQP(q)
-	c, _ := cluster.New(2, cluster.SeenTypes(), 10)
-	if _, err := Encode(p, c, MaskAll); err == nil {
-		t.Fatal("encoded plan without placement")
+// TestEncodePlacesAsPlaceWith: a plan without a complete placement — none,
+// none and a nil map as a decoded plan has, a partial one naming a node the
+// cluster lacks, NoChain entries — encodes to the graph of the plan
+// cluster.Place places, and is left as it was. On an empty cluster it is
+// refused.
+func TestEncodePlacesAsPlaceWith(t *testing.T) {
+	q := queryplan.SmartGridLocal(20_000)
+	c, err := cluster.New(3, cluster.SeenTypes(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unplaced := queryplan.NewPQP(q)
+	for _, op := range q.Ops {
+		unplaced.SetDegree(op.ID, 3)
+	}
+	decoded := unplaced.Clone()
+	decoded.Placement = nil
+	partly := unplaced.Clone()
+	partly.Placement[q.Ops[0].ID] = []string{"no-such-node", "no-such-node", "no-such-node"}
+	noChain := unplaced.Clone()
+	noChain.SetNoChain(q.Sink().ID, true)
+	plans := map[string]*queryplan.PQP{"unplaced": unplaced, "decoded": decoded, "partly placed": partly, "no_chain": noChain}
+	graphs := map[string]*Graph{}
+	for name, p := range plans {
+		before := p.Clone()
+		if p.Placement == nil {
+			before.Placement = nil
+		}
+		placed := p.Clone()
+		if err := cluster.Place(placed, c); err != nil {
+			t.Fatal(err)
+		}
+		want, err := Encode(placed, c, MaskAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Encode(p, c, MaskAll)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: encoded\n %+v\nwant the placed plan's\n %+v", name, got, want)
+		}
+		if !reflect.DeepEqual(p, before) {
+			t.Fatalf("%s: Encode wrote the plan: placement %v, was %v", name, p.Placement, before.Placement)
+		}
+		graphs[name] = got
+	}
+	if reflect.DeepEqual(graphs["no_chain"], graphs["unplaced"]) {
+		t.Fatal("the NoChain entry changed nothing: the check above proves nothing for it")
+	}
+	if _, err := Encode(unplaced, &cluster.Cluster{LinkGbps: 10}, MaskAll); err == nil {
+		t.Fatal("placed a plan on an empty cluster")
 	}
 }
 
@@ -288,7 +335,13 @@ func TestEncoderReuse(t *testing.T) {
 	scattered.Placement[first] = []string{c.Nodes[4].Name, c.Nodes[1].Name, c.Nodes[4].Name, c.Nodes[4].Name}
 	plans = append(plans, scattered)
 
-	unplaced := queryplan.NewPQP(q)
+	// Placed as cluster.Place would place them: none of it, or the first
+	// operator alone.
+	plans = append(plans, queryplan.NewPQP(q))
+	partly := plan(5)
+	partly.Placement = map[int][]string{first: partly.Placement[first]}
+	plans = append(plans, partly)
+
 	badDegree := plan(1)
 	badDegree.Parallelism[first] = 0
 	strayNode := plan(2)
@@ -298,7 +351,7 @@ func TestEncoderReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := map[string]*queryplan.PQP{
-		"unplaced": unplaced, "degree 0": badDegree, "unknown node": strayNode, "another query": other,
+		"degree 0": badDegree, "unknown node": strayNode, "another query": other,
 	}
 
 	for _, mask := range []Mask{MaskAll, MaskOperatorOnly, MaskParallelismResource} {
@@ -320,7 +373,7 @@ func TestEncoderReuse(t *testing.T) {
 				if a == nil {
 					return enc.Encode(p)
 				}
-				return enc.EncodeIn(a, p)
+				return enc.EncodeIn(a, p, nil)
 			}
 			got := make([]*Graph, len(plans))
 			for i, p := range plans {
@@ -405,7 +458,7 @@ func TestEncodeDegrees(t *testing.T) {
 			if err := cluster.PlaceWith(topo, p, c); err != nil {
 				t.Fatal(err)
 			}
-			want, err := enc.EncodeIn(&a, p)
+			want, err := enc.EncodeIn(&a, p, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -413,8 +466,13 @@ func TestEncodeDegrees(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("mask %v, degrees %v:\n got %+v\nwant %+v", mask, deg, got, want)
+			// The unplaced plan itself, its degree vector already checked.
+			unplaced, err := enc.EncodeIn(&a, topo.NewPlan(deg), deg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(unplaced, want) {
+				t.Fatalf("mask %v, degrees %v:\n got %+v\n and %+v\nwant %+v", mask, deg, got, unplaced, want)
 			}
 		}
 	}
@@ -484,7 +542,7 @@ func TestEncoderReset(t *testing.T) {
 				}
 				reused.Reset(topo, c, mask)
 				a.Reset()
-				byName, err := reused.EncodeIn(&a, p)
+				byName, err := reused.EncodeIn(&a, p, nil)
 				if err != nil {
 					t.Fatal(err)
 				}

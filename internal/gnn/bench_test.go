@@ -65,9 +65,6 @@ func sweepGraphs(tb testing.TB, n int) []*features.Graph {
 		for _, op := range q.Ops {
 			p.SetDegree(op.ID, 1+(i*(op.ID+1)+op.ID)%(1+i%11))
 		}
-		if err := cluster.PlaceWith(enc.Topology(), p, c); err != nil {
-			tb.Fatal(err)
-		}
 		if graphs[i], err = enc.Encode(p); err != nil {
 			tb.Fatal(err)
 		}

@@ -382,9 +382,6 @@ func gateGraphs(mask features.Mask) ([]*features.Graph, error) {
 		for _, op := range q.Ops {
 			p.SetDegree(op.ID, 1+(i+op.ID)%8)
 		}
-		if err := cluster.Place(p, c); err != nil {
-			return nil, err
-		}
 		g, err := features.Encode(p, c, mask)
 		if err != nil {
 			return nil, err

@@ -1,10 +1,5 @@
 package queryplan
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Edge is a directed data-flow edge between two operators, annotated with
 // the partitioning strategy used to distribute tuples among the downstream
 // operator's parallel instances.
@@ -61,18 +56,4 @@ func (q *Query) Sink() *Operator {
 func (q *Query) Validate() error {
 	_, err := q.Analyze()
 	return err
-}
-
-// DOT renders the logical plan in Graphviz format for debugging.
-func (q *Query) DOT() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=LR;\n", q.Name)
-	for _, o := range q.Ops {
-		fmt.Fprintf(&b, "  op%d [label=\"%s(%d)\"];\n", o.ID, o.Type, o.ID)
-	}
-	for _, e := range q.Edges {
-		fmt.Fprintf(&b, "  op%d -> op%d [label=\"%s\"];\n", e.From, e.To, e.Partitioning)
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

@@ -11,82 +11,68 @@ func allow(b *breaker) bool {
 	return ok
 }
 
-// TestBreakerTripAndProbeEvery walks the state machine on an injected clock:
-// threshold failures trip it, the first request once every cooldown has
-// passed is admitted as the probe, a failed probe re-opens and restarts the
-// cooldown, a successful probe closes.
+// TestBreakerTripAndProbeEvery walks the state machine on an injected clock,
+// at a threshold of one failure and of three: threshold failures trip it, the
+// first request once every cooldown has passed is admitted as the probe, a
+// failed probe re-opens and restarts the cooldown, a successful probe closes.
 func TestBreakerTripAndProbeEvery(t *testing.T) {
-	opens := 0
-	now := time.Unix(0, 0)
-	b := newBreaker(breakerConfig{Threshold: 3, Cooldown: 2 * time.Second,
-		Now: func() time.Time { return now }, OnOpen: func() { opens++ }})
-	for i := 0; i < 3; i++ {
-		if !allow(b) {
-			t.Fatalf("closed breaker rejected request %d", i)
+	for _, threshold := range []int{1, 3} {
+		opens := 0
+		now := time.Unix(0, 0)
+		b := newBreaker(breakerConfig{Threshold: threshold, Cooldown: 2 * time.Second,
+			Now: func() time.Time { return now }, OnOpen: func() { opens++ }})
+		for i := 0; i < threshold; i++ {
+			if st := b.State(); st != CircuitClosed {
+				t.Fatalf("threshold %d: after %d failures state = %v, want closed", threshold, i, st)
+			}
+			if !allow(b) {
+				t.Fatalf("threshold %d: closed breaker rejected request %d", threshold, i)
+			}
+			b.RecordFailure()
 		}
-		b.RecordFailure()
-	}
-	if st := b.State(); st != CircuitOpen {
-		t.Fatalf("after %d failures state = %v, want open", 3, st)
-	}
-	if opens != 1 {
-		t.Fatalf("onOpen fired %d times, want 1", opens)
-	}
-	// Cooldown 2s: a request 1s in stays on the fallback, one at 2s probes.
-	now = now.Add(time.Second)
-	if allow(b) {
-		t.Fatal("request inside the cooldown became a probe")
-	}
-	now = now.Add(time.Second)
-	if !allow(b) {
-		t.Fatal("first request after the cooldown should be admitted as probe")
-	}
-	if st := b.State(); st != CircuitHalfOpen {
-		t.Fatalf("state during probe = %v, want half-open", st)
-	}
-	// While the probe is in flight, everyone else stays degraded.
-	if allow(b) {
-		t.Fatal("request admitted while a probe was in flight")
-	}
-	b.RecordFailure() // probe fails → re-open, cooldown restarts
-	if st := b.State(); st != CircuitOpen {
-		t.Fatalf("state after failed probe = %v, want open", st)
-	}
-	if opens != 2 {
-		t.Fatalf("onOpen fired %d times after re-open, want 2", opens)
-	}
-	if allow(b) {
-		t.Fatal("failed probe did not restart the cooldown")
-	}
-	now = now.Add(2 * time.Second)
-	if !allow(b) {
-		t.Fatal("first request after the restarted cooldown should probe again")
-	}
-	b.RecordSuccess() // probe succeeds → close
-	if st := b.State(); st != CircuitClosed {
-		t.Fatalf("state after successful probe = %v, want closed", st)
-	}
-	if !allow(b) {
-		t.Fatal("closed breaker rejected traffic after recovery")
-	}
-}
-
-// TestBreakerCooldownClock drives the wall-clock probe schedule through an
-// injected now() so no real time passes.
-func TestBreakerCooldownClock(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := newBreaker(breakerConfig{Threshold: 1, Cooldown: time.Second, Now: func() time.Time { return now }})
-	allow(b)
-	b.RecordFailure()
-	if allow(b) {
-		t.Fatal("probe admitted before cooldown elapsed")
-	}
-	now = now.Add(2 * time.Second)
-	if !allow(b) {
-		t.Fatal("probe not admitted after cooldown")
-	}
-	if st := b.State(); st != CircuitHalfOpen {
-		t.Fatalf("state = %v, want half-open", st)
+		if st := b.State(); st != CircuitOpen {
+			t.Fatalf("threshold %d: after %d failures state = %v, want open", threshold, threshold, st)
+		}
+		if opens != 1 {
+			t.Fatalf("threshold %d: onOpen fired %d times, want 1", threshold, opens)
+		}
+		// Cooldown 2s: a request 1s in stays on the fallback, one at 2s probes.
+		now = now.Add(time.Second)
+		if allow(b) {
+			t.Fatalf("threshold %d: request inside the cooldown became a probe", threshold)
+		}
+		now = now.Add(time.Second)
+		if !allow(b) {
+			t.Fatalf("threshold %d: first request after the cooldown should be admitted as probe", threshold)
+		}
+		if st := b.State(); st != CircuitHalfOpen {
+			t.Fatalf("threshold %d: state during probe = %v, want half-open", threshold, st)
+		}
+		// While the probe is in flight, everyone else stays degraded.
+		if allow(b) {
+			t.Fatalf("threshold %d: request admitted while a probe was in flight", threshold)
+		}
+		b.RecordFailure() // probe fails → re-open, cooldown restarts
+		if st := b.State(); st != CircuitOpen {
+			t.Fatalf("threshold %d: state after failed probe = %v, want open", threshold, st)
+		}
+		if opens != 2 {
+			t.Fatalf("threshold %d: onOpen fired %d times after re-open, want 2", threshold, opens)
+		}
+		if allow(b) {
+			t.Fatalf("threshold %d: failed probe did not restart the cooldown", threshold)
+		}
+		now = now.Add(2 * time.Second)
+		if !allow(b) {
+			t.Fatalf("threshold %d: first request after the restarted cooldown should probe again", threshold)
+		}
+		b.RecordSuccess() // probe succeeds → close
+		if st := b.State(); st != CircuitClosed {
+			t.Fatalf("threshold %d: state after successful probe = %v, want closed", threshold, st)
+		}
+		if !allow(b) {
+			t.Fatalf("threshold %d: closed breaker rejected traffic after recovery", threshold)
+		}
 	}
 }
 

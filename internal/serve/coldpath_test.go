@@ -55,7 +55,11 @@ func coldModel(t *testing.T) *core.ZeroTune {
 // coldBodies marshals n distinct unplaced predict requests over the seen
 // structures, plan indices from..from+n, the way `zerotune bench` builds its
 // corpus.
-func coldBodies(t *testing.T, from, n int) [][]byte {
+func coldBodies(t *testing.T, from, n int) [][]byte { return shapedBodies(t, from, n, nil) }
+
+// shapedBodies is coldBodies with each plan handed to shape, when not nil,
+// along with the cluster its request names.
+func shapedBodies(t *testing.T, from, n int, shape func(*queryplan.PQP, *cluster.Cluster) error) [][]byte {
 	t.Helper()
 	gen := workload.NewSeenGenerator(11)
 	structures := workload.SeenRanges().Structures
@@ -66,7 +70,17 @@ func coldBodies(t *testing.T, from, n int) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out[i], err = json.Marshal(PredictRequest{Plan: queryplan.NewPQP(q), Cluster: ClusterSpec{Workers: len(c.Nodes)}}); err != nil {
+		req := PredictRequest{Plan: queryplan.NewPQP(q), Cluster: ClusterSpec{Workers: len(c.Nodes)}}
+		if shape != nil {
+			built, err := req.Cluster.Build()
+			if err == nil {
+				err = shape(req.Plan, built)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if out[i], err = json.Marshal(req); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,10 +224,12 @@ func FuzzPredictAnswerMatchesEncodingJSON(f *testing.F) {
 	})
 }
 
-// TestPredictFastPathIsEncodePlan: the graph the handler encodes — from the
-// degree vector for an unplaced plan, by EncodePlan for one that is partly
-// placed or names NoChain entries — is EncodePlan's graph, with its
-// fingerprint, and the served answer is the model's prediction on it.
+// TestPredictFastPathIsEncodePlan: the graph the handler encodes into its
+// pooled scratch — for an unplaced, partly placed, NoChain, placed or
+// hand-placed plan alike — is the graph of the plan placed by cluster.Place
+// unless it was placed in full, then encoded by features.Encode, with its
+// fingerprint; the served answer is the model's prediction on it; and the
+// decoded request's plan is left as it was, a placement it lacked included.
 func TestPredictFastPathIsEncodePlan(t *testing.T) {
 	zt := coldModel(t)
 	s := New(Options{BatchWindow: -1})
@@ -244,7 +260,7 @@ func TestPredictFastPathIsEncodePlan(t *testing.T) {
 		}
 		// Placed by hand: every instance one node past where round-robin
 		// placement puts it. Partly placed: the first operator alone placed
-		// so, which EncodePlan's placement overwrites.
+		// so, which the encoder ignores.
 		shifted := unplaced.Clone()
 		if err := cluster.Place(shifted, c); err != nil {
 			t.Fatal(err)
@@ -279,38 +295,50 @@ func TestPredictFastPathIsEncodePlan(t *testing.T) {
 			"unplaced": unplaced, "partly placed": partly, "no_chain": noChain, "placed": placed, "placed by hand": shifted,
 		} {
 			ref := p.Clone()
-			topo, err := ref.Analyze()
-			if err != nil {
-				t.Fatal(err)
+			if len(ref.Placement) != len(q.Ops) {
+				if err := cluster.Place(ref, c); err != nil {
+					t.Fatal(err)
+				}
 			}
-			want, err := zt.EncodePlan(ctx, topo, ref, c)
+			want, err := features.Encode(ref, c, zt.Mask)
 			if err != nil {
 				t.Fatal(err)
 			}
 
-			sc := &predictScratch{}
-			served := p.Clone()
-			if sc.deg, err = served.AnalyzeIn(&sc.topo, nil); err != nil {
-				t.Fatal(err)
-			}
-			built, err := spec.BuildIn(&sc.cluster)
+			// The handler's steps, on the plan it decodes from the body.
+			body, err := json.Marshal(PredictRequest{Plan: p, Cluster: spec})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := s.encode(ctx, entry, sc, served, built)
+			var req, decoded PredictRequest
+			if err := req.UnmarshalJSON(body); err != nil {
+				t.Fatal(err)
+			}
+			if err := decoded.UnmarshalJSON(body); err != nil {
+				t.Fatal(err)
+			}
+			sc := &predictScratch{}
+			if sc.deg, err = req.Plan.AnalyzeIn(&sc.topo, nil); err != nil {
+				t.Fatal(err)
+			}
+			built, err := req.Cluster.BuildIn(&sc.cluster)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := entry.ZT.EncodePlan(ctx, &sc.enc, &sc.arena, &sc.topo, req.Plan, sc.deg, built)
 			if err != nil {
 				t.Fatal(err)
 			}
 			fp := PlanFingerprint(got, zt.Mask)
 			if fp != PlanFingerprint(want, zt.Mask) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("plan %d %s: served graph differs from EncodePlan's\n got %+v\nwant %+v", i, name, got, want)
+				t.Fatalf("plan %d %s: served graph differs from Place and Encode's\n got %+v\nwant %+v", i, name, got, want)
+			}
+			if !reflect.DeepEqual(req.Plan, decoded.Plan) {
+				t.Fatalf("plan %d %s: encoding wrote the decoded plan: placement %v, was %v",
+					i, name, req.Plan.Placement, decoded.Plan.Placement)
 			}
 			fps[name] = fp
 
-			body, err := json.Marshal(PredictRequest{Plan: p, Cluster: spec})
-			if err != nil {
-				t.Fatal(err)
-			}
 			status, payload := servePost(s, ctx, body)
 			var ans PredictResponse
 			if status != http.StatusOK || json.Unmarshal(payload, &ans) != nil {
@@ -318,12 +346,12 @@ func TestPredictFastPathIsEncodePlan(t *testing.T) {
 			}
 			pred := zt.PredictEncoded([]*features.Graph{want})[0]
 			if ans.LatencyMs != pred.LatencyMs || ans.ThroughputEPS != pred.ThroughputEPS || ans.Degraded {
-				t.Fatalf("plan %d %s: served %+v, EncodePlan's graph predicts %+v", i, name, ans, pred)
+				t.Fatalf("plan %d %s: served %+v, Place and Encode's graph predicts %+v", i, name, ans, pred)
 			}
 		}
 		// A plan placed by hand or with NoChain entries encodes to another
-		// graph: were the handler to take the fast path for it, the check
-		// above would fail.
+		// graph: were the encoder to pass over its placement or its NoChain
+		// entries, the check above would fail.
 		if fps["placed by hand"] == fps["unplaced"] || (len(noChain.NoChain) > 0 && fps["no_chain"] == fps["unplaced"]) {
 			t.Fatalf("plan %d: a plan placed by hand or with NoChain entries encodes like the unplaced one", i)
 		}
@@ -346,58 +374,74 @@ func (w *allocWriter) WriteHeader(c int)           { w.status = c }
 func (w *allocWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
 
 // coldPredictAllocs is the ceiling on a cold miss's allocations through
-// Server.ServeHTTP, the flush loop's share included: 23 measured plus a slack
-// of 3 for the plans whose slabs outgrow the pooled scratch.
-const coldPredictAllocs = 26
+// Server.ServeHTTP, the flush loop's share included, per shape of plan: 23,
+// 25 and 40 measured plus a slack of 3 for the plans whose slabs outgrow the
+// pooled scratch. Every shape encodes into the pooled scratch; the others
+// only carry more to decode, a NoChain set or a placement's map and names.
+var coldPredictAllocs = map[string]float64{"unplaced": 26, "no_chain": 28, "placed": 43}
 
-// TestColdPredictAllocCeiling serves distinct unplaced plans, each a miss of
-// both caches, and bounds the allocations of one.
+// coldShapes turn an unplaced plan into the other shapes a request can take.
+var coldShapes = map[string]func(*queryplan.PQP, *cluster.Cluster) error{
+	"unplaced": nil,
+	"no_chain": func(p *queryplan.PQP, _ *cluster.Cluster) error {
+		t, err := p.Query.Analyze()
+		if err != nil {
+			return err
+		}
+		for pos, in := range t.In {
+			if len(in) == 1 && in[0].Partitioning == queryplan.PartForward {
+				p.SetNoChain(t.Ops[pos].ID, true)
+			}
+		}
+		return nil
+	},
+	"placed": func(p *queryplan.PQP, c *cluster.Cluster) error { return cluster.Place(p, c) },
+}
+
+// TestColdPredictAllocCeiling serves distinct plans of each shape, each a miss
+// of both caches, and bounds the allocations of one.
 func TestColdPredictAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items at random")
 	}
-	s := New(Options{BatchWindow: -1, CacheSize: 64})
-	defer s.Close()
-	s.Registry().Install(coldModel(t), "m", "")
-	const runs = 200
-	bodies := coldBodies(t, 0, 2*runs+1)
-	w := &allocWriter{h: make(http.Header)}
-	serve := func(body []byte) {
-		r := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
-		w.status = http.StatusOK
-		w.buf.Reset()
-		clear(w.h)
-		s.ServeHTTP(w, r)
-		if w.status != http.StatusOK {
-			t.Fatalf("status %d: %s", w.status, w.buf.Bytes())
-		}
-	}
-	for _, body := range bodies[runs+1:] { // grow the pooled scratch
-		serve(body)
-	}
-	reqs := make([]*http.Request, runs+1)
-	for i := range reqs {
-		reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(bodies[i]))
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pool
-	next := 0
-	allocs := testing.AllocsPerRun(runs, func() {
-		r := reqs[next]
-		next++
-		w.status = http.StatusOK
-		w.buf.Reset()
-		clear(w.h)
-		s.ServeHTTP(w, r)
-		if w.status != http.StatusOK {
-			t.Fatalf("status %d: %s", w.status, w.buf.Bytes())
-		}
-	})
-	if snap := s.Snapshot(); snap.BodyHits+snap.Cache.Hits+snap.Cache.Coalesced != 0 {
-		t.Fatalf("%d body hits, %+v: every request should miss both caches", snap.BodyHits, snap.Cache)
-	}
-	t.Logf("%.2f allocations per cold predict", allocs)
-	if allocs > coldPredictAllocs {
-		t.Errorf("%.2f allocations per cold predict, ceiling %d", allocs, coldPredictAllocs)
+	for name, shape := range coldShapes {
+		t.Run(name, func(t *testing.T) {
+			s := New(Options{BatchWindow: -1, CacheSize: 64})
+			defer s.Close()
+			s.Registry().Install(coldModel(t), "m", "")
+			const runs = 200
+			bodies := shapedBodies(t, 0, 2*runs+1, shape)
+			w := &allocWriter{h: make(http.Header)}
+			serve := func(r *http.Request) {
+				w.status = http.StatusOK
+				w.buf.Reset()
+				clear(w.h)
+				s.ServeHTTP(w, r)
+				if w.status != http.StatusOK {
+					t.Fatalf("status %d: %s", w.status, w.buf.Bytes())
+				}
+			}
+			for _, body := range bodies[runs+1:] { // grow the pooled scratch
+				serve(httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+			}
+			reqs := make([]*http.Request, runs+1)
+			for i := range reqs {
+				reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(bodies[i]))
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pool
+			next := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				serve(reqs[next])
+				next++
+			})
+			if snap := s.Snapshot(); snap.BodyHits+snap.Cache.Hits+snap.Cache.Coalesced != 0 {
+				t.Fatalf("%d body hits, %+v: every request should miss both caches", snap.BodyHits, snap.Cache)
+			}
+			t.Logf("%.2f allocations per cold predict", allocs)
+			if allocs > coldPredictAllocs[name] {
+				t.Errorf("%.2f allocations per cold predict, ceiling %v", allocs, coldPredictAllocs[name])
+			}
+		})
 	}
 }
 

@@ -6,10 +6,10 @@
 //
 //  1. Wire: decode the plan + cluster spec (the canonical queryplan JSON).
 //  2. Encode: featurize the plan under the model's mask — the same graph a
-//     direct core.Predict call would evaluate. An unplaced plan is encoded
-//     from its degree vector as a tune candidate is, into storage the request
-//     borrows from the server and returns once the batcher is done with it;
-//     a placed one is placed where needed and encoded by node name.
+//     direct core.Predict call would evaluate — into storage the request
+//     borrows from the server and returns once the batcher is done with it.
+//     A placed plan is read by node name; any other is placed as
+//     cluster.PlaceWith would place it, in the graph, not in the request.
 //  3. Fingerprint + cache: a canonical hash over the featurized graph
 //     keys a bounded LRU with single-flight semantics, so repeated and
 //     concurrent-identical plans cost one forward pass.
@@ -472,7 +472,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		defer s.breaker.AbandonProbe()
 	}
 	// Encode once; the graph is both the cache key and the model input.
-	g, err := s.encode(ctx, entry, sc, req.Plan, c)
+	g, err := entry.ZT.EncodePlan(ctx, &sc.enc, &sc.arena, &sc.topo, req.Plan, sc.deg, c)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
@@ -570,20 +570,6 @@ func (s *Server) putScratch(sc *predictScratch) {
 	sc.arena.Reset()
 	sc.item.ctx, sc.item.g, sc.item.entry = nil, nil, nil
 	s.scratch.Put(sc)
-}
-
-// encode featurizes p, analysed into sc, under the served model. A plan that
-// names no placement and no NoChain entry — every body `zerotune bench`
-// sends — is encoded from its degree vector as a tune candidate is, into sc;
-// a placed or partly placed plan, or one with NoChain entries, keeps
-// EncodePlan, which places what is unplaced. Both give the same graph for a
-// plan either could take (TestPredictFastPathIsEncodePlan).
-func (s *Server) encode(ctx context.Context, entry *ModelEntry, sc *predictScratch,
-	p *queryplan.PQP, c *cluster.Cluster) (*features.Graph, error) {
-	if len(p.Placement) == 0 && len(p.NoChain) == 0 {
-		return entry.ZT.EncodeDegrees(ctx, &sc.enc, &sc.arena, &sc.topo, sc.deg, c)
-	}
-	return entry.ZT.EncodePlan(ctx, &sc.topo, p, c)
 }
 
 // writePredict writes a successful prediction, flagged cached when it came

@@ -231,15 +231,6 @@ func (m *Matrix) ScaleInPlace(a float64) *Matrix {
 	return m
 }
 
-// FrobeniusNorm returns sqrt(Σ m[i]²).
-func (m *Matrix) FrobeniusNorm() float64 {
-	var s float64
-	for _, x := range m.Data {
-		s += float64(x * x)
-	}
-	return math.Sqrt(s)
-}
-
 // HasNaN reports whether any element is NaN or ±Inf.
 func (m *Matrix) HasNaN() bool {
 	for _, x := range m.Data {

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -75,9 +76,6 @@ func TestAddOuterInPlace(t *testing.T) {
 
 func TestMatrixAddScaleNorm(t *testing.T) {
 	m := NewMatrixFrom([][]float64{{3, 0}, {0, 4}})
-	if m.FrobeniusNorm() != 5 {
-		t.Fatalf("Frobenius: %v", m.FrobeniusNorm())
-	}
 	m.AddInPlace(NewMatrixFrom([][]float64{{1, 1}, {1, 1}}))
 	if m.At(0, 0) != 4 {
 		t.Fatal("AddInPlace failed")
@@ -87,8 +85,10 @@ func TestMatrixAddScaleNorm(t *testing.T) {
 		t.Fatal("ScaleInPlace failed")
 	}
 	m.Zero()
-	if m.FrobeniusNorm() != 0 {
-		t.Fatal("Zero failed")
+	for _, x := range m.Data {
+		if x != 0 {
+			t.Fatal("Zero failed")
+		}
 	}
 }
 
@@ -122,7 +122,7 @@ func TestRandomizeXavierBounds(t *testing.T) {
 		}
 	}
 	// Not all zero.
-	if m.FrobeniusNorm() == 0 {
+	if !slices.ContainsFunc(m.Data, func(x float64) bool { return x != 0 }) {
 		t.Fatal("Xavier produced zero matrix")
 	}
 }

@@ -106,9 +106,6 @@ func (v Vector) Dot(w Vector) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-func (v Vector) Norm2() float64 { return math.Sqrt(v.Dot(v)) }
-
 // Sum returns the sum of the elements of v.
 func (v Vector) Sum() float64 {
 	var s float64
@@ -154,21 +151,6 @@ func (v Vector) Min() float64 {
 	return m
 }
 
-// ArgMin returns the index of the smallest element (first on ties).
-// It panics on an empty vector.
-func (v Vector) ArgMin() int {
-	if len(v) == 0 {
-		panic("tensor: ArgMin of empty vector")
-	}
-	best := 0
-	for i, x := range v {
-		if x < v[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // HasNaN reports whether any element is NaN or ±Inf.
 func (v Vector) HasNaN() bool {
 	for _, x := range v {
@@ -177,18 +159,6 @@ func (v Vector) HasNaN() bool {
 		}
 	}
 	return false
-}
-
-// ClipInPlace clamps every element to [lo, hi] and returns v.
-func (v Vector) ClipInPlace(lo, hi float64) Vector {
-	for i := range v {
-		if v[i] < lo {
-			v[i] = lo
-		} else if v[i] > hi {
-			v[i] = hi
-		}
-	}
-	return v
 }
 
 // Concat returns the concatenation of the given vectors as a new vector.

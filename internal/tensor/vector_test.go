@@ -69,9 +69,6 @@ func TestDotAndNorm(t *testing.T) {
 	if v.Dot(v) != 25 {
 		t.Fatalf("Dot: %v", v.Dot(v))
 	}
-	if v.Norm2() != 5 {
-		t.Fatalf("Norm2: %v", v.Norm2())
-	}
 }
 
 func TestSumMeanMaxMinArgMin(t *testing.T) {
@@ -85,18 +82,8 @@ func TestSumMeanMaxMinArgMin(t *testing.T) {
 	if v.Max() != 7 || v.Min() != -1 {
 		t.Fatalf("Max/Min: %v %v", v.Max(), v.Min())
 	}
-	if v.ArgMin() != 1 {
-		t.Fatalf("ArgMin: %v", v.ArgMin())
-	}
 	if (Vector{}).Mean() != 0 {
 		t.Fatal("empty Mean should be 0")
-	}
-}
-
-func TestArgMinFirstOnTies(t *testing.T) {
-	v := Vector{2, 1, 1, 3}
-	if v.ArgMin() != 1 {
-		t.Fatalf("ArgMin tie: %v", v.ArgMin())
 	}
 }
 
@@ -109,13 +96,6 @@ func TestHasNaN(t *testing.T) {
 	}
 	if !(Vector{math.Inf(1)}).HasNaN() {
 		t.Fatal("missed Inf")
-	}
-}
-
-func TestClipInPlace(t *testing.T) {
-	v := Vector{-5, 0.5, 5}.ClipInPlace(-1, 1)
-	if v[0] != -1 || v[1] != 0.5 || v[2] != 1 {
-		t.Fatalf("Clip: %v", v)
 	}
 }
 
@@ -150,7 +130,7 @@ func TestDotProperties(t *testing.T) {
 	}
 }
 
-// Property: norm is absolutely homogeneous: ‖a·v‖ = |a|·‖v‖.
+// Property: the norm Dot induces is absolutely homogeneous: ‖a·v‖ = |a|·‖v‖.
 func TestNormHomogeneity(t *testing.T) {
 	f := func(raw []float64, a float64) bool {
 		if math.IsNaN(a) || math.IsInf(a, 0) || math.Abs(a) > 1e3 {
@@ -163,7 +143,7 @@ func TestNormHomogeneity(t *testing.T) {
 		}
 		v := Vector(raw)
 		scaled := v.Clone().ScaleInPlace(a)
-		return almostEq(scaled.Norm2(), math.Abs(a)*v.Norm2())
+		return almostEq(math.Sqrt(scaled.Dot(scaled)), math.Abs(a)*math.Sqrt(v.Dot(v)))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
