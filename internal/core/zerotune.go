@@ -168,17 +168,34 @@ func (z *ZeroTune) Predict(ctx context.Context, p *queryplan.PQP, c *cluster.Clu
 	if err := ctx.Err(); err != nil {
 		return gnn.Prediction{}, err
 	}
+	var pred gnn.Prediction
+	err := z.encodeOne(ctx, p, c, func(g *features.Graph) {
+		_, span := obs.StartSpan(ctx, "gnn.forward")
+		pred = z.Compiled().Predict(g)
+		span.End()
+	})
+	return pred, err
+}
+
+// encodeOne encodes p on c as EncodePlan does, into an arena drawn from
+// sweepArenas, and hands the graph to use, which must not keep it: the arena
+// goes back to the pool when use returns.
+func (z *ZeroTune) encodeOne(ctx context.Context, p *queryplan.PQP, c *cluster.Cluster, use func(*features.Graph)) error {
 	t, err := p.Query.Analyze()
 	if err != nil {
-		return gnn.Prediction{}, err
+		return err
 	}
-	g, err := z.EncodePlan(ctx, new(features.Encoder), new(features.Arena), t, p, nil, c)
+	a := sweepArenas.Get().(*features.Arena)
+	defer func() {
+		a.Reset()
+		sweepArenas.Put(a)
+	}()
+	g, err := z.EncodePlan(ctx, new(features.Encoder), a, t, p, nil, c)
 	if err != nil {
-		return gnn.Prediction{}, err
+		return err
 	}
-	_, span := obs.StartSpan(ctx, "gnn.forward")
-	defer span.End()
-	return z.Compiled().Predict(g), nil
+	use(g)
+	return nil
 }
 
 // sweepArenas recycles the graph storage of PredictBatch calls. A sync.Pool,
@@ -492,13 +509,7 @@ func (z *ZeroTune) FineTuneMetric(ctx context.Context, name string, items []*wor
 // Predict estimates the metric for plan p on cluster c, placed as
 // ZeroTune.Predict places it.
 func (m *MetricModel) Predict(ctx context.Context, p *queryplan.PQP, c *cluster.Cluster) (float64, error) {
-	t, err := p.Query.Analyze()
-	if err != nil {
-		return 0, err
-	}
-	g, err := m.zt.EncodePlan(ctx, new(features.Encoder), new(features.Arena), t, p, nil, c)
-	if err != nil {
-		return 0, err
-	}
-	return m.head.Predict(m.zt.Model, g), nil
+	var v float64
+	err := m.zt.encodeOne(ctx, p, c, func(g *features.Graph) { v = m.head.Predict(m.zt.Model, g) })
+	return v, err
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -115,9 +116,6 @@ func TestPredictLeavesThePlanAlone(t *testing.T) {
 	placed := make([]*queryplan.PQP, len(plans))
 	for i, p := range plans {
 		before[i], placed[i] = p.Clone(), p.Clone()
-		if p.Placement == nil {
-			before[i].Placement = nil
-		}
 		if err := cluster.Place(placed[i], c); err != nil {
 			t.Fatal(err)
 		}
@@ -612,5 +610,37 @@ func TestHandBuiltValueRunsReferenceEngine(t *testing.T) {
 	}
 	if want := zt.Model.Predict(g); got != want {
 		t.Fatalf("hand-built value predicts %+v, Model.Predict %+v", got, want)
+	}
+}
+
+// TestPredictAllocsNoMoreThanBatch: one plan costs Predict no more
+// allocations than PredictBatch of that one plan; both encode into an arena
+// drawn from the same pool.
+func TestPredictAllocsNoMoreThanBatch(t *testing.T) {
+	zt := &ZeroTune{Model: gnn.New(tensor.NewRNG(17), gnn.DefaultConfig()), Mask: features.MaskAll}
+	if err := zt.Compile(gnn.CompileOptions{Engine: gnn.EngineF32}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	c, err := cluster.New(3, cluster.SeenTypes(), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := queryplan.NewPQP(queryplan.SmartGridGlobal(30_000))
+	batch := []*queryplan.PQP{p}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pool
+	one := testing.AllocsPerRun(50, func() {
+		if _, err := zt.Predict(ctx, p, c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	many := testing.AllocsPerRun(50, func() {
+		if _, err := zt.PredictBatch(ctx, batch, c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Predict %.0f allocations, PredictBatch of the one plan %.0f", one, many)
+	if one > many {
+		t.Errorf("Predict %.0f allocations, PredictBatch of the same plan %.0f", one, many)
 	}
 }

@@ -169,9 +169,6 @@ func TestEncodePlacesAsPlaceWith(t *testing.T) {
 	graphs := map[string]*Graph{}
 	for name, p := range plans {
 		before := p.Clone()
-		if p.Placement == nil {
-			before.Placement = nil
-		}
 		placed := p.Clone()
 		if err := cluster.Place(placed, c); err != nil {
 			t.Fatal(err)

@@ -126,7 +126,7 @@ type Gateway struct {
 	pool       *Pool
 	adm        *admission
 	queue      *dispatchQueue
-	mux        *http.ServeMux
+	routes     *serve.RouteTable
 	now        func() time.Time // the admission clock; package tests drive it
 
 	endpoints map[string]*obs.Endpoint
@@ -175,7 +175,7 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 		pool:       newPool(backends, opts.Seed, opts.FailThreshold, reg),
 		adm:        adm,
 		queue:      newDispatchQueue(opts.MaxConcurrent, opts.QueueDepth),
-		mux:        serve.NewMux(),
+		routes:     serve.NewRouteTable(),
 		now:        time.Now,
 		endpoints:  make(map[string]*obs.Endpoint, len(endpointNames)),
 		self:       reg.Histogram(SelfMetric),
@@ -197,10 +197,10 @@ func New(backends []serve.Backend, opts Options) (*Gateway, error) {
 	reg.GaugeFunc("zerotune_gateway_uptime_seconds", func() float64 { return time.Since(g.start).Seconds() })
 	obs.RegisterRuntime(reg)
 
-	g.mux.HandleFunc("POST /v1/predict", g.endpoints["predict"].Wrap(g.proxyHandler("predict")))
-	g.mux.HandleFunc("POST /v1/tune", g.endpoints["tune"].Wrap(g.proxyHandler("tune")))
-	g.mux.HandleFunc("GET /healthz", g.endpoints["healthz"].Wrap(g.handleHealthz))
-	g.mux.HandleFunc("GET /metrics", g.endpoints["metrics"].Wrap(g.handleMetrics))
+	g.routes.HandleFunc("POST /v1/predict", g.endpoints["predict"].Wrap(g.proxyHandler("predict")))
+	g.routes.HandleFunc("POST /v1/tune", g.endpoints["tune"].Wrap(g.proxyHandler("tune")))
+	g.routes.HandleFunc("GET /healthz", g.endpoints["healthz"].Wrap(g.handleHealthz))
+	g.routes.HandleFunc("GET /metrics", g.endpoints["metrics"].Wrap(g.handleMetrics))
 	return g, nil
 }
 
@@ -237,6 +237,9 @@ func (g *Gateway) Close() {
 // Pool exposes the replica pool (tests drive probes through it).
 func (g *Gateway) Pool() *Pool { return g.pool }
 
+// Routes is the route table ServeHTTP answers from.
+func (g *Gateway) Routes() *serve.RouteTable { return g.routes }
+
 // Metrics returns the gateway's metrics registry.
 func (g *Gateway) Metrics() *obs.Registry { return g.reg }
 
@@ -244,7 +247,7 @@ func (g *Gateway) Metrics() *obs.Registry { return g.reg }
 func (g *Gateway) SetBoundAddr(addr string) { g.boundAddr.Store(&addr) }
 
 // ServeHTTP implements http.Handler.
-func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.mux.ServeHTTP(w, r) }
+func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) { g.routes.ServeHTTP(w, r) }
 
 // forwardContext bounds one forward attempt; a non-positive timeout means
 // no per-attempt deadline beyond the parent's.
@@ -442,7 +445,7 @@ func (g *Gateway) Summary() string {
 		len(g.pool.Replicas()))
 	for _, name := range endpointNames {
 		ep := g.endpoints[name]
-		if n := ep.Requests.Load(); n > 0 {
+		if n := ep.Requests(); n > 0 {
 			w("gateway: %-8s %6d requests, %d errors\n", name, n, ep.Errors.Load())
 		}
 	}

@@ -60,6 +60,7 @@ type metricKind int
 
 const (
 	kindCounter metricKind = iota
+	kindCounterFunc
 	kindGauge
 	kindGaugeFunc
 	kindHistogram
@@ -67,7 +68,7 @@ const (
 )
 
 func (k metricKind) String() string {
-	return [...]string{"counter", "gauge", "gauge-func", "histogram", "info"}[k]
+	return [...]string{"counter", "counter-func", "gauge", "gauge-func", "histogram", "info"}[k]
 }
 
 // series is one (name, labelset) time series.
@@ -75,7 +76,7 @@ type series struct {
 	labels  string // canonical rendered labels: `k1="v1",k2="v2"`, keys sorted
 	counter *Counter
 	gauge   *Gauge
-	fn      func() float64
+	fn      func() float64 // a gauge-func's value, or a counter-func's
 	hist    *Histogram
 	histFn  func() HistogramSnapshot // a histogram kept elsewhere, read at render time
 }
@@ -192,6 +193,16 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	return s.counter
 }
 
+// CounterFunc exports a counter whose value is computed at scrape time from
+// an instrument that already counts the same events (a histogram's count),
+// so the events are not counted twice on the path that records them.
+// Re-registering replaces the function; fn runs under the rules of GaugeFunc.
+func (r *Registry) CounterFunc(name string, fn func() uint64, labels ...Label) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.lookupLocked(name, kindCounterFunc, labels, func(*series) {}).fn = func() float64 { return float64(fn()) }
+}
+
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	s := r.lookup(name, kindGauge, labels, func(s *series) { s.gauge = NewGauge() })
@@ -268,6 +279,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch f.kind {
 			case kindCounter:
 				writeSample(&b, name, s.labels, "", float64(s.counter.Load()), true)
+			case kindCounterFunc:
+				writeSample(&b, name, s.labels, "", s.fn(), true)
 			case kindGauge:
 				writeSample(&b, name, s.labels, "", s.gauge.Load(), false)
 			case kindGaugeFunc:
@@ -414,6 +427,16 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
+}
+
+// Count is the number of observations so far: the sum of the bucket counts,
+// as Snapshot reads it.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram. Count is the

@@ -155,32 +155,34 @@ func (q *Query) DecodeJSON(s *jsonscan.Scanner) {
 	}
 }
 
-// opSlab is how many operators the first backing array of a query holds;
-// the paper's templates run to about a dozen.
-const opSlab = 8
+// opRoom is how many operators decodeOps holds on its stack while it reads a
+// query; the paper's templates run to about a dozen.
+const opRoom = 16
 
-// decodeOps reads the operator list. Operators are carved from shared backing
-// arrays — one for a query of up to opSlab operators, doubling after — and not
-// allocated one by one; an array that fills up is left as it is and a new one
-// started, so no pointer handed out moves.
+// decodeOps reads the operator list. The operators are read into room on the
+// stack (a longer list spills to the heap) and then copied into one array of
+// exactly their number, which they are handed out from.
 func decodeOps(s *jsonscan.Scanner) []*Operator {
 	if !s.BeginArray() {
 		return nil
 	}
-	ops := make([]*Operator, 0, opSlab)
-	var slab []Operator
+	var room [opRoom]Operator
+	var nulls [opRoom]bool
+	read, isNull := room[:0], nulls[:0]
 	for s.More(']') {
-		if s.Null() {
-			ops = append(ops, nil)
-			continue
+		null := s.Null()
+		read, isNull = append(read, Operator{}), append(isNull, null)
+		if !null {
+			read[len(read)-1].decodeJSON(s)
 		}
-		if len(slab) == cap(slab) {
-			slab = make([]Operator, 0, max(opSlab, 2*cap(slab)))
+	}
+	arr := make([]Operator, 0, len(read))
+	ops := make([]*Operator, len(read))
+	for i := range read {
+		if !isNull[i] {
+			arr = append(arr, read[i])
+			ops[i] = &arr[len(arr)-1]
 		}
-		slab = slab[:len(slab)+1]
-		op := &slab[len(slab)-1]
-		op.decodeJSON(s)
-		ops = append(ops, op)
 	}
 	return ops
 }
@@ -238,7 +240,7 @@ func decodeEdges(s *jsonscan.Scanner, nOps int) []Edge {
 	if !s.BeginArray() {
 		return nil
 	}
-	edges := make([]Edge, 0, min(max(nOps, opSlab), maxPresize))
+	edges := make([]Edge, 0, min(nOps, maxPresize))
 	for s.More(']') {
 		edges = append(edges, Edge{})
 		e := &edges[len(edges)-1]

@@ -56,14 +56,22 @@ func NewPQP(q *Query) *PQP {
 	return p
 }
 
-// Clone returns a deep copy of the PQP sharing the (immutable) Query.
+// Clone returns a deep copy of the PQP sharing the (immutable) Query. A nil
+// map stays nil, so a clone is reflect.DeepEqual to its source; SetDegree,
+// SetNoChain and cluster.PlaceWith allocate the maps they write.
 func (p *PQP) Clone() *PQP {
-	c := &PQP{Query: p.Query, Parallelism: make(map[int]int, len(p.Parallelism)), Placement: make(map[int][]string, len(p.Placement))}
-	for k, v := range p.Parallelism {
-		c.Parallelism[k] = v
+	c := &PQP{Query: p.Query}
+	if p.Parallelism != nil {
+		c.Parallelism = make(map[int]int, len(p.Parallelism))
+		for k, v := range p.Parallelism {
+			c.Parallelism[k] = v
+		}
 	}
-	for k, v := range p.Placement {
-		c.Placement[k] = append([]string(nil), v...)
+	if p.Placement != nil {
+		c.Placement = make(map[int][]string, len(p.Placement))
+		for k, v := range p.Placement {
+			c.Placement[k] = append([]string(nil), v...)
+		}
 	}
 	if p.NoChain != nil {
 		c.NoChain = make(map[int]bool, len(p.NoChain))

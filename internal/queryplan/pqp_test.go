@@ -1,6 +1,8 @@
 package queryplan
 
 import (
+	"encoding/json"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -197,5 +199,31 @@ func TestChainGroupsUniformDegree(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloneIsDeepEqual: a clone of a decoded plan is reflect.DeepEqual to it,
+// whichever of placement, parallelism and no_chain the body named.
+func TestCloneIsDeepEqual(t *testing.T) {
+	q, err := json.Marshal(testLinear())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := []string{`"parallelism":{"1":2,"2":3}`, `"placement":{"0":["n0"],"1":["n0","n1"]}`, `"no_chain":[2]`}
+	for mask := 0; mask < 1<<len(fields); mask++ {
+		body := `{"query":` + string(q)
+		for i, f := range fields {
+			if mask&(1<<i) != 0 {
+				body += "," + f
+			}
+		}
+		body += "}"
+		var p PQP
+		if err := p.UnmarshalJSON([]byte(body)); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if c := p.Clone(); !reflect.DeepEqual(c, &p) {
+			t.Errorf("%s: clone %+v differs from %+v", body, c, &p)
+		}
 	}
 }

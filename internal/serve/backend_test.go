@@ -32,7 +32,7 @@ func TestBackendsAgree(t *testing.T) {
 		mu.Unlock()
 		w.Write(b)
 	}
-	mux := http.NewServeMux()
+	mux := serve.NewRouteTable()
 	mux.HandleFunc("POST /v1/echo", echo)
 	mux.HandleFunc("GET /healthz", echo)
 	mux.HandleFunc("POST /v1/late", func(w http.ResponseWriter, r *http.Request) {
@@ -80,7 +80,7 @@ func TestBackendsAgree(t *testing.T) {
 		b       serve.Backend
 		payload bool // Call returns what the handler wrote
 	}{
-		{"serve.InProcessBackend", serve.NewMuxBackend("replica-0", mux), true},
+		{"serve.InProcessBackend", serve.NewRoutesBackend("replica-0", mux), true},
 		{"loadgen.HandlerTarget", loadgen.HandlerTarget{Handler: mux}, false},
 		{"client.NewForHandler", client.NewForHandler(mux), true},
 		{"client.New", overHTTP, true},

@@ -310,13 +310,11 @@ func TestPredictFastPathIsEncodePlan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var req, decoded PredictRequest
+			var req PredictRequest
 			if err := req.UnmarshalJSON(body); err != nil {
 				t.Fatal(err)
 			}
-			if err := decoded.UnmarshalJSON(body); err != nil {
-				t.Fatal(err)
-			}
+			decoded := req.Plan.Clone()
 			sc := &predictScratch{}
 			if sc.deg, err = req.Plan.AnalyzeIn(&sc.topo, nil); err != nil {
 				t.Fatal(err)
@@ -333,9 +331,9 @@ func TestPredictFastPathIsEncodePlan(t *testing.T) {
 			if fp != PlanFingerprint(want, zt.Mask) || !reflect.DeepEqual(got, want) {
 				t.Fatalf("plan %d %s: served graph differs from Place and Encode's\n got %+v\nwant %+v", i, name, got, want)
 			}
-			if !reflect.DeepEqual(req.Plan, decoded.Plan) {
+			if !reflect.DeepEqual(req.Plan, decoded) {
 				t.Fatalf("plan %d %s: encoding wrote the decoded plan: placement %v, was %v",
-					i, name, req.Plan.Placement, decoded.Plan.Placement)
+					i, name, req.Plan.Placement, decoded.Placement)
 			}
 			fps[name] = fp
 
@@ -374,11 +372,11 @@ func (w *allocWriter) WriteHeader(c int)           { w.status = c }
 func (w *allocWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
 
 // coldPredictAllocs is the ceiling on a cold miss's allocations through
-// Server.ServeHTTP, the flush loop's share included, per shape of plan: 23,
-// 25 and 40 measured plus a slack of 3 for the plans whose slabs outgrow the
+// Server.ServeHTTP, the flush loop's share included, per shape of plan: 19,
+// 21 and 36 measured plus a slack of 3 for the plans whose slabs outgrow the
 // pooled scratch. Every shape encodes into the pooled scratch; the others
 // only carry more to decode, a NoChain set or a placement's map and names.
-var coldPredictAllocs = map[string]float64{"unplaced": 26, "no_chain": 28, "placed": 43}
+var coldPredictAllocs = map[string]float64{"unplaced": 22, "no_chain": 24, "placed": 39}
 
 // coldShapes turn an unplaced plan into the other shapes a request can take.
 var coldShapes = map[string]func(*queryplan.PQP, *cluster.Cluster) error{

@@ -3,9 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
-	"strings"
 
 	"zerotune/internal/artifact"
 	"zerotune/internal/fault"
@@ -162,29 +160,4 @@ func WriteError(w http.ResponseWriter, status int, err error) {
 	WriteJSON(w, status, errorResponse{Error: ErrorBody{
 		Code: ErrorCode(status, err), Message: err.Error(),
 	}})
-}
-
-// NewMux returns a ServeMux that answers a request no route takes with the
-// envelope: 405 method_not_allowed, with the methods the path does take in
-// the Allow header, or 404 not_found. Both tiers route through one.
-func NewMux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		var allow []string // sorted, as net/http's own 405 lists them
-		for _, m := range []string{http.MethodDelete, http.MethodGet, http.MethodHead, http.MethodOptions,
-			http.MethodPatch, http.MethodPost, http.MethodPut, http.MethodTrace} {
-			alt := r.Clone(r.Context())
-			alt.Method = m
-			if _, pattern := mux.Handler(alt); pattern != "/" {
-				allow = append(allow, m)
-			}
-		}
-		if len(allow) == 0 {
-			WriteError(w, http.StatusNotFound, fmt.Errorf("serve: %s %s: no such endpoint", r.Method, r.URL.Path))
-			return
-		}
-		w.Header().Set("Allow", strings.Join(allow, ", "))
-		WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("serve: %s %s: method not allowed", r.Method, r.URL.Path))
-	})
-	return mux
 }

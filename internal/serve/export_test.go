@@ -1,14 +1,11 @@
 package serve
 
-import (
-	"net/http"
-	"time"
-)
+import "time"
 
-// NewMuxBackend is an InProcessBackend over a bare mux, so that tests can
-// call any handler the way the gateway calls a replica.
-func NewMuxBackend(name string, mux *http.ServeMux) *InProcessBackend {
-	return NewInProcessBackend(name, &Server{mux: mux})
+// NewRoutesBackend is an InProcessBackend over a bare route table, so that
+// tests can call any handler the way the gateway calls a replica.
+func NewRoutesBackend(name string, routes *RouteTable) *InProcessBackend {
+	return NewInProcessBackend(name, &Server{routes: routes})
 }
 
 // SetBreakerClock makes s's circuit breaker read now for its cooldown, so a

@@ -153,7 +153,6 @@ type Server struct {
 	reg      *Registry
 	cache    *Cache
 	resp     *respCache
-	respHits *obs.Counter
 	stages   [NumStages]*obs.Histogram // StageMetric, by Stage
 	bodyBufs sync.Pool                 // *[]byte request-body read buffers
 	scratch  sync.Pool                 // *predictScratch
@@ -161,7 +160,7 @@ type Server struct {
 	stats    *Stats
 	breaker  *breaker
 	tracer   *obs.Tracer
-	mux      *http.ServeMux
+	routes   *RouteTable
 	// boundAddr is the listener address actually serving this server, set by
 	// the cmd layer once the listener is bound. With -addr :0 the kernel
 	// picks the port, and /healthz is where tests and a fronting gateway
@@ -184,19 +183,20 @@ func New(opts Options) *Server {
 	opts = opts.WithDefaults()
 	reg := obs.NewRegistry()
 	s := &Server{
-		opts:  opts,
-		reg:   NewRegistry(),
-		stats: NewStats(reg),
-		mux:   NewMux(),
+		opts:   opts,
+		reg:    NewRegistry(),
+		stats:  NewStats(reg),
+		routes: NewRouteTable(),
 	}
 	if opts.Debug {
 		s.tracer = obs.NewTracer(obs.DefaultRingSize)
 	}
 	s.resp = newRespCache(opts.CacheSize)
-	s.respHits = reg.Counter("zerotune_respcache_body_hits_total")
 	for _, st := range Stages() {
 		s.stages[st] = reg.Histogram(StageMetric, obs.L("stage", st.String()))
 	}
+	// Every body hit is timed once as StageBodyHit, so that count is the hits.
+	reg.CounterFunc("zerotune_respcache_body_hits_total", s.stages[StageBodyHit].Count)
 	s.bodyBufs.New = func() any { b := make([]byte, 0, 4096); return &b }
 	s.scratch.New = func() any { return &predictScratch{item: batchItem{done: make(chan struct{}, 1)}} }
 	s.cache = NewCacheWithCounters(opts.CacheSize, CacheCounters{
@@ -263,13 +263,13 @@ func New(opts Options) *Server {
 		flushPreds = entry.ZT.PredictEncodedInto(flushPreds, graphs)
 		return flushPreds, nil
 	})
-	s.mux.HandleFunc("POST /v1/predict", s.instrument("predict", s.handlePredict))
-	s.mux.HandleFunc("POST /v1/tune", s.instrument("tune", s.handleTune))
-	s.mux.HandleFunc("POST /v1/reload", s.instrument("reload", s.handleReload))
-	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
+	s.routes.HandleFunc("POST /v1/predict", s.instrument("predict", s.handlePredict))
+	s.routes.HandleFunc("POST /v1/tune", s.instrument("tune", s.handleTune))
+	s.routes.HandleFunc("POST /v1/reload", s.instrument("reload", s.handleReload))
+	s.routes.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
+	s.routes.HandleFunc("GET /metrics", s.instrument("metrics", s.handleMetrics))
 	if opts.Debug {
-		obs.RegisterDebug(s.mux, s.tracer)
+		obs.RegisterDebug(s.routes, s.tracer)
 	}
 	return s
 }
@@ -281,7 +281,10 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 func (s *Server) Metrics() *obs.Registry { return s.stats.Registry() }
 
 // ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.routes.ServeHTTP(w, r) }
+
+// Routes is the route table ServeHTTP answers from.
+func (s *Server) Routes() *RouteTable { return s.routes }
 
 // Registry exposes the model registry (startup installs, tests).
 func (s *Server) Registry() *Registry { return s.reg }
@@ -319,7 +322,7 @@ func (s *Server) Close() { s.batcher.Close() }
 
 // Summary renders the shutdown digest of every counter.
 func (s *Server) Summary() string {
-	return s.stats.Summary(s.cache.Stats(), s.respHits.Load(), s.batcher.Flushes(), s.reg.Current())
+	return s.stats.Summary(s.cache.Stats(), s.bodyHits(), s.batcher.Flushes(), s.reg.Current())
 }
 
 // Snapshot flattens the counters for tests and callers.
@@ -336,15 +339,18 @@ func (s *Server) Snapshot() Snapshot {
 		Degraded:     s.stats.Degraded.Load(),
 		CircuitOpens: s.stats.CircuitOpens.Load(),
 		Cache:        s.cache.Stats(),
-		BodyHits:     s.respHits.Load(),
+		BodyHits:     s.bodyHits(),
 	}
 	for _, name := range endpointNames {
 		ep := s.stats.Endpoint(name)
-		snap.Requests[name] = ep.Requests.Load()
+		snap.Requests[name] = ep.Requests()
 		snap.Errors[name] = ep.Errors.Load()
 	}
 	return snap
 }
+
+// bodyHits is how many requests the body cache answered.
+func (s *Server) bodyHits() uint64 { return s.stages[StageBodyHit].Count() }
 
 // instrument wraps a handler with request accounting and — when a tracer is
 // configured — a root span per request whose trace ID is reflected back in
@@ -352,7 +358,6 @@ func (s *Server) Snapshot() Snapshot {
 // nil check and nothing else.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	return s.stats.Endpoint(name).Wrap(func(w http.ResponseWriter, r *http.Request) {
-		defer drainBody(r)
 		if s.tracer != nil {
 			ctx, span := obs.StartTrace(r.Context(), s.tracer, "http."+name)
 			w.Header().Set("X-Trace-Id", span.TraceID)
@@ -393,7 +398,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// clears on swap, so it can never outlive its model.
 	bufp := s.bodyBufs.Get().(*[]byte)
 	defer s.bodyBufs.Put(bufp)
-	body, err := readBody(w, r, (*bufp)[:0])
+	body, err := readBody(r, (*bufp)[:0])
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
@@ -401,8 +406,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	*bufp = body[:0]
 	data, bodyKey, ok := s.resp.get(body)
 	if ok {
-		s.respHits.Inc()
-		w.Header().Set("Content-Type", "application/json")
+		setJSONContentType(w.Header())
 		_, _ = w.Write(data)
 		clock.mark(StageBodyHit)
 		return
@@ -588,7 +592,7 @@ func (s *Server) writePredict(w http.ResponseWriter, sc *predictScratch, bodyKey
 		sent = append(append(head, "false"...), entry.predictTail...)
 		sc.out = sent
 	}
-	w.Header().Set("Content-Type", "application/json")
+	setJSONContentType(w.Header())
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(sent)
 	s.resp.put(bodyKey, body, stored)
@@ -655,7 +659,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	// request's own decoder, the same two errors.
 	bufp := s.bodyBufs.Get().(*[]byte)
 	defer s.bodyBufs.Put(bufp)
-	body, err := readBody(w, r, (*bufp)[:0])
+	body, err := readBody(r, (*bufp)[:0])
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, err)
 		return
@@ -719,6 +723,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
+	defer drainBody(r)
 	var req ReloadRequest
 	// An empty body is a valid "reload what you're serving" request.
 	if err := decodeJSON(w, r, &req); err != nil && !errors.Is(err, io.EOF) {
@@ -752,6 +757,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	defer drainBody(r)
 	entry := s.reg.Current()
 	if entry == nil {
 		WriteJSON(w, http.StatusServiceUnavailable, HealthResponse{Status: "no model", Addr: s.BoundAddr()})
@@ -771,6 +777,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	defer drainBody(r)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.stats.WriteMetrics(w, s.reg.Current())
 }

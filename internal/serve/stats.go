@@ -113,15 +113,12 @@ func (s *Stats) Summary(cache CacheStats, bodyHits uint64, flushes FlushCounts, 
 	w("\n")
 	for _, name := range endpointNames {
 		ep := s.endpoints[name]
-		n := ep.Requests.Load()
-		if n == 0 {
+		ls := ep.Latency.Snapshot() // its count is the endpoint's requests
+		if ls.Count == 0 {
 			continue
 		}
-		w("serve: %-8s %6d requests, %d errors", name, n, ep.Errors.Load())
-		if ls := ep.Latency.Snapshot(); ls.Count > 0 {
-			w(", p50 %.3fms p99 %.3fms", ls.Quantile(0.5)*1e3, ls.Quantile(0.99)*1e3)
-		}
-		w("\n")
+		w("serve: %-8s %6d requests, %d errors, p50 %.3fms p99 %.3fms\n", name, ls.Count, ep.Errors.Load(),
+			ls.Quantile(0.5)*1e3, ls.Quantile(0.99)*1e3)
 	}
 	bs := s.BatchSizes.Snapshot()
 	if bs.Count > 0 {

@@ -18,7 +18,7 @@ import (
 func TestWriteMetricsHostileModelPath(t *testing.T) {
 	hostile := `C:\models\"prod"\caf` + "\u00e9\u2713" + "\nnight.json"
 	s := NewStats(nil)
-	s.Endpoint("predict").Requests.Inc()
+	s.Endpoint("predict").Latency.Observe(0.001)
 	entry := &ModelEntry{ID: `sha256:ab"c\d`, Path: hostile, Gen: 7}
 
 	var b strings.Builder
@@ -52,12 +52,11 @@ func TestWriteMetricsNoModel(t *testing.T) {
 
 // TestSummaryRendersQuantiles exercises the real Summary path end to end:
 // observed latencies show up as p50/p99 within the histogram's error, and an
-// endpoint that counted a request but timed none prints no quantiles at all
-// rather than a fabricated zero.
+// endpoint that answered nothing prints no quantiles at all rather than a
+// fabricated zero.
 func TestSummaryRendersQuantiles(t *testing.T) {
 	s := NewStats(nil)
 	ep := s.Endpoint("predict")
-	ep.Requests.Inc()
 	if sum := s.Summary(CacheStats{}, 0, FlushCounts{}, nil); strings.Contains(sum, "p50") || strings.Contains(sum, "p99") {
 		t.Fatalf("summary fabricated quantiles before the first observation:\n%s", sum)
 	}

@@ -229,22 +229,27 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// readBody reads the whole request body (bounded like decodeJSON) into buf,
-// growing it as needed, and returns the filled slice. Reusing the caller's
-// buffer keeps the body-cache hit path free of per-request read allocations
-// once buffers are warm.
-func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
-	lr := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+// readBody reads the whole request body into buf, growing it as needed, and
+// returns the filled slice; the body is then at EOF. A body longer than
+// MaxBodyBytes fails with the error http.MaxBytesReader gives it, and a body
+// that fails is drained. The limit is counted here, not by a wrapping reader,
+// so that with the caller's buffer warm a read allocates nothing.
+func readBody(r *http.Request, buf []byte) ([]byte, error) {
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := lr.Read(buf[len(buf):cap(buf)])
+		// One byte past the limit is enough to know it was passed.
+		n, err := r.Body.Read(buf[len(buf):min(cap(buf), MaxBodyBytes+1)])
 		buf = buf[:len(buf)+n]
+		if len(buf) > MaxBodyBytes {
+			err = &http.MaxBytesError{Limit: MaxBodyBytes}
+		}
 		if err == io.EOF {
 			return buf, nil
 		}
 		if err != nil {
+			drainBody(r)
 			return nil, fmt.Errorf("serve: read request: %w", err)
 		}
 	}
@@ -268,10 +273,19 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 			Message: fmt.Sprintf("serve: encode response: %v", err),
 		}})
 	}
-	w.Header().Set("Content-Type", "application/json")
+	setJSONContentType(w.Header())
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes())
 }
+
+// jsonContentType is the Content-Type value of every JSON answer, in
+// canonical form and shared: assigning it costs nothing, where Header.Set
+// allocates a fresh slice per answer. Its capacity is its length, so a caller
+// that appends to the header value copies it first.
+var jsonContentType = []string{"application/json"}
+
+// setJSONContentType marks the answer in h as JSON.
+func setJSONContentType(h http.Header) { h["Content-Type"] = jsonContentType }
 
 // appendPredictHead appends what encoding/json writes for a PredictResponse
 // (HTML escaping off) up to the value of its cached field:
@@ -315,7 +329,7 @@ func degreesByOp(p *queryplan.PQP) map[string]int {
 }
 
 // drainBody discards any unread remainder so keep-alive connections reuse
-// cleanly.
+// cleanly: what a handler that does not read its body to EOF defers.
 func drainBody(r *http.Request) {
 	_, _ = io.Copy(io.Discard, io.LimitReader(r.Body, MaxBodyBytes))
 	_ = r.Body.Close()
