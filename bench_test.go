@@ -654,6 +654,25 @@ func BenchmarkGatewayPredict(b *testing.B) {
 	}
 }
 
+// BenchmarkGatewayPredictHit is the gateway's proxy tax alone: every request
+// is a body-cache hit forwarded to one in-process replica, so what it times
+// beyond BenchmarkServePredict's hit is admission, the dispatch slot, routing
+// and the forward hop. BenchmarkGatewayPredict times misses instead: it
+// thrashes its replicas' caches on purpose.
+func BenchmarkGatewayPredictHit(b *testing.B) {
+	g, _ := scaleOutGateway(b, benchServeModel(b), 1)
+	bodies := benchSpikeBodies(b)
+	w := &benchResponseWriter{h: make(http.Header)}
+	for _, body := range bodies { // the misses that fill the body cache
+		w.reset()
+		g.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+		if w.status != http.StatusOK {
+			b.Fatalf("status %d: %s", w.status, w.buf.String())
+		}
+	}
+	driveGateway(b, g, bodies)
+}
+
 // scaleOutBodies marshals BenchmarkGatewayPredict's 384 distinct
 // spike-detection predict requests.
 func scaleOutBodies(tb testing.TB) [][]byte {
@@ -700,7 +719,7 @@ func scaleOutGateway(tb testing.TB, zt *core.ZeroTune, n int) (*gateway.Gateway,
 	return g, servers
 }
 
-// driveGateway is BenchmarkGatewayPredict's timed loop: parallel clients
+// driveGateway is the gateway benchmarks' timed loop: parallel clients
 // cycling through bodies, reported as req/sec.
 func driveGateway(b *testing.B, g http.Handler, bodies [][]byte) {
 	var next atomic.Uint64

@@ -32,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -258,6 +257,17 @@ func forwardContext(parent context.Context, d time.Duration) (context.Context, c
 	return context.WithTimeout(parent, d)
 }
 
+// maxPresize bounds, in bytes, the declared request length the gateway
+// allocates before reading: a plan body is a few KB, and a longer declared
+// length is taken as a claim, not a size, so that a client that declares
+// MaxBodyBytes and sends nothing does not hold that much of the heap. Such a
+// body is read into storage that grows with what arrives.
+const maxPresize = 64 << 10
+
+// replicaHeader is the answer header naming the replica that answered, in
+// canonical form.
+const replicaHeader = "X-Gateway-Replica"
+
 // proxyHandler builds the forwarding handler for one /v1 endpoint.
 func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 	path := "/v1/" + endpoint
@@ -269,7 +279,15 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 		defer func() {
 			g.self.Observe((time.Since(w.(*obs.StatusWriter).Started()) - away).Seconds())
 		}()
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
+		// The body is read into storage of its own, presized to a declared
+		// length up to maxPresize, and never recycled: a replica abandoned
+		// mid-call (client.NewForHandler's watchdog) or a RoundTripper may
+		// still read it after the forward returns.
+		var buf []byte
+		if n := r.ContentLength; n >= 0 && n <= maxPresize {
+			buf = make([]byte, 0, n+1) // the spare byte reads the EOF
+		}
+		body, err := serve.ReadBody(r, buf)
 		if err != nil {
 			serve.WriteError(w, http.StatusBadRequest, fmt.Errorf("gateway: read request: %w", err))
 			return
@@ -277,7 +295,10 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 
 		// Stage 1: admission. The class header goes on to the replica with
 		// every forward, carried by the context.
-		class := r.Header.Get(serve.SLOClassHeader)
+		var class string
+		if v := r.Header[serve.SLOClassKey]; len(v) > 0 {
+			class = v[0]
+		}
 		ctx = serve.WithSLOClass(ctx, class)
 		cls := g.adm.class(class)
 		if !cls.Allow(g.now()) {
@@ -371,8 +392,9 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 // writeReplica passes a replica's answer through byte-for-byte, naming the
 // replica.
 func writeReplica(w http.ResponseWriter, rep *Replica, status int, resp []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Gateway-Replica", rep.Name())
+	h := w.Header()
+	serve.SetJSONContentType(h)
+	h[replicaHeader] = rep.header
 	w.WriteHeader(status)
 	_, _ = w.Write(resp)
 }

@@ -29,6 +29,7 @@ var errProbeUnhealthy = errors.New("gateway: replica probe answered non-200")
 type Replica struct {
 	backend serve.Backend
 	idx     int
+	header  []string // the replicaHeader value of its answers: its name, shared
 
 	state       atomic.Int32
 	consecFails atomic.Int32
@@ -86,6 +87,7 @@ func newPool(backends []serve.Backend, seed uint64, failThreshold int, reg *obs.
 		r := &Replica{
 			backend:   b,
 			idx:       i,
+			header:    []string{b.Name()},
 			requests:  reg.Counter("zerotune_gateway_replica_requests_total", obs.L("replica", b.Name())),
 			failures:  reg.Counter("zerotune_gateway_replica_failures_total", obs.L("replica", b.Name())),
 			ejections: reg.Counter("zerotune_gateway_replica_ejections_total", obs.L("replica", b.Name())),

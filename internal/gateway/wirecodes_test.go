@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -178,6 +179,80 @@ func TestGatewayWireCodesPinned(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			if status, code := c.run(t); status != c.status || code != c.code {
 				t.Errorf("got %d %q, want %d %q", status, code, c.status, c.code)
+			}
+		})
+	}
+}
+
+// bodyBackend is a replica that answers 200 and keeps the last body it was
+// sent.
+type bodyBackend struct{ got *[]byte }
+
+func (bodyBackend) Name() string { return "r" }
+
+func (b bodyBackend) Call(_ context.Context, _ string, body []byte) (int, []byte, error) {
+	*b.got = bytes.Clone(body)
+	return http.StatusOK, []byte("{}\n"), nil
+}
+
+// TestGatewayBodyEdges: the gateway forwards exactly the bytes it read, up to
+// and including MaxBodyBytes, whatever the request declares as its length; a
+// body past the limit is the 400 envelope with http.MaxBytesReader's text; and
+// a declared length past maxPresize is not taken as the size to read into.
+func TestGatewayBodyEdges(t *testing.T) {
+	const small = 3000
+	cases := []struct {
+		name     string
+		size     int
+		declared int64 // the request's ContentLength; 0 declares the size sent
+		status   int
+		maxAlloc uint64 // bytes the request may allocate; 0 is unchecked
+	}{
+		{"exactly the limit", serve.MaxBodyBytes, 0, http.StatusOK, 0},
+		{"one byte past the limit", serve.MaxBodyBytes + 1, 0, http.StatusBadRequest, 0},
+		{"undeclared length", small, -1, http.StatusOK, 0},
+		{"undeclared length past the limit", serve.MaxBodyBytes + 1, -1, http.StatusBadRequest, 0},
+		{"declared shorter than sent", small, 10, http.StatusOK, 0},
+		{"declared longer than sent", small, 2 * small, http.StatusOK, 0},
+		{"declared past the presize bound", small, serve.MaxBodyBytes, http.StatusOK, 1 << 20},
+		{"declared past the limit", small, serve.MaxBodyBytes + 1, http.StatusOK, 1 << 20},
+		{"declared beyond any buffer", small, 1 << 62, http.StatusOK, 1 << 20},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var got []byte
+			g := pinGateway(t, bodyBackend{&got}, Options{})
+			body := make([]byte, c.size)
+			for i := range body {
+				body[i] = byte('a' + i%26)
+			}
+			req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
+			if c.declared != 0 {
+				req.ContentLength = c.declared
+			}
+			rec := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			g.ServeHTTP(rec, req)
+			runtime.ReadMemStats(&after)
+			if rec.Code != c.status {
+				t.Fatalf("status %d (%.200s), want %d", rec.Code, rec.Body.Bytes(), c.status)
+			}
+			if c.status == http.StatusOK && !bytes.Equal(got, body) {
+				t.Errorf("forwarded %d bytes, want the %d sent", len(got), len(body))
+			}
+			if c.status == http.StatusBadRequest {
+				var env envelope
+				_ = json.Unmarshal(rec.Body.Bytes(), &env)
+				if want := "gateway: read request: http: request body too large"; env.Error.Code != "bad_request" || env.Error.Message != want {
+					t.Errorf("envelope %+v, want bad_request %q", env.Error, want)
+				}
+				if got != nil {
+					t.Errorf("the replica was sent %d bytes", len(got))
+				}
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; c.maxAlloc != 0 && n > c.maxAlloc {
+				t.Errorf("the request allocated %d bytes, want at most %d", n, c.maxAlloc)
 			}
 		})
 	}

@@ -5,7 +5,9 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -14,9 +16,10 @@ import (
 // target, the chaos drill's watchdog. Its implementations are
 // InProcessBackend (a *Server, in process), loadgen.HandlerTarget (any
 // handler, status only) and the typed *client.Client (a base URL, or a handler
-// behind a watchdog). Every one of them builds its request with NewRequest, so
-// the method, the content type and the SLO class are the same however a tier
-// is reached. Per-call metadata rides on the context: WithSLOClass.
+// behind a watchdog). Every one of them sends the request NewRequest builds,
+// over HTTP or, through ServeInProcess, from pooled storage, so the method,
+// the content type and the SLO class are the same however a tier is reached.
+// Per-call metadata rides on the context: WithSLOClass.
 type Backend interface {
 	// Name identifies the replica. Names must be unique within a pool:
 	// affinity routing rendezvous-hashes them, and the pool's metrics label
@@ -34,8 +37,8 @@ type Backend interface {
 type sloClassKey struct{}
 
 // WithSLOClass returns ctx carrying class as the SLO class of every Backend
-// call made with it: NewRequest sends it as the SLOClassHeader. An empty
-// class returns ctx unchanged.
+// call made with it: the call's request carries it as the SLOClassHeader. An
+// empty class returns ctx unchanged.
 func WithSLOClass(ctx context.Context, class string) context.Context {
 	if class == "" {
 		return ctx
@@ -60,36 +63,134 @@ func MethodFor(path string) string {
 	return http.MethodGet
 }
 
-// NewRequest builds the request of every Backend call, in process (base "")
-// and over HTTP: method MethodFor(path), URL base+path, body as the payload,
-// the JSON content type on a POST, and ctx's SLO class, if any, as the
-// SLOClassHeader.
+// SLOClassKey is SLOClassHeader in canonical form, the key Header.Get and
+// Header.Set use: a header indexed by it directly reads and writes what they
+// do, where indexing by SLOClassHeader misses.
+const SLOClassKey = "X-Slo-Class"
+
+// setCallHeader writes into h what every Backend call's request carries, in
+// process and over HTTP: the JSON content type on a POST, and class[0], when
+// set, as the SLOClassHeader. h keeps class's storage, which it may share
+// with nothing else.
+func setCallHeader(h http.Header, method string, class *[1]string) {
+	if method == http.MethodPost {
+		SetJSONContentType(h)
+	}
+	if class[0] != "" {
+		h[SLOClassKey] = class[:]
+	}
+}
+
+// NewRequest builds the request of every call over HTTP (base is the
+// replica's URL): method MethodFor(path), URL base+path, body as the
+// payload, and the header setCallHeader writes. ServeInProcess builds the
+// same request in process, from pooled storage.
 func NewRequest(ctx context.Context, base, path string, body []byte) (*http.Request, error) {
 	method := MethodFor(path)
 	req, err := http.NewRequestWithContext(ctx, method, base+path, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	if method == http.MethodPost {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if class := sloClass(ctx); class != "" {
-		req.Header.Set(SLOClassHeader, class)
-	}
+	setCallHeader(req.Header, method, &[1]string{sloClass(ctx)})
 	return req, nil
 }
 
-// ServeInProcess is the in-process call: it runs h on NewRequest's request in
-// the calling goroutine and returns the status and what h wrote. With
-// discard, what h writes is dropped, for callers that read only the status.
+// ServeInProcess is the in-process call: it runs h in the calling goroutine
+// on the request NewRequest would build with base "", and returns the status
+// and a copy of what h wrote. With discard, what h writes is dropped, for
+// callers that read only the status.
+//
+// The request, its header, its body reader and the response writer come from
+// a pool and go back to it once h returns, so a call allocates only the
+// request copy that carries ctx and the answer's copy. body itself is the
+// caller's: h reads it in place, and a handler abandoned while it still runs
+// (client.NewForHandler abandons a wedged one) still holds it, so the caller
+// must not reuse it.
 func ServeInProcess(ctx context.Context, h http.Handler, path string, body []byte, discard bool) (int, []byte, error) {
-	req, err := NewRequest(ctx, "", path, body)
+	c := inProcessCalls.Get().(*inProcessCall)
+	defer c.release()
+	req, err := c.request(ctx, path, body)
 	if err != nil {
 		return 0, nil, err
 	}
-	w := recorder{discard: discard}
-	h.ServeHTTP(&w, req)
-	return w.Status(), w.body.Bytes(), nil
+	c.w.discard = discard
+	h.ServeHTTP(&c.w, req)
+	var resp []byte
+	if !discard {
+		resp = bytes.Clone(c.w.body.Bytes())
+	}
+	return c.w.Status(), resp, nil
+}
+
+// inProcessCalls holds the storage of ServeInProcess's calls.
+var inProcessCalls = sync.Pool{New: func() any { return new(inProcessCall) }}
+
+// maxPooledAnswer bounds, in bytes, the answer buffer a pooled call keeps; a
+// call that wrote more gives its storage to the collector instead.
+const maxPooledAnswer = 64 << 10
+
+// inProcessCall is one in-process call's storage: the last path called and
+// its parsed URL, the request's URL, header map and body reader, the class
+// value the header points at, and the response writer.
+type inProcessCall struct {
+	path   string
+	parsed url.URL // path, parsed
+	url    url.URL // the request's copy, reset from parsed on every call
+	header http.Header
+	body   callBody
+	class  [1]string
+	w      recorder
+}
+
+// callBody is an in-process request's body: the caller's bytes, read in
+// place.
+type callBody struct{ bytes.Reader }
+
+// Close implements io.Closer; there is nothing to release.
+func (*callBody) Close() error { return nil }
+
+// request builds, on c's storage, the request of a call to path carrying body
+// under ctx. Everything a handler could have changed in c's last call is
+// reset here: the URL from its parse, the header map cleared.
+func (c *inProcessCall) request(ctx context.Context, path string, body []byte) (*http.Request, error) {
+	if c.path != path {
+		u, err := url.Parse(path)
+		if err != nil {
+			return nil, err
+		}
+		c.path, c.parsed = path, *u
+	}
+	if c.header == nil {
+		c.header = make(http.Header)
+	}
+	clear(c.header)
+	method := MethodFor(path)
+	c.class[0] = sloClass(ctx)
+	setCallHeader(c.header, method, &c.class)
+	c.url = c.parsed
+	c.body.Reset(body)
+	tmpl := http.Request{
+		Method:        method,
+		URL:           &c.url,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        c.header,
+		Body:          &c.body,
+		ContentLength: int64(len(body)),
+	}
+	return tmpl.WithContext(ctx), nil
+}
+
+// release drops what c refers to of its last call and returns it to the pool.
+func (c *inProcessCall) release() {
+	c.body.Reset(nil)
+	c.class[0] = ""
+	if c.w.body.Cap() > maxPooledAnswer {
+		return
+	}
+	c.w.reset()
+	inProcessCalls.Put(c)
 }
 
 // InProcessBackend adapts a *Server to the Backend interface by driving its
@@ -141,6 +242,14 @@ type recorder struct {
 	header  http.Header
 	status  int
 	body    bytes.Buffer
+}
+
+// reset readies r for another call: no status, nothing written, an empty
+// header map.
+func (r *recorder) reset() {
+	r.status = 0
+	r.body.Reset()
+	clear(r.header)
 }
 
 // Header implements http.ResponseWriter.

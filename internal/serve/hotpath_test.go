@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -54,6 +55,39 @@ func TestBodyHitAllocFree(t *testing.T) {
 	}
 	if got := w.h.Get("Content-Type"); got != "application/json" {
 		t.Errorf("Content-Type %q, want application/json", got)
+	}
+}
+
+// TestServeInProcessAllocs: once its pool is warm, an in-process call of a
+// body hit allocates the request copy that carries the call's context and the
+// answer's copy, and no answer copy when it is discarded.
+func TestServeInProcessAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random")
+	}
+	s := New(Options{BatchWindow: -1, CacheSize: 64})
+	defer s.Close()
+	s.Registry().Install(coldModel(t), "m", "")
+	body := coldBodies(t, 0, 1)[0]
+	ctx := context.Background()
+	for _, c := range []struct {
+		discard bool
+		want    float64
+	}{{false, 2}, {true, 1}} {
+		call := func() {
+			status, resp, err := ServeInProcess(ctx, s, "/v1/predict", body, c.discard)
+			if err != nil || status != http.StatusOK || (len(resp) == 0) != c.discard {
+				t.Fatalf("discard=%v: status %d, err %v, answer %q", c.discard, status, err, resp)
+			}
+		}
+		call() // the miss that fills the body cache
+		call()
+		func() {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection would empty the pools
+			if allocs := testing.AllocsPerRun(1000, call); allocs > c.want {
+				t.Errorf("discard=%v: %.2f allocations per in-process body hit, want at most %.0f", c.discard, allocs, c.want)
+			}
+		}()
 	}
 }
 

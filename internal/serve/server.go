@@ -398,15 +398,15 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// clears on swap, so it can never outlive its model.
 	bufp := s.bodyBufs.Get().(*[]byte)
 	defer s.bodyBufs.Put(bufp)
-	body, err := readBody(r, (*bufp)[:0])
+	body, err := ReadBody(r, (*bufp)[:0])
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: read request: %w", err))
 		return
 	}
 	*bufp = body[:0]
 	data, bodyKey, ok := s.resp.get(body)
 	if ok {
-		setJSONContentType(w.Header())
+		SetJSONContentType(w.Header())
 		_, _ = w.Write(data)
 		clock.mark(StageBodyHit)
 		return
@@ -592,7 +592,7 @@ func (s *Server) writePredict(w http.ResponseWriter, sc *predictScratch, bodyKey
 		sent = append(append(head, "false"...), entry.predictTail...)
 		sc.out = sent
 	}
-	setJSONContentType(w.Header())
+	SetJSONContentType(w.Header())
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(sent)
 	s.resp.put(bodyKey, body, stored)
@@ -659,9 +659,9 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 	// request's own decoder, the same two errors.
 	bufp := s.bodyBufs.Get().(*[]byte)
 	defer s.bodyBufs.Put(bufp)
-	body, err := readBody(r, (*bufp)[:0])
+	body, err := ReadBody(r, (*bufp)[:0])
 	if err != nil {
-		WriteError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("serve: read request: %w", err))
 		return
 	}
 	*bufp = body[:0]

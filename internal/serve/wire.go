@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"zerotune/internal/cluster"
@@ -216,7 +217,7 @@ type errorResponse struct {
 
 // decodeJSON reads one JSON value from the request body, rejecting trailing
 // garbage and oversized payloads: the way in for /v1/reload, whose body is
-// one field. /v1/predict and /v1/tune read theirs with readBody and decode
+// one field. /v1/predict and /v1/tune read theirs with ReadBody and decode
 // it themselves.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
@@ -229,15 +230,17 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// readBody reads the whole request body into buf, growing it as needed, and
+// ReadBody reads the whole request body into buf, growing it as needed, and
 // returns the filled slice; the body is then at EOF. A body longer than
 // MaxBodyBytes fails with the error http.MaxBytesReader gives it, and a body
 // that fails is drained. The limit is counted here, not by a wrapping reader,
-// so that with the caller's buffer warm a read allocates nothing.
-func readBody(r *http.Request, buf []byte) ([]byte, error) {
+// so that into a buffer with room to spare a read allocates nothing: the
+// replica reads into a warm pooled one, the gateway into one presized to a
+// short declared length. Each tier prefixes the error with its own name.
+func ReadBody(r *http.Request, buf []byte) ([]byte, error) {
 	for {
 		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+			buf = slices.Grow(buf, minBodyGrowth)
 		}
 		// One byte past the limit is enough to know it was passed.
 		n, err := r.Body.Read(buf[len(buf):min(cap(buf), MaxBodyBytes+1)])
@@ -250,10 +253,15 @@ func readBody(r *http.Request, buf []byte) ([]byte, error) {
 		}
 		if err != nil {
 			drainBody(r)
-			return nil, fmt.Errorf("serve: read request: %w", err)
+			return nil, err
 		}
 	}
 }
+
+// minBodyGrowth is the least ReadBody grows a full buffer by, io.ReadAll's
+// first size: a body of unknown length is read in a few growths, not one per
+// doubling from eight bytes.
+const minBodyGrowth = 512
 
 // WriteJSON writes v as JSON with the given status: every answer of both
 // tiers that is not a byte-for-byte pass-through.
@@ -273,19 +281,20 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 			Message: fmt.Sprintf("serve: encode response: %v", err),
 		}})
 	}
-	setJSONContentType(w.Header())
+	SetJSONContentType(w.Header())
 	w.WriteHeader(status)
 	_, _ = w.Write(buf.Bytes())
 }
 
-// jsonContentType is the Content-Type value of every JSON answer, in
-// canonical form and shared: assigning it costs nothing, where Header.Set
-// allocates a fresh slice per answer. Its capacity is its length, so a caller
-// that appends to the header value copies it first.
+// jsonContentType is the Content-Type value of every JSON answer and every
+// Backend call's POST, in canonical form and shared: assigning it costs
+// nothing, where Header.Set allocates a fresh slice each time. Its capacity
+// is its length, so a caller that appends to the header value copies it
+// first.
 var jsonContentType = []string{"application/json"}
 
-// setJSONContentType marks the answer in h as JSON.
-func setJSONContentType(h http.Header) { h["Content-Type"] = jsonContentType }
+// SetJSONContentType marks the message whose header is h as JSON.
+func SetJSONContentType(h http.Header) { h["Content-Type"] = jsonContentType }
 
 // appendPredictHead appends what encoding/json writes for a PredictResponse
 // (HTML escaping off) up to the value of its cached field:
