@@ -296,7 +296,7 @@ func (g *Gateway) proxyHandler(endpoint string) http.HandlerFunc {
 		// Stage 1: admission. The class header goes on to the replica with
 		// every forward, carried by the context.
 		var class string
-		if v := r.Header[serve.SLOClassKey]; len(v) > 0 {
+		if v := r.Header[serve.SLOClassHeader]; len(v) > 0 {
 			class = v[0]
 		}
 		ctx = serve.WithSLOClass(ctx, class)

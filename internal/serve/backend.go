@@ -63,11 +63,6 @@ func MethodFor(path string) string {
 	return http.MethodGet
 }
 
-// SLOClassKey is SLOClassHeader in canonical form, the key Header.Get and
-// Header.Set use: a header indexed by it directly reads and writes what they
-// do, where indexing by SLOClassHeader misses.
-const SLOClassKey = "X-Slo-Class"
-
 // setCallHeader writes into h what every Backend call's request carries, in
 // process and over HTTP: the JSON content type on a POST, and class[0], when
 // set, as the SLOClassHeader. h keeps class's storage, which it may share
@@ -77,7 +72,7 @@ func setCallHeader(h http.Header, method string, class *[1]string) {
 		SetJSONContentType(h)
 	}
 	if class[0] != "" {
-		h[SLOClassKey] = class[:]
+		h[SLOClassHeader] = class[:]
 	}
 }
 

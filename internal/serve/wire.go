@@ -30,8 +30,10 @@ const MaxBodyBytes = 8 << 20
 // SLOClassHeader is the request header declaring the caller's SLO class. The
 // gateway's admission control reads it (requests without it, or naming an
 // unconfigured class, are best-effort) and forwards it with the request;
-// replicas do not read it.
-const SLOClassHeader = "X-SLO-Class"
+// replicas do not read it. It is spelled in canonical form (the wire is
+// case-insensitive, and X-SLO-Class is the same header), so indexing an
+// http.Header by it reads and writes what Header.Get and Header.Set do.
+const SLOClassHeader = "X-Slo-Class"
 
 // MaxPlanInstances and MaxClusterNodes bound what one body can make the
 // server allocate: placement and encoding are linear in a plan's operator
